@@ -1,0 +1,273 @@
+package plan
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"ocas/internal/catalog"
+	"ocas/internal/exec"
+	"ocas/internal/storage"
+)
+
+// updateGolden regenerates testdata/accounting.golden.json instead of
+// comparing against it. The committed file was generated by the two-backend
+// executor (PR 11's tree), where both backends were asserted to produce it;
+// regenerate only when a change to the charge model itself is intended.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/accounting.golden.json")
+
+const goldenPath = "testdata/accounting.golden.json"
+
+// goldenRun is everything observable about one execution except host
+// wall-clock time: the determinism contract, pinned.
+type goldenRun struct {
+	OutDigest string `json:"outDigest"`
+	OutRows   int64  `json:"outRows"`
+	Result    string `json:"result,omitempty"`
+	// VirtualSecondsBits is math.Float64bits of the virtual clock: the
+	// comparison is bit-exact, not within a tolerance.
+	VirtualSecondsBits string                  `json:"virtualSecondsBits"`
+	VirtualSeconds     float64                 `json:"virtualSeconds"`
+	Devices            map[string]DeviceReport `json:"devices"`
+	Pool               storage.PoolStats       `json:"pool"`
+	ExecWorkers        int                     `json:"execWorkers"`
+	Workers            []exec.WorkerLedger     `json:"workers,omitempty"`
+	Explain            *ExplainOp              `json:"explain"`
+}
+
+func goldenOf(rep *ExecReport) goldenRun {
+	NormalizeExplain(rep.Explain)
+	return goldenRun{
+		OutDigest: rep.OutDigest, OutRows: rep.OutRows, Result: rep.Result,
+		VirtualSecondsBits: fmt.Sprintf("%016x", math.Float64bits(rep.VirtualSeconds)),
+		VirtualSeconds:     rep.VirtualSeconds,
+		Devices:            rep.Devices, Pool: rep.Pool,
+		ExecWorkers: rep.ExecWorkers, Workers: rep.Workers,
+		Explain: rep.Explain,
+	}
+}
+
+// graceJoin is the hash-partitioned equi-join the worker-sweep and durable
+// entries execute.
+func graceJoin(rRows, sRows, ram int64) Request {
+	return Request{
+		Program: "flatMap(\\<p1, p2> -> for (xB [k1] <- p1) for (yB [k2] <- p2) " +
+			"for (x <- xB) for (y <- yB) if x.1 == y.1 then [<x, y>] else [])" +
+			"(zip[2](partition[s](R), partition[s](S)))",
+		Inputs: map[string]Input{
+			"R": {Node: "hdd", Rows: rRows},
+			"S": {Node: "hdd", Rows: sRows},
+		},
+		RAM:   ram,
+		Depth: 2, Space: 200,
+	}
+}
+
+// goldenEntry is one corpus entry: a request plus the option matrix it is
+// executed under. Every run is explained, so the per-operator counters are
+// part of the pinned contract.
+type goldenEntry struct {
+	name    string
+	req     Request
+	base    ExecOptions
+	batches []int64
+	workers []int
+	// durable additionally executes every configuration over catalog tables
+	// holding exactly the generated rows.
+	durable bool
+}
+
+func goldenCorpus(t *testing.T) []goldenEntry {
+	t.Helper()
+	paths, err := filepath.Glob("../../examples/*/request.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example requests found: %v", err)
+	}
+	var corpus []goldenEntry
+	for _, reqPath := range paths {
+		data, err := os.ReadFile(reqPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req Request
+		if err := json.Unmarshal(data, &req); err != nil {
+			t.Fatal(err)
+		}
+		scaleRequest(&req, 2048)
+		corpus = append(corpus, goldenEntry{
+			name: filepath.Base(filepath.Dir(reqPath)), req: req,
+			base:    ExecOptions{Seed: 42},
+			batches: []int64{1, 64}, workers: []int{1, 4},
+		})
+	}
+	return append(corpus,
+		goldenEntry{
+			name: "grace-worker-sweep", req: graceJoin(4096, 8192, 256<<10),
+			base:    ExecOptions{Seed: 11},
+			batches: []int64{0}, workers: []int{1, 2, 4, 8},
+		},
+		goldenEntry{
+			name: "grace-durable", req: graceJoin(1024, 2048, 64<<10),
+			base:    ExecOptions{Seed: 42, PoolBytes: 16 << 10},
+			batches: []int64{0}, workers: []int{1, 4},
+			durable: true,
+		},
+		// The examples lower to joins, sorts and streaming merges; these two
+		// pin the projection and fold kernels' charges as well.
+		goldenEntry{
+			name: "filter-project",
+			req: Request{
+				Program: "for (x <- R) if x.1 < 300 then [<x.2, (x.1 + x.2)>] else []",
+				Inputs:  map[string]Input{"R": {Node: "hdd", Rows: 8192}},
+				RAM:     4 << 10, Depth: 3, Space: 200,
+			},
+			base:    ExecOptions{Seed: 42},
+			batches: []int64{1, 64}, workers: []int{1, 4},
+		},
+		goldenEntry{
+			name: "fold-sum",
+			req: Request{
+				Program: "foldL(0, \\<a, x> -> (a + x.2))(R)",
+				Inputs:  map[string]Input{"R": {Node: "hdd", Rows: 8192}},
+				RAM:     4 << 10, Depth: 3, Space: 200,
+			},
+			base:    ExecOptions{Seed: 42},
+			batches: []int64{1, 64}, workers: []int{1, 4},
+		})
+}
+
+// TestAccountingGolden executes the examples corpus, the grace-join worker
+// sweep and the generated-vs-durable quadrant, and requires every run's
+// digest, row count, virtual clock (bit-exact), per-device ledgers, pool
+// stats, worker-lane ledgers and EXPLAIN ANALYZE tree to reproduce
+// testdata/accounting.golden.json byte for byte. The file was captured from
+// the two-backend executor, so it is the proof that the surviving kernel
+// path charges exactly what both deleted-or-kept steppers charged.
+func TestAccountingGolden(t *testing.T) {
+	want := map[string]json.RawMessage{}
+	if !*updateGolden {
+		data, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]goldenRun{}
+	seen := map[string]bool{}
+	for _, e := range goldenCorpus(t) {
+		t.Run(e.name, func(t *testing.T) {
+			c, err := Compile(e.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := c.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources := []string{"generated"}
+			var cat *catalog.Catalog
+			var tables map[string]string
+			if e.durable {
+				cat, err = catalog.Open(t.TempDir(), catalog.Options{FlushRows: 257, ChunkRows: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cat.Close()
+				tables = ingestGenerated(t, cat, c, e.base)
+				sources = append(sources, "durable")
+			}
+			for _, batch := range e.batches {
+				for _, workers := range e.workers {
+					var generated goldenRun
+					for _, source := range sources {
+						opt := e.base
+						opt.BatchRows, opt.ExecWorkers, opt.Explain = batch, workers, true
+						if source == "durable" {
+							opt.Tables, opt.Cat = tables, cat
+						}
+						key := fmt.Sprintf("%s/batch=%d/workers=%d/%s", e.name, batch, workers, source)
+						for _, backend := range []string{BackendInterpreted, BackendFused} {
+							opt.Backend = backend
+							rep, err := ExecutePlan(context.Background(), c, p, opt)
+							if err != nil {
+								t.Fatalf("%s (%s): %v", key, backend, err)
+							}
+							run := goldenOf(rep)
+							seen[key] = true
+							if *updateGolden {
+								if prev, ok := got[key]; ok {
+									requireSameRun(t, key+": "+backend+" vs interpreted", run, mustJSON(t, prev))
+								}
+								got[key] = run
+							} else {
+								requireSameRun(t, key+" ("+backend+")", run, want[key])
+							}
+							// The durable run's output and charges are the generated
+							// run's: a table scan reads the same logical records.
+							if source == "generated" {
+								generated = run
+							} else if run.OutDigest != generated.OutDigest || run.OutRows != generated.OutRows ||
+								run.VirtualSecondsBits != generated.VirtualSecondsBits ||
+								!bytes.Equal(mustJSON(t, run.Devices), mustJSON(t, generated.Devices)) {
+								t.Errorf("%s (%s): durable run diverges from the generated one\ndurable:   %s\ngenerated: %s",
+									key, backend, mustJSON(t, run), mustJSON(t, generated))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for key := range want {
+		if !seen[key] {
+			t.Errorf("golden entry %s was not executed", key)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// requireSameRun compares a run against its golden record byte for byte
+// (both in compact JSON, the golden file being indented).
+func requireSameRun(t *testing.T, label string, run goldenRun, want json.RawMessage) {
+	t.Helper()
+	if want == nil {
+		t.Errorf("%s: no golden record (run with -update-golden on a tree known to be right)", label)
+		return
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustJSON(t, run); !bytes.Equal(got, compact.Bytes()) {
+		t.Errorf("%s: run diverges from the golden record\n got: %s\nwant: %s", label, got, compact.Bytes())
+	}
+}
