@@ -11,7 +11,7 @@
 //	     [-strategy exhaustive|beam -beam 64] [-workers 0] \
 //	     [-c] [-json [-template-cache plans.json]] \
 //	     [-run [-seed 1] [-batch 0] [-pool 0] [-exec-workers 1] [-explain] \
-//	           [-backend interpreted|fused] [-data DIR -table R=mytable,...]]
+//	           [-data DIR -table R=mytable,...]]
 //
 // Built-in hierarchies: hdd-ram, hdd-ram-cache, two-hdd, hdd-flash; a JSON
 // file path is accepted too.
@@ -32,9 +32,6 @@
 // same segment files ocasd ingests into), with byte-identical digests,
 // ledgers and virtual clock. A bound input executes over the table's actual
 // rows; its -in rows field only sizes the cost model during synthesis.
-// -backend fused runs the plan through the compiled selection-vector kernels
-// instead of the closure interpreter — same digest, ledger and virtual clock,
-// less host CPU per row.
 package main
 
 import (
@@ -79,7 +76,6 @@ func main() {
 		batch     = flag.Int64("batch", 0, "executor batch size in rows, 0 = default (-run)")
 		poolB     = flag.Int64("pool", 0, "executor buffer pool budget in bytes, 0 = the RAM size (-run)")
 		execW     = flag.Int("exec-workers", 1, "executor worker count for morsel-parallel execution (-run); never changes results, only wall-clock")
-		backend   = flag.String("backend", "", "execution backend (-run): interpreted (default) or fused compiled kernels; never changes results, only host CPU time")
 		explain   = flag.Bool("explain", false, "with -run: print the per-operator EXPLAIN ANALYZE tree (actuals plus est/act drift)")
 		dataDir   = flag.String("data", "", "durable table catalog directory for -run -table bindings (the directory ocasd -data ingests into)")
 		tableSpec = flag.String("table", "", "with -run: read inputs from durable tables as input=table, comma separated (requires -data)")
@@ -88,11 +84,6 @@ func main() {
 	if *progPath == "" || *inputs == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	switch *backend {
-	case "", plan.BackendInterpreted, plan.BackendFused:
-	default:
-		die(fmt.Errorf("unknown -backend %q (want %s or %s)", *backend, plan.BackendInterpreted, plan.BackendFused))
 	}
 
 	var src []byte
@@ -216,7 +207,7 @@ func main() {
 		// bare -json output stays byte-identical to the ocasd response.)
 		rep, err := plan.ExecutePlan(context.Background(), c, p,
 			plan.ExecOptions{Seed: *seed, BatchRows: *batch, PoolBytes: *poolB, ExecWorkers: *execW,
-				Explain: *explain, Backend: *backend, Tables: tables, Cat: cat})
+				Explain: *explain, Tables: tables, Cat: cat})
 		if err != nil {
 			die(err)
 		}
@@ -276,7 +267,7 @@ func main() {
 	if *run {
 		rep, err := plan.RunProgram(context.Background(), h, res.Best.Expr, res.Best.Params, task,
 			plan.ExecOptions{Seed: *seed, BatchRows: *batch, PoolBytes: *poolB, ExecWorkers: *execW,
-				Explain: *explain, Backend: *backend, Tables: tables, Cat: cat})
+				Explain: *explain, Tables: tables, Cat: cat})
 		if err != nil {
 			die(err)
 		}

@@ -9,7 +9,6 @@
 //	ocasbench -cache             # loop-tiling cache-miss reduction
 //	ocasbench -accuracy          # selectivity vs estimation accuracy
 //	ocasbench -ingest            # durable-catalog ingest + scan differential
-//	ocasbench -fused             # fused vs interpreted executor backends
 //	ocasbench -columnar          # columnar batch layout over durable chains
 //	ocasbench -all -shrink 8     # everything, at 1/8 scale
 //
@@ -52,7 +51,6 @@ func main() {
 		cache    = flag.Bool("cache", false, "run the cache-miss study (Section 7.2)")
 		accuracy = flag.Bool("accuracy", false, "run the accuracy study (Section 7.3)")
 		ingest   = flag.Bool("ingest", false, "run the ingest study: load generated rows into a durable catalog, re-execute from segments, verify identical digests")
-		fused    = flag.Bool("fused", false, "run the fused-backend microbench: the same chains executed interpreted and fused, equality verified, wall-clocks compared")
 		columnar = flag.Bool("columnar", false, "run the columnar-layout microbench: durable chains through the struct-of-arrays batch path, with allocs/op and bytes/op columns")
 		all      = flag.Bool("all", false, "run everything")
 		shrink   = flag.Int64("shrink", 1, "divide experiment sizes by this factor")
@@ -75,8 +73,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ocasbench:", err)
 		os.Exit(1)
 	}
-	if !*table1 && !*execPar && !*fig8 && !*cache && !*accuracy && !*ingest && !*fused && !*columnar && !*all {
-		fmt.Fprintln(os.Stderr, "ocasbench: no experiment selected (use -table1, -fig8, -cache, -accuracy, -ingest, -fused, -columnar or -all)")
+	if !*table1 && !*execPar && !*fig8 && !*cache && !*accuracy && !*ingest && !*columnar && !*all {
+		fmt.Fprintln(os.Stderr, "ocasbench: no experiment selected (use -table1, -fig8, -cache, -accuracy, -ingest, -columnar or -all)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -157,16 +155,6 @@ func main() {
 		ingestResults = rs
 		fmt.Fprintln(out)
 	}
-	var fusedResults []*experiments.FusedResult
-	if *fused || *all {
-		fmt.Fprintf(out, "== Fused backend (shrink %d) ==\n", *shrink)
-		rs, err := experiments.RunFused(cfg, out)
-		if err != nil {
-			fail(err)
-		}
-		fusedResults = rs
-		fmt.Fprintln(out)
-	}
 	var columnarResults []*experiments.ColumnarResult
 	if *columnar || *all {
 		fmt.Fprintf(out, "== Columnar layout (shrink %d) ==\n", *shrink)
@@ -191,7 +179,7 @@ func main() {
 	}
 
 	stopCPU()
-	report := experiments.NewBenchReport(cfg, table1Results, execParResults, ingestResults, fusedResults, columnarResults)
+	report := experiments.NewBenchReport(cfg, table1Results, execParResults, ingestResults, columnarResults)
 	// The timestamp is injected here rather than in the library, so report
 	// construction stays clock-free and two runs of the same code differ
 	// only where they should.

@@ -8,7 +8,7 @@
 //	      [-data ./data -flush-rows 65536 -mmap] \
 //	      [-strategy beam -beam 64] [-workers 0] [-max-inflight 2] [-timeout 60s] \
 //	      [-max-exec-rows 1048576] [-exec-workers 4] [-max-worker-slots 8] \
-//	      [-exec-backend interpreted|fused] [-pprof ADDR] \
+//	      [-pprof ADDR] \
 //	      [-trace-ring 256] [-trace-log traces.jsonl] [-log-json] [-access-log] [-no-obs]
 //
 // Endpoints (see internal/service):
@@ -53,12 +53,8 @@
 // path flushes the remainder, so a SIGTERM-stopped daemon restarts with
 // every ingested row durable.
 //
-// -exec-backend picks the default execution backend for /execute requests
-// that don't set exec.backend ("fused" runs plans through the compiled
-// selection-vector kernels; results, ledgers and the virtual clock are
-// byte-identical to interpreted). -pprof ADDR serves net/http/pprof on a
-// separate listener — the profiling mux is never mounted on the serving
-// address.
+// -pprof ADDR serves net/http/pprof on a separate listener — the profiling
+// mux is never mounted on the serving address.
 package main
 
 import (
@@ -76,7 +72,6 @@ import (
 	"time"
 
 	"ocas/internal/catalog"
-	"ocas/internal/plan"
 	"ocas/internal/service"
 )
 
@@ -93,7 +88,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
 		maxExecRows = flag.Int64("max-exec-rows", 1<<20, "largest per-input row count POST /execute will run")
 		execWorkers = flag.Int("exec-workers", 1, "default executor worker count for /execute requests that don't choose one")
-		execBackend = flag.String("exec-backend", "", "default execution backend for /execute requests that don't choose one: interpreted or fused")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables profiling")
 		maxSlots    = flag.Int("max-worker-slots", 0, "executor worker-slot pool shared by concurrent /execute runs (0 = GOMAXPROCS)")
 		dataDir     = flag.String("data", "", "durable table catalog directory; empty disables the /tables endpoints and exec.tables bindings")
@@ -110,12 +104,6 @@ func main() {
 	case "", "exhaustive", "beam":
 	default:
 		log.Fatalf("ocasd: unknown -strategy %q (want exhaustive or beam)", *strategy)
-	}
-	switch *execBackend {
-	case "", plan.BackendInterpreted, plan.BackendFused:
-	default:
-		log.Fatalf("ocasd: unknown -exec-backend %q (want %s or %s)",
-			*execBackend, plan.BackendInterpreted, plan.BackendFused)
 	}
 
 	var logger *slog.Logger
@@ -155,7 +143,6 @@ func main() {
 		Timeout:           *timeout,
 		MaxExecRows:       *maxExecRows,
 		ExecWorkers:       *execWorkers,
-		ExecBackend:       *execBackend,
 		MaxWorkerSlots:    *maxSlots,
 		Strategy:          *strategy,
 		Beam:              *beam,

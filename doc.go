@@ -95,23 +95,13 @@
 // one row), so tight budgets produce smaller blocks and honest extra
 // transfer initiations rather than failures.
 //
-// The executor steps its plans through one of two backends, chosen at
-// Lower time (LowerOpts.Backend / plan.ExecOptions.Backend / ocas -run
-// -backend / ocasd -exec-backend / exec.backend on /execute): the
-// generic closure interpreter (the default), or the fused kernel
-// compiler (internal/exec/kernel.go), which compiles each plan's inner
-// operator chains — scan-filter-project, join probe-project, fold
-// consumers — into specialized selection-vector loops at lower time,
-// falling back to the closures chain-by-chain where the kernel grammar
-// doesn't cover an expression. The backend is strictly a host-CPU
-// optimization layered above the charge model: blocks, charges, pause
-// points and match order are identical by construction, so digests,
-// ledgers, the virtual clock and EXPLAIN counters never depend on it
-// (see ARCHITECTURE.md, "Execution backends").
+// Per-row bodies run as compiled kernels, or through their
+// interp-compiled closure where the kernel grammar does not cover them
+// (see ARCHITECTURE.md, "Kernels and the fallback leaf").
 //
 // internal/plan's RunProgram/ExecutePlan is the shared execution door:
 // cmd/ocas -run, the ocasd POST /execute endpoint, and the calibration
-// columns of the bench report (estOverAct, execSecs, fusedExecSecs) all
+// columns of the bench report (estOverAct, execSecs) all
 // execute plans through it, reporting virtual-clock seconds, per-device
 // ledgers, buffer-pool stats and a SHA-256 digest of the output bag.
 //
@@ -256,11 +246,8 @@
 // budgets that force frame shrinking and spilling, and
 // internal/plan's TestExamplesDifferential does the same end-to-end for
 // every examples/ corpus request (synthesize, execute, bag-compare
-// against the interpreted specification); the fused backend has its own
-// differential layer — the randomized kernel corpus and
-// FuzzFusedVsInterpreted in internal/exec, and the both-backend
-// examples/worker-sweep/durable suites in internal/plan — asserting
-// byte-identical reports whichever backend steps the loops;
+// against the interpreted specification; see ARCHITECTURE.md for what
+// holds kernels to the oracle and pins their charges);
 // internal/ocal carries a parser
 // fuzz target (go
 // test -fuzz=FuzzParse ./internal/ocal) and internal/service a hierarchy

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ocas/internal/catalog"
+	"ocas/internal/interp"
 	"ocas/internal/memory"
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
@@ -18,18 +19,17 @@ import (
 // invisible to every observable of a run. For representative shapes — a
 // pure filter (the sel-passthrough path), a computed projection, a GRACE
 // hash join (Exchange/Gather spill columns) and an external sort — it
-// sweeps batch sizes {1,7,64} × exec workers {1,2,4,8} × both backends ×
-// EXPLAIN on/off, over generated (Preload) and durable (catalog segments
-// behind BackedTable, mmap column views) inputs, asserting the repo's
-// determinism contract: the order-independent output digest, row count and
-// integer device ledgers identical across every cell; the exact virtual
-// clock and the full EXPLAIN ANALYZE tree identical across every cell of
-// one worker count; single-worker row order identical across batch sizes,
-// backends and instrumentation (concurrent partition emission makes
-// multi-worker order bag-equal only, and the cross-worker clock equal up
-// to float summation rounding — exactly the parallel sweep's contract);
-// and the integer EXPLAIN counters identical across worker counts per
-// batch size.
+// sweeps batch sizes {1,7,64} × exec workers {1,2,4,8} × EXPLAIN on/off,
+// over generated (Preload) and durable (catalog segments behind
+// BackedTable, mmap column views) inputs, asserting the repo's determinism
+// contract: the order-independent output digest, row count and integer
+// device ledgers identical across every cell; the exact virtual clock
+// identical across every cell of one worker count; single-worker row order
+// identical across batch sizes and instrumentation (concurrent partition
+// emission makes multi-worker order bag-equal only, and the cross-worker
+// clock equal up to float summation rounding — exactly the parallel
+// sweep's contract); and the integer EXPLAIN counters identical across
+// worker counts per batch size.
 
 // layoutWorkerCounts is the exec-worker sweep of the layout suite.
 var layoutWorkerCounts = []int{1, 2, 4, 8}
@@ -96,8 +96,7 @@ type layoutRun struct {
 	rows        int64
 	clock       float64
 	ledgers     map[string]storage.Ledger
-	explain     string // normalized EXPLAIN tree JSON ("" unless instrumented)
-	explainInts string // EXPLAIN tree with float windows stripped too
+	explainInts string // EXPLAIN tree's integer counters ("" unless instrumented)
 }
 
 // tableOpener binds the shape's inputs on a fresh simulator device —
@@ -172,8 +171,20 @@ func durableOpener(t *testing.T, sh layoutShape) tableOpener {
 	}
 }
 
+// rowHash is the FNV-1a hash of one row, the unit of the layout digests.
+func rowHash(row []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range row {
+		h = (h ^ uint64(byte(v))) * 1099511628211
+		h = (h ^ uint64(byte(v>>8))) * 1099511628211
+		h = (h ^ uint64(byte(v>>16))) * 1099511628211
+		h = (h ^ uint64(byte(v>>24))) * 1099511628211
+	}
+	return h
+}
+
 // runLayoutConfig executes one configuration and captures its observables.
-func runLayoutConfig(t *testing.T, sh layoutShape, open tableOpener, workers int, batch int64, backend string, explain bool) layoutRun {
+func runLayoutConfig(t *testing.T, sh layoutShape, open tableOpener, workers int, batch int64, explain bool) layoutRun {
 	t.Helper()
 	prog := ocal.MustParse(sh.src)
 	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
@@ -183,13 +194,7 @@ func runLayoutConfig(t *testing.T, sh layoutShape, open tableOpener, workers int
 	}
 	run := layoutRun{}
 	sink := &Sink{Sim: sim, Tap: func(row []int32) {
-		h := uint64(14695981039346656037)
-		for _, v := range row {
-			h = (h ^ uint64(byte(v))) * 1099511628211
-			h = (h ^ uint64(byte(v>>8))) * 1099511628211
-			h = (h ^ uint64(byte(v>>16))) * 1099511628211
-			h = (h ^ uint64(byte(v>>24))) * 1099511628211
-		}
+		h := rowHash(row)
 		run.bagDigest += h
 		run.orderDigest = run.orderDigest*1099511628211 + h
 		run.rows++
@@ -197,14 +202,13 @@ func runLayoutConfig(t *testing.T, sh layoutShape, open tableOpener, workers int
 	p, err := Lower(prog, LowerOpts{
 		Sim: sim, Inputs: open(t, scratch), Params: sh.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
-		BatchRows: batch, ExecWorkers: workers,
-		Backend: backend, Explain: explain,
+		BatchRows: batch, ExecWorkers: workers, Explain: explain,
 	})
 	if err != nil {
 		t.Fatalf("lower (%s): %v", sh.name, err)
 	}
 	if err := p.Run(); err != nil {
-		t.Fatalf("run (%s, batch %d, workers %d, %s): %v", sh.name, batch, workers, backend, err)
+		t.Fatalf("run (%s, batch %d, workers %d): %v", sh.name, batch, workers, err)
 	}
 	if p.Scalar {
 		// Fold shapes digest the scalar result instead of sink rows.
@@ -221,7 +225,6 @@ func runLayoutConfig(t *testing.T, sh layoutShape, open tableOpener, workers int
 		if tree == nil {
 			t.Fatalf("explain run (%s) produced no tree", sh.name)
 		}
-		run.explain = marshalExplain(t, tree, false)
 		run.explainInts = marshalExplain(t, tree, true)
 	}
 	return run
@@ -254,8 +257,8 @@ func marshalExplain(t *testing.T, tree *ExplainNode, stripFloats bool) string {
 }
 
 // describeCfg renders one configuration for failure messages.
-func describeCfg(batch int64, workers int, backend string, explain bool) string {
-	return fmt.Sprintf("batch %d, workers %d, backend %s, explain %v", batch, workers, backend, explain)
+func describeCfg(batch int64, workers int, explain bool) string {
+	return fmt.Sprintf("batch %d, workers %d, explain %v", batch, workers, explain)
 }
 
 // sameClock is the parallel sweep's cross-worker clock contract: equal up
@@ -281,65 +284,55 @@ func TestColumnarLayoutDifferential(t *testing.T) {
 					var refCfg string
 					orderByWorkers := map[int]uint64{}
 					clockByWorkers := map[int]float64{}
-					explainByCell := map[string]string{}
 					explainIntsByBatch := map[int64]string{}
 					for _, batch := range diffBatchSizes {
 						for _, workers := range layoutWorkerCounts {
-							for _, backend := range []string{BackendInterpreted, BackendFused} {
-								for _, explain := range []bool{false, true} {
-									cfg := describeCfg(batch, workers, backend, explain)
-									run := runLayoutConfig(t, sh, open, workers, batch, backend, explain)
-									if ref == nil {
-										r := run
-										ref, refCfg = &r, cfg
-									} else {
-										if run.bagDigest != ref.bagDigest || run.rows != ref.rows {
-											t.Fatalf("digest %d over %d rows (%s) != %d over %d rows (%s)",
-												run.bagDigest, run.rows, cfg, ref.bagDigest, ref.rows, refCfg)
-										}
-										if !sameClock(run.clock, ref.clock) {
-											t.Errorf("clock %v (%s) != %v (%s)", run.clock, cfg, ref.clock, refCfg)
-										}
-										for dev, led := range ref.ledgers {
-											if run.ledgers[dev] != led {
-												t.Errorf("device %s ledger %+v (%s) != %+v (%s)",
-													dev, run.ledgers[dev], cfg, led, refCfg)
-											}
+							for _, explain := range []bool{false, true} {
+								cfg := describeCfg(batch, workers, explain)
+								run := runLayoutConfig(t, sh, open, workers, batch, explain)
+								if ref == nil {
+									r := run
+									ref, refCfg = &r, cfg
+								} else {
+									if run.bagDigest != ref.bagDigest || run.rows != ref.rows {
+										t.Fatalf("digest %d over %d rows (%s) != %d over %d rows (%s)",
+											run.bagDigest, run.rows, cfg, ref.bagDigest, ref.rows, refCfg)
+									}
+									if !sameClock(run.clock, ref.clock) {
+										t.Errorf("clock %v (%s) != %v (%s)", run.clock, cfg, ref.clock, refCfg)
+									}
+									for dev, led := range ref.ledgers {
+										if run.ledgers[dev] != led {
+											t.Errorf("device %s ledger %+v (%s) != %+v (%s)",
+												dev, run.ledgers[dev], cfg, led, refCfg)
 										}
 									}
-									// Single-worker row order is invariant across batch
-									// sizes, backends and instrumentation (multi-worker
-									// order is bag-equal only: partitions emit
-									// concurrently). The exact clock is invariant within
-									// every worker count.
-									if workers == 1 {
-										if prev, ok := orderByWorkers[workers]; !ok {
-											orderByWorkers[workers] = run.orderDigest
-										} else if prev != run.orderDigest {
-											t.Errorf("row order at workers %d differs (%s): digest %d, first saw %d",
-												workers, cfg, run.orderDigest, prev)
-										}
+								}
+								// Single-worker row order is invariant across batch
+								// sizes and instrumentation (multi-worker
+								// order is bag-equal only: partitions emit
+								// concurrently). The exact clock is invariant within
+								// every worker count.
+								if workers == 1 {
+									if prev, ok := orderByWorkers[workers]; !ok {
+										orderByWorkers[workers] = run.orderDigest
+									} else if prev != run.orderDigest {
+										t.Errorf("row order at workers %d differs (%s): digest %d, first saw %d",
+											workers, cfg, run.orderDigest, prev)
 									}
-									if prev, ok := clockByWorkers[workers]; !ok {
-										clockByWorkers[workers] = run.clock
-									} else if prev != run.clock {
-										t.Errorf("clock at workers %d differs (%s): %v, first saw %v",
-											workers, cfg, run.clock, prev)
-									}
-									if explain {
-										cell := fmt.Sprintf("b%d/w%d", batch, workers)
-										if prev, ok := explainByCell[cell]; !ok {
-											explainByCell[cell] = run.explain
-										} else if prev != run.explain {
-											t.Errorf("EXPLAIN tree at %s differs across backends (%s):\n%s\nvs\n%s",
-												cell, cfg, run.explain, prev)
-										}
-										if prev, ok := explainIntsByBatch[batch]; !ok {
-											explainIntsByBatch[batch] = run.explainInts
-										} else if prev != run.explainInts {
-											t.Errorf("EXPLAIN counters at batch %d differ across worker counts (%s):\n%s\nvs\n%s",
-												batch, cfg, run.explainInts, prev)
-										}
+								}
+								if prev, ok := clockByWorkers[workers]; !ok {
+									clockByWorkers[workers] = run.clock
+								} else if prev != run.clock {
+									t.Errorf("clock at workers %d differs (%s): %v, first saw %v",
+										workers, cfg, run.clock, prev)
+								}
+								if explain {
+									if prev, ok := explainIntsByBatch[batch]; !ok {
+										explainIntsByBatch[batch] = run.explainInts
+									} else if prev != run.explainInts {
+										t.Errorf("EXPLAIN counters at batch %d differ across worker counts (%s):\n%s\nvs\n%s",
+											batch, cfg, run.explainInts, prev)
 									}
 								}
 							}
@@ -351,19 +344,69 @@ func TestColumnarLayoutDifferential(t *testing.T) {
 	}
 }
 
+// selPassExplainGolden is the EXPLAIN ANALYZE tree of the naive pure filter
+// below over layoutShapes' scan table, captured from the last tree whose
+// explained runs still took the compacting path (wall time zeroed). Its
+// batches counter is left out of the comparison: pass-through batches
+// follow the plan's input blocks — here one row each — not BatchRows.
+const selPassExplainGolden = `{"op":"project","detail":"table(rows=1727) k=1","parts":8,"batches":0,"rows":840,` +
+	`"wallNanos":0,"simSeconds":0.12043919881184856,"readInits":8,"writeInits":0,"bytesRead":13816,` +
+	`"bytesWrite":0,"poolPins":8,"spills":0,"spillBytes":0}`
+
+// TestExplainTakesSelPass: asking for EXPLAIN must not change the path
+// being explained. A root pure filter lowered with Explain on still splits
+// into morsel projections that publish selection vectors, and the tree it
+// reports carries exactly the charges the compacting path reported.
+func TestExplainTakesSelPass(t *testing.T) {
+	sh := layoutShapes()[0]
+	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
+	scratch, err := sim.Device("hdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Lower(ocal.MustParse("for (x <- R) if x.1 < 50 then [x] else []"), LowerOpts{
+		Sim: sim, Inputs: preloadOpener(sh)(t, scratch), Scratch: scratch,
+		Sink: &Sink{Sim: sim}, RAMBytes: 1 << 20, Explain: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	g, ok := unwrapOp(p.Root).(*Gather)
+	if !ok {
+		t.Fatalf("root is %T, want a Gather over morsel projections", unwrapOp(p.Root))
+	}
+	for i, part := range g.Parts {
+		pr, ok := part.(*Project)
+		if !ok || !pr.SelPass || pr.pk == nil || !pr.pk.selPassOK() {
+			t.Fatalf("morsel %d (%T) is not a sel-pass projection", i, part)
+		}
+		if pr.passSel == nil || pr.em.rows() != 0 || len(pr.em.cols) != 0 {
+			t.Errorf("morsel %d compacted its survivors instead of publishing a selection vector", i)
+		}
+	}
+	tree := p.ExplainTree()
+	tree.Batches = 0
+	if got := marshalExplain(t, tree, false); got != selPassExplainGolden {
+		t.Errorf("explained sel-pass tree diverges from the golden\n got: %s\nwant: %s", got, selPassExplainGolden)
+	}
+}
+
 // FuzzColumnarVsRow drives randomized scan/filter/project and join shapes
-// through an arbitrary configuration (batch size, worker count, backend)
-// and requires it to reproduce the canonical single-worker configuration's
-// run — the row-semantics reference every columnar batch stream must
-// collapse to: same order-independent digest and row count, identical
-// integer ledgers, clock within summation rounding, and exact row order
-// plus bit-identical clock when the worker count matches the reference.
+// through an arbitrary configuration (batch size, worker count). The result
+// must be the bag internal/interp evaluates for the same program — the
+// row-semantics reference every columnar batch stream must collapse to —
+// and the accounting must be the canonical single-worker configuration's:
+// identical integer ledgers, clock within summation rounding, and exact
+// row order plus bit-identical clock when the worker count matches.
 func FuzzColumnarVsRow(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), false)
-	f.Add(int64(7), uint8(1), uint8(2), true)
-	f.Add(int64(42), uint8(2), uint8(3), true)
-	f.Add(int64(99), uint8(2), uint8(1), false)
-	f.Fuzz(func(t *testing.T, seed int64, batchSel, workerSel uint8, fused bool) {
+	f.Add(int64(1), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(2))
+	f.Add(int64(42), uint8(2), uint8(3))
+	f.Add(int64(99), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, batchSel, workerSel uint8) {
 		r := rand.New(rand.NewSource(seed))
 		in := randTable(r, 2, 60, 12)
 		var sh layoutShape
@@ -395,19 +438,28 @@ func FuzzColumnarVsRow(f *testing.F) {
 				arities: map[string]int{"R": 2, "S": 2},
 			}
 		}
+		values := map[string]ocal.Value{}
+		for name, dt := range sh.inputs {
+			values[name] = append(ocal.List{}, dt.value...)
+		}
+		want, err := interp.Eval(ocal.MustParse(sh.src), values, sh.params)
+		if err != nil {
+			t.Fatalf("interp: %v\n%s", err, sh.src)
+		}
+		var wantDigest uint64
+		wantRows := valueRows(t, want)
+		for _, row := range wantRows {
+			wantDigest += rowHash(row)
+		}
 		open := preloadOpener(sh)
-		ref := runLayoutConfig(t, sh, open, 1, 64, BackendInterpreted, false)
+		ref := runLayoutConfig(t, sh, open, 1, 64, false)
 		batch := diffBatchSizes[int(batchSel)%len(diffBatchSizes)]
 		workers := layoutWorkerCounts[int(workerSel)%len(layoutWorkerCounts)]
-		backend := BackendInterpreted
-		if fused {
-			backend = BackendFused
-		}
-		got := runLayoutConfig(t, sh, open, workers, batch, backend, false)
-		cfg := describeCfg(batch, workers, backend, false)
-		if got.bagDigest != ref.bagDigest || got.rows != ref.rows {
-			t.Fatalf("%s: digest %d over %d rows, reference %d over %d rows\n%s",
-				cfg, got.bagDigest, got.rows, ref.bagDigest, ref.rows, sh.src)
+		got := runLayoutConfig(t, sh, open, workers, batch, false)
+		cfg := describeCfg(batch, workers, false)
+		if got.bagDigest != wantDigest || got.rows != int64(len(wantRows)) {
+			t.Fatalf("%s: digest %d over %d rows, interp %d over %d rows\n%s",
+				cfg, got.bagDigest, got.rows, wantDigest, len(wantRows), sh.src)
 		}
 		if workers == 1 && got.orderDigest != ref.orderDigest {
 			t.Fatalf("%s: row order digest %d, reference %d\n%s",

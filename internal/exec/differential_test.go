@@ -154,20 +154,11 @@ type diffCase struct {
 	sortedOut bool
 	// scalar compares the program's scalar result instead of a row bag.
 	scalar bool
-	// backend is the execution backend to lower for ("" = interpreted).
-	backend string
 }
 
 // execDiff lowers and executes one configuration of the case, returning the
 // produced rows (or the scalar result).
 func execDiff(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBytes int64) ([][]int32, ocal.Value) {
-	rows, scalar, _, _ := execDiffLedgers(t, c, prog, batchRows, poolBytes)
-	return rows, scalar
-}
-
-// execDiffLedgers additionally returns the run's per-device ledgers and
-// virtual clock, for cross-backend accounting comparisons.
-func execDiffLedgers(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBytes int64) ([][]int32, ocal.Value, map[string]storage.Ledger, float64) {
 	t.Helper()
 	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
 	scratch, err := sim.Device("hdd")
@@ -193,25 +184,20 @@ func execDiffLedgers(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBy
 	sink := &Sink{Out: out, Bout: 8, Sim: sim}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
-		PoolBytes: poolBytes, BatchRows: batchRows, Backend: c.backend})
+		PoolBytes: poolBytes, BatchRows: batchRows})
 	if err != nil {
 		t.Fatalf("lower: %v\n%s", err, c.src)
 	}
 	if err := p.Run(); err != nil {
-		t.Fatalf("run (batch %d, pool %d, backend %q): %v\n%s", batchRows, poolBytes, c.backend, err, c.src)
+		t.Fatalf("run (batch %d, pool %d): %v\n%s", batchRows, poolBytes, err, c.src)
 	}
-	ledgers := map[string]storage.Ledger{}
-	for name, d := range sim.Devices {
-		ledgers[name] = d.Led
-	}
-	seconds := sim.Clock.Seconds()
 	if c.scalar {
 		if !p.Scalar {
 			t.Fatalf("expected a scalar program, got %T\n%s", p.Root, c.src)
 		}
-		return nil, p.Result, ledgers, seconds
+		return nil, p.Result
 	}
-	return tableRows(out.Flat(), c.outArity), nil, ledgers, seconds
+	return tableRows(out.Flat(), c.outArity), nil
 }
 
 // runDiff executes the case at every batch size and pool budget, comparing
@@ -243,7 +229,7 @@ func runDiff(t *testing.T, c diffCase) {
 
 	for _, batch := range diffBatchSizes {
 		for _, pool := range diffPoolBudgets {
-			rows, scalar, ledgers, seconds := execDiffLedgers(t, c, prog, batch, pool)
+			rows, scalar := execDiff(t, c, prog, batch, pool)
 			if c.scalar {
 				if !ocal.ValueEq(scalar, want) {
 					t.Fatalf("fold (batch %d, pool %d): plan %s, interpreter %s\n%s",
@@ -258,36 +244,6 @@ func runDiff(t *testing.T, c diffCase) {
 							t.Fatalf("output not sorted at row %d: %v > %v\n%s", i, rows[i-1], rows[i], what)
 						}
 					}
-				}
-			}
-			// The fused backend must reproduce the interpreted run exactly:
-			// same rows in the same order, bit-identical virtual clock and
-			// integer-identical device ledgers (charges are a function of the
-			// plan, never the backend).
-			fc := c
-			fc.backend = BackendFused
-			frows, fscalar, fledgers, fseconds := execDiffLedgers(t, fc, prog, batch, pool)
-			what := fmt.Sprintf("%s (batch %d, pool %d, fused)", c.src, batch, pool)
-			if c.scalar {
-				if !ocal.ValueEq(fscalar, scalar) {
-					t.Fatalf("%s: scalar %s, interpreted backend %s", what, fscalar, scalar)
-				}
-			} else {
-				if len(frows) != len(rows) {
-					t.Fatalf("%s: %d rows, interpreted backend %d", what, len(frows), len(rows))
-				}
-				for i := range frows {
-					if fmt.Sprint(frows[i]) != fmt.Sprint(rows[i]) {
-						t.Fatalf("%s: row %d is %v, interpreted backend %v", what, i, frows[i], rows[i])
-					}
-				}
-			}
-			if fseconds != seconds {
-				t.Errorf("%s: clock %v, interpreted backend %v", what, fseconds, seconds)
-			}
-			for dev, led := range ledgers {
-				if fledgers[dev] != led {
-					t.Errorf("%s: device %s ledger %+v, interpreted backend %+v", what, dev, fledgers[dev], led)
 				}
 			}
 		}

@@ -6,75 +6,90 @@ import (
 	"ocas/internal/ocal"
 )
 
-// This file is the fused backend's kernel compiler. At Lower time (Backend
-// "fused") the per-row OCAL bodies that the interpreted backend executes
-// through interp.CompileFunc — scan/filter/project bodies and fold steps —
-// are parsed into small typed specs; at execution time each spec is
-// specialized against its input's arity into one flat Go loop body (a
-// predicate pass filling a selection vector plus a projection pass reading
-// through it, or a fused row loop when the body can error). Kernels never
-// touch the charging code: block reads, cpu() charges and batch boundaries
-// are shared with the interpreted paths, so digests, ledgers, the virtual
-// clock and EXPLAIN ANALYZE counters are backend-invariant by construction.
-// A body the grammar does not cover — or a spec whose column references
-// fall outside the arity the input turns out to have — simply builds no
-// kernel, and the operator falls back to its retained interpreted step
-// (preserving interp's exact error behaviour).
+// This file is the executor's kernel compiler. At Lower time the per-row
+// OCAL bodies — scan/filter/project bodies and fold steps — are parsed into
+// small typed specs; at execution time each spec is specialized against its
+// input's arity into one flat Go loop body (a predicate pass filling a
+// selection vector plus a projection pass reading through it, or a fused
+// row loop when the body can error). Kernels never touch the charging code:
+// block reads, cpu() charges and batch boundaries belong to the operators,
+// so digests, ledgers, the virtual clock and EXPLAIN ANALYZE counters do
+// not depend on whether a body compiled. A body the grammar does not cover
+// — or a spec whose column references fall outside the arity the input
+// turns out to have — builds no kernel, and the operator runs its fallback
+// leaf: the interp.CompileFunc closure of the same body (preserving
+// interp's exact error behaviour).
 
-// Backend names accepted by LowerOpts.Backend.
-const (
-	BackendInterpreted = "interpreted"
-	BackendFused       = "fused"
-)
-
-// validBackend reports whether s names an execution backend ("" is the
-// interpreted default).
-func validBackend(s string) bool {
-	return s == "" || s == BackendInterpreted || s == BackendFused
-}
-
-// Exact interp error texts: a fused Div/Mod must fail byte-identically to
-// the interpreted step it replaces.
+// Exact interp error texts: a kernel Div/Mod must fail byte-identically to
+// the interp closure it stands in for.
 var (
 	errDivZero = errors.New("interp: division by zero")
 	errModZero = errors.New("interp: modulo by zero")
 )
 
 // ---------------------------------------------------------------------------
-// Scalar expressions
+// Expressions
 
 type kexprKind int
 
 const (
 	kCol   kexprKind = iota // one input column, widened to int64
-	kLit                    // integer literal
+	kLit                    // integer or boolean (0/1) literal
 	kElem                   // the whole loop element used as a scalar (arity 1)
-	kArith                  // Add/Sub/Mul/Div/Mod over two scalars
+	kAcc                    // one component of a fold's accumulator
+	kArith                  // Add/Sub/Mul/Div/Mod over two integers
+	kCmp                    // ordered/equality comparison of two integers
+	kLogic                  // And/Or over two conditions, Not over one (r nil)
 )
 
-// kexpr is a compiled integer scalar over one input row. Arithmetic is
-// int64 (ocal.Int), truncated to int32 only at row encode — exactly the
-// interp pipeline's rowToValue/valueToRow widening.
+// kexpr is the one compiled expression IR of scan, filter and fold kernels:
+// an int64-valued tree over one input row (and, in a fold, the accumulator),
+// conditions evaluating to 0 or 1. Arithmetic is int64 (ocal.Int), truncated
+// to int32 only at row encode — exactly the interp pipeline's
+// rowToValue/valueToRow widening. The parsers keep the two sorts apart:
+// parseScalar only builds integer nodes, parseCond only boolean ones.
 type kexpr struct {
 	kind kexprKind
-	col  int
+	col  int // kCol: input column; kAcc: accumulator component
 	lit  int64
 	op   ocal.PrimOp
 	l, r *kexpr
 }
 
-// parseScalar parses an integer-valued expression over the loop element.
-func parseScalar(e ocal.Expr, elem string) (*kexpr, bool) {
+// kvars names the variables a kernel body may reference: the loop element
+// and, for fold steps, the accumulator of the given width ("" otherwise).
+type kvars struct {
+	elem, acc string
+	accWidth  int
+}
+
+// parseScalar parses an integer-valued expression over the loop element
+// (and the fold accumulator).
+func parseScalar(e ocal.Expr, v kvars) (*kexpr, bool) {
 	switch t := e.(type) {
 	case ocal.IntLit:
 		return &kexpr{kind: kLit, lit: t.V}, true
 	case ocal.Var:
-		if t.Name == elem {
+		switch {
+		case v.acc != "" && t.Name == v.acc:
+			// Only a width-1 accumulator is a bare Int.
+			if v.accWidth == 1 {
+				return &kexpr{kind: kAcc}, true
+			}
+		case t.Name == v.elem:
 			return &kexpr{kind: kElem}, true
 		}
 	case ocal.Proj:
-		v, ok := t.E.(ocal.Var)
-		if ok && v.Name == elem && t.I >= 1 {
+		x, ok := t.E.(ocal.Var)
+		switch {
+		case !ok || t.I < 1:
+		case v.acc != "" && x.Name == v.acc:
+			// Projecting a width-1 accumulator (a bare Int) is an interp
+			// error, so the shape is not kernelizable.
+			if v.accWidth > 1 && t.I <= v.accWidth {
+				return &kexpr{kind: kAcc, col: t.I - 1}, true
+			}
+		case x.Name == v.elem:
 			return &kexpr{kind: kCol, col: t.I - 1}, true
 		}
 	case ocal.Prim:
@@ -83,8 +98,8 @@ func parseScalar(e ocal.Expr, elem string) (*kexpr, bool) {
 			if len(t.Args) != 2 {
 				return nil, false
 			}
-			l, okL := parseScalar(t.Args[0], elem)
-			r, okR := parseScalar(t.Args[1], elem)
+			l, okL := parseScalar(t.Args[0], v)
+			r, okR := parseScalar(t.Args[1], v)
 			if okL && okR {
 				return &kexpr{kind: kArith, op: t.Op, l: l, r: r}, true
 			}
@@ -93,28 +108,71 @@ func parseScalar(e ocal.Expr, elem string) (*kexpr, bool) {
 	return nil, false
 }
 
-// canErr reports whether evaluating the scalar can fail (Div/Mod by zero —
-// the only runtime errors the kernel grammar admits).
+// parseCond parses a boolean condition: comparisons over integer scalars,
+// And/Or/Not compositions and boolean literals. Comparisons over non-scalar
+// operands (whole tuples) are left to the fallback leaf.
+func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
+	switch t := e.(type) {
+	case ocal.BoolLit:
+		c := &kexpr{kind: kLit}
+		if t.V {
+			c.lit = 1
+		}
+		return c, true
+	case ocal.Prim:
+		switch t.Op {
+		case ocal.OpEq, ocal.OpNe, ocal.OpLt, ocal.OpLe, ocal.OpGt, ocal.OpGe:
+			if len(t.Args) != 2 {
+				return nil, false
+			}
+			l, okL := parseScalar(t.Args[0], v)
+			r, okR := parseScalar(t.Args[1], v)
+			if okL && okR {
+				return &kexpr{kind: kCmp, op: t.Op, l: l, r: r}, true
+			}
+		case ocal.OpAnd, ocal.OpOr:
+			if len(t.Args) != 2 {
+				return nil, false
+			}
+			l, okL := parseCond(t.Args[0], v)
+			r, okR := parseCond(t.Args[1], v)
+			if okL && okR {
+				return &kexpr{kind: kLogic, op: t.Op, l: l, r: r}, true
+			}
+		case ocal.OpNot:
+			if len(t.Args) != 1 {
+				return nil, false
+			}
+			if a, ok := parseCond(t.Args[0], v); ok {
+				return &kexpr{kind: kLogic, op: ocal.OpNot, l: a}, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// canErr reports whether evaluating the expression can fail (Div/Mod by
+// zero — the only runtime errors the kernel grammar admits).
 func (e *kexpr) canErr() bool {
-	if e.kind != kArith {
+	if e.l == nil {
 		return false
 	}
 	if e.op == ocal.OpDiv || e.op == ocal.OpMod {
 		return true
 	}
-	return e.l.canErr() || e.r.canErr()
+	return e.l.canErr() || (e.r != nil && e.r.canErr())
 }
 
 // bindArity validates column references against the input arity, resolving
 // kElem to column 0 (legal only at arity 1, where the interp pipeline
 // decodes a row to a bare Int). It reports false when the spec cannot run
-// at this arity, triggering the interpreted fallback.
+// at this arity, sending the operator to its fallback leaf.
 func (e *kexpr) bindArity(ar int) bool {
 	switch e.kind {
 	case kCol:
 		// At arity 1 the interp pipeline decodes a row to a bare Int, on
-		// which any projection is an error — fall back so the interpreted
-		// step raises it.
+		// which any projection is an error — fall back so the interp
+		// closure raises it.
 		return ar > 1 && e.col < ar
 	case kElem:
 		if ar != 1 {
@@ -122,212 +180,110 @@ func (e *kexpr) bindArity(ar int) bool {
 		}
 		e.kind, e.col = kCol, 0
 		return true
-	case kArith:
-		return e.l.bindArity(ar) && e.r.bindArity(ar)
+	case kLit, kAcc:
+		return true
 	}
-	return true
+	return e.l.bindArity(ar) && (e.r == nil || e.r.bindArity(ar))
 }
 
-// eval evaluates the scalar against row i of a column block with error
-// checking, operands left to right — the interp argument order, so a Div by
-// zero surfaces on the same row and the same operation.
-func (e *kexpr) eval(cols [][]int32, i int) (int64, error) {
+// clone deep-copies an expression so bindArity's kElem resolution never
+// mutates the parsed spec.
+func (e *kexpr) clone() *kexpr {
+	c := *e
+	if e.l != nil {
+		c.l = e.l.clone()
+	}
+	if e.r != nil {
+		c.r = e.r.clone()
+	}
+	return &c
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// eval evaluates the expression against row i of a column block (acc is the
+// fold accumulator, nil elsewhere) with error checking. Operands evaluate
+// eagerly, left to right: interp's evalPrim evaluates every argument before
+// the operator applies, so a Div by zero surfaces on the same row and the
+// same operation — even in the right operand of an And/Or the left one
+// already decides.
+func (e *kexpr) eval(acc []int64, cols [][]int32, i int) (int64, error) {
 	switch e.kind {
 	case kCol:
 		return int64(cols[e.col][i]), nil
 	case kLit:
 		return e.lit, nil
+	case kAcc:
+		return acc[e.col], nil
 	}
-	a, err := e.l.eval(cols, i)
+	a, err := e.l.eval(acc, cols, i)
 	if err != nil {
 		return 0, err
 	}
-	b, err := e.r.eval(cols, i)
+	if e.r == nil { // Not
+		return a ^ 1, nil
+	}
+	b, err := e.r.eval(acc, cols, i)
 	if err != nil {
 		return 0, err
 	}
 	switch e.op {
-	case ocal.OpAdd:
-		return a + b, nil
-	case ocal.OpSub:
-		return a - b, nil
-	case ocal.OpMul:
-		return a * b, nil
 	case ocal.OpDiv:
 		if b == 0 {
 			return 0, errDivZero
 		}
 		return a / b, nil
-	default: // OpMod
+	case ocal.OpMod:
 		if b == 0 {
 			return 0, errModZero
 		}
 		return a % b, nil
 	}
+	return applyOp(e.op, a, b), nil
 }
 
-// evalFast evaluates a scalar proven error-free (no Div/Mod anywhere).
-func (e *kexpr) evalFast(cols [][]int32, i int) int64 {
+// evalFast evaluates an expression proven error-free (no Div/Mod anywhere);
+// with no errors and no side effects, short-circuiting And/Or is
+// unobservable and allowed.
+func (e *kexpr) evalFast(acc []int64, cols [][]int32, i int) int64 {
 	switch e.kind {
 	case kCol:
 		return int64(cols[e.col][i])
 	case kLit:
 		return e.lit
+	case kAcc:
+		return acc[e.col]
 	}
-	a, b := e.l.evalFast(cols, i), e.r.evalFast(cols, i)
-	switch e.op {
+	a := e.l.evalFast(acc, cols, i)
+	switch {
+	case e.r == nil: // Not
+		return a ^ 1
+	case e.op == ocal.OpAnd && a == 0, e.op == ocal.OpOr && a != 0:
+		return a
+	}
+	return applyOp(e.op, a, e.r.evalFast(acc, cols, i))
+}
+
+// applyOp applies a total binary operator (everything but Div/Mod).
+func applyOp(op ocal.PrimOp, a, b int64) int64 {
+	switch op {
 	case ocal.OpAdd:
 		return a + b
 	case ocal.OpSub:
 		return a - b
-	default: // OpMul (Div/Mod imply canErr)
+	case ocal.OpMul:
 		return a * b
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Predicates
-
-type kcondKind int
-
-const (
-	cBool  kcondKind = iota // constant
-	cCmp                    // comparison of two integer scalars
-	cLogic                  // And/Or/Not over conditions
-)
-
-type kcond struct {
-	kind kcondKind
-	b    bool
-	op   ocal.PrimOp
-	l, r *kexpr
-	args []*kcond
-}
-
-// parseCond parses a boolean condition: comparisons over integer scalars,
-// And/Or/Not compositions and boolean literals. Comparisons over non-scalar
-// operands (whole tuples) are left to the interpreter.
-func parseCond(e ocal.Expr, elem string) (*kcond, bool) {
-	switch t := e.(type) {
-	case ocal.BoolLit:
-		return &kcond{kind: cBool, b: t.V}, true
-	case ocal.Prim:
-		switch t.Op {
-		case ocal.OpEq, ocal.OpNe, ocal.OpLt, ocal.OpLe, ocal.OpGt, ocal.OpGe:
-			if len(t.Args) != 2 {
-				return nil, false
-			}
-			l, okL := parseScalar(t.Args[0], elem)
-			r, okR := parseScalar(t.Args[1], elem)
-			if okL && okR {
-				return &kcond{kind: cCmp, op: t.Op, l: l, r: r}, true
-			}
-		case ocal.OpAnd, ocal.OpOr:
-			if len(t.Args) != 2 {
-				return nil, false
-			}
-			l, okL := parseCond(t.Args[0], elem)
-			r, okR := parseCond(t.Args[1], elem)
-			if okL && okR {
-				return &kcond{kind: cLogic, op: t.Op, args: []*kcond{l, r}}, true
-			}
-		case ocal.OpNot:
-			if len(t.Args) != 1 {
-				return nil, false
-			}
-			a, ok := parseCond(t.Args[0], elem)
-			if ok {
-				return &kcond{kind: cLogic, op: ocal.OpNot, args: []*kcond{a}}, true
-			}
-		}
-	}
-	return nil, false
-}
-
-func (c *kcond) canErr() bool {
-	switch c.kind {
-	case cCmp:
-		return c.l.canErr() || c.r.canErr()
-	case cLogic:
-		for _, a := range c.args {
-			if a.canErr() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (c *kcond) bindArity(ar int) bool {
-	switch c.kind {
-	case cCmp:
-		return c.l.bindArity(ar) && c.r.bindArity(ar)
-	case cLogic:
-		for _, a := range c.args {
-			if !a.bindArity(ar) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// eval evaluates the condition eagerly, operands left to right: interp's
-// evalPrim evaluates both And/Or arguments before the operator applies, so
-// a Div by zero in the right operand must surface even when the left
-// operand already decides the result.
-func (c *kcond) eval(cols [][]int32, i int) (bool, error) {
-	switch c.kind {
-	case cBool:
-		return c.b, nil
-	case cCmp:
-		a, err := c.l.eval(cols, i)
-		if err != nil {
-			return false, err
-		}
-		b, err := c.r.eval(cols, i)
-		if err != nil {
-			return false, err
-		}
-		return cmpHolds(c.op, a, b), nil
-	}
-	switch c.op {
-	case ocal.OpNot:
-		v, err := c.args[0].eval(cols, i)
-		return !v, err
-	default:
-		a, err := c.args[0].eval(cols, i)
-		if err != nil {
-			return false, err
-		}
-		b, err := c.args[1].eval(cols, i)
-		if err != nil {
-			return false, err
-		}
-		if c.op == ocal.OpAnd {
-			return a && b, nil
-		}
-		return a || b, nil
-	}
-}
-
-// evalFast evaluates a condition proven error-free; with no errors and no
-// side effects, short-circuiting is unobservable and allowed.
-func (c *kcond) evalFast(cols [][]int32, i int) bool {
-	switch c.kind {
-	case cBool:
-		return c.b
-	case cCmp:
-		return cmpHolds(c.op, c.l.evalFast(cols, i), c.r.evalFast(cols, i))
-	}
-	switch c.op {
-	case ocal.OpNot:
-		return !c.args[0].evalFast(cols, i)
 	case ocal.OpAnd:
-		return c.args[0].evalFast(cols, i) && c.args[1].evalFast(cols, i)
-	default:
-		return c.args[0].evalFast(cols, i) || c.args[1].evalFast(cols, i)
+		return a & b
+	case ocal.OpOr:
+		return a | b
 	}
+	return b2i(cmpHolds(op, a, b))
 }
 
 func cmpHolds(op ocal.PrimOp, a, b int64) bool {
@@ -360,62 +316,63 @@ type outPart struct {
 
 // scanKernelSpec is the Lower-time compilation of a single-source loop
 // body: an optional filter condition plus the flattened output row. The
-// spec is immutable and arity-independent (it may serve several morsel
-// instances whose shared input arity is only known at run time).
+// spec is immutable and arity-independent: a streamed input's arity is only
+// known at run time, where build specializes a copy.
 type scanKernelSpec struct {
-	cond *kcond // nil: unconditional
+	cond *kexpr // nil: unconditional
 	out  []outPart
 }
 
 // parseScanKernel compiles a scan/filter/project body into a kernel spec.
 // Grammar: body = [e] | if cond then [e] else [], with e a tuple over
 // integer scalars and whole-row splices (nested tuples flatten, mirroring
-// valueToRow's encoding). It reports false for anything else — the caller
-// keeps the interpreted step.
-func parseScanKernel(body ocal.Expr, elem string) (*scanKernelSpec, bool) {
-	var cond *kcond
+// valueToRow's encoding). It returns nil for anything else — the caller
+// runs its fallback leaf.
+func parseScanKernel(body ocal.Expr, elem string) *scanKernelSpec {
+	v := kvars{elem: elem}
+	var cond *kexpr
 	switch t := body.(type) {
 	case ocal.Single:
 		body = t.E
 	case ocal.If:
 		if _, ok := t.Else.(ocal.Empty); !ok {
-			return nil, false
+			return nil
 		}
 		s, ok := t.Then.(ocal.Single)
 		if !ok {
-			return nil, false
+			return nil
 		}
-		c, ok := parseCond(t.Cond, elem)
+		c, ok := parseCond(t.Cond, v)
 		if !ok {
-			return nil, false
+			return nil
 		}
 		cond, body = c, s.E
 	default:
-		return nil, false
+		return nil
 	}
-	out, ok := flattenOut(body, elem, nil)
+	out, ok := flattenOut(body, v, nil)
 	if !ok || len(out) == 0 {
-		return nil, false
+		return nil
 	}
-	return &scanKernelSpec{cond: cond, out: out}, true
+	return &scanKernelSpec{cond: cond, out: out}
 }
 
 // flattenOut flattens the emitted value into row components, recursing
 // through nested tuples exactly like valueToRow flattens nested values.
-func flattenOut(e ocal.Expr, elem string, acc []outPart) ([]outPart, bool) {
-	if v, ok := e.(ocal.Var); ok && v.Name == elem {
+func flattenOut(e ocal.Expr, v kvars, acc []outPart) ([]outPart, bool) {
+	if x, ok := e.(ocal.Var); ok && x.Name == v.elem {
 		return append(acc, outPart{wholeRow: true}), true
 	}
 	if t, ok := e.(ocal.Tup); ok {
 		for _, el := range t.Elems {
 			var ok bool
-			if acc, ok = flattenOut(el, elem, acc); !ok {
+			if acc, ok = flattenOut(el, v, acc); !ok {
 				return nil, false
 			}
 		}
 		return acc, true
 	}
-	s, ok := parseScalar(e, elem)
+	s, ok := parseScalar(e, v)
 	if !ok {
 		return nil, false
 	}
@@ -435,7 +392,7 @@ type boundPart struct {
 type projKernel struct {
 	ar       int
 	outWidth int
-	cond     *kcond      // nil: every row survives
+	cond     *kexpr      // nil: every row survives
 	identity bool        // output is the input row verbatim
 	gather   []int       // when non-nil: output columns are input columns
 	parts    []boundPart // general projection (gather nil), in output order
@@ -446,14 +403,14 @@ type projKernel struct {
 
 // build specializes the spec to the input arity; nil means the spec cannot
 // serve this arity (an out-of-range column, a whole-element scalar at
-// arity > 1) and the operator must fall back to its interpreted step.
+// arity > 1) and the operator must run its fallback leaf.
 func (s *scanKernelSpec) build(ar int) *projKernel {
 	if ar <= 0 {
 		return nil
 	}
 	k := &projKernel{ar: ar}
 	if s.cond != nil {
-		c := cloneCond(s.cond)
+		c := s.cond.clone()
 		if !c.bindArity(ar) {
 			return nil
 		}
@@ -475,7 +432,7 @@ func (s *scanKernelSpec) build(ar int) *projKernel {
 			k.outWidth += ar
 			continue
 		}
-		e := cloneExpr(p.scalar)
+		e := p.scalar.clone()
 		if !e.bindArity(ar) {
 			return nil
 		}
@@ -507,36 +464,6 @@ func (s *scanKernelSpec) build(ar int) *projKernel {
 	return k
 }
 
-// cloneExpr deep-copies a scalar so bindArity's kElem resolution never
-// mutates the shared spec.
-func cloneExpr(e *kexpr) *kexpr {
-	c := *e
-	if e.l != nil {
-		c.l = cloneExpr(e.l)
-	}
-	if e.r != nil {
-		c.r = cloneExpr(e.r)
-	}
-	return &c
-}
-
-func cloneCond(c *kcond) *kcond {
-	n := *c
-	if c.l != nil {
-		n.l = cloneExpr(c.l)
-	}
-	if c.r != nil {
-		n.r = cloneExpr(c.r)
-	}
-	if c.args != nil {
-		n.args = make([]*kcond, len(c.args))
-		for i, a := range c.args {
-			n.args[i] = cloneCond(a)
-		}
-	}
-	return &n
-}
-
 // selPassOK reports whether the kernel can serve pure-filter pass-through:
 // the output is the input row verbatim, survival is decided by an
 // error-free condition — so the operator may publish the input columns
@@ -547,7 +474,7 @@ func (k *projKernel) selPassOK() bool {
 
 // run executes the kernel over one column block, appending the produced
 // rows to the emitter's column vectors in input order — the exact row
-// stream the interpreted step produces, so batch boundaries (and with them
+// stream the fallback leaf produces, so batch boundaries (and with them
 // EXPLAIN counters) are identical. The caller has already charged the
 // block's CPU cost.
 func (k *projKernel) run(em *emitter, cols [][]int32, rows int) error {
@@ -582,7 +509,7 @@ func (k *projKernel) buildSel(cols [][]int32, rows int) []int32 {
 	// unconditionally and the cursor advances only on survival, so the
 	// filter runs at memory speed regardless of selectivity.
 	sel, n := k.sel[:rows], 0
-	if c := k.cond; c.kind == cCmp && c.l.kind == kCol && c.r.kind == kLit {
+	if c := k.cond; c.kind == kCmp && c.l.kind == kCol && c.r.kind == kLit {
 		// Pre-specialized column-vs-literal comparison loops over the
 		// contiguous column vector.
 		col, lit := cols[c.l.col][:rows], c.r.lit
@@ -630,7 +557,7 @@ func (k *projKernel) buildSel(cols [][]int32, rows int) []int32 {
 				}
 			}
 		}
-	} else if c.kind == cCmp && c.l.kind == kCol && c.r.kind == kCol {
+	} else if c.kind == kCmp && c.l.kind == kCol && c.r.kind == kCol {
 		// Column-vs-column comparison loop.
 		ci, cj := cols[c.l.col][:rows], cols[c.r.col][:rows]
 		for i := 0; i < rows; i++ {
@@ -642,7 +569,7 @@ func (k *projKernel) buildSel(cols [][]int32, rows int) []int32 {
 	} else {
 		for i := 0; i < rows; i++ {
 			sel[n] = int32(i)
-			if c.evalFast(cols, i) {
+			if c.evalFast(nil, cols, i) != 0 {
 				n++
 			}
 		}
@@ -826,26 +753,26 @@ func evalPartFast(e *kexpr, dst []int32, cols [][]int32, rows int, sel []int32) 
 	}
 	if sel == nil {
 		for i := 0; i < rows; i++ {
-			dst = append(dst, int32(e.evalFast(cols, i)))
+			dst = append(dst, int32(e.evalFast(nil, cols, i)))
 		}
 	} else {
 		for _, i := range sel {
-			dst = append(dst, int32(e.evalFast(cols, int(i))))
+			dst = append(dst, int32(e.evalFast(nil, cols, int(i))))
 		}
 	}
 	return dst
 }
 
 // runChecked is the erroring variant: condition then output per row, in
-// row order, so the first failing operation matches the interpreted step.
+// row order, so the first failing operation matches the fallback leaf.
 func (k *projKernel) runChecked(em *emitter, cols [][]int32, rows int) error {
 	for i := 0; i < rows; i++ {
 		if k.cond != nil {
-			ok, err := k.cond.eval(cols, i)
+			ok, err := k.cond.eval(nil, cols, i)
 			if err != nil {
 				return err
 			}
-			if !ok {
+			if ok == 0 {
 				continue
 			}
 		}
@@ -865,7 +792,7 @@ func (k *projKernel) runChecked(em *emitter, cols [][]int32, rows int) error {
 				}
 				continue
 			}
-			v, err := p.expr.eval(cols, i)
+			v, err := p.expr.eval(nil, cols, i)
 			if err != nil {
 				// Truncate the partial row so the emitter stays row-aligned.
 				for c := 0; c < oc; c++ {
@@ -887,137 +814,9 @@ func (k *projKernel) runChecked(em *emitter, cols [][]int32, rows int) error {
 // accumulator kernel: the accumulator lives in an []int64 instead of being
 // re-boxed into an ocal.Tuple per row.
 type foldKernelSpec struct {
-	accWidth int
-	init     []int64
-	body     []*foldExpr // one scalar per accumulator component
-	canErr   bool
-}
-
-// foldExpr is a scalar over the fold state: either one accumulator
-// component (acc >= 0), a pure row scalar (expr != nil), or arithmetic
-// over two foldExprs.
-type foldExpr struct {
-	acc  int // >= 0: accumulator component index
-	expr *kexpr
-	op   ocal.PrimOp
-	l, r *foldExpr
-}
-
-// parseFoldScalar parses an integer scalar over (accumulator av, row xv).
-func parseFoldScalar(e ocal.Expr, av, xv string, accWidth int) (*foldExpr, bool) {
-	switch t := e.(type) {
-	case ocal.Var:
-		if t.Name == av {
-			if accWidth != 1 {
-				return nil, false
-			}
-			return &foldExpr{acc: 0, expr: nil}, true
-		}
-	case ocal.Proj:
-		if v, ok := t.E.(ocal.Var); ok && v.Name == av && t.I >= 1 {
-			// A width-1 accumulator is a bare Int; projecting it is an
-			// interp error, so the shape is not kernelizable.
-			if accWidth == 1 || t.I > accWidth {
-				return nil, false
-			}
-			return &foldExpr{acc: t.I - 1}, true
-		}
-	case ocal.Prim:
-		switch t.Op {
-		case ocal.OpAdd, ocal.OpSub, ocal.OpMul, ocal.OpDiv, ocal.OpMod:
-			if len(t.Args) != 2 {
-				return nil, false
-			}
-			l, okL := parseFoldScalar(t.Args[0], av, xv, accWidth)
-			r, okR := parseFoldScalar(t.Args[1], av, xv, accWidth)
-			if okL && okR {
-				return &foldExpr{acc: -1, op: t.Op, l: l, r: r}, true
-			}
-			return nil, false
-		}
-	}
-	// Anything else must be a pure row scalar.
-	s, ok := parseScalar(e, xv)
-	if !ok {
-		return nil, false
-	}
-	return &foldExpr{acc: -1, expr: s}, true
-}
-
-func (f *foldExpr) canErr() bool {
-	if f.acc >= 0 {
-		return false
-	}
-	if f.expr != nil {
-		return f.expr.canErr()
-	}
-	if f.op == ocal.OpDiv || f.op == ocal.OpMod {
-		return true
-	}
-	return f.l.canErr() || f.r.canErr()
-}
-
-func (f *foldExpr) bindArity(ar int) bool {
-	if f.acc >= 0 {
-		return true
-	}
-	if f.expr != nil {
-		return f.expr.bindArity(ar)
-	}
-	return f.l.bindArity(ar) && f.r.bindArity(ar)
-}
-
-func (f *foldExpr) eval(acc []int64, cols [][]int32, i int) (int64, error) {
-	if f.acc >= 0 {
-		return acc[f.acc], nil
-	}
-	if f.expr != nil {
-		return f.expr.eval(cols, i)
-	}
-	a, err := f.l.eval(acc, cols, i)
-	if err != nil {
-		return 0, err
-	}
-	b, err := f.r.eval(acc, cols, i)
-	if err != nil {
-		return 0, err
-	}
-	switch f.op {
-	case ocal.OpAdd:
-		return a + b, nil
-	case ocal.OpSub:
-		return a - b, nil
-	case ocal.OpMul:
-		return a * b, nil
-	case ocal.OpDiv:
-		if b == 0 {
-			return 0, errDivZero
-		}
-		return a / b, nil
-	default:
-		if b == 0 {
-			return 0, errModZero
-		}
-		return a % b, nil
-	}
-}
-
-func (f *foldExpr) evalFast(acc []int64, cols [][]int32, i int) int64 {
-	if f.acc >= 0 {
-		return acc[f.acc]
-	}
-	if f.expr != nil {
-		return f.expr.evalFast(cols, i)
-	}
-	a, b := f.l.evalFast(acc, cols, i), f.r.evalFast(acc, cols, i)
-	switch f.op {
-	case ocal.OpAdd:
-		return a + b
-	case ocal.OpSub:
-		return a - b
-	default:
-		return a * b
-	}
+	init   []int64
+	body   []*kexpr // one scalar per accumulator component
+	canErr bool
 }
 
 // foldKernel is a spec's mutable run state, owned by one Fold instance.
@@ -1025,11 +824,11 @@ type foldKernel struct {
 	spec *foldKernelSpec
 	// bodyF is the arity-bound body (bound lazily at the first block, when
 	// a streamed input's arity becomes known).
-	bodyF []*foldExpr
+	bodyF []*kexpr
 	acc   []int64
 	tmp   []int64
 	bound bool
-	dead  bool // arity binding failed: interpreted fallback
+	dead  bool // arity binding failed: the Fold runs its fallback leaf
 }
 
 // parseFoldKernel returns nil when the fold shape is not kernelizable.
@@ -1038,7 +837,6 @@ func parseFoldKernel(fn ocal.Expr, init ocal.Value) *foldKernelSpec {
 	if !ok || len(lam.Params) != 2 {
 		return nil
 	}
-	av, xv := lam.Params[0], lam.Params[1]
 	var initVals []int64
 	switch v := init.(type) {
 	case ocal.Int:
@@ -1064,9 +862,10 @@ func parseFoldKernel(fn ocal.Expr, init ocal.Value) *foldKernelSpec {
 	if len(elems) != len(initVals) {
 		return nil
 	}
-	spec := &foldKernelSpec{accWidth: len(initVals), init: initVals}
+	spec := &foldKernelSpec{init: initVals}
+	v := kvars{elem: lam.Params[1], acc: lam.Params[0], accWidth: len(initVals)}
 	for _, e := range elems {
-		fe, ok := parseFoldScalar(e, av, xv, spec.accWidth)
+		fe, ok := parseScalar(e, v)
 		if !ok {
 			return nil
 		}
@@ -1079,7 +878,7 @@ func parseFoldKernel(fn ocal.Expr, init ocal.Value) *foldKernelSpec {
 // newFoldKernel instantiates the spec's mutable run state.
 func (s *foldKernelSpec) newKernel() *foldKernel {
 	k := &foldKernel{spec: s, acc: append([]int64(nil), s.init...)}
-	k.tmp = make([]int64, s.accWidth)
+	k.tmp = make([]int64, len(s.init))
 	return k
 }
 
@@ -1090,7 +889,7 @@ func (k *foldKernel) bind(ar int) bool {
 	}
 	k.bound = true
 	for _, fe := range k.spec.body {
-		f := cloneFoldExpr(fe)
+		f := fe.clone()
 		if !f.bindArity(ar) {
 			k.dead = true
 			return false
@@ -1100,23 +899,9 @@ func (k *foldKernel) bind(ar int) bool {
 	return true
 }
 
-func cloneFoldExpr(f *foldExpr) *foldExpr {
-	c := *f
-	if f.expr != nil {
-		c.expr = cloneExpr(f.expr)
-	}
-	if f.l != nil {
-		c.l = cloneFoldExpr(f.l)
-	}
-	if f.r != nil {
-		c.r = cloneFoldExpr(f.r)
-	}
-	return &c
-}
-
 // step folds one column block into the accumulator. Body components
 // evaluate against the pre-row accumulator (all reads before any write),
-// matching the interpreted tuple rebuild.
+// matching the interp closure's tuple rebuild.
 func (k *foldKernel) step(cols [][]int32, rows int) error {
 	if k.spec.canErr {
 		for i := 0; i < rows; i++ {
@@ -1155,17 +940,13 @@ func (k *foldKernel) value() ocal.Value {
 // ---------------------------------------------------------------------------
 // Probe index
 
-// probeIdx is the fused backend's equi-join index over one resident outer
-// block, replacing the interpreted map[int32][]int64 on the probe hot path.
-// The layout is bucket-packed (CSR): offs holds Fibonacci-hashed bucket
+// probeIdx is the equi-join index over one resident outer block. The
+// layout is bucket-packed (CSR): offs holds Fibonacci-hashed bucket
 // boundaries and ents the (key, row) pairs of each bucket contiguously, so
 // probing a key is a bounded sequential scan instead of a pointer chase,
 // and the key comparison never touches the outer block. The counting sort
-// is stable, so a bucket enumerates rows in ascending order — the exact
-// match order the interpreted index produces. Buffers are reused across
-// outer blocks. The build charges the same cpu(nx, HashSeconds) as the map
-// build: the simulated cost models "index the block once", whichever
-// structure serves it.
+// is stable, so a bucket enumerates rows in ascending order — matches come
+// out in the nested loop's order. Buffers are reused across outer blocks.
 type probeIdx struct {
 	offs  []int32  // size+1 bucket boundaries
 	ents  []uint64 // key bits <<32 | row, bucket-packed, ascending row per bucket

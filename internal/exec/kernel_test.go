@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ocas/internal/interp"
@@ -11,21 +12,18 @@ import (
 	"ocas/internal/storage"
 )
 
-// backendRun is one lowered execution of a case, with the error kept
-// instead of failing the test — error parity between backends is part of
-// the fused contract.
-type backendRun struct {
-	rows    [][]int32
-	scalar  ocal.Value
-	isScal  bool
-	ledgers map[string]storage.Ledger
-	seconds float64
-	err     error
-	prog    *Program
+// kernelRun is one lowered execution of a case, with the error kept
+// instead of failing the test — error parity with the interpreter is part
+// of the kernel contract.
+type kernelRun struct {
+	rows   [][]int32
+	scalar ocal.Value
+	err    error
+	prog   *Program
 }
 
-// runBackend lowers and runs one case under the given backend.
-func runBackend(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64, backend string) backendRun {
+// runKernelCase lowers and runs one case.
+func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) kernelRun {
 	t.Helper()
 	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
 	scratch, err := sim.Device("hdd")
@@ -51,68 +49,49 @@ func runBackend(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64, bac
 	sink := &Sink{Out: out, Bout: 8, Sim: sim}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
-		PoolBytes: pool, BatchRows: batch, Backend: backend})
+		PoolBytes: pool, BatchRows: batch})
 	if err != nil {
-		t.Fatalf("lower (backend %q): %v\n%s", backend, err, c.src)
+		t.Fatalf("lower: %v\n%s", err, c.src)
 	}
-	run := backendRun{prog: p, ledgers: map[string]storage.Ledger{}}
+	run := kernelRun{prog: p}
 	run.err = p.Run()
-	for name, d := range sim.Devices {
-		run.ledgers[name] = d.Led
-	}
-	run.seconds = sim.Clock.Seconds()
 	if run.err == nil && p.Scalar {
-		run.isScal, run.scalar = true, p.Result
+		run.scalar = p.Result
 	} else if run.err == nil {
 		run.rows = tableRows(out.Flat(), c.outArity)
 	}
 	return run
 }
 
-// assertBackendsAgree runs a case under both backends and requires the
-// exact same outcome: identical rows in identical order (or identical
-// scalar, or identical error text), bit-identical virtual clock and
-// integer-identical device ledgers.
-func assertBackendsAgree(t *testing.T, c diffCase, batch, pool int64) {
+// assertMatchesInterp runs a case and requires the outcome internal/interp
+// evaluates for the same program: the same row bag (or scalar), or the
+// exact same error text.
+func assertMatchesInterp(t *testing.T, c diffCase, batch, pool int64) kernelRun {
 	t.Helper()
 	prog, err := ocal.Parse(c.src)
 	if err != nil {
 		t.Fatalf("program does not parse: %v\n%s", err, c.src)
 	}
-	ir := runBackend(t, c, prog, batch, pool, "")
-	fr := runBackend(t, c, prog, batch, pool, BackendFused)
+	values := map[string]ocal.Value{}
+	for name, dt := range c.inputs {
+		values[name] = append(ocal.List{}, dt.value...)
+	}
+	want, wantErr := interp.Eval(prog, values, c.params)
+	got := runKernelCase(t, c, prog, batch, pool)
 	what := fmt.Sprintf("%s (batch %d, pool %d)", c.src, batch, pool)
-	if (ir.err == nil) != (fr.err == nil) {
-		t.Fatalf("%s: interpreted err %v, fused err %v", what, ir.err, fr.err)
-	}
-	if ir.err != nil {
-		if ir.err.Error() != fr.err.Error() {
-			t.Fatalf("%s: interpreted error %q, fused error %q", what, ir.err, fr.err)
+	switch {
+	case wantErr != nil || got.err != nil:
+		if wantErr == nil || got.err == nil || wantErr.Error() != got.err.Error() {
+			t.Fatalf("%s: interp error %v, plan error %v", what, wantErr, got.err)
 		}
-		return
-	}
-	if ir.isScal {
-		if !ocal.ValueEq(ir.scalar, fr.scalar) {
-			t.Fatalf("%s: interpreted scalar %s, fused %s", what, ir.scalar, fr.scalar)
+	case c.scalar:
+		if !ocal.ValueEq(got.scalar, want) {
+			t.Fatalf("%s: plan scalar %s, interp %s", what, got.scalar, want)
 		}
-	} else {
-		if len(ir.rows) != len(fr.rows) {
-			t.Fatalf("%s: interpreted %d rows, fused %d", what, len(ir.rows), len(fr.rows))
-		}
-		for i := range ir.rows {
-			if fmt.Sprint(ir.rows[i]) != fmt.Sprint(fr.rows[i]) {
-				t.Fatalf("%s: row %d interpreted %v, fused %v", what, i, ir.rows[i], fr.rows[i])
-			}
-		}
+	default:
+		sameBag(t, what, got.rows, valueRows(t, want))
 	}
-	if ir.seconds != fr.seconds {
-		t.Errorf("%s: interpreted clock %v, fused %v", what, ir.seconds, fr.seconds)
-	}
-	for dev, led := range ir.ledgers {
-		if fr.ledgers[dev] != led {
-			t.Errorf("%s: device %s interpreted ledger %+v, fused %+v", what, dev, led, fr.ledgers[dev])
-		}
-	}
+	return got
 }
 
 // twoColTable builds a deterministic arity-2 table.
@@ -126,22 +105,9 @@ func twoColTable(n int, f func(i int) (int32, int32)) diffTable {
 	return dt
 }
 
-// TestKernelBackendValidation: Lower rejects unknown backend names.
-func TestKernelBackendValidation(t *testing.T) {
-	_, err := Lower(ocal.MustParse("for (xB [k1] <- R) xB"), LowerOpts{Backend: "jit"})
-	if err == nil {
-		t.Fatal("Lower accepted backend \"jit\"")
-	}
-	for _, b := range []string{"", BackendInterpreted, BackendFused} {
-		if !validBackend(b) {
-			t.Fatalf("backend %q should be valid", b)
-		}
-	}
-}
-
 // TestKernelFallbackUnfusable: a body outside the kernel grammar lowers
-// under the fused backend without a kernel — the retained interpreted step
-// runs and produces the interpreted result.
+// without a kernel — the interp-compiled closure, the fallback leaf, runs
+// and produces interp's result.
 func TestKernelFallbackUnfusable(t *testing.T) {
 	in := twoColTable(50, func(i int) (int32, int32) { return int32(i % 7), int32(i) })
 	cases := []string{
@@ -153,26 +119,21 @@ func TestKernelFallbackUnfusable(t *testing.T) {
 		"for (xB [k1] <- R) for (x <- xB) ([x] ++ [<x.2, x.1>])",
 	}
 	for _, src := range cases {
-		prog, err := ocal.Parse(src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
 		c := diffCase{src: src, params: map[string]int64{"k1": 4},
 			inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 2}
-		fr := runBackend(t, c, prog, 7, 0, BackendFused)
-		if fr.err != nil {
-			t.Fatalf("%s: fused run failed: %v", src, fr.err)
+		run := assertMatchesInterp(t, c, 7, 0)
+		if run.err != nil {
+			t.Fatalf("%s: run failed: %v", src, run.err)
 		}
-		if pj, ok := fr.prog.Root.(*Project); ok && pj.kern != nil {
-			t.Errorf("%s: unfusable body got a kernel spec", src)
+		if pj, ok := run.prog.Root.(*Project); !ok || pj.kern != nil {
+			t.Errorf("%s: want a kernel-less Project at the root, got %T", src, run.prog.Root)
 		}
-		assertBackendsAgree(t, c, 7, 0)
 	}
 }
 
 // TestKernelFallbackArity: a spec that parses but cannot bind the input
 // arity (out-of-range column, projection of a scalar row) falls back to
-// the interpreted step — including its runtime error.
+// the interp closure — including its runtime error.
 func TestKernelFallbackArity(t *testing.T) {
 	in := twoColTable(20, func(i int) (int32, int32) { return int32(i), int32(i * 2) })
 	var col diffTable
@@ -182,24 +143,24 @@ func TestKernelFallbackArity(t *testing.T) {
 	}
 	// Column out of range at arity 2: the interp step errors; the kernel
 	// must not silently read a wrong column.
-	assertBackendsAgree(t, diffCase{
+	assertMatchesInterp(t, diffCase{
 		src:    "for (xB [k1] <- R) for (x <- xB) [x.3]",
 		params: map[string]int64{"k1": 4},
 		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 1,
 	}, 7, 0)
 	// Projection of an arity-1 row (a bare Int in the interp pipeline).
-	assertBackendsAgree(t, diffCase{
+	assertMatchesInterp(t, diffCase{
 		src:    "for (xB [k1] <- L) for (x <- xB) [x.1]",
 		params: map[string]int64{"k1": 4},
 		inputs: map[string]diffTable{"L": col}, arities: map[string]int{"L": 1}, outArity: 1,
 	}, 7, 0)
 	// Whole-element arithmetic works at arity 1 and falls back at arity 2.
-	assertBackendsAgree(t, diffCase{
+	assertMatchesInterp(t, diffCase{
 		src:    "for (xB [k1] <- L) for (x <- xB) [(x + 1)]",
 		params: map[string]int64{"k1": 4},
 		inputs: map[string]diffTable{"L": col}, arities: map[string]int{"L": 1}, outArity: 1,
 	}, 7, 0)
-	assertBackendsAgree(t, diffCase{
+	assertMatchesInterp(t, diffCase{
 		src:    "for (xB [k1] <- R) for (x <- xB) [(x + 1)]",
 		params: map[string]int64{"k1": 4},
 		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 1,
@@ -219,7 +180,7 @@ func TestKernelErrorParity(t *testing.T) {
 		"for (xB [k1] <- R) for (x <- xB) if x.1 < 0 and (x.1 / x.2) < 2 then [x] else []",
 	} {
 		for _, batch := range []int64{1, 7, 64} {
-			assertBackendsAgree(t, diffCase{
+			assertMatchesInterp(t, diffCase{
 				src:    src,
 				params: map[string]int64{"k1": 4},
 				inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 2,
@@ -227,7 +188,7 @@ func TestKernelErrorParity(t *testing.T) {
 		}
 	}
 	// A fold step that divides by a column with zeros.
-	assertBackendsAgree(t, diffCase{
+	assertMatchesInterp(t, diffCase{
 		src:    "foldL(0, \\<a, x> -> (a + (x.1 / x.2)))(for (xB [k1] <- R) xB)",
 		params: map[string]int64{"k1": 4},
 		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2},
@@ -235,9 +196,8 @@ func TestKernelErrorParity(t *testing.T) {
 	}, 7, 0)
 }
 
-// TestKernelShapes sweeps the fused grammar's corners — predicate shapes,
-// projection modes, whole-row splices, fold accumulators — against the
-// interpreted backend.
+// TestKernelShapes sweeps the kernel grammar's corners — predicate shapes,
+// projection modes, whole-row splices, fold accumulators — against interp.
 func TestKernelShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	in := randTable(r, 3, 60, 9)
@@ -259,22 +219,12 @@ func TestKernelShapes(t *testing.T) {
 		"foldL(<1, 0>, \\<a, x> -> <(a.2 + x.3), a.1>)(for (xB [k1] <- R) xB)", // components read old acc
 	}
 	for _, src := range srcs {
-		scalar := src[0] == 'f'
-		outArity := 3
-		switch {
-		case scalar:
-			outArity = 1
-		default:
-			prog := ocal.MustParse(src)
-			// Count output columns by probing the parsed body's shape: not
-			// needed — outArity only sizes the out table; use a safe width.
-			_ = prog
-		}
+		scalar := strings.HasPrefix(src, "foldL")
 		// outArity per case: run through the interp reference to size it.
-		outArity = probeOutArity(t, src, in, scalar)
+		outArity := probeOutArity(t, src, in, scalar)
 		for _, batch := range []int64{1, 7, 64} {
 			for _, pool := range diffPoolBudgets {
-				assertBackendsAgree(t, diffCase{
+				assertMatchesInterp(t, diffCase{
 					src:    src,
 					params: map[string]int64{"k1": 5},
 					inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 3},
@@ -307,64 +257,56 @@ func probeOutArity(t *testing.T, src string, in diffTable, scalar bool) int {
 	return len(rows[0])
 }
 
-// TestStepZeroAllocs: the interpreted Project hot path (hoisted emit
-// binding) and the fused kernels allocate nothing per block in steady
-// state.
+// TestStepZeroAllocs: the fallback-leaf Project hot path (hoisted emit
+// binding) and the kernels allocate nothing per block in steady state.
 func TestStepZeroAllocs(t *testing.T) {
-	if allocs := stepAllocsPerNext(t, ""); allocs > 0 {
-		t.Errorf("interpreted Project.Next allocates %.1f times per call in steady state", allocs)
+	if allocs := stepAllocsPerNext(t, false); allocs > 0 {
+		t.Errorf("fallback-leaf Project.Next allocates %.1f times per call in steady state", allocs)
 	}
-	if allocs := stepAllocsPerNext(t, BackendFused); allocs > 0 {
-		t.Errorf("fused Project.Next allocates %.1f times per call in steady state", allocs)
+	if allocs := stepAllocsPerNext(t, true); allocs > 0 {
+		t.Errorf("kernel Project.Next allocates %.1f times per call in steady state", allocs)
 	}
 }
 
-// stepAllocsPerNext builds a filter+project over a preloaded table with a
-// hand-built zero-alloc step and measures steady-state allocations per
-// Next call.
-func stepAllocsPerNext(t testing.TB, backend string) float64 {
-	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
-	scratch, err := sim.Device("hdd")
-	if err != nil {
+// allocKernel parses the zero-alloc suites' filter+project body.
+func allocKernel(t testing.TB) *scanKernelSpec {
+	spec := parseScanKernel(ocal.MustParse("if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"), "x")
+	if spec == nil {
+		t.Fatal("bench body did not parse as a kernel")
+	}
+	return spec
+}
+
+// filterStep is the hand-built zero-alloc fallback leaf of the alloc
+// suites: it emits the row as-is, the baseline cost of the Step plumbing
+// without interp boxing.
+func filterStep(row []int32, emit func([]int32)) error {
+	if row[0] < 50 {
+		emit(row)
+	}
+	return nil
+}
+
+// buildProject assembles a filter+project over the alloc table — through
+// the kernel, or through the fallback leaf alone — opened and ready to Next.
+func buildProject(t testing.TB, withKernel bool) *Project {
+	sim, scratch, tb := allocTable(t)
+	p := &Project{In: TableInput(tb), K: 64, Step: filterStep}
+	if withKernel {
+		p.kern = allocKernel(t)
+	}
+	if err := p.Open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}); err != nil {
 		t.Fatal(err)
 	}
-	const rows = 1 << 16
-	data := make([]int32, 0, rows*2)
-	for i := 0; i < rows; i++ {
-		data = append(data, int32(i%100), int32(i))
-	}
-	tb, err := NewTable(scratch, 2, rows+8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Preload(data); err != nil {
-		t.Fatal(err)
-	}
-	var kern *scanKernelSpec
-	if backend == BackendFused {
-		spec, ok := parseScanKernel(ocal.MustParse("if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"), "x")
-		if !ok {
-			t.Fatal("bench body did not parse as a kernel")
-		}
-		kern = spec
-	}
-	// The hand-built step emits the row as-is: the baseline cost of the
-	// interpreted path's plumbing without interp boxing.
-	step := func(row []int32, emit func([]int32)) error {
-		if row[0] < 50 {
-			emit(row)
-		}
-		return nil
-	}
-	p := &Project{In: TableInput(tb), K: 64, Step: step, kern: kern}
-	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}
-	if err := p.Open(c); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	return p
+}
+
+// steadyAllocs warms the operator up (the first Next pins the frame, grows
+// the emitter and builds the kernel) and measures steady-state allocations
+// per Next call.
+func steadyAllocs(t *testing.T, p *Project) float64 {
+	t.Helper()
 	var b Batch
-	// Warm up: first Next pins the frame, grows the emitter and (fused)
-	// builds the kernel.
 	for i := 0; i < 4; i++ {
 		if ok, err := p.Next(&b); err != nil || !ok {
 			t.Fatalf("warm-up Next: ok=%v err=%v", ok, err)
@@ -375,6 +317,12 @@ func stepAllocsPerNext(t testing.TB, backend string) float64 {
 			t.Fatalf("Next: ok=%v err=%v", ok, err)
 		}
 	})
+}
+
+func stepAllocsPerNext(t *testing.T, withKernel bool) float64 {
+	p := buildProject(t, withKernel)
+	defer p.Close()
+	return steadyAllocs(t, p)
 }
 
 // allocTable preloads the shared two-column test table for the zero-alloc
@@ -403,31 +351,20 @@ func allocTable(t testing.TB) (*storage.Sim, *storage.Device, *Table) {
 
 // TestChainStepZeroAllocs: the opReader re-batching path — an outer
 // Project consuming an inner Project through OpInput — allocates nothing
-// per Next in steady state on either backend. fill appends into reused
-// carry vectors, pop hands out column views, and the outer kernel appends
-// into the reused emitter.
+// per Next in steady state, whether the outer body runs as a fused kernel
+// or through the Step closure (the interp-compiled fallback leaf's slot).
+// fill appends into reused carry vectors, pop hands out column views, and
+// the outer kernel appends into the reused emitter.
 func TestChainStepZeroAllocs(t *testing.T) {
-	for _, backend := range []string{"", BackendFused} {
+	for _, withKernel := range []bool{false, true} {
 		name := "interpreted"
-		if backend == BackendFused {
+		if withKernel {
 			name = "fused"
 		}
 		t.Run(name, func(t *testing.T) {
-			p, c := buildChain(t, backend)
+			p := buildChain(t, withKernel)
 			defer p.Close()
-			var b Batch
-			for i := 0; i < 4; i++ {
-				if ok, err := p.Next(&b); err != nil || !ok {
-					t.Fatalf("warm-up Next: ok=%v err=%v", ok, err)
-				}
-			}
-			_ = c
-			allocs := testing.AllocsPerRun(200, func() {
-				if ok, err := p.Next(&b); err != nil || !ok {
-					t.Fatalf("Next: ok=%v err=%v", ok, err)
-				}
-			})
-			if allocs > 0 {
+			if allocs := steadyAllocs(t, p); allocs > 0 {
 				t.Errorf("%s chained Project.Next allocates %.1f times per call in steady state", name, allocs)
 			}
 		})
@@ -436,129 +373,69 @@ func TestChainStepZeroAllocs(t *testing.T) {
 
 // buildChain assembles inner-pass → outer-filter with the outer reading
 // through opReader, opened and ready to Next.
-func buildChain(t testing.TB, backend string) (*Project, *Ctx) {
+func buildChain(t testing.TB, withKernel bool) *Project {
 	sim, scratch, tb := allocTable(t)
 	passStep := func(row []int32, emit func([]int32)) error {
 		emit(row)
 		return nil
 	}
 	inner := &Project{In: TableInput(tb), K: 64, Step: passStep}
-	var kern *scanKernelSpec
-	if backend == BackendFused {
-		spec, ok := parseScanKernel(ocal.MustParse("if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"), "x")
-		if !ok {
-			t.Fatal("chain body did not parse as a kernel")
-		}
-		kern = spec
+	p := &Project{In: OpInput(inner), K: 64, Step: filterStep}
+	if withKernel {
+		p.kern = allocKernel(t)
 	}
-	step := func(row []int32, emit func([]int32)) error {
-		if row[0] < 50 {
-			emit(row)
-		}
-		return nil
-	}
-	p := &Project{In: OpInput(inner), K: 64, Step: step, kern: kern}
-	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}
-	if err := p.Open(c); err != nil {
+	if err := p.Open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}); err != nil {
 		t.Fatal(err)
 	}
-	return p, c
+	return p
 }
 
-// TestSelPassZeroAllocs: fused sel-passthrough — a pure filter publishing
-// the input block untouched plus a selection vector — allocates nothing
-// per Next once the reusable selection vector has grown, and actually
-// engages (batches carry Sel).
+// TestSelPassZeroAllocs: sel-passthrough — a pure filter publishing the
+// input block untouched plus a selection vector — allocates nothing per
+// Next once the reusable selection vector has grown, and actually engages
+// (batches carry Sel).
 func TestSelPassZeroAllocs(t *testing.T) {
-	p, _ := buildSelPass(t)
+	p := buildSelPass(t)
 	defer p.Close()
-	var b Batch
-	for i := 0; i < 4; i++ {
-		if ok, err := p.Next(&b); err != nil || !ok {
-			t.Fatalf("warm-up Next: ok=%v err=%v", ok, err)
-		}
-	}
-	if b.Sel == nil {
-		t.Fatal("sel-passthrough did not engage: batch has no selection vector")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if ok, err := p.Next(&b); err != nil || !ok {
-			t.Fatalf("Next: ok=%v err=%v", ok, err)
-		}
-	})
-	if allocs > 0 {
+	if allocs := steadyAllocs(t, p); allocs > 0 {
 		t.Errorf("sel-passthrough Next allocates %.1f times per call in steady state", allocs)
 	}
+	var b Batch
+	if ok, err := p.Next(&b); err != nil || !ok || b.Sel == nil {
+		t.Fatalf("sel-passthrough did not engage: ok=%v err=%v sel=%v", ok, err, b.Sel)
+	}
 }
 
-// buildSelPass assembles a pure-filter fused Project with SelPass enabled,
-// opened and ready to Next.
-func buildSelPass(t testing.TB) (*Project, *Ctx) {
+// buildSelPass assembles a pure-filter Project with SelPass enabled, opened
+// and ready to Next.
+func buildSelPass(t testing.TB) *Project {
 	sim, scratch, tb := allocTable(t)
-	spec, ok := parseScanKernel(ocal.MustParse("if x.1 < 50 then [x] else []"), "x")
-	if !ok {
+	spec := parseScanKernel(ocal.MustParse("if x.1 < 50 then [x] else []"), "x")
+	if spec == nil {
 		t.Fatal("filter body did not parse as a kernel")
 	}
-	step := func(row []int32, emit func([]int32)) error {
-		if row[0] < 50 {
-			emit(row)
-		}
-		return nil
-	}
-	p := &Project{In: TableInput(tb), K: 64, Step: step, kern: spec, SelPass: true}
-	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}
-	if err := p.Open(c); err != nil {
+	p := &Project{In: TableInput(tb), K: 64, Step: filterStep, kern: spec, SelPass: true}
+	if err := p.Open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}); err != nil {
 		t.Fatal(err)
 	}
-	return p, c
+	return p
 }
 
-// BenchmarkStepAllocs reports allocations per steady-state Next call on
-// both backends (the satellite contract: 0 allocs/op).
+// BenchmarkStepAllocs reports allocations per steady-state Next call of
+// every Project path (the contract: 0 allocs/op).
 func BenchmarkStepAllocs(b *testing.B) {
-	for _, backend := range []string{"interpreted", "fused"} {
-		b.Run(backend, func(b *testing.B) {
-			be := ""
-			if backend == "fused" {
-				be = BackendFused
-			}
-			sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
-			scratch, err := sim.Device("hdd")
-			if err != nil {
-				b.Fatal(err)
-			}
-			const rows = 1 << 16
-			data := make([]int32, 0, rows*2)
-			for i := 0; i < rows; i++ {
-				data = append(data, int32(i%100), int32(i))
-			}
-			tb, err := NewTable(scratch, 2, rows+8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tb.Preload(data); err != nil {
-				b.Fatal(err)
-			}
-			var kern *scanKernelSpec
-			if be == BackendFused {
-				spec, ok := parseScanKernel(ocal.MustParse("if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"), "x")
-				if !ok {
-					b.Fatal("bench body did not parse as a kernel")
-				}
-				kern = spec
-			}
-			step := func(row []int32, emit func([]int32)) error {
-				if row[0] < 50 {
-					emit(row)
-				}
-				return nil
-			}
-			p := &Project{In: TableInput(tb), K: 64, Step: step, kern: kern}
-			c := &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}
-			if err := p.Open(c); err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
+	for _, bc := range []struct {
+		name  string
+		build func() *Project
+	}{
+		{"fallback", func() *Project { return buildProject(b, false) }},
+		{"kernel", func() *Project { return buildProject(b, true) }},
+		{"chain", func() *Project { return buildChain(b, true) }},
+		{"selpass", func() *Project { return buildSelPass(b) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := bc.build()
+			defer func() { p.Close() }()
 			var bt Batch
 			for i := 0; i < 4; i++ {
 				if ok, err := p.Next(&bt); err != nil || !ok {
@@ -572,71 +449,21 @@ func BenchmarkStepAllocs(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !ok { // table exhausted: rewind by reopening
+				if !ok { // input exhausted: rewind by rebuilding
 					b.StopTimer()
 					p.Close()
-					p = &Project{In: TableInput(tb), K: 64, Step: step, kern: kern}
-					if err := p.Open(c); err != nil {
-						b.Fatal(err)
-					}
+					p = bc.build()
 					b.StartTimer()
 				}
 			}
 		})
 	}
-	b.Run("chain", func(b *testing.B) {
-		p, _ := buildChain(b, BackendFused)
-		defer func() { p.Close() }()
-		var bt Batch
-		for i := 0; i < 4; i++ {
-			if ok, err := p.Next(&bt); err != nil || !ok {
-				b.Fatalf("warm-up Next: ok=%v err=%v", ok, err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ok, err := p.Next(&bt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok { // chain exhausted: rewind by rebuilding
-				b.StopTimer()
-				p.Close()
-				p, _ = buildChain(b, BackendFused)
-				b.StartTimer()
-			}
-		}
-	})
-	b.Run("selpass", func(b *testing.B) {
-		p, _ := buildSelPass(b)
-		defer func() { p.Close() }()
-		var bt Batch
-		for i := 0; i < 4; i++ {
-			if ok, err := p.Next(&bt); err != nil || !ok {
-				b.Fatalf("warm-up Next: ok=%v err=%v", ok, err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ok, err := p.Next(&bt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				b.StopTimer()
-				p.Close()
-				p, _ = buildSelPass(b)
-				b.StartTimer()
-			}
-		}
-	})
 }
 
-// FuzzFusedVsInterpreted feeds generated scan/filter/project and fold
-// shapes to both backends and requires the exact same outcome.
-func FuzzFusedVsInterpreted(f *testing.F) {
+// FuzzKernelVsInterp feeds generated scan/filter/project and fold shapes
+// to the executor and requires internal/interp's outcome: a bag-equal
+// result, or the same error text.
+func FuzzKernelVsInterp(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(2), uint8(3))
 	f.Add(int64(3), uint8(7))
@@ -648,8 +475,8 @@ func FuzzFusedVsInterpreted(f *testing.F) {
 		scalar := func() string { return cols[r.Intn(len(cols))] }
 		// Ordered comparisons never take the whole element: ocal.ValueCompare
 		// panics on an Int-vs-Tuple comparison in the reference interpreter
-		// and both backends alike, which is outside this fuzzer's contract
-		// (backend parity, not interpreter robustness).
+		// and the executor's fallback leaf alike, which is outside this
+		// fuzzer's contract (parity with interp, not interpreter robustness).
 		cmpable := []string{"x.1", "x.2", "x.3", fmt.Sprint(r.Intn(5))}
 		cmpScalar := func() string { return cmpable[r.Intn(len(cmpable))] }
 		arith := func() string {
@@ -691,8 +518,8 @@ func FuzzFusedVsInterpreted(f *testing.F) {
 			t.Skip() // the generator hit a non-parsing corner (e.g. bare x in arith)
 		}
 		// Some generated shapes are not valid interp programs at all (x as
-		// an arithmetic operand, x.3 on arity 2 …): then both backends must
-		// fail identically, which assertBackendsAgree covers. But the output
+		// an arithmetic operand, x.3 on arity 2 …): then the executor must
+		// fail identically, which assertMatchesInterp covers. But the output
 		// table width must match any successful run, so probe first.
 		c := diffCase{src: src, params: map[string]int64{"k1": int64(r.Intn(6) + 1)},
 			inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2},
@@ -705,6 +532,6 @@ func FuzzFusedVsInterpreted(f *testing.F) {
 				}
 			}
 		}
-		assertBackendsAgree(t, c, int64(r.Intn(8)+1), 0)
+		assertMatchesInterp(t, c, int64(r.Intn(8)+1), 0)
 	})
 }

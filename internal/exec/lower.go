@@ -38,15 +38,6 @@ type LowerOpts struct {
 	// instrumentation (see ExplainNode). Off (the default), lowering emits
 	// the bare operators and execution carries zero instrumentation cost.
 	Explain bool
-	// Backend selects the execution backend: "interpreted" (or empty, the
-	// default) runs the per-row compiled steps; "fused" additionally
-	// compiles recognizable scan/filter/project bodies, join probes and
-	// fold steps into specialized Go kernels at lower time. The backend
-	// never changes results or charges — digests, ledgers, the virtual
-	// clock and EXPLAIN counters are identical either way — only host CPU
-	// time. Chains the kernel grammar does not cover fall back to the
-	// interpreted operators.
-	Backend string
 }
 
 // Program is an executable operator tree wired to its output sink. Run
@@ -155,11 +146,7 @@ func (p *Program) Run() (err error) {
 // tuned block size), so the single-shape programs the synthesizer emits
 // charge exactly what the monolithic plans charged.
 func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
-	if !validBackend(o.Backend) {
-		return nil, fmt.Errorf("exec: unknown backend %q (want %q or %q)",
-			o.Backend, BackendInterpreted, BackendFused)
-	}
-	l := &lowerer{o: o, fused: o.Backend == BackendFused}
+	l := &lowerer{o: o}
 	root, err := l.lowerRoot(prog)
 	if err != nil {
 		return nil, err
@@ -195,9 +182,6 @@ func NewProgram(root Operator, o LowerOpts) *Program {
 
 type lowerer struct {
 	o LowerOpts
-	// fused attaches compiled kernels to the operators whose bodies the
-	// kernel grammar covers (LowerOpts.Backend == "fused").
-	fused bool
 	// root marks that the expression being lowered produces the program
 	// output. A root scan or projection over a base table may split into
 	// morsel partitions merged by a Gather, because the sink consumes a
@@ -380,58 +364,45 @@ func (l *lowerer) scanParts(t *Table, k int64) Operator {
 	return &Gather{Parts: parts}
 }
 
-// projectParts builds a morsel-partitioned projection over a base table,
-// compiling a private step function per morsel (compiled steps carry
-// interpreter state and must not be shared across strands).
+// project builds one projection of body over in: the kernel spec when the
+// body is inside the kernel grammar, and always the interp closure — the
+// fallback leaf. Both are built per instance: compiled steps carry
+// interpreter state and must not be shared across strands.
+func project(in Input, k int64, body ocal.Expr, elem string) (*Project, error) {
+	step, err := scanStep(body, elem)
+	if err != nil {
+		return nil, err
+	}
+	return &Project{In: in, K: k, Step: step, kern: parseScanKernel(body, elem)}, nil
+}
+
+// projectParts builds a morsel-partitioned projection over a base table.
+//
+// Morsel instances may publish their input columns with a selection vector
+// instead of compacting (SelPass; the kernel re-checks per instance that it
+// is a pure filter). Pass-through batches follow input block boundaries, so
+// that is only charge-safe where boundaries cannot reach a device cursor:
+// morsel Projects under a Gather read on private accounting strands and
+// charge nothing else, and the Gather ship-copy erases the boundaries in
+// host memory before the driver strand's sink appends. A lone root Project
+// (or a mid-tree one) interleaves its reads with its consumer's appends on
+// one cursor, where different boundaries would move seeks.
 func (l *lowerer) projectParts(t *Table, k int64, body ocal.Expr, elem string) (Operator, error) {
-	// The kernel spec is immutable and shared across morsels; each Project
-	// builds its own arity-bound kernel instance (and selection vector).
-	kern := l.scanKernel(body, elem)
 	p := l.partsFor(t.Rows(), k, int64(t.Arity)*4)
 	if p <= 1 {
-		step, err := scanStep(body, elem)
-		if err != nil {
-			return nil, err
-		}
-		return &Project{In: TableInput(t), K: k, Step: step, kern: kern}, nil
+		return project(TableInput(t), k, body, elem)
 	}
 	bounds := sectionBounds(t.Rows(), p)
 	parts := make([]Operator, p)
 	for i := range parts {
-		step, err := scanStep(body, elem)
+		pr, err := project(SectionInput(t, bounds[i][0], bounds[i][1]), k, body, elem)
 		if err != nil {
 			return nil, err
 		}
-		parts[i] = &Project{In: SectionInput(t, bounds[i][0], bounds[i][1]), K: k, Step: step, kern: kern, SelPass: l.selPass()}
+		pr.SelPass = true
+		parts[i] = pr
 	}
 	return &Gather{Parts: parts}, nil
-}
-
-// selPass reports whether lowered morsel projections may publish their
-// input columns with a selection vector instead of compacting (pure-filter
-// fused kernels only; the kernel itself re-checks eligibility per
-// instance). Pass-through batches follow input block boundaries, so it is
-// only charge-safe where boundaries cannot reach a device cursor: morsel
-// Projects under a Gather read on private accounting strands and charge
-// nothing else, and the Gather ship-copy erases the boundaries in host
-// memory before the driver strand's sink appends. A lone root Project (or
-// a mid-tree one) interleaves its reads with its consumer's appends on one
-// cursor, where different boundaries would move seeks. EXPLAIN stays on
-// the compacting path so its per-operator batch counters match the
-// interpreted backend batch for batch.
-func (l *lowerer) selPass() bool { return l.fused && !l.o.Explain }
-
-// scanKernel compiles a loop body into a fused kernel spec, or nil when the
-// backend is interpreted or the body is outside the kernel grammar.
-func (l *lowerer) scanKernel(body ocal.Expr, elem string) *scanKernelSpec {
-	if !l.fused {
-		return nil
-	}
-	spec, ok := parseScanKernel(body, elem)
-	if !ok {
-		return nil
-	}
-	return spec
 }
 
 // lowerLoops recognizes a (possibly blocked and tiled) nested-loops join
@@ -498,11 +469,8 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, erro
 			op, err := l.projectParts(s.in.table, s.k, e, s.elem)
 			return op, err, true
 		}
-		step, err := scanStep(e, s.elem)
-		if err != nil {
-			return nil, err, true
-		}
-		return &Project{In: s.in, K: s.k, Step: step, kern: l.scanKernel(e, s.elem)}, nil, true
+		op, err := project(s.in, s.k, e, s.elem)
+		return op, err, true
 	case 2:
 		x, y := srcs[0], srcs[1]
 		pred, keys, swapOut, all, err := compileJoinBody(e, x.elem, y.elem)
@@ -512,7 +480,7 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, erro
 		j := &BNLJoin{
 			L: x.in, R: y.in, K1: x.k, K2: y.k,
 			OrderBy: orderBy, Pred: pred, EquiKeys: keys, SwapOutput: swapOut,
-			PredAll: all, Fused: l.fused,
+			PredAll: all,
 		}
 		// Cache tiling: an inner re-blocking of each source's block.
 		if len(x.tiles) > 1 {
@@ -531,8 +499,8 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, erro
 // reports that the body tuple leads with the *inner* loop's element (the
 // swap-iter derivations iterate S outside R but still build <x, y>), so
 // the operator must emit inner-first rows. all reports a constant-true
-// condition (a plain product), which lets fused join loops bulk-copy
-// column runs instead of testing every pair.
+// condition (a plain product), which lets the join loop bulk-copy column
+// runs instead of testing every pair.
 func compileJoinBody(e ocal.Expr, xv, yv string) (pred Pred, keys *[2]int, swapOut, all bool, err error) {
 	switch t := e.(type) {
 	case ocal.Single:
@@ -741,7 +709,7 @@ func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
 		Buckets: buckets,
 		KRead:   kj, BufW: bufW, KJoin: kj,
 		KeyL: 0, KeyR: 0, Pred: pred, EquiKeys: keys, SwapOutput: swapOut,
-		PredAll: all, OrderedOutput: ordered, Fused: l.fused,
+		PredAll: all, OrderedOutput: ordered,
 	}, nil, true
 }
 
@@ -899,9 +867,5 @@ func (l *lowerer) lowerFold(prog ocal.Expr) (Operator, error, bool) {
 	if err != nil {
 		return nil, err, true
 	}
-	var kern *foldKernelSpec
-	if l.fused {
-		kern = parseFoldKernel(fl.Fn, init)
-	}
-	return &Fold{In: in, K: k, Init: init, Step: step, FinalFn: finalFn, kern: kern}, nil, true
+	return &Fold{In: in, K: k, Init: init, Step: step, FinalFn: finalFn, kern: parseFoldKernel(fl.Fn, init)}, nil, true
 }

@@ -160,10 +160,11 @@ func (o *Scan) Close() error {
 // StepFn turns one input row into zero or more output rows.
 type StepFn func(row []int32, emit func([]int32)) error
 
-// Project applies a compiled per-row body (projection, filter, arithmetic)
-// to its input. When lowering attached a fused kernel spec, the per-row
-// Step is bypassed by a specialized block loop; the Step is always kept as
-// the fallback for arities the spec cannot serve.
+// Project applies a per-row body (projection, filter, arithmetic) to its
+// input. A body inside the kernel grammar runs as a specialized block loop
+// (kern); Step, the interp-compiled closure of the same body, is the
+// fallback leaf for bodies outside the grammar and for arities the spec
+// cannot serve.
 type Project struct {
 	In   Input
 	K    int64 // fused read block in tuples
@@ -172,11 +173,11 @@ type Project struct {
 	// untouched, publishing only a selection vector (no row compaction).
 	// Pass-through batches follow the input's block boundaries instead of
 	// the emitter's re-batching, so lowering enables it only where batch
-	// boundaries are unobservable: morsel Projects under a Gather, fused
-	// backend, EXPLAIN off (see lowerer.selPass).
+	// boundaries cannot reach a device cursor: morsel Projects under a
+	// Gather (see lowerer.projectParts).
 	SelPass bool
 
-	kern *scanKernelSpec // fused-backend kernel (nil: interpreted)
+	kern *scanKernelSpec // nil: the body is outside the kernel grammar
 
 	c         *Ctx
 	r         blockReader
@@ -185,7 +186,7 @@ type Project struct {
 	pk        *projKernel
 	kernTried bool
 	done      bool
-	rowBuf    []int32 // interpreted-step gather scratch
+	rowBuf    []int32 // fallback-leaf gather scratch
 	passCols  [][]int32
 	passSel   []int32
 	passReady bool
@@ -217,7 +218,7 @@ func (o *Project) step() error {
 	if o.kern != nil && !o.kernTried {
 		// The input arity is only known at the first block (streamed
 		// subtrees report 0 until then); a failed build means a permanent
-		// fallback to the interpreted Step.
+		// fallback to Step.
 		o.kernTried = true
 		o.pk = o.kern.build(ar)
 	}
@@ -296,13 +297,8 @@ type BNLJoin struct {
 	SwapOutput bool
 	// Tile sizes in tuples for the cache-conscious variant (0 = untiled).
 	TileX, TileY int64
-	// Fused selects the fused-backend probe loops: matches append straight
-	// into the emitter's column vectors instead of going through the emit
-	// closure and its row-assembly copy. Pause points and charges are the
-	// same either way, so results and accounting are backend-invariant.
-	Fused bool
 	// PredAll marks the condition as constant-true (the relational product
-	// of the paper's write-out experiments): the fused product loop then
+	// of the paper's write-out experiments): the product loop then
 	// bulk-copies column runs instead of gathering and testing row pairs.
 	PredAll bool
 
@@ -313,19 +309,16 @@ type BNLJoin struct {
 	pred         Pred
 	keys         *[2]int
 	ob           *ownedBlock
-	outerIdx     map[int32][]int64
-	fidx         probeIdx // fused-backend index (replaces outerIdx when Fused)
+	idx          probeIdx // equi-join index over the resident outer block
 	// hbuf caches each inner row's bucket bounds (start<<32|end) for the
 	// current (outer block, inner block) pair: the gather pass issues the
 	// random offset loads with independent iterations (the CPU overlaps
 	// them), so the match walk only visits rows with candidates.
-	hbuf   []uint64
-	em     emitter
-	emitFn func(x, y []int32) // bound once per Open, not per step
-	done   bool
-	rowBuf []int32
-	// xRow and yRow are the gather scratch of the row-at-a-time predicate
-	// paths (custom predicates see rows, batches carry columns).
+	hbuf []uint64
+	em   emitter
+	done bool
+	// xRow and yRow are the gather scratch of the custom-predicate loop
+	// (predicates see rows, batches carry columns).
 	xRow, yRow []int32
 	// Resume state within the current (outer block, inner block) pair, so
 	// one Next call never has to buffer a whole block pair's matches.
@@ -382,15 +375,6 @@ func (o *BNLJoin) Open(c *Ctx) error {
 	// Emit in the body's tuple order regardless of which side ended up
 	// outer: an OrderBy swap re-orients once, SwapOutput re-orients again.
 	o.flip = o.swapped != o.SwapOutput
-	o.emitFn = func(x, y []int32) {
-		o.rowBuf = o.rowBuf[:0]
-		if o.flip {
-			o.rowBuf = append(append(o.rowBuf, y...), x...)
-		} else {
-			o.rowBuf = append(append(o.rowBuf, x...), y...)
-		}
-		o.em.emit(o.rowBuf)
-	}
 	return o.advanceOuter()
 }
 
@@ -398,7 +382,7 @@ func (o *BNLJoin) Open(c *Ctx) error {
 // equi-join fast path and rewinds the inner input.
 func (o *BNLJoin) advanceOuter() error {
 	o.ob.release()
-	o.ob, o.outerIdx = nil, nil
+	o.ob = nil
 	k1 := o.K1
 	if k1 <= 0 {
 		k1 = 1
@@ -414,22 +398,11 @@ func (o *BNLJoin) advanceOuter() error {
 		return nil
 	}
 	o.ob = ob
-	nx := ob.n
 	if o.keys != nil {
-		// Both backends index the resident block once and charge the same
-		// cpu(nx, HashSeconds); the fused backend just builds the bucket-packed
-		// index its probe loop reads instead of the map. The key column is
-		// contiguous in the columnar block — no stride walk.
-		kcol := ob.cols[o.keys[0]]
-		if o.Fused {
-			o.fidx.build(kcol)
-		} else {
-			o.outerIdx = make(map[int32][]int64, nx)
-			for a := int64(0); a < nx; a++ {
-				o.outerIdx[kcol[a]] = append(o.outerIdx[kcol[a]], a)
-			}
-		}
-		o.c.cpu(nx, o.c.Sim.HashSeconds)
+		// Index the resident block once; the key column is contiguous in
+		// the columnar block — no stride walk.
+		o.idx.build(ob.cols[o.keys[0]])
+		o.c.cpu(ob.n, o.c.Sim.HashSeconds)
 	}
 	return o.inner.rewind()
 }
@@ -459,97 +432,27 @@ func (o *BNLJoin) step() error {
 		nx, ny := o.ob.n, int64(len(yb[0]))
 		if o.keys != nil {
 			o.c.cpu(ny, o.c.Sim.HashSeconds)
-		} else {
-			o.c.cpu(nx*ny, o.c.Sim.CmpSeconds)
-		}
-		o.countCacheMisses(nx, ny, ra, sa)
-		if o.Fused && o.keys != nil {
 			// Gather pass: one bucket-bounds pair per inner row, computed once
-			// per block pair (resumed pauses reuse it). Unobservable from the
-			// outside — the probes it fronts are charged above either way.
+			// per block pair (resumed pauses reuse it).
 			if int64(cap(o.hbuf)) < ny {
 				o.hbuf = make([]uint64, ny)
 			}
 			o.hbuf = o.hbuf[:ny]
-			hbuf, offs, shift := o.hbuf, o.fidx.offs, o.fidx.shift
+			hbuf, offs, shift := o.hbuf, o.idx.offs, o.idx.shift
 			ykeys := yb[o.keys[1]]
 			for b := int64(0); b < ny; b++ {
 				h := probeHash(ykeys[b], shift)
 				hbuf[b] = uint64(offs[h])<<32 | uint64(uint32(offs[h+1]))
 			}
+		} else {
+			o.c.cpu(nx*ny, o.c.Sim.CmpSeconds)
 		}
+		o.countCacheMisses(nx, ny, ra, sa)
 	}
 	xb, yb := o.ob.cols, o.yb
 	ra, sa := o.outer.arity(), o.inner.arity()
 	nx, ny := o.ob.n, int64(len(yb[0]))
 	max := o.c.batchRows()
-	if o.Fused {
-		return o.stepFused(xb, yb, ra, sa, nx, ny, max)
-	}
-	emit := o.emitFn
-	xr, yr := o.scratchRows(ra, sa)
-	if o.keys != nil {
-		ykeys := yb[o.keys[1]]
-		for b := o.posB; b < ny; b++ {
-			if o.em.rows() >= max {
-				o.posB = b
-				return nil
-			}
-			matches := o.outerIdx[ykeys[b]]
-			if len(matches) == 0 {
-				continue
-			}
-			for c := 0; c < sa; c++ {
-				yr[c] = yb[c][b]
-			}
-			for _, a := range matches {
-				for c := 0; c < ra; c++ {
-					xr[c] = xb[c][a]
-				}
-				emit(xr, yr)
-			}
-		}
-	} else {
-		b := o.posB
-		for a := o.posA; a < nx; a++ {
-			for c := 0; c < ra; c++ {
-				xr[c] = xb[c][a]
-			}
-			for ; b < ny; b++ {
-				if o.em.rows() >= max {
-					o.posA, o.posB = a, b
-					return nil
-				}
-				for c := 0; c < sa; c++ {
-					yr[c] = yb[c][b]
-				}
-				if o.pred(xr, yr) {
-					emit(xr, yr)
-				}
-			}
-			b = 0
-		}
-	}
-	o.yb = nil
-	return nil
-}
-
-// scratchRows sizes the row-gather scratch of the predicate paths.
-func (o *BNLJoin) scratchRows(ra, sa int) (xr, yr []int32) {
-	if cap(o.xRow) < ra {
-		o.xRow = make([]int32, ra)
-	}
-	if cap(o.yRow) < sa {
-		o.yRow = make([]int32, sa)
-	}
-	return o.xRow[:ra], o.yRow[:sa]
-}
-
-// stepFused is the fused-backend probe body: identical iteration order,
-// pause points and match set as the interpreted loops above, but each match
-// is appended directly to the emitter's column vectors (no closure call, no
-// row assembly).
-func (o *BNLJoin) stepFused(xb, yb [][]int32, ra, sa int, nx, ny, max int64) error {
 	o.em.reserve(ra + sa)
 	// xout and yout alias the emitter's column-header array, so appends
 	// through them persist: the output's x-side columns come first unless
@@ -563,7 +466,7 @@ func (o *BNLJoin) stepFused(xb, yb [][]int32, ra, sa int, nx, ny, max int64) err
 	}
 	switch {
 	case o.keys != nil:
-		ents := o.fidx.ents
+		ents := o.idx.ents
 		hbuf := o.hbuf
 		ykeys := yb[o.keys[1]]
 		for b := o.posB; b < ny; b++ {
@@ -597,8 +500,8 @@ func (o *BNLJoin) stepFused(xb, yb [][]int32, ra, sa int, nx, ny, max int64) err
 	case o.PredAll:
 		// Relational product: every pair matches, so each (outer row, inner
 		// run) pair is a constant fill on the x side and a contiguous column
-		// copy on the y side. Pause positions are the interpreted ones —
-		// processing stops exactly when the emitter reaches a batch.
+		// copy on the y side, stopping exactly when the emitter reaches a
+		// batch — the pause point of the pairwise loop.
 		b := o.posB
 		for a := o.posA; a < nx; a++ {
 			for b < ny {
@@ -655,6 +558,17 @@ func (o *BNLJoin) stepFused(xb, yb [][]int32, ra, sa int, nx, ny, max int64) err
 	}
 	o.yb = nil
 	return nil
+}
+
+// scratchRows sizes the row-gather scratch of the custom-predicate loop.
+func (o *BNLJoin) scratchRows(ra, sa int) (xr, yr []int32) {
+	if cap(o.xRow) < ra {
+		o.xRow = make([]int32, ra)
+	}
+	if cap(o.yRow) < sa {
+		o.yRow = make([]int32, sa)
+	}
+	return o.xRow[:ra], o.yRow[:sa]
 }
 
 func (o *BNLJoin) Next(b *Batch) (bool, error) {
@@ -741,8 +655,6 @@ type HashJoin struct {
 	EquiKeys *[2]int // forwarded to the per-bucket joins
 	// SwapOutput is forwarded to the per-bucket joins (see BNLJoin).
 	SwapOutput bool
-	// Fused is forwarded to the per-bucket joins (see BNLJoin.Fused).
-	Fused bool
 	// PredAll is forwarded to the per-bucket joins (see BNLJoin.PredAll).
 	PredAll bool
 	// OrderedOutput delivers bucket outputs strictly in bucket order (the
@@ -796,7 +708,7 @@ func (o *HashJoin) bucketJoin(i int64) *BNLJoin {
 	return &BNLJoin{
 		L: SpillsInput(o.bL[i].Spills, o.arL), R: SpillsInput(o.bR[i].Spills, o.arR),
 		K1: o.KJoin, K2: o.KJoin, Pred: o.Pred, EquiKeys: o.EquiKeys,
-		SwapOutput: o.SwapOutput, Fused: o.Fused, PredAll: o.PredAll,
+		SwapOutput: o.SwapOutput, PredAll: o.PredAll,
 	}
 }
 
@@ -1371,11 +1283,12 @@ func (o *UnfoldR) Close() error {
 // ---------------------------------------------------------------------------
 // Fold
 
-// Fold executes foldL over one streamed input with a compiled step
-// (aggregation, averages). It produces no rows; the accumulator — with the
-// optional final lambda applied — is available as Final after the stream
-// completes. The fold itself threads an accumulator and so runs on one
-// strand; its input may be a parallel subtree.
+// Fold executes foldL over one streamed input (aggregation, averages): an
+// integer-accumulator kernel when the step is inside the kernel grammar,
+// else the interp-compiled Step closure. It produces no rows; the
+// accumulator — with the optional final lambda applied — is available as
+// Final after the stream completes. The fold itself threads an accumulator
+// and so runs on one strand; its input may be a parallel subtree.
 type Fold struct {
 	In   Input
 	K    int64
@@ -1386,7 +1299,7 @@ type Fold struct {
 	FinalFn interp.Func
 	Final   ocal.Value
 
-	kern *foldKernelSpec // fused-backend kernel (nil: interpreted)
+	kern *foldKernelSpec // nil: the step is outside the kernel grammar
 }
 
 func (o *Fold) Open(c *Ctx) error {
@@ -1404,7 +1317,7 @@ func (o *Fold) Open(c *Ctx) error {
 		fk = o.kern.newKernel()
 	}
 	acc := o.Init
-	var row []int32 // interpreted-step gather scratch
+	var row []int32 // fallback-leaf gather scratch
 	for {
 		blk, err := r.next(k)
 		if err != nil {
@@ -1418,7 +1331,7 @@ func (o *Fold) Open(c *Ctx) error {
 		c.cpu(int64(rows), c.Sim.CmpSeconds)
 		if fk != nil && !fk.bind(a) {
 			// Arity binding happens at the first block, before any row has
-			// folded — the interpreted step takes over from Init.
+			// folded — Step takes over from Init.
 			fk = nil
 		}
 		if fk != nil {

@@ -54,12 +54,12 @@ func execWithWorkers(t *testing.T, c diffCase, prog ocal.Expr, workers int, pool
 	sink := &Sink{Out: out, Bout: 8, Sim: sim}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
-		PoolBytes: poolBytes, ExecWorkers: workers, Backend: c.backend})
+		PoolBytes: poolBytes, ExecWorkers: workers})
 	if err != nil {
 		t.Fatalf("lower: %v\n%s", err, c.src)
 	}
 	if err := p.Run(); err != nil {
-		t.Fatalf("run (workers %d, backend %q): %v\n%s", workers, c.backend, err, c.src)
+		t.Fatalf("run (workers %d): %v\n%s", workers, err, c.src)
 	}
 	run := workerRun{
 		ledgers: map[string]storage.Ledger{},
@@ -116,45 +116,35 @@ func sweepCase(t *testing.T, c diffCase, noRef bool, poolBytes int64) {
 	default:
 		sameBag(t, fmt.Sprintf("%s (workers 1, pool %d)", c.src, poolBytes), base.rows, valueRows(t, want))
 	}
-	// Both backends at every worker count against the single-worker
-	// interpreted base: one contract covers worker-count invariance and
-	// backend invariance at once.
-	fused := c
-	fused.backend = BackendFused
-	for _, w := range sweepWorkers {
-		for _, cc := range []diffCase{c, fused} {
-			if w == 1 && cc.backend == "" {
-				continue // that run is the base itself
+	for _, w := range sweepWorkers[1:] {
+		run := execWithWorkers(t, c, prog, w, poolBytes)
+		what := fmt.Sprintf("%s (workers %d, pool %d)", c.src, w, poolBytes)
+		if c.scalar {
+			if !ocal.ValueEq(run.scalar, base.scalar) {
+				t.Fatalf("%s: scalar %s differs from single-worker %s", what, run.scalar, base.scalar)
 			}
-			run := execWithWorkers(t, cc, prog, w, poolBytes)
-			what := fmt.Sprintf("%s (workers %d, pool %d, backend %q)", c.src, w, poolBytes, cc.backend)
-			if c.scalar {
-				if !ocal.ValueEq(run.scalar, base.scalar) {
-					t.Fatalf("%s: scalar %s differs from single-worker %s", what, run.scalar, base.scalar)
-				}
-			} else {
-				sameBag(t, what, run.rows, base.rows)
+		} else {
+			sameBag(t, what, run.rows, base.rows)
+		}
+		for dev, led := range base.ledgers {
+			if run.ledgers[dev] != led {
+				t.Errorf("%s: device %s ledger %+v differs from single-worker %+v",
+					what, dev, run.ledgers[dev], led)
 			}
-			for dev, led := range base.ledgers {
-				if run.ledgers[dev] != led {
-					t.Errorf("%s: device %s ledger %+v differs from single-worker %+v",
-						what, dev, run.ledgers[dev], led)
-				}
-			}
-			if diff := math.Abs(run.seconds - base.seconds); diff > 1e-9*math.Max(1, base.seconds) {
-				t.Errorf("%s: clock %v differs from single-worker %v", what, run.seconds, base.seconds)
-			}
-			// The lane ledgers must cover every partition task exactly once.
-			var baseTasks, runTasks int64
-			for _, l := range base.workers {
-				baseTasks += l.Tasks
-			}
-			for _, l := range run.workers {
-				runTasks += l.Tasks
-			}
-			if baseTasks != runTasks {
-				t.Errorf("%s: %d lane tasks, single-worker ran %d", what, runTasks, baseTasks)
-			}
+		}
+		if diff := math.Abs(run.seconds - base.seconds); diff > 1e-9*math.Max(1, base.seconds) {
+			t.Errorf("%s: clock %v differs from single-worker %v", what, run.seconds, base.seconds)
+		}
+		// The lane ledgers must cover every partition task exactly once.
+		var baseTasks, runTasks int64
+		for _, l := range base.workers {
+			baseTasks += l.Tasks
+		}
+		for _, l := range run.workers {
+			runTasks += l.Tasks
+		}
+		if baseTasks != runTasks {
+			t.Errorf("%s: %d lane tasks, single-worker ran %d", what, runTasks, baseTasks)
 		}
 	}
 }

@@ -18,31 +18,26 @@ import (
 
 // ColumnarResult is one columnar-layout microbench row: a chain executed
 // over *durable* inputs (catalog segments behind BackedTable), so the rows
-// measure the segment→batch path end to end. Each chain runs under both
-// backends with the equality contract verified; the interpreted wall-clock
-// feeds the TotalColumnarExecSecs regression gate, and the allocation
-// columns make layout regressions (per-row copies creeping back in)
-// visible in the report.
+// measure the segment→batch path end to end. The wall-clock feeds the
+// TotalColumnarExecSecs regression gate, and the allocation columns make
+// layout regressions (per-row copies creeping back in) visible in the
+// report.
 type ColumnarResult struct {
-	Name    string
-	Rows    int64 // input rows read from segments
-	OutRows int64
-	ActSecs float64 // virtual clock, identical across backends by contract
-	// ExecSecs is the interpreted executor wall-clock, FusedExecSecs the
-	// fused one; Speedup is their ratio.
-	ExecSecs      float64
-	FusedExecSecs float64
-	Speedup       float64
+	Name     string
+	Rows     int64 // input rows read from segments
+	OutRows  int64
+	ActSecs  float64 // virtual clock
+	ExecSecs float64 // executor wall-clock
 	// AllocsPerOp and BytesPerOp are heap allocations and bytes per input
-	// row during the interpreted run (runtime.MemStats deltas around Run).
+	// row during the run (runtime.MemStats deltas around Run).
 	AllocsPerOp float64
 	BytesPerOp  float64
 }
 
 // columnarWorkload is one durable-input chain. Scan-dominated and
-// join-probe chains are fixed pre-synthesized shapes (like the fused
-// microbench); the sort chain is synthesized once so the executed plan is
-// the real external merge sort the rule set derives.
+// join-probe chains are fixed pre-synthesized shapes; the sort chain is
+// synthesized once so the executed plan is the real external merge sort the
+// rule set derives.
 type columnarWorkload struct {
 	name   string
 	src    string // chain source; empty when synth is set
@@ -111,27 +106,14 @@ func ColumnarWorkloads(shrink int64) []columnarWorkload {
 	}
 }
 
-// columnarRun is one backend's execution of a columnar workload.
-type columnarRun struct {
-	rows    int64
-	inRows  int64
-	digest  uint64
-	seconds float64
-	ledgers map[string]storage.Ledger
-	wall    float64
-	allocs  uint64
-	bytes   uint64
-}
-
-// runColumnarBackend executes one workload under one backend with every
-// input bound to its durable catalog table. The catalog handles are opened
-// per run; the segment files are shared across runs of the workload.
-func runColumnarBackend(wl columnarWorkload, prog ocal.Expr, cat *catalog.Catalog, backend string) (*columnarRun, error) {
+// runColumnar executes one workload with every input bound to its durable
+// catalog table and fills in the result row.
+func runColumnar(wl columnarWorkload, prog ocal.Expr, cat *catalog.Catalog) (*ColumnarResult, error) {
 	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
 	sim.DefaultCPU()
 	inputs := map[string]*exec.Table{}
 	var scratch *storage.Device
-	run := &columnarRun{}
+	r := &ColumnarResult{Name: wl.name}
 	for _, in := range wl.inputs {
 		dev, err := sim.Device("hdd")
 		if err != nil {
@@ -148,51 +130,32 @@ func runColumnarBackend(wl columnarWorkload, prog ocal.Expr, cat *catalog.Catalo
 			return nil, err
 		}
 		inputs[in.name] = t
-		run.inRows += h.Rows()
+		r.Rows += h.Rows()
 	}
-
-	// Order-independent digest (per-row FNV-1a hashes summed): the contract
-	// is bag equality across backends.
-	sink := &exec.Sink{Sim: sim, Tap: func(row []int32) {
-		// Inline FNV-1a over the row's little-endian bytes: the harness tap
-		// runs per output row inside the measured window, so it must not
-		// allocate or dominate the executor it measures.
-		h := uint64(14695981039346656037)
-		for _, v := range row {
-			h = (h ^ uint64(byte(v))) * 1099511628211
-			h = (h ^ uint64(byte(v>>8))) * 1099511628211
-			h = (h ^ uint64(byte(v>>16))) * 1099511628211
-			h = (h ^ uint64(byte(v>>24))) * 1099511628211
-		}
-		run.digest += h
-	}}
-
+	sink := &exec.Sink{Sim: sim}
 	p, err := exec.Lower(prog, exec.LowerOpts{
 		Sim: sim, Inputs: inputs, Params: wl.params,
 		Scratch: scratch, Sink: sink,
 		RAMBytes: wl.ram,
-		Backend:  backend,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: lower (%s): %w", wl.name, backend, err)
+		return nil, fmt.Errorf("%s: lower: %w", wl.name, err)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	if err := p.Run(); err != nil {
-		return nil, fmt.Errorf("%s: execute (%s): %w", wl.name, backend, err)
+		return nil, fmt.Errorf("%s: execute: %w", wl.name, err)
 	}
-	run.wall = time.Since(start).Seconds()
+	r.ExecSecs = time.Since(start).Seconds()
 	runtime.ReadMemStats(&m1)
-	run.allocs = m1.Mallocs - m0.Mallocs
-	run.bytes = m1.TotalAlloc - m0.TotalAlloc
-	run.rows = sink.RowsWritten
-	run.seconds = sim.Clock.Seconds()
-	run.ledgers = map[string]storage.Ledger{}
-	for name, d := range sim.Devices {
-		run.ledgers[name] = d.Led
+	r.OutRows = sink.RowsWritten
+	r.ActSecs = sim.Clock.Seconds()
+	if r.Rows > 0 {
+		r.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(r.Rows)
+		r.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(r.Rows)
 	}
-	return run, nil
+	return r, nil
 }
 
 // ingestColumnar loads every input of the workload into the catalog. A
@@ -232,16 +195,13 @@ func columnarProg(wl *columnarWorkload) (ocal.Expr, error) {
 	return syn.Best.Expr, nil
 }
 
-// RunColumnar executes each durable chain under both backends, verifies
-// the backend-equality contract (identical output digest, bit-exact
-// virtual clock, integer-identical per-device ledgers) and reports the
-// wall-clocks plus the interpreted run's allocation rates. The rows feed
-// the bench report's Columnar section and its TotalColumnarExecSecs
-// regression gate.
+// RunColumnar executes each durable chain and reports its wall-clock and
+// allocation rates. The rows feed the bench report's Columnar section and
+// its TotalColumnarExecSecs regression gate.
 func RunColumnar(cfg Config, w io.Writer) ([]*ColumnarResult, error) {
 	var out []*ColumnarResult
-	fmt.Fprintf(w, "%-14s %10s %10s %12s %11s %11s %8s %10s %10s\n",
-		"Chain", "InRows", "OutRows", "Act[s]", "Interp[s]", "Fused[s]", "Speedup", "allocs/op", "B/op")
+	fmt.Fprintf(w, "%-14s %10s %10s %12s %11s %10s %10s\n",
+		"Chain", "InRows", "OutRows", "Act[s]", "Exec[s]", "allocs/op", "B/op")
 	for _, wl := range ColumnarWorkloads(cfg.Shrink) {
 		prog, err := columnarProg(&wl)
 		if err != nil {
@@ -256,55 +216,18 @@ func RunColumnar(cfg Config, w io.Writer) ([]*ColumnarResult, error) {
 			os.RemoveAll(dir)
 			return out, err
 		}
-		if err := ingestColumnar(wl, cat); err != nil {
-			cat.Close()
-			os.RemoveAll(dir)
-			return out, err
-		}
-		interp, err1 := runColumnarBackend(wl, prog, cat, exec.BackendInterpreted)
-		var fused *columnarRun
-		var err2 error
-		if err1 == nil {
-			fused, err2 = runColumnarBackend(wl, prog, cat, exec.BackendFused)
+		err = ingestColumnar(wl, cat)
+		var r *ColumnarResult
+		if err == nil {
+			r, err = runColumnar(wl, prog, cat)
 		}
 		cat.Close()
 		os.RemoveAll(dir)
-		if err1 != nil {
-			return out, err1
+		if err != nil {
+			return out, err
 		}
-		if err2 != nil {
-			return out, err2
-		}
-		if fused.rows != interp.rows || fused.digest != interp.digest {
-			return out, fmt.Errorf("%s: fused output differs: %d rows (digest %016x) vs interpreted %d (digest %016x)",
-				wl.name, fused.rows, fused.digest, interp.rows, interp.digest)
-		}
-		if fused.seconds != interp.seconds {
-			return out, fmt.Errorf("%s: fused virtual clock %v differs from interpreted %v",
-				wl.name, fused.seconds, interp.seconds)
-		}
-		for name, fl := range fused.ledgers {
-			if il := interp.ledgers[name]; fl != il {
-				return out, fmt.Errorf("%s: fused ledger for %s is %+v, interpreted %+v", wl.name, name, fl, il)
-			}
-		}
-		r := &ColumnarResult{
-			Name:          wl.name,
-			Rows:          interp.inRows,
-			OutRows:       interp.rows,
-			ActSecs:       interp.seconds,
-			ExecSecs:      interp.wall,
-			FusedExecSecs: fused.wall,
-		}
-		if fused.wall > 0 {
-			r.Speedup = interp.wall / fused.wall
-		}
-		if interp.inRows > 0 {
-			r.AllocsPerOp = float64(interp.allocs) / float64(interp.inRows)
-			r.BytesPerOp = float64(interp.bytes) / float64(interp.inRows)
-		}
-		fmt.Fprintf(w, "%-14s %10d %10d %12.4g %11.3f %11.3f %8.2f %10.4f %10.2f\n",
-			r.Name, r.Rows, r.OutRows, r.ActSecs, r.ExecSecs, r.FusedExecSecs, r.Speedup, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Fprintf(w, "%-14s %10d %10d %12.4g %11.3f %10.4f %10.2f\n",
+			r.Name, r.Rows, r.OutRows, r.ActSecs, r.ExecSecs, r.AllocsPerOp, r.BytesPerOp)
 		out = append(out, r)
 	}
 	return out, nil

@@ -109,7 +109,7 @@ func TestRunExecParallelReport(t *testing.T) {
 	if len(rs) != 2*len(ExecParallelWorkers) {
 		t.Fatalf("%d results, want %d", len(rs), 2*len(ExecParallelWorkers))
 	}
-	rep := NewBenchReport(Config{}, nil, rs, nil, nil, nil)
+	rep := NewBenchReport(Config{}, nil, rs, nil, nil)
 	if len(rep.ExecParallel) != len(rs) {
 		t.Fatalf("%d report rows", len(rep.ExecParallel))
 	}

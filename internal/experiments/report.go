@@ -9,22 +9,8 @@ import (
 
 // BenchSchema identifies the machine-readable bench report format. Bump it
 // when fields change incompatibly; the regression gate refuses to compare
-// reports across schemas. v2 added the executor columns: per-row executor
-// wall-clock (ExecSecs) and the measured-vs-predicted calibration ratio
-// (EstOverAct), plus the TotalExecSecs gate metric. v3 adds the
-// morsel-driven executor: the per-row ExecWorkers field, the ExecParallel
-// rows (the same workload executed at several worker counts) and their
-// TotalExecParSecs gate metric. v4 adds the template tier: the per-row
-// TemplateWarmSecs (steady-state template instantiation at scaled
-// cardinalities) and its TotalTemplateWarmSecs gate metric. v5 moves the
-// environment context into a meta block and adds the generation timestamp.
-// v6 adds the fused execution backend: the Fused microbench rows (the same
-// chain executed interpreted and fused, with fusedExecSecs per row) and
-// their TotalFusedExecSecs gate metric. v7 adds the columnar-layout rows
-// (durable chains through the struct-of-arrays batch path) with the
-// additive allocsPerOp/bytesPerOp columns and their TotalColumnarExecSecs
-// gate metric.
-const BenchSchema = "ocas-bench/v7"
+// reports across schemas.
+const BenchSchema = "ocas-bench/v8"
 
 // BenchMeta is the report's environment context: wall-clock comparisons
 // only mean something between runs on comparable machines, so record what
@@ -54,17 +40,13 @@ type BenchRow struct {
 	SynthSecs   float64 `json:"synthSecs"`
 	ExecSecs    float64 `json:"execSecs"`
 	ExecWorkers int     `json:"execWorkers"`
-	// FusedExecSecs is the same workload's executor wall-clock under the
-	// fused kernel backend (ocasbench -fused rows only; ExecSecs then holds
-	// the interpreted wall-clock of the identical plan and inputs).
-	FusedExecSecs float64 `json:"fusedExecSecs,omitempty"`
 	// TemplateWarmSecs is the steady-state wall-clock of instantiating the
 	// row's captured plan template at scaled cardinalities (ocasbench
 	// -templates); absent when templates were off or the capture went stale.
 	TemplateWarmSecs float64 `json:"templateWarmSecs,omitempty"`
 	// AllocsPerOp and BytesPerOp are heap allocations and bytes per input
-	// row measured around the row's interpreted executor run (-columnar
-	// rows only): the layout-regression canaries — a per-row copy creeping
+	// row measured around the row's executor run (-columnar rows only): the
+	// layout-regression canaries — a per-row copy creeping
 	// back into the batch protocol shows up here before it moves the
 	// wall-clock totals.
 	AllocsPerOp float64 `json:"allocsPerOp,omitempty"`
@@ -108,14 +90,9 @@ type BenchReport struct {
 	// informational only — CompareBaseline never gates on it, since ingest
 	// wall-clock is dominated by the host filesystem.
 	Ingest []IngestRow `json:"ingest,omitempty"`
-	// Fused holds the fused-backend microbench rows (ocasbench -fused): each
-	// chain executed under the interpreted and the fused backend with the
-	// equality contract verified, ExecSecs vs FusedExecSecs carrying the two
-	// wall-clocks.
-	Fused []BenchRow `json:"fused,omitempty"`
 	// Columnar holds the columnar-layout microbench rows (ocasbench
 	// -columnar): durable chains executed through the struct-of-arrays
-	// batch path under both backends, with allocation-rate columns.
+	// batch path, with allocation-rate columns.
 	Columnar []BenchRow `json:"columnar,omitempty"`
 	// TotalSynthSecs and TotalExecSecs sum the two wall-clocks over every
 	// Table 1 row, and TotalExecParSecs the executor wall-clock over the
@@ -126,13 +103,8 @@ type BenchReport struct {
 	// TotalTemplateWarmSecs sums TemplateWarmSecs over the Table 1 rows —
 	// the template tier's gate metric (0 when -templates was off).
 	TotalTemplateWarmSecs float64 `json:"totalTemplateWarmSecs,omitempty"`
-	// TotalFusedExecSecs sums the fused-backend wall-clock over the Fused
-	// rows — the fused backend's gate metric (0 when -fused was off).
-	TotalFusedExecSecs float64 `json:"totalFusedExecSecs,omitempty"`
-	// TotalColumnarExecSecs sums both backends' wall-clocks over the
-	// Columnar rows — the batch-layout gate metric (0 when -columnar was
-	// off): a layout regression in either the interpreted or the kernel
-	// path moves it.
+	// TotalColumnarExecSecs sums the executor wall-clock over the Columnar
+	// rows — the batch-layout gate metric (0 when -columnar was off).
 	TotalColumnarExecSecs float64 `json:"totalColumnarExecSecs,omitempty"`
 }
 
@@ -204,40 +176,21 @@ func benchRow(r *Result) BenchRow {
 	return row
 }
 
-// fusedRow converts one fused microbench result: ExecSecs carries the
-// interpreted wall-clock, FusedExecSecs the fused one, and Speedup their
-// ratio. ActSecs is the (backend-invariant) virtual clock.
-func fusedRow(r *FusedResult) BenchRow {
-	row := BenchRow{
-		Name:          r.Name,
-		ActSecs:       r.ActSecs,
-		ExecSecs:      r.ExecSecs,
-		FusedExecSecs: r.FusedExecSecs,
-		ExecWorkers:   1,
-		Speedup:       r.Speedup,
-	}
-	return row
-}
-
-// columnarRow converts one columnar microbench result: ExecSecs carries
-// the interpreted wall-clock, FusedExecSecs the fused one, and the
-// allocation columns the interpreted run's heap rates.
+// columnarRow converts one columnar microbench result.
 func columnarRow(r *ColumnarResult) BenchRow {
 	return BenchRow{
-		Name:          r.Name,
-		ActSecs:       r.ActSecs,
-		ExecSecs:      r.ExecSecs,
-		FusedExecSecs: r.FusedExecSecs,
-		ExecWorkers:   1,
-		Speedup:       r.Speedup,
-		AllocsPerOp:   r.AllocsPerOp,
-		BytesPerOp:    r.BytesPerOp,
+		Name:        r.Name,
+		ActSecs:     r.ActSecs,
+		ExecSecs:    r.ExecSecs,
+		ExecWorkers: 1,
+		AllocsPerOp: r.AllocsPerOp,
+		BytesPerOp:  r.BytesPerOp,
 	}
 }
 
 // NewBenchReport converts experiment results into a report. execPar,
-// ingest, fused and columnar may be nil when those sections did not run.
-func NewBenchReport(cfg Config, table1 []*Result, execPar []*Result, ingest []*IngestResult, fused []*FusedResult, columnar []*ColumnarResult) *BenchReport {
+// ingest and columnar may be nil when those sections did not run.
+func NewBenchReport(cfg Config, table1 []*Result, execPar []*Result, ingest []*IngestResult, columnar []*ColumnarResult) *BenchReport {
 	strategy := cfg.Strategy
 	if strategy == "" {
 		strategy = "exhaustive"
@@ -268,13 +221,9 @@ func NewBenchReport(cfg Config, table1 []*Result, execPar []*Result, ingest []*I
 	for _, r := range ingest {
 		rep.Ingest = append(rep.Ingest, ingestRow(r))
 	}
-	for _, r := range fused {
-		rep.Fused = append(rep.Fused, fusedRow(r))
-		rep.TotalFusedExecSecs += r.FusedExecSecs
-	}
 	for _, r := range columnar {
 		rep.Columnar = append(rep.Columnar, columnarRow(r))
-		rep.TotalColumnarExecSecs += r.ExecSecs + r.FusedExecSecs
+		rep.TotalColumnarExecSecs += r.ExecSecs
 	}
 	return rep
 }
@@ -343,17 +292,7 @@ func CompareBaseline(current, baseline *BenchReport, maxRegressPct float64) erro
 				(ratio-1)*100, current.TotalTemplateWarmSecs, baseline.TotalTemplateWarmSecs, maxRegressPct)
 		}
 	}
-	// The fused backend gates its own wall-clock total: a regression confined
-	// to the kernel paths cannot hide behind the interpreted totals. Runs or
-	// baselines without -fused carry 0 and skip the check.
-	if baseline.TotalFusedExecSecs > 0 && current.TotalFusedExecSecs > 0 {
-		ratio := current.TotalFusedExecSecs / baseline.TotalFusedExecSecs
-		if ratio > limit {
-			return fmt.Errorf("fused-executor wall-clock regressed %.1f%% (current %.3fs vs baseline %.3fs, limit +%.0f%%)",
-				(ratio-1)*100, current.TotalFusedExecSecs, baseline.TotalFusedExecSecs, maxRegressPct)
-		}
-	}
-	// The columnar-layout rows gate their interpreted wall-clock total the
+	// The columnar-layout rows gate their wall-clock total the
 	// same way: a layout regression confined to the durable segment→batch
 	// path cannot hide behind the generated-input totals. Runs or baselines
 	// without -columnar carry 0 and skip the check.

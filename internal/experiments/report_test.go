@@ -40,10 +40,8 @@ func TestBenchReportCalibration(t *testing.T) {
 		{Name: "hashjoin", ExecSecs: 0.5, ExecWorkers: 4},
 	}, []*IngestResult{
 		{Name: "hashjoin", Rows: 1000, Segments: 4, IngestSecs: 0.5, ScanSecs: 0.2, ActSecs: 8},
-	}, []*FusedResult{
-		{Name: "filterproject", ActSecs: 8, ExecSecs: 0.4, FusedExecSecs: 0.2, Speedup: 2},
 	}, []*ColumnarResult{
-		{Name: "durablescan", ActSecs: 8, ExecSecs: 0.3, FusedExecSecs: 0.1, Speedup: 3, AllocsPerOp: 0.01, BytesPerOp: 2.5},
+		{Name: "durablescan", ActSecs: 8, ExecSecs: 0.3, AllocsPerOp: 0.01, BytesPerOp: 2.5},
 	})
 	if len(rep.Table1) != 1 {
 		t.Fatal("row missing")
@@ -55,7 +53,7 @@ func TestBenchReportCalibration(t *testing.T) {
 	if rep.TotalExecSecs != 0.25 {
 		t.Errorf("totalExecSecs = %v want 0.25", rep.TotalExecSecs)
 	}
-	if rep.Schema != "ocas-bench/v7" {
+	if rep.Schema != "ocas-bench/v8" {
 		t.Errorf("schema = %q", rep.Schema)
 	}
 	if rep.Meta.GoVersion == "" || rep.Meta.GOMAXPROCS < 1 {
@@ -76,17 +74,11 @@ func TestBenchReportCalibration(t *testing.T) {
 	if len(rep.Ingest) != 1 || rep.Ingest[0].RowsPerSec != 2000 {
 		t.Fatalf("ingest rows wrong: %+v", rep.Ingest)
 	}
-	if len(rep.Fused) != 1 || rep.Fused[0].FusedExecSecs != 0.2 || rep.Fused[0].ExecSecs != 0.4 {
-		t.Fatalf("fused rows wrong: %+v", rep.Fused)
-	}
-	if rep.TotalFusedExecSecs != 0.2 {
-		t.Errorf("totalFusedExecSecs = %v want 0.2", rep.TotalFusedExecSecs)
-	}
-	if len(rep.Columnar) != 1 || rep.Columnar[0].AllocsPerOp != 0.01 || rep.Columnar[0].BytesPerOp != 2.5 {
+	if len(rep.Columnar) != 1 || rep.Columnar[0].ExecSecs != 0.3 || rep.Columnar[0].AllocsPerOp != 0.01 || rep.Columnar[0].BytesPerOp != 2.5 {
 		t.Fatalf("columnar rows wrong: %+v", rep.Columnar)
 	}
-	if rep.TotalColumnarExecSecs != 0.4 {
-		t.Errorf("totalColumnarExecSecs = %v want 0.4", rep.TotalColumnarExecSecs)
+	if rep.TotalColumnarExecSecs != 0.3 {
+		t.Errorf("totalColumnarExecSecs = %v want 0.3", rep.TotalColumnarExecSecs)
 	}
 }
 
@@ -116,7 +108,7 @@ func TestBenchReportTemplateWarm(t *testing.T) {
 	rep := NewBenchReport(Config{Shrink: 8, Templates: true}, []*Result{
 		{Name: "a", SynthSecs: 0.5, TemplateWarmSecs: 0.01},
 		{Name: "b", SynthSecs: 0.5, TemplateWarmSecs: 0.02},
-	}, nil, nil, nil, nil)
+	}, nil, nil, nil)
 	if rep.TotalTemplateWarmSecs != 0.03 {
 		t.Errorf("totalTemplateWarmSecs = %v want 0.03", rep.TotalTemplateWarmSecs)
 	}
@@ -144,28 +136,6 @@ func TestCompareBaselineGatesTemplateWarmClock(t *testing.T) {
 	}
 	if err := CompareBaseline(mk(0), mk(1.0), 30); err != nil {
 		t.Errorf("template-less run against a template baseline must skip the gate: %v", err)
-	}
-}
-
-func TestCompareBaselineGatesFusedClock(t *testing.T) {
-	mk := func(fusedSecs float64) *BenchReport {
-		r := benchFixture(1.0, 2.0)
-		r.TotalFusedExecSecs = fusedSecs
-		return r
-	}
-	if err := CompareBaseline(mk(1.1), mk(1.0), 30); err != nil {
-		t.Errorf("within-limit fused clock must pass: %v", err)
-	}
-	err := CompareBaseline(mk(2.0), mk(1.0), 30)
-	if err == nil || !strings.Contains(err.Error(), "fused-executor") {
-		t.Errorf("fused regression must gate, got %v", err)
-	}
-	// Runs or baselines without -fused skip the check.
-	if err := CompareBaseline(mk(99.0), mk(0), 30); err != nil {
-		t.Errorf("pre-fused baseline must skip the gate: %v", err)
-	}
-	if err := CompareBaseline(mk(0), mk(1.0), 30); err != nil {
-		t.Errorf("fused-less run against a fused baseline must skip the gate: %v", err)
 	}
 }
 

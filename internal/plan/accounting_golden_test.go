@@ -17,9 +17,10 @@ import (
 )
 
 // updateGolden regenerates testdata/accounting.golden.json instead of
-// comparing against it. The committed file was generated by the two-backend
-// executor (PR 11's tree), where both backends were asserted to produce it;
-// regenerate only when a change to the charge model itself is intended.
+// comparing against it. The committed file was generated by the executor
+// that still had an interpreted and a kernel stepper, with both asserted to
+// produce it; regenerate only when a change to the charge model itself is
+// intended.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/accounting.golden.json")
 
 const goldenPath = "testdata/accounting.golden.json"
@@ -146,9 +147,10 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 // sweep and the generated-vs-durable quadrant, and requires every run's
 // digest, row count, virtual clock (bit-exact), per-device ledgers, pool
 // stats, worker-lane ledgers and EXPLAIN ANALYZE tree to reproduce
-// testdata/accounting.golden.json byte for byte. The file was captured from
-// the two-backend executor, so it is the proof that the surviving kernel
-// path charges exactly what both deleted-or-kept steppers charged.
+// testdata/accounting.golden.json byte for byte. The file was captured when
+// the executor had two steppers that both produced it, so it is the proof
+// that the surviving kernel path charges exactly what the deleted
+// interpreted loops charged.
 func TestAccountingGolden(t *testing.T) {
 	want := map[string]json.RawMessage{}
 	if !*updateGolden {
@@ -194,32 +196,26 @@ func TestAccountingGolden(t *testing.T) {
 							opt.Tables, opt.Cat = tables, cat
 						}
 						key := fmt.Sprintf("%s/batch=%d/workers=%d/%s", e.name, batch, workers, source)
-						for _, backend := range []string{BackendInterpreted, BackendFused} {
-							opt.Backend = backend
-							rep, err := ExecutePlan(context.Background(), c, p, opt)
-							if err != nil {
-								t.Fatalf("%s (%s): %v", key, backend, err)
-							}
-							run := goldenOf(rep)
-							seen[key] = true
-							if *updateGolden {
-								if prev, ok := got[key]; ok {
-									requireSameRun(t, key+": "+backend+" vs interpreted", run, mustJSON(t, prev))
-								}
-								got[key] = run
-							} else {
-								requireSameRun(t, key+" ("+backend+")", run, want[key])
-							}
-							// The durable run's output and charges are the generated
-							// run's: a table scan reads the same logical records.
-							if source == "generated" {
-								generated = run
-							} else if run.OutDigest != generated.OutDigest || run.OutRows != generated.OutRows ||
-								run.VirtualSecondsBits != generated.VirtualSecondsBits ||
-								!bytes.Equal(mustJSON(t, run.Devices), mustJSON(t, generated.Devices)) {
-								t.Errorf("%s (%s): durable run diverges from the generated one\ndurable:   %s\ngenerated: %s",
-									key, backend, mustJSON(t, run), mustJSON(t, generated))
-							}
+						rep, err := ExecutePlan(context.Background(), c, p, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", key, err)
+						}
+						run := goldenOf(rep)
+						seen[key] = true
+						if *updateGolden {
+							got[key] = run
+						} else {
+							requireSameRun(t, key, run, want[key])
+						}
+						// The durable run's output and charges are the generated
+						// run's: a table scan reads the same logical records.
+						if source == "generated" {
+							generated = run
+						} else if run.OutDigest != generated.OutDigest || run.OutRows != generated.OutRows ||
+							run.VirtualSecondsBits != generated.VirtualSecondsBits ||
+							!bytes.Equal(mustJSON(t, run.Devices), mustJSON(t, generated.Devices)) {
+							t.Errorf("%s: durable run diverges from the generated one\ndurable:   %s\ngenerated: %s",
+								key, mustJSON(t, run), mustJSON(t, generated))
 						}
 					}
 				}

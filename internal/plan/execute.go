@@ -60,26 +60,12 @@ type ExecOptions struct {
 	// ANALYZE tree to the report. Purely a transport option: it never enters
 	// the plan fingerprint and changes neither the output nor the ledgers.
 	Explain bool `json:"explain,omitempty"`
-	// Backend selects the execution backend: "interpreted" (default) steps
-	// plans through the generic closure interpreter, "fused" compiles each
-	// plan's inner chains into specialized selection-vector kernels. The
-	// backend never changes the output digest, the device ledgers, the
-	// virtual clock or the EXPLAIN counters — simulated charges are a
-	// function of the plan, not of how its loops are stepped.
-	Backend string `json:"backend,omitempty"`
 }
 
 // MaxExecWorkers is the executor's concurrency ceiling (partition degrees
 // never exceed it); admission layers clamp requested worker counts against
 // it so no request holds capacity the executor cannot use.
 const MaxExecWorkers = exec.MaxWorkers
-
-// Execution backend names accepted by ExecOptions.Backend (and the ocasd
-// -exec-backend / ocas -backend flags).
-const (
-	BackendInterpreted = exec.BackendInterpreted
-	BackendFused       = exec.BackendFused
-)
 
 // DeviceReport is one device's ledger after execution: the paper's two
 // event kinds (InitCom, UnitTr) split by direction.
@@ -212,7 +198,6 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 		ExecWorkers: opt.ExecWorkers,
 		Context:     ctx,
 		Explain:     opt.Explain,
-		Backend:     opt.Backend,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("plan: lower: %w", err)

@@ -130,6 +130,20 @@ func TestExecuteEndpointRejectsOversizedRuns(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsRemovedExecField: the executor has one path, so a body
+// still choosing one (the former exec.backend field) is a 400 that names
+// the field, like any other unknown field — never silently ignored.
+func TestExecuteRejectsRemovedExecField(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := postExecute(t, ts, execBody(`, "backend": "fused"`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("exec.backend should 400, got %d %s", resp.StatusCode, data)
+	}
+	if !strings.Contains(string(data), `unknown field \"backend\"`) {
+		t.Errorf("error should name the unknown field: %s", data)
+	}
+}
+
 // TestExecuteWorkersInvariantAndStats: /execute with execWorkers runs the
 // morsel-driven executor — same digest and ledgers as the single-worker
 // run — and the /stats exec section accumulates executor counters.

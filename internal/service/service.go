@@ -59,11 +59,6 @@ type Config struct {
 	// ExecWorkers is the executor worker count for /execute requests that
 	// do not choose one (default 1: single-worker).
 	ExecWorkers int
-	// ExecBackend is the execution backend for /execute requests that do not
-	// choose one ("" keeps the executor default, interpreted). A request's
-	// exec.backend field always wins. The backend never changes results or
-	// simulated charges, only wall-clock speed.
-	ExecBackend string
 	// MaxWorkerSlots is the total executor worker-slot pool (default
 	// GOMAXPROCS). An /execute running W workers holds W slots for its
 	// whole execution, so concurrent requests cannot oversubscribe the
@@ -492,9 +487,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		workers = plan.MaxExecWorkers
 	}
 	req.Exec.ExecWorkers = workers
-	if req.Exec.Backend == "" {
-		req.Exec.Backend = s.cfg.ExecBackend
-	}
 	if err := s.slots.Acquire(ctx, int64(workers)); err != nil {
 		s.failCompute(w, err, timeout)
 		return
