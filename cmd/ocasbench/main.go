@@ -4,31 +4,25 @@
 // Usage:
 //
 //	ocasbench -table1            # the sixteen Table 1 rows
-//	ocasbench -execpar           # executor scaling rows (1 vs 4 workers)
 //	ocasbench -fig8              # estimated vs measured sweeps
 //	ocasbench -cache             # loop-tiling cache-miss reduction
 //	ocasbench -accuracy          # selectivity vs estimation accuracy
-//	ocasbench -ingest            # durable-catalog ingest + scan differential
-//	ocasbench -columnar          # columnar batch layout over durable chains
 //	ocasbench -all -shrink 8     # everything, at 1/8 scale
 //
 // Further knobs: -strategy exhaustive|beam with -beam N, -workers N for the
-// synthesis pool, -templates for the template-tier warm rows, -regress PCT
-// for the -baseline gate. -cpuprofile FILE and -memprofile FILE write pprof
+// synthesis pool. -cpuprofile FILE and -memprofile FILE write pprof
 // profiles of the run (the CPU profile covers the experiments; the heap
 // profile snapshots after a final GC).
 //
-// With -json the machine-readable bench report (per-experiment synthesis
-// wall-clock, candidate counts, speedup factors, memo-cache counters) is
-// written to stdout and the human tables move to stderr, so CI can redirect
-// the report into an artifact:
+// With -json the machine-readable Table 1 report (Spec/Opt/Act, est/act,
+// candidate counts, memo-cache counters, per-row synthesis and executor
+// wall-clock) is written to stdout and the human tables move to stderr, so
+// CI can redirect the report into an artifact:
 //
 //	ocasbench -table1 -shrink 8 -json > BENCH_ci.json
 //
-// -baseline compares the run against a committed report and exits non-zero
-// when total synthesis wall-clock regressed more than -regress percent:
-//
-//	ocasbench -table1 -shrink 8 -json -baseline BENCH_baseline.json > BENCH_ci.json
+// The report's wall-clock columns are information about one host, not a
+// gate: performance is judged end to end by benchmark/ (see its README).
 package main
 
 import (
@@ -46,21 +40,15 @@ import (
 func main() {
 	var (
 		table1   = flag.Bool("table1", false, "regenerate Table 1")
-		execPar  = flag.Bool("execpar", false, "run the multi-worker executor rows (hashjoin, externalsort at 1 and 4 workers)")
 		fig8     = flag.Bool("fig8", false, "regenerate Figure 8")
 		cache    = flag.Bool("cache", false, "run the cache-miss study (Section 7.2)")
 		accuracy = flag.Bool("accuracy", false, "run the accuracy study (Section 7.3)")
-		ingest   = flag.Bool("ingest", false, "run the ingest study: load generated rows into a durable catalog, re-execute from segments, verify identical digests")
-		columnar = flag.Bool("columnar", false, "run the columnar-layout microbench: durable chains through the struct-of-arrays batch path, with allocs/op and bytes/op columns")
 		all      = flag.Bool("all", false, "run everything")
 		shrink   = flag.Int64("shrink", 1, "divide experiment sizes by this factor")
 		strategy = flag.String("strategy", "exhaustive", "search strategy: exhaustive (full BFS) or beam (bounded frontier)")
 		beam     = flag.Int("beam", 64, "beam width (-strategy beam only)")
 		workers  = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
-		tmpl     = flag.Bool("templates", false, "also measure template warm instantiation per Table 1 row (templateWarmSecs in the report)")
-		jsonOut  = flag.Bool("json", false, "write the machine-readable bench report to stdout (tables move to stderr)")
-		baseline = flag.String("baseline", "", "bench report to compare against; exit non-zero on regression")
-		regress  = flag.Float64("regress", 30, "allowed synthesis wall-clock regression in percent (-baseline only)")
+		jsonOut  = flag.Bool("json", false, "write the machine-readable Table 1 report to stdout (tables move to stderr)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after a final GC) to this file")
 	)
@@ -73,15 +61,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ocasbench:", err)
 		os.Exit(1)
 	}
-	if !*table1 && !*execPar && !*fig8 && !*cache && !*accuracy && !*ingest && !*columnar && !*all {
-		fmt.Fprintln(os.Stderr, "ocasbench: no experiment selected (use -table1, -fig8, -cache, -accuracy, -ingest, -columnar or -all)")
+	if !*table1 && !*fig8 && !*cache && !*accuracy && !*all {
+		fmt.Fprintln(os.Stderr, "ocasbench: no experiment selected (use -table1, -fig8, -cache, -accuracy or -all)")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *baseline != "" && !*table1 && !*all {
-		fail(fmt.Errorf("-baseline gates on Table 1 synthesis wall-clock; add -table1 (or -all)"))
-	}
-	cfg := experiments.Config{Shrink: *shrink, Strategy: *strategy, BeamWidth: *beam, Workers: *workers, Templates: *tmpl}
+	cfg := experiments.Config{Shrink: *shrink, Strategy: *strategy, BeamWidth: *beam, Workers: *workers}
 	if _, err := cfg.SearchStrategy(); err != nil {
 		fail(err)
 	}
@@ -106,8 +91,7 @@ func main() {
 		out = os.Stderr
 	}
 
-	var table1Results, execParResults []*experiments.Result
-	var ingestResults []*experiments.IngestResult
+	var table1Results []*experiments.Result
 	if *table1 || *all {
 		fmt.Fprintf(out, "== Table 1 (shrink %d) ==\n", *shrink)
 		start := time.Now()
@@ -117,15 +101,6 @@ func main() {
 		}
 		table1Results = rs
 		fmt.Fprintf(out, "-- total %.1fs\n\n", time.Since(start).Seconds())
-	}
-	if *execPar || *all {
-		fmt.Fprintln(out, "== Executor scaling (morsel-driven parallel execution) ==")
-		rs, err := experiments.RunExecParallel(cfg, out)
-		if err != nil {
-			fail(err)
-		}
-		execParResults = rs
-		fmt.Fprintln(out)
 	}
 	if *fig8 || *all {
 		fmt.Fprintf(out, "== Figure 8 (shrink %d) ==\n", *shrink)
@@ -146,25 +121,6 @@ func main() {
 		fmt.Fprintf(out, "  tiled:   opt=%.4g params=%v  %s\n", r.TiledOpt, r.TiledParams, r.TiledProgram)
 		fmt.Fprintln(out)
 	}
-	if *ingest || *all {
-		fmt.Fprintf(out, "== Ingest study (durable catalog, shrink %d) ==\n", *shrink)
-		rs, err := experiments.RunIngest(cfg, out)
-		if err != nil {
-			fail(err)
-		}
-		ingestResults = rs
-		fmt.Fprintln(out)
-	}
-	var columnarResults []*experiments.ColumnarResult
-	if *columnar || *all {
-		fmt.Fprintf(out, "== Columnar layout (shrink %d) ==\n", *shrink)
-		rs, err := experiments.RunColumnar(cfg, out)
-		if err != nil {
-			fail(err)
-		}
-		columnarResults = rs
-		fmt.Fprintln(out)
-	}
 	if *accuracy || *all {
 		fmt.Fprintln(out, "== Accuracy study (Section 7.3) ==")
 		pts, err := experiments.AccuracyStudy(cfg)
@@ -179,30 +135,14 @@ func main() {
 	}
 
 	stopCPU()
-	report := experiments.NewBenchReport(cfg, table1Results, execParResults, ingestResults, columnarResults)
-	// The timestamp is injected here rather than in the library, so report
-	// construction stays clock-free and two runs of the same code differ
-	// only where they should.
-	report.Meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	if *jsonOut {
+		report := experiments.NewBenchReport(cfg, table1Results)
+		// The timestamp is injected here rather than in the library, so
+		// report construction stays clock-free.
+		report.Meta.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 		if err := report.WriteJSON(os.Stdout); err != nil {
 			fail(err)
 		}
-	}
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fail(err)
-		}
-		base, err := experiments.ReadBenchReport(data)
-		if err != nil {
-			fail(err)
-		}
-		if err := experiments.CompareBaseline(report, base, *regress); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "ocasbench: synthesis wall-clock %.3fs within +%.0f%% of baseline %.3fs\n",
-			report.TotalSynthSecs, *regress, base.TotalSynthSecs)
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ocasd -addr :8080 -cache-size 1024 -template-cache 64 -persist plans.json \
-//	      [-data ./data -flush-rows 65536 -mmap] \
+//	      [-data ./data -flush-rows 65536] \
 //	      [-strategy beam -beam 64] [-workers 0] [-max-inflight 2] [-timeout 60s] \
 //	      [-max-exec-rows 1048576] [-exec-workers 4] [-max-worker-slots 8] \
 //	      [-pprof ADDR] \
@@ -92,7 +92,6 @@ func main() {
 		maxSlots    = flag.Int("max-worker-slots", 0, "executor worker-slot pool shared by concurrent /execute runs (0 = GOMAXPROCS)")
 		dataDir     = flag.String("data", "", "durable table catalog directory; empty disables the /tables endpoints and exec.tables bindings")
 		flushRows   = flag.Int64("flush-rows", 0, "buffered rows per table before ingest cuts a columnar segment (0 = 65536)")
-		useMmap     = flag.Bool("mmap", false, "read segment files through a read-only memory map instead of file reads (unix only)")
 		traceRing   = flag.Int("trace-ring", 256, "recent request traces kept in memory for GET /traces")
 		traceLog    = flag.String("trace-log", "", "append every finished request trace to this file, one JSON line each")
 		logJSON     = flag.Bool("log-json", false, "emit the access log as JSON lines instead of text")
@@ -127,7 +126,7 @@ func main() {
 	var cat *catalog.Catalog
 	if *dataDir != "" {
 		var err error
-		cat, err = catalog.Open(*dataDir, catalog.Options{FlushRows: *flushRows, Mmap: *useMmap})
+		cat, err = catalog.Open(*dataDir, catalog.Options{FlushRows: *flushRows})
 		if err != nil {
 			log.Fatalf("ocasd: open catalog %s: %v", *dataDir, err)
 		}

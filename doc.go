@@ -58,9 +58,9 @@
 // float operations in the same order, so winners and plan fingerprints are
 // bit-identical to the unmemoized pipeline. Memo lifetime is one synthesis
 // (plan.Compile injects a per-request Keyer shared with the fingerprint);
-// core.Synthesis.Memo reports the cache counters, ocasbench -json exports
-// them, and CI's bench job gates synthesis wall-clock against the
-// committed BENCH_baseline.json report.
+// core.Synthesis.Memo reports the cache counters and ocasbench -json
+// exports them per Table 1 row. Performance is judged end to end by the
+// repo benchmark (benchmark/README.md), not by that report.
 //
 // # Execution: the compositional batch-streaming executor
 //
@@ -70,11 +70,10 @@
 // GRACE hash join, external merge sort, streaming unfoldR, foldL
 // aggregation — implements Open(*Ctx) / Next(*Batch) / Close() over
 // struct-of-arrays batches: one []int32 vector per column plus an
-// optional selection vector, flowing down chains as views (often
-// zero-copy slices of mmapped segment bytes via storage.ColViewer)
-// rather than row copies. Simulated charges are computed from logical
-// record positions, never the physical layout, so the columnar path is
-// invisible to the determinism contract. exec.Lower is recursive and
+// optional selection vector, flowing down chains as views of spill
+// column stripes rather than row copies. Simulated charges are computed
+// from logical record positions, never the physical layout, so the
+// columnar path is invisible to the determinism contract. exec.Lower is recursive and
 // compositional: operator inputs may themselves be lowered
 // subexpressions piped through the batch protocol, so any synthesized
 // operator tree executes, not just whole programs matching a known
@@ -142,10 +141,10 @@
 // a versioned manifest.json written atomically (temp file + rename) on
 // every mutation. Ingested rows buffer per table and flush as immutable
 // columnar segment files — a PAX-style layout of fixed-size row chunks
-// stored column-major within the chunk, readable via plain file reads or
-// a read-only mmap behind the storage.Segment interface. Each flushed
-// segment is a stably key-sorted run with recorded key bounds;
-// Catalog.Close flushes remainders so graceful shutdown loses nothing.
+// stored column-major within the chunk, read with plain file reads by
+// storage.Segment. Each flushed segment is a stably key-sorted run with
+// recorded key bounds; Catalog.Close flushes remainders so graceful
+// shutdown loses nothing.
 // Readers take snapshot Handles (open segment readers plus a copy of the
 // buffered tail) that stay consistent under concurrent ingest and
 // survive a Drop, unlink-style.
@@ -160,8 +159,7 @@
 // TestBackedSpillChargesLikePreload, TestExecuteFromDurableTable).
 // Bindings are wired by the server or CLI — ocasd -data DIR enables
 // POST/GET/DELETE /tables and exec.tables on /execute; ocas -run -data
-// DIR -table input=table is the CLI parity path; ocasbench -ingest
-// measures ingest throughput and re-verifies the differential.
+// DIR -table input=table is the CLI parity path.
 //
 // # Serving: ocasd and the plan cache
 //

@@ -130,9 +130,6 @@ type Options struct {
 	// ChunkRows is the columnar chunk size of written segments (<= 0:
 	// storage.DefaultChunkRows).
 	ChunkRows int64
-	// Mmap maps segment files read-only instead of using file reads, on
-	// platforms that support it.
-	Mmap bool
 }
 
 // Stats is a counters snapshot for /stats.

@@ -22,7 +22,7 @@ type Handle struct {
 	name  string
 	arity int
 	rows  int64
-	segs  []storage.Segment
+	segs  []*storage.Segment
 	bases []int64 // starting row of each segment
 	buf   []int32 // copy of rows buffered at snapshot time
 }
@@ -38,12 +38,12 @@ func (c *Catalog) OpenTable(name string) (*Handle, error) {
 	metas := append([]SegmentMeta(nil), t.Segments...)
 	buf := append([]int32(nil), c.buf[name]...)
 	arity := t.Schema.Arity()
-	dir, mmap := c.dir, c.opts.Mmap
+	dir := c.dir
 	c.mu.Unlock()
 
 	h := &Handle{name: name, arity: arity, buf: buf}
 	for _, m := range metas {
-		seg, err := storage.OpenSegment(filepath.Join(dir, m.File), mmap)
+		seg, err := storage.OpenSegment(filepath.Join(dir, m.File))
 		if err != nil {
 			h.Close()
 			return nil, fmt.Errorf("catalog: open segment %s: %w", m.File, err)
@@ -154,33 +154,6 @@ func (h *Handle) ReadCols(dst [][]int32, lo, n int64) error {
 		}
 	}
 	return nil
-}
-
-// ViewCols implements storage.ColViewer: when [lo, lo+n) lies entirely
-// inside one memory-mapped segment chunk, it returns zero-copy column
-// views over the mapped file bytes, reusing dst as the view header.
-// ok=false (range spans segments, reaches the buffered tail, or the
-// segment cannot view) sends the caller to the copying ReadCols path.
-// Unlike ReadRecords/ReadCols, ViewCols touches no shared scratch and is
-// safe for concurrent calls on one Handle.
-func (h *Handle) ViewCols(dst [][]int32, lo, n int64) ([][]int32, bool) {
-	if lo < 0 || n <= 0 || lo+n > h.rows {
-		return nil, false
-	}
-	for i, seg := range h.segs {
-		base := h.bases[i]
-		if lo < base {
-			return nil, false
-		}
-		if lo >= base+seg.Rows() {
-			continue
-		}
-		if lo+n > base+seg.Rows() {
-			return nil, false // spans into the next segment or the buffer
-		}
-		return seg.ViewCols(dst, lo-base, n)
-	}
-	return nil, false // buffered tail (row-major, never viewable)
 }
 
 // Close releases the handle's segment readers.

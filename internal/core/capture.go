@@ -112,7 +112,7 @@ func NewReplay(cp *Capture) *Replay {
 // differently and the caller must fall back to a full synthesis.
 func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synthesis, error) {
 	start := time.Now()
-	_, sp := obs.Start(ctx, "template.instantiate")
+	ctx, sp := obs.Start(ctx, "template.instantiate")
 	defer sp.End()
 	sp.Attr("space", len(r.cp.Space))
 	r.mu.Lock()
@@ -155,6 +155,9 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 		idx     int
 		seconds float64
 	}
+	// The two replayed phases carry the cold path's span names, so a
+	// template-hit trace attributes its time to the same layers.
+	_, spScreen := obs.Start(ctx, "synth.screen")
 	secs := make([]float64, len(space))
 	scr := make([]screened, 0, len(space))
 	var paramBuf [16]int64
@@ -184,6 +187,9 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 		}
 		scr = append(scr, screened{idx: i, seconds: sec})
 	}
+	spScreen.Attr("candidates", len(space))
+	spScreen.Attr("costed", len(scr))
+	spScreen.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -224,6 +230,7 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 	// Phase 2 replay: full parameter optimization of the shortlist over
 	// precompiled formulas (opt.Precompile caches the compile; the
 	// minimization trajectory is bit-identical to a fresh opt.Minimize).
+	_, spOpt := obs.Start(ctx, "synth.optimize")
 	cands := make([]*Candidate, len(scr))
 	for i, sh := range scr {
 		if ctx.Err() != nil {
@@ -257,6 +264,8 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 			Cost:    res,
 		}
 	}
+	spOpt.Attr("shortlist", len(scr))
+	spOpt.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 // hash join (Exchange/Gather spill columns) and an external sort — it
 // sweeps batch sizes {1,7,64} × exec workers {1,2,4,8} × EXPLAIN on/off,
 // over generated (Preload) and durable (catalog segments behind
-// BackedTable, mmap column views) inputs, asserting the repo's determinism
+// BackedTable) inputs, asserting the repo's determinism
 // contract: the order-independent output digest, row count and integer
 // device ledgers identical across every cell; the exact virtual clock
 // identical across every cell of one worker count; single-worker row order
@@ -124,12 +124,11 @@ func preloadOpener(sh layoutShape) tableOpener {
 }
 
 // durableOpener ingests the generated rows into a catalog once (small
-// FlushRows so real PAX segments are cut, mmap on so the zero-copy column
-// view path serves reads) and binds each run to backed tables over shared
-// read snapshots.
+// FlushRows so real PAX segments are cut) and binds each run to backed
+// tables over shared read snapshots.
 func durableOpener(t *testing.T, sh layoutShape) tableOpener {
 	t.Helper()
-	cat, err := catalog.Open(t.TempDir(), catalog.Options{FlushRows: 256, Mmap: true})
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{FlushRows: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
@@ -95,6 +96,21 @@ type Sink struct {
 	rows int64
 	// RowsWritten counts all rows that passed through, even when discarded.
 	RowsWritten int64
+}
+
+// OutBlock picks the Sink.Bout the optimizer chose for a plan: the largest
+// output-buffer parameter (apply-block-out names them ko*, the merging
+// treeFold bout*), 1 when the plan has none.
+func OutBlock(params map[string]int64) int64 {
+	var best int64 = 1
+	for name, v := range params {
+		if strings.HasPrefix(name, "ko") || strings.HasPrefix(name, "bout") {
+			if v > best {
+				best = v
+			}
+		}
+	}
+	return best
 }
 
 // Write adds one row.

@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -71,18 +70,12 @@ type Result struct {
 	Steps     int
 	SynthSecs float64
 	// ExecSecs is the executor's wall-clock (host time, not the virtual
-	// clock) — the quantity the CI bench gate watches alongside SynthSecs —
-	// and ExecWorkers the executor worker count it was measured at.
-	ExecSecs    float64
-	ExecWorkers int
-	// TemplateWarmSecs is the steady-state wall-clock of re-instantiating
-	// this row's captured plan template at scaled cardinalities (Config
-	// .Templates); 0 when templates were off or the capture went stale.
-	TemplateWarmSecs float64
-	Program          string
-	Params           map[string]int64
-	CacheMissR       float64 // cache miss ratio when a cache level exists
-	OutRows          int64
+	// clock) at the experiment's executor worker count.
+	ExecSecs   float64
+	Program    string
+	Params     map[string]int64
+	CacheMissR float64 // cache miss ratio when a cache level exists
+	OutRows    int64
 	// Explored is the number of candidate programs costed by the screening
 	// pass, and Memo the synthesis cache counters (interned nodes, alpha-key
 	// and cost-memo hits) — the raw material of the machine-readable bench
@@ -102,64 +95,20 @@ func Run(e Experiment) (*Result, error) {
 
 // Synthesize runs the search phase of an experiment.
 func Synthesize(e Experiment) (*core.Synthesis, error) {
-	synth, task := setup(e)
-	syn, err := synth.Synthesize(task)
-	if err != nil {
-		return nil, fmt.Errorf("%s: synthesize: %w", e.Name, err)
-	}
-	return syn, nil
-}
-
-// setup builds the synthesizer and task of an experiment.
-func setup(e Experiment) (*core.Synthesizer, core.Task) {
 	synth := &core.Synthesizer{
 		H: e.Hier, MaxDepth: e.MaxDepth, MaxSpace: e.MaxSpace, Rules: e.Rules,
 		Strategy: e.Strategy, Workers: e.Workers,
 	}
-	task := core.Task{
+	syn, err := synth.Synthesize(core.Task{
 		Spec:      e.Spec,
 		InputLoc:  e.InputLoc,
 		InputRows: e.Rows,
 		Output:    e.Output,
-	}
-	return synth, task
-}
-
-// SynthesizeWarm runs the search phase while capturing a plan template, then
-// measures re-instantiating the template at scaled cardinalities — the
-// amortized cost of serving a warm shape at a new size. The first
-// instantiation is warm-up (it compiles the screening formulas the template
-// carries symbolically); the reported seconds are the steady-state second
-// instantiation at yet another size. Warm seconds are 0 when the run is not
-// capturable or the capture goes stale at the scaled sizes.
-func SynthesizeWarm(e Experiment) (*core.Synthesis, float64, error) {
-	synth, task := setup(e)
-	syn, cp, err := synth.SynthesizeCapture(context.Background(), task)
+	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: synthesize: %w", e.Name, err)
+		return nil, fmt.Errorf("%s: synthesize: %w", e.Name, err)
 	}
-	if cp == nil {
-		return syn, 0, nil
-	}
-	replay := core.NewReplay(cp)
-	if _, err := replay.Instantiate(context.Background(), synth, scaleRows(task, 2)); err != nil {
-		return syn, 0, nil
-	}
-	warm, err := replay.Instantiate(context.Background(), synth, scaleRows(task, 3))
-	if err != nil {
-		return syn, 0, nil
-	}
-	return syn, warm.Elapsed.Seconds(), nil
-}
-
-// scaleRows multiplies every input cardinality by k (the task is copied).
-func scaleRows(t core.Task, k int64) core.Task {
-	rows := make(map[string]int64, len(t.InputRows))
-	for name, n := range t.InputRows {
-		rows[name] = n * k
-	}
-	t.InputRows = rows
-	return t
+	return syn, nil
 }
 
 // Execute runs an experiment's synthesized winner on the storage simulator
@@ -212,12 +161,12 @@ func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 			return nil, err
 		}
 		sink.Out = out
-		sink.Bout = outBlock(syn.Best.Params)
+		sink.Bout = exec.OutBlock(syn.Best.Params)
 	}
 
 	prog, err := exec.Lower(syn.Best.Expr, exec.LowerOpts{
 		Sim: sim, Inputs: inputs, Params: syn.Best.Params,
-		Scratch: scratch, Sink: sink, RAMBytes: ramBytes(e.Hier),
+		Scratch: scratch, Sink: sink, RAMBytes: e.Hier.RAMBytes(),
 		ExecWorkers: e.ExecWorkers,
 	})
 	if err != nil {
@@ -230,24 +179,23 @@ func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 	execSecs := time.Since(execStart).Seconds()
 
 	res := &Result{
-		Name:        e.Name,
-		PaperRow:    e.PaperRow,
-		SpecSecs:    syn.SpecSeconds,
-		OptSecs:     syn.Best.Seconds,
-		ActSecs:     sim.Clock.Seconds(),
-		RBytes:      e.RBytes,
-		SBytes:      e.SBytes,
-		Buffer:      e.Buffer,
-		SpaceSize:   syn.Stats.SpaceSize,
-		Steps:       len(syn.Best.Steps),
-		SynthSecs:   syn.Elapsed.Seconds(),
-		ExecSecs:    execSecs,
-		ExecWorkers: prog.Workers(),
-		Program:     coreString(syn),
-		Params:      syn.Best.Params,
-		OutRows:     sink.RowsWritten,
-		Explored:    syn.Explored,
-		Memo:        syn.Memo,
+		Name:      e.Name,
+		PaperRow:  e.PaperRow,
+		SpecSecs:  syn.SpecSeconds,
+		OptSecs:   syn.Best.Seconds,
+		ActSecs:   sim.Clock.Seconds(),
+		RBytes:    e.RBytes,
+		SBytes:    e.SBytes,
+		Buffer:    e.Buffer,
+		SpaceSize: syn.Stats.SpaceSize,
+		Steps:     len(syn.Best.Steps),
+		SynthSecs: syn.Elapsed.Seconds(),
+		ExecSecs:  execSecs,
+		Program:   coreString(syn),
+		Params:    syn.Best.Params,
+		OutRows:   sink.RowsWritten,
+		Explored:  syn.Explored,
+		Memo:      syn.Memo,
 	}
 	if sim.Cache != nil {
 		res.CacheMissR = sim.Cache.MissRatio()
@@ -258,28 +206,4 @@ func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 func coreString(s *core.Synthesis) string {
 	return strings.TrimSpace(fmt.Sprintf("%s  [steps: %s]",
 		ocal.String(s.Best.Expr), strings.Join(s.Best.Steps, ", ")))
-}
-
-// ramBytes returns the size of the hierarchy's RAM level (the node named
-// "ram", else the root).
-func ramBytes(h *memory.Hierarchy) int64 {
-	if n := h.Node("ram"); n != nil {
-		return n.Size
-	}
-	return h.Root.Size
-}
-
-// outBlock picks the output buffer value the optimizer chose (parameters
-// introduced by apply-block-out are named ko*, by the merging treeFold
-// bout*).
-func outBlock(params map[string]int64) int64 {
-	var best int64 = 1
-	for name, v := range params {
-		if strings.HasPrefix(name, "ko") || strings.HasPrefix(name, "bout") {
-			if v > best {
-				best = v
-			}
-		}
-	}
-	return best
 }

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"testing"
 
 	"ocas/internal/core"
+	"ocas/internal/memory"
+	"ocas/internal/workload"
 )
 
 // synthOnce caches one synthesis per exec-parallel workload so benchmarks
@@ -95,31 +96,49 @@ func TestExecParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestRunExecParallelReport exercises the bench rows end to end at a small
-// scale: the report must carry one row per worker count with identical
-// virtual clocks.
-func TestRunExecParallelReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("executor rows are seconds-long; skipped in -short mode")
-	}
-	rs, err := RunExecParallel(Config{}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2*len(ExecParallelWorkers) {
-		t.Fatalf("%d results, want %d", len(rs), 2*len(ExecParallelWorkers))
-	}
-	rep := NewBenchReport(Config{}, nil, rs, nil, nil)
-	if len(rep.ExecParallel) != len(rs) {
-		t.Fatalf("%d report rows", len(rep.ExecParallel))
-	}
-	for i := 1; i < len(ExecParallelWorkers); i++ {
-		if rep.ExecParallel[i].ActSecs != rep.ExecParallel[0].ActSecs {
-			t.Errorf("worker count changed simulated time: %v vs %v",
-				rep.ExecParallel[i].ActSecs, rep.ExecParallel[0].ActSecs)
-		}
-	}
-	if rep.TotalExecParSecs <= 0 {
-		t.Error("no parallel executor wall-clock recorded")
+// ExecParallelExperiments returns the two executor-scaling workloads: the
+// GRACE hash join of the hashjoin example regime (RAM
+// scarce relative to MB-scale relations, so the plan partitions to scratch
+// and joins bucket-wise) and the external merge sort (runs form
+// morsel-parallel sections, the final merge streams). Sizes are fixed
+// regardless of Shrink — scaling is only observable when the parallel
+// phases dominate.
+func ExecParallelExperiments() []Experiment {
+	// The join uses the GRACE regime of the hashjoin example and the Table 1
+	// grace row: transfer-dominated MB-scale relations against scarce RAM,
+	// where synthesis derives the partitioned hash join.
+	gR := int64(4 << 20) // tuples -> 32MB
+	gS := int64(8 << 20) //        -> 64MB
+	gRAM := int64(2 << 20)
+	sortN := int64(1 << 20) // 4MB of int32 keys
+	sortRAM := int64(256 << 10)
+	return []Experiment{
+		{
+			Name:     "hashjoin",
+			PaperRow: "exec-parallel: GRACE hash join (hashjoin example regime)",
+			Spec:     core.JoinSpec(true),
+			Hier:     memory.HDDRAM(gRAM),
+			InputLoc: map[string]string{"R": "hdd", "S": "hdd"},
+			Rows:     map[string]int64{"R": gR, "S": gS},
+			Gen: map[string]func() []int32{
+				"R": func() []int32 { return workload.UniformPairs(gR, gR*4, 1) },
+				"S": func() []int32 { return workload.UniformPairs(gS, gR*4, 2) },
+			},
+			MaxDepth: 6, MaxSpace: 1500,
+			RBytes: gR * 8, SBytes: gS * 8, Buffer: gRAM,
+		},
+		{
+			Name:     "externalsort",
+			PaperRow: "exec-parallel: external merge sort",
+			Spec:     core.SortSpec(),
+			Hier:     memory.HDDRAM(sortRAM),
+			InputLoc: map[string]string{"R": "hdd"},
+			Rows:     map[string]int64{"R": sortN},
+			Gen: map[string]func() []int32{
+				"R": func() []int32 { return workload.Ints(sortN, 1<<30, 5) },
+			},
+			MaxDepth: 12, MaxSpace: 2000,
+			RBytes: sortN * 4, Buffer: sortRAM,
+		},
 	}
 }

@@ -21,11 +21,6 @@ type Config struct {
 	BeamWidth int
 	// Workers bounds synthesis concurrency; <=0 means GOMAXPROCS.
 	Workers int
-	// Templates additionally measures the template tier: each synthesis
-	// captures a plan template which is then re-instantiated at scaled
-	// cardinalities, and the steady-state instantiation wall-clock lands in
-	// Result.TemplateWarmSecs (the amortized cost of a warm shape).
-	Templates bool
 }
 
 // SearchStrategy resolves the configured strategy (nil = exhaustive BFS).
@@ -358,19 +353,7 @@ func RunTable1(cfg Config, w io.Writer) ([]*Result, error) {
 		return nil, err
 	}
 	for _, e := range exps {
-		var r *Result
-		var err error
-		if cfg.Templates {
-			syn, warm, serr := SynthesizeWarm(e)
-			if serr != nil {
-				return out, serr
-			}
-			if r, err = Execute(e, syn); err == nil {
-				r.TemplateWarmSecs = warm
-			}
-		} else {
-			r, err = Run(e)
-		}
+		r, err := Run(e)
 		if err != nil {
 			return out, err
 		}

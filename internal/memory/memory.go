@@ -94,6 +94,15 @@ func (h *Hierarchy) Node(name string) *Node { return h.nodes[name] }
 // Parent returns the parent of the named node (nil for the root).
 func (h *Hierarchy) Parent(name string) *Node { return h.paren[name] }
 
+// RAMBytes returns the size of the hierarchy's RAM level (the node named
+// "ram", else the root): the executor's working-memory budget.
+func (h *Hierarchy) RAMBytes() int64 {
+	if n := h.Node("ram"); n != nil {
+		return n.Size
+	}
+	return h.Root.Size
+}
+
 // Names lists node names in preorder.
 func (h *Hierarchy) Names() []string {
 	var out []string

@@ -2,10 +2,11 @@
 // synthesized program — fresh from the synthesizer or recalled from the
 // plan cache — against the storage simulator on request-supplied or
 // generated inputs, and reports the virtual-clock time, the per-device
-// ledger and a content digest of the output. cmd/ocas -run, the ocasd
-// POST /execute endpoint and the calibration experiment all go through
-// RunProgram, so a plan executes identically no matter which door it
-// entered through.
+// ledger and a content digest of the output. cmd/ocas -run and the ocasd
+// POST /execute endpoint both go through RunProgram, so a plan executes
+// identically no matter which door it entered through. (The paper
+// experiments do not: internal/experiments lowers its rows itself, over
+// its own generators and pre-sized output tables.)
 package plan
 
 import (
@@ -15,7 +16,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 
 	"ocas/internal/catalog"
 	"ocas/internal/core"
@@ -178,7 +178,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 	}
 
 	var digest bagDigest
-	sink := &exec.Sink{Sim: sim, Bout: outBlock(params), Tap: digest.add}
+	sink := &exec.Sink{Sim: sim, Bout: exec.OutBlock(params), Tap: digest.add}
 	if task.Output != "" {
 		outDev, err := sim.Device(task.Output)
 		if err != nil {
@@ -192,7 +192,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 	p, err := exec.Lower(prog, exec.LowerOpts{
 		Sim: sim, Inputs: inputs, Params: params,
 		Scratch: scratch, Sink: sink,
-		RAMBytes:    ramBytes(h),
+		RAMBytes:    h.RAMBytes(),
 		PoolBytes:   opt.PoolBytes,
 		BatchRows:   opt.BatchRows,
 		ExecWorkers: opt.ExecWorkers,
@@ -427,28 +427,4 @@ func digestRows(rows [][]int32) string {
 func digestString(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])
-}
-
-// ramBytes returns the size of the hierarchy's RAM level (the node named
-// "ram", else the root).
-func ramBytes(h *memory.Hierarchy) int64 {
-	if n := h.Node("ram"); n != nil {
-		return n.Size
-	}
-	return h.Root.Size
-}
-
-// outBlock picks the output buffer value the optimizer chose (parameters
-// introduced by apply-block-out are named ko*, by the merging treeFold
-// bout*).
-func outBlock(params map[string]int64) int64 {
-	var best int64 = 1
-	for name, v := range params {
-		if strings.HasPrefix(name, "ko") || strings.HasPrefix(name, "bout") {
-			if v > best {
-				best = v
-			}
-		}
-	}
-	return best
 }

@@ -110,25 +110,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip follows a synthesize request's ID to its trace and
-// checks the span structure of the miss path.
-func TestTraceRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, _ := post(t, ts, fastBody())
-	id := resp.Header.Get("X-Ocas-Request-Id")
+type traceSpan struct {
+	Name     string         `json:"name"`
+	Parent   int            `json:"parent"`
+	DurNanos int64          `json:"durNanos"`
+	Attrs    map[string]any `json:"attrs"`
+}
 
+// traceSpans fetches a finished request's trace and indexes its spans by
+// name, failing the test on a span without a duration.
+func traceSpans(t *testing.T, ts *httptest.Server, id string) (spans []traceSpan, names map[string]int) {
+	t.Helper()
 	resp, body := get(t, ts, "/traces/"+id)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /traces/%s: %d: %s", id, resp.StatusCode, body)
 	}
 	var tr struct {
-		ID    string `json:"id"`
-		Spans []struct {
-			Name     string         `json:"name"`
-			Parent   int            `json:"parent"`
-			DurNanos int64          `json:"durNanos"`
-			Attrs    map[string]any `json:"attrs"`
-		} `json:"spans"`
+		ID    string      `json:"id"`
+		Spans []traceSpan `json:"spans"`
 	}
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
@@ -136,27 +135,36 @@ func TestTraceRoundTrip(t *testing.T) {
 	if tr.ID != id {
 		t.Fatalf("trace id %q, want %q", tr.ID, id)
 	}
-	names := map[string]int{}
+	names = map[string]int{}
 	for i, sp := range tr.Spans {
 		names[sp.Name] = i
 		if sp.DurNanos <= 0 {
 			t.Errorf("span %q has no duration", sp.Name)
 		}
 	}
+	return tr.Spans, names
+}
+
+// TestTraceRoundTrip follows a synthesize request's ID to its trace and
+// checks the span structure of the miss path.
+func TestTraceRoundTrip(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, _ := post(t, ts, fastBody())
+	spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
 	for _, want := range []string{"POST /synthesize", "compile", "resolve", "synthesize", "synth.search", "synth.screen", "synth.optimize"} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("miss-path trace lacks span %q (have %v)", want, names)
 		}
 	}
-	if tr.Spans[0].Name != "POST /synthesize" || tr.Spans[0].Parent != -1 {
-		t.Errorf("root span %+v", tr.Spans[0])
+	if spans[0].Name != "POST /synthesize" || spans[0].Parent != -1 {
+		t.Errorf("root span %+v", spans[0])
 	}
-	if got := tr.Spans[names["resolve"]].Attrs["outcome"]; got != "miss" {
+	if got := spans[names["resolve"]].Attrs["outcome"]; got != "miss" {
 		t.Errorf("resolve outcome = %v, want miss", got)
 	}
 
 	// The listing endpoint includes it, newest first.
-	_, body = get(t, ts, "/traces?n=5")
+	_, body := get(t, ts, "/traces?n=5")
 	var list struct {
 		Total  int64             `json:"total"`
 		Traces []json.RawMessage `json:"traces"`
@@ -172,6 +180,39 @@ func TestTraceRoundTrip(t *testing.T) {
 	resp, _ = get(t, ts, "/traces/deadbeefdeadbeef")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestTemplateHitTracePhases: the same shape at other cardinalities replays
+// screening and optimization without a search, and both phases show under
+// the instantiation with the counters the cold spans carry.
+func TestTemplateHitTracePhases(t *testing.T) {
+	_, ts := newTestServer(t, Config{TemplateCacheSize: 8})
+	post(t, ts, fastBody())
+	resp, _ := post(t, ts, strings.Replace(fastBody(), "1048576", "2097152", 1))
+	if got := resp.Header.Get("X-Ocas-Cache"); got != "template-hit" {
+		t.Fatalf("X-Ocas-Cache = %q, want template-hit", got)
+	}
+	spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
+	inst, ok := names["template.instantiate"]
+	if !ok {
+		t.Fatalf("template-hit trace lacks template.instantiate (have %v)", names)
+	}
+	for phase, counter := range map[string]string{"synth.screen": "costed", "synth.optimize": "shortlist"} {
+		i, ok := names[phase]
+		if !ok {
+			t.Errorf("template-hit trace lacks span %q (have %v)", phase, names)
+			continue
+		}
+		if spans[i].Parent != inst {
+			t.Errorf("%s parent = %d, want template.instantiate (%d)", phase, spans[i].Parent, inst)
+		}
+		if n, _ := spans[i].Attrs[counter].(float64); n < 1 {
+			t.Errorf("%s %s = %v, want >= 1", phase, counter, spans[i].Attrs[counter])
+		}
+	}
+	if _, ok := names["synth.search"]; ok {
+		t.Error("template-hit trace ran a search")
 	}
 }
 

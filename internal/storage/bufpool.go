@@ -312,19 +312,6 @@ type Backing interface {
 	ReadCols(dst [][]int32, lo, n int64) error
 }
 
-// ColViewer is an optional Backing capability: a backing whose payload is
-// already resident in host memory in column-major form (an mmap'd segment
-// on a matching-endian host) hands out read-only column views of a record
-// range without any copy, so ReadColsAt on a backed spill can skip the
-// whole-payload materialization entirely. ok=false means the range is not
-// contiguously viewable (unmapped file, foreign byte order, or a range
-// crossing a chunk/segment boundary) and the caller falls back to the
-// materialized path. Charges are identical either way — the charge model
-// depends only on the (spill, index, count) call sequence.
-type ColViewer interface {
-	ViewCols(dst [][]int32, lo, n int64) ([][]int32, bool)
-}
-
 // NewBackedSpill opens a read-only spill whose payload is supplied by b —
 // the device-resident view of a durable table. Device space is claimed up
 // front without charging (the data already resides on the device, exactly
@@ -352,11 +339,10 @@ func (d *Device) NewBackedSpill(width, records int64, b Backing) (*Spill, error)
 	if err != nil {
 		return nil, err
 	}
-	// Unlike NewSpill, the column vectors stay nil here: when the backing is
-	// a ColViewer serving every read as an mmap view, the payload is never
-	// materialized and the allocation (and its zeroing) is never paid.
-	// load() allocates on the first view miss.
 	s.vols = []*Volume{vol}
+	for c := range s.cols {
+		s.cols[c] = make([]int32, records)
+	}
 	s.backing = b
 	s.install(records)
 	return s, nil
@@ -365,9 +351,6 @@ func (d *Device) NewBackedSpill(width, records int64, b Backing) (*Spill, error)
 // load materializes a backed spill's payload, once.
 func (s *Spill) load() {
 	s.loadOnce.Do(func() {
-		for c := range s.cols {
-			s.cols[c] = make([]int32, s.count)
-		}
 		s.loadErr = s.backing.ReadCols(s.cols, 0, s.count)
 	})
 	if s.loadErr != nil {
@@ -588,12 +571,6 @@ func (s *Spill) ReadColsAt(a *Acct, idx, n int64, dst [][]int32) ([][]int32, int
 		n = s.count - idx
 	}
 	if s.backing != nil {
-		if v, ok := s.backing.(ColViewer); ok {
-			if cols, viewed := v.ViewCols(dst, idx, n); viewed {
-				a.chargeRead(s, idx, n)
-				return cols, n
-			}
-		}
 		s.load()
 	}
 	a.chargeRead(s, idx, n)

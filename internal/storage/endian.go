@@ -18,12 +18,3 @@ func int32Bytes(v []int32) []byte {
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
 }
-
-// int32View views a little-endian byte run (4-byte aligned, e.g. a segment
-// chunk column inside an mmap) as a read-only int32 slice without copying.
-func int32View(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}

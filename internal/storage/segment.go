@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -30,32 +29,6 @@ const (
 
 	maxSegmentCols = 1 << 10
 )
-
-// Segment is a read-only view over one durable columnar segment file. The
-// two implementations — os.File+ReadAt and (on unix) a read-only mmap —
-// differ only in how bytes reach memory; both decode the same format.
-type Segment interface {
-	// Rows returns the number of rows stored.
-	Rows() int64
-	// Cols returns the number of int32 columns per row.
-	Cols() int
-	// ReadRows fills dst (len >= n*Cols()) with n rows starting at row lo,
-	// row-major — the flat record layout of the ingest and catalog paths.
-	ReadRows(dst []int32, lo, n int64) error
-	// ReadCols fills dst[c] (each len >= n) with column c of n rows starting
-	// at row lo. The chunk interior is already column-major, so this is the
-	// transpose-free path the executor's columnar batches load through.
-	ReadCols(dst [][]int32, lo, n int64) error
-	// ViewCols returns read-only column views of n rows starting at row lo
-	// directly over the mapped file bytes, reusing dst as the view header.
-	// ok is false — and the caller must fall back to ReadCols — when the
-	// segment is not memory-mapped, the host byte order does not match the
-	// format, or the range crosses a chunk boundary (a chunk's columns are
-	// contiguous; the next chunk's are not adjacent to them).
-	ViewCols(dst [][]int32, lo, n int64) ([][]int32, bool)
-	// Close releases the underlying file or mapping.
-	Close() error
-}
 
 // WriteSegment writes rows (row-major, len(rows) = nRows*cols int32 values)
 // as a columnar segment file at path, atomically: the payload lands in
@@ -124,61 +97,38 @@ func WriteSegment(path string, cols int, chunkRows int64, rows []int32) (err err
 	return os.Rename(tmp, path)
 }
 
-// segment decodes the common format over any io.ReaderAt source.
-type segment struct {
-	src       io.ReaderAt
-	closeSrc  func() error
-	mapped    []byte // raw mmap bytes (nil when reading through the file)
+// Segment is a read-only reader over one durable columnar segment file.
+// Reads share one scratch buffer, so callers serialize them.
+type Segment struct {
+	f         *os.File
 	rows      int64
 	cols      int
 	chunkRows int64
-	scratch   []byte // per-segment read buffer; callers serialize ReadRows
+	scratch   []byte
 }
 
-// OpenSegment opens a segment file for reading. With useMmap set the file is
-// mapped read-only where the platform supports it (unix), falling back to
-// plain os.File ReadAt calls elsewhere; either way the returned Segment
-// decodes identically.
-func OpenSegment(path string, useMmap bool) (Segment, error) {
+// OpenSegment opens a segment file for reading and validates its header
+// against the file size.
+func OpenSegment(path string) (*Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	s, err := readSegmentHeader(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	var (
-		src      io.ReaderAt = f
-		closeSrc             = f.Close
-		mapped   []byte
-	)
-	if useMmap {
-		if m, data, mclose, ok := mmapReader(f, st.Size()); ok {
-			src, mapped = m, data
-			fileClose := f.Close
-			closeSrc = func() error {
-				err := mclose()
-				if cerr := fileClose(); err == nil {
-					err = cerr
-				}
-				return err
-			}
-		}
-	}
-	s, err := newSegment(src, closeSrc, st.Size())
-	if err != nil {
-		closeSrc()
-		return nil, err
-	}
-	s.mapped = mapped
 	return s, nil
 }
 
-func newSegment(src io.ReaderAt, closeSrc func() error, size int64) (*segment, error) {
+func readSegmentHeader(f *os.File) (*Segment, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	hdr := make([]byte, segmentHeader)
-	if _, err := src.ReadAt(hdr, 0); err != nil {
+	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("storage: segment header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != segmentMagic {
@@ -193,29 +143,36 @@ func newSegment(src io.ReaderAt, closeSrc func() error, size int64) (*segment, e
 	if cols <= 0 || cols > maxSegmentCols || chunkRows <= 0 || rows < 0 {
 		return nil, fmt.Errorf("storage: segment header out of range (cols=%d chunkRows=%d rows=%d)", cols, chunkRows, rows)
 	}
-	if want := segmentHeader + rows*int64(cols)*4; size < want {
-		return nil, fmt.Errorf("storage: segment truncated: %d bytes, header claims %d", size, want)
+	// By division: rows*cols*4 overflows int64 for a corrupt row count.
+	if payload := st.Size() - segmentHeader; rows > payload/(int64(cols)*4) {
+		return nil, fmt.Errorf("storage: segment truncated: %d payload bytes, header claims %d rows of %d columns", payload, rows, cols)
 	}
-	return &segment{
-		src:       src,
-		closeSrc:  closeSrc,
+	// No read spans more than one chunk's column run, nor more than the
+	// segment's rows — which the file size just bounded.
+	return &Segment{
+		f:         f,
 		rows:      rows,
 		cols:      cols,
 		chunkRows: chunkRows,
-		scratch:   make([]byte, chunkRows*4),
+		scratch:   make([]byte, min(chunkRows, rows)*4),
 	}, nil
 }
 
-func (s *segment) Rows() int64 { return s.rows }
-func (s *segment) Cols() int   { return s.cols }
+// Rows returns the number of rows stored.
+func (s *Segment) Rows() int64 { return s.rows }
+
+// Cols returns the number of int32 columns per row.
+func (s *Segment) Cols() int { return s.cols }
 
 // chunkOffset returns the byte offset of chunk c's payload. Every chunk
 // before the last is full, so the mapping is pure arithmetic.
-func (s *segment) chunkOffset(c int64) int64 {
+func (s *Segment) chunkOffset(c int64) int64 {
 	return segmentHeader + c*s.chunkRows*int64(s.cols)*4
 }
 
-func (s *segment) ReadRows(dst []int32, lo, n int64) error {
+// ReadRows fills dst (len >= n*Cols()) with n rows starting at row lo,
+// row-major — the flat record layout of the ingest and catalog paths.
+func (s *Segment) ReadRows(dst []int32, lo, n int64) error {
 	if lo < 0 || n < 0 || lo+n > s.rows {
 		return fmt.Errorf("storage: segment read [%d,%d) out of %d rows", lo, lo+n, s.rows)
 	}
@@ -239,7 +196,7 @@ func (s *segment) ReadRows(dst []int32, lo, n int64) error {
 		for col := int64(0); col < cols; col++ {
 			off := s.chunkOffset(c) + (col*rc+in)*4
 			buf := s.scratch[:take*4]
-			if _, err := s.src.ReadAt(buf, off); err != nil {
+			if _, err := s.f.ReadAt(buf, off); err != nil {
 				return fmt.Errorf("storage: segment read: %w", err)
 			}
 			for r := int64(0); r < take; r++ {
@@ -253,7 +210,10 @@ func (s *segment) ReadRows(dst []int32, lo, n int64) error {
 	return nil
 }
 
-func (s *segment) ReadCols(dst [][]int32, lo, n int64) error {
+// ReadCols fills dst[c] (each len >= n) with column c of n rows starting
+// at row lo. The chunk interior is already column-major, so this is the
+// transpose-free path the executor's columnar batches load through.
+func (s *Segment) ReadCols(dst [][]int32, lo, n int64) error {
 	if lo < 0 || n < 0 || lo+n > s.rows {
 		return fmt.Errorf("storage: segment read [%d,%d) out of %d rows", lo, lo+n, s.rows)
 	}
@@ -286,13 +246,13 @@ func (s *segment) ReadCols(dst [][]int32, lo, n int64) error {
 			off := s.chunkOffset(c) + (col*rc+in)*4
 			d := dst[col][out : out+take]
 			if hostLittleEndian {
-				if _, err := s.src.ReadAt(int32Bytes(d), off); err != nil {
+				if _, err := s.f.ReadAt(int32Bytes(d), off); err != nil {
 					return fmt.Errorf("storage: segment read: %w", err)
 				}
 				continue
 			}
 			buf := s.scratch[:take*4]
-			if _, err := s.src.ReadAt(buf, off); err != nil {
+			if _, err := s.f.ReadAt(buf, off); err != nil {
 				return fmt.Errorf("storage: segment read: %w", err)
 			}
 			for r := int64(0); r < take; r++ {
@@ -306,37 +266,5 @@ func (s *segment) ReadCols(dst [][]int32, lo, n int64) error {
 	return nil
 }
 
-func (s *segment) ViewCols(dst [][]int32, lo, n int64) ([][]int32, bool) {
-	if s.mapped == nil || !hostLittleEndian || n <= 0 || lo < 0 || lo+n > s.rows {
-		return nil, false
-	}
-	c := lo / s.chunkRows
-	chunkLo := c * s.chunkRows
-	if lo+n > chunkLo+s.chunkRows {
-		return nil, false // range crosses into the next chunk
-	}
-	rc := s.chunkRows // rows resident in this chunk
-	if chunkLo+rc > s.rows {
-		rc = s.rows - chunkLo
-	}
-	in := lo - chunkLo
-	if int64(cap(dst)) >= int64(s.cols) {
-		dst = dst[:s.cols]
-	} else {
-		dst = make([][]int32, s.cols)
-	}
-	for col := int64(0); col < int64(s.cols); col++ {
-		off := s.chunkOffset(c) + (col*rc+in)*4
-		dst[col] = int32View(s.mapped[off : off+n*4])
-	}
-	return dst, true
-}
-
-func (s *segment) Close() error {
-	if s.closeSrc == nil {
-		return nil
-	}
-	err := s.closeSrc()
-	s.closeSrc = nil
-	return err
-}
+// Close releases the underlying file.
+func (s *Segment) Close() error { return s.f.Close() }

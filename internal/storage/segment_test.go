@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -37,55 +38,53 @@ func TestSegmentRoundTrip(t *testing.T) {
 			if err := WriteSegment(path, tc.cols, tc.chunkRows, want); err != nil {
 				t.Fatalf("WriteSegment: %v", err)
 			}
-			for _, useMmap := range []bool{false, true} {
-				seg, err := OpenSegment(path, useMmap)
-				if err != nil {
-					t.Fatalf("OpenSegment(mmap=%v): %v", useMmap, err)
+			seg, err := OpenSegment(path)
+			if err != nil {
+				t.Fatalf("OpenSegment: %v", err)
+			}
+			if seg.Rows() != int64(tc.rows) || seg.Cols() != tc.cols {
+				t.Fatalf("got %d rows x %d cols, want %d x %d",
+					seg.Rows(), seg.Cols(), tc.rows, tc.cols)
+			}
+			got := make([]int32, tc.rows*tc.cols)
+			if err := seg.ReadRows(got, 0, int64(tc.rows)); err != nil {
+				t.Fatalf("ReadRows: %v", err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("value %d: got %d want %d", i, got[i], want[i])
 				}
-				if seg.Rows() != int64(tc.rows) || seg.Cols() != tc.cols {
-					t.Fatalf("mmap=%v: got %d rows x %d cols, want %d x %d",
-						useMmap, seg.Rows(), seg.Cols(), tc.rows, tc.cols)
+			}
+			// Partial reads that straddle chunk boundaries.
+			if tc.rows > 2 {
+				lo, n := int64(1), int64(tc.rows-2)
+				part := make([]int32, n*int64(tc.cols))
+				if err := seg.ReadRows(part, lo, n); err != nil {
+					t.Fatalf("partial ReadRows: %v", err)
 				}
-				got := make([]int32, tc.rows*tc.cols)
-				if err := seg.ReadRows(got, 0, int64(tc.rows)); err != nil {
-					t.Fatalf("ReadRows: %v", err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("mmap=%v: value %d: got %d want %d", useMmap, i, got[i], want[i])
+				for i := range part {
+					if part[i] != want[int64(tc.cols)*lo+int64(i)] {
+						t.Fatalf("partial value %d mismatch", i)
 					}
 				}
-				// Partial reads that straddle chunk boundaries.
-				if tc.rows > 2 {
-					lo, n := int64(1), int64(tc.rows-2)
-					part := make([]int32, n*int64(tc.cols))
-					if err := seg.ReadRows(part, lo, n); err != nil {
-						t.Fatalf("partial ReadRows: %v", err)
-					}
-					for i := range part {
-						if part[i] != want[int64(tc.cols)*lo+int64(i)] {
-							t.Fatalf("mmap=%v: partial value %d mismatch", useMmap, i)
+				// The columnar path must agree with the row path.
+				colDst := make([][]int32, tc.cols)
+				for c := range colDst {
+					colDst[c] = make([]int32, n)
+				}
+				if err := seg.ReadCols(colDst, lo, n); err != nil {
+					t.Fatalf("partial ReadCols: %v", err)
+				}
+				for c := 0; c < tc.cols; c++ {
+					for r := int64(0); r < n; r++ {
+						if colDst[c][r] != want[(lo+r)*int64(tc.cols)+int64(c)] {
+							t.Fatalf("column %d row %d mismatch", c, r)
 						}
 					}
-					// The columnar path must agree with the row path.
-					colDst := make([][]int32, tc.cols)
-					for c := range colDst {
-						colDst[c] = make([]int32, n)
-					}
-					if err := seg.ReadCols(colDst, lo, n); err != nil {
-						t.Fatalf("partial ReadCols: %v", err)
-					}
-					for c := 0; c < tc.cols; c++ {
-						for r := int64(0); r < n; r++ {
-							if colDst[c][r] != want[(lo+r)*int64(tc.cols)+int64(c)] {
-								t.Fatalf("mmap=%v: column %d row %d mismatch", useMmap, c, r)
-							}
-						}
-					}
 				}
-				if err := seg.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
+			}
+			if err := seg.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
 			}
 		})
 	}
@@ -102,20 +101,45 @@ func TestSegmentRejectsCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bad magic.
-	bad := append([]byte(nil), raw...)
-	bad[0] ^= 0xff
-	badPath := filepath.Join(dir, "badmagic.seg")
-	os.WriteFile(badPath, bad, 0o644)
-	if _, err := OpenSegment(badPath, false); err == nil {
-		t.Fatal("expected bad-magic error")
+	header := func(cols, chunkRows uint32, rows uint64) []byte {
+		h := append([]byte(nil), raw[:segmentHeader]...)
+		binary.LittleEndian.PutUint32(h[8:], cols)
+		binary.LittleEndian.PutUint32(h[12:], chunkRows)
+		binary.LittleEndian.PutUint64(h[16:], rows)
+		return h
+	}
+	badMagic := append([]byte(nil), raw...)
+	badMagic[0] ^= 0xff
+	for name, file := range map[string][]byte{
+		"bad magic":         badMagic,
+		"truncated payload": raw[:len(raw)-4],
+		// 2^62 rows x 4 cols x 4 bytes wraps to 0 in int64: a bare header
+		// must not pass for a segment of that size.
+		"row count overflows the size check": header(4, 4, 1<<62),
+	} {
+		path := filepath.Join(dir, "bad.seg")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if seg, err := OpenSegment(path); err == nil {
+			seg.Close()
+			t.Errorf("%s: OpenSegment accepted the file", name)
+		}
 	}
 
-	// Truncated payload.
-	truncPath := filepath.Join(dir, "trunc.seg")
-	os.WriteFile(truncPath, raw[:len(raw)-4], 0o644)
-	if _, err := OpenSegment(truncPath, false); err == nil {
-		t.Fatal("expected truncation error")
+	// A valid empty segment may claim any chunk size; the read scratch is
+	// bounded by the rows the file can hold, not by the header's claim.
+	path = filepath.Join(dir, "hugechunk.seg")
+	if err := os.WriteFile(path, header(2, 1<<32-1, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(path)
+	if err != nil {
+		t.Fatalf("empty segment with a huge chunk size: %v", err)
+	}
+	defer seg.Close()
+	if len(seg.scratch) != 0 {
+		t.Fatalf("scratch for an empty segment is %d bytes", len(seg.scratch))
 	}
 }
 
