@@ -21,7 +21,7 @@ import (
 // that still had an interpreted and a kernel stepper, with both asserted to
 // produce it; regenerate only when a change to the charge model itself is
 // intended.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/accounting.golden.json")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*.golden.json file of each golden test that runs")
 
 const goldenPath = "testdata/accounting.golden.json"
 
