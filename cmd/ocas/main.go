@@ -9,7 +9,7 @@
 //	     -in R=hdd:1048576,S=hdd:65536 [-out hdd] \
 //	     [-commutative] [-depth 6] [-space 4000] \
 //	     [-strategy exhaustive|beam -beam 64] [-workers 0] \
-//	     [-c] [-json [-template-cache plans.json]] \
+//	     [-c] [-json] [-template-cache plans.json] \
 //	     [-run [-seed 1] [-batch 0] [-pool 0] [-exec-workers 1] [-explain] \
 //	           [-data DIR -table R=mytable,...]]
 //
@@ -19,12 +19,12 @@
 // With -json, ocas emits the canonical machine-readable plan encoding of
 // internal/plan instead of the human-readable report — byte-identical to
 // what the ocasd service serves for the same request, fingerprint included.
-// (The -json path enforces the service's knob bounds, and it always embeds
-// the generated C when the winning program is generable, so -c is implied.)
-// With -template-cache FILE, the -json path keeps a plan/template snapshot
-// across invocations: a request whose shape is already captured re-optimizes
-// at the new cardinalities instead of re-searching, and the emitted plan is
-// byte-identical to a cold run either way.
+// Both output modes print one *plan.Plan, built through plan.Compile exactly
+// as the daemon builds it (same validation, same knob bounds).
+// With -template-cache FILE, ocas keeps a plan/template snapshot across
+// invocations: a request whose shape is already captured re-optimizes at the
+// new cardinalities instead of re-searching, and the plan is byte-identical
+// to a cold run either way.
 //
 // With -run, the synthesized algorithm executes on the storage simulator.
 // Inputs are deterministically generated from -seed by default; -data DIR
@@ -44,33 +44,29 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"ocas/internal/catalog"
-	"ocas/internal/codegen"
-	"ocas/internal/core"
-	"ocas/internal/memory"
-	"ocas/internal/ocal"
 	"ocas/internal/plan"
 	"ocas/internal/plancache"
-	"ocas/internal/rules"
 )
 
 func main() {
 	var (
 		progPath  = flag.String("prog", "", "path to the naive OCAL program (- for stdin)")
-		hierName  = flag.String("hier", "hdd-ram", "hierarchy: hdd-ram|hdd-ram-cache|two-hdd|hdd-flash or a JSON file")
-		ramSize   = flag.Int64("ram", 32*int64(memory.MiB), "RAM size in bytes for built-in hierarchies")
+		hierName  = flag.String("hier", plan.DefaultHier, "hierarchy: hdd-ram|hdd-ram-cache|two-hdd|hdd-flash or a JSON file")
+		ramSize   = flag.Int64("ram", plan.DefaultRAM, "RAM size in bytes for built-in hierarchies")
 		inputs    = flag.String("in", "", "inputs as name=node:rows[:arity], comma separated")
 		output    = flag.String("out", "", "output node (empty = consumed by CPU)")
 		commut    = flag.Bool("commutative", true, "inputs may be reordered (enables order-inputs, hash-part)")
-		depth     = flag.Int("depth", 6, "maximum derivation length")
-		space     = flag.Int("space", 4000, "maximum search space size")
+		depth     = flag.Int("depth", plan.DefaultDepth, "maximum derivation length")
+		space     = flag.Int("space", plan.DefaultSpace, "maximum search space size")
 		strategy  = flag.String("strategy", "exhaustive", "search strategy: exhaustive (full BFS) or beam (bounded frontier)")
-		beam      = flag.Int("beam", 64, "beam width (frontier bound per depth, -strategy beam only)")
+		beam      = flag.Int("beam", plan.DefaultBeam, "beam width (frontier bound per depth, -strategy beam only)")
 		workers   = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 		emitC     = flag.Bool("c", false, "emit C code for the synthesized algorithm")
 		asJSON    = flag.Bool("json", false, "emit the canonical plan encoding (identical to the ocasd service response)")
-		tmplFile  = flag.String("template-cache", "", "plan/template cache snapshot file for -json: known request shapes re-optimize at the new sizes instead of re-searching; updated in place")
+		tmplFile  = flag.String("template-cache", "", "plan/template cache snapshot file: known request shapes re-optimize at the new sizes instead of re-searching; updated in place")
 		run       = flag.Bool("run", false, "execute the synthesized algorithm on the storage simulator with generated inputs")
 		seed      = flag.Int64("seed", 1, "input generator seed (-run)")
 		batch     = flag.Int64("batch", 0, "executor batch size in rows, 0 = default (-run)")
@@ -99,19 +95,25 @@ func main() {
 			die(err)
 		}
 	}
-	prog, err := ocal.ParseFile(string(src))
-	if err != nil {
-		die(err)
-	}
 
-	h, hierJSON, err := pickHierarchy(*hierName, *ramSize)
-	if err != nil {
-		die(err)
+	req := plan.Request{
+		Program:     string(src),
+		Inputs:      map[string]plan.Input{},
+		Output:      *output,
+		Commutative: commut,
+		Strategy:    *strategy,
+		Depth:       *depth,
+		Space:       *space,
+		Workers:     *workers,
 	}
-
-	spec := core.Spec{Name: "cli", Prog: prog, Commutative: *commut}
-	task := core.Task{InputLoc: map[string]string{}, InputRows: map[string]int64{}, Output: *output}
-	arities := map[string]int{}
+	if *strategy == "beam" {
+		req.Beam = *beam
+	}
+	if _, ok := plan.BuiltinHierarchy(*hierName, *ramSize); ok {
+		req.Hier, req.RAM = *hierName, *ramSize
+	} else if req.Hierarchy, err = os.ReadFile(*hierName); err != nil {
+		die(fmt.Errorf("unknown hierarchy %q and not a readable file: %w", *hierName, err))
+	}
 	for _, part := range strings.Split(*inputs, ",") {
 		name, rest, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
@@ -121,96 +123,63 @@ func main() {
 		if len(fields) < 2 {
 			die(fmt.Errorf("bad input spec %q (want name=node:rows[:arity])", part))
 		}
-		rows, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		in := plan.Input{Node: fields[0]}
+		if in.Rows, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
 			die(err)
 		}
-		arity := 2
 		if len(fields) >= 3 {
-			a, err := strconv.Atoi(fields[2])
-			if err != nil {
+			if in.Arity, err = strconv.Atoi(fields[2]); err != nil {
 				die(err)
 			}
-			arity = a
 		}
-		typ := ocal.Type(ocal.TList(ocal.TTuple(ocal.TInt, ocal.TInt)))
-		if arity == 1 {
-			typ = ocal.TList(ocal.TInt)
-		}
-		spec.Inputs = append(spec.Inputs, core.InputSpec{Name: name, Type: typ, Arity: arity})
-		task.InputLoc[name] = fields[0]
-		task.InputRows[name] = rows
-		arities[name] = arity
+		req.Inputs[name] = in
 	}
-	task.Spec = spec
-
+	c, err := plan.Compile(req)
+	if err != nil {
+		die(err)
+	}
 	tables, cat, err := openTableBindings(*dataDir, *tableSpec, *run)
 	if err != nil {
 		die(err)
 	}
 
-	if *asJSON {
-		req := plan.Request{
-			Program:     string(src),
-			Inputs:      map[string]plan.Input{},
-			Output:      *output,
-			Commutative: commut,
-			Strategy:    *strategy,
-			Depth:       *depth,
-			Space:       *space,
-			Workers:     *workers,
+	// One road to the plan, the daemon's: the two-tier store, loaded from and
+	// saved back to the -template-cache file when there is one.
+	start := time.Now()
+	store := plancache.NewStore(1024, 64)
+	if *tmplFile != "" {
+		if err := store.Load(*tmplFile); err != nil {
+			die(err)
 		}
-		if *strategy == "beam" {
-			req.Beam = *beam
+	}
+	p, _, err := store.Resolve(context.Background(), c.Fingerprint, c.TemplateFingerprint,
+		plancache.ResolveFuncs{Synthesize: c.Run, Capture: c.RunCapture, Instantiate: c.Instantiate})
+	if err != nil {
+		die(err)
+	}
+	elapsed := time.Since(start)
+	if *tmplFile != "" {
+		if err := store.Save(*tmplFile); err != nil {
+			die(err)
 		}
-		if hierJSON != nil {
-			req.Hierarchy = hierJSON
-		} else {
-			req.Hier, req.RAM = *hierName, *ramSize
-		}
-		for name, node := range task.InputLoc {
-			req.Inputs[name] = plan.Input{Node: node, Rows: task.InputRows[name], Arity: arities[name]}
-		}
-		c, err := plan.Compile(req)
+	}
+	var rep *plan.ExecReport
+	if *run {
+		rep, err = plan.ExecutePlan(context.Background(), c, p,
+			plan.ExecOptions{Seed: *seed, BatchRows: *batch, PoolBytes: *poolB, ExecWorkers: *execW,
+				Explain: *explain, Tables: tables, Cat: cat})
 		if err != nil {
 			die(err)
 		}
-		var p *plan.Plan
-		if *tmplFile != "" {
-			store := plancache.NewStore(1024, 64)
-			if err := store.Load(*tmplFile); err != nil {
-				die(err)
-			}
-			p, _, err = store.Resolve(context.Background(), c.Fingerprint, c.TemplateFingerprint,
-				plancache.ResolveFuncs{
-					Synthesize:  c.Run,
-					Capture:     c.RunCapture,
-					Instantiate: c.Instantiate,
-				})
-			if err != nil {
-				die(err)
-			}
-			if err := store.Save(*tmplFile); err != nil {
-				die(err)
-			}
-		} else {
-			p, err = c.Run(context.Background())
-			if err != nil {
-				die(err)
-			}
-		}
+	}
+
+	if *asJSON {
 		if !*run {
 			os.Stdout.Write(plan.Encode(p))
 			return
 		}
 		// -run -json: the canonical plan plus the execution report. (The
 		// bare -json output stays byte-identical to the ocasd response.)
-		rep, err := plan.ExecutePlan(context.Background(), c, p,
-			plan.ExecOptions{Seed: *seed, BatchRows: *batch, PoolBytes: *poolB, ExecWorkers: *execW,
-				Explain: *explain, Tables: tables, Cat: cat})
-		if err != nil {
-			die(err)
-		}
 		out := struct {
 			Plan *plan.Plan       `json:"plan"`
 			Exec *plan.ExecReport `json:"exec"`
@@ -223,54 +192,28 @@ func main() {
 		return
 	}
 
-	synth := &core.Synthesizer{H: h, MaxDepth: *depth, MaxSpace: *space, Workers: *workers}
-	switch *strategy {
-	case "", "exhaustive":
-	case "beam":
-		synth.Strategy = &rules.Beam{Width: *beam}
-	default:
-		die(fmt.Errorf("unknown -strategy %q (want exhaustive or beam)", *strategy))
-	}
-	res, err := synth.Synthesize(task)
-	if err != nil {
-		die(err)
-	}
-
 	fmt.Println("== hierarchy ==")
-	fmt.Print(h.String())
+	fmt.Print(c.H.String())
 	fmt.Println("== specification ==")
-	fmt.Println(ocal.String(prog))
-	fmt.Printf("   estimated cost: %.6g s\n", res.SpecSeconds)
+	fmt.Println(p.Spec)
+	fmt.Printf("   estimated cost: %.6g s\n", p.SpecSeconds)
 	fmt.Println("== synthesized algorithm ==")
-	fmt.Println(ocal.String(res.Best.Expr))
-	fmt.Printf("   derivation:     %s\n", strings.Join(res.Best.Steps, " -> "))
-	fmt.Printf("   parameters:     %v\n", res.Best.Params)
-	fmt.Printf("   estimated cost: %.6g s (%.1fx better)\n",
-		res.Best.Seconds, res.SpecSeconds/res.Best.Seconds)
+	fmt.Println(p.Program)
+	fmt.Printf("   derivation:     %s\n", strings.Join(p.Derivation, " -> "))
+	fmt.Printf("   parameters:     %v\n", p.Params)
+	fmt.Printf("   estimated cost: %.6g s (%.1fx better)\n", p.Seconds, p.Speedup)
 	fmt.Printf("   search space:   %d programs, %d steps, synthesized in %s\n",
-		res.Stats.SpaceSize, len(res.Best.Steps), res.Elapsed)
+		p.SearchSpace, len(p.Derivation), elapsed)
 
 	if *emitC {
-		csrc, err := codegen.Generate(res.Best.Expr, codegen.Options{
-			FuncName:   "ocas_query",
-			Params:     res.Best.Params,
-			InputArity: arities,
-			Output:     *output != "",
-		})
-		if err != nil {
-			die(err)
+		if p.C == "" {
+			die(fmt.Errorf("-c: the synthesized algorithm uses a construct the C generator does not support"))
 		}
 		fmt.Println("== generated C ==")
-		fmt.Print(csrc)
+		fmt.Print(p.C)
 	}
 
-	if *run {
-		rep, err := plan.RunProgram(context.Background(), h, res.Best.Expr, res.Best.Params, task,
-			plan.ExecOptions{Seed: *seed, BatchRows: *batch, PoolBytes: *poolB, ExecWorkers: *execW,
-				Explain: *explain, Tables: tables, Cat: cat})
-		if err != nil {
-			die(err)
-		}
+	if rep != nil {
 		fmt.Println("== execution ==")
 		fmt.Printf("   input rows:     %v\n", rep.InputRows)
 		if rep.Result != "" {
@@ -278,7 +221,7 @@ func main() {
 		}
 		fmt.Printf("   output rows:    %d (digest %s)\n", rep.OutRows, rep.OutDigest[:16])
 		fmt.Printf("   measured cost:  %.6g s (estimated %.6g s)\n",
-			rep.VirtualSeconds, res.Best.Seconds)
+			rep.VirtualSeconds, p.Seconds)
 		for _, name := range sortedKeys(rep.Devices) {
 			d := rep.Devices[name]
 			fmt.Printf("   %-8s reads: %d inits / %d B   writes: %d inits / %d B\n",
@@ -307,21 +250,6 @@ func sortedKeys(m map[string]plan.DeviceReport) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// pickHierarchy resolves -hier: a built-in name (rawJSON nil) or a JSON
-// file, whose bytes are also returned so the -json path can embed them in
-// the request without a second read.
-func pickHierarchy(name string, ram int64) (h *memory.Hierarchy, rawJSON []byte, err error) {
-	if h, ok := plan.BuiltinHierarchy(name, ram); ok {
-		return h, nil, nil
-	}
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return nil, nil, fmt.Errorf("unknown hierarchy %q and not a readable file: %w", name, err)
-	}
-	h, err = memory.FromJSON(data)
-	return h, data, err
 }
 
 // openTableBindings resolves -data and -table into the ExecOptions fields

@@ -9,7 +9,7 @@
 //	      [-strategy beam -beam 64] [-workers 0] [-max-inflight 2] [-timeout 60s] \
 //	      [-max-exec-rows 1048576] [-exec-workers 4] [-max-worker-slots 8] \
 //	      [-pprof ADDR] \
-//	      [-trace-ring 256] [-trace-log traces.jsonl] [-log-json] [-access-log] [-no-obs]
+//	      [-trace-ring 256] [-trace-log traces.jsonl] [-log-json] [-access-log]
 //
 // Endpoints (see internal/service):
 //
@@ -42,8 +42,8 @@
 // written back on SIGINT/SIGTERM, so a restarted daemon keeps serving warm.
 // A missing or corrupt snapshot is logged and the daemon starts cold; a
 // failed save at shutdown is logged and exits nonzero.
-// The template tier (-template-cache, on by default) memoizes the winning
-// derivation per request *shape*, so a known shape at new input
+// The template tier (-template-cache sizes it) memoizes the search space
+// per request *shape*, so a known shape at new input
 // cardinalities re-optimizes in milliseconds instead of re-searching.
 //
 // With -data, the daemon opens the durable table catalog rooted at that
@@ -79,7 +79,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
-		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (0 disables the tier)")
+		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
 		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown)")
 		strategy    = flag.String("strategy", "", "default search strategy for requests that don't choose one: exhaustive or beam")
 		beam        = flag.Int("beam", 0, "default beam width (with -strategy beam)")
@@ -96,7 +96,6 @@ func main() {
 		traceLog    = flag.String("trace-log", "", "append every finished request trace to this file, one JSON line each")
 		logJSON     = flag.Bool("log-json", false, "emit the access log as JSON lines instead of text")
 		accessLog   = flag.Bool("access-log", true, "log one structured line per request (method, path, status, duration, request ID)")
-		disableObs  = flag.Bool("no-obs", false, "disable per-request tracing, latency histograms and access logging")
 	)
 	flag.Parse()
 	switch *strategy {
@@ -150,8 +149,7 @@ func main() {
 		TraceRing:         *traceRing,
 		TraceLog:          traceSink,
 		AccessLog:         logger,
-		DisableObs:        *disableObs,
-	}, nil)
+	})
 	store := srv.Store()
 	if *persist != "" {
 		if err := store.Load(*persist); err != nil {

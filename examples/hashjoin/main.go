@@ -78,7 +78,7 @@ func main() {
 	}
 	ref := &exec.Sink{Sim: sim2}
 	bnl := &exec.BNLJoin{L: exec.TableInput(ld(rRows, 1)), R: exec.TableInput(ld(sRows, 2)),
-		K1: 1 << 16, K2: 1 << 16, Pred: exec.EqPred(0, 0), EquiKeys: &[2]int{0, 0}}
+		K1: 1 << 16, K2: 1 << 16, EquiKeys: &[2]int{0, 0}}
 	refProg := exec.NewProgram(bnl, exec.LowerOpts{Sim: sim2, Scratch: dev2, Sink: ref})
 	if err := refProg.Run(); err != nil {
 		log.Fatal(err)

@@ -12,24 +12,27 @@ import (
 
 	"ocas/internal/cost"
 	"ocas/internal/obs"
+	"ocas/internal/ocal"
 	"ocas/internal/opt"
 	"ocas/internal/par"
 	"ocas/internal/rules"
 )
 
-// This file implements plan templates at the synthesizer level. A Capture
-// retains what a full synthesis discovered but a fresh request at different
-// input cardinalities could reuse: the explored search space, the symbolic
+// This file is the cardinality-dependent half of the synthesizer, and the
+// only implementation of it. A Capture retains what a search discovered that
+// does not depend on input cardinalities: the explored space, the symbolic
 // cost formula of every member (cardinalities are free variables in those
 // formulas — cost.Placement binds each input to sym.V("card_...")), and the
-// beam's pruning decisions. Replay.Instantiate then re-runs only the
-// cardinality-dependent phases — heuristic screening and non-linear parameter
-// optimization — over the retained space, producing a Synthesis bit-identical
-// to what SynthesizeCtx would compute from scratch, provided the search space
-// itself would be unchanged. The rewrite rules never read cardinalities, so
-// an exhaustive space is unchanged by construction; a beam's space depends on
-// its cost-based pruning, which the recorded trace re-verifies at the new
-// cardinalities (ErrStaleCapture on any divergence).
+// beam's pruning decisions. Its screen and optimize methods run heuristic
+// screening and non-linear parameter optimization over that space for one
+// task. A cold synthesis is a search followed by one such run over the space
+// it just found; a template hit (Replay.Instantiate) is the same run over a
+// space found earlier, with the compiled formulas kept between hits, valid
+// provided a search at the new cardinalities would find the same space. The
+// rewrite rules never read cardinalities, so an exhaustive space is unchanged
+// by construction; a beam's space depends on its cost-based pruning, which
+// the recorded trace re-verifies at the new cardinalities (ErrStaleCapture on
+// any divergence).
 
 // CaptureLimit bounds the size of a captured search space. Retaining the
 // cost formulas of every member is what makes instantiation cheap, but it
@@ -48,9 +51,9 @@ const maxCompiledCache = 512
 var ErrStaleCapture = errors.New("core: captured search space is stale at these cardinalities")
 
 // Capture is the reusable part of one synthesis run. Costs is aligned with
-// Space (nil entry = the program could not be costed); a nil Costs slice
-// (a capture restored from persistence) is rebuilt deterministically on
-// first instantiation via cost.Estimate.
+// Space (nil entry = the program could not be costed); a nil Costs slice (a
+// space fresh out of the search, or a capture restored from persistence) is
+// filled by the first screening pass.
 type Capture struct {
 	Space []rules.Derivation
 	Costs []*cost.Result
@@ -78,30 +81,34 @@ func (s *Synthesizer) capturable() bool {
 	return false
 }
 
-// SynthesizeCapture is SynthesizeCtx, additionally returning the run's
-// Capture for template reuse. The Synthesis is identical to SynthesizeCtx's.
-// The capture is nil when the run is not capturable (custom strategy or
-// beam rank, or a space larger than CaptureLimit).
-func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis, *Capture, error) {
-	return s.synthesize(ctx, t, true)
+// Replay instantiates one Capture again and again, keeping its compiled
+// formulas between calls. Safe for concurrent use; instantiations are
+// serialized internally (the compiled formulas carry per-instance evaluation
+// scratch).
+type Replay struct {
+	mu sync.Mutex
+	cp *Capture
+	fc formulaCache
 }
 
-// Replay instantiates one Capture at varying cardinalities. Safe for
-// concurrent use; instantiations are serialized internally (the compiled
-// formulas carry per-instance evaluation scratch).
-type Replay struct {
-	mu   sync.Mutex
-	cp   *Capture
+// formulaCache holds a capture's compiled formulas across instantiations.
+// The phases take a *formulaCache and treat nil as "compile, use, drop": a
+// cold run visits every formula once, and holding the compilations until the
+// run ends would only raise its peak heap.
+type formulaCache struct {
 	lite []*cost.CompiledFormulas // screening formulas, aligned with Space
 	bind [][]int32                // per-member fixed-variable slot bindings
 	keys []string                 // sorted fixed-env keys the bindings cover
-	full map[int]*opt.Compiled
+	full map[int]*opt.Compiled    // optimizer formulas by space index
 }
 
 // NewReplay wraps a capture for instantiation.
 func NewReplay(cp *Capture) *Replay {
-	return &Replay{cp: cp, full: map[int]*opt.Compiled{}}
+	return &Replay{cp: cp, fc: formulaCache{full: map[int]*opt.Compiled{}}}
 }
+
+// Capture is the space the replay runs over (for persistence).
+func (r *Replay) Capture() *Capture { return r.cp }
 
 // Instantiate re-runs the cardinality-dependent synthesis phases over the
 // captured space for task t: heuristic screening of every member, the beam
@@ -120,79 +127,132 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if r.cp.Costs == nil {
-		r.rebuildCosts(s, t)
+	// cost.Estimate is a pure function of (hierarchy, placement, program),
+	// and the caller's guards ensure both match the capturing request, so the
+	// formulas a restored capture rebuilds equal the captured ones.
+	short, err := r.cp.screen(ctx, s, t, &r.fc, s.estimator(t))
+	if err != nil {
+		return nil, err
 	}
-	space, costs := r.cp.Space, r.cp.Costs
+	res, err := r.cp.optimize(ctx, s, t, &r.fc, short)
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// estimator costs one program of t's search space from scratch; nil means
+// the program cannot be costed.
+func (s *Synthesizer) estimator(t Task) func(ocal.Expr) *cost.Result {
+	place := s.placement(t)
+	return func(e ocal.Expr) *cost.Result {
+		res, err := cost.Estimate(s.H, place, e)
+		if err != nil {
+			return nil
+		}
+		return res
+	}
+}
+
+// shortlist is the outcome of screening: the space indices worth the
+// non-linear solver, cheapest screening cost first, and the screening cost
+// of the specification itself (member 0).
+type shortlist struct {
+	idx         []int
+	specSeconds float64
+	specCost    *cost.Result
+}
+
+// screen is Phase 1: cost every member with a heuristic parameter guess (the
+// paper's single-loop heuristic: blocks as large as the constraints allow,
+// split evenly), verify the beam trace under those costs, and keep the
+// ScreenTop cheapest. Members are independent, so they are costed
+// concurrently; collecting by space index keeps the order — and hence the
+// screening tie-breaks — identical to a sequential run. estimate supplies the
+// cost formula of a member the capture does not hold one for yet.
+func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, estimate func(ocal.Expr) *cost.Result) (shortlist, error) {
+	space := cp.Space
 	fixed := s.fixedEnv(t)
 	screenTop := s.ScreenTop
 	if screenTop <= 0 {
 		screenTop = 48
 	}
 
-	// Phase 1 replay: the screening seconds of every member under the new
-	// cardinalities, via the same feasibility-repair loop the cold pass uses
-	// (same formulas, same float operations, same order — bit-identical
-	// seconds). The lite compilations and their fixed-variable slot bindings
-	// are cached across instantiations; re-binding cannot change a single
-	// evaluation, because slot layout is a function of the formulas alone
-	// and fixed values live in slots, never in the instruction tape.
+	// The formulas are compiled with the fixed variables unbound and bound
+	// through slots per task; a cached compilation re-bound to new values
+	// cannot differ in a single evaluation from a fresh one, because slot
+	// layout is a function of the formulas alone and fixed values live in
+	// slots, never in the instruction tape.
 	fixedKeys := make([]string, 0, len(fixed))
 	for k := range fixed {
 		fixedKeys = append(fixedKeys, k)
 	}
 	sort.Strings(fixedKeys)
-	if r.lite == nil || !slices.Equal(fixedKeys, r.keys) {
-		r.lite = make([]*cost.CompiledFormulas, len(space))
-		r.bind = make([][]int32, len(space))
-		r.keys = fixedKeys
-	}
 	fixedVals := make([]float64, len(fixedKeys))
 	for i, k := range fixedKeys {
 		fixedVals[i] = fixed[k]
 	}
-	type screened struct {
-		idx     int
-		seconds float64
+	if fc != nil && (fc.lite == nil || !slices.Equal(fixedKeys, fc.keys)) {
+		fc.lite = make([]*cost.CompiledFormulas, len(space))
+		fc.bind = make([][]int32, len(space))
+		fc.keys = fixedKeys
 	}
-	// The two replayed phases carry the cold path's span names, so a
-	// template-hit trace attributes its time to the same layers.
+
 	_, spScreen := obs.Start(ctx, "synth.screen")
+	costs := cp.Costs
+	fresh := costs == nil
+	if fresh {
+		costs = make([]*cost.Result, len(space))
+	}
 	secs := make([]float64, len(space))
-	scr := make([]screened, 0, len(space))
-	var paramBuf [16]int64
-	var specSeconds float64
-	var specCost *cost.Result
-	for i := range space {
+	par.For(s.Workers, len(space), func(i int) {
+		secs[i] = math.Inf(1)
+		if ctx.Err() != nil {
+			return
+		}
+		if fresh {
+			costs[i] = estimate(space[i].Expr)
+		}
 		res := costs[i]
 		if res == nil {
-			secs[i] = math.Inf(1)
-			continue
+			return
 		}
-		cf := r.lite[i]
+		var cf *cost.CompiledFormulas
+		var bind []int32
+		if fc != nil {
+			cf, bind = fc.lite[i], fc.bind[i]
+		}
 		if cf == nil {
 			cf = cost.CompileFormulas(res.Seconds, res.Constraints, res.Params, nil, true)
-			r.lite[i] = cf
-			r.bind[i] = cf.Binding(r.keys)
+			bind = cf.Binding(fixedKeys)
+			if fc != nil {
+				fc.lite[i], fc.bind[i] = cf, bind
+			}
 		}
-		cf.SetBound(r.bind[i], fixedVals)
-		_, sec := heuristicPoint(cf, res.Params, paramBuf[:0])
-		if math.IsNaN(sec) {
-			sec = math.Inf(1)
+		cf.SetBound(bind, fixedVals)
+		if sec := heuristicPoint(cf, len(res.Params)); !math.IsNaN(sec) {
+			secs[i] = sec
 		}
-		secs[i] = sec
-		if i == 0 {
-			specSeconds = sec
-			specCost = res
+	})
+	if err := ctx.Err(); err != nil {
+		spScreen.End()
+		return shortlist{}, err
+	}
+	cp.Costs = costs
+	var short shortlist
+	if costs[0] != nil {
+		short.specSeconds, short.specCost = secs[0], costs[0]
+	}
+	var scr []int
+	for i, res := range costs {
+		if res != nil {
+			scr = append(scr, i)
 		}
-		scr = append(scr, screened{idx: i, seconds: sec})
 	}
 	spScreen.Attr("candidates", len(space))
 	spScreen.Attr("costed", len(scr))
 	spScreen.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
 	// Beam trace check: re-rank each recorded level block with the new
 	// screening seconds (the beam's rank is exactly the screening cost) and
@@ -200,10 +260,10 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 	// dedup never read cardinalities, so matching prunes imply — level by
 	// level — the identical frontier sequence, and hence the identical
 	// space a fresh search would discover.
-	for _, lvl := range r.cp.Trace {
+	for _, lvl := range cp.Trace {
 		if lvl.Start < 0 || lvl.End > len(space) || lvl.Start >= lvl.End ||
 			len(lvl.Kept) > lvl.End-lvl.Start {
-			return nil, ErrStaleCapture
+			return shortlist{}, ErrStaleCapture
 		}
 		idx := make([]int, lvl.End-lvl.Start)
 		for j := range idx {
@@ -214,29 +274,46 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 		})
 		for i, want := range lvl.Kept {
 			if idx[i] != want {
-				return nil, ErrStaleCapture
+				return shortlist{}, ErrStaleCapture
 			}
 		}
 	}
 
 	if len(scr) == 0 {
-		return nil, fmt.Errorf("core: no program could be costed")
+		return shortlist{}, fmt.Errorf("core: no program could be costed")
 	}
-	sort.SliceStable(scr, func(i, j int) bool { return scr[i].seconds < scr[j].seconds })
+	sort.SliceStable(scr, func(i, j int) bool { return secs[scr[i]] < secs[scr[j]] })
 	if len(scr) > screenTop {
 		scr = scr[:screenTop]
 	}
+	short.idx = scr
+	return short, nil
+}
 
-	// Phase 2 replay: full parameter optimization of the shortlist over
-	// precompiled formulas (opt.Precompile caches the compile; the
-	// minimization trajectory is bit-identical to a fresh opt.Minimize).
+// optimize is Phase 2: full parameter optimization of the shortlist, one
+// candidate per worker (the minimization trajectory does not depend on
+// whether the compiled formulas came out of the cache). The winner is picked
+// by a sequential scan in shortlist order so ties resolve exactly as they
+// would sequentially.
+func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) (*Synthesis, error) {
+	space, costs := cp.Space, cp.Costs
+	fixed := s.fixedEnv(t)
 	_, spOpt := obs.Start(ctx, "synth.optimize")
-	cands := make([]*Candidate, len(scr))
-	for i, sh := range scr {
-		if ctx.Err() != nil {
-			break
+	// compiled carries cache hits in and, when there is a cache, fresh
+	// compilations out: the map is not written from the workers.
+	var compiled []*opt.Compiled
+	if fc != nil {
+		compiled = make([]*opt.Compiled, len(short.idx))
+		for i, idx := range short.idx {
+			compiled[i] = fc.full[idx]
 		}
-		res := costs[sh.idx]
+	}
+	cands := make([]*Candidate, len(short.idx))
+	par.For(s.Workers, len(short.idx), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		res := costs[short.idx[i]]
 		prob := opt.Problem{
 			Objective:   res.Seconds,
 			Constraints: res.Constraints,
@@ -244,18 +321,21 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 			Fixed:       fixed,
 			Hi:          paramUpperBounds(res.Params, t),
 		}
-		oc := r.full[sh.idx]
-		if oc == nil {
-			oc = opt.Precompile(prob)
-			if len(r.full) < maxCompiledCache {
-				r.full[sh.idx] = oc
+		var c *opt.Compiled
+		if fc != nil {
+			c = compiled[i]
+		}
+		if c == nil {
+			c = opt.Precompile(prob)
+			if fc != nil {
+				compiled[i] = c
 			}
 		}
-		rr, err := oc.Minimize(prob)
+		rr, err := c.Minimize(prob)
 		if err != nil {
-			continue
+			return
 		}
-		d := space[sh.idx]
+		d := space[short.idx[i]]
 		cands[i] = &Candidate{
 			Expr:    d.Expr,
 			Steps:   d.Steps,
@@ -263,8 +343,16 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 			Seconds: rr.Seconds,
 			Cost:    res,
 		}
+	})
+	for i, c := range compiled {
+		if len(fc.full) >= maxCompiledCache {
+			break
+		}
+		if c != nil {
+			fc.full[short.idx[i]] = c
+		}
 	}
-	spOpt.Attr("shortlist", len(scr))
+	spOpt.Attr("shortlist", len(short.idx))
 	spOpt.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -284,25 +372,9 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 	}
 	return &Synthesis{
 		Best:        best,
-		SpecSeconds: specSeconds,
-		SpecCost:    specCost,
-		Stats:       r.cp.Stats,
-		Elapsed:     time.Since(start),
+		SpecSeconds: short.specSeconds,
+		SpecCost:    short.specCost,
+		Stats:       cp.Stats,
 		Explored:    len(space),
 	}, nil
-}
-
-// rebuildCosts recomputes the per-member cost formulas of a persisted
-// capture. cost.Estimate is a pure function of (hierarchy, placement,
-// program), and the caller's guards ensure both match the capturing request,
-// so the rebuilt formulas equal the captured ones.
-func (r *Replay) rebuildCosts(s *Synthesizer, t Task) {
-	place := s.placement(t)
-	costs := make([]*cost.Result, len(r.cp.Space))
-	par.For(s.Workers, len(r.cp.Space), func(i int) {
-		if res, err := cost.Estimate(s.H, place, r.cp.Space[i].Expr); err == nil {
-			costs[i] = res
-		}
-	})
-	r.cp.Costs = costs
 }

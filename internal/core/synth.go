@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -12,8 +10,6 @@ import (
 	"ocas/internal/memory"
 	"ocas/internal/obs"
 	"ocas/internal/ocal"
-	"ocas/internal/opt"
-	"ocas/internal/par"
 	"ocas/internal/rules"
 	sym "ocas/internal/symbolic"
 )
@@ -142,15 +138,17 @@ func (s *Synthesizer) Synthesize(t Task) (*Synthesis, error) {
 // ctx.Err(). Partial results are never returned — a served plan is always
 // the plan a complete run would have produced.
 func (s *Synthesizer) SynthesizeCtx(ctx context.Context, t Task) (*Synthesis, error) {
-	res, _, err := s.synthesize(ctx, t, false)
+	res, _, err := s.SynthesizeCapture(ctx, t)
 	return res, err
 }
 
-// synthesize is the full pipeline; when capture is set (and the strategy is
-// capturable, and the space fits CaptureLimit) it additionally retains the
-// search space, per-member cost formulas and beam pruning trace for template
-// replay.
-func (s *Synthesizer) synthesize(ctx context.Context, t Task, capture bool) (*Synthesis, *Capture, error) {
+// SynthesizeCapture is SynthesizeCtx, additionally returning a Replay over
+// what the run captured — the search space with every member's cost formula
+// and the beam pruning trace — so that later requests at other cardinalities
+// can Instantiate it instead of searching. The replay is nil when the run is
+// not capturable (custom strategy or beam rank, or a space larger than
+// CaptureLimit).
+func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis, *Replay, error) {
 	start := time.Now()
 	maxDepth := s.MaxDepth
 	if maxDepth <= 0 {
@@ -159,10 +157,6 @@ func (s *Synthesizer) synthesize(ctx context.Context, t Task, capture bool) (*Sy
 	maxSpace := s.MaxSpace
 	if maxSpace <= 0 {
 		maxSpace = 20000
-	}
-	screenTop := s.ScreenTop
-	if screenTop <= 0 {
-		screenTop = 48
 	}
 	rls := s.Rules
 	if rls == nil {
@@ -182,36 +176,25 @@ func (s *Synthesizer) synthesize(ctx context.Context, t Task, capture bool) (*Sy
 	for _, in := range t.Spec.Inputs {
 		rctx.InputLoc[in.Name] = t.InputLoc[in.Name]
 	}
-	place := s.placement(t)
-	sc := &screener{s: s, place: place, fixed: s.fixedEnv(t), keys: keys,
-		costs: cost.NewMemo(s.H, place), memo: map[uint64]*screenEstimate{}}
-	fixed := sc.fixed
-	usesMemo := false
-	switch s.Strategy.(type) {
-	case *rules.Beam, rules.Beam:
-		// The beam's rank pre-costs every frontier it prunes; Phase 1 then
-		// reads those estimates back out of the memo.
-		usesMemo = true
-	}
+	sc := &screener{fixed: s.fixedEnv(t), keys: keys,
+		costs: cost.NewMemo(s.H, s.placement(t)), memo: map[uint64]*screenEstimate{}}
 
-	capture = capture && s.capturable()
-	var trace []rules.TraceLevel
-	var tracePtr *[]rules.TraceLevel
-	if capture {
-		tracePtr = &trace
+	capturable := s.capturable()
+	cp := &Capture{}
+	var trace *[]rules.TraceLevel
+	if capturable {
+		trace = &cp.Trace
 	}
-
-	strat := s.strategy(sc, tracePtr)
 	_, spSearch := obs.Start(ctx, "synth.search")
-	space, stats := strat.Search(ctx, t.Spec.Prog, rls, rctx, maxDepth, maxSpace)
+	cp.Space, cp.Stats = s.strategy(sc, trace).Search(ctx, t.Spec.Prog, rls, rctx, maxDepth, maxSpace)
 	if spSearch != nil {
-		spSearch.Attr("space", stats.SpaceSize)
-		spSearch.Attr("maxDepth", stats.MaxDepth)
-		if stats.Truncated {
+		spSearch.Attr("space", cp.Stats.SpaceSize)
+		spSearch.Attr("maxDepth", cp.Stats.MaxDepth)
+		if cp.Stats.Truncated {
 			spSearch.Attr("truncated", true)
 		}
-		levels := make([]map[string]int, 0, len(stats.Levels))
-		for _, lv := range stats.Levels {
+		levels := make([]map[string]int, 0, len(cp.Stats.Levels))
+		for _, lv := range cp.Stats.Levels {
 			levels = append(levels, map[string]int{
 				"depth": lv.Depth, "expanded": lv.Expanded,
 				"deduped": lv.Deduped, "kept": lv.Kept,
@@ -224,157 +207,52 @@ func (s *Synthesizer) synthesize(ctx context.Context, t Task, capture bool) (*Sy
 		return nil, nil, err
 	}
 
-	// Phase 1: cost every program with a heuristic parameter guess (the
-	// paper's single-loop heuristic: blocks as large as the constraints
-	// allow, split evenly). Candidates are independent, so they are costed
-	// concurrently; collecting by search index keeps the order — and hence
-	// the screening tie-breaks — identical to a sequential run. A beam
-	// search already costed the frontiers it ranked: those estimates come
-	// out of the screener's memo.
-	type screened struct {
-		idx     int
-		res     *cost.Result
-		guess   map[string]int64
-		seconds float64
+	// The rest is what a template hit runs over a space found earlier. A beam
+	// search already costed the frontiers it ranked: those formulas come out
+	// of the screener's memo. An exhaustive, alpha-deduped space never repeats
+	// a program, so there the memo could only add overhead.
+	var estimate func(ocal.Expr) *cost.Result
+	switch s.Strategy.(type) {
+	case *rules.Beam, rules.Beam:
+		estimate = func(e ocal.Expr) *cost.Result { return sc.estimate(e).res }
+	default:
+		estimate = s.estimator(t)
 	}
-	_, spScreen := obs.Start(ctx, "synth.screen")
-	costed := make([]*screened, len(space))
-	par.For(s.Workers, len(space), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		var est *screenEstimate
-		if usesMemo {
-			est = sc.estimate(space[i].Expr)
-		} else {
-			est = sc.estimateUncached(space[i].Expr)
-		}
-		if est.res == nil {
-			return
-		}
-		costed[i] = &screened{idx: i, res: est.res, guess: est.guess, seconds: est.seconds}
-	})
-	var scr []screened
-	var specSeconds float64
-	var specCost *cost.Result
-	for i, c := range costed {
-		if c == nil {
-			continue
-		}
-		if i == 0 {
-			specSeconds = c.seconds
-			specCost = c.res
-		}
-		scr = append(scr, *c)
-	}
-	if spScreen != nil {
-		spScreen.Attr("candidates", len(space))
-		spScreen.Attr("costed", len(scr))
-		spScreen.End()
-	}
-	if err := ctx.Err(); err != nil {
+	short, err := cp.screen(ctx, s, t, nil, estimate)
+	if err != nil {
 		return nil, nil, err
 	}
-	var cp *Capture
-	if capture && len(space) <= CaptureLimit {
+	// A retained run leaves with a Replay over its capture; the span marks
+	// that in the trace.
+	var r *Replay
+	if capturable && len(cp.Space) <= CaptureLimit {
 		_, spCap := obs.Start(ctx, "synth.capture")
-		costs := make([]*cost.Result, len(space))
-		for i, c := range costed {
-			if c != nil {
-				costs[i] = c.res
-			}
-		}
-		cp = &Capture{Space: space, Costs: costs, Stats: stats, Trace: trace}
-		if spCap != nil {
-			spCap.Attr("space", len(space))
-			spCap.End()
-		}
+		spCap.Attr("space", len(cp.Space))
+		spCap.End()
+		r = NewReplay(cp)
 	}
-	if len(scr) == 0 {
-		return nil, nil, fmt.Errorf("core: no program could be costed")
-	}
-	sort.SliceStable(scr, func(i, j int) bool { return scr[i].seconds < scr[j].seconds })
-	if len(scr) > screenTop {
-		scr = scr[:screenTop]
-	}
-
-	// Phase 2: full parameter optimization of the shortlist, one candidate
-	// per worker. The winner is picked by a sequential scan in shortlist
-	// order so ties resolve exactly as they would sequentially.
-	_, spOpt := obs.Start(ctx, "synth.optimize")
-	cands := make([]*Candidate, len(scr))
-	par.For(s.Workers, len(scr), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		shortlisted := scr[i]
-		d := space[shortlisted.idx]
-		prob := opt.Problem{
-			Objective:   shortlisted.res.Seconds,
-			Constraints: shortlisted.res.Constraints,
-			Params:      shortlisted.res.Params,
-			Fixed:       fixed,
-			Hi:          paramUpperBounds(shortlisted.res.Params, t),
-		}
-		r, err := opt.Minimize(prob)
-		if err != nil {
-			return
-		}
-		cands[i] = &Candidate{
-			Expr:    d.Expr,
-			Steps:   d.Steps,
-			Params:  r.Values,
-			Seconds: r.Seconds,
-			Cost:    shortlisted.res,
-		}
-	})
-	if spOpt != nil {
-		spOpt.Attr("shortlist", len(scr))
-		spOpt.End()
-	}
-	if err := ctx.Err(); err != nil {
+	res, err := cp.optimize(ctx, s, t, nil, short)
+	if err != nil {
 		return nil, nil, err
 	}
-	var best *Candidate
-	for _, cand := range cands {
-		if cand == nil {
-			continue
-		}
-		if best == nil || cand.Seconds < best.Seconds ||
-			(cand.Seconds == best.Seconds && len(cand.Steps) < len(best.Steps)) {
-			best = cand
-		}
-	}
-	if best == nil {
-		return nil, nil, fmt.Errorf("core: no feasible candidate")
-	}
-	return &Synthesis{
-		Best:        best,
-		SpecSeconds: specSeconds,
-		SpecCost:    specCost,
-		Stats:       stats,
-		Elapsed:     time.Since(start),
-		Explored:    len(space),
-		Memo:        MemoStats{Keys: keys.Stats(), Cost: sc.costs.Stats()},
-	}, cp, nil
+	res.Elapsed = time.Since(start)
+	res.Memo = MemoStats{Keys: keys.Stats(), Cost: sc.costs.Stats()}
+	return res, r, nil
 }
 
 // screenEstimate is one memoized screening cost: the cost.Estimate result
-// together with the heuristic parameter guess and its evaluated seconds.
+// together with the cost formula evaluated at the heuristic parameter guess.
 type screenEstimate struct {
-	res     *cost.Result
-	guess   map[string]int64
-	seconds float64 // +Inf when the program cannot be costed
+	res     *cost.Result // nil when the program cannot be costed
+	seconds float64      // +Inf when the program cannot be costed
 }
 
 // screener computes (and memoizes, keyed by interned program identity) the
-// screening cost of a program. A beam run ranks every frontier with it and
-// the Phase 1 screening pass then reuses the same estimates instead of
-// costing each discovered program a second time; the underlying cost
-// formulas come from a cost.Memo sharing the same interned keys.
+// screening cost of a program. A beam run ranks every frontier with it, and
+// the screening pass then takes the cost formulas from the same estimates
+// instead of costing each discovered program a second time; the underlying
+// cost formulas come from a cost.Memo sharing the same interned keys.
 type screener struct {
-	s     *Synthesizer
-	place cost.Placement
 	fixed sym.Env
 	keys  *rules.Keyer
 	costs *cost.Memo
@@ -390,31 +268,19 @@ func (sc *screener) estimate(e ocal.Expr) *screenEstimate {
 	if ok {
 		return got
 	}
-	est := sc.fromResult(sc.costs.Estimate(n, e))
+	est := &screenEstimate{seconds: math.Inf(1)}
+	if res, err := sc.costs.Estimate(n, e); err == nil {
+		// Lite mode: only a handful of evaluations happen here.
+		cf := cost.CompileFormulas(res.Seconds, res.Constraints, res.Params, sc.fixed, true)
+		est.res = res
+		if secs := heuristicPoint(cf, len(res.Params)); !math.IsNaN(secs) {
+			est.seconds = secs
+		}
+	}
 	sc.mu.Lock()
 	sc.memo[n.ID()] = est
 	sc.mu.Unlock()
 	return est
-}
-
-// estimateUncached computes the screening cost without touching the memos —
-// the exhaustive path uses it directly, since its alpha-deduped space never
-// repeats a program and the memo could only add overhead.
-func (sc *screener) estimateUncached(e ocal.Expr) *screenEstimate {
-	return sc.fromResult(cost.Estimate(sc.s.H, sc.place, e))
-}
-
-// fromResult derives the screening estimate (heuristic parameter guess and
-// its evaluated seconds) from a cost formula.
-func (sc *screener) fromResult(res *cost.Result, err error) *screenEstimate {
-	if err != nil {
-		return &screenEstimate{seconds: math.Inf(1)}
-	}
-	guess, secs := heuristicParams(res, sc.fixed)
-	if math.IsNaN(secs) {
-		secs = math.Inf(1)
-	}
-	return &screenEstimate{res: res, guess: guess, seconds: secs}
 }
 
 // strategy resolves the search strategy: exhaustive BFS by default. A beam
@@ -448,42 +314,28 @@ func (s *Synthesizer) strategy(sc *screener, trace *[]rules.TraceLevel) rules.Se
 	return &bb
 }
 
-// heuristicParams guesses block sizes for screening — each parameter starts
+// heuristicPoint guesses block sizes for screening — each parameter starts
 // at 4096 and halves until all capacity constraints hold — and returns the
-// guess together with the cost formula evaluated at it. The formulas are
-// compiled once (cost.CompileFormulas, lite mode: only a handful of
-// evaluations happen here), so the repair loop rewrites a few parameter
-// slots per iteration instead of rebuilding an environment map; the
-// evaluations are bit-identical to Expr.Eval.
-func heuristicParams(res *cost.Result, fixed sym.Env) (map[string]int64, float64) {
-	cf := cost.CompileFormulas(res.Seconds, res.Constraints, res.Params, fixed, true)
-	vals, sec := heuristicPoint(cf, res.Params, nil)
-	out := make(map[string]int64, len(res.Params))
-	for i, p := range res.Params {
-		out[p] = vals[i]
+// cost formula evaluated at the guess. The formulas arrive compiled, so the
+// repair loop rewrites a few parameter slots per iteration instead of
+// rebuilding an environment map; the evaluations are bit-identical to
+// Expr.Eval. Whether the fixed values were folded in at compile time (the
+// beam's rank) or bound through slot bindings (the screening pass) cannot
+// change a single evaluation: fixed values live in slots, never in the
+// instruction tape.
+func heuristicPoint(cf *cost.CompiledFormulas, nparams int) float64 {
+	var buf [16]int64
+	vals := buf[:]
+	if nparams > len(buf) {
+		vals = make([]int64, nparams)
 	}
-	return out, sec
-}
-
-// heuristicPoint is heuristicParams' feasibility-repair loop over already
-// compiled formulas, returning the values in params order (in buf, when it
-// has the capacity). Template replay drives it through per-member cached
-// compilations (re-bound through slot bindings), which cannot change a
-// single evaluation: fixed values live in slots, never in the instruction
-// tape.
-func heuristicPoint(cf *cost.CompiledFormulas, params []string, buf []int64) ([]int64, float64) {
-	var vals []int64
-	if cap(buf) >= len(params) {
-		vals = buf[:len(params)]
-	} else {
-		vals = make([]int64, len(params))
-	}
+	vals = vals[:nparams]
 	for i := range vals {
 		vals[i] = 4096
 	}
 	cf.SetPointVals(vals)
 	// Shrink until all constraints hold (cheap feasibility repair).
-	for iter := 0; iter < 40 && len(params) > 0; iter++ {
+	for iter := 0; iter < 40 && nparams > 0; iter++ {
 		if !cf.AnyViolated() {
 			break
 		}
@@ -494,7 +346,7 @@ func heuristicPoint(cf *cost.CompiledFormulas, params []string, buf []int64) ([]
 		}
 		cf.SetPointVals(vals)
 	}
-	return vals, cf.Seconds()
+	return cf.Seconds()
 }
 
 // paramUpperBounds caps each parameter at the total input size (a block

@@ -61,7 +61,7 @@ func TestBNLJoinCorrectAndCharges(t *testing.T) {
 	R := loadTable(t, sim, "hdd", 2, pairsOf(1, 10, 2, 20, 3, 30))
 	S := loadTable(t, sim, "hdd", 2, pairsOf(1, 100, 3, 300, 1, 101))
 	sink := &Sink{Sim: sim} // discarded output still counts rows
-	j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, Pred: EqPred(0, 0)}
+	j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, EquiKeys: &[2]int{0, 0}}
 	drainOp(t, runCtx(sim, "hdd", 0), j, sink)
 	if sink.RowsWritten != 3 {
 		t.Errorf("join produced %d rows want 3", sink.RowsWritten)
@@ -88,7 +88,7 @@ func TestBNLJoinBlockingReducesTime(t *testing.T) {
 		}
 		R := loadTable(t, sim, "hdd", 2, rrows)
 		S := loadTable(t, sim, "hdd", 2, srows)
-		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: k1, K2: k2, Pred: EqPred(0, 0)}
+		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: k1, K2: k2, EquiKeys: &[2]int{0, 0}}
 		drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Sim: sim})
 		return sim.Clock.Seconds()
 	}
@@ -108,7 +108,7 @@ func TestBNLJoinOrderBySwaps(t *testing.T) {
 	S := loadTable(t, sim, "hdd", 2, pairsOf(1, 100))
 	var swapped bool
 	j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, OrderBy: true,
-		Pred: EqPred(0, 0), Swapped: &swapped}
+		EquiKeys: &[2]int{0, 0}, Swapped: &swapped}
 	drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Sim: sim})
 	if !swapped {
 		t.Error("smaller relation must become the outer one")
@@ -136,7 +136,7 @@ func TestBNLJoinWriteOutSameVsOtherDisk(t *testing.T) {
 		}
 		R := loadTableSim(sim, "hdd", 2, rrows)
 		S := loadTableSim(sim, "hdd", 2, srows)
-		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 64, K2: 64, Pred: TruePred}
+		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 64, K2: 64}
 		drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Out: out, Bout: 64, Sim: sim})
 		return sim.Clock.Seconds()
 	}
@@ -163,7 +163,7 @@ func TestCacheTilingReducesMisses(t *testing.T) {
 		R := loadTableSim(sim, "hdd", 2, rrows)
 		S := loadTableSim(sim, "hdd", 2, srows)
 		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 4000, K2: 4000,
-			Pred: EqPred(0, 0), TileY: tileY, TileX: 256}
+			EquiKeys: &[2]int{0, 0}, TileY: tileY, TileX: 256}
 		drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Sim: sim})
 		return sim.Cache
 	}
@@ -190,7 +190,7 @@ func TestHashJoinMatchesBNL(t *testing.T) {
 		R := loadTableSim(sim, "hdd", 2, rrows)
 		S := loadTableSim(sim, "hdd", 2, srows)
 		sink := &Sink{Sim: sim}
-		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 100, K2: 100, Pred: EqPred(0, 0)}
+		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 100, K2: 100, EquiKeys: &[2]int{0, 0}}
 		drainOp(t, runCtx(sim, "hdd", 0), j, sink)
 		return sink.RowsWritten
 	}
@@ -200,7 +200,7 @@ func TestHashJoinMatchesBNL(t *testing.T) {
 		S := loadTableSim(sim, "hdd", 2, srows)
 		sink := &Sink{Sim: sim}
 		j := &HashJoin{L: TableInput(R), R: TableInput(S), Buckets: 8,
-			KRead: 64, BufW: 32, KJoin: 128, Pred: EqPred(0, 0)}
+			KRead: 64, BufW: 32, KJoin: 128, EquiKeys: &[2]int{0, 0}}
 		drainOp(t, runCtx(sim, "hdd", 0), j, sink)
 		return sink.RowsWritten
 	}
@@ -390,7 +390,7 @@ func TestOpenFailureClosesCleanly(t *testing.T) {
 	R := loadTableSim(sim, "hdd", 2, pairsOf(1, 10, 2, 20))
 	S := loadTableSim(sim, "hdd", 2, pairsOf(1, 100))
 	d, _ := sim.Device("hdd")
-	join := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, Pred: EqPred(0, 0)}
+	join := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, EquiKeys: &[2]int{0, 0}}
 	p := &Program{Root: join, Sink: &Sink{Sim: sim},
 		c: &Ctx{Sim: sim, Pool: storage.NewBufferPool(4), Scratch: d}}
 	if err := p.Run(); err == nil {
@@ -412,7 +412,7 @@ func TestComposedOperators(t *testing.T) {
 	sim := newSim(t)
 	R := loadTableSim(sim, "hdd", 2, pairsOf(3, 30, 1, 10, 2, 20))
 	S := loadTableSim(sim, "hdd", 2, pairsOf(2, 200, 1, 100, 3, 300, 2, 201))
-	join := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, Pred: EqPred(0, 0)}
+	join := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, EquiKeys: &[2]int{0, 0}}
 	srt := &ExtSort{In: OpInput(join), Way: 2, Bin: 2, Bout: 2}
 	step, err := interp.CompileFunc(ocal.Lam{Params: []string{"a", "x"},
 		Body: ocal.Prim{Op: ocal.OpAdd, Args: []ocal.Expr{

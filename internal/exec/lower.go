@@ -473,14 +473,13 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, erro
 		return op, err, true
 	case 2:
 		x, y := srcs[0], srcs[1]
-		pred, keys, swapOut, all, err := compileJoinBody(e, x.elem, y.elem)
+		keys, swapOut, err := compileJoinBody(e, x.elem, y.elem)
 		if err != nil {
 			return nil, err, true
 		}
 		j := &BNLJoin{
 			L: x.in, R: y.in, K1: x.k, K2: y.k,
-			OrderBy: orderBy, Pred: pred, EquiKeys: keys, SwapOutput: swapOut,
-			PredAll: all,
+			OrderBy: orderBy, EquiKeys: keys, SwapOutput: swapOut,
 		}
 		// Cache tiling: an inner re-blocking of each source's block.
 		if len(x.tiles) > 1 {
@@ -494,20 +493,18 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, erro
 	return nil, fmt.Errorf("exec: unsupported loop nest over %d inputs", len(srcs)), true
 }
 
-// compileJoinBody extracts the join predicate from the innermost body:
-// if cond then [<x,y>] else []  (equi-join) or [<x,y>] (product). swapOut
-// reports that the body tuple leads with the *inner* loop's element (the
-// swap-iter derivations iterate S outside R but still build <x, y>), so
-// the operator must emit inner-first rows. all reports a constant-true
-// condition (a plain product), which lets the join loop bulk-copy column
-// runs instead of testing every pair.
-func compileJoinBody(e ocal.Expr, xv, yv string) (pred Pred, keys *[2]int, swapOut, all bool, err error) {
+// compileJoinBody extracts the join condition from the innermost body:
+// if cond then [<x,y>] else []  (equi-join: the key attributes) or [<x,y>]
+// (product: nil keys). swapOut reports that the body tuple leads with the
+// *inner* loop's element (the swap-iter derivations iterate S outside R but
+// still build <x, y>), so the operator must emit inner-first rows.
+func compileJoinBody(e ocal.Expr, xv, yv string) (keys *[2]int, swapOut bool, err error) {
 	switch t := e.(type) {
 	case ocal.Single:
-		return TruePred, nil, leadsWithInner(t, yv), true, nil
+		return nil, leadsWithInner(t, yv), nil
 	case ocal.If:
 		if _, ok := t.Else.(ocal.Empty); !ok {
-			return nil, nil, false, false, fmt.Errorf("exec: join else-branch must be []")
+			return nil, false, fmt.Errorf("exec: join else-branch must be []")
 		}
 		swapOut = false
 		if s, ok := t.Then.(ocal.Single); ok {
@@ -516,24 +513,24 @@ func compileJoinBody(e ocal.Expr, xv, yv string) (pred Pred, keys *[2]int, swapO
 		p, ok := t.Cond.(ocal.Prim)
 		if !ok || p.Op != ocal.OpEq || len(p.Args) != 2 {
 			if b, ok2 := t.Cond.(ocal.BoolLit); ok2 && b.V {
-				return TruePred, nil, swapOut, true, nil
+				return nil, swapOut, nil
 			}
-			return nil, nil, false, false, fmt.Errorf("exec: unsupported join condition %s", ocal.String(t.Cond))
+			return nil, false, fmt.Errorf("exec: unsupported join condition %s", ocal.String(t.Cond))
 		}
 		i, errI := projIndex(p.Args[0], xv)
 		j, errJ := projIndex(p.Args[1], yv)
 		if errI == nil && errJ == nil {
-			return EqPred(i, j), &[2]int{i, j}, swapOut, false, nil
+			return &[2]int{i, j}, swapOut, nil
 		}
 		// Reversed orientation.
 		j2, errJ2 := projIndex(p.Args[0], yv)
 		i2, errI2 := projIndex(p.Args[1], xv)
 		if errI2 == nil && errJ2 == nil {
-			return EqPred(i2, j2), &[2]int{i2, j2}, swapOut, false, nil
+			return &[2]int{i2, j2}, swapOut, nil
 		}
-		return nil, nil, false, false, fmt.Errorf("exec: unsupported join condition %s", ocal.String(t.Cond))
+		return nil, false, fmt.Errorf("exec: unsupported join condition %s", ocal.String(t.Cond))
 	}
-	return nil, nil, false, false, fmt.Errorf("exec: unsupported join body %s", ocal.String(e))
+	return nil, false, fmt.Errorf("exec: unsupported join body %s", ocal.String(e))
 }
 
 // leadsWithInner reports whether the emitted tuple's first component comes
@@ -676,7 +673,7 @@ func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
 	if len(order) != 2 {
 		return nil, fmt.Errorf("exec: hash join inner body is not a two-relation join"), true
 	}
-	pred, keys, swapOut, all, err := compileJoinBody(e, elemVar[order[0]], elemVar[order[1]])
+	keys, swapOut, err := compileJoinBody(e, elemVar[order[0]], elemVar[order[1]])
 	if err != nil {
 		return nil, err, true
 	}
@@ -708,8 +705,8 @@ func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
 		L: left, R: right,
 		Buckets: buckets,
 		KRead:   kj, BufW: bufW, KJoin: kj,
-		KeyL: 0, KeyR: 0, Pred: pred, EquiKeys: keys, SwapOutput: swapOut,
-		PredAll: all, OrderedOutput: ordered,
+		KeyL: 0, KeyR: 0, EquiKeys: keys, SwapOutput: swapOut,
+		OrderedOutput: ordered,
 	}, nil, true
 }
 

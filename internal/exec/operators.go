@@ -8,18 +8,6 @@ import (
 	"ocas/internal/storage"
 )
 
-// Pred decides the join condition on two rows.
-type Pred func(x, y []int32) bool
-
-// TruePred is the relational-product condition used by the paper's write-out
-// experiments ("we use the join condition 'true'").
-func TruePred(_, _ []int32) bool { return true }
-
-// EqPred joins on equality of the given 0-based attributes.
-func EqPred(i, j int) Pred {
-	return func(x, y []int32) bool { return x[i] == y[j] }
-}
-
 // Input binds an operator input either to a base table (fused block reads:
 // the operator reads the device directly at its tuned block size, exactly
 // what the generated C would do), to a section of a table (the morsel range
@@ -284,12 +272,13 @@ type BNLJoin struct {
 	L, R    Input
 	K1, K2  int64 // outer/inner block sizes in tuples
 	OrderBy bool  // put the smaller relation outer
-	Pred    Pred
-	// EquiKeys, when non-nil, identifies the join as an equi-join on
-	// (L attribute, R attribute). The operator then indexes each resident
-	// outer block once and probes every inner tuple against it — the hash
-	// lookup the generated code performs — producing the same bag of pairs
-	// as the nested scan with linear instead of quadratic CPU.
+	// EquiKeys is the join condition: non-nil, an equi-join on (L attribute,
+	// R attribute), 0-based; nil, the relational product of the paper's
+	// write-out experiments ("we use the join condition 'true'"). An
+	// equi-join indexes each resident outer block once and probes every
+	// inner tuple against it — the hash lookup the generated code performs —
+	// producing the same bag of pairs as the nested scan with linear instead
+	// of quadratic CPU; a product bulk-copies column runs.
 	EquiKeys *[2]int
 	Swapped  *bool // reports whether inputs were swapped (may be nil)
 	// SwapOutput emits rows inner-first: the swap-iter derivations loop S
@@ -297,16 +286,11 @@ type BNLJoin struct {
 	SwapOutput bool
 	// Tile sizes in tuples for the cache-conscious variant (0 = untiled).
 	TileX, TileY int64
-	// PredAll marks the condition as constant-true (the relational product
-	// of the paper's write-out experiments): the product loop then
-	// bulk-copies column runs instead of gathering and testing row pairs.
-	PredAll bool
 
 	c            *Ctx
 	outer, inner blockReader
 	swapped      bool
 	flip         bool
-	pred         Pred
 	keys         *[2]int
 	ob           *ownedBlock
 	idx          probeIdx // equi-join index over the resident outer block
@@ -317,9 +301,6 @@ type BNLJoin struct {
 	hbuf []uint64
 	em   emitter
 	done bool
-	// xRow and yRow are the gather scratch of the custom-predicate loop
-	// (predicates see rows, batches carry columns).
-	xRow, yRow []int32
 	// Resume state within the current (outer block, inner block) pair, so
 	// one Next call never has to buffer a whole block pair's matches.
 	yb         [][]int32
@@ -361,13 +342,9 @@ func (o *BNLJoin) Open(c *Ctx) error {
 		}
 	}
 	o.outer, o.inner = outer, inner
-	o.pred, o.keys = o.Pred, o.EquiKeys
-	if o.swapped {
-		base := o.Pred
-		o.pred = func(x, y []int32) bool { return base(y, x) }
-		if o.EquiKeys != nil {
-			o.keys = &[2]int{o.EquiKeys[1], o.EquiKeys[0]}
-		}
+	o.keys = o.EquiKeys
+	if o.swapped && o.EquiKeys != nil {
+		o.keys = &[2]int{o.EquiKeys[1], o.EquiKeys[0]}
 	}
 	if o.Swapped != nil {
 		*o.Swapped = o.swapped
@@ -426,8 +403,8 @@ func (o *BNLJoin) step() error {
 			return o.advanceOuter()
 		}
 		o.yb, o.posA, o.posB = yb, 0, 0
-		// Charges are per block pair: the equi-join fast path probes each
-		// inner tuple once; the general nested loop compares every pair.
+		// Charges are per block pair: an equi-join probes each inner tuple
+		// once; a product visits every pair.
 		ra, sa := int64(o.outer.arity()), int64(o.inner.arity())
 		nx, ny := o.ob.n, int64(len(yb[0]))
 		if o.keys != nil {
@@ -464,8 +441,7 @@ func (o *BNLJoin) step() error {
 	} else {
 		xout, yout = ecols[:ra], ecols[ra:]
 	}
-	switch {
-	case o.keys != nil:
+	if o.keys != nil {
 		ents := o.idx.ents
 		hbuf := o.hbuf
 		ykeys := yb[o.keys[1]]
@@ -497,11 +473,11 @@ func (o *BNLJoin) step() error {
 				}
 			}
 		}
-	case o.PredAll:
+	} else {
 		// Relational product: every pair matches, so each (outer row, inner
 		// run) pair is a constant fill on the x side and a contiguous column
 		// copy on the y side, stopping exactly when the emitter reaches a
-		// batch — the pause point of the pairwise loop.
+		// batch.
 		b := o.posB
 		for a := o.posA; a < nx; a++ {
 			for b < ny {
@@ -529,46 +505,9 @@ func (o *BNLJoin) step() error {
 			}
 			b = 0
 		}
-	default:
-		xr, yr := o.scratchRows(ra, sa)
-		b := o.posB
-		for a := o.posA; a < nx; a++ {
-			for c := 0; c < ra; c++ {
-				xr[c] = xb[c][a]
-			}
-			for ; b < ny; b++ {
-				if o.em.rows() >= max {
-					o.posA, o.posB = a, b
-					return nil
-				}
-				for c := 0; c < sa; c++ {
-					yr[c] = yb[c][b]
-				}
-				if o.pred(xr, yr) {
-					for c := 0; c < ra; c++ {
-						xout[c] = append(xout[c], xr[c])
-					}
-					for c := 0; c < sa; c++ {
-						yout[c] = append(yout[c], yr[c])
-					}
-				}
-			}
-			b = 0
-		}
 	}
 	o.yb = nil
 	return nil
-}
-
-// scratchRows sizes the row-gather scratch of the custom-predicate loop.
-func (o *BNLJoin) scratchRows(ra, sa int) (xr, yr []int32) {
-	if cap(o.xRow) < ra {
-		o.xRow = make([]int32, ra)
-	}
-	if cap(o.yRow) < sa {
-		o.yRow = make([]int32, sa)
-	}
-	return o.xRow[:ra], o.yRow[:sa]
 }
 
 func (o *BNLJoin) Next(b *Batch) (bool, error) {
@@ -651,12 +590,9 @@ type HashJoin struct {
 	KJoin    int64 // join-phase block size (tuples)
 	KeyL     int   // 0-based key attribute of L
 	KeyR     int
-	Pred     Pred
-	EquiKeys *[2]int // forwarded to the per-bucket joins
+	EquiKeys *[2]int // the join condition of the per-bucket joins (see BNLJoin.EquiKeys)
 	// SwapOutput is forwarded to the per-bucket joins (see BNLJoin).
 	SwapOutput bool
-	// PredAll is forwarded to the per-bucket joins (see BNLJoin.PredAll).
-	PredAll bool
 	// OrderedOutput delivers bucket outputs strictly in bucket order (the
 	// single-worker order) at the cost of producer overlap; lowering sets
 	// it when an order-sensitive consumer (a fold, a streaming merge)
@@ -707,8 +643,8 @@ func (o *HashJoin) Open(c *Ctx) error {
 func (o *HashJoin) bucketJoin(i int64) *BNLJoin {
 	return &BNLJoin{
 		L: SpillsInput(o.bL[i].Spills, o.arL), R: SpillsInput(o.bR[i].Spills, o.arR),
-		K1: o.KJoin, K2: o.KJoin, Pred: o.Pred, EquiKeys: o.EquiKeys,
-		SwapOutput: o.SwapOutput, PredAll: o.PredAll,
+		K1: o.KJoin, K2: o.KJoin, EquiKeys: o.EquiKeys,
+		SwapOutput: o.SwapOutput,
 	}
 }
 

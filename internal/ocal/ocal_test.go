@@ -98,130 +98,6 @@ func naiveJoin() Expr {
 	return For{X: "x", Src: Var{"R"}, Body: inner}
 }
 
-func TestInferNaiveJoin(t *testing.T) {
-	relT := TList(TTuple(TInt, TInt))
-	env := map[string]Type{"R": relT, "S": relT}
-	ty, err := Infer(naiveJoin(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := TList(TTuple(TTuple(TInt, TInt), TTuple(TInt, TInt)))
-	if !TypeEq(ty, want) {
-		t.Errorf("got %s want %s", ty, want)
-	}
-}
-
-func TestInferBlockedJoin(t *testing.T) {
-	// for (xB [k1] <- R) for (x <- xB) ... x binds elements again.
-	cond := Prim{Op: OpEq, Args: []Expr{Proj{E: Var{"x"}, I: 1}, Proj{E: Var{"y"}, I: 1}}}
-	body := If{Cond: cond, Then: Single{E: Tup{Elems: []Expr{Var{"x"}, Var{"y"}}}}, Else: Empty{}}
-	prog := For{X: "xB", K: SymP("k1"), Src: Var{"R"},
-		Body: For{X: "x", Src: Var{"xB"},
-			Body: For{X: "y", Src: Var{"S"}, Body: body}}}
-	relT := TList(TTuple(TInt, TInt))
-	ty, err := Infer(prog, map[string]Type{"R": relT, "S": relT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := TList(TTuple(TTuple(TInt, TInt), TTuple(TInt, TInt)))
-	if !TypeEq(ty, want) {
-		t.Errorf("got %s want %s", ty, want)
-	}
-}
-
-func TestInferFoldLength(t *testing.T) {
-	// length as foldL(0, \<sum, x> -> sum + 1), Figure 2.
-	ln := FoldL{
-		Init: IntLit{0},
-		Fn:   Lam{Params: []string{"sum", "x"}, Body: Prim{Op: OpAdd, Args: []Expr{Var{"sum"}, IntLit{1}}}},
-	}
-	ty, err := Infer(App{Fn: ln, Arg: Var{"L"}}, map[string]Type{"L": TList(TInt)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !TypeEq(ty, TInt) {
-		t.Errorf("got %s want Int", ty)
-	}
-}
-
-func TestInferInsertionSort(t *testing.T) {
-	// foldL([], unfoldR(mrg))(R) with R : [[Int]].
-	prog := App{Fn: FoldL{Init: Empty{}, Fn: UnfoldR{Fn: Mrg{}}}, Arg: Var{"R"}}
-	ty, err := Infer(prog, map[string]Type{"R": TList(TList(TInt))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !TypeEq(ty, TList(TInt)) {
-		t.Errorf("got %s want [Int]", ty)
-	}
-}
-
-func TestInferExternalMergeSort(t *testing.T) {
-	// treeFold[4]([], unfoldR(funcPow[2](mrg)))(R)
-	prog := App{
-		Fn:  TreeFold{K: Lit(4), Init: Empty{}, Fn: UnfoldR{Fn: FuncPow{K: 2, Fn: Mrg{}}}},
-		Arg: Var{"R"},
-	}
-	ty, err := Infer(prog, map[string]Type{"R": TList(TList(TInt))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !TypeEq(ty, TList(TInt)) {
-		t.Errorf("got %s want [Int]", ty)
-	}
-}
-
-func TestInferHashPartitionedJoin(t *testing.T) {
-	// flatMap(\<p1,p2> -> join(p1,p2))(zip(partition(R), partition(S)))
-	relT := TList(TTuple(TInt, TInt))
-	join := Lam{Params: []string{"p1", "p2"}, Body: For{X: "x", Src: Var{"p1"},
-		Body: For{X: "y", Src: Var{"p2"},
-			Body: If{
-				Cond: Prim{Op: OpEq, Args: []Expr{Proj{E: Var{"x"}, I: 1}, Proj{E: Var{"y"}, I: 1}}},
-				Then: Single{E: Tup{Elems: []Expr{Var{"x"}, Var{"y"}}}},
-				Else: Empty{},
-			}}}}
-	prog := App{
-		Fn: FlatMap{Fn: join},
-		Arg: App{Fn: ZipLists{N: 2}, Arg: Tup{Elems: []Expr{
-			App{Fn: PartitionF{S: SymP("s")}, Arg: Var{"R"}},
-			App{Fn: PartitionF{S: SymP("s")}, Arg: Var{"S"}},
-		}}},
-	}
-	ty, err := Infer(prog, map[string]Type{"R": relT, "S": relT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := TList(TTuple(TTuple(TInt, TInt), TTuple(TInt, TInt)))
-	if !TypeEq(ty, want) {
-		t.Errorf("got %s want %s", ty, want)
-	}
-}
-
-func TestInferErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		e    Expr
-		env  map[string]Type
-	}{
-		{"unbound", Var{"nope"}, nil},
-		{"if-cond-not-bool", If{Cond: IntLit{1}, Then: IntLit{1}, Else: IntLit{2}}, nil},
-		{"branch-mismatch", If{Cond: BoolLit{true}, Then: IntLit{1}, Else: BoolLit{false}}, nil},
-		{"proj-non-tuple", Proj{E: IntLit{3}, I: 1}, nil},
-		{"proj-out-of-range", Proj{E: Tup{Elems: []Expr{IntLit{1}}}, I: 2}, nil},
-		{"apply-non-fn", App{Fn: IntLit{1}, Arg: IntLit{2}}, nil},
-		{"arith-on-bool", Prim{Op: OpAdd, Args: []Expr{BoolLit{true}, IntLit{1}}}, nil},
-		{"for-non-list", For{X: "x", Src: IntLit{1}, Body: Empty{}}, nil},
-		{"for-body-non-list", For{X: "x", Src: Var{"L"}, Body: IntLit{1}},
-			map[string]Type{"L": TList(TInt)}},
-	}
-	for _, c := range cases {
-		if _, err := Infer(c.e, c.env); err == nil {
-			t.Errorf("%s: expected type error", c.name)
-		}
-	}
-}
-
 func TestPrintCanonical(t *testing.T) {
 	a := String(naiveJoin())
 	b := String(naiveJoin())

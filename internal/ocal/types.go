@@ -1,12 +1,8 @@
 package ocal
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
-// Type is an OCAL type per Figure 1: atoms D, tuples, lists and (for
-// function expressions) arrow types.
+// Type is an OCAL value type per Figure 1: atoms D, tuples and lists.
 type Type interface {
 	isType()
 	String() string
@@ -31,17 +27,9 @@ type TupleType []Type
 // ListType is [τ].
 type ListType struct{ Elem Type }
 
-// FuncType is τ1 → τ2.
-type FuncType struct{ Arg, Res Type }
-
-// TypeVar is an inference variable used only during type checking.
-type TypeVar struct{ ID int }
-
 func (AtomType) isType()  {}
 func (TupleType) isType() {}
 func (ListType) isType()  {}
-func (FuncType) isType()  {}
-func (TypeVar) isType()   {}
 
 func (t AtomType) String() string {
 	switch t.Kind {
@@ -65,16 +53,6 @@ func (t TupleType) String() string {
 
 func (t ListType) String() string { return "[" + t.Elem.String() + "]" }
 
-func (t FuncType) String() string {
-	a := t.Arg.String()
-	if _, ok := t.Arg.(FuncType); ok {
-		a = "(" + a + ")"
-	}
-	return a + " -> " + t.Res.String()
-}
-
-func (t TypeVar) String() string { return fmt.Sprintf("t%d", t.ID) }
-
 // Convenience constructors.
 var (
 	TInt  = AtomType{AInt}
@@ -87,62 +65,3 @@ func TList(elem Type) Type { return ListType{Elem: elem} }
 
 // TTuple returns 〈elems...〉.
 func TTuple(elems ...Type) Type { return TupleType(elems) }
-
-// TFunc returns arg → res.
-func TFunc(arg, res Type) Type { return FuncType{Arg: arg, Res: res} }
-
-// TypeEq reports structural type equality (no inference variables allowed).
-func TypeEq(a, b Type) bool {
-	switch x := a.(type) {
-	case AtomType:
-		y, ok := b.(AtomType)
-		return ok && x.Kind == y.Kind
-	case TupleType:
-		y, ok := b.(TupleType)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if !TypeEq(x[i], y[i]) {
-				return false
-			}
-		}
-		return true
-	case ListType:
-		y, ok := b.(ListType)
-		return ok && TypeEq(x.Elem, y.Elem)
-	case FuncType:
-		y, ok := b.(FuncType)
-		return ok && TypeEq(x.Arg, y.Arg) && TypeEq(x.Res, y.Res)
-	case TypeVar:
-		y, ok := b.(TypeVar)
-		return ok && x.ID == y.ID
-	}
-	return false
-}
-
-// TypeOfValue computes the type of a closed value. Empty lists get element
-// type nil; callers that need exact types should avoid empty list literals
-// at the top level (the checker treats them polymorphically).
-func TypeOfValue(v Value) Type {
-	switch x := v.(type) {
-	case Int:
-		return TInt
-	case Bool:
-		return TBool
-	case Str:
-		return TStr
-	case Tuple:
-		ts := make(TupleType, len(x))
-		for i, e := range x {
-			ts[i] = TypeOfValue(e)
-		}
-		return ts
-	case List:
-		if len(x) == 0 {
-			return ListType{Elem: TypeVar{ID: -1}}
-		}
-		return ListType{Elem: TypeOfValue(x[0])}
-	}
-	return nil
-}

@@ -45,21 +45,7 @@ const (
 
 // Minimize tunes the parameters. It returns an error when no feasible
 // assignment is found.
-func Minimize(p Problem) (*Result, error) {
-	if len(p.Params) == 0 {
-		return minimizeNoParams(p)
-	}
-	params := sortedParams(p)
-	// The search below evaluates the objective and every constraint
-	// thousands of times under environments that differ only in the tuning
-	// parameters, so the formulas are compiled once onto a shared slot
-	// layout (cost.CompileFormulas): fixed values are written once, and
-	// each evaluation point just overwrites the parameter slots. Compiled
-	// evaluation is bit-identical to Expr.Eval, so the minimizer's
-	// trajectory (and winner) is unchanged.
-	cf := cost.CompileFormulas(p.Objective, p.Constraints, params, p.Fixed, false)
-	return minimizeWith(p, params, cf)
-}
+func Minimize(p Problem) (*Result, error) { return Precompile(p).Minimize(p) }
 
 // Compiled is one problem's formulas compiled for repeated minimization
 // under varying Fixed environments (plan-template instantiation re-tunes the
@@ -71,17 +57,25 @@ type Compiled struct {
 
 // Precompile compiles p's formulas once. Only the Objective, Constraints and
 // Params of p matter here; Fixed, Lo and Hi are taken from the Problem given
-// to each Minimize call.
+// to each Minimize call. The search evaluates the objective and every
+// constraint thousands of times under environments that differ only in the
+// tuning parameters, so the formulas share one slot layout
+// (cost.CompileFormulas): fixed values are written once per Minimize, and each
+// evaluation point just overwrites the parameter slots. Compiled evaluation
+// is bit-identical to Expr.Eval.
 func Precompile(p Problem) *Compiled {
+	if len(p.Params) == 0 {
+		// Parameter-free problems are evaluated once, on Expr.Eval.
+		return &Compiled{}
+	}
 	params := sortedParams(p)
 	return &Compiled{params: params,
 		cf: cost.CompileFormulas(p.Objective, p.Constraints, params, nil, false)}
 }
 
 // Minimize solves p over the precompiled formulas. p must carry the same
-// Objective, Constraints and Params the Compiled was built from; the result
-// is bit-identical to Minimize(p) — same slot layout, same instruction
-// sequence, same trajectory.
+// Objective, Constraints and Params the Compiled was built from; the
+// trajectory does not depend on how many problems the formulas have served.
 func (c *Compiled) Minimize(p Problem) (*Result, error) {
 	if len(p.Params) == 0 {
 		return minimizeNoParams(p)
@@ -107,8 +101,7 @@ func sortedParams(p Problem) []string {
 	return params
 }
 
-// minimizeWith is the penalty/pattern-search loop shared by the one-shot and
-// precompiled entry points.
+// minimizeWith is the penalty/pattern-search loop.
 func minimizeWith(p Problem, params []string, cf *cost.CompiledFormulas) (*Result, error) {
 	lo := func(name string) int64 {
 		if v, ok := p.Lo[name]; ok && v > 0 {

@@ -414,13 +414,10 @@ func (c *Compiled) build(res *core.Synthesis) *Plan {
 	return p
 }
 
-// Run synthesizes the compiled request under ctx and returns its plan.
+// Run is RunCapture without the template.
 func (c *Compiled) Run(ctx context.Context) (*Plan, error) {
-	res, err := c.Synth.SynthesizeCtx(ctx, c.Task)
-	if err != nil {
-		return nil, err
-	}
-	return c.finishPlan(res)
+	p, _, err := c.RunCapture(ctx)
+	return p, err
 }
 
 // finishPlan builds the canonical plan and rejects degenerate results: the
@@ -436,16 +433,6 @@ func (c *Compiled) finishPlan(res *core.Synthesis) (*Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// Execute compiles and runs a request: the one entry point shared by
-// cmd/ocas -json and the service's cache-miss path.
-func Execute(ctx context.Context, req Request) (*Plan, error) {
-	c, err := Compile(req)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(ctx)
 }
 
 // Encode renders the canonical plan bytes: indented JSON with a trailing

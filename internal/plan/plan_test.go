@@ -135,13 +135,13 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 }
 
 func TestExecuteDeterministicAcrossWorkerCounts(t *testing.T) {
-	a, err := Execute(context.Background(), joinReq())
+	a, err := compileAndRun(joinReq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := joinReq()
 	r.Workers = 1
-	b, err := Execute(context.Background(), r)
+	b, err := compileAndRun(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestExecuteDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p, err := Execute(context.Background(), joinReq())
+	p, err := compileAndRun(joinReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,4 +168,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(Encode(p), Encode(q)) {
 		t.Fatal("Encode(Decode(Encode(p))) != Encode(p)")
 	}
+}
+
+// compileAndRun compiles a request and synthesizes its plan.
+func compileAndRun(req Request) (*Plan, error) {
+	c, err := Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(context.Background())
 }

@@ -60,15 +60,15 @@ type Template struct {
 	// constants included.
 	HierSig string
 
-	cp     *core.Capture
 	replay *core.Replay
 }
 
-// RunCapture is Run, additionally returning the run's template. The template
-// is nil (with a valid plan) when the run is not capturable — custom search
-// strategies or spaces beyond core.CaptureLimit.
+// RunCapture synthesizes the compiled request under ctx and returns its plan
+// together with the run's template. The template is nil (with a valid plan)
+// when the run is not capturable — custom search strategies or spaces beyond
+// core.CaptureLimit.
 func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
-	res, cp, err := c.Synth.SynthesizeCapture(ctx, c.Task)
+	res, replay, err := c.Synth.SynthesizeCapture(ctx, c.Task)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -76,7 +76,7 @@ func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cp == nil {
+	if replay == nil {
 		return p, nil, nil
 	}
 	hj, err := json.Marshal(c.H)
@@ -87,8 +87,7 @@ func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
 		Fingerprint: c.TemplateFingerprint,
 		SpecText:    ocal.String(c.Prog),
 		HierSig:     string(hj),
-		cp:          cp,
-		replay:      core.NewReplay(cp),
+		replay:      replay,
 	}
 	return p, t, nil
 }
@@ -193,14 +192,15 @@ type templateMember struct {
 
 // MarshalJSON serializes the template for cache persistence.
 func (t *Template) MarshalJSON() ([]byte, error) {
+	cp := t.replay.Capture()
 	out := templateJSON{
 		Fingerprint: t.Fingerprint,
 		HierSig:     t.HierSig,
-		Space:       make([]templateMember, len(t.cp.Space)),
-		Stats:       t.cp.Stats,
-		Trace:       t.cp.Trace,
+		Space:       make([]templateMember, len(cp.Space)),
+		Stats:       cp.Stats,
+		Trace:       cp.Trace,
 	}
-	for i, d := range t.cp.Space {
+	for i, d := range cp.Space {
 		e, err := ocal.MarshalExpr(d.Expr)
 		if err != nil {
 			return nil, fmt.Errorf("template space: %w", err)
@@ -236,7 +236,6 @@ func (t *Template) UnmarshalJSON(data []byte) error {
 	t.Fingerprint = in.Fingerprint
 	t.SpecText = ocal.String(cp.Space[0].Expr)
 	t.HierSig = in.HierSig
-	t.cp = cp
 	t.replay = core.NewReplay(cp)
 	return nil
 }

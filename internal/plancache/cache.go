@@ -1,32 +1,20 @@
 // Package plancache is the content-addressed plan cache behind ocasd: the
-// synthesize-once/serve-many layer. Plans are keyed by the request
-// fingerprint (internal/plan), bounded by an LRU policy, deduplicated in
-// flight by a singleflight mechanism (N concurrent identical requests
-// trigger exactly one synthesis), and optionally persisted to a JSON file
-// across daemon restarts.
-//
-// A Store adds a second, coarser tier keyed by the template fingerprint:
-// requests that miss the plan tier but share a shape with a previous
-// synthesis are served by instantiating that shape's template instead of
-// searching from scratch (see internal/plan's template documentation for
-// the equivalence guarantee and its guards).
+// synthesize-once/serve-many layer. A Store holds two tiers, each bounded by
+// an LRU policy and deduplicated in flight by a singleflight mechanism (N
+// concurrent identical requests trigger exactly one computation): plans keyed
+// by the request fingerprint (internal/plan), and templates keyed by the
+// coarser template fingerprint, so that requests that miss the plan tier but
+// share a shape with a previous synthesis are served by instantiating that
+// shape's template instead of searching from scratch (see internal/plan's
+// template documentation for the equivalence guarantee and its guards). Both
+// tiers are optionally persisted to a JSON file across daemon restarts.
 package plancache
 
 import (
 	"container/list"
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
-
-	"ocas/internal/plan"
 )
-
-// Compute synthesizes the plan for a key on a cache miss. The context it
-// receives is detached from any single caller: it is cancelled only when
-// every request waiting on the key has gone away.
-type Compute func(ctx context.Context) (*plan.Plan, error)
 
 // Outcome says how a GetOrCompute call was served.
 type Outcome string
@@ -39,7 +27,7 @@ const (
 	// Shared: this call joined a synthesis another call had started.
 	Shared Outcome = "shared"
 	// TemplateHit: the plan was not cached, but a template for its shape
-	// was, and instantiating it replaced the full search (Store only).
+	// was, and instantiating it replaced the full search.
 	TemplateHit Outcome = "template-hit"
 )
 
@@ -83,11 +71,11 @@ type call[V any] struct {
 	abandoned bool
 }
 
-func newTier[V any](capacity int) tier[V] {
+func newTier[V any](capacity int) *tier[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return tier[V]{
+	return &tier[V]{
 		capacity: capacity,
 		entries:  map[string]*list.Element{},
 		lru:      list.New(),
@@ -109,7 +97,9 @@ func (c *tier[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// GetOrCompute returns the value for key, computing it on a miss.
+// GetOrCompute returns the value for key, computing it on a miss. The
+// context compute receives is detached from any single caller: it is
+// cancelled only when every request waiting on the key has gone away.
 // Concurrent calls for the same key share one computation: the first caller
 // starts it, later callers wait for its result. A caller whose ctx is
 // cancelled while waiting returns ctx.Err() immediately; the computation
@@ -227,93 +217,4 @@ func (c *tier[V]) snapshot() []entry[V] {
 		out = append(out, entry[V]{key: e.key, v: e.v})
 	}
 	return out
-}
-
-// Cache is a bounded, singleflight-deduplicated plan cache. The zero value
-// is not usable; call New.
-type Cache struct {
-	tier[*plan.Plan]
-}
-
-// New returns a cache bounded to capacity plans (minimum 1).
-func New(capacity int) *Cache {
-	return &Cache{tier: newTier[*plan.Plan](capacity)}
-}
-
-// TemplateCache is a bounded, singleflight-deduplicated cache of plan
-// templates keyed by the template fingerprint. The zero value is not
-// usable; call NewTemplateCache.
-type TemplateCache struct {
-	tier[*plan.Template]
-}
-
-// NewTemplateCache returns a template cache bounded to capacity templates
-// (minimum 1).
-func NewTemplateCache(capacity int) *TemplateCache {
-	return &TemplateCache{tier: newTier[*plan.Template](capacity)}
-}
-
-// persisted is the JSON layout of a plan-cache snapshot. Entries are
-// ordered least- to most-recently used so that reloading them in order
-// reproduces the LRU order.
-type persisted struct {
-	Version int              `json:"version"`
-	Entries []persistedEntry `json:"entries"`
-}
-
-type persistedEntry struct {
-	Key  string     `json:"key"`
-	Plan *plan.Plan `json:"plan"`
-}
-
-// Save writes the cache contents to path (atomically, via a temp file in
-// the same directory).
-func (c *Cache) Save(path string) error {
-	snap := persisted{Version: 1}
-	for _, e := range c.snapshot() {
-		snap.Entries = append(snap.Entries, persistedEntry{Key: e.key, Plan: e.v})
-	}
-	return writeSnapshot(path, snap)
-}
-
-// Load merges a snapshot written by Save into the cache. A missing file is
-// not an error (first daemon start); a corrupt file is.
-func (c *Cache) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("plancache: %w", err)
-	}
-	var snap persisted
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("plancache: corrupt snapshot %s: %w", path, err)
-	}
-	if snap.Version != 1 {
-		return fmt.Errorf("plancache: unsupported snapshot version %d", snap.Version)
-	}
-	for _, e := range snap.Entries {
-		if e.Key == "" || e.Plan == nil {
-			return fmt.Errorf("plancache: corrupt snapshot %s: empty entry", path)
-		}
-		c.Put(e.Key, e.Plan)
-	}
-	return nil
-}
-
-// writeSnapshot marshals and atomically writes one snapshot file.
-func writeSnapshot(path string, snap any) error {
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("plancache: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("plancache: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("plancache: %w", err)
-	}
-	return nil
 }

@@ -3,9 +3,6 @@ package plancache
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,12 +24,16 @@ func mkPlan(fp string) *plan.Plan {
 	}
 }
 
-func ret(p *plan.Plan) Compute {
+func ret(p *plan.Plan) func(context.Context) (*plan.Plan, error) {
 	return func(context.Context) (*plan.Plan, error) { return p, nil }
 }
 
+// The tier-level tests run on a plan tier; the template tier is the same
+// generic type.
+func newPlanTier(capacity int) *tier[*plan.Plan] { return newTier[*plan.Plan](capacity) }
+
 func TestGetOrComputeCachesAndHits(t *testing.T) {
-	c := New(4)
+	c := newPlanTier(4)
 	calls := 0
 	compute := func(context.Context) (*plan.Plan, error) {
 		calls++
@@ -54,7 +55,7 @@ func TestGetOrComputeCachesAndHits(t *testing.T) {
 }
 
 func TestErrorsAreNotCached(t *testing.T) {
-	c := New(4)
+	c := newPlanTier(4)
 	boom := errors.New("boom")
 	calls := 0
 	compute := func(context.Context) (*plan.Plan, error) {
@@ -77,7 +78,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(3)
+	c := newPlanTier(3)
 	for _, k := range []string{"a", "b", "c"} {
 		if _, _, err := c.GetOrCompute(context.Background(), k, ret(mkPlan(k))); err != nil {
 			t.Fatal(err)
@@ -106,7 +107,7 @@ func TestLRUEviction(t *testing.T) {
 // TestSingleflight: N concurrent identical requests run exactly one
 // synthesis and all receive its result.
 func TestSingleflight(t *testing.T) {
-	c := New(4)
+	c := newPlanTier(4)
 	const n = 32
 	var calls atomic.Int64
 	started := make(chan struct{})
@@ -178,7 +179,7 @@ func TestSingleflight(t *testing.T) {
 // TestAbandonedComputeIsCancelled: when every waiter gives up, the compute
 // context is cancelled so the synthesis stops burning workers.
 func TestAbandonedComputeIsCancelled(t *testing.T) {
-	c := New(4)
+	c := newPlanTier(4)
 	cancelled := make(chan struct{})
 	compute := func(ctx context.Context) (*plan.Plan, error) {
 		<-ctx.Done()
@@ -203,7 +204,7 @@ func TestAbandonedComputeIsCancelled(t *testing.T) {
 // TestWaiterKeepsComputeAlive: one waiter abandoning does not cancel a
 // synthesis another waiter still wants.
 func TestWaiterKeepsComputeAlive(t *testing.T) {
-	c := New(4)
+	c := newPlanTier(4)
 	release := make(chan struct{})
 	compute := func(ctx context.Context) (*plan.Plan, error) {
 		select {
@@ -254,7 +255,7 @@ func TestWaiterKeepsComputeAlive(t *testing.T) {
 // noticed its cancellation) must start a fresh synthesis rather than
 // inherit the stale call's context error.
 func TestJoinAfterAbandonStartsFresh(t *testing.T) {
-	c := New(4)
+	c := newPlanTier(4)
 	stuck := make(chan struct{})
 	// Simulates the window between cancel() and the search actually
 	// stopping: the compute ignores its context until released.
@@ -305,96 +306,4 @@ func TestJoinAfterAbandonStartsFresh(t *testing.T) {
 	if _, outcome, err := c.GetOrCompute(context.Background(), "a", ret(mkPlan("a"))); err != nil || outcome != Hit {
 		t.Fatalf("want a hit after everything settled, got outcome=%s err=%v", outcome, err)
 	}
-}
-
-func TestPersistenceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "plans.json")
-
-	c := New(8)
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if _, _, err := c.GetOrCompute(context.Background(), k, ret(mkPlan(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	d := New(8)
-	if err := d.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if s := d.Stats(); s.Size != 5 {
-		t.Fatalf("reloaded %d entries, want 5", s.Size)
-	}
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("k%d", i)
-		p, ok := d.Get(k)
-		if !ok {
-			t.Fatalf("%s missing after reload", k)
-		}
-		a, b := plan.Encode(p), plan.Encode(mkPlan(k))
-		if string(a) != string(b) {
-			t.Fatalf("%s changed across persistence:\n%s\n%s", k, a, b)
-		}
-	}
-	// A reloaded entry serves as a hit, not a recomputation.
-	if _, outcome, err := d.GetOrCompute(context.Background(), "k0", func(context.Context) (*plan.Plan, error) {
-		t.Fatal("compute ran for a persisted key")
-		return nil, nil
-	}); err != nil || outcome != Hit {
-		t.Fatalf("want a hit, got outcome=%s err=%v", outcome, err)
-	}
-}
-
-func TestLoadMissingFileIsFine(t *testing.T) {
-	c := New(2)
-	if err := c.Load(filepath.Join(t.TempDir(), "absent.json")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadCorruptFileFails(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	if err := writeFile(path, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if err := New(2).Load(path); err == nil {
-		t.Fatal("corrupt snapshot loaded without error")
-	}
-}
-
-// TestPersistencePreservesLRUOrder: reloading a snapshot keeps the eviction
-// order, so a restarted daemon evicts the same victims.
-func TestPersistencePreservesLRUOrder(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "plans.json")
-	c := New(3)
-	for _, k := range []string{"a", "b", "c"} {
-		c.Put(k, mkPlan(k))
-	}
-	c.Get("a") // order now (LRU->MRU): b, c, a
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	d := New(3)
-	if err := d.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	d.Put("x", mkPlan("x")) // should evict b
-	if _, ok := d.Get("b"); ok {
-		t.Fatal("b survived; LRU order was lost across persistence")
-	}
-	for _, k := range []string{"a", "c", "x"} {
-		if _, ok := d.Get(k); !ok {
-			t.Fatalf("%s should still be cached", k)
-		}
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

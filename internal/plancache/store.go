@@ -22,11 +22,11 @@ var errNoTemplate = errors.New("plancache: run produced no template")
 // Capture — the full-search paths — but not Instantiate, which is cheap by
 // construction.
 type ResolveFuncs struct {
-	// Synthesize is the plain full search (used when the template tier is
-	// disabled or keyless).
-	Synthesize Compute
-	// Capture is the full search that additionally captures a template
-	// (nil template with a valid plan when the run is not capturable).
+	// Synthesize is the full search without the template: what a waiter on
+	// another request's capture runs when that capture came back without one.
+	Synthesize func(ctx context.Context) (*plan.Plan, error)
+	// Capture is the full search, returning the run's template as well (nil
+	// template with a valid plan when the run is not capturable).
 	Capture func(ctx context.Context) (*plan.Plan, *plan.Template, error)
 	// Instantiate binds the request's cardinalities into a cached template;
 	// plan.ErrTemplateStale sends the request down the Capture path and
@@ -41,8 +41,8 @@ type ResolveFuncs struct {
 // served by instantiation — amortizing the search across every cardinality
 // of a shape.
 type Store struct {
-	Plans     *Cache
-	Templates *TemplateCache // nil = template tier disabled
+	plans     *tier[*plan.Plan]
+	templates *tier[*plan.Template]
 
 	mu             sync.Mutex
 	instantiations int64
@@ -57,16 +57,17 @@ type StoreStats struct {
 	GuardRejects   int64 `json:"guardRejects"`
 }
 
-// NewStore returns a store with the given per-tier capacities. A
-// templateCapacity of 0 (or less) disables the template tier entirely:
-// Resolve degrades to the plan tier's GetOrCompute.
+// NewStore returns a store with the given per-tier capacities (minimum 1
+// each).
 func NewStore(planCapacity, templateCapacity int) *Store {
-	s := &Store{Plans: New(planCapacity)}
-	if templateCapacity > 0 {
-		s.Templates = NewTemplateCache(templateCapacity)
-	}
-	return s
+	return &Store{plans: newTier[*plan.Plan](planCapacity),
+		templates: newTier[*plan.Template](templateCapacity)}
 }
+
+// Get returns the cached plan for a full fingerprint, if any, marking it
+// recently used. It does not count as a hit or miss; use it for read-only
+// lookups (GET /plans/{fingerprint}).
+func (s *Store) Get(fullKey string) (*plan.Plan, bool) { return s.plans.Get(fullKey) }
 
 // Resolve serves one request through both tiers. Outcomes:
 //
@@ -82,11 +83,8 @@ func NewStore(planCapacity, templateCapacity int) *Store {
 // cardinalities of one cold shape share one capture run (the non-leaders
 // instantiate the captured template instead of searching).
 func (s *Store) Resolve(ctx context.Context, fullKey, tmplKey string, f ResolveFuncs) (*plan.Plan, Outcome, error) {
-	if s.Templates == nil || tmplKey == "" {
-		return s.Plans.GetOrCompute(ctx, fullKey, f.Synthesize)
-	}
 	usedTemplate := false
-	p, out, err := s.Plans.GetOrCompute(ctx, fullKey, func(cctx context.Context) (*plan.Plan, error) {
+	p, out, err := s.plans.GetOrCompute(ctx, fullKey, func(cctx context.Context) (*plan.Plan, error) {
 		// This closure runs in the plan tier's leader goroutine; close(done)
 		// orders its writes (usedTemplate included) before GetOrCompute
 		// returns in every waiter.
@@ -109,7 +107,7 @@ func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFu
 	// very call is the template-tier leader; the tier's close(done) orders
 	// that write before GetOrCompute returns here.
 	var leaderPlan *plan.Plan
-	tm, _, err := s.Templates.GetOrCompute(ctx, tmplKey, func(cctx context.Context) (*plan.Template, error) {
+	tm, _, err := s.templates.GetOrCompute(ctx, tmplKey, func(cctx context.Context) (*plan.Template, error) {
 		p, t, err := f.Capture(cctx)
 		if err != nil {
 			return nil, err
@@ -157,7 +155,7 @@ func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFu
 		return nil, err
 	}
 	if t != nil {
-		s.Templates.Put(tmplKey, t)
+		s.templates.Put(tmplKey, t)
 	}
 	return p, nil
 }
@@ -167,19 +165,23 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	st := StoreStats{Instantiations: s.instantiations, GuardRejects: s.guardRejects}
 	s.mu.Unlock()
-	st.Plans = s.Plans.Stats()
-	if s.Templates != nil {
-		st.Templates = s.Templates.Stats()
-	}
+	st.Plans = s.plans.Stats()
+	st.Templates = s.templates.Stats()
 	return st
 }
 
 // persistedStore is the version-2 snapshot: both tiers, each least- to
-// most-recently used. Version-1 snapshots (plan tier only) load too.
+// most-recently used so that reloading them in order reproduces the LRU
+// order.
 type persistedStore struct {
 	Version   int                      `json:"version"`
 	Plans     []persistedEntry         `json:"plans"`
 	Templates []persistedTemplateEntry `json:"templates,omitempty"`
+}
+
+type persistedEntry struct {
+	Key  string     `json:"key"`
+	Plan *plan.Plan `json:"plan"`
 }
 
 type persistedTemplateEntry struct {
@@ -191,20 +193,28 @@ type persistedTemplateEntry struct {
 // directory).
 func (s *Store) Save(path string) error {
 	snap := persistedStore{Version: 2}
-	for _, e := range s.Plans.snapshot() {
+	for _, e := range s.plans.snapshot() {
 		snap.Plans = append(snap.Plans, persistedEntry{Key: e.key, Plan: e.v})
 	}
-	if s.Templates != nil {
-		for _, e := range s.Templates.snapshot() {
-			snap.Templates = append(snap.Templates, persistedTemplateEntry{Key: e.key, Template: e.v})
-		}
+	for _, e := range s.templates.snapshot() {
+		snap.Templates = append(snap.Templates, persistedTemplateEntry{Key: e.key, Template: e.v})
 	}
-	return writeSnapshot(path, snap)
+	data, err := json.MarshalIndent(snap, "", " ")
+	if err != nil {
+		return fmt.Errorf("plancache: %w", err)
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("plancache: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("plancache: %w", err)
+	}
+	return nil
 }
 
-// Load merges a snapshot written by Save — or by Cache.Save (version 1) —
-// into the store. A missing file is not an error; a corrupt file is.
-// Templates are dropped silently when the template tier is disabled.
+// Load merges a snapshot written by Save into the store. A missing file is
+// not an error (first daemon start); a corrupt file is.
 func (s *Store) Load(path string) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -213,36 +223,24 @@ func (s *Store) Load(path string) error {
 	if err != nil {
 		return fmt.Errorf("plancache: %w", err)
 	}
-	var version struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &version); err != nil {
+	var snap persistedStore
+	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("plancache: corrupt snapshot %s: %w", path, err)
 	}
-	switch version.Version {
-	case 1:
-		return s.Plans.Load(path)
-	case 2:
-		var snap persistedStore
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("plancache: corrupt snapshot %s: %w", path, err)
-		}
-		for _, e := range snap.Plans {
-			if e.Key == "" || e.Plan == nil {
-				return fmt.Errorf("plancache: corrupt snapshot %s: empty plan entry", path)
-			}
-			s.Plans.Put(e.Key, e.Plan)
-		}
-		for _, e := range snap.Templates {
-			if e.Key == "" || e.Template == nil {
-				return fmt.Errorf("plancache: corrupt snapshot %s: empty template entry", path)
-			}
-			if s.Templates != nil {
-				s.Templates.Put(e.Key, e.Template)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("plancache: unsupported snapshot version %d", version.Version)
+	if snap.Version != 2 {
+		return fmt.Errorf("plancache: unsupported snapshot version %d", snap.Version)
 	}
+	for _, e := range snap.Plans {
+		if e.Key == "" || e.Plan == nil {
+			return fmt.Errorf("plancache: corrupt snapshot %s: empty plan entry", path)
+		}
+		s.plans.Put(e.Key, e.Plan)
+	}
+	for _, e := range snap.Templates {
+		if e.Key == "" || e.Template == nil {
+			return fmt.Errorf("plancache: corrupt snapshot %s: empty template entry", path)
+		}
+		s.templates.Put(e.Key, e.Template)
+	}
+	return nil
 }

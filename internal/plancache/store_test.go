@@ -3,7 +3,9 @@ package plancache
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,10 +146,10 @@ func TestStoreTierEvictionIndependence(t *testing.T) {
 			t.Fatalf("sweep %d: outcome %v err %v", i, out, err)
 		}
 	}
-	if st := s.Plans.Stats(); st.Evictions == 0 {
+	if st := s.plans.Stats(); st.Evictions == 0 {
 		t.Fatalf("plan tier never evicted (capacity 2, 4 plans): %+v", st)
 	}
-	if st := s.Templates.Stats(); st.Evictions != 0 || st.Size != 1 {
+	if st := s.templates.Stats(); st.Evictions != 0 || st.Size != 1 {
 		t.Fatalf("template tier disturbed by plan churn: %+v", st)
 	}
 	// The evicted first plan re-resolves as a template hit, not a search.
@@ -155,16 +157,17 @@ func TestStoreTierEvictionIndependence(t *testing.T) {
 		t.Fatalf("evicted plan: outcome %v err %v", out, err)
 	}
 
-	// Template tier of 1, plan tier of 8: a second shape evicts the first
-	// template, but the first shape's exact plan still hits.
-	s2 := NewStore(8, 1)
+	// Template tier of 1 (the minimum: capacity 0 clamps to it), plan tier
+	// of 8: a second shape evicts the first template, but the first shape's
+	// exact plan still hits.
+	s2 := NewStore(8, 0)
 	if _, out, err := resolveReq(t, s2, storeReq(storeJoin, 1<<10, 0), nil, nil); err != nil || out != Miss {
 		t.Fatalf("shape 1 cold: %v %v", out, err)
 	}
 	if _, out, err := resolveReq(t, s2, storeReq(storeScan, 1<<10, 0), nil, nil); err != nil || out != Miss {
 		t.Fatalf("shape 2 cold: %v %v", out, err)
 	}
-	if st := s2.Templates.Stats(); st.Evictions != 1 || st.Size != 1 {
+	if st := s2.templates.Stats(); st.Evictions != 1 || st.Size != 1 {
 		t.Fatalf("template tier should hold one of two shapes: %+v", st)
 	}
 	if _, out, err := resolveReq(t, s2, storeReq(storeJoin, 1<<10, 0), nil, nil); err != nil || out != Hit {
@@ -201,7 +204,7 @@ func TestStoreSingleflightTemplateCapture(t *testing.T) {
 	// and the other n-1 requests have joined it as waiters, then release.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := s.Templates.Stats()
+		st := s.templates.Stats()
 		if st.Misses == 1 && st.Shared == n-1 {
 			break
 		}
@@ -241,12 +244,13 @@ func TestStoreSingleflightTemplateCapture(t *testing.T) {
 }
 
 // TestStorePersistenceRoundTrip saves a populated two-tier store and
-// reloads it: both tiers keep their contents and their LRU order, and a
-// reloaded template still instantiates (its cost formulas are rebuilt).
+// reloads it: both tiers keep their contents and their LRU order, a reloaded
+// plan serves as a hit with the bytes it was saved with, and a reloaded
+// template still instantiates (its cost formulas are rebuilt).
 func TestStorePersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
 	s := NewStore(4, 4)
-	resolveReq(t, s, storeReq(storeJoin, 1<<10, 0), nil, nil)
+	saved, _, _ := resolveReq(t, s, storeReq(storeJoin, 1<<10, 0), nil, nil)
 	resolveReq(t, s, storeReq(storeScan, 1<<10, 0), nil, nil)
 	resolveReq(t, s, storeReq(storeJoin, 1<<18, 0), nil, nil)
 	// Touch the scan shape last so both tiers end with scan most recent.
@@ -259,7 +263,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	if err := s2.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	wantPlans, gotPlans := s.Plans.snapshot(), s2.Plans.snapshot()
+	wantPlans, gotPlans := s.plans.snapshot(), s2.plans.snapshot()
 	if len(gotPlans) != len(wantPlans) {
 		t.Fatalf("plan tier: want %d entries, got %d", len(wantPlans), len(gotPlans))
 	}
@@ -268,7 +272,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 			t.Fatalf("plan tier LRU order changed at %d: %s vs %s", i, gotPlans[i].key, wantPlans[i].key)
 		}
 	}
-	wantTmpl, gotTmpl := s.Templates.snapshot(), s2.Templates.snapshot()
+	wantTmpl, gotTmpl := s.templates.snapshot(), s2.templates.snapshot()
 	if len(gotTmpl) != len(wantTmpl) {
 		t.Fatalf("template tier: want %d entries, got %d", len(wantTmpl), len(gotTmpl))
 	}
@@ -278,11 +282,20 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		}
 	}
 
+	// A reloaded plan serves as a hit, not a recomputation.
+	var captures atomic.Int64
+	p, out, err := resolveReq(t, s2, storeReq(storeJoin, 1<<10, 0), &captures, nil)
+	if err != nil || out != Hit {
+		t.Fatalf("reloaded plan: outcome %v err %v", out, err)
+	}
+	if !bytes.Equal(plan.Encode(p), plan.Encode(saved)) {
+		t.Fatalf("plan changed across persistence:\n%s\n%s", plan.Encode(p), plan.Encode(saved))
+	}
+
 	// A reloaded template must serve new cardinalities without a search —
 	// and with the same bytes a cold search would produce.
-	var captures atomic.Int64
 	warmReq := storeReq(storeJoin, 1<<20, 0)
-	p, out, err := resolveReq(t, s2, warmReq, &captures, nil)
+	p, out, err = resolveReq(t, s2, warmReq, &captures, nil)
 	if err != nil || out != TemplateHit {
 		t.Fatalf("reloaded store: outcome %v err %v", out, err)
 	}
@@ -294,49 +307,62 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreLoadV1Snapshot keeps old daemon snapshots loadable: a version-1
-// file written by Cache.Save populates the plan tier.
-func TestStoreLoadV1Snapshot(t *testing.T) {
+// TestStoreRejectsV1Snapshot: a version-1 file (plan tier only, the format
+// before templates) is refused whole, so ocasd logs it and starts cold.
+func TestStoreRejectsV1Snapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.json")
-	c := New(4)
-	c.Put("fp-a", mkPlan("fp-a"))
-	c.Put("fp-b", mkPlan("fp-b"))
-	if err := c.Save(path); err != nil {
+	v1 := `{"version": 1, "entries": [{"key": "fp-a", "plan": ` + string(plan.Encode(mkPlan("fp-a"))) + `}]}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := NewStore(4, 4)
-	if err := s.Load(path); err != nil {
-		t.Fatal(err)
+	if err := s.Load(path); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("want an unsupported-version error, got %v", err)
 	}
-	if _, ok := s.Plans.Get("fp-a"); !ok {
-		t.Fatal("v1 entry fp-a missing after load")
-	}
-	if _, ok := s.Plans.Get("fp-b"); !ok {
-		t.Fatal("v1 entry fp-b missing after load")
-	}
-	if st := s.Templates.Stats(); st.Size != 0 {
-		t.Fatalf("v1 snapshot populated the template tier: %+v", st)
+	if st := s.Stats(); st.Plans.Size != 0 || st.Templates.Size != 0 {
+		t.Fatalf("a refused snapshot populated the store: %+v", st)
 	}
 }
 
-// TestStoreDisabledTemplates pins the degraded mode: template capacity 0
-// routes everything through the plan tier alone.
-func TestStoreDisabledTemplates(t *testing.T) {
-	s := NewStore(4, 0)
-	if s.Templates != nil {
-		t.Fatal("template tier should be nil at capacity 0")
+func TestLoadMissingFileIsFine(t *testing.T) {
+	if err := NewStore(2, 2).Load(filepath.Join(t.TempDir(), "absent.json")); err != nil {
+		t.Fatal(err)
 	}
-	var captures atomic.Int64
-	if _, out, err := resolveReq(t, s, storeReq(storeJoin, 1<<10, 0), &captures, nil); err != nil || out != Miss {
-		t.Fatalf("cold: %v %v", out, err)
+}
+
+func TestLoadCorruptFileFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, out, err := resolveReq(t, s, storeReq(storeJoin, 1<<15, 0), &captures, nil); err != nil || out != Miss {
-		t.Fatalf("new rows with templates disabled: %v %v", out, err)
+	if err := NewStore(2, 2).Load(path); err == nil {
+		t.Fatal("corrupt snapshot loaded without error")
 	}
-	if captures.Load() != 0 {
-		t.Fatalf("disabled template tier still ran captures: %d", captures.Load())
+}
+
+// TestPersistencePreservesLRUOrder: reloading a snapshot keeps the eviction
+// order, so a restarted daemon evicts the same victims.
+func TestPersistencePreservesLRUOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.json")
+	c := NewStore(3, 1)
+	for _, k := range []string{"a", "b", "c"} {
+		c.plans.Put(k, mkPlan(k))
 	}
-	if st := s.Stats(); st.Instantiations != 0 || st.Templates.Size != 0 {
-		t.Fatalf("disabled tier counted work: %+v", st)
+	c.Get("a") // order now (LRU->MRU): b, c, a
+	if err := c.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	d := NewStore(3, 1)
+	if err := d.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	d.plans.Put("x", mkPlan("x")) // should evict b
+	if _, ok := d.Get("b"); ok {
+		t.Fatal("b survived; LRU order was lost across persistence")
+	}
+	for _, k := range []string{"a", "c", "x"} {
+		if _, ok := d.Get(k); !ok {
+			t.Fatalf("%s should still be cached", k)
+		}
 	}
 }

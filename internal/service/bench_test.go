@@ -17,7 +17,7 @@ func BenchmarkServiceColdVsWarm(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			srv := New(Config{}, nil)
+			srv := New(Config{})
 			ts := httptest.NewServer(srv.Handler())
 			b.StartTimer()
 			benchPost(b, ts, slowBody())
@@ -26,7 +26,7 @@ func BenchmarkServiceColdVsWarm(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		srv := New(Config{}, nil)
+		srv := New(Config{})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		benchPost(b, ts, slowBody()) // populate

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -39,7 +38,8 @@ func loadCorpus(t *testing.T) map[string][]byte {
 // asserts the acceptance contract: the response is the plan, a second POST
 // is a cache hit, and the served bytes are byte-identical to what
 // cmd/ocas -json prints for the same request (both go through
-// plan.Execute + plan.Encode; this pins that they stay shared).
+// plan.Compile, a Compiled's search and plan.Encode; this pins that they
+// stay shared).
 func TestExamplesCorpus(t *testing.T) {
 	corpus := loadCorpus(t)
 	_, ts := newTestServer(t, Config{MaxInflight: 4})
@@ -64,18 +64,10 @@ func TestExamplesCorpus(t *testing.T) {
 			}
 
 			// The CLI path: cmd/ocas -json decodes its flags into a
-			// plan.Request and prints plan.Encode(plan.Execute(req)).
-			// Running the same request through that pipeline must yield
-			// the exact bytes the service served.
-			var req plan.Request
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Fatal(err)
-			}
-			p, err := plan.Execute(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cli := plan.Encode(p); !bytes.Equal(served, cli) {
+			// plan.Request, compiles it, searches and prints plan.Encode of
+			// the plan. Running the same request through that pipeline must
+			// yield the exact bytes the service served.
+			if cli := isolatedPlan(t, body); !bytes.Equal(served, cli) {
 				t.Fatalf("service bytes differ from cmd/ocas -json bytes:\n--- service ---\n%s\n--- cli ---\n%s", served, cli)
 			}
 

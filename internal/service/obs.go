@@ -17,9 +17,7 @@ import (
 )
 
 // initObs builds the server's registry, trace ring and metric families.
-// Called from New; when cfg.DisableObs is set the server skips per-request
-// tracing and histogram work entirely (the overhead-guard baseline), but
-// the registry still exists so /metrics stays a valid endpoint.
+// Called from New.
 func (s *Server) initObs() {
 	s.reg = obs.NewRegistry()
 	ring := s.cfg.TraceRing
@@ -147,17 +145,11 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // withObs is the request middleware: it assigns every request an ID (echoed
 // as X-Ocas-Request-Id), opens the request's root span, measures latency
 // into the per-endpoint histogram split by cache outcome, emits the access
-// log line and records the finished trace into the ring. With DisableObs
-// only the request ID survives — no trace, no histogram, no log fields
-// beyond what the handler itself wrote.
+// log line and records the finished trace into the ring.
 func (s *Server) withObs(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := obs.NewID()
 		w.Header().Set("X-Ocas-Request-Id", id)
-		if s.cfg.DisableObs {
-			h.ServeHTTP(w, r)
-			return
-		}
 		ep := endpointLabel(r)
 		tr := obs.NewTrace(id)
 		root := tr.StartSpan(r.Method+" "+ep, nil)

@@ -37,12 +37,6 @@ func TestRequestIDHeader(t *testing.T) {
 	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(id) {
 		t.Fatalf("X-Ocas-Request-Id = %q, want 16 hex chars", id)
 	}
-	// The ID survives even with observability disabled.
-	_, ts2 := newTestServer(t, Config{DisableObs: true})
-	resp, _ = get(t, ts2, "/healthz")
-	if resp.Header.Get("X-Ocas-Request-Id") == "" {
-		t.Fatal("no request ID with DisableObs")
-	}
 }
 
 // TestMetricsEndpoint scrapes /metrics before and after a miss+hit pair and
@@ -151,7 +145,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, _ := post(t, ts, fastBody())
 	spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
-	for _, want := range []string{"POST /synthesize", "compile", "resolve", "synthesize", "synth.search", "synth.screen", "synth.optimize"} {
+	for _, want := range []string{"POST /synthesize", "compile", "resolve", "synthesize.capture",
+		"synth.search", "synth.screen", "synth.capture", "synth.optimize"} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("miss-path trace lacks span %q (have %v)", want, names)
 		}
@@ -238,29 +233,6 @@ func TestHealthz(t *testing.T) {
 	}
 	if _, err := time.ParseDuration(h.Uptime); err != nil {
 		t.Errorf("uptime %q: %v", h.Uptime, err)
-	}
-}
-
-func TestDisableObs(t *testing.T) {
-	_, ts := newTestServer(t, Config{DisableObs: true})
-	post(t, ts, fastBody())
-	_, body := get(t, ts, "/traces")
-	var list struct {
-		Total int64 `json:"total"`
-	}
-	if err := json.Unmarshal(body, &list); err != nil {
-		t.Fatal(err)
-	}
-	if list.Total != 0 {
-		t.Errorf("DisableObs recorded %d traces", list.Total)
-	}
-	_, scrape := get(t, ts, "/metrics")
-	if strings.Contains(string(scrape), "ocas_request_seconds_bucket") {
-		t.Error("DisableObs observed request latency")
-	}
-	// The callback-backed counters still work: /metrics stays useful.
-	if !strings.Contains(string(scrape), "ocas_plan_cache_misses_total 1") {
-		t.Error("scrape lost cache counters under DisableObs")
 	}
 }
 

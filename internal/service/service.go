@@ -51,7 +51,7 @@ type Config struct {
 	// TemplateCacheSize bounds the template tier: reusable synthesis
 	// captures keyed by request shape, so that requests differing only in
 	// input cardinalities skip the search (see internal/plan's template
-	// documentation). 0 disables the tier; ocasd enables it by default.
+	// documentation; default 64 templates).
 	TemplateCacheSize int
 	// MaxInflight bounds concurrent synthesis and execution jobs
 	// (default 2).
@@ -94,11 +94,6 @@ type Config struct {
 	// AccessLog, when set, receives one structured line per request with
 	// the request ID, status, latency and cache outcome.
 	AccessLog *slog.Logger
-	// DisableObs turns off per-request tracing, latency histograms and
-	// access logging (request IDs are still assigned). It exists for the
-	// overhead guard: a DisableObs server is the baseline the instrumented
-	// server is compared against.
-	DisableObs bool
 }
 
 // Metrics are the service counters exposed on /stats (cache counters come
@@ -129,7 +124,6 @@ type ExecStats struct {
 // Server handles the ocasd API. Create with New.
 type Server struct {
 	cfg     Config
-	cache   *plancache.Cache
 	store   *plancache.Store
 	sem     chan struct{} // admission slots for new synthesis jobs
 	slots   *slotSem      // executor worker-slot pool (/execute)
@@ -161,11 +155,13 @@ type Server struct {
 	leaderID map[string]string // fingerprint -> request ID computing it
 }
 
-// New builds a Server around the given cache (pass nil to create one of
-// cfg.CacheSize).
-func New(cfg Config, cache *plancache.Cache) *Server {
+// New builds a Server.
+func New(cfg Config) *Server {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
+	}
+	if cfg.TemplateCacheSize <= 0 {
+		cfg.TemplateCacheSize = 64
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 2
@@ -188,17 +184,9 @@ func New(cfg Config, cache *plancache.Cache) *Server {
 	if cfg.ExecWorkers > cfg.MaxWorkerSlots {
 		cfg.ExecWorkers = cfg.MaxWorkerSlots
 	}
-	if cache == nil {
-		cache = plancache.New(cfg.CacheSize)
-	}
-	store := &plancache.Store{Plans: cache}
-	if cfg.TemplateCacheSize > 0 {
-		store.Templates = plancache.NewTemplateCache(cfg.TemplateCacheSize)
-	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   cache,
-		store:   store,
+		store:   plancache.NewStore(cfg.CacheSize, cfg.TemplateCacheSize),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		slots:   newSlotSem(int64(cfg.MaxWorkerSlots)),
 		started: time.Now(),
@@ -207,11 +195,7 @@ func New(cfg Config, cache *plancache.Cache) *Server {
 	return s
 }
 
-// Cache exposes the server's plan cache (for persistence at shutdown).
-func (s *Server) Cache() *plancache.Cache { return s.cache }
-
-// Store exposes the two-tier cache (for persistence at shutdown; the
-// template tier is nil unless Config.TemplateCacheSize was set).
+// Store exposes the two-tier cache (for persistence at shutdown).
 func (s *Server) Store() *plancache.Store { return s.store }
 
 // resolvePlan routes one compiled request through the two-tier cache.
@@ -219,47 +203,32 @@ func (s *Server) Store() *plancache.Store { return s.store }
 // never instantiation — replaying a template is cheap by construction and
 // must not queue behind cold searches.
 func (s *Server) resolvePlan(ctx context.Context, compiled *plan.Compiled) (*plan.Plan, plancache.Outcome, error) {
-	admit := func(cctx context.Context) error {
+	// search is the admission-wrapped full search. The compute context
+	// retains the leader's values, so the span here belongs to the request
+	// whose miss started the synthesis; followers joining via singleflight
+	// attribute their log lines to this ID.
+	search := func(cctx context.Context) (*plan.Plan, *plan.Template, error) {
+		s.setLeader(compiled.Fingerprint, obs.SpanFrom(cctx).TraceID())
 		select {
 		case s.sem <- struct{}{}:
-			return nil
 		case <-cctx.Done():
-			return cctx.Err()
+			return nil, nil, cctx.Err()
 		}
+		defer func() { <-s.sem }()
+		cctx, sp := obs.Start(cctx, "synthesize.capture")
+		defer sp.End()
+		synthStart := time.Now()
+		defer func() {
+			atomic.AddInt64(&s.metrics.SynthNanos, int64(time.Since(synthStart)))
+		}()
+		return compiled.RunCapture(cctx)
 	}
 	return s.store.Resolve(ctx, compiled.Fingerprint, compiled.TemplateFingerprint, plancache.ResolveFuncs{
 		Synthesize: func(cctx context.Context) (*plan.Plan, error) {
-			// The compute context retains the leader's values, so the span
-			// here belongs to the request whose miss started the synthesis;
-			// followers joining via singleflight attribute their log lines
-			// to this ID.
-			s.setLeader(compiled.Fingerprint, obs.SpanFrom(cctx).TraceID())
-			if err := admit(cctx); err != nil {
-				return nil, err
-			}
-			defer func() { <-s.sem }()
-			cctx, sp := obs.Start(cctx, "synthesize")
-			defer sp.End()
-			synthStart := time.Now()
-			defer func() {
-				atomic.AddInt64(&s.metrics.SynthNanos, int64(time.Since(synthStart)))
-			}()
-			return compiled.Run(cctx)
+			p, _, err := search(cctx)
+			return p, err
 		},
-		Capture: func(cctx context.Context) (*plan.Plan, *plan.Template, error) {
-			s.setLeader(compiled.Fingerprint, obs.SpanFrom(cctx).TraceID())
-			if err := admit(cctx); err != nil {
-				return nil, nil, err
-			}
-			defer func() { <-s.sem }()
-			cctx, sp := obs.Start(cctx, "synthesize.capture")
-			defer sp.End()
-			synthStart := time.Now()
-			defer func() {
-				atomic.AddInt64(&s.metrics.SynthNanos, int64(time.Since(synthStart)))
-			}()
-			return compiled.RunCapture(cctx)
-		},
+		Capture:     search,
 		Instantiate: compiled.Instantiate,
 	})
 }
@@ -544,7 +513,7 @@ func (s *Server) failCompute(w http.ResponseWriter, err error, timeout time.Dura
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
-	p, ok := s.cache.Get(fp)
+	p, ok := s.store.Get(fp)
 	if !ok {
 		s.fail(w, http.StatusNotFound, "no plan with fingerprint %q", fp)
 		return
@@ -576,7 +545,7 @@ type CatalogStats struct {
 
 type statsResponse struct {
 	Cache plancache.Stats `json:"cache"`
-	// Templates is the template (shape) tier; all-zero when disabled.
+	// Templates is the template (shape) tier.
 	Templates plancache.Stats `json:"templates"`
 	// Instantiations counts plans served by binding a cached template;
 	// GuardRejects counts templates the equivalence guards refused (the

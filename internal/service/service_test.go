@@ -39,10 +39,29 @@ func slowBody() string {
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(cfg, nil)
+	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// isolatedPlan is the plan bytes of a request body run outside any server:
+// compile, search, encode — what cmd/ocas -json prints.
+func isolatedPlan(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var req plan.Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	c, err := plan.Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(t.Context())
+	if err != nil {
+		t.Fatalf("isolated run: %v", err)
+	}
+	return plan.Encode(p)
 }
 
 func post(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
@@ -234,7 +253,7 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 	}
 	wg.Wait()
 
-	stats := srv.Cache().Stats()
+	stats := srv.Store().Stats().Plans
 	if stats.Misses != 1 {
 		t.Fatalf("%d concurrent identical requests ran %d syntheses, want exactly 1 (outcomes %v)",
 			n, stats.Misses, outcomes)
@@ -264,13 +283,14 @@ func TestAdmissionSerializesDistinctRequests(t *testing.T) {
 		}(i, body)
 	}
 	wg.Wait()
-	if stats := srv.Cache().Stats(); stats.Misses != 2 {
+	if stats := srv.Store().Stats().Plans; stats.Misses != 2 {
 		t.Fatalf("stats %+v, want 2 misses", stats)
 	}
 }
 
 // TestLRUBoundThroughService: a cache of size 1 keeps only the most recent
-// plan; the evicted fingerprint re-synthesizes.
+// plan; the evicted fingerprint is recomputed (from its shape's template,
+// which the plan tier's churn does not touch).
 func TestLRUBoundThroughService(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheSize: 1})
 	mkBody := func(rows int64) string {
@@ -280,10 +300,10 @@ func TestLRUBoundThroughService(t *testing.T) {
 	post(t, ts, mkBody(1<<20))
 	post(t, ts, mkBody(1<<21)) // evicts the first
 	resp, _ := post(t, ts, mkBody(1<<20))
-	if got := resp.Header.Get("X-Ocas-Cache"); got != "miss" {
-		t.Fatalf("evicted plan served as %q, want miss", got)
+	if got := resp.Header.Get("X-Ocas-Cache"); got != "template-hit" {
+		t.Fatalf("evicted plan served as %q, want template-hit", got)
 	}
-	if stats := srv.Cache().Stats(); stats.Evictions != 2 || stats.Size != 1 {
+	if stats := srv.Store().Stats().Plans; stats.Evictions != 2 || stats.Size != 1 {
 		t.Fatalf("stats %+v", stats)
 	}
 }
@@ -335,15 +355,7 @@ func TestSequentialRequestsFreshMemoState(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, served)
 		}
-		var req plan.Request
-		if err := json.Unmarshal([]byte(body), &req); err != nil {
-			t.Fatal(err)
-		}
-		isolated, err := plan.Execute(t.Context(), req)
-		if err != nil {
-			t.Fatalf("%s: isolated run: %v", name, err)
-		}
-		if !bytes.Equal(served, plan.Encode(isolated)) {
+		if !bytes.Equal(served, isolatedPlan(t, []byte(body))) {
 			t.Errorf("%s: daemon plan differs from an isolated run of the same request", name)
 		}
 	}

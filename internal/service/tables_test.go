@@ -22,7 +22,7 @@ func newCatalogServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.
 	}
 	t.Cleanup(func() { cat.Close() })
 	cfg.Catalog = cat
-	srv := New(cfg, nil)
+	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, cat

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,10 +185,9 @@ func TestStatsReportTemplates(t *testing.T) {
 	}
 }
 
-// TestTemplatesDisabledByDefault pins the service default: without
-// TemplateCacheSize, same-shape/different-rows requests are plain misses
-// (the pre-template behavior other tests rely on).
-func TestTemplatesDisabledByDefault(t *testing.T) {
+// TestTemplatesOnByDefault pins the service default: a zero Config serves
+// same-shape/different-rows requests from the shape's template.
+func TestTemplatesOnByDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	post(t, ts, fastBody())
 	warm := `{
@@ -196,8 +197,52 @@ func TestTemplatesDisabledByDefault(t *testing.T) {
 		"depth": 4, "space": 500
 	}`
 	resp, _ := post(t, ts, warm)
-	if got := resp.Header.Get("X-Ocas-Cache"); got != "miss" {
-		t.Fatalf("X-Ocas-Cache = %q, want miss with templates disabled", got)
+	if got := resp.Header.Get("X-Ocas-Cache"); got != "template-hit" {
+		t.Fatalf("X-Ocas-Cache = %q, want template-hit from a default server", got)
+	}
+}
+
+// TestConcurrentColdShapeSearchesOnce: N concurrent cold requests for
+// different cardinalities of one shape run one search between them — the
+// others wait for the leader's capture and instantiate it (or arrive after
+// it and do the same).
+func TestConcurrentColdShapeSearchesOnce(t *testing.T) {
+	const n = 6
+	_, ts := newTestServer(t, Config{MaxInflight: n})
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := strings.Replace(fastBody(), "1048576", fmt.Sprint(1<<(12+i)), 1)
+			resp, err := http.Post(ts.URL+"/synthesize", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+			}
+			ids[i] = resp.Header.Get("X-Ocas-Request-Id")
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	searches := 0
+	for _, id := range ids {
+		spans, _ := traceSpans(t, ts, id)
+		for _, sp := range spans {
+			if sp.Name == "synth.search" {
+				searches++
+			}
+		}
+	}
+	if searches != 1 {
+		t.Fatalf("%d concurrent cold requests of one shape ran %d searches, want 1", n, searches)
 	}
 }
 
@@ -213,7 +258,7 @@ func FuzzTemplateRequest(f *testing.F) {
 	f.Add(int64(-1), int64(1<<62), int64(1<<62))
 
 	cfg := Config{TemplateCacheSize: 8}
-	srv := New(cfg, nil)
+	srv := New(cfg)
 	// Seed one template for the join shape at the reference constants.
 	seed := plan.Request{
 		Program: joinSrc,
