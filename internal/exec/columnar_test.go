@@ -343,56 +343,6 @@ func TestColumnarLayoutDifferential(t *testing.T) {
 	}
 }
 
-// selPassExplainGolden is the EXPLAIN ANALYZE tree of the naive pure filter
-// below over layoutShapes' scan table, captured from the last tree whose
-// explained runs still took the compacting path (wall time zeroed). Its
-// batches counter is left out of the comparison: pass-through batches
-// follow the plan's input blocks — here one row each — not BatchRows.
-const selPassExplainGolden = `{"op":"project","detail":"table(rows=1727) k=1","parts":8,"batches":0,"rows":840,` +
-	`"wallNanos":0,"simSeconds":0.12043919881184856,"readInits":8,"writeInits":0,"bytesRead":13816,` +
-	`"bytesWrite":0,"poolPins":8,"spills":0,"spillBytes":0}`
-
-// TestExplainTakesSelPass: asking for EXPLAIN must not change the path
-// being explained. A root pure filter lowered with Explain on still splits
-// into morsel projections that publish selection vectors, and the tree it
-// reports carries exactly the charges the compacting path reported.
-func TestExplainTakesSelPass(t *testing.T) {
-	sh := layoutShapes()[0]
-	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
-	scratch, err := sim.Device("hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Lower(ocal.MustParse("for (x <- R) if x.1 < 50 then [x] else []"), LowerOpts{
-		Sim: sim, Inputs: preloadOpener(sh)(t, scratch), Scratch: scratch,
-		Sink: &Sink{Sim: sim}, RAMBytes: 1 << 20, Explain: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	g, ok := unwrapOp(p.Root).(*Gather)
-	if !ok {
-		t.Fatalf("root is %T, want a Gather over morsel projections", unwrapOp(p.Root))
-	}
-	for i, part := range g.Parts {
-		pr, ok := part.(*Project)
-		if !ok || !pr.SelPass || pr.pk == nil || !pr.pk.selPassOK() {
-			t.Fatalf("morsel %d (%T) is not a sel-pass projection", i, part)
-		}
-		if pr.passSel == nil || pr.em.rows() != 0 || len(pr.em.cols) != 0 {
-			t.Errorf("morsel %d compacted its survivors instead of publishing a selection vector", i)
-		}
-	}
-	tree := p.ExplainTree()
-	tree.Batches = 0
-	if got := marshalExplain(t, tree, false); got != selPassExplainGolden {
-		t.Errorf("explained sel-pass tree diverges from the golden\n got: %s\nwant: %s", got, selPassExplainGolden)
-	}
-}
-
 // FuzzColumnarVsRow drives randomized scan/filter/project and join shapes
 // through an arbitrary configuration (batch size, worker count). The result
 // must be the bag internal/interp evaluates for the same program — the

@@ -23,11 +23,6 @@ import (
 type ExplainNode struct {
 	Kind   string `json:"op"`
 	Detail string `json:"detail,omitempty"`
-	// Parts is the number of morsel partitions the logical operator split
-	// into (1 = not partitioned). Partition instances share this one node:
-	// their charges fold into the enclosing operator's windows at the
-	// executor's partition-order adopt barriers.
-	Parts int `json:"parts"`
 
 	Batches    int64   `json:"batches"`
 	Rows       int64   `json:"rows"`
@@ -180,7 +175,7 @@ func buildExplainTree(op Operator) *ExplainNode {
 		return nil
 	}
 	n := w.node
-	n.Kind, n.Detail, n.Parts = describeOp(w.op)
+	n.Kind, n.Detail = describeOp(w.op)
 	for _, kid := range childOps(w.op) {
 		if c := buildExplainTree(kid); c != nil {
 			n.Children = append(n.Children, c)
@@ -218,23 +213,15 @@ func opsOf(ins ...Input) []Operator {
 	return out
 }
 
-// describeOp names one logical operator. For a Gather over morsel
-// partitions the description comes from the first partition instance (all
-// instances are clones of one logical scan or projection) and parts counts
-// them. Every component of the detail string is plan-determined, so the
-// rendered tree is identical across worker counts.
-func describeOp(op Operator) (kind, detail string, parts int) {
+// describeOp names one logical operator. Every component of the detail
+// string is plan-determined, so the rendered tree is identical across
+// worker counts.
+func describeOp(op Operator) (kind, detail string) {
 	switch t := op.(type) {
-	case *Gather:
-		if len(t.Parts) > 0 {
-			kind, detail, _ = describeOp(t.Parts[0])
-			return kind, detail, len(t.Parts)
-		}
-		return "gather", "", 1
 	case *Scan:
-		return "scan", fmt.Sprintf("rows=%d arity=%d k=%d", t.T.Rows(), t.T.Arity, t.K), 1
+		return "scan", fmt.Sprintf("rows=%d arity=%d k=%d", t.T.Rows(), t.T.Arity, t.K)
 	case *Project:
-		return "project", fmt.Sprintf("%s k=%d", inputDetail(t.In), t.K), 1
+		return "project", fmt.Sprintf("%s k=%d", inputDetail(t.In), t.K)
 	case *BNLJoin:
 		d := fmt.Sprintf("outer=%s inner=%s k1=%d k2=%d", inputDetail(t.L), inputDetail(t.R), t.K1, t.K2)
 		if t.TileX > 0 || t.TileY > 0 {
@@ -243,18 +230,18 @@ func describeOp(op Operator) (kind, detail string, parts int) {
 		if t.EquiKeys != nil {
 			d += " equi"
 		}
-		return "bnl-join", d, 1
+		return "bnl-join", d
 	case *HashJoin:
 		return "hash-join", fmt.Sprintf("buckets=%d build=%s probe=%s k=%d",
-			t.Buckets, inputDetail(t.L), inputDetail(t.R), t.KJoin), 1
+			t.Buckets, inputDetail(t.L), inputDetail(t.R), t.KJoin)
 	case *ExtSort:
-		return "ext-sort", fmt.Sprintf("in=%s way=%d bin=%d bout=%d", inputDetail(t.In), t.Way, t.Bin, t.Bout), 1
+		return "ext-sort", fmt.Sprintf("in=%s way=%d bin=%d bout=%d", inputDetail(t.In), t.Way, t.Bin, t.Bout)
 	case *UnfoldR:
-		return "unfold-merge", fmt.Sprintf("ins=%d k=%d", len(t.Ins), t.K), 1
+		return "unfold-merge", fmt.Sprintf("ins=%d k=%d", len(t.Ins), t.K)
 	case *Fold:
-		return "fold", fmt.Sprintf("in=%s k=%d", inputDetail(t.In), t.K), 1
+		return "fold", fmt.Sprintf("in=%s k=%d", inputDetail(t.In), t.K)
 	}
-	return fmt.Sprintf("%T", op), "", 1
+	return fmt.Sprintf("%T", op), ""
 }
 
 // inputDetail describes one operator input: fused base tables by size,
@@ -265,11 +252,7 @@ func inputDetail(in Input) string {
 		return fmt.Sprintf("table(rows=%d)", in.table.Rows())
 	case in.op != nil:
 		return "stream"
-	case in.spill != nil:
-		return "spill"
-	case len(in.spills) > 0:
-		return "spills"
 	default:
-		return "section"
+		return "spills"
 	}
 }

@@ -464,14 +464,6 @@ func (s *scanKernelSpec) build(ar int) *projKernel {
 	return k
 }
 
-// selPassOK reports whether the kernel can serve pure-filter pass-through:
-// the output is the input row verbatim, survival is decided by an
-// error-free condition — so the operator may publish the input columns
-// unchanged with just a selection vector.
-func (k *projKernel) selPassOK() bool {
-	return k.identity && k.cond != nil && !k.canErr
-}
-
 // run executes the kernel over one column block, appending the produced
 // rows to the emitter's column vectors in input order — the exact row
 // stream the fallback leaf produces, so batch boundaries (and with them

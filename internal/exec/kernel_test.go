@@ -390,37 +390,6 @@ func buildChain(t testing.TB, withKernel bool) *Project {
 	return p
 }
 
-// TestSelPassZeroAllocs: sel-passthrough — a pure filter publishing the
-// input block untouched plus a selection vector — allocates nothing per
-// Next once the reusable selection vector has grown, and actually engages
-// (batches carry Sel).
-func TestSelPassZeroAllocs(t *testing.T) {
-	p := buildSelPass(t)
-	defer p.Close()
-	if allocs := steadyAllocs(t, p); allocs > 0 {
-		t.Errorf("sel-passthrough Next allocates %.1f times per call in steady state", allocs)
-	}
-	var b Batch
-	if ok, err := p.Next(&b); err != nil || !ok || b.Sel == nil {
-		t.Fatalf("sel-passthrough did not engage: ok=%v err=%v sel=%v", ok, err, b.Sel)
-	}
-}
-
-// buildSelPass assembles a pure-filter Project with SelPass enabled, opened
-// and ready to Next.
-func buildSelPass(t testing.TB) *Project {
-	sim, scratch, tb := allocTable(t)
-	spec := parseScanKernel(ocal.MustParse("if x.1 < 50 then [x] else []"), "x")
-	if spec == nil {
-		t.Fatal("filter body did not parse as a kernel")
-	}
-	p := &Project{In: TableInput(tb), K: 64, Step: filterStep, kern: spec, SelPass: true}
-	if err := p.Open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // BenchmarkStepAllocs reports allocations per steady-state Next call of
 // every Project path (the contract: 0 allocs/op).
 func BenchmarkStepAllocs(b *testing.B) {
@@ -431,7 +400,6 @@ func BenchmarkStepAllocs(b *testing.B) {
 		{"fallback", func() *Project { return buildProject(b, false) }},
 		{"kernel", func() *Project { return buildProject(b, true) }},
 		{"chain", func() *Project { return buildChain(b, true) }},
-		{"selpass", func() *Project { return buildSelPass(b) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := bc.build()

@@ -147,7 +147,7 @@ func (p *Program) Run() (err error) {
 // charge exactly what the monolithic plans charged.
 func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 	l := &lowerer{o: o}
-	root, err := l.lowerRoot(prog)
+	root, err := l.lower(prog, false)
 	if err != nil {
 		return nil, err
 	}
@@ -180,15 +180,12 @@ func NewProgram(root Operator, o LowerOpts) *Program {
 	}}
 }
 
+// lowerer translates expressions to operators. It never partitions: the
+// degrees of the parallel sections come only from plan parameters, inside
+// the operators that know their semantics (hash-join buckets, sort
+// sections, exchange morsels).
 type lowerer struct {
 	o LowerOpts
-	// root marks that the expression being lowered produces the program
-	// output. A root scan or projection over a base table may split into
-	// morsel partitions merged by a Gather, because the sink consumes a
-	// bag; lower in the tree the stream order can carry meaning (sorted
-	// merges), so partitioning there is left to the operators that know
-	// their semantics (hash join buckets, sort sections).
-	root bool
 	// ordered marks that the expression being lowered feeds an
 	// order-sensitive consumer (a fold threads its accumulator through the
 	// rows, a streaming merge requires sorted streams), possibly through
@@ -208,12 +205,6 @@ func (l *lowerer) withOrdered(ordered bool, f func() (Input, error)) (Input, err
 	return in, err
 }
 
-// lowerRoot lowers the program's root expression (partitioning allowed).
-func (l *lowerer) lowerRoot(prog ocal.Expr) (Operator, error) {
-	l.root = true
-	return l.lower(prog, false)
-}
-
 // lower translates one expression into an operator, wrapping it with
 // explain instrumentation when requested. orderBy marks that the
 // expression sits under an order-inputs wrapper, which the next loop nest
@@ -228,8 +219,6 @@ func (l *lowerer) lower(prog ocal.Expr, orderBy bool) (Operator, error) {
 
 // lowerExpr is the dispatch body of lower.
 func (l *lowerer) lowerExpr(prog ocal.Expr, orderBy bool) (Operator, error) {
-	root := l.root
-	l.root = false
 	// order-inputs wrapper: (\<v1,v2> -> body)(if length(a)<=length(b) ...)
 	if app, ok := prog.(ocal.App); ok {
 		if lam, ok := app.Fn.(ocal.Lam); ok && len(lam.Params) == 2 {
@@ -264,15 +253,12 @@ func (l *lowerer) lowerExpr(prog ocal.Expr, orderBy bool) (Operator, error) {
 		return op, err
 	}
 	// Loop nests: scans, filters/projections, (tiled) nested-loop joins.
-	if op, err, ok := l.lowerLoops(prog, orderBy, root); ok {
+	if op, err, ok := l.lowerLoops(prog, orderBy); ok {
 		return op, err
 	}
 	// A bare input: the identity scan.
 	if v, ok := prog.(ocal.Var); ok {
 		if t, isIn := l.o.Inputs[v.Name]; isIn {
-			if root {
-				return l.scanParts(t, 0), nil
-			}
 			return &Scan{T: t}, nil
 		}
 	}
@@ -324,46 +310,6 @@ type srcInfo struct {
 	tiles []int64 // block sizes of inner re-blocking loops (cache tiling)
 }
 
-// partsFor picks the morsel count of a partitioned root scan: enough
-// blocks per morsel to amortize its seek, bounded by maxPartitions and the
-// pool budget (every morsel needs at least one frame of its share). The
-// count depends on the table, the tuned block size and the budget — never
-// on the worker count — so charges are worker-count-invariant.
-func (l *lowerer) partsFor(rows, k, width int64) int {
-	if k < 1 {
-		k = 1
-	}
-	p := clampParts(rows / (4 * k))
-	budget := l.o.PoolBytes
-	if budget == 0 {
-		budget = l.o.RAMBytes
-	}
-	if budget > 0 && width > 0 {
-		if maxP := budget / width; maxP < int64(p) {
-			p = int(maxP)
-		}
-		if p < 1 {
-			p = 1
-		}
-	}
-	return p
-}
-
-// scanParts builds a morsel-partitioned identity scan of a base table (a
-// single Scan when one morsel suffices).
-func (l *lowerer) scanParts(t *Table, k int64) Operator {
-	p := l.partsFor(t.Rows(), k, int64(t.Arity)*4)
-	if p <= 1 {
-		return &Scan{T: t, K: k}
-	}
-	bounds := sectionBounds(t.Rows(), p)
-	parts := make([]Operator, p)
-	for i := range parts {
-		parts[i] = &Scan{T: t, K: k, Lo: bounds[i][0], Hi: bounds[i][1]}
-	}
-	return &Gather{Parts: parts}
-}
-
 // project builds one projection of body over in: the kernel spec when the
 // body is inside the kernel grammar, and always the interp closure — the
 // fallback leaf. Both are built per instance: compiled steps carry
@@ -376,41 +322,11 @@ func project(in Input, k int64, body ocal.Expr, elem string) (*Project, error) {
 	return &Project{In: in, K: k, Step: step, kern: parseScanKernel(body, elem)}, nil
 }
 
-// projectParts builds a morsel-partitioned projection over a base table.
-//
-// Morsel instances may publish their input columns with a selection vector
-// instead of compacting (SelPass; the kernel re-checks per instance that it
-// is a pure filter). Pass-through batches follow input block boundaries, so
-// that is only charge-safe where boundaries cannot reach a device cursor:
-// morsel Projects under a Gather read on private accounting strands and
-// charge nothing else, and the Gather ship-copy erases the boundaries in
-// host memory before the driver strand's sink appends. A lone root Project
-// (or a mid-tree one) interleaves its reads with its consumer's appends on
-// one cursor, where different boundaries would move seeks.
-func (l *lowerer) projectParts(t *Table, k int64, body ocal.Expr, elem string) (Operator, error) {
-	p := l.partsFor(t.Rows(), k, int64(t.Arity)*4)
-	if p <= 1 {
-		return project(TableInput(t), k, body, elem)
-	}
-	bounds := sectionBounds(t.Rows(), p)
-	parts := make([]Operator, p)
-	for i := range parts {
-		pr, err := project(SectionInput(t, bounds[i][0], bounds[i][1]), k, body, elem)
-		if err != nil {
-			return nil, err
-		}
-		pr.SelPass = true
-		parts[i] = pr
-	}
-	return &Gather{Parts: parts}, nil
-}
-
 // lowerLoops recognizes a (possibly blocked and tiled) nested-loops join
 // over two sources, or a single-source blocked scan with projection. A
 // source is an input table (fused) or any lowerable subexpression
-// (streamed). At the root, single-table scans and projections split into
-// morsel partitions merged by a Gather.
-func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, error, bool) {
+// (streamed).
+func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy bool) (Operator, error, bool) {
 	var srcs []*srcInfo
 	owner := map[string]int{} // loop variable -> source index
 	e := prog
@@ -454,9 +370,6 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, erro
 	if v, ok := e.(ocal.Var); ok && len(srcs) == 1 && v.Name == srcs[0].block && srcs[0].elem == srcs[0].block {
 		s := srcs[0]
 		if s.in.table != nil {
-			if root {
-				return l.scanParts(s.in.table, s.k), nil, true
-			}
 			return &Scan{T: s.in.table, K: s.k}, nil, true
 		}
 		return s.in.op, nil, true
@@ -465,10 +378,6 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy, root bool) (Operator, erro
 	switch len(srcs) {
 	case 1:
 		s := srcs[0]
-		if root && s.in.table != nil && len(s.tiles) == 0 {
-			op, err := l.projectParts(s.in.table, s.k, e, s.elem)
-			return op, err, true
-		}
 		op, err := project(s.in, s.k, e, s.elem)
 		return op, err, true
 	case 2:

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"ocas/internal/memory"
@@ -224,5 +227,67 @@ func TestLowerErrors(t *testing.T) {
 			Sink: &Sink{Sim: sim}}); err == nil {
 			t.Errorf("expected lowering error for %s", src)
 		}
+	}
+}
+
+// TestRootScanChargesOneRun: a root scan or projection over a base table is
+// one strand reading one sequential run, however the loop is written —
+// lowering never splits it, so it charges the single transfer initiation the
+// cost model prices, at every worker count. The clock is bit-identical
+// across worker counts and across the two forms that read 64-row blocks; the
+// unblocked form sums the same bytes row by row, so it agrees to rounding.
+func TestRootScanChargesOneRun(t *testing.T) {
+	var rows []int32
+	for i := int32(0); i < 8192; i++ {
+		rows = append(rows, i%1000, i)
+	}
+	type run struct {
+		bag     string
+		seconds float64
+	}
+	bySrc := map[string]run{}
+	srcs := []string{
+		"for (x <- R) if x.1 < 300 then [x] else []",
+		"for (xB [64] <- R) for (x <- xB) if x.1 < 300 then [x] else []",
+		"for (xB [64] <- R) xB",
+	}
+	for _, src := range srcs {
+		for _, workers := range []int{1, 4} {
+			sim := newSim(t)
+			tb := loadTable(t, sim, "hdd", 2, rows)
+			d, _ := sim.Device("hdd")
+			var got [][]int32
+			sink := &Sink{Sim: sim, Tap: func(row []int32) { got = append(got, append([]int32(nil), row...)) }}
+			p, err := Lower(ocal.MustParse(src), LowerOpts{
+				Sim: sim, Inputs: map[string]*Table{"R": tb}, Scratch: d,
+				Sink: sink, RAMBytes: 1 << 20, ExecWorkers: workers,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			if err := p.Run(); err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			if d.Led.ReadInits != 1 || d.Led.BytesRead != int64(len(rows))*4 {
+				t.Errorf("%s (workers %d): %d read inits / %d bytes, want 1 / %d",
+					src, workers, d.Led.ReadInits, d.Led.BytesRead, len(rows)*4)
+			}
+			sort.Slice(got, func(i, j int) bool { return rowLess(got[i], got[j]) })
+			r := run{bag: fmt.Sprint(got), seconds: sim.Clock.Seconds()}
+			if prev, ok := bySrc[src]; ok && r != prev {
+				t.Errorf("%s: workers %d diverges from workers 1 (%v s vs %v s)", src, workers, r.seconds, prev.seconds)
+			}
+			bySrc[src] = r
+		}
+	}
+	unblocked, blocked, scan := bySrc[srcs[0]], bySrc[srcs[1]], bySrc[srcs[2]]
+	if unblocked.bag != blocked.bag {
+		t.Error("the filter's output depends on how its loop is blocked")
+	}
+	if math.Float64bits(blocked.seconds) != math.Float64bits(scan.seconds) {
+		t.Errorf("blocked filter charged %v virtual s, blocked scan %v", blocked.seconds, scan.seconds)
+	}
+	if math.Abs(unblocked.seconds-blocked.seconds) > 1e-12 {
+		t.Errorf("unblocked filter charged %v virtual s, blocked %v", unblocked.seconds, blocked.seconds)
 	}
 }

@@ -203,32 +203,23 @@ func (c *Ctx) share(want, parties, width int64) int64 {
 
 // Batch is one unit of the operator exchange protocol: up to BatchRows
 // fixed-arity rows in struct-of-arrays layout — one contiguous vector per
-// column, plus an optional selection vector. When Sel is non-nil, the
-// batch's logical rows are Cols[c][Sel[i]] for i in [0,len(Sel)): a filter
-// can pass its input columns through untouched and publish only the
-// surviving row indices, so selection flows across operator boundaries
-// without compacting. The column (and selection) slices are only valid
-// until the producer's next Next or Close call; consumers that need rows
-// longer copy them.
+// column, every row live. The column slices are only valid until the
+// producer's next Next or Close call; consumers that need rows longer copy
+// them.
 type Batch struct {
 	Arity int
 	Cols  [][]int32
-	// Sel, when non-nil, selects the live rows of Cols in order.
-	Sel []int32
 }
 
-// Rows returns the number of logical rows in the batch.
+// Rows returns the number of rows in the batch.
 func (b *Batch) Rows() int {
-	if b.Sel != nil {
-		return len(b.Sel)
-	}
 	if len(b.Cols) == 0 {
 		return 0
 	}
 	return len(b.Cols[0])
 }
 
-// Row gathers the i-th logical row into dst (grown as needed) and returns
+// Row gathers the i-th row into dst (grown as needed) and returns
 // it — the row-at-a-time escape hatch for sinks and tests; batch consumers
 // iterate columns directly.
 func (b *Batch) Row(i int, dst []int32) []int32 {
@@ -237,17 +228,13 @@ func (b *Batch) Row(i int, dst []int32) []int32 {
 	} else {
 		dst = make([]int32, b.Arity)
 	}
-	if b.Sel != nil {
-		i = int(b.Sel[i])
-	}
 	for c := 0; c < b.Arity; c++ {
 		dst[c] = b.Cols[c][i]
 	}
 	return dst
 }
 
-// Flat gathers the batch row-major with the selection applied — the test
-// and debugging accessor for what Batch.Data used to expose.
+// Flat gathers the batch row-major — the test and debugging accessor.
 func (b *Batch) Flat() []int32 {
 	n := b.Rows()
 	out := make([]int32, 0, n*b.Arity)
@@ -319,7 +306,7 @@ func (e *emitter) rows() int64 {
 func (e *emitter) drain(b *Batch, max int64) bool {
 	n := e.rows()
 	if n == 0 {
-		b.Arity, b.Cols, b.Sel = e.arity, nil, nil
+		b.Arity, b.Cols = e.arity, nil
 		return false
 	}
 	if n > max {
@@ -334,7 +321,6 @@ func (e *emitter) drain(b *Batch, max int64) bool {
 		b.Cols[c] = e.cols[c][e.pos : e.pos+int(n)]
 	}
 	b.Arity = e.arity
-	b.Sel = nil
 	e.pos += int(n)
 	if e.pos == len(e.cols[0]) {
 		for c := range e.cols {
@@ -385,13 +371,13 @@ func (ob *ownedBlock) release() {
 	}
 }
 
-// frameCols carves a pinned frame's storage into arity column buffers of
-// the frame's row capacity each, every one empty and ready to append — the
-// column-striped write buffer of the sort and exchange operators. Only
-// slice headers are allocated; the payload lives in the frame's grant.
+// frameCols allocates the column-striped write buffer a pinned frame
+// grants: arity column buffers of the frame's row capacity each, every one
+// empty and ready to append (the sort's output buffer, the exchange's
+// bucket buffers).
 func frameCols(f *storage.Frame, arity int) [][]int32 {
 	capRows := int(f.Cap(int64(arity) * 4))
-	base := f.Data[:cap(f.Data)]
+	base := make([]int32, arity*capRows)
 	cols := make([][]int32, arity)
 	for c := range cols {
 		off := c * capRows
@@ -401,8 +387,9 @@ func frameCols(f *storage.Frame, arity int) [][]int32 {
 }
 
 // tableReader scans one or more device-resident spills — a base table, a
-// table section (the morsel range of a partitioned scan), or the chained
-// per-producer segments of an exchange partition — block by block. Blocks
+// materialized intermediate, the chained per-producer segments of an
+// exchange partition, or a record section of one of those (the morsel range
+// of an exchange task) — block by block. Blocks
 // are zero-copy column views into the spill (ReadColsAt); the pooled frame
 // accounts the block's RAM residency and its grant still bounds the block
 // size, exactly as when the frame carried the bytes. Positions are global
@@ -419,20 +406,10 @@ type tableReader struct {
 	view  [][]int32 // reused ReadColsAt header
 }
 
-func newTableReader(t *Table) *tableReader {
-	return &tableReader{sps: []*storage.Spill{t.Spill}, ar: t.Arity, hi: -1}
-}
-
-func newSectionReader(t *Table, lo, hi int64) *tableReader {
-	return &tableReader{sps: []*storage.Spill{t.Spill}, ar: t.Arity, lo: lo, hi: hi}
-}
+func newTableReader(t *Table) *tableReader { return newSpillReader(t.Spill, t.Arity) }
 
 func newSpillReader(sp *storage.Spill, arity int) *tableReader {
 	return &tableReader{sps: []*storage.Spill{sp}, ar: arity, hi: -1}
-}
-
-func newChainReader(sps []*storage.Spill, arity int) *tableReader {
-	return &tableReader{sps: sps, ar: arity, hi: -1}
 }
 
 func (r *tableReader) open(c *Ctx) error { r.c = c; r.pos = r.lo; return nil }
@@ -549,11 +526,8 @@ func (r *tableReader) close() error {
 
 // opReader adapts an operator subtree to the block protocol by
 // re-batching its output into column carry vectors; the pooled frame
-// accounts the handed-out block's residency. A selection vector arriving
-// from the child is applied here (the rows are being buffered anyway), so
-// selection dies at re-batching boundaries and every block handed out is
-// dense. It cannot rewind; callers that need a second pass materialize it
-// first.
+// accounts the handed-out block's residency. It cannot rewind; callers that
+// need a second pass materialize it first.
 type opReader struct {
 	op Operator
 	c  *Ctx
@@ -610,18 +584,8 @@ func (r *opReader) fill(k int64) error {
 				}
 				r.off = 0
 			}
-			if b.Sel == nil {
-				for c := range r.carry {
-					r.carry[c] = append(r.carry[c], b.Cols[c]...)
-				}
-			} else {
-				for c := range r.carry {
-					col, dst := b.Cols[c], r.carry[c]
-					for _, i := range b.Sel {
-						dst = append(dst, col[i])
-					}
-					r.carry[c] = dst
-				}
+			for c := range r.carry {
+				r.carry[c] = append(r.carry[c], b.Cols[c]...)
 			}
 		}
 	}

@@ -10,29 +10,17 @@ import (
 
 // Input binds an operator input either to a base table (fused block reads:
 // the operator reads the device directly at its tuned block size, exactly
-// what the generated C would do), to a section of a table (the morsel range
-// of one partition task), to one or a chain of scratch spills, or to an
+// what the generated C would do), to a chain of scratch spills, or to an
 // arbitrary operator subtree, which streams through the batch protocol.
 type Input struct {
 	table  *Table
-	lo, hi int64 // section bounds when sect is set
-	sect   bool
-	spill  *storage.Spill
 	spills []*storage.Spill
-	ar     int
+	ar     int // arity of spills
 	op     Operator
 }
 
 // TableInput fuses a base table into the consuming operator.
 func TableInput(t *Table) Input { return Input{table: t} }
-
-// SectionInput fuses the record range [lo, hi) of a base table.
-func SectionInput(t *Table, lo, hi int64) Input {
-	return Input{table: t, lo: lo, hi: hi, sect: true}
-}
-
-// SpillInput reads a scratch spill of the given arity.
-func SpillInput(sp *storage.Spill, arity int) Input { return Input{spill: sp, ar: arity} }
 
 // SpillsInput reads a chain of spills (the per-task segments of an
 // exchange partition) as one stream.
@@ -41,72 +29,51 @@ func SpillsInput(sps []*storage.Spill, arity int) Input { return Input{spills: s
 // OpInput streams another operator's output.
 func OpInput(op Operator) Input { return Input{op: op} }
 
-func (in Input) valid() bool {
-	return in.table != nil || in.spill != nil || in.spills != nil || in.op != nil
+// stored returns the spill chain and arity of a device-resident input (nil
+// for a streamed subtree).
+func (in Input) stored() ([]*storage.Spill, int) {
+	if in.table != nil {
+		return []*storage.Spill{in.table.Spill}, in.table.Arity
+	}
+	return in.spills, in.ar
 }
 
 func (in Input) reader() blockReader {
-	switch {
-	case in.table != nil && in.sect:
-		return newSectionReader(in.table, in.lo, in.hi)
-	case in.table != nil:
-		return newTableReader(in.table)
-	case in.spill != nil:
-		return newSpillReader(in.spill, in.ar)
-	case in.spills != nil:
-		return newChainReader(in.spills, in.ar)
-	default:
-		return newOpReader(in.op)
+	if sps, ar := in.stored(); sps != nil {
+		return &tableReader{sps: sps, ar: ar, hi: -1}
 	}
+	return newOpReader(in.op)
 }
 
-// extent returns the input's row count and record width, or (-1, 0) for a
-// streamed subtree whose extent is unknown before execution.
-func (in Input) extent() (rows, width int64) {
-	switch {
-	case in.table != nil && in.sect:
-		return in.hi - in.lo, int64(in.table.Arity) * 4
-	case in.table != nil:
-		return in.table.Rows(), int64(in.table.Arity) * 4
-	case in.spill != nil:
-		return in.spill.Records(), int64(in.ar) * 4
-	case in.spills != nil:
-		var n int64
-		for _, sp := range in.spills {
-			n += sp.Records()
-		}
-		return n, int64(in.ar) * 4
+// extent returns the input's row count, or -1 for a streamed subtree whose
+// extent is unknown before execution.
+func (in Input) extent() int64 {
+	sps, _ := in.stored()
+	if sps == nil {
+		return -1
 	}
-	return -1, 0
+	var n int64
+	for _, sp := range sps {
+		n += sp.Records()
+	}
+	return n
 }
 
-// section returns a reader over the record range [lo, hi) of an input with
-// known extent.
+// section returns a reader over the record range [lo, hi) of a
+// device-resident input.
 func (in Input) section(lo, hi int64) blockReader {
-	switch {
-	case in.table != nil && in.sect:
-		return newSectionReader(in.table, in.lo+lo, in.lo+hi)
-	case in.table != nil:
-		return newSectionReader(in.table, lo, hi)
-	case in.spill != nil:
-		return &tableReader{sps: []*storage.Spill{in.spill}, ar: in.ar, lo: lo, hi: hi}
-	case in.spills != nil:
-		return &tableReader{sps: in.spills, ar: in.ar, lo: lo, hi: hi}
-	}
-	panic("exec: section of a streamed input")
+	sps, ar := in.stored()
+	return &tableReader{sps: sps, ar: ar, lo: lo, hi: hi}
 }
 
 // ---------------------------------------------------------------------------
 // Scan
 
-// Scan delivers a table (or a section of it) batch by batch, reading the
-// device in blocks of K tuples through a pooled frame.
+// Scan delivers a table batch by batch, reading the device in blocks of K
+// tuples through a pooled frame.
 type Scan struct {
 	T *Table
 	K int64 // read block in tuples; <= 0 uses the context batch size
-	// Lo and Hi bound the scan to a record section (Hi <= 0: the whole
-	// table) — the morsel range of one partitioned-scan task.
-	Lo, Hi int64
 
 	c *Ctx
 	r *tableReader
@@ -114,11 +81,7 @@ type Scan struct {
 
 func (o *Scan) Open(c *Ctx) error {
 	o.c = c
-	if o.Hi > 0 {
-		o.r = newSectionReader(o.T, o.Lo, o.Hi)
-	} else {
-		o.r = newTableReader(o.T)
-	}
+	o.r = newTableReader(o.T)
 	return o.r.open(c)
 }
 
@@ -131,7 +94,7 @@ func (o *Scan) Next(b *Batch) (bool, error) {
 	if err != nil || blk == nil {
 		return false, err
 	}
-	b.Arity, b.Cols, b.Sel = o.T.Arity, blk, nil
+	b.Arity, b.Cols = o.T.Arity, blk
 	return true, nil
 }
 
@@ -157,13 +120,6 @@ type Project struct {
 	In   Input
 	K    int64 // fused read block in tuples
 	Step StepFn
-	// SelPass allows pure-filter kernels to pass the input columns through
-	// untouched, publishing only a selection vector (no row compaction).
-	// Pass-through batches follow the input's block boundaries instead of
-	// the emitter's re-batching, so lowering enables it only where batch
-	// boundaries cannot reach a device cursor: morsel Projects under a
-	// Gather (see lowerer.projectParts).
-	SelPass bool
 
 	kern *scanKernelSpec // nil: the body is outside the kernel grammar
 
@@ -175,9 +131,6 @@ type Project struct {
 	kernTried bool
 	done      bool
 	rowBuf    []int32 // fallback-leaf gather scratch
-	passCols  [][]int32
-	passSel   []int32
-	passReady bool
 }
 
 func (o *Project) Open(c *Ctx) error {
@@ -211,15 +164,6 @@ func (o *Project) step() error {
 		o.pk = o.kern.build(ar)
 	}
 	if o.pk != nil {
-		if o.SelPass && o.pk.selPassOK() {
-			// Pure filter in pass-through mode: the input columns go out
-			// unchanged, survivors named by the selection vector — no rows
-			// are copied at all. An empty selection emits no batch.
-			if sel := o.pk.buildSel(blk, rows); len(sel) > 0 {
-				o.passCols, o.passSel, o.passReady = blk, sel, true
-			}
-			return nil
-		}
 		return o.pk.run(&o.em, blk, rows)
 	}
 	if cap(o.rowBuf) < ar {
@@ -242,11 +186,6 @@ func (o *Project) Next(b *Batch) (bool, error) {
 	for !o.done && o.em.rows() < max {
 		if err := o.step(); err != nil {
 			return false, err
-		}
-		if o.passReady {
-			o.passReady = false
-			b.Arity, b.Cols, b.Sel = o.pk.outWidth, o.passCols, o.passSel
-			return true, nil
 		}
 	}
 	return o.em.drain(b, max), nil
@@ -711,15 +650,12 @@ func (o *ExtSort) Open(c *Ctx) error {
 	if o.Way < 2 {
 		o.Way = 2
 	}
-	// Resolve the pass-1 source: base tables and spills are read in place;
-	// an operator subtree is spooled to scratch first.
+	// Resolve the pass-1 source: a base table is read in place; an operator
+	// subtree is spooled to scratch first.
 	var src *storage.Spill
-	switch {
-	case o.In.table != nil:
+	if o.In.table != nil {
 		src, o.arity = o.In.table.Spill, o.In.table.Arity
-	case o.In.spill != nil:
-		src, o.arity = o.In.spill, o.In.ar
-	default:
+	} else {
 		r := newOpReader(o.In.op)
 		if err := r.open(c); err != nil {
 			return err

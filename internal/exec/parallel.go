@@ -286,22 +286,10 @@ func (g *Gather) runPart(i int) error {
 		if b.Arity <= 0 || b.Rows() == 0 {
 			continue
 		}
-		// The producer's column views die at its next call: ship a dense
-		// copy (any selection vector is applied here).
-		n := b.Rows()
+		// The producer's column views die at its next call: ship a copy.
 		cols := make([][]int32, b.Arity)
-		if b.Sel == nil {
-			for c := range cols {
-				cols[c] = append([]int32(nil), b.Cols[c]...)
-			}
-		} else {
-			for c := range cols {
-				src, dst := b.Cols[c], make([]int32, n)
-				for i, j := range b.Sel {
-					dst[i] = src[j]
-				}
-				cols[c] = dst
-			}
+		for c := range cols {
+			cols[c] = append([]int32(nil), b.Cols[c]...)
 		}
 		cp := Batch{Arity: b.Arity, Cols: cols}
 		select {
@@ -467,9 +455,6 @@ type Part struct {
 	Spills []*storage.Spill
 }
 
-// Input returns the partition as an operator input.
-func (p Part) Input(arity int) Input { return SpillsInput(p.Spills, arity) }
-
 // Exchange repartitions an input stream into Parts partitions on scratch:
 // the partitioning pass of the GRACE hash join, and the generic
 // repartitioning step between a producer subtree and partition-wise
@@ -482,9 +467,7 @@ func (p Part) Input(arity int) Input { return SpillsInput(p.Spills, arity) }
 type Exchange struct {
 	In    Input
 	Parts int64
-	// Key is the 0-based hash attribute; a negative Key distributes blocks
-	// round-robin instead.
-	Key   int
+	Key   int   // 0-based hash attribute
 	KRead int64 // read block (tuples)
 	BufW  int64 // per-partition write buffer (tuples)
 
@@ -535,7 +518,7 @@ func (x *Exchange) Run(c *Ctx) ([]Part, int, error) {
 // task to amortize its seek, bounded by maxPartitions. Streamed inputs
 // partition on one task.
 func (x *Exchange) plan(c *Ctx) (tasks int, sections [][2]int64) {
-	rows, _ := x.In.extent()
+	rows := x.In.extent()
 	if rows < 0 {
 		return 1, nil
 	}
@@ -620,7 +603,6 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		}
 		bufRows[b] = 0
 	}
-	var rr int64 // round-robin cursor (Key < 0)
 	for {
 		k := x.KRead
 		if k <= 0 {
@@ -644,23 +626,14 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 			}
 		}
 		n := int64(len(blk[0]))
-		var keyCol []int32
-		if x.Key >= 0 {
-			c.cpu(n, c.Sim.HashSeconds)
-			keyCol = blk[x.Key]
-		}
+		c.cpu(n, c.Sim.HashSeconds)
+		keyCol := blk[x.Key]
 		bufW := x.BufW
 		if bufW < 1 {
 			bufW = 1
 		}
 		for i := int64(0); i < n; i++ {
-			var b int64
-			if keyCol != nil {
-				b = int64(ocal.Hash(ocal.Int(int64(keyCol[i]))) % uint64(s))
-			} else {
-				b = rr % s
-				rr++
-			}
+			b := int64(ocal.Hash(ocal.Int(int64(keyCol[i]))) % uint64(s))
 			// Flush before the row would outgrow the pinned frame, so the
 			// buffer never reallocates past its accounted size.
 			if bufRows[b] >= capRows[b] {

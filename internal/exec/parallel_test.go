@@ -238,9 +238,10 @@ func TestWorkersDifferentialSweep(t *testing.T) {
 	}
 }
 
-// TestGatherMergesPartitionStreams drives a hand-built Gather of table
-// sections and checks the merged bag equals the table at every worker
-// count, with the section charges adding up exactly once.
+// TestGatherMergesPartitionStreams drives a hand-built Gather of
+// projections, each over its own partition spill, and checks the merged bag
+// equals the whole at every worker count, with the partition charges adding
+// up exactly once.
 func TestGatherMergesPartitionStreams(t *testing.T) {
 	var rows []int32
 	for i := int32(0); i < 200; i++ {
@@ -248,14 +249,21 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		sim := newSim(t)
-		tb := loadTableSim(sim, "hdd", 2, rows)
-		bounds := sectionBounds(tb.Rows(), 4)
+		d, _ := sim.Device("hdd")
 		parts := make([]Operator, 4)
-		for i := range parts {
-			parts[i] = &Scan{T: tb, K: 16, Lo: bounds[i][0], Hi: bounds[i][1]}
+		for i, b := range sectionBounds(200, len(parts)) {
+			sp, err := d.NewSpill(8, b[1]-b[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.Preload(rows[b[0]*2 : b[1]*2])
+			pr, err := project(SpillsInput([]*storage.Spill{sp}, 2), 16, ocal.MustParse("[x]"), "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts[i] = pr
 		}
 		g := &Gather{Parts: parts}
-		d, _ := sim.Device("hdd")
 		out, err := NewTable(d, 2, 256)
 		if err != nil {
 			t.Fatal(err)
@@ -270,9 +278,10 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 		}
 		sameBag(t, fmt.Sprintf("gather (workers %d)", workers),
 			tableRows(out.Flat(), 2), tableRows(rows, 2))
-		// Every input byte must be read exactly once, one seek per section.
-		if d.Led.ReadInits != 4 {
-			t.Errorf("workers %d: %d read inits, want one per section", workers, d.Led.ReadInits)
+		// Every input byte must be read exactly once, one seek per partition.
+		if d.Led.ReadInits != 4 || d.Led.BytesRead != int64(len(rows))*4 {
+			t.Errorf("workers %d: %d read inits / %d bytes, want one init per partition and %d bytes",
+				workers, d.Led.ReadInits, d.Led.BytesRead, len(rows)*4)
 		}
 	}
 }

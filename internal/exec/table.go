@@ -64,10 +64,6 @@ func (t *Table) Preload(rows []int32) error {
 // Rows returns the number of tuples.
 func (t *Table) Rows() int64 { return t.Records() }
 
-// ReadBlock charges a blocked read of up to n tuples starting at idx and
-// returns the flat row payload.
-func (t *Table) ReadBlock(a *storage.Acct, idx, n int64) []int32 { return t.ReadAt(a, idx, n) }
-
 // AppendRows charges a write of the given rows (must be full tuples).
 func (t *Table) AppendRows(a *storage.Acct, rows []int32) { t.Append(a, rows) }
 

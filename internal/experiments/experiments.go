@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"ocas/internal/exec"
 	"ocas/internal/memory"
 	"ocas/internal/ocal"
+	"ocas/internal/plan"
 	"ocas/internal/rules"
 	"ocas/internal/storage"
 )
@@ -38,8 +40,6 @@ type Experiment struct {
 	Rows     map[string]int64
 	Gen      map[string]func() []int32
 	Output   string
-	OutArity int
-	OutCap   int64
 	MaxDepth int
 	MaxSpace int
 	Rules    []rules.Rule
@@ -76,6 +76,9 @@ type Result struct {
 	Params     map[string]int64
 	CacheMissR float64 // cache miss ratio when a cache level exists
 	OutRows    int64
+	// Exec is the run's full execution report: output digest, per-device
+	// ledgers, pool stats.
+	Exec *plan.ExecReport
 	// Explored is the number of candidate programs costed by the screening
 	// pass, and Memo the synthesis cache counters (interned nodes, alpha-key
 	// and cost-memo hits) — the raw material of the machine-readable bench
@@ -93,18 +96,23 @@ func Run(e Experiment) (*Result, error) {
 	return Execute(e, syn)
 }
 
+// task is the synthesis and execution task of an experiment.
+func (e Experiment) task() core.Task {
+	return core.Task{
+		Spec:      e.Spec,
+		InputLoc:  e.InputLoc,
+		InputRows: e.Rows,
+		Output:    e.Output,
+	}
+}
+
 // Synthesize runs the search phase of an experiment.
 func Synthesize(e Experiment) (*core.Synthesis, error) {
 	synth := &core.Synthesizer{
 		H: e.Hier, MaxDepth: e.MaxDepth, MaxSpace: e.MaxSpace, Rules: e.Rules,
 		Strategy: e.Strategy, Workers: e.Workers,
 	}
-	syn, err := synth.Synthesize(core.Task{
-		Spec:      e.Spec,
-		InputLoc:  e.InputLoc,
-		InputRows: e.Rows,
-		Output:    e.Output,
-	})
+	syn, err := synth.Synthesize(e.task())
 	if err != nil {
 		return nil, fmt.Errorf("%s: synthesize: %w", e.Name, err)
 	}
@@ -113,7 +121,8 @@ func Synthesize(e Experiment) (*core.Synthesis, error) {
 
 // Execute runs an experiment's synthesized winner on the storage simulator
 // (at the experiment's executor worker count), so one synthesis can be
-// executed at several worker counts.
+// executed at several worker counts. The experiment brings its own input
+// generators; the run itself is plan.RunBound, the road every plan takes.
 func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 	execHier := e.ExecHier
 	if execHier == nil {
@@ -122,14 +131,10 @@ func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 	sim := storage.NewSim(execHier)
 	sim.DefaultCPU()
 	inputs := map[string]*exec.Table{}
-	var scratch *storage.Device
 	for _, in := range e.Spec.Inputs {
 		dev, err := sim.Device(e.InputLoc[in.Name])
 		if err != nil {
 			return nil, err
-		}
-		if scratch == nil {
-			scratch = dev
 		}
 		rows := e.Gen[in.Name]()
 		t, err := exec.NewTable(dev, in.Arity, int64(len(rows)/in.Arity)+8)
@@ -142,65 +147,33 @@ func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 		inputs[in.Name] = t
 	}
 
-	sink := &exec.Sink{Sim: sim}
-	if e.Output != "" {
-		dev, err := sim.Device(e.Output)
-		if err != nil {
-			return nil, err
-		}
-		outCap := e.OutCap
-		if outCap <= 0 {
-			outCap = 1 << 22
-		}
-		arity := e.OutArity
-		if arity <= 0 {
-			arity = 1
-		}
-		out, err := exec.NewTable(dev, arity, outCap)
-		if err != nil {
-			return nil, err
-		}
-		sink.Out = out
-		sink.Bout = exec.OutBlock(syn.Best.Params)
-	}
-
-	prog, err := exec.Lower(syn.Best.Expr, exec.LowerOpts{
-		Sim: sim, Inputs: inputs, Params: syn.Best.Params,
-		Scratch: scratch, Sink: sink, RAMBytes: e.Hier.RAMBytes(),
-		ExecWorkers: e.ExecWorkers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: lower %q: %w", e.Name, coreString(syn), err)
-	}
 	execStart := time.Now()
-	if err := prog.Run(); err != nil {
-		return nil, fmt.Errorf("%s: execute: %w", e.Name, err)
+	rep, err := plan.RunBound(context.Background(), sim, inputs, syn.Best.Expr, syn.Best.Params,
+		e.task(), plan.ExecOptions{ExecWorkers: e.ExecWorkers})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %q: %w", e.Name, coreString(syn), err)
 	}
-	execSecs := time.Since(execStart).Seconds()
-
-	res := &Result{
-		Name:      e.Name,
-		PaperRow:  e.PaperRow,
-		SpecSecs:  syn.SpecSeconds,
-		OptSecs:   syn.Best.Seconds,
-		ActSecs:   sim.Clock.Seconds(),
-		RBytes:    e.RBytes,
-		SBytes:    e.SBytes,
-		Buffer:    e.Buffer,
-		SpaceSize: syn.Stats.SpaceSize,
-		Steps:     len(syn.Best.Steps),
-		SynthSecs: syn.Elapsed.Seconds(),
-		ExecSecs:  execSecs,
-		Program:   coreString(syn),
-		Params:    syn.Best.Params,
-		OutRows:   sink.RowsWritten,
-		Explored:  syn.Explored,
-		Memo:      syn.Memo,
-	}
-	if sim.Cache != nil {
-		res.CacheMissR = sim.Cache.MissRatio()
-	}
-	return res, nil
+	return &Result{
+		Name:       e.Name,
+		PaperRow:   e.PaperRow,
+		SpecSecs:   syn.SpecSeconds,
+		OptSecs:    syn.Best.Seconds,
+		ActSecs:    rep.VirtualSeconds,
+		RBytes:     e.RBytes,
+		SBytes:     e.SBytes,
+		Buffer:     e.Buffer,
+		SpaceSize:  syn.Stats.SpaceSize,
+		Steps:      len(syn.Best.Steps),
+		SynthSecs:  syn.Elapsed.Seconds(),
+		ExecSecs:   time.Since(execStart).Seconds(),
+		Program:    coreString(syn),
+		Params:     syn.Best.Params,
+		CacheMissR: rep.CacheMissRatio,
+		OutRows:    rep.OutRows,
+		Exec:       rep,
+		Explored:   syn.Explored,
+		Memo:       syn.Memo,
+	}, nil
 }
 
 func coreString(s *core.Synthesis) string {

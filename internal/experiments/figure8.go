@@ -43,7 +43,7 @@ func Figure8(cfg Config) ([]Figure8Point, error) {
 				"R": func() []int32 { return workload.UniformPairs(sz.r, 8, 40) },
 				"S": func() []int32 { return workload.UniformPairs(sz.s, 8, 41) },
 			},
-			Output: "hdd2", OutArity: 4, OutCap: sz.r*sz.s + 16,
+			Output:   "hdd2",
 			MaxDepth: 6, MaxSpace: 1200, Rules: noHashRules(),
 		}
 		r, err := runOne(cfg, e)
@@ -222,7 +222,7 @@ func AccuracyStudy(cfg Config) ([]AccuracyPoint, error) {
 			InputLoc: map[string]string{"R": "hdd", "S": "hdd"},
 			Rows:     map[string]int64{"R": r, "S": s},
 			Gen:      gen,
-			Output:   "hdd2", OutArity: 4, OutCap: r*s + 16,
+			Output:   "hdd2",
 			MaxDepth: 6, MaxSpace: 1200, Rules: noHashRules(),
 		})
 		if err != nil {

@@ -197,7 +197,7 @@ func Table1(cfg Config) ([]Experiment, error) {
 			InputLoc: map[string]string{"R": "hdd", "S": "hdd"},
 			Rows:     map[string]int64{"R": wR, "S": wS},
 			Gen:      wGen,
-			Output:   out, OutArity: 4, OutCap: wR*wS + 16,
+			Output:   out,
 			MaxDepth: 6, MaxSpace: 1200,
 			Rules:  noHashRules(),
 			RBytes: wR * 8, SBytes: wS * 8, Buffer: wRAM,
@@ -232,13 +232,13 @@ func Table1(cfg Config) ([]Experiment, error) {
 	// --- Set operations (paper: 2G + 2G, 48K buffer). ---
 	setN := cfg.div(32 << 10)
 	setRAM := cfg.div(1<<10) * 4
-	setExp := func(name, row string, spec core.Spec, gen map[string]func() []int32, outArity int) Experiment {
+	setExp := func(name, row string, spec core.Spec, gen map[string]func() []int32) Experiment {
 		e := Experiment{
 			Name: name, PaperRow: row, Spec: spec,
 			Hier:     memory.TwoHDD(setRAM),
 			InputLoc: map[string]string{}, Rows: map[string]int64{},
-			Gen:    gen,
-			Output: "hdd2", OutArity: outArity, OutCap: 2*setN + 16,
+			Gen:      gen,
+			Output:   "hdd2",
 			MaxDepth: 3, MaxSpace: 300,
 			RBytes: setN * 4, SBytes: setN * 4, Buffer: setRAM,
 		}
@@ -253,27 +253,27 @@ func Table1(cfg Config) ([]Experiment, error) {
 			core.SetUnionSpec(), map[string]func() []int32{
 				"L1": func() []int32 { return workload.SortedUniqueInts(setN, 6) },
 				"L2": func() []int32 { return workload.SortedUniqueInts(setN, 7) },
-			}, 1),
+			}),
 		setExp("multiset-union-sorted", "Multiset Union sorted (Spec 396s, Act 479s)",
 			core.MultisetUnionSortedSpec(), map[string]func() []int32{
 				"L1": func() []int32 { return workload.SortedInts(setN, 4, 8) },
 				"L2": func() []int32 { return workload.SortedInts(setN, 4, 9) },
-			}, 1),
+			}),
 		setExp("multiset-union-vm", "Multiset Union value-mult (Spec 396s, Act 487s)",
 			core.MultisetUnionVMSpec(), map[string]func() []int32{
 				"L1": func() []int32 { return workload.ValueMult(setN, 10) },
 				"L2": func() []int32 { return workload.ValueMult(setN, 11) },
-			}, 2),
+			}),
 		setExp("multiset-diff-sorted", "Multiset Diff sorted (Spec 266s, Act 137s)",
 			core.MultisetDiffSortedSpec(), map[string]func() []int32{
 				"L1": func() []int32 { return workload.SortedInts(setN, 4, 12) },
 				"L2": func() []int32 { return workload.SortedInts(setN, 4, 13) },
-			}, 1),
+			}),
 		setExp("multiset-diff-vm", "Multiset Diff value-mult (Spec 266s, Act 153s)",
 			core.MultisetDiffVMSpec(), map[string]func() []int32{
 				"L1": func() []int32 { return workload.ValueMult(setN, 14) },
 				"L2": func() []int32 { return workload.ValueMult(setN, 15) },
-			}, 2),
+			}),
 	)
 
 	// --- Column-store reads (paper: 4G/8G, 5M/10M buffer). ---
@@ -318,7 +318,7 @@ func Table1(cfg Config) ([]Experiment, error) {
 		Gen: map[string]func() []int32{
 			"L": func() []int32 { return workload.SortedInts(dupN, 8, 30) },
 		},
-		Output: "hdd2", OutArity: 1, OutCap: dupN + 16,
+		Output:   "hdd2",
 		MaxDepth: 3, MaxSpace: 300,
 		RBytes: dupN * 4, Buffer: dupRAM,
 	})

@@ -2,11 +2,10 @@
 // synthesized program — fresh from the synthesizer or recalled from the
 // plan cache — against the storage simulator on request-supplied or
 // generated inputs, and reports the virtual-clock time, the per-device
-// ledger and a content digest of the output. cmd/ocas -run and the ocasd
-// POST /execute endpoint both go through RunProgram, so a plan executes
-// identically no matter which door it entered through. (The paper
-// experiments do not: internal/experiments lowers its rows itself, over
-// its own generators and pre-sized output tables.)
+// ledger and a content digest of the output. cmd/ocas -run, the ocasd
+// POST /execute endpoint and the paper experiments all go through RunBound
+// (the first two via RunProgram, which binds the inputs first), so a plan
+// executes identically no matter which door it entered through.
 package plan
 
 import (
@@ -30,7 +29,9 @@ import (
 // ExecOptions tunes one execution of a plan. All fields are optional.
 type ExecOptions struct {
 	// BatchRows is the operator exchange batch size (0 = executor default).
-	BatchRows int64 `json:"batchRows,omitempty"`
+	// It never changes a digest, a ledger, the clock or an EXPLAIN charge, so
+	// it is not part of a request: only the differential tests set it.
+	BatchRows int64 `json:"-"`
 	// PoolBytes bounds the executor's buffer pool; 0 defaults to the
 	// hierarchy's RAM size, < 0 means unlimited.
 	PoolBytes int64 `json:"poolBytes,omitempty"`
@@ -98,7 +99,6 @@ type ExecReport struct {
 	PredictedSeconds float64                 `json:"predictedSeconds,omitempty"`
 	Devices          map[string]DeviceReport `json:"devices"`
 	Pool             storage.PoolStats       `json:"pool"`
-	BatchRows        int64                   `json:"batchRows"`
 	// ExecWorkers is the effective executor worker count and Workers the
 	// per-worker-lane charge aggregates (partition tasks map to lanes
 	// deterministically, so the report is stable run to run).
@@ -110,8 +110,8 @@ type ExecReport struct {
 }
 
 // RunProgram executes a synthesized program against a fresh simulator of h.
-// The task supplies placement and nominal sizes; opt may override sizes or
-// supply rows outright.
+// The task supplies placement and nominal sizes; opt may override sizes,
+// supply rows outright or bind inputs to durable tables.
 func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params map[string]int64, task core.Task, opt ExecOptions) (*ExecReport, error) {
 	sim := storage.NewSim(h)
 	sim.DefaultCPU()
@@ -120,8 +120,6 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 		return nil, err
 	}
 	inputs := map[string]*exec.Table{}
-	inputRows := map[string]int64{}
-	var scratch *storage.Device
 	var handles []*catalog.Handle
 	defer func() {
 		// Handles stay open for the run: backed tables materialize their
@@ -135,9 +133,6 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 		if err != nil {
 			return nil, err
 		}
-		if scratch == nil {
-			scratch = dev
-		}
 		var tb *exec.Table
 		if tname, bound := opt.Tables[in.Name]; bound {
 			h, err := openTableInput(opt.Cat, in, tname)
@@ -149,7 +144,6 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 			if err != nil {
 				return nil, err
 			}
-			inputRows[in.Name] = h.Rows()
 		} else {
 			rows, err := inputData(in, task, opt, i)
 			if err != nil {
@@ -162,9 +156,30 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 			if err := tb.Preload(rows); err != nil {
 				return nil, err
 			}
-			inputRows[in.Name] = int64(len(rows) / in.Arity)
 		}
 		inputs[in.Name] = tb
+	}
+	return RunBound(ctx, sim, inputs, prog, params, task, opt)
+}
+
+// RunBound is the one wiring of a run: it lowers prog over input tables
+// already resident on sim's devices (one per input of the task), executes
+// it and builds the report. Scratch traffic goes to the task's intermediate
+// device, or the first input's; the output, when the task names a device,
+// to a table allocated there at the first row. Of opt it reads PoolBytes,
+// BatchRows, ExecWorkers and Explain — binding inputs is the caller's half.
+func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Table, prog ocal.Expr, params map[string]int64, task core.Task, opt ExecOptions) (*ExecReport, error) {
+	inputRows := map[string]int64{}
+	var scratch *storage.Device
+	for _, in := range task.Spec.Inputs {
+		tb := inputs[in.Name]
+		if tb == nil {
+			return nil, fmt.Errorf("plan: input %s is not bound", in.Name)
+		}
+		inputRows[in.Name] = tb.Rows()
+		if scratch == nil {
+			scratch = tb.Device()
+		}
 	}
 	if task.Intermediate != "" {
 		dev, err := sim.Device(task.Intermediate)
@@ -192,7 +207,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 	p, err := exec.Lower(prog, exec.LowerOpts{
 		Sim: sim, Inputs: inputs, Params: params,
 		Scratch: scratch, Sink: sink,
-		RAMBytes:    h.RAMBytes(),
+		RAMBytes:    sim.H.RAMBytes(),
 		PoolBytes:   opt.PoolBytes,
 		BatchRows:   opt.BatchRows,
 		ExecWorkers: opt.ExecWorkers,
@@ -224,7 +239,6 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 		VirtualSeconds: sim.Clock.Seconds(),
 		Devices:        map[string]DeviceReport{},
 		Pool:           p.Pool().Stats(),
-		BatchRows:      opt.BatchRows,
 		ExecWorkers:    p.Workers(),
 	}
 	if rep.ExecWorkers > 1 {
@@ -252,7 +266,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 	}
 	if tree := p.ExplainTree(); tree != nil {
 		place := (&core.Synthesizer{}).TaskPlacement(task)
-		rep.Explain = explainReport(h, place, explainEnv(task, inputRows, params), tree)
+		rep.Explain = explainReport(sim.H, place, explainEnv(task, inputRows, params), tree)
 	}
 	return rep, nil
 }

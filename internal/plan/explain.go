@@ -27,7 +27,10 @@ import (
 type ExplainOp struct {
 	Op     string `json:"op"`
 	Detail string `json:"detail,omitempty"`
-	// Parts is the morsel partition count of the operator (1 = serial).
+	// Parts is always 1: lowering never splits an operator, and the sections
+	// a hash join, sort or exchange runs internally report under their one
+	// node. The field stays because served reports and the accounting golden
+	// carry it.
 	Parts int `json:"parts"`
 
 	// Actuals, measured by the instrumented run.
@@ -68,7 +71,7 @@ func explainReport(h *memory.Hierarchy, place cost.Placement, env sym.Env, n *ex
 		return nil
 	}
 	op := &ExplainOp{
-		Op: n.Kind, Detail: n.Detail, Parts: n.Parts,
+		Op: n.Kind, Detail: n.Detail, Parts: 1,
 		Batches: n.Batches, Rows: n.Rows,
 		WallNanos: n.WallNanos, SimSeconds: n.SimSeconds,
 		ReadInits: n.ReadInits, WriteInits: n.WriteInits,
@@ -138,9 +141,6 @@ func renderExplain(b *strings.Builder, op *ExplainOp, depth int) {
 	}
 	ind := strings.Repeat("  ", depth)
 	fmt.Fprintf(b, "%s%s", ind, op.Op)
-	if op.Parts > 1 {
-		fmt.Fprintf(b, " x%d", op.Parts)
-	}
 	if op.Detail != "" {
 		fmt.Fprintf(b, " [%s]", op.Detail)
 	}

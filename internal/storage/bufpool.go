@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -10,11 +9,12 @@ import (
 // block an executor operator keeps resident in RAM — scan batches, join
 // outer blocks, partition write buffers, merge cursors — is pinned here, so
 // the memory budget of the hierarchy's RAM level is enforced at run time
-// instead of merely assumed by the optimizer's constraints. Budget
-// enforcement happens at pin time: grants shrink under pressure (PinUpTo)
-// and a pin that cannot fit at all fails. Unpin is the cache-friendly
-// release: an unpinned frame stays resident and readable until a later pin
-// reclaims the space in LRU order.
+// instead of merely assumed by the optimizer's constraints. The pool only
+// accounts: a frame is a grant of bytes against the budget, not memory — the
+// rows a grant covers live in the spill they are read from (block reads are
+// column views) or in a buffer the operator allocates to the grant's size.
+// Budget enforcement happens at pin time: grants shrink under pressure and
+// a pin whose minimum cannot fit fails.
 //
 // Under the morsel-driven executor every partition strand pins from its own
 // Child pool, an independent pool carrying the same plan budget (block
@@ -32,7 +32,6 @@ type BufferPool struct {
 	mu     sync.Mutex
 	budget int64 // bytes; <= 0 means unlimited
 	used   int64
-	lru    *list.List // unpinned *Frame, front = least recently unpinned
 	stats  PoolStats
 }
 
@@ -44,6 +43,8 @@ type PoolStats struct {
 	UsedBytes int64 `json:"usedBytes"`
 	PeakBytes int64 `json:"peakBytes"`
 	Pins      int64 `json:"pins"`
+	// Unpins and Evictions are always 0: every grant is released outright.
+	// The fields stay because execution reports and their readers carry them.
 	Unpins    int64 `json:"unpins"`
 	Evictions int64 `json:"evictions"`
 	// Shrinks counts grants reduced below their requested size by budget
@@ -55,16 +56,12 @@ type PoolStats struct {
 	SpillBytes int64 `json:"spillBytes"`
 }
 
-// Frame is one pinned or evictable region of pooled memory holding int32
-// row payloads.
+// Frame is one grant of pooled memory: bytes counted against the pool's
+// budget from PinUpTo until Release.
 type Frame struct {
-	Data []int32
-
-	pool    *BufferPool
-	bytes   int64
-	pinned  bool
-	evicted bool
-	elem    *list.Element
+	pool     *BufferPool
+	bytes    int64
+	released bool
 }
 
 // NewBufferPool returns a pool bounded by budget bytes (<= 0: unlimited,
@@ -73,7 +70,7 @@ func NewBufferPool(budget int64) *BufferPool {
 	if budget < 0 {
 		budget = 0
 	}
-	return &BufferPool{budget: budget, lru: list.New()}
+	return &BufferPool{budget: budget}
 }
 
 // Child returns the pool of one partition strand of a parallel phase: an
@@ -96,8 +93,6 @@ func (p *BufferPool) Adopt(children ...*BufferPool) {
 		cs := c.Stats()
 		p.mu.Lock()
 		p.stats.Pins += cs.Pins
-		p.stats.Unpins += cs.Unpins
-		p.stats.Evictions += cs.Evictions
 		p.stats.Shrinks += cs.Shrinks
 		p.stats.Spills += cs.Spills
 		p.stats.SpillBytes += cs.SpillBytes
@@ -121,24 +116,12 @@ func (p *BufferPool) Stats() PoolStats {
 	return s
 }
 
-// Pin allocates a pinned frame for rows records of width bytes each,
-// evicting unpinned frames (least recently unpinned first) to make room.
-// It fails when the request cannot fit the budget even after evicting
-// everything evictable.
-func (p *BufferPool) Pin(rows, width int64) (*Frame, error) {
-	f, err := p.PinUpTo(rows, rows, width)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// PinUpTo allocates a pinned frame for as many records as fit: up to
-// maxRows, but at least minRows. When the budget cannot hold maxRows even
-// after evicting every unpinned frame, the grant shrinks toward minRows;
-// only a request whose minimum does not fit fails. This is how operators
-// degrade gracefully under small budgets: blocks shrink, algorithms stay
-// correct, and the extra transfer initiations show up on the virtual clock.
+// PinUpTo grants a frame for as many records as fit: up to maxRows, but at
+// least minRows. When the budget cannot hold maxRows next to the frames
+// already granted, the grant shrinks toward minRows; only a request whose
+// minimum does not fit fails. This is how operators degrade gracefully
+// under small budgets: blocks shrink, algorithms stay correct, and the extra
+// transfer initiations show up on the virtual clock.
 func (p *BufferPool) PinUpTo(maxRows, minRows, width int64) (*Frame, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("storage: pin with non-positive width %d", width)
@@ -153,7 +136,7 @@ func (p *BufferPool) PinUpTo(maxRows, minRows, width int64) (*Frame, error) {
 	defer p.mu.Unlock()
 	rows := maxRows
 	if p.budget > 0 {
-		free := p.budget - p.pinnedBytesLocked()
+		free := p.budget - p.used
 		if maxRows*width > free {
 			// Shrunken grant: take at most half of what is left, so later
 			// pinners of the same plan still find room (each successive
@@ -164,7 +147,7 @@ func (p *BufferPool) PinUpTo(maxRows, minRows, width int64) (*Frame, error) {
 			}
 			if got < minRows {
 				return nil, fmt.Errorf("storage: buffer pool over budget: need %d bytes for %d records, budget %d with %d pinned",
-					minRows*width, minRows, p.budget, p.pinnedBytesLocked())
+					minRows*width, minRows, p.budget, p.used)
 			}
 			if got < rows {
 				rows = got
@@ -173,43 +156,12 @@ func (p *BufferPool) PinUpTo(maxRows, minRows, width int64) (*Frame, error) {
 		}
 	}
 	bytes := rows * width
-	p.evictLocked(bytes)
 	p.used += bytes
 	if p.used > p.stats.PeakBytes {
 		p.stats.PeakBytes = p.used
 	}
 	p.stats.Pins++
-	return &Frame{Data: make([]int32, 0, bytes/4), pool: p, bytes: bytes, pinned: true}, nil
-}
-
-// pinnedBytesLocked is used minus everything evictable.
-func (p *BufferPool) pinnedBytesLocked() int64 {
-	evictable := int64(0)
-	for e := p.lru.Front(); e != nil; e = e.Next() {
-		evictable += e.Value.(*Frame).bytes
-	}
-	return p.used - evictable
-}
-
-// evictLocked frees unpinned frames in LRU order until need bytes fit the
-// budget.
-func (p *BufferPool) evictLocked(need int64) {
-	if p.budget <= 0 {
-		return
-	}
-	for p.used+need > p.budget {
-		e := p.lru.Front()
-		if e == nil {
-			return
-		}
-		f := e.Value.(*Frame)
-		p.lru.Remove(e)
-		f.elem = nil
-		f.evicted = true
-		f.Data = nil
-		p.used -= f.bytes
-		p.stats.Evictions++
-	}
+	return &Frame{pool: p, bytes: bytes}, nil
 }
 
 // Cap returns the frame's capacity in records of the pinned width.
@@ -220,44 +172,16 @@ func (f *Frame) Cap(width int64) int64 {
 	return f.bytes / width
 }
 
-// Unpin makes the frame evictable. Its contents stay resident (and
-// readable) until the pool reclaims the space for another pin; after that
-// Evicted reports true and Data is nil.
-func (f *Frame) Unpin() {
-	p := f.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !f.pinned || f.evicted {
-		return
-	}
-	f.pinned = false
-	f.elem = p.lru.PushBack(f)
-	p.stats.Unpins++
-}
-
-// Release returns the frame's memory to the pool immediately.
+// Release returns the frame's bytes to the pool. Idempotent.
 func (f *Frame) Release() {
 	p := f.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if f.evicted {
+	if f.released {
 		return
 	}
-	if f.elem != nil {
-		p.lru.Remove(f.elem)
-		f.elem = nil
-	}
-	f.evicted = true
-	f.pinned = false
-	f.Data = nil
+	f.released = true
 	p.used -= f.bytes
-}
-
-// Evicted reports whether the frame's memory has been reclaimed.
-func (f *Frame) Evicted() bool {
-	f.pool.mu.Lock()
-	defer f.pool.mu.Unlock()
-	return f.evicted
 }
 
 // spillChunkRecords is the growth increment of an unbounded spill.
@@ -282,7 +206,7 @@ const spillChunkRecords = 64 << 10
 // one contiguous vector, so ReadColsAt can hand the executor zero-copy
 // column views (the batch protocol's native currency) and durable segments
 // load without a row transpose. The charge model is layout-blind — charges
-// depend only on the (spill, index, count) sequence of Append/ReadAt
+// depend only on the (spill, index, count) sequence of Append/ReadColsAt
 // calls, never on how the bytes are arranged in host memory — so the
 // stripe changes no ledger.
 type Spill struct {
@@ -316,7 +240,7 @@ type Backing interface {
 // the device-resident view of a durable table. Device space is claimed up
 // front without charging (the data already resides on the device, exactly
 // like Preload), and the payload is materialized from b once, on first
-// ReadAt; every read then charges the usual InitCom/UnitTr events, so a
+// read; every read then charges the usual InitCom/UnitTr events, so a
 // backed spill is indistinguishable from a preloaded one on the ledger.
 // A failed load surfaces as a panic with the "storage:" prefix, which the
 // executor's run recovery converts into an error.
@@ -529,38 +453,9 @@ func (s *Spill) Preload(recs []int32) {
 	s.install(n)
 }
 
-// ReadAt charges a blocked read of up to n records starting at idx and
-// returns the payload gathered row-major. Single-column spills return a
-// zero-copy view; wider spills gather into a fresh buffer per call (the
-// executor's hot paths use ReadColsAt instead, which never gathers).
-func (s *Spill) ReadAt(a *Acct, idx, n int64) []int32 {
-	if idx >= s.count {
-		return nil
-	}
-	if idx+n > s.count {
-		n = s.count - idx
-	}
-	if s.backing != nil {
-		s.load()
-	}
-	a.chargeRead(s, idx, n)
-	w := len(s.cols)
-	if w == 1 {
-		return s.cols[0][idx : idx+n]
-	}
-	out := make([]int32, n*int64(w))
-	for c := 0; c < w; c++ {
-		col := s.cols[c][idx : idx+n]
-		for i, v := range col {
-			out[i*w+c] = v
-		}
-	}
-	return out
-}
-
-// ReadColsAt charges a blocked read of up to n records starting at idx —
-// the same charge ReadAt makes — and returns zero-copy per-column views of
-// the payload plus the clamped record count. dst, when non-nil, is reused
+// ReadColsAt charges a blocked read of up to n records starting at idx and
+// returns zero-copy per-column views of the payload plus the clamped record
+// count. dst, when non-nil, is reused
 // as the view header so steady-state readers allocate nothing; the views
 // stay valid as long as the spill is not appended to, reset or freed.
 func (s *Spill) ReadColsAt(a *Acct, idx, n int64, dst [][]int32) ([][]int32, int64) {

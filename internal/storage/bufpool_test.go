@@ -6,86 +6,27 @@ import (
 	"ocas/internal/memory"
 )
 
-func TestPoolPinUnpinAccounting(t *testing.T) {
-	p := NewBufferPool(1024)
-	f1, err := p.Pin(16, 8) // 128 bytes
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := p.Pin(32, 8) // 256 bytes
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.UsedBytes != 384 || st.PeakBytes != 384 {
-		t.Errorf("used/peak = %d/%d want 384/384", st.UsedBytes, st.PeakBytes)
-	}
-	if st.Pins != 2 {
-		t.Errorf("pins = %d want 2", st.Pins)
-	}
-	f1.Unpin()
-	if got := p.Stats().Unpins; got != 1 {
-		t.Errorf("unpins = %d want 1", got)
-	}
-	// Unpinned bytes stay resident until evicted.
-	if got := p.Stats().UsedBytes; got != 384 {
-		t.Errorf("used after unpin = %d want 384 (resident until evicted)", got)
-	}
-	f2.Release()
-	if got := p.Stats().UsedBytes; got != 128 {
-		t.Errorf("used after release = %d want 128", got)
-	}
-	if f1.Evicted() {
-		t.Error("unpinned frame must stay readable before eviction")
-	}
-}
-
 func TestPoolBudgetEnforced(t *testing.T) {
 	p := NewBufferPool(256)
-	f, err := p.Pin(32, 8) // exactly the budget
+	f, err := p.PinUpTo(32, 32, 8) // exactly the budget
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Pin(1, 8); err == nil {
+	if _, err := p.PinUpTo(1, 1, 8); err == nil {
 		t.Fatal("pin beyond a fully pinned budget must fail")
 	}
 	// PinUpTo grants what fits after the pinned set shrinks.
 	f.Release()
+	f.Release() // idempotent: the bytes come back once
+	if st := p.Stats(); st.UsedBytes != 0 || st.PeakBytes != 256 || st.Pins != 1 {
+		t.Errorf("used/peak/pins after release = %d/%d/%d want 0/256/1", st.UsedBytes, st.PeakBytes, st.Pins)
+	}
 	g, err := p.PinUpTo(64, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c := g.Cap(8); c < 1 || c > 32 {
 		t.Errorf("grant %d rows outside budget", c)
-	}
-}
-
-func TestPoolEvictionOrder(t *testing.T) {
-	p := NewBufferPool(300)
-	a, _ := p.Pin(10, 8) // 80 bytes
-	b, _ := p.Pin(10, 8)
-	c, _ := p.Pin(10, 8)
-	if a == nil || b == nil || c == nil {
-		t.Fatal("pins failed")
-	}
-	// Unpin in the order a, c, b: eviction must follow the same order.
-	a.Unpin()
-	c.Unpin()
-	b.Unpin()
-	if _, err := p.Pin(20, 8); err != nil { // 160 bytes: evicts a, then c
-		t.Fatal(err)
-	}
-	if !a.Evicted() {
-		t.Error("least recently unpinned frame (a) must evict first")
-	}
-	if !c.Evicted() {
-		t.Error("next unpinned frame (c) must evict second")
-	}
-	if b.Evicted() {
-		t.Error("most recently unpinned frame (b) must survive")
-	}
-	if got := p.Stats().Evictions; got != 2 {
-		t.Errorf("evictions = %d want 2", got)
 	}
 }
 
@@ -123,8 +64,8 @@ func TestSpillLedgerCharges(t *testing.T) {
 	}
 	// Sequential read-back: one seek, all bytes.
 	for idx := int64(0); idx < sp.Records(); idx += 100 {
-		if got := sp.ReadAt(sim.Root(), idx, 100); len(got) != 200 {
-			t.Fatalf("read %d values want 200", len(got))
+		if cols, n := sp.ReadColsAt(sim.Root(), idx, 100, nil); len(cols) != 2 || n != 100 {
+			t.Fatalf("read %d columns of %d records want 2 of 100", len(cols), n)
 		}
 	}
 	if d.Led.BytesRead != 8000 {
@@ -163,8 +104,8 @@ func TestSpillGrowth(t *testing.T) {
 		t.Fatalf("records = %d want %d", sp.Records(), n)
 	}
 	// Read across the chunk boundary.
-	blk := sp.ReadAt(sim.Root(), spillChunkRecords-5, 10)
-	for i, v := range blk {
+	blk, _ := sp.ReadColsAt(sim.Root(), spillChunkRecords-5, 10, nil)
+	for i, v := range blk[0] {
 		if want := int32(spillChunkRecords - 5 + i); v != want {
 			t.Fatalf("cross-chunk read wrong at %d: %d want %d", i, v, want)
 		}
@@ -177,11 +118,11 @@ func TestPoolChildAdopt(t *testing.T) {
 	p := NewBufferPool(256)
 	c1 := p.Child()
 	c2 := p.Child()
-	f, err := c1.Pin(32, 8) // exactly the inherited budget
+	f, err := c1.PinUpTo(32, 32, 8) // exactly the inherited budget
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Pin(1, 8); err == nil {
+	if _, err := c1.PinUpTo(1, 1, 8); err == nil {
 		t.Fatal("child budget must be enforced locally")
 	}
 	g, err := c2.PinUpTo(64, 1, 8) // shrinks within the sibling's own budget

@@ -182,7 +182,12 @@ func TestBackedSpillChargesLikePreload(t *testing.T) {
 		}
 		var out []int32
 		for idx := int64(0); idx < sp.Records(); idx += 64 {
-			out = append(out, sp.ReadAt(sim.Root(), idx, 64)...)
+			cols, n := sp.ReadColsAt(sim.Root(), idx, 64, nil)
+			for i := int64(0); i < n; i++ {
+				for _, col := range cols {
+					out = append(out, col[i])
+				}
+			}
 		}
 		return dev.Led, sim.Clock.Seconds(), out
 	}

@@ -33,7 +33,7 @@ func TestSequentialReadChargesOneSeek(t *testing.T) {
 	s, d := newHDDSim(t)
 	sp := preloadedSpill(t, d, 1000, 8)
 	for i := int64(0); i < 1000; i += 100 {
-		sp.ReadAt(s.Root(), i, 100)
+		sp.ReadColsAt(s.Root(), i, 100, nil)
 	}
 	if d.Led.ReadInits != 1 {
 		t.Errorf("sequential blocked read should seek once, got %d", d.Led.ReadInits)
@@ -52,7 +52,7 @@ func TestRandomReadsSeekEachTime(t *testing.T) {
 	s, d := newHDDSim(t)
 	sp := preloadedSpill(t, d, 1000, 8)
 	for i := 0; i < 10; i++ {
-		sp.ReadAt(s.Root(), int64((i*37)%900), 1)
+		sp.ReadColsAt(s.Root(), int64((i*37)%900), 1, nil)
 	}
 	if d.Led.ReadInits < 9 {
 		t.Errorf("random reads should seek nearly every time, got %d", d.Led.ReadInits)
@@ -70,7 +70,7 @@ func TestInterleavedReadWriteSeeks(t *testing.T) {
 	}
 	row := make([]int32, 2)
 	for i := int64(0); i < 50; i++ {
-		in.ReadAt(s.Root(), i, 1)
+		in.ReadColsAt(s.Root(), i, 1, nil)
 		out.Append(s.Root(), row)
 	}
 	if d.Led.ReadInits < 49 || d.Led.WriteInits < 49 {
@@ -99,8 +99,8 @@ func TestFlashEraseBlocks(t *testing.T) {
 	}
 	// Flash reads have no seek penalty (InitComUp = 0).
 	before := s.Clock.Seconds()
-	sp.ReadAt(s.Root(), 0, 1)
-	sp.ReadAt(s.Root(), 100000, 1)
+	sp.ReadColsAt(s.Root(), 0, 1, nil)
+	sp.ReadColsAt(s.Root(), 100000, 1, nil)
 	perByte := memory.SSDUnitTr
 	if got := s.Clock.Seconds() - before; math.Abs(got-8*perByte) > 1e-12 {
 		t.Errorf("flash random reads should cost transfer only, got %v", got)
@@ -181,7 +181,7 @@ func TestAcctAdoptMatchesSequential(t *testing.T) {
 				for p := w; p < 8; p += strands {
 					lo := int64(p) * 128
 					for b := int64(0); b < 4; b++ {
-						sp.ReadAt(accts[p], lo+b*32, 32)
+						sp.ReadColsAt(accts[p], lo+b*32, 32, nil)
 					}
 				}
 			}(w)
