@@ -190,7 +190,7 @@ func BenchmarkSearchOnly(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rules.Search(spec.Prog, rules.AllRules(), ctx, 5, 5000)
+		rules.Exhaustive{}.Search(context.Background(), spec.Prog, rules.AllRules(), ctx, 5, 5000)
 	}
 }
 

@@ -10,7 +10,7 @@
 //	     [-commutative] [-depth 6] [-space 4000] \
 //	     [-strategy exhaustive|beam -beam 64] [-workers 0] \
 //	     [-c] [-json] [-template-cache plans.json] \
-//	     [-run [-seed 1] [-batch 0] [-pool 0] [-exec-workers 1] [-explain] \
+//	     [-run [-seed 1] [-pool 0] [-exec-workers 1] [-explain] \
 //	           [-data DIR -table R=mytable,...]]
 //
 // Built-in hierarchies: hdd-ram, hdd-ram-cache, two-hdd, hdd-flash; a JSON
@@ -69,7 +69,6 @@ func main() {
 		tmplFile  = flag.String("template-cache", "", "plan/template cache snapshot file: known request shapes re-optimize at the new sizes instead of re-searching; updated in place")
 		run       = flag.Bool("run", false, "execute the synthesized algorithm on the storage simulator with generated inputs")
 		seed      = flag.Int64("seed", 1, "input generator seed (-run)")
-		batch     = flag.Int64("batch", 0, "executor batch size in rows, 0 = default (-run)")
 		poolB     = flag.Int64("pool", 0, "executor buffer pool budget in bytes, 0 = the RAM size (-run)")
 		execW     = flag.Int("exec-workers", 1, "executor worker count for morsel-parallel execution (-run); never changes results, only wall-clock")
 		explain   = flag.Bool("explain", false, "with -run: print the per-operator EXPLAIN ANALYZE tree (actuals plus est/act drift)")
@@ -166,7 +165,7 @@ func main() {
 	var rep *plan.ExecReport
 	if *run {
 		rep, err = plan.ExecutePlan(context.Background(), c, p,
-			plan.ExecOptions{Seed: *seed, BatchRows: *batch, PoolBytes: *poolB, ExecWorkers: *execW,
+			plan.ExecOptions{Seed: *seed, PoolBytes: *poolB, ExecWorkers: *execW,
 				Explain: *explain, Tables: tables, Cat: cat})
 		if err != nil {
 			die(err)

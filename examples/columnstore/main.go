@@ -1,110 +1,18 @@
-// Column store: synthesize and execute a 5-column column-store read
-// (unfoldR(z) over the column files) and an aggregation (the avg definition
-// of Figure 2), two of the Table 1 workloads.
+// Column store: synthesize and execute a column-store read — unfoldR(z)
+// zipping two column files back into rows, one of the Table 1 workloads.
+// The naive plan reads the columns a tuple at a time; the synthesized one
+// reads each in blocks sized to share the RAM budget.
 package main
 
 import (
-	"fmt"
-	"log"
-	"strings"
+	_ "embed"
 
-	"ocas/internal/core"
-	"ocas/internal/exec"
-	"ocas/internal/memory"
-	"ocas/internal/ocal"
-	"ocas/internal/storage"
-	"ocas/internal/workload"
+	"ocas/examples"
 )
 
+//go:embed request.json
+var request []byte
+
 func main() {
-	const cols = 5
-	rows := int64(300_000)
-	h := memory.HDDRAM(4 * memory.MiB)
-
-	// --- Column-store read. ---
-	spec := core.ColumnReadSpec(cols)
-	task := core.Task{Spec: spec, InputLoc: map[string]string{}, InputRows: map[string]int64{}}
-	for _, in := range spec.Inputs {
-		task.InputLoc[in.Name] = "hdd"
-		task.InputRows[in.Name] = rows
-	}
-	synth := &core.Synthesizer{H: h, MaxDepth: 2, MaxSpace: 200}
-	res, err := synth.Synthesize(task)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("column read spec:", ocal.String(spec.Prog))
-	fmt.Println("synthesized:     ", ocal.String(res.Best.Expr))
-	fmt.Println("derivation:      ", strings.Join(res.Best.Steps, " -> "))
-	fmt.Printf("estimate:         %.4g s (spec %.4g s)\n\n", res.Best.Seconds, res.SpecSeconds)
-
-	sim := storage.NewSim(h)
-	sim.DefaultCPU()
-	dev, err := sim.Device("hdd")
-	if err != nil {
-		log.Fatal(err)
-	}
-	inputs := map[string]*exec.Table{}
-	for i, in := range spec.Inputs {
-		t, err := exec.NewTable(dev, 1, rows+8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := t.Preload(workload.Column(rows, int64(i))); err != nil {
-			log.Fatal(err)
-		}
-		inputs[in.Name] = t
-	}
-	sink := &exec.Sink{Sim: sim}
-	plan, err := exec.Lower(res.Best.Expr, exec.LowerOpts{
-		Sim: sim, Inputs: inputs, Params: res.Best.Params,
-		Scratch: dev, Sink: sink, RAMBytes: h.Root.Size,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := plan.Run(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("reconstructed %d rows of %d columns in %.4g simulated seconds\n\n",
-		sink.RowsWritten, cols, sim.Clock.Seconds())
-
-	// --- Aggregation (avg over the second attribute). ---
-	agg := core.AggregationSpec()
-	synth2 := &core.Synthesizer{H: h, MaxDepth: 3, MaxSpace: 300}
-	res2, err := synth2.Synthesize(core.Task{
-		Spec:      agg,
-		InputLoc:  map[string]string{"R": "hdd"},
-		InputRows: map[string]int64{"R": rows},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("aggregation spec:", ocal.String(agg.Prog))
-	fmt.Println("synthesized:     ", ocal.String(res2.Best.Expr))
-	fmt.Printf("estimate:         %.4g s (spec %.4g s)\n", res2.Best.Seconds, res2.SpecSeconds)
-
-	sim2 := storage.NewSim(h)
-	sim2.DefaultCPU()
-	dev2, _ := sim2.Device("hdd")
-	rel, err := exec.NewTable(dev2, 2, rows+8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := rel.Preload(workload.UniformPairs(rows, 1000, 9)); err != nil {
-		log.Fatal(err)
-	}
-	plan2, err := exec.Lower(res2.Best.Expr, exec.LowerOpts{
-		Sim: sim2, Inputs: map[string]*exec.Table{"R": rel},
-		Params: res2.Best.Params, Scratch: dev2, Sink: &exec.Sink{Sim: sim2},
-		RAMBytes: h.Root.Size,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := plan2.Run(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("aggregated %d rows in %.4g simulated seconds; accumulator = %s\n",
-		rows, sim2.Clock.Seconds(), plan2.Result)
+	examples.Run(examples.Decode(request), examples.MaxRows)
 }

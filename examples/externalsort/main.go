@@ -1,80 +1,18 @@
-// External sort: derive the 2^k-way External Merge-Sort from the naive
-// insertion sort foldL([], unfoldR(mrg)) (Section 7.2), then execute it on
-// the storage simulator and verify the output is sorted.
+// External sort: the merge kernel of the 2^k-way External Merge-Sort
+// (Section 7.2) — a two-way mrg of sorted runs read from one disk and
+// written to another. OCAS blocks both reads and buffers the write-back, so
+// each disk arm streams instead of seeking per tuple.
 package main
 
 import (
-	"fmt"
-	"log"
-	"strings"
+	_ "embed"
 
-	"ocas/internal/core"
-	"ocas/internal/exec"
-	"ocas/internal/memory"
-	"ocas/internal/ocal"
-	"ocas/internal/storage"
-	"ocas/internal/workload"
+	"ocas/examples"
 )
 
+//go:embed request.json
+var request []byte
+
 func main() {
-	spec := core.SortSpec()
-	h := memory.HDDRAM(256 * memory.KiB)
-	n := int64(200_000)
-
-	synth := &core.Synthesizer{H: h, MaxDepth: 12, MaxSpace: 1500}
-	res, err := synth.Synthesize(core.Task{
-		Spec:      spec,
-		InputLoc:  map[string]string{"R": "hdd"},
-		InputRows: map[string]int64{"R": n},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("insertion-sort specification:", ocal.String(spec.Prog))
-	fmt.Printf("    estimated cost: %.4g s (quadratic in n)\n\n", res.SpecSeconds)
-	fmt.Println("synthesized:", ocal.String(res.Best.Expr))
-	fmt.Println("    derivation:", strings.Join(res.Best.Steps, " -> "))
-	fmt.Println("    parameters:", res.Best.Params)
-	fmt.Printf("    estimated cost: %.4g s (n·log n)\n\n", res.Best.Seconds)
-
-	// Execute the winner on the simulator.
-	sim := storage.NewSim(h)
-	sim.DefaultCPU()
-	dev, err := sim.Device("hdd")
-	if err != nil {
-		log.Fatal(err)
-	}
-	in, err := exec.NewTable(dev, 1, n+8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := in.Preload(workload.Ints(n, 1<<30, 7)); err != nil {
-		log.Fatal(err)
-	}
-	out, err := exec.NewTable(dev, 1, n+8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := exec.Lower(res.Best.Expr, exec.LowerOpts{
-		Sim: sim, Inputs: map[string]*exec.Table{"R": in},
-		Params: res.Best.Params, Scratch: dev,
-		Sink:     &exec.Sink{Out: out, Bout: 1 << 10, Sim: sim},
-		RAMBytes: h.Root.Size,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := prog.Run(); err != nil {
-		log.Fatal(err)
-	}
-	sorted := out.Flat()
-	for i := int64(1); i < out.Rows(); i++ {
-		if sorted[i] < sorted[i-1] {
-			log.Fatalf("output not sorted at %d", i)
-		}
-	}
-	srt := prog.Root.(*exec.ExtSort)
-	fmt.Printf("executed %d-way merge sort on %d keys: %d passes, %.4g simulated seconds; output verified sorted\n",
-		srt.Way, n, srt.Passes, sim.Clock.Seconds())
+	examples.Run(examples.Decode(request), examples.MaxRows)
 }

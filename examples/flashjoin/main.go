@@ -1,55 +1,30 @@
 // Flash join: the same specification synthesized for two different
-// hierarchies — output on a second hard disk versus output on a flash
-// drive — showing how OCAS adapts cost formulas and parameter choices to
+// hierarchies — output on a flash drive versus output on a second hard
+// disk — showing how OCAS adapts cost formulas and parameter choices to
 // the device technology (Section 7.2's write-out experiments).
 package main
 
 import (
+	_ "embed"
 	"fmt"
-	"log"
-	"strings"
 
-	"ocas/internal/core"
-	"ocas/internal/memory"
-	"ocas/internal/ocal"
+	"ocas/examples"
 )
 
+//go:embed request.json
+var request []byte
+
 func main() {
-	// Relational product (join condition "true"): write cost dominates.
-	spec := core.JoinSpec(false)
-	task := func(h *memory.Hierarchy, out string) (*core.Synthesis, error) {
-		s := &core.Synthesizer{H: h, MaxDepth: 6, MaxSpace: 1500}
-		return s.Synthesize(core.Task{
-			Spec:      spec,
-			InputLoc:  map[string]string{"R": "hdd", "S": "hdd"},
-			InputRows: map[string]int64{"R": 1 << 10, "S": 1 << 14},
-			Output:    out,
-		})
-	}
+	req := examples.Decode(request)
+	fmt.Println("-- writing to a flash drive (erase-before-write, faster sequential writes) --")
+	ssd, _ := examples.Run(req, examples.MaxRows)
 
-	hdd, err := task(memory.TwoHDD(1*memory.MiB), "hdd2")
-	if err != nil {
-		log.Fatal(err)
-	}
-	ssd, err := task(memory.HDDFlash(1*memory.MiB), "ssd")
-	if err != nil {
-		log.Fatal(err)
-	}
+	req.Hier, req.Output = "two-hdd", "hdd2"
+	fmt.Println("-- writing to a second hard disk --")
+	hdd, _ := examples.Run(req, examples.MaxRows)
 
-	fmt.Println("specification:", ocal.String(spec.Prog))
-	fmt.Println()
-	fmt.Println("writing to a second hard disk:")
-	fmt.Println("    algorithm: ", ocal.String(hdd.Best.Expr))
-	fmt.Println("    derivation:", strings.Join(hdd.Best.Steps, " -> "))
-	fmt.Printf("    estimate:   %.4g s\n\n", hdd.Best.Seconds)
-
-	fmt.Println("writing to a flash drive (erase-before-write, faster sequential writes):")
-	fmt.Println("    algorithm: ", ocal.String(ssd.Best.Expr))
-	fmt.Println("    derivation:", strings.Join(ssd.Best.Steps, " -> "))
-	fmt.Printf("    estimate:   %.4g s\n\n", ssd.Best.Seconds)
-
-	if ssd.Best.Seconds < hdd.Best.Seconds {
-		fmt.Printf("OCAS estimates flash %.1fx faster: InitCom models erasure per %s write block instead of seeks, and UnitTr is 4x cheaper.\n",
-			hdd.Best.Seconds/ssd.Best.Seconds, "256K")
+	if ssd.Seconds < hdd.Seconds {
+		fmt.Printf("OCAS estimates flash %.1fx faster: InitCom models erasure per 256K write block instead of seeks, and UnitTr is 4x cheaper.\n",
+			hdd.Seconds/ssd.Seconds)
 	}
 }

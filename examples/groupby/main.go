@@ -11,38 +11,30 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
-	"strings"
 
-	"ocas/internal/core"
+	"ocas/examples"
 	"ocas/internal/interp"
-	"ocas/internal/memory"
 	"ocas/internal/ocal"
 )
 
-const groupbySrc = `
--- streaming group-by: sum values per key of a key-sorted relation
-unfoldR(\g ->
-  if length(tail(g.1)) == 0 then <[head(g.1)], <[]>>
-  else if head(g.1).1 == head(tail(g.1)).1
-  then <[], <[<head(g.1).1, head(g.1).2 + head(tail(g.1)).2>] ++ tail(tail(g.1))>>
-  else <[head(g.1)], <tail(g.1)>>)(<R>)`
+//go:embed request.json
+var request []byte
 
 func main() {
-	prog, err := ocal.ParseFile(groupbySrc)
+	req := examples.Decode(request)
+
+	// Correctness first: evaluate the specification on a small sorted
+	// relation and compare against a plain group-by.
+	prog, err := ocal.ParseFile(req.Program)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Correctness first: evaluate the specification on a small sorted
-	// relation and compare against a plain map-based group-by.
 	rng := rand.New(rand.NewSource(7))
-	var rel ocal.List
-	want := map[int64]int64{}
-	var keys []int64
+	var rel, want ocal.List
 	key := int64(0)
 	for i := 0; i < 500; i++ {
 		if rng.Intn(3) == 0 {
@@ -50,53 +42,22 @@ func main() {
 		}
 		v := int64(rng.Intn(100))
 		rel = append(rel, ocal.Tuple{ocal.Int(key), ocal.Int(v)})
-		if _, seen := want[key]; !seen {
-			keys = append(keys, key)
+		if n := len(want); n > 0 && want[n-1].(ocal.Tuple)[0] == ocal.Int(key) {
+			want[n-1] = ocal.Tuple{ocal.Int(key), want[n-1].(ocal.Tuple)[1].(ocal.Int) + ocal.Int(v)}
+		} else {
+			want = append(want, ocal.Tuple{ocal.Int(key), ocal.Int(v)})
 		}
-		want[key] += v
 	}
 	got, err := interp.Eval(prog, map[string]ocal.Value{"R": rel}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	groups := got.(ocal.List)
-	if len(groups) != len(keys) {
-		log.Fatalf("got %d groups, want %d", len(groups), len(keys))
+	if !ocal.ValueEq(got, want) {
+		log.Fatalf("specification computes %s, want %s", got, want)
 	}
-	for i, k := range keys {
-		g := groups[i].(ocal.Tuple)
-		if int64(g[0].(ocal.Int)) != k || int64(g[1].(ocal.Int)) != want[k] {
-			log.Fatalf("group %d: got %s, want <%d, %d>", i, g, k, want[k])
-		}
-	}
-	fmt.Printf("specification verified: %d rows -> %d groups\n\n", len(rel), len(groups))
+	fmt.Printf("specification verified: %d rows -> %d groups\n\n", len(rel), len(want))
 
-	// Synthesis: 4M sorted rows on disk, aggregated groups written back.
-	spec := core.Spec{
-		Name:   "groupby",
-		Prog:   prog,
-		Inputs: []core.InputSpec{{Name: "R", Type: ocal.TList(ocal.TTuple(ocal.TInt, ocal.TInt)), Arity: 2}},
-	}
-	h := memory.HDDRAM(8 * memory.MiB)
-	synth := &core.Synthesizer{H: h, MaxDepth: 5, MaxSpace: 2000}
-	res, err := synth.Synthesize(core.Task{
-		Spec:      spec,
-		InputLoc:  map[string]string{"R": "hdd"},
-		InputRows: map[string]int64{"R": 4 << 20},
-		Output:    "hdd",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("streaming aggregation spec:")
-	fmt.Println("   ", ocal.String(prog))
-	fmt.Printf("    estimated cost: %.4g s (tuple-at-a-time transfers)\n\n", res.SpecSeconds)
-	fmt.Println("synthesized (blocked read, buffered write-back):")
-	fmt.Println("   ", ocal.String(res.Best.Expr))
-	fmt.Println("    derivation:    ", strings.Join(res.Best.Steps, " -> "))
-	fmt.Println("    parameters:    ", res.Best.Params)
-	fmt.Printf("    estimated cost: %.4g s (%.0fx faster)\n",
-		res.Best.Seconds, res.SpecSeconds/res.Best.Seconds)
+	// Synthesis: 4M sorted rows on disk, aggregated groups written back. The
+	// run is kept small: the step function rebuilds its window per tuple.
+	examples.Run(req, 1<<13)
 }

@@ -1,71 +1,26 @@
 // Quickstart: synthesize the Block Nested Loops Join of Example 1.
 //
-// The input is the naive, memory-hierarchy-oblivious join
+// The request is the naive, memory-hierarchy-oblivious join
 //
 //	for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []
 //
-// and a hierarchy with one hard disk under RAM. OCAS derives the blocked,
+// over a hierarchy with one hard disk under RAM. OCAS derives the blocked,
 // sequential-scan nested loops join, tunes the block sizes to the RAM
 // budget, and emits C code.
 package main
 
 import (
+	_ "embed"
 	"fmt"
-	"log"
-	"strings"
 
-	"ocas/internal/codegen"
-	"ocas/internal/core"
-	"ocas/internal/memory"
-	"ocas/internal/ocal"
+	"ocas/examples"
 )
 
+//go:embed request.json
+var request []byte
+
 func main() {
-	prog := ocal.MustParse(`
--- Example 1 of the paper: the intuitive join.
-for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []`)
-
-	relT := ocal.TList(ocal.TTuple(ocal.TInt, ocal.TInt))
-	spec := core.Spec{
-		Name: "quickstart-join",
-		Prog: prog,
-		Inputs: []core.InputSpec{
-			{Name: "R", Type: relT, Arity: 2},
-			{Name: "S", Type: relT, Arity: 2},
-		},
-		Commutative: true,
-	}
-
-	h := memory.HDDRAM(8 * memory.MiB)
-	synth := &core.Synthesizer{H: h, MaxDepth: 6, MaxSpace: 2000}
-	res, err := synth.Synthesize(core.Task{
-		Spec:      spec,
-		InputLoc:  map[string]string{"R": "hdd", "S": "hdd"},
-		InputRows: map[string]int64{"R": 4 << 20, "S": 1 << 18},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("naive specification:")
-	fmt.Println("   ", ocal.String(prog))
-	fmt.Printf("    estimated cost: %.4g s\n\n", res.SpecSeconds)
-
-	fmt.Println("synthesized algorithm (canonical BNL join):")
-	fmt.Println("   ", ocal.String(res.Best.Expr))
-	fmt.Println("    derivation:    ", strings.Join(res.Best.Steps, " -> "))
-	fmt.Println("    parameters:    ", res.Best.Params)
-	fmt.Printf("    estimated cost: %.4g s (%.0fx faster)\n\n",
-		res.Best.Seconds, res.SpecSeconds/res.Best.Seconds)
-
-	csrc, err := codegen.Generate(res.Best.Expr, codegen.Options{
-		FuncName:   "bnl_join",
-		Params:     res.Best.Params,
-		InputArity: map[string]int{"R": 2, "S": 2},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	p, _ := examples.Run(examples.Decode(request), examples.MaxRows)
 	fmt.Println("generated C:")
-	fmt.Println(csrc)
+	fmt.Println(p.C)
 }

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -336,13 +337,13 @@ func TestSeqACConditions(t *testing.T) {
 
 func TestSearchDedupAndStats(t *testing.T) {
 	c := testContext()
-	all, stats := Search(naiveJoin(), AllRules(), c, 4, 20000)
+	all, stats := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), c, 4, 20000)
 	if stats.SpaceSize != len(all) {
 		t.Errorf("stats.SpaceSize=%d but %d derivations", stats.SpaceSize, len(all))
 	}
 	keys := map[string]bool{}
 	for _, d := range all {
-		k := alphaKey(d.Expr)
+		k := testKeyer.AlphaKey(d.Expr)
 		if keys[k] {
 			t.Fatalf("duplicate program in search space: %s", ocal.String(d.Expr))
 		}
@@ -360,7 +361,7 @@ func TestSearchDedupAndStats(t *testing.T) {
 // the naive specification (multiset semantics) on random inputs.
 func TestQuickSearchSpacePreservesSemantics(t *testing.T) {
 	c := testContext()
-	all, _ := Search(naiveJoin(), AllRules(), c, 3, 400)
+	all, _ := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), c, 3, 400)
 	r := rand.New(rand.NewSource(11))
 	// The commutativity annotation asserts that the caller accepts either
 	// orientation of the input tuple (the paper's BNL examples discard the
@@ -398,11 +399,11 @@ func TestQuickSearchSpacePreservesSemantics(t *testing.T) {
 
 func TestSearchReachesCanonicalBNL(t *testing.T) {
 	c := testContext()
-	all, _ := Search(naiveJoin(), AllRules(), c, 6, 50000)
+	all, _ := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), c, 6, 50000)
 	foundBNL := false
 	foundHash := false
 	for _, d := range all {
-		s := alphaKey(d.Expr)
+		s := testKeyer.AlphaKey(d.Expr)
 		// Canonical BNL: order-inputs wrapper, two blocked loops with the
 		// element loops innermost, seq-ac on the inner relation scan.
 		if strings.Contains(s, "if length(R) <= length(S)") &&

@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"context"
 	"fmt"
 
 	"ocas/internal/ocal"
@@ -137,34 +136,6 @@ type LevelStats struct {
 	Kept     int // new distinct programs added to the space
 }
 
-// Search explores the space of equivalent programs breadth-first up to
-// maxDepth rule applications or maxSpace distinct programs, whichever comes
-// first ("OCAS exhaustively searches the space of equivalent programs").
-// It is the Exhaustive strategy with the default GOMAXPROCS-sized worker
-// pool; callers needing a bounded frontier use Beam instead.
-func Search(start ocal.Expr, rs []Rule, c *Context, maxDepth, maxSpace int) ([]Derivation, SearchStats) {
-	return Exhaustive{}.Search(context.Background(), start, rs, c, maxDepth, maxSpace)
-}
-
-// AlphaKey exposes the search's canonical program key: the printing of the
-// program with bound variables and symbolic parameters renamed in
-// first-occurrence order. Two alpha-equivalent programs (same structure,
-// different binder names or fresh-name counters) share one key, which makes
-// it the right program component for content-addressed plan fingerprints.
-// This one-shot form computes the key directly; callers that key many
-// programs (the search, the request compiler) use a Keyer, which interns
-// programs and caches their keys.
-func AlphaKey(e ocal.Expr) string { return alphaKey(e) }
-
-// alphaKey is the dedup key: the canonical printing of the program with
-// bound variables and symbolic parameters renamed in first-occurrence order,
-// so that two derivation paths reaching the same structure are recognized as
-// one program even when fresh-name counters differ.
-func alphaKey(e ocal.Expr) string {
-	ren := &renamer{params: map[string]string{}}
-	return ocal.String(ren.expr(e, nil))
-}
-
 // renameEnv is the persistent bound-variable mapping of the renamer: most
 // recent binding first, tail shared with the enclosing scope (programs bind
 // few variables, so the linear lookup beats a map copy per binder).
@@ -182,6 +153,10 @@ func (env *renameEnv) lookup(name string) (string, bool) {
 	return "", false
 }
 
+// renamer alpha-normalizes a program: bound variables and symbolic
+// parameters are renamed in first-occurrence order, so two derivation paths
+// reaching the same structure yield one program even when their fresh-name
+// counters differ (see Keyer.AlphaNode).
 type renamer struct {
 	params map[string]string
 	nv, np int

@@ -8,12 +8,15 @@ import (
 	"ocas/internal/ocal"
 )
 
+// testKeyer keys programs for the tests the way production does.
+var testKeyer = NewKeyer()
+
 // searchFingerprint flattens a search result into a comparable form: the
 // alpha-canonical program and the derivation chain, in discovery order.
 func searchFingerprint(ds []Derivation) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
-		key := alphaKey(d.Expr)
+		key := testKeyer.AlphaKey(d.Expr)
 		for _, s := range d.Steps {
 			key += " <- " + s
 		}
@@ -68,16 +71,6 @@ func TestExhaustiveIdenticalPrograms(t *testing.T) {
 	}
 }
 
-// TestSearchMatchesStrategy checks the compatibility wrapper.
-func TestSearchMatchesStrategy(t *testing.T) {
-	a, as := Search(naiveJoin(), AllRules(), testContext(), 4, 2000)
-	b, bs := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), testContext(), 4, 2000)
-	if !reflect.DeepEqual(as, bs) {
-		t.Fatalf("stats %+v != %+v", as, bs)
-	}
-	sameFingerprint(t, a, b, "wrapper")
-}
-
 // TestTruncationParity: hitting maxSpace must cut the space at the same
 // program regardless of worker count.
 func TestTruncationParity(t *testing.T) {
@@ -99,7 +92,7 @@ func TestBeamBoundsFrontier(t *testing.T) {
 	full, fullStats := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), testContext(), 5, 5000)
 	inFull := map[string]bool{}
 	for _, d := range full {
-		inFull[alphaKey(d.Expr)] = true
+		inFull[testKeyer.AlphaKey(d.Expr)] = true
 	}
 	beam, beamStats := Beam{Width: 8}.Search(context.Background(), naiveJoin(), AllRules(), testContext(), 5, 5000)
 	if beamStats.SpaceSize > fullStats.SpaceSize {
@@ -109,11 +102,11 @@ func TestBeamBoundsFrontier(t *testing.T) {
 	if beamStats.SpaceSize != len(beam) {
 		t.Fatalf("SpaceSize %d != %d derivations", beamStats.SpaceSize, len(beam))
 	}
-	if alphaKey(beam[0].Expr) != alphaKey(naiveJoin()) {
+	if testKeyer.AlphaKey(beam[0].Expr) != testKeyer.AlphaKey(naiveJoin()) {
 		t.Fatal("beam must keep the start program as candidate 0")
 	}
 	for _, d := range beam {
-		if !inFull[alphaKey(d.Expr)] {
+		if !inFull[testKeyer.AlphaKey(d.Expr)] {
 			t.Fatalf("beam invented a program not in the exhaustive space: %s",
 				ocal.String(d.Expr))
 		}

@@ -130,17 +130,23 @@ func TestExecuteEndpointRejectsOversizedRuns(t *testing.T) {
 	}
 }
 
-// TestExecuteRejectsRemovedExecField: the executor has one path, so a body
-// still choosing one (the former exec.backend field) is a 400 that names
-// the field, like any other unknown field — never silently ignored.
+// TestExecuteRejectsRemovedExecField: the executor has one path and one
+// batch size, so a body still choosing either (the former exec.backend and
+// exec.batchRows fields) is a 400 that names the field, like any other
+// unknown field — never silently ignored.
 func TestExecuteRejectsRemovedExecField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, data := postExecute(t, ts, execBody(`, "backend": "fused"`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("exec.backend should 400, got %d %s", resp.StatusCode, data)
-	}
-	if !strings.Contains(string(data), `unknown field \"backend\"`) {
-		t.Errorf("error should name the unknown field: %s", data)
+	for field, extra := range map[string]string{
+		"backend":   `, "backend": "fused"`,
+		"batchRows": `, "batchRows": 64`,
+	} {
+		resp, data := postExecute(t, ts, execBody(extra))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("exec.%s should 400, got %d %s", field, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), `unknown field \"`+field+`\"`) {
+			t.Errorf("error should name the unknown field %s: %s", field, data)
+		}
 	}
 }
 
