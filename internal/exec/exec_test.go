@@ -106,11 +106,10 @@ func TestBNLJoinOrderBySwaps(t *testing.T) {
 	sim := newSim(t)
 	R := loadTable(t, sim, "hdd", 2, pairsOf(1, 10, 2, 20, 3, 30, 4, 40))
 	S := loadTable(t, sim, "hdd", 2, pairsOf(1, 100))
-	var swapped bool
 	j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, OrderBy: true,
-		EquiKeys: &[2]int{0, 0}, Swapped: &swapped}
+		EquiKeys: &[2]int{0, 0}}
 	drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Sim: sim})
-	if !swapped {
+	if !j.swapped {
 		t.Error("smaller relation must become the outer one")
 	}
 }
@@ -379,7 +378,7 @@ func TestSpillBoundsPanic(t *testing.T) {
 			t.Error("expected panic on over-capacity append")
 		}
 	}()
-	tb.AppendRows(sim.Root(), make([]int32, 32))
+	tb.Append(sim.Root(), make([]int32, 32))
 }
 
 // TestOpenFailureClosesCleanly runs programs whose Open cannot complete

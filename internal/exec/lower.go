@@ -67,7 +67,7 @@ func (p *Program) Pool() *storage.BufferPool { return p.c.Pool }
 func (p *Program) Workers() int { return p.c.workers() }
 
 // WorkerLedgers reports the per-worker-lane charge aggregates of the run
-// (empty for a program assembled without NewProgram).
+// (empty for a program assembled by hand rather than lowered).
 func (p *Program) WorkerLedgers() []WorkerLedger {
 	if p.c.shared == nil {
 		return nil
@@ -151,25 +151,11 @@ func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := NewProgram(root, o)
-	if o.Explain {
-		p.explain = buildExplainTree(root)
-	}
-	return p, nil
-}
-
-// NewProgram wires a hand-built operator tree to a context and sink — the
-// entry point for callers (examples, tests) that assemble operators
-// directly instead of lowering an OCAL program.
-func NewProgram(root Operator, o LowerOpts) *Program {
 	budget := o.PoolBytes
 	if budget == 0 {
 		budget = o.RAMBytes
 	}
-	if budget < 0 {
-		budget = 0
-	}
-	return &Program{Root: root, Sink: o.Sink, c: &Ctx{
+	p := &Program{Root: root, Sink: o.Sink, c: &Ctx{
 		Sim:       o.Sim,
 		Pool:      storage.NewBufferPool(budget),
 		Scratch:   o.Scratch,
@@ -178,6 +164,10 @@ func NewProgram(root Operator, o LowerOpts) *Program {
 		Context:   o.Context,
 		shared:    newShared(o.ExecWorkers),
 	}}
+	if o.Explain {
+		p.explain = buildExplainTree(root)
+	}
+	return p, nil
 }
 
 // lowerer translates expressions to operators. It never partitions: the

@@ -219,7 +219,6 @@ type BNLJoin struct {
 	// producing the same bag of pairs as the nested scan with linear instead
 	// of quadratic CPU; a product bulk-copies column runs.
 	EquiKeys *[2]int
-	Swapped  *bool // reports whether inputs were swapped (may be nil)
 	// SwapOutput emits rows inner-first: the swap-iter derivations loop S
 	// outside R but still construct <x, y> in the original order.
 	SwapOutput bool
@@ -284,9 +283,6 @@ func (o *BNLJoin) Open(c *Ctx) error {
 	o.keys = o.EquiKeys
 	if o.swapped && o.EquiKeys != nil {
 		o.keys = &[2]int{o.EquiKeys[1], o.EquiKeys[0]}
-	}
-	if o.Swapped != nil {
-		*o.Swapped = o.swapped
 	}
 	// Emit in the body's tuple order regardless of which side ended up
 	// outer: an OrderBy swap re-orients once, SwapOutput re-orients again.

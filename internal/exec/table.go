@@ -64,9 +64,6 @@ func (t *Table) Preload(rows []int32) error {
 // Rows returns the number of tuples.
 func (t *Table) Rows() int64 { return t.Records() }
 
-// AppendRows charges a write of the given rows (must be full tuples).
-func (t *Table) AppendRows(a *storage.Acct, rows []int32) { t.Append(a, rows) }
-
 // Sink is a buffered writer implementing the paper's output buffer b_out:
 // rows accumulate in RAM and are evicted to the output table in one
 // contiguous write when the buffer fills (Section 5.2). A nil Out means the
@@ -74,10 +71,7 @@ func (t *Table) AppendRows(a *storage.Acct, rows []int32) { t.Append(a, rows) }
 type Sink struct {
 	Out  *Table
 	Bout int64 // records per eviction; <=0 means 1
-	Sim  *storage.Sim
-	// A is the accounting strand output charges land on (nil: the
-	// simulator's root account). The sink runs on the driver strand.
-	A *storage.Acct
+	Sim  *storage.Sim // charges land on its root account: the sink runs on the driver strand
 
 	// Alloc, when non-nil and Out is nil, allocates the output table
 	// lazily from the first row's arity (callers that cannot know the
@@ -133,24 +127,14 @@ func (s *Sink) Write(row []int32) {
 	}
 }
 
-// acct resolves the sink's accounting strand.
-func (s *Sink) acct() *storage.Acct {
-	if s.A != nil {
-		return s.A
-	}
-	return s.Sim.Root()
-}
-
 // Flush evicts the buffer.
 func (s *Sink) Flush() {
 	if s.Out == nil || s.rows == 0 {
 		return
 	}
-	a := s.acct()
-	if s.Sim != nil {
-		a.CPU(int64(len(s.buf))*4, s.Sim.MoveSeconds)
-	}
-	s.Out.AppendRows(a, s.buf)
+	a := s.Sim.Root()
+	a.CPU(int64(len(s.buf))*4, s.Sim.MoveSeconds)
+	s.Out.Append(a, s.buf)
 	s.buf = s.buf[:0]
 	s.rows = 0
 }

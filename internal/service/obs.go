@@ -20,11 +20,7 @@ import (
 // Called from New.
 func (s *Server) initObs() {
 	s.reg = obs.NewRegistry()
-	ring := s.cfg.TraceRing
-	if ring <= 0 {
-		ring = 256
-	}
-	s.ring = obs.NewRing(ring)
+	s.ring = obs.NewRing(s.cfg.TraceRing)
 	if s.cfg.TraceLog != nil {
 		s.ring.SetLog(s.cfg.TraceLog)
 	}

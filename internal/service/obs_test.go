@@ -171,10 +171,13 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("trace listing %s", body)
 	}
 
-	// Unknown IDs 404.
-	resp, _ = get(t, ts, "/traces/deadbeefdeadbeef")
+	// Unknown IDs 404, naming the ring's real capacity.
+	resp, body = get(t, ts, "/traces/deadbeefdeadbeef")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace: status %d, want 404", resp.StatusCode)
+	}
+	if !strings.Contains(string(body), "the most recent 256") {
+		t.Errorf("404 should name the default ring size: %s", body)
 	}
 }
 

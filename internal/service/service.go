@@ -184,6 +184,9 @@ func New(cfg Config) *Server {
 	if cfg.ExecWorkers > cfg.MaxWorkerSlots {
 		cfg.ExecWorkers = cfg.MaxWorkerSlots
 	}
+	if cfg.TraceRing <= 0 {
+		cfg.TraceRing = 256
+	}
 	s := &Server{
 		cfg:     cfg,
 		store:   plancache.NewStore(cfg.CacheSize, cfg.TemplateCacheSize),

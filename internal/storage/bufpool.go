@@ -321,12 +321,6 @@ func (p *BufferPool) NewSpill(dev *Device, width, capRecords int64) (*Spill, err
 // Records returns the number of records stored.
 func (s *Spill) Records() int64 { return s.count }
 
-// Bytes returns the stored size.
-func (s *Spill) Bytes() int64 { return s.count * s.width }
-
-// Width returns the record width in bytes.
-func (s *Spill) Width() int64 { return s.width }
-
 // Device returns the owning device.
 func (s *Spill) Device() *Device { return s.dev }
 
