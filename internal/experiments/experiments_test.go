@@ -34,6 +34,11 @@ func TestTable1Smoke(t *testing.T) {
 		if r.ExecSecs <= 0 {
 			t.Errorf("%s: executor wall-clock not measured", r.Name)
 		}
+		// The rows run through plan.RunBound like every other plan, so they
+		// carry its full report.
+		if r.Exec == nil || r.Exec.OutDigest == "" || r.Exec.Pool.Pins == 0 || len(r.Exec.Devices) == 0 {
+			t.Errorf("%s: no execution report (digest, pool stats, ledgers): %+v", r.Name, r.Exec)
+		}
 		// Estimates and measurements must agree within two orders of
 		// magnitude (the paper's own Table 1 has up to ~2x deviations; we
 		// allow wide slack because of CPU modelling).
