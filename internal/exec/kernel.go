@@ -388,7 +388,7 @@ type boundPart struct {
 
 // projKernel is a spec specialized to one input arity, owned by a single
 // operator instance (its selection vector is reused across blocks and must
-// not be shared between morsels).
+// not be shared between strands).
 type projKernel struct {
 	ar       int
 	outWidth int

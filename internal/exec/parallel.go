@@ -1,7 +1,8 @@
 // parallel.go is the morsel-driven parallel machinery of the executor: a
 // deterministic partition-task runner (runParts), the Gather operator that
-// merges concurrently produced child streams, and the Exchange that
-// repartitions any input into per-partition spill files. Parallelism never
+// merges the hash join's concurrently produced bucket streams, and the
+// Exchange that hash-partitions its inputs into per-bucket spill files.
+// Parallelism never
 // changes what is charged: partition counts are decided by the plan (tuned
 // block sizes, data sizes, pool budget) and each partition runs on a
 // private accounting strand with a fixed pool share, so output digests and
@@ -88,9 +89,6 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 	if w > n {
 		w = n
 	}
-	if w > maxPartitions {
-		w = maxPartitions
-	}
 	ctxs := make([]*Ctx, n)
 	errs := make([]error, n)
 	for i := range ctxs {
@@ -158,10 +156,9 @@ const gatherAhead = 16
 // order-independent digest). With Ordered set, each partition produces
 // into its own bounded channel (up to gatherAhead batches of lookahead)
 // and the consumer drains them strictly in partition order, so the row
-// order — not just the bag — is identical for every worker count;
-// lowering sets Ordered when an order-sensitive consumer (a fold, a
-// streaming merge) sits above the gather. Each partition runs on a
-// private context (see Ctx.part).
+// order — not just the bag — is identical for every worker count
+// (HashJoin.OrderedOutput: an order-sensitive consumer sits above the
+// join). Each partition runs on a private context (see Ctx.part).
 type Gather struct {
 	Parts []Operator
 	// Ordered trades producer overlap for partition-order delivery.
@@ -193,14 +190,12 @@ func (g *Gather) Open(c *Ctx) error {
 		g.merged = true
 		return nil
 	}
+	// Each partition strand pins against the full plan budget (see
+	// Ctx.part); the worker ceiling bounds the concurrent lanes and with
+	// them host memory.
 	g.lanes = c.workers()
 	if g.lanes > n {
 		g.lanes = n
-	}
-	// Each partition strand pins against the full plan budget (see
-	// Ctx.part); bounding the concurrent lanes bounds host memory.
-	if g.lanes > maxPartitions {
-		g.lanes = maxPartitions
 	}
 	g.ctxs = make([]*Ctx, n)
 	for i := range g.ctxs {
@@ -455,11 +450,10 @@ type Part struct {
 	Spills []*storage.Spill
 }
 
-// Exchange repartitions an input stream into Parts partitions on scratch:
-// the partitioning pass of the GRACE hash join, and the generic
-// repartitioning step between a producer subtree and partition-wise
-// parallel consumers. An input with known extent (a base table, spill or
-// section) is split into morsel sections partitioned concurrently by the
+// Exchange hash-partitions an input stream into Parts partitions on
+// scratch: the partitioning pass of the GRACE hash join. An input with
+// known extent (a base table or spill chain) is split into morsel sections
+// partitioned concurrently by the
 // worker lanes, each task writing its own per-partition spills through
 // pool-pinned write buffers; a streamed subtree is partitioned on the
 // caller's strand. Partition spills are chained per partition in task

@@ -71,7 +71,9 @@ func (t *Table) Rows() int64 { return t.Records() }
 type Sink struct {
 	Out  *Table
 	Bout int64 // records per eviction; <=0 means 1
-	Sim  *storage.Sim // charges land on its root account: the sink runs on the driver strand
+	// Sim's root account takes the output charges: the sink runs on the
+	// driver strand.
+	Sim *storage.Sim
 
 	// Alloc, when non-nil and Out is nil, allocates the output table
 	// lazily from the first row's arity (callers that cannot know the
