@@ -406,8 +406,6 @@ type tableReader struct {
 	view  [][]int32 // reused ReadColsAt header
 }
 
-func newTableReader(t *Table) *tableReader { return newSpillReader(t.Spill, t.Arity) }
-
 func newSpillReader(sp *storage.Spill, arity int) *tableReader {
 	return &tableReader{sps: []*storage.Spill{sp}, ar: arity, hi: -1}
 }

@@ -13,14 +13,16 @@ import (
 // what the generated C would do), to a chain of scratch spills, or to an
 // arbitrary operator subtree, which streams through the batch protocol.
 type Input struct {
-	table  *Table
-	spills []*storage.Spill
-	ar     int // arity of spills
-	op     Operator
+	table  *Table           // set for a base table, next to its one-spill chain
+	spills []*storage.Spill // device-resident input: the chain to read
+	ar     int              // arity of spills
+	op     Operator         // streamed input
 }
 
 // TableInput fuses a base table into the consuming operator.
-func TableInput(t *Table) Input { return Input{table: t} }
+func TableInput(t *Table) Input {
+	return Input{table: t, spills: []*storage.Spill{t.Spill}, ar: t.Arity}
+}
 
 // SpillsInput reads a chain of spills (the per-task segments of an
 // exchange partition) as one stream.
@@ -29,18 +31,9 @@ func SpillsInput(sps []*storage.Spill, arity int) Input { return Input{spills: s
 // OpInput streams another operator's output.
 func OpInput(op Operator) Input { return Input{op: op} }
 
-// stored returns the spill chain and arity of a device-resident input (nil
-// for a streamed subtree).
-func (in Input) stored() ([]*storage.Spill, int) {
-	if in.table != nil {
-		return []*storage.Spill{in.table.Spill}, in.table.Arity
-	}
-	return in.spills, in.ar
-}
-
 func (in Input) reader() blockReader {
-	if sps, ar := in.stored(); sps != nil {
-		return &tableReader{sps: sps, ar: ar, hi: -1}
+	if in.spills != nil {
+		return in.section(0, -1)
 	}
 	return newOpReader(in.op)
 }
@@ -48,22 +41,20 @@ func (in Input) reader() blockReader {
 // extent returns the input's row count, or -1 for a streamed subtree whose
 // extent is unknown before execution.
 func (in Input) extent() int64 {
-	sps, _ := in.stored()
-	if sps == nil {
+	if in.spills == nil {
 		return -1
 	}
 	var n int64
-	for _, sp := range sps {
+	for _, sp := range in.spills {
 		n += sp.Records()
 	}
 	return n
 }
 
 // section returns a reader over the record range [lo, hi) of a
-// device-resident input.
+// device-resident input (hi < 0: to the end).
 func (in Input) section(lo, hi int64) blockReader {
-	sps, ar := in.stored()
-	return &tableReader{sps: sps, ar: ar, lo: lo, hi: hi}
+	return &tableReader{sps: in.spills, ar: in.ar, lo: lo, hi: hi}
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +72,7 @@ type Scan struct {
 
 func (o *Scan) Open(c *Ctx) error {
 	o.c = c
-	o.r = newTableReader(o.T)
+	o.r = newSpillReader(o.T.Spill, o.T.Arity)
 	return o.r.open(c)
 }
 
