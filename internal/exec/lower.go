@@ -105,13 +105,9 @@ func (p *Program) Run() (err error) {
 	var b Batch
 	var row []int32
 	for {
-		if ctx := p.c.Context; ctx != nil {
-			select {
-			case <-ctx.Done():
-				p.Root.Close()
-				return ctx.Err()
-			default:
-			}
+		if err := p.c.err(); err != nil {
+			p.Root.Close()
+			return err
 		}
 		ok, err := p.Root.Next(&b)
 		if err != nil {

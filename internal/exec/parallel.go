@@ -464,9 +464,6 @@ type Exchange struct {
 	Key   int   // 0-based hash attribute
 	KRead int64 // read block (tuples)
 	BufW  int64 // per-partition write buffer (tuples)
-
-	parts []Part
-	arity int
 }
 
 // Run partitions the input, returning one Part per partition and the row
@@ -494,18 +491,19 @@ func (x *Exchange) Run(c *Ctx) ([]Part, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	x.parts = make([]Part, s)
+	parts := make([]Part, s)
+	arity := 0
 	for t := 0; t < tasks; t++ {
 		if arities[t] > 0 {
-			x.arity = arities[t]
+			arity = arities[t]
 		}
 		for p := int64(0); p < s; p++ {
 			if spills[t] != nil {
-				x.parts[p].Spills = append(x.parts[p].Spills, spills[t][p])
+				parts[p].Spills = append(parts[p].Spills, spills[t][p])
 			}
 		}
 	}
-	return x.parts, x.arity, nil
+	return parts, arity, nil
 }
 
 // plan decides the morsel-task count and section bounds: enough blocks per
