@@ -9,16 +9,18 @@
 // ledger, virtual clock identical across worker counts) holds unchanged for
 // durable scans.
 //
-// Ingest is batch-oriented: Append key-sorts each batch on the declared
-// sort key (stable, so pre-sorted loads keep their order), buffers rows in
-// memory, and flushes whole segments once the buffer reaches the flush
-// threshold; Close flushes the remainder. Rows buffered but not yet flushed
-// are volatile across a crash — a graceful shutdown (Catalog.Close, which
-// ocasd performs on SIGTERM) makes everything durable.
+// Ingest is batch-oriented and columnar: AppendCols key-sorts each batch of
+// column vectors on the declared sort key (stable, so pre-sorted loads keep
+// their order), buffers the columns in memory, and flushes whole segments
+// once the buffer reaches the flush threshold; Close flushes the remainder.
+// Rows buffered but not yet flushed are volatile across a crash — a graceful
+// shutdown (Catalog.Close, which ocasd performs on SIGTERM) makes everything
+// durable.
 package catalog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,6 +44,15 @@ const (
 )
 
 var nameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_-]{0,63}$`)
+
+// The conditions a caller tells apart with errors.Is; every other error of
+// a mutation is the file system's.
+var (
+	ErrNoTable = errors.New("table does not exist")
+	ErrExists  = errors.New("table already exists")
+	ErrClosed  = errors.New("catalog closed")
+	ErrShape   = errors.New("batch does not fit the schema")
+)
 
 // Column is one schema column. The only supported type is "int32" — the
 // executor's universal cell type.
@@ -162,7 +173,7 @@ type Catalog struct {
 
 	mu       sync.Mutex
 	man      manifest
-	buf      map[string][]int32 // unflushed row-major rows per table
+	buf      map[string][][]int32 // unflushed rows per table, one vector per column
 	ingested int64
 	flushes  int64
 	closed   bool
@@ -185,7 +196,7 @@ func Open(dir string, opts Options) (*Catalog, error) {
 		dir:  dir,
 		opts: opts,
 		man:  manifest{Version: manifestVersion, Tables: map[string]*TableMeta{}},
-		buf:  map[string][]int32{},
+		buf:  map[string][][]int32{},
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
@@ -212,9 +223,15 @@ func Open(dir string, opts Options) (*Catalog, error) {
 func (c *Catalog) Dir() string { return c.dir }
 
 // saveLocked persists the manifest atomically: marshal, write to a temp
-// file, rename over the live one (the plancache persistence idiom).
-func (c *Catalog) saveLocked() error {
+// file, rename over the live one (the plancache persistence idiom). Rev
+// counts the manifests that reached the disk.
+func (c *Catalog) saveLocked() (err error) {
 	c.man.Rev++
+	defer func() {
+		if err != nil {
+			c.man.Rev--
+		}
+	}()
 	data, err := json.MarshalIndent(&c.man, "", "  ")
 	if err != nil {
 		return err
@@ -225,6 +242,18 @@ func (c *Catalog) saveLocked() error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// tableLocked looks a table up for a mutation.
+func (c *Catalog) tableLocked(name string) (*TableMeta, error) {
+	if c.closed {
+		return nil, fmt.Errorf("catalog: %w", ErrClosed)
+	}
+	t, ok := c.man.Tables[name]
+	if !ok {
+		return nil, fmt.Errorf("catalog: %q: %w", name, ErrNoTable)
+	}
+	return t, nil
 }
 
 // Create registers a new empty table. The schema must validate and the name
@@ -239,13 +268,17 @@ func (c *Catalog) Create(name string, schema Schema) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("catalog: closed")
+		return fmt.Errorf("catalog: %w", ErrClosed)
 	}
 	if _, ok := c.man.Tables[name]; ok {
-		return fmt.Errorf("catalog: table %q already exists", name)
+		return fmt.Errorf("catalog: %q: %w", name, ErrExists)
 	}
 	c.man.Tables[name] = &TableMeta{Name: name, Schema: schema, Version: 1}
-	return c.saveLocked()
+	if err := c.saveLocked(); err != nil {
+		delete(c.man.Tables, name)
+		return err
+	}
+	return nil
 }
 
 // Drop removes a table: its manifest entry, buffered rows, and segment
@@ -254,18 +287,16 @@ func (c *Catalog) Create(name string, schema Schema) error {
 func (c *Catalog) Drop(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("catalog: closed")
-	}
-	t, ok := c.man.Tables[name]
-	if !ok {
-		return fmt.Errorf("catalog: table %q does not exist", name)
-	}
-	delete(c.man.Tables, name)
-	delete(c.buf, name)
-	if err := c.saveLocked(); err != nil {
+	t, err := c.tableLocked(name)
+	if err != nil {
 		return err
 	}
+	delete(c.man.Tables, name)
+	if err := c.saveLocked(); err != nil {
+		c.man.Tables[name] = t
+		return err
+	}
+	delete(c.buf, name)
 	for _, seg := range t.Segments {
 		os.Remove(filepath.Join(c.dir, seg.File))
 	}
@@ -305,99 +336,205 @@ func (c *Catalog) infoLocked(name string) TableInfo {
 	for _, seg := range t.Segments {
 		info.Rows += seg.Rows
 	}
-	info.BufferedRows = int64(len(c.buf[name])) / int64(t.Schema.Arity())
+	info.BufferedRows = c.bufferedLocked(name)
 	info.Rows += info.BufferedRows
 	return info
 }
 
-// Append ingests a batch of rows (row-major flat int32 values, a multiple
-// of the table's arity). The batch is stable-sorted on the declared key,
-// appended to the table's in-memory buffer, and any full flush thresholds
-// are cut into durable segments before Append returns. It reports the new
-// total row count.
-func (c *Catalog) Append(name string, rows []int32) (total int64, err error) {
+// bufferedLocked is the number of rows of a table not yet in a segment.
+func (c *Catalog) bufferedLocked(name string) int64 { return colRows(c.buf[name]) }
+
+// colRows is the row count of a buffer: nil when empty, else one vector per
+// column.
+func colRows(cols [][]int32) int64 {
+	if cols == nil {
+		return 0
+	}
+	return int64(len(cols[0]))
+}
+
+// Appended reports one ingested batch.
+type Appended struct {
+	Rows    int64 // the table's new total, durable + buffered
+	Sorted  bool  // the batch arrived in key order
+	Flushed int64 // segments cut before the call returned
+}
+
+// AppendCols ingests a batch of rows given as one vector per column, all of
+// one length, and takes ownership of the vectors. The batch is stable-sorted
+// on the declared key, appended to the table's in-memory buffer, and every
+// full flush threshold is cut into a durable segment before AppendCols
+// returns. A batch is ingested whole or not at all: when a segment or the
+// manifest cannot be written, the table, its buffer and the counters are as
+// before the call.
+func (c *Catalog) AppendCols(name string, cols [][]int32) (res Appended, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, fmt.Errorf("catalog: closed")
+	t, err := c.tableLocked(name)
+	if err != nil {
+		return res, err
 	}
-	t, ok := c.man.Tables[name]
-	if !ok {
-		return 0, fmt.Errorf("catalog: table %q does not exist", name)
+	if len(cols) != t.Schema.Arity() {
+		return res, fmt.Errorf("catalog: batch of %d columns for a table of %d: %w", len(cols), t.Schema.Arity(), ErrShape)
 	}
-	arity := t.Schema.Arity()
-	if len(rows)%arity != 0 {
-		return 0, fmt.Errorf("catalog: batch of %d values is not a multiple of arity %d", len(rows), arity)
+	n := len(cols[0])
+	for i, col := range cols {
+		if len(col) != n {
+			return res, fmt.Errorf("catalog: batch column %d holds %d values, column 0 holds %d: %w", i, len(col), n, ErrShape)
+		}
 	}
-	n := int64(len(rows) / arity)
+	res.Sorted = true
 	if n > 0 {
-		batch := append([]int32(nil), rows...)
-		sortRows(batch, arity, t.Schema.Key)
-		c.buf[name] = append(c.buf[name], batch...)
-		c.ingested += n
-		t.Version++
-		for int64(len(c.buf[name]))/int64(arity) >= c.opts.FlushRows {
-			if err := c.flushLocked(t, c.opts.FlushRows); err != nil {
-				return 0, err
+		cols, res.Sorted = sortCols(cols, t.Schema.Key)
+		st := c.stageLocked(t)
+		if st.buf == nil {
+			st.buf = cols
+		} else {
+			// Appending past a vector's length never touches what a
+			// snapshot sharing it can see, and a failed ingest leaves the
+			// catalog's own lengths where they were.
+			st.buf = append([][]int32(nil), st.buf...)
+			for i := range st.buf {
+				st.buf[i] = append(st.buf[i], cols[i]...)
 			}
 		}
-		if err := c.saveLocked(); err != nil {
-			return 0, err
+		st.meta.Version++
+		for colRows(st.buf) >= c.opts.FlushRows {
+			if err := st.cut(c, c.opts.FlushRows); err != nil {
+				st.discard(c)
+				return res, err
+			}
+		}
+		if err := c.commitLocked(t, st); err != nil {
+			return res, err
+		}
+		c.ingested += int64(n)
+		res.Flushed = st.flushes
+	}
+	res.Rows = c.infoLocked(name).Rows
+	return res, nil
+}
+
+// Append is AppendCols for a batch laid out record by record (a multiple of
+// the table's arity). benchmark/trace.go replays ingest through it; the
+// product decodes straight into columns.
+func (c *Catalog) Append(name string, rows []int32) (total int64, err error) {
+	c.mu.Lock()
+	t, err := c.tableLocked(name)
+	c.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	arity := t.Schema.Arity() // a table's schema never changes
+	if len(rows)%arity != 0 {
+		return 0, fmt.Errorf("catalog: batch of %d values is not a multiple of arity %d: %w", len(rows), arity, ErrShape)
+	}
+	cols := make([][]int32, arity)
+	for c := range cols {
+		cols[c] = make([]int32, len(rows)/arity)
+		for r := range cols[c] {
+			cols[c][r] = rows[r*arity+c]
 		}
 	}
-	return c.infoLocked(name).Rows, nil
+	res, err := c.AppendCols(name, cols)
+	return res.Rows, err
 }
 
 // Flush forces the table's buffered rows into a durable segment.
 func (c *Catalog) Flush(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("catalog: closed")
+	t, err := c.tableLocked(name)
+	if err != nil {
+		return err
 	}
-	t, ok := c.man.Tables[name]
-	if !ok {
-		return fmt.Errorf("catalog: table %q does not exist", name)
-	}
-	if len(c.buf[name]) == 0 {
+	rows := c.bufferedLocked(name)
+	if rows == 0 {
 		return nil
 	}
-	rows := int64(len(c.buf[name])) / int64(t.Schema.Arity())
-	if err := c.flushLocked(t, rows); err != nil {
+	st := c.stageLocked(t)
+	if err := st.cut(c, rows); err != nil {
 		return err
 	}
-	return c.saveLocked()
+	return c.commitLocked(t, st)
 }
 
-// flushLocked cuts the first rows buffered rows of t into a segment file.
-// The flushed slice is stable-sorted on the key (concatenated sorted
-// batches flatten into one sorted run), so every segment is a sorted run
-// with honest MinKey/MaxKey bounds.
-func (c *Catalog) flushLocked(t *TableMeta, rows int64) error {
-	arity := t.Schema.Arity()
-	vals := rows * int64(arity)
-	flat := c.buf[t.Name][:vals]
-	sortRows(flat, arity, t.Schema.Key)
+// staged is the next state of one table while a mutation writes its
+// segments: nothing of the catalog changes until commitLocked installs it.
+type staged struct {
+	meta    TableMeta
+	buf     [][]int32
+	flushes int64
+}
 
-	file := fmt.Sprintf("%s-%06d.seg", t.Name, t.Seq)
-	if err := storage.WriteSegment(filepath.Join(c.dir, file), arity, c.opts.ChunkRows, flat); err != nil {
+func (c *Catalog) stageLocked(t *TableMeta) *staged {
+	return &staged{meta: *t, buf: c.buf[t.Name]}
+}
+
+// cut writes the first rows buffered rows as the table's next segment file.
+// The rows are stable-sorted on the key first (concatenated sorted batches
+// flatten into one sorted run; a single batch is in order already), so every
+// segment is a sorted run with honest MinKey/MaxKey bounds. The buffered
+// vectors are only read — the sort and the remainder land in fresh ones.
+func (st *staged) cut(c *Catalog, rows int64) error {
+	key := st.meta.Schema.Key
+	head := make([][]int32, len(st.buf))
+	for i, col := range st.buf {
+		head[i] = col[:rows]
+	}
+	head, _ = sortCols(head, key)
+	file := fmt.Sprintf("%s-%06d.seg", st.meta.Name, st.meta.Seq)
+	if err := storage.WriteSegmentCols(filepath.Join(c.dir, file), head, c.opts.ChunkRows); err != nil {
 		return err
 	}
-	meta := SegmentMeta{File: file, Rows: rows}
-	if len(t.Schema.Key) > 0 && rows > 0 {
-		k := t.Schema.Key[0]
-		meta.MinKey = flat[k]
-		meta.MaxKey = flat[(rows-1)*int64(arity)+int64(k)]
+	seg := SegmentMeta{File: file, Rows: rows}
+	if len(key) > 0 && rows > 0 {
+		seg.MinKey, seg.MaxKey = head[key[0]][0], head[key[0]][rows-1]
 	}
-	t.Segments = append(t.Segments, meta)
-	t.Seq++
-	t.Version++
-	c.flushes++
-	rest := c.buf[t.Name][vals:]
-	c.buf[t.Name] = append([]int32(nil), rest...)
-	if len(c.buf[t.Name]) == 0 {
+	st.meta.Segments = append(st.meta.Segments[:len(st.meta.Segments):len(st.meta.Segments)], seg)
+	st.meta.Seq++
+	st.meta.Version++
+	st.flushes++
+	if colRows(st.buf) == rows {
+		st.buf = nil
+		return nil
+	}
+	rest := make([][]int32, len(st.buf))
+	for i, col := range st.buf {
+		rest[i] = append([]int32(nil), col[rows:]...)
+	}
+	st.buf = rest
+	return nil
+}
+
+// discard removes the segment files a staged state wrote.
+func (st *staged) discard(c *Catalog) {
+	for _, seg := range st.meta.Segments[len(st.meta.Segments)-int(st.flushes):] {
+		os.Remove(filepath.Join(c.dir, seg.File))
+	}
+}
+
+// installLocked makes a staged state the table's.
+func (c *Catalog) installLocked(t *TableMeta, st *staged) {
+	*t = st.meta
+	if st.buf == nil {
 		delete(c.buf, t.Name)
+	} else {
+		c.buf[t.Name] = st.buf
 	}
+}
+
+// commitLocked installs a staged state and persists the manifest; when that
+// fails the table is as it was and the staged segment files are gone.
+func (c *Catalog) commitLocked(t *TableMeta, st *staged) error {
+	old := staged{meta: *t, buf: c.buf[t.Name]}
+	c.installLocked(t, st)
+	if err := c.saveLocked(); err != nil {
+		c.installLocked(t, &old)
+		st.discard(c)
+		return err
+	}
+	c.flushes += st.flushes
 	return nil
 }
 
@@ -410,15 +547,17 @@ func (c *Catalog) Close() error {
 		return nil
 	}
 	var firstErr error
-	for name, buf := range c.buf {
-		t, ok := c.man.Tables[name]
-		if !ok || len(buf) == 0 {
+	for name := range c.buf {
+		t := c.man.Tables[name]
+		st := c.stageLocked(t)
+		if err := st.cut(c, c.bufferedLocked(name)); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
-		rows := int64(len(buf)) / int64(t.Schema.Arity())
-		if err := c.flushLocked(t, rows); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		c.installLocked(t, st)
+		c.flushes += st.flushes
 	}
 	if err := c.saveLocked(); err != nil && firstErr == nil {
 		firstErr = err
@@ -442,37 +581,9 @@ func (c *Catalog) Stats() Stats {
 		for _, seg := range t.Segments {
 			s.Rows += seg.Rows
 		}
-		b := int64(len(c.buf[name])) / int64(t.Schema.Arity())
+		b := c.bufferedLocked(name)
 		s.BufferedRows += b
 		s.Rows += b
 	}
 	return s
-}
-
-// sortRows stable-sorts flat row-major rows on the key column indices.
-// Stable ordering means a batch already sorted on the key is untouched —
-// the property the ingest differential relies on to reproduce generated
-// row order exactly.
-func sortRows(flat []int32, arity int, key []int) {
-	if len(key) == 0 || len(flat) == 0 {
-		return
-	}
-	n := len(flat) / arity
-	rows := make([][]int32, n)
-	for i := range rows {
-		rows[i] = flat[i*arity : (i+1)*arity]
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range key {
-			if rows[i][k] != rows[j][k] {
-				return rows[i][k] < rows[j][k]
-			}
-		}
-		return false
-	})
-	sorted := make([]int32, 0, len(flat))
-	for _, r := range rows {
-		sorted = append(sorted, r...)
-	}
-	copy(flat, sorted)
 }

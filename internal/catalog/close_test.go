@@ -3,6 +3,8 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,5 +60,57 @@ func TestCloseFlushDurability(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, seg.File)); err != nil {
 			t.Errorf("segment missing: %v", err)
 		}
+	}
+}
+
+// TestFailedFlushIngestsNothing: a batch whose segment cannot be written is
+// refused whole — rows, counters and version as before, no file left — and
+// the same batch retried on a healthy directory is ingested exactly once.
+func TestFailedFlushIngestsNothing(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{FlushRows: 4})
+	defer c.Close()
+	if err := c.Create("t", pairSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Append("t", []int32{9, 90}); err != nil {
+		t.Fatal(err)
+	}
+	before, statsBefore := mustInfo(t, c, "t"), c.Stats()
+
+	// A directory where the second segment of the batch has to land.
+	blocker := filepath.Join(dir, "t-000001.seg")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	batch := []int32{5, 50, 1, 10, 3, 30, 2, 20, 4, 40, 8, 80, 7, 70, 6, 60}
+	if _, err := c.Append("t", batch); err == nil {
+		t.Fatal("append over a blocked segment path succeeded")
+	}
+	if after := mustInfo(t, c, "t"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed append changed the table: %+v, was %+v", after, before)
+	}
+	if after := c.Stats(); after != statsBefore {
+		t.Fatalf("failed append changed the counters: %+v, were %+v", after, statsBefore)
+	}
+	if got := readAll(t, c, "t"); !slices.Equal(got, []int32{9, 90}) {
+		t.Fatalf("failed append left rows behind: %v", got)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "t-*.seg*")); !slices.Equal(segs, []string{blocker}) {
+		t.Fatalf("failed append left files behind: %v", segs)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	total, err := c.Append("t", batch)
+	if err != nil || total != 9 {
+		t.Fatalf("retry: total %d, %v", total, err)
+	}
+	if st := c.Stats(); st.IngestedRows != statsBefore.IngestedRows+8 || st.SegmentFlushes != 2 {
+		t.Fatalf("retry counters %+v", st)
+	}
+	if got := readAll(t, c, "t"); !slices.Equal(got, []int32{1, 10, 2, 20, 3, 30, 9, 90, 4, 40, 5, 50, 6, 60, 7, 70, 8, 80}) {
+		t.Fatalf("retry rows %v", got)
 	}
 }

@@ -8,23 +8,25 @@ import (
 )
 
 // Handle is a consistent read snapshot of one table: the segment readers
-// open at OpenTable time plus a copy of the then-buffered rows. Concurrent
-// ingest or even a Drop does not disturb a handle mid-scan (open
-// descriptors survive the unlink). A Handle implements storage.Backing
-// through ReadCols, so it plugs straight into Device.NewBackedSpill /
-// exec.NewBackedTable — segment chunks stream into the spill's column
-// vectors without a row transpose.
+// open at OpenTable time plus the then-buffered rows, whose vectors it shares
+// with the catalog (ingest never rewrites a buffered value; it appends past
+// the snapshot's lengths or moves on to fresh vectors). Concurrent ingest or
+// even a Drop does not disturb a handle mid-scan (open descriptors survive
+// the unlink). A Handle implements storage.Backing through ReadCols, so it
+// plugs straight into Device.NewBackedSpill / exec.NewBackedTable — segment
+// chunks and the buffered tail stream into the spill's column vectors as
+// they are.
 //
-// ReadRecords and ReadCols are not safe for concurrent calls on one Handle
-// (segment readers share a scratch buffer); the executor satisfies this by
-// materializing a backed spill's payload exactly once behind a sync.Once.
+// ReadCols is not safe for concurrent calls on one Handle (segment readers
+// share a scratch buffer); the executor satisfies this by materializing a
+// backed spill's payload exactly once behind a sync.Once.
 type Handle struct {
 	name  string
 	arity int
 	rows  int64
 	segs  []*storage.Segment
-	bases []int64 // starting row of each segment
-	buf   []int32 // copy of rows buffered at snapshot time
+	bases []int64   // starting row of each segment
+	buf   [][]int32 // rows buffered at snapshot time, one vector per column
 }
 
 // OpenTable opens a read snapshot of the named table.
@@ -33,10 +35,10 @@ func (c *Catalog) OpenTable(name string) (*Handle, error) {
 	t, ok := c.man.Tables[name]
 	if !ok {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("catalog: table %q does not exist", name)
+		return nil, fmt.Errorf("catalog: %q: %w", name, ErrNoTable)
 	}
 	metas := append([]SegmentMeta(nil), t.Segments...)
-	buf := append([]int32(nil), c.buf[name]...)
+	buf := append([][]int32(nil), c.buf[name]...)
 	arity := t.Schema.Arity()
 	dir := c.dir
 	c.mu.Unlock()
@@ -58,7 +60,7 @@ func (c *Catalog) OpenTable(name string) (*Handle, error) {
 		h.segs = append(h.segs, seg)
 		h.rows += seg.Rows()
 	}
-	h.rows += int64(len(buf) / arity)
+	h.rows += colRows(buf)
 	return h, nil
 }
 
@@ -71,45 +73,28 @@ func (h *Handle) Rows() int64 { return h.rows }
 // Arity returns the number of int32 columns per row.
 func (h *Handle) Arity() int { return h.arity }
 
-// ReadRecords fills dst with n rows starting at row lo, row-major, reading
-// across segment boundaries and into the buffered tail.
+// ReadRecords is ReadCols for a destination laid out record by record.
+// benchmark/trace.go reads a probe batch through it; the product reads
+// columns.
 func (h *Handle) ReadRecords(dst []int32, lo, n int64) error {
-	if lo < 0 || n < 0 || lo+n > h.rows {
-		return fmt.Errorf("catalog: read [%d,%d) out of %d rows", lo, lo+n, h.rows)
+	cols := make([][]int32, h.arity)
+	for c := range cols {
+		cols[c] = make([]int32, max(n, 0))
 	}
-	cols := int64(h.arity)
-	for i, seg := range h.segs {
-		if n == 0 {
-			return nil
-		}
-		base := h.bases[i]
-		if lo >= base+seg.Rows() {
-			continue
-		}
-		in := lo - base
-		take := seg.Rows() - in
-		if take > n {
-			take = n
-		}
-		if err := seg.ReadRows(dst[:take*cols], in, take); err != nil {
-			return err
-		}
-		dst = dst[take*cols:]
-		lo += take
-		n -= take
+	if err := h.ReadCols(cols, lo, n); err != nil {
+		return err
 	}
-	if n > 0 {
-		durable := h.rows - int64(len(h.buf))/cols
-		in := (lo - durable) * cols
-		copy(dst, h.buf[in:in+n*cols])
+	for c, col := range cols {
+		for r, v := range col {
+			dst[r*h.arity+c] = v
+		}
 	}
 	return nil
 }
 
 // ReadCols fills dst[c] with column c of n rows starting at row lo,
 // reading across segment boundaries and into the buffered tail. It
-// implements storage.Backing: segment chunks are already column-major, so
-// durable rows reach the destination vectors without a transpose.
+// implements storage.Backing.
 func (h *Handle) ReadCols(dst [][]int32, lo, n int64) error {
 	if lo < 0 || n < 0 || lo+n > h.rows {
 		return fmt.Errorf("catalog: read [%d,%d) out of %d rows", lo, lo+n, h.rows)
@@ -117,7 +102,6 @@ func (h *Handle) ReadCols(dst [][]int32, lo, n int64) error {
 	if len(dst) < h.arity {
 		return fmt.Errorf("catalog: read dst %d columns, table has %d", len(dst), h.arity)
 	}
-	cols := int64(h.arity)
 	out := int64(0)
 	sub := make([][]int32, h.arity)
 	for i, seg := range h.segs {
@@ -144,13 +128,9 @@ func (h *Handle) ReadCols(dst [][]int32, lo, n int64) error {
 		n -= take
 	}
 	if n > 0 {
-		durable := h.rows - int64(len(h.buf))/cols
-		in := lo - durable
-		for c := int64(0); c < cols; c++ {
-			d := dst[c][out : out+n]
-			for r := int64(0); r < n; r++ {
-				d[r] = h.buf[(in+r)*cols+c]
-			}
+		in := lo - (h.rows - colRows(h.buf))
+		for c, col := range h.buf {
+			copy(dst[c][out:out+n], col[in:in+n])
 		}
 	}
 	return nil

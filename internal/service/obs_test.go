@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -14,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ocas/internal/catalog"
 )
 
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
@@ -211,6 +214,26 @@ func TestTemplateHitTracePhases(t *testing.T) {
 	}
 	if _, ok := names["synth.search"]; ok {
 		t.Error("template-hit trace ran a search")
+	}
+}
+
+// TestIngestTracePhases: a bulk load is a decode and an append under the
+// request's root, each saying what it did.
+func TestIngestTracePhases(t *testing.T) {
+	_, ts, cat := newCatalogServer(t, t.TempDir(), Config{})
+	if err := cat.Create("t", catalog.Schema{Columns: []catalog.Column{{Name: "k"}}, Key: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	resp, _ := doReq(t, "POST", ts.URL+"/tables/t/rows", "text/csv", strings.Repeat("2\n1\n", 64))
+	spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
+	want := map[string]map[string]any{
+		"ingest.decode":  {"format": "csv", "rows": 128.0},
+		"catalog.append": {"rows": 128.0, "sorted": false, "flushed": 1.0},
+	}
+	for name, attrs := range want {
+		if i, ok := names[name]; !ok || spans[i].Parent != 0 || !reflect.DeepEqual(spans[i].Attrs, attrs) {
+			t.Errorf("span %s: have %v in %+v, want %v under the root", name, ok, spans, attrs)
+		}
 	}
 }
 

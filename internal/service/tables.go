@@ -2,19 +2,18 @@
 // tables. The write path is deliberately plain — create with a schema, bulk
 // load rows as JSON or CSV — because the interesting machinery (key-sorted
 // batches, columnar segment flushes, the versioned manifest) lives in
-// internal/catalog; the handlers validate, delegate, and report.
+// internal/catalog; the handlers decode (rows.go), delegate, and report.
 package service
 
 import (
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"ocas/internal/catalog"
+	"ocas/internal/obs"
 )
 
 // createTableRequest is the POST /tables body.
@@ -41,6 +40,24 @@ func (s *Server) requireCatalog(w http.ResponseWriter) *catalog.Catalog {
 	return s.cfg.Catalog
 }
 
+// failCatalog answers a failed catalog mutation: the conditions the catalog
+// names get their status, anything else is the given one — 400 where the
+// catalog validates a request, 500 where only the file system can fail.
+func (s *Server) failCatalog(w http.ResponseWriter, err error, otherwise int) {
+	code := otherwise
+	switch {
+	case errors.Is(err, catalog.ErrNoTable):
+		code = http.StatusNotFound
+	case errors.Is(err, catalog.ErrExists):
+		code = http.StatusConflict
+	case errors.Is(err, catalog.ErrShape):
+		code = http.StatusUnprocessableEntity
+	case errors.Is(err, catalog.ErrClosed):
+		code = http.StatusServiceUnavailable
+	}
+	s.fail(w, code, "%v", err)
+}
+
 // handleTableCreate registers a new empty table (POST /tables).
 func (s *Server) handleTableCreate(w http.ResponseWriter, r *http.Request) {
 	cat := s.requireCatalog(w)
@@ -56,11 +73,7 @@ func (s *Server) handleTableCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := cat.Create(req.Name, req.Schema); err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already exists") {
-			code = http.StatusConflict
-		}
-		s.fail(w, code, "%v", err)
+		s.failCatalog(w, err, http.StatusBadRequest)
 		return
 	}
 	s.tables.creates.Add(1)
@@ -106,7 +119,7 @@ func (s *Server) handleTableDrop(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	if err := cat.Drop(name); err != nil {
-		s.fail(w, http.StatusNotFound, "%v", err)
+		s.failCatalog(w, err, http.StatusInternalServerError)
 		return
 	}
 	s.tables.drops.Add(1)
@@ -115,8 +128,9 @@ func (s *Server) handleTableDrop(w http.ResponseWriter, r *http.Request) {
 
 // handleTableIngest bulk-loads rows (POST /tables/{name}/rows). Two body
 // formats, switched on Content-Type: JSON ({"rows": [[k, v], ...]}) and CSV
-// (text/csv, one row per record). Each batch is key-sorted and buffered;
-// full flush thresholds are cut into durable segments before the response.
+// (text/csv, one row per record). Each batch is decoded into columns,
+// key-sorted and buffered; full flush thresholds are cut into durable
+// segments before the response.
 func (s *Server) handleTableIngest(w http.ResponseWriter, r *http.Request) {
 	cat := s.requireCatalog(w)
 	if cat == nil {
@@ -128,80 +142,45 @@ func (s *Server) handleTableIngest(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "no table %q", name)
 		return
 	}
-	arity := info.Schema.Arity()
 
+	format := "json"
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
+		format = "csv"
+	}
+	_, sp := obs.Start(r.Context(), "ingest.decode")
+	sp.Attr("format", format)
 	// Ingest bodies carry bulk data; give them the same 16x allowance as
 	// /execute's explicit inputs.
-	body := http.MaxBytesReader(w, r.Body, 16*s.cfg.MaxBodyBytes)
-	var (
-		flat []int32
-		err  error
-	)
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/csv") {
-		flat, err = decodeCSVRows(body, arity)
-	} else {
-		flat, err = decodeJSONRows(body, arity)
+	limit := 16 * s.cfg.MaxBodyBytes
+	var body bytes.Buffer
+	if r.ContentLength > 0 && r.ContentLength <= limit {
+		body.Grow(int(r.ContentLength) + bytes.MinRead) // one allocation, no regrowth
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	var cols [][]int32
+	if err == nil {
+		cols, err = decodeRows(body.Bytes(), info.Schema.Arity(), format == "csv")
 	}
 	if err != nil {
+		sp.End()
 		s.fail(w, http.StatusBadRequest, "bad rows for table %q: %v", name, err)
 		return
 	}
-	total, err := cat.Append(name, flat)
+	n := int64(len(cols[0]))
+	sp.Attr("rows", n)
+	sp.End()
+
+	_, sp = obs.Start(r.Context(), "catalog.append")
+	res, err := cat.AppendCols(name, cols)
+	sp.Attr("rows", n)
+	sp.Attr("sorted", res.Sorted)
+	sp.Attr("flushed", res.Flushed)
+	sp.End()
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+		s.failCatalog(w, err, http.StatusInternalServerError)
 		return
 	}
-	n := int64(len(flat) / arity)
 	s.tables.ingestedRows.Add(n)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(ingestResponse{Table: name, Ingested: n, Rows: total})
-}
-
-// decodeJSONRows parses {"rows": [[...], ...]} into flat int32 values.
-func decodeJSONRows(body io.Reader, arity int) ([]int32, error) {
-	var req struct {
-		Rows [][]int64 `json:"rows"`
-	}
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, err
-	}
-	flat := make([]int32, 0, len(req.Rows)*arity)
-	for i, row := range req.Rows {
-		if len(row) != arity {
-			return nil, fmt.Errorf("row %d has %d values, want %d", i, len(row), arity)
-		}
-		for _, v := range row {
-			if v < -1<<31 || v > 1<<31-1 {
-				return nil, fmt.Errorf("row %d value %d outside int32", i, v)
-			}
-			flat = append(flat, int32(v))
-		}
-	}
-	return flat, nil
-}
-
-// decodeCSVRows parses one int per field, one row per record.
-func decodeCSVRows(body io.Reader, arity int) ([]int32, error) {
-	rd := csv.NewReader(body)
-	rd.FieldsPerRecord = arity
-	rd.ReuseRecord = true
-	var flat []int32
-	for i := 0; ; i++ {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			return flat, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, field := range rec {
-			v, err := strconv.ParseInt(strings.TrimSpace(field), 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %v", i, err)
-			}
-			flat = append(flat, int32(v))
-		}
-	}
+	json.NewEncoder(w).Encode(ingestResponse{Table: name, Ingested: n, Rows: res.Rows})
 }

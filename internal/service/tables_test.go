@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -70,7 +73,8 @@ func TestTablesRequireCatalog(t *testing.T) {
 }
 
 func TestTableLifecycleOverHTTP(t *testing.T) {
-	_, ts, _ := newCatalogServer(t, t.TempDir(), Config{})
+	dir := t.TempDir()
+	_, ts, cat := newCatalogServer(t, dir, Config{})
 
 	// Create.
 	resp, data := doReq(t, "POST", ts.URL+"/tables", "application/json",
@@ -125,6 +129,55 @@ func TestTableLifecycleOverHTTP(t *testing.T) {
 		t.Errorf("ingest to missing table: %d want 404", resp.StatusCode)
 	}
 
+	// A segment that cannot be written is the server's fault, and the batch
+	// is not half-ingested: the 5 rows above stay 5.
+	blocker := filepath.Join(dir, "users-000000.seg")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	resp, data = doReq(t, "POST", ts.URL+"/tables/users/rows", "text/csv", strings.Repeat("7,70\n", 128))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("ingest over a blocked segment path: %d %s, want 500", resp.StatusCode, data)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	// A table dropped while its batch is still arriving is gone, not
+	// unprocessable: the handler has looked the table up once it asks for the
+	// body, which is when the client hears 100 Continue.
+	doReq(t, "POST", ts.URL+"/tables", "application/json", `{"name": "gone", "schema": {"columns": [{"name": "k"}]}}`)
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest("POST", ts.URL+"/tables/gone/rows", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "text/csv")
+	req.Header.Set("Expect", "100-continue")
+	asked := make(chan struct{})
+	req = req.WithContext(httptrace.WithClientTrace(req.Context(),
+		&httptrace.ClientTrace{Got100Continue: func() { close(asked) }}))
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-asked
+	if resp, _ := doReq(t, "DELETE", ts.URL+"/tables/gone", "", ""); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("drop mid-ingest: %d", resp.StatusCode)
+	}
+	pw.Write([]byte("1\n"))
+	pw.Close()
+	if code := <-status; code != http.StatusNotFound {
+		t.Errorf("ingest into a table dropped mid-request: %d want 404", code)
+	}
+
 	// Get and list.
 	resp, data = doReq(t, "GET", ts.URL+"/tables/users", "", "")
 	if resp.StatusCode != http.StatusOK {
@@ -151,7 +204,7 @@ func TestTableLifecycleOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Catalog == nil || st.Catalog.IngestedHTTP != 5 || st.Catalog.Creates != 1 {
+	if st.Catalog == nil || st.Catalog.IngestedHTTP != 5 || st.Catalog.Creates != 2 {
 		t.Errorf("catalog stats %+v", st.Catalog)
 	}
 
@@ -173,6 +226,13 @@ func TestTableLifecycleOverHTTP(t *testing.T) {
 	resp, _ = doReq(t, "DELETE", ts.URL+"/tables/users", "", "")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("double drop: %d want 404", resp.StatusCode)
+	}
+
+	// A closed catalog is unavailable, not a bad request.
+	cat.Close()
+	resp, _ = doReq(t, "POST", ts.URL+"/tables", "application/json", `{"name": "late", "schema": {"columns": [{"name": "k"}]}}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("create on a closed catalog: %d want 503", resp.StatusCode)
 	}
 }
 

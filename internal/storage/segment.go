@@ -30,22 +30,24 @@ const (
 	maxSegmentCols = 1 << 10
 )
 
-// WriteSegment writes rows (row-major, len(rows) = nRows*cols int32 values)
-// as a columnar segment file at path, atomically: the payload lands in
+// WriteSegmentCols writes cols (one vector per column, all of one length) as
+// a columnar segment file at path, atomically: the payload lands in
 // path+".tmp" and is renamed into place after a successful sync, so a crash
 // mid-write never leaves a half-segment behind. chunkRows <= 0 selects
-// DefaultChunkRows.
-func WriteSegment(path string, cols int, chunkRows int64, rows []int32) (err error) {
-	if cols <= 0 || cols > maxSegmentCols {
-		return fmt.Errorf("storage: segment cols %d out of range [1,%d]", cols, maxSegmentCols)
+// DefaultChunkRows. The vectors are only read.
+func WriteSegmentCols(path string, cols [][]int32, chunkRows int64) (err error) {
+	if len(cols) == 0 || len(cols) > maxSegmentCols {
+		return fmt.Errorf("storage: segment cols %d out of range [1,%d]", len(cols), maxSegmentCols)
 	}
-	if len(rows)%cols != 0 {
-		return fmt.Errorf("storage: segment payload %d values is not a multiple of %d columns", len(rows), cols)
+	nRows := int64(len(cols[0]))
+	for c, col := range cols {
+		if int64(len(col)) != nRows {
+			return fmt.Errorf("storage: segment column %d holds %d values, column 0 holds %d", c, len(col), nRows)
+		}
 	}
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
-	nRows := int64(len(rows) / cols)
 
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -62,26 +64,27 @@ func WriteSegment(path string, cols int, chunkRows int64, rows []int32) (err err
 	hdr := make([]byte, segmentHeader)
 	binary.LittleEndian.PutUint32(hdr[0:], segmentMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], segmentVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(cols))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(cols)))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(chunkRows))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(nRows))
 	if _, err = f.Write(hdr); err != nil {
 		return err
 	}
 
-	// Transpose chunk by chunk through one reusable buffer.
-	buf := make([]byte, 0, chunkRows*int64(cols)*4)
+	// One write per chunk through one reusable buffer: each column's run of
+	// the chunk is encoded in place, a plain copy on little-endian hosts.
+	buf := make([]byte, 0, min(chunkRows, nRows)*int64(len(cols))*4)
 	for lo := int64(0); lo < nRows; lo += chunkRows {
-		rc := chunkRows
-		if lo+rc > nRows {
-			rc = nRows - lo
-		}
-		buf = buf[:rc*int64(cols)*4]
-		for c := 0; c < cols; c++ {
-			base := int64(c) * rc * 4
-			for r := int64(0); r < rc; r++ {
-				v := rows[(lo+r)*int64(cols)+int64(c)]
-				binary.LittleEndian.PutUint32(buf[base+r*4:], uint32(v))
+		rc := min(chunkRows, nRows-lo)
+		buf = buf[:rc*int64(len(cols))*4]
+		for c, col := range cols {
+			run, dst := col[lo:lo+rc], buf[int64(c)*rc*4:]
+			if hostLittleEndian {
+				copy(dst, int32Bytes(run))
+				continue
+			}
+			for r, v := range run {
+				binary.LittleEndian.PutUint32(dst[r*4:], uint32(v))
 			}
 		}
 		if _, err = f.Write(buf); err != nil {
@@ -95,6 +98,27 @@ func WriteSegment(path string, cols int, chunkRows int64, rows []int32) (err err
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// WriteSegment is WriteSegmentCols for rows laid out record by record
+// (len(rows) = nRows*cols values). benchmark/trace.go times it; the product
+// writes segments from columns.
+func WriteSegment(path string, cols int, chunkRows int64, rows []int32) error {
+	if cols <= 0 || cols > maxSegmentCols {
+		return fmt.Errorf("storage: segment cols %d out of range [1,%d]", cols, maxSegmentCols)
+	}
+	if len(rows)%cols != 0 {
+		return fmt.Errorf("storage: segment payload %d values is not a multiple of %d columns", len(rows), cols)
+	}
+	vecs := make([][]int32, cols)
+	n := len(rows) / cols
+	for c := range vecs {
+		vecs[c] = make([]int32, n)
+		for r := range vecs[c] {
+			vecs[c][r] = rows[r*cols+c]
+		}
+	}
+	return WriteSegmentCols(path, vecs, chunkRows)
 }
 
 // Segment is a read-only reader over one durable columnar segment file.
@@ -170,49 +194,8 @@ func (s *Segment) chunkOffset(c int64) int64 {
 	return segmentHeader + c*s.chunkRows*int64(s.cols)*4
 }
 
-// ReadRows fills dst (len >= n*Cols()) with n rows starting at row lo,
-// row-major — the flat record layout of the ingest and catalog paths.
-func (s *Segment) ReadRows(dst []int32, lo, n int64) error {
-	if lo < 0 || n < 0 || lo+n > s.rows {
-		return fmt.Errorf("storage: segment read [%d,%d) out of %d rows", lo, lo+n, s.rows)
-	}
-	if int64(len(dst)) < n*int64(s.cols) {
-		return fmt.Errorf("storage: segment read dst %d values, need %d", len(dst), n*int64(s.cols))
-	}
-	cols := int64(s.cols)
-	for n > 0 {
-		c := lo / s.chunkRows
-		chunkLo := c * s.chunkRows
-		rc := s.chunkRows // rows resident in this chunk
-		if chunkLo+rc > s.rows {
-			rc = s.rows - chunkLo
-		}
-		in := lo - chunkLo // first wanted row within the chunk
-		take := rc - in
-		if take > n {
-			take = n
-		}
-		// One contiguous read per column covering the wanted row range.
-		for col := int64(0); col < cols; col++ {
-			off := s.chunkOffset(c) + (col*rc+in)*4
-			buf := s.scratch[:take*4]
-			if _, err := s.f.ReadAt(buf, off); err != nil {
-				return fmt.Errorf("storage: segment read: %w", err)
-			}
-			for r := int64(0); r < take; r++ {
-				dst[r*cols+col] = int32(binary.LittleEndian.Uint32(buf[r*4:]))
-			}
-		}
-		dst = dst[take*cols:]
-		lo += take
-		n -= take
-	}
-	return nil
-}
-
 // ReadCols fills dst[c] (each len >= n) with column c of n rows starting
-// at row lo. The chunk interior is already column-major, so this is the
-// transpose-free path the executor's columnar batches load through.
+// at row lo: one contiguous read per column and chunk.
 func (s *Segment) ReadCols(dst [][]int32, lo, n int64) error {
 	if lo < 0 || n < 0 || lo+n > s.rows {
 		return fmt.Errorf("storage: segment read [%d,%d) out of %d rows", lo, lo+n, s.rows)
@@ -238,10 +221,9 @@ func (s *Segment) ReadCols(dst [][]int32, lo, n int64) error {
 		if take > n {
 			take = n
 		}
-		// One contiguous read per column, decoded straight into the column
-		// destination — no row transpose. On little-endian hosts the file
-		// bytes are the destination's in-memory image, so the read lands
-		// directly in the column (no scratch pass, no per-value decode).
+		// On little-endian hosts the file bytes are the destination's
+		// in-memory image, so the read lands directly in the column (no
+		// scratch pass, no per-value decode).
 		for col := int64(0); col < int64(s.cols); col++ {
 			off := s.chunkOffset(c) + (col*rc+in)*4
 			d := dst[col][out : out+take]

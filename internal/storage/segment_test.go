@@ -46,39 +46,24 @@ func TestSegmentRoundTrip(t *testing.T) {
 				t.Fatalf("got %d rows x %d cols, want %d x %d",
 					seg.Rows(), seg.Cols(), tc.rows, tc.cols)
 			}
-			got := make([]int32, tc.rows*tc.cols)
-			if err := seg.ReadRows(got, 0, int64(tc.rows)); err != nil {
-				t.Fatalf("ReadRows: %v", err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("value %d: got %d want %d", i, got[i], want[i])
+			// Whole-segment read, then a partial one that straddles chunk
+			// boundaries.
+			for _, span := range [][2]int64{{0, int64(tc.rows)}, {1, int64(tc.rows - 2)}} {
+				lo, n := span[0], span[1]
+				if n < 0 {
+					continue
 				}
-			}
-			// Partial reads that straddle chunk boundaries.
-			if tc.rows > 2 {
-				lo, n := int64(1), int64(tc.rows-2)
-				part := make([]int32, n*int64(tc.cols))
-				if err := seg.ReadRows(part, lo, n); err != nil {
-					t.Fatalf("partial ReadRows: %v", err)
-				}
-				for i := range part {
-					if part[i] != want[int64(tc.cols)*lo+int64(i)] {
-						t.Fatalf("partial value %d mismatch", i)
-					}
-				}
-				// The columnar path must agree with the row path.
 				colDst := make([][]int32, tc.cols)
 				for c := range colDst {
 					colDst[c] = make([]int32, n)
 				}
 				if err := seg.ReadCols(colDst, lo, n); err != nil {
-					t.Fatalf("partial ReadCols: %v", err)
+					t.Fatalf("ReadCols(%d, %d): %v", lo, n, err)
 				}
 				for c := 0; c < tc.cols; c++ {
 					for r := int64(0); r < n; r++ {
 						if colDst[c][r] != want[(lo+r)*int64(tc.cols)+int64(c)] {
-							t.Fatalf("column %d row %d mismatch", c, r)
+							t.Fatalf("read [%d,+%d): column %d row %d mismatch", lo, n, c, r)
 						}
 					}
 				}
@@ -150,6 +135,9 @@ func TestWriteSegmentValidates(t *testing.T) {
 	}
 	if err := WriteSegment(filepath.Join(dir, "b.seg"), 2, 4, make([]int32, 3)); err == nil {
 		t.Fatal("expected payload-multiple validation error")
+	}
+	if err := WriteSegmentCols(filepath.Join(dir, "c.seg"), [][]int32{{1, 2}, {3}}, 4); err == nil {
+		t.Fatal("expected ragged-columns validation error")
 	}
 }
 
