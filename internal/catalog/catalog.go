@@ -336,16 +336,13 @@ func (c *Catalog) infoLocked(name string) TableInfo {
 	for _, seg := range t.Segments {
 		info.Rows += seg.Rows
 	}
-	info.BufferedRows = c.bufferedLocked(name)
+	info.BufferedRows = colRows(c.buf[name])
 	info.Rows += info.BufferedRows
 	return info
 }
 
-// bufferedLocked is the number of rows of a table not yet in a segment.
-func (c *Catalog) bufferedLocked(name string) int64 { return colRows(c.buf[name]) }
-
-// colRows is the row count of a buffer: nil when empty, else one vector per
-// column.
+// colRows is the row count of a table's buffer — the rows not yet in a
+// segment: nil when empty, else one vector per column.
 func colRows(cols [][]int32) int64 {
 	if cols == nil {
 		return 0
@@ -421,11 +418,12 @@ func (c *Catalog) AppendCols(name string, cols [][]int32) (res Appended, err err
 func (c *Catalog) Append(name string, rows []int32) (total int64, err error) {
 	c.mu.Lock()
 	t, err := c.tableLocked(name)
-	c.mu.Unlock()
 	if err != nil {
+		c.mu.Unlock()
 		return 0, err
 	}
-	arity := t.Schema.Arity() // a table's schema never changes
+	arity := t.Schema.Arity()
+	c.mu.Unlock()
 	if len(rows)%arity != 0 {
 		return 0, fmt.Errorf("catalog: batch of %d values is not a multiple of arity %d: %w", len(rows), arity, ErrShape)
 	}
@@ -448,7 +446,7 @@ func (c *Catalog) Flush(name string) error {
 	if err != nil {
 		return err
 	}
-	rows := c.bufferedLocked(name)
+	rows := colRows(c.buf[name])
 	if rows == 0 {
 		return nil
 	}
@@ -550,7 +548,7 @@ func (c *Catalog) Close() error {
 	for name := range c.buf {
 		t := c.man.Tables[name]
 		st := c.stageLocked(t)
-		if err := st.cut(c, c.bufferedLocked(name)); err != nil {
+		if err := st.cut(c, colRows(c.buf[name])); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -581,7 +579,7 @@ func (c *Catalog) Stats() Stats {
 		for _, seg := range t.Segments {
 			s.Rows += seg.Rows
 		}
-		b := c.bufferedLocked(name)
+		b := colRows(c.buf[name])
 		s.BufferedRows += b
 		s.Rows += b
 	}

@@ -40,14 +40,10 @@ func newCols(arity, rows int) [][]int32 {
 	return cols
 }
 
-// scanInt reads -?digits at b[i:], surrounded by any bytes of pad, and
-// returns the value and the index after it. It fails on anything else, and on
-// a value outside int32. With strict set it reads a JSON number: no leading
-// zeros.
-func scanInt(b []byte, i int, pad string, strict bool) (v int32, next int, ok bool) {
-	for i < len(b) && strings.IndexByte(pad, b[i]) >= 0 {
-		i++
-	}
+// scanInt reads -?digits at b[i:] and returns the value and the index after
+// it. It fails on anything else and on a value outside int32. With strict set
+// it reads a JSON number: no leading zeros.
+func scanInt(b []byte, i int, strict bool) (v int32, next int, ok bool) {
 	neg := i < len(b) && b[i] == '-'
 	if neg {
 		i++
@@ -64,13 +60,27 @@ func scanInt(b []byte, i int, pad string, strict bool) (v int32, next int, ok bo
 	if neg {
 		n = -n
 	}
-	if n > 1<<31-1 {
-		return 0, 0, false
-	}
-	for i < len(b) && strings.IndexByte(pad, b[i]) >= 0 {
+	return int32(n), i, n <= 1<<31-1
+}
+
+// skipSpaces returns the index of the first byte of b[i:] that is not a
+// space, the padding scanCSV allows around a field.
+func skipSpaces(b []byte, i int) int {
+	for i < len(b) && b[i] == ' ' {
 		i++
 	}
-	return int32(n), i, true
+	return i
+}
+
+// lineEnd returns the index after the LF or CRLF at b[i:], or -1.
+func lineEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '\r' {
+		i++
+	}
+	if i < len(b) && b[i] == '\n' {
+		return i + 1
+	}
+	return -1
 }
 
 // scanCSV reads the CSV encoding/csv and strconv.ParseInt read the same way
@@ -79,28 +89,17 @@ func scanInt(b []byte, i int, pad string, strict bool) (v int32, next int, ok bo
 func scanCSV(b []byte, arity int) ([][]int32, bool) {
 	// Every record ends a line and is at least arity digits and separators.
 	cols := newCols(arity, min(bytes.Count(b, []byte{'\n'})+1, len(b)/(2*arity)+1))
-	eol := func(i int) int {
-		switch {
-		case i == len(b):
-			return i
-		case b[i] == '\n':
-			return i + 1
-		case b[i] == '\r' && i+1 < len(b) && b[i+1] == '\n':
-			return i + 2
-		}
-		return -1
-	}
 	for i := 0; i < len(b); {
-		if end := eol(i); end >= 0 {
+		if end := lineEnd(b, i); end >= 0 { // an empty line
 			i = end
 			continue
 		}
 		for c := range cols {
-			v, next, ok := scanInt(b, i, " ", false)
+			v, next, ok := scanInt(b, skipSpaces(b, i), false)
 			if !ok {
 				return nil, false
 			}
-			if i = next; c < arity-1 {
+			if i = skipSpaces(b, next); c < arity-1 {
 				if i == len(b) || b[i] != ',' {
 					return nil, false
 				}
@@ -108,58 +107,79 @@ func scanCSV(b []byte, arity int) ([][]int32, bool) {
 			}
 			cols[c] = append(cols[c], v)
 		}
-		if i = eol(i); i < 0 {
-			return nil, false
+		if i < len(b) {
+			if i = lineEnd(b, i); i < 0 {
+				return nil, false
+			}
 		}
 	}
 	return cols, true
 }
 
-// scanJSON reads {"rows":[[int,...],...]} with arity integers a row and JSON
+// skipWS returns the index of the first byte of b[i:] that is not the
+// whitespace JSON allows between tokens.
+func skipWS(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\r' || b[i] == '\t') {
+		i++
+	}
+	return i
+}
+
+// eat returns the index after byte c, which has to be the first of b[i:]
+// that is not whitespace, or -1.
+func eat(b []byte, i int, c byte) int {
+	if i = skipWS(b, i); i < len(b) && b[i] == c {
+		return i + 1
+	}
+	return -1
+}
+
+// scanJSON reads {"rows":[[int,...],...]} with arity integers a row and
 // whitespace between tokens, and nothing after it.
 func scanJSON(b []byte, arity int) ([][]int32, bool) {
-	const ws = " \t\r\n"
 	i := 0
-	// eat consumes the token after any whitespace.
-	eat := func(tok string) bool {
-		for i < len(b) && strings.IndexByte(ws, b[i]) >= 0 {
-			i++
-		}
-		if !bytes.HasPrefix(b[i:], []byte(tok)) {
-			return false
+	for _, tok := range []string{"{", `"rows"`, ":", "["} {
+		if i = skipWS(b, i); !bytes.HasPrefix(b[i:], []byte(tok)) {
+			return nil, false
 		}
 		i += len(tok)
-		return true
-	}
-	if !eat("{") || !eat(`"rows"`) || !eat(":") || !eat("[") {
-		return nil, false
 	}
 	// Every row opens a bracket and is at least arity digits and separators.
 	cols := newCols(arity, min(bytes.Count(b, []byte{'['}), len(b)/(2*arity+2)+1))
-	for more := !eat("]"); more; more = !eat("]") {
-		if len(cols[0]) > 0 && !eat(",") || !eat("[") {
+	for {
+		if end := eat(b, i, ']'); end >= 0 {
+			i = end
+			break
+		}
+		if len(cols[0]) > 0 {
+			if i = eat(b, i, ','); i < 0 {
+				return nil, false
+			}
+		}
+		if i = eat(b, i, '['); i < 0 {
 			return nil, false
 		}
 		for c := range cols {
-			if c > 0 && !eat(",") {
-				return nil, false
+			if c > 0 {
+				if i = eat(b, i, ','); i < 0 {
+					return nil, false
+				}
 			}
-			v, next, ok := scanInt(b, i, ws, true)
+			v, next, ok := scanInt(b, skipWS(b, i), true)
 			if !ok {
 				return nil, false
 			}
 			i = next
 			cols[c] = append(cols[c], v)
 		}
-		if !eat("]") {
+		if i = eat(b, i, ']'); i < 0 {
 			return nil, false
 		}
 	}
-	if !eat("}") {
+	if i = eat(b, i, '}'); i < 0 {
 		return nil, false
 	}
-	eat("")
-	return cols, i == len(b)
+	return cols, skipWS(b, i) == len(b)
 }
 
 // decodeJSONRows is encoding/json's reading of {"rows": [[...], ...]}.
