@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"ocas/internal/catalog"
+	"ocas/internal/core"
 	"ocas/internal/exec"
+	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
 
@@ -107,7 +109,7 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 			batches: []int64{1, 64}, workers: []int{1, 4},
 		})
 	}
-	return append(corpus,
+	corpus = append(corpus,
 		goldenEntry{
 			name: "grace-worker-sweep", req: graceJoin(4096, 8192, 256<<10),
 			base:    ExecOptions{Seed: 11},
@@ -141,6 +143,82 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 			base:    ExecOptions{Seed: 42},
 			batches: []int64{1, 64}, workers: []int{1, 4},
 		})
+	return append(corpus, unfoldGoldenEntries()...)
+}
+
+// unfoldGoldenEntries are the unfoldR shapes the examples do not reach:
+// scratch state (dedup), a set operation with arithmetic in its equal
+// branch, and the three step kinds at window sizes 1, 2 and 3, where the
+// refill at one remaining row happens on every step or every other one.
+func unfoldGoldenEntries() []goldenEntry {
+	no := false
+	ints := func(names ...string) map[string]Input {
+		m := map[string]Input{}
+		for _, n := range names {
+			m[n] = Input{Node: "hdd", Rows: 3000, Arity: 1}
+		}
+		return m
+	}
+	entry := func(name string, req Request) goldenEntry {
+		req.Commutative = &no
+		return goldenEntry{name: name, req: req, base: ExecOptions{Seed: 42},
+			batches: []int64{1, 64}, workers: []int{1, 4}}
+	}
+	const dedupStep = "\\<seen, rest> -> if length(rest) == 0 then <[], <[], []>> " +
+		"else if length(seen) == 0 then <[head(rest)], <[head(rest)], tail(rest)>> " +
+		"else if head(seen) == head(rest) then <[], <seen, tail(rest)>> " +
+		"else <[head(rest)], <[head(rest)], tail(rest)>>"
+	const groupbyStep = "\\g -> if length(tail(g.1)) == 0 then <[head(g.1)], <[]>> " +
+		"else if head(g.1).1 == head(tail(g.1)).1 " +
+		"then <[], <[<head(g.1).1, head(g.1).2 + head(tail(g.1)).2>] ++ tail(tail(g.1))>> " +
+		"else <[head(g.1)], <tail(g.1)>>"
+	out := []goldenEntry{
+		entry("dedup", Request{Program: "unfoldR(" + dedupStep + ")([], L)",
+			Hier: "two-hdd", RAM: 16 << 10, Inputs: ints("L"), Output: "hdd2", Depth: 3, Space: 300}),
+		entry("multiset-union-vm", Request{Program: ocal.String(core.MultisetUnionVMSpec().Prog),
+			Hier: "two-hdd", RAM: 16 << 10,
+			Inputs: map[string]Input{"L1": {Node: "hdd", Rows: 3000}, "L2": {Node: "hdd", Rows: 2000}},
+			Output: "hdd2", Depth: 3, Space: 300}),
+	}
+	// Generated pairs never collide as whole rows; these do on every even
+	// value below 3000, so the equal branch adds multiplicities 1500 times.
+	vm := &out[1]
+	vm.base.Inputs = map[string][][]int64{}
+	for name, step := range map[string]int64{"L1": 1, "L2": 2} {
+		rows := make([][]int64, vm.req.Inputs[name].Rows)
+		for i := range rows {
+			v := int64(i) * step
+			rows[i] = []int64{v, v % 7}
+		}
+		vm.base.Inputs[name] = rows
+	}
+	for k := 1; k <= 3; k++ {
+		// A literal window of 1 reads as "unblocked" and the synthesizer blocks
+		// it again; an 8-byte pool caps the shared windows of the k=2 plans at
+		// one row instead (one 8-byte pair, or two 4-byte ints).
+		lit, pool := k, int64(0)
+		if k == 1 {
+			lit, pool = 2, 8
+		}
+		sized := func(kind string, req Request) goldenEntry {
+			e := entry(fmt.Sprintf("%s-k%d", kind, k), req)
+			e.base.PoolBytes = pool
+			return e
+		}
+		out = append(out,
+			sized("groupby", Request{
+				Program: fmt.Sprintf("unfoldR[%d](%s)(<R>)", lit, groupbyStep),
+				RAM:     16 << 10, Inputs: map[string]Input{"R": {Node: "hdd", Rows: 3000}},
+				Output: "hdd", Depth: 2, Space: 100}),
+			sized("mrg", Request{
+				Program: fmt.Sprintf("unfoldR[%d](mrg)(L1, L2)", lit),
+				Hier:    "two-hdd", RAM: 16 << 10, Inputs: ints("L1", "L2"),
+				Output: "hdd2", Depth: 2, Space: 100}),
+			sized("zip", Request{
+				Program: fmt.Sprintf("unfoldR[%d](z[2])(C1, C2)", lit),
+				RAM:     16 << 10, Inputs: ints("C1", "C2"), Depth: 2, Space: 100}))
+	}
+	return out
 }
 
 // TestAccountingGolden executes the examples corpus, the grace-join worker
