@@ -57,7 +57,6 @@ func main() {
 	}
 	fmt.Printf("specification verified: %d rows -> %d groups\n\n", len(rel), len(want))
 
-	// Synthesis: 4M sorted rows on disk, aggregated groups written back. The
-	// run is kept small: the step function rebuilds its window per tuple.
-	examples.Run(req, 1<<13)
+	// Synthesis: 4M sorted rows on disk, aggregated groups written back.
+	examples.Run(req, examples.MaxRows)
 }

@@ -182,10 +182,14 @@ func diff(a, b []string) []string {
 // links and autolinks are out of scope.
 var linkRE = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
+// codeRE matches fenced code blocks and inline code spans, where markdown
+// renders brackets literally: `funcPow[k](mrg)` is OCAL, not a link.
+var codeRE = regexp.MustCompile("(?s)```.*?```|`[^`\n]*`")
+
 // CheckLinks verifies that every relative link in the given markdown files
 // resolves to an existing file or directory (fragments are stripped;
-// absolute URLs and pure-fragment links are skipped). Paths are resolved
-// against each file's directory.
+// absolute URLs, pure-fragment links and anything inside code are skipped).
+// Paths are resolved against each file's directory.
 func CheckLinks(mdPaths ...string) error {
 	var problems []string
 	for _, p := range mdPaths {
@@ -193,7 +197,7 @@ func CheckLinks(mdPaths ...string) error {
 		if err != nil {
 			return err
 		}
-		for _, m := range linkRE.FindAllStringSubmatch(string(data), -1) {
+		for _, m := range linkRE.FindAllStringSubmatch(codeRE.ReplaceAllString(string(data), ""), -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
 				continue

@@ -102,7 +102,8 @@ func TestCheckLinksFindsBrokenOnes(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := filepath.Join(dir, "doc.md")
-	ok := "[a](real.md) [b](https://example.com/x) [c](#anchor) [d](real.md#frag)"
+	ok := "[a](real.md) [b](https://example.com/x) [c](#anchor) [d](real.md#frag) " +
+		"`funcPow[k](mrg)`\n```\nz[n](missing)\n```\n"
 	if err := os.WriteFile(doc, []byte(ok), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -278,13 +278,14 @@ func TestExtSortHigherFanInFewerPasses(t *testing.T) {
 	}
 }
 
-func mergeStep(t *testing.T, e ocal.Expr) interp.Func {
+// mergeTree compiles the two-list merge step.
+func mergeTree(t *testing.T) *stepNode {
 	t.Helper()
-	f, err := interp.CompileFunc(e, nil)
+	tree, err := parseUnfoldStep(ocal.Mrg{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return tree
 }
 
 func TestUnfoldRStreamMergesSorted(t *testing.T) {
@@ -297,7 +298,7 @@ func TestUnfoldRStreamMergesSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &UnfoldR{Ins: []Input{TableInput(A), TableInput(B)}, K: 2,
-		Step: mergeStep(t, ocal.Mrg{}), StateArity: 2}
+		tree: mergeTree(t), StateArity: 2}
 	drainOp(t, runCtx(sim, "hdd", 0), p, &Sink{Out: out, Bout: 4, Sim: sim})
 	want := []int32{1, 2, 3, 3, 5, 6, 7}
 	got := out.Flat()
@@ -396,7 +397,7 @@ func TestOpenFailureClosesCleanly(t *testing.T) {
 		t.Fatal("a 4-byte pool cannot run a join of 8-byte rows")
 	}
 	unf := &UnfoldR{Ins: []Input{TableInput(R), OpInput(join)}, K: 2,
-		Step: mergeStep(t, ocal.Mrg{}), StateArity: 2}
+		tree: mergeTree(t), StateArity: 2}
 	p2 := &Program{Root: unf, Sink: &Sink{Sim: sim},
 		c: &Ctx{Sim: sim, Pool: storage.NewBufferPool(4), Scratch: d}}
 	if err := p2.Run(); err == nil {

@@ -2,13 +2,15 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 
 	"ocas/internal/ocal"
 )
 
 // This file is the executor's kernel compiler. At Lower time the per-row
-// OCAL bodies — scan/filter/project bodies and fold steps — are parsed into
-// small typed specs; at execution time each spec is specialized against its
+// OCAL bodies — scan/filter/project bodies, fold steps and unfoldR steps —
+// are parsed into small typed specs; at execution time each spec is
+// specialized against its
 // input's arity into one flat Go loop body (a predicate pass filling a
 // selection vector plus a projection pass reading through it, or a fused
 // row loop when the body can error). Kernels never touch the charging code:
@@ -18,13 +20,17 @@ import (
 // — or a spec whose column references fall outside the arity the input
 // turns out to have — builds no kernel, and the operator runs its fallback
 // leaf: the interp.CompileFunc closure of the same body (preserving
-// interp's exact error behaviour).
+// interp's exact error behaviour). unfoldR steps have no fallback leaf: a
+// step outside the step grammar (see parseUnfoldStep) does not lower.
 
-// Exact interp error texts: a kernel Div/Mod must fail byte-identically to
-// the interp closure it stands in for.
+// Exact interp error texts: a kernel must fail byte-identically to the
+// interp closure it stands in for.
 var (
-	errDivZero = errors.New("interp: division by zero")
-	errModZero = errors.New("interp: modulo by zero")
+	errDivZero   = errors.New("interp: division by zero")
+	errModZero   = errors.New("interp: modulo by zero")
+	errHeadEmpty = errors.New("interp: head of empty or non-list")
+	errTailEmpty = errors.New("interp: tail of empty or non-list")
+	errZipRagged = errors.New("interp: z applied to ragged lists (head of empty list)")
 )
 
 // ---------------------------------------------------------------------------
@@ -40,31 +46,88 @@ const (
 	kArith                  // Add/Sub/Mul/Div/Mod over two integers
 	kCmp                    // ordered/equality comparison of two integers
 	kLogic                  // And/Or over two conditions, Not over one (r nil)
+	kHead                   // unfoldR step: one column of head(tailᵈ(sᵢ)); col < 0: the row itself
+	kEmpty                  // unfoldR step: length(tailᵈ(sᵢ)) == 0
 )
 
-// kexpr is the one compiled expression IR of scan, filter and fold kernels:
-// an int64-valued tree over one input row (and, in a fold, the accumulator),
+// kexpr is the one compiled expression IR of scan, filter, fold and unfoldR
+// step kernels: an int64-valued tree over one input row (and, in a fold, the
+// accumulator; in an unfoldR step, the state windows instead of a row),
 // conditions evaluating to 0 or 1. Arithmetic is int64 (ocal.Int), truncated
 // to int32 only at row encode — exactly the interp pipeline's
 // rowToValue/valueToRow widening. The parsers keep the two sorts apart:
 // parseScalar only builds integer nodes, parseCond only boolean ones.
 type kexpr struct {
 	kind kexprKind
-	col  int // kCol: input column; kAcc: accumulator component
+	col  int // kCol, kHead: column; kAcc: accumulator component
 	lit  int64
 	op   ocal.PrimOp
 	l, r *kexpr
+	// kHead, kEmpty: the state component i and the tail count d of tailᵈ(sᵢ).
+	win, depth int
 }
 
 // kvars names the variables a kernel body may reference: the loop element
-// and, for fold steps, the accumulator of the given width ("" otherwise).
+// and, for fold steps, the accumulator of the given width ("" otherwise) —
+// or, for unfoldR steps, the state components.
 type kvars struct {
 	elem, acc string
 	accWidth  int
+	// state names an unfoldR step's list components: one name per component
+	// (\<l1, l2> -> …), or a single name for the whole state tuple of
+	// stateN components, referenced as g.1 … g.n (\g -> …).
+	state  []string
+	stateN int
+}
+
+// list resolves a list expression tailᵈ(sᵢ) of an unfoldR step to (i, d).
+func (v kvars) list(e ocal.Expr) (win, depth int, ok bool) {
+	for {
+		p, isPrim := e.(ocal.Prim)
+		if !isPrim || p.Op != ocal.OpTail || len(p.Args) != 1 {
+			break
+		}
+		e, depth = p.Args[0], depth+1
+	}
+	switch t := e.(type) {
+	case ocal.Var:
+		if len(v.state) > 1 {
+			for i, name := range v.state {
+				if name == t.Name {
+					return i, depth, true
+				}
+			}
+		}
+	case ocal.Proj:
+		x, isVar := t.E.(ocal.Var)
+		if isVar && len(v.state) == 1 && x.Name == v.state[0] && t.I >= 1 && t.I <= v.stateN {
+			return t.I - 1, depth, true
+		}
+	}
+	return 0, 0, false
+}
+
+// stepLookahead is how far behind a window's first row an unfoldR step may
+// read: UnfoldR refills a window at one remaining row, so head(tail(sᵢ)) and
+// length(tail(sᵢ)) see the stream, and anything deeper would see where a
+// transfer block happened to end.
+const stepLookahead = 1
+
+// head parses head(tailᵈ(sᵢ)) — a whole row of an unfoldR step's state.
+func (v kvars) head(e ocal.Expr) (*kexpr, bool) {
+	p, ok := e.(ocal.Prim)
+	if !ok || p.Op != ocal.OpHead || len(p.Args) != 1 {
+		return nil, false
+	}
+	win, depth, ok := v.list(p.Args[0])
+	if !ok || depth > stepLookahead {
+		return nil, false
+	}
+	return &kexpr{kind: kHead, col: -1, win: win, depth: depth}, true
 }
 
 // parseScalar parses an integer-valued expression over the loop element
-// (and the fold accumulator).
+// (and the fold accumulator), or over the heads of an unfoldR step's state.
 func parseScalar(e ocal.Expr, v kvars) (*kexpr, bool) {
 	switch t := e.(type) {
 	case ocal.IntLit:
@@ -80,6 +143,10 @@ func parseScalar(e ocal.Expr, v kvars) (*kexpr, bool) {
 			return &kexpr{kind: kElem}, true
 		}
 	case ocal.Proj:
+		if h, ok := v.head(t.E); ok && t.I >= 1 {
+			h.col = t.I - 1
+			return h, true
+		}
 		x, ok := t.E.(ocal.Var)
 		switch {
 		case !ok || t.I < 1:
@@ -94,6 +161,10 @@ func parseScalar(e ocal.Expr, v kvars) (*kexpr, bool) {
 		}
 	case ocal.Prim:
 		switch t.Op {
+		case ocal.OpHead:
+			// A bare head is an integer only on arity-1 rows (checked when it
+			// evaluates).
+			return v.head(t)
 		case ocal.OpAdd, ocal.OpSub, ocal.OpMul, ocal.OpDiv, ocal.OpMod:
 			if len(t.Args) != 2 {
 				return nil, false
@@ -108,9 +179,24 @@ func parseScalar(e ocal.Expr, v kvars) (*kexpr, bool) {
 	return nil, false
 }
 
+// empty parses length(tailᵈ(sᵢ)) == 0, an unfoldR step's emptiness test.
+func (v kvars) empty(cmp ocal.Prim) (*kexpr, bool) {
+	n, isLen := cmp.Args[0].(ocal.Prim)
+	zero, isLit := cmp.Args[1].(ocal.IntLit)
+	if cmp.Op != ocal.OpEq || !isLen || n.Op != ocal.OpLength || len(n.Args) != 1 || !isLit || zero.V != 0 {
+		return nil, false
+	}
+	win, depth, ok := v.list(n.Args[0])
+	if !ok || depth > stepLookahead {
+		return nil, false
+	}
+	return &kexpr{kind: kEmpty, win: win, depth: depth}, true
+}
+
 // parseCond parses a boolean condition: comparisons over integer scalars,
 // And/Or/Not compositions and boolean literals. Comparisons over non-scalar
-// operands (whole tuples) are left to the fallback leaf.
+// operands are left to the fallback leaf — except between two bare heads of
+// an unfoldR step, which compare as whole rows (see evalStep).
 func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 	switch t := e.(type) {
 	case ocal.BoolLit:
@@ -124,6 +210,9 @@ func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 		case ocal.OpEq, ocal.OpNe, ocal.OpLt, ocal.OpLe, ocal.OpGt, ocal.OpGe:
 			if len(t.Args) != 2 {
 				return nil, false
+			}
+			if c, ok := v.empty(t); ok {
+				return c, true
 			}
 			l, okL := parseScalar(t.Args[0], v)
 			r, okR := parseScalar(t.Args[1], v)
@@ -232,7 +321,13 @@ func (e *kexpr) eval(acc []int64, cols [][]int32, i int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch e.op {
+	return applyChecked(e.op, a, b)
+}
+
+// applyChecked applies a binary operator, failing like interp on a zero
+// divisor.
+func applyChecked(op ocal.PrimOp, a, b int64) (int64, error) {
+	switch op {
 	case ocal.OpDiv:
 		if b == 0 {
 			return 0, errDivZero
@@ -244,7 +339,7 @@ func (e *kexpr) eval(acc []int64, cols [][]int32, i int) (int64, error) {
 		}
 		return a % b, nil
 	}
-	return applyOp(e.op, a, b), nil
+	return applyOp(op, a, b), nil
 }
 
 // evalFast evaluates an expression proven error-free (no Div/Mod anywhere);
@@ -308,7 +403,8 @@ func cmpHolds(op ocal.PrimOp, a, b int64) bool {
 
 // outPart is one flattened component of the output row: either the whole
 // input row spliced in (wholeRow — `x` inside the output tuple, or the
-// identity body [x]) or one integer scalar.
+// identity body [x]) or one integer scalar. In an unfoldR step the spliced
+// row is a head of the state, and scalar holds its kHead.
 type outPart struct {
 	wholeRow bool
 	scalar   *kexpr
@@ -362,6 +458,9 @@ func parseScanKernel(body ocal.Expr, elem string) *scanKernelSpec {
 func flattenOut(e ocal.Expr, v kvars, acc []outPart) ([]outPart, bool) {
 	if x, ok := e.(ocal.Var); ok && x.Name == v.elem {
 		return append(acc, outPart{wholeRow: true}), true
+	}
+	if h, ok := v.head(e); ok {
+		return append(acc, outPart{wholeRow: true, scalar: h}), true
 	}
 	if t, ok := e.(ocal.Tup); ok {
 		for _, el := range t.Elems {
@@ -927,6 +1026,441 @@ func (k *foldKernel) value() ocal.Value {
 		t[i] = ocal.Int(v)
 	}
 	return t
+}
+
+// ---------------------------------------------------------------------------
+// unfoldR step kernels
+
+// stepGrammar is what parseUnfoldStep accepts, printed with every rejection.
+const stepGrammar = `the unfoldR step grammar over n state components:
+  step   = \<s1, …, sn> -> tree | \g -> tree (si written g.i) | mrg | funcPow[k](mrg) | z[n]
+  tree   = if cond then tree else tree | <chunk, <upd1, …, updn>>
+  list   = si | tail(si)
+  cond   = length(list) == 0 | head(list) ⋚ head(list) | scalar ⋚ scalar
+         | cond and cond | cond or cond | not cond | true | false
+  scalar = integer | head(list).c | head(list) | scalar (+ - * / %) scalar
+  chunk  = [] | [row], row = head(list) | scalar | <row, …>
+  updi   = [] | si | tail(si) | tail(tail(si)) | [srow]
+         | [srow] ++ tail(si) | [srow] ++ tail(tail(si)),
+           srow = head(list) | scalar | <scalar, scalar, …>
+  and every leaf emits a row or changes a component`
+
+// stepWin is one state component of an unfoldR step's cursor machine: the
+// unread rows [pos, n) of the reader's current column block, behind at most
+// one front row held as int64 — a row the step put back (a running sum
+// stays un-truncated until it is emitted), a scratch component's only row,
+// or the row carried over a refill.
+type stepWin struct {
+	front  []int64 // the front row while held (reused buffer otherwise)
+	held   bool
+	cols   [][]int32
+	pos, n int
+}
+
+func (w *stepWin) rows() int {
+	if w.held {
+		return w.n - w.pos + 1
+	}
+	return w.n - w.pos
+}
+
+// need checks that head(tailᵈ(·)) exists, failing like interp's tail and head.
+func (w *stepWin) need(d int) error {
+	switch n := w.rows() - d; {
+	case n < 0:
+		return errTailEmpty
+	case n == 0:
+		return errHeadEmpty
+	}
+	return nil
+}
+
+// width is the arity of row d, value its column c. Both want need(d) checked.
+func (w *stepWin) width(d int) int {
+	if w.held && d == 0 {
+		return len(w.front)
+	}
+	return len(w.cols)
+}
+
+func (w *stepWin) value(d, c int) int64 {
+	if w.held {
+		if d == 0 {
+			return w.front[c]
+		}
+		d--
+	}
+	return int64(w.cols[c][w.pos+d])
+}
+
+func (w *stepWin) appendRow(dst []int64, d int) []int64 {
+	if w.held {
+		if d == 0 {
+			return append(dst, w.front...)
+		}
+		d--
+	}
+	for _, col := range w.cols {
+		dst = append(dst, int64(col[w.pos+d]))
+	}
+	return dst
+}
+
+// drop advances past the first m rows (the caller checked rows() >= m).
+func (w *stepWin) drop(m int) {
+	if w.held && m > 0 {
+		w.held = false
+		m--
+	}
+	w.pos += m
+}
+
+// push puts row in front; no front row may be held.
+func (w *stepWin) push(row []int64) {
+	w.front = append(w.front[:0], row...)
+	w.held = true
+}
+
+// isRow reports whether e is a bare head(tailᵈ(sᵢ)): the row, not a column.
+func (e *kexpr) isRow() bool { return e.kind == kHead && e.col < 0 }
+
+// evalStep evaluates an unfoldR step expression against the state windows.
+// Like eval it evaluates operands eagerly, left to right, so the first
+// failing operation is interp's.
+func (e *kexpr) evalStep(ws []stepWin) (int64, error) {
+	switch e.kind {
+	case kLit:
+		return e.lit, nil
+	case kEmpty:
+		n := ws[e.win].rows() - e.depth
+		if n < 0 {
+			return 0, errTailEmpty
+		}
+		return b2i(n == 0), nil
+	case kHead:
+		w := &ws[e.win]
+		if err := w.need(e.depth); err != nil {
+			return 0, err
+		}
+		switch wd := w.width(e.depth); {
+		case e.col < 0 && wd == 1:
+			return w.value(e.depth, 0), nil
+		case e.col < 0:
+			return 0, fmt.Errorf("exec: unfoldR step uses a row of %d attributes as an integer", wd)
+		case wd == 1:
+			return 0, fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, w.value(e.depth, 0))
+		case e.col >= wd:
+			return 0, fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, wd)
+		}
+		return w.value(e.depth, e.col), nil
+	case kCmp:
+		if e.l.isRow() && e.r.isRow() {
+			c, err := compareRows(ws, e.l, e.r)
+			return b2i(cmpHolds(e.op, int64(c), 0)), err
+		}
+	}
+	a, err := e.l.evalStep(ws)
+	if err != nil {
+		return 0, err
+	}
+	if e.r == nil { // Not
+		return a ^ 1, nil
+	}
+	b, err := e.r.evalStep(ws)
+	if err != nil {
+		return 0, err
+	}
+	return applyChecked(e.op, a, b)
+}
+
+// compareRows orders two state rows like ocal.ValueCompare orders the values
+// interp holds for them: attribute by attribute.
+func compareRows(ws []stepWin, l, r *kexpr) (int, error) {
+	wl, wr := &ws[l.win], &ws[r.win]
+	if err := wl.need(l.depth); err != nil {
+		return 0, err
+	}
+	if err := wr.need(r.depth); err != nil {
+		return 0, err
+	}
+	n := wl.width(l.depth)
+	if m := wr.width(r.depth); m != n {
+		return 0, fmt.Errorf("exec: unfoldR step compares rows of %d and %d attributes", n, m)
+	}
+	for c := 0; c < n; c++ {
+		switch a, b := wl.value(l.depth, c), wr.value(r.depth, c); {
+		case a < b:
+			return -1, nil
+		case a > b:
+			return 1, nil
+		}
+	}
+	return 0, nil
+}
+
+// evalRow evaluates a row of the step into dst, splicing state rows whole.
+func evalRow(parts []outPart, ws []stepWin, dst []int64) ([]int64, error) {
+	dst = dst[:0]
+	for _, p := range parts {
+		if p.wholeRow {
+			w := &ws[p.scalar.win]
+			if err := w.need(p.scalar.depth); err != nil {
+				return dst, err
+			}
+			dst = w.appendRow(dst, p.scalar.depth)
+			continue
+		}
+		v, err := p.scalar.evalStep(ws)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// stepNode is one node of a compiled unfoldR step: a decision (cond non-nil)
+// or a leaf. The tree is immutable and may share subtrees; an UnfoldR owns
+// the windows it runs against.
+type stepNode struct {
+	cond      *kexpr
+	then, els *stepNode
+
+	fail error     // leaf: the step fails (z on ragged lists)
+	emit []outPart // leaf: the emitted row; nil emits nothing
+	upd  []stepUpd // leaf: the next state, one update per component
+	// stalls marks a leaf whose progress depends on the data (it emits
+	// nothing and only clears or replaces components): the operator checks
+	// that some component changed length, like interp's unfoldR does.
+	stalls bool
+}
+
+// stepUpd is one component's next state: tailᵐ of itself when keep is set,
+// nothing otherwise, behind row when there is one.
+type stepUpd struct {
+	keep bool
+	m    int
+	row  []outPart
+}
+
+// leaf walks the decisions down to the leaf the current state selects.
+func (n *stepNode) leaf(ws []stepWin) (*stepNode, error) {
+	for n.cond != nil {
+		v, err := n.cond.evalStep(ws)
+		if err != nil {
+			return nil, err
+		}
+		if v != 0 {
+			n = n.then
+		} else {
+			n = n.els
+		}
+	}
+	return n, nil
+}
+
+// parseUnfoldStep compiles the step of an unfoldR over n state components
+// into its decision tree. A step outside stepGrammar is an error: unfoldR
+// has no interpreted fallback.
+func parseUnfoldStep(fn ocal.Expr, n int) (*stepNode, error) {
+	var root *stepNode
+	var err error
+	switch t := fn.(type) {
+	case ocal.Mrg:
+		root, err = mergeStepTree(n, 2)
+	case ocal.FuncPow:
+		if _, isMrg := t.Fn.(ocal.Mrg); !isMrg || t.K < 0 || t.K > 6 {
+			err = fmt.Errorf("funcPow[%d](%s) is not a merge of at most 64 lists", t.K, ocal.String(t.Fn))
+			break
+		}
+		root, err = mergeStepTree(n, 1<<t.K)
+	case ocal.ZipStep:
+		root, err = zipStepTree(n, t.N)
+	case ocal.Lam:
+		v := kvars{state: t.Params, stateN: n}
+		if len(t.Params) != 1 && len(t.Params) != n {
+			err = fmt.Errorf("the step takes %d lists, the state has %d", len(t.Params), n)
+			break
+		}
+		root, err = parseStepTree(t.Body, v)
+	default:
+		err = fmt.Errorf("%s is not a step function", ocal.String(fn))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("exec: cannot lower unfoldR step: %v\n%s", err, stepGrammar)
+	}
+	return root, nil
+}
+
+func parseStepTree(e ocal.Expr, v kvars) (*stepNode, error) {
+	switch t := e.(type) {
+	case ocal.If:
+		cond, ok := parseCond(t.Cond, v)
+		if !ok {
+			return nil, fmt.Errorf("condition %s", ocal.String(t.Cond))
+		}
+		then, err := parseStepTree(t.Then, v)
+		if err != nil {
+			return nil, err
+		}
+		els, err := parseStepTree(t.Else, v)
+		if err != nil {
+			return nil, err
+		}
+		return &stepNode{cond: cond, then: then, els: els}, nil
+	case ocal.Tup:
+		if len(t.Elems) == 2 {
+			return parseStepLeaf(t, v)
+		}
+	}
+	return nil, fmt.Errorf("%s is neither a conditional nor <chunk, state>", ocal.String(e))
+}
+
+func parseStepLeaf(t ocal.Tup, v kvars) (*stepNode, error) {
+	leaf := &stepNode{}
+	switch chunk := t.Elems[0].(type) {
+	case ocal.Empty:
+	case ocal.Single:
+		var ok bool
+		if leaf.emit, ok = flattenOut(chunk.E, v, nil); !ok || len(leaf.emit) == 0 {
+			return nil, fmt.Errorf("emitted row %s", ocal.String(chunk.E))
+		}
+	default:
+		return nil, fmt.Errorf("chunk %s", ocal.String(chunk))
+	}
+	state, ok := t.Elems[1].(ocal.Tup)
+	if !ok || len(state.Elems) != v.stateN {
+		return nil, fmt.Errorf("next state %s is not a tuple of %d lists", ocal.String(t.Elems[1]), v.stateN)
+	}
+	progress := leaf.emit != nil
+	for i, e := range state.Elems {
+		u, ok := parseStepUpd(e, i, v)
+		if !ok {
+			return nil, fmt.Errorf("component %d of next state %s", i+1, ocal.String(state))
+		}
+		leaf.upd = append(leaf.upd, u)
+		switch {
+		case u.keep && (u.row == nil && u.m > 0 || u.m > 1):
+			progress = true // the component certainly changes length
+		case !u.keep:
+			leaf.stalls = true // … if it held a different number of rows
+		}
+	}
+	if progress {
+		leaf.stalls = false
+	} else if !leaf.stalls {
+		return nil, fmt.Errorf("leaf %s makes no progress", ocal.String(t))
+	}
+	return leaf, nil
+}
+
+// parseStepUpd parses component i's next state.
+func parseStepUpd(e ocal.Expr, i int, v kvars) (stepUpd, bool) {
+	var u stepUpd
+	var rowExpr ocal.Expr
+	rest := e // the list that stays: e itself, or the right operand of ++
+	switch t := e.(type) {
+	case ocal.Empty:
+		return u, true
+	case ocal.Single:
+		rowExpr, rest = t.E, nil
+	case ocal.Prim:
+		if t.Op == ocal.OpConcat && len(t.Args) == 2 {
+			if s, ok := t.Args[0].(ocal.Single); ok {
+				rowExpr, rest = s.E, t.Args[1]
+			}
+		}
+	}
+	if rowExpr != nil {
+		if h, ok := v.head(rowExpr); ok {
+			u.row = []outPart{{wholeRow: true, scalar: h}}
+		} else {
+			// Only flat rows: a nested tuple would not project like interp's.
+			elems := []ocal.Expr{rowExpr}
+			if tup, ok := rowExpr.(ocal.Tup); ok && len(tup.Elems) > 1 {
+				elems = tup.Elems
+			}
+			for _, el := range elems {
+				sc, ok := parseScalar(el, v)
+				if !ok {
+					return u, false
+				}
+				u.row = append(u.row, outPart{scalar: sc})
+			}
+		}
+		if rest == nil {
+			return u, true
+		}
+	}
+	// A row goes in front of a shortened list only: the window holds one
+	// front row, and [row] ++ sᵢ could stack a second on it.
+	win, m, ok := v.list(rest)
+	if !ok || win != i || (u.row != nil && m == 0) || m > stepLookahead+1 {
+		return u, false
+	}
+	u.keep, u.m = true, m
+	return u, true
+}
+
+// mergeStepTree is mrg (ways 2) and funcPow[k](mrg) (ways 2^k) as a step
+// tree: among the non-empty lists, emit the smallest head — the first of
+// equals — and advance that list. Subtrees are shared per (next list, best
+// so far), so the tree has ways² nodes, not 3^ways.
+func mergeStepTree(n, ways int) (*stepNode, error) {
+	if n != ways {
+		return nil, fmt.Errorf("a %d-way merge over %d lists", ways, n)
+	}
+	head := func(i int) *kexpr { return &kexpr{kind: kHead, col: -1, win: i} }
+	memo := map[[2]int]*stepNode{}
+	var build func(i, best int) *stepNode
+	build = func(i, best int) *stepNode {
+		key := [2]int{i, best}
+		if nd := memo[key]; nd != nil {
+			return nd
+		}
+		var nd *stepNode
+		switch {
+		case i == n && best < 0:
+			// Every list is empty: unreachable, the operator stops first.
+			nd = &stepNode{upd: make([]stepUpd, n), stalls: true}
+		case i == n:
+			nd = &stepNode{emit: []outPart{{wholeRow: true, scalar: head(best)}}, upd: make([]stepUpd, n)}
+			for j := range nd.upd {
+				nd.upd[j].keep = true
+			}
+			nd.upd[best].m = 1
+		case best < 0:
+			nd = &stepNode{cond: &kexpr{kind: kEmpty, win: i}, then: build(i+1, -1), els: build(i+1, i)}
+		default:
+			smaller := &kexpr{kind: kCmp, op: ocal.OpLt, l: head(i), r: head(best)}
+			nd = &stepNode{cond: &kexpr{kind: kEmpty, win: i}, then: build(i+1, best),
+				els: &stepNode{cond: smaller, then: build(i+1, i), els: build(i+1, best)}}
+		}
+		memo[key] = nd
+		return nd
+	}
+	return build(0, -1), nil
+}
+
+// zipStepTree is z[n] as a step tree: one leaf emitting every head side by
+// side and advancing every list, guarded against ragged lists.
+func zipStepTree(n, arity int) (*stepNode, error) {
+	if n != arity {
+		return nil, fmt.Errorf("z[%d] over %d lists", arity, n)
+	}
+	leaf := &stepNode{upd: make([]stepUpd, n)}
+	var ragged *kexpr
+	for i := 0; i < n; i++ {
+		leaf.emit = append(leaf.emit, outPart{wholeRow: true, scalar: &kexpr{kind: kHead, col: -1, win: i}})
+		leaf.upd[i] = stepUpd{keep: true, m: 1}
+		empty := &kexpr{kind: kEmpty, win: i}
+		if ragged == nil {
+			ragged = empty
+		} else {
+			ragged = &kexpr{kind: kLogic, op: ocal.OpOr, l: ragged, r: empty}
+		}
+	}
+	return &stepNode{cond: ragged, then: &stepNode{fail: errZipRagged}, els: leaf}, nil
 }
 
 // ---------------------------------------------------------------------------

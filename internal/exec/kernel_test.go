@@ -63,6 +63,15 @@ func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) 
 	return run
 }
 
+// inputValues are a case's inputs as interp takes them.
+func inputValues(c diffCase) map[string]ocal.Value {
+	values := map[string]ocal.Value{}
+	for name, dt := range c.inputs {
+		values[name] = append(ocal.List{}, dt.value...)
+	}
+	return values
+}
+
 // assertMatchesInterp runs a case and requires the outcome internal/interp
 // evaluates for the same program: the same row bag (or scalar), or the
 // exact same error text.
@@ -72,11 +81,7 @@ func assertMatchesInterp(t *testing.T, c diffCase, batch, pool int64) kernelRun 
 	if err != nil {
 		t.Fatalf("program does not parse: %v\n%s", err, c.src)
 	}
-	values := map[string]ocal.Value{}
-	for name, dt := range c.inputs {
-		values[name] = append(ocal.List{}, dt.value...)
-	}
-	want, wantErr := interp.Eval(prog, values, c.params)
+	want, wantErr := interp.Eval(prog, inputValues(c), c.params)
 	got := runKernelCase(t, c, prog, batch, pool)
 	what := fmt.Sprintf("%s (batch %d, pool %d)", c.src, batch, pool)
 	switch {
@@ -428,16 +433,34 @@ func BenchmarkStepAllocs(b *testing.B) {
 	}
 }
 
-// FuzzKernelVsInterp feeds generated scan/filter/project and fold shapes
-// to the executor and requires internal/interp's outcome: a bag-equal
-// result, or the same error text.
+// FuzzKernelVsInterp feeds generated scan/filter/project, fold and unfoldR
+// step shapes to the executor and requires internal/interp's outcome: a
+// bag-equal result, or the same error text.
 func FuzzKernelVsInterp(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(2), uint8(3))
 	f.Add(int64(3), uint8(7))
 	f.Add(int64(4), uint8(12))
+	for seed := int64(5); seed < 25; seed++ {
+		f.Add(seed, uint8(6+seed%4)) // the step shapes
+	}
+	f.Add(int64(1124), uint8(6)) // a running sum past int32 decides a later branch
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
+		if shape%12 >= 6 {
+			c := stepCase(r, int(shape%12-6)%4)
+			prog, err := ocal.Parse(c.src)
+			if err != nil {
+				t.Fatalf("generated step does not parse: %v\n%s", err, c.src)
+			}
+			if v, err := interp.Eval(prog, inputValues(c), c.params); err == nil {
+				if rows := valueRows(t, v); len(rows) > 0 {
+					c.outArity = len(rows[0])
+				}
+			}
+			assertMatchesInterp(t, c, int64(r.Intn(8)+1), 0)
+			return
+		}
 		in := randTable(r, 2, 24, 6)
 		cols := []string{"x.1", "x.2", "x", "x.3", fmt.Sprint(r.Intn(5))}
 		scalar := func() string { return cols[r.Intn(len(cols))] }
@@ -462,7 +485,7 @@ func FuzzKernelVsInterp(f *testing.F) {
 		var src string
 		outArity := 2
 		isScalar := false
-		switch shape % 6 {
+		switch shape % 12 {
 		case 0:
 			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) [<%s, %s>]", scalar(), arith())
 		case 1:

@@ -681,13 +681,13 @@ func (l *lowerer) lowerUnfold(prog ocal.Expr) (Operator, error, bool) {
 		}
 		ins = append(ins, in)
 	}
-	step, err := interp.CompileFunc(unf.Fn, l.o.Params)
+	step, err := parseUnfoldStep(unf.Fn, scratch+len(ins))
 	if err != nil {
 		return nil, err, true
 	}
 	return &UnfoldR{
 		Ins: ins, K: unf.K.Bind(l.o.Params),
-		Step: step, StateArity: scratch + len(ins),
+		tree: step, StateArity: scratch + len(ins),
 	}, nil, true
 }
 

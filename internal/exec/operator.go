@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
 
@@ -275,6 +274,21 @@ func (e *emitter) emit(row []int32) {
 	for c, v := range row {
 		e.cols[c] = append(e.cols[c], v)
 	}
+}
+
+// emitWide buffers a row held as int64, truncating each attribute to its
+// int32 encoding — the one place an unfoldR step's arithmetic narrows.
+func (e *emitter) emitWide(row []int64) error {
+	if e.arity == 0 {
+		e.reserve(len(row))
+	}
+	if len(row) != e.arity {
+		return fmt.Errorf("exec: unfoldR step emitted a row of %d attributes after rows of %d", len(row), e.arity)
+	}
+	for c, v := range row {
+		e.cols[c] = append(e.cols[c], int32(v))
+	}
+	return nil
 }
 
 // reserve fixes the emitter's arity (and column headers) up front so
@@ -728,21 +742,4 @@ func materialize(r blockReader, c *Ctx) (*tableReader, error) {
 	}
 	mr := newSpillReader(sp, r.arity())
 	return mr, mr.open(c)
-}
-
-// rowsToList converts a column block into an OCAL list of row values.
-func rowsToList(cols [][]int32) ocal.List {
-	n := 0
-	if len(cols) > 0 {
-		n = len(cols[0])
-	}
-	out := make(ocal.List, n)
-	row := make([]int32, len(cols))
-	for i := 0; i < n; i++ {
-		for c := range cols {
-			row[c] = cols[c][i]
-		}
-		out[i] = rowToValue(row)
-	}
-	return out
 }

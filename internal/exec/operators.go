@@ -984,26 +984,31 @@ func (o *ExtSort) Close() error {
 // ---------------------------------------------------------------------------
 // Streaming unfoldR
 
-// UnfoldR executes a generic unfoldR over streamed inputs: the step
-// function (compiled from the optimized OCAL program) is applied per
-// produced element while the inputs stream through RAM windows of K tuples.
-// This covers the set/multiset unions and differences, zips (column-store
-// reads) and duplicate removal of the evaluation. The step threads state
+// UnfoldR executes a generic unfoldR over streamed inputs: the step — the
+// decision tree parseUnfoldStep compiled from the optimized OCAL program — is
+// applied per produced element while the inputs stream through RAM windows
+// of K tuples. This covers the set/multiset unions and differences, zips
+// (column-store reads) and duplicate removal of the evaluation. The step is
+// a cursor machine over the windows' column views and never charges; the
+// operator owns the refills, the one cpu charge per step and the pause
+// points, so a step's shape cannot move a ledger. The step threads state
 // from element to element, so the operator is inherently sequential; its
 // inputs may still be parallel subtrees.
 type UnfoldR struct {
-	Ins  []Input
-	K    int64 // window size (tuples) per input
-	Step interp.Func
+	Ins []Input
+	K   int64 // window size (tuples) per input
 	// StateArity is the arity of the step's state tuple; when larger than
 	// len(Ins), the extra leading components start as empty lists (scratch
 	// state such as dup-removal's last-seen marker).
 	StateArity int
 
+	tree *stepNode // the compiled step
+
 	c       *Ctx
 	readers []blockReader
-	windows []ocal.List
+	wins    []stepWin // scratch components first, then one per reader
 	scratch int
+	rows    [][]int64 // evaluated rows of the current leaf: emit, then one per component
 	em      emitter
 	done    bool
 }
@@ -1015,10 +1020,8 @@ func (o *UnfoldR) Open(c *Ctx) error {
 		n = len(o.Ins)
 	}
 	o.scratch = n - len(o.Ins)
-	o.windows = make([]ocal.List, n)
-	for i := range o.windows {
-		o.windows[i] = ocal.List{}
-	}
+	o.wins = make([]stepWin, n)
+	o.rows = make([][]int64, n+1)
 	o.readers = make([]blockReader, len(o.Ins))
 	for i, in := range o.Ins {
 		o.readers[i] = in.reader()
@@ -1040,16 +1043,22 @@ func (o *UnfoldR) refillAll() error {
 		k = 1
 	}
 	for i, r := range o.readers {
-		wi := o.scratch + i
-		if len(o.windows[wi]) > 1 {
+		w := &o.wins[o.scratch+i]
+		if w.rows() > 1 {
 			continue
+		}
+		if !w.held && w.pos < w.n {
+			// The reader's views die with its next call: the remaining row
+			// moves to the front.
+			w.push(w.appendRow(w.front[:0], 0))
+			w.pos = w.n
 		}
 		blk, err := r.next(o.c.share(k, int64(len(o.readers)), int64(r.arity())*4))
 		if err != nil {
 			return err
 		}
 		if blk != nil {
-			o.windows[wi] = append(append(ocal.List{}, o.windows[wi]...), rowsToList(blk)...)
+			w.cols, w.pos, w.n = blk, 0, len(blk[0])
 		}
 	}
 	return nil
@@ -1060,8 +1069,8 @@ func (o *UnfoldR) step() error {
 		return err
 	}
 	empty := true
-	for _, w := range o.windows {
-		if len(w) > 0 {
+	for i := range o.wins {
+		if o.wins[i].rows() > 0 {
 			empty = false
 			break
 		}
@@ -1070,48 +1079,46 @@ func (o *UnfoldR) step() error {
 		o.done = true
 		return nil
 	}
-	state := make(ocal.Tuple, len(o.windows))
-	for i := range o.windows {
-		state[i] = o.windows[i]
-	}
-	res, err := o.Step(state)
+	leaf, err := o.tree.leaf(o.wins)
 	if err != nil {
 		return err
 	}
-	pair, ok := res.(ocal.Tuple)
-	if !ok || len(pair) != 2 {
-		return fmt.Errorf("exec: unfoldR step must return <chunk, state>")
+	if leaf.fail != nil {
+		return leaf.fail
 	}
-	chunk, ok := pair[0].(ocal.List)
-	if !ok {
-		return fmt.Errorf("exec: unfoldR chunk must be a list")
+	// Every row evaluates against the state the step was given, in interp's
+	// order — the chunk, then each component: its row, then its tail.
+	if o.rows[0], err = evalRow(leaf.emit, o.wins, o.rows[0]); err != nil {
+		return err
 	}
-	nst, ok := pair[1].(ocal.Tuple)
-	if !ok || len(nst) != len(o.windows) {
-		return fmt.Errorf("exec: unfoldR state arity changed")
-	}
-	progress := false
-	for i := range o.windows {
-		nl, ok := nst[i].(ocal.List)
-		if !ok {
-			return fmt.Errorf("exec: unfoldR state component %d not a list", i)
-		}
-		if len(nl) != len(o.windows[i]) {
-			progress = true
-		}
-		o.windows[i] = nl
-	}
-	o.c.cpu(1, o.c.Sim.CmpSeconds)
-	for _, v := range chunk {
-		row, err := valueToRow(v)
-		if err != nil {
+	for i, u := range leaf.upd {
+		if o.rows[i+1], err = evalRow(u.row, o.wins, o.rows[i+1]); err != nil {
 			return err
 		}
-		o.em.emit(row)
-		progress = true
+		if u.keep && o.wins[i].rows() < u.m {
+			return errTailEmpty
+		}
+	}
+	progress := !leaf.stalls
+	for i, u := range leaf.upd {
+		w := &o.wins[i]
+		before := w.rows()
+		if u.keep {
+			w.drop(u.m)
+		} else {
+			w.held, w.pos = false, w.n
+		}
+		if u.row != nil {
+			w.push(o.rows[i+1])
+		}
+		progress = progress || w.rows() != before
 	}
 	if !progress {
 		return fmt.Errorf("exec: unfoldR step made no progress")
+	}
+	o.c.cpu(1, o.c.Sim.CmpSeconds)
+	if leaf.emit != nil {
+		return o.em.emitWide(o.rows[0])
 	}
 	return nil
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"ocas/internal/interp"
 	"ocas/internal/ocal"
@@ -344,5 +346,44 @@ func TestExecutePlanConcurrent(t *testing.T) {
 	sort.Strings(digests)
 	if digests[0] != digests[len(digests)-1] {
 		t.Errorf("concurrent executions disagree: %v", digests)
+	}
+}
+
+// TestUnfoldLinearInRows executes examples/groupby at N and at 4N rows under
+// the plan tuned for its nominal 4M (one window holds either run whole) and
+// requires the wall-clock to grow like the rows. A step that rebuilds its
+// window per row — the interpreted step this plan used to run on — is
+// quadratic, 16x; the bound of 8x leaves a loaded machine 2x of room.
+func TestUnfoldLinearInRows(t *testing.T) {
+	data, err := os.ReadFile("../../examples/groupby/request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req Request
+	if err := json.Unmarshal(data, &req); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := func(rows int64) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, err := ExecutePlan(context.Background(), c, p, ExecOptions{Seed: 1, Rows: map[string]int64{"R": rows}}); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	const n = 1 << 14
+	if small, large := elapsed(n), elapsed(4*n); large > 8*small {
+		t.Errorf("group-by over %d rows took %v, over %d rows %v: more than 8x for 4x the rows", n, small, 4*n, large)
 	}
 }
