@@ -9,11 +9,12 @@ import (
 
 // This file is the executor's kernel compiler. At Lower time the per-row
 // OCAL bodies — scan/filter/project bodies, fold steps and unfoldR steps —
-// are parsed into small typed specs; at execution time each spec is
-// specialized against its
-// input's arity into one flat Go loop body (a predicate pass filling a
-// selection vector plus a projection pass reading through it, or a fused
-// row loop when the body can error). Kernels never touch the charging code:
+// are parsed into small typed specs; at execution time each scan or fold
+// spec is specialized against its input's arity into one flat Go loop body
+// (a predicate pass filling a selection vector plus a projection pass
+// reading through it, or a fused row loop when the body can error), and an
+// unfoldR step runs as a cursor machine over its operator's windows.
+// Kernels never touch the charging code:
 // block reads, cpu() charges and batch boundaries belong to the operators,
 // so digests, ledgers, the virtual clock and EXPLAIN ANALYZE counters do
 // not depend on whether a body compiled. A body the grammar does not cover
@@ -1043,7 +1044,7 @@ const stepGrammar = `the unfoldR step grammar over n state components:
   updi   = [] | si | tail(si) | tail(tail(si)) | [srow]
          | [srow] ++ tail(si) | [srow] ++ tail(tail(si)),
            srow = head(list) | scalar | <scalar, scalar, …>
-  and every leaf emits a row or changes a component`
+  and every leaf emits a row or can change a component`
 
 // stepWin is one state component of an unfoldR step's cursor machine: the
 // unread rows [pos, n) of the reader's current column block, behind at most
@@ -1297,7 +1298,7 @@ func parseStepTree(e ocal.Expr, v kvars) (*stepNode, error) {
 	case ocal.If:
 		cond, ok := parseCond(t.Cond, v)
 		if !ok {
-			return nil, fmt.Errorf("condition %s", ocal.String(t.Cond))
+			return nil, fmt.Errorf("unsupported condition %s", ocal.String(t.Cond))
 		}
 		then, err := parseStepTree(t.Then, v)
 		if err != nil {
@@ -1323,10 +1324,10 @@ func parseStepLeaf(t ocal.Tup, v kvars) (*stepNode, error) {
 	case ocal.Single:
 		var ok bool
 		if leaf.emit, ok = flattenOut(chunk.E, v, nil); !ok || len(leaf.emit) == 0 {
-			return nil, fmt.Errorf("emitted row %s", ocal.String(chunk.E))
+			return nil, fmt.Errorf("unsupported emitted row %s", ocal.String(chunk.E))
 		}
 	default:
-		return nil, fmt.Errorf("chunk %s", ocal.String(chunk))
+		return nil, fmt.Errorf("unsupported chunk %s", ocal.String(chunk))
 	}
 	state, ok := t.Elems[1].(ocal.Tup)
 	if !ok || len(state.Elems) != v.stateN {
@@ -1336,7 +1337,7 @@ func parseStepLeaf(t ocal.Tup, v kvars) (*stepNode, error) {
 	for i, e := range state.Elems {
 		u, ok := parseStepUpd(e, i, v)
 		if !ok {
-			return nil, fmt.Errorf("component %d of next state %s", i+1, ocal.String(state))
+			return nil, fmt.Errorf("unsupported component %d of next state %s", i+1, ocal.String(state))
 		}
 		leaf.upd = append(leaf.upd, u)
 		switch {

@@ -447,6 +447,8 @@ func FuzzKernelVsInterp(f *testing.F) {
 	f.Add(int64(1124), uint8(6)) // a running sum past int32 decides a later branch
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
+		// Of twelve shapes, 0-5 are the scan and fold bodies below and 6-11
+		// the four kinds of unfoldR step (the generated lambdas twice).
 		if shape%12 >= 6 {
 			c := stepCase(r, int(shape%12-6)%4)
 			prog, err := ocal.Parse(c.src)

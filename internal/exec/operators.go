@@ -1050,8 +1050,7 @@ func (o *UnfoldR) refillAll() error {
 		if !w.held && w.pos < w.n {
 			// The reader's views die with its next call: the remaining row
 			// moves to the front.
-			w.push(w.appendRow(w.front[:0], 0))
-			w.pos = w.n
+			w.front, w.held, w.pos = w.appendRow(w.front[:0], 0), true, w.n
 		}
 		blk, err := r.next(o.c.share(k, int64(len(o.readers)), int64(r.arity())*4))
 		if err != nil {

@@ -186,10 +186,14 @@ func (g *stepGen) leaf(known []int) string {
 	return fmt.Sprintf("<%s, <%s>>", chunk, strings.Join(upd, ", "))
 }
 
-// stepTable draws a small key-sorted table whose values now and then sit just
-// below 2^31, so two of them added up leave int32.
+// stepTable draws a key-sorted table of up to maxRows rows whose values now
+// and then sit just below 2^31, so two of them added up leave int32.
 func stepTable(r *rand.Rand, arity, maxRows int) diffTable {
-	n := r.Intn(maxRows + 1)
+	return stepRows(r, arity, r.Intn(maxRows+1))
+}
+
+// stepRows is stepTable at exactly n rows.
+func stepRows(r *rand.Rand, arity, n int) diffTable {
 	var dt diffTable
 	key := int32(0)
 	for i := 0; i < n; i++ {
@@ -242,17 +246,12 @@ func stepCase(r *rand.Rand, shape int) diffCase {
 		step = fmt.Sprintf("z[%d]", n)
 		rows := r.Intn(12)
 		for i := 0; i < n; i++ {
-			args = append(args, input(i, 0))
 			if r.Intn(2*n) == 0 {
 				rows = r.Intn(12) // ragged
 			}
-			dt := stepTable(r, arity, 0)
-			for len(dt.value) < rows {
-				more := stepTable(r, arity, 4)
-				dt.rows, dt.value = append(dt.rows, more.rows...), append(dt.value, more.value...)
-			}
-			dt.rows, dt.value = dt.rows[:rows*arity], dt.value[:rows]
-			c.inputs[args[i]] = dt
+			name := fmt.Sprintf("L%d", i+1)
+			c.inputs[name], c.arities[name] = stepRows(r, arity, rows), arity
+			args = append(args, name)
 		}
 		c.outArity = n * arity
 	default:
@@ -343,19 +342,16 @@ func TestUnfoldStepErrors(t *testing.T) {
 	}
 	pairs := twoColTable(9, func(i int) (int32, int32) { return int32(i / 2), int32(i) })
 	short := diffTable{rows: ints.rows[:4], value: ints.value[:4]}
-	for _, tc := range []struct {
-		src, want string
-		arity     int
-	}{
-		{`unfoldR[k1](\<a, b> -> <[head(b)], <a, tail(b)>>)(<[], L>)`, "", 1}, // fine: a is never read
-		{`unfoldR[k1](\<a, b> -> <[head(a)], <a, tail(b)>>)(<[], L>)`, "interp: head of empty or non-list", 1},
-		{`unfoldR[k1](\<a, b> -> <[head(b)], <tail(a), tail(b)>>)(<[], L>)`, "interp: tail of empty or non-list", 1},
-		{`unfoldR[k1](\g -> <[head(tail(g.1))], <tail(g.1)>>)(<L>)`, "interp: head of empty or non-list", 1},
-		{`unfoldR[k1](\g -> <[head(g.1)], <[head(g.1)] ++ tail(tail(g.1))>>)(<L>)`, "interp: tail of empty or non-list", 1},
-		{`unfoldR[k1](\g -> <[(7 / head(g.1))], <tail(g.1)>>)(<L>)`, "interp: division by zero", 1},
-		{`unfoldR[k1](\g -> <[head(g.1).1], <tail(g.1)>>)(<L>)`, "interp: projection .1 on non-tuple 0", 1},
-		{`unfoldR[k1](\g -> <[head(g.1).3], <tail(g.1)>>)(<R>)`, "interp: projection .3 out of range (arity 2)", 2},
-		{`unfoldR[k1](z[2])(<L, S>)`, "interp: z applied to ragged lists (head of empty list)", 1},
+	for _, tc := range []struct{ src, want string }{
+		{`unfoldR[k1](\<a, b> -> <[head(b)], <a, tail(b)>>)(<[], L>)`, ""}, // fine: a is never read
+		{`unfoldR[k1](\<a, b> -> <[head(a)], <a, tail(b)>>)(<[], L>)`, "interp: head of empty or non-list"},
+		{`unfoldR[k1](\<a, b> -> <[head(b)], <tail(a), tail(b)>>)(<[], L>)`, "interp: tail of empty or non-list"},
+		{`unfoldR[k1](\g -> <[head(tail(g.1))], <tail(g.1)>>)(<L>)`, "interp: head of empty or non-list"},
+		{`unfoldR[k1](\g -> <[head(g.1)], <[head(g.1)] ++ tail(tail(g.1))>>)(<L>)`, "interp: tail of empty or non-list"},
+		{`unfoldR[k1](\g -> <[(7 / head(g.1))], <tail(g.1)>>)(<L>)`, "interp: division by zero"},
+		{`unfoldR[k1](\g -> <[head(g.1).1], <tail(g.1)>>)(<L>)`, "interp: projection .1 on non-tuple 0"},
+		{`unfoldR[k1](\g -> <[head(g.1).3], <tail(g.1)>>)(<R>)`, "interp: projection .3 out of range (arity 2)"},
+		{`unfoldR[k1](z[2])(<L, S>)`, "interp: z applied to ragged lists (head of empty list)"},
 	} {
 		c := diffCase{src: tc.src, outArity: 1,
 			inputs:  map[string]diffTable{"L": ints, "S": short, "R": pairs},
