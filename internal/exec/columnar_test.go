@@ -192,12 +192,12 @@ func runLayoutConfig(t *testing.T, sh layoutShape, open tableOpener, workers int
 		t.Fatal(err)
 	}
 	run := layoutRun{}
-	sink := &Sink{Sim: sim, Tap: func(row []int32) {
+	sink := &Sink{Sim: sim, Tap: tapRows(func(row []int32) {
 		h := rowHash(row)
 		run.bagDigest += h
 		run.orderDigest = run.orderDigest*1099511628211 + h
 		run.rows++
-	}}
+	})}
 	p, err := Lower(prog, LowerOpts{
 		Sim: sim, Inputs: open(t, scratch), Params: sh.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,

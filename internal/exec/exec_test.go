@@ -48,6 +48,17 @@ func runCtx(sim *storage.Sim, dev string, poolBytes int64) *Ctx {
 }
 
 // drainOp runs an operator tree to completion through a sink.
+// tapRows adapts a row-at-a-time observer to Sink.Tap.
+func tapRows(f func(row []int32)) func(*Batch) {
+	var row []int32
+	return func(b *Batch) {
+		for i := 0; i < b.Rows(); i++ {
+			row = b.Row(i, row)
+			f(row)
+		}
+	}
+}
+
 func drainOp(t *testing.T, c *Ctx, op Operator, sink *Sink) {
 	t.Helper()
 	p := &Program{Root: op, Sink: sink, c: c}
@@ -337,7 +348,7 @@ func TestSinkBuffering(t *testing.T) {
 	}
 	s := &Sink{Out: out, Bout: 10, Sim: sim}
 	for i := 0; i < 25; i++ {
-		s.Write([]int32{int32(i)})
+		s.WriteBatch(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}})
 	}
 	s.Flush()
 	if out.Rows() != 25 {
@@ -363,7 +374,7 @@ func TestFlashEraseAccounting(t *testing.T) {
 	s := &Sink{Out: out, Bout: 1024, Sim: sim}
 	rows := int64(300_000) // 1.2 MB; erase block is 256K -> ~5 erases
 	for i := int64(0); i < rows; i++ {
-		s.Write([]int32{int32(i)})
+		s.WriteBatch(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}})
 	}
 	s.Flush()
 	if d.Led.WriteInits < 4 || d.Led.WriteInits > 6 {

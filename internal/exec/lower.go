@@ -41,7 +41,7 @@ type LowerOpts struct {
 }
 
 // Program is an executable operator tree wired to its output sink. Run
-// drives the root operator to completion, writing every produced row to the
+// drives the root operator to completion, writing every produced batch to the
 // sink; a scalar program (an aggregation) leaves its value in Result
 // instead.
 type Program struct {
@@ -103,7 +103,6 @@ func (p *Program) Run() (err error) {
 		return err
 	}
 	var b Batch
-	var row []int32
 	for {
 		if err := p.c.err(); err != nil {
 			p.Root.Close()
@@ -117,11 +116,7 @@ func (p *Program) Run() (err error) {
 		if !ok {
 			break
 		}
-		n := b.Rows()
-		for i := 0; i < n; i++ {
-			row = b.Row(i, row)
-			p.Sink.Write(row)
-		}
+		p.Sink.WriteBatch(&b)
 	}
 	p.Sink.Flush()
 	if err := p.Root.Close(); err != nil {

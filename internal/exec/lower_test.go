@@ -257,7 +257,7 @@ func TestRootScanChargesOneRun(t *testing.T) {
 			tb := loadTable(t, sim, "hdd", 2, rows)
 			d, _ := sim.Device("hdd")
 			var got [][]int32
-			sink := &Sink{Sim: sim, Tap: func(row []int32) { got = append(got, append([]int32(nil), row...)) }}
+			sink := &Sink{Sim: sim, Tap: tapRows(func(row []int32) { got = append(got, append([]int32(nil), row...)) })}
 			p, err := Lower(ocal.MustParse(src), LowerOpts{
 				Sim: sim, Inputs: map[string]*Table{"R": tb}, Scratch: d,
 				Sink: sink, RAMBytes: 1 << 20, ExecWorkers: workers,

@@ -351,11 +351,11 @@ func TestSpillLifecycleOnCancel(t *testing.T) {
 				cancel()
 			} else if cancelAfter > 0 {
 				n := 0
-				sink.Tap = func([]int32) {
+				sink.Tap = tapRows(func([]int32) {
 					if n++; n == cancelAfter {
 						cancel()
 					}
-				}
+				})
 			}
 			p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: params,
 				Scratch: scratch, Sink: sink, RAMBytes: 1 << 20, PoolBytes: 8 << 10,

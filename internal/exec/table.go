@@ -47,8 +47,10 @@ func NewBackedTable(dev *storage.Device, arity int, rows int64, b storage.Backin
 	return &Table{Spill: sp, Arity: arity}, nil
 }
 
-// Preload installs rows without charging I/O: the input data already resides
-// on the device when the experiment starts.
+// Preload installs row-major rows without charging I/O: the input data
+// already resides on the device when the experiment starts. Rows that are
+// already column vectors go in through the spill's PreloadCols, which takes
+// them as they stand.
 func (t *Table) Preload(rows []int32) error {
 	if int64(len(rows))%int64(t.Arity) != 0 {
 		return fmt.Errorf("exec: preload length %d not a multiple of arity %d", len(rows), t.Arity)
@@ -76,15 +78,16 @@ type Sink struct {
 	Sim *storage.Sim
 
 	// Alloc, when non-nil and Out is nil, allocates the output table
-	// lazily from the first row's arity (callers that cannot know the
+	// lazily from the first batch's arity (callers that cannot know the
 	// output arity before execution, e.g. the /execute service path).
 	Alloc func(arity int) (*Table, error)
-	// Tap, when non-nil, observes every row before buffering/discarding.
-	Tap func(row []int32)
+	// Tap, when non-nil, observes every batch before buffering/discarding.
+	// The column views are the producer's: valid only during the call.
+	Tap func(b *Batch)
 	// Err records a failed lazy allocation (checked after Run).
 	Err error
 
-	buf  []int32
+	cols [][]int32 // the output buffer, column-striped like the table
 	rows int64
 	// RowsWritten counts all rows that passed through, even when discarded.
 	RowsWritten int64
@@ -105,27 +108,45 @@ func OutBlock(params map[string]int64) int64 {
 	return best
 }
 
-// Write adds one row.
-func (s *Sink) Write(row []int32) {
-	s.RowsWritten++
+// WriteBatch adds the batch's rows. The buffer is evicted at exactly every
+// Bout rows, wherever those fall inside or across batches, so the output
+// device's charge sequence does not depend on the batch size.
+func (s *Sink) WriteBatch(b *Batch) {
+	n := b.Rows()
+	if n == 0 {
+		return
+	}
+	s.RowsWritten += int64(n)
 	if s.Tap != nil {
-		s.Tap(row)
+		s.Tap(b)
 	}
 	if s.Out == nil && s.Alloc != nil && s.Err == nil {
-		s.Out, s.Err = s.Alloc(len(row))
+		s.Out, s.Err = s.Alloc(b.Arity)
 		s.Alloc = nil
 	}
 	if s.Out == nil {
 		return
 	}
-	s.buf = append(s.buf, row...)
-	s.rows++
+	if s.cols == nil {
+		s.cols = make([][]int32, b.Arity)
+	}
 	bout := s.Bout
 	if bout <= 0 {
 		bout = 1
 	}
-	if s.rows >= bout {
-		s.Flush()
+	for lo := 0; lo < n; {
+		take := n - lo
+		if room := bout - s.rows; int64(take) > room {
+			take = int(room)
+		}
+		for c := range s.cols {
+			s.cols[c] = append(s.cols[c], b.Cols[c][lo:lo+take]...)
+		}
+		s.rows += int64(take)
+		lo += take
+		if s.rows >= bout {
+			s.Flush()
+		}
 	}
 }
 
@@ -135,9 +156,11 @@ func (s *Sink) Flush() {
 		return
 	}
 	a := s.Sim.Root()
-	a.CPU(int64(len(s.buf))*4, s.Sim.MoveSeconds)
-	s.Out.Append(a, s.buf)
-	s.buf = s.buf[:0]
+	a.CPU(s.rows*int64(len(s.cols))*4, s.Sim.MoveSeconds)
+	s.Out.AppendCols(a, s.cols, s.rows)
+	for c := range s.cols {
+		s.cols[c] = s.cols[c][:0]
+	}
 	s.rows = 0
 }
 

@@ -17,7 +17,7 @@ func ingestGenerated(t *testing.T, cat *catalog.Catalog, c *Compiled, opt ExecOp
 	t.Helper()
 	tables := map[string]string{}
 	for i, in := range c.Task.Spec.Inputs {
-		rows, err := inputData(in, c.Task, opt, i)
+		data, err := inputData(in, c.Task, opt, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,11 +31,13 @@ func ingestGenerated(t *testing.T, cat *catalog.Catalog, c *Compiled, opt ExecOp
 		}
 		// Three uneven batches: generated rows are key-sorted, so the
 		// stable ingest sort is the identity and order survives exactly.
-		vals := len(rows)
-		cut1 := (vals / 3 / in.Arity) * in.Arity
-		cut2 := (2 * vals / 3 / in.Arity) * in.Arity
-		for _, b := range [][]int32{rows[:cut1], rows[cut1:cut2], rows[cut2:]} {
-			if _, err := cat.Append(tname, b); err != nil {
+		n := len(data[0])
+		for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
+			batch := make([][]int32, in.Arity)
+			for j, col := range data {
+				batch[j] = append([]int32(nil), col[cut[0]:cut[1]]...)
+			}
+			if _, err := cat.AppendCols(tname, batch); err != nil {
 				t.Fatal(err)
 			}
 		}

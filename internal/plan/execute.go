@@ -10,11 +10,7 @@ package plan
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"sort"
 
 	"ocas/internal/catalog"
 	"ocas/internal/core"
@@ -85,8 +81,10 @@ type ExecReport struct {
 	// InputRows records the row counts actually executed.
 	InputRows map[string]int64 `json:"inputRows"`
 	OutRows   int64            `json:"outRows"`
-	// OutDigest is a SHA-256 over the sorted output bag (or the scalar
-	// result), so two executions can be compared without shipping rows.
+	// OutDigest identifies the output so two executions can be compared
+	// without shipping rows: for a row stream the order-independent bag
+	// digest bagDigest defines (per-row SHA-256, summed modulo 2^256), for
+	// an aggregation the SHA-256 of the scalar result's text.
 	OutDigest string `json:"outDigest"`
 	// Result is the scalar value of an aggregation program.
 	Result string `json:"result,omitempty"`
@@ -145,15 +143,15 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 				return nil, err
 			}
 		} else {
-			rows, err := inputData(in, task, opt, i)
+			cols, err := inputData(in, task, opt, i)
 			if err != nil {
 				return nil, err
 			}
-			tb, err = exec.NewTable(dev, in.Arity, int64(len(rows)/in.Arity)+8)
+			tb, err = exec.NewTable(dev, in.Arity, int64(len(cols[0]))+8)
 			if err != nil {
 				return nil, err
 			}
-			if err := tb.Preload(rows); err != nil {
+			if err := tb.PreloadCols(cols); err != nil {
 				return nil, err
 			}
 		}
@@ -193,6 +191,7 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 	}
 
 	var digest bagDigest
+	defer digest.stop()
 	sink := &exec.Sink{Sim: sim, Bout: exec.OutBlock(params), Tap: digest.add}
 	if task.Output != "" {
 		outDev, err := sim.Device(task.Output)
@@ -331,24 +330,27 @@ func openTableInput(cat *catalog.Catalog, in core.InputSpec, tname string) (*cat
 	return h, nil
 }
 
-// inputData resolves one input's rows: explicit rows win, then generated
-// data of the overridden or nominal size.
-func inputData(in core.InputSpec, task core.Task, opt ExecOptions, idx int) ([]int32, error) {
+// inputData resolves one input's rows as column vectors: explicit rows win,
+// then generated data of the overridden or nominal size.
+func inputData(in core.InputSpec, task core.Task, opt ExecOptions, idx int) ([][]int32, error) {
 	if rows, ok := opt.Inputs[in.Name]; ok {
-		flat := make([]int32, 0, len(rows)*in.Arity)
+		cols := make([][]int32, in.Arity)
+		for c := range cols {
+			cols[c] = make([]int32, len(rows))
+		}
 		for rI, row := range rows {
 			if len(row) != in.Arity {
 				return nil, fmt.Errorf("input %s row %d has %d attributes, want %d",
 					in.Name, rI, len(row), in.Arity)
 			}
-			for _, v := range row {
+			for c, v := range row {
 				if v < -1<<31 || v > 1<<31-1 {
 					return nil, fmt.Errorf("input %s row %d value %d outside int32", in.Name, rI, v)
 				}
-				flat = append(flat, int32(v))
+				cols[c][rI] = int32(v)
 			}
 		}
-		return flat, nil
+		return cols, nil
 	}
 	n := task.InputRows[in.Name]
 	if o, ok := opt.Rows[in.Name]; ok && o > 0 {
@@ -362,83 +364,30 @@ func inputData(in core.InputSpec, task core.Task, opt ExecOptions, idx int) ([]i
 	case 1:
 		// Sorted with duplicates: valid for merges, set operations and
 		// duplicate removal; sorting and folds accept any order.
-		return workload.SortedInts(n, 4, seed), nil
-	default:
+		return [][]int32{workload.SortedInts(n, 4, seed)}, nil
+	case 2:
 		// Key-sorted pairs: valid for the streaming group-by, neutral for
 		// joins and aggregations.
-		return sortedPairs(n, seed), nil
+		keys, payloads := workload.SortedPairs(n, seed)
+		return [][]int32{keys, payloads}, nil
 	}
+	return nil, fmt.Errorf("input %s: no generator for arity %d", in.Name, in.Arity)
 }
 
-// GeneratedPairs returns the exact flat rows the executor's arity-2 input
-// generator produces for n rows under seed — what inputData feeds an
+// GeneratedPairs returns, row-major, the exact rows the executor's arity-2
+// input generator produces for n rows under seed — what inputData feeds an
 // unbound input whose per-input seed is opt.Seed + inputIndex*7919. Ingest
 // differentials (tests, the bench harness, the CI smoke job) load these
 // rows into a catalog table so a durable scan is comparable to a generated
 // run value for value.
-func GeneratedPairs(n, seed int64) []int32 { return sortedPairs(n, seed) }
+func GeneratedPairs(n, seed int64) []int32 {
+	keys, payloads := workload.SortedPairs(n, seed)
+	rows := make([]int32, 2*len(keys))
+	for i, k := range keys {
+		rows[2*i], rows[2*i+1] = k, payloads[i]
+	}
+	return rows
+}
 
 // GeneratedInts is GeneratedPairs' arity-1 counterpart.
 func GeneratedInts(n, seed int64) []int32 { return workload.SortedInts(n, 4, seed) }
-
-// sortedPairs generates n 〈key, payload〉 tuples sorted by key.
-func sortedPairs(n, seed int64) []int32 {
-	keyRange := n / 2
-	if keyRange < 8 {
-		keyRange = 8
-	}
-	rows := workload.UniformPairs(n, keyRange, seed)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return rows[idx[a]*2] < rows[idx[b]*2] })
-	out := make([]int32, 0, len(rows))
-	for _, i := range idx {
-		out = append(out, rows[i*2], rows[i*2+1])
-	}
-	return out
-}
-
-// bagDigest accumulates an order-independent digest of a row bag in
-// constant memory: each row hashes independently and the 256-bit row
-// hashes are summed modulo 2^256. Summation (unlike XOR) distinguishes
-// multiplicities, and commutativity makes the digest independent of
-// batch sizes, pool budgets and operator scheduling — without retaining
-// the (potentially enormous) output.
-type bagDigest struct {
-	acc [sha256.Size]byte
-	buf []byte
-}
-
-func (d *bagDigest) add(row []int32) {
-	d.buf = d.buf[:0]
-	d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(len(row)))
-	for _, v := range row {
-		d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(v))
-	}
-	h := sha256.Sum256(d.buf)
-	carry := uint16(0)
-	for i := sha256.Size - 1; i >= 0; i-- {
-		s := uint16(d.acc[i]) + uint16(h[i]) + carry
-		d.acc[i] = byte(s)
-		carry = s >> 8
-	}
-}
-
-func (d *bagDigest) hex() string { return hex.EncodeToString(d.acc[:]) }
-
-// digestRows hashes a row bag in one call (the differential tests' side
-// of the comparison).
-func digestRows(rows [][]int32) string {
-	var d bagDigest
-	for _, row := range rows {
-		d.add(row)
-	}
-	return d.hex()
-}
-
-func digestString(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
-}

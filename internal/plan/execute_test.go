@@ -53,20 +53,19 @@ func valuesFor(t *testing.T, c *Compiled, opt ExecOptions) map[string]ocal.Value
 	t.Helper()
 	vals := map[string]ocal.Value{}
 	for i, in := range c.Task.Spec.Inputs {
-		rows, err := inputData(in, c.Task, opt, i)
+		cols, err := inputData(in, c.Task, opt, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(rows) / in.Arity
-		l := make(ocal.List, n)
-		for r := 0; r < n; r++ {
+		l := make(ocal.List, len(cols[0]))
+		for r := range l {
 			if in.Arity == 1 {
-				l[r] = ocal.Int(int64(rows[r]))
+				l[r] = ocal.Int(int64(cols[0][r]))
 				continue
 			}
 			tup := make(ocal.Tuple, in.Arity)
-			for j := 0; j < in.Arity; j++ {
-				tup[j] = ocal.Int(int64(rows[r*in.Arity+j]))
+			for j, col := range cols {
+				tup[j] = ocal.Int(int64(col[r]))
 			}
 			l[r] = tup
 		}

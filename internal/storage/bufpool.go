@@ -295,12 +295,6 @@ func (d *Device) NewSpill(width, capRecords int64) (*Spill, error) {
 			return nil, err
 		}
 		s.vols = []*Volume{vol}
-		// The payload size is known: allocate each column once instead of
-		// letting appends regrow it (the executor's sort sections hammer
-		// this).
-		for c := range s.cols {
-			s.cols[c] = make([]int32, 0, capRecords)
-		}
 	}
 	return s, nil
 }
@@ -366,8 +360,21 @@ func (s *Spill) install(n int64) {
 	}
 }
 
+// reserve sizes a fixed-capacity spill's columns at its first append: the
+// payload size is known, so each column is allocated once instead of being
+// regrown (the executor's sort sections hammer this), and a spill that
+// PreloadCols fills never allocates at all.
+func (s *Spill) reserve() {
+	if s.cap > 0 && cap(s.cols[0]) == 0 {
+		for c := range s.cols {
+			s.cols[c] = make([]int32, 0, s.cap)
+		}
+	}
+}
+
 // stripe splits row-major records into the column vectors.
 func (s *Spill) stripe(recs []int32, n int64) {
+	s.reserve()
 	w := len(s.cols)
 	if w == 1 {
 		s.cols[0] = append(s.cols[0], recs...)
@@ -421,6 +428,7 @@ func (s *Spill) AppendCols(a *Acct, cols [][]int32, rows int64) {
 		panic(fmt.Sprintf("storage: append %d exceeds capacity %d (have %d)", rows, s.cap, s.count))
 	}
 	at := s.count
+	s.reserve()
 	for c := range s.cols {
 		s.cols[c] = append(s.cols[c], cols[c][:rows]...)
 	}
@@ -445,6 +453,35 @@ func (s *Spill) Preload(recs []int32) {
 	}
 	s.stripe(recs, n)
 	s.install(n)
+}
+
+// PreloadCols is Preload for records already column-striped: cols[c] becomes
+// column c of an empty spill as it stands — no transposition, no copy; the
+// spill owns the vectors from here on, exactly as it owns what a backing
+// loads. Columns that do not fit the spill are an error: they come from a
+// caller's input, not from the executor's own arithmetic.
+func (s *Spill) PreloadCols(cols [][]int32) error {
+	if s.backing != nil {
+		return fmt.Errorf("storage: preload into a backed (read-only) spill")
+	}
+	if s.count != 0 {
+		return fmt.Errorf("storage: column preload into a spill holding %d records", s.count)
+	}
+	if len(cols) != len(s.cols) {
+		return fmt.Errorf("storage: preload of %d columns into a spill of %d", len(cols), len(s.cols))
+	}
+	n := int64(len(cols[0]))
+	for c, col := range cols {
+		if int64(len(col)) != n {
+			return fmt.Errorf("storage: preload column %d holds %d records, column 0 holds %d", c, len(col), n)
+		}
+	}
+	if s.cap > 0 && n > s.cap {
+		return fmt.Errorf("storage: preload %d exceeds capacity %d", n, s.cap)
+	}
+	copy(s.cols, cols)
+	s.install(n)
+	return nil
 }
 
 // ReadColsAt charges a blocked read of up to n records starting at idx and

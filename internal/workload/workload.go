@@ -4,10 +4,7 @@
 // and column files. All generators are seeded and reproducible.
 package workload
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // UniformPairs returns n tuples 〈key, payload〉 with keys uniform in
 // [0, keyRange). Join selectivity between two such relations scales with
@@ -38,14 +35,70 @@ func Ints(n int64, valRange int64, seed int64) []int32 {
 }
 
 // SortedInts returns n sorted integers with duplicates (dupFactor controls
-// how many distinct values exist: n/dupFactor).
+// how many distinct values exist: n/dupFactor). The values are Ints' draws
+// for the same seed, counted rather than compared into order: the range is
+// at most n, so the sort is O(n).
 func SortedInts(n int64, dupFactor int64, seed int64) []int32 {
 	if dupFactor < 1 {
 		dupFactor = 1
 	}
-	vals := Ints(n, maxI64(n/dupFactor, 1), seed)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals
+	valRange := maxI64(n/dupFactor, 1)
+	r := rand.New(rand.NewSource(seed))
+	ends := make([]int32, valRange)
+	for i := int64(0); i < n; i++ {
+		ends[r.Int63n(valRange)]++
+	}
+	for v := int64(1); v < valRange; v++ {
+		ends[v] += ends[v-1]
+	}
+	out := make([]int32, n+1)
+	fillRuns(out, ends)
+	return out[:n]
+}
+
+// SortedPairs returns n 〈key, payload〉 tuples as a key and a payload
+// column, sorted by key and, within a key, by payload: UniformPairs' draws
+// over max(n/2, 8) keys for the same seed, put in order by a stable counting
+// sort (O(n), the key range being at most n).
+func SortedPairs(n, seed int64) (keys, payloads []int32) {
+	keyRange := maxI64(n/2, 8)
+	r := rand.New(rand.NewSource(seed))
+	keys = make([]int32, n+1)
+	// next[k+1] counts key k, then next[k] is where its next tuple goes.
+	next := make([]int32, keyRange+1)
+	for i := range keys[:n] {
+		k := int32(r.Int63n(keyRange))
+		keys[i] = k
+		next[k+1]++
+	}
+	for k := int64(1); k < keyRange; k++ {
+		next[k+1] += next[k]
+	}
+	payloads = make([]int32, n)
+	for i, k := range keys[:n] {
+		payloads[next[k]] = int32(i)
+		next[k]++
+	}
+	// Every tuple is placed, so next[k] is where key k's run ends.
+	clear(keys)
+	fillRuns(keys, next[:keyRange])
+	return keys[:n], payloads
+}
+
+// fillRuns writes the sorted column whose run of value v ends at ends[v]:
+// out, zeroed and one longer than the column, first counts the runs ending
+// at each position, and the running sum of that is the value there. Two
+// branch-free passes: the runs are a few values long and of unpredictable
+// length, which a loop per run pays for in mispredictions.
+func fillRuns(out, ends []int32) {
+	for _, e := range ends[:len(ends)-1] {
+		out[e]++
+	}
+	v := int32(0)
+	for i, started := range out {
+		v += started
+		out[i] = v
+	}
 }
 
 // SortedUniqueInts returns n sorted distinct integers.

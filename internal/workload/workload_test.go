@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestUniformPairsShapeAndDeterminism(t *testing.T) {
@@ -88,5 +89,43 @@ func TestEdgeCases(t *testing.T) {
 	}
 	if got := SortedInts(10, 0, 1); len(got) != 10 {
 		t.Error("dupFactor 0 must clamp")
+	}
+}
+
+// TestGeneratorsLinear: four times the rows cost about four times the wall
+// time — a counting sort, not a comparison sort, and no quadratic slip. The
+// 6x ceiling leaves room for the larger size falling out of cache.
+func TestGeneratorsLinear(t *testing.T) {
+	best := func(f func()) time.Duration {
+		min := time.Duration(1 << 62)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			f()
+			if d := time.Since(start); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	for name, gen := range map[string]func(n int64){
+		"SortedInts":  func(n int64) { SortedInts(n, 4, 5) },
+		"SortedPairs": func(n int64) { SortedPairs(n, 5) },
+	} {
+		small := best(func() { gen(1 << 16) })
+		large := best(func() { gen(1 << 18) })
+		if large > 6*small {
+			t.Errorf("%s: 2^18 rows took %v, 2^16 rows %v: more than 6x for 4x the rows", name, large, small)
+		}
+	}
+}
+
+// TestGeneratorsAllocs: a generator allocates its columns, its counters and
+// its random source, not once per row or per doubling.
+func TestGeneratorsAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(10, func() { SortedInts(1<<12, 4, 5) }); got > 4 {
+		t.Errorf("SortedInts: %v allocations per run, want at most 4", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { SortedPairs(1<<12, 5) }); got > 5 {
+		t.Errorf("SortedPairs: %v allocations per run, want at most 5", got)
 	}
 }
