@@ -114,7 +114,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 	sim := storage.NewSim(h)
 	sim.DefaultCPU()
 
-	if err := checkTableBindings(task, opt); err != nil {
+	if err := CheckExecOptions(task, opt); err != nil {
 		return nil, err
 	}
 	inputs := map[string]*exec.Table{}
@@ -286,20 +286,33 @@ func ExecutePlan(ctx context.Context, c *Compiled, p *Plan, opt ExecOptions) (*E
 	return rep, nil
 }
 
-// checkTableBindings validates ExecOptions.Tables against the task: every
-// bound name must be a declared input, the catalog must be configured, and
-// a bound input cannot also carry a Rows override or explicit Inputs (the
-// table decides its own cardinality).
-func checkTableBindings(task core.Task, opt ExecOptions) error {
-	if len(opt.Tables) == 0 {
-		return nil
-	}
-	if opt.Cat == nil {
-		return fmt.Errorf("plan: exec.tables given but no catalog is configured")
-	}
+// CheckExecOptions validates opt's per-input maps against the task, so an
+// option that cannot mean what it says fails the request instead of being
+// dropped: every name in Rows, Inputs and Tables must be a declared input, a
+// Rows override must be positive, Tables needs a catalog, and a bound input
+// cannot also carry a Rows override or explicit Inputs (the table decides its
+// own cardinality). RunProgram checks it; a front end that wants to tell a
+// bad request from a failed execution calls it first.
+func CheckExecOptions(task core.Task, opt ExecOptions) error {
 	declared := map[string]bool{}
 	for _, in := range task.Spec.Inputs {
 		declared[in.Name] = true
+	}
+	for name, n := range opt.Rows {
+		if !declared[name] {
+			return fmt.Errorf("plan: exec.rows names %q, which is not an input of the program", name)
+		}
+		if n <= 0 {
+			return fmt.Errorf("plan: exec.rows gives input %q %d rows, want at least 1", name, n)
+		}
+	}
+	for name := range opt.Inputs {
+		if !declared[name] {
+			return fmt.Errorf("plan: exec.inputs names %q, which is not an input of the program", name)
+		}
+	}
+	if len(opt.Tables) > 0 && opt.Cat == nil {
+		return fmt.Errorf("plan: exec.tables given but no catalog is configured")
 	}
 	for name := range opt.Tables {
 		if !declared[name] {
@@ -353,7 +366,7 @@ func inputData(in core.InputSpec, task core.Task, opt ExecOptions, idx int) ([][
 		return cols, nil
 	}
 	n := task.InputRows[in.Name]
-	if o, ok := opt.Rows[in.Name]; ok && o > 0 {
+	if o, ok := opt.Rows[in.Name]; ok {
 		n = o
 	}
 	if n < 0 {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,6 +284,44 @@ func TestExecutePlanExplicitInputs(t *testing.T) {
 	bad := ExecOptions{Inputs: map[string][][]int64{"R": {{1}}}}
 	if _, err := ExecutePlan(context.Background(), c, p, bad); err == nil {
 		t.Error("arity-mismatched rows must be rejected")
+	}
+}
+
+// TestExecOptionsThatCannotApply: a Rows or Inputs entry naming no declared
+// input, or a row count below 1, fails the execution with the offending name
+// instead of being dropped (the input then ran at its nominal size).
+func TestExecOptionsThatCannotApply(t *testing.T) {
+	c, err := Compile(Request{
+		Program: "foldL(0, \\<a, x> -> (a + x.2))(R)",
+		Inputs:  map[string]Input{"R": {Node: "hdd", Rows: 512}},
+		Depth:   3, Space: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		opt  ExecOptions
+		want string
+	}{
+		"rows for an undeclared input":   {ExecOptions{Rows: map[string]int64{"r": 64}}, `exec.rows names "r"`},
+		"zero rows":                      {ExecOptions{Rows: map[string]int64{"R": 0}}, `input "R" 0 rows`},
+		"negative rows":                  {ExecOptions{Rows: map[string]int64{"R": -1}}, `input "R" -1 rows`},
+		"inputs for an undeclared input": {ExecOptions{Inputs: map[string][][]int64{"S": {{1, 2}}}}, `exec.inputs names "S"`},
+	} {
+		if _, err := ExecutePlan(context.Background(), c, p, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one saying %s", name, err, tc.want)
+		}
+	}
+	rep, err := ExecutePlan(context.Background(), c, p, ExecOptions{Rows: map[string]int64{"R": 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.InputRows["R"] != 64 {
+		t.Errorf("override of 64 rows executed %d", rep.InputRows["R"])
 	}
 }
 

@@ -130,6 +130,38 @@ func TestExecuteEndpointRejectsOversizedRuns(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsOverridesThatCannotApply: a size override or explicit
+// rows for a name the program does not declare, or a row count below 1, is a
+// 400 naming it — the caller asked to shrink an input and must not be told,
+// after the input ran at its nominal size, to shrink it.
+func TestExecuteRejectsOverridesThatCannotApply(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxExecRows: 4096})
+	req := func(exec string) string {
+		return `{
+			"program": "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",
+			"hier": "hdd-ram", "ram": 8388608,
+			"inputs": {"R": {"node": "hdd", "rows": 1048576}, "S": {"node": "hdd", "rows": 1024}},
+			"depth": 4, "space": 500, "exec": ` + exec + `}`
+	}
+	for name, tc := range map[string]struct{ exec, want string }{
+		"rows for an undeclared input":   {`{"rows": {"r": 2048}}`, `exec.rows names \"r\"`},
+		"zero rows":                      {`{"rows": {"R": 0}}`, `input \"R\" 0 rows`},
+		"negative rows":                  {`{"rows": {"R": -5}}`, `input \"R\" -5 rows`},
+		"inputs for an undeclared input": {`{"rows": {"R": 2048}, "inputs": {"T": [[1, 2]]}}`, `exec.inputs names \"T\"`},
+	} {
+		resp, data := postExecute(t, ts, req(tc.exec))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), tc.want) {
+			t.Errorf("%s: error should say %s: %s", name, tc.want, data)
+		}
+	}
+	if resp, data := postExecute(t, ts, req(`{"rows": {"R": 2048}}`)); resp.StatusCode != http.StatusOK {
+		t.Errorf("the override spelled right: status %d: %s", resp.StatusCode, data)
+	}
+}
+
 // TestExecuteRejectsRemovedExecField: the executor has one path and one
 // batch size, so a body still choosing either (the former exec.backend and
 // exec.batchRows fields) is a 400 that names the field, like any other

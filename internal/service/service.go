@@ -397,9 +397,13 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		// JSON field only ever carries table names.
 		req.Exec.Cat = cat
 	}
+	if err := plan.CheckExecOptions(compiled.Task, req.Exec); err != nil {
+		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
+		return
+	}
 	for name, nominal := range compiled.Task.InputRows {
 		rows := nominal
-		if o, ok := req.Exec.Rows[name]; ok && o > 0 {
+		if o, ok := req.Exec.Rows[name]; ok {
 			rows = o
 		}
 		if supplied, ok := req.Exec.Inputs[name]; ok {
