@@ -48,6 +48,32 @@ func runCtx(sim *storage.Sim, dev string, poolBytes int64) *Ctx {
 }
 
 // drainOp runs an operator tree to completion through a sink.
+// Row gathers the i-th row into dst (grown as needed) and returns it: the
+// tests' row-at-a-time view of a batch.
+func (b *Batch) Row(i int, dst []int32) []int32 {
+	if cap(dst) >= b.Arity {
+		dst = dst[:b.Arity]
+	} else {
+		dst = make([]int32, b.Arity)
+	}
+	for c := 0; c < b.Arity; c++ {
+		dst[c] = b.Cols[c][i]
+	}
+	return dst
+}
+
+// Flat gathers the batch row-major.
+func (b *Batch) Flat() []int32 {
+	n := b.Rows()
+	out := make([]int32, 0, n*b.Arity)
+	var row []int32
+	for i := 0; i < n; i++ {
+		row = b.Row(i, row)
+		out = append(out, row...)
+	}
+	return out
+}
+
 // tapRows adapts a row-at-a-time observer to Sink.Tap.
 func tapRows(f func(row []int32)) func(*Batch) {
 	var row []int32

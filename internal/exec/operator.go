@@ -218,33 +218,6 @@ func (b *Batch) Rows() int {
 	return len(b.Cols[0])
 }
 
-// Row gathers the i-th row into dst (grown as needed) and returns
-// it — the row-at-a-time escape hatch for sinks and tests; batch consumers
-// iterate columns directly.
-func (b *Batch) Row(i int, dst []int32) []int32 {
-	if cap(dst) >= b.Arity {
-		dst = dst[:b.Arity]
-	} else {
-		dst = make([]int32, b.Arity)
-	}
-	for c := 0; c < b.Arity; c++ {
-		dst[c] = b.Cols[c][i]
-	}
-	return dst
-}
-
-// Flat gathers the batch row-major — the test and debugging accessor.
-func (b *Batch) Flat() []int32 {
-	n := b.Rows()
-	out := make([]int32, 0, n*b.Arity)
-	var row []int32
-	for i := 0; i < n; i++ {
-		row = b.Row(i, row)
-		out = append(out, row...)
-	}
-	return out
-}
-
 // Operator is the streaming execution protocol: a physical operator opens
 // against the run context, delivers its output batch at a time, and
 // releases its resources on Close. Operators compose into trees; the same

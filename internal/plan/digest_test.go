@@ -67,7 +67,11 @@ func randomBag(r *rand.Rand, words int) (batches []*exec.Batch, rows [][]int32) 
 			}
 		}
 		for i := 0; i < k; i++ {
-			rows = append(rows, b.Row(i, nil))
+			row := make([]int32, a)
+			for c, col := range b.Cols {
+				row[c] = col[i]
+			}
+			rows = append(rows, row)
 		}
 		batches = append(batches, b)
 		rem -= k * (1 + a)
@@ -146,7 +150,7 @@ func (c *cancelAfter) Done() <-chan struct{} {
 // RunBound, however the run ends.
 func TestDigestStrandEnds(t *testing.T) {
 	// An identity scan written to a second disk: 2^17 rows of 12 packed
-	// bytes are 24 chunks, so the strand is up long before any run below ends.
+	// bytes are 96 chunks, so the strand is up long before any run below ends.
 	c, err := Compile(Request{
 		Program: "for (x <- R) [x]", Hier: "two-hdd", Output: "hdd2",
 		Inputs: map[string]Input{"R": {Node: "hdd", Rows: 1 << 17}},
