@@ -143,7 +143,34 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 			base:    ExecOptions{Seed: 42},
 			batches: []int64{1, 64}, workers: []int{1, 4},
 		})
-	return append(corpus, unfoldGoldenEntries()...)
+	corpus = append(corpus, unfoldGoldenEntries()...)
+	return append(corpus, grammarGoldenEntries()...)
+}
+
+// grammarGoldenEntries are the scan-body and fold shapes outside the
+// one-row filter/projection and the arithmetic fold: a nested conditional, a
+// row in the else branch, a two-row body, a conditional accumulator, a final
+// lambda, and a conditional body over a join, whose arity is only known at
+// the first block. Their records were captured while these shapes still ran
+// in the interpreter.
+func grammarGoldenEntries() []goldenEntry {
+	entry := func(name, prog string, inputs map[string]Input) goldenEntry {
+		return goldenEntry{name: name,
+			req:     Request{Program: prog, Inputs: inputs, RAM: 4 << 10, Depth: 3, Space: 200},
+			base:    ExecOptions{Seed: 42},
+			batches: []int64{1, 64}, workers: []int{1, 4}}
+	}
+	r := map[string]Input{"R": {Node: "hdd", Rows: 8192}}
+	return []goldenEntry{
+		entry("scan-nested-if", "for (x <- R) if x.1 < 1000 then (if x.2 % 2 == 0 then [x] else []) else []", r),
+		entry("scan-else-row", "for (x <- R) if x.1 < 3 then [x] else [<x.2, x.1>]", r),
+		entry("scan-concat", "for (x <- R) [x] ++ [<x.2, x.1>]", r),
+		entry("fold-max", "foldL(0, \\<a, x> -> if a < x.1 then x.1 else a)(R)", r),
+		entry("fold-avg", "(\\a -> [a.1 / (a.2 + 1)])(foldL(<0,0>, \\<a, x> -> <a.1 + x.1, a.2 + 1>)(R))", r),
+		entry("scan-else-row-over-join",
+			"for (w <- (for (x <- R) for (y <- S) [<x, y>])) if w.1 < 30 then [w] else [<w.2 + 1, w.1>]",
+			map[string]Input{"R": {Node: "hdd", Rows: 256, Arity: 1}, "S": {Node: "hdd", Rows: 64, Arity: 1}}),
+	}
 }
 
 // unfoldGoldenEntries are the unfoldR shapes the examples do not reach:
