@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"ocas/internal/interp"
 	"ocas/internal/memory"
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
@@ -349,16 +348,23 @@ func TestUnfoldRStreamMergesSorted(t *testing.T) {
 	}
 }
 
-func TestFoldAggregates(t *testing.T) {
-	sim := newSim(t)
-	in := loadTableSim(sim, "hdd", 2, pairsOf(1, 10, 2, 20, 3, 30))
-	step, err := interp.CompileFunc(ocal.Lam{Params: []string{"a", "x"},
+// sumKernel compiles foldL(0, \<a, x> -> a + x.col) the way Lower does.
+func sumKernel(t *testing.T, col int) *foldKernelSpec {
+	t.Helper()
+	step := ocal.Lam{Params: []string{"a", "x"},
 		Body: ocal.Prim{Op: ocal.OpAdd, Args: []ocal.Expr{
-			ocal.Var{Name: "a"}, ocal.Proj{E: ocal.Var{Name: "x"}, I: 2}}}}, nil)
+			ocal.Var{Name: "a"}, ocal.Proj{E: ocal.Var{Name: "x"}, I: col}}}}
+	kern, err := parseFoldKernel(ocal.IntLit{V: 0}, step, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Fold{In: TableInput(in), K: 2, Init: ocal.Int(0), Step: step}
+	return kern
+}
+
+func TestFoldAggregates(t *testing.T) {
+	sim := newSim(t)
+	in := loadTableSim(sim, "hdd", 2, pairsOf(1, 10, 2, 20, 3, 30))
+	p := &Fold{In: TableInput(in), K: 2, kern: sumKernel(t, 2)}
 	drainOp(t, runCtx(sim, "hdd", 0), p, &Sink{Sim: sim})
 	if !ocal.ValueEq(p.Final, ocal.Int(60)) {
 		t.Errorf("sum = %s want 60", p.Final)
@@ -451,13 +457,7 @@ func TestComposedOperators(t *testing.T) {
 	S := loadTableSim(sim, "hdd", 2, pairsOf(2, 200, 1, 100, 3, 300, 2, 201))
 	join := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, EquiKeys: &[2]int{0, 0}}
 	srt := &ExtSort{In: OpInput(join), Way: 2, Bin: 2, Bout: 2}
-	step, err := interp.CompileFunc(ocal.Lam{Params: []string{"a", "x"},
-		Body: ocal.Prim{Op: ocal.OpAdd, Args: []ocal.Expr{
-			ocal.Var{Name: "a"}, ocal.Proj{E: ocal.Var{Name: "x"}, I: 4}}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fold := &Fold{In: OpInput(srt), K: 2, Init: ocal.Int(0), Step: step}
+	fold := &Fold{In: OpInput(srt), K: 2, kern: sumKernel(t, 4)}
 	c := runCtx(sim, "hdd", 0)
 	drainOp(t, c, fold, &Sink{Sim: sim})
 	// Matches: 1-100, 2-200, 2-201, 3-300 -> payload sum 801.

@@ -7,25 +7,23 @@ import (
 	"ocas/internal/ocal"
 )
 
-// This file is the executor's kernel compiler. At Lower time the per-row
-// OCAL bodies — scan/filter/project bodies, fold steps and unfoldR steps —
-// are parsed into small typed specs; at execution time each scan or fold
-// spec is specialized against its input's arity into one flat Go loop body
-// (a predicate pass filling a selection vector plus a projection pass
-// reading through it, or a fused row loop when the body can error), and an
-// unfoldR step runs as a cursor machine over its operator's windows.
-// Kernels never touch the charging code:
-// block reads, cpu() charges and batch boundaries belong to the operators,
-// so digests, ledgers, the virtual clock and EXPLAIN ANALYZE counters do
-// not depend on whether a body compiled. A body the grammar does not cover
-// — or a spec whose column references fall outside the arity the input
-// turns out to have — builds no kernel, and the operator runs its fallback
-// leaf: the interp.CompileFunc closure of the same body (preserving
-// interp's exact error behaviour). unfoldR steps have no fallback leaf: a
-// step outside the step grammar (see parseUnfoldStep) does not lower.
+// This file is the executor's kernel compiler, the only evaluator of per-row
+// OCAL bodies. At Lower time scan/filter/project bodies, fold steps (with
+// their init and final lambda) and unfoldR steps are parsed into small typed
+// trees over one expression IR; at execution time a scan body or fold step is
+// bound to its input's arity, known at the first block, and runs as a flat Go
+// loop (a predicate pass filling a selection vector plus a projection pass
+// reading through it, a fused row loop when the body can error, or a decision
+// tree walked per row), and an unfoldR step runs as a cursor machine over its
+// operator's windows. Kernels never touch the charging code: block reads,
+// cpu() charges and batch boundaries belong to the operators, so digests,
+// ledgers, the virtual clock and EXPLAIN ANALYZE counters do not depend on
+// a body's shape. A body outside the grammar (bodyGrammar, stepGrammar) does
+// not lower; a column reference the arity cannot serve binds to a failing
+// leaf that raises interp's error on the row where interp would evaluate it.
 
 // Exact interp error texts: a kernel must fail byte-identically to the
-// interp closure it stands in for.
+// reference interpreter the differential suites compare it with.
 var (
 	errDivZero   = errors.New("interp: division by zero")
 	errModZero   = errors.New("interp: modulo by zero")
@@ -47,23 +45,29 @@ const (
 	kArith                  // Add/Sub/Mul/Div/Mod over two integers
 	kCmp                    // ordered/equality comparison of two integers
 	kLogic                  // And/Or over two conditions, Not over one (r nil)
+	kIf                     // if c then l else r over integers, one branch evaluated
 	kHead                   // unfoldR step: one column of head(tailᵈ(sᵢ)); col < 0: the row itself
 	kEmpty                  // unfoldR step: length(tailᵈ(sᵢ)) == 0
+	// What bind makes of a reference the input arity cannot serve:
+	kBadProj  // x.c past the arity, or on an arity-1 row (a bare Int): fails like interp's projection
+	kRow      // the whole element of arity > 1 where an integer is wanted
+	kRowArith // arithmetic with a kRow operand: fails like interp's, once both operands evaluated
 )
 
 // kexpr is the one compiled expression IR of scan, filter, fold and unfoldR
 // step kernels: an int64-valued tree over one input row (and, in a fold, the
 // accumulator; in an unfoldR step, the state windows instead of a row),
 // conditions evaluating to 0 or 1. Arithmetic is int64 (ocal.Int), truncated
-// to int32 only at row encode — exactly the interp pipeline's
-// rowToValue/valueToRow widening. The parsers keep the two sorts apart:
-// parseScalar only builds integer nodes, parseCond only boolean ones.
+// to int32 only at row encode — where a row of ocal.Int values would narrow
+// to its int32 encoding. The parsers keep the two sorts apart: parseScalar
+// only builds integer nodes, parseCond only boolean ones.
 type kexpr struct {
 	kind kexprKind
-	col  int // kCol, kHead: column; kAcc: accumulator component
-	lit  int64
+	col  int   // kCol, kHead, kBadProj: column; kAcc: accumulator component
+	lit  int64 // kLit: the value; kBadProj, kRow: the arity bound at
 	op   ocal.PrimOp
 	l, r *kexpr
+	c    *kexpr // kIf: the condition
 	// kHead, kEmpty: the state component i and the tail count d of tailᵈ(sᵢ).
 	win, depth int
 }
@@ -160,6 +164,13 @@ func parseScalar(e ocal.Expr, v kvars) (*kexpr, bool) {
 		case x.Name == v.elem:
 			return &kexpr{kind: kCol, col: t.I - 1}, true
 		}
+	case ocal.If:
+		c, okC := parseCond(t.Cond, v)
+		l, okL := parseScalar(t.Then, v)
+		r, okR := parseScalar(t.Else, v)
+		if okC && okL && okR {
+			return &kexpr{kind: kIf, c: c, l: l, r: r}, true
+		}
 	case ocal.Prim:
 		switch t.Op {
 		case ocal.OpHead:
@@ -196,8 +207,8 @@ func (v kvars) empty(cmp ocal.Prim) (*kexpr, bool) {
 
 // parseCond parses a boolean condition: comparisons over integer scalars,
 // And/Or/Not compositions and boolean literals. Comparisons over non-scalar
-// operands are left to the fallback leaf — except between two bare heads of
-// an unfoldR step, which compare as whole rows (see evalStep).
+// operands are outside the grammar — except between two bare heads of an
+// unfoldR step, which compare as whole rows (see evalStep).
 func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 	switch t := e.(type) {
 	case ocal.BoolLit:
@@ -241,52 +252,57 @@ func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 	return nil, false
 }
 
-// canErr reports whether evaluating the expression can fail (Div/Mod by
-// zero — the only runtime errors the kernel grammar admits).
+// canErr reports whether evaluating the expression can fail: Div/Mod by
+// zero, or a leaf the arity could not bind.
 func (e *kexpr) canErr() bool {
+	switch e.kind {
+	case kBadProj, kRow, kRowArith:
+		return true
+	}
 	if e.l == nil {
 		return false
 	}
 	if e.op == ocal.OpDiv || e.op == ocal.OpMod {
 		return true
 	}
-	return e.l.canErr() || (e.r != nil && e.r.canErr())
+	return e.l.canErr() || (e.r != nil && e.r.canErr()) || (e.c != nil && e.c.canErr())
 }
 
-// bindArity validates column references against the input arity, resolving
-// kElem to column 0 (legal only at arity 1, where the interp pipeline
-// decodes a row to a bare Int). It reports false when the spec cannot run
-// at this arity, sending the operator to its fallback leaf.
-func (e *kexpr) bindArity(ar int) bool {
+// bind returns a copy of the parsed expression specialized to the input
+// arity, resolving kElem to column 0 at arity 1 (where a row is a bare Int).
+// A reference the arity cannot serve — a column past it, a projection of an
+// arity-1 row, the whole element as an integer at arity > 1 — becomes a
+// failing leaf, so the error surfaces only on a row that evaluates it, with
+// interp's text.
+func (e *kexpr) bind(ar int) *kexpr {
+	b := *e
 	switch e.kind {
 	case kCol:
-		// At arity 1 the interp pipeline decodes a row to a bare Int, on
-		// which any projection is an error — fall back so the interp
-		// closure raises it.
-		return ar > 1 && e.col < ar
-	case kElem:
-		if ar != 1 {
-			return false
+		if ar == 1 || e.col >= ar {
+			b.kind, b.lit = kBadProj, int64(ar)
 		}
-		e.kind, e.col = kCol, 0
-		return true
+		return &b
+	case kElem:
+		if ar == 1 {
+			b.kind, b.col = kCol, 0
+		} else {
+			b.kind, b.lit = kRow, int64(ar)
+		}
+		return &b
 	case kLit, kAcc:
-		return true
+		return &b
 	}
-	return e.l.bindArity(ar) && (e.r == nil || e.r.bindArity(ar))
-}
-
-// clone deep-copies an expression so bindArity's kElem resolution never
-// mutates the parsed spec.
-func (e *kexpr) clone() *kexpr {
-	c := *e
-	if e.l != nil {
-		c.l = e.l.clone()
-	}
+	b.l = e.l.bind(ar)
 	if e.r != nil {
-		c.r = e.r.clone()
+		b.r = e.r.bind(ar)
 	}
-	return &c
+	if e.c != nil {
+		b.c = e.c.bind(ar)
+	}
+	if b.kind == kArith && (b.l.kind == kRow || b.r.kind == kRow) {
+		b.kind = kRowArith
+	}
+	return &b
 }
 
 func b2i(b bool) int64 {
@@ -310,6 +326,41 @@ func (e *kexpr) eval(acc []int64, cols [][]int32, i int) (int64, error) {
 		return e.lit, nil
 	case kAcc:
 		return acc[e.col], nil
+	case kIf:
+		// Like interp's if: only the branch the condition selects evaluates.
+		c, err := e.c.eval(acc, cols, i)
+		if err != nil {
+			return 0, err
+		}
+		if c != 0 {
+			return e.l.eval(acc, cols, i)
+		}
+		return e.r.eval(acc, cols, i)
+	case kBadProj:
+		if e.lit == 1 {
+			return 0, fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, cols[0][i])
+		}
+		return 0, fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, e.lit)
+	case kRow:
+		return 0, fmt.Errorf("exec: a row of %d attributes used as an integer", e.lit)
+	case kRowArith:
+		var args [2]ocal.Value
+		for j, o := range [2]*kexpr{e.l, e.r} {
+			if o.kind == kRow {
+				row := make(ocal.Tuple, len(cols))
+				for c := range cols {
+					row[c] = ocal.Int(cols[c][i])
+				}
+				args[j] = row
+				continue
+			}
+			v, err := o.eval(acc, cols, i)
+			if err != nil {
+				return 0, err
+			}
+			args[j] = ocal.Int(v)
+		}
+		return 0, fmt.Errorf("interp: arithmetic on non-integers %s, %s", args[0], args[1])
 	}
 	a, err := e.l.eval(acc, cols, i)
 	if err != nil {
@@ -343,7 +394,7 @@ func applyChecked(op ocal.PrimOp, a, b int64) (int64, error) {
 	return applyOp(op, a, b), nil
 }
 
-// evalFast evaluates an expression proven error-free (no Div/Mod anywhere);
+// evalFast evaluates an expression proven error-free (canErr is false);
 // with no errors and no side effects, short-circuiting And/Or is
 // unobservable and allowed.
 func (e *kexpr) evalFast(acc []int64, cols [][]int32, i int) int64 {
@@ -354,6 +405,11 @@ func (e *kexpr) evalFast(acc []int64, cols [][]int32, i int) int64 {
 		return e.lit
 	case kAcc:
 		return acc[e.col]
+	case kIf:
+		if e.c.evalFast(acc, cols, i) != 0 {
+			return e.l.evalFast(acc, cols, i)
+		}
+		return e.r.evalFast(acc, cols, i)
 	}
 	a := e.l.evalFast(acc, cols, i)
 	switch {
@@ -402,6 +458,19 @@ func cmpHolds(op ocal.PrimOp, a, b int64) bool {
 // ---------------------------------------------------------------------------
 // Scan/filter/project kernels
 
+// bodyGrammar is what parseScanBody and parseFoldKernel accept, printed with
+// every rejection.
+const bodyGrammar = `the scan and fold grammar over the loop element x (in a fold, the accumulator a of n components):
+  body   = [] | [row] | body ++ body | if cond then body else body
+  row    = x | scalar | <row, …>, every row of a body as wide as the others
+  fold   = foldL(init, \<a, x> -> step)(…) | (\a -> final)(foldL(…)(…))
+  init   = const | <const, …>, n constants: scalars without variables
+  step   = scalar | <scalar, …>, n scalars
+  final  = frow | [frow], frow = scalar | <scalar, …> over a alone
+  cond   = scalar ⋚ scalar | cond and cond | cond or cond | not cond | true | false
+  scalar = integer | x.c | x (arity 1) | a (n = 1) | a.i (n > 1)
+         | scalar (+ - * / %) scalar | if cond then scalar else scalar`
+
 // outPart is one flattened component of the output row: either the whole
 // input row spliced in (wholeRow — `x` inside the output tuple, or the
 // identity body [x]) or one integer scalar. In an unfoldR step the spliced
@@ -411,51 +480,78 @@ type outPart struct {
 	scalar   *kexpr
 }
 
-// scanKernelSpec is the Lower-time compilation of a single-source loop
-// body: an optional filter condition plus the flattened output row. The
-// spec is immutable and arity-independent: a streamed input's arity is only
-// known at run time, where build specializes a copy.
-type scanKernelSpec struct {
-	cond *kexpr // nil: unconditional
-	out  []outPart
+// stepNode is one node of a compiled decision tree — a scan body, or an
+// unfoldR step: a decision (cond non-nil), in a scan body a concatenation
+// (concat: then's rows, then els's), or a leaf. A parsed tree is immutable
+// and may share subtrees; a Project owns the arity-bound copy it runs, an
+// UnfoldR the windows it runs its tree against.
+type stepNode struct {
+	cond      *kexpr
+	concat    bool
+	then, els *stepNode
+
+	fail error     // leaf: the step fails (z on ragged lists)
+	emit []outPart // leaf: the emitted row; nil emits nothing
+	upd  []stepUpd // unfoldR leaf: the next state, one update per component
+	// stalls marks an unfoldR leaf whose progress depends on the data (it
+	// emits nothing and only clears or replaces components): the operator
+	// checks that some component changed length, like interp's unfoldR does.
+	stalls bool
 }
 
-// parseScanKernel compiles a scan/filter/project body into a kernel spec.
-// Grammar: body = [e] | if cond then [e] else [], with e a tuple over
-// integer scalars and whole-row splices (nested tuples flatten, mirroring
-// valueToRow's encoding). It returns nil for anything else — the caller
-// runs its fallback leaf.
-func parseScanKernel(body ocal.Expr, elem string) *scanKernelSpec {
-	v := kvars{elem: elem}
-	var cond *kexpr
-	switch t := body.(type) {
+// parseScanBody compiles a single-source loop body into its decision tree.
+// The tree is arity-independent: a streamed input's arity is only known at
+// run time, where newProjKernel binds a copy.
+func parseScanBody(body ocal.Expr, elem string) (*stepNode, error) {
+	root, err := parseBodyTree(body, kvars{elem: elem})
+	if err != nil {
+		return nil, fmt.Errorf("exec: cannot lower scan body: %v\n%s", err, bodyGrammar)
+	}
+	return root, nil
+}
+
+func parseBodyTree(e ocal.Expr, v kvars) (*stepNode, error) {
+	switch t := e.(type) {
+	case ocal.Empty:
+		return &stepNode{}, nil
 	case ocal.Single:
-		body = t.E
+		emit, ok := flattenOut(t.E, v, nil)
+		if !ok || len(emit) == 0 {
+			return nil, fmt.Errorf("unsupported row %s", ocal.String(t.E))
+		}
+		return &stepNode{emit: emit}, nil
 	case ocal.If:
-		if _, ok := t.Else.(ocal.Empty); !ok {
-			return nil
-		}
-		s, ok := t.Then.(ocal.Single)
+		cond, ok := parseCond(t.Cond, v)
 		if !ok {
-			return nil
+			return nil, fmt.Errorf("unsupported condition %s", ocal.String(t.Cond))
 		}
-		c, ok := parseCond(t.Cond, v)
-		if !ok {
-			return nil
+		then, err := parseBodyTree(t.Then, v)
+		if err != nil {
+			return nil, err
 		}
-		cond, body = c, s.E
-	default:
-		return nil
+		els, err := parseBodyTree(t.Else, v)
+		if err != nil {
+			return nil, err
+		}
+		return &stepNode{cond: cond, then: then, els: els}, nil
+	case ocal.Prim:
+		if t.Op == ocal.OpConcat && len(t.Args) == 2 {
+			l, err := parseBodyTree(t.Args[0], v)
+			if err != nil {
+				return nil, err
+			}
+			r, err := parseBodyTree(t.Args[1], v)
+			if err != nil {
+				return nil, err
+			}
+			return &stepNode{concat: true, then: l, els: r}, nil
+		}
 	}
-	out, ok := flattenOut(body, v, nil)
-	if !ok || len(out) == 0 {
-		return nil
-	}
-	return &scanKernelSpec{cond: cond, out: out}
+	return nil, fmt.Errorf("%s is not a list of rows", ocal.String(e))
 }
 
 // flattenOut flattens the emitted value into row components, recursing
-// through nested tuples exactly like valueToRow flattens nested values.
+// through nested tuples: a row is flat however its tuple nests.
 func flattenOut(e ocal.Expr, v kvars, acc []outPart) ([]outPart, bool) {
 	if x, ok := e.(ocal.Var); ok && x.Name == v.elem {
 		return append(acc, outPart{wholeRow: true}), true
@@ -479,76 +575,97 @@ func flattenOut(e ocal.Expr, v kvars, acc []outPart) ([]outPart, bool) {
 	return append(acc, outPart{scalar: s}), true
 }
 
-// boundPart is one arity-bound output component: the whole input row or
-// one scalar.
-type boundPart struct {
-	wholeRow bool
-	expr     *kexpr
+// bindBody copies a scan body bound to the input arity. Every emitting leaf
+// must produce *width attributes (0: not yet known): a whole-row splice is as
+// wide as the input, so rows of different widths only show here — before any
+// row is emitted.
+func (n *stepNode) bindBody(ar int, width *int) (*stepNode, error) {
+	b := &stepNode{concat: n.concat}
+	if n.cond != nil {
+		b.cond = n.cond.bind(ar)
+	}
+	if n.then != nil {
+		var err error
+		if b.then, err = n.then.bindBody(ar, width); err != nil {
+			return nil, err
+		}
+		if b.els, err = n.els.bindBody(ar, width); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	w := 0
+	for _, p := range n.emit {
+		if p.wholeRow {
+			b.emit = append(b.emit, p)
+			w += ar
+			continue
+		}
+		b.emit = append(b.emit, outPart{scalar: p.scalar.bind(ar)})
+		w++
+	}
+	switch {
+	case w == 0 || w == *width:
+	case *width == 0:
+		*width = w
+	default:
+		return nil, fmt.Errorf("exec: scan body emits rows of %d and of %d attributes", *width, w)
+	}
+	return b, nil
 }
 
-// projKernel is a spec specialized to one input arity, owned by a single
-// operator instance (its selection vector is reused across blocks and must
-// not be shared between strands).
+// projKernel is a scan body specialized to one input arity, owned by a
+// single operator instance (its selection vector is reused across blocks and
+// must not be shared between strands). One row under at most one condition
+// runs as a selection-vector pass plus a columnar projection; any other body
+// keeps its tree, walked per input row.
 type projKernel struct {
 	ar       int
 	outWidth int
-	cond     *kexpr      // nil: every row survives
-	identity bool        // output is the input row verbatim
-	gather   []int       // when non-nil: output columns are input columns
-	parts    []boundPart // general projection (gather nil), in output order
-	canErr   bool        // any Div/Mod: run row-at-a-time to keep error order
+	cond     *kexpr    // nil: every row survives
+	identity bool      // output is the input row verbatim
+	gather   []int     // when non-nil: output columns are input columns
+	parts    []outPart // general projection (gather nil), in output order
+	canErr   bool      // run row-at-a-time to keep error order
+	tree     *stepNode // when non-nil: the body beyond [row] | if cond then [row] else []
 
 	sel []int32 // reusable selection vector: indices of surviving rows
 }
 
-// build specializes the spec to the input arity; nil means the spec cannot
-// serve this arity (an out-of-range column, a whole-element scalar at
-// arity > 1) and the operator must run its fallback leaf.
-func (s *scanKernelSpec) build(ar int) *projKernel {
-	if ar <= 0 {
-		return nil
-	}
+// newProjKernel binds a parsed scan body to the input arity.
+func newProjKernel(body *stepNode, ar int) (*projKernel, error) {
 	k := &projKernel{ar: ar}
-	if s.cond != nil {
-		c := s.cond.clone()
-		if !c.bindArity(ar) {
-			return nil
-		}
-		k.cond = c
-		k.canErr = c.canErr()
+	root, err := body.bindBody(ar, &k.outWidth)
+	if err != nil {
+		return nil, err
+	}
+	leaf := root
+	if c := root.cond; c != nil && root.then.emit != nil && root.els.cond == nil && !root.els.concat && root.els.emit == nil {
+		k.cond, k.canErr, leaf = c, c.canErr(), root.then
+	}
+	if leaf.emit == nil {
+		k.tree = root
+		return k, nil
 	}
 	// The whole-row splice contributes the input's ar columns in place.
 	// When every output component resolves to an input column, the kernel
 	// runs in gather (or identity) mode; otherwise the ordered parts list
 	// drives the general projection.
-	cols := make([]int, 0, len(s.out))
-	allCols := true
-	for _, p := range s.out {
-		if p.wholeRow {
-			k.parts = append(k.parts, boundPart{wholeRow: true})
+	k.parts = leaf.emit
+	cols := make([]int, 0, k.outWidth)
+	for _, p := range k.parts {
+		switch {
+		case p.wholeRow:
 			for c := 0; c < ar; c++ {
 				cols = append(cols, c)
 			}
-			k.outWidth += ar
-			continue
-		}
-		e := p.scalar.clone()
-		if !e.bindArity(ar) {
-			return nil
-		}
-		k.canErr = k.canErr || e.canErr()
-		k.outWidth++
-		k.parts = append(k.parts, boundPart{expr: e})
-		if e.kind == kCol {
-			cols = append(cols, e.col)
-		} else {
-			allCols = false
+		case p.scalar.kind == kCol:
+			cols = append(cols, p.scalar.col)
+		default:
+			k.canErr = k.canErr || p.scalar.canErr()
 		}
 	}
-	if k.outWidth == 0 {
-		return nil
-	}
-	if allCols {
+	if len(cols) == k.outWidth {
 		k.gather = cols
 		k.parts = nil
 		if len(cols) == ar {
@@ -561,16 +678,24 @@ func (s *scanKernelSpec) build(ar int) *projKernel {
 			}
 		}
 	}
-	return k
+	return k, nil
 }
 
 // run executes the kernel over one column block, appending the produced
-// rows to the emitter's column vectors in input order — the exact row
-// stream the fallback leaf produces, so batch boundaries (and with them
-// EXPLAIN counters) are identical. The caller has already charged the
-// block's CPU cost.
+// rows to the emitter's column vectors in input order (a row's own rows left
+// to right), so batch boundaries — and with them EXPLAIN counters — depend
+// on the body's output alone. The caller has already charged the block's CPU
+// cost.
 func (k *projKernel) run(em *emitter, cols [][]int32, rows int) error {
 	em.reserve(k.outWidth)
+	if k.tree != nil {
+		for i := 0; i < rows; i++ {
+			if err := k.tree.emitRows(em, k.ar, cols, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	if k.canErr {
 		return k.runChecked(em, cols, rows)
 	}
@@ -705,7 +830,7 @@ func (k *projKernel) project(em *emitter, cols [][]int32, rows int, sel []int32)
 				}
 				continue
 			}
-			em.cols[oc] = evalPartFast(p.expr, em.cols[oc], cols, rows, sel)
+			em.cols[oc] = evalPartFast(p.scalar, em.cols[oc], cols, rows, sel)
 			oc++
 		}
 	}
@@ -856,7 +981,7 @@ func evalPartFast(e *kexpr, dst []int32, cols [][]int32, rows int, sel []int32) 
 }
 
 // runChecked is the erroring variant: condition then output per row, in
-// row order, so the first failing operation matches the fallback leaf.
+// row order, so the first failing operation is the one interp would hit.
 func (k *projKernel) runChecked(em *emitter, cols [][]int32, rows int) error {
 	for i := 0; i < rows; i++ {
 		if k.cond != nil {
@@ -874,128 +999,184 @@ func (k *projKernel) runChecked(em *emitter, cols [][]int32, rows int) error {
 			}
 			continue
 		}
-		mark := len(em.cols[0])
-		oc := 0
-		for _, p := range k.parts {
-			if p.wholeRow {
-				for c := 0; c < k.ar; c++ {
-					em.cols[oc] = append(em.cols[oc], cols[c][i])
-					oc++
-				}
-				continue
-			}
-			v, err := p.expr.eval(nil, cols, i)
-			if err != nil {
-				// Truncate the partial row so the emitter stays row-aligned.
-				for c := 0; c < oc; c++ {
-					em.cols[c] = em.cols[c][:mark]
-				}
-				return err
-			}
-			em.cols[oc] = append(em.cols[oc], int32(v))
-			oc++
+		if err := emitParts(em, k.parts, k.ar, cols, i); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// emitParts appends the row the parts make of input row i.
+func emitParts(em *emitter, parts []outPart, ar int, cols [][]int32, i int) error {
+	oc := 0
+	for _, p := range parts {
+		if p.wholeRow {
+			for c := 0; c < ar; c++ {
+				em.cols[oc] = append(em.cols[oc], cols[c][i])
+				oc++
+			}
+			continue
+		}
+		v, err := p.scalar.eval(nil, cols, i)
+		if err != nil {
+			// Drop the partial row so the emitter stays row-aligned.
+			for c := 0; c < oc; c++ {
+				em.cols[c] = em.cols[c][:len(em.cols[c])-1]
+			}
+			return err
+		}
+		em.cols[oc] = append(em.cols[oc], int32(v))
+		oc++
+	}
+	return nil
+}
+
+// emitRows walks a bound scan body for input row i: conditions evaluate
+// lazily like interp's if — only the branch taken is looked at — and a
+// concatenation emits its left rows before its right ones.
+func (n *stepNode) emitRows(em *emitter, ar int, cols [][]int32, i int) error {
+	for {
+		switch {
+		case n.concat:
+			if err := n.then.emitRows(em, ar, cols, i); err != nil {
+				return err
+			}
+			n = n.els
+		case n.cond != nil:
+			v, err := n.cond.eval(nil, cols, i)
+			if err != nil {
+				return err
+			}
+			if v != 0 {
+				n = n.then
+			} else {
+				n = n.els
+			}
+		case n.emit == nil:
+			return nil
+		default:
+			return emitParts(em, n.emit, ar, cols, i)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Fold kernels
 
-// foldKernelSpec compiles foldL(init, \<a, x> -> body) into an integer
-// accumulator kernel: the accumulator lives in an []int64 instead of being
-// re-boxed into an ocal.Tuple per row.
+// foldKernelSpec compiles foldL(init, \<a, x> -> step), and the final lambda
+// a program may apply to the result, into an integer accumulator kernel: the
+// accumulator lives in an []int64 and becomes an ocal.Value once, at the end.
 type foldKernelSpec struct {
-	init   []int64
-	body   []*kexpr // one scalar per accumulator component
-	canErr bool
+	init []int64
+	body []*kexpr // one scalar per accumulator component
+	// final is the final lambda's row over the accumulator (nil: the
+	// accumulator is the result), finalList whether it is wrapped in a list.
+	final     []*kexpr
+	finalList bool
 }
 
 // foldKernel is a spec's mutable run state, owned by one Fold instance.
 type foldKernel struct {
 	spec *foldKernelSpec
-	// bodyF is the arity-bound body (bound lazily at the first block, when
-	// a streamed input's arity becomes known).
-	bodyF []*kexpr
-	acc   []int64
-	tmp   []int64
-	bound bool
-	dead  bool // arity binding failed: the Fold runs its fallback leaf
+	// bodyF is the arity-bound body (bound at the first block, when a
+	// streamed input's arity becomes known).
+	bodyF  []*kexpr
+	canErr bool
+	acc    []int64
+	tmp    []int64
 }
 
-// parseFoldKernel returns nil when the fold shape is not kernelizable.
-func parseFoldKernel(fn ocal.Expr, init ocal.Value) *foldKernelSpec {
+// rowElems lists the components of a flat row: the elements of a tuple, or
+// the lone expression.
+func rowElems(e ocal.Expr) []ocal.Expr {
+	if t, ok := e.(ocal.Tup); ok && len(t.Elems) > 1 {
+		return t.Elems
+	}
+	return []ocal.Expr{e}
+}
+
+// parseScalars parses every component of a flat row.
+func parseScalars(row ocal.Expr, v kvars) ([]*kexpr, error) {
+	var out []*kexpr
+	for _, e := range rowElems(row) {
+		s, ok := parseScalar(e, v)
+		if !ok {
+			return nil, fmt.Errorf("unsupported scalar %s", ocal.String(e))
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// parseFoldKernel compiles a fold: its init, its step fn and the final lambda
+// applied to its result (nil: none). A fold outside bodyGrammar is an error.
+func parseFoldKernel(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, error) {
+	spec, err := parseFold(init, fn, final)
+	if err != nil {
+		return nil, fmt.Errorf("exec: cannot lower fold: %v\n%s", err, bodyGrammar)
+	}
+	return spec, nil
+}
+
+func parseFold(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, error) {
 	lam, ok := fn.(ocal.Lam)
 	if !ok || len(lam.Params) != 2 {
-		return nil
+		return nil, fmt.Errorf("%s is not a step \\<a, x> -> …", ocal.String(fn))
 	}
-	var initVals []int64
-	switch v := init.(type) {
-	case ocal.Int:
-		initVals = []int64{int64(v)}
-	case ocal.Tuple:
-		for _, e := range v {
-			i, ok := e.(ocal.Int)
-			if !ok {
-				return nil
-			}
-			initVals = append(initVals, int64(i))
+	consts, err := parseScalars(init, kvars{})
+	if err != nil {
+		return nil, fmt.Errorf("init: %v", err)
+	}
+	spec := &foldKernelSpec{}
+	for _, c := range consts {
+		v, err := c.eval(nil, nil, 0)
+		if err != nil {
+			return nil, fmt.Errorf("init: %v", err)
 		}
-	default:
-		return nil
+		spec.init = append(spec.init, v)
 	}
-	if len(initVals) == 0 {
-		return nil
+	v := kvars{elem: lam.Params[1], acc: lam.Params[0], accWidth: len(spec.init)}
+	if spec.body, err = parseScalars(lam.Body, v); err != nil {
+		return nil, err
 	}
-	elems := []ocal.Expr{lam.Body}
-	if t, ok := lam.Body.(ocal.Tup); ok {
-		elems = t.Elems
+	if len(spec.body) != len(spec.init) {
+		return nil, fmt.Errorf("the step builds %d components, init has %d", len(spec.body), len(spec.init))
 	}
-	if len(elems) != len(initVals) {
-		return nil
+	if final == nil {
+		return spec, nil
 	}
-	spec := &foldKernelSpec{init: initVals}
-	v := kvars{elem: lam.Params[1], acc: lam.Params[0], accWidth: len(initVals)}
-	for _, e := range elems {
-		fe, ok := parseScalar(e, v)
-		if !ok {
-			return nil
-		}
-		spec.canErr = spec.canErr || fe.canErr()
-		spec.body = append(spec.body, fe)
+	row := final.Body
+	if s, ok := row.(ocal.Single); ok {
+		spec.finalList, row = true, s.E
 	}
-	return spec
+	spec.final, err = parseScalars(row, kvars{acc: final.Params[0], accWidth: len(spec.init)})
+	return spec, err
 }
 
-// newFoldKernel instantiates the spec's mutable run state.
+// newKernel instantiates the spec's mutable run state.
 func (s *foldKernelSpec) newKernel() *foldKernel {
 	k := &foldKernel{spec: s, acc: append([]int64(nil), s.init...)}
 	k.tmp = make([]int64, len(s.init))
 	return k
 }
 
-// bind specializes the body to the input arity on the first block.
-func (k *foldKernel) bind(ar int) bool {
-	if k.bound {
-		return !k.dead
-	}
-	k.bound = true
+// bind specializes the body to the input arity.
+func (k *foldKernel) bind(ar int) {
 	for _, fe := range k.spec.body {
-		f := fe.clone()
-		if !f.bindArity(ar) {
-			k.dead = true
-			return false
-		}
+		f := fe.bind(ar)
+		k.canErr = k.canErr || f.canErr()
 		k.bodyF = append(k.bodyF, f)
 	}
-	return true
 }
 
 // step folds one column block into the accumulator. Body components
 // evaluate against the pre-row accumulator (all reads before any write),
-// matching the interp closure's tuple rebuild.
+// like interp rebuilding the accumulator tuple from the old one.
 func (k *foldKernel) step(cols [][]int32, rows int) error {
-	if k.spec.canErr {
+	if k.bodyF == nil {
+		k.bind(len(cols))
+	}
+	if k.canErr {
 		for i := 0; i < rows; i++ {
 			for j, f := range k.bodyF {
 				v, err := f.eval(k.acc, cols, i)
@@ -1017,16 +1198,32 @@ func (k *foldKernel) step(cols [][]int32, rows int) error {
 	return nil
 }
 
-// value rebuilds the accumulator as an OCAL value (the interp shape).
-func (k *foldKernel) value() ocal.Value {
-	if len(k.acc) == 1 {
-		return ocal.Int(k.acc[0])
+// result is the fold's value: the accumulator, through the final lambda when
+// there is one, in the shape interp gives it.
+func (k *foldKernel) result() (ocal.Value, error) {
+	vals := k.acc
+	if k.spec.final != nil {
+		vals = make([]int64, len(k.spec.final))
+		for j, f := range k.spec.final {
+			v, err := f.eval(k.acc, nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			vals[j] = v
+		}
 	}
-	t := make(ocal.Tuple, len(k.acc))
-	for i, v := range k.acc {
-		t[i] = ocal.Int(v)
+	var res ocal.Value = ocal.Int(vals[0])
+	if len(vals) > 1 {
+		t := make(ocal.Tuple, len(vals))
+		for i, v := range vals {
+			t[i] = ocal.Int(v)
+		}
+		res = t
 	}
-	return t
+	if k.spec.finalList {
+		res = ocal.List{res}
+	}
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1040,6 +1237,7 @@ const stepGrammar = `the unfoldR step grammar over n state components:
   cond   = length(list) == 0 | head(list) ⋚ head(list) | scalar ⋚ scalar
          | cond and cond | cond or cond | not cond | true | false
   scalar = integer | head(list).c | head(list) | scalar (+ - * / %) scalar
+         | if cond then scalar else scalar
   chunk  = [] | [row], row = head(list) | scalar | <row, …>
   updi   = [] | si | tail(si) | tail(tail(si)) | [srow]
          | [srow] ++ tail(si) | [srow] ++ tail(tail(si)),
@@ -1159,6 +1357,15 @@ func (e *kexpr) evalStep(ws []stepWin) (int64, error) {
 			c, err := compareRows(ws, e.l, e.r)
 			return b2i(cmpHolds(e.op, int64(c), 0)), err
 		}
+	case kIf:
+		c, err := e.c.evalStep(ws)
+		if err != nil {
+			return 0, err
+		}
+		if c != 0 {
+			return e.l.evalStep(ws)
+		}
+		return e.r.evalStep(ws)
 	}
 	a, err := e.l.evalStep(ws)
 	if err != nil {
@@ -1218,22 +1425,6 @@ func evalRow(parts []outPart, ws []stepWin, dst []int64) ([]int64, error) {
 		dst = append(dst, v)
 	}
 	return dst, nil
-}
-
-// stepNode is one node of a compiled unfoldR step: a decision (cond non-nil)
-// or a leaf. The tree is immutable and may share subtrees; an UnfoldR owns
-// the windows it runs against.
-type stepNode struct {
-	cond      *kexpr
-	then, els *stepNode
-
-	fail error     // leaf: the step fails (z on ragged lists)
-	emit []outPart // leaf: the emitted row; nil emits nothing
-	upd  []stepUpd // leaf: the next state, one update per component
-	// stalls marks a leaf whose progress depends on the data (it emits
-	// nothing and only clears or replaces components): the operator checks
-	// that some component changed length, like interp's unfoldR does.
-	stalls bool
 }
 
 // stepUpd is one component's next state: tailᵐ of itself when keep is set,
@@ -1377,11 +1568,7 @@ func parseStepUpd(e ocal.Expr, i int, v kvars) (stepUpd, bool) {
 			u.row = []outPart{{wholeRow: true, scalar: h}}
 		} else {
 			// Only flat rows: a nested tuple would not project like interp's.
-			elems := []ocal.Expr{rowExpr}
-			if tup, ok := rowExpr.(ocal.Tup); ok && len(tup.Elems) > 1 {
-				elems = tup.Elems
-			}
-			for _, el := range elems {
+			for _, el := range rowElems(rowExpr) {
 				sc, ok := parseScalar(el, v)
 				if !ok {
 					return u, false

@@ -42,11 +42,11 @@ func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) 
 		}
 		tables[name] = tb
 	}
-	out, err := NewTable(scratch, c.outArity, 4<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &Sink{Out: out, Bout: 8, Sim: sim}
+	// The output table takes the first batch's arity: a body that fails on a
+	// late row has emitted rows by then, as wide as it makes them.
+	sink := &Sink{Bout: 8, Sim: sim, Alloc: func(arity int) (*Table, error) {
+		return NewTable(scratch, arity, 4<<10)
+	}}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
 		PoolBytes: pool, BatchRows: batch})
@@ -57,8 +57,8 @@ func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) 
 	run.err = p.Run()
 	if run.err == nil && p.Scalar {
 		run.scalar = p.Result
-	} else if run.err == nil {
-		run.rows = tableRows(out.Flat(), c.outArity)
+	} else if run.err == nil && sink.Out != nil {
+		run.rows = tableRows(sink.Out.Flat(), sink.Out.Arity)
 	}
 	return run
 }
@@ -110,66 +110,156 @@ func twoColTable(n int, f func(i int) (int32, int32)) diffTable {
 	return dt
 }
 
-// TestKernelFallbackUnfusable: a body outside the kernel grammar lowers
-// without a kernel — the interp-compiled closure, the fallback leaf, runs
-// and produces interp's result.
-func TestKernelFallbackUnfusable(t *testing.T) {
+// TestScanTreeShapes: bodies beyond one row under one condition — nested
+// conditionals, a row in the else branch, concatenations — walk their
+// decision tree per row and produce interp's result.
+func TestScanTreeShapes(t *testing.T) {
 	in := twoColTable(50, func(i int) (int32, int32) { return int32(i % 7), int32(i) })
 	cases := []string{
 		// Nested if: Then is not a Single.
 		"for (xB [k1] <- R) for (x <- xB) if x.1 < 3 then (if x.2 < 25 then [x] else []) else []",
 		// Non-empty else branch.
 		"for (xB [k1] <- R) for (x <- xB) if x.1 < 3 then [x] else [<x.2, x.1>]",
-		// Two-row output (list concatenation is outside the grammar).
+		// Two-row output.
 		"for (xB [k1] <- R) for (x <- xB) ([x] ++ [<x.2, x.1>])",
+		// A concatenation of conditionals, a row only in the else branch, no row at all.
+		"for (xB [k1] <- R) for (x <- xB) ((if x.1 < 3 then [x] else []) ++ (if x.2 % 2 == 0 then [] else [<x.2, 0>]))",
+		"for (xB [k1] <- R) for (x <- xB) if x.1 < 3 then [] else [x]",
+		"for (xB [k1] <- R) for (x <- xB) []",
+		// A conditional scalar inside the row.
+		"for (xB [k1] <- R) for (x <- xB) [<x.1, (if x.1 < x.2 then x.2 else x.1)>]",
 	}
 	for _, src := range cases {
-		c := diffCase{src: src, params: map[string]int64{"k1": 4},
-			inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 2}
-		run := assertMatchesInterp(t, c, 7, 0)
-		if run.err != nil {
-			t.Fatalf("%s: run failed: %v", src, run.err)
-		}
-		if pj, ok := run.prog.Root.(*Project); !ok || pj.kern != nil {
-			t.Errorf("%s: want a kernel-less Project at the root, got %T", src, run.prog.Root)
+		for _, batch := range []int64{1, 7, 64} {
+			c := diffCase{src: src, params: map[string]int64{"k1": 4},
+				inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}}
+			if run := assertMatchesInterp(t, c, batch, 0); run.err != nil {
+				t.Fatalf("%s: run failed: %v", src, run.err)
+			}
 		}
 	}
 }
 
-// TestKernelFallbackArity: a spec that parses but cannot bind the input
-// arity (out-of-range column, projection of a scalar row) falls back to
-// the interp closure — including its runtime error.
-func TestKernelFallbackArity(t *testing.T) {
+// TestScanTreeLazyBranches: a branch the condition does not select never
+// evaluates, so its division by zero never fails — in a body and in a
+// conditional scalar — and one that is selected fails with interp's text.
+func TestScanTreeLazyBranches(t *testing.T) {
+	in := twoColTable(30, func(i int) (int32, int32) { return int32(i), int32(i % 5) })
+	for _, src := range []string{
+		"for (xB [k1] <- R) for (x <- xB) if x.2 == 0 then [] else (if (x.1 / x.2) < 3 then [x] else [<x.2, x.1>])",
+		"for (xB [k1] <- R) for (x <- xB) [<x.1, (if x.2 == 0 then 0 else (x.1 / x.2))>]",
+		"for (xB [k1] <- R) for (x <- xB) if x.1 < 7 then [x] else [<(x.1 % x.2), 1>]",
+		"foldL(0, \\<a, x> -> if x.2 == 0 then a else (a + (x.1 / x.2)))(for (xB [k1] <- R) xB)",
+		"foldL(0, \\<a, x> -> if x.1 < 7 then a else (a + (x.1 / x.2)))(for (xB [k1] <- R) xB)",
+	} {
+		assertMatchesInterp(t, diffCase{
+			src: src, params: map[string]int64{"k1": 4},
+			inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2},
+			scalar: strings.HasPrefix(src, "foldL"),
+		}, 7, 0)
+	}
+}
+
+// TestKernelArityErrors: a body that parses but references what the input
+// arity does not have (an out-of-range column, a projection of a scalar row,
+// a whole row in arithmetic) fails with interp's runtime error, on the row
+// where interp evaluates the reference — and not at all on an empty input or
+// behind a condition that never selects it.
+func TestKernelArityErrors(t *testing.T) {
 	in := twoColTable(20, func(i int) (int32, int32) { return int32(i), int32(i * 2) })
 	var col diffTable
 	for i := 0; i < 20; i++ {
 		col.rows = append(col.rows, int32(i))
 		col.value = append(col.value, ocal.Int(int64(i)))
 	}
-	// Column out of range at arity 2: the interp step errors; the kernel
-	// must not silently read a wrong column.
-	assertMatchesInterp(t, diffCase{
-		src:    "for (xB [k1] <- R) for (x <- xB) [x.3]",
-		params: map[string]int64{"k1": 4},
-		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 1,
-	}, 7, 0)
-	// Projection of an arity-1 row (a bare Int in the interp pipeline).
-	assertMatchesInterp(t, diffCase{
-		src:    "for (xB [k1] <- L) for (x <- xB) [x.1]",
-		params: map[string]int64{"k1": 4},
-		inputs: map[string]diffTable{"L": col}, arities: map[string]int{"L": 1}, outArity: 1,
-	}, 7, 0)
-	// Whole-element arithmetic works at arity 1 and falls back at arity 2.
-	assertMatchesInterp(t, diffCase{
-		src:    "for (xB [k1] <- L) for (x <- xB) [(x + 1)]",
-		params: map[string]int64{"k1": 4},
-		inputs: map[string]diffTable{"L": col}, arities: map[string]int{"L": 1}, outArity: 1,
-	}, 7, 0)
-	assertMatchesInterp(t, diffCase{
-		src:    "for (xB [k1] <- R) for (x <- xB) [(x + 1)]",
-		params: map[string]int64{"k1": 4},
-		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 1,
-	}, 7, 0)
+	pairs := func(src string, dt diffTable, scalar bool) {
+		t.Helper()
+		assertMatchesInterp(t, diffCase{
+			src: src, params: map[string]int64{"k1": 4},
+			inputs: map[string]diffTable{"R": dt}, arities: map[string]int{"R": 2}, scalar: scalar,
+		}, 7, 0)
+	}
+	ints := func(src string) {
+		t.Helper()
+		assertMatchesInterp(t, diffCase{
+			src: src, params: map[string]int64{"k1": 4},
+			inputs: map[string]diffTable{"L": col}, arities: map[string]int{"L": 1},
+		}, 7, 0)
+	}
+	// Column out of range at arity 2: never a silent read of a wrong column.
+	pairs("for (xB [k1] <- R) for (x <- xB) [x.3]", in, false)
+	// Projection of an arity-1 row (a bare Int to interp).
+	ints("for (xB [k1] <- L) for (x <- xB) [x.1]")
+	// Whole-element arithmetic works at arity 1 and fails at arity 2, after
+	// both operands evaluated.
+	ints("for (xB [k1] <- L) for (x <- xB) [(x + 1)]")
+	pairs("for (xB [k1] <- R) for (x <- xB) [(x + 1)]", in, false)
+	pairs("for (xB [k1] <- R) for (x <- xB) [((x.2 / x.1) + x)]", in, false)
+	pairs("foldL(0, \\<a, x> -> (a + x))(for (xB [k1] <- R) xB)", in, true)
+	// The failing leaf only fails where it evaluates.
+	pairs("for (xB [k1] <- R) for (x <- xB) if x.1 < 12 then [x] else [<x.3, 1>]", in, false)
+	pairs("for (xB [k1] <- R) for (x <- xB) if x.1 < 100 then [x] else [<x.3, 1>]", in, false)
+	pairs("for (xB [k1] <- R) for (x <- xB) [x.3]", diffTable{}, false)
+	pairs("foldL(7, \\<a, x> -> (a + x.3))(for (xB [k1] <- R) xB)", diffTable{}, true)
+}
+
+// requireLowering lowers src over one two-column table R and requires
+// success (want empty), or an error saying want and printing the grammar.
+func requireLowering(t *testing.T, src, want, grammar string) {
+	t.Helper()
+	sim, scratch, tb := allocTable(t)
+	_, err := Lower(ocal.MustParse(src), LowerOpts{Sim: sim, Inputs: map[string]*Table{"R": tb},
+		Scratch: scratch, Sink: &Sink{Sim: sim}})
+	switch {
+	case want == "" && err != nil:
+		t.Errorf("%s: %v", src, err)
+	case want != "" && (err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), grammar)):
+		t.Errorf("%s: error %v, want %q and the grammar", src, err, want)
+	}
+}
+
+// TestScanGrammarRejects: a scan body outside the grammar does not lower,
+// and the error prints the grammar. A ragged body is inside it: widths only
+// show with the arity (see plan's TestRaggedBodyFails).
+func TestScanGrammarRejects(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`for (x <- R) if x.1 < 3 then [x] else [<x.2>]`, ""},
+		{`for (x <- R) ([] ++ (if true then [<x, 1>] else []))`, ""},
+		{`for (x <- R) [head([x.1])]`, "unsupported row head([x.1])"},
+		{`for (x <- R) [<x.1, [x.2]>]`, "unsupported row "},
+		{`for (x <- R) [<x.1, y>]`, "unsupported row "},
+		{`for (x <- R) if length([x]) == 1 then [x] else []`, "unsupported condition "},
+		{`for (x <- R) if x.1 then [x] else []`, "unsupported condition x.1"},
+		{`for (x <- R) <x.2, x.1>`, "is not a list of rows"},
+		{`for (x <- R) ([x] ++ R)`, "R is not a list of rows"},
+		{`for (x <- R) if x.1 < 3 then [x] else tail([x])`, "tail([x]) is not a list of rows"},
+	} {
+		requireLowering(t, tc.src, tc.want, bodyGrammar)
+	}
+}
+
+// TestFoldGrammarRejects is the fold counterpart: init, step and final
+// lambda outside the grammar.
+func TestFoldGrammarRejects(t *testing.T) {
+	const avg = `(foldL(<0, 0>, \<a, x> -> <a.1 + x.1, a.2 + 1>)(R))`
+	for _, tc := range []struct{ src, want string }{
+		{`foldL(7 - 8, \<a, x> -> if a < x.1 then x.1 else a)(R)`, ""},
+		{`(\a -> <a.2, (if a.2 == 0 then 0 else a.1 / a.2)>)` + avg, ""},
+		// The insertion sort of Table 1: a merge over lists, which only runs
+		// as the treeFold the rules make of it.
+		{`foldL([], unfoldR(mrg))(R)`, "unfoldR(mrg) is not a step"},
+		{`foldL(0, \<a, x> -> a.1 + x.1)(R)`, "unsupported scalar a.1 + x.1"},
+		{`foldL(<0, 0>, \<a, x> -> <a + x.1, 1>)(R)`, "unsupported scalar a + x.1"},
+		{`foldL(<0, 0>, \<a, x> -> a.1 + x.1)(R)`, "the step builds 1 components, init has 2"},
+		{`foldL(0, \<a, x> -> a + length([x]))(R)`, "unsupported scalar "},
+		{`foldL(R, \<a, x> -> a)(R)`, "init: unsupported scalar R"},
+		{`foldL(1 / 0, \<a, x> -> a)(R)`, "init: interp: division by zero"},
+		{`(\a -> a.3)` + avg, "unsupported scalar a.3"},
+		{`(\a -> [<a.1, <a.2, 1>>])` + avg, "unsupported scalar <a.2, 1>"},
+		{`(\a -> [a.1] ++ [a.2])` + avg, "unsupported scalar "},
+	} {
+		requireLowering(t, tc.src, tc.want, bodyGrammar)
+	}
 }
 
 // TestKernelErrorParity: Div/Mod by zero must fail with the interpreter's
@@ -188,7 +278,7 @@ func TestKernelErrorParity(t *testing.T) {
 			assertMatchesInterp(t, diffCase{
 				src:    src,
 				params: map[string]int64{"k1": 4},
-				inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 2,
+				inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2},
 			}, batch, 0)
 		}
 	}
@@ -197,7 +287,7 @@ func TestKernelErrorParity(t *testing.T) {
 		src:    "foldL(0, \\<a, x> -> (a + (x.1 / x.2)))(for (xB [k1] <- R) xB)",
 		params: map[string]int64{"k1": 4},
 		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2},
-		outArity: 1, scalar: true,
+		scalar: true,
 	}, 7, 0)
 }
 
@@ -225,81 +315,51 @@ func TestKernelShapes(t *testing.T) {
 	}
 	for _, src := range srcs {
 		scalar := strings.HasPrefix(src, "foldL")
-		// outArity per case: run through the interp reference to size it.
-		outArity := probeOutArity(t, src, in, scalar)
 		for _, batch := range []int64{1, 7, 64} {
 			for _, pool := range diffPoolBudgets {
 				assertMatchesInterp(t, diffCase{
 					src:    src,
 					params: map[string]int64{"k1": 5},
 					inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 3},
-					outArity: outArity, scalar: scalar,
+					scalar: scalar,
 				}, batch, pool)
 			}
 		}
 	}
 }
 
-// probeOutArity evaluates the program on the interpreter to size the output
-// table.
-func probeOutArity(t *testing.T, src string, in diffTable, scalar bool) int {
-	t.Helper()
-	if scalar {
-		return 1
-	}
-	prog, err := ocal.Parse(src)
-	if err != nil {
-		t.Fatalf("%s: %v", src, err)
-	}
-	v, err := interp.Eval(prog, map[string]ocal.Value{"R": in.value}, map[string]int64{"k1": 5})
-	if err != nil {
-		t.Fatalf("%s: %v", src, err)
-	}
-	rows := valueRows(t, v)
-	if len(rows) == 0 {
-		return 1
-	}
-	return len(rows[0])
-}
+// The zero-alloc suites' bodies: a filter+projection, which runs as the
+// selection-vector kernel, and a nested conditional, which walks its tree.
+const (
+	allocKernelBody = "if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"
+	allocTreeBody   = "if x.1 < 50 then (if x.2 % 2 == 0 then [x] else [<x.2, x.1>]) else []"
+)
 
-// TestStepZeroAllocs: the fallback-leaf Project hot path (hoisted emit
-// binding) and the kernels allocate nothing per block in steady state.
+// TestStepZeroAllocs: a Project allocates nothing per Next in steady state,
+// whichever way its body runs.
 func TestStepZeroAllocs(t *testing.T) {
-	if allocs := stepAllocsPerNext(t, false); allocs > 0 {
-		t.Errorf("fallback-leaf Project.Next allocates %.1f times per call in steady state", allocs)
-	}
-	if allocs := stepAllocsPerNext(t, true); allocs > 0 {
-		t.Errorf("kernel Project.Next allocates %.1f times per call in steady state", allocs)
+	for name, body := range map[string]string{"kernel": allocKernelBody, "tree": allocTreeBody} {
+		p := buildProject(t, body)
+		if allocs := steadyAllocs(t, p); allocs > 0 {
+			t.Errorf("%s Project.Next allocates %.1f times per call in steady state", name, allocs)
+		}
+		p.Close()
 	}
 }
 
-// allocKernel parses the zero-alloc suites' filter+project body.
-func allocKernel(t testing.TB) *scanKernelSpec {
-	spec := parseScanKernel(ocal.MustParse("if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"), "x")
-	if spec == nil {
-		t.Fatal("bench body did not parse as a kernel")
+// allocProject parses body into a Project over in.
+func allocProject(t testing.TB, in Input, body string) *Project {
+	p, err := project(in, 64, ocal.MustParse(body), "x")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return spec
+	return p
 }
 
-// filterStep is the hand-built zero-alloc fallback leaf of the alloc
-// suites: it emits the row as-is, the baseline cost of the Step plumbing
-// without interp boxing.
-func filterStep(row []int32, emit func([]int32)) error {
-	if row[0] < 50 {
-		emit(row)
-	}
-	return nil
-}
-
-// buildProject assembles a filter+project over the alloc table — through
-// the kernel, or through the fallback leaf alone — opened and ready to Next.
-func buildProject(t testing.TB, withKernel bool) *Project {
+// buildProject assembles body over the alloc table, opened and ready to Next.
+func buildProject(t testing.TB, body string) *Project {
 	sim, scratch, tb := allocTable(t)
-	p := &Project{In: TableInput(tb), K: 64, Step: filterStep}
-	if withKernel {
-		p.kern = allocKernel(t)
-	}
+	p := allocProject(t, TableInput(tb), body)
 	if err := p.Open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +382,6 @@ func steadyAllocs(t *testing.T, p *Project) float64 {
 			t.Fatalf("Next: ok=%v err=%v", ok, err)
 		}
 	})
-}
-
-func stepAllocsPerNext(t *testing.T, withKernel bool) float64 {
-	p := buildProject(t, withKernel)
-	defer p.Close()
-	return steadyAllocs(t, p)
 }
 
 // allocTable preloads the shared two-column test table for the zero-alloc
@@ -357,17 +411,12 @@ func allocTable(t testing.TB) (*storage.Sim, *storage.Device, *Table) {
 // TestChainStepZeroAllocs: the opReader re-batching path — an outer
 // Project consuming an inner Project through OpInput — allocates nothing
 // per Next in steady state, whether the outer body runs as a fused kernel
-// or through the Step closure (the interp-compiled fallback leaf's slot).
-// fill appends into reused carry vectors, pop hands out column views, and
-// the outer kernel appends into the reused emitter.
+// or walks its tree. fill appends into reused carry vectors, pop hands out
+// column views, and the outer body appends into the reused emitter.
 func TestChainStepZeroAllocs(t *testing.T) {
-	for _, withKernel := range []bool{false, true} {
-		name := "interpreted"
-		if withKernel {
-			name = "fused"
-		}
+	for name, body := range map[string]string{"fused": allocKernelBody, "tree": allocTreeBody} {
 		t.Run(name, func(t *testing.T) {
-			p := buildChain(t, withKernel)
+			p := buildChain(t, body)
 			defer p.Close()
 			if allocs := steadyAllocs(t, p); allocs > 0 {
 				t.Errorf("%s chained Project.Next allocates %.1f times per call in steady state", name, allocs)
@@ -376,19 +425,12 @@ func TestChainStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// buildChain assembles inner-pass → outer-filter with the outer reading
+// buildChain assembles inner-pass → outer body with the outer reading
 // through opReader, opened and ready to Next.
-func buildChain(t testing.TB, withKernel bool) *Project {
+func buildChain(t testing.TB, body string) *Project {
 	sim, scratch, tb := allocTable(t)
-	passStep := func(row []int32, emit func([]int32)) error {
-		emit(row)
-		return nil
-	}
-	inner := &Project{In: TableInput(tb), K: 64, Step: passStep}
-	p := &Project{In: OpInput(inner), K: 64, Step: filterStep}
-	if withKernel {
-		p.kern = allocKernel(t)
-	}
+	inner := allocProject(t, TableInput(tb), "[x]")
+	p := allocProject(t, OpInput(inner), body)
 	if err := p.Open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch}); err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +444,9 @@ func BenchmarkStepAllocs(b *testing.B) {
 		name  string
 		build func() *Project
 	}{
-		{"fallback", func() *Project { return buildProject(b, false) }},
-		{"kernel", func() *Project { return buildProject(b, true) }},
-		{"chain", func() *Project { return buildChain(b, true) }},
+		{"kernel", func() *Project { return buildProject(b, allocKernelBody) }},
+		{"tree", func() *Project { return buildProject(b, allocTreeBody) }},
+		{"chain", func() *Project { return buildChain(b, allocKernelBody) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := bc.build()
@@ -445,22 +487,18 @@ func FuzzKernelVsInterp(f *testing.F) {
 		f.Add(seed, uint8(6+seed%4)) // the step shapes
 	}
 	f.Add(int64(1124), uint8(6)) // a running sum past int32 decides a later branch
+	for seed := int64(30); seed < 60; seed++ {
+		f.Add(seed, uint8(12+seed%6)) // body trees, conditional scalars, final lambdas
+	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		r := rand.New(rand.NewSource(seed))
-		// Of twelve shapes, 0-5 are the scan and fold bodies below and 6-11
-		// the four kinds of unfoldR step (the generated lambdas twice).
-		if shape%12 >= 6 {
-			c := stepCase(r, int(shape%12-6)%4)
-			prog, err := ocal.Parse(c.src)
-			if err != nil {
-				t.Fatalf("generated step does not parse: %v\n%s", err, c.src)
-			}
-			if v, err := interp.Eval(prog, inputValues(c), c.params); err == nil {
-				if rows := valueRows(t, v); len(rows) > 0 {
-					c.outArity = len(rows[0])
-				}
-			}
-			assertMatchesInterp(t, c, int64(r.Intn(8)+1), 0)
+		// Of eighteen shapes, 0-5 are the one-row scan bodies and arithmetic
+		// folds below, 6-11 the four kinds of unfoldR step (the generated
+		// lambdas twice) and 12-17 body trees, conditional scalars and final
+		// lambdas.
+		shape %= 18
+		if shape >= 6 && shape < 12 {
+			assertMatchesInterp(t, stepCase(r, int(shape-6)%4), int64(r.Intn(8)+1), 0)
 			return
 		}
 		in := randTable(r, 2, 24, 6)
@@ -484,10 +522,56 @@ func FuzzKernelVsInterp(f *testing.F) {
 			}
 			return fmt.Sprintf("%s %s %s", l, ops[r.Intn(len(ops))], rr)
 		}
+		// The widened grammar. Every row is two attributes wide: interp would
+		// run a ragged body, the executor refuses it when it binds the arity.
+		condScalar := func() string {
+			return fmt.Sprintf("(if %s then %s else %s)", cmp(), arith(), cmpScalar())
+		}
+		rowLit := func() string {
+			switch r.Intn(4) {
+			case 0:
+				return "[x]"
+			case 1:
+				return "[<x.2, x.1>]"
+			case 2:
+				return fmt.Sprintf("[<%s, %s>]", cmpScalar(), condScalar())
+			}
+			return fmt.Sprintf("[<%s, %s>]", arith(), cmpScalar())
+		}
+		var body func(depth, kind int) string
+		body = func(depth, kind int) string {
+			switch {
+			case depth == 0 || kind == 0:
+				return rowLit()
+			case kind == 1:
+				return "[]"
+			case kind == 2:
+				return fmt.Sprintf("(%s ++ %s)", body(depth-1, r.Intn(5)), body(depth-1, r.Intn(5)))
+			}
+			return fmt.Sprintf("(if %s then %s else %s)", cmp(), body(depth-1, r.Intn(5)), body(depth-1, r.Intn(5)))
+		}
 		var src string
-		outArity := 2
 		isScalar := false
-		switch shape % 12 {
+		switch shape {
+		case 12: // nested conditionals
+			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then %s else %s", cmp(), body(2, 3), body(1, r.Intn(5)))
+		case 13: // a row in the else branch
+			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then %s else %s", cmp(), rowLit(), rowLit())
+		case 14: // concatenations
+			src = "for (xB [k1] <- R) for (x <- xB) " + body(3, 2)
+		case 15: // a conditional scalar in the filter and in the row
+			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s < %s then [<%s, %s>] else []",
+				condScalar(), cmpScalar(), condScalar(), cmpScalar())
+		case 16: // max/min-style folds: the accumulator decides
+			ops := []string{"<", "<=", ">", ">=", "==", "!="}
+			src = fmt.Sprintf("foldL(%d, \\<a, x> -> if a %s %s then %s else a)(for (xB [k1] <- R) xB)",
+				r.Intn(4), ops[r.Intn(len(ops))], cmpScalar(), arith())
+			isScalar = true
+		case 17: // a final lambda over the accumulator
+			finals := []string{"[(a.1 / (a.2 + %d))]", "(a.1 %% (a.2 + %d))", "<a.2, (a.1 - %d)>", "[<(if a.1 < a.2 then a.1 else a.2), %d>]"}
+			src = fmt.Sprintf("(\\a -> "+finals[r.Intn(len(finals))]+")(foldL(<0, %d>, \\<a, x> -> <(a.1 + %s), (a.2 + 1)>)(for (xB [k1] <- R) xB))",
+				r.Intn(2), r.Intn(2), cmpScalar())
+			isScalar = true
 		case 0:
 			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) [<%s, %s>]", scalar(), arith())
 		case 1:
@@ -500,31 +584,18 @@ func FuzzKernelVsInterp(f *testing.F) {
 		case 4:
 			src = fmt.Sprintf("foldL(0, \\<a, x> -> (a + %s))(for (xB [k1] <- R) xB)", arith())
 			isScalar = true
-			outArity = 1
 		default:
 			src = fmt.Sprintf("foldL(<0, 1>, \\<a, x> -> <(a.1 + %s), (a.2 + a.1)>)(for (xB [k1] <- R) xB)", scalar())
 			isScalar = true
-			outArity = 1
 		}
-		prog, err := ocal.Parse(src)
-		if err != nil {
-			t.Skip() // the generator hit a non-parsing corner (e.g. bare x in arith)
+		if _, err := ocal.Parse(src); err != nil {
+			t.Skipf("%v: %s", err, src) // the generator hit a non-parsing corner (e.g. bare x in arith)
 		}
 		// Some generated shapes are not valid interp programs at all (x as
 		// an arithmetic operand, x.3 on arity 2 …): then the executor must
-		// fail identically, which assertMatchesInterp covers. But the output
-		// table width must match any successful run, so probe first.
+		// fail identically, which assertMatchesInterp covers.
 		c := diffCase{src: src, params: map[string]int64{"k1": int64(r.Intn(6) + 1)},
-			inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2},
-			outArity: outArity, scalar: isScalar}
-		if !isScalar {
-			v, err := interp.Eval(prog, map[string]ocal.Value{"R": in.value}, c.params)
-			if err == nil {
-				if rows := valueRows(t, v); len(rows) > 0 {
-					c.outArity = len(rows[0])
-				}
-			}
-		}
+			inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, scalar: isScalar}
 		assertMatchesInterp(t, c, int64(r.Intn(8)+1), 0)
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ocas/internal/interp"
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
@@ -291,16 +290,14 @@ type srcInfo struct {
 	tiles []int64 // block sizes of inner re-blocking loops (cache tiling)
 }
 
-// project builds one projection of body over in: the kernel spec when the
-// body is inside the kernel grammar, and always the interp closure — the
-// fallback leaf. Both are built per instance: compiled steps carry
-// interpreter state and must not be shared across strands.
+// project builds one projection of body over in. A body outside the scan
+// grammar is an error.
 func project(in Input, k int64, body ocal.Expr, elem string) (*Project, error) {
-	step, err := scanStep(body, elem)
+	tree, err := parseScanBody(body, elem)
 	if err != nil {
 		return nil, err
 	}
-	return &Project{In: in, K: k, Step: step, kern: parseScanKernel(body, elem)}, nil
+	return &Project{In: in, K: k, body: tree}, nil
 }
 
 // lowerLoops recognizes a (possibly blocked and tiled) nested-loops join
@@ -458,33 +455,6 @@ func projIndex(e ocal.Expr, v string) (int, error) {
 		return 0, fmt.Errorf("projection of wrong variable")
 	}
 	return p.I - 1, nil
-}
-
-// scanStep compiles a single-source loop body into a per-row function
-// producing zero or more output rows.
-func scanStep(body ocal.Expr, elem string) (StepFn, error) {
-	fn, err := interp.CompileFunc(ocal.Lam{Params: []string{elem}, Body: body}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return func(row []int32, emit func([]int32)) error {
-		res, err := fn(rowToValue(row))
-		if err != nil {
-			return err
-		}
-		list, ok := res.(ocal.List)
-		if !ok {
-			return fmt.Errorf("exec: scan body must yield a list")
-		}
-		for _, v := range list {
-			r, err := valueToRow(v)
-			if err != nil {
-				return err
-			}
-			emit(r)
-		}
-		return nil
-	}, nil
 }
 
 func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
@@ -689,17 +659,12 @@ func (l *lowerer) lowerUnfold(prog ocal.Expr) (Operator, error, bool) {
 func (l *lowerer) lowerFold(prog ocal.Expr) (Operator, error, bool) {
 	// Optional final lambda around the fold (e.g. avg's division), applied
 	// to the accumulator CPU-side.
-	var finalFn interp.Func
+	var final *ocal.Lam
 	if app, ok := prog.(ocal.App); ok {
 		if lam, isLam := app.Fn.(ocal.Lam); isLam && len(lam.Params) == 1 {
 			if inner, ok := app.Arg.(ocal.App); ok {
 				if _, isFold := inner.Fn.(ocal.FoldL); isFold {
-					fn, err := interp.CompileFunc(lam, l.o.Params)
-					if err != nil {
-						return nil, err, true
-					}
-					finalFn = fn
-					prog = inner
+					final, prog = &lam, inner
 				}
 			}
 		}
@@ -746,13 +711,9 @@ func (l *lowerer) lowerFold(prog ocal.Expr) (Operator, error, bool) {
 		}
 		in = inner
 	}
-	init, err := interp.Eval(fl.Init, nil, l.o.Params)
+	kern, err := parseFoldKernel(fl.Init, fl.Fn, final)
 	if err != nil {
 		return nil, err, true
 	}
-	step, err := interp.CompileFunc(fl.Fn, l.o.Params)
-	if err != nil {
-		return nil, err, true
-	}
-	return &Fold{In: in, K: k, Init: init, Step: step, FinalFn: finalFn, kern: parseFoldKernel(fl.Fn, init)}, nil, true
+	return &Fold{In: in, K: k, kern: kern}, nil, true
 }

@@ -240,15 +240,6 @@ type emitter struct {
 	pos   int
 }
 
-func (e *emitter) emit(row []int32) {
-	if e.arity == 0 {
-		e.reserve(len(row))
-	}
-	for c, v := range row {
-		e.cols[c] = append(e.cols[c], v)
-	}
-}
-
 // emitWide buffers a row held as int64, truncating each attribute to its
 // int32 encoding — the one place an unfoldR step's arithmetic narrows.
 func (e *emitter) emitWide(row []int64) error {

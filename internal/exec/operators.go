@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"ocas/internal/interp"
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
@@ -99,35 +98,25 @@ func (o *Scan) Close() error {
 // ---------------------------------------------------------------------------
 // Project
 
-// StepFn turns one input row into zero or more output rows.
-type StepFn func(row []int32, emit func([]int32)) error
-
 // Project applies a per-row body (projection, filter, arithmetic) to its
-// input. A body inside the kernel grammar runs as a specialized block loop
-// (kern); Step, the interp-compiled closure of the same body, is the
-// fallback leaf for bodies outside the grammar and for arities the spec
-// cannot serve.
+// input: the decision tree parseScanBody compiled, bound to the input arity
+// at the first block and run as a block loop (see projKernel).
 type Project struct {
-	In   Input
-	K    int64 // fused read block in tuples
-	Step StepFn
+	In Input
+	K  int64 // fused read block in tuples
 
-	kern *scanKernelSpec // nil: the body is outside the kernel grammar
+	body *stepNode // the compiled body
 
-	c         *Ctx
-	r         blockReader
-	em        emitter
-	emitFn    func([]int32) // o.em.emit, bound once (a method value allocates)
-	pk        *projKernel
-	kernTried bool
-	done      bool
-	rowBuf    []int32 // fallback-leaf gather scratch
+	c    *Ctx
+	r    blockReader
+	em   emitter
+	pk   *projKernel
+	done bool
 }
 
 func (o *Project) Open(c *Ctx) error {
 	o.c = c
 	o.r = o.In.reader()
-	o.emitFn = o.em.emit
 	return o.r.open(c)
 }
 
@@ -144,32 +133,16 @@ func (o *Project) step() error {
 		o.done = true
 		return nil
 	}
-	ar := o.r.arity()
 	rows := len(blk[0])
 	o.c.cpu(int64(rows), o.c.Sim.CmpSeconds)
-	if o.kern != nil && !o.kernTried {
+	if o.pk == nil {
 		// The input arity is only known at the first block (streamed
-		// subtrees report 0 until then); a failed build means a permanent
-		// fallback to Step.
-		o.kernTried = true
-		o.pk = o.kern.build(ar)
-	}
-	if o.pk != nil {
-		return o.pk.run(&o.em, blk, rows)
-	}
-	if cap(o.rowBuf) < ar {
-		o.rowBuf = make([]int32, ar)
-	}
-	row := o.rowBuf[:ar]
-	for i := 0; i < rows; i++ {
-		for c := 0; c < ar; c++ {
-			row[c] = blk[c][i]
-		}
-		if err := o.Step(row, o.emitFn); err != nil {
+		// subtrees report 0 until then).
+		if o.pk, err = newProjKernel(o.body, o.r.arity()); err != nil {
 			return err
 		}
 	}
-	return nil
+	return o.pk.run(&o.em, blk, rows)
 }
 
 func (o *Project) Next(b *Batch) (bool, error) {
@@ -1148,23 +1121,17 @@ func (o *UnfoldR) Close() error {
 // ---------------------------------------------------------------------------
 // Fold
 
-// Fold executes foldL over one streamed input (aggregation, averages): an
-// integer-accumulator kernel when the step is inside the kernel grammar,
-// else the interp-compiled Step closure. It produces no rows; the
-// accumulator — with the optional final lambda applied — is available as
+// Fold executes foldL over one streamed input (aggregation, averages) as the
+// integer-accumulator kernel parseFoldKernel compiled. It produces no rows;
+// the accumulator — with the optional final lambda applied — is available as
 // Final after the stream completes. The fold itself threads an accumulator
 // and so runs on one strand; its input may be a parallel subtree.
 type Fold struct {
-	In   Input
-	K    int64
-	Init ocal.Value
-	Step interp.Func
-	// FinalFn, when non-nil, is the post-aggregation lambda the synthesized
-	// program applies to the accumulator (e.g. avg's division).
-	FinalFn interp.Func
-	Final   ocal.Value
+	In    Input
+	K     int64
+	Final ocal.Value
 
-	kern *foldKernelSpec // nil: the step is outside the kernel grammar
+	kern *foldKernelSpec
 }
 
 func (o *Fold) Open(c *Ctx) error {
@@ -1177,12 +1144,7 @@ func (o *Fold) Open(c *Ctx) error {
 	if k <= 0 {
 		k = 1
 	}
-	var fk *foldKernel
-	if o.kern != nil {
-		fk = o.kern.newKernel()
-	}
-	acc := o.Init
-	var row []int32 // fallback-leaf gather scratch
+	fk := o.kern.newKernel()
 	for {
 		blk, err := r.next(k)
 		if err != nil {
@@ -1191,47 +1153,15 @@ func (o *Fold) Open(c *Ctx) error {
 		if blk == nil {
 			break
 		}
-		a := r.arity()
 		rows := len(blk[0])
 		c.cpu(int64(rows), c.Sim.CmpSeconds)
-		if fk != nil && !fk.bind(a) {
-			// Arity binding happens at the first block, before any row has
-			// folded — Step takes over from Init.
-			fk = nil
-		}
-		if fk != nil {
-			if err := fk.step(blk, rows); err != nil {
-				return err
-			}
-			continue
-		}
-		if cap(row) < a {
-			row = make([]int32, a)
-		}
-		row = row[:a]
-		for i := 0; i < rows; i++ {
-			for col := 0; col < a; col++ {
-				row[col] = blk[col][i]
-			}
-			v, err := o.Step(ocal.Tuple{acc, rowToValue(row)})
-			if err != nil {
-				return err
-			}
-			acc = v
-		}
-	}
-	if fk != nil {
-		acc = fk.value()
-	}
-	if o.FinalFn != nil {
-		v, err := o.FinalFn(acc)
-		if err != nil {
+		if err := fk.step(blk, rows); err != nil {
 			return err
 		}
-		acc = v
 	}
-	o.Final = acc
-	return nil
+	var err error
+	o.Final, err = fk.result()
+	return err
 }
 
 func (o *Fold) Next(b *Batch) (bool, error) { return false, nil }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
 
@@ -162,37 +161,4 @@ func (s *Sink) Flush() {
 		s.cols[c] = s.cols[c][:0]
 	}
 	s.rows = 0
-}
-
-// rowToValue decodes a flat row into an OCAL tuple (arity 1 decodes to a
-// bare Int).
-func rowToValue(row []int32) ocal.Value {
-	if len(row) == 1 {
-		return ocal.Int(row[0])
-	}
-	t := make(ocal.Tuple, len(row))
-	for i, v := range row {
-		t[i] = ocal.Int(int64(v))
-	}
-	return t
-}
-
-// valueToRow encodes an OCAL value produced by a step function back into a
-// flat row.
-func valueToRow(v ocal.Value) ([]int32, error) {
-	switch x := v.(type) {
-	case ocal.Int:
-		return []int32{int32(x)}, nil
-	case ocal.Tuple:
-		out := make([]int32, 0, len(x))
-		for _, e := range x {
-			r, err := valueToRow(e)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r...)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("exec: cannot encode %s as a row", v)
 }

@@ -372,7 +372,6 @@ func TestUnfoldStepErrors(t *testing.T) {
 // TestUnfoldStepGrammarRejects: a step outside the grammar is a lowering
 // error that prints the grammar — there is no interpreted fallback to take it.
 func TestUnfoldStepGrammarRejects(t *testing.T) {
-	sim, scratch, tb := allocTable(t)
 	for _, tc := range []struct{ src, want string }{
 		{`unfoldR(\g -> <[head(g.1)], <g.1>>)(<R>)`, ""}, // emits for ever, but is in the grammar
 		{`unfoldR(\g -> <[], <g.1>>)(<R>)`, "makes no progress"},
@@ -391,14 +390,7 @@ func TestUnfoldStepGrammarRejects(t *testing.T) {
 		{`unfoldR(z[3])(<R, R>)`, "z[3] over 2 lists"},
 		{`unfoldR(funcPow[1](z[2]))(<R, R>)`, "is not a merge"},
 	} {
-		_, err := Lower(ocal.MustParse(tc.src), LowerOpts{Sim: sim, Inputs: map[string]*Table{"R": tb},
-			Scratch: scratch, Sink: &Sink{Sim: sim}})
-		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%s: %v", tc.src, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), stepGrammar)):
-			t.Errorf("%s: error %v, want %q and the grammar", tc.src, err, tc.want)
-		}
+		requireLowering(t, tc.src, tc.want, stepGrammar)
 	}
 }
 

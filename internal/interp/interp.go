@@ -43,29 +43,11 @@ func (e *env) bind(name string, v val) *env {
 	return &env{name: name, v: v, parent: e}
 }
 
-// Counters tallies the interpreter's work: how many expressions were
-// evaluated, functions applied, primitives executed, and combinator steps
-// taken. They make interpreter runs comparable (a rewritten program should
-// do the same job in fewer steps) and are reported by ocalrun -json.
-type Counters struct {
-	Evals         int64 `json:"evals"`
-	Applies       int64 `json:"applies"`
-	Prims         int64 `json:"prims"`
-	ForSteps      int64 `json:"forSteps"`
-	FoldSteps     int64 `json:"foldSteps"`
-	UnfoldSteps   int64 `json:"unfoldSteps"`
-	TreeFoldSteps int64 `json:"treeFoldSteps"`
-}
-
 // Interp evaluates OCAL expressions with a fixed binding of symbolic
 // parameters (block sizes etc.).
 type Interp struct {
 	params map[string]int64
-	count  Counters
 }
-
-// Counters returns the work tallied so far.
-func (it *Interp) Counters() Counters { return it.count }
 
 // New returns an interpreter that resolves symbolic parameters via params
 // (missing parameters default to 1).
@@ -105,7 +87,6 @@ func (it *Interp) param(p ocal.Param) int64 {
 }
 
 func (it *Interp) eval(e ocal.Expr, en *env) (val, error) {
-	it.count.Evals++
 	switch t := e.(type) {
 	case ocal.Var:
 		v, ok := en.lookup(t.Name)
@@ -134,7 +115,6 @@ func (it *Interp) eval(e ocal.Expr, en *env) (val, error) {
 		if err != nil {
 			return nil, err
 		}
-		it.count.Applies++
 		return f.apply(arg)
 	case ocal.Tup:
 		out := make(ocal.Tuple, len(t.Elems))
@@ -222,7 +202,6 @@ func (it *Interp) eval(e ocal.Expr, en *env) (val, error) {
 			}
 			acc := init
 			for _, v := range l {
-				it.count.FoldSteps++
 				r, err := fn.apply(ocal.Tuple{acc, v})
 				if err != nil {
 					return nil, err
@@ -359,7 +338,6 @@ func (it *Interp) evalFor(f ocal.For, en *env) (val, error) {
 	k := it.param(f.K)
 	var out ocal.List
 	step := func(x ocal.Value) error {
-		it.count.ForSteps++
 		r, err := it.evalValue(f.Body, en.bind(f.X, x))
 		if err != nil {
 			return err
@@ -430,7 +408,6 @@ func (it *Interp) evalTreeFold(t ocal.TreeFold, en *env) (val, error) {
 				}
 			}
 			queue = queue[take:]
-			it.count.TreeFoldSteps++
 			r, err := fn.apply(group)
 			if err != nil {
 				return nil, err
@@ -474,7 +451,6 @@ func (it *Interp) evalUnfoldR(u ocal.UnfoldR, en *env) (val, error) {
 			if done {
 				return out, nil
 			}
-			it.count.UnfoldSteps++
 			r, err := fn.apply(state)
 			if err != nil {
 				return nil, err
@@ -615,7 +591,6 @@ func zipStep(n int) *funcVal {
 }
 
 func (it *Interp) evalPrim(p ocal.Prim, en *env) (val, error) {
-	it.count.Prims++
 	args := make([]ocal.Value, len(p.Args))
 	for i, a := range p.Args {
 		v, err := it.evalValue(a, en)

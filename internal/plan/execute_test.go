@@ -325,6 +325,36 @@ func TestExecOptionsThatCannotApply(t *testing.T) {
 	}
 }
 
+// TestRaggedBodyFails: a scan body whose branches emit rows of different
+// widths fails the execution with an ordinary error when the body binds its
+// input's arity — before any row is emitted, whichever branch the rows would
+// take — and never panics. A body outside the grammar fails at lowering.
+func TestRaggedBodyFails(t *testing.T) {
+	for prog, want := range map[string]string{
+		"for (x <- R) if x.1 < 3 then [x] else [<x.2>]":  "plan: execute: exec: scan body emits rows of 2 and of 1 attributes",
+		"for (x <- R) if x.1 < 3 then [<x.2>] else [x]":  "plan: execute: exec: scan body emits rows of 1 and of 2 attributes",
+		"for (x <- R) if x.1 < 0 then [<x, 1>] else [x]": "plan: execute: exec: scan body emits rows of 3 and of 2 attributes",
+		"for (x <- R) [x] ++ [<x.1, x.2, x.1>]":          "plan: execute: exec: scan body emits rows of 2 and of 3 attributes",
+		"for (x <- R) [head([x.1])]":                     "plan: lower: exec: cannot lower scan body: unsupported row head([x.1])",
+		"foldL(0, \\<a, x> -> head([a + x.1]))(R)":       "plan: lower: exec: cannot lower fold: unsupported scalar head([a + x.1])",
+	} {
+		c, err := Compile(Request{Program: prog, Inputs: map[string]Input{"R": {Node: "hdd", Rows: 512}}, Depth: 3, Space: 200})
+		if err != nil {
+			t.Fatalf("%s: %v", prog, err)
+		}
+		p, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", prog, err)
+		}
+		for _, workers := range []int{1, 4} {
+			_, err := ExecutePlan(context.Background(), c, p, ExecOptions{ExecWorkers: workers})
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s (workers %d): error %v, want %s", prog, workers, err, want)
+			}
+		}
+	}
+}
+
 // TestExecutePlanCancellation: a cancelled context must stop execution
 // even when all the work happens inside an operator's Open phase (a fold
 // root never yields a batch to Program.Run's per-batch check).

@@ -130,6 +130,30 @@ func TestExecuteEndpointRejectsOversizedRuns(t *testing.T) {
 	}
 }
 
+// TestExecuteBodyFailuresAre422: a scan body whose rows differ in width, and
+// a body outside the kernel grammar, answer 422 with the executor's error —
+// no panic reaches the handler — and the daemon keeps serving.
+func TestExecuteBodyFailuresAre422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := func(program string) string {
+		return `{"program": "` + program + `", "hier": "hdd-ram", "ram": 8388608,
+			"inputs": {"R": {"node": "hdd", "rows": 4096}}, "depth": 3, "space": 200}`
+	}
+	for program, want := range map[string]string{
+		"for (x <- R) if x.1 < 3 then [x] else [<x.2>]": "execution failed: plan: execute: exec: scan body emits rows of 2 and of 1 attributes",
+		"for (x <- R) if x.1 < 3 then [<x.2>] else [x]": "execution failed: plan: execute: exec: scan body emits rows of 1 and of 2 attributes",
+		"for (x <- R) [head([x.1])]":                    "execution failed: plan: lower: exec: cannot lower scan body: unsupported row head([x.1])",
+	} {
+		resp, data := postExecute(t, ts, req(program))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), want) {
+			t.Errorf("%s: %d %s, want 422 saying %q", program, resp.StatusCode, data, want)
+		}
+	}
+	if resp, data := postExecute(t, ts, req("for (x <- R) if x.1 < 3 then [x] else [<x.2, x.1>]")); resp.StatusCode != http.StatusOK {
+		t.Errorf("execute after the failures: %d %s", resp.StatusCode, data)
+	}
+}
+
 // TestExecuteRejectsOverridesThatCannotApply: a size override or explicit
 // rows for a name the program does not declare, or a row count below 1, is a
 // 400 naming it — the caller asked to shrink an input and must not be told,
