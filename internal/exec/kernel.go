@@ -640,7 +640,7 @@ func newProjKernel(body *stepNode, ar int) (*projKernel, error) {
 		return nil, err
 	}
 	leaf := root
-	if c := root.cond; c != nil && root.then.emit != nil && root.els.cond == nil && !root.els.concat && root.els.emit == nil {
+	if c, els := root.cond, root.els; c != nil && root.then.emit != nil && els.then == nil && els.emit == nil {
 		k.cond, k.canErr, leaf = c, c.canErr(), root.then
 	}
 	if leaf.emit == nil {
@@ -1452,8 +1452,7 @@ func (n *stepNode) leaf(ws []stepWin) (*stepNode, error) {
 }
 
 // parseUnfoldStep compiles the step of an unfoldR over n state components
-// into its decision tree. A step outside stepGrammar is an error: unfoldR
-// has no interpreted fallback.
+// into its decision tree. A step outside stepGrammar is an error.
 func parseUnfoldStep(fn ocal.Expr, n int) (*stepNode, error) {
 	var root *stepNode
 	var err error

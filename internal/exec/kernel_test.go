@@ -201,6 +201,14 @@ func TestKernelArityErrors(t *testing.T) {
 	pairs("for (xB [k1] <- R) for (x <- xB) if x.1 < 100 then [x] else [<x.3, 1>]", in, false)
 	pairs("for (xB [k1] <- R) for (x <- xB) [x.3]", diffTable{}, false)
 	pairs("foldL(7, \\<a, x> -> (a + x.3))(for (xB [k1] <- R) xB)", diffTable{}, true)
+	// Compared as an integer, a whole row has no interp error to reproduce
+	// (== answers false, an order panics): the executor's own.
+	c := diffCase{src: "for (xB [k1] <- R) for (x <- xB) if x == 3 then [x] else []", params: map[string]int64{"k1": 4},
+		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}}
+	if run := runKernelCase(t, c, ocal.MustParse(c.src), 7, 0); run.err == nil ||
+		run.err.Error() != "exec: a row of 2 attributes used as an integer" {
+		t.Errorf("%s: error %v", c.src, run.err)
+	}
 }
 
 // requireLowering lowers src over one two-column table R and requires
@@ -504,10 +512,11 @@ func FuzzKernelVsInterp(f *testing.F) {
 		in := randTable(r, 2, 24, 6)
 		cols := []string{"x.1", "x.2", "x", "x.3", fmt.Sprint(r.Intn(5))}
 		scalar := func() string { return cols[r.Intn(len(cols))] }
-		// Ordered comparisons never take the whole element: ocal.ValueCompare
-		// panics on an Int-vs-Tuple comparison in the reference interpreter
-		// and the executor's fallback leaf alike, which is outside this
-		// fuzzer's contract (parity with interp, not interpreter robustness).
+		// Comparisons never take the whole element: on an Int-vs-Tuple
+		// comparison the reference interpreter panics (ocal.ValueCompare) or
+		// answers false (==), where the executor fails with an error of its
+		// own ("a row of 2 attributes used as an integer") — outside this
+		// fuzzer's contract (parity with interp on well-typed comparisons).
 		cmpable := []string{"x.1", "x.2", "x.3", fmt.Sprint(r.Intn(5))}
 		cmpScalar := func() string { return cmpable[r.Intn(len(cmpable))] }
 		arith := func() string {

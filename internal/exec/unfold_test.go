@@ -225,7 +225,6 @@ func stepCase(r *rand.Rand, shape int) diffCase {
 	c := diffCase{params: map[string]int64{"k1": int64(r.Intn(6) + 1)},
 		inputs: map[string]diffTable{}, arities: map[string]int{}}
 	arity := r.Intn(2) + 1
-	c.outArity = arity
 	input := func(i, rows int) string {
 		name := fmt.Sprintf("L%d", i+1)
 		c.inputs[name], c.arities[name] = stepTable(r, arity, rows), arity
@@ -253,7 +252,6 @@ func stepCase(r *rand.Rand, shape int) diffCase {
 			c.inputs[name], c.arities[name] = stepRows(r, arity, rows), arity
 			args = append(args, name)
 		}
-		c.outArity = n * arity
 	default:
 		g := &stepGen{r: r, scratch: r.Intn(2), arity: arity}
 		ins := r.Intn(2) + 1
@@ -308,16 +306,16 @@ func TestUnfoldStepShapes(t *testing.T) {
 	}
 	cases := []diffCase{
 		{src: "unfoldR[k1](" + dedup + ")(<[], L>)", inputs: map[string]diffTable{"L": ints},
-			arities: map[string]int{"L": 1}, outArity: 1},
+			arities: map[string]int{"L": 1}},
 		{src: "unfoldR[k1](" + groupby + ")(<R>)", inputs: map[string]diffTable{"R": pairs},
-			arities: map[string]int{"R": 2}, outArity: 2},
+			arities: map[string]int{"R": 2}},
 		{src: "unfoldR[k1](" + unionVM + ")(<A, B>)", inputs: map[string]diffTable{"A": pairs, "B": stepTable(r, 2, 30)},
-			arities: map[string]int{"A": 2, "B": 2}, outArity: 2},
+			arities: map[string]int{"A": 2, "B": 2}},
 		{src: "unfoldR[k1](funcPow[2](mrg))(<A, B, C, D>)",
 			inputs:  map[string]diffTable{"A": ints, "B": stepTable(r, 1, 30), "C": stepTable(r, 1, 0), "D": stepTable(r, 1, 30)},
-			arities: map[string]int{"A": 1, "B": 1, "C": 1, "D": 1}, outArity: 1},
+			arities: map[string]int{"A": 1, "B": 1, "C": 1, "D": 1}},
 		{src: "unfoldR[k1](z[2])(<A, B>)", inputs: map[string]diffTable{"A": pairs, "B": pairs},
-			arities: map[string]int{"A": 2, "B": 2}, outArity: 4},
+			arities: map[string]int{"A": 2, "B": 2}},
 	}
 	for _, c := range cases {
 		for k := int64(1); k <= 4; k++ {
@@ -353,12 +351,9 @@ func TestUnfoldStepErrors(t *testing.T) {
 		{`unfoldR[k1](\g -> <[head(g.1).3], <tail(g.1)>>)(<R>)`, "interp: projection .3 out of range (arity 2)"},
 		{`unfoldR[k1](z[2])(<L, S>)`, "interp: z applied to ragged lists (head of empty list)"},
 	} {
-		c := diffCase{src: tc.src, outArity: 1,
+		c := diffCase{src: tc.src,
 			inputs:  map[string]diffTable{"L": ints, "S": short, "R": pairs},
 			arities: map[string]int{"L": 1, "S": 1, "R": 2}}
-		if strings.Contains(tc.src, "z[2]") {
-			c.outArity = 2
-		}
 		for k := int64(1); k <= 5; k++ {
 			c.params = map[string]int64{"k1": k}
 			run := assertMatchesInterp(t, c, 3, 0)
@@ -419,7 +414,7 @@ func TestUnfoldSumStaysWide(t *testing.T) {
 		`then (if head(g.1).2 > 0 then <[<1, head(g.1).2>], <[]>> else <[<0, head(g.1).2>], <[]>>) ` +
 		`else <[], <[<head(g.1).1, head(g.1).2 + head(tail(g.1)).2>] ++ tail(tail(g.1))>>)(<R>)`
 	c := diffCase{src: src, params: map[string]int64{"k1": 2},
-		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, outArity: 2}
+		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}}
 	run := assertMatchesInterp(t, c, 4, 0)
 	if want := [][]int32{{1, -2}}; run.err != nil || fmt.Sprint(run.rows) != fmt.Sprint(want) {
 		t.Fatalf("rows %v, err %v; want %v", run.rows, run.err, want)
