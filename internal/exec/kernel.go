@@ -458,8 +458,8 @@ func cmpHolds(op ocal.PrimOp, a, b int64) bool {
 // ---------------------------------------------------------------------------
 // Scan/filter/project kernels
 
-// bodyGrammar is what parseScanBody and parseFoldKernel accept, printed with
-// every rejection.
+// bodyGrammar is what parseScanBody and parseFoldKernel accept; Lower prints
+// it with every rejection.
 const bodyGrammar = `the scan and fold grammar over the loop element x (in a fold, the accumulator a of n components):
   body   = [] | [row] | body ++ body | if cond then body else body
   row    = x | scalar | <row, …>, every row of a body as wide as the others
@@ -499,18 +499,29 @@ type stepNode struct {
 	stalls bool
 }
 
-// parseScanBody compiles a single-source loop body into its decision tree.
-// The tree is arity-independent: a streamed input's arity is only known at
-// run time, where newProjKernel binds a copy.
-func parseScanBody(body ocal.Expr, elem string) (*stepNode, error) {
-	root, err := parseBodyTree(body, kvars{elem: elem})
-	if err != nil {
-		return nil, fmt.Errorf("exec: cannot lower scan body: %v\n%s", err, bodyGrammar)
+// parseDecision parses the decision node both kinds of tree share, its
+// branches through sub.
+func parseDecision(t ocal.If, v kvars, sub func(ocal.Expr, kvars) (*stepNode, error)) (*stepNode, error) {
+	cond, ok := parseCond(t.Cond, v)
+	if !ok {
+		return nil, fmt.Errorf("unsupported condition %s", ocal.String(t.Cond))
 	}
-	return root, nil
+	then, err := sub(t.Then, v)
+	if err != nil {
+		return nil, err
+	}
+	els, err := sub(t.Else, v)
+	if err != nil {
+		return nil, err
+	}
+	return &stepNode{cond: cond, then: then, els: els}, nil
 }
 
-func parseBodyTree(e ocal.Expr, v kvars) (*stepNode, error) {
+// parseScanBody compiles a single-source loop body over v.elem into its
+// decision tree; an error says what is outside bodyGrammar. The tree is
+// arity-independent: a streamed input's arity is only known at run time,
+// where newProjKernel binds a copy.
+func parseScanBody(e ocal.Expr, v kvars) (*stepNode, error) {
 	switch t := e.(type) {
 	case ocal.Empty:
 		return &stepNode{}, nil
@@ -521,26 +532,14 @@ func parseBodyTree(e ocal.Expr, v kvars) (*stepNode, error) {
 		}
 		return &stepNode{emit: emit}, nil
 	case ocal.If:
-		cond, ok := parseCond(t.Cond, v)
-		if !ok {
-			return nil, fmt.Errorf("unsupported condition %s", ocal.String(t.Cond))
-		}
-		then, err := parseBodyTree(t.Then, v)
-		if err != nil {
-			return nil, err
-		}
-		els, err := parseBodyTree(t.Else, v)
-		if err != nil {
-			return nil, err
-		}
-		return &stepNode{cond: cond, then: then, els: els}, nil
+		return parseDecision(t, v, parseScanBody)
 	case ocal.Prim:
 		if t.Op == ocal.OpConcat && len(t.Args) == 2 {
-			l, err := parseBodyTree(t.Args[0], v)
+			l, err := parseScanBody(t.Args[0], v)
 			if err != nil {
 				return nil, err
 			}
-			r, err := parseBodyTree(t.Args[1], v)
+			r, err := parseScanBody(t.Args[1], v)
 			if err != nil {
 				return nil, err
 			}
@@ -1109,16 +1108,9 @@ func parseScalars(row ocal.Expr, v kvars) ([]*kexpr, error) {
 }
 
 // parseFoldKernel compiles a fold: its init, its step fn and the final lambda
-// applied to its result (nil: none). A fold outside bodyGrammar is an error.
+// applied to its result (nil: none); an error says what is outside
+// bodyGrammar.
 func parseFoldKernel(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, error) {
-	spec, err := parseFold(init, fn, final)
-	if err != nil {
-		return nil, fmt.Errorf("exec: cannot lower fold: %v\n%s", err, bodyGrammar)
-	}
-	return spec, nil
-}
-
-func parseFold(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, error) {
 	lam, ok := fn.(ocal.Lam)
 	if !ok || len(lam.Params) != 2 {
 		return nil, fmt.Errorf("%s is not a step \\<a, x> -> …", ocal.String(fn))
@@ -1160,21 +1152,16 @@ func (s *foldKernelSpec) newKernel() *foldKernel {
 	return k
 }
 
-// bind specializes the body to the input arity.
-func (k *foldKernel) bind(ar int) {
-	for _, fe := range k.spec.body {
-		f := fe.bind(ar)
-		k.canErr = k.canErr || f.canErr()
-		k.bodyF = append(k.bodyF, f)
-	}
-}
-
 // step folds one column block into the accumulator. Body components
 // evaluate against the pre-row accumulator (all reads before any write),
 // like interp rebuilding the accumulator tuple from the old one.
 func (k *foldKernel) step(cols [][]int32, rows int) error {
 	if k.bodyF == nil {
-		k.bind(len(cols))
+		for _, fe := range k.spec.body {
+			f := fe.bind(len(cols))
+			k.canErr = k.canErr || f.canErr()
+			k.bodyF = append(k.bodyF, f)
+		}
 	}
 	if k.canErr {
 		for i := 0; i < rows; i++ {
@@ -1486,19 +1473,7 @@ func parseUnfoldStep(fn ocal.Expr, n int) (*stepNode, error) {
 func parseStepTree(e ocal.Expr, v kvars) (*stepNode, error) {
 	switch t := e.(type) {
 	case ocal.If:
-		cond, ok := parseCond(t.Cond, v)
-		if !ok {
-			return nil, fmt.Errorf("unsupported condition %s", ocal.String(t.Cond))
-		}
-		then, err := parseStepTree(t.Then, v)
-		if err != nil {
-			return nil, err
-		}
-		els, err := parseStepTree(t.Else, v)
-		if err != nil {
-			return nil, err
-		}
-		return &stepNode{cond: cond, then: then, els: els}, nil
+		return parseDecision(t, v, parseStepTree)
 	case ocal.Tup:
 		if len(t.Elems) == 2 {
 			return parseStepLeaf(t, v)

@@ -293,9 +293,9 @@ type srcInfo struct {
 // project builds one projection of body over in. A body outside the scan
 // grammar is an error.
 func project(in Input, k int64, body ocal.Expr, elem string) (*Project, error) {
-	tree, err := parseScanBody(body, elem)
+	tree, err := parseScanBody(body, kvars{elem: elem})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exec: cannot lower scan body: %v\n%s", err, bodyGrammar)
 	}
 	return &Project{In: in, K: k, body: tree}, nil
 }
@@ -713,7 +713,7 @@ func (l *lowerer) lowerFold(prog ocal.Expr) (Operator, error, bool) {
 	}
 	kern, err := parseFoldKernel(fl.Init, fl.Fn, final)
 	if err != nil {
-		return nil, err, true
+		return nil, fmt.Errorf("exec: cannot lower fold: %v\n%s", err, bodyGrammar), true
 	}
 	return &Fold{In: in, K: k, kern: kern}, nil, true
 }
