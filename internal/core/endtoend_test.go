@@ -90,10 +90,9 @@ func TestSynthesizedJoinExecutesLikeSpec(t *testing.T) {
 	}
 
 	gotCounts := map[[4]int32]int{}
-	flat := out.Flat()
-	for i := 0; i+4 <= len(flat); i += 4 {
-		var row [4]int32
-		copy(row[:], flat[i:i+4])
+	cols, n := out.View(0, out.Rows(), nil)
+	for i := int64(0); i < n; i++ {
+		row := [4]int32{cols[0][i], cols[1][i], cols[2][i], cols[3][i]}
 		// The winner may have swapped the relations: normalize so the
 		// R-tuple comes first (R payloads are even indices by seed; use
 		// key equality so both orders compare equal).

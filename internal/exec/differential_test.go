@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -23,6 +24,9 @@ import (
 // batch sizes and buffer-pool budgets small enough to force frame shrinking
 // and spilling. Order is compared only where the physical operator
 // guarantees it (sorting).
+
+// defaultStride is the readers' stride outside the tests that move it.
+var defaultStride = physStride
 
 // diffBatchSizes are the operator exchange granularities every case runs at.
 var diffBatchSizes = []int64{1, 7, 64}
@@ -157,8 +161,9 @@ type diffCase struct {
 }
 
 // execDiff lowers and executes one configuration of the case, returning the
-// produced rows (or the scalar result).
-func execDiff(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBytes int64) ([][]int32, ocal.Value) {
+// produced rows (or the scalar result) and what the run charged: the clock's
+// bits, the device ledger and the pool's counters.
+func execDiff(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBytes int64) ([][]int32, ocal.Value, string) {
 	t.Helper()
 	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
 	scratch, err := sim.Device("hdd")
@@ -191,13 +196,15 @@ func execDiff(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBytes int
 	if err := p.Run(); err != nil {
 		t.Fatalf("run (batch %d, pool %d): %v\n%s", batchRows, poolBytes, err, c.src)
 	}
+	charges := fmt.Sprintf("clock %016x, ledger %+v, pool %+v",
+		math.Float64bits(sim.Clock.Seconds()), scratch.Led, p.Pool().Stats())
 	if c.scalar {
 		if !p.Scalar {
 			t.Fatalf("expected a scalar program, got %T\n%s", p.Root, c.src)
 		}
-		return nil, p.Result
+		return nil, p.Result, charges
 	}
-	return tableRows(out.Flat(), c.outArity), nil
+	return tableRows(out.Flat(), c.outArity), nil, charges
 }
 
 // runDiff executes the case at every batch size and pool budget, comparing
@@ -229,7 +236,18 @@ func runDiff(t *testing.T, c diffCase) {
 
 	for _, batch := range diffBatchSizes {
 		for _, pool := range diffPoolBudgets {
-			rows, scalar := execDiff(t, c, prog, batch, pool)
+			rows, scalar, charges := execDiff(t, c, prog, batch, pool)
+			// The charges are the modelled blocks', whatever the readers'
+			// host stride: a row at a time, or a count no block size divides.
+			for _, stride := range []int64{1, 7} {
+				physStride = stride
+				_, _, got := execDiff(t, c, prog, batch, pool)
+				physStride = defaultStride
+				if got != charges {
+					t.Fatalf("%s (batch %d, pool %d) charges at stride %d\n%s, at the default stride\n%s",
+						c.src, batch, pool, stride, got, charges)
+				}
+			}
 			if c.scalar {
 				if !ocal.ValueEq(scalar, want) {
 					t.Fatalf("fold (batch %d, pool %d): plan %s, interpreter %s\n%s",
@@ -467,7 +485,7 @@ func TestConcurrentPrograms(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, _ := execDiff(t, diffCase{
+			rows, _, _ := execDiff(t, diffCase{
 				src:     src,
 				inputs:  map[string]diffTable{"R": R, "S": S},
 				arities: map[string]int{"R": 2, "S": 2}, outArity: 4,

@@ -73,6 +73,24 @@ func (b *Batch) Flat() []int32 {
 	return out
 }
 
+// Flat gathers the table row-major without charging: the tests' look at an
+// output table.
+func (t *Table) Flat() []int32 { return flatSpill(t.Spill) }
+
+func flatSpill(sp *storage.Spill) []int32 {
+	cols, n := sp.View(0, sp.Records(), nil)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, 0, int(n)*len(cols))
+	for i := int64(0); i < n; i++ {
+		for _, col := range cols {
+			out = append(out, col[i])
+		}
+	}
+	return out
+}
+
 // tapRows adapts a row-at-a-time observer to Sink.Tap.
 func tapRows(f func(row []int32)) func(*Batch) {
 	var row []int32

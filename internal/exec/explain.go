@@ -68,17 +68,12 @@ type opSnap struct {
 }
 
 func (w *instr) snap() opSnap {
+	// Wrappers run on the driver strand, which owns the account they read
+	// (see storage.Acct).
 	a := w.c.acct()
-	secs := a.Seconds()
-	if w.c.Sim != nil && a == w.c.Sim.Root() {
-		// The direct root charges the shared clock, not the strand
-		// accumulator; only the driver reads it here, and partition strands
-		// never advance it, so the read is race-free.
-		secs = w.c.Sim.Clock.Seconds()
-	}
 	s := opSnap{
 		wall: time.Now(),
-		secs: secs,
+		secs: a.Seconds(),
 		br:   a.BytesRead(), bw: a.BytesWrite(),
 		ri: a.ReadInits(), wi: a.WriteInits(),
 	}

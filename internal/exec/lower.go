@@ -22,8 +22,11 @@ type LowerOpts struct {
 	// PoolBytes bounds the buffer pool; 0 defaults to RAMBytes, and a
 	// negative value means unlimited.
 	PoolBytes int64
-	// BatchRows is the operator exchange batch size (0 = DefaultBatchRows).
-	// It never changes results, only how many rows travel per Next call.
+	// BatchRows is the operator exchange batch size (0 = DefaultBatchRows):
+	// how many rows travel per Next call, and so how often the sink's writes
+	// interleave with the operators' reads. Results never depend on it; the
+	// initiations of an output device that also holds an input do (see
+	// plan.ExecOptions.BatchRows).
 	BatchRows int64
 	// ExecWorkers bounds how many partition tasks of the morsel-driven
 	// parallel sections run concurrently (<= 1: inline). Partition degrees

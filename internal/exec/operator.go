@@ -10,7 +10,8 @@ import (
 
 // DefaultBatchRows is the operator exchange granularity when LowerOpts does
 // not choose one. Batches bound how many rows travel between operators per
-// Next call; they never change results, only scheduling granularity.
+// Next call; they never change results, only scheduling granularity (and,
+// with it, where the sink's writes fall among the reads).
 const DefaultBatchRows = 64
 
 // Ctx is the execution context of one strand of a program run: the storage
@@ -18,13 +19,13 @@ const DefaultBatchRows = 64
 // buffer pool (or pool share) that accounts and bounds resident working
 // memory, the scratch device for spills, the batch size of the operator
 // protocol and the worker budget for parallel sections. The driver strand
-// charges the simulator's root account directly; every partition task of a
+// charges the simulator's root account, which it owns; every partition task of a
 // parallel phase runs on a child Ctx with a private account and a fixed
 // pool share, so its charges depend only on the partition, never on worker
 // count or goroutine scheduling.
 type Ctx struct {
 	Sim     *storage.Sim
-	Acct    *storage.Acct // nil = the simulator's direct root account
+	Acct    *storage.Acct // nil = the simulator's root account
 	Pool    *storage.BufferPool
 	Scratch *storage.Device
 	// BatchRows is the operator exchange batch size (0 = DefaultBatchRows).
@@ -321,6 +322,18 @@ type blockReader interface {
 	// c of row r, row count = len(cols[0])), or nil at end of stream. The
 	// views are valid until the following next/take/close call.
 	next(k int64) ([][]int32, error)
+	// span returns, uncharged, the rows ahead as whole blocks of up to kk
+	// rows each — what as many next(k) calls would return one by one, only
+	// the last block short — or nil at end of stream. The caller works
+	// through the blocks in order and settles the ones it consumed before
+	// its strand's next other charge and before it returns to its own
+	// caller; the views are valid until the following next/span/take/close
+	// call.
+	span(k int64) (cols [][]int32, kk int64, err error)
+	// settle charges the reads of the first rows rows of the last span —
+	// whole blocks — each followed by cpu(the block's rows, perRow), and
+	// moves past them.
+	settle(rows int64, perRow float64)
 	// take reads up to k rows into a caller-owned pooled block (the join
 	// operators' resident outer blocks).
 	take(k int64) (*ownedBlock, error)
@@ -364,14 +377,28 @@ func frameCols(f *storage.Frame, arity int) [][]int32 {
 	return cols
 }
 
+// physStride is how many rows a tableReader asks a spill for at a time when
+// the modelled block is smaller: the optimizer is free to tune a sequential
+// stream's block to a single row, and the host should not then pay a call
+// chain per row. Charges never see it — they are a function of the modelled
+// blocks alone (Spill.ChargeReads) — which the stride tests check by moving
+// it; it is a variable only so that they can.
+var physStride int64 = 4096
+
 // tableReader scans one or more device-resident spills — a base table, a
 // materialized intermediate, the chained per-producer segments of an
 // exchange partition, or a record section of one of those (the morsel range
 // of an exchange task) — block by block. Blocks
-// are zero-copy column views into the spill (ReadColsAt); the pooled frame
+// are zero-copy column views into the spill; the pooled frame
 // accounts the block's RAM residency and its grant still bounds the block
 // size, exactly as when the frame carried the bytes. Positions are global
 // across the chain.
+//
+// The host side works a stretch at a time: one Spill.View of about
+// physStride rows, cut into whole modelled blocks, from which next and span
+// hand out sub-views. A block is charged when it is handed out (next) or
+// when its consumer settles it (span), so the strand's charge sequence is
+// the one a fetch per block would leave.
 type tableReader struct {
 	sps []*storage.Spill
 	ar  int
@@ -381,7 +408,14 @@ type tableReader struct {
 
 	pos   int64
 	frame *storage.Frame
-	view  [][]int32 // reused ReadColsAt header
+
+	// The stretch: rows [from, to) of the chain, which are sp's records from
+	// base on, cut for blocks of cut rows.
+	sp        *storage.Spill
+	base, cut int64
+	from, to  int64
+	phys      [][]int32 // the stretch's View header
+	view      [][]int32 // header of the sub-view handed out last
 }
 
 func newSpillReader(sp *storage.Spill, arity int) *tableReader {
@@ -404,17 +438,14 @@ func (r *tableReader) end() int64 {
 	return total
 }
 
-// readColsAt charges and returns column views of up to n records at global
-// position idx, resolving the spill segment that holds it (fewer records
-// are returned at a segment boundary; the caller loops). dst is reused as
-// the view header.
-func (r *tableReader) readColsAt(idx, n int64, dst [][]int32) ([][]int32, int64) {
+// locate resolves the spill segment holding global position idx and idx's
+// record index within it.
+func (r *tableReader) locate(idx int64) (*storage.Spill, int64) {
 	for _, sp := range r.sps {
-		if idx >= sp.Records() {
-			idx -= sp.Records()
-			continue
+		if idx < sp.Records() {
+			return sp, idx
 		}
-		return sp.ReadColsAt(r.c.acct(), idx, n, dst)
+		idx -= sp.Records()
 	}
 	return nil, 0
 }
@@ -443,25 +474,74 @@ func (r *tableReader) ensure(k int64) (int64, error) {
 	return k, nil
 }
 
+// ahead makes the stretch cover the read position, cut for blocks of up to k
+// rows, and returns the position's offset into it and the block size the
+// pool granted; rows 0 is the end of the stream. A stretch ends with the
+// spill segment or the read range, so only the last block of one is ever
+// short. A grant below k is re-pinned block by block (the pool's counters
+// and the next grant are part of the contract), so such a stretch is one
+// block.
+func (r *tableReader) ahead(k int64) (off, rows, kk int64, err error) {
+	held := r.pos >= r.from && r.pos < r.to
+	if !held {
+		if err = r.c.err(); err != nil {
+			return 0, 0, 0, err
+		}
+		if r.pos >= r.end() {
+			return 0, 0, 0, nil // before any pin: an empty input pins nothing
+		}
+	}
+	if kk, err = r.ensure(k); err != nil {
+		return 0, 0, 0, err
+	}
+	if held && kk == r.cut {
+		return r.pos - r.from, r.to - r.pos, kk, nil
+	}
+	n := kk
+	if kk >= k && kk < physStride {
+		n = physStride / kk * kk
+	}
+	n = min(n, r.end()-r.pos)
+	r.sp, r.base = r.locate(r.pos)
+	r.phys, n = r.sp.View(r.base, n, r.phys)
+	r.from, r.to, r.cut = r.pos, r.pos+n, kk
+	return 0, n, kk, nil
+}
+
+// sub hands out rows [off, off+n) of the stretch.
+func (r *tableReader) sub(off, n int64) [][]int32 {
+	if cap(r.view) < len(r.phys) {
+		r.view = make([][]int32, len(r.phys))
+	}
+	r.view = r.view[:len(r.phys)]
+	for c, col := range r.phys {
+		r.view[c] = col[off : off+n]
+	}
+	return r.view
+}
+
 func (r *tableReader) next(k int64) ([][]int32, error) {
-	if err := r.c.err(); err != nil {
+	off, rows, kk, err := r.ahead(k)
+	if err != nil || rows == 0 {
 		return nil, err
 	}
-	end := r.end()
-	if r.pos >= end {
-		return nil, nil
-	}
-	k, err := r.ensure(k)
-	if err != nil {
-		return nil, err
-	}
-	if r.pos+k > end {
-		k = end - r.pos
-	}
-	cols, n := r.readColsAt(r.pos, k, r.view)
-	r.view = cols
-	r.pos += n
+	rows = min(rows, kk)
+	cols := r.sub(off, rows)
+	r.settle(rows, 0)
 	return cols, nil
+}
+
+func (r *tableReader) span(k int64) ([][]int32, int64, error) {
+	off, rows, kk, err := r.ahead(k)
+	if err != nil || rows == 0 {
+		return nil, 0, err
+	}
+	return r.sub(off, rows), kk, nil
+}
+
+func (r *tableReader) settle(rows int64, perRow float64) {
+	r.sp.ChargeReads(r.c.acct(), r.base+r.pos-r.from, r.cut, rows, perRow)
+	r.pos += rows
 }
 
 func (r *tableReader) take(k int64) (*ownedBlock, error) {
@@ -482,7 +562,8 @@ func (r *tableReader) take(k int64) (*ownedBlock, error) {
 	if r.pos+k > end {
 		k = end - r.pos
 	}
-	cols, n := r.readColsAt(r.pos, k, nil)
+	sp, idx := r.locate(r.pos)
+	cols, n := sp.ReadColsAt(r.c.acct(), idx, k, nil)
 	r.pos += n
 	return &ownedBlock{frame: f, cols: cols, n: n}, nil
 }
@@ -628,6 +709,18 @@ func (r *opReader) next(k int64) ([][]int32, error) {
 	r.view = cols
 	return cols, nil
 }
+
+// span is next: the child charged for the block while producing it, which
+// leaves settle the consumer's own charge.
+func (r *opReader) span(k int64) ([][]int32, int64, error) {
+	cols, err := r.next(k)
+	if cols == nil {
+		return nil, 0, err
+	}
+	return cols, int64(len(cols[0])), nil
+}
+
+func (r *opReader) settle(rows int64, perRow float64) { r.c.cpu(rows, perRow) }
 
 func (r *opReader) take(k int64) (*ownedBlock, error) {
 	if k < 1 {

@@ -111,6 +111,7 @@ type Project struct {
 	r    blockReader
 	em   emitter
 	pk   *projKernel
+	blk  [][]int32 // header of the block the kernel is running over
 	done bool
 }
 
@@ -120,35 +121,49 @@ func (o *Project) Open(c *Ctx) error {
 	return o.r.open(c)
 }
 
-func (o *Project) step() error {
+// step runs the body over the blocks ahead, one by one, until the emitter
+// holds max rows or the span is used up, and settles the blocks it ran:
+// their reads, each followed by the CPU charge of its rows.
+func (o *Project) step(max int64) error {
 	k := o.K
 	if k <= 0 {
 		k = o.c.batchRows()
 	}
-	blk, err := o.r.next(k)
+	span, kk, err := o.r.span(k)
 	if err != nil {
 		return err
 	}
-	if blk == nil {
+	if span == nil {
 		o.done = true
 		return nil
 	}
-	rows := len(blk[0])
-	o.c.cpu(int64(rows), o.c.Sim.CmpSeconds)
 	if o.pk == nil {
 		// The input arity is only known at the first block (streamed
 		// subtrees report 0 until then).
 		if o.pk, err = newProjKernel(o.body, o.r.arity()); err != nil {
 			return err
 		}
+		o.blk = make([][]int32, len(span))
 	}
-	return o.pk.run(&o.em, blk, rows)
+	rows, used := int64(len(span[0])), int64(0)
+	for used < rows && o.em.rows() < max {
+		n := min(kk, rows-used)
+		for c, col := range span {
+			o.blk[c] = col[used : used+n]
+		}
+		if err := o.pk.run(&o.em, o.blk, int(n)); err != nil {
+			return err
+		}
+		used += n
+	}
+	o.r.settle(used, o.c.Sim.CmpSeconds)
+	return nil
 }
 
 func (o *Project) Next(b *Batch) (bool, error) {
 	max := o.c.batchRows()
 	for !o.done && o.em.rows() < max {
-		if err := o.step(); err != nil {
+		if err := o.step(max); err != nil {
 			return false, err
 		}
 	}
@@ -197,16 +212,19 @@ type BNLJoin struct {
 	ob           *ownedBlock
 	idx          probeIdx // equi-join index over the resident outer block
 	// hbuf caches each inner row's bucket bounds (start<<32|end) for the
-	// current (outer block, inner block) pair: the gather pass issues the
+	// current (outer block, inner span) pair: the gather pass issues the
 	// random offset loads with independent iterations (the CPU overlaps
 	// them), so the match walk only visits rows with candidates.
 	hbuf []uint64
 	em   emitter
 	done bool
-	// Resume state within the current (outer block, inner block) pair, so
+	// Resume state within the current (outer block, inner rows) pair, so
 	// one Next call never has to buffer a whole block pair's matches.
 	yb         [][]int32
 	posA, posB int64
+	// An equi-join's yb spans inner blocks of ykk rows; the probe has begun
+	// (and counted) the blocks before row begun.
+	ykk, begun int64
 }
 
 func (o *BNLJoin) Open(c *Ctx) error {
@@ -283,12 +301,15 @@ func (o *BNLJoin) advanceOuter() error {
 	return o.inner.rewind()
 }
 
-// step joins the resident outer block against the current inner block,
-// fetching the next inner block (and, at inner end-of-stream, the next
-// outer block) as needed. Processing is resumable: it stops once the
-// emitter holds a batch worth of rows, so a selective key or a product
-// never buffers a whole block pair's matches at once.
+// step joins the resident outer block against the inner rows ahead,
+// fetching the next of them (and, at inner end-of-stream, the next outer
+// block) as needed. Processing is resumable: it stops once the emitter holds
+// a batch worth of rows, so a selective key or a product never buffers a
+// whole block pair's matches at once.
 func (o *BNLJoin) step() error {
+	if o.keys != nil {
+		return o.stepEqui()
+	}
 	if o.yb == nil {
 		k2 := o.K2
 		if k2 <= 0 {
@@ -302,109 +323,137 @@ func (o *BNLJoin) step() error {
 			return o.advanceOuter()
 		}
 		o.yb, o.posA, o.posB = yb, 0, 0
-		// Charges are per block pair: an equi-join probes each inner tuple
-		// once; a product visits every pair.
-		ra, sa := int64(o.outer.arity()), int64(o.inner.arity())
+		// Charges are per block pair: a product visits every pair.
 		nx, ny := o.ob.n, int64(len(yb[0]))
-		if o.keys != nil {
-			o.c.cpu(ny, o.c.Sim.HashSeconds)
-			// Gather pass: one bucket-bounds pair per inner row, computed once
-			// per block pair (resumed pauses reuse it).
-			if int64(cap(o.hbuf)) < ny {
-				o.hbuf = make([]uint64, ny)
-			}
-			o.hbuf = o.hbuf[:ny]
-			hbuf, offs, shift := o.hbuf, o.idx.offs, o.idx.shift
-			ykeys := yb[o.keys[1]]
-			for b := int64(0); b < ny; b++ {
-				h := probeHash(ykeys[b], shift)
-				hbuf[b] = uint64(offs[h])<<32 | uint64(uint32(offs[h+1]))
-			}
-		} else {
-			o.c.cpu(nx*ny, o.c.Sim.CmpSeconds)
-		}
-		o.countCacheMisses(nx, ny, ra, sa)
+		o.c.cpu(nx*ny, o.c.Sim.CmpSeconds)
+		o.countCacheMisses(nx, ny, int64(o.outer.arity()), int64(o.inner.arity()))
 	}
 	xb, yb := o.ob.cols, o.yb
-	ra, sa := o.outer.arity(), o.inner.arity()
 	nx, ny := o.ob.n, int64(len(yb[0]))
 	max := o.c.batchRows()
-	o.em.reserve(ra + sa)
-	// xout and yout alias the emitter's column-header array, so appends
-	// through them persist: the output's x-side columns come first unless
-	// the emit order is flipped.
-	ecols := o.em.cols
-	var xout, yout [][]int32
-	if o.flip {
-		yout, xout = ecols[:sa], ecols[sa:]
-	} else {
-		xout, yout = ecols[:ra], ecols[ra:]
-	}
-	if o.keys != nil {
-		ents := o.idx.ents
-		hbuf := o.hbuf
-		ykeys := yb[o.keys[1]]
-		for b := o.posB; b < ny; b++ {
-			if o.em.rows() >= max {
-				o.posB = b
+	xout, yout := o.outCols()
+	// Relational product: every pair matches, so each (outer row, inner
+	// run) pair is a constant fill on the x side and a contiguous column
+	// copy on the y side, stopping exactly when the emitter reaches a
+	// batch.
+	b := o.posB
+	for a := o.posA; a < nx; a++ {
+		for b < ny {
+			room := max - o.em.rows()
+			if room <= 0 {
+				o.posA, o.posB = a, b
 				return nil
 			}
-			bounds := hbuf[b]
-			i, e := int32(bounds>>32), int32(uint32(bounds))
-			if i == e {
-				continue
+			take := ny - b
+			if take > room {
+				take = room
 			}
-			key := uint32(ykeys[b])
-			// Bucket entries are contiguous and carry the key, so the scan is
-			// a short sequential read that never touches the outer block for
-			// hash collisions.
-			for ; i < e; i++ {
-				ent := ents[i]
-				if uint32(ent>>32) != key {
-					continue
+			for c := range xout {
+				v := xb[c][a]
+				dst := xout[c]
+				for i := int64(0); i < take; i++ {
+					dst = append(dst, v)
 				}
-				a := int(uint32(ent))
-				for c := 0; c < ra; c++ {
-					xout[c] = append(xout[c], xb[c][a])
-				}
-				for c := 0; c < sa; c++ {
-					yout[c] = append(yout[c], yb[c][b])
-				}
+				xout[c] = dst
 			}
+			for c := range yout {
+				yout[c] = append(yout[c], yb[c][b:b+take]...)
+			}
+			b += take
 		}
-	} else {
-		// Relational product: every pair matches, so each (outer row, inner
-		// run) pair is a constant fill on the x side and a contiguous column
-		// copy on the y side, stopping exactly when the emitter reaches a
-		// batch.
-		b := o.posB
-		for a := o.posA; a < nx; a++ {
-			for b < ny {
-				room := max - o.em.rows()
-				if room <= 0 {
-					o.posA, o.posB = a, b
-					return nil
-				}
-				take := ny - b
-				if take > room {
-					take = room
-				}
-				for c := 0; c < ra; c++ {
-					v := xb[c][a]
-					dst := xout[c]
-					for i := int64(0); i < take; i++ {
-						dst = append(dst, v)
-					}
-					xout[c] = dst
-				}
-				for c := 0; c < sa; c++ {
-					yout[c] = append(yout[c], yb[c][b:b+take]...)
-				}
-				b += take
-			}
-			b = 0
+		b = 0
+	}
+	o.yb = nil
+	return nil
+}
+
+// outCols splits the emitter's columns into the outer block's side and the
+// inner's. Both alias the emitter's column-header array, so appends through
+// them persist: the output's x-side columns come first unless the emit
+// order is flipped.
+func (o *BNLJoin) outCols() (xout, yout [][]int32) {
+	ra, sa := o.outer.arity(), o.inner.arity()
+	o.em.reserve(ra + sa)
+	if o.flip {
+		return o.em.cols[sa:], o.em.cols[:sa]
+	}
+	return o.em.cols[:ra], o.em.cols[ra:]
+}
+
+// stepEqui probes the span of inner rows ahead against the resident outer
+// block's index. The charges are per block pair as ever — the inner block's
+// read, then one hash per inner tuple — but counted as the probe crosses
+// into each block and settled when it pauses or runs out of span; the
+// bucket-bounds gather runs once over the whole span.
+func (o *BNLJoin) stepEqui() error {
+	if o.yb == nil {
+		k2 := o.K2
+		if k2 <= 0 {
+			k2 = 1
+		}
+		yb, kk, err := o.inner.span(k2)
+		if err != nil {
+			return err
+		}
+		if yb == nil {
+			return o.advanceOuter()
+		}
+		o.yb, o.ykk, o.posB, o.begun = yb, kk, 0, 0
+		// Gather pass: one bucket-bounds pair per inner row, computed once
+		// per span (resumed pauses reuse it).
+		ny := len(yb[0])
+		if cap(o.hbuf) < ny {
+			o.hbuf = make([]uint64, ny)
+		}
+		o.hbuf = o.hbuf[:ny]
+		hbuf, offs, shift := o.hbuf, o.idx.offs, o.idx.shift
+		for b, key := range yb[o.keys[1]] {
+			h := probeHash(key, shift)
+			hbuf[b] = uint64(offs[h])<<32 | uint64(uint32(offs[h+1]))
 		}
 	}
+	xb, yb := o.ob.cols, o.yb
+	nx, ny := o.ob.n, int64(len(yb[0]))
+	max := o.c.batchRows()
+	xout, yout := o.outCols()
+	ents, hbuf, ykeys := o.idx.ents, o.hbuf, yb[o.keys[1]]
+	settled := o.begun
+	for b := o.posB; b < ny; b++ {
+		if o.em.rows() >= max {
+			o.posB = b
+			o.inner.settle(o.begun-settled, o.c.Sim.HashSeconds)
+			return nil
+		}
+		if b == o.begun {
+			// The probe enters the next inner block.
+			n := min(o.ykk, ny-b)
+			o.begun += n
+			o.countCacheMisses(nx, n, int64(len(xb)), int64(len(yb)))
+		}
+		bounds := hbuf[b]
+		i, e := int32(bounds>>32), int32(uint32(bounds))
+		if i == e {
+			continue
+		}
+		key := uint32(ykeys[b])
+		// Bucket entries are contiguous and carry the key, so the scan is
+		// a short sequential read that never touches the outer block for
+		// hash collisions.
+		for ; i < e; i++ {
+			ent := ents[i]
+			if uint32(ent>>32) != key {
+				continue
+			}
+			a := int(uint32(ent))
+			for c := range xout {
+				xout[c] = append(xout[c], xb[c][a])
+			}
+			for c := range yout {
+				yout[c] = append(yout[c], yb[c][b])
+			}
+		}
+	}
+	o.inner.settle(o.begun-settled, o.c.Sim.HashSeconds)
 	o.yb = nil
 	return nil
 }
@@ -963,8 +1012,9 @@ func (o *ExtSort) Close() error {
 // of K tuples. This covers the set/multiset unions and differences, zips
 // (column-store reads) and duplicate removal of the evaluation. The step is
 // a cursor machine over the windows' column views and never charges; the
-// operator owns the refills, the one cpu charge per step and the pause
-// points, so a step's shape cannot move a ledger. The step threads state
+// operator owns the refills, the one cpu charge per step (counted, and
+// settled before the strand's next other charge) and the pause points, so a
+// step's shape cannot move a ledger. The step threads state
 // from element to element, so the operator is inherently sequential; its
 // inputs may still be parallel subtrees.
 type UnfoldR struct {
@@ -979,12 +1029,18 @@ type UnfoldR struct {
 
 	c       *Ctx
 	readers []blockReader
-	wins    []stepWin // scratch components first, then one per reader
+	spans   []unfoldSpan // per reader: what is ahead of its window
+	wins    []stepWin    // scratch components first, then one per reader
 	scratch int
 	rows    [][]int64 // evaluated rows of the current leaf: emit, then one per component
+	steps   int64     // steps taken whose cpu charge is not settled yet
 	em      emitter
 	done    bool
 }
+
+// unfoldSpan is the part of a reader's last span its window has not reached:
+// ahead rows, in blocks of kk.
+type unfoldSpan struct{ kk, ahead int64 }
 
 func (o *UnfoldR) Open(c *Ctx) error {
 	o.c = c
@@ -996,6 +1052,7 @@ func (o *UnfoldR) Open(c *Ctx) error {
 	o.wins = make([]stepWin, n)
 	o.rows = make([][]int64, n+1)
 	o.readers = make([]blockReader, len(o.Ins))
+	o.spans = make([]unfoldSpan, len(o.Ins))
 	for i, in := range o.Ins {
 		o.readers[i] = in.reader()
 		if err := o.readers[i].open(c); err != nil {
@@ -1010,28 +1067,42 @@ func (o *UnfoldR) Open(c *Ctx) error {
 // lookahead across window boundaries: the streaming group-by decides
 // "last tuple → final group" by inspecting head(tail(window)), which must
 // not be an artifact of where a transfer block happened to end.
+//
+// A window is one modelled block of its reader's span: a refill moves it to
+// the span's next block and settles that block's read — after the steps
+// taken so far, the order a fetch per block would charge in — and only a
+// used-up span costs the reader a call.
 func (o *UnfoldR) refillAll() error {
 	k := o.K
 	if k <= 0 {
 		k = 1
 	}
 	for i, r := range o.readers {
-		w := &o.wins[o.scratch+i]
+		w, sp := &o.wins[o.scratch+i], &o.spans[i]
 		if w.rows() > 1 {
 			continue
 		}
 		if !w.held && w.pos < w.n {
-			// The reader's views die with its next call: the remaining row
-			// moves to the front.
+			// The window moves on (and a reader's views die with its next
+			// call): the remaining row moves to the front.
 			w.front, w.held, w.pos = w.appendRow(w.front[:0], 0), true, w.n
 		}
-		blk, err := r.next(o.c.share(k, int64(len(o.readers)), int64(r.arity())*4))
-		if err != nil {
-			return err
+		o.settle()
+		if sp.ahead == 0 {
+			span, kk, err := r.span(o.c.share(k, int64(len(o.readers)), int64(r.arity())*4))
+			if err != nil {
+				return err
+			}
+			if span == nil {
+				continue
+			}
+			w.cols, w.pos, w.n = span, 0, 0
+			sp.kk, sp.ahead = kk, int64(len(span[0]))
 		}
-		if blk != nil {
-			w.cols, w.pos, w.n = blk, 0, len(blk[0])
-		}
+		n := min(sp.kk, sp.ahead)
+		w.n += int(n)
+		sp.ahead -= n
+		r.settle(n, 0)
 	}
 	return nil
 }
@@ -1088,11 +1159,18 @@ func (o *UnfoldR) step() error {
 	if !progress {
 		return fmt.Errorf("exec: unfoldR step made no progress")
 	}
-	o.c.cpu(1, o.c.Sim.CmpSeconds)
+	o.steps++
 	if leaf.emit != nil {
 		return o.em.emitWide(o.rows[0])
 	}
 	return nil
+}
+
+// settle charges the steps taken since the last refill: one cpu(1, Cmp)
+// each, as many additions, in one call.
+func (o *UnfoldR) settle() {
+	o.c.acct().CPUTimes(o.steps, 1, o.c.Sim.CmpSeconds)
+	o.steps = 0
 }
 
 func (o *UnfoldR) Next(b *Batch) (bool, error) {
@@ -1102,6 +1180,7 @@ func (o *UnfoldR) Next(b *Batch) (bool, error) {
 			return false, err
 		}
 	}
+	o.settle()
 	return o.em.drain(b, max), nil
 }
 
@@ -1146,16 +1225,18 @@ func (o *Fold) Open(c *Ctx) error {
 	}
 	fk := o.kern.newKernel()
 	for {
-		blk, err := r.next(k)
+		// The fold takes whatever is ahead: every block of the span is read
+		// and then charged its rows' CPU, and the kernel runs over them all.
+		span, _, err := r.span(k)
 		if err != nil {
 			return err
 		}
-		if blk == nil {
+		if span == nil {
 			break
 		}
-		rows := len(blk[0])
-		c.cpu(int64(rows), c.Sim.CmpSeconds)
-		if err := fk.step(blk, rows); err != nil {
+		rows := len(span[0])
+		r.settle(int64(rows), c.Sim.CmpSeconds)
+		if err := fk.step(span, rows); err != nil {
 			return err
 		}
 	}

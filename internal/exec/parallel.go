@@ -525,6 +525,15 @@ func (x *Exchange) plan(c *Ctx) (tasks int, sections [][2]int64) {
 	return t, sectionBounds(rows, t)
 }
 
+// growCols doubles the capacity of a bucket's column buffers, up to the
+// limit rows its frame grants.
+func growCols(cols [][]int32, limit int64) {
+	n := min(max(2*cap(cols[0]), 64), int(limit))
+	for c, col := range cols {
+		cols[c] = append(make([]int32, 0, n), col...)
+	}
+}
+
 // partitionOne hashes one morsel section into Parts scratch spills through
 // BufW-tuple write buffers pinned in the task's pool share.
 func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, error) {
@@ -571,7 +580,9 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 				return err
 			}
 			bufs[i] = f
-			bufCols[i] = frameCols(f, arity)
+			// The grant bounds the buffer; the host grows it as rows
+			// arrive, since a section rarely fills every bucket's.
+			bufCols[i] = make([][]int32, arity)
 			capRows[i] = f.Cap(width)
 		}
 		return nil
@@ -625,13 +636,16 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 			bufW = 1
 		}
 		for i := int64(0); i < n; i++ {
-			b := int64(ocal.Hash(ocal.Int(int64(keyCol[i]))) % uint64(s))
+			b := int64(ocal.HashInt(int64(keyCol[i])) % uint64(s))
 			// Flush before the row would outgrow the pinned frame, so the
 			// buffer never reallocates past its accounted size.
 			if bufRows[b] >= capRows[b] {
 				flush(b)
 			}
 			cols := bufCols[b]
+			if len(cols[0]) == cap(cols[0]) {
+				growCols(cols, capRows[b])
+			}
 			for ci := 0; ci < arity; ci++ {
 				cols[ci] = append(cols[ci], blk[ci][i])
 			}

@@ -310,7 +310,7 @@ func TestExchangePartitions(t *testing.T) {
 	var got [][]int32
 	for pi, part := range parts {
 		for _, sp := range part.Spills {
-			for _, row := range tableRows(sp.Flat(), 2) {
+			for _, row := range tableRows(flatSpill(sp), 2) {
 				if want := int64(ocal.Hash(ocal.Int(int64(row[0]))) % uint64(s)); want != int64(pi) {
 					t.Fatalf("row %v in partition %d, its key hashes to %d", row, pi, want)
 				}

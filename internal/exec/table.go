@@ -73,7 +73,7 @@ type Sink struct {
 	Out  *Table
 	Bout int64 // records per eviction; <=0 means 1
 	// Sim's root account takes the output charges: the sink runs on the
-	// driver strand.
+	// driver strand, which owns it (see storage.Acct).
 	Sim *storage.Sim
 
 	// Alloc, when non-nil and Out is nil, allocates the output table
@@ -88,6 +88,7 @@ type Sink struct {
 
 	cols [][]int32 // the output buffer, column-striped like the table
 	rows int64
+	head [][]int32 // reused header of the batch rows evicted unbuffered
 	// RowsWritten counts all rows that passed through, even when discarded.
 	RowsWritten int64
 }
@@ -109,7 +110,10 @@ func OutBlock(params map[string]int64) int64 {
 
 // WriteBatch adds the batch's rows. The buffer is evicted at exactly every
 // Bout rows, wherever those fall inside or across batches, so the output
-// device's charge sequence does not depend on the batch size.
+// device sees the same writes whatever the batch size; a batch holding
+// several evictions appends them to the table once and charges them as one
+// run. What the batch size does move is where those writes fall among the
+// run's reads: see ExecOptions.BatchRows in internal/plan.
 func (s *Sink) WriteBatch(b *Batch) {
 	n := b.Rows()
 	if n == 0 {
@@ -128,25 +132,37 @@ func (s *Sink) WriteBatch(b *Batch) {
 	}
 	if s.cols == nil {
 		s.cols = make([][]int32, b.Arity)
+		s.head = make([][]int32, b.Arity)
 	}
-	bout := s.Bout
-	if bout <= 0 {
-		bout = 1
-	}
-	for lo := 0; lo < n; {
-		take := n - lo
-		if room := bout - s.rows; int64(take) > room {
-			take = int(room)
-		}
-		for c := range s.cols {
-			s.cols[c] = append(s.cols[c], b.Cols[c][lo:lo+take]...)
-		}
-		s.rows += int64(take)
-		lo += take
+	bout := max(s.Bout, 1)
+	lo := 0
+	if s.rows > 0 {
+		// Rows are waiting: the batch's first rows complete their eviction.
+		lo = int(min(int64(n), bout-s.rows))
+		s.buffer(b, 0, lo)
 		if s.rows >= bout {
 			s.Flush()
 		}
 	}
+	if full := int64(n-lo) / bout; full > 0 {
+		// Whole evictions go from the batch to the table without passing
+		// through the buffer: what a buffer of Bout rows filled and evicted
+		// full times would have written and been charged.
+		for c := range s.head {
+			s.head[c] = b.Cols[c][lo:]
+		}
+		s.Out.AppendBlocks(s.Sim.Root(), s.head, bout, full, s.Sim.MoveSeconds)
+		lo += int(full * bout)
+	}
+	s.buffer(b, lo, n)
+}
+
+// buffer copies rows [lo, hi) of b into the output buffer.
+func (s *Sink) buffer(b *Batch, lo, hi int) {
+	for c := range s.cols {
+		s.cols[c] = append(s.cols[c], b.Cols[c][lo:hi]...)
+	}
+	s.rows += int64(hi - lo)
 }
 
 // Flush evicts the buffer.
@@ -154,9 +170,7 @@ func (s *Sink) Flush() {
 	if s.Out == nil || s.rows == 0 {
 		return
 	}
-	a := s.Sim.Root()
-	a.CPU(s.rows*int64(len(s.cols))*4, s.Sim.MoveSeconds)
-	s.Out.AppendCols(a, s.cols, s.rows)
+	s.Out.AppendBlocks(s.Sim.Root(), s.cols, s.rows, 1, s.Sim.MoveSeconds)
 	for c := range s.cols {
 		s.cols[c] = s.cols[c][:0]
 	}

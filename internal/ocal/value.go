@@ -174,33 +174,45 @@ func ByteSize(v Value) int64 {
 // integers, which is what the workload generator assumes.
 const AtomBytes int64 = 4
 
+// FNV-1a, 64 bits: the hash behind Hash and HashInt.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// mixInt folds an integer's eight bytes, least significant first, into h.
+func mixInt(h uint64, x int64) uint64 {
+	u := uint64(x)
+	for i := 0; i < 8; i++ {
+		h ^= u & 0xff
+		h *= fnvPrime64
+		u >>= 8
+	}
+	return h
+}
+
+// HashInt is Hash(Int(x)) without the Value: the executor's partitioning
+// pass hashes a key column row by row.
+func HashInt(x int64) uint64 { return mixInt(fnvOffset64, x) }
+
 // Hash returns a deterministic hash of a value, used by the partition
 // definition (hash-part rule).
 func Hash(v Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
+	var h uint64 = fnvOffset64
 	var mix func(Value)
 	mix = func(v Value) {
 		switch x := v.(type) {
 		case Int:
-			u := uint64(x)
-			for i := 0; i < 8; i++ {
-				h ^= u & 0xff
-				h *= prime64
-				u >>= 8
-			}
+			h = mixInt(h, int64(x))
 		case Bool:
 			if bool(x) {
 				h ^= 1
 			}
-			h *= prime64
+			h *= fnvPrime64
 		case Str:
 			for i := 0; i < len(x); i++ {
 				h ^= uint64(x[i])
-				h *= prime64
+				h *= fnvPrime64
 			}
 		case Tuple:
 			for _, e := range x {

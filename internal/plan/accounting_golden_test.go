@@ -257,16 +257,7 @@ func unfoldGoldenEntries() []goldenEntry {
 // that the surviving kernel path charges exactly what the deleted
 // interpreted loops charged.
 func TestAccountingGolden(t *testing.T) {
-	want := map[string]json.RawMessage{}
-	if !*updateGolden {
-		data, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := readGolden(t)
 	got := map[string]goldenRun{}
 	seen := map[string]bool{}
 	for _, e := range goldenCorpus(t) {
@@ -300,7 +291,7 @@ func TestAccountingGolden(t *testing.T) {
 						if source == "durable" {
 							opt.Tables, opt.Cat = tables, cat
 						}
-						key := fmt.Sprintf("%s/batch=%d/workers=%d/%s", e.name, batch, workers, source)
+						key := goldenKey(e.name, batch, workers, source)
 						rep, err := ExecutePlan(context.Background(), c, p, opt)
 						if err != nil {
 							t.Fatalf("%s: %v", key, err)
@@ -344,6 +335,87 @@ func TestAccountingGolden(t *testing.T) {
 		if !seen[key] {
 			t.Errorf("golden entry %s was not executed", key)
 		}
+	}
+}
+
+// readGolden loads the golden records (none while they are being rewritten).
+func readGolden(t *testing.T) map[string]json.RawMessage {
+	t.Helper()
+	want := map[string]json.RawMessage{}
+	if *updateGolden {
+		return want
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+func goldenKey(entry string, batch int64, workers int, source string) string {
+	return fmt.Sprintf("%s/batch=%d/workers=%d/%s", entry, batch, workers, source)
+}
+
+// TestBatchSizeInvariants states, over the golden records of every entry
+// executed at batch sizes 1 and 64, what the batch size may not move and
+// what it does. It never moves the output (digest, rows, scalar result) or
+// the bytes any device transfers. It does move where the sink's evictions
+// fall among the run's reads — a sink is fed between Next calls — so when
+// the output device also holds an input, the arm travels between the two at
+// batch granularity and the initiations (and the clock) follow: groupby-k1
+// is 1,315 + 1,315 initiations at batch 1 and 21 + 21 at batch 64. With the
+// output on a device of its own the initiations hold too and only the order
+// of the clock's additions differs, in its last bits; with no output device
+// the sink charges nothing and the clock holds bit for bit.
+func TestBatchSizeInvariants(t *testing.T) {
+	want := readGolden(t)
+	compared := 0
+	for _, e := range goldenCorpus(t) {
+		sharesOutput := false // an input lives on the output device
+		for _, in := range e.req.Inputs {
+			sharesOutput = sharesOutput || in.Node == e.req.Output
+		}
+		for _, workers := range e.workers {
+			for _, source := range []string{"generated", "durable"} {
+				var one, many goldenRun
+				a, b := want[goldenKey(e.name, 1, workers, source)], want[goldenKey(e.name, 64, workers, source)]
+				if a == nil || b == nil {
+					continue
+				}
+				if err := json.Unmarshal(a, &one); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(b, &many); err != nil {
+					t.Fatal(err)
+				}
+				compared++
+				label := fmt.Sprintf("%s/workers=%d/%s", e.name, workers, source)
+				if one.OutDigest != many.OutDigest || one.OutRows != many.OutRows || one.Result != many.Result {
+					t.Errorf("%s: the batch size moved the output: (%d rows, %s, %q) at 1, (%d rows, %s, %q) at 64",
+						label, one.OutRows, one.OutDigest, one.Result, many.OutRows, many.OutDigest, many.Result)
+				}
+				for name, d1 := range one.Devices {
+					d64 := many.Devices[name]
+					if d1.BytesRead != d64.BytesRead || d1.BytesWrite != d64.BytesWrite {
+						t.Errorf("%s: the batch size moved %s's bytes: %+v at 1, %+v at 64", label, name, d1, d64)
+					}
+					if !sharesOutput && (d1.ReadInits != d64.ReadInits || d1.WriteInits != d64.WriteInits) {
+						t.Errorf("%s: no input shares the output device, yet the batch size moved %s's initiations: %+v at 1, %+v at 64",
+							label, name, d1, d64)
+					}
+				}
+				if e.req.Output == "" && one.VirtualSecondsBits != many.VirtualSecondsBits {
+					t.Errorf("%s: no output device, yet the batch size moved the clock: %s at 1, %s at 64",
+						label, one.VirtualSecondsBits, many.VirtualSecondsBits)
+				}
+			}
+		}
+	}
+	if compared == 0 && !*updateGolden {
+		t.Error("no entry has golden records at batch sizes 1 and 64")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // The digest packs rows into digestChunks chunks of digestChunkBytes each:
 // a chunk is small enough that folding one is a fraction of a millisecond,
 // so little is left to fold when the run ends, and there are enough of them
-// that a burst of output queues up instead of stalling the run — at 128 KiB
-// in all.
+// that a burst of output queues up before the run starts folding for itself
+// — at 128 KiB in all.
 const (
 	digestChunkBytes = 16 << 10
 	digestChunks     = 8
@@ -31,14 +31,17 @@ const (
 // Commutativity also takes the hashing off the strand that emits the rows:
 // add only packs rows into a chunk, and full chunks queue for one helper
 // goroutine to fold, started at the first full chunk (a smaller output is
-// folded by hex on the caller's strand) and ended by stop.
+// folded by hex on the caller's strand) and ended by stop. The emitter
+// never waits for it: with every other chunk queued it folds its own chunk
+// into its own sum — the same digest, by the same commutativity — and packs
+// on, so a run whose output outpaces one hashing strand hashes on two.
 type bagDigest struct {
 	sum   sum256
 	chunk []byte // rows packed and not yet handed off
 
 	// All three are nil until a chunk is full. full and spare have room for
-	// every chunk there is, so only an empty spare — everything packed and
-	// waiting for the helper — makes add wait.
+	// every chunk there is, so neither send can block; an empty spare —
+	// everything packed and waiting for the helper — makes add fold.
 	full   chan []byte // packed chunks, to the helper
 	spare  chan []byte // folded chunks, back from it
 	folded chan sum256 // the helper's sum, once full is closed and drained
@@ -47,19 +50,26 @@ type bagDigest struct {
 // add packs a batch's rows, handing the chunk off when it is full.
 func (d *bagDigest) add(b *exec.Batch) {
 	rowBytes := 4 + 4*b.Arity
+	// The chunk grows in a local: appending through the field is a pointer
+	// store, and a write barrier, per value while the collector runs.
+	chunk := d.chunk
 	for i, n := 0, b.Rows(); i < n; i++ {
-		if len(d.chunk) > 0 && len(d.chunk)+rowBytes > digestChunkBytes {
+		if len(chunk) > 0 && len(chunk)+rowBytes > digestChunkBytes {
+			d.chunk = chunk
 			d.handOff()
+			chunk = d.chunk
 		}
-		d.chunk = binary.LittleEndian.AppendUint32(d.chunk, uint32(b.Arity))
+		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(b.Arity))
 		for _, col := range b.Cols {
-			d.chunk = binary.LittleEndian.AppendUint32(d.chunk, uint32(col[i]))
+			chunk = binary.LittleEndian.AppendUint32(chunk, uint32(col[i]))
 		}
 	}
+	d.chunk = chunk
 }
 
 // handOff queues the full chunk for the helper, starting it if this is the
-// first, and continues in a spare one.
+// first, and continues in a spare one — or, when none is free, folds the
+// chunk here and continues in it.
 func (d *bagDigest) handOff() {
 	if d.full == nil {
 		d.full = make(chan []byte, digestChunks)
@@ -68,17 +78,27 @@ func (d *bagDigest) handOff() {
 		for i := 1; i < digestChunks; i++ {
 			d.spare <- make([]byte, 0, digestChunkBytes)
 		}
-		go func() {
-			var sum sum256
-			for chunk := range d.full {
-				sum.addRows(chunk)
-				d.spare <- chunk
-			}
-			d.folded <- sum
-		}()
+		go d.help()
 	}
-	d.full <- d.chunk
-	d.chunk = (<-d.spare)[:0]
+	select {
+	case spare := <-d.spare:
+		d.full <- d.chunk
+		d.chunk = spare[:0]
+	default:
+		d.sum.addRows(d.chunk)
+		d.chunk = d.chunk[:0]
+	}
+}
+
+// help is the helper strand: it folds queued chunks into a sum of its own,
+// handing each back as a spare, until full is closed, and leaves the sum.
+func (d *bagDigest) help() {
+	var sum sum256
+	for chunk := range d.full {
+		sum.addRows(chunk)
+		d.spare <- chunk
+	}
+	d.folded <- sum
 }
 
 // stop ends the helper, if one was started, and takes its sum, folding what

@@ -147,8 +147,45 @@ func (c *cancelAfter) Done() <-chan struct{} {
 }
 
 // TestDigestStrandEnds: the helper strand of a run's digest does not outlive
-// RunBound, however the run ends.
+// RunBound, however the run ends, and the run does not wait for it.
 func TestDigestStrandEnds(t *testing.T) {
+	t.Run("stalled helper", func(t *testing.T) {
+		// A helper that does not get to run until the last row is packed,
+		// and three spare chunks: the emitter queues three chunks, folds the
+		// other thirty-odd itself, and the digest is the definition's.
+		base := runtime.NumGoroutine()
+		batches, rows := randomBag(rand.New(rand.NewSource(3)), 40*digestChunkBytes/4)
+		d := bagDigest{
+			full:   make(chan []byte, digestChunks),
+			spare:  make(chan []byte, digestChunks),
+			folded: make(chan sum256, 1),
+		}
+		defer d.stop()
+		const spares = 3
+		for i := 0; i < spares; i++ {
+			d.spare <- make([]byte, 0, digestChunkBytes)
+		}
+		release := make(chan struct{})
+		go func() {
+			<-release
+			d.help()
+		}()
+		for _, b := range batches {
+			d.add(b)
+		}
+		if len(d.full) != spares || len(d.spare) != 0 {
+			t.Errorf("%d chunks queued and %d spare behind a stalled helper, want %d and 0", len(d.full), len(d.spare), spares)
+		}
+		if d.sum == (sum256{}) {
+			t.Error("the emitter folded nothing")
+		}
+		close(release)
+		if got, want := d.hex(), digestRows(rows); got != want {
+			t.Errorf("digest %s with the emitter folding, definition %s", got, want)
+		}
+		waitGoroutines(t, base, "digest behind a stalled helper")
+	})
+
 	// An identity scan written to a second disk: 2^17 rows of 12 packed
 	// bytes are 96 chunks, so the strand is up long before any run below ends.
 	c, err := Compile(Request{

@@ -25,8 +25,13 @@ import (
 // ExecOptions tunes one execution of a plan. All fields are optional.
 type ExecOptions struct {
 	// BatchRows is the operator exchange batch size (0 = executor default).
-	// It never changes a digest, a ledger, the clock or an EXPLAIN charge, so
-	// it is not part of a request: only the differential tests set it.
+	// It never changes the output (digest, rows, result) or the bytes a
+	// device transfers. The sink is fed between Next calls, though, so it
+	// does move where the output's writes fall among the run's reads: when
+	// the output device also holds an input, transfer initiations and the
+	// clock follow the batch size, and any output device leaves it in the
+	// clock's last bits (TestBatchSizeInvariants). It is not part of a
+	// request: only the differential tests set it.
 	BatchRows int64 `json:"-"`
 	// PoolBytes bounds the executor's buffer pool; 0 defaults to the
 	// hierarchy's RAM size, < 0 means unlimited.

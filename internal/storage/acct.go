@@ -19,21 +19,22 @@ import "ocas/internal/memory"
 // its growth chunks. Device-absolute adjacency would depend on allocation
 // order, which is scheduling-dependent under concurrent spill writers.
 //
-// The Sim's root Acct (Sim.Root) is direct: its charges apply immediately
-// to the shared clock and device ledgers (under the Sim mutex), preserving
-// the pre-parallel behaviour of sequential callers that read Clock or
-// Device ledgers mid-run.
+// An Acct belongs to one strand: only the goroutine running that strand
+// charges it, so nothing here locks. The Sim's root Acct (Sim.Root) is an
+// ordinary strand whose accumulators are the Sim's own — Clock and the
+// Device ledgers — which is what lets a sequential caller read them mid-run.
+// It belongs to the driver strand: partition tasks charge their private
+// accounts, and Adopt, which folds those into their parent, is a charge of
+// the adopting strand like any other.
 type Acct struct {
-	sim    *Sim
-	direct bool
+	sim *Sim
 
+	clock   *float64 // where the strand's seconds accumulate: &seconds, or the Sim's clock
 	seconds float64
-	cursors []*devCursor
-	byDev   map[*Device]*devCursor
+	cursors []*devCursor // one per device touched; a hierarchy has a handful
 
-	// Aggregates for per-worker reporting and per-operator explain
-	// snapshots. Unlike the per-device cursors these accumulate even on the
-	// direct root, whose ledger deltas apply straight to the devices.
+	// Aggregates across all devices, for per-worker reporting and
+	// per-operator explain snapshots.
 	bytesRead, bytesWrite int64
 	readInits, writeInits int64
 }
@@ -42,7 +43,8 @@ type Acct struct {
 // accounting strand.
 type devCursor struct {
 	dev *Device
-	led Ledger // local deltas; a direct Acct applies them immediately instead
+	led *Ledger // where the strand's deltas go: &own, or the device's ledger
+	own Ledger
 
 	stream *Spill // last spill touched (nil = arm at an unknown position)
 	pos    int64  // next sequential record index within stream
@@ -51,54 +53,55 @@ type devCursor struct {
 	eraseStart, eraseEnd int64 // byte offsets within eraseStream
 }
 
-// NewAcct returns a fresh non-direct accounting context for one worker
-// strand. Fold it back with Adopt (or Sim-level merging via the parent
-// chain) when the strand completes.
+// NewAcct returns a fresh accounting context for one worker strand. Fold it
+// back with Adopt when the strand completes.
 func (s *Sim) NewAcct() *Acct {
-	return &Acct{sim: s, byDev: map[*Device]*devCursor{}}
+	a := &Acct{sim: s}
+	a.clock = &a.seconds
+	return a
 }
 
-// Root returns the simulator's direct accounting context: charges apply to
-// the shared clock and ledgers immediately. It is the context of the
-// driver strand (and of all pre-parallel sequential callers).
+// Root returns the simulator's root accounting context, the context of the
+// driver strand (and of every sequential caller): its charges land on the
+// shared clock and the device ledgers as they are made.
 func (s *Sim) Root() *Acct {
 	return s.root
 }
 
 func (a *Acct) cursor(d *Device) *devCursor {
-	if c, ok := a.byDev[d]; ok {
-		return c
+	for _, c := range a.cursors {
+		if c.dev == d {
+			return c
+		}
 	}
 	c := &devCursor{dev: d}
-	a.byDev[d] = c
+	c.led = &c.own
+	if a == a.sim.root {
+		c.led = &d.Led
+	}
 	a.cursors = append(a.cursors, c)
 	return c
 }
 
-// advance adds d virtual seconds to this strand.
-func (a *Acct) advance(d float64) {
-	if d == 0 {
-		return
-	}
-	if a.direct {
-		a.sim.mu.Lock()
-		a.sim.Clock.seconds += d
-		a.sim.mu.Unlock()
-		return
-	}
-	a.seconds += d
-}
-
 // CPU charges n operations of the given per-op cost.
-func (a *Acct) CPU(n int64, perOp float64) {
-	if n > 0 && perOp > 0 {
-		a.advance(float64(n) * perOp)
+func (a *Acct) CPU(n int64, perOp float64) { a.CPUTimes(1, n, perOp) }
+
+// CPUTimes charges CPU(n, perOp) times over: the same additions to the
+// clock, in one call.
+func (a *Acct) CPUTimes(times, n int64, perOp float64) {
+	if n <= 0 || perOp <= 0 {
+		return
 	}
+	clock, secs := *a.clock, float64(n)*perOp
+	for ; times > 0; times-- {
+		clock += secs
+	}
+	*a.clock = clock
 }
 
-// Seconds returns the strand-local accumulated time (0 for the direct root,
-// whose charges go straight to the shared clock).
-func (a *Acct) Seconds() float64 { return a.seconds }
+// Seconds returns the strand's accumulated time (on the root, the shared
+// clock).
+func (a *Acct) Seconds() float64 { return *a.clock }
 
 // BytesRead and BytesWrite report the strand's transfer totals across all
 // devices (the per-worker ledger of the execution report).
@@ -111,89 +114,99 @@ func (a *Acct) BytesWrite() int64 { return a.bytesWrite }
 func (a *Acct) ReadInits() int64  { return a.readInits }
 func (a *Acct) WriteInits() int64 { return a.writeInits }
 
-// applyLed adds a ledger delta either locally or straight to the device.
+// applyLed adds a ledger delta to the strand's ledger of c's device.
 func (a *Acct) applyLed(c *devCursor, readInits, writeInits, bytesRead, bytesWrite int64) {
 	a.bytesRead += bytesRead
 	a.bytesWrite += bytesWrite
 	a.readInits += readInits
 	a.writeInits += writeInits
-	if a.direct {
-		a.sim.mu.Lock()
-		c.dev.Led.ReadInits += readInits
-		c.dev.Led.WriteInits += writeInits
-		c.dev.Led.BytesRead += bytesRead
-		c.dev.Led.BytesWrite += bytesWrite
-		a.sim.mu.Unlock()
-		return
-	}
 	c.led.ReadInits += readInits
 	c.led.WriteInits += writeInits
 	c.led.BytesRead += bytesRead
 	c.led.BytesWrite += bytesWrite
 }
 
-// chargeRead charges a blocked read of n records at record index idx of sp:
-// an InitCom (seek) when the arm is not already there, plus per-byte
-// transfer time.
-func (a *Acct) chargeRead(sp *Spill, idx, n int64) {
-	if n <= 0 {
+// chargeReads charges the blocked reads of rows records from record index
+// idx of sp, k records a block (the last block takes what is left): per
+// block an InitCom (seek) when the arm is not already there plus per-byte
+// transfer time, then CPU(the block's records, perRow). A run of blocks is
+// the float additions of its blocks one by one, in their order, and the sum
+// of their integer deltas — what charging them in as many calls would leave.
+func (a *Acct) chargeReads(sp *Spill, idx, k, rows int64, perRow float64) {
+	if k <= 0 || rows <= 0 {
 		return
 	}
-	d := sp.dev
-	c := a.cursor(d)
-	bytes := n * sp.width
-	init, tr := d.upCosts()
-	secs := float64(bytes) * tr
-	var inits int64
-	if c.stream != sp || c.pos != idx {
-		secs += init
-		inits = 1
-	}
-	c.stream, c.pos = sp, idx+n
-	a.applyLed(c, inits, 0, bytes, 0)
-	a.advance(secs)
-}
-
-// chargeAppend charges a write of n records appended at record index at of
-// sp. On HDDs an InitCom (seek) is charged when the arm is elsewhere; on
-// flash an erase is charged whenever the write leaves the current erase
-// window (the device's MaxSeqW bytes), mirroring the paper's reading of
-// InitCom on flash.
-func (a *Acct) chargeAppend(sp *Spill, at, n int64) {
-	if n <= 0 {
-		return
-	}
-	d := sp.dev
-	c := a.cursor(d)
-	bytes := n * sp.width
-	init, tr := d.downCosts()
-	secs := float64(bytes) * tr
-	var inits int64
-	if d.Node.Kind == memory.Flash {
-		pos := at * sp.width
-		for b := pos; b < pos+bytes; {
-			if c.eraseStream == sp && b >= c.eraseStart && b < c.eraseEnd {
-				b = c.eraseEnd
-				continue
-			}
-			blk := d.Node.MaxSeqW
-			if blk <= 0 {
-				blk = 256 << 10
-			}
+	c := a.cursor(sp.dev)
+	init, tr := sp.dev.upCosts()
+	clock, inits := *a.clock, int64(0)
+	for end := idx + rows; idx < end; {
+		n := min(k, end-idx)
+		secs := float64(n*sp.width) * tr
+		if c.stream != sp || c.pos != idx {
 			secs += init
 			inits++
-			c.eraseStream = sp
-			c.eraseStart = b
-			c.eraseEnd = b + blk
-			b = c.eraseEnd
 		}
-	} else if c.stream != sp || c.pos != at {
-		secs += init
-		inits = 1
+		idx += n
+		c.stream, c.pos = sp, idx
+		clock += secs
+		if perRow > 0 {
+			clock += float64(n) * perRow
+		}
 	}
-	c.stream, c.pos = sp, at+n
-	a.applyLed(c, 0, inits, 0, bytes)
-	a.advance(secs)
+	*a.clock = clock
+	a.applyLed(c, inits, 0, rows*sp.width, 0)
+}
+
+// chargeAppends charges n writes of k records each, appended from record
+// index at of sp, each preceded by CPU(the block's bytes, perByte) — the
+// move into the buffer being evicted. On HDDs an InitCom (seek) is charged
+// when the arm is elsewhere; on flash an erase is charged whenever the write
+// leaves the current erase window (the device's MaxSeqW bytes), mirroring
+// the paper's reading of InitCom on flash. Like chargeReads, a run of writes
+// is its writes' additions in their order.
+func (a *Acct) chargeAppends(sp *Spill, at, k, n int64, perByte float64) {
+	if k <= 0 || n <= 0 {
+		return
+	}
+	d := sp.dev
+	c := a.cursor(d)
+	init, tr := d.downCosts()
+	flash := d.Node.Kind == memory.Flash
+	bytes := k * sp.width
+	clock, inits := *a.clock, int64(0)
+	for i := int64(0); i < n; i++ {
+		if perByte > 0 {
+			clock += float64(bytes) * perByte
+		}
+		secs := float64(bytes) * tr
+		if flash {
+			pos := at * sp.width
+			for b := pos; b < pos+bytes; {
+				if c.eraseStream == sp && b >= c.eraseStart && b < c.eraseEnd {
+					b = c.eraseEnd
+					continue
+				}
+				blk := d.Node.MaxSeqW
+				if blk <= 0 {
+					blk = 256 << 10
+				}
+				secs += init
+				inits++
+				c.eraseStream = sp
+				c.eraseStart = b
+				c.eraseEnd = b + blk
+				b = c.eraseEnd
+			}
+		} else if c.stream != sp || c.pos != at {
+			secs += init
+			inits++
+		}
+		at += k
+		c.stream, c.pos = sp, at
+		clock += secs
+	}
+	*a.clock = clock
+	a.applyLed(c, 0, inits, 0, n*bytes)
 }
 
 // Adopt folds completed child strands into this Acct, in argument order:
@@ -209,13 +222,11 @@ func (a *Acct) Adopt(kids ...*Acct) {
 		if k == nil || k == a {
 			continue
 		}
-		a.advance(k.seconds)
+		*a.clock += k.seconds
 		for _, kc := range k.cursors {
-			c := a.cursor(kc.dev)
-			a.applyLed(c, kc.led.ReadInits, kc.led.WriteInits, kc.led.BytesRead, kc.led.BytesWrite)
+			a.applyLed(a.cursor(kc.dev), kc.own.ReadInits, kc.own.WriteInits, kc.own.BytesRead, kc.own.BytesWrite)
 		}
 		k.seconds = 0
 		k.cursors = nil
-		k.byDev = map[*Device]*devCursor{}
 	}
 }

@@ -395,22 +395,11 @@ func (s *Spill) Append(a *Acct, recs []int32) {
 	if len(recs) == 0 {
 		return
 	}
-	if s.backing != nil {
-		panic("storage: append to a backed (read-only) spill")
-	}
 	n := int64(len(recs)) * 4 / s.width
-	if s.cap > 0 && s.count+n > s.cap {
-		panic(fmt.Sprintf("storage: append %d exceeds capacity %d (have %d)", n, s.cap, s.count))
-	}
-	at := s.count
+	at := s.room(n)
 	s.stripe(recs, n)
 	s.install(n)
-	a.chargeAppend(s, at, n)
-	if s.pool != nil {
-		s.pool.mu.Lock()
-		s.pool.stats.SpillBytes += n * s.width
-		s.pool.mu.Unlock()
-	}
+	s.appended(a, at, n, 1, 0)
 }
 
 // AppendCols charges a write of rows records supplied as per-column
@@ -418,25 +407,47 @@ func (s *Spill) Append(a *Acct, recs []int32) {
 // without a row detour. The charge sequence is identical to Append of the
 // same records.
 func (s *Spill) AppendCols(a *Acct, cols [][]int32, rows int64) {
-	if rows <= 0 {
+	s.AppendBlocks(a, cols, rows, 1, 0)
+}
+
+// AppendBlocks is what n AppendCols calls of k records each, taken off
+// cols[c][:k*n] one after the other and each preceded by a.CPU(the block's
+// bytes, perByte), leave behind — a buffer of k records filled and evicted n
+// times over — with the payload appended once and the strand charged in one
+// go (see Acct.chargeAppends).
+func (s *Spill) AppendBlocks(a *Acct, cols [][]int32, k, n int64, perByte float64) {
+	if k <= 0 || n <= 0 {
 		return
 	}
-	if s.backing != nil {
-		panic("storage: append to a backed (read-only) spill")
-	}
-	if s.cap > 0 && s.count+rows > s.cap {
-		panic(fmt.Sprintf("storage: append %d exceeds capacity %d (have %d)", rows, s.cap, s.count))
-	}
-	at := s.count
+	rows := k * n
+	at := s.room(rows)
 	s.reserve()
 	for c := range s.cols {
 		s.cols[c] = append(s.cols[c], cols[c][:rows]...)
 	}
 	s.install(rows)
-	a.chargeAppend(s, at, rows)
+	s.appended(a, at, k, n, perByte)
+}
+
+// room checks that n more records may be appended and returns the index the
+// first of them will take.
+func (s *Spill) room(n int64) int64 {
+	if s.backing != nil {
+		panic("storage: append to a backed (read-only) spill")
+	}
+	if s.cap > 0 && s.count+n > s.cap {
+		panic(fmt.Sprintf("storage: append %d exceeds capacity %d (have %d)", n, s.cap, s.count))
+	}
+	return s.count
+}
+
+// appended charges n installed writes of k records from index at, and
+// counts their bytes on the pool the spill came from.
+func (s *Spill) appended(a *Acct, at, k, n int64, perByte float64) {
+	a.chargeAppends(s, at, k, n, perByte)
 	if s.pool != nil {
 		s.pool.mu.Lock()
-		s.pool.stats.SpillBytes += rows * s.width
+		s.pool.stats.SpillBytes += k * n * s.width
 		s.pool.mu.Unlock()
 	}
 }
@@ -485,11 +496,20 @@ func (s *Spill) PreloadCols(cols [][]int32) error {
 }
 
 // ReadColsAt charges a blocked read of up to n records starting at idx and
-// returns zero-copy per-column views of the payload plus the clamped record
-// count. dst, when non-nil, is reused
-// as the view header so steady-state readers allocate nothing; the views
-// stay valid as long as the spill is not appended to, reset or freed.
+// returns them as View does.
 func (s *Spill) ReadColsAt(a *Acct, idx, n int64, dst [][]int32) ([][]int32, int64) {
+	dst, n = s.View(idx, n, dst)
+	a.chargeReads(s, idx, n, n, 0)
+	return dst, n
+}
+
+// View returns zero-copy per-column views of up to n records starting at
+// idx plus the clamped record count, charging nothing: the host's access to
+// the payload, which ChargeReads prices block by block. dst, when non-nil,
+// is reused as the view header so steady-state readers allocate nothing;
+// the views stay valid as long as the spill is not appended to, reset or
+// freed.
+func (s *Spill) View(idx, n int64, dst [][]int32) ([][]int32, int64) {
 	if idx >= s.count {
 		return nil, 0
 	}
@@ -499,7 +519,6 @@ func (s *Spill) ReadColsAt(a *Acct, idx, n int64, dst [][]int32) ([][]int32, int
 	if s.backing != nil {
 		s.load()
 	}
-	a.chargeRead(s, idx, n)
 	w := len(s.cols)
 	if cap(dst) >= w {
 		dst = dst[:w]
@@ -512,24 +531,12 @@ func (s *Spill) ReadColsAt(a *Acct, idx, n int64, dst [][]int32) ([][]int32, int
 	return dst, n
 }
 
-// Flat returns the whole payload gathered row-major, without charging —
-// the debugging and test accessor for what Spill.Data used to expose.
-func (s *Spill) Flat() []int32 {
-	if s.count == 0 {
-		return nil
-	}
-	if s.backing != nil {
-		s.load()
-	}
-	w := len(s.cols)
-	out := make([]int32, s.count*int64(w))
-	for c := 0; c < w; c++ {
-		col := s.cols[c]
-		for i, v := range col {
-			out[i*w+c] = v
-		}
-	}
-	return out
+// ChargeReads charges what reading the rows records at idx (all of them
+// stored) in consecutive ReadColsAt calls of k records would, each followed
+// by a.CPU(the block's records, perRow): the modelled blocks of a stretch
+// the host fetched as one View (see Acct.chargeReads).
+func (s *Spill) ChargeReads(a *Acct, idx, k, rows int64, perRow float64) {
+	a.chargeReads(s, idx, k, rows, perRow)
 }
 
 // Reset empties the spill for reuse.

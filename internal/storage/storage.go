@@ -11,8 +11,8 @@
 // The substrate is concurrency-safe for the morsel-driven executor: all
 // charging flows through per-strand Acct contexts (see acct.go), device
 // space allocation is mutex-guarded, and the shared clock and ledgers are
-// only touched under the Sim mutex (directly by the root Acct, or at
-// deterministic merge points by Acct.Adopt).
+// only touched by the strand that owns the root Acct (its own charges, and
+// the children it adopts at deterministic merge points).
 package storage
 
 import (
@@ -23,9 +23,9 @@ import (
 	"ocas/internal/memory"
 )
 
-// Clock is the virtual clock shared by all devices of one simulation.
-// Mutation goes through Acct charging (root-direct or adopted); Seconds is
-// safe to read once the strands feeding it have been adopted.
+// Clock is the virtual clock shared by all devices of one simulation. Only
+// the root Acct's strand advances it (its own charges and what it adopts);
+// Seconds is for that strand, or for anyone once the run is over.
 type Clock struct {
 	seconds float64
 }
@@ -43,7 +43,7 @@ type Ledger struct {
 
 // Device simulates one leaf storage node. Space allocation is mutex-guarded
 // so concurrent spill writers can claim growth chunks; the ledger is the
-// merged total across all accounting strands (see Acct).
+// root strand's, which holds every adopted strand's deltas (see Acct).
 type Device struct {
 	Node *memory.Node
 	sim  *Sim
@@ -62,8 +62,7 @@ type Sim struct {
 	Devices map[string]*Device
 	Cache   *CacheModel // non-nil when the hierarchy has a cache level
 
-	mu   sync.Mutex // guards Clock and device ledgers
-	root *Acct
+	root *Acct // the driver strand's account: it charges Clock and the device ledgers
 
 	// CPU cost model (seconds per operation); zero values disable CPU
 	// charging, mirroring the estimator's "we currently neglect the actual
@@ -86,7 +85,7 @@ func (s *Sim) DefaultCPU() {
 // device semantics gets a Device; a cache node gets the cache model.
 func NewSim(h *memory.Hierarchy) *Sim {
 	s := &Sim{H: h, Devices: map[string]*Device{}}
-	s.root = &Acct{sim: s, direct: true, byDev: map[*Device]*devCursor{}}
+	s.root = &Acct{sim: s, clock: &s.Clock.seconds}
 	for _, name := range h.Names() {
 		n := h.Node(name)
 		switch n.Kind {
