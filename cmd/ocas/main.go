@@ -20,7 +20,9 @@
 // internal/plan instead of the human-readable report — byte-identical to
 // what the ocasd service serves for the same request, fingerprint included.
 // Both output modes print one *plan.Plan, built through plan.Compile exactly
-// as the daemon builds it (same validation, same knob bounds).
+// as the daemon builds it (same validation, same knob bounds). The plan
+// carries no C: -c renders it from that plan on demand (the human report
+// only; -c with -json is a usage error).
 // With -template-cache FILE, ocas keeps a plan/template snapshot across
 // invocations: a request whose shape is already captured re-optimizes at the
 // new cardinalities instead of re-searching, and the plan is byte-identical
@@ -47,6 +49,7 @@ import (
 	"time"
 
 	"ocas/internal/catalog"
+	"ocas/internal/codegen"
 	"ocas/internal/plan"
 	"ocas/internal/plancache"
 )
@@ -77,6 +80,11 @@ func main() {
 	)
 	flag.Parse()
 	if *progPath == "" || *inputs == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *emitC && *asJSON {
+		fmt.Fprintln(os.Stderr, "ocas: -c and -json exclude each other: the plan encoding carries no C")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -119,14 +127,17 @@ func main() {
 			die(fmt.Errorf("bad input spec %q", part))
 		}
 		fields := strings.Split(rest, ":")
-		if len(fields) < 2 {
+		if len(fields) < 2 || len(fields) > 3 {
 			die(fmt.Errorf("bad input spec %q (want name=node:rows[:arity])", part))
+		}
+		if _, dup := req.Inputs[name]; dup {
+			die(fmt.Errorf("bad input spec %q (input %s is given twice)", part, name))
 		}
 		in := plan.Input{Node: fields[0]}
 		if in.Rows, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
 			die(err)
 		}
-		if len(fields) >= 3 {
+		if len(fields) == 3 {
 			if in.Arity, err = strconv.Atoi(fields[2]); err != nil {
 				die(err)
 			}
@@ -205,11 +216,12 @@ func main() {
 		p.SearchSpace, len(p.Derivation), elapsed)
 
 	if *emitC {
-		if p.C == "" {
-			die(fmt.Errorf("-c: the synthesized algorithm uses a construct the C generator does not support"))
+		csrc, err := codegen.Render(c, p)
+		if err != nil {
+			die(fmt.Errorf("-c: %w", err))
 		}
 		fmt.Println("== generated C ==")
-		fmt.Print(p.C)
+		fmt.Print(csrc)
 	}
 
 	if rep != nil {

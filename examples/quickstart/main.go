@@ -12,15 +12,29 @@ package main
 import (
 	_ "embed"
 	"fmt"
+	"log"
 
 	"ocas/examples"
+	"ocas/internal/codegen"
+	"ocas/internal/plan"
 )
 
 //go:embed request.json
 var request []byte
 
 func main() {
-	p, _ := examples.Run(examples.Decode(request), examples.MaxRows)
+	req := examples.Decode(request)
+	p, _ := examples.Run(req, examples.MaxRows)
+	// The plan is the algorithm and its parameters; C is rendered from it,
+	// with the request supplying input arities and the output placement.
+	c, err := plan.Compile(req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	csrc, err := codegen.Render(c, p)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("generated C:")
-	fmt.Println(p.C)
+	fmt.Println(csrc)
 }

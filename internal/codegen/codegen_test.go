@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -119,5 +120,36 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Error("generation is not deterministic")
+	}
+}
+
+// TestMergeOverOneSource: a one-tuple prints as its bare element, so the
+// unfoldR of examples/groupby comes back from its printed form applied to R,
+// not <R>, and is a streaming merge over that one source.
+func TestMergeOverOneSource(t *testing.T) {
+	src, err := os.ReadFile("../../examples/groupby/query.ocal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ocal.ParseFile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ocal.ParseFile(ocal.String(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, isTup := prog.(ocal.App).Arg.(ocal.Tup); isTup {
+		t.Fatalf("the printed form kept the one-tuple: %s", ocal.String(spec))
+	}
+	c, err := Generate(prog, Options{InputArity: map[string]int{"R": 2}, Output: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"streaming merge over 1 inputs", "ocas_open_window(ctx, R, 1)",
+		"ocas_merge_step(ctx, &R_w)"} {
+		if !strings.Contains(c, want) {
+			t.Errorf("generated C missing %q:\n%s", want, c)
+		}
 	}
 }

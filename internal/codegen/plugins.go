@@ -91,12 +91,14 @@ func (g *gen) emitExtSort(w *strings.Builder, tf ocal.TreeFold, arg ocal.Expr) e
 // duplicate removal): the step function inlined into a streaming loop over
 // blocked input windows.
 func (g *gen) emitMerge(w *strings.Builder, unf ocal.UnfoldR, arg ocal.Expr) error {
-	tupArg, ok := arg.(ocal.Tup)
-	if !ok {
-		return fmt.Errorf("codegen: unfoldR argument must be a tuple")
+	// A one-tuple prints as its bare element (<R> and R are the same
+	// canonical form), so a non-tuple argument is a single source.
+	elems := []ocal.Expr{arg}
+	if tupArg, ok := arg.(ocal.Tup); ok {
+		elems = tupArg.Elems
 	}
 	var ins []string
-	for _, el := range tupArg.Elems {
+	for _, el := range elems {
 		if v, ok := el.(ocal.Var); ok {
 			ins = append(ins, v.Name)
 		}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
-	"ocas/internal/codegen"
 	"ocas/internal/exec"
 	"ocas/internal/interp"
 	"ocas/internal/memory"
@@ -115,46 +113,5 @@ func TestSynthesizedJoinExecutesLikeSpec(t *testing.T) {
 	}
 	if sim.Clock.Seconds() <= 0 {
 		t.Error("no simulated time charged")
-	}
-}
-
-// TestWinnersGenerateC ensures every synthesized winner in the evaluation's
-// algorithm families passes through the C code generator.
-func TestWinnersGenerateC(t *testing.T) {
-	cases := []struct {
-		name string
-		task Task
-		ram  int64
-	}{
-		{"bnl", Task{Spec: JoinSpec(true),
-			InputLoc:  map[string]string{"R": "hdd", "S": "hdd"},
-			InputRows: map[string]int64{"R": 1 << 16, "S": 1 << 11}}, 16 * memory.KiB},
-		{"sort", Task{Spec: SortSpec(),
-			InputLoc:  map[string]string{"R": "hdd"},
-			InputRows: map[string]int64{"R": 1 << 20}}, 64 * memory.KiB},
-		{"grace", Task{Spec: JoinSpec(true),
-			InputLoc:  map[string]string{"R": "hdd", "S": "hdd"},
-			InputRows: map[string]int64{"R": 4 << 20, "S": 8 << 20}}, 2 * memory.MiB},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s := &Synthesizer{H: memory.HDDRAM(c.ram), MaxDepth: 8, MaxSpace: 1500}
-			res, err := s.Synthesize(c.task)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arities := map[string]int{}
-			for _, in := range c.task.Spec.Inputs {
-				arities[in.Name] = in.Arity
-			}
-			src, err := codegen.Generate(res.Best.Expr, codegen.Options{
-				FuncName: "q", Params: res.Best.Params, InputArity: arities})
-			if err != nil {
-				t.Fatalf("codegen of %s: %v", ocal.String(res.Best.Expr), err)
-			}
-			if !strings.Contains(src, "void q(ocas_ctx *ctx)") {
-				t.Error("missing function shell")
-			}
-		})
 	}
 }

@@ -1,56 +1,52 @@
-package plan
+package plan_test
 
 import (
 	"context"
 	"encoding/json"
 	"os"
 	"testing"
+
+	"ocas/internal/codegen"
+	"ocas/internal/plan"
 )
 
-// goldenC is one entry of testdata/c.golden.json: the C text the plan of a
-// golden request carried while plans still embedded it.
-type goldenC struct {
-	Name string           `json:"name"`
-	Rows map[string]int64 `json:"rows"`
-	C    string           `json:"c"`
-}
-
-// TestCGolden pins the generated C of the 36 golden plans. The file has no
-// regeneration path: it was extracted from plans.golden.json's "c" keys.
+// TestCGolden pins codegen.Render on the 36 golden plans. The file holds the
+// C those plans carried while a plan still embedded it (plans.golden.json's
+// "c" keys at that commit) and has no regeneration path.
 func TestCGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/c.golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []goldenC
+	var want []struct {
+		Name string           `json:"name"`
+		Rows map[string]int64 `json:"rows"`
+		C    string           `json:"c"`
+	}
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	for _, s := range planGoldenShapes(t) {
-		for _, rows := range s.points() {
-			if i >= len(want) {
-				t.Fatalf("c.golden.json has %d entries, the corpus more", len(want))
-			}
-			w := want[i]
-			i++
-			if w.Name != s.name {
-				t.Fatalf("entry %d is %s, the corpus has %s", i-1, w.Name, s.name)
-			}
-			c, err := Compile(s.withRows(rows))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := c.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.C != w.C {
-				t.Errorf("%s %v: C differs\ngot:\n%s\nwant:\n%s", s.name, rows, p.C, w.C)
-			}
-		}
+	names, reqs := plan.GoldenRequests(t)
+	if len(want) != len(reqs) {
+		t.Fatalf("c.golden.json has %d entries, the corpus %d", len(want), len(reqs))
 	}
-	if i != len(want) {
-		t.Errorf("c.golden.json has %d entries, the corpus %d", len(want), i)
+	for i, w := range want {
+		if w.Name != names[i] {
+			t.Fatalf("entry %d is %s, the corpus has %s", i, w.Name, names[i])
+		}
+		c, err := plan.Compile(reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := codegen.Render(c, p)
+		if err != nil {
+			t.Errorf("%s %v: %v", w.Name, w.Rows, err)
+		} else if got != w.C {
+			t.Errorf("%s %v: C differs\ngot:\n%s\nwant:\n%s", w.Name, w.Rows, got, w.C)
+		}
 	}
 }

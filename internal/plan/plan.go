@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"ocas/internal/codegen"
 	"ocas/internal/core"
 	"ocas/internal/memory"
 	"ocas/internal/ocal"
@@ -354,10 +353,11 @@ func copyBound(m map[string]bool) map[string]bool {
 }
 
 // Plan is the canonical, deterministic encoding of one synthesis result:
-// everything cmd/ocas prints (derivation, tuned parameters, cost formula,
-// generated C) minus anything run-dependent (wall-clock time). Two runs of
-// the same request — CLI or service, one worker or many — produce the same
-// Plan bytes.
+// the algorithm and its parameters, with what the cost report prints
+// (derivation, estimates, cost formula, search statistics), minus anything
+// run-dependent (wall-clock time). Two runs of the same request — CLI or
+// service, one worker or many — produce the same Plan bytes. Renderings of a
+// plan, such as codegen.Render's C, are derived from it and not part of it.
 type Plan struct {
 	Fingerprint string `json:"fingerprint"`
 	// Spec is the parsed naive specification, printed canonically.
@@ -374,9 +374,6 @@ type Plan struct {
 	SearchSpace int    `json:"searchSpace"`
 	SearchDepth int    `json:"searchDepth"`
 	Truncated   bool   `json:"truncated,omitempty"`
-	// C is the generated C implementation; omitted when the winning program
-	// uses a construct the code generator does not support.
-	C string `json:"c,omitempty"`
 }
 
 // build converts a synthesis result into the canonical plan.
@@ -397,19 +394,6 @@ func (c *Compiled) build(res *core.Synthesis) *Plan {
 	}
 	if p.Params == nil {
 		p.Params = map[string]int64{}
-	}
-	arities := map[string]int{}
-	for _, in := range c.Task.Spec.Inputs {
-		arities[in.Name] = in.Arity
-	}
-	csrc, err := codegen.Generate(res.Best.Expr, codegen.Options{
-		FuncName:   "ocas_query",
-		Params:     res.Best.Params,
-		InputArity: arities,
-		Output:     c.Req.Output != "",
-	})
-	if err == nil {
-		p.C = csrc
 	}
 	return p
 }

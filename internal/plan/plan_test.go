@@ -3,7 +3,6 @@ package plan
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -150,9 +149,6 @@ func TestExecuteDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if a.Speedup <= 1 {
 		t.Fatalf("expected the synthesized join to beat the spec, speedup=%v", a.Speedup)
-	}
-	if !strings.Contains(a.C, "ocas_query") {
-		t.Fatalf("expected generated C in the plan, got %q", a.C)
 	}
 }
 

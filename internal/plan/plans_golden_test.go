@@ -128,6 +128,19 @@ func planGoldenShapes(t *testing.T) []planShape {
 	)
 }
 
+// GoldenRequests lists the corpus's requests, one per cardinality point, in
+// the golden files' order. Exported for the external test package: the C
+// renderer imports this package, so its golden test cannot sit inside it.
+func GoldenRequests(t *testing.T) (names []string, reqs []Request) {
+	for _, s := range planGoldenShapes(t) {
+		for _, rows := range s.points() {
+			names = append(names, s.name)
+			reqs = append(reqs, s.withRows(rows))
+		}
+	}
+	return names, reqs
+}
+
 // TestPlanBytesGolden pins the plan bytes of the request → plan pipeline.
 // The committed file was produced by the code that still had two copies of
 // the screening and optimization phases — a cold search running its own, and

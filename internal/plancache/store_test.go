@@ -324,6 +324,40 @@ func TestStoreRejectsV1Snapshot(t *testing.T) {
 	}
 }
 
+// TestLoadDropsEmbeddedC: snapshots written while a plan still embedded its
+// generated C carry a "c" key per plan entry. Such a file loads, serves a hit
+// with today's bytes, and is rewritten without the key.
+func TestLoadDropsEmbeddedC(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "with-c.json")
+	want := mkPlan("fp-a")
+	enc := strings.TrimSuffix(strings.TrimSpace(string(plan.Encode(want))), "}")
+	old := `{"version": 2, "plans": [{"key": "fp-a", "plan": ` + enc + `, "c": "void ocas_query(ocas_ctx *ctx) {}\n"}}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(4, 4)
+	if err := s.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	p, out, err := s.Resolve(context.Background(), "fp-a", "tfp-a", ResolveFuncs{})
+	if err != nil || out != Hit {
+		t.Fatalf("loaded plan: outcome %v err %v", out, err)
+	}
+	if !bytes.Equal(plan.Encode(p), plan.Encode(want)) {
+		t.Fatalf("loaded plan encodes as\n%s", plan.Encode(p))
+	}
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"c"`)) || bytes.Contains(data, []byte("ocas_query")) {
+		t.Fatalf("the rewritten snapshot still carries C:\n%s", data)
+	}
+}
+
 func TestLoadMissingFileIsFine(t *testing.T) {
 	if err := NewStore(2, 2).Load(filepath.Join(t.TempDir(), "absent.json")); err != nil {
 		t.Fatal(err)
