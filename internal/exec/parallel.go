@@ -143,25 +143,21 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 // ---------------------------------------------------------------------------
 // Gather
 
-// gatherAhead bounds how many batches each partition may produce ahead of
-// the ordered consumer (bounded lookahead memory per partition).
-const gatherAhead = 16
-
 // Gather merges the output streams of its partition operators into one
-// stream. With one worker the partitions run lazily in order on the
-// caller's strand. With more, each worker lane drives its partitions
-// concurrently; by default batches merge in completion order — the
-// consumer never stalls a producer, maximum overlap — which is correct
-// for every bag consumer (joins, exchanges, sorts, the sink's
-// order-independent digest). With Ordered set, each partition produces
-// into its own bounded channel (up to gatherAhead batches of lookahead)
-// and the consumer drains them strictly in partition order, so the row
-// order — not just the bag — is identical for every worker count
+// stream. With one lane the partitions run lazily in order on the caller's
+// strand. With more, each worker lane drives its partitions concurrently
+// and batches merge in completion order — the consumer never stalls a
+// producer — which is correct for every bag consumer (joins, exchanges,
+// sorts, the sink's order-independent digest). With Ordered set
 // (HashJoin.OrderedOutput: an order-sensitive consumer sits above the
-// join). Each partition runs on a private context (see Ctx.part).
+// join) the gather has one lane at every worker count, so the row order —
+// not just the bag — never depends on it: delivering in partition order
+// from concurrent producers stalls them on the consumer and measured no
+// faster than running them in turn. Each partition runs on a private
+// context (see Ctx.part).
 type Gather struct {
 	Parts []Operator
-	// Ordered trades producer overlap for partition-order delivery.
+	// Ordered delivers the partitions' rows in partition order.
 	Ordered bool
 
 	c      *Ctx
@@ -171,11 +167,9 @@ type Gather struct {
 	cur    int
 	opened bool // inline mode: current partition is open
 
-	// Parallel mode: ch (completion order) or chs (partition order).
+	// Parallel mode (lanes > 1).
 	ch       chan Batch
-	chs      []chan Batch
 	stop     chan struct{}
-	stopped  bool
 	wg       sync.WaitGroup
 	failed   atomic.Bool
 	errs     []error
@@ -193,9 +187,9 @@ func (g *Gather) Open(c *Ctx) error {
 	// Each partition strand pins against the full plan budget (see
 	// Ctx.part); the worker ceiling bounds the concurrent lanes and with
 	// them host memory.
-	g.lanes = c.workers()
-	if g.lanes > n {
-		g.lanes = n
+	g.lanes = min(c.workers(), n)
+	if g.Ordered {
+		g.lanes = 1
 	}
 	g.ctxs = make([]*Ctx, n)
 	for i := range g.ctxs {
@@ -205,65 +199,37 @@ func (g *Gather) Open(c *Ctx) error {
 	if g.lanes == 1 {
 		return nil // partitions open lazily in Next
 	}
-	if g.Ordered {
-		g.chs = make([]chan Batch, n)
-		for i := range g.chs {
-			g.chs[i] = make(chan Batch, gatherAhead)
-		}
-	} else {
-		g.ch = make(chan Batch, 4*g.lanes)
-	}
+	g.ch = make(chan Batch, 4*g.lanes)
 	g.stop = make(chan struct{})
 	for l := 0; l < g.lanes; l++ {
 		g.wg.Add(1)
 		go g.lane(l)
 	}
-	if g.ch != nil {
-		go func() {
-			g.wg.Wait()
-			close(g.ch)
-		}()
-	}
+	go func() {
+		g.wg.Wait()
+		close(g.ch)
+	}()
 	return nil
 }
 
-// lane drives partitions l, l+w, ... to completion in order. In ordered
-// mode every partition channel is closed exactly once — including the
-// partitions a failed or cancelled lane never ran — so the ordered
-// consumer can never block on an abandoned partition.
+// lane drives partitions l, l+w, ... to completion in order, stopping at
+// the first failure or cancellation of any lane.
 func (g *Gather) lane(l int) {
 	defer g.wg.Done()
-	for i := l; i < len(g.Parts); i += g.lanes {
-		if g.failed.Load() {
-			g.closePart(i)
-			continue
+	for i := l; i < len(g.Parts) && !g.failed.Load(); i += g.lanes {
+		err := g.c.err()
+		if err == nil {
+			err = runTask(func() error { return g.runPart(i) })
 		}
-		if err := g.c.err(); err != nil {
-			g.errs[i] = err
-			g.failed.Store(true)
-			g.closePart(i)
-			continue
-		}
-		if err := runTask(func() error { return g.runPart(i) }); err != nil {
+		if err != nil {
 			g.errs[i] = err
 			g.failed.Store(true)
 		}
-		g.closePart(i)
-	}
-}
-
-func (g *Gather) closePart(i int) {
-	if g.chs != nil {
-		close(g.chs[i])
 	}
 }
 
 func (g *Gather) runPart(i int) error {
 	op, pc := g.Parts[i], g.ctxs[i]
-	out := g.ch
-	if g.chs != nil {
-		out = g.chs[i]
-	}
 	if err := op.Open(pc); err != nil {
 		op.Close()
 		return err
@@ -286,9 +252,8 @@ func (g *Gather) runPart(i int) error {
 		for c := range cols {
 			cols[c] = append([]int32(nil), b.Cols[c]...)
 		}
-		cp := Batch{Arity: b.Arity, Cols: cols}
 		select {
-		case out <- cp:
+		case g.ch <- Batch{Arity: b.Arity, Cols: cols}:
 		case <-g.stop:
 			op.Close()
 			return nil
@@ -304,7 +269,7 @@ func (g *Gather) finalize() error {
 		return g.finalErr
 	}
 	g.merged = true
-	if g.chs != nil || g.ch != nil {
+	if g.ch != nil {
 		g.wg.Wait()
 	}
 	for i, pc := range g.ctxs {
@@ -320,32 +285,6 @@ func (g *Gather) Next(b *Batch) (bool, error) {
 	if g.merged {
 		return false, nil
 	}
-	if g.lanes <= 1 {
-		// Inline: drain partitions in order on this strand.
-		for g.cur < len(g.Parts) {
-			op, pc := g.Parts[g.cur], g.ctxs[g.cur]
-			if !g.opened {
-				if err := g.c.err(); err != nil {
-					return false, g.abort(nil, err)
-				}
-				if err := op.Open(pc); err != nil {
-					return false, g.abort(op, err)
-				}
-				g.opened = true
-			}
-			ok, err := op.Next(b)
-			if err != nil {
-				return false, g.abort(op, err)
-			}
-			if ok {
-				return true, nil
-			}
-			if err := g.advance(op, true); err != nil {
-				return false, g.finalize()
-			}
-		}
-		return false, g.finalize()
-	}
 	if g.ch != nil {
 		// Completion order: whoever has a batch ready wins.
 		bt, ok := <-g.ch
@@ -355,29 +294,36 @@ func (g *Gather) Next(b *Batch) (bool, error) {
 		*b = bt
 		return true, nil
 	}
-	// Ordered: drain the partition channels in partition order.
+	// Inline: drain partitions in order on this strand.
 	for g.cur < len(g.Parts) {
-		bt, ok := <-g.chs[g.cur]
+		op, pc := g.Parts[g.cur], g.ctxs[g.cur]
+		if !g.opened {
+			if err := g.c.err(); err != nil {
+				return false, g.abort(nil, err)
+			}
+			if err := op.Open(pc); err != nil {
+				return false, g.abort(op, err)
+			}
+			g.opened = true
+		}
+		ok, err := op.Next(b)
+		if err != nil {
+			return false, g.abort(op, err)
+		}
 		if ok {
-			*b = bt
 			return true, nil
 		}
-		if g.errs[g.cur] != nil {
-			return false, g.abortParallel()
+		if err := g.advance(op); err != nil {
+			return false, g.finalize()
 		}
-		g.cur++
 	}
 	return false, g.finalize()
 }
 
 // advance closes the current inline partition and steps to the next.
-func (g *Gather) advance(op Operator, close bool) error {
-	if close {
-		if err := op.Close(); err != nil && g.errs[g.cur] == nil {
-			g.errs[g.cur] = err
-		}
-	}
-	err := g.errs[g.cur]
+func (g *Gather) advance(op Operator) error {
+	err := op.Close()
+	g.errs[g.cur] = err
 	g.cur++
 	g.opened = false
 	return err
@@ -398,44 +344,21 @@ func (g *Gather) abort(op Operator, err error) error {
 	return g.finalize()
 }
 
-// abortParallel stops the producers after a partition failed, drains what
-// they already buffered and finalizes.
-func (g *Gather) abortParallel() error {
-	g.stopProducers()
-	g.cur = len(g.Parts)
-	return g.finalize()
-}
-
-// stopProducers signals the lanes to stop and unblocks any producer
-// waiting on a full channel.
-func (g *Gather) stopProducers() {
-	if g.stopped || (g.chs == nil && g.ch == nil) {
-		return
-	}
-	g.stopped = true
-	g.failed.Store(true)
-	close(g.stop)
-	for _, ch := range g.chs {
-		for range ch { // producers close every channel; drain to unblock
-		}
-	}
-	if g.ch != nil {
-		for range g.ch { // closed by the closer goroutine after wg.Wait
-		}
-	}
-}
-
 func (g *Gather) Close() error {
 	if g.closed {
 		return nil
 	}
 	g.closed = true
-	if g.chs != nil || g.ch != nil {
-		g.stopProducers()
-	} else if g.opened && g.cur < len(g.Parts) {
-		if err := g.Parts[g.cur].Close(); err != nil && g.errs[g.cur] == nil {
-			g.errs[g.cur] = err
+	if g.ch != nil {
+		// Tell the lanes to stop and drain the channel, which unblocks any
+		// producer waiting on it (the closer goroutine closes it once every
+		// lane returned).
+		g.failed.Store(true)
+		close(g.stop)
+		for range g.ch {
 		}
+	} else if g.opened {
+		g.errs[g.cur] = g.Parts[g.cur].Close()
 		g.opened = false
 	}
 	return g.finalize()
