@@ -67,7 +67,7 @@ func main() {
 		strategy  = flag.String("strategy", "exhaustive", "search strategy: exhaustive (full BFS) or beam (bounded frontier)")
 		beam      = flag.Int("beam", plan.DefaultBeam, "beam width (frontier bound per depth, -strategy beam only)")
 		workers   = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
-		emitC     = flag.Bool("c", false, "emit C code for the synthesized algorithm")
+		emitC     = flag.Bool("c", false, "render C code from the synthesized plan, after the report (not with -json: the plan encoding carries no C)")
 		asJSON    = flag.Bool("json", false, "emit the canonical plan encoding (identical to the ocasd service response)")
 		tmplFile  = flag.String("template-cache", "", "plan/template cache snapshot file: known request shapes re-optimize at the new sizes instead of re-searching; updated in place")
 		run       = flag.Bool("run", false, "execute the synthesized algorithm on the storage simulator with generated inputs")
@@ -84,8 +84,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *emitC && *asJSON {
-		fmt.Fprintln(os.Stderr, "ocas: -c and -json exclude each other: the plan encoding carries no C")
-		flag.Usage()
+		fmt.Fprintln(os.Stderr, "usage: ocas -c prints C after the human report; the -json plan encoding carries none")
 		os.Exit(2)
 	}
 

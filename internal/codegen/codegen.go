@@ -6,6 +6,10 @@
 // generated program is the textbook algorithm rather than a naive expansion
 // of Figure 2's definitions.
 //
+// C is a rendering of a plan, produced on demand and stored nowhere: Render
+// takes a compiled request and its plan (cmd/ocas -c, examples/quickstart);
+// Generate is the lower-level entry over a program and explicit options.
+//
 // The emitted C targets a small runtime interface (ocas_rt.h) of block-wise
 // read/write calls; inspection tests verify the loop structure matches the
 // textbook algorithms, which is the paper's own validation methodology
