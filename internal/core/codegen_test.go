@@ -10,10 +10,9 @@ import (
 	"ocas/internal/ocal"
 )
 
-// An external test package: codegen renders plans, so it depends on this one.
-
 // TestWinnersGenerateC ensures every synthesized winner in the evaluation's
-// algorithm families passes through the C code generator.
+// algorithm families passes through the C code generator. It sits in an
+// external test package because codegen, which renders plans, imports core.
 func TestWinnersGenerateC(t *testing.T) {
 	cases := []struct {
 		name string

@@ -168,11 +168,12 @@ type Gather struct {
 	opened bool // inline mode: current partition is open
 
 	// Parallel mode (lanes > 1).
-	ch       chan Batch
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	failed   atomic.Bool
-	errs     []error
+	ch     chan Batch
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	failed atomic.Bool
+
+	errs     []error // per partition
 	finalErr error
 	merged   bool
 }
