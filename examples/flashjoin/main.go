@@ -17,11 +17,11 @@ var request []byte
 func main() {
 	req := examples.Decode(request)
 	fmt.Println("-- writing to a flash drive (erase-before-write, faster sequential writes) --")
-	ssd, _ := examples.Run(req, examples.MaxRows)
+	_, ssd, _ := examples.Run(req, examples.MaxRows)
 
 	req.Hier, req.Output = "two-hdd", "hdd2"
 	fmt.Println("-- writing to a second hard disk --")
-	hdd, _ := examples.Run(req, examples.MaxRows)
+	_, hdd, _ := examples.Run(req, examples.MaxRows)
 
 	if ssd.Seconds < hdd.Seconds {
 		fmt.Printf("OCAS estimates flash %.1fx faster: InitCom models erasure per 256K write block instead of seeks, and UnitTr is 4x cheaper.\n",

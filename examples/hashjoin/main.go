@@ -17,11 +17,11 @@ var request []byte
 
 func main() {
 	req := examples.Decode(request)
-	_, scarce := examples.Run(req, examples.MaxRows)
+	_, _, scarce := examples.Run(req, examples.MaxRows)
 
 	req.RAM = 1 << 30
 	fmt.Println("-- the same request with 1 GiB of RAM --")
-	_, ample := examples.Run(req, examples.MaxRows)
+	_, _, ample := examples.Run(req, examples.MaxRows)
 
 	if scarce.OutDigest != ample.OutDigest {
 		log.Fatalf("hash join result mismatch: %d rows %s vs %d rows %s",

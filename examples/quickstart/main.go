@@ -16,21 +16,15 @@ import (
 
 	"ocas/examples"
 	"ocas/internal/codegen"
-	"ocas/internal/plan"
 )
 
 //go:embed request.json
 var request []byte
 
 func main() {
-	req := examples.Decode(request)
-	p, _ := examples.Run(req, examples.MaxRows)
 	// The plan is the algorithm and its parameters; C is rendered from it,
 	// with the request supplying input arities and the output placement.
-	c, err := plan.Compile(req)
-	if err != nil {
-		log.Fatal(err)
-	}
+	c, p, _ := examples.Run(examples.Decode(request), examples.MaxRows)
 	csrc, err := codegen.Render(c, p)
 	if err != nil {
 		log.Fatal(err)

@@ -29,8 +29,9 @@ func Decode(raw []byte) plan.Request {
 }
 
 // Run synthesizes the request's plan, executes it on generated inputs of at
-// most maxRows rows each, and prints both.
-func Run(req plan.Request, maxRows int64) (*plan.Plan, *plan.ExecReport) {
+// most maxRows rows each, and prints both. The compiled request comes back
+// with them for renderings that need more than the plan (codegen.Render).
+func Run(req plan.Request, maxRows int64) (*plan.Compiled, *plan.Plan, *plan.ExecReport) {
 	ctx := context.Background()
 	c, err := plan.Compile(req)
 	if err != nil {
@@ -64,5 +65,5 @@ func Run(req plan.Request, maxRows int64) (*plan.Plan, *plan.ExecReport) {
 	}
 	fmt.Println("    digest:        ", rep.OutDigest)
 	fmt.Println()
-	return p, rep
+	return c, p, rep
 }

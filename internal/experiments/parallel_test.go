@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"flag"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -38,46 +34,53 @@ func parallelSynth(tb testing.TB, e Experiment) *core.Synthesis {
 }
 
 // BenchmarkExecParallel measures the morsel-driven executor's wall-clock on
-// the hashjoin (GRACE regime) and externalsort workloads at 1 and 2
-// workers; the simulated charges are identical either way.
+// the hashjoin (GRACE regime) and externalsort workloads at 1 and 2 workers,
+// and holds what the completion-order Gather and the morsel sections are
+// kept for: the fastest join at 2 workers beats the fastest at 1 by at least
+// 1.25x (1.60-1.94x measured on an idle 2-core host; the external sort's
+// 1.3-1.45x is logged). The bar sits here and not in a test because it needs
+// two cores to itself: beside the other packages of `go test ./...` (one per
+// core) the same join reads 0.97-1.12x, under -race 1.20x. CI's "executor
+// scaling" step runs it alone:
+//
+//	go test -run '^$' -bench BenchmarkExecParallel -benchtime 3x -v ./internal/experiments
 func BenchmarkExecParallel(b *testing.B) {
 	for _, e := range ExecParallelExperiments() {
 		syn := parallelSynth(b, e)
+		var best [3]float64 // fastest execution seen, indexed by worker count
 		for _, workers := range []int{1, 2} {
 			e := e
 			e.ExecWorkers = workers
 			b.Run(fmt.Sprintf("%s/workers=%d", e.Name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := Execute(e, syn); err != nil {
+					r, err := Execute(e, syn)
+					if err != nil {
 						b.Fatal(err)
+					}
+					if best[workers] == 0 || r.ExecSecs < best[workers] {
+						best[workers] = r.ExecSecs
 					}
 				}
 			})
 		}
+		if best[1] == 0 || best[2] == 0 {
+			continue // -bench selected one worker count only
+		}
+		speedup := best[1] / best[2]
+		b.Logf("%s: %.3fs at 1 worker, %.3fs at 2 workers (%.2fx)", e.Name, best[1], best[2], speedup)
+		if e.Name == "hashjoin" && speedup < 1.25 {
+			b.Errorf("hashjoin: %.2fx speedup at 2 workers, want >= 1.25x", speedup)
+		}
 	}
 }
 
-// TestExecParallelSpeedup asserts what the completion-order Gather and the
-// morsel sections are kept for: the GRACE hash join runs at least 1.25x
-// faster on 2 workers than on 1 (measured 1.60-1.76x on a 2-core host; the
-// external sort's 1.3-1.4x is logged, not asserted), with identical
-// simulated charges. Wall-clock is the best of three alternating runs per
-// worker count. The measurement needs two cores to itself, so it runs when
-// selected by name, as CI's "executor scaling" step does:
-//
-//	go test -run TestExecParallelSpeedup -v ./internal/experiments
-//
-// Beside the other packages of `go test ./...` (one per core) the same join
-// measures 0.97-1.12x. It also skips under -short, below 2 CPUs and in a
-// -race build (1.20x of instrumentation, in two minutes). That charges do
-// not depend on the worker count is pinned, at sizes fit for every run, by
-// exec's TestWorkersDifferentialSweep and plan's TestAccountingGolden.
+// TestExecParallelSpeedup runs both workloads once at 1 and at 2 workers:
+// the simulated charges must be identical, and the wall-clock ratio is
+// logged. The ratio is not asserted here, where other packages' tests own
+// the second core; BenchmarkExecParallel holds the bar.
 func TestExecParallelSpeedup(t *testing.T) {
-	if f := flag.Lookup("test.run"); f == nil || !strings.Contains(f.Value.String(), "ExecParallel") {
-		t.Skip("a wall-clock measurement needs the cores to itself: select it with -run TestExecParallelSpeedup")
-	}
-	if testing.Short() || raceBuild() {
-		t.Skip("speedup measurement skipped in -short mode and in -race builds")
+	if testing.Short() {
+		t.Skip("full-size executions skipped in -short mode")
 	}
 	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
 		t.Skipf("needs >= 2 CPUs (GOMAXPROCS %d, NumCPU %d)", runtime.GOMAXPROCS(0), runtime.NumCPU())
@@ -85,35 +88,20 @@ func TestExecParallelSpeedup(t *testing.T) {
 	for _, e := range ExecParallelExperiments() {
 		syn := parallelSynth(t, e)
 		var wall, act [3]float64 // indexed by worker count
-		for try := 0; try < 3; try++ {
-			for _, workers := range []int{1, 2} {
-				e := e
-				e.ExecWorkers = workers
-				r, err := Execute(e, syn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if try == 0 || r.ExecSecs < wall[workers] {
-					wall[workers] = r.ExecSecs
-				}
-				act[workers] = r.ActSecs
+		for _, workers := range []int{1, 2} {
+			e := e
+			e.ExecWorkers = workers
+			r, err := Execute(e, syn)
+			if err != nil {
+				t.Fatal(err)
 			}
+			wall[workers], act[workers] = r.ExecSecs, r.ActSecs
 		}
 		if act[1] != act[2] {
 			t.Errorf("%s: simulated charges depend on worker count: %v vs %v", e.Name, act[1], act[2])
 		}
-		speedup := wall[1] / wall[2]
-		t.Logf("%s: %.3fs at 1 worker, %.3fs at 2 workers (%.2fx)", e.Name, wall[1], wall[2], speedup)
-		if e.Name == "hashjoin" && speedup < 1.25 {
-			t.Errorf("hashjoin: %.2fx speedup at 2 workers, want >= 1.25x", speedup)
-		}
+		t.Logf("%s: %.3fs at 1 worker, %.3fs at 2 workers (%.2fx)", e.Name, wall[1], wall[2], wall[1]/wall[2])
 	}
-}
-
-// raceBuild reports whether the test binary was built with -race.
-func raceBuild() bool {
-	bi, _ := debug.ReadBuildInfo()
-	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // ExecParallelExperiments returns the two executor-scaling workloads: the

@@ -129,8 +129,9 @@ func planGoldenShapes(t *testing.T) []planShape {
 }
 
 // GoldenRequests lists the corpus's requests, one per cardinality point, in
-// the golden files' order. Exported for the external test package: the C
-// renderer imports this package, so its golden test cannot sit inside it.
+// the golden files' order. It and UpdateGolden are exported for the external
+// test package: the C renderer imports this package, so its golden test
+// cannot sit inside it.
 func GoldenRequests(t *testing.T) (names []string, reqs []Request) {
 	for _, s := range planGoldenShapes(t) {
 		for _, rows := range s.points() {
@@ -140,6 +141,9 @@ func GoldenRequests(t *testing.T) (names []string, reqs []Request) {
 	}
 	return names, reqs
 }
+
+// UpdateGolden is the -update-golden flag.
+var UpdateGolden = updateGolden
 
 // TestPlanBytesGolden pins the plan bytes of the request → plan pipeline.
 // The committed file was produced by the code that still had two copies of

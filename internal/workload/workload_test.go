@@ -93,9 +93,8 @@ func TestEdgeCases(t *testing.T) {
 }
 
 // TestGeneratorsLinear: four times the rows cost about four times the wall
-// time — a counting sort, and no quadratic slip (16x). The 10x ceiling
-// leaves room for the larger size falling out of a cache it shares with
-// other processes: 6.0-7.9x was measured on a busy 2-core host.
+// time — a counting sort, not a comparison sort, and no quadratic slip. The
+// 6x ceiling leaves room for the larger size falling out of cache.
 func TestGeneratorsLinear(t *testing.T) {
 	best := func(f func()) time.Duration {
 		min := time.Duration(1 << 62)
@@ -114,8 +113,8 @@ func TestGeneratorsLinear(t *testing.T) {
 	} {
 		small := best(func() { gen(1 << 16) })
 		large := best(func() { gen(1 << 18) })
-		if large > 10*small {
-			t.Errorf("%s: 2^18 rows took %v, 2^16 rows %v: more than 10x for 4x the rows", name, large, small)
+		if large > 6*small {
+			t.Errorf("%s: 2^18 rows took %v, 2^16 rows %v: more than 6x for 4x the rows", name, large, small)
 		}
 	}
 }
