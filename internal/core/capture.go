@@ -290,15 +290,46 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 	return short, nil
 }
 
-// optimize is Phase 2: full parameter optimization of the shortlist, one
-// candidate per worker (the minimization trajectory does not depend on
-// whether the compiled formulas came out of the cache). The winner is picked
-// by a sequential scan in shortlist order so ties resolve exactly as they
-// would sequentially.
+// optimize is Phase 2: full parameter optimization of the shortlist. The
+// winner is picked by a sequential scan in shortlist order so ties resolve
+// exactly as they would sequentially.
 func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) (*Synthesis, error) {
+	_, spOpt := obs.Start(ctx, "synth.optimize")
+	cands := cp.tune(ctx, s, t, fc, short)
+	spOpt.Attr("shortlist", len(short.idx))
+	spOpt.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var best *Candidate
+	for _, cand := range cands {
+		if cand == nil {
+			continue
+		}
+		if best == nil || cand.Seconds < best.Seconds ||
+			(cand.Seconds == best.Seconds && len(cand.Steps) < len(best.Steps)) {
+			best = cand
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("core: no feasible candidate")
+	}
+	return &Synthesis{
+		Best:        best,
+		SpecSeconds: short.specSeconds,
+		SpecCost:    short.specCost,
+		Stats:       cp.Stats,
+		Explored:    len(cp.Space),
+	}, nil
+}
+
+// tune runs the non-linear solver on every shortlist member, one candidate
+// per worker (the minimization trajectory does not depend on whether the
+// compiled formulas came out of the cache). The result is aligned with
+// short.idx; nil marks a member with no feasible assignment.
+func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) []*Candidate {
 	space, costs := cp.Space, cp.Costs
 	fixed := s.fixedEnv(t)
-	_, spOpt := obs.Start(ctx, "synth.optimize")
 	// compiled carries cache hits in and, when there is a cache, fresh
 	// compilations out: the map is not written from the workers.
 	var compiled []*opt.Compiled
@@ -352,29 +383,5 @@ func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *for
 			fc.full[short.idx[i]] = c
 		}
 	}
-	spOpt.Attr("shortlist", len(short.idx))
-	spOpt.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var best *Candidate
-	for _, cand := range cands {
-		if cand == nil {
-			continue
-		}
-		if best == nil || cand.Seconds < best.Seconds ||
-			(cand.Seconds == best.Seconds && len(cand.Steps) < len(best.Steps)) {
-			best = cand
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("core: no feasible candidate")
-	}
-	return &Synthesis{
-		Best:        best,
-		SpecSeconds: short.specSeconds,
-		SpecCost:    short.specCost,
-		Stats:       cp.Stats,
-		Explored:    len(space),
-	}, nil
+	return cands
 }

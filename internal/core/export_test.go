@@ -1,0 +1,16 @@
+package core
+
+import "context"
+
+// TuneShortlist is Instantiate up to, but not including, the pick of a
+// winner: every shortlist member's tuned candidate in shortlist order (nil =
+// no feasible assignment), computed through the replay's formula cache.
+func (r *Replay) TuneShortlist(ctx context.Context, s *Synthesizer, t Task) ([]*Candidate, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	short, err := r.cp.screen(ctx, s, t, &r.fc, s.estimator(t))
+	if err != nil {
+		return nil, err
+	}
+	return r.cp.tune(ctx, s, t, &r.fc, short), nil
+}
