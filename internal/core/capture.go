@@ -96,10 +96,10 @@ type Replay struct {
 // cold run visits every formula once, and holding the compilations until the
 // run ends would only raise its peak heap.
 type formulaCache struct {
-	lite []*cost.CompiledFormulas // screening formulas, aligned with Space
-	bind [][]int32                // per-member fixed-variable slot bindings
-	keys []string                 // sorted fixed-env keys the bindings cover
-	full map[int]*opt.Compiled    // optimizer formulas by space index
+	screen []*cost.CompiledFormulas // screening formulas, aligned with Space
+	bind   [][]int32                // per-member fixed-variable slot bindings
+	keys   []string                 // sorted fixed-env keys the bindings cover
+	full   map[int]*opt.Compiled    // optimizer formulas by space index
 }
 
 // NewReplay wraps a capture for instantiation.
@@ -181,9 +181,9 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 
 	// The formulas are compiled with the fixed variables unbound and bound
 	// through slots per task; a cached compilation re-bound to new values
-	// cannot differ in a single evaluation from a fresh one, because slot
-	// layout is a function of the formulas alone and fixed values live in
-	// slots, never in the instruction tape.
+	// cannot differ in a single evaluation from a fresh one, because the
+	// program is a function of the formulas alone: fixed values live in
+	// slots, and what they determine is recomputed by every binding.
 	fixedKeys := make([]string, 0, len(fixed))
 	for k := range fixed {
 		fixedKeys = append(fixedKeys, k)
@@ -193,8 +193,8 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 	for i, k := range fixedKeys {
 		fixedVals[i] = fixed[k]
 	}
-	if fc != nil && (fc.lite == nil || !slices.Equal(fixedKeys, fc.keys)) {
-		fc.lite = make([]*cost.CompiledFormulas, len(space))
+	if fc != nil && (fc.screen == nil || !slices.Equal(fixedKeys, fc.keys)) {
+		fc.screen = make([]*cost.CompiledFormulas, len(space))
 		fc.bind = make([][]int32, len(space))
 		fc.keys = fixedKeys
 	}
@@ -221,13 +221,13 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 		var cf *cost.CompiledFormulas
 		var bind []int32
 		if fc != nil {
-			cf, bind = fc.lite[i], fc.bind[i]
+			cf, bind = fc.screen[i], fc.bind[i]
 		}
 		if cf == nil {
-			cf = cost.CompileFormulas(res.Seconds, res.Constraints, res.Params, nil, true)
+			cf = cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
 			bind = cf.Binding(fixedKeys)
 			if fc != nil {
-				fc.lite[i], fc.bind[i] = cf, bind
+				fc.screen[i], fc.bind[i] = cf, bind
 			}
 		}
 		cf.SetBound(bind, fixedVals)
@@ -295,8 +295,10 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 // exactly as they would sequentially.
 func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) (*Synthesis, error) {
 	_, spOpt := obs.Start(ctx, "synth.optimize")
-	cands := cp.tune(ctx, s, t, fc, short)
+	cands, evals, points := cp.tune(ctx, s, t, fc, short)
 	spOpt.Attr("shortlist", len(short.idx))
+	spOpt.Attr("evals", evals)
+	spOpt.Attr("points", points)
 	spOpt.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -325,9 +327,11 @@ func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *for
 
 // tune runs the non-linear solver on every shortlist member, one candidate
 // per worker (the minimization trajectory does not depend on whether the
-// compiled formulas came out of the cache). The result is aligned with
-// short.idx; nil marks a member with no feasible assignment.
-func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) []*Candidate {
+// compiled formulas came out of the cache). The candidates are aligned with
+// short.idx; nil marks a member with no feasible assignment. evals and points
+// are the solver's work summed over the shortlist: formula evaluations
+// performed and distinct points visited.
+func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) (cands []*Candidate, evals, points int) {
 	space, costs := cp.Space, cp.Costs
 	fixed := s.fixedEnv(t)
 	// compiled carries cache hits in and, when there is a cache, fresh
@@ -339,7 +343,8 @@ func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formula
 			compiled[i] = fc.full[idx]
 		}
 	}
-	cands := make([]*Candidate, len(short.idx))
+	cands = make([]*Candidate, len(short.idx))
+	work := make([][2]int, len(short.idx))
 	par.For(s.Workers, len(short.idx), func(i int) {
 		if ctx.Err() != nil {
 			return
@@ -363,6 +368,7 @@ func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formula
 			}
 		}
 		rr, err := c.Minimize(prob)
+		work[i] = [2]int{c.Evals, c.Points}
 		if err != nil {
 			return
 		}
@@ -383,5 +389,9 @@ func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formula
 			fc.full[short.idx[i]] = c
 		}
 	}
-	return cands
+	for _, w := range work {
+		evals += w[0]
+		points += w[1]
+	}
+	return cands, evals, points
 }

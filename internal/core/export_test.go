@@ -12,5 +12,6 @@ func (r *Replay) TuneShortlist(ctx context.Context, s *Synthesizer, t Task) ([]*
 	if err != nil {
 		return nil, err
 	}
-	return r.cp.tune(ctx, s, t, &r.fc, short), nil
+	cands, _, _ := r.cp.tune(ctx, s, t, &r.fc, short)
+	return cands, nil
 }

@@ -270,8 +270,8 @@ func (sc *screener) estimate(e ocal.Expr) *screenEstimate {
 	}
 	est := &screenEstimate{seconds: math.Inf(1)}
 	if res, err := sc.costs.Estimate(n, e); err == nil {
-		// Lite mode: only a handful of evaluations happen here.
-		cf := cost.CompileFormulas(res.Seconds, res.Constraints, res.Params, sc.fixed, true)
+		cf := cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
+		cf.SetFixed(sc.fixed)
 		est.res = res
 		if secs := heuristicPoint(cf, len(res.Params)); !math.IsNaN(secs) {
 			est.seconds = secs
@@ -316,13 +316,12 @@ func (s *Synthesizer) strategy(sc *screener, trace *[]rules.TraceLevel) rules.Se
 
 // heuristicPoint guesses block sizes for screening — each parameter starts
 // at 4096 and halves until all capacity constraints hold — and returns the
-// cost formula evaluated at the guess. The formulas arrive compiled, so the
-// repair loop rewrites a few parameter slots per iteration instead of
-// rebuilding an environment map; the evaluations are bit-identical to
-// Expr.Eval. Whether the fixed values were folded in at compile time (the
-// beam's rank) or bound through slot bindings (the screening pass) cannot
-// change a single evaluation: fixed values live in slots, never in the
-// instruction tape.
+// cost formula evaluated at the guess. The formulas arrive compiled and
+// bound, so the repair loop rewrites a few parameter slots per iteration
+// instead of rebuilding an environment map; the evaluations are bit-identical
+// to Expr.Eval. Whether the fixed values were bound by name (the beam's rank)
+// or through slot bindings (the screening pass) cannot change a single
+// evaluation: fixed values live in slots, never in the instructions.
 func heuristicPoint(cf *cost.CompiledFormulas, nparams int) float64 {
 	var buf [16]int64
 	vals := buf[:]

@@ -7,82 +7,48 @@ import (
 )
 
 // CompiledFormulas is a cost estimate's objective and capacity constraints
-// compiled onto one evaluation-slot layout, for callers that evaluate the
-// same formulas at many parameter points: the synthesizer's screening
-// heuristic and the non-linear optimizer both drive their loops through
-// this type, so the slot/NaN semantics cannot drift between the two. Fixed
-// values (input cardinalities) are written once at compile time; SetPoint
-// rewrites only the parameter slots. Not safe for concurrent use — compile
-// one per goroutine.
+// compiled into one sym.Program, for callers that evaluate the same formulas
+// at many parameter points: the synthesizer's screening heuristic and the
+// non-linear optimizer both drive their loops through this type, so the
+// slot/NaN semantics cannot drift between the two. Fixed values (input
+// cardinalities) are written with SetFixed or SetBound, which also run the
+// program's bind part; SetPointVals rewrites only the parameter slots. Not
+// safe for concurrent use — compile one per goroutine.
 type CompiledFormulas struct {
-	seconds *sym.Program
-	cons    []compiledConstraint
-	slots   *sym.Slots
-	vals    []float64
-	params  []string
-	pslot   []int
+	// prog's root 0 is the objective; roots 1+2i and 2+2i are constraint i's
+	// LHS and RHS.
+	prog  *sym.Program
+	ncons int
 }
-
-type compiledConstraint struct{ lhs, rhs *sym.Program }
 
 // CompileFormulas compiles the objective and constraints over the given
-// tuning parameters and fixed environment. lite skips the shared-
-// subexpression analysis — right for a handful of evaluations per formula
-// (screening); keep it false for optimizer-style thousands.
-func CompileFormulas(seconds sym.Expr, cons []Constraint, params []string, fixed sym.Env, lite bool) *CompiledFormulas {
-	compile := sym.Compile
-	if lite {
-		compile = sym.CompileLite
+// tuning parameters, with every other variable unbound.
+func CompileFormulas(seconds sym.Expr, cons []Constraint, params []string) *CompiledFormulas {
+	exprs := make([]sym.Expr, 1, 1+2*len(cons))
+	exprs[0] = seconds
+	for _, con := range cons {
+		exprs = append(exprs, con.LHS, con.RHS)
 	}
-	slots := sym.NewSlots()
-	c := &CompiledFormulas{seconds: compile(seconds, slots), params: params}
-	c.cons = make([]compiledConstraint, len(cons))
-	for i, con := range cons {
-		c.cons[i] = compiledConstraint{lhs: compile(con.LHS, slots), rhs: compile(con.RHS, slots)}
-	}
-	c.pslot = make([]int, len(params))
-	for i, p := range params {
-		c.pslot[i] = slots.Slot(p)
-	}
-	c.slots = slots
-	c.vals = slots.Values()
-	for k, v := range fixed {
-		if i, ok := slots.Lookup(k); ok {
-			c.vals[i] = v
-		}
-	}
-	return c
+	return &CompiledFormulas{prog: sym.Compile(exprs, params), ncons: len(cons)}
 }
 
-// SetFixed rewrites the fixed-value slots for subsequent evaluations, exactly
-// as if the formulas had been compiled with this environment: names without a
-// slot are ignored, slots the environment does not mention keep their value.
-// Template instantiation uses it to re-bind input cardinalities on formulas
-// compiled once per template.
+// SetFixed binds the fixed variables for subsequent evaluations: names the
+// formulas never mention are ignored, variables the environment does not
+// mention keep their value. A tuning parameter also present in fixed is
+// overwritten by the next SetPointVals, as it would be in a merged
+// environment.
 func (c *CompiledFormulas) SetFixed(fixed sym.Env) {
 	for k, v := range fixed {
-		if i, ok := c.slots.Lookup(k); ok {
-			c.vals[i] = v
+		if s, ok := c.prog.Slot(k); ok {
+			c.prog.Set(s, v)
 		}
 	}
+	c.prog.Bind()
 }
 
-// SetPoint writes the parameter values for subsequent evaluations (params
-// in the order given to CompileFormulas; a parameter also present in fixed
-// wins, as it would in a merged environment).
-func (c *CompiledFormulas) SetPoint(x map[string]int64) {
-	for i, p := range c.params {
-		c.vals[c.pslot[i]] = float64(x[p])
-	}
-}
-
-// SetPointVals is SetPoint with the values given in params order — the
-// allocation-free form the screening loop drives.
-func (c *CompiledFormulas) SetPointVals(vals []int64) {
-	for i := range c.params {
-		c.vals[c.pslot[i]] = float64(vals[i])
-	}
-}
+// SetPointVals writes the parameter values, in the order given to
+// CompileFormulas, for subsequent evaluations.
+func (c *CompiledFormulas) SetPointVals(vals []int64) { c.prog.SetPoint(vals) }
 
 // Binding resolves names to value slots once (-1 when the formulas never
 // reference a name), for callers that re-bind the same variables across
@@ -90,10 +56,9 @@ func (c *CompiledFormulas) SetPointVals(vals []int64) {
 func (c *CompiledFormulas) Binding(names []string) []int32 {
 	out := make([]int32, len(names))
 	for i, n := range names {
-		if s, ok := c.slots.Lookup(n); ok {
-			out[i] = int32(s)
-		} else {
-			out[i] = -1
+		out[i] = -1
+		if s, ok := c.prog.Slot(n); ok {
+			out[i] = s
 		}
 	}
 	return out
@@ -104,39 +69,42 @@ func (c *CompiledFormulas) Binding(names []string) []int32 {
 func (c *CompiledFormulas) SetBound(bind []int32, vals []float64) {
 	for i, s := range bind {
 		if s >= 0 {
-			c.vals[s] = vals[i]
+			c.prog.Set(s, vals[i])
 		}
 	}
+	c.prog.Bind()
 }
 
 // Seconds evaluates the objective at the current point.
-func (c *CompiledFormulas) Seconds() float64 { return c.seconds.Eval(c.vals) }
+func (c *CompiledFormulas) Seconds() float64 { return c.prog.Eval(0) }
 
 // AnyViolated reports whether some constraint has LHS > RHS at the current
 // point, in constraint order (NaN sides compare false, exactly as the
 // Expr.Eval-based check did).
 func (c *CompiledFormulas) AnyViolated() bool {
-	for _, con := range c.cons {
-		if con.lhs.Eval(c.vals) > con.rhs.Eval(c.vals) {
+	for i := 0; i < c.ncons; i++ {
+		if c.prog.Eval(1+2*i) > c.prog.Eval(2+2*i) {
 			return true
 		}
 	}
 	return false
 }
 
-// Violation sums the relative constraint violation at the current point
-// ((LHS-RHS)/max(1,|RHS|) over violated constraints); NaN when any side is
-// NaN, which callers treat as infeasible.
-func (c *CompiledFormulas) Violation() float64 {
-	var total float64
-	for _, con := range c.cons {
-		l, r := con.lhs.Eval(c.vals), con.rhs.Eval(c.vals)
+// Eval evaluates everything at the current point in one pass: the objective,
+// and the summed relative constraint violation ((LHS-RHS)/max(1,|RHS|) over
+// violated constraints; NaN when any side is NaN, which callers treat as
+// infeasible).
+func (c *CompiledFormulas) Eval() (seconds, violation float64) {
+	c.prog.EvalAll()
+	seconds = c.prog.Value(0)
+	for i := 0; i < c.ncons; i++ {
+		l, r := c.prog.Value(1+2*i), c.prog.Value(2+2*i)
 		if math.IsNaN(l) || math.IsNaN(r) {
-			return math.NaN()
+			return seconds, math.NaN()
 		}
 		if l > r {
-			total += (l - r) / math.Max(1, math.Abs(r))
+			violation += (l - r) / math.Max(1, math.Abs(r))
 		}
 	}
-	return total
+	return seconds, violation
 }

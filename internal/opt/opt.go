@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"ocas/internal/cost"
 	sym "ocas/internal/symbolic"
@@ -53,14 +54,18 @@ func Minimize(p Problem) (*Result, error) { return Precompile(p).Minimize(p) }
 type Compiled struct {
 	params []string
 	cf     *cost.CompiledFormulas
+	// Evals and Points count the last Minimize: formula evaluations performed
+	// and distinct points visited. The point memo makes them equal; the
+	// search asks for about twice as many values as it visits points.
+	Evals, Points int
 }
 
 // Precompile compiles p's formulas once. Only the Objective, Constraints and
 // Params of p matter here; Fixed, Lo and Hi are taken from the Problem given
 // to each Minimize call. The search evaluates the objective and every
-// constraint thousands of times under environments that differ only in the
-// tuning parameters, so the formulas share one slot layout
-// (cost.CompileFormulas): fixed values are written once per Minimize, and each
+// constraint hundreds of times under environments that differ only in the
+// tuning parameters, so the formulas are one compiled program
+// (cost.CompileFormulas): fixed values are bound once per Minimize, and each
 // evaluation point just overwrites the parameter slots. Compiled evaluation
 // is bit-identical to Expr.Eval.
 func Precompile(p Problem) *Compiled {
@@ -68,9 +73,9 @@ func Precompile(p Problem) *Compiled {
 		// Parameter-free problems are evaluated once, on Expr.Eval.
 		return &Compiled{}
 	}
-	params := sortedParams(p)
-	return &Compiled{params: params,
-		cf: cost.CompileFormulas(p.Objective, p.Constraints, params, nil, false)}
+	params := append([]string(nil), p.Params...)
+	sort.Strings(params)
+	return &Compiled{params: params, cf: cost.CompileFormulas(p.Objective, p.Constraints, params)}
 }
 
 // Minimize solves p over the precompiled formulas. p must carry the same
@@ -78,122 +83,166 @@ func Precompile(p Problem) *Compiled {
 // trajectory does not depend on how many problems the formulas have served.
 func (c *Compiled) Minimize(p Problem) (*Result, error) {
 	if len(p.Params) == 0 {
-		return minimizeNoParams(p)
+		// The objective is a constant under Fixed (kept on Expr.Eval, one
+		// evaluation is cheaper than a compile).
+		c.Evals, c.Points = 1, 1
+		v := p.Objective.Eval(p.Fixed)
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("opt: objective has unbound variables: %v", sym.FreeVars(p.Objective))
+		}
+		return &Result{Values: map[string]int64{}, Seconds: v}, nil
 	}
 	c.cf.SetFixed(p.Fixed)
-	return minimizeWith(p, c.params, c.cf)
-}
-
-// minimizeNoParams is the parameter-free fast path: the objective is a
-// constant under Fixed (kept on Expr.Eval, one evaluation is cheaper than a
-// compile).
-func minimizeNoParams(p Problem) (*Result, error) {
-	v := p.Objective.Eval(p.Fixed)
-	if math.IsNaN(v) {
-		return nil, fmt.Errorf("opt: objective has unbound variables: %v", sym.FreeVars(p.Objective))
-	}
-	return &Result{Values: map[string]int64{}, Seconds: v}, nil
-}
-
-func sortedParams(p Problem) []string {
-	params := append([]string(nil), p.Params...)
-	sort.Strings(params)
-	return params
-}
-
-// minimizeWith is the penalty/pattern-search loop.
-func minimizeWith(p Problem, params []string, cf *cost.CompiledFormulas) (*Result, error) {
-	lo := func(name string) int64 {
-		if v, ok := p.Lo[name]; ok && v > 0 {
-			return v
-		}
-		return 1
-	}
-	hi := func(name string) int64 {
-		if v, ok := p.Hi[name]; ok && v > 0 {
-			return v
-		}
-		return defaultHi
-	}
-
-	violationAt := func(x map[string]int64) float64 {
-		cf.SetPoint(x)
-		return cf.Violation()
-	}
-
-	penalized := func(x map[string]int64, mu float64) float64 {
-		cf.SetPoint(x)
-		f := cf.Seconds()
-		// The relative violation keeps the penalty scale-free.
-		v := cf.Violation()
-		if math.IsNaN(f) || math.IsNaN(v) {
-			return math.Inf(1)
-		}
-		return f + mu*v*v*1e3 + mu*v
-	}
-
-	// Start points: all-ones (always capacity-feasible for block sizes) and
-	// a mid-scale point, to escape flat regions of ceil-shaped objectives.
-	starts := []map[string]int64{{}, {}}
-	for _, name := range params {
-		starts[0][name] = clamp(lo(name), lo(name), hi(name))
-		starts[1][name] = clamp(1<<12, lo(name), hi(name))
-	}
-
-	best := map[string]int64{}
-	bestVal := math.Inf(1)
-	for _, start := range starts {
-		x := copyMap(start)
-		for mu := 1.0; mu <= maxPenalty; mu *= 100 {
-			x = patternSearch(x, params, lo, hi, func(c map[string]int64) float64 {
-				return penalized(c, mu)
-			})
-			if violationAt(x) == 0 {
-				break
-			}
-		}
-		if violationAt(x) > 0 {
-			continue
-		}
-		cf.SetPoint(x)
-		if v := cf.Seconds(); v < bestVal {
-			bestVal = v
-			best = copyMap(x)
-		}
-	}
+	s := searchPool.Get().(*search)
+	defer searchPool.Put(s)
+	s.reset(c.cf, c.params, p)
+	best, bestVal := s.minimize()
+	c.Evals, c.Points = s.evals, s.memo.count
 	if math.IsInf(bestVal, 1) {
 		return nil, errors.New("opt: no feasible parameter assignment found")
 	}
-	return &Result{Values: best, Seconds: bestVal}, nil
+	values := make(map[string]int64, len(c.params))
+	for i, name := range c.params {
+		values[name] = best[i]
+	}
+	return &Result{Values: values, Seconds: bestVal}, nil
 }
 
-// patternSearch is a derivative-free coordinate search with multiplicative
-// steps: block sizes live on an exponential scale, so steps are factors
-// (×2^8 down to ×2), with an additive ±1 polish at the end.
-func patternSearch(start map[string]int64, params []string,
-	lo, hi func(string) int64, f func(map[string]int64) float64) map[string]int64 {
+// search is one minimization's scratch: the point and its bounds as slices
+// in params order, and the memo of every point evaluated so far. Searches
+// are pooled, so a warm Minimize allocates only its Result.
+type search struct {
+	cf     *cost.CompiledFormulas
+	lo, hi []int64
+	x      []int64 // the pattern search's current point
+	fx     float64 // its penalized value
+	mu     float64 // the current penalty level
+	best   []int64
+	memo   pointMemo
+	evals  int
+}
 
-	x := copyMap(start)
-	fx := f(x)
-	try := func(name string, cand int64) bool {
-		cand = clamp(cand, lo(name), hi(name))
-		if cand == x[name] {
-			return false
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+func (s *search) reset(cf *cost.CompiledFormulas, params []string, p Problem) {
+	n := len(params)
+	s.cf, s.evals = cf, 0
+	s.lo, s.hi = append(s.lo[:0], make([]int64, n)...), append(s.hi[:0], make([]int64, n)...)
+	s.x, s.best = append(s.x[:0], make([]int64, n)...), append(s.best[:0], make([]int64, n)...)
+	for i, name := range params {
+		s.lo[i], s.hi[i] = 1, defaultHi
+		if v, ok := p.Lo[name]; ok && v > 0 {
+			s.lo[i] = v
 		}
-		old := x[name]
-		x[name] = cand
-		if v := f(x); v < fx {
-			fx = v
-			return true
+		if v, ok := p.Hi[name]; ok && v > 0 {
+			s.hi[i] = v
 		}
-		x[name] = old
+	}
+	s.memo.reset(n)
+}
+
+// at returns the objective and the relative constraint violation at x,
+// evaluating the formulas only the first time a point is asked for: every
+// penalty level re-walks points the previous one visited, and the
+// feasibility checks and the final read ask for points the search just left.
+func (s *search) at(x []int64) (seconds, violation float64) {
+	e, found := s.memo.lookup(x)
+	if !found {
+		s.cf.SetPointVals(x)
+		e.seconds, e.violation = s.cf.Eval()
+		s.evals++
+	}
+	return e.seconds, e.violation
+}
+
+// penalized is the sequential-penalty objective at level s.mu.
+func (s *search) penalized(x []int64) float64 {
+	f, v := s.at(x)
+	if math.IsNaN(f) || math.IsNaN(v) {
+		return math.Inf(1)
+	}
+	// The relative violation keeps the penalty scale-free.
+	return f + s.mu*v*v*1e3 + s.mu*v
+}
+
+// minimize is the penalty loop around the pattern search. It returns the
+// best feasible point (valid until the search is reused) and its objective,
+// +Inf when no start reached a feasible point.
+func (s *search) minimize() ([]int64, float64) {
+	bestVal := math.Inf(1)
+	// Start points: all-ones (always capacity-feasible for block sizes) and
+	// a mid-scale point, to escape flat regions of ceil-shaped objectives.
+	for start := 0; start < 2; start++ {
+		for i := range s.x {
+			from := s.lo[i]
+			if start == 1 {
+				from = 1 << 12
+			}
+			s.x[i] = clamp(from, s.lo[i], s.hi[i])
+		}
+		for s.mu = 1.0; s.mu <= maxPenalty; s.mu *= 100 {
+			s.patternSearch()
+			if _, v := s.at(s.x); v == 0 {
+				break
+			}
+		}
+		f, v := s.at(s.x)
+		if v > 0 {
+			continue
+		}
+		if f < bestVal {
+			bestVal = f
+			copy(s.best, s.x)
+		}
+	}
+	return s.best, bestVal
+}
+
+// try moves coordinate i to cand (clamped) and keeps the move if it lowers
+// the penalized value.
+func (s *search) try(i int, cand int64) bool {
+	cand = clamp(cand, s.lo[i], s.hi[i])
+	old := s.x[i]
+	if cand == old {
 		return false
 	}
+	s.x[i] = cand
+	if v := s.penalized(s.x); v < s.fx {
+		s.fx = v
+		return true
+	}
+	s.x[i] = old
+	return false
+}
+
+// tryPair moves budget from coordinate b to coordinate a by a factor.
+func (s *search) tryPair(a, b int, fac int64) bool {
+	ca := clamp(s.x[a]*fac, s.lo[a], s.hi[a])
+	cb := clamp(s.x[b]/fac, s.lo[b], s.hi[b])
+	oa, ob := s.x[a], s.x[b]
+	if ca == oa && cb == ob {
+		return false
+	}
+	s.x[a], s.x[b] = ca, cb
+	if v := s.penalized(s.x); v < s.fx {
+		s.fx = v
+		return true
+	}
+	s.x[a], s.x[b] = oa, ob
+	return false
+}
+
+// patternSearch is a derivative-free coordinate search from s.x with
+// multiplicative steps: block sizes live on an exponential scale, so steps
+// are factors (×2^8 down to ×2), with an additive ±1 polish at the end.
+func (s *search) patternSearch() {
+	x := s.x
+	s.fx = s.penalized(x)
 	for step := int64(256); step >= 2; step /= 4 {
 		for improved := true; improved; {
 			improved = false
-			for _, name := range params {
-				if try(name, x[name]*step) || try(name, x[name]/step) {
+			for i := range x {
+				if s.try(i, x[i]*step) || s.try(i, x[i]/step) {
 					improved = true
 				}
 			}
@@ -205,16 +254,16 @@ func patternSearch(start map[string]int64, params []string,
 	// wall in O(log) evaluations where a ±1 walk would need thousands.
 	for round := 0; round < 3; round++ {
 		improved := false
-		for _, name := range params {
-			for _, dir := range []int{1, -1} {
-				loV, hiV := x[name], x[name]*4
+		for i := range x {
+			for _, dir := range [2]int{1, -1} {
+				loV, hiV := x[i], x[i]*4
 				if dir < 0 {
-					loV, hiV = x[name]/4, x[name]
+					loV, hiV = x[i]/4, x[i]
 				}
-				loV, hiV = clamp(loV, lo(name), hi(name)), clamp(hiV, lo(name), hi(name))
+				loV, hiV = clamp(loV, s.lo[i], s.hi[i]), clamp(hiV, s.lo[i], s.hi[i])
 				for hiV-loV > 1 {
 					mid := loV + (hiV-loV)/2
-					if try(name, mid) {
+					if s.try(i, mid) {
 						improved = true
 						if dir > 0 {
 							loV = mid
@@ -236,30 +285,15 @@ func patternSearch(start map[string]int64, params []string,
 	// Exchange moves handle coupled capacity constraints (k1 + k2 <= B):
 	// shifting budget from one buffer to another is invisible to
 	// per-coordinate moves because the intermediate point is infeasible.
-	tryPair := func(a, b string, fac int64) bool {
-		ca := clamp(x[a]*fac, lo(a), hi(a))
-		cb := clamp(x[b]/fac, lo(b), hi(b))
-		if ca == x[a] && cb == x[b] {
-			return false
-		}
-		oa, ob := x[a], x[b]
-		x[a], x[b] = ca, cb
-		if v := f(x); v < fx {
-			fx = v
-			return true
-		}
-		x[a], x[b] = oa, ob
-		return false
-	}
 	for iter, improved := 0, true; improved && iter < 40; iter++ {
 		improved = false
-		for i := range params {
-			for j := range params {
-				if i == j {
+		for a := range x {
+			for b := range x {
+				if a == b {
 					continue
 				}
-				for _, fac := range []int64{2, 4, 16} {
-					if tryPair(params[i], params[j], fac) {
+				for _, fac := range [3]int64{2, 4, 16} {
+					if s.tryPair(a, b, fac) {
 						improved = true
 					}
 				}
@@ -269,13 +303,12 @@ func patternSearch(start map[string]int64, params []string,
 	// Final ±1 polish (bounded).
 	for iter, improved := 0, true; improved && iter < 32; iter++ {
 		improved = false
-		for _, name := range params {
-			if try(name, x[name]+1) || try(name, x[name]-1) {
+		for i := range x {
+			if s.try(i, x[i]+1) || s.try(i, x[i]-1) {
 				improved = true
 			}
 		}
 	}
-	return x
 }
 
 func clamp(v, lo, hi int64) int64 {
@@ -286,12 +319,4 @@ func clamp(v, lo, hi int64) int64 {
 		return hi
 	}
 	return v
-}
-
-func copyMap(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -127,3 +127,113 @@ func TestExternalSortKSelection(t *testing.T) {
 		t.Errorf("expected interior optimum for merge fan-in, got k=%d", bestK)
 	}
 }
+
+// competingBuffers is TestCompetingBuffers' problem with a RAM budget.
+func competingBuffers(budget float64) Problem {
+	return Problem{
+		Objective: sym.Add(
+			sym.Div(sym.V("x"), sym.V("k1")),
+			sym.Mul(sym.Div(sym.V("x"), sym.V("k1")), sym.Div(sym.V("y"), sym.V("k2")))),
+		Constraints: []cost.Constraint{{
+			LHS: sym.Mul(sym.C(8), sym.Add(sym.V("k1"), sym.V("k2"))),
+			RHS: sym.C(budget)}},
+		Params: []string{"k1", "k2"},
+		Fixed:  sym.Env{"x": 1e6, "y": 1e6},
+	}
+}
+
+// TestWarmMinimizeAllocations: a minimization over precompiled formulas
+// allocates its Result and nothing per evaluation — the point, its bounds
+// and the point memo live in pooled scratch. The bound leaves room for one
+// fresh scratch (about ten allocations): under the race detector sync.Pool
+// drops a quarter of what is put back.
+func TestWarmMinimizeAllocations(t *testing.T) {
+	var evals [2]int
+	for i, budget := range []float64{8 * 64, 8 << 30} {
+		p := competingBuffers(budget)
+		c := Precompile(p)
+		if _, err := c.Minimize(p); err != nil {
+			t.Fatal(err)
+		}
+		evals[i] = c.Evals
+		if c.Evals != c.Points {
+			t.Errorf("budget %v: %d evaluations for %d distinct points", budget, c.Evals, c.Points)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.Minimize(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("budget %v: a warm Minimize of %d evaluations allocates %v times, want at most 16", budget, c.Evals, allocs)
+		}
+	}
+	if max(evals[0], evals[1]) < 2*min(evals[0], evals[1]) {
+		t.Errorf("the two budgets should differ widely in work, got %d and %d evaluations", evals[0], evals[1])
+	}
+}
+
+// TestMinimizeRepeats: the trajectory does not depend on what the pooled
+// scratch or the compiled formulas served before.
+func TestMinimizeRepeats(t *testing.T) {
+	small, large := competingBuffers(8*64), competingBuffers(8<<20)
+	c := Precompile(large)
+	first, err := c.Minimize(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, points := c.Evals, c.Points
+	if _, err := c.Minimize(small); err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Minimize(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(first.Seconds) != math.Float64bits(again.Seconds) ||
+		first.Values["k1"] != again.Values["k1"] || first.Values["k2"] != again.Values["k2"] {
+		t.Errorf("second run found %v at %v, first %v at %v", again.Seconds, again.Values, first.Seconds, first.Values)
+	}
+	if c.Evals != evals || c.Points != points {
+		t.Errorf("second run: %d evaluations over %d points, first %d over %d", c.Evals, c.Points, evals, points)
+	}
+}
+
+func TestPointMemo(t *testing.T) {
+	var m pointMemo
+	const n = 5 * memoInitialSize // forces three doublings
+	for round := 0; round < 2; round++ {
+		m.reset(2)
+		for i := int64(0); i < n; i++ {
+			// Powers of two and near-equal coordinates: the points a block-size
+			// search visits.
+			x := []int64{1 << uint(i%40), i}
+			e, found := m.lookup(x)
+			if found {
+				t.Fatalf("round %d: point %v found before it was stored", round, x)
+			}
+			e.seconds, e.violation = float64(i), float64(-i)
+		}
+		if m.count != n {
+			t.Fatalf("round %d: count %d, want %d", round, m.count, n)
+		}
+		for i := int64(0); i < n; i++ {
+			e, found := m.lookup([]int64{1 << uint(i%40), i})
+			if !found || e.seconds != float64(i) || e.violation != float64(-i) {
+				t.Fatalf("round %d: point %d reads (%v, %v) found=%v", round, i, e.seconds, e.violation, found)
+			}
+		}
+		if m.count != n {
+			t.Fatalf("round %d: lookups changed count to %d", round, m.count)
+		}
+	}
+	// A reset to another arity forgets everything, also across an epoch wrap.
+	m.epoch = math.MaxUint32
+	m.reset(3)
+	if _, found := m.lookup([]int64{1, 0, 0}); found || m.count != 1 {
+		t.Errorf("after the epoch wrapped: found=%v count=%d", found, m.count)
+	}
+	if _, found := m.lookup([]int64{1, 0, 0}); !found {
+		t.Error("stored point not found after the epoch wrapped")
+	}
+}

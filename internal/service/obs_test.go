@@ -186,34 +186,48 @@ func TestTraceRoundTrip(t *testing.T) {
 
 // TestTemplateHitTracePhases: the same shape at other cardinalities replays
 // screening and optimization without a search, and both phases show under
-// the instantiation with the counters the cold spans carry.
+// the instantiation with the counters the cold spans carry. The optimizer's
+// work counts — evaluations performed, distinct points visited — are equal
+// (no point is evaluated twice) and repeat exactly on a fresh daemon.
 func TestTemplateHitTracePhases(t *testing.T) {
-	_, ts := newTestServer(t, Config{TemplateCacheSize: 8})
-	post(t, ts, fastBody())
-	resp, _ := post(t, ts, strings.Replace(fastBody(), "1048576", "2097152", 1))
-	if got := resp.Header.Get("X-Ocas-Cache"); got != "template-hit" {
-		t.Fatalf("X-Ocas-Cache = %q, want template-hit", got)
-	}
-	spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
-	inst, ok := names["template.instantiate"]
-	if !ok {
-		t.Fatalf("template-hit trace lacks template.instantiate (have %v)", names)
-	}
-	for phase, counter := range map[string]string{"synth.screen": "costed", "synth.optimize": "shortlist"} {
-		i, ok := names[phase]
+	var optimize [2]map[string]any
+	for run := range optimize {
+		_, ts := newTestServer(t, Config{TemplateCacheSize: 8})
+		post(t, ts, fastBody())
+		resp, _ := post(t, ts, strings.Replace(fastBody(), "1048576", "2097152", 1))
+		if got := resp.Header.Get("X-Ocas-Cache"); got != "template-hit" {
+			t.Fatalf("X-Ocas-Cache = %q, want template-hit", got)
+		}
+		spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
+		inst, ok := names["template.instantiate"]
 		if !ok {
-			t.Errorf("template-hit trace lacks span %q (have %v)", phase, names)
-			continue
+			t.Fatalf("template-hit trace lacks template.instantiate (have %v)", names)
 		}
-		if spans[i].Parent != inst {
-			t.Errorf("%s parent = %d, want template.instantiate (%d)", phase, spans[i].Parent, inst)
+		for phase, counters := range map[string][]string{
+			"synth.screen": {"costed"}, "synth.optimize": {"shortlist", "evals", "points"}} {
+			i, ok := names[phase]
+			if !ok {
+				t.Fatalf("template-hit trace lacks span %q (have %v)", phase, names)
+			}
+			if spans[i].Parent != inst {
+				t.Errorf("%s parent = %d, want template.instantiate (%d)", phase, spans[i].Parent, inst)
+			}
+			for _, counter := range counters {
+				if n, _ := spans[i].Attrs[counter].(float64); n < 1 {
+					t.Errorf("%s %s = %v, want >= 1", phase, counter, spans[i].Attrs[counter])
+				}
+			}
 		}
-		if n, _ := spans[i].Attrs[counter].(float64); n < 1 {
-			t.Errorf("%s %s = %v, want >= 1", phase, counter, spans[i].Attrs[counter])
+		if _, ok := names["synth.search"]; ok {
+			t.Error("template-hit trace ran a search")
 		}
+		optimize[run] = spans[names["synth.optimize"]].Attrs
 	}
-	if _, ok := names["synth.search"]; ok {
-		t.Error("template-hit trace ran a search")
+	if optimize[0]["evals"] != optimize[0]["points"] {
+		t.Errorf("synth.optimize evaluated %v times for %v distinct points", optimize[0]["evals"], optimize[0]["points"])
+	}
+	if !reflect.DeepEqual(optimize[0], optimize[1]) {
+		t.Errorf("synth.optimize counters do not repeat: %v then %v", optimize[0], optimize[1])
 	}
 }
 
