@@ -53,8 +53,10 @@ func serverElapsed(t *testing.T, resp *http.Response) time.Duration {
 // unrelated machine load (CI runs packages concurrently) inflates them —
 // the test keeps sampling the minimum warm time until the bound holds, and
 // as a last resort re-measures cold on a fresh server so the two sides see
-// comparable contention. Steady-state the ratio is ~90x; 50 is the floor a
-// real regression would have to cross.
+// comparable contention. With all 15 warm samples taken the ratio reads
+// 190–320x alone and 67–86x under -race on a 2-core host (92–123x and 50–60x
+// before PR 22 sped the warm side up); 50 is the floor a real regression
+// would have to cross.
 func TestWarmShapeSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds of cold synthesis")
