@@ -109,8 +109,8 @@ func ladderPoints(own map[string]int64) []map[string]int64 {
 	return points
 }
 
-// rowsKey renders a cardinality point as "R=4194304,S=262144".
-func rowsKey(rows map[string]int64) string {
+// formatInts renders named integers in name order: "R=4194304,S=262144".
+func formatInts(rows map[string]int64) string {
 	names := make([]string, 0, len(rows))
 	for n := range rows {
 		names = append(names, n)
@@ -130,7 +130,7 @@ func memberLine(c *core.Candidate) string {
 	if c == nil {
 		return "infeasible"
 	}
-	return fmt.Sprintf("%s|%016x", rowsKey(c.Params), math.Float64bits(c.Seconds))
+	return fmt.Sprintf("%s|%016x", formatInts(c.Params), math.Float64bits(c.Seconds))
 }
 
 // TestMinimizeGolden pins what the parameter optimizer returns for every
@@ -157,17 +157,17 @@ func TestMinimizeGolden(t *testing.T) {
 			task.InputRows = rows
 			cands, err := replay.TuneShortlist(ctx, c.synth, task)
 			if errors.Is(err, core.ErrStaleCapture) {
-				got[c.name][rowsKey(rows)] = []string{"stale"}
+				got[c.name][formatInts(rows)] = []string{"stale"}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%s at %s: %v", c.name, rowsKey(rows), err)
+				t.Fatalf("%s at %s: %v", c.name, formatInts(rows), err)
 			}
 			lines := make([]string, len(cands))
 			for i, cand := range cands {
 				lines[i] = memberLine(cand)
 			}
-			got[c.name][rowsKey(rows)] = lines
+			got[c.name][formatInts(rows)] = lines
 		}
 	}
 	if *updateGolden {

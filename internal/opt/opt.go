@@ -113,6 +113,7 @@ func (c *Compiled) Minimize(p Problem) (*Result, error) {
 // are pooled, so a warm Minimize allocates only its Result.
 type search struct {
 	cf     *cost.CompiledFormulas
+	buf    []int64 // backs lo, hi, x and best
 	lo, hi []int64
 	x      []int64 // the pattern search's current point
 	fx     float64 // its penalized value
@@ -127,8 +128,10 @@ var searchPool = sync.Pool{New: func() any { return new(search) }}
 func (s *search) reset(cf *cost.CompiledFormulas, params []string, p Problem) {
 	n := len(params)
 	s.cf, s.evals = cf, 0
-	s.lo, s.hi = append(s.lo[:0], make([]int64, n)...), append(s.hi[:0], make([]int64, n)...)
-	s.x, s.best = append(s.x[:0], make([]int64, n)...), append(s.best[:0], make([]int64, n)...)
+	if cap(s.buf) < 4*n {
+		s.buf = make([]int64, 4*n)
+	}
+	s.lo, s.hi, s.x, s.best = s.buf[:n:n], s.buf[n:2*n:2*n], s.buf[2*n:3*n:3*n], s.buf[3*n:4*n]
 	for i, name := range params {
 		s.lo[i], s.hi[i] = 1, defaultHi
 		if v, ok := p.Lo[name]; ok && v > 0 {

@@ -179,17 +179,20 @@ func (c *compiler) emit(e Expr) (ref int32, point bool) {
 		if res, ok := findSeen(c.naries, t); ok {
 			return res, c.inPoint[res]
 		}
-		in.op = opAdd
-		if t.op == "*" {
-			in.op = opMul
-		}
 		if len(t.terms) == 2 {
 			var pa, pb bool
-			in.op += opAdd2 - opAdd
+			in.op = opAdd2
+			if t.op == "*" {
+				in.op = opMul2
+			}
 			in.a, pa = c.emit(t.terms[0])
 			in.b, pb = c.emit(t.terms[1])
 			point = pa || pb
 		} else {
+			in.op = opAdd
+			if t.op == "*" {
+				in.op = opMul
+			}
 			in.a, in.n, point = c.operands(t.terms)
 		}
 		ref = c.add(in, point)
