@@ -307,6 +307,48 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// filterReq is the `filter` request of benchmark/corpus.go (depth 4, space
+// 500: a search space of three programs) at the given cardinality.
+func filterReq(rows int64) plan.Request {
+	return plan.Request{
+		Program: "for (x <- R) if x.2 < 104857 then [<x.1, x.2 + 1>] else []",
+		Hier:    "hdd-ram",
+		RAM:     8 << 20,
+		Inputs:  map[string]plan.Input{"R": {Node: "hdd", Rows: rows, Arity: 2}},
+		Depth:   4,
+		Space:   500,
+	}
+}
+
+// TestLoadIgnoresPersistedTemplates loads testdata/snapshot_v2_templates.json,
+// a Store.Save of filterReq(1<<20) written by the tree that still persisted
+// templates (it carries a "templates" key): the plan loads and serves the
+// identical request as a hit with the bytes a cold run produces, and a new
+// cardinality is served the cold run's bytes.
+func TestLoadIgnoresPersistedTemplates(t *testing.T) {
+	s := NewStore(4, 4)
+	if err := s.Load(filepath.Join("testdata", "snapshot_v2_templates.json")); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Plans.Size != 1 {
+		t.Fatalf("want the snapshot's one plan, got %+v", st)
+	}
+	p, out, err := resolveReq(t, s, filterReq(1<<20), nil, nil)
+	if err != nil || out != Hit {
+		t.Fatalf("identical request: outcome %v err %v", out, err)
+	}
+	if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, filterReq(1<<20)))) {
+		t.Fatalf("loaded plan differs from a cold run:\n%s", plan.Encode(p))
+	}
+	p, _, err = resolveReq(t, s, filterReq(1<<19), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, filterReq(1<<19)))) {
+		t.Fatalf("new cardinality served different bytes than a cold run:\n%s", plan.Encode(p))
+	}
+}
+
 // TestStoreRejectsV1Snapshot: a version-1 file (plan tier only, the format
 // before templates) is refused whole, so ocasd logs it and starts cold.
 func TestStoreRejectsV1Snapshot(t *testing.T) {
