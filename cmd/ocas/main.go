@@ -9,7 +9,7 @@
 //	     -in R=hdd:1048576,S=hdd:65536 [-out hdd] \
 //	     [-commutative] [-depth 6] [-space 4000] \
 //	     [-strategy exhaustive|beam -beam 64] [-workers 0] \
-//	     [-c] [-json] [-template-cache plans.json] \
+//	     [-c] [-json] \
 //	     [-run [-seed 1] [-pool 0] [-exec-workers 1] [-explain] \
 //	           [-data DIR -table R=mytable,...]]
 //
@@ -23,10 +23,8 @@
 // as the daemon builds it (same validation, same knob bounds). The plan
 // carries no C: -c renders it from that plan on demand (the human report
 // only; -c with -json is a usage error).
-// With -template-cache FILE, ocas keeps a plan/template snapshot across
-// invocations: a request whose shape is already captured re-optimizes at the
-// new cardinalities instead of re-searching, and the plan is byte-identical
-// to a cold run either way.
+// Every invocation searches: ocas keeps nothing between runs (the plan and
+// template caches belong to ocasd).
 //
 // With -run, the synthesized algorithm executes on the storage simulator.
 // Inputs are deterministically generated from -seed by default; -data DIR
@@ -51,7 +49,6 @@ import (
 	"ocas/internal/catalog"
 	"ocas/internal/codegen"
 	"ocas/internal/plan"
-	"ocas/internal/plancache"
 )
 
 func main() {
@@ -69,7 +66,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 		emitC     = flag.Bool("c", false, "render C code from the synthesized plan, after the report (not with -json: the plan encoding carries no C)")
 		asJSON    = flag.Bool("json", false, "emit the canonical plan encoding (identical to the ocasd service response)")
-		tmplFile  = flag.String("template-cache", "", "plan/template cache snapshot file: known request shapes re-optimize at the new sizes instead of re-searching; updated in place")
 		run       = flag.Bool("run", false, "execute the synthesized algorithm on the storage simulator with generated inputs")
 		seed      = flag.Int64("seed", 1, "input generator seed (-run)")
 		poolB     = flag.Int64("pool", 0, "executor buffer pool budget in bytes, 0 = the RAM size (-run)")
@@ -152,26 +148,12 @@ func main() {
 		die(err)
 	}
 
-	// One road to the plan, the daemon's: the two-tier store, loaded from and
-	// saved back to the -template-cache file when there is one.
 	start := time.Now()
-	store := plancache.NewStore(1024, 64)
-	if *tmplFile != "" {
-		if err := store.Load(*tmplFile); err != nil {
-			die(err)
-		}
-	}
-	p, _, err := store.Resolve(context.Background(), c.Fingerprint, c.TemplateFingerprint,
-		plancache.ResolveFuncs{Synthesize: c.Run, Capture: c.RunCapture, Instantiate: c.Instantiate})
+	p, err := c.Run(context.Background())
 	if err != nil {
 		die(err)
 	}
 	elapsed := time.Since(start)
-	if *tmplFile != "" {
-		if err := store.Save(*tmplFile); err != nil {
-			die(err)
-		}
-	}
 	var rep *plan.ExecReport
 	if *run {
 		rep, err = plan.ExecutePlan(context.Background(), c, p,

@@ -38,13 +38,16 @@
 // finished trace as a JSON line; -log-json switches the access log from
 // text to JSON.
 //
-// With -persist, the plan and template caches are loaded at startup and
-// written back on SIGINT/SIGTERM, so a restarted daemon keeps serving warm.
-// A missing or corrupt snapshot is logged and the daemon starts cold; a
-// failed save at shutdown is logged and exits nonzero.
+// With -persist, the plan cache is loaded at startup and written back on
+// SIGINT/SIGTERM, so a restarted daemon serves every request it had answered
+// as a hit. A missing or corrupt snapshot is logged and the daemon starts
+// cold, with nothing of the file installed; a failed save at shutdown is
+// logged and exits nonzero.
 // The template tier (-template-cache sizes it) memoizes the search space
 // per request *shape*, so a known shape at new input
-// cardinalities re-optimizes in milliseconds instead of re-searching.
+// cardinalities re-optimizes in milliseconds instead of re-searching. It
+// lives in the process and is not in the snapshot: after a restart the first
+// new cardinality of a shape searches once (miss) and captures it again.
 //
 // With -data, the daemon opens the durable table catalog rooted at that
 // directory: the /tables endpoints come alive and /execute resolves
@@ -80,11 +83,11 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
 		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
-		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown)")
+		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown; plans only, templates are per-process)")
 		strategy    = flag.String("strategy", "", "default search strategy for requests that don't choose one: exhaustive or beam")
 		beam        = flag.Int("beam", 0, "default beam width (with -strategy beam)")
 		workers     = flag.Int("workers", 0, "synthesis worker pool size per job (0 = GOMAXPROCS)")
-		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent synthesis/execution jobs (admission control)")
+		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, executions are admitted by -max-worker-slots)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
 		maxExecRows = flag.Int64("max-exec-rows", 1<<20, "largest per-input row count POST /execute will run")
 		execWorkers = flag.Int("exec-workers", 1, "default executor worker count for /execute requests that don't choose one")
@@ -152,14 +155,15 @@ func main() {
 	})
 	store := srv.Store()
 	if *persist != "" {
+		start := time.Now()
 		if err := store.Load(*persist); err != nil {
 			// A bad snapshot should not keep the daemon down: log it and
-			// start cold. The file is rewritten on clean shutdown.
+			// start cold (Load installs nothing of a file it refuses). The
+			// file is rewritten on clean shutdown.
 			log.Printf("ocasd: load %s: %v (starting with a cold cache)", *persist, err)
-		}
-		if st := store.Stats(); st.Plans.Size > 0 || st.Templates.Size > 0 {
-			log.Printf("ocasd: loaded %d cached plans and %d templates from %s",
-				st.Plans.Size, st.Templates.Size, *persist)
+		} else if n := store.Stats().Plans.Size; n > 0 {
+			log.Printf("ocasd: loaded %d plans from %s in %.1f ms",
+				n, *persist, float64(time.Since(start).Microseconds())/1000)
 		}
 	}
 
@@ -184,7 +188,7 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("ocasd: listening on %s (cache %d plans, %d in-flight jobs, %s budget)",
+	log.Printf("ocasd: listening on %s (cache %d plans, %d concurrent searches, %s budget)",
 		*addr, *cacheSize, *maxInflight, *timeout)
 
 	sigc := make(chan os.Signal, 1)
@@ -214,8 +218,6 @@ func main() {
 			log.Printf("ocasd: save %s: %v", *persist, err)
 			os.Exit(1)
 		}
-		st := store.Stats()
-		log.Printf("ocasd: persisted %d plans and %d templates to %s",
-			st.Plans.Size, st.Templates.Size, *persist)
+		log.Printf("ocasd: persisted %d plans to %s", store.Stats().Plans.Size, *persist)
 	}
 }

@@ -32,7 +32,9 @@ import (
 // rewrite rules never read cardinalities, so an exhaustive space is unchanged
 // by construction; a beam's space depends on its cost-based pruning, which
 // the recorded trace re-verifies at the new cardinalities (ErrStaleCapture on
-// any divergence).
+// any divergence). A capture belongs to the process that searched: neither it
+// nor the programs in it have a serial form, and every Replay was screened by
+// the run that made it.
 
 // CaptureLimit bounds the size of a captured search space. Retaining the
 // cost formulas of every member is what makes instantiation cheap, but it
@@ -51,9 +53,9 @@ const maxCompiledCache = 512
 var ErrStaleCapture = errors.New("core: captured search space is stale at these cardinalities")
 
 // Capture is the reusable part of one synthesis run. Costs is aligned with
-// Space (nil entry = the program could not be costed); a nil Costs slice (a
-// space fresh out of the search, or a capture restored from persistence) is
-// filled by the first screening pass.
+// Space (nil entry = the program could not be costed); it is nil on a space
+// fresh out of the search and filled by the run's own screening pass, so a
+// Replay always holds every formula.
 type Capture struct {
 	Space []rules.Derivation
 	Costs []*cost.Result
@@ -102,13 +104,10 @@ type formulaCache struct {
 	full   map[int]*opt.Compiled    // optimizer formulas by space index
 }
 
-// NewReplay wraps a capture for instantiation.
-func NewReplay(cp *Capture) *Replay {
+// newReplay wraps a screened capture for instantiation.
+func newReplay(cp *Capture) *Replay {
 	return &Replay{cp: cp, fc: formulaCache{full: map[int]*opt.Compiled{}}}
 }
-
-// Capture is the space the replay runs over (for persistence).
-func (r *Replay) Capture() *Capture { return r.cp }
 
 // Instantiate re-runs the cardinality-dependent synthesis phases over the
 // captured space for task t: heuristic screening of every member, the beam
@@ -127,10 +126,9 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// cost.Estimate is a pure function of (hierarchy, placement, program),
-	// and the caller's guards ensure both match the capturing request, so the
-	// formulas a restored capture rebuilds equal the captured ones.
-	short, err := r.cp.screen(ctx, s, t, &r.fc, s.estimator(t))
+	// No estimator: the capturing run's screening pass filled cp.Costs, and
+	// the caller's guards ensure hierarchy and placement match that run's.
+	short, err := r.cp.screen(ctx, s, t, &r.fc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -169,8 +167,9 @@ type shortlist struct {
 // split evenly), verify the beam trace under those costs, and keep the
 // ScreenTop cheapest. Members are independent, so they are costed
 // concurrently; collecting by space index keeps the order — and hence the
-// screening tie-breaks — identical to a sequential run. estimate supplies the
-// cost formula of a member the capture does not hold one for yet.
+// screening tie-breaks — identical to a sequential run. estimate costs the
+// members of a space fresh out of the search (cp.Costs is nil); a Replay,
+// whose Costs are filled, passes nil.
 func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, estimate func(ocal.Expr) *cost.Result) (shortlist, error) {
 	space := cp.Space
 	fixed := s.fixedEnv(t)

@@ -229,7 +229,7 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 		_, spCap := obs.Start(ctx, "synth.capture")
 		spCap.Attr("space", len(cp.Space))
 		spCap.End()
-		r = NewReplay(cp)
+		r = newReplay(cp)
 	}
 	res, err := cp.optimize(ctx, s, t, nil, short)
 	if err != nil {

@@ -9,6 +9,12 @@
 // and the search knobs; requests differing only in cardinalities or device
 // constants share one template.
 //
+// A template lives and dies with its process: it has no serial form, and a
+// restarted daemon's first request of a shape searches once and captures it
+// again. Reading a serialized space back and rebuilding its cost formulas
+// costs what the search costs (68–103% of it, measured), at start-up, for
+// every template whether or not its shape is asked for again.
+//
 // Instantiate binds a request's concrete sizes and re-runs only the
 // cardinality-dependent phases (heuristic screening + parameter
 // optimization) over the captured space, yielding a plan byte-identical to
@@ -168,74 +174,4 @@ func hierShape(h *memory.Hierarchy) (string, error) {
 		return "", fmt.Errorf("template hierarchy shape: %w", err)
 	}
 	return string(out), nil
-}
-
-// templateJSON is the persisted form of a Template: the search space is
-// serialized through the faithful OCAL codec; the per-member cost formulas
-// are not stored — they are a deterministic function of the (guarded)
-// hierarchy and placement and are rebuilt on first instantiation.
-// HierSig is a JSON string, not a nested raw message: re-indenting
-// serializers (MarshalIndent) rewrite nested raw JSON, and the guard
-// compares signatures byte-exactly.
-type templateJSON struct {
-	Fingerprint string             `json:"fingerprint"`
-	HierSig     string             `json:"hierSig"`
-	Space       []templateMember   `json:"space"`
-	Stats       rules.SearchStats  `json:"stats"`
-	Trace       []rules.TraceLevel `json:"trace,omitempty"`
-}
-
-type templateMember struct {
-	Expr  json.RawMessage `json:"expr"`
-	Steps []string        `json:"steps,omitempty"`
-}
-
-// MarshalJSON serializes the template for cache persistence.
-func (t *Template) MarshalJSON() ([]byte, error) {
-	cp := t.replay.Capture()
-	out := templateJSON{
-		Fingerprint: t.Fingerprint,
-		HierSig:     t.HierSig,
-		Space:       make([]templateMember, len(cp.Space)),
-		Stats:       cp.Stats,
-		Trace:       cp.Trace,
-	}
-	for i, d := range cp.Space {
-		e, err := ocal.MarshalExpr(d.Expr)
-		if err != nil {
-			return nil, fmt.Errorf("template space: %w", err)
-		}
-		out.Space[i] = templateMember{Expr: e, Steps: d.Steps}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON restores a persisted template. The spec text is recomputed
-// from the decoded space (the guards depend on it); cost formulas stay nil
-// until the first instantiation rebuilds them.
-func (t *Template) UnmarshalJSON(data []byte) error {
-	var in templateJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("template: %w", err)
-	}
-	if in.Fingerprint == "" || len(in.Space) == 0 {
-		return fmt.Errorf("template: missing fingerprint or space")
-	}
-	cp := &core.Capture{
-		Space: make([]rules.Derivation, len(in.Space)),
-		Stats: in.Stats,
-		Trace: in.Trace,
-	}
-	for i, m := range in.Space {
-		e, err := ocal.UnmarshalExpr(m.Expr)
-		if err != nil {
-			return fmt.Errorf("template space[%d]: %w", i, err)
-		}
-		cp.Space[i] = rules.Derivation{Expr: e, Steps: m.Steps}
-	}
-	t.Fingerprint = in.Fingerprint
-	t.SpecText = ocal.String(cp.Space[0].Expr)
-	t.HierSig = in.HierSig
-	t.replay = core.NewReplay(cp)
-	return nil
 }

@@ -3,7 +3,6 @@ package plan
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -321,64 +320,6 @@ func TestTemplateFingerprintInvariance(t *testing.T) {
 		if got := tfp(t, r); got == ref {
 			t.Errorf("template fingerprint must be sensitive to %s", name)
 		}
-	}
-}
-
-// TestTemplatePersistenceRoundTrip proves a template survives the JSON
-// round trip with its behavior intact: the restored template (whose cost
-// formulas are rebuilt lazily) instantiates to the same bytes as the
-// original, and still matches a cold search.
-func TestTemplatePersistenceRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	base := joinReq()
-	cc, err := Compile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tmpl, err := cc.RunCapture(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tmpl == nil {
-		t.Fatal("no template captured")
-	}
-	data, err := json.Marshal(tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Template
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Fingerprint != tmpl.Fingerprint || back.SpecText != tmpl.SpecText || back.HierSig != tmpl.HierSig {
-		t.Fatalf("round trip changed template identity")
-	}
-
-	fresh := joinReq()
-	in := fresh.Inputs["R"]
-	in.Rows = 1 << 21
-	fresh.Inputs["R"] = in
-	ci, err := Compile(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmOrig, err := ci.Instantiate(ctx, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmBack, err := ci.Instantiate(ctx, &back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := ci.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(Encode(warmBack), Encode(warmOrig)) {
-		t.Fatalf("restored template diverged from the original")
-	}
-	if !bytes.Equal(Encode(warmBack), Encode(cold)) {
-		t.Fatalf("restored template diverged from cold search")
 	}
 }
 

@@ -6,8 +6,9 @@
 // coarser template fingerprint, so that requests that miss the plan tier but
 // share a shape with a previous synthesis are served by instantiating that
 // shape's template instead of searching from scratch (see internal/plan's
-// template documentation for the equivalence guarantee and its guards). Both
-// tiers are optionally persisted to a JSON file across daemon restarts.
+// template documentation for the equivalence guarantee and its guards). The
+// plan tier is optionally persisted to a JSON file across daemon restarts;
+// templates are not (Store.Save).
 package plancache
 
 import (

@@ -170,13 +170,13 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// persistedStore is the version-2 snapshot: both tiers, each least- to
-// most-recently used so that reloading them in order reproduces the LRU
-// order.
+// persistedStore is the version-2 snapshot: the plan tier, least- to
+// most-recently used so that reloading it in order reproduces the LRU order.
+// Templates are not in it — restoring one costs what searching its shape
+// again costs — and the "templates" key of a file that has one is ignored.
 type persistedStore struct {
-	Version   int                      `json:"version"`
-	Plans     []persistedEntry         `json:"plans"`
-	Templates []persistedTemplateEntry `json:"templates,omitempty"`
+	Version int              `json:"version"`
+	Plans   []persistedEntry `json:"plans"`
 }
 
 type persistedEntry struct {
@@ -184,37 +184,44 @@ type persistedEntry struct {
 	Plan *plan.Plan `json:"plan"`
 }
 
-type persistedTemplateEntry struct {
-	Key      string         `json:"key"`
-	Template *plan.Template `json:"template"`
-}
-
-// Save writes both tiers to path (atomically, via a temp file in the same
-// directory).
+// Save writes the plan tier to path: a temp file in the same directory,
+// synced, then renamed over it, so path holds the old snapshot or the new
+// one, whole.
 func (s *Store) Save(path string) error {
 	snap := persistedStore{Version: 2}
 	for _, e := range s.plans.snapshot() {
 		snap.Plans = append(snap.Plans, persistedEntry{Key: e.key, Plan: e.v})
-	}
-	for _, e := range s.templates.snapshot() {
-		snap.Templates = append(snap.Templates, persistedTemplateEntry{Key: e.key, Template: e.v})
 	}
 	data, err := json.MarshalIndent(snap, "", " ")
 	if err != nil {
 		return fmt.Errorf("plancache: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return fmt.Errorf("plancache: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		return fmt.Errorf("plancache: %w", err)
 	}
 	return nil
 }
 
 // Load merges a snapshot written by Save into the store. A missing file is
-// not an error (first daemon start); a corrupt file is.
+// not an error (first daemon start); a corrupt file is, and installs nothing:
+// every entry is checked — a key, a plan, and the key being that plan's
+// fingerprint, or the plan would be served for another request — before the
+// first one is put.
 func (s *Store) Load(path string) error {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -230,17 +237,17 @@ func (s *Store) Load(path string) error {
 	if snap.Version != 2 {
 		return fmt.Errorf("plancache: unsupported snapshot version %d", snap.Version)
 	}
-	for _, e := range snap.Plans {
-		if e.Key == "" || e.Plan == nil {
-			return fmt.Errorf("plancache: corrupt snapshot %s: empty plan entry", path)
+	for i, e := range snap.Plans {
+		switch {
+		case e.Key == "" || e.Plan == nil:
+			return fmt.Errorf("plancache: corrupt snapshot %s: plan entry %d is empty", path, i)
+		case e.Key != e.Plan.Fingerprint:
+			return fmt.Errorf("plancache: corrupt snapshot %s: plan entry %d has key %s but fingerprint %s",
+				path, i, e.Key, e.Plan.Fingerprint)
 		}
-		s.plans.Put(e.Key, e.Plan)
 	}
-	for _, e := range snap.Templates {
-		if e.Key == "" || e.Template == nil {
-			return fmt.Errorf("plancache: corrupt snapshot %s: empty template entry", path)
-		}
-		s.templates.Put(e.Key, e.Template)
+	for _, e := range snap.Plans {
+		s.plans.Put(e.Key, e.Plan)
 	}
 	return nil
 }

@@ -243,20 +243,55 @@ func TestStoreSingleflightTemplateCapture(t *testing.T) {
 	}
 }
 
-// TestStorePersistenceRoundTrip saves a populated two-tier store and
-// reloads it: both tiers keep their contents and their LRU order, a reloaded
-// plan serves as a hit with the bytes it was saved with, and a reloaded
-// template still instantiates (its cost formulas are rebuilt).
+// restartSequence drives a freshly loaded store through what a restarted
+// daemon sees: the identical request is a hit with the saved bytes and no
+// search; a new cardinality of the same shape is a miss — one search, the
+// cold run's bytes — that seeds the template; the next cardinality is a
+// template hit, cold bytes again.
+func restartSequence(t *testing.T, s *Store, req func(rows int64) plan.Request, savedRows int64, saved []byte, newRows [2]int64) {
+	t.Helper()
+	if st := s.Stats(); st.Templates.Size != 0 {
+		t.Fatalf("a loaded store holds templates: %+v", st)
+	}
+	var captures atomic.Int64
+	p, out, err := resolveReq(t, s, req(savedRows), &captures, nil)
+	if err != nil || out != Hit || captures.Load() != 0 {
+		t.Fatalf("identical request: outcome %v err %v captures %d", out, err, captures.Load())
+	}
+	if !bytes.Equal(plan.Encode(p), saved) {
+		t.Fatalf("plan changed across persistence:\n%s\n%s", plan.Encode(p), saved)
+	}
+	for i, want := range []Outcome{Miss, TemplateHit} {
+		r := req(newRows[i])
+		p, out, err = resolveReq(t, s, r, &captures, nil)
+		if err != nil || out != want {
+			t.Fatalf("cardinality %d after the restart: outcome %v (want %v) err %v", i, out, want, err)
+		}
+		if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, r))) {
+			t.Fatalf("cardinality %d after the restart: bytes differ from a cold run:\n%s", i, plan.Encode(p))
+		}
+	}
+	if captures.Load() != 1 {
+		t.Fatalf("want one search after the restart, got %d", captures.Load())
+	}
+}
+
+// TestStorePersistenceRoundTrip saves a populated store and reloads it: the
+// plan tier keeps its contents and its LRU order, the template tier starts
+// empty, and the reloaded store walks the restart sequence.
 func TestStorePersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
 	s := NewStore(4, 4)
 	saved, _, _ := resolveReq(t, s, storeReq(storeJoin, 1<<10, 0), nil, nil)
 	resolveReq(t, s, storeReq(storeScan, 1<<10, 0), nil, nil)
 	resolveReq(t, s, storeReq(storeJoin, 1<<18, 0), nil, nil)
-	// Touch the scan shape last so both tiers end with scan most recent.
+	// Touch the scan shape last so the plan tier ends with scan most recent.
 	resolveReq(t, s, storeReq(storeScan, 1<<15, 0), nil, nil)
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || bytes.Contains(data, []byte(`"templates"`)) {
+		t.Fatalf("snapshot carries templates (read error %v)", err)
 	}
 
 	s2 := NewStore(4, 4)
@@ -272,39 +307,8 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 			t.Fatalf("plan tier LRU order changed at %d: %s vs %s", i, gotPlans[i].key, wantPlans[i].key)
 		}
 	}
-	wantTmpl, gotTmpl := s.templates.snapshot(), s2.templates.snapshot()
-	if len(gotTmpl) != len(wantTmpl) {
-		t.Fatalf("template tier: want %d entries, got %d", len(wantTmpl), len(gotTmpl))
-	}
-	for i := range wantTmpl {
-		if gotTmpl[i].key != wantTmpl[i].key {
-			t.Fatalf("template tier LRU order changed at %d", i)
-		}
-	}
-
-	// A reloaded plan serves as a hit, not a recomputation.
-	var captures atomic.Int64
-	p, out, err := resolveReq(t, s2, storeReq(storeJoin, 1<<10, 0), &captures, nil)
-	if err != nil || out != Hit {
-		t.Fatalf("reloaded plan: outcome %v err %v", out, err)
-	}
-	if !bytes.Equal(plan.Encode(p), plan.Encode(saved)) {
-		t.Fatalf("plan changed across persistence:\n%s\n%s", plan.Encode(p), plan.Encode(saved))
-	}
-
-	// A reloaded template must serve new cardinalities without a search —
-	// and with the same bytes a cold search would produce.
-	warmReq := storeReq(storeJoin, 1<<20, 0)
-	p, out, err = resolveReq(t, s2, warmReq, &captures, nil)
-	if err != nil || out != TemplateHit {
-		t.Fatalf("reloaded store: outcome %v err %v", out, err)
-	}
-	if captures.Load() != 0 {
-		t.Fatalf("reloaded store ran a capture on a warm shape")
-	}
-	if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, warmReq))) {
-		t.Fatalf("reloaded template served different bytes than a cold search")
-	}
+	restartSequence(t, s2, func(rows int64) plan.Request { return storeReq(storeJoin, rows, 0) },
+		1<<10, plan.Encode(saved), [2]int64{1 << 20, 1 << 21})
 }
 
 // filterReq is the `filter` request of benchmark/corpus.go (depth 4, space
@@ -322,31 +326,57 @@ func filterReq(rows int64) plan.Request {
 
 // TestLoadIgnoresPersistedTemplates loads testdata/snapshot_v2_templates.json,
 // a Store.Save of filterReq(1<<20) written by the tree that still persisted
-// templates (it carries a "templates" key): the plan loads and serves the
-// identical request as a hit with the bytes a cold run produces, and a new
-// cardinality is served the cold run's bytes.
+// templates (it carries a "templates" key): the plan loads, the templates do
+// not, and the store walks the restart sequence.
 func TestLoadIgnoresPersistedTemplates(t *testing.T) {
+	path := filepath.Join("testdata", "snapshot_v2_templates.json")
+	if data, err := os.ReadFile(path); err != nil || !bytes.Contains(data, []byte(`"templates"`)) {
+		t.Fatalf("the checked-in snapshot has no templates key (read error %v)", err)
+	}
 	s := NewStore(4, 4)
-	if err := s.Load(filepath.Join("testdata", "snapshot_v2_templates.json")); err != nil {
+	if err := s.Load(path); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Plans.Size != 1 {
 		t.Fatalf("want the snapshot's one plan, got %+v", st)
 	}
-	p, out, err := resolveReq(t, s, filterReq(1<<20), nil, nil)
-	if err != nil || out != Hit {
-		t.Fatalf("identical request: outcome %v err %v", out, err)
-	}
-	if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, filterReq(1<<20)))) {
-		t.Fatalf("loaded plan differs from a cold run:\n%s", plan.Encode(p))
-	}
-	p, _, err = resolveReq(t, s, filterReq(1<<19), nil, nil)
-	if err != nil {
+	restartSequence(t, s, filterReq, 1<<20, plan.Encode(coldPlan(t, filterReq(1<<20))),
+		[2]int64{1 << 19, 1 << 18})
+}
+
+// loadRejected writes a snapshot holding a good entry followed by bad and
+// checks that Load fails naming want and installs nothing, the good entry
+// included.
+func loadRejected(t *testing.T, bad, want string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad.json")
+	snap := `{"version": 2, "plans": [{"key": "fp-a", "plan": ` + string(plan.Encode(mkPlan("fp-a"))) + `}, ` + bad + `]}`
+	if err := os.WriteFile(path, []byte(snap), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, filterReq(1<<19)))) {
-		t.Fatalf("new cardinality served different bytes than a cold run:\n%s", plan.Encode(p))
+	s := NewStore(4, 4)
+	err := s.Load(path)
+	if st := s.Stats(); st.Plans.Size != 0 {
+		t.Fatalf("a bad snapshot was half-installed (Load returned %v): %+v", err, st)
 	}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want an error containing %q, got %v", want, err)
+	}
+}
+
+// TestLoadInstallsNothingFromBadSnapshot: an entry that fails validation
+// refuses the whole file, the valid entries before it included — ocasd then
+// says "starting with a cold cache", and means it.
+func TestLoadInstallsNothingFromBadSnapshot(t *testing.T) {
+	loadRejected(t, `{"key": "fp-b", "plan": null}`, "plan entry 1 is empty")
+	loadRejected(t, `{"key": "", "plan": `+string(plan.Encode(mkPlan("fp-b")))+`}`, "plan entry 1 is empty")
+}
+
+// TestLoadRejectsKeyFingerprintMismatch: an entry filed under a key other
+// than its plan's fingerprint would be served for the wrong request.
+func TestLoadRejectsKeyFingerprintMismatch(t *testing.T) {
+	loadRejected(t, `{"key": "fp-b", "plan": `+string(plan.Encode(mkPlan("fp-c")))+`}`,
+		"has key fp-b but fingerprint fp-c")
 }
 
 // TestStoreRejectsV1Snapshot: a version-1 file (plan tier only, the format
@@ -361,7 +391,7 @@ func TestStoreRejectsV1Snapshot(t *testing.T) {
 	if err := s.Load(path); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
 		t.Fatalf("want an unsupported-version error, got %v", err)
 	}
-	if st := s.Stats(); st.Plans.Size != 0 || st.Templates.Size != 0 {
+	if st := s.Stats(); st.Plans.Size != 0 {
 		t.Fatalf("a refused snapshot populated the store: %+v", st)
 	}
 }

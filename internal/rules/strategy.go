@@ -73,9 +73,9 @@ type Beam struct {
 // that fit within the beam width (no pruning) are not recorded — they cannot
 // depend on the ranking.
 type TraceLevel struct {
-	Start int   `json:"start"`
-	End   int   `json:"end"`
-	Kept  []int `json:"kept"`
+	Start int
+	End   int
+	Kept  []int
 }
 
 func (Beam) Name() string { return "beam" }

@@ -53,8 +53,9 @@ type Config struct {
 	// input cardinalities skip the search (see internal/plan's template
 	// documentation; default 64 templates).
 	TemplateCacheSize int
-	// MaxInflight bounds concurrent synthesis and execution jobs
-	// (default 2).
+	// MaxInflight bounds concurrent full searches (default 2). Hits,
+	// singleflight joins and template instantiations take no slot, and
+	// executions are admitted by the worker-slot pool (MaxWorkerSlots).
 	MaxInflight int
 	// ExecWorkers is the executor worker count for /execute requests that
 	// do not choose one (default 1: single-worker).
@@ -198,7 +199,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Store exposes the two-tier cache (for persistence at shutdown).
+// Store exposes the two-tier cache (its plan tier is what -persist saves).
 func (s *Server) Store() *plancache.Store { return s.store }
 
 // resolvePlan routes one compiled request through the two-tier cache.
