@@ -8,7 +8,7 @@ import (
 )
 
 // TestMemoTablesSafeUnderWorkers exercises every per-synthesis memo table —
-// the keyer's interner and alpha cache, the cost memo, the screening memo —
+// the search's dedup set, the cost memo, the screening memo —
 // from a many-worker beam run (the beam's rank hits the screener from every
 // expansion worker), and checks the result still matches a one-worker run.
 // Under `go test -race` this is the data-race proof for the memoized hot
@@ -29,7 +29,7 @@ func TestMemoTablesSafeUnderWorkers(t *testing.T) {
 		sameWinner(t, seq, par, "beam memo")
 	}
 	if seq.Memo.Keys.InternedNodes == 0 {
-		t.Fatalf("no interned nodes recorded: %+v", seq.Memo)
+		t.Fatalf("no dedup keys recorded: %+v", seq.Memo)
 	}
 	if seq.Memo.Cost.Entries == 0 {
 		t.Fatalf("beam run recorded no cost-memo entries: %+v", seq.Memo)
@@ -60,8 +60,8 @@ func TestSequentialSynthesesDoNotShareMemoState(t *testing.T) {
 	sameWinner(t, freshJoin, first, "first run on shared synthesizer")
 	sameWinner(t, freshSort, second, "second run on shared synthesizer")
 
-	// The second run's cache counters must look like a cold start: a shared
-	// table would show the first task's interned nodes in them.
+	// The second run's counters must look like a cold start: a shared
+	// Keyer or memo would show the first task's counts in them.
 	if second.Memo != freshSort.Memo {
 		t.Errorf("second run's memo stats carry state from the first: %+v vs fresh %+v",
 			second.Memo, freshSort.Memo)
@@ -72,22 +72,26 @@ func TestSequentialSynthesesDoNotShareMemoState(t *testing.T) {
 	}
 }
 
-// TestInjectedKeyerIsReused checks the plan.Compile wiring contract: a
-// caller-injected Keyer serves the synthesis (its tables grow) and the
-// result is unchanged.
-func TestInjectedKeyerIsReused(t *testing.T) {
+// TestInjectedKeyerCountsTheSearch checks the plan.Compile wiring contract:
+// a caller-injected Keyer serves the synthesis, its counters are the
+// search's level totals, and the result is unchanged.
+func TestInjectedKeyerCountsTheSearch(t *testing.T) {
 	task := joinTask()
 	keys := rules.NewKeyer()
 	keys.AlphaKey(task.Spec.Prog) // what a fingerprint computation does
-	seeded := keys.Stats().InternedNodes
-	if seeded == 0 {
-		t.Fatalf("fingerprinting interned nothing")
-	}
 	withKeys := &Synthesizer{H: memory.HDDRAM(1 << 20), MaxDepth: 4, MaxSpace: 400, Keys: keys}
 	res := mustSynth(t, withKeys, task)
 	fresh := mustSynth(t, &Synthesizer{H: memory.HDDRAM(1 << 20), MaxDepth: 4, MaxSpace: 400}, task)
 	sameWinner(t, fresh, res, "injected keyer")
-	if got := keys.Stats().InternedNodes; got <= seeded {
-		t.Errorf("synthesis did not grow the injected keyer (%d -> %d)", seeded, got)
+	want := rules.KeyerStats{InternedNodes: uint64(res.Stats.SpaceSize), AlphaMisses: 1}
+	for _, lv := range res.Stats.Levels {
+		want.AlphaHits += uint64(lv.Deduped)
+		want.AlphaMisses += uint64(lv.Kept)
+	}
+	if got := keys.Stats(); got != want || res.Memo.Keys != want {
+		t.Errorf("keyer counts %+v, synthesis reports %+v, the search's levels give %+v", got, res.Memo.Keys, want)
+	}
+	if want.AlphaHits == 0 {
+		t.Errorf("the search deduplicated nothing: %+v", res.Stats)
 	}
 }

@@ -46,10 +46,10 @@ type Synthesizer struct {
 	// expansion, candidate costing, parameter optimization); <=0 means
 	// GOMAXPROCS. Results are deterministic for any worker count.
 	Workers int
-	// Keys interns programs and caches their canonical keys. Optional: nil
-	// makes every synthesis allocate a fresh one, which is also the memo
-	// lifetime — nothing is remembered across runs. plan.Compile injects a
-	// per-request Keyer so fingerprinting and synthesis share one table.
+	// Keys keys the search's programs and counts its dedup work. Optional:
+	// nil makes every synthesis allocate a fresh one. plan.Compile injects
+	// a per-request Keyer, whose counters then describe that request's
+	// search.
 	Keys *rules.Keyer
 }
 
@@ -62,9 +62,8 @@ type Candidate struct {
 	Cost    *cost.Result
 }
 
-// MemoStats aggregates the cache counters of one synthesis run: the
-// interner and alpha-key cache of the search, and the cost-estimate memo of
-// the screening pass.
+// MemoStats aggregates the counters of one synthesis run: the search's
+// dedup counts, and the cost-estimate memo of the screening pass.
 type MemoStats struct {
 	Keys rules.KeyerStats
 	Cost cost.MemoStats
@@ -80,8 +79,8 @@ type Synthesis struct {
 	Elapsed     time.Duration
 	// Explored is the number of programs costed.
 	Explored int
-	// Memo reports cache activity (interned nodes, alpha-key and cost-memo
-	// hits) for observability and the bench report.
+	// Memo reports the search's dedup counts and the cost-memo activity for
+	// observability and the bench report.
 	Memo MemoStats
 }
 
@@ -177,7 +176,7 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 		rctx.InputLoc[in.Name] = t.InputLoc[in.Name]
 	}
 	sc := &screener{fixed: s.fixedEnv(t), keys: keys,
-		costs: cost.NewMemo(s.H, s.placement(t)), memo: map[uint64]*screenEstimate{}}
+		costs: cost.NewMemo(s.H, s.placement(t)), memo: map[string]*screenEstimate{}}
 
 	capturable := s.capturable()
 	cp := &Capture{}
@@ -247,29 +246,30 @@ type screenEstimate struct {
 	seconds float64      // +Inf when the program cannot be costed
 }
 
-// screener computes (and memoizes, keyed by interned program identity) the
+// screener computes (and memoizes, keyed by the search's dedup key) the
 // screening cost of a program. A beam run ranks every frontier with it, and
 // the screening pass then takes the cost formulas from the same estimates
 // instead of costing each discovered program a second time; the underlying
-// cost formulas come from a cost.Memo sharing the same interned keys.
+// cost formulas come from a cost.Memo under the same keys. Both only ever
+// see members of one alpha-deduped space, so a key names one program.
 type screener struct {
 	fixed sym.Env
 	keys  *rules.Keyer
 	costs *cost.Memo
 	mu    sync.Mutex
-	memo  map[uint64]*screenEstimate
+	memo  map[string]*screenEstimate
 }
 
 func (sc *screener) estimate(e ocal.Expr) *screenEstimate {
-	n := sc.keys.Node(e)
+	key := sc.keys.Key(e)
 	sc.mu.Lock()
-	got, ok := sc.memo[n.ID()]
+	got, ok := sc.memo[key]
 	sc.mu.Unlock()
 	if ok {
 		return got
 	}
 	est := &screenEstimate{seconds: math.Inf(1)}
-	if res, err := sc.costs.Estimate(n, e); err == nil {
+	if res, err := sc.costs.Estimate(key, e); err == nil {
 		cf := cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
 		cf.SetFixed(sc.fixed)
 		est.res = res
@@ -278,7 +278,7 @@ func (sc *screener) estimate(e ocal.Expr) *screenEstimate {
 		}
 	}
 	sc.mu.Lock()
-	sc.memo[n.ID()] = est
+	sc.memo[key] = est
 	sc.mu.Unlock()
 	return est
 }

@@ -8,23 +8,25 @@ import (
 	"ocas/internal/ocal"
 )
 
-// Memo caches Estimate results keyed by interned program identity. The
+// Memo caches Estimate results by program key, for one synthesis run. The
 // synthesizer's beam search costs every frontier it ranks and the screening
-// pass then costs every discovered program; both ask about the same interned
-// nodes, so the second asker gets the first's Result instead of re-walking
-// the program and re-deriving its cost formula. Failed estimates are cached
-// too — a program the estimator rejects once is rejected for the whole
-// synthesis.
+// pass then costs every discovered program; both ask about the same
+// programs, so the second asker gets the first's Result instead of
+// re-walking the program and re-deriving its cost formula. Failed estimates
+// are cached too — a program the estimator rejects once is rejected for the
+// whole synthesis.
 //
-// A Memo's lifetime is one synthesis run (core.Synthesizer creates one per
-// call): the hierarchy and placement are fixed for that long, which is what
-// makes the interned node a complete key.
+// The key is the search's dedup key (rules.Keyer.Key), which names a whole
+// alpha-equivalence class. That is exact here because both askers only see
+// members of one alpha-deduped search space, where a class has one member.
+// The hierarchy and placement are fixed for the run (core.Synthesizer
+// creates one Memo per call), which makes the program key a complete key.
 type Memo struct {
 	H *memory.Hierarchy
 	P Placement
 
 	mu   sync.Mutex
-	m    map[uint64]memoEntry
+	m    map[string]memoEntry
 	hits atomic.Uint64
 }
 
@@ -35,21 +37,13 @@ type memoEntry struct {
 
 // NewMemo returns an empty memo for one (hierarchy, placement) pair.
 func NewMemo(h *memory.Hierarchy, p Placement) *Memo {
-	return &Memo{H: h, P: p, m: map[uint64]memoEntry{}}
+	return &Memo{H: h, P: p, m: map[string]memoEntry{}}
 }
 
-// Estimate costs prog, using the interned node only as the cache key and
-// serving repeats from the cache. The caller's expression — not n.Expr() —
-// is what gets costed: the interner's representative for a print-equivalence
-// class is whichever sibling a worker interned first (scheduling-dependent),
-// and siblings can differ in print-invisible but cost-relevant attributes
-// (cardinality hints). The search only ever costs the deterministic dedup
-// winner of each class, so caching that program's estimate keeps results
-// independent of worker count.
-func (m *Memo) Estimate(n *ocal.INode, prog ocal.Expr) (*Result, error) {
-	id := n.ID()
+// Estimate costs prog, serving repeats of key from the cache.
+func (m *Memo) Estimate(key string, prog ocal.Expr) (*Result, error) {
 	m.mu.Lock()
-	e, ok := m.m[id]
+	e, ok := m.m[key]
 	m.mu.Unlock()
 	if ok {
 		m.hits.Add(1)
@@ -57,7 +51,7 @@ func (m *Memo) Estimate(n *ocal.INode, prog ocal.Expr) (*Result, error) {
 	}
 	res, err := Estimate(m.H, m.P, prog)
 	m.mu.Lock()
-	m.m[id] = memoEntry{res: res, err: err}
+	m.m[key] = memoEntry{res: res, err: err}
 	m.mu.Unlock()
 	return res, err
 }

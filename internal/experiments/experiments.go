@@ -80,9 +80,9 @@ type Result struct {
 	// ledgers, pool stats.
 	Exec *plan.ExecReport
 	// Explored is the number of candidate programs costed by the screening
-	// pass, and Memo the synthesis cache counters (interned nodes, alpha-key
-	// and cost-memo hits) — the raw material of the machine-readable bench
-	// report.
+	// pass, and Memo the synthesis counters (the search's dedup counts,
+	// cost-memo entries and hits) — the raw material of the machine-readable
+	// bench report.
 	Explored int
 	Memo     core.MemoStats
 }

@@ -46,7 +46,8 @@ type Table1Row struct {
 	SpaceSize int `json:"spaceSize"`
 	Explored  int `json:"explored"`
 	Steps     int `json:"steps"`
-	// Cache counters of the memoized search hot path.
+	// The search's dedup counters (see rules.KeyerStats) and the cost
+	// memo's.
 	InternedNodes uint64 `json:"internedNodes"`
 	AlphaHits     uint64 `json:"alphaHits"`
 	AlphaMisses   uint64 `json:"alphaMisses"`

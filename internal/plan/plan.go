@@ -216,21 +216,20 @@ func Compile(req Request) (*Compiled, error) {
 	}
 	task.Spec = spec
 
-	// One Keyer per request: the alpha-normalization of the program done for
-	// the fingerprint below is interned, and the synthesizer (seeded with
-	// the same program) reuses it. The Keyer dies with the Compiled, so no
-	// memo state survives into the next request.
+	// One Keyer per request, so the search counters it collects describe
+	// this request's synthesis and die with the Compiled.
 	keys := rules.NewKeyer()
 	synth := &core.Synthesizer{H: h, MaxDepth: req.Depth, MaxSpace: req.Space,
 		Workers: req.Workers, Keys: keys}
 	if req.Strategy == "beam" {
 		synth.Strategy = &rules.Beam{Width: req.Beam}
 	}
-	fp, err := fingerprint(req, prog, h, keys)
+	alpha := keys.AlphaKey(prog)
+	fp, err := fingerprint(req, alpha, h)
 	if err != nil {
 		return nil, err
 	}
-	tfp, err := templateFingerprint(req, prog, h, keys)
+	tfp, err := templateFingerprint(req, alpha, h)
 	if err != nil {
 		return nil, err
 	}
@@ -276,18 +275,18 @@ func buildHierarchy(req Request) (*memory.Hierarchy, error) {
 }
 
 // fingerprint derives the content address of a request: a SHA-256 over the
-// alpha-normalized program, the canonical hierarchy JSON, the placement and
-// the search knobs. Whitespace, comments, binder names and worker counts
+// alpha-normalized program (alpha, its printing), the canonical hierarchy
+// JSON, the placement and the search knobs. Whitespace, comments, binder names and worker counts
 // never change the fingerprint; anything that can change the winning plan
 // does.
-func fingerprint(req Request, prog ocal.Expr, h *memory.Hierarchy, keys *rules.Keyer) (string, error) {
+func fingerprint(req Request, alpha string, h *memory.Hierarchy) (string, error) {
 	hj, err := json.Marshal(h)
 	if err != nil {
 		return "", fmt.Errorf("hierarchy fingerprint: %w", err)
 	}
 	var b strings.Builder
 	b.WriteString("ocas-plan-v1\n")
-	fmt.Fprintf(&b, "prog %s\n", keys.AlphaKey(prog))
+	fmt.Fprintf(&b, "prog %s\n", alpha)
 	fmt.Fprintf(&b, "hier %s\n", hj)
 	for _, name := range sortedInputNames(req.Inputs) {
 		in := req.Inputs[name]

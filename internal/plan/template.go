@@ -46,7 +46,6 @@ import (
 	"ocas/internal/core"
 	"ocas/internal/memory"
 	"ocas/internal/ocal"
-	"ocas/internal/rules"
 )
 
 // ErrTemplateStale reports that a template cannot serve this request: a
@@ -130,14 +129,14 @@ func (c *Compiled) Instantiate(ctx context.Context, t *Template) (*Plan, error) 
 // fingerprint with everything cardinality- and constant-shaped left out.
 // Input rows and the hierarchy's sizes/costs are free template slots;
 // binder names, whitespace and worker counts never mattered.
-func templateFingerprint(req Request, prog ocal.Expr, h *memory.Hierarchy, keys *rules.Keyer) (string, error) {
+func templateFingerprint(req Request, alpha string, h *memory.Hierarchy) (string, error) {
 	shape, err := hierShape(h)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	b.WriteString("ocas-template-v1\n")
-	fmt.Fprintf(&b, "prog %s\n", keys.AlphaKey(prog))
+	fmt.Fprintf(&b, "prog %s\n", alpha)
 	fmt.Fprintf(&b, "hier %s\n", shape)
 	for _, name := range sortedInputNames(req.Inputs) {
 		in := req.Inputs[name]

@@ -1,79 +1,225 @@
 package rules
 
 import (
+	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"ocas/internal/ocal"
 )
 
-// Keyer answers program-identity questions for one synthesis run: it owns a
-// hash-cons interner and caches the alpha-normal form per interned node.
-// The search asks "is this rewrite a program I already have?" once per
-// produced rewrite; most rewrites re-derive a program some other rule chain
-// already reached, and for those the answer is a cache hit instead of a
-// fresh renaming and re-printing of the whole program.
+// Keyer answers program-identity questions for one synthesis run and counts
+// what the search did with the answers. The search asks "is this rewrite a
+// program I already have?" once per produced rewrite. About two thirds of
+// rewrites re-derive a program another rule chain already reached, and a
+// re-derived program arrives with fresh binder and parameter names, so no
+// memo over raw structure can answer that: every rewrite is keyed afresh by
+// one walk (see Key), and the dedup set compares the keys.
 //
-// A Keyer is safe for concurrent use (the parallel frontier expansion hits
-// it from every worker) and grows with every structure it sees, so its
-// intended lifetime is one synthesis: core.Synthesizer creates one per run
-// unless the caller injects one, and the service's request compiler injects
-// a per-request Keyer so fingerprinting and synthesis share the work without
-// any state outliving the request.
+// A Keyer is safe for concurrent use (the parallel frontier expansion keys
+// rewrites from every worker). It holds no table, only counters:
+// core.Synthesizer creates one per run unless the caller injects one, and
+// the service's request compiler injects a per-request Keyer so the
+// synthesis counters come back with the request.
 type Keyer struct {
-	in     *ocal.Interner
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits, misses, held atomic.Uint64
 }
 
-// NewKeyer returns a Keyer over a fresh interner.
-func NewKeyer() *Keyer { return &Keyer{in: ocal.NewInterner()} }
+// NewKeyer returns a Keyer with zeroed counters.
+func NewKeyer() *Keyer { return &Keyer{} }
 
-// Node interns e: equal IDs mean structurally identical programs (in the
-// canonical-printing sense the search has always used).
-func (k *Keyer) Node(e ocal.Expr) *ocal.INode { return k.in.Intern(e) }
+// Key is the search's dedup key: the post-order concatenation of
+// ocal.AppendNodeKey over e's alpha-normal form, in which bound variables
+// and symbolic parameters are numbered in first-occurrence order exactly as
+// AlphaKey's renaming numbers them. Two programs share a Key exactly when
+// their AlphaKeys are equal; no renamed tree is built to find out.
+func (k *Keyer) Key(e ocal.Expr) string {
+	enc := encoders.Get().(*alphaEncoder)
+	enc.buf = enc.appendKey(enc.buf[:0], e)
+	s := string(enc.buf)
+	encoders.Put(enc)
+	return s
+}
 
-// AlphaNode returns the interned alpha-normal form of e, computing it on
-// first sight of e's structure and reading the cache afterwards.
-func (k *Keyer) AlphaNode(e ocal.Expr) *ocal.INode {
-	n := k.in.Intern(e)
-	if a := n.Alpha(); a != nil {
-		k.hits.Add(1)
-		return a
-	}
-	k.misses.Add(1)
+// AlphaKey renders the canonical alpha-normalized printing of e, which plan
+// fingerprints are built from.
+func (k *Keyer) AlphaKey(e ocal.Expr) string {
 	ren := &renamer{params: map[string]string{}}
-	a := k.in.Intern(ren.expr(n.Expr(), nil))
-	a.SetAlpha(a) // the normal form of a normal form is itself
-	n.SetAlpha(a)
-	return a
+	return ocal.String(ren.expr(e, nil))
 }
 
-// AlphaID is the search's dedup key: two programs share an AlphaID exactly
-// when they are alpha-equivalent (same structure modulo bound-variable and
-// symbolic-parameter names).
-func (k *Keyer) AlphaID(e ocal.Expr) uint64 { return k.AlphaNode(e).ID() }
-
-// AlphaKey renders the canonical alpha-normalized printing (the historical
-// string key, still used by plan fingerprints); the rendering is cached on
-// the interned node.
-func (k *Keyer) AlphaKey(e ocal.Expr) string { return k.AlphaNode(e).String() }
-
-// KeyerStats reports cache activity for one synthesis run.
+// KeyerStats reports what the searches run with one Keyer deduplicated.
+// Every field is a sum over those searches' levels (SearchStats.Levels).
 type KeyerStats struct {
-	// InternedNodes counts distinct interned structures (subterms included).
+	// InternedNodes is the number of keys the dedup set held at the end: one
+	// per distinct program, the start program included.
 	InternedNodes uint64
-	// AlphaHits/AlphaMisses count alpha-normal-form lookups that were served
-	// from the per-node cache versus computed. A hit is a whole program
-	// renaming+printing that the pre-memoization search would have redone.
-	AlphaHits   uint64
+	// AlphaHits counts rewrites discarded as alpha-equivalent to a program
+	// already found (the sum of LevelStats.Deduped).
+	AlphaHits uint64
+	// AlphaMisses counts distinct programs found: the sum of
+	// LevelStats.Kept, plus one for the start program.
 	AlphaMisses uint64
 }
 
 // Stats returns a snapshot of the Keyer's counters.
 func (k *Keyer) Stats() KeyerStats {
 	return KeyerStats{
-		InternedNodes: k.in.Stats().Nodes,
+		InternedNodes: k.held.Load(),
 		AlphaHits:     k.hits.Load(),
 		AlphaMisses:   k.misses.Load(),
 	}
+}
+
+// count adds one finished search to the counters.
+func (k *Keyer) count(st SearchStats, held int) {
+	hits, misses := 0, 1
+	for _, lv := range st.Levels {
+		hits += lv.Deduped
+		misses += lv.Kept
+	}
+	k.hits.Add(uint64(hits))
+	k.misses.Add(uint64(misses))
+	k.held.Add(uint64(held))
+}
+
+// alphaEncoder writes Keys. Its slices are scratch reused from key to key,
+// so a warm encoder allocates nothing; the search takes one per worker from
+// the encoders pool.
+type alphaEncoder struct {
+	// from and to are the bound variables in scope, innermost last: the
+	// program's name and its alpha-normal name.
+	from, to []string
+	// params lists the symbolic parameters met so far; params[i] is
+	// renamed to the i+1st parameter name.
+	params []string
+	nv     int // bound variables numbered so far
+	buf    []byte
+}
+
+var encoders = sync.Pool{New: func() any { return new(alphaEncoder) }}
+
+// appendKey appends e's Key to dst.
+func (enc *alphaEncoder) appendKey(dst []byte, e ocal.Expr) []byte {
+	dst = enc.expr(dst, e)
+	enc.params, enc.nv = enc.params[:0], 0
+	return dst
+}
+
+func (enc *alphaEncoder) bind(name string) {
+	enc.nv++
+	enc.from = append(enc.from, name)
+	enc.to = append(enc.to, normalName('v', enc.nv))
+}
+
+func (enc *alphaEncoder) unbind(base int) {
+	enc.from, enc.to = enc.from[:base], enc.to[:base]
+}
+
+func (enc *alphaEncoder) param(p ocal.Param) ocal.Param {
+	if p.Sym == "" {
+		return p
+	}
+	for i, s := range enc.params {
+		if s == p.Sym {
+			return ocal.SymP(normalName('p', i+1))
+		}
+	}
+	enc.params = append(enc.params, p.Sym)
+	return ocal.SymP(normalName('p', len(enc.params)))
+}
+
+// expr walks e in renamer.expr's numbering order and writes every node's
+// key after its children's. A node that names a binder or a parameter is
+// keyed as its renamed copy, built on the stack without children.
+func (enc *alphaEncoder) expr(key []byte, e ocal.Expr) []byte {
+	switch t := e.(type) {
+	case ocal.Var:
+		for i := len(enc.from) - 1; i >= 0; i-- {
+			if enc.from[i] == t.Name {
+				return ocal.AppendNodeKey(key, ocal.Var{Name: enc.to[i]})
+			}
+		}
+	case ocal.Lam:
+		base := len(enc.to)
+		for _, p := range t.Params {
+			enc.bind(p)
+		}
+		key = enc.expr(key, t.Body)
+		key = ocal.AppendNodeKey(key, ocal.Lam{Params: enc.to[base:]})
+		enc.unbind(base)
+		return key
+	case ocal.For:
+		key = enc.expr(key, t.Src)
+		base := len(enc.to)
+		enc.bind(t.X)
+		k, outK := enc.param(t.K), enc.param(t.OutK)
+		key = enc.expr(key, t.Body)
+		key = ocal.AppendNodeKey(key, ocal.For{X: enc.to[base], K: k, OutK: outK, Seq: t.Seq})
+		enc.unbind(base)
+		return key
+	case ocal.TreeFold:
+		k := enc.param(t.K)
+		key = enc.expr(key, t.Init)
+		key = enc.expr(key, t.Fn)
+		return ocal.AppendNodeKey(key, ocal.TreeFold{K: k, OutK: enc.param(t.OutK)})
+	case ocal.UnfoldR:
+		key = enc.expr(key, t.Fn)
+		k := enc.param(t.K)
+		return ocal.AppendNodeKey(key, ocal.UnfoldR{K: k, OutK: enc.param(t.OutK)})
+	case ocal.PartitionF:
+		return ocal.AppendNodeKey(key, ocal.PartitionF{S: enc.param(t.S)})
+	// The rest bind nothing: children in order (spelled out, because
+	// ocal.Children allocates), then the node itself.
+	case ocal.App:
+		key = enc.expr(key, t.Fn)
+		key = enc.expr(key, t.Arg)
+	case ocal.Tup:
+		for _, el := range t.Elems {
+			key = enc.expr(key, el)
+		}
+	case ocal.Proj:
+		key = enc.expr(key, t.E)
+	case ocal.Single:
+		key = enc.expr(key, t.E)
+	case ocal.If:
+		key = enc.expr(key, t.Cond)
+		key = enc.expr(key, t.Then)
+		key = enc.expr(key, t.Else)
+	case ocal.Prim:
+		for _, a := range t.Args {
+			key = enc.expr(key, a)
+		}
+	case ocal.FlatMap:
+		key = enc.expr(key, t.Fn)
+	case ocal.FoldL:
+		key = enc.expr(key, t.Init)
+		key = enc.expr(key, t.Fn)
+	case ocal.FuncPow:
+		key = enc.expr(key, t.Fn)
+	}
+	return ocal.AppendNodeKey(key, e)
+}
+
+// normalNames caches the first alpha-normal names, so neither the renamer
+// nor the encoder formats one per binder.
+var normalNames = func() (t [2][32]string) {
+	for i := range t[0] {
+		t[0][i] = "v" + strconv.Itoa(i+1)
+		t[1][i] = "p" + strconv.Itoa(i+1)
+	}
+	return t
+}()
+
+// normalName is the n-th (1-based) alpha-normal bound-variable ('v') or
+// parameter ('p') name.
+func normalName(kind byte, n int) string {
+	t := &normalNames[0]
+	if kind == 'p' {
+		t = &normalNames[1]
+	}
+	if n <= len(t) {
+		return t[n-1]
+	}
+	return string(kind) + strconv.Itoa(n)
 }

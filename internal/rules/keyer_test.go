@@ -9,41 +9,84 @@ import (
 	"ocas/internal/ocal"
 )
 
-// randProg builds a random program with binders, for alpha-equivalence
-// property testing. Bound names come from a pool wide enough that renamed
-// copies are textually different.
-func randProg(r *rand.Rand, depth int, pool []string) ocal.Expr {
+// chooser draws the random program generator's choices: a *rand.Rand, or a
+// fuzz input through byteChooser.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser draws choices from fuzz input bytes; exhausted input chooses 0.
+type byteChooser []byte
+
+func (c *byteChooser) Intn(n int) int {
+	if len(*c) == 0 {
+		return 0
+	}
+	v := int((*c)[0]) % n
+	*c = (*c)[1:]
+	return v
+}
+
+// randParam draws a blocking parameter: the zero value and the literal 1
+// (which print alike), another literal, or a symbolic name from a pool
+// small enough that one name recurs across nodes.
+func randParam(r chooser) ocal.Param {
+	switch r.Intn(5) {
+	case 0:
+		return ocal.Param{}
+	case 1:
+		return ocal.Lit(1)
+	case 2:
+		return ocal.Lit(8)
+	default:
+		return ocal.SymP([]string{"ka", "kb", "kc"}[r.Intn(3)])
+	}
+}
+
+// randProg builds a random program with binders, symbolic parameters on
+// every node kind that has them, seq-ac annotations and cardinality hints,
+// for alpha-equivalence property testing. Bound names come from a pool wide
+// enough that renamed copies are textually different.
+func randProg(r chooser, depth int, pool []string) ocal.Expr {
 	if depth <= 0 {
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0:
 			return ocal.Var{Name: pool[r.Intn(len(pool))]}
 		case 1:
 			return ocal.Var{Name: "R"} // free input
+		case 2:
+			return ocal.Mrg{}
 		default:
 			return ocal.IntLit{V: int64(r.Intn(3))}
 		}
 	}
-	switch r.Intn(6) {
+	sub := func() ocal.Expr { return randProg(r, depth-1, pool) }
+	switch r.Intn(11) {
 	case 0:
-		x := pool[r.Intn(len(pool))]
-		return ocal.Lam{Params: []string{x}, Body: randProg(r, depth-1, pool)}
+		return ocal.Lam{Params: []string{pool[r.Intn(len(pool))]}, Body: sub()}
 	case 1:
-		x := pool[r.Intn(len(pool))]
-		k := ocal.Param{}
-		if r.Intn(2) == 0 {
-			k = ocal.SymP("k" + x)
-		}
-		return ocal.For{X: x, K: k, Src: randProg(r, depth-1, pool),
-			Body: ocal.Single{E: randProg(r, depth-1, pool)}}
+		return ocal.Lam{Params: []string{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]}, Body: sub()}
 	case 2:
-		return ocal.App{Fn: randProg(r, depth-1, pool), Arg: randProg(r, depth-1, pool)}
+		f := ocal.For{X: pool[r.Intn(len(pool))], K: randParam(r), Src: sub(), OutK: randParam(r),
+			Body: ocal.Single{E: sub()}}
+		if r.Intn(3) == 0 {
+			f.Seq = &ocal.SeqAnnot{From: "hdd", To: "ram"}
+		}
+		return f
 	case 3:
-		return ocal.Tup{Elems: []ocal.Expr{randProg(r, depth-1, pool), randProg(r, depth-1, pool)}}
+		return ocal.App{Fn: sub(), Arg: sub()}
 	case 4:
-		return ocal.If{Cond: randProg(r, depth-1, pool), Then: randProg(r, depth-1, pool),
-			Else: randProg(r, depth-1, pool)}
+		return ocal.Tup{Elems: []ocal.Expr{sub(), sub()}}
+	case 5:
+		return ocal.If{Cond: sub(), Then: sub(), Else: sub()}
+	case 6:
+		return ocal.Prim{Op: ocal.OpAdd, Args: []ocal.Expr{sub(), sub()}}
+	case 7:
+		return ocal.FoldL{Init: sub(), Fn: sub(), Hint: ocal.CardHint(r.Intn(4))}
+	case 8:
+		return ocal.UnfoldR{Fn: sub(), K: randParam(r), OutK: randParam(r), Hint: ocal.CardHint(r.Intn(4))}
+	case 9:
+		return ocal.TreeFold{K: randParam(r), Init: sub(), Fn: sub(), OutK: randParam(r)}
 	default:
-		return ocal.Prim{Op: ocal.OpAdd, Args: []ocal.Expr{randProg(r, depth-1, pool), randProg(r, depth-1, pool)}}
+		return ocal.App{Fn: ocal.PartitionF{S: randParam(r)}, Arg: sub()}
 	}
 }
 
@@ -86,6 +129,12 @@ func renameBound(e ocal.Expr, suffix string) ocal.Expr {
 			ne[t.X] = nx
 			return ocal.For{X: nx, K: rp(t.K), Src: src, OutK: rp(t.OutK),
 				Seq: t.Seq, Body: walk(t.Body, ne)}
+		case ocal.TreeFold:
+			return ocal.TreeFold{K: rp(t.K), Init: walk(t.Init, env), Fn: walk(t.Fn, env), OutK: rp(t.OutK)}
+		case ocal.UnfoldR:
+			return ocal.UnfoldR{Fn: walk(t.Fn, env), K: rp(t.K), Hint: t.Hint, OutK: rp(t.OutK)}
+		case ocal.PartitionF:
+			return ocal.PartitionF{S: rp(t.S)}
 		default:
 			kids := ocal.Children(e)
 			if len(kids) == 0 {
@@ -101,48 +150,145 @@ func renameBound(e ocal.Expr, suffix string) ocal.Expr {
 	return walk(e, map[string]string{})
 }
 
+// rebuildAll applies f to every node of e, children first.
+func rebuildAll(e ocal.Expr, f func(ocal.Expr) ocal.Expr) ocal.Expr {
+	kids := ocal.Children(e)
+	for i, k := range kids {
+		kids[i] = rebuildAll(k, f)
+	}
+	return f(ocal.WithChildren(e, kids))
+}
+
+// withHints returns e with every cardinality hint set to h: a print-invisible
+// change the key must not see.
+func withHints(e ocal.Expr, h ocal.CardHint) ocal.Expr {
+	return rebuildAll(e, func(e ocal.Expr) ocal.Expr {
+		switch t := e.(type) {
+		case ocal.FoldL:
+			t.Hint = h
+			return t
+		case ocal.UnfoldR:
+			t.Hint = h
+			return t
+		}
+		return e
+	})
+}
+
+// withoutSeq returns e with every seq-ac annotation dropped: a
+// print-visible change, so the key must see it.
+func withoutSeq(e ocal.Expr) ocal.Expr {
+	return rebuildAll(e, func(e ocal.Expr) ocal.Expr {
+		if f, ok := e.(ocal.For); ok {
+			f.Seq = nil
+			return f
+		}
+		return e
+	})
+}
+
 // oneShotAlphaKey is the reference the keyer is checked against: one
-// renaming and one printing, no interning and no cache.
+// renaming and one printing, no cache.
 func oneShotAlphaKey(e ocal.Expr) string {
 	ren := &renamer{params: map[string]string{}}
 	return ocal.String(ren.expr(e, nil))
 }
 
-// TestAlphaIDMatchesAlphaEquivalence is the memoization invariant the
-// search's dedup rests on: interned AlphaIDs agree exactly with the
-// historical alpha-key strings — equal IDs ⇔ alpha-equivalent programs.
-func TestAlphaIDMatchesAlphaEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pool := []string{"x", "y", "z", "w"}
-	k := NewKeyer()
-	var progs []ocal.Expr
-	for i := 0; i < 400; i++ {
-		p := randProg(r, 1+r.Intn(4), pool)
-		progs = append(progs, p)
-		// Every program travels with an alpha-renamed twin.
-		progs = append(progs, renameBound(p, fmt.Sprintf("_%d", i)))
+// verbatimKey is the reference for the key's bytes: ocal.AppendNodeKey over
+// every node of e in post-order, names as they are.
+func verbatimKey(key []byte, e ocal.Expr) []byte {
+	for _, k := range ocal.Children(e) {
+		key = verbatimKey(key, k)
 	}
-	type keyed struct {
-		id  uint64
-		key string
+	return ocal.AppendNodeKey(key, e)
+}
+
+// keyOracle checks Keys against the references: every key must be the
+// verbatim key of the renamer's output, and across everything it has seen,
+// equal keys ⇔ equal one-shot alpha keys.
+type keyOracle struct {
+	keyer  *Keyer
+	byKey  map[string]string // key -> one-shot alpha key
+	byShot map[string]string // one-shot alpha key -> key
+	seen   int
+}
+
+func newKeyOracle() *keyOracle {
+	return &keyOracle{keyer: NewKeyer(), byKey: map[string]string{}, byShot: map[string]string{}}
+}
+
+func (o *keyOracle) check(t testing.TB, e ocal.Expr) {
+	t.Helper()
+	o.seen++
+	key := o.keyer.Key(e)
+	ren := &renamer{params: map[string]string{}}
+	normal := ren.expr(e, nil)
+	if want := string(verbatimKey(nil, normal)); key != want {
+		t.Fatalf("key of %s is not the post-order key of its normal form %s:\n  got  %q\n  want %q",
+			ocal.String(e), ocal.String(normal), key, want)
 	}
-	var ks []keyed
-	for _, p := range progs {
-		ks = append(ks, keyed{id: k.AlphaID(p), key: oneShotAlphaKey(p)})
+	shot := ocal.String(normal)
+	if prev, ok := o.byKey[key]; ok && prev != shot {
+		t.Fatalf("one key for two alpha keys:\n  %s\n  %s", prev, shot)
 	}
-	for i := range ks {
-		for j := i + 1; j < len(ks); j++ {
-			if (ks[i].id == ks[j].id) != (ks[i].key == ks[j].key) {
-				t.Fatalf("alpha identity disagrees for\n  %s\n  %s\n  ids %d/%d keys %q/%q",
-					ocal.String(progs[i]), ocal.String(progs[j]),
-					ks[i].id, ks[j].id, ks[i].key, ks[j].key)
-			}
-		}
+	if prev, ok := o.byShot[shot]; ok && prev != key {
+		t.Fatalf("two keys for one alpha key %s:\n  %q\n  %q", shot, prev, key)
+	}
+	o.byKey[key], o.byShot[shot] = shot, key
+}
+
+// checkFamily runs p through the oracle with the twins that must share its
+// key — alpha-renamed and hint-changed — and one that must not, unless p
+// has no annotation to drop: p without its seq-ac annotations.
+func (o *keyOracle) checkFamily(t testing.TB, p ocal.Expr, suffix string) {
+	t.Helper()
+	o.check(t, p)
+	o.check(t, renameBound(p, suffix))
+	o.check(t, withHints(p, ocal.HintMaxCards))
+	o.check(t, withoutSeq(p))
+	if o.keyer.Key(p) != o.keyer.Key(renameBound(withHints(p, ocal.HintSumCards), suffix)) {
+		t.Fatalf("renaming and hints split the key of %s", ocal.String(p))
 	}
 }
 
-// TestKeyerAlphaKeyMatchesOneShot pins the cached keyer rendering, which
-// plan fingerprints are built from, to the uncached one-shot rendering.
+// TestAlphaKeyMatchesAlphaEquivalence is the invariant the search's dedup
+// rests on: keys agree exactly with the historical alpha-key strings —
+// equal keys ⇔ alpha-equivalent programs — and each key is literally the
+// post-order node-key encoding of the renamer's normal form.
+func TestAlphaKeyMatchesAlphaEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pool := []string{"x", "y", "z", "w"}
+	o := newKeyOracle()
+	for i := 0; i < 2000; i++ {
+		o.checkFamily(t, randProg(r, 1+r.Intn(4), pool), fmt.Sprintf("_%d", i))
+	}
+	// The corpus must actually put programs in one class and keep others
+	// apart, or the two-way check above proves little.
+	if classes := len(o.byKey); classes < 200 || classes > o.seen/2 {
+		t.Fatalf("%d classes over %d programs: the generator does not exercise the key", classes, o.seen)
+	}
+}
+
+// FuzzAlphaKey draws two programs from the input bytes and checks them,
+// their renamed and hint-changed twins, against the references.
+func FuzzAlphaKey(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 3, 3, 1, 0, 6, 0, 2, 0, 3, 4, 1, 0, 6, 0})
+	f.Add([]byte{8, 1, 3, 4, 0, 9, 3, 2, 1, 1, 2})
+	f.Add([]byte("for (x [k1] <- R) [k2] treeFold[k2](x, \\y -> y)"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := byteChooser(data)
+		pool := []string{"x", "y", "z"}
+		p := randProg(&r, 4, pool)
+		q := randProg(&r, 4, pool)
+		o := newKeyOracle()
+		o.checkFamily(t, p, "_p")
+		o.checkFamily(t, q, "_q")
+	})
+}
+
+// TestKeyerAlphaKeyMatchesOneShot pins the keyer's rendering, which plan
+// fingerprints are built from, to the one-shot rendering.
 func TestKeyerAlphaKeyMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pool := []string{"x", "y"}
@@ -155,8 +301,9 @@ func TestKeyerAlphaKeyMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestKeyerConcurrent resolves the same programs from many goroutines; IDs
-// must be stable. Under -race this exercises the alpha-cache CAS paths.
+// TestKeyerConcurrent keys the same programs from many goroutines, as the
+// search's workers do through the encoder pool; keys must be stable. Under
+// -race this proves the pooled scratch is never shared.
 func TestKeyerConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	pool := []string{"x", "y", "z"}
@@ -165,9 +312,9 @@ func TestKeyerConcurrent(t *testing.T) {
 		progs = append(progs, randProg(r, 4, pool))
 	}
 	k := NewKeyer()
-	want := make([]uint64, len(progs))
+	want := make([]string, len(progs))
 	for i, p := range progs {
-		want[i] = k.AlphaID(p)
+		want[i] = k.Key(p)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -177,16 +324,28 @@ func TestKeyerConcurrent(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 1000; i++ {
 				j := r.Intn(len(progs))
-				if got := k.AlphaID(progs[j]); got != want[j] {
-					t.Errorf("prog %d alpha id changed concurrently", j)
+				if got := k.Key(progs[j]); got != want[j] {
+					t.Errorf("prog %d keyed differently concurrently", j)
 					return
 				}
 			}
 		}(int64(g))
 	}
 	wg.Wait()
-	st := k.Stats()
-	if st.AlphaHits == 0 || st.InternedNodes == 0 {
-		t.Fatalf("expected cache activity, got %+v", st)
+}
+
+// TestKeyAllocatesNothing pins the point of the encoder: a warm encoder
+// keys a program — binders, parameters and all — without one allocation.
+func TestKeyAllocatesNothing(t *testing.T) {
+	prog := ocal.For{X: "x", K: ocal.SymP("k1"), Src: ocal.Var{Name: "R"}, OutK: ocal.SymP("k2"),
+		Seq: &ocal.SeqAnnot{From: "hdd", To: "ram"},
+		Body: ocal.Single{E: ocal.App{
+			Fn:  ocal.Lam{Params: []string{"a", "b"}, Body: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: "a"}, ocal.Var{Name: "x"}}}},
+			Arg: ocal.App{Fn: ocal.TreeFold{K: ocal.SymP("k1"), Init: ocal.Empty{}, Fn: ocal.Mrg{}}, Arg: ocal.Var{Name: "x"}},
+		}}}
+	enc := new(alphaEncoder)
+	buf := enc.appendKey(nil, prog)
+	if n := testing.AllocsPerRun(100, func() { buf = enc.appendKey(buf[:0], prog) }); n != 0 {
+		t.Fatalf("keying allocated %v times per program", n)
 	}
 }

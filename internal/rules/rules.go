@@ -60,11 +60,11 @@ type Context struct {
 	// MaxBranchK caps inc-branching (2^MaxBranchK-way merges).
 	MaxBranchK int
 
-	// Keys interns programs and caches their alpha-normal dedup keys for
-	// the lifetime of one synthesis. Optional: a nil Keys makes the search
-	// allocate a private one, so ad-hoc callers (tests, one-shot Search
-	// invocations) need not care. core.Synthesizer always injects one so
-	// the screening pass shares the same interned identities.
+	// Keys keys the search's rewrites and counts what the search
+	// deduplicated. Optional: a nil Keys makes the search allocate a
+	// private one, so ad-hoc callers (tests, one-shot Search invocations)
+	// need not care. core.Synthesizer always injects one and reports its
+	// counters.
 	Keys *Keyer
 
 	nParam int

@@ -1,10 +1,6 @@
 package rules
 
-import (
-	"fmt"
-
-	"ocas/internal/ocal"
-)
+import "ocas/internal/ocal"
 
 // rootOnly is implemented by rules that rewrite the whole program rather
 // than arbitrary subexpressions (order-inputs, hash-part).
@@ -156,7 +152,8 @@ func (env *renameEnv) lookup(name string) (string, bool) {
 // renamer alpha-normalizes a program: bound variables and symbolic
 // parameters are renamed in first-occurrence order, so two derivation paths
 // reaching the same structure yield one program even when their fresh-name
-// counters differ (see Keyer.AlphaNode).
+// counters differ. Keyer.AlphaKey prints its output; Keyer.Key numbers the
+// names in the same order without building the renamed tree.
 type renamer struct {
 	params map[string]string
 	nv, np int
@@ -164,7 +161,7 @@ type renamer struct {
 
 func (r *renamer) bind(name string) string {
 	r.nv++
-	return fmt.Sprintf("v%d", r.nv)
+	return normalName('v', r.nv)
 }
 
 func (r *renamer) param(p ocal.Param) ocal.Param {
@@ -175,7 +172,7 @@ func (r *renamer) param(p ocal.Param) ocal.Param {
 		return ocal.SymP(n)
 	}
 	r.np++
-	n := fmt.Sprintf("p%d", r.np)
+	n := normalName('p', r.np)
 	r.params[p.Sym] = n
 	return ocal.SymP(n)
 }

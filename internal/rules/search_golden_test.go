@@ -216,3 +216,29 @@ func TestSearchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestAlphaKeyExactOnSearchedRewrites runs the key exactness check (equal
+// keys ⇔ equal one-shot alpha keys, each key the post-order encoding of the
+// normal form) over every rewrite the search of the golden corpus produces:
+// the programs the dedup set actually compares.
+func TestAlphaKeyExactOnSearchedRewrites(t *testing.T) {
+	o := rules.NewKeyOracle()
+	for _, s := range searchGoldenShapes(t) {
+		ds, st := s.search(1)
+		rls := s.rules
+		if rls == nil {
+			rls = rules.AllRules()
+		}
+		c := &rules.Context{H: s.h, InputLoc: s.inputLoc, Output: s.output, Commutative: s.commutative}
+		for _, d := range ds {
+			o.Check(t, d.Expr)
+			if len(d.Steps) == st.MaxDepth {
+				continue // the search stopped here: it never expanded these
+			}
+			for _, rw := range rules.Step(d.Expr, rls, c) {
+				o.Check(t, rw.Expr)
+			}
+		}
+	}
+	t.Logf("%d programs, %d classes", o.Seen(), o.Classes())
+}

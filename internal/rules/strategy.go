@@ -135,14 +135,13 @@ func exprSize(e ocal.Expr) int {
 	return n
 }
 
-// expanded is one rewrite together with its precomputed dedup key (keying
-// is the expensive part of the merge, so workers compute it too). The key
-// is the interned alpha-normal identity: rewrites that re-derive an
-// already-seen program — the common case at depth — hit the Keyer's
-// per-node cache instead of re-printing the whole program.
-type expanded struct {
-	rw  Rewrite
-	key uint64
+// expansion is one frontier item's rewrites with their dedup keys, which
+// the workers compute so that the sequential merge only compares. The keys
+// are packed back to back: rewrite j's Key is keys[ends[j-1]:ends[j]].
+type expansion struct {
+	rws  []Rewrite
+	keys []byte
+	ends []int
 }
 
 // bfs is the shared level-synchronous search loop. prune, when non-nil,
@@ -164,10 +163,14 @@ func bfs(ctx context.Context, start ocal.Expr, rs []Rule, c *Context, maxDepth, 
 	if keys == nil {
 		keys = NewKeyer()
 	}
-	seen := map[uint64]bool{keys.AlphaID(start): true}
+	// The key bytes themselves are the set's keys: membership is exact, and
+	// a lookup with a converted slice copies nothing; only a kept program's
+	// key is copied into the set.
+	seen := map[string]struct{}{keys.Key(start): {}}
 	all := []Derivation{{Expr: start}}
 	frontier := []Derivation{{Expr: start}}
 	stats := SearchStats{SpaceSize: 1}
+	defer func() { keys.count(stats, len(seen)) }()
 	for depth := 1; depth <= maxDepth && len(frontier) > 0; depth++ {
 		stats.Levels = append(stats.Levels, LevelStats{Depth: depth})
 		lv := &stats.Levels[len(stats.Levels)-1]
@@ -194,26 +197,29 @@ func bfs(ctx context.Context, start ocal.Expr, rs []Rule, c *Context, maxDepth, 
 			if hi > len(frontier) {
 				hi = len(frontier)
 			}
-			results, mp, mv := expandFrontier(ctx, frontier[lo:hi], rs, c, keys, snapParam, snapVar, workers)
+			results, mp, mv := expandFrontier(ctx, frontier[lo:hi], rs, c, snapParam, snapVar, workers)
 			if mp > maxParam {
 				maxParam = mp
 			}
 			if mv > maxVar {
 				maxVar = mv
 			}
-			for bi, exps := range results {
+			for bi, ex := range results {
 				d := frontier[lo+bi]
-				for _, ex := range exps {
+				from := 0
+				for j, rw := range ex.rws {
+					key := ex.keys[from:ex.ends[j]]
+					from = ex.ends[j]
 					lv.Expanded++
-					if seen[ex.key] {
+					if _, dup := seen[string(key)]; dup {
 						lv.Deduped++
 						continue
 					}
-					seen[ex.key] = true
+					seen[string(key)] = struct{}{}
 					lv.Kept++
 					nd := Derivation{
-						Expr:  ex.rw.Expr,
-						Steps: append(append([]string(nil), d.Steps...), ex.rw.Rule),
+						Expr:  rw.Expr,
+						Steps: append(append([]string(nil), d.Steps...), rw.Rule),
 					}
 					all = append(all, nd)
 					next = append(next, nd)
@@ -240,12 +246,13 @@ func bfs(ctx context.Context, start ocal.Expr, rs []Rule, c *Context, maxDepth, 
 	return all, stats
 }
 
-// expandFrontier runs Step on every frontier item concurrently. Each item
-// gets a Context forked at the level snapshot, so fresh names never depend
-// on which worker picked the item up; the returned maxima say how far the
-// counters must advance. Results are indexed by frontier position.
-func expandFrontier(ctx context.Context, items []Derivation, rs []Rule, c *Context, keys *Keyer, snapParam, snapVar, workers int) ([][]expanded, int, int) {
-	out := make([][]expanded, len(items))
+// expandFrontier runs Step on every frontier item concurrently and keys
+// every rewrite with the worker's encoder. Each item gets a Context forked
+// at the level snapshot, so fresh names never depend on which worker picked
+// the item up; the returned maxima say how far the counters must advance.
+// Results are indexed by frontier position.
+func expandFrontier(ctx context.Context, items []Derivation, rs []Rule, c *Context, snapParam, snapVar, workers int) ([]expansion, int, int) {
+	out := make([]expansion, len(items))
 	var mu sync.Mutex
 	maxParam, maxVar := 0, 0
 	par.For(workers, len(items), func(i int) {
@@ -253,12 +260,15 @@ func expandFrontier(ctx context.Context, items []Derivation, rs []Rule, c *Conte
 			return
 		}
 		fc := c.fork(snapParam, snapVar)
-		rws := Step(items[i].Expr, rs, fc)
-		exps := make([]expanded, len(rws))
-		for j, rw := range rws {
-			exps[j] = expanded{rw: rw, key: keys.AlphaID(rw.Expr)}
+		ex := expansion{rws: Step(items[i].Expr, rs, fc)}
+		ex.ends = make([]int, len(ex.rws))
+		enc := encoders.Get().(*alphaEncoder)
+		for j, rw := range ex.rws {
+			ex.keys = enc.appendKey(ex.keys, rw.Expr)
+			ex.ends[j] = len(ex.keys)
 		}
-		out[i] = exps
+		encoders.Put(enc)
+		out[i] = ex
 		mu.Lock()
 		if d := fc.nParam - snapParam; d > maxParam {
 			maxParam = d

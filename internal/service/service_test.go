@@ -337,7 +337,7 @@ func TestServerDefaults(t *testing.T) {
 // TestSequentialRequestsFreshMemoState posts two different synthesis
 // requests to one daemon and checks each plan is byte-identical to a plan
 // computed by an isolated run of the same request. The synthesis memo
-// tables (interner, alpha-key cache, cost memo) live per request; this is
+// tables (dedup set, cost memo, screening memo) live per request; this is
 // the test that nothing the first request cached leaks into — or perturbs —
 // the second.
 func TestSequentialRequestsFreshMemoState(t *testing.T) {
