@@ -276,9 +276,9 @@ func buildHierarchy(req Request) (*memory.Hierarchy, error) {
 
 // fingerprint derives the content address of a request: a SHA-256 over the
 // alpha-normalized program (alpha, its printing), the canonical hierarchy
-// JSON, the placement and the search knobs. Whitespace, comments, binder names and worker counts
-// never change the fingerprint; anything that can change the winning plan
-// does.
+// JSON, the placement and the search knobs. Whitespace, comments, binder
+// names and worker counts never change the fingerprint; anything that can
+// change the winning plan does.
 func fingerprint(req Request, alpha string, h *memory.Hierarchy) (string, error) {
 	hj, err := json.Marshal(h)
 	if err != nil {

@@ -39,22 +39,28 @@ type searchShape struct {
 	beam        int // > 0: a beam of this width under its default rank
 }
 
+// setup returns a fresh search context and the rule set.
+func (s searchShape) setup() (*rules.Context, []rules.Rule) {
+	rls := s.rules
+	if rls == nil {
+		rls = rules.AllRules()
+	}
+	return &rules.Context{H: s.h, InputLoc: s.inputLoc, Output: s.output, Commutative: s.commutative}, rls
+}
+
 func (s searchShape) search(workers int) ([]rules.Derivation, rules.SearchStats) {
-	depth, space, rls := s.depth, s.space, s.rules
+	depth, space := s.depth, s.space
 	if depth <= 0 {
 		depth = 6
 	}
 	if space <= 0 {
 		space = 20000
 	}
-	if rls == nil {
-		rls = rules.AllRules()
-	}
 	var strategy rules.SearchStrategy = rules.Exhaustive{Workers: workers}
 	if s.beam > 0 {
 		strategy = rules.Beam{Width: s.beam, Workers: workers}
 	}
-	c := &rules.Context{H: s.h, InputLoc: s.inputLoc, Output: s.output, Commutative: s.commutative}
+	c, rls := s.setup()
 	return strategy.Search(context.Background(), s.prog, rls, c, depth, space)
 }
 
@@ -225,11 +231,7 @@ func TestAlphaKeyExactOnSearchedRewrites(t *testing.T) {
 	o := rules.NewKeyOracle()
 	for _, s := range searchGoldenShapes(t) {
 		ds, st := s.search(1)
-		rls := s.rules
-		if rls == nil {
-			rls = rules.AllRules()
-		}
-		c := &rules.Context{H: s.h, InputLoc: s.inputLoc, Output: s.output, Commutative: s.commutative}
+		c, rls := s.setup()
 		for _, d := range ds {
 			o.Check(t, d.Expr)
 			if len(d.Steps) == st.MaxDepth {
