@@ -56,9 +56,9 @@ func serverElapsed(t *testing.T, resp *http.Response) time.Duration {
 // comparable contention. With all 15 warm samples taken the ratio reads
 // 113–150x alone and 37–41x under -race on a 2-core host, since the search
 // keys rewrites without an interner (cold 1.1–1.3 s alone, 5.0–5.3 s under
-// -race); it read 200–216x and 78–81x before that, and 92–123x and 50–60x
-// before PR 22 sped the warm side up. 25 is the floor a real regression
-// would have to cross.
+// -race); it read 200–216x and 78–81x with the interner, and 92–123x and
+// 50–60x before the optimizer's bind/point split sped the warm side up. 25
+// is the floor a real regression would have to cross.
 func TestWarmShapeSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds of cold synthesis")
