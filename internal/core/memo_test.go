@@ -73,12 +73,11 @@ func TestSequentialSynthesesDoNotShareMemoState(t *testing.T) {
 }
 
 // TestInjectedKeyerCountsTheSearch checks the plan.Compile wiring contract:
-// a caller-injected Keyer serves the synthesis, its counters are the
-// search's level totals, and the result is unchanged.
+// a caller-injected Keyer's counters are the search's level totals, the
+// same totals the synthesis reports, and the result is unchanged.
 func TestInjectedKeyerCountsTheSearch(t *testing.T) {
 	task := joinTask()
 	keys := rules.NewKeyer()
-	keys.AlphaKey(task.Spec.Prog) // what a fingerprint computation does
 	withKeys := &Synthesizer{H: memory.HDDRAM(1 << 20), MaxDepth: 4, MaxSpace: 400, Keys: keys}
 	res := mustSynth(t, withKeys, task)
 	fresh := mustSynth(t, &Synthesizer{H: memory.HDDRAM(1 << 20), MaxDepth: 4, MaxSpace: 400}, task)

@@ -46,10 +46,9 @@ type Synthesizer struct {
 	// expansion, candidate costing, parameter optimization); <=0 means
 	// GOMAXPROCS. Results are deterministic for any worker count.
 	Workers int
-	// Keys keys the search's programs and counts its dedup work. Optional:
-	// nil makes every synthesis allocate a fresh one. plan.Compile injects
-	// a per-request Keyer, whose counters then describe that request's
-	// search.
+	// Keys, when set, accumulates every search's dedup counters (the same
+	// totals each Synthesis reports in Memo.Keys). plan.Compile injects a
+	// per-request Keyer, whose counters then describe that request's search.
 	Keys *rules.Keyer
 }
 
@@ -161,21 +160,16 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	if rls == nil {
 		rls = rules.AllRules()
 	}
-	keys := s.Keys
-	if keys == nil {
-		keys = rules.NewKeyer()
-	}
 	rctx := &rules.Context{
 		H:           s.H,
 		InputLoc:    map[string]string{},
 		Output:      t.Output,
 		Commutative: t.Spec.Commutative,
-		Keys:        keys,
 	}
 	for _, in := range t.Spec.Inputs {
 		rctx.InputLoc[in.Name] = t.InputLoc[in.Name]
 	}
-	sc := &screener{fixed: s.fixedEnv(t), keys: keys,
+	sc := &screener{fixed: s.fixedEnv(t),
 		costs: cost.NewMemo(s.H, s.placement(t)), memo: map[string]*screenEstimate{}}
 
 	capturable := s.capturable()
@@ -201,6 +195,10 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 		}
 		spSearch.Attr("levels", levels)
 		spSearch.End()
+	}
+	dedup := cp.Stats.Dedup()
+	if s.Keys != nil {
+		s.Keys.Add(dedup)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -235,7 +233,7 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 		return nil, nil, err
 	}
 	res.Elapsed = time.Since(start)
-	res.Memo = MemoStats{Keys: keys.Stats(), Cost: sc.costs.Stats()}
+	res.Memo = MemoStats{Keys: dedup, Cost: sc.costs.Stats()}
 	return res, r, nil
 }
 
@@ -254,14 +252,13 @@ type screenEstimate struct {
 // see members of one alpha-deduped space, so a key names one program.
 type screener struct {
 	fixed sym.Env
-	keys  *rules.Keyer
 	costs *cost.Memo
 	mu    sync.Mutex
 	memo  map[string]*screenEstimate
 }
 
 func (sc *screener) estimate(e ocal.Expr) *screenEstimate {
-	key := sc.keys.Key(e)
+	key := rules.Key(e)
 	sc.mu.Lock()
 	got, ok := sc.memo[key]
 	sc.mu.Unlock()

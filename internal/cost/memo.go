@@ -16,7 +16,7 @@ import (
 // are cached too — a program the estimator rejects once is rejected for the
 // whole synthesis.
 //
-// The key is the search's dedup key (rules.Keyer.Key), which names a whole
+// The key is the search's dedup key (rules.Key), which names a whole
 // alpha-equivalence class. That is exact here because both askers only see
 // members of one alpha-deduped search space, where a class has one member.
 // The hierarchy and placement are fixed for the run (core.Synthesizer

@@ -218,13 +218,12 @@ func Compile(req Request) (*Compiled, error) {
 
 	// One Keyer per request, so the search counters it collects describe
 	// this request's synthesis and die with the Compiled.
-	keys := rules.NewKeyer()
 	synth := &core.Synthesizer{H: h, MaxDepth: req.Depth, MaxSpace: req.Space,
-		Workers: req.Workers, Keys: keys}
+		Workers: req.Workers, Keys: rules.NewKeyer()}
 	if req.Strategy == "beam" {
 		synth.Strategy = &rules.Beam{Width: req.Beam}
 	}
-	alpha := keys.AlphaKey(prog)
+	alpha := rules.AlphaKey(prog)
 	fp, err := fingerprint(req, alpha, h)
 	if err != nil {
 		return nil, err

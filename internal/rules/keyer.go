@@ -8,32 +8,19 @@ import (
 	"ocas/internal/ocal"
 )
 
-// Keyer answers program-identity questions for one synthesis run and counts
-// what the search did with the answers. The search asks "is this rewrite a
-// program I already have?" once per produced rewrite. About two thirds of
-// rewrites re-derive a program another rule chain already reached, and a
-// re-derived program arrives with fresh binder and parameter names, so no
-// memo over raw structure can answer that: every rewrite is keyed afresh by
-// one walk (see Key), and the dedup set compares the keys.
-//
-// A Keyer is safe for concurrent use (the parallel frontier expansion keys
-// rewrites from every worker). It holds no table, only counters:
-// core.Synthesizer creates one per run unless the caller injects one, and
-// the service's request compiler injects a per-request Keyer so the
-// synthesis counters come back with the request.
-type Keyer struct {
-	hits, misses, held atomic.Uint64
-}
-
-// NewKeyer returns a Keyer with zeroed counters.
-func NewKeyer() *Keyer { return &Keyer{} }
-
 // Key is the search's dedup key: the post-order concatenation of
 // ocal.AppendNodeKey over e's alpha-normal form, in which bound variables
 // and symbolic parameters are numbered in first-occurrence order exactly as
 // AlphaKey's renaming numbers them. Two programs share a Key exactly when
 // their AlphaKeys are equal; no renamed tree is built to find out.
-func (k *Keyer) Key(e ocal.Expr) string {
+//
+// The search asks "is this rewrite a program I already have?" once per
+// produced rewrite. About two thirds of rewrites re-derive a program another
+// rule chain already reached, and a re-derived program arrives with fresh
+// binder and parameter names, so no memo over raw structure can answer
+// that: every rewrite is keyed afresh by one walk, and the dedup set
+// compares the keys.
+func Key(e ocal.Expr) string {
 	enc := encoders.Get().(*alphaEncoder)
 	enc.buf = enc.appendKey(enc.buf[:0], e)
 	s := string(enc.buf)
@@ -43,13 +30,24 @@ func (k *Keyer) Key(e ocal.Expr) string {
 
 // AlphaKey renders the canonical alpha-normalized printing of e, which plan
 // fingerprints are built from.
-func (k *Keyer) AlphaKey(e ocal.Expr) string {
+func AlphaKey(e ocal.Expr) string {
 	ren := &renamer{params: map[string]string{}}
 	return ocal.String(ren.expr(e, nil))
 }
 
-// KeyerStats reports what the searches run with one Keyer deduplicated.
-// Every field is a sum over those searches' levels (SearchStats.Levels).
+// Keyer accumulates the dedup counters of the syntheses that carry it as
+// core.Synthesizer.Keys: each adds its search's Dedup totals once the search
+// ends. plan.Compile injects one per request, so the synthesis counters come
+// back with the request. A Keyer is safe for concurrent use.
+type Keyer struct {
+	hits, misses, held atomic.Uint64
+}
+
+// NewKeyer returns a Keyer with zeroed counters.
+func NewKeyer() *Keyer { return &Keyer{} }
+
+// KeyerStats reports what searches deduplicated. Every field is a sum over
+// the searches' levels (SearchStats.Levels).
 type KeyerStats struct {
 	// InternedNodes is the number of keys the dedup set held at the end: one
 	// per distinct program, the start program included.
@@ -71,16 +69,23 @@ func (k *Keyer) Stats() KeyerStats {
 	}
 }
 
-// count adds one finished search to the counters.
-func (k *Keyer) count(st SearchStats, held int) {
-	hits, misses := 0, 1
+// Add adds one search's counts to the Keyer's.
+func (k *Keyer) Add(s KeyerStats) {
+	k.held.Add(s.InternedNodes)
+	k.hits.Add(s.AlphaHits)
+	k.misses.Add(s.AlphaMisses)
+}
+
+// Dedup totals the search's levels as KeyerStats. The dedup set holds the
+// start program and every kept rewrite, so InternedNodes equals AlphaMisses.
+func (st SearchStats) Dedup() KeyerStats {
+	s := KeyerStats{AlphaMisses: 1}
 	for _, lv := range st.Levels {
-		hits += lv.Deduped
-		misses += lv.Kept
+		s.AlphaHits += uint64(lv.Deduped)
+		s.AlphaMisses += uint64(lv.Kept)
 	}
-	k.hits.Add(uint64(hits))
-	k.misses.Add(uint64(misses))
-	k.held.Add(uint64(held))
+	s.InternedNodes = s.AlphaMisses
+	return s
 }
 
 // alphaEncoder writes Keys. Its slices are scratch reused from key to key,

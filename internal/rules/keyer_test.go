@@ -41,25 +41,36 @@ func randParam(r chooser) ocal.Param {
 	}
 }
 
-// randProg builds a random program with binders, symbolic parameters on
-// every node kind that has them, seq-ac annotations and cardinality hints,
-// for alpha-equivalence property testing. Bound names come from a pool wide
-// enough that renamed copies are textually different.
+// randProg builds a random program over every node kind ocal.AppendNodeKey
+// encodes, with binders, symbolic parameters on every node kind that has
+// them, seq-ac annotations and cardinality hints, for alpha-equivalence
+// property testing. Bound names come from a pool wide enough that renamed
+// copies are textually different.
 func randProg(r chooser, depth int, pool []string) ocal.Expr {
 	if depth <= 0 {
-		switch r.Intn(4) {
+		switch r.Intn(9) {
 		case 0:
 			return ocal.Var{Name: pool[r.Intn(len(pool))]}
 		case 1:
 			return ocal.Var{Name: "R"} // free input
 		case 2:
 			return ocal.Mrg{}
+		case 3:
+			return ocal.Empty{}
+		case 4:
+			return ocal.BoolLit{V: r.Intn(2) == 0}
+		case 5:
+			return ocal.StrLit{V: []string{"", "x"}[r.Intn(2)]}
+		case 6:
+			return ocal.ZipStep{N: 2 + r.Intn(2)}
+		case 7:
+			return ocal.ZipLists{N: 2 + r.Intn(2)}
 		default:
 			return ocal.IntLit{V: int64(r.Intn(3))}
 		}
 	}
 	sub := func() ocal.Expr { return randProg(r, depth-1, pool) }
-	switch r.Intn(11) {
+	switch r.Intn(15) {
 	case 0:
 		return ocal.Lam{Params: []string{pool[r.Intn(len(pool))]}, Body: sub()}
 	case 1:
@@ -78,13 +89,25 @@ func randProg(r chooser, depth int, pool []string) ocal.Expr {
 	case 5:
 		return ocal.If{Cond: sub(), Then: sub(), Else: sub()}
 	case 6:
-		return ocal.Prim{Op: ocal.OpAdd, Args: []ocal.Expr{sub(), sub()}}
+		p := ocal.Prim{Op: ocal.PrimOp(r.Intn(int(ocal.OpHash) + 1)), Args: []ocal.Expr{sub()}}
+		if r.Intn(2) == 0 {
+			p.Args = append(p.Args, sub())
+		}
+		return p
 	case 7:
 		return ocal.FoldL{Init: sub(), Fn: sub(), Hint: ocal.CardHint(r.Intn(4))}
 	case 8:
 		return ocal.UnfoldR{Fn: sub(), K: randParam(r), OutK: randParam(r), Hint: ocal.CardHint(r.Intn(4))}
 	case 9:
 		return ocal.TreeFold{K: randParam(r), Init: sub(), Fn: sub(), OutK: randParam(r)}
+	case 10:
+		return ocal.Proj{E: sub(), I: 1 + r.Intn(2)}
+	case 11:
+		return ocal.Single{E: sub()}
+	case 12:
+		return ocal.FlatMap{Fn: sub()}
+	case 13:
+		return ocal.FuncPow{K: 1 + r.Intn(3), Fn: sub()}
 	default:
 		return ocal.App{Fn: ocal.PartitionF{S: randParam(r)}, Arg: sub()}
 	}
@@ -187,8 +210,8 @@ func withoutSeq(e ocal.Expr) ocal.Expr {
 	})
 }
 
-// oneShotAlphaKey is the reference the keyer is checked against: one
-// renaming and one printing, no cache.
+// oneShotAlphaKey is the reference Key and AlphaKey are checked against:
+// one renaming and one printing.
 func oneShotAlphaKey(e ocal.Expr) string {
 	ren := &renamer{params: map[string]string{}}
 	return ocal.String(ren.expr(e, nil))
@@ -207,20 +230,19 @@ func verbatimKey(key []byte, e ocal.Expr) []byte {
 // verbatim key of the renamer's output, and across everything it has seen,
 // equal keys ⇔ equal one-shot alpha keys.
 type keyOracle struct {
-	keyer  *Keyer
 	byKey  map[string]string // key -> one-shot alpha key
 	byShot map[string]string // one-shot alpha key -> key
 	seen   int
 }
 
 func newKeyOracle() *keyOracle {
-	return &keyOracle{keyer: NewKeyer(), byKey: map[string]string{}, byShot: map[string]string{}}
+	return &keyOracle{byKey: map[string]string{}, byShot: map[string]string{}}
 }
 
 func (o *keyOracle) check(t testing.TB, e ocal.Expr) {
 	t.Helper()
 	o.seen++
-	key := o.keyer.Key(e)
+	key := Key(e)
 	ren := &renamer{params: map[string]string{}}
 	normal := ren.expr(e, nil)
 	if want := string(verbatimKey(nil, normal)); key != want {
@@ -246,7 +268,7 @@ func (o *keyOracle) checkFamily(t testing.TB, p ocal.Expr, suffix string) {
 	o.check(t, renameBound(p, suffix))
 	o.check(t, withHints(p, ocal.HintMaxCards))
 	o.check(t, withoutSeq(p))
-	if o.keyer.Key(p) != o.keyer.Key(renameBound(withHints(p, ocal.HintSumCards), suffix)) {
+	if Key(p) != Key(renameBound(withHints(p, ocal.HintSumCards), suffix)) {
 		t.Fatalf("renaming and hints split the key of %s", ocal.String(p))
 	}
 }
@@ -287,16 +309,25 @@ func FuzzAlphaKey(f *testing.F) {
 	})
 }
 
-// TestKeyerAlphaKeyMatchesOneShot pins the keyer's rendering, which plan
-// fingerprints are built from, to the one-shot rendering.
+// TestKeyerAlphaKeyMatchesOneShot pins AlphaKey, which plan fingerprints
+// are built from, to the one-shot rendering, and checks it is a normal
+// form: blind to renaming and hints, and the printing of the renamed tree
+// is its own AlphaKey.
 func TestKeyerAlphaKeyMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pool := []string{"x", "y"}
-	k := NewKeyer()
 	for i := 0; i < 200; i++ {
 		p := randProg(r, 1+r.Intn(4), pool)
-		if got, want := k.AlphaKey(p), oneShotAlphaKey(p); got != want {
-			t.Fatalf("keyer alpha key %q != one-shot %q for %s", got, want, ocal.String(p))
+		got := AlphaKey(p)
+		if want := oneShotAlphaKey(p); got != want {
+			t.Fatalf("alpha key %q != one-shot %q for %s", got, want, ocal.String(p))
+		}
+		if twin := AlphaKey(renameBound(withHints(p, ocal.HintMaxCards), "_r")); twin != got {
+			t.Fatalf("renaming and hints change the alpha key of %s:\n  %s\n  %s", ocal.String(p), got, twin)
+		}
+		ren := &renamer{params: map[string]string{}}
+		if again := AlphaKey(ren.expr(p, nil)); again != got {
+			t.Fatalf("alpha key of the normal form %q != %q", again, got)
 		}
 	}
 }
@@ -311,10 +342,9 @@ func TestKeyerConcurrent(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		progs = append(progs, randProg(r, 4, pool))
 	}
-	k := NewKeyer()
 	want := make([]string, len(progs))
 	for i, p := range progs {
-		want[i] = k.Key(p)
+		want[i] = Key(p)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -324,7 +354,7 @@ func TestKeyerConcurrent(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 1000; i++ {
 				j := r.Intn(len(progs))
-				if got := k.Key(progs[j]); got != want[j] {
+				if got := Key(progs[j]); got != want[j] {
 					t.Errorf("prog %d keyed differently concurrently", j)
 					return
 				}

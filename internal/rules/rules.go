@@ -60,13 +60,6 @@ type Context struct {
 	// MaxBranchK caps inc-branching (2^MaxBranchK-way merges).
 	MaxBranchK int
 
-	// Keys keys the search's rewrites and counts what the search
-	// deduplicated. Optional: a nil Keys makes the search allocate a
-	// private one, so ad-hoc callers (tests, one-shot Search invocations)
-	// need not care. core.Synthesizer always injects one and reports its
-	// counters.
-	Keys *Keyer
-
 	nParam int
 	nVar   int
 }

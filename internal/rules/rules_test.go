@@ -343,7 +343,7 @@ func TestSearchDedupAndStats(t *testing.T) {
 	}
 	keys := map[string]bool{}
 	for _, d := range all {
-		k := testKeyer.AlphaKey(d.Expr)
+		k := AlphaKey(d.Expr)
 		if keys[k] {
 			t.Fatalf("duplicate program in search space: %s", ocal.String(d.Expr))
 		}
@@ -403,7 +403,7 @@ func TestSearchReachesCanonicalBNL(t *testing.T) {
 	foundBNL := false
 	foundHash := false
 	for _, d := range all {
-		s := testKeyer.AlphaKey(d.Expr)
+		s := AlphaKey(d.Expr)
 		// Canonical BNL: order-inputs wrapper, two blocked loops with the
 		// element loops innermost, seq-ac on the inner relation scan.
 		if strings.Contains(s, "if length(R) <= length(S)") &&

@@ -152,8 +152,8 @@ func (env *renameEnv) lookup(name string) (string, bool) {
 // renamer alpha-normalizes a program: bound variables and symbolic
 // parameters are renamed in first-occurrence order, so two derivation paths
 // reaching the same structure yield one program even when their fresh-name
-// counters differ. Keyer.AlphaKey prints its output; Keyer.Key numbers the
-// names in the same order without building the renamed tree.
+// counters differ. AlphaKey prints its output; Key numbers the names in the
+// same order without building the renamed tree.
 type renamer struct {
 	params map[string]string
 	nv, np int

@@ -159,18 +159,13 @@ func bfs(ctx context.Context, start ocal.Expr, rs []Rule, c *Context, maxDepth, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	keys := c.Keys
-	if keys == nil {
-		keys = NewKeyer()
-	}
 	// The key bytes themselves are the set's keys: membership is exact, and
 	// a lookup with a converted slice copies nothing; only a kept program's
 	// key is copied into the set.
-	seen := map[string]struct{}{keys.Key(start): {}}
+	seen := map[string]struct{}{Key(start): {}}
 	all := []Derivation{{Expr: start}}
 	frontier := []Derivation{{Expr: start}}
 	stats := SearchStats{SpaceSize: 1}
-	defer func() { keys.count(stats, len(seen)) }()
 	for depth := 1; depth <= maxDepth && len(frontier) > 0; depth++ {
 		stats.Levels = append(stats.Levels, LevelStats{Depth: depth})
 		lv := &stats.Levels[len(stats.Levels)-1]

@@ -8,15 +8,12 @@ import (
 	"ocas/internal/ocal"
 )
 
-// testKeyer keys programs for the tests the way production does.
-var testKeyer = NewKeyer()
-
 // searchFingerprint flattens a search result into a comparable form: the
 // alpha-canonical program and the derivation chain, in discovery order.
 func searchFingerprint(ds []Derivation) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
-		key := testKeyer.AlphaKey(d.Expr)
+		key := AlphaKey(d.Expr)
 		for _, s := range d.Steps {
 			key += " <- " + s
 		}
@@ -92,7 +89,7 @@ func TestBeamBoundsFrontier(t *testing.T) {
 	full, fullStats := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), testContext(), 5, 5000)
 	inFull := map[string]bool{}
 	for _, d := range full {
-		inFull[testKeyer.AlphaKey(d.Expr)] = true
+		inFull[AlphaKey(d.Expr)] = true
 	}
 	beam, beamStats := Beam{Width: 8}.Search(context.Background(), naiveJoin(), AllRules(), testContext(), 5, 5000)
 	if beamStats.SpaceSize > fullStats.SpaceSize {
@@ -102,11 +99,11 @@ func TestBeamBoundsFrontier(t *testing.T) {
 	if beamStats.SpaceSize != len(beam) {
 		t.Fatalf("SpaceSize %d != %d derivations", beamStats.SpaceSize, len(beam))
 	}
-	if testKeyer.AlphaKey(beam[0].Expr) != testKeyer.AlphaKey(naiveJoin()) {
+	if AlphaKey(beam[0].Expr) != AlphaKey(naiveJoin()) {
 		t.Fatal("beam must keep the start program as candidate 0")
 	}
 	for _, d := range beam {
-		if !inFull[testKeyer.AlphaKey(d.Expr)] {
+		if !inFull[AlphaKey(d.Expr)] {
 			t.Fatalf("beam invented a program not in the exhaustive space: %s",
 				ocal.String(d.Expr))
 		}

@@ -42,18 +42,18 @@ func TestSubstUnderFor(t *testing.T) {
 func TestAlphaKeyIdentifiesRenamedPrograms(t *testing.T) {
 	a := ocal.MustParse(`for (u [ka] <- R) for (x <- u) [x]`)
 	b := ocal.MustParse(`for (w [kb] <- R) for (y <- w) [y]`)
-	if testKeyer.AlphaKey(a) != testKeyer.AlphaKey(b) {
+	if AlphaKey(a) != AlphaKey(b) {
 		t.Errorf("alpha-equivalent programs must share a key:\n %s\n %s",
-			testKeyer.AlphaKey(a), testKeyer.AlphaKey(b))
+			AlphaKey(a), AlphaKey(b))
 	}
 	// Different structure must differ.
 	c := ocal.MustParse(`for (w <- R) [w]`)
-	if testKeyer.AlphaKey(a) == testKeyer.AlphaKey(c) {
+	if AlphaKey(a) == AlphaKey(c) {
 		t.Error("structurally different programs collided")
 	}
 	// Free variables are NOT renamed (inputs must stay identifiable).
 	d := ocal.MustParse(`for (u [ka] <- S) for (x <- u) [x]`)
-	if testKeyer.AlphaKey(a) == testKeyer.AlphaKey(d) {
+	if AlphaKey(a) == AlphaKey(d) {
 		t.Error("programs over different inputs collided")
 	}
 }
@@ -68,7 +68,7 @@ func TestStepIsPure(t *testing.T) {
 		t.Fatalf("non-deterministic rewrite count: %d vs %d", len(r1), len(r2))
 	}
 	for i := range r1 {
-		if testKeyer.AlphaKey(r1[i].Expr) != testKeyer.AlphaKey(r2[i].Expr) || r1[i].Rule != r2[i].Rule {
+		if AlphaKey(r1[i].Expr) != AlphaKey(r2[i].Expr) || r1[i].Rule != r2[i].Rule {
 			t.Fatalf("rewrite %d differs across runs", i)
 		}
 	}
