@@ -8,7 +8,7 @@
 //	ocas -prog join.ocal -hier hdd-ram [-ram BYTES] \
 //	     -in R=hdd:1048576,S=hdd:65536 [-out hdd] \
 //	     [-commutative] [-depth 6] [-space 4000] \
-//	     [-strategy exhaustive|beam -beam 64] [-workers 0] \
+//	     [-workers 0] \
 //	     [-c] [-json] \
 //	     [-run [-seed 1] [-pool 0] [-exec-workers 1] [-explain] \
 //	           [-data DIR -table R=mytable,...]]
@@ -61,8 +61,6 @@ func main() {
 		commut    = flag.Bool("commutative", true, "inputs may be reordered (enables order-inputs, hash-part)")
 		depth     = flag.Int("depth", plan.DefaultDepth, "maximum derivation length")
 		space     = flag.Int("space", plan.DefaultSpace, "maximum search space size")
-		strategy  = flag.String("strategy", "exhaustive", "search strategy: exhaustive (full BFS) or beam (bounded frontier)")
-		beam      = flag.Int("beam", plan.DefaultBeam, "beam width (frontier bound per depth, -strategy beam only)")
 		workers   = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 		emitC     = flag.Bool("c", false, "render C code from the synthesized plan, after the report (not with -json: the plan encoding carries no C)")
 		asJSON    = flag.Bool("json", false, "emit the canonical plan encoding (identical to the ocasd service response)")
@@ -103,13 +101,9 @@ func main() {
 		Inputs:      map[string]plan.Input{},
 		Output:      *output,
 		Commutative: commut,
-		Strategy:    *strategy,
 		Depth:       *depth,
 		Space:       *space,
 		Workers:     *workers,
-	}
-	if *strategy == "beam" {
-		req.Beam = *beam
 	}
 	if _, ok := plan.BuiltinHierarchy(*hierName, *ramSize); ok {
 		req.Hier, req.RAM = *hierName, *ramSize

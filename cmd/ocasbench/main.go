@@ -9,13 +9,12 @@
 //	ocasbench -accuracy          # selectivity vs estimation accuracy
 //	ocasbench -all -shrink 8     # everything, at 1/8 scale
 //
-// Further knobs: -strategy exhaustive|beam with -beam N, -workers N for the
-// synthesis pool. -cpuprofile FILE and -memprofile FILE write pprof
+// Further knobs: -workers N for the synthesis pool. -cpuprofile FILE and -memprofile FILE write pprof
 // profiles of the run (the CPU profile covers the experiments; the heap
 // profile snapshots after a final GC).
 //
 // With -json the machine-readable Table 1 report (Spec/Opt/Act, est/act,
-// candidate counts, memo-cache counters, per-row synthesis and executor
+// candidate counts, the search's dedup counters, per-row synthesis and executor
 // wall-clock) is written to stdout and the human tables move to stderr, so
 // CI can redirect the report into an artifact:
 //
@@ -45,8 +44,6 @@ func main() {
 		accuracy = flag.Bool("accuracy", false, "run the accuracy study (Section 7.3)")
 		all      = flag.Bool("all", false, "run everything")
 		shrink   = flag.Int64("shrink", 1, "divide experiment sizes by this factor")
-		strategy = flag.String("strategy", "exhaustive", "search strategy: exhaustive (full BFS) or beam (bounded frontier)")
-		beam     = flag.Int("beam", 64, "beam width (-strategy beam only)")
 		workers  = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "write the machine-readable Table 1 report to stdout (tables move to stderr)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -66,10 +63,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Shrink: *shrink, Strategy: *strategy, BeamWidth: *beam, Workers: *workers}
-	if _, err := cfg.SearchStrategy(); err != nil {
-		fail(err)
-	}
+	cfg := experiments.Config{Shrink: *shrink, Workers: *workers}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

@@ -6,7 +6,7 @@
 //
 //	ocasd -addr :8080 -cache-size 1024 -template-cache 64 -persist plans.json \
 //	      [-data ./data -flush-rows 65536] \
-//	      [-strategy beam -beam 64] [-workers 0] [-max-inflight 2] [-timeout 60s] \
+//	      [-workers 0] [-max-inflight 2] [-timeout 60s] \
 //	      [-max-exec-rows 1048576] [-exec-workers 4] [-max-worker-slots 8] \
 //	      [-pprof ADDR] \
 //	      [-trace-ring 256] [-trace-log traces.jsonl] [-log-json] [-access-log]
@@ -84,8 +84,6 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
 		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
 		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown; plans only, templates are per-process)")
-		strategy    = flag.String("strategy", "", "default search strategy for requests that don't choose one: exhaustive or beam")
-		beam        = flag.Int("beam", 0, "default beam width (with -strategy beam)")
 		workers     = flag.Int("workers", 0, "synthesis worker pool size per job (0 = GOMAXPROCS)")
 		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, executions are admitted by -max-worker-slots)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
@@ -101,11 +99,6 @@ func main() {
 		accessLog   = flag.Bool("access-log", true, "log one structured line per request (method, path, status, duration, request ID)")
 	)
 	flag.Parse()
-	switch *strategy {
-	case "", "exhaustive", "beam":
-	default:
-		log.Fatalf("ocasd: unknown -strategy %q (want exhaustive or beam)", *strategy)
-	}
 
 	var logger *slog.Logger
 	if *accessLog {
@@ -145,8 +138,6 @@ func main() {
 		MaxExecRows:       *maxExecRows,
 		ExecWorkers:       *execWorkers,
 		MaxWorkerSlots:    *maxSlots,
-		Strategy:          *strategy,
-		Beam:              *beam,
 		Workers:           *workers,
 		Catalog:           cat,
 		TraceRing:         *traceRing,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -22,17 +21,15 @@ import (
 // only implementation of it. A Capture retains what a search discovered that
 // does not depend on input cardinalities: the explored space, the symbolic
 // cost formula of every member (cardinalities are free variables in those
-// formulas — cost.Placement binds each input to sym.V("card_...")), and the
-// beam's pruning decisions. Its screen and optimize methods run heuristic
-// screening and non-linear parameter optimization over that space for one
-// task. A cold synthesis is a search followed by one such run over the space
-// it just found; a template hit (Replay.Instantiate) is the same run over a
-// space found earlier, with the compiled formulas kept between hits, valid
-// provided a search at the new cardinalities would find the same space. The
-// rewrite rules never read cardinalities, so an exhaustive space is unchanged
-// by construction; a beam's space depends on its cost-based pruning, which
-// the recorded trace re-verifies at the new cardinalities (ErrStaleCapture on
-// any divergence). A capture belongs to the process that searched: neither it
+// formulas — cost.Placement binds each input to sym.V("card_...")). Its
+// screen and optimize methods run heuristic screening and non-linear
+// parameter optimization over that space for one task. A cold synthesis is a
+// search followed by one such run over the space it just found; a template
+// hit (Replay.Instantiate) is the same run over a space found earlier, with
+// the compiled formulas kept between hits, valid provided a search at the new
+// cardinalities would find the same space. It does by construction: the
+// search enumerates every reachable program and the rewrite rules never read
+// cardinalities. A capture belongs to the process that searched: neither it
 // nor the programs in it have a serial form, and every Replay was screened by
 // the run that made it.
 
@@ -46,12 +43,6 @@ const CaptureLimit = 8192
 // formulas (keyed by space index; the shortlist varies with cardinalities).
 const maxCompiledCache = 512
 
-// ErrStaleCapture reports that a capture's search space cannot be proven
-// valid at the requested cardinalities: the beam search would have pruned
-// differently, so a full search could discover a different space (and a
-// different winner). Callers fall back to a fresh synthesis.
-var ErrStaleCapture = errors.New("core: captured search space is stale at these cardinalities")
-
 // Capture is the reusable part of one synthesis run. Costs is aligned with
 // Space (nil entry = the program could not be costed); it is nil on a space
 // fresh out of the search and filled by the run's own screening pass, so a
@@ -60,27 +51,6 @@ type Capture struct {
 	Space []rules.Derivation
 	Costs []*cost.Result
 	Stats rules.SearchStats
-	Trace []rules.TraceLevel
-}
-
-// capturable reports whether the configured strategy's search space can be
-// replayed: exhaustive spaces are cardinality-independent, and a beam with
-// the synthesizer's own cost-based rank is covered by the pruning trace. A
-// custom strategy or a custom beam rank cannot be verified, so no capture.
-func (s *Synthesizer) capturable() bool {
-	switch b := s.Strategy.(type) {
-	case nil:
-		return true
-	case rules.Exhaustive:
-		return true
-	case *rules.Exhaustive:
-		return true
-	case rules.Beam:
-		return b.Rank == nil
-	case *rules.Beam:
-		return b.Rank == nil
-	}
-	return false
 }
 
 // Replay instantiates one Capture again and again, keeping its compiled
@@ -110,12 +80,10 @@ func newReplay(cp *Capture) *Replay {
 }
 
 // Instantiate re-runs the cardinality-dependent synthesis phases over the
-// captured space for task t: heuristic screening of every member, the beam
-// trace check, and full parameter optimization of the shortlist. The
-// returned Synthesis is bit-identical to s.SynthesizeCtx(ctx, t) whenever
-// the capture was taken for the same program, hierarchy, placement and
-// search knobs; ErrStaleCapture means the beam would have searched
-// differently and the caller must fall back to a full synthesis.
+// captured space for task t: heuristic screening of every member and full
+// parameter optimization of the shortlist. The returned Synthesis is
+// bit-identical to s.SynthesizeCtx(ctx, t) whenever the capture was taken for
+// the same program, hierarchy, placement and search knobs.
 func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synthesis, error) {
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "template.instantiate")
@@ -164,10 +132,9 @@ type shortlist struct {
 
 // screen is Phase 1: cost every member with a heuristic parameter guess (the
 // paper's single-loop heuristic: blocks as large as the constraints allow,
-// split evenly), verify the beam trace under those costs, and keep the
-// ScreenTop cheapest. Members are independent, so they are costed
-// concurrently; collecting by space index keeps the order — and hence the
-// screening tie-breaks — identical to a sequential run. estimate costs the
+// split evenly) and keep the ScreenTop cheapest. Members are independent, so
+// they are costed concurrently; collecting by space index keeps the order —
+// and hence the screening tie-breaks — identical to a sequential run. estimate costs the
 // members of a space fresh out of the search (cp.Costs is nil); a Replay,
 // whose Costs are filled, passes nil.
 func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, estimate func(ocal.Expr) *cost.Result) (shortlist, error) {
@@ -252,31 +219,6 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 	spScreen.Attr("candidates", len(space))
 	spScreen.Attr("costed", len(scr))
 	spScreen.End()
-
-	// Beam trace check: re-rank each recorded level block with the new
-	// screening seconds (the beam's rank is exactly the screening cost) and
-	// verify the same candidates survive in the same order. Expansion and
-	// dedup never read cardinalities, so matching prunes imply — level by
-	// level — the identical frontier sequence, and hence the identical
-	// space a fresh search would discover.
-	for _, lvl := range cp.Trace {
-		if lvl.Start < 0 || lvl.End > len(space) || lvl.Start >= lvl.End ||
-			len(lvl.Kept) > lvl.End-lvl.Start {
-			return shortlist{}, ErrStaleCapture
-		}
-		idx := make([]int, lvl.End-lvl.Start)
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return secs[lvl.Start+idx[a]] < secs[lvl.Start+idx[b]]
-		})
-		for i, want := range lvl.Kept {
-			if idx[i] != want {
-				return shortlist{}, ErrStaleCapture
-			}
-		}
-	}
 
 	if len(scr) == 0 {
 		return shortlist{}, fmt.Errorf("core: no program could be costed")

@@ -7,32 +7,26 @@ import (
 	"ocas/internal/rules"
 )
 
-// TestMemoTablesSafeUnderWorkers exercises every per-synthesis memo table —
-// the search's dedup set, the cost memo, the screening memo —
-// from a many-worker beam run (the beam's rank hits the screener from every
-// expansion worker), and checks the result still matches a one-worker run.
-// Under `go test -race` this is the data-race proof for the memoized hot
-// path.
+// TestMemoTablesSafeUnderWorkers exercises the per-synthesis tables — the
+// search's dedup set and the optimizer's point memos — from a many-worker
+// run, and checks the result still matches a one-worker run. Under `go test
+// -race` this is the data-race proof for the memoized hot path.
 func TestMemoTablesSafeUnderWorkers(t *testing.T) {
 	task := joinTask()
 	mk := func(workers int) *Synthesizer {
 		return &Synthesizer{
 			H:        memory.HDDRAM(1 << 20),
 			MaxDepth: 6, MaxSpace: 1500,
-			Strategy: &rules.Beam{Width: 48},
-			Workers:  workers,
+			Workers: workers,
 		}
 	}
 	seq := mustSynth(t, mk(1), task)
 	for _, workers := range []int{4, 8} {
 		par := mustSynth(t, mk(workers), task)
-		sameWinner(t, seq, par, "beam memo")
+		sameWinner(t, seq, par, "memo tables")
 	}
 	if seq.Memo.Keys.InternedNodes == 0 {
 		t.Fatalf("no dedup keys recorded: %+v", seq.Memo)
-	}
-	if seq.Memo.Cost.Entries == 0 {
-		t.Fatalf("beam run recorded no cost-memo entries: %+v", seq.Memo)
 	}
 }
 
@@ -61,7 +55,7 @@ func TestSequentialSynthesesDoNotShareMemoState(t *testing.T) {
 	sameWinner(t, freshSort, second, "second run on shared synthesizer")
 
 	// The second run's counters must look like a cold start: a shared
-	// Keyer or memo would show the first task's counts in them.
+	// Keyer would show the first task's counts in them.
 	if second.Memo != freshSort.Memo {
 		t.Errorf("second run's memo stats carry state from the first: %+v vs fresh %+v",
 			second.Memo, freshSort.Memo)

@@ -3,7 +3,6 @@ package core_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -68,10 +67,7 @@ func minimizeCases(t *testing.T) []minimizeCase {
 		}
 		cases = append(cases, minimizeCase{r.name, c.Synth, c.Task})
 	}
-	exps, err := experiments.Table1(experiments.Config{Shrink: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exps := experiments.Table1(experiments.Config{Shrink: 8})
 	for _, e := range exps {
 		cases = append(cases, minimizeCase{"table1-" + e.Name,
 			&core.Synthesizer{H: e.Hier, MaxDepth: e.MaxDepth, MaxSpace: e.MaxSpace, Rules: e.Rules},
@@ -149,17 +145,13 @@ func TestMinimizeGolden(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if replay == nil {
-			t.Fatalf("%s: not capturable", c.name)
+			t.Fatalf("%s: no replay captured", c.name)
 		}
 		got[c.name] = map[string][]string{}
 		for _, rows := range ladderPoints(c.task.InputRows) {
 			task := c.task
 			task.InputRows = rows
 			cands, err := replay.TuneShortlist(ctx, c.synth, task)
-			if errors.Is(err, core.ErrStaleCapture) {
-				got[c.name][formatInts(rows)] = []string{"stale"}
-				continue
-			}
 			if err != nil {
 				t.Fatalf("%s at %s: %v", c.name, formatInts(rows), err)
 			}

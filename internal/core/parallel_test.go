@@ -6,7 +6,6 @@ import (
 
 	"ocas/internal/memory"
 	"ocas/internal/ocal"
-	"ocas/internal/rules"
 )
 
 // joinTask is a mid-sized synthesis problem that exercises every pipeline
@@ -87,37 +86,6 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	sameWinner(t, a, b, "repeat run")
-}
-
-// TestSynthesizeBeamStrategy: the beam (with the injected cost pre-estimate
-// rank) must still find a real out-of-core algorithm — here it should agree
-// with the exhaustive winner, since the greedy prefix of the BNL derivation
-// is exactly what the cost ranking favours.
-func TestSynthesizeBeamStrategy(t *testing.T) {
-	h := memory.HDDRAM(8 * memory.MiB)
-	full := mustSynth(t, &Synthesizer{H: h, MaxDepth: 6, MaxSpace: 2000}, joinTask())
-	beam := mustSynth(t, &Synthesizer{H: h, MaxDepth: 6, MaxSpace: 2000,
-		Strategy: &rules.Beam{Width: 16}}, joinTask())
-	if beam.Stats.SpaceSize > full.Stats.SpaceSize {
-		t.Errorf("beam explored more programs than exhaustive: %d > %d",
-			beam.Stats.SpaceSize, full.Stats.SpaceSize)
-	}
-	if beam.Best.Seconds > full.Best.Seconds*1.05 {
-		t.Errorf("beam winner (%v s) much worse than exhaustive (%v s)",
-			beam.Best.Seconds, full.Best.Seconds)
-	}
-	if beam.Best.Seconds >= beam.SpecSeconds {
-		t.Errorf("beam failed to improve on the spec: %v >= %v",
-			beam.Best.Seconds, beam.SpecSeconds)
-	}
-	// Determinism holds for the beam too — and a value-typed Beam gets the
-	// same rank injection as a pointer.
-	again := mustSynth(t, &Synthesizer{H: h, MaxDepth: 6, MaxSpace: 2000,
-		Strategy: rules.Beam{Width: 16}, Workers: 8}, joinTask())
-	if ocal.String(again.Best.Expr) != ocal.String(beam.Best.Expr) {
-		t.Errorf("beam winner not deterministic:\n  %s\n  %s",
-			ocal.String(beam.Best.Expr), ocal.String(again.Best.Expr))
-	}
 }
 
 // TestSynthesizeRace exists to run the full parallel pipeline under

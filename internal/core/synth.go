@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
-	"sync"
 	"time"
 
 	"ocas/internal/cost"
@@ -38,10 +36,6 @@ type Synthesizer struct {
 	// with a heuristic parameter assignment first; only the most promising
 	// ones go through the non-linear solver.
 	ScreenTop int
-	// Strategy explores the rewrite space; nil means exhaustive BFS (the
-	// paper's semantics-preserving baseline). A *rules.Beam with a nil
-	// Rank gets the synthesizer's cheap cost pre-estimate injected.
-	Strategy rules.SearchStrategy
 	// Workers bounds the concurrency of every pipeline stage (frontier
 	// expansion, candidate costing, parameter optimization); <=0 means
 	// GOMAXPROCS. Results are deterministic for any worker count.
@@ -62,10 +56,9 @@ type Candidate struct {
 }
 
 // MemoStats aggregates the counters of one synthesis run: the search's
-// dedup counts, and the cost-estimate memo of the screening pass.
+// dedup counts.
 type MemoStats struct {
 	Keys rules.KeyerStats
-	Cost cost.MemoStats
 }
 
 // Synthesis is the result of a synthesis run.
@@ -78,8 +71,8 @@ type Synthesis struct {
 	Elapsed     time.Duration
 	// Explored is the number of programs costed.
 	Explored int
-	// Memo reports the search's dedup counts and the cost-memo activity for
-	// observability and the bench report.
+	// Memo reports the search's dedup counts for observability and the bench
+	// report.
 	Memo MemoStats
 }
 
@@ -142,10 +135,8 @@ func (s *Synthesizer) SynthesizeCtx(ctx context.Context, t Task) (*Synthesis, er
 
 // SynthesizeCapture is SynthesizeCtx, additionally returning a Replay over
 // what the run captured — the search space with every member's cost formula
-// and the beam pruning trace — so that later requests at other cardinalities
-// can Instantiate it instead of searching. The replay is nil when the run is
-// not capturable (custom strategy or beam rank, or a space larger than
-// CaptureLimit).
+// — so that later requests at other cardinalities can Instantiate it instead
+// of searching. The replay is nil when the space is larger than CaptureLimit.
 func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis, *Replay, error) {
 	start := time.Now()
 	maxDepth := s.MaxDepth
@@ -169,17 +160,9 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	for _, in := range t.Spec.Inputs {
 		rctx.InputLoc[in.Name] = t.InputLoc[in.Name]
 	}
-	sc := &screener{fixed: s.fixedEnv(t),
-		costs: cost.NewMemo(s.H, s.placement(t)), memo: map[string]*screenEstimate{}}
-
-	capturable := s.capturable()
 	cp := &Capture{}
-	var trace *[]rules.TraceLevel
-	if capturable {
-		trace = &cp.Trace
-	}
 	_, spSearch := obs.Start(ctx, "synth.search")
-	cp.Space, cp.Stats = s.strategy(sc, trace).Search(ctx, t.Spec.Prog, rls, rctx, maxDepth, maxSpace)
+	cp.Space, cp.Stats = rules.Search(ctx, t.Spec.Prog, rls, rctx, maxDepth, maxSpace, s.Workers)
 	if spSearch != nil {
 		spSearch.Attr("space", cp.Stats.SpaceSize)
 		spSearch.Attr("maxDepth", cp.Stats.MaxDepth)
@@ -204,25 +187,17 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 		return nil, nil, err
 	}
 
-	// The rest is what a template hit runs over a space found earlier. A beam
-	// search already costed the frontiers it ranked: those formulas come out
-	// of the screener's memo. An exhaustive, alpha-deduped space never repeats
-	// a program, so there the memo could only add overhead.
-	var estimate func(ocal.Expr) *cost.Result
-	switch s.Strategy.(type) {
-	case *rules.Beam, rules.Beam:
-		estimate = func(e ocal.Expr) *cost.Result { return sc.estimate(e).res }
-	default:
-		estimate = s.estimator(t)
-	}
-	short, err := cp.screen(ctx, s, t, nil, estimate)
+	// The rest is what a template hit runs over a space found earlier; here
+	// each member is costed once, fresh: an alpha-deduped space never
+	// repeats a program, so a whole-program cost memo could only add overhead.
+	short, err := cp.screen(ctx, s, t, nil, s.estimator(t))
 	if err != nil {
 		return nil, nil, err
 	}
 	// A retained run leaves with a Replay over its capture; the span marks
 	// that in the trace.
 	var r *Replay
-	if capturable && len(cp.Space) <= CaptureLimit {
+	if len(cp.Space) <= CaptureLimit {
 		_, spCap := obs.Start(ctx, "synth.capture")
 		spCap.Attr("space", len(cp.Space))
 		spCap.End()
@@ -233,82 +208,8 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 		return nil, nil, err
 	}
 	res.Elapsed = time.Since(start)
-	res.Memo = MemoStats{Keys: dedup, Cost: sc.costs.Stats()}
+	res.Memo = MemoStats{Keys: dedup}
 	return res, r, nil
-}
-
-// screenEstimate is one memoized screening cost: the cost.Estimate result
-// together with the cost formula evaluated at the heuristic parameter guess.
-type screenEstimate struct {
-	res     *cost.Result // nil when the program cannot be costed
-	seconds float64      // +Inf when the program cannot be costed
-}
-
-// screener computes (and memoizes, keyed by the search's dedup key) the
-// screening cost of a program. A beam run ranks every frontier with it, and
-// the screening pass then takes the cost formulas from the same estimates
-// instead of costing each discovered program a second time; the underlying
-// cost formulas come from a cost.Memo under the same keys. Both only ever
-// see members of one alpha-deduped space, so a key names one program.
-type screener struct {
-	fixed sym.Env
-	costs *cost.Memo
-	mu    sync.Mutex
-	memo  map[string]*screenEstimate
-}
-
-func (sc *screener) estimate(e ocal.Expr) *screenEstimate {
-	key := rules.Key(e)
-	sc.mu.Lock()
-	got, ok := sc.memo[key]
-	sc.mu.Unlock()
-	if ok {
-		return got
-	}
-	est := &screenEstimate{seconds: math.Inf(1)}
-	if res, err := sc.costs.Estimate(key, e); err == nil {
-		cf := cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
-		cf.SetFixed(sc.fixed)
-		est.res = res
-		if secs := heuristicPoint(cf, len(res.Params)); !math.IsNaN(secs) {
-			est.seconds = secs
-		}
-	}
-	sc.mu.Lock()
-	sc.memo[key] = est
-	sc.mu.Unlock()
-	return est
-}
-
-// strategy resolves the search strategy: exhaustive BFS by default. A beam
-// (pointer or value) inherits the synthesizer's worker pool, and one with
-// no Rank gets the screening cost as its ranking function (cost with
-// heuristic parameters — cheap relative to the non-linear solver, and
-// shared with Phase 1 through the memo). A non-nil trace makes the beam
-// record its pruning decisions for template capture.
-func (s *Synthesizer) strategy(sc *screener, trace *[]rules.TraceLevel) rules.SearchStrategy {
-	if s.Strategy == nil {
-		return rules.Exhaustive{Workers: s.Workers}
-	}
-	var bb rules.Beam
-	switch b := s.Strategy.(type) {
-	case *rules.Beam:
-		bb = *b
-	case rules.Beam:
-		bb = b
-	default:
-		return s.Strategy
-	}
-	if bb.Workers <= 0 {
-		bb.Workers = s.Workers
-	}
-	if bb.Rank == nil {
-		bb.Rank = func(e ocal.Expr) float64 { return sc.estimate(e).seconds }
-	}
-	if trace != nil {
-		bb.Trace = trace
-	}
-	return &bb
 }
 
 // heuristicPoint guesses block sizes for screening — each parameter starts
@@ -316,9 +217,7 @@ func (s *Synthesizer) strategy(sc *screener, trace *[]rules.TraceLevel) rules.Se
 // cost formula evaluated at the guess. The formulas arrive compiled and
 // bound, so the repair loop rewrites a few parameter slots per iteration
 // instead of rebuilding an environment map; the evaluations are bit-identical
-// to Expr.Eval. Whether the fixed values were bound by name (the beam's rank)
-// or through slot bindings (the screening pass) cannot change a single
-// evaluation: fixed values live in slots, never in the instructions.
+// to Expr.Eval.
 func heuristicPoint(cf *cost.CompiledFormulas, nparams int) float64 {
 	var buf [16]int64
 	vals := buf[:]

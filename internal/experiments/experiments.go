@@ -43,11 +43,9 @@ type Experiment struct {
 	MaxDepth int
 	MaxSpace int
 	Rules    []rules.Rule
-	// Strategy explores the rewrite space (nil = exhaustive BFS) and
-	// Workers bounds synthesis concurrency (<=0 = GOMAXPROCS); both are
+	// Workers bounds synthesis concurrency (<=0 = GOMAXPROCS); it is
 	// normally filled in from Config.
-	Strategy rules.SearchStrategy
-	Workers  int
+	Workers int
 	// ExecWorkers bounds the executor's morsel-parallel worker lanes
 	// (<= 1: single-worker). Worker count never changes digests or
 	// ledgers, only wall-clock.
@@ -80,9 +78,8 @@ type Result struct {
 	// ledgers, pool stats.
 	Exec *plan.ExecReport
 	// Explored is the number of candidate programs costed by the screening
-	// pass, and Memo the synthesis counters (the search's dedup counts,
-	// cost-memo entries and hits) — the raw material of the machine-readable
-	// bench report.
+	// pass, and Memo the synthesis counters (the search's dedup counts) —
+	// the raw material of the machine-readable bench report.
 	Explored int
 	Memo     core.MemoStats
 }
@@ -110,7 +107,7 @@ func (e Experiment) task() core.Task {
 func Synthesize(e Experiment) (*core.Synthesis, error) {
 	synth := &core.Synthesizer{
 		H: e.Hier, MaxDepth: e.MaxDepth, MaxSpace: e.MaxSpace, Rules: e.Rules,
-		Strategy: e.Strategy, Workers: e.Workers,
+		Workers: e.Workers,
 	}
 	syn, err := synth.Synthesize(e.task())
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 // BenchSchema identifies the machine-readable bench report format. Bump it
 // when fields change incompatibly.
-const BenchSchema = "ocas-bench/v9"
+const BenchSchema = "ocas-bench/v10"
 
 // BenchMeta is the report's environment context: the wall-clock columns
 // only mean something between runs on comparable machines, so record what
@@ -46,13 +46,10 @@ type Table1Row struct {
 	SpaceSize int `json:"spaceSize"`
 	Explored  int `json:"explored"`
 	Steps     int `json:"steps"`
-	// The search's dedup counters (see rules.KeyerStats) and the cost
-	// memo's.
+	// The search's dedup counters (see rules.KeyerStats).
 	InternedNodes uint64 `json:"internedNodes"`
 	AlphaHits     uint64 `json:"alphaHits"`
 	AlphaMisses   uint64 `json:"alphaMisses"`
-	CostEntries   int    `json:"costEntries"`
-	CostHits      uint64 `json:"costHits"`
 
 	Params  map[string]int64 `json:"params,omitempty"`
 	Program string           `json:"program,omitempty"`
@@ -60,11 +57,10 @@ type Table1Row struct {
 
 // BenchReport is the machine-readable result of an ocasbench Table 1 run.
 type BenchReport struct {
-	Schema   string      `json:"schema"`
-	Meta     BenchMeta   `json:"meta"`
-	Shrink   int64       `json:"shrink"`
-	Strategy string      `json:"strategy"`
-	Table1   []Table1Row `json:"table1,omitempty"`
+	Schema string      `json:"schema"`
+	Meta   BenchMeta   `json:"meta"`
+	Shrink int64       `json:"shrink"`
+	Table1 []Table1Row `json:"table1,omitempty"`
 }
 
 // table1Row converts one experiment result.
@@ -83,8 +79,6 @@ func table1Row(r *Result) Table1Row {
 		InternedNodes: r.Memo.Keys.InternedNodes,
 		AlphaHits:     r.Memo.Keys.AlphaHits,
 		AlphaMisses:   r.Memo.Keys.AlphaMisses,
-		CostEntries:   r.Memo.Cost.Entries,
-		CostHits:      r.Memo.Cost.Hits,
 		Params:        r.Params,
 		Program:       r.Program,
 	}
@@ -99,10 +93,6 @@ func table1Row(r *Result) Table1Row {
 
 // NewBenchReport converts the Table 1 results into a report.
 func NewBenchReport(cfg Config, table1 []*Result) *BenchReport {
-	strategy := cfg.Strategy
-	if strategy == "" {
-		strategy = "exhaustive"
-	}
 	shrink := cfg.Shrink
 	if shrink < 1 {
 		shrink = 1
@@ -113,8 +103,7 @@ func NewBenchReport(cfg Config, table1 []*Result) *BenchReport {
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
-		Shrink:   shrink,
-		Strategy: strategy,
+		Shrink: shrink,
 	}
 	for _, r := range table1 {
 		rep.Table1 = append(rep.Table1, table1Row(r))

@@ -20,11 +20,11 @@ func TestBenchReportCalibration(t *testing.T) {
 	if row.SynthSecs != 0.5 || row.ExecSecs != 0.25 {
 		t.Errorf("wall-clock columns = %v/%v want 0.5/0.25", row.SynthSecs, row.ExecSecs)
 	}
-	if rep.Schema != "ocas-bench/v9" {
+	if rep.Schema != "ocas-bench/v10" {
 		t.Errorf("schema = %q", rep.Schema)
 	}
-	if rep.Shrink != 8 || rep.Strategy != "exhaustive" {
-		t.Errorf("config block = shrink %d strategy %q", rep.Shrink, rep.Strategy)
+	if rep.Shrink != 8 {
+		t.Errorf("config block = shrink %d", rep.Shrink)
 	}
 	if rep.Meta.GoVersion == "" || rep.Meta.GOMAXPROCS < 1 {
 		t.Errorf("meta block not populated: %+v", rep.Meta)

@@ -14,55 +14,14 @@ import (
 // paper-scaled) sizes further; tests use Shrink 8, benchmarks 1.
 type Config struct {
 	Shrink int64
-	// Strategy selects the rewrite search: "" or "exhaustive" for the
-	// paper's full BFS, "beam" for the bounded-frontier variant.
-	Strategy string
-	// BeamWidth bounds the beam frontier (0 = the beam default).
-	BeamWidth int
 	// Workers bounds synthesis concurrency; <=0 means GOMAXPROCS.
 	Workers int
 }
 
-// SearchStrategy resolves the configured strategy (nil = exhaustive BFS).
-func (c Config) SearchStrategy() (rules.SearchStrategy, error) {
-	switch c.Strategy {
-	case "", "exhaustive":
-		return nil, nil
-	case "beam":
-		return &rules.Beam{Width: c.BeamWidth, Workers: c.Workers}, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown search strategy %q (want exhaustive or beam)", c.Strategy)
-}
-
-// one copies the search configuration onto a single experiment.
-func (c Config) one(e Experiment) (Experiment, error) {
-	exps, err := c.apply([]Experiment{e})
-	if err != nil {
-		return Experiment{}, err
-	}
-	return exps[0], nil
-}
-
-// apply copies the search configuration onto each experiment.
-func (c Config) apply(exps []Experiment) ([]Experiment, error) {
-	strat, err := c.SearchStrategy()
-	if err != nil {
-		return nil, err
-	}
-	for i := range exps {
-		exps[i].Strategy = strat
-		exps[i].Workers = c.Workers
-	}
-	return exps, nil
-}
-
-// runOne applies the configuration and runs the experiment.
+// runOne runs the experiment at the configured worker count.
 func runOne(cfg Config, e Experiment) (*Result, error) {
-	applied, err := cfg.one(e)
-	if err != nil {
-		return nil, err
-	}
-	return Run(applied)
+	e.Workers = cfg.Workers
+	return Run(e)
 }
 
 func (c Config) div(n int64) int64 {
@@ -113,7 +72,7 @@ func cacheHierarchy(ramSize, cacheSize int64) *memory.Hierarchy {
 }
 
 // Table1 builds the sixteen experiments of Table 1 at the configured scale.
-func Table1(cfg Config) ([]Experiment, error) {
+func Table1(cfg Config) []Experiment {
 	var exps []Experiment
 
 	// --- Joins (paper: R=1G, S=32M, buffer 8M; scaled ~1/2048, with the
@@ -340,7 +299,10 @@ func Table1(cfg Config) ([]Experiment, error) {
 		RBytes: aggN * 8, Buffer: aggRAM,
 	})
 
-	return cfg.apply(exps)
+	for i := range exps {
+		exps[i].Workers = cfg.Workers
+	}
+	return exps
 }
 
 // RunTable1 executes every row and writes a paper-style table.
@@ -348,11 +310,7 @@ func RunTable1(cfg Config, w io.Writer) ([]*Result, error) {
 	var out []*Result
 	fmt.Fprintf(w, "%-24s %14s %14s %14s %8s %10s %10s %9s %7s %6s %9s\n",
 		"Program", "Spec[s]", "Opt[s]", "Act[s]", "Est/Act", "R", "S", "Buffer", "Space", "Steps", "Synth[s]")
-	exps, err := Table1(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range exps {
+	for _, e := range Table1(cfg) {
 		r, err := Run(e)
 		if err != nil {
 			return out, err

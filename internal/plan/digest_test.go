@@ -128,6 +128,24 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
+// settledGoroutines is the goroutine count once it has stopped falling.
+// A worker pool's Wait returns when every worker has signalled, not when
+// every worker has exited, so right after a synthesis (the search and the
+// optimizer fan out) a few of its workers may still be on their way out; a
+// count read then is too high by those.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for steady := 0; steady < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, steady = m, 0
+		} else {
+			steady++
+		}
+	}
+	return n
+}
+
 // cancelAfter cancels itself at the n-th look at Done — the executor looks
 // once per batch and per block read — and records how many goroutines were
 // running at that moment.
@@ -153,7 +171,7 @@ func TestDigestStrandEnds(t *testing.T) {
 		// A helper that does not get to run until the last row is packed,
 		// and three spare chunks: the emitter queues three chunks, folds the
 		// other thirty-odd itself, and the digest is the definition's.
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		batches, rows := randomBag(rand.New(rand.NewSource(3)), 40*digestChunkBytes/4)
 		d := bagDigest{
 			full:   make(chan []byte, digestChunks),
@@ -202,7 +220,7 @@ func TestDigestStrandEnds(t *testing.T) {
 	}
 
 	t.Run("completed", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		rep, err := ExecutePlan(context.Background(), c, p, ExecOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -214,7 +232,7 @@ func TestDigestStrandEnds(t *testing.T) {
 	})
 
 	t.Run("cancelled", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		ctx := &cancelAfter{}
 		ctx.Context, ctx.cancel = context.WithCancel(context.Background())
 		defer ctx.cancel()
@@ -230,7 +248,7 @@ func TestDigestStrandEnds(t *testing.T) {
 	})
 
 	t.Run("lower error", func(t *testing.T) {
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		prog, err := ocal.ParseFile(`unfoldR(\g -> <[], <g.1>>)(<R>)`)
 		if err != nil {
 			t.Fatal(err)
@@ -246,7 +264,7 @@ func TestDigestStrandEnds(t *testing.T) {
 		// Room for one growth chunk of the output (64k rows of 8 bytes) and
 		// not two: the storage layer panics at row 65537 and Program.Run
 		// recovers.
-		base := runtime.NumGoroutine()
+		base := settledGoroutines()
 		small, err := Compile(c.Req)
 		if err != nil {
 			t.Fatal(err)

@@ -55,10 +55,15 @@ type Request struct {
 	// Commutative declares the inputs reorderable; nil means true.
 	Commutative *bool `json:"commutative,omitempty"`
 
-	Strategy string `json:"strategy,omitempty"` // exhaustive | beam
-	Beam     int    `json:"beam,omitempty"`     // beam width (strategy=beam)
-	Depth    int    `json:"depth,omitempty"`    // max derivation length
-	Space    int    `json:"space,omitempty"`    // max search space size
+	// Strategy (exhaustive | beam) and Beam (a width in [1, MaxBeam]) are
+	// validated and hashed into the fingerprint, but the search ignores
+	// them: there is one search, the exhaustive one. They are accepted for
+	// wire compatibility with clients that still post the retired beam;
+	// once none do, a request carrying them becomes an unknown-field error.
+	Strategy string `json:"strategy,omitempty"`
+	Beam     int    `json:"beam,omitempty"`
+	Depth    int    `json:"depth,omitempty"` // max derivation length
+	Space    int    `json:"space,omitempty"` // max search space size
 
 	// Workers sizes the worker pool; it affects latency, never the plan.
 	Workers int `json:"workers,omitempty"`
@@ -82,7 +87,8 @@ const (
 	DefaultRAM   = 32 * int64(memory.MiB)
 	DefaultDepth = 6
 	DefaultSpace = 4000
-	DefaultBeam  = 64
+	// defaultBeam is what a beam request without a width normalizes to.
+	defaultBeam = 64
 )
 
 // Normalize fills in the defaulted fields in place, so that two requests
@@ -103,7 +109,7 @@ func (r *Request) Normalize() {
 	if r.Strategy != "beam" {
 		r.Beam = 0
 	} else if r.Beam == 0 {
-		r.Beam = DefaultBeam
+		r.Beam = defaultBeam
 	}
 	if r.Depth == 0 {
 		r.Depth = DefaultDepth
@@ -220,9 +226,6 @@ func Compile(req Request) (*Compiled, error) {
 	// this request's synthesis and die with the Compiled.
 	synth := &core.Synthesizer{H: h, MaxDepth: req.Depth, MaxSpace: req.Space,
 		Workers: req.Workers, Keys: rules.NewKeyer()}
-	if req.Strategy == "beam" {
-		synth.Strategy = &rules.Beam{Width: req.Beam}
-	}
 	alpha := rules.AlphaKey(prog)
 	fp, err := fingerprint(req, alpha, h)
 	if err != nil {

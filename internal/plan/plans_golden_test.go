@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,9 +13,9 @@ const plansGoldenPath = "testdata/plans.golden.json"
 
 // goldenPlan is one request served both ways: Cold is the plan.Encode bytes
 // of a cold Compiled.Run, and Instantiated says what binding a template
-// captured at the entry's other cardinality point produced — "equal" (the
-// same bytes as Cold, asserted) or "stale" (the beam guard rejected the
-// template, which is the daemon's cue to search again).
+// captured at the entry's other cardinality point produced: "equal", the
+// same bytes as Cold, asserted. (The file was written while a pruning search
+// could also make a template "stale"; no entry ever was.)
 type goldenPlan struct {
 	Name         string           `json:"name"`
 	Rows         map[string]int64 `json:"rows"`
@@ -182,15 +181,10 @@ func TestPlanBytesGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm, err := here.Instantiate(ctx, tmpl)
-			switch {
-			case errors.Is(err, ErrTemplateStale):
-				if s.req.Strategy != "beam" {
-					t.Errorf("%s %v: guard rejected a cardinality-independent space", s.name, rows)
-				}
-				entry.Instantiated = "stale"
-			case err != nil:
+			if err != nil {
 				t.Fatalf("%s %v: instantiate: %v", s.name, rows, err)
-			case !bytes.Equal(Encode(warm), Encode(coldPlan)):
+			}
+			if !bytes.Equal(Encode(warm), Encode(coldPlan)) {
 				t.Errorf("%s %v: instantiated plan differs from the cold plan\nwarm: %s\ncold: %s",
 					s.name, rows, Encode(warm), Encode(coldPlan))
 			}
@@ -233,4 +227,51 @@ func TestPlanBytesGolden(t *testing.T) {
 	if !t.Failed() {
 		t.Errorf("%s differs in formatting only; regenerate with -update-golden", plansGoldenPath)
 	}
+}
+
+// TestShippedCorpusNotTruncated checks that the exhaustive search is
+// exhaustive on everything the repo ships: no space pinned by the search
+// golden (examples, benchmark shapes, Table 1) and no plan pinned here
+// stopped at its space bound. Both goldens are compared with live runs by
+// their own tests, so a shape that starts truncating fails there first and
+// cannot be regenerated past this one.
+func TestShippedCorpusNotTruncated(t *testing.T) {
+	data, err := os.ReadFile("../rules/testdata/search.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spaces map[string]struct {
+		SpaceSize int  `json:"spaceSize"`
+		Truncated bool `json:"truncated"`
+	}
+	if err := json.Unmarshal(data, &spaces); err != nil {
+		t.Fatal(err)
+	}
+	for name, sp := range spaces {
+		if sp.Truncated || sp.SpaceSize == 0 {
+			t.Errorf("search golden %s: truncated %v, space %d", name, sp.Truncated, sp.SpaceSize)
+		}
+	}
+
+	data, err = os.ReadFile(plansGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []goldenPlan
+	if err := json.Unmarshal(data, &plans); err != nil {
+		t.Fatal(err)
+	}
+	for _, gp := range plans {
+		p, err := Decode(gp.Cold)
+		if err != nil {
+			t.Fatalf("%s: %v", gp.Name, err)
+		}
+		if p.Truncated || p.SearchSpace == 0 {
+			t.Errorf("plans golden %s %v: truncated %v, space %d", gp.Name, gp.Rows, p.Truncated, p.SearchSpace)
+		}
+	}
+	if len(spaces) == 0 || len(plans) == 0 {
+		t.Fatalf("empty corpus: %d spaces, %d plans", len(spaces), len(plans))
+	}
+	t.Logf("%d searched shapes, %d plans checked", len(spaces), len(plans))
 }

@@ -2,8 +2,9 @@
 //
 // A Template is what one full synthesis leaves behind for every future
 // request of the same *shape*: the explored search space with its symbolic
-// cost formulas (input cardinalities are free variables there) and the
-// beam's pruning trace. The template fingerprint hashes the alpha-normalized
+// cost formulas (input cardinalities are free variables there). The search
+// enumerates every reachable program and its rules never read cardinalities,
+// so the space is valid at any sizes. The template fingerprint hashes the alpha-normalized
 // program, the hierarchy shape (node names, kinds and topology — sizes and
 // edge costs excluded), the placement (input→node, arities — rows excluded)
 // and the search knobs; requests differing only in cardinalities or device
@@ -18,7 +19,7 @@
 // Instantiate binds a request's concrete sizes and re-runs only the
 // cardinality-dependent phases (heuristic screening + parameter
 // optimization) over the captured space, yielding a plan byte-identical to
-// a cold full search. Three guards reject a template with ErrTemplateStale,
+// a cold full search. Two guards reject a template with ErrTemplateStale,
 // sending the request down the full-search path instead:
 //
 //   - hierarchy constants: the cost formulas bake in device sizes and
@@ -28,10 +29,7 @@
 //   - spec text: rewrites name fresh binders deterministically from the
 //     request's own source, so a template only replays for the identical
 //     concrete program text (alpha-equivalent spellings share the template
-//     key but not the plan bytes);
-//   - beam trace: a beam's search space depends on cardinality-based
-//     pruning; the recorded trace is re-verified at the new sizes and any
-//     divergence — a different derivation could win — falls back.
+//     key but not the plan bytes).
 package plan
 
 import (
@@ -70,8 +68,7 @@ type Template struct {
 
 // RunCapture synthesizes the compiled request under ctx and returns its plan
 // together with the run's template. The template is nil (with a valid plan)
-// when the run is not capturable — custom search strategies or spaces beyond
-// core.CaptureLimit.
+// when the space is larger than core.CaptureLimit.
 func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
 	res, replay, err := c.Synth.SynthesizeCapture(ctx, c.Task)
 	if err != nil {
@@ -116,9 +113,6 @@ func (c *Compiled) Instantiate(ctx context.Context, t *Template) (*Plan, error) 
 		return nil, ErrTemplateStale
 	}
 	res, err := t.replay.Instantiate(ctx, c.Synth, c.Task)
-	if errors.Is(err, core.ErrStaleCapture) {
-		return nil, ErrTemplateStale
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -14,19 +14,17 @@ import (
 // cardinalities (and the hierarchy RAM size, which the sweep perturbs to
 // force a guard rejection).
 type diffShape struct {
-	program  string
-	inputs   []string // input names, in placement order
-	hier     string
-	output   string
-	strategy string
-	beam     int
-	depth    int
-	space    int
+	program string
+	inputs  []string // input names, in placement order
+	hier    string
+	output  string
+	depth   int
+	space   int
 }
 
 // genShapes produces n distinct program shapes from a seeded grammar:
 // scans, filters, projections, equi-joins and self-joins with varying
-// predicates, in both exhaustive and (narrow) beam flavors.
+// predicates.
 func genShapes(rng *rand.Rand, n int) []diffShape {
 	preds := []string{"x.1 == y.1", "x.2 == y.1", "x.1 == y.2", "x.2 == y.2"}
 	projs := []string{"[<x, y>]", "[<x.1, y.2>]", "[<x.2, y.1>]"}
@@ -58,14 +56,8 @@ func genShapes(rng *rand.Rand, n int) []diffShape {
 		if rng.Intn(3) == 0 {
 			s.output = "hdd"
 		}
-		s.strategy = "exhaustive"
 		s.depth, s.space = 3, 150
-		if rng.Intn(4) == 0 {
-			s.strategy = "beam"
-			s.beam = 2 + rng.Intn(4)
-			s.depth, s.space = 4, 200
-		}
-		key := fmt.Sprintf("%s|%s|%s|%s|%d", s.program, s.hier, s.output, s.strategy, s.beam)
+		key := fmt.Sprintf("%s|%s|%s", s.program, s.hier, s.output)
 		if seen[key] {
 			continue
 		}
@@ -78,15 +70,13 @@ func genShapes(rng *rand.Rand, n int) []diffShape {
 // request binds a shape at concrete cardinalities.
 func (s diffShape) request(rows map[string]int64, ram int64) Request {
 	req := Request{
-		Program:  s.program,
-		Hier:     s.hier,
-		RAM:      ram,
-		Inputs:   map[string]Input{},
-		Output:   s.output,
-		Strategy: s.strategy,
-		Beam:     s.beam,
-		Depth:    s.depth,
-		Space:    s.space,
+		Program: s.program,
+		Hier:    s.hier,
+		RAM:     ram,
+		Inputs:  map[string]Input{},
+		Output:  s.output,
+		Depth:   s.depth,
+		Space:   s.space,
 	}
 	for _, name := range s.inputs {
 		req.Inputs[name] = Input{Node: "hdd", Rows: rows[name]}
@@ -117,8 +107,6 @@ const diffRAM = 8 << 20
 // constant, where the guard must reject the template.
 func TestTemplateDifferential(t *testing.T) {
 	shapes := genShapes(rand.New(rand.NewSource(7)), 50)
-	var mu sync.Mutex
-	rejections := 0
 	for i, s := range shapes {
 		i, s := i, s
 		t.Run(fmt.Sprintf("shape%02d", i), func(t *testing.T) {
@@ -137,7 +125,7 @@ func TestTemplateDifferential(t *testing.T) {
 				t.Fatalf("capture %q: %v", s.program, err)
 			}
 			if tmpl == nil {
-				t.Fatalf("no template for capturable request %q", s.program)
+				t.Fatalf("no template for request %q", s.program)
 			}
 			// The captured plan must equal a plain cold run of the same point.
 			rerun, err := Compile(base)
@@ -164,25 +152,6 @@ func TestTemplateDifferential(t *testing.T) {
 					t.Fatalf("template fingerprint changed with cardinalities %v", rows)
 				}
 				warm, err := ci.Instantiate(ctx, tmpl)
-				if errors.Is(err, ErrTemplateStale) {
-					// A beam's pruning may genuinely flip across regimes: the
-					// guard must reject, and a full search must still serve
-					// the request.
-					if s.strategy != "beam" {
-						t.Fatalf("guard rejected a cardinality-independent space (%q rows %v)", s.program, rows)
-					}
-					mu.Lock()
-					rejections++
-					mu.Unlock()
-					cold2, err := Compile(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := cold2.Run(ctx); err != nil {
-						t.Fatalf("fallback full search failed: %v", err)
-					}
-					continue
-				}
 				if err != nil {
 					t.Fatalf("instantiate %q rows %v: %v", s.program, rows, err)
 				}
@@ -210,62 +179,8 @@ func TestTemplateDifferential(t *testing.T) {
 				if _, err := ci.Instantiate(ctx, tmpl); !errors.Is(err, ErrTemplateStale) {
 					t.Fatalf("want ErrTemplateStale for changed RAM, got %v", err)
 				}
-				mu.Lock()
-				rejections++
-				mu.Unlock()
 			}
 		})
-	}
-	t.Cleanup(func() {
-		if rejections == 0 {
-			t.Errorf("no guard rejection occurred in the whole run; the sweep must include at least one")
-		}
-	})
-}
-
-// TestTemplateRegimeCrossingGuard pins a regime crossing where the beam
-// guard must reject: a narrow beam ranks derivation prefixes by screening
-// cost, and swapping which relation is the small one flips the pruning
-// order, so a template captured on one side of the crossing cannot prove
-// the other side's search space. (The exact case was found by sweeping; the
-// assertion is that the guard fires — serving the captured space here could
-// serve a plan a cold search would not produce.)
-func TestTemplateRegimeCrossingGuard(t *testing.T) {
-	shape := diffShape{
-		program:  "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",
-		inputs:   []string{"R", "S"},
-		hier:     "hdd-ram",
-		strategy: "beam",
-		beam:     2,
-		depth:    4,
-		space:    300,
-	}
-	ctx := context.Background()
-	capPoint := map[string]int64{"R": 1 << 22, "S": 1 << 8}
-	flip := map[string]int64{"R": 1 << 8, "S": 1 << 22}
-
-	cc, err := Compile(shape.request(capPoint, diffRAM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tmpl, err := cc.RunCapture(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tmpl == nil {
-		t.Fatal("no template captured")
-	}
-
-	ci, err := Compile(shape.request(flip, diffRAM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ci.Instantiate(ctx, tmpl); !errors.Is(err, ErrTemplateStale) {
-		t.Fatalf("want ErrTemplateStale across the R/S size flip, got %v", err)
-	}
-	// Guard fired: the fallback full search must serve the request.
-	if _, err := ci.Run(ctx); err != nil {
-		t.Fatalf("fallback full search failed: %v", err)
 	}
 }
 

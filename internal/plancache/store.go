@@ -12,8 +12,8 @@ import (
 )
 
 // errNoTemplate is the sentinel a template-tier compute returns when the
-// capture run produced a plan but no template (uncapturable strategy or an
-// oversized space). Errors are never cached, so such shapes simply bypass
+// capture run produced a plan but no template (a space larger than
+// core.CaptureLimit). Errors are never cached, so such shapes simply bypass
 // the template tier every time.
 var errNoTemplate = errors.New("plancache: run produced no template")
 
@@ -26,7 +26,7 @@ type ResolveFuncs struct {
 	// another request's capture runs when that capture came back without one.
 	Synthesize func(ctx context.Context) (*plan.Plan, error)
 	// Capture is the full search, returning the run's template as well (nil
-	// template with a valid plan when the run is not capturable).
+	// template with a valid plan when the space was too large to keep).
 	Capture func(ctx context.Context) (*plan.Plan, *plan.Template, error)
 	// Instantiate binds the request's cardinalities into a cached template;
 	// plan.ErrTemplateStale sends the request down the Capture path and
@@ -75,8 +75,8 @@ func (s *Store) Get(fullKey string) (*plan.Plan, bool) { return s.plans.Get(full
 //   - Shared: this call joined another call's in-flight synthesis;
 //   - TemplateHit: the plan tier missed, but a cached template for the
 //     request's shape instantiated successfully;
-//   - Miss: a full search ran — cold, uncapturable, or template
-//     guard-rejected (the fresh capture replaces the stale template).
+//   - Miss: a full search ran — cold, too large to keep a template, or
+//     template guard-rejected (the fresh capture replaces the stale template).
 //
 // Singleflight holds at both tiers: N concurrent requests for the same
 // plan share one synthesis, and N concurrent requests for different
@@ -126,7 +126,8 @@ func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFu
 		if leaderPlan != nil {
 			return leaderPlan, nil
 		}
-		// A shared waiter on an uncapturable shape: synthesize normally.
+		// A shared waiter on a shape too large to template: synthesize
+		// normally.
 		return f.Synthesize(ctx)
 	case err != nil:
 		return nil, err
@@ -144,9 +145,9 @@ func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFu
 	if !errors.Is(err, plan.ErrTemplateStale) {
 		return nil, err
 	}
-	// A guard rejected the template (hierarchy constants changed, or a beam
-	// would prune differently at these cardinalities): run the full search
-	// and let the fresh capture replace the stale template.
+	// A guard rejected the template (hierarchy constants or the spec text
+	// changed): run the full search and let the fresh capture replace the
+	// stale template.
 	s.mu.Lock()
 	s.guardRejects++
 	s.mu.Unlock()

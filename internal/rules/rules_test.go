@@ -337,7 +337,7 @@ func TestSeqACConditions(t *testing.T) {
 
 func TestSearchDedupAndStats(t *testing.T) {
 	c := testContext()
-	all, stats := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), c, 4, 20000)
+	all, stats := Search(context.Background(), naiveJoin(), AllRules(), c, 4, 20000, 0)
 	if stats.SpaceSize != len(all) {
 		t.Errorf("stats.SpaceSize=%d but %d derivations", stats.SpaceSize, len(all))
 	}
@@ -361,7 +361,7 @@ func TestSearchDedupAndStats(t *testing.T) {
 // the naive specification (multiset semantics) on random inputs.
 func TestQuickSearchSpacePreservesSemantics(t *testing.T) {
 	c := testContext()
-	all, _ := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), c, 3, 400)
+	all, _ := Search(context.Background(), naiveJoin(), AllRules(), c, 3, 400, 0)
 	r := rand.New(rand.NewSource(11))
 	// The commutativity annotation asserts that the caller accepts either
 	// orientation of the input tuple (the paper's BNL examples discard the
@@ -399,7 +399,7 @@ func TestQuickSearchSpacePreservesSemantics(t *testing.T) {
 
 func TestSearchReachesCanonicalBNL(t *testing.T) {
 	c := testContext()
-	all, _ := Exhaustive{}.Search(context.Background(), naiveJoin(), AllRules(), c, 6, 50000)
+	all, _ := Search(context.Background(), naiveJoin(), AllRules(), c, 6, 50000, 0)
 	foundBNL := false
 	foundHash := false
 	for _, d := range all {

@@ -1,6 +1,13 @@
 package rules
 
-import "ocas/internal/ocal"
+import (
+	"context"
+	"runtime"
+	"sync"
+
+	"ocas/internal/ocal"
+	"ocas/internal/par"
+)
 
 // rootOnly is implemented by rules that rewrite the whole program rather
 // than arbitrary subexpressions (order-inputs, hash-part).
@@ -219,4 +226,147 @@ func (r *renamer) expr(e ocal.Expr, env *renameEnv) ocal.Expr {
 		}
 		return ocal.WithChildren(e, nk)
 	}
+}
+
+// expansion is one frontier item's rewrites with their dedup keys, which
+// the workers compute so that the sequential merge only compares. The keys
+// are packed back to back: rewrite j's Key is keys[ends[j-1]:ends[j]].
+type expansion struct {
+	rws  []Rewrite
+	keys []byte
+	ends []int
+}
+
+// Search is the paper's search: breadth-first enumeration of every program
+// reachable from start ("OCAS exhaustively searches the space of equivalent
+// programs"), alpha-deduplicated on Key. Frontier expansion fans out across
+// workers (<=0 means GOMAXPROCS); results are merged in frontier order against
+// a single dedup set, and the Context's fresh-name counters advance
+// level-synchronously, so the returned derivations and their order do not
+// depend on the worker count or on goroutine scheduling.
+//
+// Cancellation is checked at every expansion chunk (and inside the chunk, per
+// frontier item), so an abandoned search stops within one chunk's worth of
+// work; it returns whatever it discovered so far, marked Truncated, and
+// callers decide whether a partial space is usable by inspecting ctx.Err().
+func Search(ctx context.Context, start ocal.Expr, rs []Rule, c *Context, maxDepth, maxSpace, workers int) ([]Derivation, SearchStats) {
+	if maxDepth <= 0 {
+		maxDepth = 8
+	}
+	if maxSpace <= 0 {
+		maxSpace = 100_000
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// The key bytes themselves are the set's keys: membership is exact, and
+	// a lookup with a converted slice copies nothing; only a kept program's
+	// key is copied into the set.
+	seen := map[string]struct{}{Key(start): {}}
+	all := []Derivation{{Expr: start}}
+	frontier := []Derivation{{Expr: start}}
+	stats := SearchStats{SpaceSize: 1}
+	for depth := 1; depth <= maxDepth && len(frontier) > 0; depth++ {
+		stats.Levels = append(stats.Levels, LevelStats{Depth: depth})
+		lv := &stats.Levels[len(stats.Levels)-1]
+		// Every expansion at this level forks the fresh-name counters from
+		// the same snapshot, so names are independent of scheduling; the
+		// parent context advances by the level's maximum consumption.
+		snapParam, snapVar := c.nParam, c.nVar
+		maxParam, maxVar := 0, 0
+		var next []Derivation
+		// Expand in chunks so a maxSpace truncation mid-level does not pay
+		// for the whole level; merge per chunk in frontier order, which
+		// reproduces the sequential visit order exactly.
+		chunk := workers * 8
+		if chunk < 32 {
+			chunk = 32
+		}
+		for lo := 0; lo < len(frontier); lo += chunk {
+			if ctx.Err() != nil {
+				c.nParam, c.nVar = snapParam+maxParam, snapVar+maxVar
+				stats.Truncated = true
+				return all, stats
+			}
+			hi := lo + chunk
+			if hi > len(frontier) {
+				hi = len(frontier)
+			}
+			results, mp, mv := expandFrontier(ctx, frontier[lo:hi], rs, c, snapParam, snapVar, workers)
+			if mp > maxParam {
+				maxParam = mp
+			}
+			if mv > maxVar {
+				maxVar = mv
+			}
+			for bi, ex := range results {
+				d := frontier[lo+bi]
+				from := 0
+				for j, rw := range ex.rws {
+					key := ex.keys[from:ex.ends[j]]
+					from = ex.ends[j]
+					lv.Expanded++
+					if _, dup := seen[string(key)]; dup {
+						lv.Deduped++
+						continue
+					}
+					seen[string(key)] = struct{}{}
+					lv.Kept++
+					nd := Derivation{
+						Expr:  rw.Expr,
+						Steps: append(append([]string(nil), d.Steps...), rw.Rule),
+					}
+					all = append(all, nd)
+					next = append(next, nd)
+					stats.SpaceSize++
+					if stats.MaxDepth < depth {
+						stats.MaxDepth = depth
+					}
+					if stats.SpaceSize >= maxSpace {
+						stats.Truncated = true
+						c.nParam, c.nVar = snapParam+maxParam, snapVar+maxVar
+						return all, stats
+					}
+				}
+			}
+		}
+		c.nParam, c.nVar = snapParam+maxParam, snapVar+maxVar
+		frontier = next
+	}
+	return all, stats
+}
+
+// expandFrontier runs Step on every frontier item concurrently and keys
+// every rewrite with the worker's encoder. Each item gets a Context forked
+// at the level snapshot, so fresh names never depend on which worker picked
+// the item up; the returned maxima say how far the counters must advance.
+// Results are indexed by frontier position.
+func expandFrontier(ctx context.Context, items []Derivation, rs []Rule, c *Context, snapParam, snapVar, workers int) ([]expansion, int, int) {
+	out := make([]expansion, len(items))
+	var mu sync.Mutex
+	maxParam, maxVar := 0, 0
+	par.For(workers, len(items), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		fc := c.fork(snapParam, snapVar)
+		ex := expansion{rws: Step(items[i].Expr, rs, fc)}
+		ex.ends = make([]int, len(ex.rws))
+		enc := encoders.Get().(*alphaEncoder)
+		for j, rw := range ex.rws {
+			ex.keys = enc.appendKey(ex.keys, rw.Expr)
+			ex.ends[j] = len(ex.keys)
+		}
+		encoders.Put(enc)
+		out[i] = ex
+		mu.Lock()
+		if d := fc.nParam - snapParam; d > maxParam {
+			maxParam = d
+		}
+		if d := fc.nVar - snapVar; d > maxVar {
+			maxVar = d
+		}
+		mu.Unlock()
+	})
+	return out, maxParam, maxVar
 }

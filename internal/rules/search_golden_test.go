@@ -36,7 +36,6 @@ type searchShape struct {
 	commutative bool
 	depth       int // <= 0: 6
 	space       int // <= 0: 20000
-	beam        int // > 0: a beam of this width under its default rank
 }
 
 // setup returns a fresh search context and the rule set.
@@ -56,12 +55,8 @@ func (s searchShape) search(workers int) ([]rules.Derivation, rules.SearchStats)
 	if space <= 0 {
 		space = 20000
 	}
-	var strategy rules.SearchStrategy = rules.Exhaustive{Workers: workers}
-	if s.beam > 0 {
-		strategy = rules.Beam{Width: s.beam, Workers: workers}
-	}
 	c, rls := s.setup()
-	return strategy.Search(context.Background(), s.prog, rls, c, depth, space)
+	return rules.Search(context.Background(), s.prog, rls, c, depth, space, workers)
 }
 
 // searchGoldenShapes is the corpus: the six examples, the seven searched
@@ -80,9 +75,6 @@ func searchGoldenShapes(t *testing.T) []searchShape {
 			depth: c.Synth.MaxDepth, space: c.Synth.MaxSpace}
 		for _, in := range c.Task.Spec.Inputs {
 			s.inputLoc[in.Name] = c.Task.InputLoc[in.Name]
-		}
-		if b, ok := c.Synth.Strategy.(*rules.Beam); ok {
-			s.beam = b.Width
 		}
 		return s
 	}
@@ -133,10 +125,7 @@ func searchGoldenShapes(t *testing.T) []searchShape {
 		shapes = append(shapes, fromRequest(r.name, r.req))
 	}
 
-	exps, err := experiments.Table1(experiments.Config{Shrink: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exps := experiments.Table1(experiments.Config{Shrink: 8})
 	for _, e := range exps {
 		shapes = append(shapes, searchShape{name: "table1-" + e.Name, prog: e.Spec.Prog, h: e.Hier,
 			rules: e.Rules, inputLoc: e.InputLoc, output: e.Output, commutative: e.Spec.Commutative,

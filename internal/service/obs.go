@@ -56,6 +56,8 @@ func (s *Server) initObs() {
 	s.reg.Func("ocas_template_guard_rejects_total", "Templates refused by the equivalence guards.", obs.KindCounter,
 		func() float64 { return float64(s.store.Stats().GuardRejects) })
 
+	s.reg.Func("ocas_search_truncated_total", "Searches stopped at the request's space bound (the plan is the best of a partial space).", obs.KindCounter,
+		func() float64 { return float64(s.truncated.Load()) })
 	s.reg.Func("ocas_synth_inflight", "Synthesis jobs holding an admission slot.", obs.KindGauge,
 		func() float64 { return float64(len(s.sem)) })
 	s.reg.Func("ocas_exec_workers_inuse", "Executor worker slots held right now.", obs.KindGauge,

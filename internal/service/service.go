@@ -81,10 +81,9 @@ type Config struct {
 	// both (the endpoints answer 503). ocasd opens one from its -data
 	// directory and closes it (flushing buffered rows) on shutdown.
 	Catalog *catalog.Catalog
-	// Defaults are applied to request fields left at their zero value.
-	Strategy string // "" keeps the request/plan default (exhaustive)
-	Beam     int
-	Workers  int
+	// Workers is the synthesis worker count for requests that leave it
+	// unset.
+	Workers int
 
 	// TraceRing bounds the in-memory ring of recent request traces served
 	// on /traces (default 256).
@@ -130,7 +129,10 @@ type Server struct {
 	slots   *slotSem      // executor worker-slot pool (/execute)
 	started time.Time
 	metrics Metrics
-	exec    struct {
+	// truncated counts the searches that stopped at their request's space
+	// bound: their plans are the best of a partial space.
+	truncated atomic.Int64
+	exec      struct {
 		executions    atomic.Int64
 		poolEvictions atomic.Int64
 		poolShrinks   atomic.Int64
@@ -225,7 +227,11 @@ func (s *Server) resolvePlan(ctx context.Context, compiled *plan.Compiled) (*pla
 		defer func() {
 			atomic.AddInt64(&s.metrics.SynthNanos, int64(time.Since(synthStart)))
 		}()
-		return compiled.RunCapture(cctx)
+		p, t, err := compiled.RunCapture(cctx)
+		if err == nil && p.Truncated {
+			s.truncated.Add(1)
+		}
+		return p, t, err
 	}
 	return s.store.Resolve(ctx, compiled.Fingerprint, compiled.TemplateFingerprint, plancache.ResolveFuncs{
 		Synthesize: func(cctx context.Context) (*plan.Plan, error) {
@@ -613,15 +619,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// applyDefaults fills the daemon-level defaults into fields the request
-// left unset; plan.Normalize then applies the package defaults on top.
+// applyDefaults fills the daemon-level default worker count into a request
+// that left it unset; plan.Normalize then applies the package defaults.
 func (s *Server) applyDefaults(r *plan.Request) {
-	if r.Strategy == "" && s.cfg.Strategy != "" {
-		r.Strategy = s.cfg.Strategy
-	}
-	if r.Beam == 0 && s.cfg.Beam != 0 {
-		r.Beam = s.cfg.Beam
-	}
 	if r.Workers == 0 {
 		r.Workers = s.cfg.Workers
 	}

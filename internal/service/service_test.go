@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -308,29 +309,82 @@ func TestLRUBoundThroughService(t *testing.T) {
 	}
 }
 
-// Smoke for the daemon-level defaults: a server configured for beam search
-// applies it to requests that don't choose a strategy.
-func TestServerDefaults(t *testing.T) {
-	_, ts := newTestServer(t, Config{Strategy: "beam", Beam: 16, Workers: 2})
-	resp, data := post(t, ts, fastBody())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+// bnlBody is the benchmark corpus's bnl request; extra is spliced in after
+// the program field.
+func bnlBody(extra string) string {
+	return `{
+		"program": "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",` + extra + `
+		"hier": "hdd-ram", "ram": 8388608,
+		"inputs": {"R": {"node": "hdd", "rows": 4194304}, "S": {"node": "hdd", "rows": 262144}},
+		"depth": 6, "space": 2000
+	}`
+}
+
+// TestBeamRequestFieldsIgnored: a request still carrying the retired beam's
+// strategy/beam fields is served (200) with the exhaustive plan. Only the
+// fingerprint, which hashes both fields, tells the two plans apart; a
+// malformed strategy or width is still a 400.
+func TestBeamRequestFieldsIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	withoutFP := func(body string) (string, []byte) {
+		t.Helper()
+		resp, data := post(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		p, err := plan.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := p.Fingerprint
+		p.Fingerprint = ""
+		return fp, plan.Encode(p)
 	}
-	// The beam default changes the fingerprint relative to exhaustive.
-	var exhaustive plan.Request
-	if err := json.Unmarshal([]byte(fastBody()), &exhaustive); err != nil {
-		t.Fatal(err)
+	fp, exhaustive := withoutFP(bnlBody(""))
+	beamFP, beam := withoutFP(bnlBody(`"strategy": "beam", "beam": 64,`))
+	if !bytes.Equal(beam, exhaustive) {
+		t.Errorf("the beam request's plan differs beyond its fingerprint:\nbeam: %s\nbnl:  %s", beam, exhaustive)
 	}
-	c, err := plan.Compile(exhaustive)
-	if err != nil {
-		t.Fatal(err)
+	if beamFP == fp {
+		t.Error("the beam request's fingerprint equals the exhaustive one")
 	}
-	p, err := plan.Decode(data)
-	if err != nil {
-		t.Fatal(err)
+	for _, extra := range []string{`"strategy": "dfs",`, `"strategy": "beam", "beam": 4097,`} {
+		if resp, data := post(t, ts, bnlBody(extra)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", extra, resp.StatusCode, data)
+		}
 	}
-	if p.Fingerprint == c.Fingerprint {
-		t.Fatal("beam-defaulted server produced the exhaustive fingerprint")
+}
+
+// TestSearchTruncatedCounter: ocas_search_truncated_total counts the
+// searches that stopped at their space bound — not complete searches, and
+// not cache hits on a truncated plan.
+func TestSearchTruncatedCounter(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	scrape := func() string {
+		t.Helper()
+		_, data := get(t, ts, "/metrics")
+		m := regexp.MustCompile(`(?m)^ocas_search_truncated_total (\S+)$`).FindStringSubmatch(string(data))
+		if m == nil {
+			t.Fatal("scrape has no ocas_search_truncated_total sample")
+		}
+		return m[1]
+	}
+	post(t, ts, fastBody())
+	if got := scrape(); got != "0" {
+		t.Fatalf("after a complete search: %s, want 0", got)
+	}
+	tiny := strings.Replace(fastBody(), `"space": 500`, `"space": 5`, 1)
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		resp, data := post(t, ts, tiny)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+		if p, err := plan.Decode(data); err != nil || !p.Truncated {
+			t.Fatalf("space 5 did not truncate the search: %s (%v)", data, err)
+		}
+	}
+	if got := scrape(); got != "1" {
+		t.Fatalf("after one truncated search: %s, want 1", got)
 	}
 }
 
