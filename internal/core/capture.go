@@ -11,7 +11,6 @@ import (
 
 	"ocas/internal/cost"
 	"ocas/internal/obs"
-	"ocas/internal/ocal"
 	"ocas/internal/opt"
 	"ocas/internal/par"
 	"ocas/internal/rules"
@@ -108,19 +107,6 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 	return res, nil
 }
 
-// estimator costs one program of t's search space from scratch; nil means
-// the program cannot be costed.
-func (s *Synthesizer) estimator(t Task) func(ocal.Expr) *cost.Result {
-	place := s.placement(t)
-	return func(e ocal.Expr) *cost.Result {
-		res, err := cost.Estimate(s.H, place, e)
-		if err != nil {
-			return nil
-		}
-		return res
-	}
-}
-
 // shortlist is the outcome of screening: the space indices worth the
 // non-linear solver, cheapest screening cost first, and the screening cost
 // of the specification itself (member 0).
@@ -134,10 +120,10 @@ type shortlist struct {
 // paper's single-loop heuristic: blocks as large as the constraints allow,
 // split evenly) and keep the ScreenTop cheapest. Members are independent, so
 // they are costed concurrently; collecting by space index keeps the order —
-// and hence the screening tie-breaks — identical to a sequential run. estimate costs the
-// members of a space fresh out of the search (cp.Costs is nil); a Replay,
-// whose Costs are filled, passes nil.
-func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, estimate func(ocal.Expr) *cost.Result) (shortlist, error) {
+// and hence the screening tie-breaks — identical to a sequential run. est
+// costs the members of a space fresh out of the search (cp.Costs is nil); a
+// Replay, whose Costs are filled, passes nil.
+func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, est *cost.Estimator) (shortlist, error) {
 	space := cp.Space
 	fixed := s.fixedEnv(t)
 	screenTop := s.ScreenTop
@@ -178,7 +164,8 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 			return
 		}
 		if fresh {
-			costs[i] = estimate(space[i].Expr)
+			// nil: the program cannot be costed.
+			costs[i], _ = est.Estimate(space[i].Expr)
 		}
 		res := costs[i]
 		if res == nil {
@@ -218,6 +205,14 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 	}
 	spScreen.Attr("candidates", len(space))
 	spScreen.Attr("costed", len(scr))
+	if fresh && spScreen != nil {
+		// What building the formulas through one estimator saved: distinct
+		// formula nodes (exact at any worker count) and constructor calls
+		// answered from the memo (exact at one worker).
+		st := est.Stats()
+		spScreen.Attr("formulaNodes", st.Nodes)
+		spScreen.Attr("memoHits", st.MemoHits)
+	}
 	spScreen.End()
 
 	if len(scr) == 0 {

@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+
+	"ocas/internal/rules"
+)
 
 // TuneShortlist is Instantiate up to, but not including, the pick of a
 // winner: every shortlist member's tuned candidate in shortlist order (nil =
@@ -8,10 +12,16 @@ import "context"
 func (r *Replay) TuneShortlist(ctx context.Context, s *Synthesizer, t Task) ([]*Candidate, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	short, err := r.cp.screen(ctx, s, t, &r.fc, s.estimator(t))
+	short, err := r.cp.screen(ctx, s, t, &r.fc, nil)
 	if err != nil {
 		return nil, err
 	}
 	cands, _, _ := r.cp.tune(ctx, s, t, &r.fc, short)
 	return cands, nil
+}
+
+// SearchSpace is the space SynthesizeCapture searches for t.
+func (s *Synthesizer) SearchSpace(t Task) []rules.Derivation {
+	space, _ := s.search(context.Background(), t)
+	return space
 }

@@ -139,30 +139,9 @@ func (s *Synthesizer) SynthesizeCtx(ctx context.Context, t Task) (*Synthesis, er
 // of searching. The replay is nil when the space is larger than CaptureLimit.
 func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis, *Replay, error) {
 	start := time.Now()
-	maxDepth := s.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 6
-	}
-	maxSpace := s.MaxSpace
-	if maxSpace <= 0 {
-		maxSpace = 20000
-	}
-	rls := s.Rules
-	if rls == nil {
-		rls = rules.AllRules()
-	}
-	rctx := &rules.Context{
-		H:           s.H,
-		InputLoc:    map[string]string{},
-		Output:      t.Output,
-		Commutative: t.Spec.Commutative,
-	}
-	for _, in := range t.Spec.Inputs {
-		rctx.InputLoc[in.Name] = t.InputLoc[in.Name]
-	}
 	cp := &Capture{}
 	_, spSearch := obs.Start(ctx, "synth.search")
-	cp.Space, cp.Stats = rules.Search(ctx, t.Spec.Prog, rls, rctx, maxDepth, maxSpace, s.Workers)
+	cp.Space, cp.Stats = s.search(ctx, t)
 	if spSearch != nil {
 		spSearch.Attr("space", cp.Stats.SpaceSize)
 		spSearch.Attr("maxDepth", cp.Stats.MaxDepth)
@@ -190,7 +169,10 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	// The rest is what a template hit runs over a space found earlier; here
 	// each member is costed once, fresh: an alpha-deduped space never
 	// repeats a program, so a whole-program cost memo could only add overhead.
-	short, err := cp.screen(ctx, s, t, nil, s.estimator(t))
+	// What the members do repeat is sub-formulas, and the estimator builds
+	// each of those once. It lives until this run returns: the Replay keeps
+	// the formulas, not the estimator.
+	short, err := cp.screen(ctx, s, t, nil, cost.NewEstimator(s.H, s.placement(t)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -210,6 +192,32 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	res.Elapsed = time.Since(start)
 	res.Memo = MemoStats{Keys: dedup}
 	return res, r, nil
+}
+
+// search is the rewrite search of t under the synthesizer's knobs.
+func (s *Synthesizer) search(ctx context.Context, t Task) ([]rules.Derivation, rules.SearchStats) {
+	maxDepth := s.MaxDepth
+	if maxDepth <= 0 {
+		maxDepth = 6
+	}
+	maxSpace := s.MaxSpace
+	if maxSpace <= 0 {
+		maxSpace = 20000
+	}
+	rls := s.Rules
+	if rls == nil {
+		rls = rules.AllRules()
+	}
+	rctx := &rules.Context{
+		H:           s.H,
+		InputLoc:    map[string]string{},
+		Output:      t.Output,
+		Commutative: t.Spec.Commutative,
+	}
+	for _, in := range t.Spec.Inputs {
+		rctx.InputLoc[in.Name] = t.InputLoc[in.Name]
+	}
+	return rules.Search(ctx, t.Spec.Prog, rls, rctx, maxDepth, maxSpace, s.Workers)
 }
 
 // heuristicPoint guesses block sizes for screening — each parameter starts

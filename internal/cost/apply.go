@@ -78,7 +78,7 @@ func (r *run) applyFlatMap(fn ocal.FlatMap, arg ocal.Expr, g *ctx) (AType, locT,
 			// charge for fetching them.
 			xLoc = src
 		} else {
-			xLoc = r.chargeUp(src, Size(argAt), n)
+			xLoc = r.chargeUp(src, Size(r.b, argAt), n)
 		}
 	}
 	lam, ok := fn.Fn.(ocal.Lam)
@@ -109,7 +109,7 @@ func (r *run) applyFlatMap(fn ocal.FlatMap, arg ocal.Expr, g *ctx) (AType, locT,
 	if _, ok := bodyAt.(AList); !ok {
 		return nil, locT{}, fmt.Errorf("cost: flatMap body must produce a list")
 	}
-	return ScaleCard(bodyAt, n), leafLoc(r.root()), nil
+	return ScaleCard(r.b, bodyAt, n), leafLoc(r.root()), nil
 }
 
 // applyFoldL implements the Figure 6 foldL rule. The source is streamed
@@ -129,7 +129,7 @@ func (r *run) applyFoldL(fn ocal.FoldL, arg ocal.Expr, g *ctx) (AType, locT, err
 	}
 	elem, _ := Elem(argAt)
 	if src := argLoc.nodeOf(); src != r.root() && src != "" {
-		r.chargeUp(src, Size(argAt), n)
+		r.chargeUp(src, Size(r.b, argAt), n)
 	}
 	initAt, _, err := r.est(fn.Init, g)
 	if err != nil {
@@ -149,25 +149,25 @@ func (r *run) applyFoldL(fn ocal.FoldL, arg ocal.Expr, g *ctx) (AType, locT, err
 	}
 
 	// Result per Figure 5: R(c) + card·(R(step) − R(c)).
-	resAt := foldResult(initAt, stepAt, n)
+	resAt := r.foldResult(initAt, stepAt, n)
 	if fn.Hint != ocal.HintNone {
-		resAt = applyHint(fn.Hint, resAt, []AType{argAt})
+		resAt = r.applyHint(fn.Hint, resAt, []AType{argAt})
 	}
 
 	// Accumulator shuttling: only when the accumulator demonstrably grows.
-	growB := sym.Sub(Size(stepAt), Size(initAt))
+	growB := r.b.Sub(Size(r.b, stepAt), Size(r.b, initAt))
 	if !isZeroExpr(growB) {
-		mi := r.inter()
+		mi := r.inter
 		if mi != "" && mi != r.root() {
-			s0 := Size(initAt)
+			s0 := Size(r.b, initAt)
 			c0 := cardOrZero(initAt)
 			gB := growB
-			gC := sym.Sub(cardOrZero(stepAt), c0)
+			gC := r.b.Sub(cardOrZero(stepAt), c0)
 			i := sym.V("_i")
-			upBytes := sym.Sum("_i", n, sym.Add(s0, sym.Mul(i, gB)))
+			upBytes := r.b.Sum("_i", n, r.b.Add(s0, r.b.Mul(i, gB)))
 			upInits := n // one read initiation per iteration (sequential acc read)
-			downBytes := sym.Sum("_i", n, sym.Add(s0, sym.Mul(sym.Add(i, sym.One), gB)))
-			downInits := sym.Sum("_i", n, sym.Add(c0, sym.Mul(sym.Add(i, sym.One), gC)))
+			downBytes := r.b.Sum("_i", n, r.b.Add(s0, r.b.Mul(r.b.Add(i, sym.One), gB)))
+			downInits := r.b.Sum("_i", n, r.b.Add(c0, r.b.Mul(r.b.Add(i, sym.One), gC)))
 			r.chargePathUp(mi, upBytes, upInits)
 			r.chargeDownPath(mi, downBytes, downInits)
 		}
@@ -214,23 +214,23 @@ func (r *run) applyStep(fn ocal.Expr, argAt AType, g *ctx) (AType, error) {
 				return nil, fmt.Errorf("cost: unfoldR step needs a tuple of lists")
 			}
 		}
-		return mergeResult(tup, f.Hint)
+		return r.mergeResult(tup, f.Hint)
 	}
 	return nil, fmt.Errorf("cost: unsupported fold step %s", ocal.String(fn))
 }
 
-func foldResult(initAt, stepAt AType, n sym.Expr) AType {
+func (r *run) foldResult(initAt, stepAt AType, n sym.Expr) AType {
 	switch s := stepAt.(type) {
 	case AList:
 		c0 := cardOrZero(initAt)
-		growth := sym.Sub(s.Card, c0)
-		return AList{Card: sym.Add(c0, sym.Mul(n, growth)), Elem: s.Elem}
+		growth := r.b.Sub(s.Card, c0)
+		return AList{Card: r.b.Add(c0, r.b.Mul(n, growth)), Elem: s.Elem}
 	case AConst:
 		i0, ok := initAt.(AConst)
 		if !ok {
 			return stepAt
 		}
-		return AConst{Size: sym.Add(i0.Size, sym.Mul(n, sym.Sub(s.Size, i0.Size)))}
+		return AConst{Size: r.b.Add(i0.Size, r.b.Mul(n, r.b.Sub(s.Size, i0.Size)))}
 	case ATuple:
 		i0, ok := initAt.(ATuple)
 		if !ok || len(i0) != len(s) {
@@ -238,7 +238,7 @@ func foldResult(initAt, stepAt AType, n sym.Expr) AType {
 		}
 		out := make(ATuple, len(s))
 		for i := range s {
-			out[i] = foldResult(i0[i], s[i], n)
+			out[i] = r.foldResult(i0[i], s[i], n)
 		}
 		return out
 	}
@@ -258,7 +258,7 @@ func isZeroExpr(e sym.Expr) bool {
 }
 
 // mergeResult is the worst-case output of a merge-style unfoldR.
-func mergeResult(inputs ATuple, hint ocal.CardHint) (AType, error) {
+func (r *run) mergeResult(inputs ATuple, hint ocal.CardHint) (AType, error) {
 	var cards []sym.Expr
 	var elem AType
 	for _, in := range inputs {
@@ -270,11 +270,11 @@ func mergeResult(inputs ATuple, hint ocal.CardHint) (AType, error) {
 		if elem == nil {
 			elem = l.Elem
 		} else {
-			elem = MaxT(elem, l.Elem)
+			elem = MaxT(r.b, elem, l.Elem)
 		}
 	}
-	out := AList{Card: sym.Add(cards...), Elem: elem}
-	return applyHint(hint, out, toATypes(inputs)), nil
+	out := AList{Card: r.b.Add(cards...), Elem: elem}
+	return r.applyHint(hint, out, toATypes(inputs)), nil
 }
 
 func toATypes(t ATuple) []AType { return []AType(t) }
@@ -296,7 +296,7 @@ func containsList(a AType) bool {
 
 // applyHint overrides the worst-case output cardinality with a
 // programmer-supplied estimate (Section 5.1).
-func applyHint(hint ocal.CardHint, def AType, inputs []AType) AType {
+func (r *run) applyHint(hint ocal.CardHint, def AType, inputs []AType) AType {
 	l, ok := def.(AList)
 	if !ok || hint == ocal.HintNone {
 		return def
@@ -312,11 +312,11 @@ func applyHint(hint ocal.CardHint, def AType, inputs []AType) AType {
 	}
 	switch hint {
 	case ocal.HintSumCards:
-		return AList{Card: sym.Add(cards...), Elem: l.Elem}
+		return AList{Card: r.b.Add(cards...), Elem: l.Elem}
 	case ocal.HintFirstCard:
 		return AList{Card: cards[0], Elem: l.Elem}
 	case ocal.HintMaxCards:
-		return AList{Card: sym.Max(cards...), Elem: l.Elem}
+		return AList{Card: r.b.Max(cards...), Elem: l.Elem}
 	}
 	return def
 }
@@ -361,21 +361,21 @@ func (r *run) applyUnfoldR(fn ocal.UnfoldR, arg ocal.Expr, g *ctx) (AType, locT,
 		var inits sym.Expr
 		parent := r.h.Parent(src)
 		if perDevice[src] == 1 && r.p.Output != src && parent != nil {
-			inits = r.seqInits(src, parent.Name, Size(l))
+			inits = r.seqInits(src, parent.Name, Size(r.b, l))
 		} else {
-			inits = sym.Ceil(sym.Div(l.Card, k))
+			inits = r.b.Ceil(r.b.Div(l.Card, k))
 		}
-		up := r.chargeUp(src, Size(l), inits)
+		up := r.chargeUp(src, Size(r.b, l), inits)
 		if !fn.K.IsOne() {
 			r.addResident(up, fmt.Sprintf("mergebuf:%d:%s", i, fn.K.String()),
-				sym.Mul(k, Size(l.Elem)))
+				r.b.Mul(k, Size(r.b, l.Elem)))
 			if d := r.h.Node(src); d != nil && d.MaxSeqR > 0 {
-				r.addCons(sym.Mul(k, Size(l.Elem)), sym.C(float64(d.MaxSeqR)),
+				r.addCons(r.b.Mul(k, Size(r.b, l.Elem)), sym.C(float64(d.MaxSeqR)),
 					"merge input block fits maxSeqR of "+src)
 			}
 		}
 	}
-	out, err := mergeResult(tup, fn.Hint)
+	out, err := r.mergeResult(tup, fn.Hint)
 	if err != nil {
 		return nil, locT{}, err
 	}
@@ -406,7 +406,7 @@ func (r *run) applyTreeFold(fn ocal.TreeFold, arg ocal.Expr, g *ctx) (AType, loc
 		// Generic treeFold on in-memory data: result is one item; charge
 		// nothing beyond fetching the seed stream.
 		if src := argLoc.nodeOf(); src != r.root() && src != "" {
-			r.chargeUp(src, Size(argAt), runs)
+			r.chargeUp(src, Size(r.b, argAt), runs)
 		}
 		return runAt, rootLoc, nil
 	}
@@ -415,30 +415,30 @@ func (r *run) applyTreeFold(fn ocal.TreeFold, arg ocal.Expr, g *ctx) (AType, loc
 	if !ok {
 		return nil, locT{}, fmt.Errorf("cost: treeFold merge needs a list of runs, got %s", runAt)
 	}
-	total := sym.Mul(runs, runList.Card) // N elements overall
-	elemB := Size(runList.Elem)
-	bytes := sym.Mul(total, elemB)
+	total := r.b.Mul(runs, runList.Card) // N elements overall
+	elemB := Size(r.b, runList.Elem)
+	bytes := r.b.Mul(total, elemB)
 
 	b, bLit := fn.K.Literal()
 	var levels sym.Expr
 	if bLit && b >= 2 {
-		levels = sym.Ceil(sym.Div(sym.Log2(runs), sym.C(math.Log2(float64(b)))))
+		levels = r.b.Ceil(r.b.Div(r.b.Log2(runs), sym.C(math.Log2(float64(b)))))
 	} else {
-		levels = sym.Ceil(sym.Log2(runs))
+		levels = r.b.Ceil(r.b.Log2(runs))
 	}
-	levels = sym.Max(sym.One, levels)
+	levels = r.b.Max(sym.One, levels)
 
-	mi := r.inter()
+	mi := r.inter
 	if mi == "" || mi == r.root() {
 		mi = argLoc.nodeOf()
 	}
 	bin := paramExpr(unf.K)
 	bout := paramExpr(fn.OutK)
-	upInits := sym.Mul(levels, sym.Ceil(sym.Div(total, bin)))
-	downInits := sym.Mul(levels, sym.Ceil(sym.Div(total, bout)))
+	upInits := r.b.Mul(levels, r.b.Ceil(r.b.Div(total, bin)))
+	downInits := r.b.Mul(levels, r.b.Ceil(r.b.Div(total, bout)))
 	if mi != "" && mi != r.root() {
-		r.chargePathUp(mi, sym.Mul(levels, bytes), upInits)
-		r.chargeDownPath(mi, sym.Mul(levels, bytes), downInits)
+		r.chargePathUp(mi, r.b.Mul(levels, bytes), upInits)
+		r.chargeDownPath(mi, r.b.Mul(levels, bytes), downInits)
 		// Residency: b input buffers of bin elements plus one output buffer.
 		if !unf.K.IsOne() {
 			nb := float64(2)
@@ -446,14 +446,14 @@ func (r *run) applyTreeFold(fn ocal.TreeFold, arg ocal.Expr, g *ctx) (AType, loc
 				nb = float64(b)
 			}
 			r.addResident(r.root(), "sortbufs:"+unf.K.String(),
-				sym.Add(sym.Mul(sym.C(nb), bin, elemB), sym.Mul(bout, elemB)))
+				r.b.Add(r.b.Mul(sym.C(nb), bin, elemB), r.b.Mul(bout, elemB)))
 			if d := r.h.Node(mi); d != nil {
 				if d.MaxSeqR > 0 {
-					r.addCons(sym.Mul(bin, elemB), sym.C(float64(d.MaxSeqR)),
+					r.addCons(r.b.Mul(bin, elemB), sym.C(float64(d.MaxSeqR)),
 						"sort input block fits maxSeqR of "+mi)
 				}
 				if d.MaxSeqW > 0 {
-					r.addCons(sym.Mul(bout, elemB), sym.C(float64(d.MaxSeqW)),
+					r.addCons(r.b.Mul(bout, elemB), sym.C(float64(d.MaxSeqW)),
 						"sort output block fits maxSeqW of "+mi)
 				}
 			}
@@ -475,9 +475,9 @@ func (r *run) applyPartition(fn ocal.PartitionF, arg ocal.Expr, g *ctx) (AType, 
 		return nil, locT{}, fmt.Errorf("cost: partition over non-list")
 	}
 	s := paramExpr(fn.S)
-	mi := r.inter()
+	mi := r.inter
 	src := argLoc.nodeOf()
-	bytes := Size(l)
+	bytes := Size(r.b, l)
 	if src != r.root() && src != "" {
 		// Sequential read pass of the whole input.
 		parent := r.h.Parent(src)
@@ -492,15 +492,15 @@ func (r *run) applyPartition(fn ocal.PartitionF, arg ocal.Expr, g *ctx) (AType, 
 		// into s+1 write buffers of ram/(s+1) bytes, and every buffer
 		// eviction initiates a device write (interleaved streams seek).
 		ramBytes := sym.C(float64(r.h.Root.Size))
-		bufW := sym.Div(ramBytes, sym.Add(s, sym.One))
-		flushes := sym.Max(s, sym.Ceil(sym.Div(bytes, bufW)))
+		bufW := r.b.Div(ramBytes, r.b.Add(s, sym.One))
+		flushes := r.b.Max(s, r.b.Ceil(r.b.Div(bytes, bufW)))
 		r.chargeDownPath(mi, bytes, flushes)
 		saved := r.phase
 		r.phase = "partition"
-		r.addResident(r.root(), "partbufs:"+fn.S.String(), sym.Mul(s, bufW))
+		r.addResident(r.root(), "partbufs:"+fn.S.String(), r.b.Mul(s, bufW))
 		r.phase = saved
 	}
-	bucket := AList{Card: sym.Ceil(sym.Div(l.Card, s)), Elem: l.Elem}
+	bucket := AList{Card: r.b.Ceil(r.b.Div(l.Card, s)), Elem: l.Elem}
 	out := AList{Card: s, Elem: bucket}
 	return out, leafLoc(mi), nil
 }

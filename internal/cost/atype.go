@@ -51,18 +51,23 @@ func (a ATuple) String() string {
 }
 func (a AConst) String() string { return a.Size.String() }
 
+// The annotated-type operations below that build formulas take the
+// synthesis' symbolic Builder; nil builds with the package-level
+// constructors.
+
 // Size returns the total size in bytes of the annotated type, the paper's
 // size(α) function.
-func Size(a AType) sym.Expr {
+func Size(b *sym.Builder, a AType) sym.Expr {
 	switch t := a.(type) {
 	case AList:
-		return sym.Mul(t.Card, Size(t.Elem))
+		return b.Mul(t.Card, Size(b, t.Elem))
 	case ATuple:
-		terms := make([]sym.Expr, len(t))
-		for i, e := range t {
-			terms[i] = Size(e)
+		var buf [4]sym.Expr
+		terms := buf[:0]
+		for _, e := range t {
+			terms = append(terms, Size(b, e))
 		}
-		return sym.Add(terms...)
+		return b.Add(terms...)
 	case AConst:
 		return t.Size
 	}
@@ -88,59 +93,59 @@ func Elem(a AType) (AType, error) {
 }
 
 // ScaleCard multiplies the outer cardinality of a list by f ("x · [b]y").
-func ScaleCard(a AType, f sym.Expr) AType {
+func ScaleCard(b *sym.Builder, a AType, f sym.Expr) AType {
 	if l, ok := a.(AList); ok {
-		return AList{Card: sym.Mul(f, l.Card), Elem: l.Elem}
+		return AList{Card: b.Mul(f, l.Card), Elem: l.Elem}
 	}
 	return a
 }
 
 // MaxT merges two annotated types pointwise, taking the worst case of the
 // cardinalities and constant sizes (Figure 5's rule for if-then-else).
-func MaxT(a, b AType) AType {
-	switch x := a.(type) {
+func MaxT(b *sym.Builder, x, y AType) AType {
+	switch x := x.(type) {
 	case AList:
-		if y, ok := b.(AList); ok {
-			return AList{Card: sym.Max(x.Card, y.Card), Elem: MaxT(x.Elem, y.Elem)}
+		if y, ok := y.(AList); ok {
+			return AList{Card: b.Max(x.Card, y.Card), Elem: MaxT(b, x.Elem, y.Elem)}
 		}
 	case ATuple:
-		if y, ok := b.(ATuple); ok && len(x) == len(y) {
+		if y, ok := y.(ATuple); ok && len(x) == len(y) {
 			out := make(ATuple, len(x))
 			for i := range x {
-				out[i] = MaxT(x[i], y[i])
+				out[i] = MaxT(b, x[i], y[i])
 			}
 			return out
 		}
 	case AConst:
-		if y, ok := b.(AConst); ok {
-			return AConst{Size: sym.Max(x.Size, y.Size)}
+		if y, ok := y.(AConst); ok {
+			return AConst{Size: b.Max(x.Size, y.Size)}
 		}
 	}
 	// Shapes disagree (one branch empty list vs tuple etc.): fall back to
 	// whichever carries the larger worst-case size.
-	if isEmptyish(a) {
-		return b
+	if isEmptyish(x) {
+		return y
 	}
-	return a
+	return x
 }
 
 // AddT adds two annotated types: lists concatenate cardinalities (the ⊔
 // rule), constants add sizes.
-func AddT(a, b AType) AType {
-	switch x := a.(type) {
+func AddT(b *sym.Builder, x, y AType) AType {
+	switch x := x.(type) {
 	case AList:
-		if y, ok := b.(AList); ok {
-			return AList{Card: sym.Add(x.Card, y.Card), Elem: MaxT(x.Elem, y.Elem)}
+		if y, ok := y.(AList); ok {
+			return AList{Card: b.Add(x.Card, y.Card), Elem: MaxT(b, x.Elem, y.Elem)}
 		}
 	case AConst:
-		if y, ok := b.(AConst); ok {
-			return AConst{Size: sym.Add(x.Size, y.Size)}
+		if y, ok := y.(AConst); ok {
+			return AConst{Size: b.Add(x.Size, y.Size)}
 		}
 	}
-	if isEmptyish(a) {
-		return b
+	if isEmptyish(x) {
+		return y
 	}
-	return a
+	return x
 }
 
 func isEmptyish(a AType) bool {

@@ -97,6 +97,8 @@ func (c *ctx) lookup(name string) (binding, bool) {
 type run struct {
 	h     *memory.Hierarchy
 	p     Placement
+	b     *sym.Builder
+	inter string // the node growing intermediate results spill to
 	ev    *Events
 	cons  []Constraint
 	resid map[string]map[string]sym.Expr // node -> dedupe key -> resident bytes
@@ -119,15 +121,18 @@ func (r *run) phaseName() string {
 
 func (r *run) root() string { return r.h.Root.Name }
 
-func (r *run) inter() string {
-	if r.p.Intermediate != "" {
-		return r.p.Intermediate
+// intermediate is the node growing intermediate results spill to under p:
+// Placement.Intermediate, else the output node, else the first input
+// location in name order.
+func intermediate(p Placement) string {
+	if p.Intermediate != "" {
+		return p.Intermediate
 	}
-	if r.p.Output != "" {
-		return r.p.Output
+	if p.Output != "" {
+		return p.Output
 	}
 	var names []string
-	for _, loc := range r.p.InputLoc {
+	for _, loc := range p.InputLoc {
 		names = append(names, loc)
 	}
 	sort.Strings(names)
@@ -157,8 +162,8 @@ func (r *run) chargeUp(loc string, bytes, inits sym.Expr) string {
 		return loc
 	}
 	e := Edge{From: loc, To: parent.Name}
-	r.ev.AddBytes(e, bytes)
-	r.ev.AddInit(e, inits)
+	r.ev.addBytes(r.b, e, bytes)
+	r.ev.addInit(r.b, e, inits)
 	return parent.Name
 }
 
@@ -172,8 +177,8 @@ func (r *run) chargeDownPath(dst string, bytes, inits sym.Expr) {
 	// path = dst ... root; walk top-down.
 	for i := len(path) - 1; i > 0; i-- {
 		e := Edge{From: path[i], To: path[i-1]}
-		r.ev.AddBytes(e, bytes)
-		r.ev.AddInit(e, inits)
+		r.ev.addBytes(r.b, e, bytes)
+		r.ev.addInit(r.b, e, inits)
 	}
 	if r.downTo == nil {
 		r.downTo = map[string]bool{}
@@ -202,33 +207,82 @@ func (r *run) seqInits(from, to string, bytes sym.Expr) sym.Expr {
 	if lim == 0 {
 		return sym.One
 	}
-	return sym.Max(sym.One, sym.Div(bytes, sym.C(float64(lim))))
+	return r.b.Max(sym.One, r.b.Div(bytes, sym.C(float64(lim))))
 }
 
-// Estimate costs prog under the hierarchy and placement. It implements the
-// rules of Figures 5 and 6 together with the definition cost plugins of
-// Sections 3 and 6.
+// Estimator costs the programs of one search space, all under one hierarchy
+// and placement. It builds every formula through one symbolic Builder, so
+// the sub-formulas the members share — a member differs from its parent in
+// one rewritten subtree — are built once and are one pointer; and it derives
+// the inputs' annotated types once. The formulas are exactly Estimate's.
+// Estimate is safe for concurrent use. Drop the Estimator with the search
+// space's costing: the Builder keeps every formula it built.
+type Estimator struct {
+	h      *memory.Hierarchy
+	p      Placement
+	inputs *ctx   // each input bound to its annotated type and location
+	inter  string // see intermediate
+	err    error  // why no program can be costed under p
+	b      *sym.Builder
+}
+
+// NewEstimator returns an Estimator for the programs of one search space.
+func NewEstimator(h *memory.Hierarchy, p Placement) *Estimator {
+	return newEstimator(h, p, sym.NewBuilder())
+}
+
+func newEstimator(h *memory.Hierarchy, p Placement, b *sym.Builder) *Estimator {
+	e := &Estimator{h: h, p: p, inter: intermediate(p), b: b}
+	for name, loc := range p.InputLoc {
+		t, ok := p.InputType[name]
+		if !ok {
+			e.err = fmt.Errorf("cost: input %q has no type", name)
+			return e
+		}
+		card, ok := p.InputCard[name]
+		if !ok {
+			e.err = fmt.Errorf("cost: input %q has no cardinality", name)
+			return e
+		}
+		e.inputs = e.inputs.bind(name, binding{at: FromType(t, card, ""), loc: leafLoc(loc)})
+	}
+	return e
+}
+
+// Stats reports what the Estimator's Builder did: the distinct formula nodes
+// it interned and the calls its memo answered.
+func (e *Estimator) Stats() sym.BuilderStats { return e.b.Stats() }
+
+// Estimate costs prog under the hierarchy and placement, building its
+// formulas with the package-level constructors; an Estimator is what costs
+// many programs.
 func Estimate(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, error) {
+	return newEstimator(h, p, nil).Estimate(prog)
+}
+
+// Estimate costs prog. It implements the rules of Figures 5 and 6 together
+// with the definition cost plugins of Sections 3 and 6.
+func (e *Estimator) Estimate(prog ocal.Expr) (*Result, error) {
 	// order-inputs wrappers are costed as the minimum over both input
 	// orderings: the formula is evaluated numerically by the optimizer, so
 	// Min picks the ordering the generated program would pick at run time.
-	if inner, a, b, ok := matchOrderInputs(prog); ok {
-		swapped := ocal.App{Fn: inner, Arg: ocal.Tup{Elems: []ocal.Expr{b, a}}}
-		direct := ocal.App{Fn: inner, Arg: ocal.Tup{Elems: []ocal.Expr{a, b}}}
-		r1, err := estimateOne(h, p, direct)
+	if inner, x, y, ok := matchOrderInputs(prog); ok {
+		swapped := ocal.App{Fn: inner, Arg: ocal.Tup{Elems: []ocal.Expr{y, x}}}
+		direct := ocal.App{Fn: inner, Arg: ocal.Tup{Elems: []ocal.Expr{x, y}}}
+		r1, err := e.estimateOne(direct)
 		if err != nil {
 			return nil, err
 		}
-		r2, err := estimateOne(h, p, swapped)
+		r2, err := e.estimateOne(swapped)
 		if err != nil {
 			return nil, err
 		}
-		r1.Seconds = sym.Min(r1.Seconds, r2.Seconds)
+		r1.Seconds = e.b.Min(r1.Seconds, r2.Seconds)
 		r1.Constraints = append(r1.Constraints, r2.Constraints...)
 		r1.Params = mergeParams(r1.Params, r2.Params)
 		return r1, nil
 	}
-	return estimateOne(h, p, prog)
+	return e.estimateOne(prog)
 }
 
 // matchOrderInputs recognizes
@@ -269,21 +323,13 @@ func mergeParams(a, b []string) []string {
 	return out
 }
 
-func estimateOne(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, error) {
-	r := &run{h: h, p: p, ev: NewEvents(), resid: map[string]map[string]sym.Expr{}}
-	var g *ctx
-	for name, loc := range p.InputLoc {
-		t, ok := p.InputType[name]
-		if !ok {
-			return nil, fmt.Errorf("cost: input %q has no type", name)
-		}
-		card, ok := p.InputCard[name]
-		if !ok {
-			return nil, fmt.Errorf("cost: input %q has no cardinality", name)
-		}
-		g = g.bind(name, binding{at: FromType(t, card, ""), loc: leafLoc(loc)})
+func (e *Estimator) estimateOne(prog ocal.Expr) (*Result, error) {
+	if e.err != nil {
+		return nil, e.err
 	}
-	at, _, err := r.est(prog, g)
+	h, p := e.h, e.p
+	r := &run{h: h, p: p, b: e.b, inter: e.inter, ev: NewEvents(), resid: map[string]map[string]sym.Expr{}}
+	at, _, err := r.est(prog, e.inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +339,7 @@ func estimateOne(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, err
 	// buffer is filled, it is completely evicted to the output memory
 	// level").
 	if p.Output != "" {
-		bytes := Size(at)
+		bytes := Size(r.b, at)
 		outK := findOutK(prog)
 		// When nothing else touches the output device (no input stored
 		// there, no intermediate spill), the buffered output stream is
@@ -322,9 +368,9 @@ func estimateOne(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, err
 				ko := paramExpr(outK)
 				var elemB sym.Expr = sym.One
 				if el, err := Elem(at); err == nil {
-					elemB = Size(el)
+					elemB = Size(r.b, el)
 				}
-				r.addResident(r.root(), "outbuf:"+outK.String(), sym.Mul(ko, elemB))
+				r.addResident(r.root(), "outbuf:"+outK.String(), r.b.Mul(ko, elemB))
 			}
 			r.chargeDownPath(p.Output, bytes, inits)
 		} else if v, ok := outK.Literal(); ok && v == 1 {
@@ -337,17 +383,17 @@ func estimateOne(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, err
 		} else {
 			ko := paramExpr(outK)
 			if c, err := Card(at); err == nil {
-				inits = sym.Ceil(sym.Div(c, ko))
+				inits = r.b.Ceil(r.b.Div(c, ko))
 			} else {
 				inits = sym.One
 			}
 			var elemB sym.Expr = sym.One
 			if el, err := Elem(at); err == nil {
-				elemB = Size(el)
+				elemB = Size(r.b, el)
 			}
-			r.addResident(r.root(), "outbuf:"+outK.String(), sym.Mul(ko, elemB))
+			r.addResident(r.root(), "outbuf:"+outK.String(), r.b.Mul(ko, elemB))
 			if n := h.Node(p.Output); n != nil && n.MaxSeqW > 0 {
-				r.addCons(sym.Mul(ko, elemB), sym.C(float64(n.MaxSeqW)),
+				r.addCons(r.b.Mul(ko, elemB), sym.C(float64(n.MaxSeqW)),
 					"output block fits maxSeqW of "+p.Output)
 			}
 		}
@@ -356,26 +402,28 @@ func estimateOne(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, err
 
 	// Residency constraints: everything resident at a node during one
 	// phase must fit that node.
-	var groups []string
+	var groupBuf, keyBuf [8]string
+	var termBuf [8]sym.Expr
+	groups := groupBuf[:0]
 	for g := range r.resid {
 		groups = append(groups, g)
 	}
 	sort.Strings(groups)
 	for _, g := range groups {
-		var keys []string
+		keys := keyBuf[:0]
 		for k := range r.resid[g] {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		var terms []sym.Expr
+		terms := termBuf[:0]
 		for _, k := range keys {
 			terms = append(terms, r.resid[g][k])
 		}
 		nodeName, phase, _ := strings.Cut(g, "\x00")
 		node := h.Node(nodeName)
 		if node != nil {
-			r.addCons(sym.Add(terms...), sym.C(float64(node.Size)),
-				fmt.Sprintf("resident data fits %s (%s phase)", nodeName, phase))
+			r.addCons(r.b.Add(terms...), sym.C(float64(node.Size)),
+				"resident data fits "+nodeName+" ("+phase+" phase)")
 		}
 	}
 
@@ -383,7 +431,7 @@ func estimateOne(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, err
 		Size:        at,
 		Events:      r.ev,
 		Constraints: r.cons,
-		Seconds:     r.ev.Seconds(h),
+		Seconds:     r.ev.seconds(r.b, h),
 		Params:      ocal.Params(prog),
 	}
 	return res, nil
@@ -425,8 +473,8 @@ func (r *run) scaled(factor sym.Expr, f func() error) error {
 	if err != nil {
 		return err
 	}
-	sub.Scale(factor)
-	r.ev.Merge(sub)
+	sub.scale(r.b, factor)
+	r.ev.merge(r.b, sub)
 	return nil
 }
 
@@ -485,7 +533,7 @@ func (r *run) est(e ocal.Expr, g *ctx) (AType, locT, error) {
 		if err != nil {
 			return nil, locT{}, err
 		}
-		return MaxT(thenAt, elseAt), thenLoc, nil
+		return MaxT(r.b, thenAt, elseAt), thenLoc, nil
 	case ocal.Prim:
 		return r.estPrim(t, g)
 	case ocal.For:
@@ -511,7 +559,7 @@ func (r *run) estPrim(t ocal.Prim, g *ctx) (AType, locT, error) {
 	}
 	switch t.Op {
 	case ocal.OpConcat:
-		return AddT(args[0], args[1]), rootLoc, nil
+		return AddT(r.b, args[0], args[1]), rootLoc, nil
 	case ocal.OpHead:
 		el, err := Elem(args[0])
 		if err != nil {
@@ -523,7 +571,7 @@ func (r *run) estPrim(t ocal.Prim, g *ctx) (AType, locT, error) {
 		if !ok {
 			return nil, locT{}, fmt.Errorf("cost: tail of non-list")
 		}
-		return AList{Card: sym.Max(sym.Zero, sym.Sub(l.Card, sym.One)), Elem: l.Elem}, rootLoc, nil
+		return AList{Card: r.b.Max(sym.Zero, r.b.Sub(l.Card, sym.One)), Elem: l.Elem}, rootLoc, nil
 	default:
 		return AConst{Size: sym.C(float64(ocal.AtomBytes))}, rootLoc, nil
 	}
@@ -573,25 +621,25 @@ func (r *run) estFor(t ocal.For, g *ctx) (AType, locT, error) {
 	}
 	elem, _ := Elem(srcAt)
 	k := paramExpr(t.K)
-	elemBytes := Size(elem)
+	elemBytes := Size(r.b, elem)
 
 	xLocNode := r.root()
 	src := srcLoc.nodeOf()
 	if src != r.root() && src != "" {
-		bytes := Size(srcAt)
+		bytes := Size(r.b, srcAt)
 		var inits sym.Expr
 		parent := r.h.Parent(src)
 		if t.Seq != nil && parent != nil && t.Seq.From == src && t.Seq.To == parent.Name &&
 			r.seqStillValid(t, g, src) {
 			inits = r.seqInits(src, parent.Name, bytes)
 		} else {
-			inits = sym.Ceil(sym.Div(n, k))
+			inits = r.b.Ceil(r.b.Div(n, k))
 		}
 		xLocNode = r.chargeUp(src, bytes, inits)
 		if !t.K.IsOne() {
-			r.addResident(xLocNode, "block:"+t.X+":"+t.K.String(), sym.Mul(k, elemBytes))
+			r.addResident(xLocNode, "block:"+t.X+":"+t.K.String(), r.b.Mul(k, elemBytes))
 			if d := r.h.Node(src); d != nil && d.MaxSeqR > 0 {
-				r.addCons(sym.Mul(k, elemBytes), sym.C(float64(d.MaxSeqR)),
+				r.addCons(r.b.Mul(k, elemBytes), sym.C(float64(d.MaxSeqR)),
 					fmt.Sprintf("read block %s fits maxSeqR of %s", t.K.String(), src))
 			}
 		}
@@ -603,7 +651,7 @@ func (r *run) estFor(t ocal.For, g *ctx) (AType, locT, error) {
 	} else {
 		xAt = AList{Card: k, Elem: elem}
 	}
-	iters := sym.Ceil(sym.Div(n, k))
+	iters := r.b.Ceil(r.b.Div(n, k))
 	var bodyAt AType
 	err = r.scaled(iters, func() error {
 		at, _, err := r.est(t.Body, g.bind(t.X, binding{at: xAt, loc: leafLoc(xLocNode)}))
@@ -616,5 +664,5 @@ func (r *run) estFor(t ocal.For, g *ctx) (AType, locT, error) {
 	if _, ok := bodyAt.(AList); !ok {
 		return nil, locT{}, fmt.Errorf("cost: for body must produce a list, got %s", bodyAt)
 	}
-	return ScaleCard(bodyAt, iters), rootLoc, nil
+	return ScaleCard(r.b, bodyAt, iters), rootLoc, nil
 }

@@ -64,53 +64,56 @@ func (ev *Events) Bytes(e Edge) sym.Expr {
 	return nil
 }
 
-// AddInit accumulates InitCom events on an edge.
-func (ev *Events) AddInit(e Edge, n sym.Expr) {
+// The tally's builders take the synthesis' symbolic Builder (nil: the
+// package-level constructors); a tally never keeps it.
+
+// addInit accumulates InitCom events on an edge.
+func (ev *Events) addInit(b *sym.Builder, e Edge, n sym.Expr) {
 	ent := ev.entry(e)
 	if ent.init == nil {
 		ent.init = n
 	} else {
-		ent.init = sym.Add(ent.init, n)
+		ent.init = b.Add(ent.init, n)
 	}
 }
 
-// AddBytes accumulates transferred bytes on an edge.
-func (ev *Events) AddBytes(e Edge, n sym.Expr) {
+// addBytes accumulates transferred bytes on an edge.
+func (ev *Events) addBytes(b *sym.Builder, e Edge, n sym.Expr) {
 	ent := ev.entry(e)
 	if ent.bytes == nil {
 		ent.bytes = n
 	} else {
-		ent.bytes = sym.Add(ent.bytes, n)
+		ent.bytes = b.Add(ent.bytes, n)
 	}
 }
 
-// Merge adds all events of other into ev.
-func (ev *Events) Merge(other *Events) {
+// merge adds all events of other into ev.
+func (ev *Events) merge(b *sym.Builder, other *Events) {
 	for _, ent := range other.entries {
 		if ent.init != nil {
-			ev.AddInit(ent.edge, ent.init)
+			ev.addInit(b, ent.edge, ent.init)
 		}
 		if ent.bytes != nil {
-			ev.AddBytes(ent.edge, ent.bytes)
+			ev.addBytes(b, ent.edge, ent.bytes)
 		}
 	}
 }
 
-// Scale multiplies every tally by f (used when a subcomputation repeats).
-func (ev *Events) Scale(f sym.Expr) {
+// scale multiplies every tally by f (used when a subcomputation repeats).
+func (ev *Events) scale(b *sym.Builder, f sym.Expr) {
 	for i := range ev.entries {
 		if ev.entries[i].init != nil {
-			ev.entries[i].init = sym.Mul(f, ev.entries[i].init)
+			ev.entries[i].init = b.Mul(f, ev.entries[i].init)
 		}
 		if ev.entries[i].bytes != nil {
-			ev.entries[i].bytes = sym.Mul(f, ev.entries[i].bytes)
+			ev.entries[i].bytes = b.Mul(f, ev.entries[i].bytes)
 		}
 	}
 }
 
-// Seconds converts the tallies to estimated seconds using the hierarchy's
+// seconds converts the tallies to estimated seconds using the hierarchy's
 // edge weights: total = Σ init·InitCom + bytes·UnitTr.
-func (ev *Events) Seconds(h *memory.Hierarchy) sym.Expr {
+func (ev *Events) seconds(b *sym.Builder, h *memory.Hierarchy) sym.Expr {
 	var terms []sym.Expr
 	for _, ent := range ev.entries {
 		if ent.init == nil {
@@ -118,7 +121,7 @@ func (ev *Events) Seconds(h *memory.Hierarchy) sym.Expr {
 		}
 		w := h.InitCom(ent.edge.From, ent.edge.To)
 		if w != 0 {
-			terms = append(terms, sym.Mul(sym.C(w), ent.init))
+			terms = append(terms, b.Mul(sym.C(w), ent.init))
 		}
 	}
 	for _, ent := range ev.entries {
@@ -127,10 +130,10 @@ func (ev *Events) Seconds(h *memory.Hierarchy) sym.Expr {
 		}
 		w := h.UnitTr(ent.edge.From, ent.edge.To)
 		if w != 0 {
-			terms = append(terms, sym.Mul(sym.C(w), ent.bytes))
+			terms = append(terms, b.Mul(sym.C(w), ent.bytes))
 		}
 	}
-	return sym.Add(terms...)
+	return b.Add(terms...)
 }
 
 // EvalTotals evaluates the tally numerically under env: the total number of

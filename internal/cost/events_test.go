@@ -11,10 +11,10 @@ import (
 func TestEventsAccumulateAndScale(t *testing.T) {
 	ev := NewEvents()
 	e := Edge{From: "hdd", To: "ram"}
-	ev.AddInit(e, sym.V("x"))
-	ev.AddInit(e, sym.C(2))
-	ev.AddBytes(e, sym.C(100))
-	ev.Scale(sym.C(3))
+	ev.addInit(nil, e, sym.V("x"))
+	ev.addInit(nil, e, sym.C(2))
+	ev.addBytes(nil, e, sym.C(100))
+	ev.scale(nil, sym.C(3))
 	env := sym.Env{"x": 5}
 	if got := ev.Init(e).Eval(env); got != 21 {
 		t.Errorf("init = %v want 21", got)
@@ -27,10 +27,10 @@ func TestEventsAccumulateAndScale(t *testing.T) {
 func TestEventsMerge(t *testing.T) {
 	a, b := NewEvents(), NewEvents()
 	e := Edge{From: "hdd", To: "ram"}
-	a.AddBytes(e, sym.C(1))
-	b.AddBytes(e, sym.C(2))
-	b.AddInit(Edge{From: "ram", To: "hdd"}, sym.C(7))
-	a.Merge(b)
+	a.addBytes(nil, e, sym.C(1))
+	b.addBytes(nil, e, sym.C(2))
+	b.addInit(nil, Edge{From: "ram", To: "hdd"}, sym.C(7))
+	a.merge(nil, b)
 	if got := a.Bytes(e).Eval(nil); got != 3 {
 		t.Errorf("merged bytes = %v", got)
 	}

@@ -41,36 +41,53 @@ type Var string
 // Simplification (Add, Mul, Sum) compares and sorts subterms by key at every
 // level, so recomputing keys recursively made building a cost formula
 // quadratic in its size; the cache is why the fields below are only ever set
-// through the new* constructors.
+// through the new* constructors. id is zero until a Builder interns the node
+// (builder.go), and never changes after that.
 type nary struct {
 	op    string // "+" or "*"
 	terms []Expr
 	k     string
+	id    uint64
 }
 
 type div struct {
 	num, den Expr
 	k        string
+	id       uint64
 }
 
 type unary struct {
 	op  string // "ceil", "floor", "log2"
 	arg Expr
 	k   string
+	id  uint64
 }
 
 type minmax struct {
 	op    string // "max" or "min"
 	terms []Expr
 	k     string
+	id    uint64
 }
 
+// keyed is an operand with its canonical key, computed once: sorting or
+// deduplicating operands by key would otherwise format a constant's key (a
+// strconv call) at every comparison.
+type keyed struct {
+	k string
+	e Expr
+}
+
+func cmpKeyed(a, b keyed) int { return strings.Compare(a.k, b.k) }
+
 func newNary(op string, terms []Expr) *nary {
-	keys := make([]string, len(terms))
+	var buf [8]string
+	keys := buf[:0]
 	n := 2 + len(op) + len(terms)
-	for i, t := range terms {
-		keys[i] = t.key()
-		n += len(keys[i])
+	for _, t := range terms {
+		k := t.key()
+		keys = append(keys, k)
+		n += len(k)
 	}
 	var b strings.Builder
 	b.Grow(n)
@@ -92,14 +109,24 @@ func newUnary(op string, arg Expr) *unary {
 	return &unary{op: op, arg: arg, k: "(" + op + " " + arg.key() + ")"}
 }
 
-func newMinmax(op string, terms []Expr) *minmax {
-	parts := make([]string, len(terms))
-	for i, t := range terms {
-		parts[i] = t.key()
+// newMinmax builds a min/max node over ts, which are sorted by key.
+func newMinmax(op string, ts []keyed) *minmax {
+	terms := make([]Expr, len(ts))
+	n := 2 + len(op) + len(ts)
+	for i, t := range ts {
+		terms[i] = t.e
+		n += len(t.k)
 	}
-	sort.Strings(parts)
-	return &minmax{op: op, terms: terms,
-		k: "(" + op + " " + strings.Join(parts, " ") + ")"}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("(")
+	b.WriteString(op)
+	for _, t := range ts {
+		b.WriteString(" ")
+		b.WriteString(t.k)
+	}
+	b.WriteString(")")
+	return &minmax{op: op, terms: terms, k: b.String()}
 }
 
 func (c Const) Eval(Env) float64 { return float64(c) }
@@ -218,58 +245,47 @@ func C(x float64) Expr { return Const(x) }
 // V returns a variable expression.
 func V(name string) Expr { return Var(name) }
 
+// likeTerm is one non-constant term of a sum under construction: the
+// canonical key of its non-constant factor, that factor, and its constant
+// coefficient. term is the term itself when it is a product that
+// Mul(its coefficient, e) rebuilds exactly (see rebuilds).
+type likeTerm struct {
+	k    string
+	e    Expr
+	c    float64
+	term *nary
+}
+
 // Add returns the simplified sum of terms.
 func Add(terms ...Expr) Expr {
-	flat := make([]Expr, 0, len(terms))
-	constSum := 0.0
-	// Collect like terms: canonical key of the non-constant factor -> coeff.
-	coeff := map[string]float64{}
-	repr := map[string]Expr{}
-	add := func(e Expr) {
-		c, rest := splitCoeff(e)
-		k := rest.key()
-		if _, ok := repr[k]; !ok {
-			repr[k] = rest
+	var buf [8]likeTerm
+	ts, constSum := addTerms(buf[:0], 0, terms)
+	// Collect like terms: a stable sort by key puts each class together in
+	// walk order, so its first term represents it and its coefficients are
+	// summed in the order they were met.
+	slices.SortStableFunc(ts, func(a, b likeTerm) int { return strings.Compare(a.k, b.k) })
+	flat := make([]Expr, 0, len(ts)+1)
+	for i := 0; i < len(ts); {
+		first, c := ts[i], 0.0
+		j := i
+		for ; j < len(ts) && ts[j].k == first.k; j++ {
+			c += ts[j].c
 		}
-		coeff[k] += c
-	}
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch t := e.(type) {
-		case Const:
-			constSum += float64(t)
-		case *nary:
-			if t.op == "+" {
-				for _, s := range t.terms {
-					walk(s)
-				}
-				return
-			}
-			add(e)
-		default:
-			add(e)
-		}
-	}
-	for _, t := range terms {
-		walk(t)
-	}
-	keys := make([]string, 0, len(coeff))
-	for k := range coeff {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c := coeff[k]
-		if c == 0 {
-			continue
-		}
-		if c == 1 {
+		alone := j == i+1
+		i = j
+		switch {
+		case c == 0:
+		case c == 1:
 			// Mul(1, x) returns a node with x's exact key; reusing x skips
 			// the rebuild without changing the formula.
-			flat = append(flat, repr[k])
-			continue
+			flat = append(flat, first.e)
+		case alone && first.term != nil &&
+			math.Float64bits(c) == math.Float64bits(float64(first.term.terms[0].(Const))):
+			// Mul(Const(c), first.e) would rebuild the term itself.
+			flat = append(flat, first.term)
+		default:
+			flat = append(flat, Mul(Const(c), first.e))
 		}
-		flat = append(flat, Mul(Const(c), repr[k]))
 	}
 	if constSum != 0 {
 		flat = append(flat, Const(constSum))
@@ -281,6 +297,52 @@ func Add(terms ...Expr) Expr {
 		return flat[0]
 	}
 	return newNary("+", flat)
+}
+
+// addTerms appends the terms of a sum to ts, flattening nested sums and
+// splitting each term's constant coefficient off, and folds the constant
+// terms into constSum, both in walk order.
+func addTerms(ts []likeTerm, constSum float64, terms []Expr) ([]likeTerm, float64) {
+	for _, e := range terms {
+		switch t := e.(type) {
+		case Const:
+			constSum += float64(t)
+			continue
+		case *nary:
+			if t.op == "+" {
+				ts, constSum = addTerms(ts, constSum, t.terms)
+				continue
+			}
+		}
+		c, rest := splitCoeff(e)
+		ts = append(ts, likeTerm{k: rest.key(), e: rest, c: c, term: rebuilds(e)})
+	}
+	return ts, constSum
+}
+
+// rebuilds returns e when e is a product whose one constant factor comes
+// first and whose other factors are neither products nor quotients — then,
+// for splitCoeff(e) = (c, rest), Mul(Const(c), rest) has nothing to
+// flatten, merge or reorder and rebuilds e exactly — and nil otherwise.
+func rebuilds(e Expr) *nary {
+	n, ok := e.(*nary)
+	if !ok || n.op != "*" || len(n.terms) < 2 {
+		return nil
+	}
+	if _, ok := n.terms[0].(Const); !ok {
+		return nil
+	}
+	for _, t := range n.terms[1:] {
+		switch t := t.(type) {
+		case Const, *div:
+			return nil
+		case *nary:
+			if t.op == "*" {
+				return nil
+			}
+		}
+	}
+	return n
 }
 
 // splitCoeff splits e into (constant coefficient, residual expression).
@@ -320,48 +382,33 @@ func splitCoeff(e Expr) (float64, Expr) {
 
 // Mul returns the simplified product of factors.
 func Mul(factors ...Expr) Expr {
-	flat := make([]Expr, 0, len(factors))
-	constProd := 1.0
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch t := e.(type) {
-		case Const:
-			constProd *= float64(t)
-		case *nary:
-			if t.op == "*" {
-				for _, s := range t.terms {
-					walk(s)
-				}
-				return
-			}
-			flat = append(flat, e)
-		case *div:
-			// (a/b)*c -> keep as div to preserve exactness: fold later.
-			flat = append(flat, e)
-		default:
-			flat = append(flat, e)
+	n := 1
+	for _, f := range factors {
+		if t, ok := f.(*nary); ok && t.op == "*" {
+			n += len(t.terms)
+		} else {
+			n++
 		}
 	}
-	for _, f := range factors {
-		walk(f)
-	}
+	// flat[0] is kept for the folded constant, the non-constant factors follow.
+	flat, constProd := mulFactors(make([]Expr, 1, n), 1, factors)
 	if constProd == 0 {
 		return Zero
 	}
-	// Merge division factors: a * (n/d) = (a*n)/d.
-	var nums []Expr
+	// Merge division factors: a * (n/d) = (a*n)/d. A quotient is kept as a
+	// factor until here to preserve exactness.
 	var dens []Expr
-	for _, f := range flat {
+	for i, f := range flat[1:] {
 		if d, ok := f.(*div); ok {
-			nums = append(nums, d.num)
+			flat[1+i] = d.num
 			dens = append(dens, d.den)
-		} else {
-			nums = append(nums, f)
 		}
 	}
-	slices.SortStableFunc(nums, func(a, b Expr) int { return strings.Compare(a.key(), b.key()) })
+	nums := flat[1:]
+	sortByKey(nums)
 	if constProd != 1 {
-		nums = append([]Expr{Const(constProd)}, nums...)
+		flat[0] = Const(constProd)
+		nums = flat
 	}
 	var num Expr
 	switch len(nums) {
@@ -384,6 +431,42 @@ func Mul(factors ...Expr) Expr {
 	return Div(num, den)
 }
 
+// mulFactors appends the non-constant factors of a product to flat,
+// flattening nested products, and folds the constant factors into
+// constProd, both in walk order.
+func mulFactors(flat []Expr, constProd float64, factors []Expr) ([]Expr, float64) {
+	for _, e := range factors {
+		switch t := e.(type) {
+		case Const:
+			constProd *= float64(t)
+			continue
+		case *nary:
+			if t.op == "*" {
+				flat, constProd = mulFactors(flat, constProd, t.terms)
+				continue
+			}
+		}
+		flat = append(flat, e)
+	}
+	return flat, constProd
+}
+
+// sortByKey stable-sorts es by canonical key, computing each key once.
+func sortByKey(es []Expr) {
+	if len(es) < 2 {
+		return
+	}
+	var buf [8]keyed
+	ks := buf[:0]
+	for _, e := range es {
+		ks = append(ks, keyed{e.key(), e})
+	}
+	slices.SortStableFunc(ks, cmpKeyed)
+	for i := range ks {
+		es[i] = ks[i].e
+	}
+}
+
 // Sub returns a - b.
 func Sub(a, b Expr) Expr { return Add(a, Mul(Const(-1), b)) }
 
@@ -403,7 +486,7 @@ func Div(a, b Expr) Expr {
 	if ac, ok := a.(Const); ok && ac == 0 {
 		return Zero
 	}
-	if a.key() == b.key() {
+	if sameKey(a, b) {
 		return One
 	}
 	// (x/y)/z -> x/(y*z)
@@ -411,6 +494,26 @@ func Div(a, b Expr) Expr {
 		return Div(ad.num, Mul(ad.den, b))
 	}
 	return newDiv(a, b)
+}
+
+// sameKey reports a.key() == b.key(). A constant's key is a number and a
+// compound node's starts with "(", so a constant is told apart from a
+// compound node without formatting its key.
+func sameKey(a, b Expr) bool {
+	_, aConst := a.(Const)
+	_, bConst := b.(Const)
+	if aConst != bConst && (isCompound(a) || isCompound(b)) {
+		return false
+	}
+	return a.key() == b.key()
+}
+
+func isCompound(e Expr) bool {
+	switch e.(type) {
+	case Const, Var:
+		return false
+	}
+	return true
 }
 
 // Ceil returns ceil(a). Constants fold; ceil(ceil(x)) collapses.
@@ -447,46 +550,57 @@ func Max(terms ...Expr) Expr { return mkMinMax("max", terms) }
 func Min(terms ...Expr) Expr { return mkMinMax("min", terms) }
 
 func mkMinMax(op string, terms []Expr) Expr {
-	var flat []Expr
-	haveConst := false
-	var constVal float64
-	seen := map[string]bool{}
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		if m, ok := e.(*minmax); ok && m.op == op {
-			for _, t := range m.terms {
-				walk(t)
-			}
-			return
-		}
-		if c, ok := e.(Const); ok {
-			v := float64(c)
-			if !haveConst {
-				haveConst, constVal = true, v
-			} else if (op == "max" && v > constVal) || (op == "min" && v < constVal) {
-				constVal = v
-			}
-			return
-		}
-		if k := e.key(); !seen[k] {
-			seen[k] = true
-			flat = append(flat, e)
-		}
-	}
-	for _, t := range terms {
-		walk(t)
-	}
-	if haveConst {
-		flat = append(flat, Const(constVal))
+	var buf [8]keyed
+	var fold constFold
+	flat := minMaxTerms(op, buf[:0], &fold, terms)
+	if fold.have {
+		c := Const(fold.v)
+		flat = append(flat, keyed{c.key(), c})
 	}
 	switch len(flat) {
 	case 0:
 		return Zero
 	case 1:
-		return flat[0]
+		return flat[0].e
 	}
-	slices.SortStableFunc(flat, func(a, b Expr) int { return strings.Compare(a.key(), b.key()) })
+	slices.SortStableFunc(flat, cmpKeyed)
 	return newMinmax(op, flat)
+}
+
+// constFold is the running max (or min) of a min/max's constant terms.
+type constFold struct {
+	have bool
+	v    float64
+}
+
+// minMaxTerms appends the distinct non-constant terms of an op-node under
+// construction to flat, first occurrence first, flattening nested op-nodes,
+// and folds the constant terms into fold.
+func minMaxTerms(op string, flat []keyed, fold *constFold, terms []Expr) []keyed {
+next:
+	for _, e := range terms {
+		if m, ok := e.(*minmax); ok && m.op == op {
+			flat = minMaxTerms(op, flat, fold, m.terms)
+			continue
+		}
+		if c, ok := e.(Const); ok {
+			v := float64(c)
+			if !fold.have {
+				fold.have, fold.v = true, v
+			} else if (op == "max" && v > fold.v) || (op == "min" && v < fold.v) {
+				fold.v = v
+			}
+			continue
+		}
+		k := e.key()
+		for _, t := range flat {
+			if t.k == k {
+				continue next
+			}
+		}
+		flat = append(flat, keyed{k, e})
+	}
+	return flat
 }
 
 // Equal reports structural equality after simplification.
