@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -25,10 +26,10 @@ import (
 // parameter optimization over that space for one task. A cold synthesis is a
 // search followed by one such run over the space it just found; a template
 // hit (Replay.Instantiate) is the same run over a space found earlier, with
-// the compiled formulas kept between hits, valid provided a search at the new
-// cardinalities would find the same space. It does by construction: the
-// search enumerates every reachable program and the rewrite rules never read
-// cardinalities. A capture belongs to the process that searched: neither it
+// the compiled formulas the capturing run made kept between hits, valid
+// provided a search at the new cardinalities would find the same space. It
+// does by construction: the search enumerates every reachable program and the
+// rewrite rules never read cardinalities. A capture belongs to the process that searched: neither it
 // nor the programs in it have a serial form, and every Replay was screened by
 // the run that made it.
 
@@ -37,10 +38,6 @@ import (
 // pins memory per template; spaces beyond the limit (the default service
 // space is 4000) synthesize normally and return no capture.
 const CaptureLimit = 8192
-
-// maxCompiledCache bounds the per-Replay cache of precompiled optimizer
-// formulas (keyed by space index; the shortlist varies with cardinalities).
-const maxCompiledCache = 512
 
 // Capture is the reusable part of one synthesis run. Costs is aligned with
 // Space (nil entry = the program could not be costed); it is nil on a space
@@ -62,20 +59,58 @@ type Replay struct {
 	fc formulaCache
 }
 
-// formulaCache holds a capture's compiled formulas across instantiations.
-// The phases take a *formulaCache and treat nil as "compile, use, drop": a
-// cold run visits every formula once, and holding the compilations until the
-// run ends would only raise its peak heap.
+// formulaCache holds one compiled program per costed member of a capture:
+// screening binds it to a task's cardinalities and evaluates the heuristic
+// point, and tuning hands the same bound program to the optimizer. The
+// capturing run fills it, so neither its own tuning nor a later instantiation
+// compiles anything. The phases take a *formulaCache and treat nil as
+// "compile, use, drop": a run too large to capture visits every formula once,
+// and holding the compilations until it ends would only raise its peak heap.
 type formulaCache struct {
-	screen []*cost.CompiledFormulas // screening formulas, aligned with Space
-	bind   [][]int32                // per-member fixed-variable slot bindings
-	keys   []string                 // sorted fixed-env keys the bindings cover
-	full   map[int]*opt.Compiled    // optimizer formulas by space index
+	progs []*cost.CompiledFormulas // aligned with Space
+	bind  [][]int32                // per-member fixed-variable slot bindings
+	keys  []string                 // sorted fixed-env keys the bindings cover
 }
 
-// newReplay wraps a screened capture for instantiation.
-func newReplay(cp *Capture) *Replay {
-	return &Replay{cp: cp, fc: formulaCache{full: map[int]*opt.Compiled{}}}
+// fixedVals is a task's fixed environment — each input's cardinality
+// variable and its row count — in sorted name order, the form a compiled
+// program is bound through.
+type fixedVals struct {
+	keys []string
+	vals []float64
+}
+
+func (s *Synthesizer) fixedVals(t Task) fixedVals {
+	env := s.fixedEnv(t)
+	fx := fixedVals{keys: slices.Sorted(maps.Keys(env))}
+	fx.vals = make([]float64, len(fx.keys))
+	for i, k := range fx.keys {
+		fx.vals[i] = env[k]
+	}
+	return fx
+}
+
+// bound returns member i's compiled formulas bound to fx. A cache compiles
+// the member once, on first use, and keeps it; with a nil cache the program
+// is compiled fresh and the caller drops it. The program is a function of the
+// formulas alone — fixed values live in slots, and what they determine is
+// recomputed by every binding — so a kept program re-bound to new values
+// cannot differ in a single evaluation from a fresh one.
+func bound(fc *formulaCache, i int, res *cost.Result, fx fixedVals) *cost.CompiledFormulas {
+	var cf *cost.CompiledFormulas
+	var bind []int32
+	if fc != nil {
+		cf, bind = fc.progs[i], fc.bind[i]
+	}
+	if cf == nil {
+		cf = cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
+		bind = cf.Binding(fx.keys)
+		if fc != nil {
+			fc.progs[i], fc.bind[i] = cf, bind
+		}
+	}
+	cf.SetBound(bind, fx.vals)
+	return cf
 }
 
 // Instantiate re-runs the cardinality-dependent synthesis phases over the
@@ -93,8 +128,9 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// No estimator: the capturing run's screening pass filled cp.Costs, and
-	// the caller's guards ensure hierarchy and placement match that run's.
+	// No estimator: the capturing run's screening pass filled cp.Costs and
+	// the formula cache, and the caller's guards ensure hierarchy and
+	// placement match that run's.
 	short, err := r.cp.screen(ctx, s, t, &r.fc, nil)
 	if err != nil {
 		return nil, err
@@ -122,33 +158,20 @@ type shortlist struct {
 // they are costed concurrently; collecting by space index keeps the order —
 // and hence the screening tie-breaks — identical to a sequential run. est
 // costs the members of a space fresh out of the search (cp.Costs is nil); a
-// Replay, whose Costs are filled, passes nil.
+// Replay, whose Costs are filled, passes nil. The heuristic gives every
+// parameter the same value, so the programs' sorted parameter order cannot
+// move a screening bit.
 func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, est *cost.Estimator) (shortlist, error) {
 	space := cp.Space
-	fixed := s.fixedEnv(t)
+	fx := s.fixedVals(t)
 	screenTop := s.ScreenTop
 	if screenTop <= 0 {
 		screenTop = 48
 	}
-
-	// The formulas are compiled with the fixed variables unbound and bound
-	// through slots per task; a cached compilation re-bound to new values
-	// cannot differ in a single evaluation from a fresh one, because the
-	// program is a function of the formulas alone: fixed values live in
-	// slots, and what they determine is recomputed by every binding.
-	fixedKeys := make([]string, 0, len(fixed))
-	for k := range fixed {
-		fixedKeys = append(fixedKeys, k)
-	}
-	sort.Strings(fixedKeys)
-	fixedVals := make([]float64, len(fixedKeys))
-	for i, k := range fixedKeys {
-		fixedVals[i] = fixed[k]
-	}
-	if fc != nil && (fc.screen == nil || !slices.Equal(fixedKeys, fc.keys)) {
-		fc.screen = make([]*cost.CompiledFormulas, len(space))
+	if fc != nil && (fc.progs == nil || !slices.Equal(fx.keys, fc.keys)) {
+		fc.progs = make([]*cost.CompiledFormulas, len(space))
 		fc.bind = make([][]int32, len(space))
-		fc.keys = fixedKeys
+		fc.keys = fx.keys
 	}
 
 	_, spScreen := obs.Start(ctx, "synth.screen")
@@ -171,20 +194,7 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 		if res == nil {
 			return
 		}
-		var cf *cost.CompiledFormulas
-		var bind []int32
-		if fc != nil {
-			cf, bind = fc.screen[i], fc.bind[i]
-		}
-		if cf == nil {
-			cf = cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
-			bind = cf.Binding(fixedKeys)
-			if fc != nil {
-				fc.screen[i], fc.bind[i] = cf, bind
-			}
-		}
-		cf.SetBound(bind, fixedVals)
-		if sec := heuristicPoint(cf, len(res.Params)); !math.IsNaN(sec) {
+		if sec := heuristicPoint(bound(fc, i, res, fx)); !math.IsNaN(sec) {
 			secs[i] = sec
 		}
 	})
@@ -262,69 +272,41 @@ func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *for
 }
 
 // tune runs the non-linear solver on every shortlist member, one candidate
-// per worker (the minimization trajectory does not depend on whether the
-// compiled formulas came out of the cache). The candidates are aligned with
-// short.idx; nil marks a member with no feasible assignment. evals and points
-// are the solver's work summed over the shortlist: formula evaluations
-// performed and distinct points visited.
+// per worker. With a cache, a member's program is the one this task's
+// screening just bound; without one it is compiled and bound here. The
+// candidates are aligned with short.idx; nil marks a member with no feasible
+// assignment. evals and points are the solver's work summed over the
+// shortlist: formula evaluations performed and distinct points visited.
 func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) (cands []*Candidate, evals, points int) {
 	space, costs := cp.Space, cp.Costs
-	fixed := s.fixedEnv(t)
-	// compiled carries cache hits in and, when there is a cache, fresh
-	// compilations out: the map is not written from the workers.
-	var compiled []*opt.Compiled
-	if fc != nil {
-		compiled = make([]*opt.Compiled, len(short.idx))
-		for i, idx := range short.idx {
-			compiled[i] = fc.full[idx]
-		}
-	}
+	fx, hi := s.fixedVals(t), paramUpperBound(t)
 	cands = make([]*Candidate, len(short.idx))
 	work := make([][2]int, len(short.idx))
 	par.For(s.Workers, len(short.idx), func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		res := costs[short.idx[i]]
-		prob := opt.Problem{
-			Objective:   res.Seconds,
-			Constraints: res.Constraints,
-			Params:      res.Params,
-			Fixed:       fixed,
-			Hi:          paramUpperBounds(res.Params, t),
-		}
-		var c *opt.Compiled
+		idx := short.idx[i]
+		res := costs[idx]
+		var cf *cost.CompiledFormulas
 		if fc != nil {
-			c = compiled[i]
+			cf = fc.progs[idx] // bound to fx by this task's screening
+		} else {
+			cf = bound(nil, idx, res, fx)
 		}
-		if c == nil {
-			c = opt.Precompile(prob)
-			if fc != nil {
-				compiled[i] = c
-			}
-		}
-		rr, err := c.Minimize(prob)
-		work[i] = [2]int{c.Evals, c.Points}
+		rr, err := opt.Minimize(cf, hi)
+		work[i] = [2]int{rr.Evals, rr.Points}
 		if err != nil {
 			return
 		}
-		d := space[short.idx[i]]
 		cands[i] = &Candidate{
-			Expr:    d.Expr,
-			Steps:   d.Steps,
+			Expr:    space[idx].Expr,
+			Steps:   space[idx].Steps,
 			Params:  rr.Values,
 			Seconds: rr.Seconds,
 			Cost:    res,
 		}
 	})
-	for i, c := range compiled {
-		if len(fc.full) >= maxCompiledCache {
-			break
-		}
-		if c != nil {
-			fc.full[short.idx[i]] = c
-		}
-	}
 	for _, w := range work {
 		evals += w[0]
 		points += w[1]

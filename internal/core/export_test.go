@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"slices"
 
+	"ocas/internal/cost"
 	"ocas/internal/rules"
 )
 
@@ -24,4 +26,16 @@ func (r *Replay) TuneShortlist(ctx context.Context, s *Synthesizer, t Task) ([]*
 func (s *Synthesizer) SearchSpace(t Task) []rules.Derivation {
 	space, _ := s.search(context.Background(), t)
 	return space
+}
+
+// Programs copies the replay's formula cache, aligned with its space (nil =
+// no program), and reports which members were costed.
+func (r *Replay) Programs() (progs []*cost.CompiledFormulas, costed []bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	costed = make([]bool, len(r.cp.Costs))
+	for i, c := range r.cp.Costs {
+		costed[i] = c != nil
+	}
+	return slices.Clone(r.fc.progs), costed
 }

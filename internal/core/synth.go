@@ -171,21 +171,26 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	// repeats a program, so a whole-program cost memo could only add overhead.
 	// What the members do repeat is sub-formulas, and the estimator builds
 	// each of those once. It lives until this run returns: the Replay keeps
-	// the formulas, not the estimator.
-	short, err := cp.screen(ctx, s, t, nil, cost.NewEstimator(s.H, s.placement(t)))
+	// the formulas, not the estimator. A retained run screens into its
+	// Replay's formula cache, so its tuning and every later hit reuse the
+	// programs screening compiled.
+	var r *Replay
+	var fc *formulaCache
+	if len(cp.Space) <= CaptureLimit {
+		r = &Replay{cp: cp}
+		fc = &r.fc
+	}
+	short, err := cp.screen(ctx, s, t, fc, cost.NewEstimator(s.H, s.placement(t)))
 	if err != nil {
 		return nil, nil, err
 	}
-	// A retained run leaves with a Replay over its capture; the span marks
-	// that in the trace.
-	var r *Replay
-	if len(cp.Space) <= CaptureLimit {
+	if r != nil {
+		// The span marks the capture in the trace.
 		_, spCap := obs.Start(ctx, "synth.capture")
 		spCap.Attr("space", len(cp.Space))
 		spCap.End()
-		r = newReplay(cp)
 	}
-	res, err := cp.optimize(ctx, s, t, nil, short)
+	res, err := cp.optimize(ctx, s, t, fc, short)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,7 +231,8 @@ func (s *Synthesizer) search(ctx context.Context, t Task) ([]rules.Derivation, r
 // bound, so the repair loop rewrites a few parameter slots per iteration
 // instead of rebuilding an environment map; the evaluations are bit-identical
 // to Expr.Eval.
-func heuristicPoint(cf *cost.CompiledFormulas, nparams int) float64 {
+func heuristicPoint(cf *cost.CompiledFormulas) float64 {
+	nparams := len(cf.Params())
 	var buf [16]int64
 	vals := buf[:]
 	if nparams > len(buf) {
@@ -252,19 +258,12 @@ func heuristicPoint(cf *cost.CompiledFormulas, nparams int) float64 {
 	return cf.Seconds()
 }
 
-// paramUpperBounds caps each parameter at the total input size (a block
+// paramUpperBound caps every parameter at the total input size (a block
 // larger than the data is pointless) to keep the search compact.
-func paramUpperBounds(params []string, t Task) map[string]int64 {
+func paramUpperBound(t Task) int64 {
 	var total int64
 	for _, n := range t.InputRows {
 		total += n
 	}
-	if total < 16 {
-		total = 16
-	}
-	hi := map[string]int64{}
-	for _, p := range params {
-		hi[p] = total
-	}
-	return hi
+	return max(total, 16)
 }

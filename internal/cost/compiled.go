@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 
 	sym "ocas/internal/symbolic"
 )
@@ -9,45 +10,39 @@ import (
 // CompiledFormulas is a cost estimate's objective and capacity constraints
 // compiled into one sym.Program, for callers that evaluate the same formulas
 // at many parameter points: the synthesizer's screening heuristic and the
-// non-linear optimizer both drive their loops through this type, so the
-// slot/NaN semantics cannot drift between the two. Fixed values (input
-// cardinalities) are written with SetFixed or SetBound, which also run the
-// program's bind part; SetPointVals rewrites only the parameter slots. Not
-// safe for concurrent use — compile one per goroutine.
+// non-linear optimizer both drive their loops through one such program per
+// search-space member, so the slot/NaN semantics cannot drift between the
+// two. Fixed values (input cardinalities) are written with SetBound, which
+// also runs the program's bind part; SetPointVals rewrites only the
+// parameter slots. Not safe for concurrent use.
 type CompiledFormulas struct {
 	// prog's root 0 is the objective; roots 1+2i and 2+2i are constraint i's
 	// LHS and RHS.
-	prog  *sym.Program
-	ncons int
+	prog   *sym.Program
+	ncons  int
+	params []string
 }
 
 // CompileFormulas compiles the objective and constraints over the given
-// tuning parameters, with every other variable unbound.
+// tuning parameters, with every other variable unbound. The parameters are
+// taken in sorted order (Params); the order only lays out value slots, so it
+// changes no evaluation's bits.
 func CompileFormulas(seconds sym.Expr, cons []Constraint, params []string) *CompiledFormulas {
 	exprs := make([]sym.Expr, 1, 1+2*len(cons))
 	exprs[0] = seconds
 	for _, con := range cons {
 		exprs = append(exprs, con.LHS, con.RHS)
 	}
-	return &CompiledFormulas{prog: sym.Compile(exprs, params), ncons: len(cons)}
+	params = slices.Clone(params)
+	slices.Sort(params)
+	return &CompiledFormulas{prog: sym.Compile(exprs, params), ncons: len(cons), params: params}
 }
 
-// SetFixed binds the fixed variables for subsequent evaluations: names the
-// formulas never mention are ignored, variables the environment does not
-// mention keep their value. A tuning parameter also present in fixed is
-// overwritten by the next SetPointVals, as it would be in a merged
-// environment.
-func (c *CompiledFormulas) SetFixed(fixed sym.Env) {
-	for k, v := range fixed {
-		if s, ok := c.prog.Slot(k); ok {
-			c.prog.Set(s, v)
-		}
-	}
-	c.prog.Bind()
-}
+// Params are the tuning parameters in the order SetPointVals takes them.
+func (c *CompiledFormulas) Params() []string { return c.params }
 
-// SetPointVals writes the parameter values, in the order given to
-// CompileFormulas, for subsequent evaluations.
+// SetPointVals writes the parameter values, in Params order, for subsequent
+// evaluations.
 func (c *CompiledFormulas) SetPointVals(vals []int64) { c.prog.SetPoint(vals) }
 
 // Binding resolves names to value slots once (-1 when the formulas never
@@ -64,8 +59,9 @@ func (c *CompiledFormulas) Binding(names []string) []int32 {
 	return out
 }
 
-// SetBound writes vals (aligned with the Binding's names) through a
-// precomputed Binding — exactly SetFixed, minus the lookups.
+// SetBound binds the fixed variables for subsequent evaluations: it writes
+// vals (aligned with the Binding's names) through a precomputed Binding and
+// runs the bind part. Names the formulas never mention are skipped.
 func (c *CompiledFormulas) SetBound(bind []int32, vals []float64) {
 	for i, s := range bind {
 		if s >= 0 {

@@ -2,7 +2,8 @@
 // command-line flag tables against the actual flag definitions in
 // cmd/*/main.go (both directions — no undocumented flags, no documented
 // ghosts) and verifies that relative markdown links point at files that
-// exist. It runs as an ordinary test (and as CI's docs-lint step), so
+// exist, and that CI's fuzz smoke runs every fuzz target under internal/.
+// It runs as an ordinary test (and as CI's docs-lint step), so
 // documentation drift fails the build instead of accumulating.
 package doclint
 
@@ -11,6 +12,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -211,6 +213,62 @@ func CheckLinks(mdPaths ...string) error {
 				problems = append(problems, fmt.Sprintf("%s: broken link %q (%s)", p, m[1], resolved))
 			}
 		}
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("doclint:\n  %s", strings.Join(problems, "\n  "))
+	}
+	return nil
+}
+
+var (
+	fuzzFuncRE  = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	fuzzSmokeRE = regexp.MustCompile(`^go test -fuzz=(\w+) .*\./(internal/[\w/]*\w)/?$`)
+)
+
+// CheckFuzzSmoke compares the fuzz targets in the test files under
+// repoRoot/internal with the `go test -fuzz=Name ... ./internal/pkg/` lines
+// of .github/workflows/ci.yml, both directions: a target CI never fuzzes is
+// only a unit test of its seed corpus, and a line naming no target fuzzes
+// nothing without failing.
+func CheckFuzzSmoke(repoRoot string) error {
+	var defined, listed []string // "internal/pkg FuzzName"
+	err := filepath.WalkDir(filepath.Join(repoRoot, "internal"), func(path string, _ fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg, err := filepath.Rel(repoRoot, filepath.Dir(path))
+		for _, m := range fuzzFuncRE.FindAllSubmatch(src, -1) {
+			defined = append(defined, filepath.ToSlash(pkg)+" "+string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if len(defined) == 0 {
+		return fmt.Errorf("doclint: no fuzz targets under %s", filepath.Join(repoRoot, "internal"))
+	}
+	ci, err := os.ReadFile(filepath.Join(repoRoot, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		return err
+	}
+	for _, line := range strings.Split(string(ci), "\n") {
+		if m := fuzzSmokeRE.FindStringSubmatch(strings.TrimSpace(line)); m != nil {
+			listed = append(listed, m[2]+" "+m[1])
+		}
+	}
+	sort.Strings(defined)
+	sort.Strings(listed)
+	var problems []string
+	for _, missing := range diff(defined, listed) {
+		problems = append(problems, fmt.Sprintf("fuzz target %s is missing from ci.yml's fuzz smoke", missing))
+	}
+	for _, ghost := range diff(listed, defined) {
+		problems = append(problems, fmt.Sprintf("ci.yml fuzzes %s, which no test file under internal/ defines", ghost))
 	}
 	if len(problems) > 0 {
 		return fmt.Errorf("doclint:\n  %s", strings.Join(problems, "\n  "))

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -30,6 +31,45 @@ func TestMarkdownLinksResolve(t *testing.T) {
 	}
 	if err := CheckLinks(docs...); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFuzzTargetsInCISmoke: CI's fuzz smoke runs every fuzz target under
+// internal/, and every target it names exists.
+func TestFuzzTargetsInCISmoke(t *testing.T) {
+	if err := CheckFuzzSmoke(repoRoot); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheckFuzzSmokeFindsBothDirections(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/a/b/x_test.go", "package b\n\nfunc FuzzListed(f *testing.F) {}\n\nfunc FuzzUnlisted(f *testing.F) {}\n")
+	write("internal/a/y.go", "package a\n\nfunc FuzzNotATest(f *testing.F) {}\n")
+	write(".github/workflows/ci.yml", "    run: |\n"+
+		"      go test -fuzz=FuzzListed -fuzztime=30s ./internal/a/b/\n"+
+		"      go test -fuzz=FuzzGone -fuzztime=30s ./internal/a\n")
+	err := CheckFuzzSmoke(root)
+	if err == nil {
+		t.Fatal("an unlisted target and a listed ghost must be reported")
+	}
+	for _, want := range []string{"internal/a/b FuzzUnlisted is missing", "fuzzes internal/a FuzzGone"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("report lacks %q:\n%v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "FuzzListed") || strings.Contains(err.Error(), "FuzzNotATest") {
+		t.Errorf("report flags a listed target or a non-test file:\n%v", err)
 	}
 }
 

@@ -9,138 +9,83 @@ package opt
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"ocas/internal/cost"
-	sym "ocas/internal/symbolic"
 )
-
-// Problem is a constrained minimization over named integer parameters.
-type Problem struct {
-	// Objective is the cost formula in seconds.
-	Objective sym.Expr
-	// Constraints are LHS ≤ RHS capacity restrictions.
-	Constraints []cost.Constraint
-	// Params are the free parameters to tune (block sizes, buffer sizes,
-	// partition counts). Everything else must be bound by Fixed.
-	Params []string
-	// Fixed binds input cardinalities and any pre-chosen parameters.
-	Fixed sym.Env
-	// Lo/Hi optionally bound parameters; defaults are [1, 2^40].
-	Lo, Hi map[string]int64
-}
 
 // Result of a minimization.
 type Result struct {
 	Values  map[string]int64
 	Seconds float64
-}
-
-const (
-	defaultHi  = int64(1) << 40
-	maxPenalty = 1e12
-)
-
-// Minimize tunes the parameters. It returns an error when no feasible
-// assignment is found.
-func Minimize(p Problem) (*Result, error) { return Precompile(p).Minimize(p) }
-
-// Compiled is one problem's formulas compiled for repeated minimization
-// under varying Fixed environments (plan-template instantiation re-tunes the
-// same cost formulas at fresh cardinalities). Not safe for concurrent use.
-type Compiled struct {
-	params []string
-	cf     *cost.CompiledFormulas
-	// Evals and Points count the last Minimize: formula evaluations performed
-	// and distinct points visited. The point memo makes them equal; the
-	// search asks for about twice as many values as it visits points.
+	// Evals and Points count the minimization's work: formula evaluations
+	// performed and distinct points visited. The point memo makes them equal;
+	// the search asks for about twice as many values as it visits points.
 	Evals, Points int
 }
 
-// Precompile compiles p's formulas once. Only the Objective, Constraints and
-// Params of p matter here; Fixed, Lo and Hi are taken from the Problem given
-// to each Minimize call. The search evaluates the objective and every
-// constraint hundreds of times under environments that differ only in the
-// tuning parameters, so the formulas are one compiled program
-// (cost.CompileFormulas): fixed values are bound once per Minimize, and each
-// evaluation point just overwrites the parameter slots. Compiled evaluation
-// is bit-identical to Expr.Eval.
-func Precompile(p Problem) *Compiled {
-	if len(p.Params) == 0 {
-		// Parameter-free problems are evaluated once, on Expr.Eval.
-		return &Compiled{}
-	}
-	params := append([]string(nil), p.Params...)
-	sort.Strings(params)
-	return &Compiled{params: params, cf: cost.CompileFormulas(p.Objective, p.Constraints, params)}
-}
+const maxPenalty = 1e12
 
-// Minimize solves p over the precompiled formulas. p must carry the same
-// Objective, Constraints and Params the Compiled was built from; the
-// trajectory does not depend on how many problems the formulas have served.
-func (c *Compiled) Minimize(p Problem) (*Result, error) {
-	if len(p.Params) == 0 {
-		// The objective is a constant under Fixed (kept on Expr.Eval, one
-		// evaluation is cheaper than a compile).
-		c.Evals, c.Points = 1, 1
-		v := p.Objective.Eval(p.Fixed)
+// Minimize tunes cf's parameters (cf.Params) over [1, hi] each, hi >= 1,
+// minimizing the objective subject to the capacity constraints. cf arrives
+// bound to the fixed values (input cardinalities): the search evaluates the
+// objective and every constraint hundreds of times at points that differ
+// only in the parameter slots, so each evaluation just overwrites those.
+// Compiled evaluation is bit-identical to Expr.Eval, and the trajectory does
+// not depend on what cf or the pooled scratch served before. A
+// parameter-free objective is evaluated once and its constraints are not
+// consulted. When no feasible assignment is found Minimize returns an error,
+// and a Result that carries only Evals and Points.
+func Minimize(cf *cost.CompiledFormulas, hi int64) (*Result, error) {
+	params := cf.Params()
+	if len(params) == 0 {
+		res, v := &Result{Evals: 1, Points: 1}, cf.Seconds()
 		if math.IsNaN(v) {
-			return nil, fmt.Errorf("opt: objective has unbound variables: %v", sym.FreeVars(p.Objective))
+			return res, errors.New("opt: objective has unbound variables")
 		}
-		return &Result{Values: map[string]int64{}, Seconds: v}, nil
+		res.Seconds, res.Values = v, map[string]int64{}
+		return res, nil
 	}
-	c.cf.SetFixed(p.Fixed)
 	s := searchPool.Get().(*search)
 	defer searchPool.Put(s)
-	s.reset(c.cf, c.params, p)
+	s.reset(cf, len(params), hi)
 	best, bestVal := s.minimize()
-	c.Evals, c.Points = s.evals, s.memo.count
+	res := &Result{Evals: s.evals, Points: s.memo.count}
 	if math.IsInf(bestVal, 1) {
-		return nil, errors.New("opt: no feasible parameter assignment found")
+		return res, errors.New("opt: no feasible parameter assignment found")
 	}
-	values := make(map[string]int64, len(c.params))
-	for i, name := range c.params {
-		values[name] = best[i]
+	res.Seconds, res.Values = bestVal, make(map[string]int64, len(params))
+	for i, name := range params {
+		res.Values[name] = best[i]
 	}
-	return &Result{Values: values, Seconds: bestVal}, nil
+	return res, nil
 }
 
-// search is one minimization's scratch: the point and its bounds as slices
-// in params order, and the memo of every point evaluated so far. Searches
-// are pooled, so a warm Minimize allocates only its Result.
+// search is one minimization's scratch: the point as a slice in params
+// order, every coordinate bounded by [1, hi], and the memo of every point
+// evaluated so far. Searches are pooled, so a warm Minimize allocates only
+// its Result.
 type search struct {
-	cf     *cost.CompiledFormulas
-	buf    []int64 // backs lo, hi, x and best
-	lo, hi []int64
-	x      []int64 // the pattern search's current point
-	fx     float64 // its penalized value
-	mu     float64 // the current penalty level
-	best   []int64
-	memo   pointMemo
-	evals  int
+	cf    *cost.CompiledFormulas
+	hi    int64
+	buf   []int64 // backs x and best
+	x     []int64 // the pattern search's current point
+	fx    float64 // its penalized value
+	mu    float64 // the current penalty level
+	best  []int64
+	memo  pointMemo
+	evals int
 }
 
 var searchPool = sync.Pool{New: func() any { return new(search) }}
 
-func (s *search) reset(cf *cost.CompiledFormulas, params []string, p Problem) {
-	n := len(params)
-	s.cf, s.evals = cf, 0
-	if cap(s.buf) < 4*n {
-		s.buf = make([]int64, 4*n)
+func (s *search) reset(cf *cost.CompiledFormulas, n int, hi int64) {
+	s.cf, s.hi, s.evals = cf, hi, 0
+	if cap(s.buf) < 2*n {
+		s.buf = make([]int64, 2*n)
 	}
-	s.lo, s.hi, s.x, s.best = s.buf[:n:n], s.buf[n:2*n:2*n], s.buf[2*n:3*n:3*n], s.buf[3*n:4*n]
-	for i, name := range params {
-		s.lo[i], s.hi[i] = 1, defaultHi
-		if v, ok := p.Lo[name]; ok && v > 0 {
-			s.lo[i] = v
-		}
-		if v, ok := p.Hi[name]; ok && v > 0 {
-			s.hi[i] = v
-		}
-	}
+	s.x, s.best = s.buf[:n:n], s.buf[n:2*n]
 	s.memo.reset(n)
 }
 
@@ -177,11 +122,10 @@ func (s *search) minimize() ([]int64, float64) {
 	// a mid-scale point, to escape flat regions of ceil-shaped objectives.
 	for start := 0; start < 2; start++ {
 		for i := range s.x {
-			from := s.lo[i]
+			s.x[i] = 1
 			if start == 1 {
-				from = 1 << 12
+				s.x[i] = s.clamp(1 << 12)
 			}
-			s.x[i] = clamp(from, s.lo[i], s.hi[i])
 		}
 		for s.mu = 1.0; s.mu <= maxPenalty; s.mu *= 100 {
 			s.patternSearch()
@@ -204,7 +148,7 @@ func (s *search) minimize() ([]int64, float64) {
 // try moves coordinate i to cand (clamped) and keeps the move if it lowers
 // the penalized value.
 func (s *search) try(i int, cand int64) bool {
-	cand = clamp(cand, s.lo[i], s.hi[i])
+	cand = s.clamp(cand)
 	old := s.x[i]
 	if cand == old {
 		return false
@@ -220,8 +164,8 @@ func (s *search) try(i int, cand int64) bool {
 
 // tryPair moves budget from coordinate b to coordinate a by a factor.
 func (s *search) tryPair(a, b int, fac int64) bool {
-	ca := clamp(s.x[a]*fac, s.lo[a], s.hi[a])
-	cb := clamp(s.x[b]/fac, s.lo[b], s.hi[b])
+	ca := s.clamp(s.x[a] * fac)
+	cb := s.clamp(s.x[b] / fac)
 	oa, ob := s.x[a], s.x[b]
 	if ca == oa && cb == ob {
 		return false
@@ -263,7 +207,7 @@ func (s *search) patternSearch() {
 				if dir < 0 {
 					loV, hiV = x[i]/4, x[i]
 				}
-				loV, hiV = clamp(loV, s.lo[i], s.hi[i]), clamp(hiV, s.lo[i], s.hi[i])
+				loV, hiV = s.clamp(loV), s.clamp(hiV)
 				for hiV-loV > 1 {
 					mid := loV + (hiV-loV)/2
 					if s.try(i, mid) {
@@ -314,12 +258,5 @@ func (s *search) patternSearch() {
 	}
 }
 
-func clamp(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
+// clamp bounds a coordinate to [1, s.hi].
+func (s *search) clamp(v int64) int64 { return min(max(v, 1), s.hi) }

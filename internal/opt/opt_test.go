@@ -1,35 +1,54 @@
 package opt
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"ocas/internal/cost"
 	sym "ocas/internal/symbolic"
 )
 
+// noBound is the upper bound of the tests that do not test bounds.
+const noBound = int64(1) << 40
+
+// bound compiles an objective and its constraints over params and binds the
+// fixed values, as the synthesizer's screening pass does before it hands a
+// member's program to Minimize.
+func bound(obj sym.Expr, cons []cost.Constraint, params []string, fixed sym.Env) *cost.CompiledFormulas {
+	cf := cost.CompileFormulas(obj, cons, params)
+	names := slices.Sorted(maps.Keys(fixed))
+	vals := make([]float64, len(names))
+	for i, n := range names {
+		vals[i] = fixed[n]
+	}
+	cf.SetBound(cf.Binding(names), vals)
+	return cf
+}
+
 func TestNoParams(t *testing.T) {
-	r, err := Minimize(Problem{Objective: sym.Mul(sym.V("x"), sym.C(2)), Fixed: sym.Env{"x": 21}})
+	obj := sym.Add(sym.Mul(sym.V("x"), sym.C(2)), sym.Div(sym.V("x"), sym.C(3)))
+	fixed := sym.Env{"x": 21}
+	r, err := Minimize(bound(obj, nil, nil, fixed), noBound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Seconds != 42 {
-		t.Errorf("got %v", r.Seconds)
+	// One evaluation of the bound program, the bits of Expr.Eval.
+	if math.Float64bits(r.Seconds) != math.Float64bits(obj.Eval(fixed)) || r.Evals != 1 || r.Points != 1 {
+		t.Errorf("got %v after %d evaluations, want %v after 1", r.Seconds, r.Evals, obj.Eval(fixed))
 	}
-	if _, err := Minimize(Problem{Objective: sym.V("unbound")}); err == nil {
-		t.Error("expected error for unbound objective")
+	if r, err := Minimize(bound(sym.V("unbound"), nil, nil, nil), noBound); err == nil {
+		t.Errorf("expected error for unbound objective, got %v", r.Seconds)
 	}
 }
 
 func TestMaximizeBlockSizeUnderCapacity(t *testing.T) {
 	// cost = x/k seeks; constraint 8k <= 1e6. Optimum: k = 125000.
-	p := Problem{
-		Objective:   sym.Div(sym.V("x"), sym.V("k")),
-		Constraints: []cost.Constraint{{LHS: sym.Mul(sym.C(8), sym.V("k")), RHS: sym.C(1e6)}},
-		Params:      []string{"k"},
-		Fixed:       sym.Env{"x": 1e9},
-	}
-	r, err := Minimize(p)
+	cf := bound(sym.Div(sym.V("x"), sym.V("k")),
+		[]cost.Constraint{{LHS: sym.Mul(sym.C(8), sym.V("k")), RHS: sym.C(1e6)}},
+		[]string{"k"}, sym.Env{"x": 1e9})
+	r, err := Minimize(cf, noBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +63,7 @@ func TestCompetingBuffers(t *testing.T) {
 	// the solver must favour k2 (the inner, multiplied term)
 	// while keeping k1 > 0 — exactly the case the paper gives for using
 	// the optimizer instead of the single-loop heuristic.
-	p := Problem{
-		Objective: sym.Add(
-			sym.Div(sym.V("x"), sym.V("k1")),
-			sym.Mul(sym.Div(sym.V("x"), sym.V("k1")), sym.Div(sym.V("y"), sym.V("k2")))),
-		Constraints: []cost.Constraint{{
-			LHS: sym.Mul(sym.C(8), sym.Add(sym.V("k1"), sym.V("k2"))),
-			RHS: sym.C(8 * 1024)}},
-		Params: []string{"k1", "k2"},
-		Fixed:  sym.Env{"x": 1e6, "y": 1e6},
-	}
-	r, err := Minimize(p)
+	r, err := Minimize(competingBuffers(8*1024), noBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,28 +80,32 @@ func TestCompetingBuffers(t *testing.T) {
 }
 
 func TestInfeasibleReported(t *testing.T) {
-	p := Problem{
-		Objective:   sym.V("k"),
-		Constraints: []cost.Constraint{{LHS: sym.V("k"), RHS: sym.C(0.5)}}, // k>=1 always violates
-		Params:      []string{"k"},
+	cf := bound(sym.V("k"),
+		[]cost.Constraint{{LHS: sym.V("k"), RHS: sym.C(0.5)}}, // k>=1 always violates
+		[]string{"k"}, nil)
+	r, err := Minimize(cf, noBound)
+	if err == nil {
+		t.Fatal("expected infeasibility error")
 	}
-	if _, err := Minimize(p); err == nil {
-		t.Error("expected infeasibility error")
+	if r.Evals == 0 || r.Evals != r.Points {
+		t.Errorf("an infeasible search reports %d evaluations over %d points", r.Evals, r.Points)
 	}
 }
 
 func TestBoundsRespected(t *testing.T) {
-	p := Problem{
-		Objective: sym.Div(sym.C(1e9), sym.V("k")),
-		Params:    []string{"k"},
-		Hi:        map[string]int64{"k": 4096},
+	// The bound holds every parameter, and the params come back by name
+	// whatever order they were given in.
+	cf := bound(sym.Add(sym.Div(sym.C(1e9), sym.V("k")), sym.Div(sym.C(1e9), sym.V("b"))),
+		nil, []string{"k", "b"}, nil)
+	if got := cf.Params(); !slices.Equal(got, []string{"b", "k"}) {
+		t.Fatalf("params %v, want them sorted", got)
 	}
-	r, err := Minimize(p)
+	r, err := Minimize(cf, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Values["k"] != 4096 {
-		t.Errorf("k = %d want upper bound 4096", r.Values["k"])
+	if r.Values["k"] != 4096 || r.Values["b"] != 4096 {
+		t.Errorf("k = %d, b = %d, want the upper bound 4096", r.Values["k"], r.Values["b"])
 	}
 }
 
@@ -128,44 +141,42 @@ func TestExternalSortKSelection(t *testing.T) {
 	}
 }
 
-// competingBuffers is TestCompetingBuffers' problem with a RAM budget.
-func competingBuffers(budget float64) Problem {
-	return Problem{
-		Objective: sym.Add(
-			sym.Div(sym.V("x"), sym.V("k1")),
-			sym.Mul(sym.Div(sym.V("x"), sym.V("k1")), sym.Div(sym.V("y"), sym.V("k2")))),
-		Constraints: []cost.Constraint{{
+// competingBuffers is TestCompetingBuffers' problem with a RAM budget: the
+// cost x/k1 + (x/k1)(y/k2) under 8(k1+k2) <= budget, bound at x = y = 1e6.
+func competingBuffers(budget float64) *cost.CompiledFormulas {
+	return bound(sym.Add(
+		sym.Div(sym.V("x"), sym.V("k1")),
+		sym.Mul(sym.Div(sym.V("x"), sym.V("k1")), sym.Div(sym.V("y"), sym.V("k2")))),
+		[]cost.Constraint{{
 			LHS: sym.Mul(sym.C(8), sym.Add(sym.V("k1"), sym.V("k2"))),
 			RHS: sym.C(budget)}},
-		Params: []string{"k1", "k2"},
-		Fixed:  sym.Env{"x": 1e6, "y": 1e6},
-	}
+		[]string{"k1", "k2"}, sym.Env{"x": 1e6, "y": 1e6})
 }
 
-// TestWarmMinimizeAllocations: a minimization over precompiled formulas
-// allocates its Result and nothing per evaluation — the point, its bounds
-// and the point memo live in pooled scratch. The bound leaves room for one
-// fresh scratch (about ten allocations): under the race detector sync.Pool
-// drops a quarter of what is put back.
+// TestWarmMinimizeAllocations: a minimization over a bound program allocates
+// its Result and nothing per evaluation — the point and the point memo live
+// in pooled scratch. The bound leaves room for one fresh scratch (about ten
+// allocations): under the race detector sync.Pool drops a quarter of what is
+// put back.
 func TestWarmMinimizeAllocations(t *testing.T) {
 	var evals [2]int
 	for i, budget := range []float64{8 * 64, 8 << 30} {
-		p := competingBuffers(budget)
-		c := Precompile(p)
-		if _, err := c.Minimize(p); err != nil {
+		cf := competingBuffers(budget)
+		r, err := Minimize(cf, noBound)
+		if err != nil {
 			t.Fatal(err)
 		}
-		evals[i] = c.Evals
-		if c.Evals != c.Points {
-			t.Errorf("budget %v: %d evaluations for %d distinct points", budget, c.Evals, c.Points)
+		evals[i] = r.Evals
+		if r.Evals != r.Points {
+			t.Errorf("budget %v: %d evaluations for %d distinct points", budget, r.Evals, r.Points)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := c.Minimize(p); err != nil {
+			if _, err := Minimize(cf, noBound); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 16 {
-			t.Errorf("budget %v: a warm Minimize of %d evaluations allocates %v times, want at most 16", budget, c.Evals, allocs)
+			t.Errorf("budget %v: a warm Minimize of %d evaluations allocates %v times, want at most 16", budget, r.Evals, allocs)
 		}
 	}
 	if max(evals[0], evals[1]) < 2*min(evals[0], evals[1]) {
@@ -174,19 +185,25 @@ func TestWarmMinimizeAllocations(t *testing.T) {
 }
 
 // TestMinimizeRepeats: the trajectory does not depend on what the pooled
-// scratch or the compiled formulas served before.
+// scratch or the bound program served before — a search leaves the program's
+// parameter slots at its last point, and a re-bind to other fixed values in
+// between changes nothing either.
 func TestMinimizeRepeats(t *testing.T) {
 	small, large := competingBuffers(8*64), competingBuffers(8<<20)
-	c := Precompile(large)
-	first, err := c.Minimize(large)
+	first, err := Minimize(large, noBound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, points := c.Evals, c.Points
-	if _, err := c.Minimize(small); err != nil {
+	if _, err := Minimize(small, noBound); err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.Minimize(large)
+	names := []string{"x", "y"}
+	large.SetBound(large.Binding(names), []float64{3, 5})
+	if _, err := Minimize(large, 64); err != nil {
+		t.Fatal(err)
+	}
+	large.SetBound(large.Binding(names), []float64{1e6, 1e6})
+	again, err := Minimize(large, noBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +211,8 @@ func TestMinimizeRepeats(t *testing.T) {
 		first.Values["k1"] != again.Values["k1"] || first.Values["k2"] != again.Values["k2"] {
 		t.Errorf("second run found %v at %v, first %v at %v", again.Seconds, again.Values, first.Seconds, first.Values)
 	}
-	if c.Evals != evals || c.Points != points {
-		t.Errorf("second run: %d evaluations over %d points, first %d over %d", c.Evals, c.Points, evals, points)
+	if again.Evals != first.Evals || again.Points != first.Points {
+		t.Errorf("second run: %d evaluations over %d points, first %d over %d", again.Evals, again.Points, first.Evals, first.Points)
 	}
 }
 

@@ -147,6 +147,10 @@ type Compiled struct {
 	// with input cardinalities and hierarchy constants left out, so every
 	// request of the same shape shares one template (see template.go).
 	TemplateFingerprint string
+
+	// hierJSON is the canonical JSON of H as compiled: the plan fingerprint,
+	// the template's shape and its hierarchy guard all read this one rendering.
+	hierJSON string
 }
 
 // Compile normalizes and validates a request, returning everything needed
@@ -226,17 +230,17 @@ func Compile(req Request) (*Compiled, error) {
 	// this request's synthesis and die with the Compiled.
 	synth := &core.Synthesizer{H: h, MaxDepth: req.Depth, MaxSpace: req.Space,
 		Workers: req.Workers, Keys: rules.NewKeyer()}
-	alpha := rules.AlphaKey(prog)
-	fp, err := fingerprint(req, alpha, h)
+	hj, err := json.Marshal(h)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hierarchy fingerprint: %w", err)
 	}
-	tfp, err := templateFingerprint(req, alpha, h)
+	alpha := rules.AlphaKey(prog)
+	tfp, err := templateFingerprint(req, alpha, hj)
 	if err != nil {
 		return nil, err
 	}
 	return &Compiled{Req: req, Prog: prog, H: h, Synth: synth, Task: task,
-		Fingerprint: fp, TemplateFingerprint: tfp}, nil
+		Fingerprint: fingerprint(req, alpha, hj), TemplateFingerprint: tfp, hierJSON: string(hj)}, nil
 }
 
 // builtinHier is the one list of named hierarchies; cmd/ocas resolves its
@@ -278,14 +282,10 @@ func buildHierarchy(req Request) (*memory.Hierarchy, error) {
 
 // fingerprint derives the content address of a request: a SHA-256 over the
 // alpha-normalized program (alpha, its printing), the canonical hierarchy
-// JSON, the placement and the search knobs. Whitespace, comments, binder
+// JSON (hj), the placement and the search knobs. Whitespace, comments, binder
 // names and worker counts never change the fingerprint; anything that can
 // change the winning plan does.
-func fingerprint(req Request, alpha string, h *memory.Hierarchy) (string, error) {
-	hj, err := json.Marshal(h)
-	if err != nil {
-		return "", fmt.Errorf("hierarchy fingerprint: %w", err)
-	}
+func fingerprint(req Request, alpha string, hj []byte) string {
 	var b strings.Builder
 	b.WriteString("ocas-plan-v1\n")
 	fmt.Fprintf(&b, "prog %s\n", alpha)
@@ -299,7 +299,7 @@ func fingerprint(req Request, alpha string, h *memory.Hierarchy) (string, error)
 	fmt.Fprintf(&b, "strategy %s:%d\ndepth %d\nspace %d\n",
 		req.Strategy, req.Beam, req.Depth, req.Space)
 	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 func sortedInputNames(in map[string]Input) []string {

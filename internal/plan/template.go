@@ -81,14 +81,10 @@ func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
 	if replay == nil {
 		return p, nil, nil
 	}
-	hj, err := json.Marshal(c.H)
-	if err != nil {
-		return nil, nil, fmt.Errorf("template hierarchy signature: %w", err)
-	}
 	t := &Template{
 		Fingerprint: c.TemplateFingerprint,
 		SpecText:    ocal.String(c.Prog),
-		HierSig:     string(hj),
+		HierSig:     c.hierJSON,
 		replay:      replay,
 	}
 	return p, t, nil
@@ -99,17 +95,8 @@ func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
 // for byte. ErrTemplateStale means the guards could not prove that, and the
 // caller must synthesize from scratch. Safe for concurrent use.
 func (c *Compiled) Instantiate(ctx context.Context, t *Template) (*Plan, error) {
-	if t.Fingerprint != c.TemplateFingerprint {
-		return nil, ErrTemplateStale
-	}
-	hj, err := json.Marshal(c.H)
-	if err != nil {
-		return nil, fmt.Errorf("template hierarchy signature: %w", err)
-	}
-	if string(hj) != t.HierSig {
-		return nil, ErrTemplateStale
-	}
-	if ocal.String(c.Prog) != t.SpecText {
+	if t.Fingerprint != c.TemplateFingerprint || c.hierJSON != t.HierSig ||
+		ocal.String(c.Prog) != t.SpecText {
 		return nil, ErrTemplateStale
 	}
 	res, err := t.replay.Instantiate(ctx, c.Synth, c.Task)
@@ -123,8 +110,8 @@ func (c *Compiled) Instantiate(ctx context.Context, t *Template) (*Plan, error) 
 // fingerprint with everything cardinality- and constant-shaped left out.
 // Input rows and the hierarchy's sizes/costs are free template slots;
 // binder names, whitespace and worker counts never mattered.
-func templateFingerprint(req Request, alpha string, h *memory.Hierarchy) (string, error) {
-	shape, err := hierShape(h)
+func templateFingerprint(req Request, alpha string, hj []byte) (string, error) {
+	shape, err := hierShape(hj)
 	if err != nil {
 		return "", err
 	}
@@ -151,13 +138,10 @@ type shapeNode struct {
 	Children []shapeNode `json:"children,omitempty"`
 }
 
-// hierShape renders the hierarchy's topology — names, kinds, parent/child
-// structure — without sizes, page sizes or transfer costs.
-func hierShape(h *memory.Hierarchy) (string, error) {
-	full, err := json.Marshal(h)
-	if err != nil {
-		return "", fmt.Errorf("template hierarchy shape: %w", err)
-	}
+// hierShape renders the topology of the hierarchy whose canonical JSON is
+// full — names, kinds, parent/child structure — without sizes, page sizes or
+// transfer costs.
+func hierShape(full []byte) (string, error) {
 	var root shapeNode
 	if err := json.Unmarshal(full, &root); err != nil {
 		return "", fmt.Errorf("template hierarchy shape: %w", err)

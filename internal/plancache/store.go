@@ -18,12 +18,12 @@ import (
 var errNoTemplate = errors.New("plancache: run produced no template")
 
 // ResolveFuncs are the synthesis entry points Resolve orchestrates. The
-// caller (the service) wraps admission control around Synthesize and
-// Capture — the full-search paths — but not Instantiate, which is cheap by
-// construction.
+// caller (the service) wraps admission control around Capture — the full
+// search — but not Instantiate, which is cheap by construction.
 type ResolveFuncs struct {
-	// Synthesize is the full search without the template: what a waiter on
-	// another request's capture runs when that capture came back without one.
+	// Synthesize is never called: a shared waiter on a shape too large to
+	// template runs Capture and drops the nil template. The field stays only
+	// because the benchmark module's in-process replay still sets it.
 	Synthesize func(ctx context.Context) (*plan.Plan, error)
 	// Capture is the full search, returning the run's template as well (nil
 	// template with a valid plan when the space was too large to keep).
@@ -126,9 +126,10 @@ func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFu
 		if leaderPlan != nil {
 			return leaderPlan, nil
 		}
-		// A shared waiter on a shape too large to template: synthesize
-		// normally.
-		return f.Synthesize(ctx)
+		// A shared waiter on a shape too large to template: search for
+		// itself, and drop the template its run cannot have either.
+		p, _, err := f.Capture(ctx)
+		return p, err
 	case err != nil:
 		return nil, err
 	}

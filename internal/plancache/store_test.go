@@ -46,7 +46,6 @@ func resolveReq(t *testing.T, s *Store, req plan.Request, captures *atomic.Int64
 		t.Fatalf("Compile: %v", err)
 	}
 	f := ResolveFuncs{
-		Synthesize: cc.Run,
 		Capture: func(ctx context.Context) (*plan.Plan, *plan.Template, error) {
 			if captures != nil {
 				captures.Add(1)

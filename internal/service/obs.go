@@ -69,8 +69,6 @@ func (s *Server) initObs() {
 
 	s.reg.Func("ocas_executions_total", "Completed /execute runs.", obs.KindCounter,
 		func() float64 { return float64(s.exec.executions.Load()) })
-	s.reg.Func("ocas_pool_evictions_total", "Buffer-pool block evictions across executions.", obs.KindCounter,
-		func() float64 { return float64(s.exec.poolEvictions.Load()) })
 	s.reg.Func("ocas_pool_shrinks_total", "Buffer-pool budget shrinks across executions.", obs.KindCounter,
 		func() float64 { return float64(s.exec.poolShrinks.Load()) })
 	s.reg.Func("ocas_spills_total", "Spill files created across executions.", obs.KindCounter,

@@ -115,7 +115,6 @@ type ExecStats struct {
 	ActiveWorkers int64 `json:"activeWorkers"`
 	WorkerSlots   int64 `json:"workerSlots"`
 	Executions    int64 `json:"executions"`
-	PoolEvictions int64 `json:"poolEvictions"`
 	PoolShrinks   int64 `json:"poolShrinks"`
 	Spills        int64 `json:"spills"`
 	SpillBytes    int64 `json:"spillBytes"`
@@ -133,11 +132,10 @@ type Server struct {
 	// bound: their plans are the best of a partial space.
 	truncated atomic.Int64
 	exec      struct {
-		executions    atomic.Int64
-		poolEvictions atomic.Int64
-		poolShrinks   atomic.Int64
-		spills        atomic.Int64
-		spillBytes    atomic.Int64
+		executions  atomic.Int64
+		poolShrinks atomic.Int64
+		spills      atomic.Int64
+		spillBytes  atomic.Int64
 	}
 	// tables counts catalog mutations through the HTTP surface (the
 	// catalog's own Stats cover rows/segments).
@@ -234,10 +232,6 @@ func (s *Server) resolvePlan(ctx context.Context, compiled *plan.Compiled) (*pla
 		return p, t, err
 	}
 	return s.store.Resolve(ctx, compiled.Fingerprint, compiled.TemplateFingerprint, plancache.ResolveFuncs{
-		Synthesize: func(cctx context.Context) (*plan.Plan, error) {
-			p, _, err := search(cctx)
-			return p, err
-		},
 		Capture:     search,
 		Instantiate: compiled.Instantiate,
 	})
@@ -486,7 +480,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	s.slots.Release(int64(workers))
 	if err == nil {
 		s.exec.executions.Add(1)
-		s.exec.poolEvictions.Add(rep.Pool.Evictions)
 		s.exec.poolShrinks.Add(rep.Pool.Shrinks)
 		s.exec.spills.Add(rep.Pool.Spills)
 		s.exec.spillBytes.Add(rep.Pool.SpillBytes)
@@ -609,7 +602,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ActiveWorkers: s.slots.InUse(),
 			WorkerSlots:   int64(s.cfg.MaxWorkerSlots),
 			Executions:    s.exec.executions.Load(),
-			PoolEvictions: s.exec.poolEvictions.Load(),
 			PoolShrinks:   s.exec.poolShrinks.Load(),
 			Spills:        s.exec.spills.Load(),
 			SpillBytes:    s.exec.spillBytes.Load(),

@@ -122,3 +122,60 @@ func FuzzCompiledEval(f *testing.F) {
 		checkCompiled(t, seed, paramMask, unboundMask, [3]int64{a, b, c})
 	})
 }
+
+// TestPermutedParamsSameBits: the order of Compile's params lays out value
+// slots and nothing else, so programs compiled from the same formulas with
+// the parameters permuted evaluate to the same bits — NaN payloads included —
+// at the same named point. The synthesizer compiles each member once with its
+// parameters sorted, for screening and tuning alike, and rests on this.
+func TestPermutedParamsSameBits(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	names := []string{"x", "y", "z", "w", "unused"}
+	for i := 0; i < 2000; i++ {
+		roots := randomRoots(r)
+		var params, fixed []string
+		for _, n := range names {
+			if r.Intn(2) == 0 {
+				params = append(params, n)
+			} else if r.Intn(4) != 0 { // the rest stay unbound (NaN)
+				fixed = append(fixed, n)
+			}
+		}
+		perm := append([]string(nil), params...)
+		r.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		p, q := Compile(roots, params), Compile(roots, perm)
+		for _, n := range fixed {
+			v := float64(r.Intn(11) - 2)
+			for _, prog := range []*Program{p, q} {
+				if s, ok := prog.Slot(n); ok {
+					prog.Set(s, v)
+				}
+			}
+		}
+		p.Bind()
+		q.Bind()
+		for eval := 0; eval < 3; eval++ {
+			at := map[string]int64{}
+			for _, n := range params {
+				at[n] = []int64{r.Int63n(9) - 1, 1 << uint(r.Intn(20)), r.Int63n(1 << 30)}[eval]
+			}
+			p.SetPoint(pointOf(params, at))
+			q.SetPoint(pointOf(perm, at))
+			for j := range roots {
+				if a, b := p.Eval(j), q.Eval(j); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("draw %d, params %v vs %v at %v: root %d (%s) reads %016x vs %016x",
+						i, params, perm, at, j, roots[j], math.Float64bits(a), math.Float64bits(b))
+				}
+			}
+		}
+	}
+}
+
+// pointOf lays out a named point in the given parameter order.
+func pointOf(params []string, at map[string]int64) []int64 {
+	out := make([]int64, len(params))
+	for i, n := range params {
+		out[i] = at[n]
+	}
+	return out
+}
