@@ -13,13 +13,12 @@ import (
 // the snapshot's lengths or moves on to fresh vectors). Concurrent ingest or
 // even a Drop does not disturb a handle mid-scan (open descriptors survive
 // the unlink). A Handle implements storage.Backing through ReadCols, so it
-// plugs straight into Device.NewBackedSpill / exec.NewBackedTable — segment
-// chunks and the buffered tail stream into the spill's column vectors as
-// they are.
+// plugs straight into exec.NewBackedTable — segment chunks and the buffered
+// tail stream into the table's column vectors as they are.
 //
 // ReadCols is not safe for concurrent calls on one Handle (segment readers
-// share a scratch buffer); the executor satisfies this by materializing a
-// backed spill's payload exactly once behind a sync.Once.
+// share a scratch buffer); the executor reads a table's payload in one call,
+// when the table is bound, and the handle can close right after.
 type Handle struct {
 	name  string
 	arity int

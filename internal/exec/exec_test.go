@@ -91,6 +91,15 @@ func flatSpill(sp *storage.Spill) []int32 {
 	return out
 }
 
+// columnsOf stripes row-major rows of the given arity into column vectors.
+func columnsOf(rows []int32, arity int) [][]int32 {
+	cols := make([][]int32, arity)
+	for i, v := range rows {
+		cols[i%arity] = append(cols[i%arity], v)
+	}
+	return cols
+}
+
 // tapRows adapts a row-at-a-time observer to Sink.Tap.
 func tapRows(f func(row []int32)) func(*Batch) {
 	var row []int32
@@ -430,17 +439,6 @@ func TestFlashEraseAccounting(t *testing.T) {
 	if d.Led.WriteInits < 4 || d.Led.WriteInits > 6 {
 		t.Errorf("expected ~5 erase events for 1.2MB/256K, got %d", d.Led.WriteInits)
 	}
-}
-
-func TestSpillBoundsPanic(t *testing.T) {
-	sim := newSim(t)
-	tb := loadTableSim(sim, "hdd", 1, []int32{1, 2, 3})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on over-capacity append")
-		}
-	}()
-	tb.Append(sim.Root(), make([]int32, 32))
 }
 
 // TestOpenFailureClosesCleanly runs programs whose Open cannot complete

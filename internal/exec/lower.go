@@ -2,9 +2,7 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
@@ -82,24 +80,11 @@ func (p *Program) WorkerLedgers() []WorkerLedger {
 }
 
 // Run executes the program to completion. Whatever the outcome — success,
-// error or cancellation — the run's scratch spills are freed, so a
-// cancelled request releases its device space.
-func (p *Program) Run() (err error) {
+// error (a device too full for a spill or the output among them) or
+// cancellation — the run's scratch spills are freed, so a cancelled request
+// releases its device space.
+func (p *Program) Run() error {
 	defer p.c.freeSpills()
-	// The storage layer reports data-dependent exhaustion (a fixed-capacity
-	// volume overflowing, a scratch device running out of space mid-spill)
-	// by panicking; at the program boundary those become errors so a
-	// service request fails cleanly instead of crashing its handler.
-	defer func() {
-		if r := recover(); r != nil {
-			msg, ok := r.(string)
-			if !ok || !strings.HasPrefix(msg, "storage:") {
-				panic(r)
-			}
-			p.Root.Close()
-			err = errors.New(msg)
-		}
-	}()
 	if err := p.Root.Open(p.c); err != nil {
 		p.Root.Close()
 		return err
@@ -119,8 +104,16 @@ func (p *Program) Run() (err error) {
 			break
 		}
 		p.Sink.WriteBatch(&b)
+		if p.Sink.Err != nil {
+			p.Root.Close()
+			return p.Sink.Err
+		}
 	}
 	p.Sink.Flush()
+	if p.Sink.Err != nil {
+		p.Root.Close()
+		return p.Sink.Err
+	}
 	if err := p.Root.Close(); err != nil {
 		return err
 	}

@@ -122,8 +122,8 @@ func (c *Ctx) err() error {
 
 // newSpill creates a scratch spill through the pool and registers it for
 // end-of-run cleanup, so a cancelled request releases its device space.
-func (c *Ctx) newSpill(width, capRecords int64) (*storage.Spill, error) {
-	sp, err := c.Pool.NewSpill(c.Scratch, width, capRecords)
+func (c *Ctx) newSpill(width, reserve int64) (*storage.Spill, error) {
+	sp, err := c.Pool.NewSpill(c.Scratch, width, reserve)
 	if err != nil {
 		return nil, err
 	}
@@ -776,7 +776,9 @@ func materialize(r blockReader, c *Ctx) (*tableReader, error) {
 				return nil, err
 			}
 		}
-		sp.AppendCols(c.acct(), blk, int64(len(blk[0])))
+		if err := sp.AppendCols(c.acct(), blk, int64(len(blk[0]))); err != nil {
+			return nil, err
+		}
 		if blk, err = r.next(c.batchRows()); err != nil {
 			return nil, err
 		}
@@ -785,7 +787,7 @@ func materialize(r blockReader, c *Ctx) (*tableReader, error) {
 		return nil, err
 	}
 	if sp == nil {
-		// Empty stream: a zero-capacity spill of a nominal width.
+		// Empty stream: an empty spill of a nominal width.
 		ar := r.arity()
 		if ar <= 0 {
 			ar = 1

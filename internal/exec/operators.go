@@ -891,16 +891,19 @@ func (o *ExtSort) mergePass(c *Ctx, src *storage.Spill, lo, hi int64, dst *stora
 	// matching stripes.
 	outCols := frameCols(out, o.arity)
 	outRows := int64(0)
-	flush := func() {
+	flush := func() error {
 		if outRows == 0 {
-			return
+			return nil
 		}
 		c.cpu(outRows*a*4, c.Sim.MoveSeconds)
-		dst.AppendCols(c.acct(), outCols, outRows)
+		if err := dst.AppendCols(c.acct(), outCols, outRows); err != nil {
+			return err
+		}
 		for i := range outCols {
 			outCols[i] = outCols[i][:0]
 		}
 		outRows = 0
+		return nil
 	}
 	// Cursor frames are pinned once per pass and reused across merge
 	// groups: a first pass over singleton runs visits millions of groups,
@@ -949,7 +952,9 @@ func (o *ExtSort) mergePass(c *Ctx, src *storage.Spill, lo, hi int64, dst *stora
 			}
 			outRows++
 			if outRows >= bout {
-				flush()
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 			cu.pos++
 			if err := o.fillCtx(c, cu, int64(o.Way)); err != nil {
@@ -960,8 +965,7 @@ func (o *ExtSort) mergePass(c *Ctx, src *storage.Spill, lo, hi int64, dst *stora
 			frames[i] = cu.frame // keep any frame fill pinned for reuse
 		}
 	}
-	flush()
-	return nil
+	return flush()
 }
 
 // step emits the next row of the final streamed merge.

@@ -11,8 +11,6 @@
 package exec
 
 import (
-	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,25 +29,6 @@ const MaxWorkers = maxPartitions
 // operators choose. It is a property of the plan, deliberately independent
 // of the worker count: more workers than partitions idle, fewer queue.
 const maxPartitions = 8
-
-// runTask invokes one partition task, converting the storage layer's
-// data-dependent exhaustion panics (scratch device full mid-spill, fixed
-// capacity overflow) into errors. Program.Run performs the same conversion
-// for the driver goroutine; worker goroutines need their own recovery or a
-// full scratch device under ExecWorkers >= 2 would crash the process —
-// and, in a daemon, every in-flight request — instead of failing the run.
-func runTask(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			msg, ok := r.(string)
-			if !ok || !strings.HasPrefix(msg, "storage:") {
-				panic(r)
-			}
-			err = errors.New(msg)
-		}
-	}()
-	return fn()
-}
 
 // clampParts applies the [1, maxPartitions] bound.
 func clampParts(p int64) int {
@@ -96,8 +75,7 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 	}
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			i := i
-			errs[i] = runTask(func() error { return fn(i, ctxs[i]) })
+			errs[i] = fn(i, ctxs[i])
 			c.adopt(ctxs[i], i, w)
 			if errs[i] != nil {
 				return errs[i]
@@ -121,8 +99,7 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 					errs[i] = err
 					return
 				}
-				i := i
-				if errs[i] = runTask(func() error { return fn(i, ctxs[i]) }); errs[i] != nil {
+				if errs[i] = fn(i, ctxs[i]); errs[i] != nil {
 					failed.Store(true)
 					return
 				}
@@ -220,7 +197,7 @@ func (g *Gather) lane(l int) {
 	for i := l; i < len(g.Parts) && !g.failed.Load(); i += g.lanes {
 		err := g.c.err()
 		if err == nil {
-			err = runTask(func() error { return g.runPart(i) })
+			err = g.runPart(i)
 		}
 		if err != nil {
 			g.errs[i] = err
@@ -474,13 +451,13 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		capRows []int64
 		arity   int
 	)
-	releaseBufs := func() {
+	defer func() {
 		for _, f := range bufs {
 			if f != nil {
 				f.Release()
 			}
 		}
-	}
+	}()
 	setup := func(ar int) error {
 		arity = ar
 		width := int64(arity) * 4
@@ -515,20 +492,22 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 	// before the reader claims its block frame.
 	if ar := r.arity(); ar > 0 {
 		if err := setup(ar); err != nil {
-			releaseBufs()
 			return nil, 0, err
 		}
 	}
-	flush := func(b int64) {
+	flush := func(b int64) error {
 		if bufRows[b] == 0 {
-			return
+			return nil
 		}
 		c.cpu(bufRows[b]*int64(arity)*4, c.Sim.MoveSeconds)
-		spills[b].AppendCols(c.acct(), bufCols[b], bufRows[b])
+		if err := spills[b].AppendCols(c.acct(), bufCols[b], bufRows[b]); err != nil {
+			return err
+		}
 		for ci := range bufCols[b] {
 			bufCols[b][ci] = bufCols[b][ci][:0]
 		}
 		bufRows[b] = 0
+		return nil
 	}
 	for {
 		k := x.KRead
@@ -540,7 +519,6 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		}
 		blk, err := r.next(k)
 		if err != nil {
-			releaseBufs()
 			return nil, 0, err
 		}
 		if blk == nil {
@@ -548,7 +526,6 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		}
 		if spills == nil {
 			if err := setup(r.arity()); err != nil {
-				releaseBufs()
 				return nil, 0, err
 			}
 		}
@@ -564,7 +541,9 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 			// Flush before the row would outgrow the pinned frame, so the
 			// buffer never reallocates past its accounted size.
 			if bufRows[b] >= capRows[b] {
-				flush(b)
+				if err := flush(b); err != nil {
+					return nil, 0, err
+				}
 			}
 			cols := bufCols[b]
 			if len(cols[0]) == cap(cols[0]) {
@@ -575,13 +554,16 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 			}
 			bufRows[b]++
 			if bufRows[b] >= bufW {
-				flush(b)
+				if err := flush(b); err != nil {
+					return nil, 0, err
+				}
 			}
 		}
 	}
 	for i := range bufs {
-		flush(int64(i))
-		bufs[i].Release()
+		if err := flush(int64(i)); err != nil {
+			return nil, 0, err
+		}
 	}
 	return spills, arity, nil
 }

@@ -256,7 +256,9 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp.Preload(rows[b[0]*2 : b[1]*2])
+			if err := sp.PreloadCols(columnsOf(rows[b[0]*2:b[1]*2], 2)); err != nil {
+				t.Fatal(err)
+			}
 			pr, err := project(SpillsInput([]*storage.Spill{sp}, 2), 16, ocal.MustParse("[x]"), "x")
 			if err != nil {
 				t.Fatal(err)
@@ -382,9 +384,48 @@ func TestSpillLifecycleOnCancel(t *testing.T) {
 	}
 }
 
+// TestExtSortDeviceFullIsError: a sort whose scratch device cannot hold its
+// reserved ping-pong spills — the first one of a lone section, or those of
+// some of eight parallel sections — fails the run with the storage error at
+// every worker count, and the run releases its pool frames and device space.
+func TestExtSortDeviceFullIsError(t *testing.T) {
+	for _, c := range []struct{ rows, scratchBytes int64 }{
+		{1000, 1000*4 - 1},       // not one spill of the lone section
+		{8 * 4096, 3*4096*4 - 1}, // a section's two spills and one more, not two
+	} {
+		rows := c.rows
+		r := rand.New(rand.NewSource(rows))
+		keys := make([]int32, rows)
+		for i := range keys {
+			keys[i] = int32(r.Intn(1 << 20))
+		}
+		for _, workers := range []int{1, 4} {
+			sim := storage.NewSim(memory.TwoHDD(64 * memory.MiB))
+			in := loadTableSim(sim, "hdd", 1, keys)
+			scratch, _ := sim.Device("hdd2")
+			scratch.Node.Size = c.scratchBytes
+			srt := &ExtSort{In: TableInput(in), Way: 2, Bin: 64, Bout: 64}
+			p := &Program{Root: srt, Sink: &Sink{Sim: sim}, c: &Ctx{
+				Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch,
+				Workers: workers, shared: newShared(workers),
+			}}
+			err := p.Run()
+			if err == nil || !strings.Contains(err.Error(), "storage: device hdd2 full") {
+				t.Fatalf("%d rows, workers %d: want the scratch device's full error, got %v", rows, workers, err)
+			}
+			if got := p.Pool().Stats().UsedBytes; got != 0 {
+				t.Errorf("%d rows, workers %d: %d pool bytes still pinned after failure", rows, workers, got)
+			}
+			if got := scratch.AllocatedBytes(); got != 0 {
+				t.Errorf("%d rows, workers %d: %d scratch bytes still claimed after failure", rows, workers, got)
+			}
+		}
+	}
+}
+
 // TestWorkerPanicBecomesError: a scratch device filling up mid-spill
 // inside a parallel worker goroutine must surface as a run error (as it
-// always has on the driver strand), never crash the process.
+// does on the driver strand), never crash the process.
 func TestWorkerPanicBecomesError(t *testing.T) {
 	src := "flatMap(\\<p1, p2> -> for (xB [k1] <- p1) for (yB [k2] <- p2) " +
 		"for (x <- xB) for (y <- yB) if x.1 == y.1 then [<x, y>] else [])" +

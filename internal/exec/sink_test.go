@@ -12,7 +12,7 @@ import (
 )
 
 // rowSink is the sink as it was while Program.Run gathered every row out of
-// its batch: one Write per row, a row-major buffer, Spill.Append. It is the
+// its batch: one Write per row, a row-major buffer evicted whole. It is the
 // spec Sink.WriteBatch must charge like.
 type rowSink struct {
 	Out         *Table
@@ -50,7 +50,7 @@ func (s *rowSink) Flush() {
 	}
 	a := s.Sim.Root()
 	a.CPU(int64(len(s.buf))*4, s.Sim.MoveSeconds)
-	s.Out.Append(a, s.buf)
+	s.Out.AppendCols(a, columnsOf(s.buf, s.Out.Arity), s.rows)
 	s.buf = s.buf[:0]
 	s.rows = 0
 }
@@ -124,7 +124,7 @@ func TestSinkWriteBatchMatchesWrite(t *testing.T) {
 
 // TestPreloadColsMatchesPreload: a table given its columns as they stand is
 // the table Preload builds from the same rows — contents, scan charges and
-// scanned rows — and columns that do not fit it are an error.
+// scanned rows — and columns that do not fit it or its device are an error.
 func TestPreloadColsMatchesPreload(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, arity := range []int{1, 2, 3} {
@@ -167,11 +167,12 @@ func TestPreloadColsMatchesPreload(t *testing.T) {
 
 	sim := newSim(t)
 	d, _ := sim.Device("hdd")
+	d.Node.Size = 32 // room for four reserved rows of two attributes
 	for name, cols := range map[string][][]int32{
-		"ragged":        {{1, 2, 3}, {1, 2}},
-		"over capacity": {{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}},
-		"too few":       {{1, 2}},
-		"too many":      {{1}, {2}, {3}},
+		"ragged":      {{1, 2, 3}, {1, 2}},
+		"device full": {{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}},
+		"too few":     {{1, 2}},
+		"too many":    {{1}, {2}, {3}},
 	} {
 		tb, err := NewTable(d, 2, 4)
 		if err != nil {
@@ -183,13 +184,14 @@ func TestPreloadColsMatchesPreload(t *testing.T) {
 					t.Errorf("%s columns: panic %v, want an error", name, r)
 				}
 			}()
-			if err := tb.PreloadCols(cols); err == nil || !strings.Contains(err.Error(), "preload") {
+			if err := tb.PreloadCols(cols); err == nil || !strings.Contains(err.Error(), "storage:") {
 				t.Errorf("%s columns: error %v", name, err)
 			}
 			if tb.Rows() != 0 {
 				t.Errorf("%s columns: a rejected preload left %d rows", name, tb.Rows())
 			}
 		}()
+		tb.Free()
 	}
 	tb := loadTable(t, sim, "hdd", 1, []int32{7})
 	if err := tb.PreloadCols([][]int32{{8}}); err == nil {

@@ -16,50 +16,64 @@ import (
 
 // Table is a device-resident relation of fixed-arity int32 tuples: a typed
 // view over a storage spill file. The tuple payload lives in host memory;
-// all accesses go through the volume so the simulator charges seeks and
+// all accesses go through the spill so the simulator charges seeks and
 // transfer time.
 type Table struct {
 	*storage.Spill
 	Arity int
 }
 
-// NewTable allocates a table for capRows tuples on the device.
-func NewTable(dev *storage.Device, arity int, capRows int64) (*Table, error) {
-	sp, err := dev.NewSpill(int64(arity)*4, capRows)
+// NewTable allocates a table on the device with room reserved for reserve
+// tuples (0: device space is claimed as rows arrive).
+func NewTable(dev *storage.Device, arity int, reserve int64) (*Table, error) {
+	sp, err := dev.NewSpill(int64(arity)*4, reserve)
 	if err != nil {
 		return nil, err
 	}
 	return &Table{Spill: sp, Arity: arity}, nil
 }
 
-// NewBackedTable opens a device-resident view over rows durable storage
-// supplies (a catalog table's columnar segments): device space is claimed
-// without charging, exactly like Preload, and the payload materializes from
-// b on first read. Every access then charges the device's InitCom/UnitTr
-// model, so a backed table is indistinguishable from a preloaded one on the
-// ledger and the virtual clock.
+// NewBackedTable loads the rows durable storage supplies (a catalog table's
+// columnar segments) into a table on the device: one read of the whole
+// payload through b, installed like PreloadCols without charging. Every
+// access then charges the device's InitCom/UnitTr model, so a backed table
+// is indistinguishable from a preloaded one on the ledger and the virtual
+// clock. A failed read is the returned error.
 func NewBackedTable(dev *storage.Device, arity int, rows int64, b storage.Backing) (*Table, error) {
-	sp, err := dev.NewBackedSpill(int64(arity)*4, rows, b)
+	t, err := NewTable(dev, arity, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Table{Spill: sp, Arity: arity}, nil
+	cols := make([][]int32, arity)
+	for c := range cols {
+		cols[c] = make([]int32, rows)
+	}
+	if err := b.ReadCols(cols, 0, rows); err != nil {
+		return nil, fmt.Errorf("exec: load table: %w", err)
+	}
+	if err := t.PreloadCols(cols); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // Preload installs row-major rows without charging I/O: the input data
-// already resides on the device when the experiment starts. Rows that are
-// already column vectors go in through the spill's PreloadCols, which takes
-// them as they stand.
+// already resides on the device when the experiment starts. It transposes
+// them for PreloadCols, which takes column vectors as they stand.
 func (t *Table) Preload(rows []int32) error {
-	if int64(len(rows))%int64(t.Arity) != 0 {
+	if len(rows)%t.Arity != 0 {
 		return fmt.Errorf("exec: preload length %d not a multiple of arity %d", len(rows), t.Arity)
 	}
-	n := int64(len(rows)) / int64(t.Arity)
-	if !t.Room(n) {
-		return fmt.Errorf("exec: preload exceeds capacity")
+	n := len(rows) / t.Arity
+	cols := make([][]int32, t.Arity)
+	for c := range cols {
+		col := make([]int32, n)
+		for i := range col {
+			col[i] = rows[i*t.Arity+c]
+		}
+		cols[c] = col
 	}
-	t.Spill.Preload(rows)
-	return nil
+	return t.PreloadCols(cols)
 }
 
 // Rows returns the number of tuples.
@@ -83,7 +97,9 @@ type Sink struct {
 	// Tap, when non-nil, observes every batch before buffering/discarding.
 	// The column views are the producer's: valid only during the call.
 	Tap func(b *Batch)
-	// Err records a failed lazy allocation (checked after Run).
+	// Err records the sink's first failure — a lazy allocation, or an
+	// eviction the output device could not hold; the sink writes nothing
+	// after it and Program.Run stops on it.
 	Err error
 
 	cols [][]int32 // the output buffer, column-striped like the table
@@ -127,7 +143,7 @@ func (s *Sink) WriteBatch(b *Batch) {
 		s.Out, s.Err = s.Alloc(b.Arity)
 		s.Alloc = nil
 	}
-	if s.Out == nil {
+	if s.Out == nil || s.Err != nil {
 		return
 	}
 	if s.cols == nil {
@@ -142,6 +158,9 @@ func (s *Sink) WriteBatch(b *Batch) {
 		s.buffer(b, 0, lo)
 		if s.rows >= bout {
 			s.Flush()
+			if s.Err != nil {
+				return
+			}
 		}
 	}
 	if full := int64(n-lo) / bout; full > 0 {
@@ -151,7 +170,9 @@ func (s *Sink) WriteBatch(b *Batch) {
 		for c := range s.head {
 			s.head[c] = b.Cols[c][lo:]
 		}
-		s.Out.AppendBlocks(s.Sim.Root(), s.head, bout, full, s.Sim.MoveSeconds)
+		if s.Err = s.Out.AppendBlocks(s.Sim.Root(), s.head, bout, full, s.Sim.MoveSeconds); s.Err != nil {
+			return
+		}
 		lo += int(full * bout)
 	}
 	s.buffer(b, lo, n)
@@ -165,12 +186,14 @@ func (s *Sink) buffer(b *Batch, lo, hi int) {
 	s.rows += int64(hi - lo)
 }
 
-// Flush evicts the buffer.
+// Flush evicts the buffer, recording a failed eviction in Err.
 func (s *Sink) Flush() {
-	if s.Out == nil || s.rows == 0 {
+	if s.Out == nil || s.rows == 0 || s.Err != nil {
 		return
 	}
-	s.Out.AppendBlocks(s.Sim.Root(), s.cols, s.rows, 1, s.Sim.MoveSeconds)
+	if s.Err = s.Out.AppendBlocks(s.Sim.Root(), s.cols, s.rows, 1, s.Sim.MoveSeconds); s.Err != nil {
+		return
+	}
 	for c := range s.cols {
 		s.cols[c] = s.cols[c][:0]
 	}

@@ -134,7 +134,7 @@ func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 			return nil, err
 		}
 		rows := e.Gen[in.Name]()
-		t, err := exec.NewTable(dev, in.Arity, int64(len(rows)/in.Arity)+8)
+		t, err := exec.NewTable(dev, in.Arity, 0)
 		if err != nil {
 			return nil, err
 		}

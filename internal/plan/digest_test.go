@@ -262,8 +262,8 @@ func TestDigestStrandEnds(t *testing.T) {
 
 	t.Run("volume overflow", func(t *testing.T) {
 		// Room for one growth chunk of the output (64k rows of 8 bytes) and
-		// not two: the storage layer panics at row 65537 and Program.Run
-		// recovers.
+		// not two: the sink's eviction past row 65536 fails with the storage
+		// layer's error and Program.Run stops on it.
 		base := settledGoroutines()
 		small, err := Compile(c.Req)
 		if err != nil {

@@ -3,11 +3,17 @@ package plan
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ocas/internal/catalog"
+	"ocas/internal/exec"
+	"ocas/internal/storage"
 )
 
 // ingestGenerated loads exactly the rows the generators would produce for
@@ -184,6 +190,71 @@ func TestDurableScanAfterReopen(t *testing.T) {
 	}
 	if got.VirtualSeconds != want.VirtualSeconds {
 		t.Fatalf("virtual clock %v want %v", got.VirtualSeconds, want.VirtualSeconds)
+	}
+}
+
+// TestDurableLoadFailureIsError: a bound table is read whole when it is
+// bound, so a segment that fails to read is the binding's returned error —
+// one that wraps the read failure — and the run never starts: no goroutine
+// is left behind and no device space stays claimed.
+func TestDurableLoadFailureIsError(t *testing.T) {
+	req := Request{
+		Program: "foldL(0, \\<a, x> -> (a + x.2))(R)",
+		Inputs:  map[string]Input{"R": {Node: "hdd", Rows: 1500, Arity: 2}},
+		RAM:     32 << 10,
+		Depth:   2, Space: 200,
+	}
+	c, err := Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cat, err := catalog.Open(dir, catalog.Options{FlushRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	tables := ingestGenerated(t, cat, c, ExecOptions{})
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("want several segments, got %v (%v)", segs, err)
+	}
+
+	// A snapshot opened over intact segments, one of them truncated before
+	// it is read.
+	h, err := cat.OpenTable(tables["R"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := os.Truncate(segs[len(segs)/2], 40); err != nil {
+		t.Fatal(err)
+	}
+	sim := storage.NewSim(c.H)
+	dev, err := sim.Device("hdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.NewBackedTable(dev, 2, h.Rows(), h); !errors.Is(err, io.EOF) {
+		t.Errorf("loading a snapshot whose segment was truncated: %v, want an error wrapping io.EOF", err)
+	}
+	if got := dev.AllocatedBytes(); got != 0 {
+		t.Errorf("a failed load left %d device bytes claimed", got)
+	}
+
+	// Bound through a request, the truncated segment fails the binding.
+	for _, workers := range []int{1, 4} {
+		base := settledGoroutines()
+		opt := ExecOptions{Tables: tables, Cat: cat, ExecWorkers: workers}
+		_, err := ExecutePlan(context.Background(), c, p, opt)
+		if err == nil || !strings.Contains(err.Error(), "plan: input R") || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("workers %d: run over a truncated segment returned %v", workers, err)
+		}
+		waitGoroutines(t, base, "run failing to load its input")
 	}
 }
 

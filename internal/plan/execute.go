@@ -123,14 +123,6 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 		return nil, err
 	}
 	inputs := map[string]*exec.Table{}
-	var handles []*catalog.Handle
-	defer func() {
-		// Handles stay open for the run: backed tables materialize their
-		// payload lazily on first read.
-		for _, h := range handles {
-			h.Close()
-		}
-	}()
 	for i, in := range task.Spec.Inputs {
 		dev, err := sim.Device(task.InputLoc[in.Name])
 		if err != nil {
@@ -138,13 +130,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 		}
 		var tb *exec.Table
 		if tname, bound := opt.Tables[in.Name]; bound {
-			h, err := openTableInput(opt.Cat, in, tname)
-			if err != nil {
-				return nil, err
-			}
-			handles = append(handles, h)
-			tb, err = exec.NewBackedTable(dev, in.Arity, h.Rows(), h)
-			if err != nil {
+			if tb, err = loadTableInput(opt.Cat, dev, in, tname); err != nil {
 				return nil, err
 			}
 		} else {
@@ -152,8 +138,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 			if err != nil {
 				return nil, err
 			}
-			tb, err = exec.NewTable(dev, in.Arity, int64(len(cols[0]))+8)
-			if err != nil {
+			if tb, err = exec.NewTable(dev, in.Arity, 0); err != nil {
 				return nil, err
 			}
 			if err := tb.PreloadCols(cols); err != nil {
@@ -230,9 +215,6 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 		spRun.Attr("rows", sink.RowsWritten)
 		spRun.Attr("workers", p.Workers())
 		spRun.End()
-	}
-	if sink.Err != nil {
-		return nil, fmt.Errorf("plan: output allocation: %w", sink.Err)
 	}
 
 	rep := &ExecReport{
@@ -333,19 +315,23 @@ func CheckExecOptions(task core.Task, opt ExecOptions) error {
 	return nil
 }
 
-// openTableInput opens the catalog snapshot feeding one bound input and
-// checks its shape.
-func openTableInput(cat *catalog.Catalog, in core.InputSpec, tname string) (*catalog.Handle, error) {
+// loadTableInput loads the catalog snapshot feeding one bound input into a
+// table on dev, checking its shape; the snapshot closes once it is read.
+func loadTableInput(cat *catalog.Catalog, dev *storage.Device, in core.InputSpec, tname string) (*exec.Table, error) {
 	h, err := cat.OpenTable(tname)
 	if err != nil {
 		return nil, fmt.Errorf("plan: input %s: %w", in.Name, err)
 	}
+	defer h.Close()
 	if h.Arity() != in.Arity {
-		h.Close()
 		return nil, fmt.Errorf("plan: input %s wants arity %d but table %q has %d columns",
 			in.Name, in.Arity, tname, h.Arity())
 	}
-	return h, nil
+	tb, err := exec.NewBackedTable(dev, in.Arity, h.Rows(), h)
+	if err != nil {
+		return nil, fmt.Errorf("plan: input %s: %w", in.Name, err)
+	}
+	return tb, nil
 }
 
 // inputData resolves one input's rows as column vectors: explicit rows win,

@@ -81,7 +81,9 @@ func (c replayCase) run(t *testing.T) replayState {
 	if c.kind == 0 {
 		stored += rows
 	}
-	sp.Preload(make([]int32, stored*width/4))
+	if err := sp.PreloadCols(columns(make([]int32, stored*width/4), width)); err != nil {
+		t.Fatal(err)
+	}
 	recs := func(n int64) []int32 {
 		out := make([]int32, n*width/4)
 		for i := range out {
@@ -92,7 +94,7 @@ func (c replayCase) run(t *testing.T) replayState {
 	for i := 0; i < c.moves; i++ {
 		switch m := r.Intn(5); {
 		case m == 0:
-			other.Append(a, recs(1+r.Int63n(8)))
+			appendRows(t, a, other, recs(1+r.Int63n(8)))
 		case m == 1 && sp.Records() > 0:
 			sp.ReadColsAt(a, r.Int63n(sp.Records()), 1+r.Int63n(8), nil)
 		case m == 2:
@@ -102,7 +104,7 @@ func (c replayCase) run(t *testing.T) replayState {
 			back := 1 + r.Int63n(c.start)
 			sp.ReadColsAt(a, c.start-back, back, nil)
 		case m == 4 && c.kind == 1:
-			sp.Append(a, recs(1+r.Int63n(8))) // the run starts later, still at the end
+			appendRows(t, a, sp, recs(1+r.Int63n(8))) // the run starts later, still at the end
 		}
 	}
 	switch c.kind {

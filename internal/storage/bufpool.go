@@ -184,7 +184,7 @@ func (f *Frame) Release() {
 	p.used -= f.bytes
 }
 
-// spillChunkRecords is the growth increment of an unbounded spill.
+// spillChunkRecords is the growth increment of a spill past its reservation.
 const spillChunkRecords = 64 << 10
 
 // Spill is a device-resident run of fixed-width records: the executor's
@@ -192,11 +192,14 @@ const spillChunkRecords = 64 << 10
 // materialized intermediates. Appends and reads charge the same InitCom
 // (seek/erase) and UnitTr (per-byte) events the paper's cost model charges,
 // through the caller's Acct — seek detection is stream-relative (sequential
-// within this spill), so charges do not depend on where the concurrent
-// allocator placed growth chunks. A spill created with capRecords > 0
-// reserves that capacity up front (and panics past it, like Volume);
-// capRecords == 0 grows chunk by chunk, claiming device space only as data
-// arrives.
+// within this spill), so charges do not depend on where the device's space
+// was claimed.
+//
+// A spill is column vectors plus a claim on its device: the records
+// reserved at creation, spillChunkRecords-record chunks as appends outgrow
+// them, and exactly what PreloadCols installs. A claim the device cannot
+// hold fails the call that needed it with an error, and nothing is
+// installed.
 //
 // A Spill is single-writer: concurrent strands each write their own spill
 // (the executor's exchange gives every partition task a private spill per
@@ -206,102 +209,48 @@ const spillChunkRecords = 64 << 10
 // one contiguous vector, so ReadColsAt can hand the executor zero-copy
 // column views (the batch protocol's native currency) and durable segments
 // load without a row transpose. The charge model is layout-blind — charges
-// depend only on the (spill, index, count) sequence of Append/ReadColsAt
-// calls, never on how the bytes are arranged in host memory — so the
-// stripe changes no ledger.
+// depend only on the (spill, index, count) sequence of AppendBlocks and
+// ReadColsAt calls, never on how the bytes are arranged in host memory.
 type Spill struct {
-	dev   *Device
-	pool  *BufferPool // non-nil when created through a pool (stats)
-	width int64
-	cap   int64 // 0 = grow on demand
-	cols  [][]int32
-	vols  []*Volume
-	count int64
-	freed bool
-
-	backing  Backing // non-nil: payload comes from durable storage
-	loadOnce sync.Once
-	loadErr  error
+	dev     *Device
+	pool    *BufferPool // non-nil when created through a pool (stats)
+	width   int64
+	cols    [][]int32
+	count   int64
+	claimed int64 // records of device space held
 }
 
-// Backing supplies the payload of a durably stored, read-only spill: the
-// rows live in segment files (see Segment) instead of being generated or
-// appended, and are materialized on first read. Implementations are called
-// at most once per spill (guarded by sync.Once), with dst holding one
-// destination slice per column, each sized for exactly the records the
-// spill was opened over.
+// Backing supplies the payload of a durably stored table: its rows live in
+// segment files (see Segment) and are read once, when the table is bound.
 type Backing interface {
 	// ReadCols fills dst[c] with column c of n records starting at record
-	// lo — the same column-striped layout the spill holds.
+	// lo — the same column-striped layout a spill holds.
 	ReadCols(dst [][]int32, lo, n int64) error
 }
 
-// NewBackedSpill opens a read-only spill whose payload is supplied by b —
-// the device-resident view of a durable table. Device space is claimed up
-// front without charging (the data already resides on the device, exactly
-// like Preload), and the payload is materialized from b once, on first
-// read; every read then charges the usual InitCom/UnitTr events, so a
-// backed spill is indistinguishable from a preloaded one on the ledger.
-// A failed load surfaces as a panic with the "storage:" prefix, which the
-// executor's run recovery converts into an error.
-func (d *Device) NewBackedSpill(width, records int64, b Backing) (*Spill, error) {
-	if b == nil {
-		return nil, fmt.Errorf("storage: nil backing")
-	}
-	if records < 0 {
-		return nil, fmt.Errorf("storage: negative backed record count %d", records)
-	}
+// NewSpill allocates a spill file for records of width bytes on the device,
+// claiming and preallocating reserve records up front (0: claim as records
+// arrive).
+func (d *Device) NewSpill(width, reserve int64) (*Spill, error) {
 	if width <= 0 || width%4 != 0 {
 		return nil, fmt.Errorf("storage: spill width must be a positive multiple of 4, got %d", width)
 	}
-	capRecords := records
-	if capRecords == 0 {
-		capRecords = 1 // devices reject zero-capacity volumes
-	}
-	s := &Spill{dev: d, width: width, cap: capRecords, cols: make([][]int32, width/4)}
-	vol, err := d.NewVolume(capRecords, width)
-	if err != nil {
+	reserve = max(reserve, 0)
+	if err := d.claim(reserve * width); err != nil {
 		return nil, err
 	}
-	s.vols = []*Volume{vol}
-	for c := range s.cols {
-		s.cols[c] = make([]int32, records)
-	}
-	s.backing = b
-	s.install(records)
-	return s, nil
-}
-
-// load materializes a backed spill's payload, once.
-func (s *Spill) load() {
-	s.loadOnce.Do(func() {
-		s.loadErr = s.backing.ReadCols(s.cols, 0, s.count)
-	})
-	if s.loadErr != nil {
-		panic(fmt.Sprintf("storage: backed spill load: %v", s.loadErr))
-	}
-}
-
-// NewSpill allocates a spill file for records of width bytes on the
-// device; capRecords == 0 means grow on demand.
-func (d *Device) NewSpill(width, capRecords int64) (*Spill, error) {
-	if width <= 0 || width%4 != 0 {
-		return nil, fmt.Errorf("storage: spill width must be a positive multiple of 4, got %d", width)
-	}
-	s := &Spill{dev: d, width: width, cap: capRecords, cols: make([][]int32, width/4)}
-	if capRecords > 0 {
-		vol, err := d.NewVolume(capRecords, width)
-		if err != nil {
-			return nil, err
+	s := &Spill{dev: d, width: width, cols: make([][]int32, width/4), claimed: reserve}
+	if reserve > 0 {
+		for c := range s.cols {
+			s.cols[c] = make([]int32, 0, reserve)
 		}
-		s.vols = []*Volume{vol}
 	}
 	return s, nil
 }
 
 // NewSpill allocates a spill file on dev and counts it in the pool stats.
-func (p *BufferPool) NewSpill(dev *Device, width, capRecords int64) (*Spill, error) {
-	s, err := dev.NewSpill(width, capRecords)
+func (p *BufferPool) NewSpill(dev *Device, width, reserve int64) (*Spill, error) {
+	s, err := dev.NewSpill(width, reserve)
 	if err != nil {
 		return nil, err
 	}
@@ -318,163 +267,64 @@ func (s *Spill) Records() int64 { return s.count }
 // Device returns the owning device.
 func (s *Spill) Device() *Device { return s.dev }
 
-// Room reports whether n more records fit (always true for growable
-// spills; device exhaustion surfaces on Append).
-func (s *Spill) Room(n int64) bool {
-	if s.cap <= 0 {
-		return true
+// grow claims device space for n more records: whole growth chunks past
+// what the spill already holds.
+func (s *Spill) grow(n int64) error {
+	short := s.count + n - s.claimed
+	if short <= 0 {
+		return nil
 	}
-	return s.count+n <= s.cap
-}
-
-// tail returns the volume with append room, allocating a growth chunk when
-// needed.
-func (s *Spill) tail() *Volume {
-	if n := len(s.vols); n > 0 && s.vols[n-1].Count < s.vols[n-1].Cap {
-		return s.vols[n-1]
+	chunks := (short + spillChunkRecords - 1) / spillChunkRecords * spillChunkRecords
+	if err := s.dev.claim(chunks * s.width); err != nil {
+		return err
 	}
-	if s.cap > 0 {
-		// Fixed-capacity spill: report the overflow like the old volume
-		// bounds check did.
-		panic(fmt.Sprintf("storage: append exceeds spill capacity %d", s.cap))
-	}
-	vol, err := s.dev.NewVolume(spillChunkRecords, s.width)
-	if err != nil {
-		panic(fmt.Sprintf("storage: spill growth failed: %v", err))
-	}
-	s.vols = append(s.vols, vol)
-	return vol
-}
-
-// install claims volume space for n records without charging.
-func (s *Spill) install(n int64) {
-	for n > 0 {
-		vol := s.tail()
-		take := vol.Cap - vol.Count
-		if take > n {
-			take = n
-		}
-		vol.Count += take
-		s.count += take
-		n -= take
-	}
-}
-
-// reserve sizes a fixed-capacity spill's columns at its first append: the
-// payload size is known, so each column is allocated once instead of being
-// regrown (the executor's sort sections hammer this), and a spill that
-// PreloadCols fills never allocates at all.
-func (s *Spill) reserve() {
-	if s.cap > 0 && cap(s.cols[0]) == 0 {
-		for c := range s.cols {
-			s.cols[c] = make([]int32, 0, s.cap)
-		}
-	}
-}
-
-// stripe splits row-major records into the column vectors.
-func (s *Spill) stripe(recs []int32, n int64) {
-	s.reserve()
-	w := len(s.cols)
-	if w == 1 {
-		s.cols[0] = append(s.cols[0], recs...)
-		return
-	}
-	for c := 0; c < w; c++ {
-		col := s.cols[c]
-		for i := int64(0); i < n; i++ {
-			col = append(col, recs[i*int64(w)+int64(c)])
-		}
-		s.cols[c] = col
-	}
-}
-
-// Append charges a write of the given row-major records (whole records
-// only) to the caller's accounting strand.
-func (s *Spill) Append(a *Acct, recs []int32) {
-	if len(recs) == 0 {
-		return
-	}
-	n := int64(len(recs)) * 4 / s.width
-	at := s.room(n)
-	s.stripe(recs, n)
-	s.install(n)
-	s.appended(a, at, n, 1, 0)
+	s.claimed += chunks
+	return nil
 }
 
 // AppendCols charges a write of rows records supplied as per-column
 // vectors (cols[c][:rows]) — the executor's columnar batches append
-// without a row detour. The charge sequence is identical to Append of the
-// same records.
-func (s *Spill) AppendCols(a *Acct, cols [][]int32, rows int64) {
-	s.AppendBlocks(a, cols, rows, 1, 0)
+// without a row detour.
+func (s *Spill) AppendCols(a *Acct, cols [][]int32, rows int64) error {
+	return s.AppendBlocks(a, cols, rows, 1, 0)
 }
 
 // AppendBlocks is what n AppendCols calls of k records each, taken off
 // cols[c][:k*n] one after the other and each preceded by a.CPU(the block's
 // bytes, perByte), leave behind — a buffer of k records filled and evicted n
 // times over — with the payload appended once and the strand charged in one
-// go (see Acct.chargeAppends).
-func (s *Spill) AppendBlocks(a *Acct, cols [][]int32, k, n int64, perByte float64) {
+// go (see Acct.chargeAppends). A device too full for the records is an
+// error that appends and charges nothing.
+func (s *Spill) AppendBlocks(a *Acct, cols [][]int32, k, n int64, perByte float64) error {
 	if k <= 0 || n <= 0 {
-		return
+		return nil
 	}
 	rows := k * n
-	at := s.room(rows)
-	s.reserve()
+	if err := s.grow(rows); err != nil {
+		return err
+	}
+	at := s.count
 	for c := range s.cols {
 		s.cols[c] = append(s.cols[c], cols[c][:rows]...)
 	}
-	s.install(rows)
-	s.appended(a, at, k, n, perByte)
-}
-
-// room checks that n more records may be appended and returns the index the
-// first of them will take.
-func (s *Spill) room(n int64) int64 {
-	if s.backing != nil {
-		panic("storage: append to a backed (read-only) spill")
-	}
-	if s.cap > 0 && s.count+n > s.cap {
-		panic(fmt.Sprintf("storage: append %d exceeds capacity %d (have %d)", n, s.cap, s.count))
-	}
-	return s.count
-}
-
-// appended charges n installed writes of k records from index at, and
-// counts their bytes on the pool the spill came from.
-func (s *Spill) appended(a *Acct, at, k, n int64, perByte float64) {
+	s.count += rows
 	a.chargeAppends(s, at, k, n, perByte)
 	if s.pool != nil {
 		s.pool.mu.Lock()
-		s.pool.stats.SpillBytes += k * n * s.width
+		s.pool.stats.SpillBytes += rows * s.width
 		s.pool.mu.Unlock()
 	}
+	return nil
 }
 
-// Preload installs row-major records without charging I/O: the data
-// already resides on the device when the run starts.
-func (s *Spill) Preload(recs []int32) {
-	if s.backing != nil {
-		panic("storage: preload into a backed (read-only) spill")
-	}
-	n := int64(len(recs)) * 4 / s.width
-	if s.cap > 0 && s.count+n > s.cap {
-		panic(fmt.Sprintf("storage: preload %d exceeds capacity %d (have %d)", n, s.cap, s.count))
-	}
-	s.stripe(recs, n)
-	s.install(n)
-}
-
-// PreloadCols is Preload for records already column-striped: cols[c] becomes
-// column c of an empty spill as it stands — no transposition, no copy; the
-// spill owns the vectors from here on, exactly as it owns what a backing
-// loads. Columns that do not fit the spill are an error: they come from a
-// caller's input, not from the executor's own arithmetic.
+// PreloadCols installs column-striped records without charging I/O (the
+// data already resides on the device when the run starts): cols[c] becomes
+// column c of an empty spill as it stands, no transposition, no copy, and
+// the spill owns the vectors from here on. It claims device space for
+// exactly the records its reservation does not cover. Columns that do not
+// fit the spill or its device are an error: they come from a caller's
+// input, not from the executor's own arithmetic.
 func (s *Spill) PreloadCols(cols [][]int32) error {
-	if s.backing != nil {
-		return fmt.Errorf("storage: preload into a backed (read-only) spill")
-	}
 	if s.count != 0 {
 		return fmt.Errorf("storage: column preload into a spill holding %d records", s.count)
 	}
@@ -487,11 +337,14 @@ func (s *Spill) PreloadCols(cols [][]int32) error {
 			return fmt.Errorf("storage: preload column %d holds %d records, column 0 holds %d", c, len(col), n)
 		}
 	}
-	if s.cap > 0 && n > s.cap {
-		return fmt.Errorf("storage: preload %d exceeds capacity %d", n, s.cap)
+	if short := n - s.claimed; short > 0 {
+		if err := s.dev.claim(short * s.width); err != nil {
+			return err
+		}
+		s.claimed = n
 	}
 	copy(s.cols, cols)
-	s.install(n)
+	s.count = n
 	return nil
 }
 
@@ -516,9 +369,6 @@ func (s *Spill) View(idx, n int64, dst [][]int32) ([][]int32, int64) {
 	if idx+n > s.count {
 		n = s.count - idx
 	}
-	if s.backing != nil {
-		s.load()
-	}
 	w := len(s.cols)
 	if cap(dst) >= w {
 		dst = dst[:w]
@@ -539,36 +389,22 @@ func (s *Spill) ChargeReads(a *Acct, idx, k, rows int64, perRow float64) {
 	a.chargeReads(s, idx, k, rows, perRow)
 }
 
-// Reset empties the spill for reuse.
+// Reset empties the spill for reuse, keeping its claim and its vectors'
+// capacity.
 func (s *Spill) Reset() {
-	if s.backing != nil {
-		panic("storage: reset of a backed (read-only) spill")
-	}
-	for _, vol := range s.vols {
-		vol.Count = 0
-	}
 	s.count = 0
 	for c := range s.cols {
 		s.cols[c] = s.cols[c][:0]
 	}
 }
 
-// Free returns the spill's device space (and host memory). A cancelled or
-// completed run frees its scratch spills so the device's live allocation
-// drops back; using a freed spill is a bug.
+// Free returns the spill's device space (and host memory); a second Free
+// returns nothing. A cancelled or completed run frees its scratch spills so
+// the device's live allocation drops back; using a freed spill is a bug.
 func (s *Spill) Free() {
-	if s == nil || s.freed {
+	if s == nil {
 		return
 	}
-	s.freed = true
-	var bytes int64
-	for _, vol := range s.vols {
-		bytes += vol.Cap * vol.Width
-	}
-	if bytes > 0 {
-		s.dev.free(bytes)
-	}
-	s.vols = nil
-	s.count = 0
-	s.cols = nil
+	s.dev.free(s.claimed * s.width)
+	s.claimed, s.count, s.cols = 0, 0, nil
 }

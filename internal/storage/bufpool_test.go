@@ -52,7 +52,7 @@ func TestSpillLedgerCharges(t *testing.T) {
 		rows[i] = int32(i)
 	}
 	before := sim.Clock.Seconds()
-	sp.Append(sim.Root(), rows)
+	appendRows(t, sim.Root(), sp, rows)
 	if d.Led.BytesWrite != 8000 {
 		t.Errorf("ledger bytesWrite = %d want 8000", d.Led.BytesWrite)
 	}
@@ -97,7 +97,7 @@ func TestSpillGrowth(t *testing.T) {
 			buf[i] = next
 			next++
 		}
-		sp.Append(sim.Root(), buf[:m])
+		appendRows(t, sim.Root(), sp, buf[:m])
 		written += m
 	}
 	if sp.Records() != n {

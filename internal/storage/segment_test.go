@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -157,12 +158,29 @@ func (b sliceBacking) ReadCols(dst [][]int32, lo, n int64) error {
 }
 
 // TestBackedSpillChargesLikePreload is the charge-parity core of the durable
-// path: a backed spill must produce byte-identical ledger events to a
-// preloaded spill holding the same rows.
+// path: a spill holding what a Backing supplies — an in-memory one or a
+// segment file — read once and installed with PreloadCols, must produce
+// byte-identical ledger events, clock and device claim to a spill reserved
+// for and preloaded with the same rows.
 func TestBackedSpillChargesLikePreload(t *testing.T) {
 	rows := rowMajor(500, 2, 7)
+	path := filepath.Join(t.TempDir(), "r.seg")
+	if err := WriteSegment(path, 2, 64, rows); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
 
-	run := func(build func(d *Device) (*Spill, error)) (Ledger, float64, []int32) {
+	type scanned struct {
+		led     Ledger
+		clock   float64
+		claimed int64
+		out     []int32
+	}
+	run := func(build func(d *Device) (*Spill, error)) scanned {
 		sim, dev := newHDDSim(t)
 		sp, err := build(dev)
 		if err != nil {
@@ -177,55 +195,37 @@ func TestBackedSpillChargesLikePreload(t *testing.T) {
 				}
 			}
 		}
-		return dev.Led, sim.Clock.Seconds(), out
+		return scanned{dev.Led, sim.Clock.Seconds(), dev.AllocatedBytes(), out}
+	}
+	backed := func(b Backing) func(d *Device) (*Spill, error) {
+		return func(d *Device) (*Spill, error) {
+			cols := [][]int32{make([]int32, 500), make([]int32, 500)}
+			if err := b.ReadCols(cols, 0, 500); err != nil {
+				return nil, err
+			}
+			sp, err := d.NewSpill(8, 0)
+			if err != nil {
+				return nil, err
+			}
+			return sp, sp.PreloadCols(cols)
+		}
 	}
 
-	ledgerA, clockA, outA := run(func(d *Device) (*Spill, error) {
+	want := run(func(d *Device) (*Spill, error) {
 		sp, err := d.NewSpill(8, 500)
 		if err != nil {
 			return nil, err
 		}
-		sp.Preload(rows)
-		return sp, nil
+		return sp, sp.PreloadCols(columns(rows, 8))
 	})
-	ledgerB, clockB, outB := run(func(d *Device) (*Spill, error) {
-		return d.NewBackedSpill(8, 500, sliceBacking{data: rows, cols: 2})
-	})
-
-	if ledgerA != ledgerB {
-		t.Fatalf("ledger mismatch: preload %+v backed %+v", ledgerA, ledgerB)
-	}
-	if clockA != clockB {
-		t.Fatalf("clock mismatch: preload %v backed %v", clockA, clockB)
-	}
-	if len(outA) != len(outB) {
-		t.Fatalf("payload length mismatch: %d vs %d", len(outA), len(outB))
-	}
-	for i := range outA {
-		if outA[i] != outB[i] {
-			t.Fatalf("payload value %d mismatch", i)
+	for name, b := range map[string]Backing{"slice": sliceBacking{data: rows, cols: 2}, "segment": seg} {
+		got := run(backed(b))
+		if got.led != want.led || got.clock != want.clock || got.claimed != want.claimed {
+			t.Errorf("%s: ledger %+v clock %v claim %d, preloaded %+v %v %d",
+				name, got.led, got.clock, got.claimed, want.led, want.clock, want.claimed)
 		}
-	}
-}
-
-func TestBackedSpillRejectsWrites(t *testing.T) {
-	sim, dev := newHDDSim(t)
-	sp, err := dev.NewBackedSpill(8, 4, sliceBacking{data: make([]int32, 8), cols: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, fn := range map[string]func(){
-		"append":  func() { sp.Append(sim.Root(), []int32{1, 2}) },
-		"preload": func() { sp.Preload([]int32{1, 2}) },
-		"reset":   func() { sp.Reset() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s on backed spill did not panic", name)
-				}
-			}()
-			fn()
-		}()
+		if !slices.Equal(got.out, want.out) {
+			t.Errorf("%s: payload differs from the preloaded one", name)
+		}
 	}
 }

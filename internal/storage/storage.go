@@ -41,7 +41,7 @@ type Ledger struct {
 	BytesWrite int64
 }
 
-// Device simulates one leaf storage node. Space allocation is mutex-guarded
+// Device simulates one leaf storage node. Space claims are mutex-guarded
 // so concurrent spill writers can claim growth chunks; the ledger is the
 // root strand's, which holds every adopted strand's deltas (see Acct).
 type Device struct {
@@ -49,9 +49,8 @@ type Device struct {
 	sim  *Sim
 	Led  Ledger
 
-	mu        sync.Mutex
-	allocated int64 // bump allocator for volumes
-	freed     int64 // space returned by Spill.Free
+	mu      sync.Mutex
+	claimed int64 // bytes held by live spills
 }
 
 // Sim holds the devices of a hierarchy plus the shared clock and optional
@@ -110,41 +109,35 @@ func (s *Sim) Device(name string) (*Device, error) {
 // CPU charges n operations of the given per-op cost on the root strand.
 func (s *Sim) CPU(n int64, perOp float64) { s.root.CPU(n, perOp) }
 
-// AllocatedBytes reports the device's live allocation (claimed minus
+// AllocatedBytes reports the device's live allocation (claimed and not yet
 // freed) — the quantity the spill-leak tests watch.
 func (d *Device) AllocatedBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.allocated - d.freed
+	return d.claimed
+}
+
+// claim takes bytes of the device's space for a spill, or fails when the
+// device cannot hold them.
+func (d *Device) claim(bytes int64) error {
+	if bytes <= 0 {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.claimed+bytes > d.Node.Size {
+		return fmt.Errorf("storage: device %s full (%d + %d > %d)",
+			d.Node.Name, d.claimed, bytes, d.Node.Size)
+	}
+	d.claimed += bytes
+	return nil
 }
 
 // free returns bytes to the device (Spill.Free).
 func (d *Device) free(bytes int64) {
 	d.mu.Lock()
-	d.freed += bytes
+	d.claimed -= bytes
 	d.mu.Unlock()
-}
-
-// Volume is a contiguous region on a device holding fixed-width records.
-// It is pure space bookkeeping; charging happens at the Spill/Acct layer.
-type Volume struct {
-	Dev   *Device
-	Width int64 // record width in bytes
-	Count int64 // records currently stored
-	Cap   int64 // capacity in records
-}
-
-// NewVolume allocates capacity for n records of the given width.
-func (d *Device) NewVolume(n, width int64) (*Volume, error) {
-	bytes := n * width
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.allocated-d.freed+bytes > d.Node.Size {
-		return nil, fmt.Errorf("storage: device %s full (%d + %d > %d)",
-			d.Node.Name, d.allocated-d.freed, bytes, d.Node.Size)
-	}
-	d.allocated += bytes
-	return &Volume{Dev: d, Width: width, Cap: n}, nil
 }
 
 // upCosts returns the edge costs for reading from the device toward its

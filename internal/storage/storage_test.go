@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,8 +26,30 @@ func preloadedSpill(t *testing.T, d *Device, n, width int64) *Spill {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Preload(make([]int32, n*width/4))
+	if err := sp.PreloadCols(columns(make([]int32, n*width/4), width)); err != nil {
+		t.Fatal(err)
+	}
 	return sp
+}
+
+// columns stripes row-major records of width bytes into column vectors.
+func columns(recs []int32, width int64) [][]int32 {
+	cols := make([][]int32, width/4)
+	for c := range cols {
+		cols[c] = make([]int32, 0, int64(len(recs))*4/width)
+	}
+	for i, v := range recs {
+		cols[i%len(cols)] = append(cols[i%len(cols)], v)
+	}
+	return cols
+}
+
+// appendRows appends row-major records to sp, failing the test (from any
+// goroutine) when the device cannot hold them.
+func appendRows(t testing.TB, a *Acct, sp *Spill, recs []int32) {
+	if err := sp.AppendCols(a, columns(recs, sp.width), int64(len(recs))*4/sp.width); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestSequentialReadChargesOneSeek(t *testing.T) {
@@ -71,7 +94,7 @@ func TestInterleavedReadWriteSeeks(t *testing.T) {
 	row := make([]int32, 2)
 	for i := int64(0); i < 50; i++ {
 		in.ReadColsAt(s.Root(), i, 1, nil)
-		out.Append(s.Root(), row)
+		appendRows(t, s.Root(), out, row)
 	}
 	if d.Led.ReadInits < 49 || d.Led.WriteInits < 49 {
 		t.Errorf("interleaving must seek per op: reads %d writes %d",
@@ -92,7 +115,7 @@ func TestFlashEraseBlocks(t *testing.T) {
 	// Write 1 MiB sequentially: erase block is 256K -> 4 erases.
 	buf := make([]int32, 1<<10)
 	for i := 0; i < 1<<8; i++ {
-		sp.Append(s.Root(), buf) // 4 KiB per append
+		appendRows(t, s.Root(), sp, buf) // 4 KiB per append
 	}
 	if d.Led.WriteInits != 4 {
 		t.Errorf("expected 4 erases for 1MiB/256K, got %d", d.Led.WriteInits)
@@ -107,22 +130,46 @@ func TestFlashEraseBlocks(t *testing.T) {
 	}
 }
 
-func TestVolumeAllocationBounds(t *testing.T) {
-	s := NewSim(memory.HDDRAM(64 * memory.MiB))
-	d, _ := s.Device("hdd")
-	if _, err := d.NewVolume(1<<40, 1024); err == nil {
-		t.Error("allocating beyond device size must fail")
+// TestDeviceFullIsAnError: every claim a device cannot hold — a reservation,
+// a growth chunk, a preload — fails its call with the storage error and
+// leaves the spill, the device's claim and the ledger as they were.
+func TestDeviceFullIsAnError(t *testing.T) {
+	s, d := newHDDSim(t)
+	d.Node.Size = 3 * spillChunkRecords * 4
+	if _, err := d.NewSpill(1024, 1<<40); err == nil || !strings.Contains(err.Error(), "storage: device hdd full") {
+		t.Errorf("reserving beyond the device: %v", err)
 	}
-	sp, err := d.NewSpill(8, 10)
+	if got := d.AllocatedBytes(); got != 0 {
+		t.Fatalf("a refused reservation claimed %d bytes", got)
+	}
+	// Reserve all of the device but one growth chunk of 4-byte records, and
+	// fill the reservation: the first chunk fits, the second does not.
+	reserve := (d.Node.Size - spillChunkRecords*4) / 4
+	sp, err := d.NewSpill(4, reserve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("append beyond capacity must panic")
-		}
-	}()
-	sp.Append(s.Root(), make([]int32, 11*2))
+	appendRows(t, s.Root(), sp, make([]int32, reserve))
+	appendRows(t, s.Root(), sp, make([]int32, spillChunkRecords))
+	led, claimed := d.Led, d.AllocatedBytes()
+	if err := sp.AppendCols(s.Root(), [][]int32{{1}}, 1); err == nil || !strings.Contains(err.Error(), "storage: device hdd full") {
+		t.Errorf("append past the device: %v", err)
+	}
+	if sp.Records() != reserve+spillChunkRecords || d.Led != led || d.AllocatedBytes() != claimed {
+		t.Errorf("a refused append moved the spill to %d records, the ledger to %+v, the claim to %d",
+			sp.Records(), d.Led, d.AllocatedBytes())
+	}
+	empty, err := d.NewSpill(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.PreloadCols([][]int32{{1, 2}}); err == nil || empty.Records() != 0 {
+		t.Errorf("preload past the device: %v, %d records", err, empty.Records())
+	}
+	sp.Free()
+	if got := d.AllocatedBytes(); got != 0 {
+		t.Errorf("%d bytes claimed once the spills are freed", got)
+	}
 }
 
 func TestSpillFreeReturnsSpace(t *testing.T) {
@@ -132,7 +179,7 @@ func TestSpillFreeReturnsSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Append(s.Root(), make([]int32, 2*(spillChunkRecords+5)))
+	appendRows(t, s.Root(), sp, make([]int32, 2*(spillChunkRecords+5)))
 	if d.AllocatedBytes() <= before {
 		t.Fatal("growable spill must claim device space")
 	}
@@ -219,7 +266,7 @@ func TestAcctStreamRelativeSeeks(t *testing.T) {
 		defer wg.Done()
 		buf := make([]int32, 1000)
 		for i := 0; i < 200; i++ { // crosses several growth chunks
-			sp.Append(a, buf)
+			appendRows(t, a, sp, buf)
 		}
 	}
 	wg.Add(2)
