@@ -58,7 +58,7 @@ func main() {
 		ramSize   = flag.Int64("ram", plan.DefaultRAM, "RAM size in bytes for built-in hierarchies")
 		inputs    = flag.String("in", "", "inputs as name=node:rows[:arity], comma separated")
 		output    = flag.String("out", "", "output node (empty = consumed by CPU)")
-		commut    = flag.Bool("commutative", true, "inputs may be reordered (enables order-inputs, hash-part)")
+		commut    = flag.Bool("commutative", true, "inputs may be reordered (enables hash-part)")
 		depth     = flag.Int("depth", plan.DefaultDepth, "maximum derivation length")
 		space     = flag.Int("space", plan.DefaultSpace, "maximum search space size")
 		workers   = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")

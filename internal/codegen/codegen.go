@@ -87,19 +87,6 @@ func (g *gen) emitTop(w *strings.Builder, e ocal.Expr) error {
 	case ocal.App:
 		switch fn := t.Fn.(type) {
 		case ocal.Lam:
-			// order-inputs wrapper.
-			if iff, ok := t.Arg.(ocal.If); ok {
-				if t1, ok := iff.Then.(ocal.Tup); ok && len(t1.Elems) == 2 {
-					a := exprVar(t1.Elems[0])
-					b := exprVar(t1.Elems[1])
-					fmt.Fprintf(w, "/* order-inputs: iterate the smaller relation outermost */\n")
-					fmt.Fprintf(w, "ocas_rel *%s = ctx->%s, *%s = ctx->%s;\n",
-						fn.Params[0], a, fn.Params[1], b)
-					fmt.Fprintf(w, "if (ocas_len(%s) > ocas_len(%s)) { ocas_rel *t = %s; %s = %s; %s = t; }\n",
-						fn.Params[0], fn.Params[1], fn.Params[0], fn.Params[0], fn.Params[1], fn.Params[1])
-					return g.emitTop(w, fn.Body)
-				}
-			}
 			return g.emitTop(w, fn.Body)
 		case ocal.FlatMap:
 			return g.emitHashJoin(w, t)

@@ -60,31 +60,6 @@ func TestBNLJoinIsTextbook(t *testing.T) {
 	}
 }
 
-func TestOrderInputsWrapperEmitsSwap(t *testing.T) {
-	inner := ocal.Lam{Params: []string{"R1", "S1"},
-		Body: ocal.For{X: "xB", K: ocal.SymP("k1"), Src: ocal.Var{Name: "R1"},
-			Body: ocal.For{X: "x", Src: ocal.Var{Name: "xB"},
-				Body: ocal.Single{E: ocal.Var{Name: "x"}}}}}
-	lenOf := func(v string) ocal.Expr {
-		return ocal.Prim{Op: ocal.OpLength, Args: []ocal.Expr{ocal.Var{Name: v}}}
-	}
-	prog := ocal.App{Fn: inner, Arg: ocal.If{
-		Cond: ocal.Prim{Op: ocal.OpLe, Args: []ocal.Expr{lenOf("R"), lenOf("S")}},
-		Then: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: "R"}, ocal.Var{Name: "S"}}},
-		Else: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: "S"}, ocal.Var{Name: "R"}}},
-	}}
-	src, err := Generate(prog, Options{Params: map[string]int64{"k1": 256},
-		InputArity: map[string]int{"R": 2, "S": 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"order-inputs", "ocas_len(R1) > ocas_len(S1)", "ocas_rel *t"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("missing %q in:\n%s", want, src)
-		}
-	}
-}
-
 func TestWriteOutUsesBufferedEmit(t *testing.T) {
 	prog := ocal.For{X: "xB", K: ocal.SymP("k1"), OutK: ocal.SymP("ko"), Src: ocal.Var{Name: "R"},
 		Body: ocal.For{X: "x", Src: ocal.Var{Name: "xB"},

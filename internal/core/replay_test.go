@@ -9,14 +9,14 @@ import (
 // benchSpaceTotal is the number of members the seven benchmark shapes'
 // spaces hold together, every one of them costed (search.golden.json pins
 // the spaces).
-const benchSpaceTotal = 1161
+const benchSpaceTotal = 748
 
 // TestReplayCompilesOncePerMember: a captured run screens into its Replay's
 // formula cache, so the Replay leaves the run holding exactly one compiled
 // program per costed member, and instantiating it at every ladder point
 // neither replaces one nor adds one — the run's own tuning and every later
 // hit take the program screening compiled. Over the seven benchmark shapes
-// that is one program per member of a cold cycle (1,161), where the tuning
+// that is one program per member of a cold cycle (748), where the tuning
 // of each shortlist used to compile its members a second time.
 func TestReplayCompilesOncePerMember(t *testing.T) {
 	ctx := context.Background()

@@ -24,8 +24,7 @@ type Spec struct {
 	Prog   ocal.Expr
 	Inputs []InputSpec
 	// Commutative asserts that swapping the input relations changes at
-	// most the order/orientation of the result (enables order-inputs and
-	// hash-part).
+	// most the order/orientation of the result (enables hash-part).
 	Commutative bool
 }
 

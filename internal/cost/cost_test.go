@@ -341,44 +341,6 @@ func TestAggregationIsCheap(t *testing.T) {
 	}
 }
 
-func TestOrderInputsTakesMin(t *testing.T) {
-	h := memory.HDDRAM(32 * memory.MiB)
-	inner := ocal.Lam{Params: []string{"R1", "S1"}, Body: ocal.For{
-		X: "xB", K: ocal.SymP("k1"), Src: ocal.Var{Name: "R1"},
-		Body: ocal.For{X: "yB", K: ocal.SymP("k2"), Src: ocal.Var{Name: "S1"},
-			Body: ocal.For{X: "x", Src: ocal.Var{Name: "xB"},
-				Body: ocal.For{X: "y", Src: ocal.Var{Name: "yB"},
-					Body: ocal.Single{E: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: "x"}, ocal.Var{Name: "y"}}}}}}}}}
-	lenOf := func(v string) ocal.Expr {
-		return ocal.Prim{Op: ocal.OpLength, Args: []ocal.Expr{ocal.Var{Name: v}}}
-	}
-	wrapped := ocal.App{Fn: inner, Arg: ocal.If{
-		Cond: ocal.Prim{Op: ocal.OpLe, Args: []ocal.Expr{lenOf("R"), lenOf("S")}},
-		Then: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: "R"}, ocal.Var{Name: "S"}}},
-		Else: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: "S"}, ocal.Var{Name: "R"}}},
-	}}
-	res, err := Estimate(h, joinPlacement(""), wrapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With x >> y the min must match costing with the small relation outer,
-	// i.e. it must beat the fixed ordering R-outer.
-	fixed := ocal.App{Fn: inner, Arg: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: "R"}, ocal.Var{Name: "S"}}}}
-	resFixed, err := Estimate(h, joinPlacement(""), fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := sym.Env{"x": 1e6, "y": 1e3, "k1": 512, "k2": 512}
-	if evalSecs(t, res, env) > evalSecs(t, resFixed, env) {
-		t.Errorf("order-inputs min (%v) must not exceed fixed ordering (%v)",
-			evalSecs(t, res, env), evalSecs(t, resFixed, env))
-	}
-	if evalSecs(t, res, env) >= evalSecs(t, resFixed, env) {
-		t.Errorf("with skewed sizes the wrapper should strictly win: %v vs %v",
-			evalSecs(t, res, env), evalSecs(t, resFixed, env))
-	}
-}
-
 func TestHashPartitionedJoinCheaperThanBNLWhenRAMSmall(t *testing.T) {
 	h := memory.HDDRAM(1 * memory.MiB)
 	join := ocal.Lam{Params: []string{"p1", "p2"}, Body: ocal.For{

@@ -30,8 +30,7 @@ type Result struct {
 	Size        AType
 	Events      *Events
 	Constraints []Constraint
-	// Seconds is the full symbolic cost formula (includes the alternative
-	// input ordering when an order-inputs wrapper is present).
+	// Seconds is the full symbolic cost formula.
 	Seconds sym.Expr
 	// Params lists the symbolic tuning parameters appearing in the formula.
 	Params []string
@@ -263,67 +262,6 @@ func Estimate(h *memory.Hierarchy, p Placement, prog ocal.Expr) (*Result, error)
 // Estimate costs prog. It implements the rules of Figures 5 and 6 together
 // with the definition cost plugins of Sections 3 and 6.
 func (e *Estimator) Estimate(prog ocal.Expr) (*Result, error) {
-	// order-inputs wrappers are costed as the minimum over both input
-	// orderings: the formula is evaluated numerically by the optimizer, so
-	// Min picks the ordering the generated program would pick at run time.
-	if inner, x, y, ok := matchOrderInputs(prog); ok {
-		swapped := ocal.App{Fn: inner, Arg: ocal.Tup{Elems: []ocal.Expr{y, x}}}
-		direct := ocal.App{Fn: inner, Arg: ocal.Tup{Elems: []ocal.Expr{x, y}}}
-		r1, err := e.estimateOne(direct)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := e.estimateOne(swapped)
-		if err != nil {
-			return nil, err
-		}
-		r1.Seconds = e.b.Min(r1.Seconds, r2.Seconds)
-		r1.Constraints = append(r1.Constraints, r2.Constraints...)
-		r1.Params = mergeParams(r1.Params, r2.Params)
-		return r1, nil
-	}
-	return e.estimateOne(prog)
-}
-
-// matchOrderInputs recognizes
-//
-//	(\<x1,x2> -> body)(if length(a) <= length(b) then <a,b> else <b,a>)
-//
-// and returns the lambda and the two inputs.
-func matchOrderInputs(e ocal.Expr) (inner ocal.Expr, a, b ocal.Expr, ok bool) {
-	app, isApp := e.(ocal.App)
-	if !isApp {
-		return nil, nil, nil, false
-	}
-	cond, isIf := app.Arg.(ocal.If)
-	if !isIf {
-		return nil, nil, nil, false
-	}
-	t1, ok1 := cond.Then.(ocal.Tup)
-	t2, ok2 := cond.Else.(ocal.Tup)
-	if !ok1 || !ok2 || len(t1.Elems) != 2 || len(t2.Elems) != 2 {
-		return nil, nil, nil, false
-	}
-	if ocal.String(t1.Elems[0]) != ocal.String(t2.Elems[1]) ||
-		ocal.String(t1.Elems[1]) != ocal.String(t2.Elems[0]) {
-		return nil, nil, nil, false
-	}
-	return app.Fn, t1.Elems[0], t1.Elems[1], true
-}
-
-func mergeParams(a, b []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range append(append([]string{}, a...), b...) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func (e *Estimator) estimateOne(prog ocal.Expr) (*Result, error) {
 	if e.err != nil {
 		return nil, e.err
 	}

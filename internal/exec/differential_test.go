@@ -148,12 +148,6 @@ type diffCase struct {
 	inputs   map[string]diffTable
 	arities  map[string]int
 	outArity int
-	// refSrc, when set, is the program the interpreter evaluates instead of
-	// src. Used for the order-inputs wrapper, which the execution engine
-	// defines as a pure execution-order annotation: the plan produces the
-	// same bag as the unwrapped program (BNLJoin re-orients swapped pairs),
-	// while the interpreter reads the wrapper literally.
-	refSrc string
 	// sortedOut asserts the physical output is additionally sorted.
 	sortedOut bool
 	// scalar compares the program's scalar result instead of a row bag.
@@ -215,12 +209,6 @@ func runDiff(t *testing.T, c diffCase) {
 	if err != nil {
 		t.Fatalf("generated program does not parse: %v\n%s", err, c.src)
 	}
-	ref := prog
-	if c.refSrc != "" {
-		if ref, err = ocal.Parse(c.refSrc); err != nil {
-			t.Fatalf("reference program does not parse: %v\n%s", err, c.refSrc)
-		}
-	}
 	values := map[string]ocal.Value{}
 	for name, dt := range c.inputs {
 		v := dt.value
@@ -229,7 +217,7 @@ func runDiff(t *testing.T, c diffCase) {
 		}
 		values[name] = v
 	}
-	want, err := interp.Eval(ref, values, c.params)
+	want, err := interp.Eval(prog, values, c.params)
 	if err != nil {
 		t.Fatalf("interp: %v\n%s", err, c.src)
 	}
@@ -298,7 +286,7 @@ func TestDifferentialScan(t *testing.T) {
 }
 
 // TestDifferentialBNLJoin: randomized blocked nested-loop equi-joins and
-// products, with and without the order-inputs wrapper.
+// products.
 func TestDifferentialBNLJoin(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
@@ -313,20 +301,8 @@ func TestDifferentialBNLJoin(t *testing.T) {
 		}
 		src := fmt.Sprintf(
 			"for (xB [k1] <- R) for (yB [k2] <- S) for (x <- xB) for (y <- yB) %s", body)
-		refSrc := ""
-		if r.Intn(3) == 0 {
-			// order-inputs wrapper: the engine executes it as "same result,
-			// smaller relation outer", so the unwrapped program is the
-			// reference.
-			refSrc = src
-			src = fmt.Sprintf("(\\<R1, S1> -> for (xB [k1] <- R1) for (x <- xB) "+
-				"for (yB [k2] <- S1) for (y <- yB) %s)"+
-				"(if length(R) <= length(S) then <R, S> else <S, R>)",
-				body)
-		}
 		runDiff(t, diffCase{
 			src:      src,
-			refSrc:   refSrc,
 			params:   map[string]int64{"k1": kp(r), "k2": kp(r)},
 			inputs:   map[string]diffTable{"R": R, "S": S},
 			arities:  map[string]int{"R": 2, "S": 2},

@@ -165,18 +165,6 @@ func TestBNLJoinBlockingReducesTime(t *testing.T) {
 	}
 }
 
-func TestBNLJoinOrderBySwaps(t *testing.T) {
-	sim := newSim(t)
-	R := loadTable(t, sim, "hdd", 2, pairsOf(1, 10, 2, 20, 3, 30, 4, 40))
-	S := loadTable(t, sim, "hdd", 2, pairsOf(1, 100))
-	j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, OrderBy: true,
-		EquiKeys: &[2]int{0, 0}}
-	drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Sim: sim})
-	if !j.swapped {
-		t.Error("smaller relation must become the outer one")
-	}
-}
-
 func TestBNLJoinWriteOutSameVsOtherDisk(t *testing.T) {
 	run := func(h *memory.Hierarchy, outDev string) float64 {
 		sim := storage.NewSim(h)

@@ -133,7 +133,7 @@ func (p *Program) Run() error {
 // charge exactly what the monolithic plans charged.
 func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 	l := &lowerer{o: o}
-	root, err := l.lower(prog, false)
+	root, err := l.lower(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +182,9 @@ func (l *lowerer) withOrdered(ordered bool, f func() (Input, error)) (Input, err
 }
 
 // lower translates one expression into an operator, wrapping it with
-// explain instrumentation when requested. orderBy marks that the
-// expression sits under an order-inputs wrapper, which the next loop nest
-// consumes.
-func (l *lowerer) lower(prog ocal.Expr, orderBy bool) (Operator, error) {
-	op, err := l.lowerExpr(prog, orderBy)
+// explain instrumentation when requested.
+func (l *lowerer) lower(prog ocal.Expr) (Operator, error) {
+	op, err := l.lowerExpr(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -194,24 +192,7 @@ func (l *lowerer) lower(prog ocal.Expr, orderBy bool) (Operator, error) {
 }
 
 // lowerExpr is the dispatch body of lower.
-func (l *lowerer) lowerExpr(prog ocal.Expr, orderBy bool) (Operator, error) {
-	// order-inputs wrapper: (\<v1,v2> -> body)(if length(a)<=length(b) ...)
-	if app, ok := prog.(ocal.App); ok {
-		if lam, ok := app.Fn.(ocal.Lam); ok && len(lam.Params) == 2 {
-			if iff, ok := app.Arg.(ocal.If); ok {
-				if t1, ok := iff.Then.(ocal.Tup); ok && len(t1.Elems) == 2 {
-					a, okA := t1.Elems[0].(ocal.Var)
-					b, okB := t1.Elems[1].(ocal.Var)
-					if okA && okB {
-						body := substVars(lam.Body, map[string]string{
-							lam.Params[0]: a.Name, lam.Params[1]: b.Name})
-						return l.lower(body, true)
-					}
-				}
-			}
-		}
-	}
-
+func (l *lowerer) lowerExpr(prog ocal.Expr) (Operator, error) {
 	// GRACE hash join: flatMap(join)(zip(partition(A), partition(B))).
 	if op, err, ok := l.lowerHashJoin(prog); ok {
 		return op, err
@@ -229,7 +210,7 @@ func (l *lowerer) lowerExpr(prog ocal.Expr, orderBy bool) (Operator, error) {
 		return op, err
 	}
 	// Loop nests: scans, filters/projections, (tiled) nested-loop joins.
-	if op, err, ok := l.lowerLoops(prog, orderBy); ok {
+	if op, err, ok := l.lowerLoops(prog); ok {
 		return op, err
 	}
 	// A bare input: the identity scan.
@@ -250,31 +231,11 @@ func (l *lowerer) lowerInput(e ocal.Expr) (Input, error) {
 		}
 		return Input{}, fmt.Errorf("exec: unknown input %q", v.Name)
 	}
-	op, err := l.lower(e, false)
+	op, err := l.lower(e)
 	if err != nil {
 		return Input{}, err
 	}
 	return OpInput(op), nil
-}
-
-func substVars(e ocal.Expr, ren map[string]string) ocal.Expr {
-	switch t := e.(type) {
-	case ocal.Var:
-		if n, ok := ren[t.Name]; ok {
-			return ocal.Var{Name: n}
-		}
-		return t
-	default:
-		kids := ocal.Children(e)
-		if len(kids) == 0 {
-			return e
-		}
-		nk := make([]ocal.Expr, len(kids))
-		for i, k := range kids {
-			nk[i] = substVars(k, ren)
-		}
-		return ocal.WithChildren(e, nk)
-	}
 }
 
 // srcInfo describes one distinct data source of a loop nest.
@@ -300,7 +261,7 @@ func project(in Input, k int64, body ocal.Expr, elem string) (*Project, error) {
 // over two sources, or a single-source blocked scan with projection. A
 // source is an input table (fused) or any lowerable subexpression
 // (streamed).
-func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy bool) (Operator, error, bool) {
+func (l *lowerer) lowerLoops(prog ocal.Expr) (Operator, error, bool) {
 	var srcs []*srcInfo
 	owner := map[string]int{} // loop variable -> source index
 	e := prog
@@ -360,10 +321,7 @@ func (l *lowerer) lowerLoops(prog ocal.Expr, orderBy bool) (Operator, error, boo
 		if err != nil {
 			return nil, err, true
 		}
-		j := &BNLJoin{
-			L: x.in, R: y.in, K1: x.k, K2: y.k,
-			OrderBy: orderBy, EquiKeys: keys, SwapOutput: swapOut,
-		}
+		j := &BNLJoin{L: x.in, R: y.in, K1: x.k, K2: y.k, EquiKeys: keys, SwapOutput: swapOut}
 		// Cache tiling: an inner re-blocking of each source's block.
 		if len(x.tiles) > 1 {
 			j.TileX = x.tiles[0]
@@ -689,7 +647,7 @@ func (l *lowerer) lowerFold(prog ocal.Expr) (Operator, error, bool) {
 			k = src.K.Bind(l.o.Params)
 		} else {
 			inner, err := l.withOrdered(true, func() (Input, error) {
-				op, err := l.lower(src, false)
+				op, err := l.lower(src)
 				if err != nil {
 					return Input{}, err
 				}

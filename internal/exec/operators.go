@@ -180,16 +180,14 @@ func (o *Project) Close() error {
 // ---------------------------------------------------------------------------
 // Block nested loops join
 
-// BNLJoin is the Block Nested Loops Join operator with optional
-// smaller-relation-outer ordering (order-inputs), sequential inner scans,
-// and optional cache tiling (the loop-tiling variant OCAS derives when the
+// BNLJoin is the Block Nested Loops Join operator with sequential inner
+// scans and optional cache tiling (the loop-tiling variant OCAS derives when the
 // hierarchy includes a CPU cache). The resident outer block is pinned in
 // the buffer pool; a non-rewindable inner subtree is materialized to a
 // scratch spill before the first rescan.
 type BNLJoin struct {
-	L, R    Input
-	K1, K2  int64 // outer/inner block sizes in tuples
-	OrderBy bool  // put the smaller relation outer
+	L, R   Input
+	K1, K2 int64 // outer/inner block sizes in tuples
 	// EquiKeys is the join condition: non-nil, an equi-join on (L attribute,
 	// R attribute), 0-based; nil, the relational product of the paper's
 	// write-out experiments ("we use the join condition 'true'"). An
@@ -206,9 +204,6 @@ type BNLJoin struct {
 
 	c            *Ctx
 	outer, inner blockReader
-	swapped      bool
-	flip         bool
-	keys         *[2]int
 	ob           *ownedBlock
 	idx          probeIdx // equi-join index over the resident outer block
 	// hbuf caches each inner row's bucket bounds (start<<32|end) for the
@@ -236,39 +231,13 @@ func (o *BNLJoin) Open(c *Ctx) error {
 	if err := rr.open(c); err != nil {
 		return err
 	}
-	outer, inner := lr, rr
-	o.swapped = false
-	if o.OrderBy {
+	if !rr.rewindable() {
 		var err error
-		if outer.rows() < 0 {
-			if outer, err = materialize(outer, c); err != nil {
-				return err
-			}
-		}
-		if inner.rows() < 0 {
-			if inner, err = materialize(inner, c); err != nil {
-				return err
-			}
-		}
-		if inner.rows() < outer.rows() {
-			outer, inner = inner, outer
-			o.swapped = true
-		}
-	}
-	if !inner.rewindable() {
-		var err error
-		if inner, err = materialize(inner, c); err != nil {
+		if rr, err = materialize(rr, c); err != nil {
 			return err
 		}
 	}
-	o.outer, o.inner = outer, inner
-	o.keys = o.EquiKeys
-	if o.swapped && o.EquiKeys != nil {
-		o.keys = &[2]int{o.EquiKeys[1], o.EquiKeys[0]}
-	}
-	// Emit in the body's tuple order regardless of which side ended up
-	// outer: an OrderBy swap re-orients once, SwapOutput re-orients again.
-	o.flip = o.swapped != o.SwapOutput
+	o.outer, o.inner = lr, rr
 	return o.advanceOuter()
 }
 
@@ -292,10 +261,10 @@ func (o *BNLJoin) advanceOuter() error {
 		return nil
 	}
 	o.ob = ob
-	if o.keys != nil {
+	if o.EquiKeys != nil {
 		// Index the resident block once; the key column is contiguous in
 		// the columnar block — no stride walk.
-		o.idx.build(ob.cols[o.keys[0]])
+		o.idx.build(ob.cols[o.EquiKeys[0]])
 		o.c.cpu(ob.n, o.c.Sim.HashSeconds)
 	}
 	return o.inner.rewind()
@@ -307,7 +276,7 @@ func (o *BNLJoin) advanceOuter() error {
 // a batch worth of rows, so a selective key or a product never buffers a
 // whole block pair's matches at once.
 func (o *BNLJoin) step() error {
-	if o.keys != nil {
+	if o.EquiKeys != nil {
 		return o.stepEqui()
 	}
 	if o.yb == nil {
@@ -374,7 +343,7 @@ func (o *BNLJoin) step() error {
 func (o *BNLJoin) outCols() (xout, yout [][]int32) {
 	ra, sa := o.outer.arity(), o.inner.arity()
 	o.em.reserve(ra + sa)
-	if o.flip {
+	if o.SwapOutput {
 		return o.em.cols[sa:], o.em.cols[:sa]
 	}
 	return o.em.cols[:ra], o.em.cols[ra:]
@@ -407,7 +376,7 @@ func (o *BNLJoin) stepEqui() error {
 		}
 		o.hbuf = o.hbuf[:ny]
 		hbuf, offs, shift := o.hbuf, o.idx.offs, o.idx.shift
-		for b, key := range yb[o.keys[1]] {
+		for b, key := range yb[o.EquiKeys[1]] {
 			h := probeHash(key, shift)
 			hbuf[b] = uint64(offs[h])<<32 | uint64(uint32(offs[h+1]))
 		}
@@ -416,7 +385,7 @@ func (o *BNLJoin) stepEqui() error {
 	nx, ny := o.ob.n, int64(len(yb[0]))
 	max := o.c.batchRows()
 	xout, yout := o.outCols()
-	ents, hbuf, ykeys := o.idx.ents, o.hbuf, yb[o.keys[1]]
+	ents, hbuf, ykeys := o.idx.ents, o.hbuf, yb[o.EquiKeys[1]]
 	settled := o.begun
 	for b := o.posB; b < ny; b++ {
 		if o.em.rows() >= max {

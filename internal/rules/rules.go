@@ -55,7 +55,7 @@ type Context struct {
 	// Output is the output node ("" = CPU-consumed).
 	Output string
 	// Commutative declares that the order of the program's input tuple does
-	// not affect the (multiset) result, enabling order-inputs & hash-part.
+	// not affect the (multiset) result, enabling hash-part.
 	Commutative bool
 	// MaxBranchK caps inc-branching (2^MaxBranchK-way merges).
 	MaxBranchK int
@@ -116,8 +116,8 @@ func (c *Context) deviceOf(name string, s Scope) string {
 	case KindInput:
 		return c.InputLoc[name]
 	case KindLam:
-		// Partition buckets and order-inputs wrapper params: they carry
-		// whatever device their producer used; inputs dominate in practice.
+		// Partition buckets: they carry whatever device their producer
+		// used; inputs dominate in practice.
 		for _, loc := range c.InputLoc {
 			return loc
 		}
@@ -141,7 +141,6 @@ func AllRules() []Rule {
 		ApplyBlockScan{},
 		ApplyBlockUnfold{},
 		SwapIter{},
-		OrderInputs{},
 		HashPart{},
 		IncBranching{},
 		FldLToTrFld{},
@@ -343,57 +342,6 @@ func (SwapIter) Apply(e ocal.Expr, s Scope, c *Context) []ocal.Expr {
 
 func dependsOn(e ocal.Expr, name string) bool {
 	return ocal.FreeVars(e)[name]
-}
-
-// ---------------------------------------------------------------------------
-// order-inputs: wrap a two-relation program so the smaller relation comes
-// first.
-// ---------------------------------------------------------------------------
-
-// OrderInputs applies the length-ordering wrapper. It is a root-only rule:
-// the engine invokes it on the whole program.
-type OrderInputs struct{}
-
-func (OrderInputs) Name() string { return "order-inputs" }
-
-// RootOnly marks the rule as applying to the whole program only.
-func (OrderInputs) RootOnly() bool { return true }
-
-func (OrderInputs) Apply(e ocal.Expr, s Scope, c *Context) []ocal.Expr {
-	if !c.Commutative {
-		return nil
-	}
-	if _, isApp := e.(ocal.App); isApp {
-		return nil // already wrapped (or a definition application)
-	}
-	// Find exactly two free input relations.
-	var inputs []string
-	for name := range ocal.FreeVars(e) {
-		if _, ok := c.InputLoc[name]; ok {
-			inputs = append(inputs, name)
-		}
-	}
-	if len(inputs) != 2 {
-		return nil
-	}
-	a, b := inputs[0], inputs[1]
-	if a > b {
-		a, b = b, a
-	}
-	v1, v2 := c.freshVar(a), c.freshVar(b)
-	body := Subst(e, map[string]ocal.Expr{a: ocal.Var{Name: v1}, b: ocal.Var{Name: v2}})
-	lenOf := func(n string) ocal.Expr {
-		return ocal.Prim{Op: ocal.OpLength, Args: []ocal.Expr{ocal.Var{Name: n}}}
-	}
-	wrapped := ocal.App{
-		Fn: ocal.Lam{Params: []string{v1, v2}, Body: body},
-		Arg: ocal.If{
-			Cond: ocal.Prim{Op: ocal.OpLe, Args: []ocal.Expr{lenOf(a), lenOf(b)}},
-			Then: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: a}, ocal.Var{Name: b}}},
-			Else: ocal.Tup{Elems: []ocal.Expr{ocal.Var{Name: b}, ocal.Var{Name: a}}},
-		},
-	}
-	return []ocal.Expr{wrapped}
 }
 
 // Subst replaces free variables by expressions (capture-avoiding for the

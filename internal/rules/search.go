@@ -10,7 +10,7 @@ import (
 )
 
 // rootOnly is implemented by rules that rewrite the whole program rather
-// than arbitrary subexpressions (order-inputs, hash-part).
+// than arbitrary subexpressions (hash-part).
 type rootOnly interface{ RootOnly() bool }
 
 // Rewrite is one rule application: the resulting program and the rule name.

@@ -92,7 +92,7 @@ func TestParallelSearchRace(t *testing.T) {
 	if stats.SpaceSize != len(ds) {
 		t.Fatalf("SpaceSize %d != %d derivations", stats.SpaceSize, len(ds))
 	}
-	if len(ds) < 100 {
+	if len(ds) < 60 {
 		t.Fatalf("suspiciously small space: %d", len(ds))
 	}
 }

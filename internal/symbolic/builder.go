@@ -115,7 +115,6 @@ const (
 	ctorCeil
 	ctorLog2
 	ctorMax
-	ctorMin
 	ctorSum
 )
 
@@ -186,14 +185,6 @@ func (b *Builder) Max(terms ...Expr) Expr {
 	return b.call(ctorMax, terms)
 }
 
-// Min is the memoized Min.
-func (b *Builder) Min(terms ...Expr) Expr {
-	if b == nil {
-		return Min(terms...)
-	}
-	return b.call(ctorMin, terms)
-}
-
 // Sum is the memoized Sum.
 func (b *Builder) Sum(idx string, n, body Expr) Expr {
 	if b == nil {
@@ -219,8 +210,6 @@ func construct(ctor uint8, args []Expr) Expr {
 		return Log2(args[0])
 	case ctorMax:
 		return Max(args...)
-	case ctorMin:
-		return Min(args...)
 	case ctorSum:
 		return Sum(string(args[0].(Var)), args[1], args[2])
 	}

@@ -106,7 +106,7 @@ func runBuilderProgram(t *testing.T, data []byte) {
 			return built, plain
 		}
 		var got, want Expr
-		switch x, y := []Expr(nil), []Expr(nil); op & 0x3f % 9 {
+		switch x, y := []Expr(nil), []Expr(nil); op & 0x3f % 8 {
 		case 0:
 			x, y = operands(-1)
 			got, want = bl.Add(x...), Add(y...)
@@ -129,9 +129,6 @@ func runBuilderProgram(t *testing.T, data []byte) {
 			x, y = operands(-1)
 			got, want = bl.Max(x...), Max(y...)
 		case 7:
-			x, y = operands(-1)
-			got, want = bl.Min(x...), Min(y...)
-		case 8:
 			x, y = operands(2)
 			got, want = bl.Sum("x", x[0], x[1]), Sum("x", y[0], y[1])
 		}
