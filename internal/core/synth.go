@@ -214,10 +214,11 @@ func (s *Synthesizer) search(ctx context.Context, t Task) ([]rules.Derivation, r
 		rls = rules.AllRules()
 	}
 	rctx := &rules.Context{
-		H:           s.H,
-		InputLoc:    map[string]string{},
-		Output:      t.Output,
-		Commutative: t.Spec.Commutative,
+		H:            s.H,
+		InputLoc:     map[string]string{},
+		Output:       t.Output,
+		Intermediate: cost.Intermediate(s.placement(t)),
+		Commutative:  t.Spec.Commutative,
 	}
 	for _, in := range t.Spec.Inputs {
 		rctx.InputLoc[in.Name] = t.InputLoc[in.Name]

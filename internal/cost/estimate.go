@@ -120,10 +120,10 @@ func (r *run) phaseName() string {
 
 func (r *run) root() string { return r.h.Root.Name }
 
-// intermediate is the node growing intermediate results spill to under p:
+// Intermediate is the node growing intermediate results spill to under p:
 // Placement.Intermediate, else the output node, else the first input
 // location in name order.
-func intermediate(p Placement) string {
+func Intermediate(p Placement) string {
 	if p.Intermediate != "" {
 		return p.Intermediate
 	}
@@ -220,7 +220,7 @@ type Estimator struct {
 	h      *memory.Hierarchy
 	p      Placement
 	inputs *ctx   // each input bound to its annotated type and location
-	inter  string // see intermediate
+	inter  string // see Intermediate
 	err    error  // why no program can be costed under p
 	b      *sym.Builder
 }
@@ -231,7 +231,7 @@ func NewEstimator(h *memory.Hierarchy, p Placement) *Estimator {
 }
 
 func newEstimator(h *memory.Hierarchy, p Placement, b *sym.Builder) *Estimator {
-	e := &Estimator{h: h, p: p, inter: intermediate(p), b: b}
+	e := &Estimator{h: h, p: p, inter: Intermediate(p), b: b}
 	for name, loc := range p.InputLoc {
 		t, ok := p.InputType[name]
 		if !ok {

@@ -174,3 +174,27 @@ func compileAndRun(req Request) (*Plan, error) {
 	}
 	return c.Run(context.Background())
 }
+
+// TestColdRunDeterministicAcrossDevices: two cold runs of one request whose
+// inputs sit on different devices encode the same plan bytes.
+func TestColdRunDeterministicAcrossDevices(t *testing.T) {
+	req := Request{Program: "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",
+		Hier: "two-hdd", RAM: 8 << 20, Depth: 6, Space: 2000,
+		Inputs: map[string]Input{"R": {Node: "hdd", Rows: 4 << 20}, "S": {Node: "hdd2", Rows: 256 << 10}}}
+	var want []byte
+	for run := 0; run < 2; run++ {
+		c, err := Compile(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Encode(p); run == 0 {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("two cold runs differ\nfirst:  %s\nsecond: %s", want, got)
+		}
+	}
+}

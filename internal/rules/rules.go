@@ -54,6 +54,10 @@ type Context struct {
 	InputLoc map[string]string
 	// Output is the output node ("" = CPU-consumed).
 	Output string
+	// Intermediate is the node lambda-bound lists (hash partitions) live on:
+	// cost.Intermediate of the same placement, where the cost model spills
+	// them. It is derived by the caller, never requested.
+	Intermediate string
 	// Commutative declares that the order of the program's input tuple does
 	// not affect the (multiset) result, enabling hash-part.
 	Commutative bool
@@ -109,18 +113,14 @@ func (c *Context) blockLevels() int {
 }
 
 // deviceOf returns the hierarchy node a variable's data lives on, or "".
-// Lambda-bound list variables (e.g. hash partitions) are assumed to live on
-// the intermediate device, which is where the partition plugin places them.
+// Lambda-bound list variables (hash partitions) live on the intermediate
+// device, which is where the partition plugin places them.
 func (c *Context) deviceOf(name string, s Scope) string {
 	switch s[name].Kind {
 	case KindInput:
 		return c.InputLoc[name]
 	case KindLam:
-		// Partition buckets: they carry whatever device their producer
-		// used; inputs dominate in practice.
-		for _, loc := range c.InputLoc {
-			return loc
-		}
+		return c.Intermediate
 	}
 	return ""
 }

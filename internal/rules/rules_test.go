@@ -14,9 +14,10 @@ import (
 
 func testContext() *Context {
 	return &Context{
-		H:           memory.HDDRAM(32 * memory.MiB),
-		InputLoc:    map[string]string{"R": "hdd", "S": "hdd"},
-		Commutative: true,
+		H:            memory.HDDRAM(32 * memory.MiB),
+		InputLoc:     map[string]string{"R": "hdd", "S": "hdd"},
+		Intermediate: "hdd",
+		Commutative:  true,
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"ocas/internal/cost"
 	"ocas/internal/experiments"
 	"ocas/internal/memory"
 	"ocas/internal/ocal"
@@ -27,15 +28,17 @@ var updateGolden = flag.Bool("update-golden", false,
 // searchShape is one search the golden pins, set up the way
 // core.Synthesizer sets it up (same defaults, same context fields).
 type searchShape struct {
-	name        string
-	prog        ocal.Expr
-	h           *memory.Hierarchy
-	rules       []rules.Rule // nil: rules.AllRules()
-	inputLoc    map[string]string
-	output      string
-	commutative bool
-	depth       int // <= 0: 6
-	space       int // <= 0: 20000
+	name     string
+	prog     ocal.Expr
+	h        *memory.Hierarchy
+	rules    []rules.Rule // nil: rules.AllRules()
+	inputLoc map[string]string
+	output   string
+	// intermediate is filled the way core fills rules.Context.Intermediate.
+	intermediate string
+	commutative  bool
+	depth        int // <= 0: 6
+	space        int // <= 0: 20000
 }
 
 // setup returns a fresh search context and the rule set.
@@ -44,7 +47,8 @@ func (s searchShape) setup() (*rules.Context, []rules.Rule) {
 	if rls == nil {
 		rls = rules.AllRules()
 	}
-	return &rules.Context{H: s.h, InputLoc: s.inputLoc, Output: s.output, Commutative: s.commutative}, rls
+	return &rules.Context{H: s.h, InputLoc: s.inputLoc, Output: s.output,
+		Intermediate: s.intermediate, Commutative: s.commutative}, rls
 }
 
 func (s searchShape) search(workers int) ([]rules.Derivation, rules.SearchStats) {
@@ -76,6 +80,7 @@ func searchGoldenShapes(t *testing.T) []searchShape {
 		for _, in := range c.Task.Spec.Inputs {
 			s.inputLoc[in.Name] = c.Task.InputLoc[in.Name]
 		}
+		s.intermediate = cost.Intermediate(c.Synth.TaskPlacement(c.Task))
 		return s
 	}
 
@@ -129,7 +134,8 @@ func searchGoldenShapes(t *testing.T) []searchShape {
 	for _, e := range exps {
 		shapes = append(shapes, searchShape{name: "table1-" + e.Name, prog: e.Spec.Prog, h: e.Hier,
 			rules: e.Rules, inputLoc: e.InputLoc, output: e.Output, commutative: e.Spec.Commutative,
-			depth: e.MaxDepth, space: e.MaxSpace})
+			intermediate: cost.Intermediate(cost.Placement{InputLoc: e.InputLoc, Output: e.Output}),
+			depth:        e.MaxDepth, space: e.MaxSpace})
 	}
 	return shapes
 }

@@ -2,9 +2,12 @@ package rules
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"ocas/internal/memory"
 	"ocas/internal/ocal"
 )
 
@@ -94,5 +97,32 @@ func TestParallelSearchRace(t *testing.T) {
 	}
 	if len(ds) < 60 {
 		t.Fatalf("suspiciously small space: %d", len(ds))
+	}
+}
+
+// TestSearchDeterministicAcrossDevices: with the inputs on two devices, a
+// lambda-bound list (a hash partition) resolves to one device, the
+// intermediate, so seq-ac's gate and with it the space do not depend on map
+// iteration order. Repeated searches at one and four workers find the same
+// members by the same derivations.
+func TestSearchDeterministicAcrossDevices(t *testing.T) {
+	var want string
+	for run := 0; run < 16; run++ {
+		for _, workers := range []int{1, 4} {
+			// Intermediate "hdd" is cost.Intermediate of this placement.
+			c := &Context{H: memory.TwoHDD(8 * memory.MiB),
+				InputLoc:     map[string]string{"R": "hdd", "S": "hdd2"},
+				Intermediate: "hdd", Commutative: true}
+			ds, _ := Search(context.Background(), naiveJoin(), AllRules(), c, 6, 2000, workers)
+			var b strings.Builder
+			for _, d := range ds {
+				fmt.Fprintf(&b, "%s\t%s\n", AlphaKey(d.Expr), strings.Join(d.Steps, ","))
+			}
+			if run == 0 && workers == 1 {
+				want = b.String()
+			} else if got := b.String(); got != want {
+				t.Fatalf("run %d at %d workers found another space (%d members)", run, workers, len(ds))
+			}
+		}
 	}
 }
