@@ -340,9 +340,6 @@ type blockReader interface {
 	arity() int
 	rewindable() bool
 	rewind() error
-	// rows returns the total row count, or -1 when unknown before the
-	// stream completes.
-	rows() int64
 	close() error
 }
 
@@ -571,7 +568,6 @@ func (r *tableReader) take(k int64) (*ownedBlock, error) {
 func (r *tableReader) arity() int       { return r.ar }
 func (r *tableReader) rewindable() bool { return true }
 func (r *tableReader) rewind() error    { r.pos = r.lo; return nil }
-func (r *tableReader) rows() int64      { return r.end() - r.lo }
 
 func (r *tableReader) close() error {
 	if r.frame != nil {
@@ -749,7 +745,6 @@ func (r *opReader) rewindable() bool { return false }
 func (r *opReader) rewind() error {
 	return fmt.Errorf("exec: cannot rewind a streaming operator (materialize it first)")
 }
-func (r *opReader) rows() int64 { return -1 }
 
 func (r *opReader) close() error {
 	if r.frame != nil {

@@ -181,10 +181,11 @@ func (o *Project) Close() error {
 // Block nested loops join
 
 // BNLJoin is the Block Nested Loops Join operator with sequential inner
-// scans and optional cache tiling (the loop-tiling variant OCAS derives when the
-// hierarchy includes a CPU cache). The resident outer block is pinned in
-// the buffer pool; a non-rewindable inner subtree is materialized to a
-// scratch spill before the first rescan.
+// scans and optional cache tiling (the loop-tiling variant OCAS derives when
+// the hierarchy includes a CPU cache). L is the outer relation: the planner
+// fixed the order. The resident outer block is pinned in the buffer pool; a
+// non-rewindable inner subtree is materialized to a scratch spill before the
+// first rescan.
 type BNLJoin struct {
 	L, R   Input
 	K1, K2 int64 // outer/inner block sizes in tuples
