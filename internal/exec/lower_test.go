@@ -55,7 +55,7 @@ func TestLowerBlockedBNL(t *testing.T) {
 }
 
 // TestLowerOrderInputsWrapper pins that the paper's order-inputs wrapper
-// does not lower: the search no longer produces it (the planner fixes the
+// does not lower. The search does not produce it (the planner fixes the
 // input order at known cardinalities), so a hand-written plan containing it
 // is a lowering error, not a run-time swap.
 func TestLowerOrderInputsWrapper(t *testing.T) {
