@@ -499,112 +499,118 @@ func FuzzKernelVsInterp(f *testing.F) {
 		f.Add(seed, uint8(12+seed%6)) // body trees, conditional scalars, final lambdas
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
-		r := rand.New(rand.NewSource(seed))
-		// Of eighteen shapes, 0-5 are the one-row scan bodies and arithmetic
-		// folds below, 6-11 the four kinds of unfoldR step (the generated
-		// lambdas twice) and 12-17 body trees, conditional scalars and final
-		// lambdas.
-		shape %= 18
-		if shape >= 6 && shape < 12 {
-			assertMatchesInterp(t, stepCase(r, int(shape-6)%4), int64(r.Intn(8)+1), 0)
-			return
-		}
-		in := randTable(r, 2, 24, 6)
-		cols := []string{"x.1", "x.2", "x", "x.3", fmt.Sprint(r.Intn(5))}
-		scalar := func() string { return cols[r.Intn(len(cols))] }
-		// Comparisons never take the whole element: on an Int-vs-Tuple
-		// comparison the reference interpreter panics (ocal.ValueCompare) or
-		// answers false (==), where the executor fails with an error of its
-		// own ("a row of 2 attributes used as an integer") — outside this
-		// fuzzer's contract (parity with interp on well-typed comparisons).
-		cmpable := []string{"x.1", "x.2", "x.3", fmt.Sprint(r.Intn(5))}
-		cmpScalar := func() string { return cmpable[r.Intn(len(cmpable))] }
-		arith := func() string {
-			ops := []string{"+", "-", "*", "/", "%"}
-			return fmt.Sprintf("(%s %s %s)", scalar(), ops[r.Intn(len(ops))], scalar())
-		}
-		cmp := func() string {
-			ops := []string{"==", "!=", "<", "<=", ">", ">="}
-			l, rr := cmpScalar(), cmpScalar()
-			if r.Intn(3) == 0 {
-				l = arith()
-			}
-			return fmt.Sprintf("%s %s %s", l, ops[r.Intn(len(ops))], rr)
-		}
-		// The widened grammar. Every row is two attributes wide: interp would
-		// run a ragged body, the executor refuses it when it binds the arity.
-		condScalar := func() string {
-			return fmt.Sprintf("(if %s then %s else %s)", cmp(), arith(), cmpScalar())
-		}
-		rowLit := func() string {
-			switch r.Intn(4) {
-			case 0:
-				return "[x]"
-			case 1:
-				return "[<x.2, x.1>]"
-			case 2:
-				return fmt.Sprintf("[<%s, %s>]", cmpScalar(), condScalar())
-			}
-			return fmt.Sprintf("[<%s, %s>]", arith(), cmpScalar())
-		}
-		var body func(depth, kind int) string
-		body = func(depth, kind int) string {
-			switch {
-			case depth == 0 || kind == 0:
-				return rowLit()
-			case kind == 1:
-				return "[]"
-			case kind == 2:
-				return fmt.Sprintf("(%s ++ %s)", body(depth-1, r.Intn(5)), body(depth-1, r.Intn(5)))
-			}
-			return fmt.Sprintf("(if %s then %s else %s)", cmp(), body(depth-1, r.Intn(5)), body(depth-1, r.Intn(5)))
-		}
-		var src string
-		isScalar := false
-		switch shape {
-		case 12: // nested conditionals
-			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then %s else %s", cmp(), body(2, 3), body(1, r.Intn(5)))
-		case 13: // a row in the else branch
-			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then %s else %s", cmp(), rowLit(), rowLit())
-		case 14: // concatenations
-			src = "for (xB [k1] <- R) for (x <- xB) " + body(3, 2)
-		case 15: // a conditional scalar in the filter and in the row
-			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s < %s then [<%s, %s>] else []",
-				condScalar(), cmpScalar(), condScalar(), cmpScalar())
-		case 16: // max/min-style folds: the accumulator decides
-			ops := []string{"<", "<=", ">", ">=", "==", "!="}
-			src = fmt.Sprintf("foldL(%d, \\<a, x> -> if a %s %s then %s else a)(for (xB [k1] <- R) xB)",
-				r.Intn(4), ops[r.Intn(len(ops))], cmpScalar(), arith())
-			isScalar = true
-		case 17: // a final lambda over the accumulator
-			finals := []string{"[(a.1 / (a.2 + %d))]", "(a.1 %% (a.2 + %d))", "<a.2, (a.1 - %d)>", "[<(if a.1 < a.2 then a.1 else a.2), %d>]"}
-			src = fmt.Sprintf("(\\a -> "+finals[r.Intn(len(finals))]+")(foldL(<0, %d>, \\<a, x> -> <(a.1 + %s), (a.2 + 1)>)(for (xB [k1] <- R) xB))",
-				r.Intn(2), r.Intn(2), cmpScalar())
-			isScalar = true
-		case 0:
-			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) [<%s, %s>]", scalar(), arith())
-		case 1:
-			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then [x] else []", cmp())
-		case 2:
-			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s and %s then [<x.2, x.1>] else []", cmp(), cmp())
-		case 3:
-			src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if not (%s) or %s then [<%s>] else []",
-				cmp(), cmp(), arith())
-		case 4:
-			src = fmt.Sprintf("foldL(0, \\<a, x> -> (a + %s))(for (xB [k1] <- R) xB)", arith())
-			isScalar = true
-		default:
-			src = fmt.Sprintf("foldL(<0, 1>, \\<a, x> -> <(a.1 + %s), (a.2 + a.1)>)(for (xB [k1] <- R) xB)", scalar())
-			isScalar = true
-		}
-		if _, err := ocal.Parse(src); err != nil {
-			t.Skipf("%v: %s", err, src) // the generator hit a non-parsing corner (e.g. bare x in arith)
+		c, batch := kernelCase(seed, shape)
+		if _, err := ocal.Parse(c.src); err != nil {
+			t.Skipf("%v: %s", err, c.src) // the generator hit a non-parsing corner (e.g. bare x in arith)
 		}
 		// Some generated shapes are not valid interp programs at all (x as
 		// an arithmetic operand, x.3 on arity 2 …): then the executor must
 		// fail identically, which assertMatchesInterp covers.
-		c := diffCase{src: src, params: map[string]int64{"k1": int64(r.Intn(6) + 1)},
-			inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, scalar: isScalar}
-		assertMatchesInterp(t, c, int64(r.Intn(8)+1), 0)
+		assertMatchesInterp(t, c, batch, 0)
 	})
+}
+
+// kernelCase draws FuzzKernelVsInterp's case for (seed, shape) and the batch
+// size to run it at. Of eighteen shapes, 0-5 are the one-row scan bodies and
+// arithmetic folds below, 6-11 the four kinds of unfoldR step (the generated
+// lambdas twice) and 12-17 body trees, conditional scalars and final
+// lambdas.
+func kernelCase(seed int64, shape uint8) (diffCase, int64) {
+	r := rand.New(rand.NewSource(seed))
+	shape %= 18
+	if shape >= 6 && shape < 12 {
+		c := stepCase(r, int(shape-6)%4)
+		return c, int64(r.Intn(8) + 1)
+	}
+	in := randTable(r, 2, 24, 6)
+	cols := []string{"x.1", "x.2", "x", "x.3", fmt.Sprint(r.Intn(5))}
+	scalar := func() string { return cols[r.Intn(len(cols))] }
+	// Comparisons never take the whole element: on an Int-vs-Tuple
+	// comparison the reference interpreter panics (ocal.ValueCompare) or
+	// answers false (==), where the executor fails with an error of its
+	// own ("a row of 2 attributes used as an integer") — outside this
+	// fuzzer's contract (parity with interp on well-typed comparisons).
+	cmpable := []string{"x.1", "x.2", "x.3", fmt.Sprint(r.Intn(5))}
+	cmpScalar := func() string { return cmpable[r.Intn(len(cmpable))] }
+	arith := func() string {
+		ops := []string{"+", "-", "*", "/", "%"}
+		return fmt.Sprintf("(%s %s %s)", scalar(), ops[r.Intn(len(ops))], scalar())
+	}
+	cmp := func() string {
+		ops := []string{"==", "!=", "<", "<=", ">", ">="}
+		l, rr := cmpScalar(), cmpScalar()
+		if r.Intn(3) == 0 {
+			l = arith()
+		}
+		return fmt.Sprintf("%s %s %s", l, ops[r.Intn(len(ops))], rr)
+	}
+	// The widened grammar. Every row is two attributes wide: interp would
+	// run a ragged body, the executor refuses it when it binds the arity.
+	condScalar := func() string {
+		return fmt.Sprintf("(if %s then %s else %s)", cmp(), arith(), cmpScalar())
+	}
+	rowLit := func() string {
+		switch r.Intn(4) {
+		case 0:
+			return "[x]"
+		case 1:
+			return "[<x.2, x.1>]"
+		case 2:
+			return fmt.Sprintf("[<%s, %s>]", cmpScalar(), condScalar())
+		}
+		return fmt.Sprintf("[<%s, %s>]", arith(), cmpScalar())
+	}
+	var body func(depth, kind int) string
+	body = func(depth, kind int) string {
+		switch {
+		case depth == 0 || kind == 0:
+			return rowLit()
+		case kind == 1:
+			return "[]"
+		case kind == 2:
+			return fmt.Sprintf("(%s ++ %s)", body(depth-1, r.Intn(5)), body(depth-1, r.Intn(5)))
+		}
+		return fmt.Sprintf("(if %s then %s else %s)", cmp(), body(depth-1, r.Intn(5)), body(depth-1, r.Intn(5)))
+	}
+	var src string
+	isScalar := false
+	switch shape {
+	case 12: // nested conditionals
+		src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then %s else %s", cmp(), body(2, 3), body(1, r.Intn(5)))
+	case 13: // a row in the else branch
+		src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then %s else %s", cmp(), rowLit(), rowLit())
+	case 14: // concatenations
+		src = "for (xB [k1] <- R) for (x <- xB) " + body(3, 2)
+	case 15: // a conditional scalar in the filter and in the row
+		src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s < %s then [<%s, %s>] else []",
+			condScalar(), cmpScalar(), condScalar(), cmpScalar())
+	case 16: // max/min-style folds: the accumulator decides
+		ops := []string{"<", "<=", ">", ">=", "==", "!="}
+		src = fmt.Sprintf("foldL(%d, \\<a, x> -> if a %s %s then %s else a)(for (xB [k1] <- R) xB)",
+			r.Intn(4), ops[r.Intn(len(ops))], cmpScalar(), arith())
+		isScalar = true
+	case 17: // a final lambda over the accumulator
+		finals := []string{"[(a.1 / (a.2 + %d))]", "(a.1 %% (a.2 + %d))", "<a.2, (a.1 - %d)>", "[<(if a.1 < a.2 then a.1 else a.2), %d>]"}
+		src = fmt.Sprintf("(\\a -> "+finals[r.Intn(len(finals))]+")(foldL(<0, %d>, \\<a, x> -> <(a.1 + %s), (a.2 + 1)>)(for (xB [k1] <- R) xB))",
+			r.Intn(2), r.Intn(2), cmpScalar())
+		isScalar = true
+	case 0:
+		src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) [<%s, %s>]", scalar(), arith())
+	case 1:
+		src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s then [x] else []", cmp())
+	case 2:
+		src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if %s and %s then [<x.2, x.1>] else []", cmp(), cmp())
+	case 3:
+		src = fmt.Sprintf("for (xB [k1] <- R) for (x <- xB) if not (%s) or %s then [<%s>] else []",
+			cmp(), cmp(), arith())
+	case 4:
+		src = fmt.Sprintf("foldL(0, \\<a, x> -> (a + %s))(for (xB [k1] <- R) xB)", arith())
+		isScalar = true
+	default:
+		src = fmt.Sprintf("foldL(<0, 1>, \\<a, x> -> <(a.1 + %s), (a.2 + a.1)>)(for (xB [k1] <- R) xB)", scalar())
+		isScalar = true
+	}
+	c := diffCase{src: src, params: map[string]int64{"k1": int64(r.Intn(6) + 1)},
+		inputs: map[string]diffTable{"R": in}, arities: map[string]int{"R": 2}, scalar: isScalar}
+	return c, int64(r.Intn(8) + 1)
 }
