@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ocas/internal/ocal"
 )
@@ -10,12 +11,13 @@ import (
 // This file is the executor's kernel compiler, the only evaluator of per-row
 // OCAL bodies. At Lower time scan/filter/project bodies, fold steps (with
 // their init and final lambda) and unfoldR steps are parsed into small typed
-// trees over one expression IR; at execution time a scan body or fold step is
-// bound to its input's arity, known at the first block, and runs as a flat Go
-// loop (a predicate pass filling a selection vector plus a projection pass
-// reading through it, a fused row loop when the body can error, or a decision
-// tree walked per row), and an unfoldR step runs as a cursor machine over its
-// operator's windows. Kernels never touch the charging code: block reads,
+// trees over one expression IR, which one evaluator (kexpr.eval) runs; at
+// execution time a scan body or fold step is bound to its input's arity,
+// known at the first block, and runs as a flat Go loop (a predicate pass
+// filling a selection vector plus a projection pass reading through it, or a
+// decision tree walked per row when the body is more than one filtered row or
+// can fail), and an unfoldR step runs as a cursor machine over its operator's
+// windows. Kernels never touch the charging code: block reads,
 // cpu() charges and batch boundaries belong to the operators, so digests,
 // ledgers, the virtual clock and EXPLAIN ANALYZE counters do not depend on
 // a body's shape. A body outside the grammar (bodyGrammar, stepGrammar) does
@@ -38,16 +40,17 @@ var (
 type kexprKind int
 
 const (
-	kCol   kexprKind = iota // one input column, widened to int64
-	kLit                    // integer or boolean (0/1) literal
-	kElem                   // the whole loop element used as a scalar (arity 1)
-	kAcc                    // one component of a fold's accumulator
-	kArith                  // Add/Sub/Mul/Div/Mod over two integers
-	kCmp                    // ordered/equality comparison of two integers
-	kLogic                  // And/Or over two conditions, Not over one (r nil)
-	kIf                     // if c then l else r over integers, one branch evaluated
-	kHead                   // unfoldR step: one column of head(tailᵈ(sᵢ)); col < 0: the row itself
-	kEmpty                  // unfoldR step: length(tailᵈ(sᵢ)) == 0
+	kCol    kexprKind = iota // one input column, widened to int64
+	kLit                     // integer or boolean (0/1) literal
+	kElem                    // the whole loop element used as a scalar (arity 1)
+	kAcc                     // one component of a fold's accumulator
+	kArith                   // Add/Sub/Mul/Div/Mod over two integers
+	kCmp                     // ordered/equality comparison of two integers
+	kLogic                   // And/Or over two conditions, Not over one (r nil)
+	kIf                      // if c then l else r over integers, one branch evaluated
+	kHead                    // unfoldR step: one column of head(tailᵈ(sᵢ)); col < 0: the row itself
+	kEmpty                   // unfoldR step: length(tailᵈ(sᵢ)) == 0
+	kRowCmp                  // unfoldR step: two bare heads, compared as whole rows
 	// What bind makes of a reference the input arity cannot serve:
 	kBadProj  // x.c past the arity, or on an arity-1 row (a bare Int): fails like interp's projection
 	kRow      // the whole element of arity > 1 where an integer is wanted
@@ -208,7 +211,7 @@ func (v kvars) empty(cmp ocal.Prim) (*kexpr, bool) {
 // parseCond parses a boolean condition: comparisons over integer scalars,
 // And/Or/Not compositions and boolean literals. Comparisons over non-scalar
 // operands are outside the grammar — except between two bare heads of an
-// unfoldR step, which compare as whole rows (see evalStep).
+// unfoldR step, which compare as whole rows (see compareRows).
 func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 	switch t := e.(type) {
 	case ocal.BoolLit:
@@ -228,7 +231,11 @@ func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 			}
 			l, okL := parseScalar(t.Args[0], v)
 			r, okR := parseScalar(t.Args[1], v)
-			if okL && okR {
+			switch {
+			case !okL || !okR:
+			case l.isRow() && r.isRow():
+				return &kexpr{kind: kRowCmp, op: t.Op, l: l, r: r}, true
+			default:
 				return &kexpr{kind: kCmp, op: t.Op, l: l, r: r}, true
 			}
 		case ocal.OpAnd, ocal.OpOr:
@@ -255,17 +262,14 @@ func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 // canErr reports whether evaluating the expression can fail: Div/Mod by
 // zero, or a leaf the arity could not bind.
 func (e *kexpr) canErr() bool {
+	if e == nil {
+		return false
+	}
 	switch e.kind {
 	case kBadProj, kRow, kRowArith:
 		return true
 	}
-	if e.l == nil {
-		return false
-	}
-	if e.op == ocal.OpDiv || e.op == ocal.OpMod {
-		return true
-	}
-	return e.l.canErr() || (e.r != nil && e.r.canErr()) || (e.c != nil && e.c.canErr())
+	return e.op == ocal.OpDiv || e.op == ocal.OpMod || e.l.canErr() || e.r.canErr() || e.c.canErr()
 }
 
 // bind returns a copy of the parsed expression specialized to the input
@@ -312,130 +316,123 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// eval evaluates the expression against row i of a column block (acc is the
-// fold accumulator, nil elsewhere) with error checking. Operands evaluate
-// eagerly, left to right: interp's evalPrim evaluates every argument before
-// the operator applies, so a Div by zero surfaces on the same row and the
-// same operation — even in the right operand of an And/Or the left one
-// already decides.
-func (e *kexpr) eval(acc []int64, cols [][]int32, i int) (int64, error) {
-	switch e.kind {
-	case kCol:
-		return int64(cols[e.col][i]), nil
-	case kLit:
-		return e.lit, nil
-	case kAcc:
-		return acc[e.col], nil
-	case kIf:
-		// Like interp's if: only the branch the condition selects evaluates.
-		c, err := e.c.eval(acc, cols, i)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return e.l.eval(acc, cols, i)
-		}
-		return e.r.eval(acc, cols, i)
-	case kBadProj:
-		if e.lit == 1 {
-			return 0, fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, cols[0][i])
-		}
-		return 0, fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, e.lit)
-	case kRow:
-		return 0, fmt.Errorf("exec: a row of %d attributes used as an integer", e.lit)
-	case kRowArith:
-		var args [2]ocal.Value
-		for j, o := range [2]*kexpr{e.l, e.r} {
-			if o.kind == kRow {
-				row := make(ocal.Tuple, len(cols))
-				for c := range cols {
-					row[c] = ocal.Int(cols[c][i])
-				}
-				args[j] = row
-				continue
-			}
-			v, err := o.eval(acc, cols, i)
-			if err != nil {
-				return 0, err
-			}
-			args[j] = ocal.Int(v)
-		}
-		return 0, fmt.Errorf("interp: arithmetic on non-integers %s, %s", args[0], args[1])
-	}
-	a, err := e.l.eval(acc, cols, i)
-	if err != nil {
-		return 0, err
-	}
-	if e.r == nil { // Not
-		return a ^ 1, nil
-	}
-	b, err := e.r.eval(acc, cols, i)
-	if err != nil {
-		return 0, err
-	}
-	return applyChecked(e.op, a, b)
+// kenv is what an expression reads — row i of a column block and, in a fold,
+// the accumulator; in an unfoldR step, the state windows — and the first
+// failure its evaluation raised.
+type kenv struct {
+	cols [][]int32
+	i    int
+	acc  []int64
+	ws   []stepWin
+	err  error
 }
 
-// applyChecked applies a binary operator, failing like interp on a zero
-// divisor.
-func applyChecked(op ocal.PrimOp, a, b int64) (int64, error) {
-	switch op {
-	case ocal.OpDiv:
-		if b == 0 {
-			return 0, errDivZero
-		}
-		return a / b, nil
-	case ocal.OpMod:
-		if b == 0 {
-			return 0, errModZero
-		}
-		return a % b, nil
+// fail records err unless an earlier failure is recorded, and yields 0.
+func (x *kenv) fail(err error) int64 {
+	if x.err == nil {
+		x.err = err
 	}
-	return applyOp(op, a, b), nil
+	return 0
 }
 
-// evalFast evaluates an expression proven error-free (canErr is false);
-// with no errors and no side effects, short-circuiting And/Or is
-// unobservable and allowed.
-func (e *kexpr) evalFast(acc []int64, cols [][]int32, i int) int64 {
+// eval is the one evaluator of kexpr trees: scan bodies, fold steps, final
+// lambdas and unfoldR steps. Operands evaluate eagerly, left to right:
+// interp's evalPrim evaluates every argument before the operator applies, so
+// a Div by zero surfaces on the same row and the same operation — even in the
+// right operand of an And/Or the left one already decides. Like interp's if,
+// only the branch the condition selects evaluates. A failure does not stop
+// the walk (a failing node yields 0); x keeps the first one, which is
+// interp's, and the caller checks x.err before it uses a value.
+func (e *kexpr) eval(x *kenv) int64 {
 	switch e.kind {
 	case kCol:
-		return int64(cols[e.col][i])
+		return int64(x.cols[e.col][x.i])
 	case kLit:
 		return e.lit
 	case kAcc:
-		return acc[e.col]
+		return x.acc[e.col]
 	case kIf:
-		if e.c.evalFast(acc, cols, i) != 0 {
-			return e.l.evalFast(acc, cols, i)
+		if e.c.eval(x) != 0 {
+			return e.l.eval(x)
 		}
-		return e.r.evalFast(acc, cols, i)
+		return e.r.eval(x)
+	case kHead:
+		return x.head(e)
+	case kEmpty:
+		n := x.ws[e.win].rows() - e.depth
+		if n < 0 {
+			return x.fail(errTailEmpty)
+		}
+		return b2i(n == 0)
+	case kBadProj, kRow, kRowArith:
+		return x.fail(e.unbound(x))
+	case kRowCmp:
+		return b2i(cmpHolds(e.op, int64(x.compareRows(e.l, e.r)), 0))
 	}
-	a := e.l.evalFast(acc, cols, i)
-	switch {
-	case e.r == nil: // Not
+	a := e.l.operand(x)
+	if e.r == nil { // Not
 		return a ^ 1
-	case e.op == ocal.OpAnd && a == 0, e.op == ocal.OpOr && a != 0:
-		return a
 	}
-	return applyOp(e.op, a, e.r.evalFast(acc, cols, i))
-}
-
-// applyOp applies a total binary operator (everything but Div/Mod).
-func applyOp(op ocal.PrimOp, a, b int64) int64 {
-	switch op {
+	b := e.r.operand(x)
+	switch e.op {
 	case ocal.OpAdd:
 		return a + b
 	case ocal.OpSub:
 		return a - b
 	case ocal.OpMul:
 		return a * b
+	case ocal.OpDiv:
+		if b == 0 {
+			return x.fail(errDivZero)
+		}
+		return a / b
+	case ocal.OpMod:
+		if b == 0 {
+			return x.fail(errModZero)
+		}
+		return a % b
 	case ocal.OpAnd:
 		return a & b
 	case ocal.OpOr:
 		return a | b
 	}
-	return b2i(cmpHolds(op, a, b))
+	return b2i(cmpHolds(e.op, a, b))
+}
+
+// operand is eval with the leaves most operands are read in place, saving
+// the call.
+func (e *kexpr) operand(x *kenv) int64 {
+	if e.kind == kCol {
+		return int64(x.cols[e.col][x.i])
+	}
+	return e.eval(x)
+}
+
+// unbound is the failure of a leaf the input arity could not bind, raised
+// once its operands evaluated.
+func (e *kexpr) unbound(x *kenv) error {
+	switch e.kind {
+	case kBadProj:
+		if e.lit == 1 {
+			return fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, x.cols[0][x.i])
+		}
+		return fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, e.lit)
+	case kRow:
+		return fmt.Errorf("exec: a row of %d attributes used as an integer", e.lit)
+	}
+	var args [2]ocal.Value
+	for j, o := range [2]*kexpr{e.l, e.r} {
+		if o.kind != kRow {
+			args[j] = ocal.Int(o.eval(x))
+			continue
+		}
+		row := make(ocal.Tuple, len(x.cols))
+		for c := range x.cols {
+			row[c] = ocal.Int(x.cols[c][x.i])
+		}
+		args[j] = row
+	}
+	return fmt.Errorf("interp: arithmetic on non-integers %s, %s", args[0], args[1])
 }
 
 func cmpHolds(op ocal.PrimOp, a, b int64) bool {
@@ -613,11 +610,26 @@ func (n *stepNode) bindBody(ar int, width *int) (*stepNode, error) {
 	return b, nil
 }
 
+// canErr reports whether walking the tree can fail somewhere.
+func (n *stepNode) canErr() bool {
+	if n == nil {
+		return false
+	}
+	for _, p := range n.emit {
+		if p.scalar.canErr() {
+			return true
+		}
+	}
+	return n.cond.canErr() || n.then.canErr() || n.els.canErr()
+}
+
 // projKernel is a scan body specialized to one input arity, owned by a
-// single operator instance (its selection vector is reused across blocks and
-// must not be shared between strands). One row under at most one condition
-// runs as a selection-vector pass plus a columnar projection; any other body
-// keeps its tree, walked per input row.
+// single operator instance (its selection vector and evaluation state are
+// reused across blocks and must not be shared between strands). One row under
+// at most one condition, none of it able to fail, runs as a selection-vector
+// pass plus a columnar projection; any other body keeps its tree, walked per
+// input row, so a failure surfaces on the row and at the operation interp's
+// does.
 type projKernel struct {
 	ar       int
 	outWidth int
@@ -625,9 +637,9 @@ type projKernel struct {
 	identity bool      // output is the input row verbatim
 	gather   []int     // when non-nil: output columns are input columns
 	parts    []outPart // general projection (gather nil), in output order
-	canErr   bool      // run row-at-a-time to keep error order
-	tree     *stepNode // when non-nil: the body beyond [row] | if cond then [row] else []
+	tree     *stepNode // when non-nil: the body, walked per row
 
+	x   kenv
 	sel []int32 // reusable selection vector: indices of surviving rows
 }
 
@@ -640,19 +652,18 @@ func newProjKernel(body *stepNode, ar int) (*projKernel, error) {
 	}
 	leaf := root
 	if c, els := root.cond, root.els; c != nil && root.then.emit != nil && els.then == nil && els.emit == nil {
-		k.cond, k.canErr, leaf = c, c.canErr(), root.then
+		k.cond, leaf = c, root.then
 	}
-	if leaf.emit == nil {
-		k.tree = root
+	if leaf.emit == nil || root.canErr() {
+		k.cond, k.tree = nil, root
 		return k, nil
 	}
 	// The whole-row splice contributes the input's ar columns in place.
 	// When every output component resolves to an input column, the kernel
 	// runs in gather (or identity) mode; otherwise the ordered parts list
 	// drives the general projection.
-	k.parts = leaf.emit
 	cols := make([]int, 0, k.outWidth)
-	for _, p := range k.parts {
+	for _, p := range leaf.emit {
 		switch {
 		case p.wholeRow:
 			for c := 0; c < ar; c++ {
@@ -660,22 +671,15 @@ func newProjKernel(body *stepNode, ar int) (*projKernel, error) {
 			}
 		case p.scalar.kind == kCol:
 			cols = append(cols, p.scalar.col)
-		default:
-			k.canErr = k.canErr || p.scalar.canErr()
 		}
 	}
-	if len(cols) == k.outWidth {
-		k.gather = cols
-		k.parts = nil
-		if len(cols) == ar {
-			k.identity = true
-			for i, c := range cols {
-				if c != i {
-					k.identity = false
-					break
-				}
-			}
-		}
+	if len(cols) < k.outWidth {
+		k.parts = leaf.emit
+		return k, nil
+	}
+	k.gather, k.identity = cols, len(cols) == ar
+	for i, c := range cols {
+		k.identity = k.identity && c == i
 	}
 	return k, nil
 }
@@ -687,111 +691,75 @@ func newProjKernel(body *stepNode, ar int) (*projKernel, error) {
 // cost.
 func (k *projKernel) run(em *emitter, cols [][]int32, rows int) error {
 	em.reserve(k.outWidth)
+	x := &k.x
+	x.cols = cols
 	if k.tree != nil {
-		for i := 0; i < rows; i++ {
-			if err := k.tree.emitRows(em, k.ar, cols, i); err != nil {
+		for x.i = 0; x.i < rows; x.i++ {
+			if err := k.tree.emitRows(em, k.ar, x); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if k.canErr {
-		return k.runChecked(em, cols, rows)
+	// The filter marks survivors in the selection vector instead of
+	// compacting rows; the projection reads through it.
+	var sel []int32
+	if k.cond != nil {
+		if sel = k.buildSel(cols, rows); len(sel) == 0 {
+			return nil
+		}
 	}
-	if k.cond == nil {
-		// Unconditional projection: no selection pass needed.
-		k.project(em, cols, rows, nil)
-		return nil
-	}
-	// Phase 1: the filter marks survivors in the selection vector instead
-	// of compacting rows.
-	sel := k.buildSel(cols, rows)
-	if len(sel) == 0 {
-		return nil
-	}
-	// Phase 2: project through the selection without copying rejected rows.
 	k.project(em, cols, rows, sel)
 	return nil
 }
 
-// buildSel runs the filter pass over one column block, filling the
-// reusable selection vector with the indices of surviving rows. Valid only
-// for an error-free condition.
+// buildSel runs the filter pass over one column block, filling the reusable
+// selection vector with the indices of surviving rows. The candidate index is
+// stored unconditionally and the cursor advances only on survival. A column
+// compared with a literal, the common filter, runs as one branchless range
+// test over the column vector.
 func (k *projKernel) buildSel(cols [][]int32, rows int) []int32 {
 	if cap(k.sel) < rows {
 		k.sel = make([]int32, rows)
 	}
-	// The specialized loops are branchless: the candidate index is stored
-	// unconditionally and the cursor advances only on survival, so the
-	// filter runs at memory speed regardless of selectivity.
 	sel, n := k.sel[:rows], 0
 	if c := k.cond; c.kind == kCmp && c.l.kind == kCol && c.r.kind == kLit {
-		// Pre-specialized column-vs-literal comparison loops over the
-		// contiguous column vector.
-		col, lit := cols[c.l.col][:rows], c.r.lit
-		switch c.op {
-		case ocal.OpEq:
-			for i, v := range col {
-				sel[n] = int32(i)
-				if int64(v) == lit {
-					n++
-				}
-			}
-		case ocal.OpNe:
-			for i, v := range col {
-				sel[n] = int32(i)
-				if int64(v) != lit {
-					n++
-				}
-			}
-		case ocal.OpLt:
-			for i, v := range col {
-				sel[n] = int32(i)
-				if int64(v) < lit {
-					n++
-				}
-			}
-		case ocal.OpLe:
-			for i, v := range col {
-				sel[n] = int32(i)
-				if int64(v) <= lit {
-					n++
-				}
-			}
-		case ocal.OpGt:
-			for i, v := range col {
-				sel[n] = int32(i)
-				if int64(v) > lit {
-					n++
-				}
-			}
-		default:
-			for i, v := range col {
-				sel[n] = int32(i)
-				if int64(v) >= lit {
-					n++
-				}
-			}
-		}
-	} else if c.kind == kCmp && c.l.kind == kCol && c.r.kind == kCol {
-		// Column-vs-column comparison loop.
-		ci, cj := cols[c.l.col][:rows], cols[c.r.col][:rows]
-		for i := 0; i < rows; i++ {
+		lo, span, out := litRange(c.op, c.r.lit)
+		for i, v := range cols[c.l.col][:rows] {
 			sel[n] = int32(i)
-			if cmpHolds(c.op, int64(ci[i]), int64(cj[i])) {
-				n++
-			}
+			n += int(b2i(uint64(int64(v))-lo <= span != out))
 		}
 	} else {
-		for i := 0; i < rows; i++ {
-			sel[n] = int32(i)
-			if c.evalFast(nil, cols, i) != 0 {
-				n++
-			}
+		x := &k.x
+		for x.i = 0; x.i < rows; x.i++ {
+			sel[n] = int32(x.i)
+			n += int(k.cond.eval(x))
 		}
 	}
 	k.sel = sel
 	return sel[:n]
+}
+
+// litRange turns v ⋚ lit over int32 values v into a range test: v holds
+// exactly when uint64(v)-lo <= span (wrapping) differs from out. Clamping lit
+// to one past the int32 range keeps every comparison's answer and every
+// bound finite.
+func litRange(op ocal.PrimOp, lit int64) (lo, span uint64, out bool) {
+	lit = max(math.MinInt32-1, min(lit, math.MaxInt32+1))
+	first, last := int64(math.MinInt64), int64(math.MaxInt64)
+	switch op {
+	case ocal.OpLt:
+		last = lit - 1
+	case ocal.OpLe:
+		last = lit
+	case ocal.OpGt:
+		first = lit + 1
+	case ocal.OpGe:
+		first = lit
+	default: // OpEq, OpNe
+		first, last, out = lit, lit, op == ocal.OpNe
+	}
+	return uint64(first), uint64(last) - uint64(first), out
 }
 
 // appendSel appends src (or its sel-selected subset) to dst column-wise.
@@ -806,255 +774,95 @@ func appendSel(dst, src, sel []int32) []int32 {
 }
 
 // project appends the projected block (optionally filtered through sel) to
-// the emitter column by column: identity and gather modes are per-column
-// bulk copies, and scalar components evaluate down their whole output
-// column — the struct-of-arrays payoff.
+// the emitter column by column: input columns are bulk copies, and a scalar
+// component evaluates down its whole output column.
 func (k *projKernel) project(em *emitter, cols [][]int32, rows int, sel []int32) {
-	switch {
-	case k.identity:
-		for c := 0; c < k.ar; c++ {
-			em.cols[c] = appendSel(em.cols[c], cols[c][:rows], sel)
+	if k.gather != nil {
+		if k.identity {
+			for c := 0; c < k.ar; c++ {
+				em.cols[c] = appendSel(em.cols[c], cols[c][:rows], sel)
+			}
+			return
 		}
-	case k.gather != nil:
 		for j, c := range k.gather {
 			em.cols[j] = appendSel(em.cols[j], cols[c][:rows], sel)
 		}
-	default:
-		oc := 0
-		for _, p := range k.parts {
-			if p.wholeRow {
-				for c := 0; c < k.ar; c++ {
-					em.cols[oc] = appendSel(em.cols[oc], cols[c][:rows], sel)
-					oc++
-				}
-				continue
-			}
-			em.cols[oc] = evalPartFast(p.scalar, em.cols[oc], cols, rows, sel)
-			oc++
-		}
+		return
 	}
-}
-
-// evalPartFast appends one scalar output column, specializing the common
-// depth-1 shapes — a bare column, a literal, and column/literal
-// arithmetic — into tight loops over the contiguous column vectors. The
-// int32 arithmetic is exact: the interpreter computes in int64 and
-// truncates the result, and truncation mod 2^32 commutes with add, sub
-// and mul (Div/Mod imply canErr and never reach the fast path). Deeper
-// expressions fall back to the recursive evalFast walk per row.
-func evalPartFast(e *kexpr, dst []int32, cols [][]int32, rows int, sel []int32) []int32 {
-	switch {
-	case e.kind == kCol:
-		return appendSel(dst, cols[e.col][:rows], sel)
-	case e.kind == kLit:
-		v, n := int32(e.lit), rows
-		if sel != nil {
-			n = len(sel)
-		}
-		for i := 0; i < n; i++ {
-			dst = append(dst, v)
-		}
-		return dst
-	case e.kind == kArith && e.l.kind == kCol && e.r.kind == kCol:
-		a, b := cols[e.l.col][:rows], cols[e.r.col][:rows]
-		switch e.op {
-		case ocal.OpAdd:
-			if sel == nil {
-				for i := range a {
-					dst = append(dst, a[i]+b[i])
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, a[i]+b[i])
-				}
-			}
-			return dst
-		case ocal.OpSub:
-			if sel == nil {
-				for i := range a {
-					dst = append(dst, a[i]-b[i])
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, a[i]-b[i])
-				}
-			}
-			return dst
-		case ocal.OpMul:
-			if sel == nil {
-				for i := range a {
-					dst = append(dst, a[i]*b[i])
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, a[i]*b[i])
-				}
-			}
-			return dst
-		}
-	case e.kind == kArith && e.l.kind == kCol && e.r.kind == kLit:
-		a, lit := cols[e.l.col][:rows], int32(e.r.lit)
-		switch e.op {
-		case ocal.OpAdd:
-			if sel == nil {
-				for i := range a {
-					dst = append(dst, a[i]+lit)
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, a[i]+lit)
-				}
-			}
-			return dst
-		case ocal.OpSub:
-			if sel == nil {
-				for i := range a {
-					dst = append(dst, a[i]-lit)
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, a[i]-lit)
-				}
-			}
-			return dst
-		case ocal.OpMul:
-			if sel == nil {
-				for i := range a {
-					dst = append(dst, a[i]*lit)
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, a[i]*lit)
-				}
-			}
-			return dst
-		}
-	case e.kind == kArith && e.l.kind == kLit && e.r.kind == kCol:
-		lit, b := int32(e.l.lit), cols[e.r.col][:rows]
-		switch e.op {
-		case ocal.OpAdd:
-			if sel == nil {
-				for i := range b {
-					dst = append(dst, lit+b[i])
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, lit+b[i])
-				}
-			}
-			return dst
-		case ocal.OpSub:
-			if sel == nil {
-				for i := range b {
-					dst = append(dst, lit-b[i])
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, lit-b[i])
-				}
-			}
-			return dst
-		case ocal.OpMul:
-			if sel == nil {
-				for i := range b {
-					dst = append(dst, lit*b[i])
-				}
-			} else {
-				for _, i := range sel {
-					dst = append(dst, lit*b[i])
-				}
-			}
-			return dst
-		}
-	}
-	if sel == nil {
-		for i := 0; i < rows; i++ {
-			dst = append(dst, int32(e.evalFast(nil, cols, i)))
-		}
-	} else {
-		for _, i := range sel {
-			dst = append(dst, int32(e.evalFast(nil, cols, int(i))))
-		}
-	}
-	return dst
-}
-
-// runChecked is the erroring variant: condition then output per row, in
-// row order, so the first failing operation is the one interp would hit.
-func (k *projKernel) runChecked(em *emitter, cols [][]int32, rows int) error {
-	for i := 0; i < rows; i++ {
-		if k.cond != nil {
-			ok, err := k.cond.eval(nil, cols, i)
-			if err != nil {
-				return err
-			}
-			if ok == 0 {
-				continue
-			}
-		}
-		if k.gather != nil {
-			for j, c := range k.gather {
-				em.cols[j] = append(em.cols[j], cols[c][i])
+	oc := 0
+	for _, p := range k.parts {
+		switch {
+		case p.wholeRow:
+			for c := 0; c < k.ar; c++ {
+				em.cols[oc] = appendSel(em.cols[oc], cols[c][:rows], sel)
+				oc++
 			}
 			continue
+		case p.scalar.kind == kCol:
+			em.cols[oc] = appendSel(em.cols[oc], cols[p.scalar.col][:rows], sel)
+		case sel == nil:
+			x := &k.x
+			for x.i = 0; x.i < rows; x.i++ {
+				em.cols[oc] = append(em.cols[oc], int32(p.scalar.eval(x)))
+			}
+		default:
+			x := &k.x
+			for _, i := range sel {
+				x.i = int(i)
+				em.cols[oc] = append(em.cols[oc], int32(p.scalar.eval(x)))
+			}
 		}
-		if err := emitParts(em, k.parts, k.ar, cols, i); err != nil {
-			return err
-		}
+		oc++
 	}
-	return nil
 }
 
-// emitParts appends the row the parts make of input row i.
-func emitParts(em *emitter, parts []outPart, ar int, cols [][]int32, i int) error {
+// emitParts appends the row the parts make of the row x is at.
+func emitParts(em *emitter, parts []outPart, ar int, x *kenv) error {
 	oc := 0
 	for _, p := range parts {
 		if p.wholeRow {
 			for c := 0; c < ar; c++ {
-				em.cols[oc] = append(em.cols[oc], cols[c][i])
+				em.cols[oc] = append(em.cols[oc], x.cols[c][x.i])
 				oc++
 			}
 			continue
 		}
-		v, err := p.scalar.eval(nil, cols, i)
-		if err != nil {
-			// Drop the partial row so the emitter stays row-aligned.
-			for c := 0; c < oc; c++ {
-				em.cols[c] = em.cols[c][:len(em.cols[c])-1]
-			}
-			return err
-		}
-		em.cols[oc] = append(em.cols[oc], int32(v))
+		em.cols[oc] = append(em.cols[oc], int32(p.scalar.eval(x)))
 		oc++
 	}
-	return nil
+	if x.err != nil {
+		// Drop the failed row so the emitter stays row-aligned.
+		for c := 0; c < oc; c++ {
+			em.cols[c] = em.cols[c][:len(em.cols[c])-1]
+		}
+	}
+	return x.err
 }
 
-// emitRows walks a bound scan body for input row i: conditions evaluate
+// emitRows walks a bound scan body for the row x is at: conditions evaluate
 // lazily like interp's if — only the branch taken is looked at — and a
 // concatenation emits its left rows before its right ones.
-func (n *stepNode) emitRows(em *emitter, ar int, cols [][]int32, i int) error {
+func (n *stepNode) emitRows(em *emitter, ar int, x *kenv) error {
 	for {
 		switch {
 		case n.concat:
-			if err := n.then.emitRows(em, ar, cols, i); err != nil {
+			if err := n.then.emitRows(em, ar, x); err != nil {
 				return err
 			}
 			n = n.els
 		case n.cond != nil:
-			v, err := n.cond.eval(nil, cols, i)
-			if err != nil {
-				return err
-			}
-			if v != 0 {
+			if n.cond.eval(x) != 0 {
 				n = n.then
 			} else {
 				n = n.els
 			}
+			if x.err != nil {
+				return x.err
+			}
 		case n.emit == nil:
 			return nil
 		default:
-			return emitParts(em, n.emit, ar, cols, i)
+			return emitParts(em, n.emit, ar, x)
 		}
 	}
 }
@@ -1079,10 +887,9 @@ type foldKernel struct {
 	spec *foldKernelSpec
 	// bodyF is the arity-bound body (bound at the first block, when a
 	// streamed input's arity becomes known).
-	bodyF  []*kexpr
-	canErr bool
-	acc    []int64
-	tmp    []int64
+	bodyF []*kexpr
+	x     kenv // x.acc is the accumulator
+	tmp   []int64
 }
 
 // rowElems lists the components of a flat row: the elements of a tuple, or
@@ -1120,12 +927,12 @@ func parseFoldKernel(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, erro
 		return nil, fmt.Errorf("init: %v", err)
 	}
 	spec := &foldKernelSpec{}
+	var x kenv
 	for _, c := range consts {
-		v, err := c.eval(nil, nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("init: %v", err)
-		}
-		spec.init = append(spec.init, v)
+		spec.init = append(spec.init, c.eval(&x))
+	}
+	if x.err != nil {
+		return nil, fmt.Errorf("init: %v", x.err)
 	}
 	v := kvars{elem: lam.Params[1], acc: lam.Params[0], accWidth: len(spec.init)}
 	if spec.body, err = parseScalars(lam.Body, v); err != nil {
@@ -1147,8 +954,8 @@ func parseFoldKernel(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, erro
 
 // newKernel instantiates the spec's mutable run state.
 func (s *foldKernelSpec) newKernel() *foldKernel {
-	k := &foldKernel{spec: s, acc: append([]int64(nil), s.init...)}
-	k.tmp = make([]int64, len(s.init))
+	k := &foldKernel{spec: s, tmp: make([]int64, len(s.init))}
+	k.x.acc = append([]int64(nil), s.init...)
 	return k
 }
 
@@ -1157,30 +964,20 @@ func (s *foldKernelSpec) newKernel() *foldKernel {
 // like interp rebuilding the accumulator tuple from the old one.
 func (k *foldKernel) step(cols [][]int32, rows int) error {
 	if k.bodyF == nil {
-		for _, fe := range k.spec.body {
-			f := fe.bind(len(cols))
-			k.canErr = k.canErr || f.canErr()
-			k.bodyF = append(k.bodyF, f)
+		for _, f := range k.spec.body {
+			k.bodyF = append(k.bodyF, f.bind(len(cols)))
 		}
 	}
-	if k.canErr {
-		for i := 0; i < rows; i++ {
-			for j, f := range k.bodyF {
-				v, err := f.eval(k.acc, cols, i)
-				if err != nil {
-					return err
-				}
-				k.tmp[j] = v
-			}
-			copy(k.acc, k.tmp)
-		}
-		return nil
-	}
-	for i := 0; i < rows; i++ {
+	x := &k.x
+	x.cols = cols
+	for x.i = 0; x.i < rows; x.i++ {
 		for j, f := range k.bodyF {
-			k.tmp[j] = f.evalFast(k.acc, cols, i)
+			k.tmp[j] = f.eval(x)
 		}
-		copy(k.acc, k.tmp)
+		if x.err != nil {
+			return x.err
+		}
+		copy(x.acc, k.tmp)
 	}
 	return nil
 }
@@ -1188,15 +985,15 @@ func (k *foldKernel) step(cols [][]int32, rows int) error {
 // result is the fold's value: the accumulator, through the final lambda when
 // there is one, in the shape interp gives it.
 func (k *foldKernel) result() (ocal.Value, error) {
-	vals := k.acc
+	vals := k.x.acc
 	if k.spec.final != nil {
+		x := kenv{acc: vals}
 		vals = make([]int64, len(k.spec.final))
 		for j, f := range k.spec.final {
-			v, err := f.eval(k.acc, nil, 0)
-			if err != nil {
-				return nil, err
-			}
-			vals[j] = v
+			vals[j] = f.eval(&x)
+		}
+		if x.err != nil {
+			return nil, x.err
 		}
 	}
 	var res ocal.Value = ocal.Int(vals[0])
@@ -1310,108 +1107,70 @@ func (w *stepWin) push(row []int64) {
 // isRow reports whether e is a bare head(tailᵈ(sᵢ)): the row, not a column.
 func (e *kexpr) isRow() bool { return e.kind == kHead && e.col < 0 }
 
-// evalStep evaluates an unfoldR step expression against the state windows.
-// Like eval it evaluates operands eagerly, left to right, so the first
-// failing operation is interp's.
-func (e *kexpr) evalStep(ws []stepWin) (int64, error) {
-	switch e.kind {
-	case kLit:
-		return e.lit, nil
-	case kEmpty:
-		n := ws[e.win].rows() - e.depth
-		if n < 0 {
-			return 0, errTailEmpty
-		}
-		return b2i(n == 0), nil
-	case kHead:
-		w := &ws[e.win]
-		if err := w.need(e.depth); err != nil {
-			return 0, err
-		}
-		switch wd := w.width(e.depth); {
-		case e.col < 0 && wd == 1:
-			return w.value(e.depth, 0), nil
-		case e.col < 0:
-			return 0, fmt.Errorf("exec: unfoldR step uses a row of %d attributes as an integer", wd)
-		case wd == 1:
-			return 0, fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, w.value(e.depth, 0))
-		case e.col >= wd:
-			return 0, fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, wd)
-		}
-		return w.value(e.depth, e.col), nil
-	case kCmp:
-		if e.l.isRow() && e.r.isRow() {
-			c, err := compareRows(ws, e.l, e.r)
-			return b2i(cmpHolds(e.op, int64(c), 0)), err
-		}
-	case kIf:
-		c, err := e.c.evalStep(ws)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return e.l.evalStep(ws)
-		}
-		return e.r.evalStep(ws)
+// head evaluates a kHead leaf: column col of head(tailᵈ(sᵢ)), or the row
+// itself (col < 0) where it is one attribute wide.
+func (x *kenv) head(e *kexpr) int64 {
+	w := &x.ws[e.win]
+	if err := w.need(e.depth); err != nil {
+		return x.fail(err)
 	}
-	a, err := e.l.evalStep(ws)
-	if err != nil {
-		return 0, err
+	switch wd := w.width(e.depth); {
+	case e.col < 0 && wd == 1:
+		return w.value(e.depth, 0)
+	case e.col < 0:
+		return x.fail(fmt.Errorf("exec: unfoldR step uses a row of %d attributes as an integer", wd))
+	case wd == 1:
+		return x.fail(fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, w.value(e.depth, 0)))
+	case e.col >= wd:
+		return x.fail(fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, wd))
 	}
-	if e.r == nil { // Not
-		return a ^ 1, nil
-	}
-	b, err := e.r.evalStep(ws)
-	if err != nil {
-		return 0, err
-	}
-	return applyChecked(e.op, a, b)
+	return w.value(e.depth, e.col)
 }
 
 // compareRows orders two state rows like ocal.ValueCompare orders the values
 // interp holds for them: attribute by attribute.
-func compareRows(ws []stepWin, l, r *kexpr) (int, error) {
-	wl, wr := &ws[l.win], &ws[r.win]
+func (x *kenv) compareRows(l, r *kexpr) int {
+	wl, wr := &x.ws[l.win], &x.ws[r.win]
 	if err := wl.need(l.depth); err != nil {
-		return 0, err
+		x.fail(err)
+		return 0
 	}
 	if err := wr.need(r.depth); err != nil {
-		return 0, err
+		x.fail(err)
+		return 0
 	}
 	n := wl.width(l.depth)
 	if m := wr.width(r.depth); m != n {
-		return 0, fmt.Errorf("exec: unfoldR step compares rows of %d and %d attributes", n, m)
+		x.fail(fmt.Errorf("exec: unfoldR step compares rows of %d and %d attributes", n, m))
+		return 0
 	}
 	for c := 0; c < n; c++ {
 		switch a, b := wl.value(l.depth, c), wr.value(r.depth, c); {
 		case a < b:
-			return -1, nil
+			return -1
 		case a > b:
-			return 1, nil
+			return 1
 		}
 	}
-	return 0, nil
+	return 0
 }
 
 // evalRow evaluates a row of the step into dst, splicing state rows whole.
-func evalRow(parts []outPart, ws []stepWin, dst []int64) ([]int64, error) {
+func evalRow(parts []outPart, x *kenv, dst []int64) ([]int64, error) {
 	dst = dst[:0]
 	for _, p := range parts {
-		if p.wholeRow {
-			w := &ws[p.scalar.win]
-			if err := w.need(p.scalar.depth); err != nil {
-				return dst, err
-			}
-			dst = w.appendRow(dst, p.scalar.depth)
+		if !p.wholeRow {
+			dst = append(dst, p.scalar.eval(x))
 			continue
 		}
-		v, err := p.scalar.evalStep(ws)
-		if err != nil {
-			return dst, err
+		w := &x.ws[p.scalar.win]
+		if err := w.need(p.scalar.depth); err != nil {
+			x.fail(err)
+			break
 		}
-		dst = append(dst, v)
+		dst = w.appendRow(dst, p.scalar.depth)
 	}
-	return dst, nil
+	return dst, x.err
 }
 
 // stepUpd is one component's next state: tailᵐ of itself when keep is set,
@@ -1423,16 +1182,15 @@ type stepUpd struct {
 }
 
 // leaf walks the decisions down to the leaf the current state selects.
-func (n *stepNode) leaf(ws []stepWin) (*stepNode, error) {
+func (n *stepNode) leaf(x *kenv) (*stepNode, error) {
 	for n.cond != nil {
-		v, err := n.cond.evalStep(ws)
-		if err != nil {
-			return nil, err
-		}
-		if v != 0 {
+		if n.cond.eval(x) != 0 {
 			n = n.then
 		} else {
 			n = n.els
+		}
+		if x.err != nil {
+			return nil, x.err
 		}
 	}
 	return n, nil
@@ -1594,7 +1352,7 @@ func mergeStepTree(n, ways int) (*stepNode, error) {
 		case best < 0:
 			nd = &stepNode{cond: &kexpr{kind: kEmpty, win: i}, then: build(i+1, -1), els: build(i+1, i)}
 		default:
-			smaller := &kexpr{kind: kCmp, op: ocal.OpLt, l: head(i), r: head(best)}
+			smaller := &kexpr{kind: kRowCmp, op: ocal.OpLt, l: head(i), r: head(best)}
 			nd = &stepNode{cond: &kexpr{kind: kEmpty, win: i}, then: build(i+1, best),
 				els: &stepNode{cond: smaller, then: build(i+1, i), els: build(i+1, best)}}
 		}

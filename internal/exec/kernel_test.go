@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -299,6 +300,72 @@ func TestKernelErrorParity(t *testing.T) {
 	}, 7, 0)
 }
 
+// TestProjKernelModes: a body runs as the selection-vector kernel only when
+// it is one row under at most one condition and nothing in it can fail;
+// everything else walks its tree. Among the kernels, a row of input columns
+// is a gather, and the input row in order is the identity.
+func TestProjKernelModes(t *testing.T) {
+	for _, tc := range []struct{ body, mode string }{
+		{"[x]", "identity"},
+		{"if x.1 < 3 then [x] else []", "identity"},
+		{"if x.1 < 3 then [<x.1, x.2>] else []", "identity"},
+		{"[<x.2, x.1>]", "gather"},
+		{"if x.1 == x.2 then [<x, x.1>] else []", "gather"},
+		{"if x.1 < 3 then [<x.1, (x.2 + 1)>] else []", "parts"},
+		{"[<(x.1 * x.2)>]", "parts"},
+		{"if x.1 < 3 then [<x.1, (x.2 / 2)>] else []", "tree"},
+		{"if (x.1 % 2) == 0 then [x] else []", "tree"},
+		{"[x.3]", "tree"}, // binds to a failing leaf at arity 2
+		{"if x.1 < 3 then [] else [x]", "tree"},
+		{"[x] ++ [x]", "tree"},
+	} {
+		body, err := parseScanBody(ocal.MustParse(tc.body), kvars{elem: "x"})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		k, err := newProjKernel(body, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		mode := "parts"
+		switch {
+		case k.tree != nil:
+			mode = "tree"
+		case k.identity:
+			mode = "identity"
+		case k.gather != nil:
+			mode = "gather"
+		}
+		if mode != tc.mode {
+			t.Errorf("%s runs as %s, want %s", tc.body, mode, tc.mode)
+		}
+	}
+}
+
+// TestSelRangeMatchesCompare: the selection pass's range test agrees with
+// the comparison it stands for, for every operator, literals far outside the
+// int32 range and values at its ends.
+func TestSelRangeMatchesCompare(t *testing.T) {
+	vals := []int32{math.MinInt32, math.MinInt32 + 1, -7, -1, 0, 1, 7, math.MaxInt32 - 1, math.MaxInt32}
+	lits := []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt32 - 2, math.MinInt32 - 1, math.MinInt32,
+		-7, -1, 0, 1, 7, math.MaxInt32, math.MaxInt32 + 1, math.MaxInt32 + 2, math.MaxInt64 - 1, math.MaxInt64}
+	k := &projKernel{}
+	for _, op := range []ocal.PrimOp{ocal.OpEq, ocal.OpNe, ocal.OpLt, ocal.OpLe, ocal.OpGt, ocal.OpGe} {
+		for _, lit := range lits {
+			k.cond = &kexpr{kind: kCmp, op: op, l: &kexpr{kind: kCol}, r: &kexpr{kind: kLit, lit: lit}}
+			var want []int32
+			for i, v := range vals {
+				if cmpHolds(op, int64(v), lit) {
+					want = append(want, int32(i))
+				}
+			}
+			if got := k.buildSel([][]int32{vals}, len(vals)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("op %v, literal %d: selected %v, want %v", op, lit, got, want)
+			}
+		}
+	}
+}
+
 // TestKernelShapes sweeps the kernel grammar's corners — predicate shapes,
 // projection modes, whole-row splices, fold accumulators — against interp.
 func TestKernelShapes(t *testing.T) {
@@ -337,16 +404,21 @@ func TestKernelShapes(t *testing.T) {
 }
 
 // The zero-alloc suites' bodies: a filter+projection, which runs as the
-// selection-vector kernel, and a nested conditional, which walks its tree.
+// selection-vector kernel, a nested conditional, which walks its tree, and a
+// filter+projection that can fail, which walks its tree too.
 const (
-	allocKernelBody = "if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"
-	allocTreeBody   = "if x.1 < 50 then (if x.2 % 2 == 0 then [x] else [<x.2, x.1>]) else []"
+	allocKernelBody  = "if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"
+	allocTreeBody    = "if x.1 < 50 then (if x.2 % 2 == 0 then [x] else [<x.2, x.1>]) else []"
+	allocCheckedBody = "if x.1 < 50 then [<x.1, (x.2 / (x.1 + 1))>] else []"
 )
+
+// allocBodies names the zero-alloc suites' bodies.
+var allocBodies = map[string]string{"fused": allocKernelBody, "tree": allocTreeBody, "checked": allocCheckedBody}
 
 // TestStepZeroAllocs: a Project allocates nothing per Next in steady state,
 // whichever way its body runs.
 func TestStepZeroAllocs(t *testing.T) {
-	for name, body := range map[string]string{"kernel": allocKernelBody, "tree": allocTreeBody} {
+	for name, body := range allocBodies {
 		p := buildProject(t, body)
 		if allocs := steadyAllocs(t, p); allocs > 0 {
 			t.Errorf("%s Project.Next allocates %.1f times per call in steady state", name, allocs)
@@ -422,7 +494,7 @@ func allocTable(t testing.TB) (*storage.Sim, *storage.Device, *Table) {
 // or walks its tree. fill appends into reused carry vectors, pop hands out
 // column views, and the outer body appends into the reused emitter.
 func TestChainStepZeroAllocs(t *testing.T) {
-	for name, body := range map[string]string{"fused": allocKernelBody, "tree": allocTreeBody} {
+	for name, body := range allocBodies {
 		t.Run(name, func(t *testing.T) {
 			p := buildChain(t, body)
 			defer p.Close()
@@ -454,6 +526,7 @@ func BenchmarkStepAllocs(b *testing.B) {
 	}{
 		{"kernel", func() *Project { return buildProject(b, allocKernelBody) }},
 		{"tree", func() *Project { return buildProject(b, allocTreeBody) }},
+		{"checked", func() *Project { return buildProject(b, allocCheckedBody) }},
 		{"chain", func() *Project { return buildChain(b, allocKernelBody) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -1005,6 +1005,7 @@ type UnfoldR struct {
 	readers []blockReader
 	spans   []unfoldSpan // per reader: what is ahead of its window
 	wins    []stepWin    // scratch components first, then one per reader
+	x       kenv         // the step's evaluation state over wins
 	scratch int
 	rows    [][]int64 // evaluated rows of the current leaf: emit, then one per component
 	steps   int64     // steps taken whose cpu charge is not settled yet
@@ -1024,6 +1025,7 @@ func (o *UnfoldR) Open(c *Ctx) error {
 	}
 	o.scratch = n - len(o.Ins)
 	o.wins = make([]stepWin, n)
+	o.x.ws = o.wins
 	o.rows = make([][]int64, n+1)
 	o.readers = make([]blockReader, len(o.Ins))
 	o.spans = make([]unfoldSpan, len(o.Ins))
@@ -1096,7 +1098,7 @@ func (o *UnfoldR) step() error {
 		o.done = true
 		return nil
 	}
-	leaf, err := o.tree.leaf(o.wins)
+	leaf, err := o.tree.leaf(&o.x)
 	if err != nil {
 		return err
 	}
@@ -1105,11 +1107,11 @@ func (o *UnfoldR) step() error {
 	}
 	// Every row evaluates against the state the step was given, in interp's
 	// order — the chunk, then each component: its row, then its tail.
-	if o.rows[0], err = evalRow(leaf.emit, o.wins, o.rows[0]); err != nil {
+	if o.rows[0], err = evalRow(leaf.emit, &o.x, o.rows[0]); err != nil {
 		return err
 	}
 	for i, u := range leaf.upd {
-		if o.rows[i+1], err = evalRow(u.row, o.wins, o.rows[i+1]); err != nil {
+		if o.rows[i+1], err = evalRow(u.row, &o.x, o.rows[i+1]); err != nil {
 			return err
 		}
 		if u.keep && o.wins[i].rows() < u.m {
