@@ -369,11 +369,17 @@ func (e *kexpr) eval(x *kenv) int64 {
 	case kRowCmp:
 		return b2i(cmpHolds(e.op, int64(x.compareRows(e.l, e.r)), 0))
 	}
-	a := e.l.operand(x)
+	a, ok := e.l.operand(x)
+	if !ok {
+		a = e.l.eval(x)
+	}
 	if e.r == nil { // Not
 		return a ^ 1
 	}
-	b := e.r.operand(x)
+	b, ok := e.r.operand(x)
+	if !ok {
+		b = e.r.eval(x)
+	}
 	switch e.op {
 	case ocal.OpAdd:
 		return a + b
@@ -399,13 +405,19 @@ func (e *kexpr) eval(x *kenv) int64 {
 	return b2i(cmpHolds(e.op, a, b))
 }
 
-// operand is eval with the leaves most operands are read in place, saving
-// the call.
-func (e *kexpr) operand(x *kenv) int64 {
-	if e.kind == kCol {
-		return int64(x.cols[e.col][x.i])
+// operand reads the leaves most operands are — a column, a literal, an
+// accumulator component — in place, saving eval's call; ok is false for any
+// other node.
+func (e *kexpr) operand(x *kenv) (v int64, ok bool) {
+	switch e.kind {
+	case kCol:
+		return int64(x.cols[e.col][x.i]), true
+	case kLit:
+		return e.lit, true
+	case kAcc:
+		return x.acc[e.col], true
 	}
-	return e.eval(x)
+	return 0, false
 }
 
 // unbound is the failure of a leaf the input arity could not bind, raised
@@ -634,9 +646,7 @@ type projKernel struct {
 	ar       int
 	outWidth int
 	cond     *kexpr    // nil: every row survives
-	identity bool      // output is the input row verbatim
-	gather   []int     // when non-nil: output columns are input columns
-	parts    []outPart // general projection (gather nil), in output order
+	parts    []outPart // the row, in output order
 	tree     *stepNode // when non-nil: the body, walked per row
 
 	x   kenv
@@ -656,30 +666,8 @@ func newProjKernel(body *stepNode, ar int) (*projKernel, error) {
 	}
 	if leaf.emit == nil || root.canErr() {
 		k.cond, k.tree = nil, root
-		return k, nil
-	}
-	// The whole-row splice contributes the input's ar columns in place.
-	// When every output component resolves to an input column, the kernel
-	// runs in gather (or identity) mode; otherwise the ordered parts list
-	// drives the general projection.
-	cols := make([]int, 0, k.outWidth)
-	for _, p := range leaf.emit {
-		switch {
-		case p.wholeRow:
-			for c := 0; c < ar; c++ {
-				cols = append(cols, c)
-			}
-		case p.scalar.kind == kCol:
-			cols = append(cols, p.scalar.col)
-		}
-	}
-	if len(cols) < k.outWidth {
+	} else {
 		k.parts = leaf.emit
-		return k, nil
-	}
-	k.gather, k.identity = cols, len(cols) == ar
-	for i, c := range cols {
-		k.identity = k.identity && c == i
 	}
 	return k, nil
 }
@@ -774,21 +762,10 @@ func appendSel(dst, src, sel []int32) []int32 {
 }
 
 // project appends the projected block (optionally filtered through sel) to
-// the emitter column by column: input columns are bulk copies, and a scalar
-// component evaluates down its whole output column.
+// the emitter column by column: input columns — a whole-row splice
+// contributes all of them in place — are bulk copies, and a scalar component
+// evaluates down its whole output column.
 func (k *projKernel) project(em *emitter, cols [][]int32, rows int, sel []int32) {
-	if k.gather != nil {
-		if k.identity {
-			for c := 0; c < k.ar; c++ {
-				em.cols[c] = appendSel(em.cols[c], cols[c][:rows], sel)
-			}
-			return
-		}
-		for j, c := range k.gather {
-			em.cols[j] = appendSel(em.cols[j], cols[c][:rows], sel)
-		}
-		return
-	}
 	oc := 0
 	for _, p := range k.parts {
 		switch {

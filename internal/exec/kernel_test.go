@@ -302,22 +302,22 @@ func TestKernelErrorParity(t *testing.T) {
 
 // TestProjKernelModes: a body runs as the selection-vector kernel only when
 // it is one row under at most one condition and nothing in it can fail;
-// everything else walks its tree. Among the kernels, a row of input columns
-// is a gather, and the input row in order is the identity.
+// everything else walks its tree.
 func TestProjKernelModes(t *testing.T) {
-	for _, tc := range []struct{ body, mode string }{
-		{"[x]", "identity"},
-		{"if x.1 < 3 then [x] else []", "identity"},
-		{"if x.1 < 3 then [<x.1, x.2>] else []", "identity"},
-		{"[<x.2, x.1>]", "gather"},
-		{"if x.1 == x.2 then [<x, x.1>] else []", "gather"},
-		{"if x.1 < 3 then [<x.1, (x.2 + 1)>] else []", "parts"},
-		{"[<(x.1 * x.2)>]", "parts"},
-		{"if x.1 < 3 then [<x.1, (x.2 / 2)>] else []", "tree"},
-		{"if (x.1 % 2) == 0 then [x] else []", "tree"},
-		{"[x.3]", "tree"}, // binds to a failing leaf at arity 2
-		{"if x.1 < 3 then [] else [x]", "tree"},
-		{"[x] ++ [x]", "tree"},
+	for _, tc := range []struct {
+		body string
+		tree bool
+	}{
+		{"[x]", false},
+		{"if x.1 < 3 then [x] else []", false},
+		{"if x.1 == x.2 then [<x, x.1>] else []", false},
+		{"if x.1 < 3 then [<x.1, (x.2 + 1)>] else []", false},
+		{"[<(x.1 * x.2)>]", false},
+		{"if x.1 < 3 then [<x.1, (x.2 / 2)>] else []", true},
+		{"if (x.1 % 2) == 0 then [x] else []", true},
+		{"[x.3]", true}, // binds to a failing leaf at arity 2
+		{"if x.1 < 3 then [] else [x]", true},
+		{"[x] ++ [x]", true},
 	} {
 		body, err := parseScanBody(ocal.MustParse(tc.body), kvars{elem: "x"})
 		if err != nil {
@@ -327,17 +327,8 @@ func TestProjKernelModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.body, err)
 		}
-		mode := "parts"
-		switch {
-		case k.tree != nil:
-			mode = "tree"
-		case k.identity:
-			mode = "identity"
-		case k.gather != nil:
-			mode = "gather"
-		}
-		if mode != tc.mode {
-			t.Errorf("%s runs as %s, want %s", tc.body, mode, tc.mode)
+		if tree := k.tree != nil; tree != tc.tree {
+			t.Errorf("%s walks its tree: %v, want %v", tc.body, tree, tc.tree)
 		}
 	}
 }
