@@ -279,30 +279,23 @@ func (e *kexpr) canErr() bool {
 // failing leaf, so the error surfaces only on a row that evaluates it, with
 // interp's text.
 func (e *kexpr) bind(ar int) *kexpr {
+	if e == nil {
+		return nil
+	}
 	b := *e
 	switch e.kind {
 	case kCol:
 		if ar == 1 || e.col >= ar {
 			b.kind, b.lit = kBadProj, int64(ar)
 		}
-		return &b
 	case kElem:
 		if ar == 1 {
 			b.kind, b.col = kCol, 0
 		} else {
 			b.kind, b.lit = kRow, int64(ar)
 		}
-		return &b
-	case kLit, kAcc:
-		return &b
 	}
-	b.l = e.l.bind(ar)
-	if e.r != nil {
-		b.r = e.r.bind(ar)
-	}
-	if e.c != nil {
-		b.c = e.c.bind(ar)
-	}
+	b.l, b.r, b.c = e.l.bind(ar), e.r.bind(ar), e.c.bind(ar)
 	if b.kind == kArith && (b.l.kind == kRow || b.r.kind == kRow) {
 		b.kind = kRowArith
 	}
@@ -588,10 +581,7 @@ func flattenOut(e ocal.Expr, v kvars, acc []outPart) ([]outPart, bool) {
 // wide as the input, so rows of different widths only show here — before any
 // row is emitted.
 func (n *stepNode) bindBody(ar int, width *int) (*stepNode, error) {
-	b := &stepNode{concat: n.concat}
-	if n.cond != nil {
-		b.cond = n.cond.bind(ar)
-	}
+	b := &stepNode{concat: n.concat, cond: n.cond.bind(ar)}
 	if n.then != nil {
 		var err error
 		if b.then, err = n.then.bindBody(ar, width); err != nil {
@@ -604,13 +594,12 @@ func (n *stepNode) bindBody(ar int, width *int) (*stepNode, error) {
 	}
 	w := 0
 	for _, p := range n.emit {
+		b.emit = append(b.emit, outPart{wholeRow: p.wholeRow, scalar: p.scalar.bind(ar)})
 		if p.wholeRow {
-			b.emit = append(b.emit, p)
 			w += ar
-			continue
+		} else {
+			w++
 		}
-		b.emit = append(b.emit, outPart{scalar: p.scalar.bind(ar)})
-		w++
 	}
 	switch {
 	case w == 0 || w == *width:
