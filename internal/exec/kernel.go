@@ -338,12 +338,7 @@ func (x *kenv) fail(err error) int64 {
 // interp's, and the caller checks x.err before it uses a value.
 func (e *kexpr) eval(x *kenv) int64 {
 	switch e.kind {
-	case kCol:
-		return int64(x.cols[e.col][x.i])
-	case kLit:
-		return e.lit
-	case kAcc:
-		return x.acc[e.col]
+	case kArith, kCmp, kLogic:
 	case kIf:
 		if e.c.eval(x) != 0 {
 			return e.l.eval(x)
@@ -357,10 +352,13 @@ func (e *kexpr) eval(x *kenv) int64 {
 			return x.fail(errTailEmpty)
 		}
 		return b2i(n == 0)
-	case kBadProj, kRow, kRowArith:
-		return x.fail(e.unbound(x))
 	case kRowCmp:
 		return b2i(cmpHolds(e.op, int64(x.compareRows(e.l, e.r)), 0))
+	default: // a column, a literal, an accumulator component, a failing leaf
+		if v, ok := e.operand(x); ok {
+			return v
+		}
+		return x.fail(e.unbound(x))
 	}
 	a, ok := e.l.operand(x)
 	if !ok {
@@ -766,20 +764,28 @@ func (k *projKernel) project(em *emitter, cols [][]int32, rows int, sel []int32)
 			continue
 		case p.scalar.kind == kCol:
 			em.cols[oc] = appendSel(em.cols[oc], cols[p.scalar.col][:rows], sel)
-		case sel == nil:
-			x := &k.x
-			for x.i = 0; x.i < rows; x.i++ {
-				em.cols[oc] = append(em.cols[oc], int32(p.scalar.eval(x)))
-			}
 		default:
-			x := &k.x
-			for _, i := range sel {
-				x.i = int(i)
-				em.cols[oc] = append(em.cols[oc], int32(p.scalar.eval(x)))
-			}
+			em.cols[oc] = k.evalColumn(p.scalar, em.cols[oc], rows, sel)
 		}
 		oc++
 	}
+}
+
+// evalColumn appends e's value at every row of the block sel selects (every
+// row when sel is nil) to dst.
+func (k *projKernel) evalColumn(e *kexpr, dst []int32, rows int, sel []int32) []int32 {
+	x := &k.x
+	if sel == nil {
+		for x.i = 0; x.i < rows; x.i++ {
+			dst = append(dst, int32(e.eval(x)))
+		}
+		return dst
+	}
+	for _, i := range sel {
+		x.i = int(i)
+		dst = append(dst, int32(e.eval(x)))
+	}
+	return dst
 }
 
 // emitParts appends the row the parts make of the row x is at.
