@@ -337,6 +337,9 @@ func (x *kenv) fail(err error) int64 {
 // the walk (a failing node yields 0); x keeps the first one, which is
 // interp's, and the caller checks x.err before it uses a value.
 func (e *kexpr) eval(x *kenv) int64 {
+	// Seven kinds at most: from eight on, the compiler dispatches through a
+	// jump table, and the indirect jump per node cost the unfoldR step
+	// machines 10-15%. Every other kind is a leaf, read through operand.
 	switch e.kind {
 	case kArith, kCmp, kLogic:
 	case kIf:
