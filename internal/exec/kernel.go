@@ -348,7 +348,13 @@ func (e *kexpr) eval(x *kenv) int64 {
 		}
 		return e.r.eval(x)
 	case kHead:
-		return x.head(e)
+		// The row must exist; a bare head reads a one-attribute row, a
+		// column a wider row that has it.
+		w, c := &x.ws[e.win], max(e.col, 0)
+		if w.need(e.depth) != nil || (e.col < 0) != (w.width(e.depth) == 1) || c >= w.width(e.depth) {
+			return x.fail(x.headErr(e))
+		}
+		return w.value(e.depth, c)
 	case kEmpty:
 		n := x.ws[e.win].rows() - e.depth
 		if n < 0 {
@@ -1082,24 +1088,23 @@ func (w *stepWin) push(row []int64) {
 // isRow reports whether e is a bare head(tailᵈ(sᵢ)): the row, not a column.
 func (e *kexpr) isRow() bool { return e.kind == kHead && e.col < 0 }
 
-// head evaluates a kHead leaf: column col of head(tailᵈ(sᵢ)), or the row
-// itself (col < 0) where it is one attribute wide.
-func (x *kenv) head(e *kexpr) int64 {
+// headErr is why a kHead leaf — column col of head(tailᵈ(sᵢ)), or the row
+// itself (col < 0) where it is one attribute wide — has no value: interp's
+// error for a missing row or column, or the executor's own for a wider row
+// used as an integer.
+func (x *kenv) headErr(e *kexpr) error {
 	w := &x.ws[e.win]
 	if err := w.need(e.depth); err != nil {
-		return x.fail(err)
+		return err
 	}
 	switch wd := w.width(e.depth); {
-	case e.col < 0 && wd == 1:
-		return w.value(e.depth, 0)
 	case e.col < 0:
-		return x.fail(fmt.Errorf("exec: unfoldR step uses a row of %d attributes as an integer", wd))
+		return fmt.Errorf("exec: unfoldR step uses a row of %d attributes as an integer", wd)
 	case wd == 1:
-		return x.fail(fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, w.value(e.depth, 0)))
-	case e.col >= wd:
-		return x.fail(fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, wd))
+		return fmt.Errorf("interp: projection .%d on non-tuple %d", e.col+1, w.value(e.depth, 0))
+	default:
+		return fmt.Errorf("interp: projection .%d out of range (arity %d)", e.col+1, wd)
 	}
-	return w.value(e.depth, e.col)
 }
 
 // compareRows orders two state rows like ocal.ValueCompare orders the values
