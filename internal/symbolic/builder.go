@@ -345,7 +345,7 @@ func nodeID(e Expr) uint64 {
 		return t.id
 	case *unary:
 		return t.id
-	case *minmax:
+	case *maxNode:
 		return t.id
 	}
 	return 0
@@ -372,11 +372,11 @@ func (b *Builder) own(e Expr) Expr {
 			return n
 		}
 		return b.insert(&nary{op: n.op, terms: b.ownAll(n.terms), k: n.k})
-	case *minmax:
+	case *maxNode:
 		if b.owns(n.id) {
 			return n
 		}
-		return b.insert(&minmax{op: n.op, terms: b.ownAll(n.terms), k: n.k})
+		return b.insert(&maxNode{terms: b.ownAll(n.terms), k: n.k})
 	case *div:
 		if b.owns(n.id) {
 			return n
@@ -405,7 +405,7 @@ func (b *Builder) intern(e Expr) Expr {
 		for i, s := range n.terms {
 			n.terms[i] = b.intern(s)
 		}
-	case *minmax:
+	case *maxNode:
 		if b.owns(n.id) {
 			return n
 		}
@@ -462,7 +462,7 @@ func (b *Builder) insert(e Expr) Expr {
 	switch n := e.(type) {
 	case *nary:
 		n.id = id
-	case *minmax:
+	case *maxNode:
 		n.id = id
 	case *div:
 		n.id = id
@@ -482,8 +482,8 @@ func (b *Builder) shapeHash(e Expr) uint64 {
 		for _, s := range n.terms {
 			h = b.mixOperand(h, s, nodeID(s))
 		}
-	case *minmax:
-		h = mix(2, uint64(n.op[len(n.op)-1]))
+	case *maxNode:
+		h = 2
 		for _, s := range n.terms {
 			h = b.mixOperand(h, s, nodeID(s))
 		}
@@ -502,9 +502,9 @@ func sameShape(x, y Expr) bool {
 	case *nary:
 		c, ok := y.(*nary)
 		return ok && a.op == c.op && sameAll(a.terms, c.terms)
-	case *minmax:
-		c, ok := y.(*minmax)
-		return ok && a.op == c.op && sameAll(a.terms, c.terms)
+	case *maxNode:
+		c, ok := y.(*maxNode)
+		return ok && sameAll(a.terms, c.terms)
 	case *div:
 		c, ok := y.(*div)
 		return ok && same(a.num, c.num) && same(a.den, c.den)

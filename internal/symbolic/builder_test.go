@@ -24,9 +24,9 @@ func structEq(a, b Expr) bool {
 	case *nary:
 		y, ok := b.(*nary)
 		return ok && x.op == y.op && structEqAll(x.terms, y.terms)
-	case *minmax:
-		y, ok := b.(*minmax)
-		return ok && x.op == y.op && structEqAll(x.terms, y.terms)
+	case *maxNode:
+		y, ok := b.(*maxNode)
+		return ok && structEqAll(x.terms, y.terms)
 	case *div:
 		y, ok := b.(*div)
 		return ok && structEq(x.num, y.num) && structEq(x.den, y.den)

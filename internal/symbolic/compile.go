@@ -37,10 +37,8 @@ const (
 	opMul               // dst = 1.0 * args[a] * ... * args[a+n-1], left to right
 	opDiv               // dst = a / b
 	opCeil
-	opFloor
 	opLog2
-	opMax // running max over args[a:a+n] (NaN-preserving like Eval)
-	opMin
+	opMax  // running max over args[a:a+n] (NaN-preserving like Eval)
 	opAdd2 // opAdd over the two operands a and b
 	opMul2 // opMul over the two operands a and b
 )
@@ -105,7 +103,7 @@ type compiler struct {
 	naries  []seenNode[*nary]
 	divs    []seenNode[*div]
 	unaries []seenNode[*unary]
-	minmaxs []seenNode[*minmax]
+	maxes   []seenNode[*maxNode]
 }
 
 type seenNode[T comparable] struct {
@@ -144,7 +142,7 @@ func Compile(exprs []Expr, params []string) *Program {
 	for i, e := range exprs {
 		// Results are shared within a root only, so that each root's stretch
 		// of the point part can run without the others having run.
-		c.naries, c.divs, c.unaries, c.minmaxs = c.naries[:0], c.divs[:0], c.unaries[:0], c.minmaxs[:0]
+		c.naries, c.divs, c.unaries, c.maxes = c.naries[:0], c.divs[:0], c.unaries[:0], c.maxes[:0]
 		lo := int32(len(c.point))
 		reg, _ := c.emit(e)
 		p.roots[i] = root{reg: reg, lo: lo, hi: int32(len(c.point))}
@@ -215,8 +213,6 @@ func (c *compiler) emit(e Expr) (ref int32, point bool) {
 		switch t.op {
 		case "ceil":
 			in.op = opCeil
-		case "floor":
-			in.op = opFloor
 		case "log2":
 			in.op = opLog2
 		default:
@@ -225,17 +221,14 @@ func (c *compiler) emit(e Expr) (ref int32, point bool) {
 		in.a, point = c.emit(t.arg)
 		ref = c.add(in, point)
 		c.unaries = append(c.unaries, seenNode[*unary]{t, ref})
-	case *minmax:
-		if res, ok := findSeen(c.minmaxs, t); ok {
+	case *maxNode:
+		if res, ok := findSeen(c.maxes, t); ok {
 			return res, c.inPoint[res]
 		}
 		in.op = opMax
-		if t.op == "min" {
-			in.op = opMin
-		}
 		in.a, in.n, point = c.operands(t.terms)
 		ref = c.add(in, point)
-		c.minmaxs = append(c.minmaxs, seenNode[*minmax]{t, ref})
+		c.maxes = append(c.maxes, seenNode[*maxNode]{t, ref})
 	}
 	return ref, point
 }
@@ -302,7 +295,7 @@ func (c *compiler) finish(p *Program) {
 		in := &code[i]
 		in.dst = reg(in.dst)
 		switch in.op {
-		case opAdd, opMul, opMax, opMin:
+		case opAdd, opMul, opMax:
 		case opDiv, opAdd2, opMul2:
 			in.a, in.b = reg(in.a), reg(in.b)
 		default:
@@ -386,8 +379,6 @@ func (p *Program) run(code []instr) {
 			r[in.dst] = r[in.a] / r[in.b]
 		case opCeil:
 			r[in.dst] = math.Ceil(r[in.a])
-		case opFloor:
-			r[in.dst] = math.Floor(r[in.a])
 		case opLog2:
 			r[in.dst] = math.Log2(r[in.a])
 		case opMax:
@@ -395,15 +386,6 @@ func (p *Program) run(code []instr) {
 			best := r[ops[0]]
 			for _, a := range ops[1:] {
 				if x := r[a]; x > best {
-					best = x
-				}
-			}
-			r[in.dst] = best
-		case opMin:
-			ops := args[in.a : in.a+in.n]
-			best := r[ops[0]]
-			for _, a := range ops[1:] {
-				if x := r[a]; x < best {
 					best = x
 				}
 			}

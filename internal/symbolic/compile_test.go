@@ -23,14 +23,12 @@ func sameBits(a, b float64) bool {
 func randomRoots(r *rand.Rand) []Expr {
 	shared := randomExpr(r, 2)
 	wrap := func(e Expr) Expr {
-		switch r.Intn(5) {
+		switch r.Intn(4) {
 		case 0:
 			return Ceil(e)
 		case 1:
-			return Floor(Div(e, V("w")))
-		case 2:
 			return Log2(Add(e, V("w")))
-		case 3:
+		case 2:
 			return Max(Ceil(Div(shared, e)), Mul(shared, V("w")))
 		}
 		return e

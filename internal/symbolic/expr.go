@@ -57,14 +57,13 @@ type div struct {
 }
 
 type unary struct {
-	op  string // "ceil", "floor", "log2"
+	op  string // "ceil", "log2"
 	arg Expr
 	k   string
 	id  uint64
 }
 
-type minmax struct {
-	op    string // "max" or "min"
+type maxNode struct {
 	terms []Expr
 	k     string
 	id    uint64
@@ -109,24 +108,23 @@ func newUnary(op string, arg Expr) *unary {
 	return &unary{op: op, arg: arg, k: "(" + op + " " + arg.key() + ")"}
 }
 
-// newMinmax builds a min/max node over ts, which are sorted by key.
-func newMinmax(op string, ts []keyed) *minmax {
+// newMax builds a max node over ts, which are sorted by key.
+func newMax(ts []keyed) *maxNode {
 	terms := make([]Expr, len(ts))
-	n := 2 + len(op) + len(ts)
+	n := len("(max)") + len(ts)
 	for i, t := range ts {
 		terms[i] = t.e
 		n += len(t.k)
 	}
 	var b strings.Builder
 	b.Grow(n)
-	b.WriteString("(")
-	b.WriteString(op)
+	b.WriteString("(max")
 	for _, t := range ts {
 		b.WriteString(" ")
 		b.WriteString(t.k)
 	}
 	b.WriteString(")")
-	return &minmax{op: op, terms: terms, k: b.String()}
+	return &maxNode{terms: terms, k: b.String()}
 }
 
 func (c Const) Eval(Env) float64 { return float64(c) }
@@ -204,8 +202,6 @@ func (u *unary) Eval(env Env) float64 {
 	switch u.op {
 	case "ceil":
 		return math.Ceil(x)
-	case "floor":
-		return math.Floor(x)
 	case "log2":
 		return math.Log2(x)
 	}
@@ -214,24 +210,23 @@ func (u *unary) Eval(env Env) float64 {
 func (u *unary) String() string { return u.op + "(" + u.arg.String() + ")" }
 func (u *unary) key() string    { return u.k }
 
-func (m *minmax) Eval(env Env) float64 {
+func (m *maxNode) Eval(env Env) float64 {
 	best := m.terms[0].Eval(env)
 	for _, t := range m.terms[1:] {
-		x := t.Eval(env)
-		if (m.op == "max" && x > best) || (m.op == "min" && x < best) {
+		if x := t.Eval(env); x > best {
 			best = x
 		}
 	}
 	return best
 }
-func (m *minmax) String() string {
+func (m *maxNode) String() string {
 	parts := make([]string, len(m.terms))
 	for i, t := range m.terms {
 		parts[i] = t.String()
 	}
-	return m.op + "(" + strings.Join(parts, ", ") + ")"
+	return "max(" + strings.Join(parts, ", ") + ")"
 }
-func (m *minmax) key() string { return m.k }
+func (m *maxNode) key() string { return m.k }
 
 // Zero and One are shared constants.
 var (
@@ -521,18 +516,10 @@ func Ceil(a Expr) Expr {
 	if c, ok := a.(Const); ok {
 		return Const(math.Ceil(float64(c)))
 	}
-	if u, ok := a.(*unary); ok && (u.op == "ceil" || u.op == "floor") {
+	if u, ok := a.(*unary); ok && u.op == "ceil" {
 		return a
 	}
 	return newUnary("ceil", a)
-}
-
-// Floor returns floor(a).
-func Floor(a Expr) Expr {
-	if c, ok := a.(Const); ok {
-		return Const(math.Floor(float64(c)))
-	}
-	return newUnary("floor", a)
 }
 
 // Log2 returns log2(a).
@@ -544,15 +531,10 @@ func Log2(a Expr) Expr {
 }
 
 // Max returns max of terms, deduplicated; constants fold together.
-func Max(terms ...Expr) Expr { return mkMinMax("max", terms) }
-
-// Min returns min of terms, deduplicated; constants fold together.
-func Min(terms ...Expr) Expr { return mkMinMax("min", terms) }
-
-func mkMinMax(op string, terms []Expr) Expr {
+func Max(terms ...Expr) Expr {
 	var buf [8]keyed
 	var fold constFold
-	flat := minMaxTerms(op, buf[:0], &fold, terms)
+	flat := maxTerms(buf[:0], &fold, terms)
 	if fold.have {
 		c := Const(fold.v)
 		flat = append(flat, keyed{c.key(), c})
@@ -564,30 +546,30 @@ func mkMinMax(op string, terms []Expr) Expr {
 		return flat[0].e
 	}
 	slices.SortStableFunc(flat, cmpKeyed)
-	return newMinmax(op, flat)
+	return newMax(flat)
 }
 
-// constFold is the running max (or min) of a min/max's constant terms.
+// constFold is the running max of a max's constant terms.
 type constFold struct {
 	have bool
 	v    float64
 }
 
-// minMaxTerms appends the distinct non-constant terms of an op-node under
-// construction to flat, first occurrence first, flattening nested op-nodes,
+// maxTerms appends the distinct non-constant terms of a max under
+// construction to flat, first occurrence first, flattening nested maxes,
 // and folds the constant terms into fold.
-func minMaxTerms(op string, flat []keyed, fold *constFold, terms []Expr) []keyed {
+func maxTerms(flat []keyed, fold *constFold, terms []Expr) []keyed {
 next:
 	for _, e := range terms {
-		if m, ok := e.(*minmax); ok && m.op == op {
-			flat = minMaxTerms(op, flat, fold, m.terms)
+		if m, ok := e.(*maxNode); ok {
+			flat = maxTerms(flat, fold, m.terms)
 			continue
 		}
 		if c, ok := e.(Const); ok {
 			v := float64(c)
 			if !fold.have {
 				fold.have, fold.v = true, v
-			} else if (op == "max" && v > fold.v) || (op == "min" && v < fold.v) {
+			} else if v > fold.v {
 				fold.v = v
 			}
 			continue
@@ -623,7 +605,7 @@ func FreeVars(e Expr) []string {
 			walk(t.den)
 		case *unary:
 			walk(t.arg)
-		case *minmax:
+		case *maxNode:
 			for _, s := range t.terms {
 				walk(s)
 			}
@@ -665,20 +647,15 @@ func Subst(e Expr, bind map[string]Expr) Expr {
 		switch t.op {
 		case "ceil":
 			return Ceil(a)
-		case "floor":
-			return Floor(a)
 		case "log2":
 			return Log2(a)
 		}
-	case *minmax:
+	case *maxNode:
 		args := make([]Expr, len(t.terms))
 		for i, s := range t.terms {
 			args[i] = Subst(s, bind)
 		}
-		if t.op == "max" {
-			return Max(args...)
-		}
-		return Min(args...)
+		return Max(args...)
 	}
 	return e
 }

@@ -29,7 +29,7 @@ func Sum(idx string, n Expr, body Expr) Expr {
 
 // polyInVar decomposes e as c0 + c1*idx + c2*idx^2, where the coefficients
 // must not mention idx. Returns ok=false when e is not a polynomial of
-// degree <= 2 in idx (e.g. idx under ceil/min/max/division-by-idx).
+// degree <= 2 in idx (e.g. idx under ceil/max/division-by-idx).
 func polyInVar(e Expr, idx string) (c0, c1, c2 Expr, ok bool) {
 	switch t := e.(type) {
 	case Const:
