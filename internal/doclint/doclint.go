@@ -1,8 +1,11 @@
 // Package doclint keeps the prose honest: it checks the README's
 // command-line flag tables against the actual flag definitions in
 // cmd/*/main.go (both directions — no undocumented flags, no documented
-// ghosts) and verifies that relative markdown links point at files that
-// exist, and that CI's fuzz smoke runs every fuzz target under internal/.
+// ghosts), verifies that relative markdown links point at files and
+// headings that exist, holds the README, ARCHITECTURE.md and the verify
+// skill to line budgets, to no PR-number history and to flags their
+// binaries define, and checks that CI's fuzz smoke runs every fuzz target
+// under internal/.
 // It runs as an ordinary test (and as CI's docs-lint step), so
 // documentation drift fails the build instead of accumulating.
 package doclint
@@ -189,11 +192,14 @@ var linkRE = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 var codeRE = regexp.MustCompile("(?s)```.*?```|`[^`\n]*`")
 
 // CheckLinks verifies that every relative link in the given markdown files
-// resolves to an existing file or directory (fragments are stripped;
-// absolute URLs, pure-fragment links and anything inside code are skipped).
-// Paths are resolved against each file's directory.
+// resolves to an existing file or directory, and that a #fragment on a link
+// to a markdown file (or on a pure-fragment link, against its own file)
+// names one of that file's headings under GitHub's slug rules. Absolute
+// URLs and anything inside code are skipped. Paths are resolved against
+// each file's directory.
 func CheckLinks(mdPaths ...string) error {
 	var problems []string
+	anchors := map[string]map[string]bool{} // markdown file -> heading slugs
 	for _, p := range mdPaths {
 		data, err := os.ReadFile(p)
 		if err != nil {
@@ -204,13 +210,27 @@ func CheckLinks(mdPaths ...string) error {
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
 				continue
 			}
-			target, _, _ = strings.Cut(target, "#")
-			if target == "" {
+			target, frag, _ := strings.Cut(target, "#")
+			resolved := p
+			if target != "" {
+				resolved = filepath.Join(filepath.Dir(p), target)
+				if _, err := os.Stat(resolved); err != nil {
+					problems = append(problems, fmt.Sprintf("%s: broken link %q (%s)", p, m[1], resolved))
+					continue
+				}
+			}
+			if frag == "" || !strings.HasSuffix(resolved, ".md") {
 				continue
 			}
-			resolved := filepath.Join(filepath.Dir(p), target)
-			if _, err := os.Stat(resolved); err != nil {
-				problems = append(problems, fmt.Sprintf("%s: broken link %q (%s)", p, m[1], resolved))
+			if anchors[resolved] == nil {
+				md, err := os.ReadFile(resolved)
+				if err != nil {
+					return err
+				}
+				anchors[resolved] = Anchors(string(md))
+			}
+			if !anchors[resolved][frag] {
+				problems = append(problems, fmt.Sprintf("%s: link %q names no heading of %s", p, m[1], resolved))
 			}
 		}
 	}
@@ -218,6 +238,44 @@ func CheckLinks(mdPaths ...string) error {
 		return fmt.Errorf("doclint:\n  %s", strings.Join(problems, "\n  "))
 	}
 	return nil
+}
+
+var (
+	fenceRE    = regexp.MustCompile("^\\s*```")
+	slugDropRE = regexp.MustCompile(`[^\p{L}\p{M}\p{N}\p{Pc} -]`)
+)
+
+// Anchors returns the fragment GitHub gives each heading of a markdown
+// document: the heading's text with links reduced to their text, lowercased,
+// every character other than a letter, digit, space, hyphen or underscore
+// dropped, and each space turned into a hyphen; a repeated slug gets -1, -2,
+// and so on. Headings inside fenced code are not headings.
+func Anchors(markdown string) map[string]bool {
+	slugs := map[string]bool{}
+	seen := map[string]int{}
+	inFence := false
+	for _, l := range strings.Split(markdown, "\n") {
+		if fenceRE.MatchString(l) {
+			inFence = !inFence
+			continue
+		}
+		if inFence || !headingRE.MatchString(l) {
+			continue
+		}
+		text := strings.TrimSpace(strings.TrimLeft(l, "#"))
+		text = linkRE.ReplaceAllStringFunc(text, func(link string) string {
+			return link[1:strings.Index(link, "](")]
+		})
+		slug := strings.ReplaceAll(slugDropRE.ReplaceAllString(strings.ToLower(text), ""), " ", "-")
+		if n := seen[slug]; n > 0 {
+			seen[slug] = n + 1
+			slug = fmt.Sprintf("%s-%d", slug, n)
+		} else {
+			seen[slug] = 1
+		}
+		slugs[slug] = true
+	}
+	return slugs
 }
 
 var (
@@ -274,4 +332,228 @@ func CheckFuzzSmoke(repoRoot string) error {
 		return fmt.Errorf("doclint:\n  %s", strings.Join(problems, "\n  "))
 	}
 	return nil
+}
+
+// ProseFiles are the documents CheckProse holds to its rules, relative to
+// the repository root: the front door, the design, and the verify recipe.
+var ProseFiles = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
+
+// The line budgets CheckProse enforces: the README alone, and ProseFiles
+// together.
+const (
+	ReadmeBudget = 300
+	ProseBudget  = 1000
+)
+
+var (
+	prRefRE     = regexp.MustCompile(`\bPRs?\s+\d+`)
+	fenceOpenRE = regexp.MustCompile("(?m)^[ \\t]*```[ \\t]*(\\w*).*$")
+	goRunCmdRE  = regexp.MustCompile(`^(?:\./)?cmd/([\w-]+)/?$`)
+	flagWordRE  = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(?:=|$)`)
+	envAssignRE = regexp.MustCompile(`^[A-Za-z_]\w*=`)
+)
+
+// CheckProse holds ProseFiles under repoRoot to three rules: no PR-number
+// history (that lives in CHANGES.md), no flag on a fenced shell command
+// line running a cmd/* binary (by path or as go run ./cmd/NAME) that the
+// binary's main.go does not define, and the line budgets.
+func CheckProse(repoRoot string) error {
+	mains, err := filepath.Glob(filepath.Join(repoRoot, "cmd", "*", "main.go"))
+	if err != nil {
+		return err
+	}
+	if len(mains) == 0 {
+		return fmt.Errorf("doclint: no cmd/*/main.go under %s", repoRoot)
+	}
+	defined := map[string]map[string]bool{} // command -> its flags
+	for _, mainPath := range mains {
+		names, err := Flags(mainPath)
+		if err != nil {
+			return err
+		}
+		set := map[string]bool{}
+		for _, n := range names {
+			set[n] = true
+		}
+		defined[filepath.Base(filepath.Dir(mainPath))] = set
+	}
+	var problems []string
+	total := 0
+	for _, rel := range ProseFiles {
+		data, err := os.ReadFile(filepath.Join(repoRoot, rel))
+		if err != nil {
+			return err
+		}
+		text := string(data)
+		lines := strings.Count(text, "\n")
+		total += lines
+		if rel == "README.md" && lines > ReadmeBudget {
+			problems = append(problems, fmt.Sprintf("%s: %d lines, over its budget of %d", rel, lines, ReadmeBudget))
+		}
+		for _, loc := range prRefRE.FindAllStringIndex(text, -1) {
+			problems = append(problems, fmt.Sprintf("%s:%d: %q is history; it belongs in CHANGES.md",
+				rel, 1+strings.Count(text[:loc[0]], "\n"), text[loc[0]:loc[1]]))
+		}
+		for _, block := range shellBlocks(text) {
+			for _, cmd := range commands(block.text) {
+				problems = append(problems, undefinedFlags(rel, block.line+cmd.line, cmd.words, defined)...)
+			}
+		}
+	}
+	if total > ProseBudget {
+		problems = append(problems, fmt.Sprintf("%s: %d lines together, over the budget of %d",
+			strings.Join(ProseFiles, " + "), total, ProseBudget))
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("doclint:\n  %s", strings.Join(problems, "\n  "))
+	}
+	return nil
+}
+
+// undefinedFlags reports each -flag of one simple command that runs a binary
+// of defined but is not among its flags. line is the command's first line.
+func undefinedFlags(file string, line int, words []string, defined map[string]map[string]bool) []string {
+	for len(words) > 0 && (words[0] == "!" || words[0] == "time" || envAssignRE.MatchString(words[0])) {
+		words = words[1:]
+	}
+	if len(words) == 0 {
+		return nil
+	}
+	command, args := filepath.Base(words[0]), words[1:]
+	if words[0] == "go" && len(args) > 0 && args[0] == "run" {
+		command, args = "", args[1:]
+		for i, w := range args {
+			if !strings.HasPrefix(w, "-") {
+				if m := goRunCmdRE.FindStringSubmatch(w); m != nil {
+					command, args = m[1], args[i+1:]
+				}
+				break
+			}
+		}
+	}
+	flags, ok := defined[command]
+	if !ok {
+		return nil
+	}
+	var problems []string
+	for _, w := range args {
+		if m := flagWordRE.FindStringSubmatch(w); m != nil && !flags[m[1]] {
+			problems = append(problems, fmt.Sprintf("%s:%d: %s has no flag -%s", file, line, command, m[1]))
+		}
+	}
+	return problems
+}
+
+type shellBlock struct {
+	line int // 1-based line of the block's first content line
+	text string
+}
+
+// shellBlocks returns the fenced code blocks of a markdown document whose
+// info string is empty or names a shell.
+func shellBlocks(markdown string) []shellBlock {
+	var blocks []shellBlock
+	fences := fenceOpenRE.FindAllStringSubmatchIndex(markdown, -1)
+	for i := 0; i+1 < len(fences); i += 2 {
+		opening, closing := fences[i], fences[i+1]
+		switch markdown[opening[2]:opening[3]] {
+		case "", "sh", "bash", "shell", "console":
+			start := min(opening[1]+1, closing[0])
+			blocks = append(blocks, shellBlock{
+				line: 1 + strings.Count(markdown[:start], "\n"),
+				text: markdown[start:closing[0]],
+			})
+		}
+	}
+	return blocks
+}
+
+type command struct {
+	line  int // 0-based line within the block
+	words []string
+}
+
+// commands splits shell text into simple commands: words with quotes
+// removed, cut at newlines, |, &, ; and comments, a backslash-newline being
+// a space; a redirection's target is dropped. It understands what the
+// documents' command lines use, not all of sh.
+func commands(text string) []command {
+	var out []command
+	var words []string
+	var word strings.Builder
+	inWord, line, start := false, 0, 0
+	endWord := func() {
+		if inWord {
+			words = append(words, word.String())
+		}
+		word.Reset()
+		inWord = false
+	}
+	endCmd := func() {
+		endWord()
+		if len(words) > 0 {
+			out = append(out, command{start, words})
+		}
+		words = nil
+	}
+	skipTarget := false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if !inWord && len(words) == 0 && !skipTarget {
+			start = line
+		}
+		switch {
+		case c == '\\' && i+1 < len(text):
+			i++
+			if text[i] == '\n' {
+				line++
+				endWord()
+			} else {
+				word.WriteByte(text[i])
+				inWord = true
+			}
+		case c == '\'' || c == '"':
+			j := strings.IndexByte(text[i+1:], c)
+			if j < 0 {
+				j = len(text) - i - 1
+			}
+			word.WriteString(text[i+1 : i+1+j])
+			line += strings.Count(text[i+1:i+1+j], "\n")
+			inWord = true
+			i += j + 1
+		case c == '#' && !inWord:
+			for i+1 < len(text) && text[i+1] != '\n' {
+				i++
+			}
+		case c == '\n' || c == '|' || c == '&' || c == ';':
+			endCmd()
+			if c == '\n' {
+				line++
+			}
+		case c == '>' || c == '<':
+			endWord()
+			if i+1 < len(text) && text[i+1] == '&' {
+				i++ // 2>&1
+			}
+			skipTarget = true
+			continue
+		case c == ' ' || c == '\t':
+			endWord()
+			continue
+		default:
+			if skipTarget {
+				// The redirection target: read and drop it.
+				for i+1 < len(text) && !strings.ContainsRune(" \t\n|&;", rune(text[i+1])) {
+					i++
+				}
+				skipTarget = false
+				continue
+			}
+			word.WriteByte(c)
+			inWord = true
+		}
+		skipTarget = false
+	}
+	endCmd()
+	return out
 }

@@ -19,8 +19,8 @@ func TestReadmeFlagTablesMatchCommands(t *testing.T) {
 	}
 }
 
-// TestMarkdownLinksResolve checks every relative link in the top-level
-// markdown files against the filesystem.
+// TestMarkdownLinksResolve checks every relative link and anchor in the
+// top-level markdown files and the verify skill against the filesystem.
 func TestMarkdownLinksResolve(t *testing.T) {
 	docs, err := filepath.Glob(filepath.Join(repoRoot, "*.md"))
 	if err != nil {
@@ -29,7 +29,17 @@ func TestMarkdownLinksResolve(t *testing.T) {
 	if len(docs) < 3 {
 		t.Fatalf("implausibly few top-level markdown files: %v", docs)
 	}
+	docs = append(docs, filepath.Join(repoRoot, ".claude", "skills", "verify", "SKILL.md"))
 	if err := CheckLinks(docs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProseRules holds README.md, ARCHITECTURE.md and the verify skill to
+// CheckProse: no PR-number history, no command line using a flag its binary
+// lacks, and the line budgets.
+func TestProseRules(t *testing.T) {
+	if err := CheckProse(repoRoot); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,11 +148,11 @@ func TestReadmeFlagsSectionParsing(t *testing.T) {
 
 func TestCheckLinksFindsBrokenOnes(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "real.md"), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "real.md"), []byte("# Frag\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	doc := filepath.Join(dir, "doc.md")
-	ok := "[a](real.md) [b](https://example.com/x) [c](#anchor) [d](real.md#frag) " +
+	ok := "# Anchor\n[a](real.md) [b](https://example.com/x) [c](#anchor) [d](real.md#frag) " +
 		"`funcPow[k](mrg)`\n```\nz[n](missing)\n```\n"
 	if err := os.WriteFile(doc, []byte(ok), 0o644); err != nil {
 		t.Fatal(err)
@@ -155,5 +165,111 @@ func TestCheckLinksFindsBrokenOnes(t *testing.T) {
 	}
 	if err := CheckLinks(doc); err == nil {
 		t.Fatal("broken link must be reported")
+	}
+}
+
+func TestCheckLinksFindsBrokenAnchors(t *testing.T) {
+	dir := t.TempDir()
+	target := "# Durable tables: catalog and segments\n```\n# Not a heading\n```\n## `ocas` flags\n## Tables & ingestion\n## Repeat\n## Repeat\n"
+	if err := os.WriteFile(filepath.Join(dir, "target.md"), []byte(target), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc := filepath.Join(dir, "doc.md")
+	ok := "# Local [head](target.md)\n[a](target.md#durable-tables-catalog-and-segments) [b](target.md#ocas-flags) " +
+		"[c](target.md#tables--ingestion) [d](target.md#repeat-1) [e](#local-head) [f](. #x)\n"
+	if err := os.WriteFile(doc, []byte(ok), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckLinks(doc); err != nil {
+		t.Fatalf("good anchors flagged: %v", err)
+	}
+	for _, bad := range []string{"target.md#durable-tables", "target.md#not-a-heading", "target.md#repeat-2", "#nowhere"} {
+		if err := os.WriteFile(doc, []byte("[a]("+bad+")"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckLinks(doc); err == nil {
+			t.Errorf("link to %s must be reported", bad)
+		}
+	}
+}
+
+// proseRepo writes a repository with one command, cmd/tool, defining -in
+// and -run, the three prose files (README.md holding readme), and returns
+// its root.
+func proseRepo(t *testing.T, readme string) string {
+	t.Helper()
+	root := t.TempDir()
+	files := map[string]string{
+		"cmd/tool/main.go":               "package main\n\nimport \"flag\"\n\nfunc main() {\n\t_ = flag.String(\"in\", \"\", \"\")\n\t_ = flag.Bool(\"run\", false, \"\")\n}\n",
+		"README.md":                      readme,
+		"ARCHITECTURE.md":                "# Design\n",
+		".claude/skills/verify/SKILL.md": "# Verify\n",
+	}
+	for rel, content := range files {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+func TestCheckProseFindsPRReferences(t *testing.T) {
+	if err := CheckProse(proseRepo(t, "# Tool\n\nA PRO 7 is not a reference.\n")); err != nil {
+		t.Fatalf("clean prose flagged: %v", err)
+	}
+	err := CheckProse(proseRepo(t, "# Tool\n\nSince PR 12 it runs.\nAs PRs\n31 said.\n"))
+	if err == nil {
+		t.Fatal("PR references must be reported")
+	}
+	for _, want := range []string{"README.md:3: \"PR 12\"", "README.md:4: \"PRs\\n31\""} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("report lacks %s:\n%v", want, err)
+		}
+	}
+}
+
+func TestCheckProseFindsUndefinedFlags(t *testing.T) {
+	ok := "# Tool\n\n```sh\ngo run ./cmd/tool -in x --run=true | grep -v -q y  # -nope\n" +
+		"/tmp/tool -in x \\\n  -run 2>&1 > out.txt\ncurl -d '-nope' tool\n```\n\n```go\ntool -nope\n```\n" +
+		"Prose may say `tool -nope`.\n"
+	if err := CheckProse(proseRepo(t, ok)); err != nil {
+		t.Fatalf("defined flags flagged: %v", err)
+	}
+	bad := "# Tool\n\n```\nGOMAXPROCS=1 ./tool -in x \\\n  -gone\ngo run -race ./cmd/tool/ -in y; ! tool -ghost=1\n```\n"
+	err := CheckProse(proseRepo(t, bad))
+	if err == nil {
+		t.Fatal("undefined flags must be reported")
+	}
+	for _, want := range []string{"README.md:4: tool has no flag -gone", "README.md:6: tool has no flag -ghost"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("report lacks %q:\n%v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "-in") {
+		t.Errorf("a defined flag is reported:\n%v", err)
+	}
+}
+
+func TestCheckProseFindsBrokenBudgets(t *testing.T) {
+	lines := func(n int) string { return strings.Repeat("x\n", n) }
+	if err := CheckProse(proseRepo(t, lines(ReadmeBudget))); err != nil {
+		t.Fatalf("a README at its budget flagged: %v", err)
+	}
+	err := CheckProse(proseRepo(t, lines(ReadmeBudget+1)))
+	if err == nil || !strings.Contains(err.Error(), "README.md: 301 lines") {
+		t.Fatalf("a README over its budget must be reported, got %v", err)
+	}
+	root := proseRepo(t, lines(ReadmeBudget))
+	arch := filepath.Join(root, "ARCHITECTURE.md")
+	if err := os.WriteFile(arch, []byte(lines(ProseBudget-ReadmeBudget)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = CheckProse(root)
+	if err == nil || !strings.Contains(err.Error(), "1001 lines together") {
+		t.Fatalf("prose over its joint budget must be reported, got %v", err)
 	}
 }
