@@ -227,7 +227,7 @@ func CheckLinks(mdPaths ...string) error {
 				if err != nil {
 					return err
 				}
-				anchors[resolved] = Anchors(string(md))
+				anchors[resolved] = headingSlugs(string(md))
 			}
 			if !anchors[resolved][frag] {
 				problems = append(problems, fmt.Sprintf("%s: link %q names no heading of %s", p, m[1], resolved))
@@ -245,12 +245,12 @@ var (
 	slugDropRE = regexp.MustCompile(`[^\p{L}\p{M}\p{N}\p{Pc} -]`)
 )
 
-// Anchors returns the fragment GitHub gives each heading of a markdown
+// headingSlugs returns the fragment GitHub gives each heading of a markdown
 // document: the heading's text with links reduced to their text, lowercased,
 // every character other than a letter, digit, space, hyphen or underscore
 // dropped, and each space turned into a hyphen; a repeated slug gets -1, -2,
 // and so on. Headings inside fenced code are not headings.
-func Anchors(markdown string) map[string]bool {
+func headingSlugs(markdown string) map[string]bool {
 	slugs := map[string]bool{}
 	seen := map[string]int{}
 	inFence := false
@@ -334,15 +334,15 @@ func CheckFuzzSmoke(repoRoot string) error {
 	return nil
 }
 
-// ProseFiles are the documents CheckProse holds to its rules, relative to
+// proseFiles are the documents CheckProse holds to its rules, relative to
 // the repository root: the front door, the design, and the verify recipe.
-var ProseFiles = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
+var proseFiles = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
 
-// The line budgets CheckProse enforces: the README alone, and ProseFiles
+// The line budgets CheckProse enforces: the README alone, and proseFiles
 // together.
 const (
-	ReadmeBudget = 300
-	ProseBudget  = 1000
+	readmeBudget = 300
+	proseBudget  = 1000
 )
 
 var (
@@ -353,7 +353,7 @@ var (
 	envAssignRE = regexp.MustCompile(`^[A-Za-z_]\w*=`)
 )
 
-// CheckProse holds ProseFiles under repoRoot to three rules: no PR-number
+// CheckProse holds proseFiles under repoRoot to three rules: no PR-number
 // history (that lives in CHANGES.md), no flag on a fenced shell command
 // line running a cmd/* binary (by path or as go run ./cmd/NAME) that the
 // binary's main.go does not define, and the line budgets.
@@ -379,7 +379,7 @@ func CheckProse(repoRoot string) error {
 	}
 	var problems []string
 	total := 0
-	for _, rel := range ProseFiles {
+	for _, rel := range proseFiles {
 		data, err := os.ReadFile(filepath.Join(repoRoot, rel))
 		if err != nil {
 			return err
@@ -387,8 +387,8 @@ func CheckProse(repoRoot string) error {
 		text := string(data)
 		lines := strings.Count(text, "\n")
 		total += lines
-		if rel == "README.md" && lines > ReadmeBudget {
-			problems = append(problems, fmt.Sprintf("%s: %d lines, over its budget of %d", rel, lines, ReadmeBudget))
+		if rel == "README.md" && lines > readmeBudget {
+			problems = append(problems, fmt.Sprintf("%s: %d lines, over its budget of %d", rel, lines, readmeBudget))
 		}
 		for _, loc := range prRefRE.FindAllStringIndex(text, -1) {
 			problems = append(problems, fmt.Sprintf("%s:%d: %q is history; it belongs in CHANGES.md",
@@ -400,9 +400,9 @@ func CheckProse(repoRoot string) error {
 			}
 		}
 	}
-	if total > ProseBudget {
+	if total > proseBudget {
 		problems = append(problems, fmt.Sprintf("%s: %d lines together, over the budget of %d",
-			strings.Join(ProseFiles, " + "), total, ProseBudget))
+			strings.Join(proseFiles, " + "), total, proseBudget))
 	}
 	if len(problems) > 0 {
 		return fmt.Errorf("doclint:\n  %s", strings.Join(problems, "\n  "))
@@ -474,9 +474,9 @@ type command struct {
 }
 
 // commands splits shell text into simple commands: words with quotes
-// removed, cut at newlines, |, &, ; and comments, a backslash-newline being
-// a space; a redirection's target is dropped. It understands what the
-// documents' command lines use, not all of sh.
+// removed, cut at newlines, |, &, ; and comments, a backslash-newline and a
+// redirection being a space. It understands what the documents' command
+// lines use, not all of sh.
 func commands(text string) []command {
 	var out []command
 	var words []string
@@ -496,10 +496,9 @@ func commands(text string) []command {
 		}
 		words = nil
 	}
-	skipTarget := false
 	for i := 0; i < len(text); i++ {
 		c := text[i]
-		if !inWord && len(words) == 0 && !skipTarget {
+		if !inWord && len(words) == 0 {
 			start = line
 		}
 		switch {
@@ -530,29 +529,12 @@ func commands(text string) []command {
 			if c == '\n' {
 				line++
 			}
-		case c == '>' || c == '<':
+		case c == ' ' || c == '\t' || c == '>' || c == '<':
 			endWord()
-			if i+1 < len(text) && text[i+1] == '&' {
-				i++ // 2>&1
-			}
-			skipTarget = true
-			continue
-		case c == ' ' || c == '\t':
-			endWord()
-			continue
 		default:
-			if skipTarget {
-				// The redirection target: read and drop it.
-				for i+1 < len(text) && !strings.ContainsRune(" \t\n|&;", rune(text[i+1])) {
-					i++
-				}
-				skipTarget = false
-				continue
-			}
 			word.WriteByte(c)
 			inWord = true
 		}
-		skipTarget = false
 	}
 	endCmd()
 	return out

@@ -256,16 +256,16 @@ func TestCheckProseFindsUndefinedFlags(t *testing.T) {
 
 func TestCheckProseFindsBrokenBudgets(t *testing.T) {
 	lines := func(n int) string { return strings.Repeat("x\n", n) }
-	if err := CheckProse(proseRepo(t, lines(ReadmeBudget))); err != nil {
+	if err := CheckProse(proseRepo(t, lines(readmeBudget))); err != nil {
 		t.Fatalf("a README at its budget flagged: %v", err)
 	}
-	err := CheckProse(proseRepo(t, lines(ReadmeBudget+1)))
+	err := CheckProse(proseRepo(t, lines(readmeBudget+1)))
 	if err == nil || !strings.Contains(err.Error(), "README.md: 301 lines") {
 		t.Fatalf("a README over its budget must be reported, got %v", err)
 	}
-	root := proseRepo(t, lines(ReadmeBudget))
+	root := proseRepo(t, lines(readmeBudget))
 	arch := filepath.Join(root, "ARCHITECTURE.md")
-	if err := os.WriteFile(arch, []byte(lines(ProseBudget-ReadmeBudget)), 0o644); err != nil {
+	if err := os.WriteFile(arch, []byte(lines(proseBudget-readmeBudget)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = CheckProse(root)
