@@ -224,7 +224,7 @@ func main() {
 		}
 		if rep.Explain != nil {
 			fmt.Println("== explain analyze ==")
-			fmt.Print(plan.RenderExplain(rep.Explain))
+			fmt.Print(rep.Explain.Render())
 		}
 	}
 }

@@ -113,10 +113,15 @@ func tapRows(f func(row []int32)) func(*Batch) {
 
 func drainOp(t *testing.T, c *Ctx, op Operator, sink *Sink) {
 	t.Helper()
-	p := &Program{Root: op, Sink: sink, c: c}
-	if err := p.Run(); err != nil {
+	if err := programOf(op, sink, c).Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// programOf assembles a program by hand: op under sink, run on c.
+func programOf(op Operator, sink *Sink, c *Ctx) *Program {
+	sink.in = op
+	return &Program{Root: sink, c: c}
 }
 
 func TestBNLJoinCorrectAndCharges(t *testing.T) {
@@ -395,9 +400,13 @@ func TestSinkBuffering(t *testing.T) {
 	}
 	s := &Sink{Out: out, Bout: 10, Sim: sim}
 	for i := 0; i < 25; i++ {
-		s.WriteBatch(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}})
+		if err := s.write(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.Flush()
+	if err := s.flush(); err != nil {
+		t.Fatal(err)
+	}
 	if out.Rows() != 25 {
 		t.Errorf("sink wrote %d rows want 25", out.Rows())
 	}
@@ -421,9 +430,13 @@ func TestFlashEraseAccounting(t *testing.T) {
 	s := &Sink{Out: out, Bout: 1024, Sim: sim}
 	rows := int64(300_000) // 1.2 MB; erase block is 256K -> ~5 erases
 	for i := int64(0); i < rows; i++ {
-		s.WriteBatch(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}})
+		if err := s.write(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.Flush()
+	if err := s.flush(); err != nil {
+		t.Fatal(err)
+	}
 	if d.Led.WriteInits < 4 || d.Led.WriteInits > 6 {
 		t.Errorf("expected ~5 erase events for 1.2MB/256K, got %d", d.Led.WriteInits)
 	}
@@ -438,15 +451,13 @@ func TestOpenFailureClosesCleanly(t *testing.T) {
 	S := loadTableSim(sim, "hdd", 2, pairsOf(1, 100))
 	d, _ := sim.Device("hdd")
 	join := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 2, K2: 2, EquiKeys: &[2]int{0, 0}}
-	p := &Program{Root: join, Sink: &Sink{Sim: sim},
-		c: &Ctx{Sim: sim, Pool: storage.NewBufferPool(4), Scratch: d}}
+	p := programOf(join, &Sink{Sim: sim}, &Ctx{Sim: sim, Pool: storage.NewBufferPool(4), Scratch: d})
 	if err := p.Run(); err == nil {
 		t.Fatal("a 4-byte pool cannot run a join of 8-byte rows")
 	}
 	unf := &UnfoldR{Ins: []Input{TableInput(R), OpInput(join)}, K: 2,
 		tree: mergeTree(t), StateArity: 2}
-	p2 := &Program{Root: unf, Sink: &Sink{Sim: sim},
-		c: &Ctx{Sim: sim, Pool: storage.NewBufferPool(4), Scratch: d}}
+	p2 := programOf(unf, &Sink{Sim: sim}, &Ctx{Sim: sim, Pool: storage.NewBufferPool(4), Scratch: d})
 	if err := p2.Run(); err == nil {
 		t.Fatal("expected an error from the starved unfold")
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"ocas/internal/ocal"
@@ -12,7 +13,9 @@ import (
 // include everything its children charged, the standard EXPLAIN ANALYZE
 // convention — because the instrumentation measures deltas of the driver
 // strand's accounting around each operator call, and child calls nest
-// inside parent calls.
+// inside parent calls. The root is the sink, so its counters are the whole
+// run's: its seconds are the virtual clock's, its bytes and initiations the
+// device ledgers' sums.
 //
 // Everything except WallNanos is deterministic across executor worker
 // counts: rows, batches and bytes are integer charges fixed by the plan's
@@ -36,12 +39,30 @@ type ExplainNode struct {
 	Spills     int64   `json:"spills"`
 	SpillBytes int64   `json:"spillBytes"`
 
+	Estimate
+
 	Children []*ExplainNode `json:"children,omitempty"`
 
 	// Expr is the OCAL subexpression this operator implements; the plan
 	// layer costs it with the paper's estimator to put estimated events
 	// next to these actuals. Not serialized.
 	Expr ocal.Expr `json:"-"`
+}
+
+// Estimate is the cost model's side of an explain node, which the plan
+// layer fills in: the model applied to the node's subexpression at the
+// plan's tuned parameters and the executed cardinalities. It is absent
+// (zero, with EstValid false) when the subexpression is not costable in
+// isolation. The drift ratios are estimate / actual, 0 when the actual is 0
+// or there is no estimate: DriftSeconds against the simulated seconds,
+// DriftBytes against the transferred bytes (read + write).
+type Estimate struct {
+	EstValid     bool    `json:"estValid,omitempty"`
+	EstSeconds   float64 `json:"estSeconds,omitempty"`
+	EstInits     float64 `json:"estInits,omitempty"`
+	EstBytes     float64 `json:"estBytes,omitempty"`
+	DriftSeconds float64 `json:"driftSeconds,omitempty"`
+	DriftBytes   float64 `json:"driftBytes,omitempty"`
 }
 
 // instr wraps one lowered operator with explain accounting. Wrappers only
@@ -182,6 +203,8 @@ func buildExplainTree(op Operator) *ExplainNode {
 // childOps lists an operator's streamed input operators.
 func childOps(op Operator) []Operator {
 	switch t := op.(type) {
+	case *Sink:
+		return []Operator{t.in}
 	case *Project:
 		return opsOf(t.In)
 	case *BNLJoin:
@@ -213,6 +236,11 @@ func opsOf(ins ...Input) []Operator {
 // worker counts.
 func describeOp(op Operator) (kind, detail string) {
 	switch t := op.(type) {
+	case *Sink:
+		if t.Out == nil && t.Alloc == nil {
+			return "sink", "cpu"
+		}
+		return "sink", fmt.Sprintf("bout=%d", max(t.Bout, 1))
 	case *Scan:
 		return "scan", fmt.Sprintf("rows=%d arity=%d k=%d", t.T.Rows(), t.T.Arity, t.K)
 	case *Project:
@@ -249,5 +277,46 @@ func inputDetail(in Input) string {
 		return "stream"
 	default:
 		return "spills"
+	}
+}
+
+// Normalize zeroes every WallNanos in the tree, in place. Wall time is the
+// one non-deterministic field of an explain tree; comparisons across runs or
+// worker counts normalize first.
+func (n *ExplainNode) Normalize() {
+	if n == nil {
+		return
+	}
+	n.WallNanos = 0
+	for _, c := range n.Children {
+		c.Normalize()
+	}
+}
+
+// Render renders the tree as indented text.
+func (n *ExplainNode) Render() string {
+	var b strings.Builder
+	n.render(&b, 0)
+	return b.String()
+}
+
+func (n *ExplainNode) render(b *strings.Builder, depth int) {
+	ind := strings.Repeat("  ", depth)
+	fmt.Fprintf(b, "%s%s", ind, n.Kind)
+	if n.Detail != "" {
+		fmt.Fprintf(b, " [%s]", n.Detail)
+	}
+	fmt.Fprintf(b, "\n%s  rows=%d batches=%d sim=%.6gs", ind, n.Rows, n.Batches, n.SimSeconds)
+	fmt.Fprintf(b, " io={r:%dB/%d w:%dB/%d}", n.BytesRead, n.ReadInits, n.BytesWrite, n.WriteInits)
+	if n.PoolPins > 0 || n.Spills > 0 {
+		fmt.Fprintf(b, " pool={pins:%d spills:%d spillB:%d}", n.PoolPins, n.Spills, n.SpillBytes)
+	}
+	if n.EstValid {
+		fmt.Fprintf(b, "\n%s  est=%.6gs inits=%.6g bytes=%.6g drift={sec:%.3g bytes:%.3g}",
+			ind, n.EstSeconds, n.EstInits, n.EstBytes, n.DriftSeconds, n.DriftBytes)
+	}
+	b.WriteByte('\n')
+	for _, c := range n.Children {
+		c.render(b, depth+1)
 	}
 }

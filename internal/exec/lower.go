@@ -14,7 +14,7 @@ type LowerOpts struct {
 	Inputs  map[string]*Table
 	Params  map[string]int64 // optimizer-chosen parameter values
 	Scratch *storage.Device  // device for partitions / sort runs / spills
-	Sink    *Sink            // program output (Out nil = CPU-consumed)
+	Sink    *Sink            // the program's root: its output (Out nil = CPU-consumed)
 	// RAMBytes is the RAM node size, used to size partition write buffers.
 	RAMBytes int64
 	// PoolBytes bounds the buffer pool; 0 defaults to RAMBytes, and a
@@ -40,19 +40,19 @@ type LowerOpts struct {
 	Explain bool
 }
 
-// Program is an executable operator tree wired to its output sink. Run
-// drives the root operator to completion, writing every produced batch to the
-// sink; a scalar program (an aggregation) leaves its value in Result
-// instead.
+// Program is an executable operator tree under its output sink, which is
+// the root: Run drives the sink to the end of the stream, and the sink
+// writes every batch the tree produces. A scalar program (an aggregation)
+// leaves its value in Result instead.
 type Program struct {
 	Root Operator
-	Sink *Sink
 	// Scalar reports that the program computes a value, not a row stream.
 	Scalar bool
 	// Result is the scalar result after Run.
 	Result ocal.Value
 
 	c       *Ctx
+	fold    *Fold // the tree's root when the program is scalar
 	explain *ExplainNode
 }
 
@@ -85,42 +85,30 @@ func (p *Program) WorkerLedgers() []WorkerLedger {
 // releases its device space.
 func (p *Program) Run() error {
 	defer p.c.freeSpills()
+	err := p.drain()
+	if cerr := p.Root.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && p.fold != nil {
+		p.Result = p.fold.Final
+	}
+	return err
+}
+
+// drain opens the root and pulls it to the end of the stream.
+func (p *Program) drain() error {
 	if err := p.Root.Open(p.c); err != nil {
-		p.Root.Close()
 		return err
 	}
 	var b Batch
 	for {
 		if err := p.c.err(); err != nil {
-			p.Root.Close()
 			return err
 		}
-		ok, err := p.Root.Next(&b)
-		if err != nil {
-			p.Root.Close()
+		if ok, err := p.Root.Next(&b); !ok || err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		p.Sink.WriteBatch(&b)
-		if p.Sink.Err != nil {
-			p.Root.Close()
-			return p.Sink.Err
-		}
 	}
-	p.Sink.Flush()
-	if p.Sink.Err != nil {
-		p.Root.Close()
-		return p.Sink.Err
-	}
-	if err := p.Root.Close(); err != nil {
-		return err
-	}
-	if f, ok := unwrapOp(p.Root).(*Fold); ok {
-		p.Scalar, p.Result = true, f.Final
-	}
-	return nil
 }
 
 // Lower translates an optimized OCAL program into an executable operator
@@ -130,18 +118,20 @@ func (p *Program) Run() error {
 // subexpression, piped through the batch protocol. Base-table inputs stay
 // fused into their consuming operator (direct blocked device reads at the
 // tuned block size), so the single-shape programs the synthesizer emits
-// charge exactly what the monolithic plans charged.
+// charge exactly what the monolithic plans charged. The tree's root feeds
+// o.Sink, which becomes the program's root.
 func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 	l := &lowerer{o: o}
 	root, err := l.lower(prog)
 	if err != nil {
 		return nil, err
 	}
+	o.Sink.in = root
 	budget := o.PoolBytes
 	if budget == 0 {
 		budget = o.RAMBytes
 	}
-	p := &Program{Root: root, Sink: o.Sink, c: &Ctx{
+	p := &Program{Root: l.wrap(o.Sink, prog), c: &Ctx{
 		Sim:       o.Sim,
 		Pool:      storage.NewBufferPool(budget),
 		Scratch:   o.Scratch,
@@ -150,8 +140,11 @@ func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 		Context:   o.Context,
 		shared:    newShared(o.ExecWorkers),
 	}}
+	if f, ok := unwrapOp(root).(*Fold); ok {
+		p.Scalar, p.fold = true, f
+	}
 	if o.Explain {
-		p.explain = buildExplainTree(root)
+		p.explain = buildExplainTree(p.Root)
 	}
 	return p, nil
 }

@@ -33,9 +33,9 @@ func TestLowerBlockedBNL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, ok := p.Root.(*BNLJoin)
+	j, ok := p.Root.(*Sink).in.(*BNLJoin)
 	if !ok {
-		t.Fatalf("expected BNLJoin, got %T", p.Root)
+		t.Fatalf("expected BNLJoin, got %T", p.Root.(*Sink).in)
 	}
 	if j.K1 != 2 || j.K2 != 2 {
 		t.Errorf("block sizes not bound: %d %d", j.K1, j.K2)
@@ -78,9 +78,9 @@ func TestLowerHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ok := p.Root.(*HashJoin)
+	h, ok := p.Root.(*Sink).in.(*HashJoin)
 	if !ok {
-		t.Fatalf("expected HashJoin, got %T", p.Root)
+		t.Fatalf("expected HashJoin, got %T", p.Root.(*Sink).in)
 	}
 	if h.Buckets != 4 {
 		t.Errorf("buckets = %d want 4", h.Buckets)
@@ -108,9 +108,9 @@ func TestLowerExtSortThroughIdentityScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srt, ok := p.Root.(*ExtSort)
+	srt, ok := p.Root.(*Sink).in.(*ExtSort)
 	if !ok {
-		t.Fatalf("expected ExtSort, got %T", p.Root)
+		t.Fatalf("expected ExtSort, got %T", p.Root.(*Sink).in)
 	}
 	if srt.Way != 4 || srt.Bin != 2 || srt.Bout != 2 {
 		t.Errorf("sort params: way=%d bin=%d bout=%d", srt.Way, srt.Bin, srt.Bout)
@@ -137,8 +137,8 @@ func TestLowerFoldWithFinalLambda(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Root.(*Fold); !ok {
-		t.Fatalf("expected Fold, got %T", p.Root)
+	if _, ok := p.Root.(*Sink).in.(*Fold); !ok {
+		t.Fatalf("expected Fold, got %T", p.Root.(*Sink).in)
 	}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)

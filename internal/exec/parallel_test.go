@@ -271,10 +271,10 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		sink := &Sink{Out: out, Bout: 16, Sim: sim}
-		p := &Program{Root: g, Sink: sink, c: &Ctx{
+		p := programOf(g, sink, &Ctx{
 			Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d,
 			Workers: workers, shared: newShared(workers),
-		}}
+		})
 		if err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -405,10 +405,10 @@ func TestExtSortDeviceFullIsError(t *testing.T) {
 			scratch, _ := sim.Device("hdd2")
 			scratch.Node.Size = c.scratchBytes
 			srt := &ExtSort{In: TableInput(in), Way: 2, Bin: 64, Bout: 64}
-			p := &Program{Root: srt, Sink: &Sink{Sim: sim}, c: &Ctx{
+			p := programOf(srt, &Sink{Sim: sim}, &Ctx{
 				Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch,
 				Workers: workers, shared: newShared(workers),
-			}}
+			})
 			err := p.Run()
 			if err == nil || !strings.Contains(err.Error(), "storage: device hdd2 full") {
 				t.Fatalf("%d rows, workers %d: want the scratch device's full error, got %v", rows, workers, err)

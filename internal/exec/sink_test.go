@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,12 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"ocas/internal/memory"
+	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
 
 // rowSink is the sink as it was while Program.Run gathered every row out of
 // its batch: one Write per row, a row-major buffer evicted whole. It is the
-// spec Sink.WriteBatch must charge like.
+// spec the Sink's batch-wise write must charge like.
 type rowSink struct {
 	Out         *Table
 	Bout        int64
@@ -100,9 +103,13 @@ func TestSinkWriteBatchMatchesWrite(t *testing.T) {
 								b.Cols[c] = append(b.Cols[c], data[i*arity+c])
 							}
 						}
-						got.WriteBatch(b)
+						if err := got.write(b); err != nil {
+							t.Fatal(err)
+						}
 					}
-					got.Flush()
+					if err := got.flush(); err != nil {
+						t.Fatal(err)
+					}
 
 					if got.RowsWritten != want.RowsWritten {
 						t.Errorf("RowsWritten %d, row sink %d", got.RowsWritten, want.RowsWritten)
@@ -196,5 +203,58 @@ func TestPreloadColsMatchesPreload(t *testing.T) {
 	tb := loadTable(t, sim, "hdd", 1, []int32{7})
 	if err := tb.PreloadCols([][]int32{{8}}); err == nil {
 		t.Error("preloading columns into a table that holds rows: no error")
+	}
+}
+
+// TestSinkFailureEndsRun: the sink's two failures — a lazy output
+// allocation that fails, and an eviction the output device cannot hold —
+// are what Program.Run returns, and the run's scratch spills (a GRACE
+// join's partitions, on a device of their own) are freed either way.
+func TestSinkFailureEndsRun(t *testing.T) {
+	prog := ocal.MustParse(`flatMap(\<p1, p2> -> for (xB [k1] <- p1) for (yB [k2] <- p2) for (x <- xB) for (y <- yB) if x.1 == y.1 then [<x, y>] else [])(zip[2](partition[s](R), partition[s](S)))`)
+	errAlloc := errors.New("no room for the output")
+	for name, c := range map[string]struct {
+		sink func(out *storage.Device) *Sink
+		want func(error) bool
+	}{
+		"alloc": {
+			func(*storage.Device) *Sink {
+				return &Sink{Alloc: func(int) (*Table, error) { return nil, errAlloc }}
+			},
+			func(err error) bool { return errors.Is(err, errAlloc) },
+		},
+		"evict": {
+			func(out *storage.Device) *Sink {
+				out.Node.Size = out.AllocatedBytes() + 64 // four output rows
+				return &Sink{Bout: 8, Alloc: func(ar int) (*Table, error) { return NewTable(out, ar, 0) }}
+			},
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "storage: device hdd full") },
+		},
+	} {
+		sim := storage.NewSim(memory.TwoHDD(64 * memory.MiB))
+		var keys []int32
+		for i := range int32(64) {
+			keys = append(keys, i%16, i)
+		}
+		inputs := map[string]*Table{"R": loadTableSim(sim, "hdd", 2, keys), "S": loadTableSim(sim, "hdd", 2, keys)}
+		out, _ := sim.Device("hdd")
+		scratch, _ := sim.Device("hdd2")
+		s := c.sink(out)
+		s.Sim = sim
+		p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: inputs,
+			Params:  map[string]int64{"k1": 4, "k2": 4, "s": 4},
+			Scratch: scratch, Sink: s, RAMBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Run(); !c.want(err) {
+			t.Errorf("%s: Run returned %v", name, err)
+		}
+		if p.Pool().Stats().Spills == 0 {
+			t.Errorf("%s: the join spilled no partitions", name)
+		}
+		if got := scratch.AllocatedBytes(); got != 0 {
+			t.Errorf("%s: %d scratch bytes still claimed after the failed run", name, got)
+		}
 	}
 }

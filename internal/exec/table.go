@@ -79,10 +79,14 @@ func (t *Table) Preload(rows []int32) error {
 // Rows returns the number of tuples.
 func (t *Table) Rows() int64 { return t.Records() }
 
-// Sink is a buffered writer implementing the paper's output buffer b_out:
-// rows accumulate in RAM and are evicted to the output table in one
-// contiguous write when the buffer fills (Section 5.2). A nil Out means the
-// output is consumed by the CPU (no charges).
+// Sink is the root operator of every lowered program: it drains the
+// program's operator tree and writes what it delivers through the paper's
+// output buffer b_out, whose rows accumulate in RAM and are evicted to the
+// output table in one contiguous write when the buffer fills (Section 5.2).
+// A nil Out means the output is consumed by the CPU (no charges). Lower
+// installs the tree under it; Next passes each batch on after writing it, so
+// an explained run's root node counts the output rows and every charge of
+// the run.
 type Sink struct {
 	Out  *Table
 	Bout int64 // records per eviction; <=0 means 1
@@ -97,11 +101,8 @@ type Sink struct {
 	// Tap, when non-nil, observes every batch before buffering/discarding.
 	// The column views are the producer's: valid only during the call.
 	Tap func(b *Batch)
-	// Err records the sink's first failure — a lazy allocation, or an
-	// eviction the output device could not hold; the sink writes nothing
-	// after it and Program.Run stops on it.
-	Err error
 
+	in   Operator  // the program's operator tree
 	cols [][]int32 // the output buffer, column-striped like the table
 	rows int64
 	head [][]int32 // reused header of the batch rows evicted unbuffered
@@ -124,27 +125,50 @@ func OutBlock(params map[string]int64) int64 {
 	return best
 }
 
-// WriteBatch adds the batch's rows. The buffer is evicted at exactly every
-// Bout rows, wherever those fall inside or across batches, so the output
-// device sees the same writes whatever the batch size; a batch holding
-// several evictions appends them to the table once and charges them as one
-// run. What the batch size does move is where those writes fall among the
-// run's reads: see ExecOptions.BatchRows in internal/plan.
-func (s *Sink) WriteBatch(b *Batch) {
+func (s *Sink) Open(c *Ctx) error { return s.in.Open(c) }
+
+// Next pulls one batch from the program and writes it, leaving it in b. At
+// the end of the stream it evicts what the buffer holds and reports false,
+// so the flush is charged after the tree's last Next and before its Close.
+// A lazy allocation that fails, or an eviction the output device cannot
+// hold, is the returned error.
+func (s *Sink) Next(b *Batch) (bool, error) {
+	ok, err := s.in.Next(b)
+	if err != nil {
+		return false, err
+	}
+	if !ok {
+		return false, s.flush()
+	}
+	return true, s.write(b)
+}
+
+func (s *Sink) Close() error { return s.in.Close() }
+
+// write adds the batch's rows. The buffer is evicted at exactly every Bout
+// rows, wherever those fall inside or across batches, so the output device
+// sees the same writes whatever the batch size; a batch holding several
+// evictions appends them to the table once and charges them as one run.
+// What the batch size does move is where those writes fall among the run's
+// reads: see ExecOptions.BatchRows in internal/plan.
+func (s *Sink) write(b *Batch) error {
 	n := b.Rows()
 	if n == 0 {
-		return
+		return nil
 	}
 	s.RowsWritten += int64(n)
 	if s.Tap != nil {
 		s.Tap(b)
 	}
-	if s.Out == nil && s.Alloc != nil && s.Err == nil {
-		s.Out, s.Err = s.Alloc(b.Arity)
-		s.Alloc = nil
+	if s.Out == nil && s.Alloc != nil {
+		out, err := s.Alloc(b.Arity)
+		if err != nil {
+			return err
+		}
+		s.Out, s.Alloc = out, nil
 	}
-	if s.Out == nil || s.Err != nil {
-		return
+	if s.Out == nil {
+		return nil
 	}
 	if s.cols == nil {
 		s.cols = make([][]int32, b.Arity)
@@ -157,9 +181,8 @@ func (s *Sink) WriteBatch(b *Batch) {
 		lo = int(min(int64(n), bout-s.rows))
 		s.buffer(b, 0, lo)
 		if s.rows >= bout {
-			s.Flush()
-			if s.Err != nil {
-				return
+			if err := s.flush(); err != nil {
+				return err
 			}
 		}
 	}
@@ -170,12 +193,13 @@ func (s *Sink) WriteBatch(b *Batch) {
 		for c := range s.head {
 			s.head[c] = b.Cols[c][lo:]
 		}
-		if s.Err = s.Out.AppendBlocks(s.Sim.Root(), s.head, bout, full, s.Sim.MoveSeconds); s.Err != nil {
-			return
+		if err := s.Out.AppendBlocks(s.Sim.Root(), s.head, bout, full, s.Sim.MoveSeconds); err != nil {
+			return err
 		}
 		lo += int(full * bout)
 	}
 	s.buffer(b, lo, n)
+	return nil
 }
 
 // buffer copies rows [lo, hi) of b into the output buffer.
@@ -186,16 +210,17 @@ func (s *Sink) buffer(b *Batch, lo, hi int) {
 	s.rows += int64(hi - lo)
 }
 
-// Flush evicts the buffer, recording a failed eviction in Err.
-func (s *Sink) Flush() {
-	if s.Out == nil || s.rows == 0 || s.Err != nil {
-		return
+// flush evicts the buffer.
+func (s *Sink) flush() error {
+	if s.Out == nil || s.rows == 0 {
+		return nil
 	}
-	if s.Err = s.Out.AppendBlocks(s.Sim.Root(), s.cols, s.rows, 1, s.Sim.MoveSeconds); s.Err != nil {
-		return
+	if err := s.Out.AppendBlocks(s.Sim.Root(), s.cols, s.rows, 1, s.Sim.MoveSeconds); err != nil {
+		return err
 	}
 	for c := range s.cols {
 		s.cols[c] = s.cols[c][:0]
 	}
 	s.rows = 0
+	return nil
 }

@@ -41,11 +41,11 @@ type goldenRun struct {
 	Pool               storage.PoolStats       `json:"pool"`
 	ExecWorkers        int                     `json:"execWorkers"`
 	Workers            []exec.WorkerLedger     `json:"workers,omitempty"`
-	Explain            *ExplainOp              `json:"explain"`
+	Explain            *exec.ExplainNode       `json:"explain"`
 }
 
 func goldenOf(rep *ExecReport) goldenRun {
-	NormalizeExplain(rep.Explain)
+	rep.Explain.Normalize()
 	return goldenRun{
 		OutDigest: rep.OutDigest, OutRows: rep.OutRows, Result: rep.Result,
 		VirtualSecondsBits: fmt.Sprintf("%016x", math.Float64bits(rep.VirtualSeconds)),

@@ -14,6 +14,7 @@ import (
 
 	"ocas/internal/catalog"
 	"ocas/internal/core"
+	"ocas/internal/cost"
 	"ocas/internal/exec"
 	"ocas/internal/memory"
 	"ocas/internal/obs"
@@ -109,7 +110,7 @@ type ExecReport struct {
 	Workers        []exec.WorkerLedger `json:"workers,omitempty"`
 	CacheMissRatio float64             `json:"cacheMissRatio,omitempty"`
 	// Explain is the per-operator EXPLAIN ANALYZE tree (ExecOptions.Explain).
-	Explain *ExplainOp `json:"explain,omitempty"`
+	Explain *exec.ExplainNode `json:"explain,omitempty"`
 }
 
 // RunProgram executes a synthesized program against a fresh simulator of h.
@@ -152,32 +153,29 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 
 // RunBound is the one wiring of a run: it lowers prog over input tables
 // already resident on sim's devices (one per input of the task), executes
-// it and builds the report. Scratch traffic goes to the task's intermediate
-// device, or the first input's; the output, when the task names a device,
-// to a table allocated there at the first row. Of opt it reads PoolBytes,
-// BatchRows, ExecWorkers and Explain — binding inputs is the caller's half.
+// it and builds the report. Scratch traffic goes to the device the cost
+// model prices it on (cost.Intermediate: the task's intermediate device,
+// else its output's, else the first input location by name); the output,
+// when the task names a device, to a table allocated there at the first
+// row. Of opt it reads PoolBytes, BatchRows, ExecWorkers and Explain —
+// binding inputs is the caller's half.
 func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Table, prog ocal.Expr, params map[string]int64, task core.Task, opt ExecOptions) (*ExecReport, error) {
 	inputRows := map[string]int64{}
-	var scratch *storage.Device
 	for _, in := range task.Spec.Inputs {
 		tb := inputs[in.Name]
 		if tb == nil {
 			return nil, fmt.Errorf("plan: input %s is not bound", in.Name)
 		}
 		inputRows[in.Name] = tb.Rows()
-		if scratch == nil {
-			scratch = tb.Device()
-		}
 	}
-	if task.Intermediate != "" {
-		dev, err := sim.Device(task.Intermediate)
-		if err != nil {
-			return nil, err
-		}
-		scratch = dev
-	}
-	if scratch == nil {
+	place := (&core.Synthesizer{}).TaskPlacement(task)
+	scratchName := cost.Intermediate(place)
+	if scratchName == "" {
 		return nil, fmt.Errorf("plan: no device to execute on")
+	}
+	scratch, err := sim.Device(scratchName)
+	if err != nil {
+		return nil, err
 	}
 
 	var digest bagDigest
@@ -250,9 +248,8 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 	if sim.Cache != nil {
 		rep.CacheMissRatio = sim.Cache.MissRatio()
 	}
-	if tree := p.ExplainTree(); tree != nil {
-		place := (&core.Synthesizer{}).TaskPlacement(task)
-		rep.Explain = explainReport(sim.H, place, explainEnv(task, inputRows, params), tree)
+	if rep.Explain = p.ExplainTree(); rep.Explain != nil {
+		estimateTree(sim.H, place, explainEnv(task, inputRows, params), rep.Explain)
 	}
 	return rep, nil
 }

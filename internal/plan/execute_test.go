@@ -235,6 +235,33 @@ func TestExecuteGraceSpills(t *testing.T) {
 	}
 }
 
+// TestSpillsGoWhereTheModelPricesThem: with no intermediate device named, a
+// run spills to the device cost.Intermediate prices the spills on — the
+// output's, ahead of the inputs'. A GRACE join over inputs on hdd with its
+// output on hdd2 writes its partitions to hdd2 and reads them back from
+// there, and writes nothing to hdd.
+func TestSpillsGoWhereTheModelPricesThem(t *testing.T) {
+	req := graceJoin(1024, 2048, 64<<10)
+	req.Hier, req.Output = "two-hdd", "hdd2"
+	c, err := Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]int64{"k1": 64, "k2": 64, "s": 8}
+	rep, err := RunProgram(context.Background(), c.H, c.Prog, params, c.Task, ExecOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, out := rep.Devices["hdd"], rep.Devices["hdd2"]
+	if rep.Pool.Spills == 0 || out.BytesRead == 0 || in.BytesWrite != 0 {
+		t.Errorf("%d spills, hdd %+v, hdd2 %+v: want the partitions written to and read from hdd2 only",
+			rep.Pool.Spills, in, out)
+	}
+	if want := rep.Pool.SpillBytes + rep.OutRows*16; out.BytesWrite != want {
+		t.Errorf("hdd2 wrote %d B, want the %d B of spills and output", out.BytesWrite, want)
+	}
+}
+
 // TestExecutePlanExplicitInputs runs a cached plan against request-supplied
 // rows and checks determinism of the digest across batch sizes.
 func TestExecutePlanExplicitInputs(t *testing.T) {

@@ -7,13 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ocas/internal/exec"
 )
 
 // explainJSON marshals a normalized (wall-time-zeroed) explain tree; the
 // determinism contract is byte-identity of this form.
-func explainJSON(t *testing.T, op *ExplainOp) string {
+func explainJSON(t *testing.T, op *exec.ExplainNode) string {
 	t.Helper()
-	NormalizeExplain(op)
+	op.Normalize()
 	data, err := json.Marshal(op)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +140,7 @@ func TestExplainEstimates(t *testing.T) {
 		t.Errorf("root drift not computed: est=%v act=%v drift=%v",
 			root.EstSeconds, root.SimSeconds, root.DriftSeconds)
 	}
-	out := RenderExplain(root)
+	out := root.Render()
 	if out == "" {
 		t.Fatal("empty rendering")
 	}
@@ -186,10 +188,10 @@ func TestExplainEstimatesSingleInputMerge(t *testing.T) {
 	if root == nil {
 		t.Fatal("no explain tree")
 	}
-	if root.Op != "unfold-merge" {
-		t.Fatalf("expected an unfold-merge root, got %q", root.Op)
+	if root.Kind != "sink" || len(root.Children) != 1 || root.Children[0].Kind != "unfold-merge" {
+		t.Fatalf("expected an unfold-merge under the sink, got %s", root.Render())
 	}
-	if !root.EstValid || root.EstSeconds <= 0 || root.DriftSeconds <= 0 {
-		t.Errorf("re-parsed single-input merge lost its estimate: %+v", root)
+	if merge := root.Children[0]; !merge.EstValid || merge.EstSeconds <= 0 || merge.DriftSeconds <= 0 {
+		t.Errorf("re-parsed single-input merge lost its estimate: %+v", merge)
 	}
 }

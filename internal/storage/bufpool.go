@@ -43,9 +43,8 @@ type PoolStats struct {
 	UsedBytes int64 `json:"usedBytes"`
 	PeakBytes int64 `json:"peakBytes"`
 	Pins      int64 `json:"pins"`
-	// Unpins and Evictions are always 0: every grant is released outright.
-	// The fields stay because execution reports and their readers carry them.
-	Unpins    int64 `json:"unpins"`
+	// Evictions is always 0: every grant is released outright. The field
+	// stays because the benchmark reads it.
 	Evictions int64 `json:"evictions"`
 	// Shrinks counts grants reduced below their requested size by budget
 	// pressure — the pool-contention signal of the execution report.
