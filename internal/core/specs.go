@@ -132,7 +132,7 @@ func SetUnionSpec() Spec {
 	)
 	return Spec{
 		Name: "set-union",
-		Prog: ocal.App{Fn: ocal.UnfoldR{Fn: step, Hint: ocal.HintSumCards},
+		Prog: ocal.App{Fn: ocal.UnfoldR{Fn: step},
 			Arg: tup(v("L1"), v("L2"))},
 		Inputs: []InputSpec{
 			{Name: "L1", Type: listT, Arity: 1},
@@ -145,7 +145,7 @@ func SetUnionSpec() Spec {
 func MultisetUnionSortedSpec() Spec {
 	return Spec{
 		Name: "multiset-union-sorted",
-		Prog: ocal.App{Fn: ocal.UnfoldR{Fn: ocal.Mrg{}, Hint: ocal.HintSumCards},
+		Prog: ocal.App{Fn: ocal.UnfoldR{Fn: ocal.Mrg{}},
 			Arg: tup(v("L1"), v("L2"))},
 		Inputs: []InputSpec{
 			{Name: "L1", Type: listT, Arity: 1},
@@ -169,7 +169,7 @@ func MultisetUnionVMSpec() Spec {
 	)
 	return Spec{
 		Name: "multiset-union-vm",
-		Prog: ocal.App{Fn: ocal.UnfoldR{Fn: step, Hint: ocal.HintSumCards},
+		Prog: ocal.App{Fn: ocal.UnfoldR{Fn: step},
 			Arg: tup(v("L1"), v("L2"))},
 		Inputs: []InputSpec{
 			{Name: "L1", Type: vmT, Arity: 2},

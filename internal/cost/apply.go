@@ -150,9 +150,6 @@ func (r *run) applyFoldL(fn ocal.FoldL, arg ocal.Expr, g *ctx) (AType, locT, err
 
 	// Result per Figure 5: R(c) + card·(R(step) − R(c)).
 	resAt := r.foldResult(initAt, stepAt, n)
-	if fn.Hint != ocal.HintNone {
-		resAt = r.applyHint(fn.Hint, resAt, []AType{argAt})
-	}
 
 	// Accumulator shuttling: only when the accumulator demonstrably grows.
 	growB := r.b.Sub(Size(r.b, stepAt), Size(r.b, initAt))
@@ -273,11 +270,18 @@ func (r *run) mergeResult(inputs ATuple, hint ocal.CardHint) (AType, error) {
 			elem = MaxT(r.b, elem, l.Elem)
 		}
 	}
-	out := AList{Card: r.b.Add(cards...), Elem: elem}
-	return r.applyHint(hint, out, toATypes(inputs)), nil
+	// A hint overrides the worst case with a programmer-supplied estimate
+	// (Section 5.1).
+	card := r.b.Add(cards...)
+	switch {
+	case len(cards) == 0:
+	case hint == ocal.HintFirstCard:
+		card = cards[0]
+	case hint == ocal.HintMaxCards:
+		card = r.b.Max(cards...)
+	}
+	return AList{Card: card, Elem: elem}, nil
 }
-
-func toATypes(t ATuple) []AType { return []AType(t) }
 
 // containsList reports whether an annotated type has a list component.
 func containsList(a AType) bool {
@@ -292,33 +296,6 @@ func containsList(a AType) bool {
 		}
 	}
 	return false
-}
-
-// applyHint overrides the worst-case output cardinality with a
-// programmer-supplied estimate (Section 5.1).
-func (r *run) applyHint(hint ocal.CardHint, def AType, inputs []AType) AType {
-	l, ok := def.(AList)
-	if !ok || hint == ocal.HintNone {
-		return def
-	}
-	var cards []sym.Expr
-	for _, in := range inputs {
-		if il, ok := in.(AList); ok {
-			cards = append(cards, il.Card)
-		}
-	}
-	if len(cards) == 0 {
-		return def
-	}
-	switch hint {
-	case ocal.HintSumCards:
-		return AList{Card: r.b.Add(cards...), Elem: l.Elem}
-	case ocal.HintFirstCard:
-		return AList{Card: cards[0], Elem: l.Elem}
-	case ocal.HintMaxCards:
-		return AList{Card: r.b.Max(cards...), Elem: l.Elem}
-	}
-	return def
 }
 
 // applyUnfoldR costs a top-level merge (set operations, zips): every input

@@ -107,11 +107,10 @@ func (op PrimOp) Infix() bool {
 type CardHint int
 
 const (
-	// HintNone uses the default worst-case rule of the cost estimator.
-	HintNone CardHint = iota
-	// HintSumCards estimates card(out) = Σ card(input lists); the shape of
+	// HintNone uses the default worst-case rule of the cost estimator,
+	// which for a merge is card(out) = Σ card(input lists), the shape of
 	// union-like merges (the paper's set/multiset union examples).
-	HintSumCards
+	HintNone CardHint = iota
 	// HintFirstCard estimates card(out) = card(first input list); the shape
 	// of difference-like merges (the paper's multiset difference examples).
 	HintFirstCard
@@ -176,11 +175,9 @@ type Prim struct {
 type FlatMap struct{ Fn Expr }
 
 // FoldL is the function-valued foldL(c, f) : [τ1] → τ2 with f : 〈τ2,τ1〉→τ2.
-// Hint optionally overrides the estimator's worst-case output size.
 type FoldL struct {
 	Init Expr
 	Fn   Expr
-	Hint CardHint
 }
 
 // For is the functional for loop of Figure 2, used as an expression:

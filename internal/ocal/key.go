@@ -12,7 +12,7 @@ import "encoding/binary"
 //
 // AppendNodeKey must not be finer than the printer, or the search space
 // (and so the synthesized plans) would silently change: the cost-only
-// cardinality hints of FoldL and UnfoldR are left out, and a zero-valued
+// cardinality hint of UnfoldR is left out, and a zero-valued
 // parameter is written as the literal 1 it prints as.
 func AppendNodeKey(key []byte, e Expr) []byte {
 	str := func(s string) {

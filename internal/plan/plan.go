@@ -12,7 +12,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -219,7 +221,7 @@ func Compile(req Request) (*Compiled, error) {
 	if req.Intermediate != "" && h.Node(req.Intermediate) == nil {
 		return nil, fmt.Errorf("unknown intermediate node %q", req.Intermediate)
 	}
-	for _, v := range freeVars(prog) {
+	for _, v := range slices.Sorted(maps.Keys(ocal.FreeVars(prog))) {
 		if _, ok := req.Inputs[v]; !ok {
 			return nil, fmt.Errorf("program references %q, which has no input placement", v)
 		}
@@ -309,48 +311,6 @@ func sortedInputNames(in map[string]Input) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// freeVars lists the program's free variables (its input relations) in
-// first-occurrence order.
-func freeVars(e ocal.Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(e ocal.Expr, bound map[string]bool)
-	walk = func(e ocal.Expr, bound map[string]bool) {
-		switch t := e.(type) {
-		case ocal.Var:
-			if !bound[t.Name] && !seen[t.Name] {
-				seen[t.Name] = true
-				out = append(out, t.Name)
-			}
-		case ocal.Lam:
-			nb := copyBound(bound)
-			for _, p := range t.Params {
-				nb[p] = true
-			}
-			walk(t.Body, nb)
-		case ocal.For:
-			walk(t.Src, bound)
-			nb := copyBound(bound)
-			nb[t.X] = true
-			walk(t.Body, nb)
-		default:
-			for _, k := range ocal.Children(e) {
-				walk(k, bound)
-			}
-		}
-	}
-	walk(e, map[string]bool{})
-	return out
-}
-
-func copyBound(m map[string]bool) map[string]bool {
-	n := make(map[string]bool, len(m)+1)
-	for k, v := range m {
-		n[k] = v
-	}
-	return n
 }
 
 // Plan is the canonical, deterministic encoding of one synthesis result:

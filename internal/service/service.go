@@ -99,12 +99,12 @@ type Config struct {
 // Metrics are the service counters exposed on /stats (cache counters come
 // from the plan cache itself).
 type Metrics struct {
-	Requests   int64 `json:"requests"`
-	Errors     int64 `json:"errors"`     // 4xx validation failures
+	Requests   int64 `json:"requests"`   // /synthesize and /execute requests
+	Errors     int64 `json:"errors"`     // failed requests of every endpoint, 4xx and 5xx alike
 	Timeouts   int64 `json:"timeouts"`   // requests that hit their deadline (incl. waiting for admission)
 	Cancelled  int64 `json:"cancelled"`  // client disconnected or abandoned mid-flight
 	SynthNanos int64 `json:"synthNanos"` // wall time spent inside synthesis (misses)
-	ServeNanos int64 `json:"serveNanos"` // wall time of all /synthesize requests
+	ServeNanos int64 `json:"serveNanos"` // wall time of all /synthesize and /execute requests
 }
 
 // ExecStats are the executor counters exposed on /stats: the live
@@ -316,16 +316,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		spResolve.End()
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			atomic.AddInt64(&s.metrics.Timeouts, 1)
-			s.fail(w, http.StatusGatewayTimeout, "synthesis exceeded its %s budget", timeout)
-		case errors.Is(err, context.Canceled):
-			atomic.AddInt64(&s.metrics.Cancelled, 1)
-			s.fail(w, http.StatusServiceUnavailable, "request cancelled before its plan was ready")
-		default:
-			s.fail(w, http.StatusUnprocessableEntity, "synthesis failed: %v", err)
-		}
+		s.failCompute(w, err, timeout, "synthesis")
 		return
 	}
 	s.markShared(w, outcome, compiled.Fingerprint)
@@ -443,7 +434,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		spResolve.End()
 	}
 	if err != nil {
-		s.failCompute(w, err, timeout)
+		s.failCompute(w, err, timeout, "synthesis")
 		return
 	}
 	s.markShared(w, outcome, compiled.Fingerprint)
@@ -465,7 +456,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Exec.ExecWorkers = workers
 	if err := s.slots.Acquire(ctx, int64(workers)); err != nil {
-		s.failCompute(w, err, timeout)
+		s.failCompute(w, err, timeout, "execution")
 		return
 	}
 	ectx, spExec := obs.Start(ctx, "execute")
@@ -488,12 +479,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			s.failCompute(w, err, timeout)
-		default:
-			s.fail(w, http.StatusUnprocessableEntity, "execution failed: %v", err)
-		}
+		s.failCompute(w, err, timeout, "execution")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -504,8 +490,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(rep)
 }
 
-// failCompute maps synthesis/execution context errors to HTTP statuses.
-func (s *Server) failCompute(w http.ResponseWriter, err error, timeout time.Duration) {
+// failCompute answers a failed synthesis or execution (what names which): a
+// missed deadline is a 504, a cancelled request a 503, and any other
+// failure a 422.
+func (s *Server) failCompute(w http.ResponseWriter, err error, timeout time.Duration, what string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		atomic.AddInt64(&s.metrics.Timeouts, 1)
@@ -514,7 +502,7 @@ func (s *Server) failCompute(w http.ResponseWriter, err error, timeout time.Dura
 		atomic.AddInt64(&s.metrics.Cancelled, 1)
 		s.fail(w, http.StatusServiceUnavailable, "request cancelled before its result was ready")
 	default:
-		s.fail(w, http.StatusUnprocessableEntity, "synthesis failed: %v", err)
+		s.fail(w, http.StatusUnprocessableEntity, "%s failed: %v", what, err)
 	}
 }
 
