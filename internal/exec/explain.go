@@ -284,9 +284,6 @@ func inputDetail(in Input) string {
 // one non-deterministic field of an explain tree; comparisons across runs or
 // worker counts normalize first.
 func (n *ExplainNode) Normalize() {
-	if n == nil {
-		return
-	}
 	n.WallNanos = 0
 	for _, c := range n.Children {
 		c.Normalize()

@@ -50,8 +50,6 @@ type Experiment struct {
 	// (<= 1: single-worker). Worker count never changes digests or
 	// ledgers, only wall-clock.
 	ExecWorkers int
-	// Explain attaches the EXPLAIN ANALYZE tree to the execution report.
-	Explain bool
 	// Reporting: nominal byte sizes.
 	RBytes, SBytes, Buffer int64
 }
@@ -148,7 +146,7 @@ func Execute(e Experiment, syn *core.Synthesis) (*Result, error) {
 
 	execStart := time.Now()
 	rep, err := plan.RunBound(context.Background(), sim, inputs, syn.Best.Expr, syn.Best.Params,
-		e.task(), plan.ExecOptions{ExecWorkers: e.ExecWorkers, Explain: e.Explain})
+		e.task(), plan.ExecOptions{ExecWorkers: e.ExecWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %q: %w", e.Name, coreString(syn), err)
 	}

@@ -1,14 +1,17 @@
 package plan_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
 	"testing"
 
+	"ocas/internal/core"
 	"ocas/internal/exec"
 	"ocas/internal/experiments"
 	"ocas/internal/plan"
+	"ocas/internal/storage"
 )
 
 // TestExplainRootIsTheRun: the sink is the root of every explain tree, and
@@ -32,14 +35,48 @@ func TestExplainRootIsTheRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 is slow")
 	}
-	for _, e := range experiments.Table1(experiments.Config{Shrink: 8}) {
-		e.Explain = true
-		r, err := experiments.Run(e)
+	rows := experiments.Table1(experiments.Config{Shrink: 8})
+	if len(rows) != 16 {
+		t.Fatalf("table 1 has %d rows, want 16", len(rows))
+	}
+	for _, e := range rows {
+		syn, err := experiments.Synthesize(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkRoot(t, e.Name, r.Exec)
+		checkRoot(t, e.Name, explainedRun(t, e, syn))
 	}
+}
+
+// explainedRun is experiments.Execute with the explain tree on.
+func explainedRun(t *testing.T, e experiments.Experiment, syn *core.Synthesis) *plan.ExecReport {
+	t.Helper()
+	h := e.ExecHier
+	if h == nil {
+		h = e.Hier
+	}
+	sim := storage.NewSim(h)
+	sim.DefaultCPU()
+	inputs := map[string]*exec.Table{}
+	for _, in := range e.Spec.Inputs {
+		dev, err := sim.Device(e.InputLoc[in.Name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inputs[in.Name], err = exec.NewTable(dev, in.Arity, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := inputs[in.Name].Preload(e.Gen[in.Name]()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	task := core.Task{Spec: e.Spec, InputLoc: e.InputLoc, InputRows: e.Rows, Output: e.Output}
+	rep, err := plan.RunBound(context.Background(), sim, inputs, syn.Best.Expr, syn.Best.Params, task,
+		plan.ExecOptions{Explain: true})
+	if err != nil {
+		t.Fatalf("%s: %v", e.Name, err)
+	}
+	return rep
 }
 
 func checkRoot(t *testing.T, label string, rep *plan.ExecReport) {
