@@ -169,13 +169,9 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 		inputRows[in.Name] = tb.Rows()
 	}
 	place := (&core.Synthesizer{}).TaskPlacement(task)
-	scratchName := cost.Intermediate(place)
-	if scratchName == "" {
-		return nil, fmt.Errorf("plan: no device to execute on")
-	}
-	scratch, err := sim.Device(scratchName)
+	scratch, err := sim.Device(cost.Intermediate(place))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plan: scratch device: %w", err)
 	}
 
 	var digest bagDigest
