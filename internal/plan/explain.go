@@ -1,12 +1,11 @@
-// explain.go turns the executor's instrumented operator tree into the
-// EXPLAIN ANALYZE report: each node pairs the operator's measured actuals
-// (rows, simulated seconds, InitCom/UnitTr events, pool activity) with the
-// cost model's estimate of the same subexpression — cost.Estimate evaluated
-// at the plan's tuned parameters and the executed cardinalities — and the
-// est/act drift ratio between them. Drift near 1 means the model predicted
-// the operator well; a consistent skew across operators of one kind is the
-// signal to recalibrate that device's InitCom/UnitTr constants (see the
-// calibration experiment).
+// explain.go completes the executor's EXPLAIN ANALYZE tree: each node
+// pairs the operator's measured actuals (rows, simulated seconds,
+// InitCom/UnitTr events, pool activity) with the cost model's estimate of
+// the same subexpression — cost.Estimate evaluated at the plan's tuned
+// parameters and the executed cardinalities — and the est/act drift ratio
+// between them. Drift near 1 means the model predicted the operator well; a
+// consistent skew across operators of one kind is the signal to recalibrate
+// that device's InitCom/UnitTr constants (see the calibration experiment).
 package plan
 
 import (
