@@ -278,7 +278,7 @@ func (e *Estimator) Estimate(prog ocal.Expr) (*Result, error) {
 	// level").
 	if p.Output != "" {
 		bytes := Size(r.b, at)
-		outK := findOutK(prog)
+		outK := OutK(prog)
 		// When nothing else touches the output device (no input stored
 		// there, no intermediate spill), the buffered output stream is
 		// written sequentially — the seq-ac reasoning applied to writes,
@@ -375,9 +375,10 @@ func (e *Estimator) Estimate(prog ocal.Expr) (*Result, error) {
 	return res, nil
 }
 
-// findOutK locates the output-buffering parameter: the outermost For.OutK or
-// TreeFold.OutK that is not 1.
-func findOutK(e ocal.Expr) ocal.Param {
+// OutK locates the output-buffering parameter the estimator prices: the
+// outermost For, TreeFold or UnfoldR OutK that is not 1. The executor's
+// sink buffers its output by the same parameter.
+func OutK(e ocal.Expr) ocal.Param {
 	switch t := e.(type) {
 	case ocal.For:
 		if !t.OutK.IsOne() {
@@ -393,7 +394,7 @@ func findOutK(e ocal.Expr) ocal.Param {
 		}
 	}
 	for _, c := range ocal.Children(e) {
-		if p := findOutK(c); !p.IsOne() {
+		if p := OutK(c); !p.IsOne() {
 			return p
 		}
 	}

@@ -286,9 +286,11 @@ func TestGatherCancelledMidStream(t *testing.T) {
 					cancel()
 				}
 			}
-			// Partition 1 shares its lane with the last one: holding it back
-			// until the cancellation makes "never started" deterministic.
-			r.parts[1].atNext = func(int) { <-ctx.Done() }
+			// Partitions 1-4 wait for the cancellation: every worker is busy
+			// until it, so "the last never started" is deterministic.
+			for _, sp := range r.parts[1:5] {
+				sp.atNext = func(int) { <-ctx.Done() }
+			}
 			if _, err := r.drain(); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: stream ended with %v, want %v", name, err, context.Canceled)
 			}

@@ -233,11 +233,58 @@ func (l *lowerer) lowerInput(e ocal.Expr) (Input, error) {
 
 // srcInfo describes one distinct data source of a loop nest.
 type srcInfo struct {
+	src   ocal.Expr // source of the loop that introduced it
 	in    Input
 	k     int64   // block size of the loop that introduced the source
 	elem  string  // innermost variable bound to this source's elements
-	block string  // variable bound by the source-introducing loop
 	tiles []int64 // block sizes of inner re-blocking loops (cache tiling)
+}
+
+// walkNest reads the (possibly blocked and tiled) For nest at e down to
+// its innermost body. A loop over a variable an enclosing loop bound
+// re-blocks that loop's source; any other loop introduces a source, which
+// open resolves to an input.
+func (l *lowerer) walkNest(e ocal.Expr, open func(ocal.Expr) (Input, error)) ([]*srcInfo, ocal.Expr, error) {
+	var srcs []*srcInfo
+	owner := map[string]*srcInfo{} // loop variable -> its source
+	for {
+		f, ok := e.(ocal.For)
+		if !ok {
+			return srcs, e, nil
+		}
+		k := f.K.Bind(l.o.Params)
+		s := owner[varName(f.Src)]
+		if s != nil {
+			s.tiles = append(s.tiles, k)
+			s.elem = f.X
+		} else {
+			in, err := open(f.Src)
+			if err != nil {
+				return nil, nil, err
+			}
+			s = &srcInfo{src: f.Src, in: in, k: k, elem: f.X}
+			srcs = append(srcs, s)
+		}
+		owner[f.X] = s
+		e = f.Body
+	}
+}
+
+// varName is e's name when e is a variable, else "".
+func varName(e ocal.Expr) string {
+	v, _ := e.(ocal.Var)
+	return v.Name
+}
+
+// blockScan matches the blocked identity scan for (xB [k] <- E) xB, which
+// concatenates E's blocks back.
+func blockScan(e ocal.Expr) (ocal.For, bool) {
+	f, ok := e.(ocal.For)
+	if !ok {
+		return f, false
+	}
+	v, ok := f.Body.(ocal.Var)
+	return f, ok && v.Name == f.X
 }
 
 // project builds one projection of body over in. A body outside the scan
@@ -255,54 +302,26 @@ func project(in Input, k int64, body ocal.Expr, elem string) (*Project, error) {
 // source is an input table (fused) or any lowerable subexpression
 // (streamed).
 func (l *lowerer) lowerLoops(prog ocal.Expr) (Operator, error, bool) {
-	var srcs []*srcInfo
-	owner := map[string]int{} // loop variable -> source index
-	e := prog
-	for {
-		f, ok := e.(ocal.For)
-		if !ok {
-			break
-		}
-		k := f.K.Bind(l.o.Params)
-		switch s := f.Src.(type) {
-		case ocal.Var:
-			if idx, bound := owner[s.Name]; bound {
-				// Re-blocking / element recovery of an enclosing block.
-				owner[f.X] = idx
-				srcs[idx].tiles = append(srcs[idx].tiles, k)
-				srcs[idx].elem = f.X
-			} else if t, isIn := l.o.Inputs[s.Name]; isIn {
-				srcs = append(srcs, &srcInfo{in: TableInput(t), k: k, elem: f.X, block: f.X})
-				owner[f.X] = len(srcs) - 1
-			} else {
-				return nil, fmt.Errorf("exec: loop source %q is neither input nor block", s.Name), true
-			}
-		default:
-			// A loop nest consumes its sources as bags (a single-source
-			// projection preserves order, so it keeps the current flag; a
-			// join over two sources materializes/rescans the inner anyway).
-			in, err := l.lowerInput(f.Src)
-			if err != nil {
-				return nil, err, true
-			}
-			srcs = append(srcs, &srcInfo{in: in, k: k, elem: f.X, block: f.X})
-			owner[f.X] = len(srcs) - 1
-		}
-		e = f.Body
-	}
-	if len(srcs) == 0 {
+	if _, ok := prog.(ocal.For); !ok {
 		return nil, nil, false
 	}
-
-	// Identity scan: for (xB [k] <- E) xB concatenates the blocks back.
-	if v, ok := e.(ocal.Var); ok && len(srcs) == 1 && v.Name == srcs[0].block && srcs[0].elem == srcs[0].block {
-		s := srcs[0]
-		if s.in.table != nil {
-			return &Scan{T: s.in.table, K: s.k}, nil, true
+	if f, ok := blockScan(prog); ok {
+		in, err := l.lowerInput(f.Src)
+		if err != nil {
+			return nil, err, true
 		}
-		return s.in.op, nil, true
+		if in.table != nil {
+			return &Scan{T: in.table, K: f.K.Bind(l.o.Params)}, nil, true
+		}
+		return in.op, nil, true
 	}
-
+	// A loop nest consumes its sources as bags (a single-source projection
+	// preserves order, so it keeps the current flag; a join over two sources
+	// materializes/rescans the inner anyway).
+	srcs, e, err := l.walkNest(prog, l.lowerInput)
+	if err != nil {
+		return nil, err, true
+	}
 	switch len(srcs) {
 	case 1:
 		s := srcs[0]
@@ -450,49 +469,25 @@ func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
 	}
 	// The inner body is a join over the bucket pair: walk its loop nest with
 	// the buckets standing in as inputs.
-	bucketInputs := map[string]bool{lam.Params[0]: true, lam.Params[1]: true}
-	owner := map[string]string{}
-	elemVar := map[string]string{}
-	var order []string
-	kOf := map[string]int64{}
-	e := lam.Body
-	for {
-		f, ok := e.(ocal.For)
-		if !ok {
-			break
+	srcs, e, err := l.walkNest(lam.Body, func(src ocal.Expr) (Input, error) {
+		if n := varName(src); n == "" || (n != lam.Params[0] && n != lam.Params[1]) {
+			return Input{}, fmt.Errorf("exec: hash join inner loop over %s, which is not a bucket", ocal.String(src))
 		}
-		src, ok := f.Src.(ocal.Var)
-		if !ok {
-			return nil, fmt.Errorf("exec: hash join inner loop over non-variable"), true
-		}
-		if bucketInputs[src.Name] {
-			owner[f.X] = src.Name
-			order = append(order, src.Name)
-			kOf[src.Name] = f.K.Bind(l.o.Params)
-		} else if in, ok := owner[src.Name]; ok {
-			owner[f.X] = in
-		}
-		if in, ok := owner[f.X]; ok {
-			elemVar[in] = f.X
-		}
-		e = f.Body
-	}
-	if len(order) != 2 {
-		return nil, fmt.Errorf("exec: hash join inner body is not a two-relation join"), true
-	}
-	keys, swapOut, err := compileJoinBody(e, elemVar[order[0]], elemVar[order[1]])
+		return Input{}, nil
+	})
 	if err != nil {
 		return nil, err, true
 	}
-	kj := kOf[order[0]]
-	if k2 := kOf[order[1]]; k2 > kj {
-		kj = k2
+	if len(srcs) != 2 {
+		return nil, fmt.Errorf("exec: hash join inner body is not a two-relation join"), true
 	}
-	if kj <= 0 {
-		kj = 1
+	keys, swapOut, err := compileJoinBody(e, srcs[0].elem, srcs[1].elem)
+	if err != nil {
+		return nil, err, true
 	}
+	kj := max(srcs[0].k, srcs[1].k, 1)
 	left, right := sides[0], sides[1]
-	if order[0] == lam.Params[1] {
+	if varName(srcs[0].src) == lam.Params[1] {
 		left, right = right, left
 	}
 	bufW := int64(64)
@@ -536,13 +531,10 @@ func (l *lowerer) lowerExtSort(prog ocal.Expr) (Operator, error, bool) {
 		}
 	}
 	arg := app.Arg
-	// A blocked identity scan around the input (for (xB [k] <- E) xB) only
-	// affects how the first pass reads; the sort operator blocks reads
-	// itself via Bin.
-	if f, ok := arg.(ocal.For); ok {
-		if body, okB := f.Body.(ocal.Var); okB && body.Name == f.X {
-			arg = f.Src
-		}
+	// A blocked identity scan around the input only affects how the first
+	// pass reads; the sort operator blocks reads itself via Bin.
+	if f, ok := blockScan(arg); ok {
+		arg = f.Src
 	}
 	// A sort ignores its input order: lower the source as a bag.
 	in, err := l.withOrdered(false, func() (Input, error) { return l.lowerInput(arg) })
@@ -625,38 +617,15 @@ func (l *lowerer) lowerFold(prog ocal.Expr) (Operator, error, bool) {
 		return nil, nil, false
 	}
 	// A fold threads its accumulator row by row: its source must deliver
-	// the single-worker order at every worker count.
-	var in Input
-	var k int64 = 1
-	switch src := app.Arg.(type) {
-	case ocal.For:
-		// Blocked identity scan: for (xB [k] <- E) xB.
-		if body, okB := src.Body.(ocal.Var); okB && body.Name == src.X {
-			inner, err := l.withOrdered(true, func() (Input, error) { return l.lowerInput(src.Src) })
-			if err != nil {
-				return nil, err, true
-			}
-			in = inner
-			k = src.K.Bind(l.o.Params)
-		} else {
-			inner, err := l.withOrdered(true, func() (Input, error) {
-				op, err := l.lower(src)
-				if err != nil {
-					return Input{}, err
-				}
-				return OpInput(op), nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("exec: unsupported fold source %s: %w", ocal.String(src), err), true
-			}
-			in = inner
-		}
-	default:
-		inner, err := l.withOrdered(true, func() (Input, error) { return l.lowerInput(app.Arg) })
-		if err != nil {
-			return nil, fmt.Errorf("exec: unsupported fold source %s", ocal.String(app.Arg)), true
-		}
-		in = inner
+	// the single-worker order at every worker count. A blocked identity scan
+	// sets the fold's read block.
+	src, k := app.Arg, int64(1)
+	if f, ok := blockScan(src); ok {
+		src, k = f.Src, f.K.Bind(l.o.Params)
+	}
+	in, err := l.withOrdered(true, func() (Input, error) { return l.lowerInput(src) })
+	if err != nil {
+		return nil, fmt.Errorf("exec: unsupported fold source %s: %w", ocal.String(app.Arg), err), true
 	}
 	kern, err := parseFoldKernel(fl.Init, fl.Fn, final)
 	if err != nil {

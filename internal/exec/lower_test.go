@@ -207,16 +207,23 @@ func TestLowerComposedProgram(t *testing.T) {
 
 func TestLowerErrors(t *testing.T) {
 	sim, d, inputs := lowerEnv(t)
-	cases := []string{
-		`mrg`,
-		`for (x <- R) for (y <- S) if x.1 <= y.1 then [<x, y>] else []`, // non-equi with If
-		`for (x <- Q) [x]`, // unknown input
+	grace := func(body string) string {
+		return `flatMap(\<p1, p2> -> ` + body + `)(zip[2](partition[4](R), partition[4](S)))`
 	}
-	for _, src := range cases {
+	cases := map[string]string{
+		`mrg`: "cannot lower",
+		`for (x <- R) for (y <- S) if x.1 <= y.1 then [<x, y>] else []`: "unsupported join condition",
+		`for (x <- Q) [x]`: "unknown input",
+		grace(`for (x <- (for (w <- p1) [w])) for (y <- p2) [<x, y>]`): "which is not a bucket",
+		grace(`for (x <- p1) for (y <- R) [<x, y>]`):                   "which is not a bucket",
+		grace(`for (x <- p1) [x]`):                                     "not a two-relation join",
+	}
+	for src, want := range cases {
 		prog := ocal.MustParse(src)
-		if _, err := Lower(prog, LowerOpts{Sim: sim, Inputs: inputs, Scratch: d,
-			Sink: &Sink{Sim: sim}}); err == nil {
-			t.Errorf("expected lowering error for %s", src)
+		_, err := Lower(prog, LowerOpts{Sim: sim, Inputs: inputs, Scratch: d,
+			Sink: &Sink{Sim: sim}})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("lowering %s: got error %v, want one containing %q", src, err, want)
 		}
 	}
 }

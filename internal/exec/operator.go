@@ -460,7 +460,7 @@ func (r *tableReader) ensure(k int64) (int64, error) {
 		r.frame.Release()
 		r.frame = nil
 	}
-	f, err := r.c.Pool.PinUpTo(k, 1, r.width())
+	f, err := r.c.Pool.PinUpTo(k, r.width())
 	if err != nil {
 		return 0, err
 	}
@@ -549,7 +549,7 @@ func (r *tableReader) take(k int64) (*ownedBlock, error) {
 	if k < 1 {
 		k = 1
 	}
-	f, err := r.c.Pool.PinUpTo(k, 1, r.width())
+	f, err := r.c.Pool.PinUpTo(k, r.width())
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +679,7 @@ func (r *opReader) ensure(k int64) (*storage.Frame, error) {
 		r.frame.Release()
 		r.frame = nil
 	}
-	f, err := r.c.Pool.PinUpTo(k, 1, int64(r.ar)*4)
+	f, err := r.c.Pool.PinUpTo(k, int64(r.ar)*4)
 	if err != nil {
 		return nil, err
 	}
@@ -728,7 +728,7 @@ func (r *opReader) take(k int64) (*ownedBlock, error) {
 	if r.carried() == 0 {
 		return nil, nil
 	}
-	f, err := r.c.Pool.PinUpTo(k, 1, int64(r.ar)*4)
+	f, err := r.c.Pool.PinUpTo(k, int64(r.ar)*4)
 	if err != nil {
 		return nil, err
 	}

@@ -803,7 +803,7 @@ func (o *ExtSort) fillCtx(c *Ctx, cu *sortCursor, siblings int64) error {
 	}
 	take = c.share(take, siblings+1, a*4)
 	if cu.frame == nil {
-		f, err := c.Pool.PinUpTo(take, 1, a*4)
+		f, err := c.Pool.PinUpTo(take, a*4)
 		if err != nil {
 			return err
 		}
@@ -848,7 +848,7 @@ func (o *ExtSort) mergePass(c *Ctx, src *storage.Spill, lo, hi int64, dst *stora
 		bout = 1
 	}
 	bout = c.share(bout, int64(o.Way)+1, a*4)
-	out, err := c.Pool.PinUpTo(bout, 1, a*4)
+	out, err := c.Pool.PinUpTo(bout, a*4)
 	if err != nil {
 		return err
 	}

@@ -1,20 +1,19 @@
 // parallel.go is the morsel-driven parallel machinery of the executor: a
-// deterministic partition-task runner (runParts), the Gather operator that
-// merges the hash join's concurrently produced bucket streams, and the
-// Exchange that hash-partitions its inputs into per-bucket spill files.
-// Parallelism never
-// changes what is charged: partition counts are decided by the plan (tuned
-// block sizes, data sizes, pool budget) and each partition runs on a
-// private accounting strand with a fixed pool share, so output digests and
-// device ledgers are identical whether one worker or eight execute the
-// partitions. Only wall-clock time changes.
+// deterministic partition-task runner on par.For (runParts), the Gather
+// operator that merges the hash join's concurrently produced bucket
+// streams, and the Exchange that hash-partitions its inputs into per-bucket
+// spill files. Parallelism never changes what is charged: partition counts
+// are decided by the plan (tuned block sizes, data sizes, pool budget) and
+// each partition runs on a private accounting strand with a fixed pool
+// share, so output digests and device ledgers are identical whether one
+// worker or eight execute the partitions. Only wall-clock time changes.
 package exec
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"ocas/internal/ocal"
+	"ocas/internal/par"
 	"ocas/internal/storage"
 )
 
@@ -50,13 +49,12 @@ func sectionBounds(n int64, parts int) [][2]int64 {
 	return out
 }
 
-// runParts executes fn for partitions 0..n-1 on the context's worker
-// lanes: lane l runs partitions l, l+w, l+2w, ... in order, so the
-// task-to-lane assignment is deterministic. Each partition gets a private
-// accounting strand and pool (see Ctx.part); accounts and pool counters
-// fold back in partition order once every task finished, which keeps
-// ledgers, clock and report independent of scheduling. A single-partition
-// section runs directly on the caller's strand.
+// runParts executes fn for partitions 0..n-1 as par.For tasks on the
+// context's workers. Each partition gets a private accounting strand and
+// pool (see Ctx.part); accounts and pool counters fold back in partition
+// order once every task finished, and task i counts on lane i mod lanes,
+// which keeps ledgers, clock and report independent of scheduling. A
+// single-partition section runs directly on the caller's strand.
 func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 	if n <= 0 {
 		return nil
@@ -64,53 +62,30 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 	if n == 1 {
 		return fn(0, c)
 	}
-	w := c.workers()
-	if w > n {
-		w = n
-	}
+	lanes := min(c.workers(), n)
 	ctxs := make([]*Ctx, n)
 	errs := make([]error, n)
 	for i := range ctxs {
 		ctxs[i] = c.part()
 	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i, ctxs[i])
-			c.adopt(ctxs[i], i, w)
-			if errs[i] != nil {
-				return errs[i]
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
 	var failed atomic.Bool
-	for l := 0; l < w; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			for i := l; i < n; i += w {
-				// A failed sibling dooms the whole section: stop starting
-				// partitions instead of burning I/O the error will discard.
-				if failed.Load() {
-					return
-				}
-				if err := c.err(); err != nil {
-					errs[i] = err
-					return
-				}
-				if errs[i] = fn(i, ctxs[i]); errs[i] != nil {
-					failed.Store(true)
-					return
-				}
-			}
-		}(l)
-	}
-	wg.Wait()
+	par.For(lanes, n, func(i int) {
+		// A failed sibling dooms the whole section: stop starting
+		// partitions instead of burning I/O the error will discard.
+		if failed.Load() {
+			return
+		}
+		if errs[i] = c.err(); errs[i] == nil {
+			errs[i] = fn(i, ctxs[i])
+		}
+		if errs[i] != nil {
+			failed.Store(true)
+		}
+	})
 	var first error
-	for i := 0; i < n; i++ {
-		c.adopt(ctxs[i], i, w)
-		if first == nil && errs[i] != nil {
+	for i, pc := range ctxs {
+		c.adopt(pc, i, lanes)
+		if first == nil {
 			first = errs[i]
 		}
 	}
@@ -122,7 +97,7 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 
 // Gather merges the output streams of its partition operators into one
 // stream. With one lane the partitions run lazily in order on the caller's
-// strand. With more, each worker lane drives its partitions concurrently
+// strand. With more, one producer goroutine drives them as par.For tasks
 // and batches merge in completion order — the consumer never stalls a
 // producer — which is correct for every bag consumer (joins, exchanges,
 // sorts, the sink's order-independent digest). With Ordered set
@@ -144,10 +119,10 @@ type Gather struct {
 	cur    int
 	opened bool // inline mode: current partition is open
 
-	// Parallel mode (lanes > 1).
+	// Parallel mode (lanes > 1): the producer closes ch once every task
+	// returned.
 	ch     chan Batch
 	stop   chan struct{}
-	wg     sync.WaitGroup
 	failed atomic.Bool
 
 	errs     []error // per partition
@@ -179,30 +154,26 @@ func (g *Gather) Open(c *Ctx) error {
 	}
 	g.ch = make(chan Batch, 4*g.lanes)
 	g.stop = make(chan struct{})
-	for l := 0; l < g.lanes; l++ {
-		g.wg.Add(1)
-		go g.lane(l)
-	}
 	go func() {
-		g.wg.Wait()
+		par.For(g.lanes, n, g.runTask)
 		close(g.ch)
 	}()
 	return nil
 }
 
-// lane drives partitions l, l+w, ... to completion in order, stopping at
-// the first failure or cancellation of any lane.
-func (g *Gather) lane(l int) {
-	defer g.wg.Done()
-	for i := l; i < len(g.Parts) && !g.failed.Load(); i += g.lanes {
-		err := g.c.err()
-		if err == nil {
-			err = g.runPart(i)
-		}
-		if err != nil {
-			g.errs[i] = err
-			g.failed.Store(true)
-		}
+// runTask drives partition i to completion unless a sibling failed or the
+// run was cancelled first.
+func (g *Gather) runTask(i int) {
+	if g.failed.Load() {
+		return
+	}
+	err := g.c.err()
+	if err == nil {
+		err = g.runPart(i)
+	}
+	if err != nil {
+		g.errs[i] = err
+		g.failed.Store(true)
 	}
 }
 
@@ -239,17 +210,14 @@ func (g *Gather) runPart(i int) error {
 	}
 }
 
-// finalize waits out the producers (parallel mode) and folds every
-// partition context back in partition order, resolving the first error.
-// Idempotent.
+// finalize folds every partition context back in partition order,
+// resolving the first error. In parallel mode it runs once ch is closed,
+// so every task has returned. Idempotent.
 func (g *Gather) finalize() error {
 	if g.merged {
 		return g.finalErr
 	}
 	g.merged = true
-	if g.ch != nil {
-		g.wg.Wait()
-	}
 	for i, pc := range g.ctxs {
 		g.c.adopt(pc, i, g.lanes)
 		if g.finalErr == nil && g.errs[i] != nil {
@@ -328,9 +296,9 @@ func (g *Gather) Close() error {
 	}
 	g.closed = true
 	if g.ch != nil {
-		// Tell the lanes to stop and drain the channel, which unblocks any
-		// producer waiting on it (the closer goroutine closes it once every
-		// lane returned).
+		// Tell the tasks to stop and drain the channel, which unblocks any
+		// task waiting on it (the producer closes it once every task
+		// returned).
 		g.failed.Store(true)
 		close(g.stop)
 		for range g.ch {
@@ -467,16 +435,13 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		bufCols = make([][][]int32, s)
 		bufRows = make([]int64, s)
 		capRows = make([]int64, s)
-		if want < 1 {
-			want = 1
-		}
 		for i := range spills {
 			sp, err := c.newSpill(width, 0)
 			if err != nil {
 				return err
 			}
 			spills[i] = sp
-			f, err := c.Pool.PinUpTo(want, 1, width)
+			f, err := c.Pool.PinUpTo(want, width)
 			if err != nil {
 				return err
 			}

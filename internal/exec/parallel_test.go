@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -467,6 +468,104 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 		}
 		if got := p.Pool().Stats().UsedBytes; got != 0 {
 			t.Errorf("workers %d: %d pool bytes still pinned after failure", workers, got)
+		}
+	}
+}
+
+// TestRunParts drives the partition-task runner directly: the lowest-index
+// failure is the section's error, every partition context is adopted once
+// and in partition order, the lane ledgers count every task, and a
+// cancelled context stops the section.
+func TestRunParts(t *testing.T) {
+	const n = 8
+	// Charges whose float sum depends on the order it is taken in: the root
+	// clock is the partition-order sum only when adoption follows that order.
+	charge := func(i int) float64 { return 1e15 / math.Pow(3, float64(i)) }
+	var want float64
+	for i := 0; i < n; i++ {
+		want += charge(i)
+	}
+	errLater := errors.New("later")
+	for _, workers := range []int{1, 4} {
+		newCtx := func(ctx context.Context) *Ctx {
+			sim := newSim(t)
+			d, _ := sim.Device("hdd")
+			return &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d,
+				Workers: workers, Context: ctx, shared: newShared(workers)}
+		}
+		tasks := func(c *Ctx) (sum int64) {
+			for _, l := range c.shared.lanes {
+				sum += l.Tasks
+			}
+			return sum
+		}
+
+		c := newCtx(nil)
+		pcs := make([]*Ctx, n)
+		if err := runParts(c, n, func(i int, pc *Ctx) error {
+			if pcs[i] != nil {
+				t.Errorf("workers %d: partition %d ran twice", workers, i)
+			}
+			pcs[i] = pc
+			pc.cpu(1, charge(i))
+			return nil
+		}); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for i, pc := range pcs {
+			if pc == nil || pc == c || pc.acct().Seconds() != 0 {
+				t.Errorf("workers %d: partition %d did not run on its own adopted context", workers, i)
+			}
+		}
+		if got := c.acct().Seconds(); got != want {
+			t.Errorf("workers %d: root clock %v, want the partition-order sum %v", workers, got, want)
+		}
+		if got := tasks(c); got != n {
+			t.Errorf("workers %d: lane ledgers count %d tasks, want %d", workers, got, n)
+		}
+
+		// Partition 5 fails only once partition 2 is under way, so both
+		// errors can exist: the lower index wins.
+		c = newCtx(nil)
+		started := make(chan struct{})
+		err := runParts(c, n, func(i int, pc *Ctx) error {
+			switch i {
+			case 2:
+				close(started)
+				return errBoom
+			case 5:
+				<-started
+				return errLater
+			}
+			return nil
+		})
+		if !errors.Is(err, errBoom) {
+			t.Errorf("workers %d: section failed with %v, want %v", workers, err, errBoom)
+		}
+		if got := tasks(c); got != n {
+			t.Errorf("workers %d: %d adoptions after a failure, want %d", workers, got, n)
+		}
+
+		// Partition 0 cancels and every other partition waits for it, so
+		// each worker is busy until then and the last partition never starts.
+		ctx, cancel := context.WithCancel(context.Background())
+		c = newCtx(ctx)
+		var ran [n]bool
+		err = runParts(c, n, func(i int, pc *Ctx) error {
+			ran[i] = true
+			if i == 0 {
+				cancel()
+			} else {
+				<-ctx.Done()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers %d: cancelled section returned %v", workers, err)
+		}
+		if ran[n-1] {
+			t.Errorf("workers %d: the last partition started after the cancellation", workers)
 		}
 	}
 }

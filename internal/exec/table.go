@@ -9,7 +9,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"ocas/internal/storage"
 )
@@ -108,21 +107,6 @@ type Sink struct {
 	head [][]int32 // reused header of the batch rows evicted unbuffered
 	// RowsWritten counts all rows that passed through, even when discarded.
 	RowsWritten int64
-}
-
-// OutBlock picks the Sink.Bout the optimizer chose for a plan: the largest
-// output-buffer parameter (apply-block-out names them ko*, the merging
-// treeFold bout*), 1 when the plan has none.
-func OutBlock(params map[string]int64) int64 {
-	var best int64 = 1
-	for name, v := range params {
-		if strings.HasPrefix(name, "ko") || strings.HasPrefix(name, "bout") {
-			if v > best {
-				best = v
-			}
-		}
-	}
-	return best
 }
 
 func (s *Sink) Open(c *Ctx) error { return s.in.Open(c) }

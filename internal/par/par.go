@@ -1,8 +1,9 @@
 // Package par provides the one worker-pool primitive the parallel
-// synthesis pipeline is built on. It is deliberately tiny: deterministic
-// callers (the rewrite search, candidate costing, parameter optimization)
-// write results into index-addressed slots, so the pool only needs to
-// guarantee that every index runs exactly once.
+// synthesis pipeline and the executor are built on. It is deliberately
+// tiny: deterministic callers (the rewrite search, candidate costing,
+// parameter optimization, the executor's partition tasks) write results
+// into index-addressed slots and fold them in index order, so the pool
+// only needs to guarantee that every index runs exactly once.
 package par
 
 import (

@@ -11,6 +11,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"ocas/internal/catalog"
 	"ocas/internal/core"
@@ -176,7 +177,7 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 
 	var digest bagDigest
 	defer digest.stop()
-	sink := &exec.Sink{Sim: sim, Bout: exec.OutBlock(params), Tap: digest.add}
+	sink := &exec.Sink{Sim: sim, Bout: cost.OutK(prog).Bind(params), Tap: digest.add}
 	if task.Output != "" {
 		outDev, err := sim.Device(task.Output)
 		if err != nil {
@@ -269,33 +270,46 @@ func ExecutePlan(ctx context.Context, c *Compiled, p *Plan, opt ExecOptions) (*E
 // CheckExecOptions validates opt's per-input maps against the task, so an
 // option that cannot mean what it says fails the request instead of being
 // dropped: every name in Rows, Inputs and Tables must be a declared input, a
-// Rows override must be positive, Tables needs a catalog, and a bound input
-// cannot also carry a Rows override or explicit Inputs (the table decides its
-// own cardinality). RunProgram checks it; a front end that wants to tell a
-// bad request from a failed execution calls it first.
+// Rows override must be positive, every explicit row must have the input's
+// arity and int32 values, Tables needs a catalog, and a bound input cannot
+// also carry a Rows override or explicit Inputs (the table decides its own
+// cardinality). RunProgram checks it; a front end that wants to tell a bad
+// request from a failed execution calls it first.
 func CheckExecOptions(task core.Task, opt ExecOptions) error {
-	declared := map[string]bool{}
+	arity := map[string]int{}
 	for _, in := range task.Spec.Inputs {
-		declared[in.Name] = true
+		arity[in.Name] = in.Arity
 	}
+	declared := func(name string) bool { _, ok := arity[name]; return ok }
 	for name, n := range opt.Rows {
-		if !declared[name] {
+		if !declared(name) {
 			return fmt.Errorf("plan: exec.rows names %q, which is not an input of the program", name)
 		}
 		if n <= 0 {
 			return fmt.Errorf("plan: exec.rows gives input %q %d rows, want at least 1", name, n)
 		}
 	}
-	for name := range opt.Inputs {
-		if !declared[name] {
+	for name, rows := range opt.Inputs {
+		if !declared(name) {
 			return fmt.Errorf("plan: exec.inputs names %q, which is not an input of the program", name)
+		}
+		for rI, row := range rows {
+			if len(row) != arity[name] {
+				return fmt.Errorf("plan: exec.inputs row %d of %q has %d attributes, want %d",
+					rI, name, len(row), arity[name])
+			}
+			for _, v := range row {
+				if v < math.MinInt32 || v > math.MaxInt32 {
+					return fmt.Errorf("plan: exec.inputs row %d of %q holds %d, outside int32", rI, name, v)
+				}
+			}
 		}
 	}
 	if len(opt.Tables) > 0 && opt.Cat == nil {
 		return fmt.Errorf("plan: exec.tables given but no catalog is configured")
 	}
 	for name := range opt.Tables {
-		if !declared[name] {
+		if !declared(name) {
 			return fmt.Errorf("plan: exec.tables binds %q, which is not an input of the program", name)
 		}
 		if _, ok := opt.Rows[name]; ok {
@@ -327,8 +341,9 @@ func loadTableInput(cat *catalog.Catalog, dev *storage.Device, in core.InputSpec
 	return tb, nil
 }
 
-// inputData resolves one input's rows as column vectors: explicit rows win,
-// then generated data of the overridden or nominal size.
+// inputData resolves one input's rows as column vectors: explicit rows
+// (which CheckExecOptions has checked) win, then generated data of the
+// overridden or nominal size.
 func inputData(in core.InputSpec, task core.Task, opt ExecOptions, idx int) ([][]int32, error) {
 	if rows, ok := opt.Inputs[in.Name]; ok {
 		cols := make([][]int32, in.Arity)
@@ -336,14 +351,7 @@ func inputData(in core.InputSpec, task core.Task, opt ExecOptions, idx int) ([][
 			cols[c] = make([]int32, len(rows))
 		}
 		for rI, row := range rows {
-			if len(row) != in.Arity {
-				return nil, fmt.Errorf("input %s row %d has %d attributes, want %d",
-					in.Name, rI, len(row), in.Arity)
-			}
 			for c, v := range row {
-				if v < -1<<31 || v > 1<<31-1 {
-					return nil, fmt.Errorf("input %s row %d value %d outside int32", in.Name, rI, v)
-				}
 				cols[c][rI] = int32(v)
 			}
 		}

@@ -186,6 +186,38 @@ func TestExecuteRejectsOverridesThatCannotApply(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsMalformedInputRows: an explicit row of the wrong arity,
+// or a value outside int32, is a 400 answered before the plan is resolved —
+// no search runs for it, so the plan cache counts no miss.
+func TestExecuteRejectsMalformedInputRows(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for name, tc := range map[string]struct{ rows, want string }{
+		"one attribute for an arity-2 input": {`[[1, 10], [2]]`, `row 1 of \"R\" has 1 attributes, want 2`},
+		"a value outside int32":              {`[[1, 4294967296]]`, `row 0 of \"R\" holds 4294967296, outside int32`},
+	} {
+		resp, data := postExecute(t, ts, execBody(`, "inputs": {"R": `+tc.rows+`}`))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.want) {
+			t.Errorf("%s: %d %s, want 400 saying %s", name, resp.StatusCode, data, tc.want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Cache struct {
+			Misses int64 `json:"misses"`
+		} `json:"cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cache.Misses != 0 {
+		t.Errorf("malformed rows reached the plan cache: %d misses", stats.Cache.Misses)
+	}
+}
+
 // TestExecuteRejectsRemovedExecField: the executor has one path and one
 // batch size, so a body still choosing either (the former exec.backend and
 // exec.batchRows fields) is a 400 that names the field, like any other

@@ -258,12 +258,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // synthesizeRequest is the /synthesize body: a plan request plus transport
-// options that must not influence the fingerprint.
+// options that must not influence the fingerprint. /execute embeds it.
 type synthesizeRequest struct {
 	plan.Request
-	// TimeoutMS lowers the server's per-request synthesis budget.
+	// TimeoutMS lowers the server's per-request budget (synthesis, and on
+	// /execute execution too).
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 }
+
+func (r *synthesizeRequest) base() *synthesizeRequest { return r }
 
 type apiError struct {
 	Error string `json:"error"`
@@ -276,6 +279,63 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	json.NewEncoder(w).Encode(apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// resolved is what the shared request prologue hands its handler.
+type resolved struct {
+	compiled *plan.Compiled
+	plan     *plan.Plan
+	outcome  plancache.Outcome
+	// ctx carries the request's timeout; the handler calls cancel.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	timeout time.Duration
+}
+
+// resolveRequest is the prologue /synthesize and /execute share: decode at
+// most limit bytes into req (no unknown fields), compile it, run the
+// handler's own checks (check answers what it rejects and reports whether
+// to go on; nil for none), then resolve the plan through the cache under
+// the request's timeout. Every failure is answered here, with ok false.
+func (s *Server) resolveRequest(w http.ResponseWriter, r *http.Request, limit int64,
+	req interface{ base() *synthesizeRequest }, check func(*plan.Compiled) bool) (res resolved, ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return res, false
+	}
+	base := req.base()
+	s.applyDefaults(&base.Request)
+	_, spCompile := obs.Start(r.Context(), "compile")
+	compiled, err := plan.Compile(base.Request)
+	spCompile.End()
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
+		return res, false
+	}
+	if check != nil && !check(compiled) {
+		return res, false
+	}
+
+	res = resolved{compiled: compiled, timeout: s.cfg.Timeout}
+	if base.TimeoutMS > 0 {
+		res.timeout = min(res.timeout, time.Duration(base.TimeoutMS)*time.Millisecond)
+	}
+	res.ctx, res.cancel = context.WithTimeout(r.Context(), res.timeout)
+	rctx, spResolve := obs.Start(res.ctx, "resolve")
+	res.plan, res.outcome, err = s.resolvePlan(rctx, compiled)
+	if spResolve != nil {
+		spResolve.Attr("outcome", string(res.outcome))
+		spResolve.End()
+	}
+	if err != nil {
+		res.cancel()
+		s.failCompute(w, err, res.timeout, "synthesis")
+		return res, false
+	}
+	s.markShared(w, res.outcome, compiled.Fingerprint)
+	return res, true
+}
+
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	startedAt := time.Now()
 	atomic.AddInt64(&s.metrics.Requests, 1)
@@ -284,43 +344,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var req synthesizeRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	res, ok := s.resolveRequest(w, r, s.cfg.MaxBodyBytes, &req, nil)
+	if !ok {
 		return
 	}
-	s.applyDefaults(&req.Request)
-	_, spCompile := obs.Start(r.Context(), "compile")
-	compiled, err := plan.Compile(req.Request)
-	spCompile.End()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-
-	timeout := s.cfg.Timeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	rctx, spResolve := obs.Start(ctx, "resolve")
-	p, outcome, err := s.resolvePlan(rctx, compiled)
-	if spResolve != nil {
-		spResolve.Attr("outcome", string(outcome))
-		spResolve.End()
-	}
-	if err != nil {
-		s.failCompute(w, err, timeout, "synthesis")
-		return
-	}
-	s.markShared(w, outcome, compiled.Fingerprint)
-	s.writePlan(w, p, string(outcome), time.Since(startedAt))
+	defer res.cancel()
+	s.writePlan(w, res.plan, string(res.outcome), time.Since(startedAt))
 }
 
 // markShared exposes the singleflight leader of a shared result, so log
@@ -338,9 +367,7 @@ func (s *Server) markShared(w http.ResponseWriter, outcome plancache.Outcome, fp
 // executeRequest is the /execute body: a plan request (resolved through the
 // cache exactly like /synthesize) plus execution options.
 type executeRequest struct {
-	plan.Request
-	// TimeoutMS lowers the server's budget for synthesis + execution.
-	TimeoutMS int64 `json:"timeoutMs,omitempty"`
+	synthesizeRequest
 	// Exec tunes the execution (batch size, pool budget, seed, explicit or
 	// resized inputs).
 	Exec plan.ExecOptions `json:"exec,omitempty"`
@@ -360,84 +387,18 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req executeRequest
 	// Explicit input rows make /execute bodies legitimately larger than
 	// /synthesize bodies.
-	body := http.MaxBytesReader(w, r.Body, 16*s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	res, ok := s.resolveRequest(w, r, 16*s.cfg.MaxBodyBytes, &req, func(compiled *plan.Compiled) bool {
+		return s.checkExec(w, compiled, &req.Exec)
+	})
+	if !ok {
 		return
 	}
+	defer res.cancel()
 	// ?explain opts into the per-operator EXPLAIN ANALYZE tree without
 	// touching the body (a transport toggle, like the exec.explain field).
 	if q := r.URL.Query(); q.Has("explain") && q.Get("explain") != "0" && q.Get("explain") != "false" {
 		req.Exec.Explain = true
 	}
-	s.applyDefaults(&req.Request)
-	_, spCompile := obs.Start(r.Context(), "compile")
-	compiled, err := plan.Compile(req.Request)
-	spCompile.End()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-	if len(req.Exec.Tables) > 0 {
-		cat := s.requireCatalog(w)
-		if cat == nil {
-			return
-		}
-		// The catalog handle is server wiring, never client input: the
-		// JSON field only ever carries table names.
-		req.Exec.Cat = cat
-	}
-	if err := plan.CheckExecOptions(compiled.Task, req.Exec); err != nil {
-		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-	for name, nominal := range compiled.Task.InputRows {
-		rows := nominal
-		if o, ok := req.Exec.Rows[name]; ok {
-			rows = o
-		}
-		if supplied, ok := req.Exec.Inputs[name]; ok {
-			rows = int64(len(supplied))
-		}
-		if tname, ok := req.Exec.Tables[name]; ok {
-			info, found := req.Exec.Cat.Info(tname)
-			if !found {
-				s.fail(w, http.StatusNotFound, "input %s: no table %q", name, tname)
-				return
-			}
-			// A bound input executes the table's current row count.
-			rows = info.Rows
-		}
-		if rows > s.cfg.MaxExecRows {
-			s.fail(w, http.StatusBadRequest,
-				"input %s would execute %d rows, above the server limit %d; shrink it with exec.rows",
-				name, rows, s.cfg.MaxExecRows)
-			return
-		}
-	}
-
-	timeout := s.cfg.Timeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	rctx, spResolve := obs.Start(ctx, "resolve")
-	p, outcome, err := s.resolvePlan(rctx, compiled)
-	if spResolve != nil {
-		spResolve.Attr("outcome", string(outcome))
-		spResolve.End()
-	}
-	if err != nil {
-		s.failCompute(w, err, timeout, "synthesis")
-		return
-	}
-	s.markShared(w, outcome, compiled.Fingerprint)
 	// Execution admission charges worker-slots, not requests: a run with W
 	// executor workers holds W slots of the shared pool, so concurrent
 	// /execute traffic cannot oversubscribe the box however small each
@@ -455,12 +416,12 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		workers = plan.MaxExecWorkers
 	}
 	req.Exec.ExecWorkers = workers
-	if err := s.slots.Acquire(ctx, int64(workers)); err != nil {
-		s.failCompute(w, err, timeout, "execution")
+	if err := s.slots.Acquire(res.ctx, int64(workers)); err != nil {
+		s.failCompute(w, err, res.timeout, "execution")
 		return
 	}
-	ectx, spExec := obs.Start(ctx, "execute")
-	rep, err := plan.ExecutePlan(ectx, compiled, p, req.Exec)
+	ectx, spExec := obs.Start(res.ctx, "execute")
+	rep, err := plan.ExecutePlan(ectx, res.compiled, res.plan, req.Exec)
 	if spExec != nil {
 		spExec.Attr("workers", workers)
 		if err == nil {
@@ -479,15 +440,59 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		s.failCompute(w, err, timeout, "execution")
+		s.failCompute(w, err, res.timeout, "execution")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Ocas-Cache", string(outcome))
+	w.Header().Set("X-Ocas-Cache", string(res.outcome))
 	w.Header().Set("X-Ocas-Elapsed", time.Since(startedAt).String())
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(rep)
+}
+
+// checkExec is /execute's own check between compile and resolve: the
+// exec options must fit the compiled task and no input may execute more
+// rows than the server allows. It answers what it rejects.
+func (s *Server) checkExec(w http.ResponseWriter, compiled *plan.Compiled, ex *plan.ExecOptions) bool {
+	if len(ex.Tables) > 0 {
+		cat := s.requireCatalog(w)
+		if cat == nil {
+			return false
+		}
+		// The catalog handle is server wiring, never client input: the
+		// JSON field only ever carries table names.
+		ex.Cat = cat
+	}
+	if err := plan.CheckExecOptions(compiled.Task, *ex); err != nil {
+		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
+		return false
+	}
+	for name, nominal := range compiled.Task.InputRows {
+		rows := nominal
+		if o, ok := ex.Rows[name]; ok {
+			rows = o
+		}
+		if supplied, ok := ex.Inputs[name]; ok {
+			rows = int64(len(supplied))
+		}
+		if tname, ok := ex.Tables[name]; ok {
+			info, found := ex.Cat.Info(tname)
+			if !found {
+				s.fail(w, http.StatusNotFound, "input %s: no table %q", name, tname)
+				return false
+			}
+			// A bound input executes the table's current row count.
+			rows = info.Rows
+		}
+		if rows > s.cfg.MaxExecRows {
+			s.fail(w, http.StatusBadRequest,
+				"input %s would execute %d rows, above the server limit %d; shrink it with exec.rows",
+				name, rows, s.cfg.MaxExecRows)
+			return false
+		}
+	}
+	return true
 }
 
 // failCompute answers a failed synthesis or execution (what names which): a

@@ -116,43 +116,32 @@ func (p *BufferPool) Stats() PoolStats {
 }
 
 // PinUpTo grants a frame for as many records as fit: up to maxRows, but at
-// least minRows. When the budget cannot hold maxRows next to the frames
-// already granted, the grant shrinks toward minRows; only a request whose
-// minimum does not fit fails. This is how operators degrade gracefully
-// under small budgets: blocks shrink, algorithms stay correct, and the extra
+// least one. When the budget cannot hold maxRows next to the frames already
+// granted, the grant shrinks toward one record; only a request for which
+// not even one fits fails. This is how operators degrade gracefully under
+// small budgets: blocks shrink, algorithms stay correct, and the extra
 // transfer initiations show up on the virtual clock.
-func (p *BufferPool) PinUpTo(maxRows, minRows, width int64) (*Frame, error) {
+func (p *BufferPool) PinUpTo(maxRows, width int64) (*Frame, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("storage: pin with non-positive width %d", width)
 	}
-	if minRows < 1 {
-		minRows = 1
-	}
-	if maxRows < minRows {
-		maxRows = minRows
-	}
+	rows := max(maxRows, 1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rows := maxRows
-	if p.budget > 0 {
-		free := p.budget - p.used
-		if maxRows*width > free {
-			// Shrunken grant: take at most half of what is left, so later
-			// pinners of the same plan still find room (each successive
-			// shrunken pin halves the remainder instead of starving it).
-			got := free / 2 / width
-			if got < minRows {
-				got = free / width
-			}
-			if got < minRows {
-				return nil, fmt.Errorf("storage: buffer pool over budget: need %d bytes for %d records, budget %d with %d pinned",
-					minRows*width, minRows, p.budget, p.used)
-			}
-			if got < rows {
-				rows = got
-				p.stats.Shrinks++
-			}
+	if free := p.budget - p.used; p.budget > 0 && rows*width > free {
+		// Shrunken grant: take at most half of what is left, so later
+		// pinners of the same plan still find room (each successive
+		// shrunken pin halves the remainder instead of starving it).
+		got := free / 2 / width
+		if got < 1 {
+			got = free / width
 		}
+		if got < 1 {
+			return nil, fmt.Errorf("storage: buffer pool over budget: need %d bytes for 1 record, budget %d with %d pinned",
+				width, p.budget, p.used)
+		}
+		rows = got
+		p.stats.Shrinks++
 	}
 	bytes := rows * width
 	p.used += bytes

@@ -8,11 +8,14 @@ import (
 
 func TestPoolBudgetEnforced(t *testing.T) {
 	p := NewBufferPool(256)
-	f, err := p.PinUpTo(32, 32, 8) // exactly the budget
+	f, err := p.PinUpTo(32, 8) // exactly the budget
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.PinUpTo(1, 1, 8); err == nil {
+	if c := f.Cap(8); c != 32 {
+		t.Fatalf("an exact-budget request granted %d rows, want all 32", c)
+	}
+	if _, err := p.PinUpTo(1, 8); err == nil {
 		t.Fatal("pin beyond a fully pinned budget must fail")
 	}
 	// PinUpTo grants what fits after the pinned set shrinks.
@@ -21,7 +24,7 @@ func TestPoolBudgetEnforced(t *testing.T) {
 	if st := p.Stats(); st.UsedBytes != 0 || st.PeakBytes != 256 || st.Pins != 1 {
 		t.Errorf("used/peak/pins after release = %d/%d/%d want 0/256/1", st.UsedBytes, st.PeakBytes, st.Pins)
 	}
-	g, err := p.PinUpTo(64, 1, 8)
+	g, err := p.PinUpTo(64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +121,17 @@ func TestPoolChildAdopt(t *testing.T) {
 	p := NewBufferPool(256)
 	c1 := p.Child()
 	c2 := p.Child()
-	f, err := c1.PinUpTo(32, 32, 8) // exactly the inherited budget
+	f, err := c1.PinUpTo(32, 8) // exactly the inherited budget
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.PinUpTo(1, 1, 8); err == nil {
+	if c := f.Cap(8); c != 32 {
+		t.Fatalf("an exact-budget child request granted %d rows, want all 32", c)
+	}
+	if _, err := c1.PinUpTo(1, 8); err == nil {
 		t.Fatal("child budget must be enforced locally")
 	}
-	g, err := c2.PinUpTo(64, 1, 8) // shrinks within the sibling's own budget
+	g, err := c2.PinUpTo(64, 8) // shrinks within the sibling's own budget
 	if err != nil {
 		t.Fatal(err)
 	}
