@@ -266,6 +266,7 @@ type synthesizeRequest struct {
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 }
 
+// base gives resolveRequest the part of either body it reads.
 func (r *synthesizeRequest) base() *synthesizeRequest { return r }
 
 type apiError struct {
