@@ -185,6 +185,15 @@ func TestWriteToOtherDeviceVsSame(t *testing.T) {
 	if sOther > sSame {
 		t.Errorf("other-disk (%v) should not exceed same-disk (%v)", sOther, sSame)
 	}
+	// The sequential write-out is charged once: 1e6 tuples of 8 bytes in
+	// one initiation.
+	w := Edge{From: "ram", To: "hdd2"}
+	if got := rOther.Events.Bytes(w).Eval(env); got != 8e6 {
+		t.Errorf("write-out bytes = %v want 8e6 (%s)", got, rOther.Events.Bytes(w))
+	}
+	if got := rOther.Events.Init(w).Eval(env); got != 1 {
+		t.Errorf("write-out inits = %v want 1 (%s)", got, rOther.Events.Init(w))
+	}
 }
 
 func TestSeqACReducesInitCom(t *testing.T) {

@@ -310,7 +310,6 @@ func (e *Estimator) Estimate(prog ocal.Expr) (*Result, error) {
 				}
 				r.addResident(r.root(), "outbuf:"+outK.String(), r.b.Mul(ko, elemB))
 			}
-			r.chargeDownPath(p.Output, bytes, inits)
 		} else if v, ok := outK.Literal(); ok && v == 1 {
 			// Unbuffered: one initiation per output element.
 			if c, err := Card(at); err == nil {

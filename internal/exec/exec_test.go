@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -255,8 +257,9 @@ func TestHashJoinMatchesBNL(t *testing.T) {
 		S := loadTableSim(sim, "hdd", 2, srows)
 		sink := &Sink{Sim: sim}
 		j := &HashJoin{L: TableInput(R), R: TableInput(S), Buckets: 8,
-			KRead: 64, BufW: 32, KJoin: 128, EquiKeys: &[2]int{0, 0}}
-		drainOp(t, runCtx(sim, "hdd", 0), j, sink)
+			KRead: 64, K1: 128, K2: 128, EquiKeys: &[2]int{0, 0}}
+		// Nine frames of 32 rows: the bucket buffers flush mid-stream.
+		drainOp(t, runCtx(sim, "hdd", 9*32*8), j, sink)
 		return sink.RowsWritten
 	}
 	a, b := countBNL(), countHash()
@@ -484,5 +487,68 @@ func TestComposedOperators(t *testing.T) {
 	}
 	if c.Pool.Stats().Spills == 0 {
 		t.Error("sorting a streamed join must spool through a scratch spill")
+	}
+}
+
+// TestTakeSpansSegments: an owned block fills up to k rows across spill
+// segments, each segment's piece charged as one ReadColsAt, and a block that
+// lies inside one segment is a view into it.
+func TestTakeSpansSegments(t *testing.T) {
+	chain := func() (*storage.Sim, *storage.Device, []*storage.Spill) {
+		sim := newSim(t)
+		d, err := sim.Device("hdd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sps []*storage.Spill
+		row := int32(0)
+		for _, n := range []int{5, 3, 7} {
+			col := make([]int32, n)
+			for i := range col {
+				col[i] = row
+				row++
+			}
+			sp, err := d.NewSpill(4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.PreloadCols([][]int32{col}); err != nil {
+				t.Fatal(err)
+			}
+			sps = append(sps, sp)
+		}
+		return sim, d, sps
+	}
+	sim, d, sps := chain()
+	r := &tableReader{sps: sps, ar: 1, hi: -1}
+	if err := r.open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d}); err != nil {
+		t.Fatal(err)
+	}
+	ob, err := r.take(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(ob.cols[0]); ob.n != 6 || got != "[0 1 2 3 4 5]" {
+		t.Fatalf("take(6) = %d rows %s, want rows 0-5", ob.n, got)
+	}
+	wantSim, wantDev, wantSps := chain()
+	wantSps[0].ReadColsAt(wantSim.Root(), 0, 5, nil)
+	wantSps[1].ReadColsAt(wantSim.Root(), 0, 1, nil)
+	got := fmt.Sprintf("clock %016x, ledger %+v", math.Float64bits(sim.Clock.Seconds()), d.Led)
+	want := fmt.Sprintf("clock %016x, ledger %+v", math.Float64bits(wantSim.Clock.Seconds()), wantDev.Led)
+	if got != want {
+		t.Errorf("take(6) charged %s, want one read per piece: %s", got, want)
+	}
+
+	ob.release()
+	if err := r.rewind(); err != nil {
+		t.Fatal(err)
+	}
+	if ob, err = r.take(2); err != nil {
+		t.Fatal(err)
+	}
+	view, _ := sps[0].View(0, 2, nil)
+	if ob.n != 2 || &ob.cols[0][0] != &view[0][0] {
+		t.Errorf("take(2) at offset 0 is not a view into the first segment: %v", ob.cols)
 	}
 }

@@ -255,8 +255,8 @@ func describeOp(op Operator) (kind, detail string) {
 		}
 		return "bnl-join", d
 	case *HashJoin:
-		return "hash-join", fmt.Sprintf("buckets=%d build=%s probe=%s k=%d",
-			t.Buckets, inputDetail(t.L), inputDetail(t.R), t.KJoin)
+		return "hash-join", fmt.Sprintf("buckets=%d build=%s probe=%s k1=%d k2=%d",
+			t.Buckets, inputDetail(t.L), inputDetail(t.R), t.K1, t.K2)
 	case *ExtSort:
 		return "ext-sort", fmt.Sprintf("in=%s way=%d bin=%d bout=%d", inputDetail(t.In), t.Way, t.Bin, t.Bout)
 	case *UnfoldR:

@@ -15,7 +15,7 @@ type LowerOpts struct {
 	Params  map[string]int64 // optimizer-chosen parameter values
 	Scratch *storage.Device  // device for partitions / sort runs / spills
 	Sink    *Sink            // the program's root: its output (Out nil = CPU-consumed)
-	// RAMBytes is the RAM node size, used to size partition write buffers.
+	// RAMBytes is the RAM node size: the pool's default budget (see Exchange).
 	RAMBytes int64
 	// PoolBytes bounds the buffer pool; 0 defaults to RAMBytes, and a
 	// negative value means unlimited.
@@ -138,6 +138,7 @@ func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 		BatchRows: o.BatchRows,
 		Workers:   o.ExecWorkers,
 		Context:   o.Context,
+		ram:       o.RAMBytes,
 		shared:    newShared(o.ExecWorkers),
 	}}
 	if f, ok := unwrapOp(root).(*Fold); ok {
@@ -485,28 +486,16 @@ func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
 	if err != nil {
 		return nil, err, true
 	}
-	kj := max(srcs[0].k, srcs[1].k, 1)
 	left, right := sides[0], sides[1]
 	if varName(srcs[0].src) == lam.Params[1] {
 		left, right = right, left
-	}
-	bufW := int64(64)
-	if l.o.RAMBytes > 0 {
-		w := int64(2) * 4
-		if left.table != nil {
-			w = int64(left.table.Arity) * 4
-		}
-		bufW = l.o.RAMBytes / (buckets + 1) / w
-		if bufW < 1 {
-			bufW = 1
-		}
 	}
 	// Key attributes: the conservative hash-part rule only fires on
 	// first-attribute equi-joins, so 0/0.
 	return &HashJoin{
 		L: left, R: right,
 		Buckets: buckets,
-		KRead:   kj, BufW: bufW, KJoin: kj,
+		KRead:   max(srcs[0].k, srcs[1].k, 1), K1: srcs[0].k, K2: srcs[1].k,
 		KeyL: 0, KeyR: 0, EquiKeys: keys, SwapOutput: swapOut,
 		OrderedOutput: ordered,
 	}, nil, true

@@ -36,6 +36,7 @@ type Ctx struct {
 	// Context, when non-nil, cancels the run between batches.
 	Context context.Context
 
+	ram    int64 // the RAM node size: the exchange's memory when the pool is unlimited
 	shared *sharedState
 }
 
@@ -385,11 +386,11 @@ var physStride int64 = 4096
 // tableReader scans one or more device-resident spills — a base table, a
 // materialized intermediate, the chained per-producer segments of an
 // exchange partition, or a record section of one of those (the morsel range
-// of an exchange task) — block by block. Blocks
-// are zero-copy column views into the spill; the pooled frame
-// accounts the block's RAM residency and its grant still bounds the block
-// size, exactly as when the frame carried the bytes. Positions are global
-// across the chain.
+// of an exchange task) — block by block. Blocks are zero-copy column
+// views into the spill (take copies one that crosses a segment end); the
+// pooled frame accounts the block's RAM residency and its grant still
+// bounds the block size, exactly as when the frame carried the bytes.
+// Positions are global across the chain.
 //
 // The host side works a stretch at a time: one Spill.View of about
 // physStride rows, cut into whole modelled blocks, from which next and span
@@ -413,6 +414,7 @@ type tableReader struct {
 	from, to  int64
 	phys      [][]int32 // the stretch's View header
 	view      [][]int32 // header of the sub-view handed out last
+	own       [][]int32 // take's copy of a block that crosses a segment end
 }
 
 func newSpillReader(sp *storage.Spill, arity int) *tableReader {
@@ -541,26 +543,39 @@ func (r *tableReader) settle(rows int64, perRow float64) {
 	r.pos += rows
 }
 
+// take reads up to k rows into a caller-owned pooled block, across segment
+// ends, charging each segment's piece as one ReadColsAt. A block inside one
+// segment is a zero-copy view; one that crosses a segment end is copied into
+// the reader's own buffer, valid until the next take.
 func (r *tableReader) take(k int64) (*ownedBlock, error) {
 	end := r.end()
 	if r.pos >= end {
 		return nil, nil
 	}
-	if k < 1 {
-		k = 1
-	}
-	f, err := r.c.Pool.PinUpTo(k, r.width())
+	f, err := r.c.Pool.PinUpTo(max(k, 1), r.width())
 	if err != nil {
 		return nil, err
 	}
-	if c := f.Cap(r.width()); c < k {
-		k = c
-	}
-	if r.pos+k > end {
-		k = end - r.pos
-	}
+	k = min(max(k, 1), f.Cap(r.width()), end-r.pos)
 	sp, idx := r.locate(r.pos)
 	cols, n := sp.ReadColsAt(r.c.acct(), idx, k, nil)
+	if n < k {
+		if r.own == nil {
+			r.own = make([][]int32, r.ar)
+		}
+		for c := range r.own {
+			r.own[c] = append(r.own[c][:0], cols[c]...)
+		}
+		for n < k {
+			sp, idx = r.locate(r.pos + n)
+			piece, m := sp.ReadColsAt(r.c.acct(), idx, k-n, nil)
+			for c := range r.own {
+				r.own[c] = append(r.own[c], piece[c]...)
+			}
+			n += m
+		}
+		cols = r.own
+	}
 	r.pos += n
 	return &ownedBlock{frame: f, cols: cols, n: n}, nil
 }

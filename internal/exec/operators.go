@@ -247,13 +247,7 @@ func (o *BNLJoin) Open(c *Ctx) error {
 func (o *BNLJoin) advanceOuter() error {
 	o.ob.release()
 	o.ob = nil
-	k1 := o.K1
-	if k1 <= 0 {
-		k1 = 1
-	}
-	// Leave room for the inner block under tight budgets.
-	k1 = o.c.share(k1, 2, int64(o.outer.arity())*4)
-	ob, err := o.outer.take(k1)
+	ob, err := o.outer.take(o.K1)
 	if err != nil {
 		return err
 	}
@@ -492,9 +486,11 @@ func (o *BNLJoin) countCacheMisses(nx, ny, ra, sa int64) {
 // GRACE hash join
 
 // HashJoin is the GRACE hash join: both inputs are hash-partitioned to
-// scratch spill files (through pool-pinned per-bucket write buffers), then
-// corresponding buckets are joined with block nested loops joins whose
-// blocks normally cover a whole bucket, so all data is read exactly twice.
+// scratch spill files (through pool-pinned per-bucket write buffers sized
+// as Exchange says), then corresponding buckets are joined with block
+// nested loops joins of the plan's K1 and K2 blocks, which normally cover
+// a whole bucket (an outer block spans the bucket's spill segments), so
+// all data is read exactly twice.
 // Both phases are morsel-parallel: inputs with known extent partition in
 // concurrent morsel tasks (Exchange), and the per-bucket joins run on the
 // worker lanes through a Gather — the bucket count, fixed by the plan's
@@ -504,8 +500,7 @@ type HashJoin struct {
 	L, R     Input
 	Buckets  int64
 	KRead    int64 // partition-phase read block (tuples)
-	BufW     int64 // per-bucket write buffer (tuples)
-	KJoin    int64 // join-phase block size (tuples)
+	K1, K2   int64 // the bucket joins' outer and inner blocks (tuples)
 	KeyL     int   // 0-based key attribute of L
 	KeyR     int
 	EquiKeys *[2]int // the join condition of the per-bucket joins (see BNLJoin.EquiKeys)
@@ -531,8 +526,8 @@ func (o *HashJoin) Open(c *Ctx) error {
 		s = 1
 	}
 	o.Buckets = s
-	exL := &Exchange{In: o.L, Parts: s, Key: o.KeyL, KRead: o.KRead, BufW: o.BufW}
-	exR := &Exchange{In: o.R, Parts: s, Key: o.KeyR, KRead: o.KRead, BufW: o.BufW}
+	exL := &Exchange{In: o.L, Parts: s, Key: o.KeyL, KRead: o.KRead}
+	exR := &Exchange{In: o.R, Parts: s, Key: o.KeyR, KRead: o.KRead}
 	var err error
 	if o.bL, o.arL, err = exL.Run(c); err != nil {
 		return err
@@ -561,7 +556,7 @@ func (o *HashJoin) Open(c *Ctx) error {
 func (o *HashJoin) bucketJoin(i int64) *BNLJoin {
 	return &BNLJoin{
 		L: SpillsInput(o.bL[i].Spills, o.arL), R: SpillsInput(o.bR[i].Spills, o.arR),
-		K1: o.KJoin, K2: o.KJoin, EquiKeys: o.EquiKeys,
+		K1: o.K1, K2: o.K2, EquiKeys: o.EquiKeys,
 		SwapOutput: o.SwapOutput,
 	}
 }
@@ -801,7 +796,7 @@ func (o *ExtSort) fillCtx(c *Ctx, cu *sortCursor, siblings int64) error {
 	if take <= 0 {
 		take = 1
 	}
-	take = c.share(take, siblings+1, a*4)
+	take = c.share(take, siblings+1, a*4) // cost's sortbufs; open cause ROADMAP.md 1(h)
 	if cu.frame == nil {
 		f, err := c.Pool.PinUpTo(take, a*4)
 		if err != nil {
@@ -847,7 +842,7 @@ func (o *ExtSort) mergePass(c *Ctx, src *storage.Spill, lo, hi int64, dst *stora
 	if bout <= 0 {
 		bout = 1
 	}
-	bout = c.share(bout, int64(o.Way)+1, a*4)
+	bout = c.share(bout, int64(o.Way)+1, a*4) // cost's sortbufs; open cause ROADMAP.md 1(h)
 	out, err := c.Pool.PinUpTo(bout, a*4)
 	if err != nil {
 		return err
@@ -1065,6 +1060,7 @@ func (o *UnfoldR) refillAll() error {
 		}
 		o.settle()
 		if sp.ahead == 0 {
+			// cost's mergebuf per input: a pool below the plan's RAM splits evenly.
 			span, kk, err := r.span(o.c.share(k, int64(len(o.readers)), int64(r.arity())*4))
 			if err != nil {
 				return err

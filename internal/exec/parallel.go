@@ -10,6 +10,7 @@
 package exec
 
 import (
+	"cmp"
 	"sync/atomic"
 
 	"ocas/internal/ocal"
@@ -326,13 +327,15 @@ type Part struct {
 // worker lanes, each task writing its own per-partition spills through
 // pool-pinned write buffers; a streamed subtree is partitioned on the
 // caller's strand. Partition spills are chained per partition in task
-// order, so contents and charges are worker-count-invariant.
+// order, so contents and charges are worker-count-invariant. The buffers
+// are the ones cost.applyPartition prices: the pool budget (the RAM size
+// when the pool is unlimited) splits into Parts+1 frames, one per bucket
+// and one for the read block, and a bucket buffers a frame of its rows.
 type Exchange struct {
 	In    Input
 	Parts int64
 	Key   int   // 0-based hash attribute
 	KRead int64 // read block (tuples)
-	BufW  int64 // per-partition write buffer (tuples)
 }
 
 // Run partitions the input, returning one Part per partition and the row
@@ -404,7 +407,7 @@ func growCols(cols [][]int32, limit int64) {
 }
 
 // partitionOne hashes one morsel section into Parts scratch spills through
-// BufW-tuple write buffers pinned in the task's pool share.
+// per-bucket write buffers pinned in the task's pool.
 func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, error) {
 	if err := r.open(c); err != nil {
 		return nil, 0, err
@@ -415,7 +418,6 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		spills  []*storage.Spill
 		bufs    []*storage.Frame
 		bufCols [][][]int32 // per-bucket column-striped write buffers
-		bufRows []int64
 		capRows []int64
 		arity   int
 	)
@@ -429,11 +431,10 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 	setup := func(ar int) error {
 		arity = ar
 		width := int64(arity) * 4
-		want := c.share(x.BufW, s+1, width)
+		want := cmp.Or(c.Pool.Budget(), c.ram) / (s + 1) / width
 		spills = make([]*storage.Spill, s)
 		bufs = make([]*storage.Frame, s)
 		bufCols = make([][][]int32, s)
-		bufRows = make([]int64, s)
 		capRows = make([]int64, s)
 		for i := range spills {
 			sp, err := c.newSpill(width, 0)
@@ -461,17 +462,18 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		}
 	}
 	flush := func(b int64) error {
-		if bufRows[b] == 0 {
+		cols := bufCols[b]
+		rows := int64(len(cols[0]))
+		if rows == 0 {
 			return nil
 		}
-		c.cpu(bufRows[b]*int64(arity)*4, c.Sim.MoveSeconds)
-		if err := spills[b].AppendCols(c.acct(), bufCols[b], bufRows[b]); err != nil {
+		c.cpu(rows*int64(arity)*4, c.Sim.MoveSeconds)
+		if err := spills[b].AppendCols(c.acct(), cols, rows); err != nil {
 			return err
 		}
-		for ci := range bufCols[b] {
-			bufCols[b][ci] = bufCols[b][ci][:0]
+		for ci := range cols {
+			cols[ci] = cols[ci][:0]
 		}
-		bufRows[b] = 0
 		return nil
 	}
 	for {
@@ -480,6 +482,7 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 			k = 1
 		}
 		if arity > 0 {
+			// cost's read frame of the s+1; open cause ROADMAP.md 1(g).
 			k = c.share(k, s+1, int64(arity)*4)
 		}
 		blk, err := r.next(k)
@@ -497,31 +500,21 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		n := int64(len(blk[0]))
 		c.cpu(n, c.Sim.HashSeconds)
 		keyCol := blk[x.Key]
-		bufW := x.BufW
-		if bufW < 1 {
-			bufW = 1
-		}
 		for i := int64(0); i < n; i++ {
 			b := int64(ocal.HashInt(int64(keyCol[i])) % uint64(s))
 			// Flush before the row would outgrow the pinned frame, so the
 			// buffer never reallocates past its accounted size.
-			if bufRows[b] >= capRows[b] {
+			cols := bufCols[b]
+			if int64(len(cols[0])) >= capRows[b] {
 				if err := flush(b); err != nil {
 					return nil, 0, err
 				}
 			}
-			cols := bufCols[b]
 			if len(cols[0]) == cap(cols[0]) {
 				growCols(cols, capRows[b])
 			}
 			for ci := 0; ci < arity; ci++ {
 				cols[ci] = append(cols[ci], blk[ci][i])
-			}
-			bufRows[b]++
-			if bufRows[b] >= bufW {
-				if err := flush(b); err != nil {
-					return nil, 0, err
-				}
 			}
 		}
 	}

@@ -300,9 +300,10 @@ func TestExchangePartitions(t *testing.T) {
 	sim := newSim(t)
 	tb := loadTableSim(sim, "hdd", 2, rows)
 	d, _ := sim.Device("hdd")
-	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d, Workers: 2, shared: newShared(2)}
 	const s = 5
-	x := &Exchange{In: TableInput(tb), Parts: s, Key: 0, KRead: 16, BufW: 16}
+	// s+1 frames of 16 rows: the bucket buffers flush mid-stream.
+	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool((s + 1) * 16 * 8), Scratch: d, Workers: 2, shared: newShared(2)}
+	x := &Exchange{In: TableInput(tb), Parts: s, Key: 0, KRead: 16}
 	parts, arity, err := x.Run(c)
 	if err != nil {
 		t.Fatal(err)

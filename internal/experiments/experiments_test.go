@@ -9,6 +9,14 @@ import (
 // TestTable1Smoke runs every row at a reduced scale and checks the paper's
 // qualitative claims: the optimized estimate always beats the naive spec,
 // and the measured time is within a sane band of the estimate.
+// estActOpen lists the Table 1 rows exempt from the est/act band, each
+// with its open cause (ROADMAP.md item 1). The list may only shrink.
+var estActOpen = map[string]string{
+	"bnl-cache":          "(c) cache misses are counted but never reach the clock",
+	"bnl-write-same-hdd": "(b) the estimate and the simulator disagree on same-device interleaving",
+	"grace-hash-join":    "(g) morsel sections split every bucket into several spill streams",
+}
+
 func TestTable1Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 is slow")
@@ -39,12 +47,16 @@ func TestTable1Smoke(t *testing.T) {
 		if r.Exec == nil || r.Exec.OutDigest == "" || r.Exec.Pool.Pins == 0 || len(r.Exec.Devices) == 0 {
 			t.Errorf("%s: no execution report (digest, pool stats, ledgers): %+v", r.Name, r.Exec)
 		}
-		// Estimates and measurements must agree within two orders of
-		// magnitude (the paper's own Table 1 has up to ~2x deviations; we
-		// allow wide slack because of CPU modelling).
-		ratio := r.ActSecs / r.OptSecs
-		if ratio < 0.005 || ratio > 200 {
-			t.Errorf("%s: act/opt ratio out of band: %v (opt %v act %v)",
+		// At the default budget a feasible plan runs the blocks it was
+		// tuned for: no grant shrinks.
+		if r.Exec != nil && r.Exec.Pool.Shrinks != 0 {
+			t.Errorf("%s: %d pool grants shrank at the default budget", r.Name, r.Exec.Pool.Shrinks)
+		}
+		// The estimate predicts the measurement (the paper's §7.3 claim),
+		// except on the rows whose cause is still open.
+		ratio := r.OptSecs / r.ActSecs
+		if _, open := estActOpen[r.Name]; !open && (ratio < 0.85 || ratio > 1.10) {
+			t.Errorf("%s: est/act %v outside [0.85, 1.10] (opt %v act %v)",
 				r.Name, ratio, r.OptSecs, r.ActSecs)
 		}
 	}
