@@ -241,10 +241,11 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 // exactly as they would sequentially.
 func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) (*Synthesis, error) {
 	_, spOpt := obs.Start(ctx, "synth.optimize")
-	cands, evals, points := cp.tune(ctx, s, t, fc, short)
+	cands, work := cp.tune(ctx, s, t, fc, short, true)
 	spOpt.Attr("shortlist", len(short.idx))
-	spOpt.Attr("evals", evals)
-	spOpt.Attr("points", points)
+	spOpt.Attr("evals", work.evals)
+	spOpt.Attr("points", work.points)
+	spOpt.Attr("pruned", work.pruned)
 	spOpt.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -271,17 +272,30 @@ func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *for
 	}, nil
 }
 
+// tuneWork is what tuning a shortlist did: formula evaluations performed and
+// distinct points visited, summed over the members tuned, and the members
+// skipped because they could not win. At one worker all three are exact; at
+// more, which members are skipped depends on which finish first.
+type tuneWork struct {
+	evals, points, pruned int
+}
+
 // tune runs the non-linear solver on every shortlist member, one candidate
 // per worker. With a cache, a member's program is the one this task's
 // screening just bound; without one it is compiled and bound here. The
 // candidates are aligned with short.idx; nil marks a member with no feasible
-// assignment. evals and points are the solver's work summed over the
-// shortlist: formula evaluations performed and distinct points visited.
-func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist) (cands []*Candidate, evals, points int) {
+// assignment, or, when prune is set, one skipped because its interval lower
+// bound (cost.CompiledFormulas.LowerBound) exceeds the least cost tuned so
+// far. A skipped member's tuned cost would be at least its bound, above a
+// cost another member reaches, so it could neither win nor tie: the winner is
+// the same with and without pruning.
+func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist, prune bool) (cands []*Candidate, work tuneWork) {
 	space, costs := cp.Space, cp.Costs
 	fx, hi := s.fixedVals(t), paramUpperBound(t)
 	cands = make([]*Candidate, len(short.idx))
-	work := make([][2]int, len(short.idx))
+	done := make([]tuneWork, len(short.idx))
+	var mu sync.Mutex
+	incumbent := math.Inf(1) // the least tuned cost so far
 	par.For(s.Workers, len(short.idx), func(i int) {
 		if ctx.Err() != nil {
 			return
@@ -294,11 +308,24 @@ func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formula
 		} else {
 			cf = bound(nil, idx, res, fx)
 		}
+		if prune {
+			mu.Lock()
+			inc := incumbent
+			mu.Unlock()
+			// No bound is worth computing before there is a cost to beat.
+			if !math.IsInf(inc, 1) && cf.LowerBound(hi, inc) > inc {
+				done[i].pruned = 1
+				return
+			}
+		}
 		rr, err := opt.Minimize(cf, hi)
-		work[i] = [2]int{rr.Evals, rr.Points}
+		done[i].evals, done[i].points = rr.Evals, rr.Points
 		if err != nil {
 			return
 		}
+		mu.Lock()
+		incumbent = min(incumbent, rr.Seconds)
+		mu.Unlock()
 		cands[i] = &Candidate{
 			Expr:    space[idx].Expr,
 			Steps:   space[idx].Steps,
@@ -307,9 +334,10 @@ func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formula
 			Cost:    res,
 		}
 	})
-	for _, w := range work {
-		evals += w[0]
-		points += w[1]
+	for _, w := range done {
+		work.evals += w.evals
+		work.points += w.points
+		work.pruned += w.pruned
 	}
-	return cands, evals, points
+	return cands, work
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 
 	"ocas/internal/cost"
@@ -9,17 +10,23 @@ import (
 )
 
 // TuneShortlist is Instantiate up to, but not including, the pick of a
-// winner: every shortlist member's tuned candidate in shortlist order (nil =
-// no feasible assignment), computed through the replay's formula cache.
-func (r *Replay) TuneShortlist(ctx context.Context, s *Synthesizer, t Task) ([]*Candidate, error) {
+// winner, with no member pruned: every shortlist member's tuned candidate in
+// shortlist order (nil = no feasible assignment), computed through the
+// replay's formula cache, and each member's LowerBound over the same box
+// against no incumbent.
+func (r *Replay) TuneShortlist(ctx context.Context, s *Synthesizer, t Task) ([]*Candidate, []float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	short, err := r.cp.screen(ctx, s, t, &r.fc, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cands, _, _ := r.cp.tune(ctx, s, t, &r.fc, short)
-	return cands, nil
+	bounds := make([]float64, len(short.idx))
+	for i, idx := range short.idx {
+		bounds[i] = r.fc.progs[idx].LowerBound(paramUpperBound(t), math.Inf(1))
+	}
+	cands, _ := r.cp.tune(ctx, s, t, &r.fc, short, false)
+	return cands, bounds, nil
 }
 
 // SearchSpace is the space SynthesizeCapture searches for t.

@@ -151,7 +151,7 @@ func TestMinimizeGolden(t *testing.T) {
 		for _, rows := range ladderPoints(c.task.InputRows) {
 			task := c.task
 			task.InputRows = rows
-			cands, err := replay.TuneShortlist(ctx, c.synth, task)
+			cands, _, err := replay.TuneShortlist(ctx, c.synth, task)
 			if err != nil {
 				t.Fatalf("%s at %s: %v", c.name, formatInts(rows), err)
 			}

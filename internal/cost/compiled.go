@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	sym "ocas/internal/symbolic"
@@ -103,4 +104,67 @@ func (c *CompiledFormulas) Eval() (seconds, violation float64) {
 		}
 	}
 	return seconds, violation
+}
+
+// LowerBound returns a number no larger than the objective at any point of
+// [1, hi]^n where no constraint has LHS > RHS, or +Inf when there is no such
+// point. It is proven in interval arithmetic at the current binding
+// (sym.Program.BoxRoot), so it never exceeds the objective Minimize returns.
+//
+// The objective is first bounded over the whole box; that bound is returned
+// at once when it already exceeds incumbent, or when there are no
+// constraints. Otherwise each parameter's range is cut, one at a time, below
+// the least power of two 2^e such that [2^e, its upper end] provably violates
+// some constraint (LHS.lo > RHS.hi), and the objective is bounded over what
+// is left. A NaN constraint side is [-Inf, +Inf] and never cuts. The
+// evaluations at a point (Seconds, Eval) are unaffected.
+func (c *CompiledFormulas) LowerBound(hi int64, incumbent float64) float64 {
+	var buf [16]int64
+	n := len(c.params)
+	box := buf[:]
+	if 2*n > len(buf) {
+		box = make([]int64, 2*n)
+	}
+	plo, phi := box[:n], box[n:2*n]
+	for i := range plo {
+		plo[i], phi[i] = 1, hi
+	}
+	c.prog.BoxBegin()
+	lb, _ := c.prog.BoxRoot(0, plo, phi)
+	if lb > incumbent || c.ncons == 0 {
+		return lb
+	}
+	// violatedFrom reports whether raising parameter i's floor to 2^e makes
+	// some constraint fail at every point of the box.
+	violatedFrom := func(i, e int) (violated bool) {
+		plo[i] = 1 << e
+		for j := 0; j < c.ncons && !violated; j++ {
+			l, _ := c.prog.BoxRoot(1+2*j, plo, phi)
+			_, r := c.prog.BoxRoot(2+2*j, plo, phi)
+			violated = l > r
+		}
+		plo[i] = 1
+		return violated
+	}
+	for i := range phi {
+		// Bisect for the least e with [2^e, phi_i] infeasible; ok is the
+		// greatest e known not to be.
+		e := bits.Len64(uint64(phi[i])) - 1
+		if !violatedFrom(i, e) {
+			continue
+		}
+		for ok := -1; e-ok > 1; {
+			if mid := (ok + e) / 2; violatedFrom(i, mid) {
+				e = mid
+			} else {
+				ok = mid
+			}
+		}
+		if e == 0 {
+			return math.Inf(1)
+		}
+		phi[i] = 1<<e - 1
+	}
+	lb, _ = c.prog.BoxRoot(0, plo, phi)
+	return lb
 }

@@ -133,8 +133,10 @@ func (s *search) minimize() ([]int64, float64) {
 				break
 			}
 		}
+		// A NaN violation is a constraint side that could not be evaluated:
+		// infeasible, like a violated one.
 		f, v := s.at(s.x)
-		if v > 0 {
+		if v > 0 || math.IsNaN(v) {
 			continue
 		}
 		if f < bestVal {

@@ -43,6 +43,18 @@ func TestNoParams(t *testing.T) {
 	}
 }
 
+// TestNaNConstraintInfeasible: a constraint side that cannot be evaluated
+// (here an unbound variable) makes every point infeasible, as
+// cost.CompiledFormulas.Eval documents; no start may be accepted with it.
+func TestNaNConstraintInfeasible(t *testing.T) {
+	cf := bound(sym.Div(sym.C(1e6), sym.V("k")),
+		[]cost.Constraint{{LHS: sym.V("k"), RHS: sym.V("unbound")}},
+		[]string{"k"}, nil)
+	if r, err := Minimize(cf, noBound); err == nil {
+		t.Errorf("accepted k = %v at %v s with a NaN constraint", r.Values, r.Seconds)
+	}
+}
+
 func TestMaximizeBlockSizeUnderCapacity(t *testing.T) {
 	// cost = x/k seeks; constraint 8k <= 1e6. Optimum: k = 125000.
 	cf := bound(sym.Div(sym.V("x"), sym.V("k")),

@@ -187,12 +187,13 @@ func TestTraceRoundTrip(t *testing.T) {
 // TestTemplateHitTracePhases: the same shape at other cardinalities replays
 // screening and optimization without a search, and both phases show under
 // the instantiation with the counters the cold spans carry. The optimizer's
-// work counts — evaluations performed, distinct points visited — are equal
-// (no point is evaluated twice) and repeat exactly on a fresh daemon.
+// work counts — evaluations performed, distinct points visited, members
+// pruned — are exact at one worker: evaluations equal points (no point is
+// evaluated twice) and all three repeat exactly on a fresh daemon.
 func TestTemplateHitTracePhases(t *testing.T) {
 	var optimize [2]map[string]any
 	for run := range optimize {
-		_, ts := newTestServer(t, Config{TemplateCacheSize: 8})
+		_, ts := newTestServer(t, Config{TemplateCacheSize: 8, Workers: 1})
 		post(t, ts, fastBody())
 		resp, _ := post(t, ts, strings.Replace(fastBody(), "1048576", "2097152", 1))
 		if got := resp.Header.Get("X-Ocas-Cache"); got != "template-hit" {
@@ -222,6 +223,9 @@ func TestTemplateHitTracePhases(t *testing.T) {
 			t.Error("template-hit trace ran a search")
 		}
 		optimize[run] = spans[names["synth.optimize"]].Attrs
+		if _, ok := optimize[run]["pruned"]; !ok {
+			t.Errorf("synth.optimize lacks pruned (have %v)", optimize[run])
+		}
 	}
 	if optimize[0]["evals"] != optimize[0]["points"] {
 		t.Errorf("synth.optimize evaluated %v times for %v distinct points", optimize[0]["evals"], optimize[0]["points"])

@@ -75,6 +75,8 @@ type Program struct {
 	point []instr
 	args  []int32
 	roots []root
+	// blo and bhi are the interval register files of BoxRoot (box.go).
+	blo, bhi []float64
 }
 
 // Operand references carry a tag while the program is being built, because
