@@ -15,7 +15,10 @@ import (
 // For runs fn(0..n-1) on up to `workers` goroutines (<=0 means GOMAXPROCS).
 // Calls for distinct indices may run concurrently; For returns when all
 // have finished. With one worker everything runs on the calling goroutine
-// in index order.
+// in index order. A call that panics ends its worker; once the others have
+// finished, For panics on the caller with the first value recovered, so a
+// panic reaches whatever handler the caller has instead of exiting the
+// process.
 func For(workers, n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -31,10 +34,17 @@ func For(workers, n int, fn func(i int)) {
 	}
 	var idx int64 = -1
 	var wg sync.WaitGroup
+	var panicked sync.Once
+	var pv any
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panicked.Do(func() { pv = v })
+				}
+			}()
 			for {
 				i := int(atomic.AddInt64(&idx, 1))
 				if i >= n {
@@ -45,4 +55,7 @@ func For(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if pv != nil {
+		panic(pv)
+	}
 }

@@ -49,3 +49,26 @@ func TestForOneWorkerIsSequential(t *testing.T) {
 		t.Fatalf("ran %d indices, want 10", len(order))
 	}
 }
+
+// TestForPanicReachesCaller: a panic at one index of a parallel For is
+// recovered in its worker and raised again on the calling goroutine, after
+// every other index has run.
+func TestForPanicReachesCaller(t *testing.T) {
+	const n = 64
+	var ran atomic.Int32
+	defer func() {
+		if v := recover(); v != "boom at 17" {
+			t.Fatalf("recovered %v, want the worker's panic", v)
+		}
+		if got := ran.Load(); got != n-1 {
+			t.Errorf("%d indices ran besides the panicking one, want %d", got, n-1)
+		}
+	}()
+	For(4, n, func(i int) {
+		if i == 17 {
+			panic("boom at 17")
+		}
+		ran.Add(1)
+	})
+	t.Fatal("For returned normally")
+}

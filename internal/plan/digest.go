@@ -143,15 +143,45 @@ func (s *sum256) add(o sum256) {
 func (s *sum256) addRows(chunk []byte) {
 	for len(chunk) > 0 {
 		n := 4 + 4*int(binary.LittleEndian.Uint32(chunk))
-		h := sha256.Sum256(chunk[:n])
-		s.add(sum256{
-			binary.BigEndian.Uint64(h[24:]),
-			binary.BigEndian.Uint64(h[16:]),
-			binary.BigEndian.Uint64(h[8:]),
-			binary.BigEndian.Uint64(h[0:]),
-		})
+		s.addRow(chunk[:n])
 		chunk = chunk[n:]
 	}
+}
+
+// sha256IV is SHA-256's initial state.
+var sha256IV = [8]uint32{
+	0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+	0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+}
+
+// addRow adds the SHA-256 of row, read as a big-endian 256-bit number. A
+// row that fits one block with its padding (at most 55 bytes: arity 12) is
+// one compression from the IV, padded here on the stack, when the CPU has
+// the SHA extensions; anything else goes through crypto/sha256, whose
+// per-call framing costs as much again as the compression on a short row.
+func (s *sum256) addRow(row []byte) {
+	if n := len(row); useSHANI && n <= 55 {
+		var blk [64]byte
+		copy(blk[:], row)
+		blk[n] = 0x80
+		binary.BigEndian.PutUint64(blk[56:], uint64(n)*8)
+		h := sha256IV
+		blockSHANI(&h, blk[:])
+		s.add(sum256{
+			uint64(h[6])<<32 | uint64(h[7]),
+			uint64(h[4])<<32 | uint64(h[5]),
+			uint64(h[2])<<32 | uint64(h[3]),
+			uint64(h[0])<<32 | uint64(h[1]),
+		})
+		return
+	}
+	h := sha256.Sum256(row)
+	s.add(sum256{
+		binary.BigEndian.Uint64(h[24:]),
+		binary.BigEndian.Uint64(h[16:]),
+		binary.BigEndian.Uint64(h[8:]),
+		binary.BigEndian.Uint64(h[0:]),
+	})
 }
 
 func digestString(s string) string {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -38,26 +39,28 @@ func digestRows(rows [][]int32) string {
 	return hex.EncodeToString(acc[:])
 }
 
-// randomBag draws batches of mixed arity (1-5) and random length whose rows
-// pack into exactly words uint32s (a row of arity a packs into 1+a), so a
-// bag can be sized against the chunk boundary.
+// bagArities are the arities randomBag draws: the narrow rows most plans
+// emit, and 12, 13 and 14, which pack into 52, 56 and 60 bytes — the last
+// row that SHA-256 pads into one block and the first two that need two.
+var bagArities = []int{1, 2, 3, 4, 5, 12, 13, 14}
+
+// randomBag draws batches of mixed arity (bagArities) and random length
+// whose rows pack into exactly words uint32s (a row of arity a packs into
+// 1+a), so a bag can be sized against the chunk boundary.
 func randomBag(r *rand.Rand, words int) (batches []*exec.Batch, rows [][]int32) {
 	for rem := words; rem >= 2; {
-		a := 1 + r.Intn(5)
+		a := bagArities[r.Intn(len(bagArities))]
 		k := 1 + r.Intn(300)
 		if k*(1+a) > rem {
 			k = rem / (1 + a)
 		}
 		switch {
-		case k == 0: // rem is 2..5: one row takes it all
+		case k == 0: // rem is 2..1+a: one row takes it all
 			a, k = rem-1, 1
 		case rem-k*(1+a) == 1 && k > 1: // a single word cannot hold a row
 			k--
-		case rem-k*(1+a) == 1: // rem is 1+a+1, 4..7
+		case rem-k*(1+a) == 1: // rem is 1+a+1: one wider row takes it all
 			a = rem - 1
-			if a > 5 {
-				a = 2
-			}
 		}
 		b := &exec.Batch{Arity: a, Cols: make([][]int32, a)}
 		for c := range b.Cols {
@@ -113,6 +116,56 @@ func FuzzBagDigest(f *testing.F) {
 			t.Errorf("%d rows in %d batches, %d bytes: digest %s, definition %s", len(rows), len(batches), packed, got, want)
 		}
 	})
+}
+
+// TestAddRowMatchesSHA256: a row hashed by the one-block kernel is the
+// SHA-256 crypto/sha256 computes, at every length either side of the
+// 55 bytes that one block holds with its padding.
+func TestAddRowMatchesSHA256(t *testing.T) {
+	if !useSHANI {
+		t.Skip("no SHA-NI kernel in this build or on this CPU: addRow is crypto/sha256 throughout")
+	}
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n <= 128; n++ {
+		row := make([]byte, n)
+		r.Read(row)
+		h := sha256.Sum256(row)
+		want := sum256{
+			binary.BigEndian.Uint64(h[24:]),
+			binary.BigEndian.Uint64(h[16:]),
+			binary.BigEndian.Uint64(h[8:]),
+			binary.BigEndian.Uint64(h[0:]),
+		}
+		var got sum256
+		if got.addRow(row); got != want {
+			t.Errorf("%d bytes: addRow %x, crypto/sha256 %x", n, got, want)
+		}
+	}
+}
+
+// BenchmarkBagDigestFold is the fold's cost per row over one full chunk of
+// rows of one arity: 1 and 2 take the one-block kernel where there is one,
+// 13 (56 bytes) always takes crypto/sha256.
+func BenchmarkBagDigestFold(b *testing.B) {
+	for _, arity := range []int{1, 2, 13} {
+		b.Run(fmt.Sprintf("arity=%d", arity), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			var chunk []byte
+			rows := 0
+			for len(chunk)+4+4*arity <= digestChunkBytes {
+				chunk = binary.LittleEndian.AppendUint32(chunk, uint32(arity))
+				for c := 0; c < arity; c++ {
+					chunk = binary.LittleEndian.AppendUint32(chunk, r.Uint32())
+				}
+				rows++
+			}
+			var s sum256
+			for b.Loop() {
+				s.addRows(chunk)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
 }
 
 // waitGoroutines polls until the goroutine count is back at base: a stopped

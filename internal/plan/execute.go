@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"ocas/internal/catalog"
 	"ocas/internal/core"
@@ -205,10 +206,21 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 	if err := p.Run(); err != nil {
 		return nil, fmt.Errorf("plan: execute: %w", err)
 	}
+	// The run ends with its digest: digestNs is the wait for the digest
+	// strand plus the fold of what it had not reached.
+	var result, outDigest string
+	digestStart := time.Now()
+	if p.Scalar {
+		result = p.Result.String()
+		outDigest = digestString(result)
+	} else {
+		outDigest = digest.hex()
+	}
 	if spRun != nil {
 		spRun.AddVirt(sim.Clock.Seconds())
 		spRun.Attr("rows", sink.RowsWritten)
 		spRun.Attr("workers", p.Workers())
+		spRun.Attr("digestNs", time.Since(digestStart).Nanoseconds())
 		spRun.End()
 	}
 
@@ -217,6 +229,8 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 		Params:         params,
 		InputRows:      inputRows,
 		OutRows:        sink.RowsWritten,
+		Result:         result,
+		OutDigest:      outDigest,
 		VirtualSeconds: sim.Clock.Seconds(),
 		Devices:        map[string]DeviceReport{},
 		Pool:           p.Pool().Stats(),
@@ -227,12 +241,6 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 	}
 	if rep.Params == nil {
 		rep.Params = map[string]int64{}
-	}
-	if p.Scalar {
-		rep.Result = p.Result.String()
-		rep.OutDigest = digestString(rep.Result)
-	} else {
-		rep.OutDigest = digest.hex()
 	}
 	for name, d := range sim.Devices {
 		rep.Devices[name] = DeviceReport{

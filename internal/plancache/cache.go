@@ -14,8 +14,16 @@ package plancache
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 )
+
+// ErrInternal wraps a panic inside a computation: every caller waiting on
+// it gets the error, nothing is cached, and the process stays up.
+var ErrInternal = errors.New("plancache: internal error")
 
 // Outcome says how a GetOrCompute call was served.
 type Outcome string
@@ -132,7 +140,7 @@ func (c *tier[V]) GetOrCompute(ctx context.Context, key string, compute func(ctx
 	c.mu.Unlock()
 
 	go func() {
-		v, err := compute(cctx)
+		v, err := recovered(cctx, compute)
 		cancel()
 		c.mu.Lock()
 		cl.v, cl.err = v, err
@@ -149,6 +157,19 @@ func (c *tier[V]) GetOrCompute(ctx context.Context, key string, compute func(ctx
 	}()
 	v, err := c.wait(ctx, cl)
 	return v, Miss, err
+}
+
+// recovered runs compute, turning a panic — nothing else would catch one on
+// the leader's goroutine — into an error wrapping ErrInternal, and logging
+// its stack.
+func recovered[V any](ctx context.Context, compute func(ctx context.Context) (V, error)) (v V, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("plancache: computation panicked: %v\n%s", p, debug.Stack())
+			err = fmt.Errorf("%w: %v", ErrInternal, p)
+		}
+	}()
+	return compute(ctx)
 }
 
 // wait blocks until the call completes or ctx is cancelled. The waiter

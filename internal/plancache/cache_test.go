@@ -77,6 +77,60 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 }
 
+// TestPanicIsInternalError: a compute that panics fails its leader and the
+// caller that joined it with ErrInternal instead of exiting the process,
+// caches nothing, and the next call computes afresh.
+func TestPanicIsInternalError(t *testing.T) {
+	c := newPlanTier(4)
+	release := make(chan struct{})
+	var calls atomic.Int64
+	compute := func(context.Context) (*plan.Plan, error) {
+		if calls.Add(1) == 1 {
+			<-release
+			panic("boom")
+		}
+		return mkPlan("a"), nil
+	}
+	errs := make([]error, 2)
+	outcomes := make([]Outcome, 2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, outcomes[0], errs[0] = c.GetOrCompute(context.Background(), "a", compute)
+	}()
+	for c.Stats().Misses == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, outcomes[1], errs[1] = c.GetOrCompute(context.Background(), "a", compute)
+	}()
+	for c.Stats().Shared == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i, want := range []Outcome{Miss, Shared} {
+		if outcomes[i] != want || !errors.Is(errs[i], ErrInternal) {
+			t.Errorf("caller %d: %s, %v; want %s and ErrInternal", i, outcomes[i], errs[i], want)
+		}
+	}
+	if s := c.Stats(); s.Size != 0 {
+		t.Fatalf("a panicked compute cached something: %+v", s)
+	}
+	for _, want := range []Outcome{Miss, Hit} {
+		p, out, err := c.GetOrCompute(context.Background(), "a", compute)
+		if err != nil || p == nil || out != want {
+			t.Fatalf("after the panic: %v, %s, %v; want a plan and %s", p, out, err, want)
+		}
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("compute ran %d times, want 2", got)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := newPlanTier(3)
 	for _, k := range []string{"a", "b", "c"} {

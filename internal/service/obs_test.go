@@ -184,6 +184,26 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExecuteTraceRun: an /execute trace's exec.run span carries the rows it
+// wrote and the time its digest tail took, which it spans.
+func TestExecuteTraceRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := postExecute(t, ts, execBody(""))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute: %d %s", resp.StatusCode, data)
+	}
+	spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
+	i, ok := names["exec.run"]
+	if !ok {
+		t.Fatalf("execute trace lacks exec.run (have %v)", names)
+	}
+	run := spans[i]
+	digestNs, _ := run.Attrs["digestNs"].(float64)
+	if _, ok := run.Attrs["rows"]; !ok || digestNs <= 0 || digestNs > float64(run.DurNanos) {
+		t.Errorf("exec.run lasted %d ns with attrs %v: want rows and 0 < digestNs <= its duration", run.DurNanos, run.Attrs)
+	}
+}
+
 // TestTemplateHitTracePhases: the same shape at other cardinalities replays
 // screening and optimization without a search, and both phases show under
 // the instantiation with the counters the cold spans carry. The optimizer's

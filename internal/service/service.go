@@ -497,8 +497,8 @@ func (s *Server) checkExec(w http.ResponseWriter, compiled *plan.Compiled, ex *p
 }
 
 // failCompute answers a failed synthesis or execution (what names which): a
-// missed deadline is a 504, a cancelled request a 503, and any other
-// failure a 422.
+// missed deadline is a 504, a cancelled request a 503, a panic the plan
+// cache caught a 500, and any other failure a 422.
 func (s *Server) failCompute(w http.ResponseWriter, err error, timeout time.Duration, what string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -507,6 +507,8 @@ func (s *Server) failCompute(w http.ResponseWriter, err error, timeout time.Dura
 	case errors.Is(err, context.Canceled):
 		atomic.AddInt64(&s.metrics.Cancelled, 1)
 		s.fail(w, http.StatusServiceUnavailable, "request cancelled before its result was ready")
+	case errors.Is(err, plancache.ErrInternal):
+		s.fail(w, http.StatusInternalServerError, "%s failed: %v", what, err)
 	default:
 		s.fail(w, http.StatusUnprocessableEntity, "%s failed: %v", what, err)
 	}

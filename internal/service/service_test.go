@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,8 +13,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ocas/internal/plan"
+	"ocas/internal/plancache"
 )
 
 const joinSrc = `for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []`
@@ -411,6 +415,28 @@ func TestSequentialRequestsFreshMemoState(t *testing.T) {
 		}
 		if !bytes.Equal(served, isolatedPlan(t, []byte(body))) {
 			t.Errorf("%s: daemon plan differs from an isolated run of the same request", name)
+		}
+	}
+}
+
+// TestFailComputeStatus: a failed synthesis or execution answers by cause —
+// the request's deadline, its cancellation, a panic the plan cache caught,
+// anything else.
+func TestFailComputeStatus(t *testing.T) {
+	s := New(Config{})
+	for _, tc := range []struct {
+		err  error
+		code int
+	}{
+		{fmt.Errorf("search: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{context.Canceled, http.StatusServiceUnavailable},
+		{fmt.Errorf("%w: boom", plancache.ErrInternal), http.StatusInternalServerError},
+		{errors.New("plan: execute: exec: bad body"), http.StatusUnprocessableEntity},
+	} {
+		w := httptest.NewRecorder()
+		s.failCompute(w, tc.err, time.Second, "synthesis")
+		if w.Code != tc.code {
+			t.Errorf("%v: status %d, want %d", tc.err, w.Code, tc.code)
 		}
 	}
 }
