@@ -98,12 +98,29 @@ func newTier[V any](capacity int) *tier[V] {
 func (c *tier[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*entry[V]).v, true
+	return c.lookup(key, false)
+}
+
+// hit is Get counted as a hit.
+func (c *tier[V]) hit(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lookup(key, true)
+}
+
+// lookup finds key under c.mu, marking it recently used and, with count,
+// counting a hit.
+func (c *tier[V]) lookup(key string, count bool) (V, bool) {
+	el, ok := c.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	var zero V
-	return zero, false
+	c.lru.MoveToFront(el)
+	if count {
+		c.stats.Hits++
+	}
+	return el.Value.(*entry[V]).v, true
 }
 
 // GetOrCompute returns the value for key, computing it on a miss. The
@@ -117,10 +134,7 @@ func (c *tier[V]) Get(key string) (V, bool) {
 // cached — the next request retries.
 func (c *tier[V]) GetOrCompute(ctx context.Context, key string, compute func(ctx context.Context) (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		v := el.Value.(*entry[V]).v
+	if v, ok := c.lookup(key, true); ok {
 		c.mu.Unlock()
 		return v, Hit, nil
 	}

@@ -69,6 +69,11 @@ func NewStore(planCapacity, templateCapacity int) *Store {
 // lookups (GET /plans/{fingerprint}).
 func (s *Store) Get(fullKey string) (*plan.Plan, bool) { return s.plans.Get(fullKey) }
 
+// Hit is Get counted as a plan-tier hit: the lookup Resolve would make for
+// a request whose fingerprint the caller already knows. A missing key
+// counts nothing.
+func (s *Store) Hit(fullKey string) (*plan.Plan, bool) { return s.plans.hit(fullKey) }
+
 // Resolve serves one request through both tiers. Outcomes:
 //
 //   - Hit: the plan tier had the exact plan;

@@ -471,3 +471,26 @@ func TestPersistencePreservesLRUOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreHit: Hit is a plan-tier hit without a compute. It counts one
+// hit and makes the plan the most recently used; a key the tier lacks
+// counts nothing.
+func TestStoreHit(t *testing.T) {
+	s := NewStore(2, 1)
+	a := &plan.Plan{Fingerprint: "a"}
+	s.plans.Put("a", a)
+	s.plans.Put("b", &plan.Plan{Fingerprint: "b"})
+	if p, ok := s.Hit("a"); !ok || p != a {
+		t.Fatalf("Hit(a) = %p, %v; want %p", p, ok, a)
+	}
+	if _, ok := s.Hit("c"); ok {
+		t.Fatal("Hit found a key the tier lacks")
+	}
+	s.plans.Put("c", &plan.Plan{Fingerprint: "c"})
+	if _, ok := s.Get("b"); ok {
+		t.Fatal("b outlived the plan Hit made most recently used")
+	}
+	if st := s.Stats().Plans; st.Hits != 1 || st.Misses != 0 || st.Evictions != 1 {
+		t.Fatalf("stats %+v, want 1 hit, 0 misses, 1 eviction", st)
+	}
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,6 +36,35 @@ func BenchmarkServiceColdVsWarm(b *testing.B) {
 			benchPost(b, ts, slowBody())
 		}
 	})
+}
+
+// BenchmarkSynthesizeHit is the serve-many side alone: one keep-alive
+// client posting one cached body, so parse, fingerprint, plan-tier lookup,
+// encoding and the HTTP round trip are all there is. Run with:
+//
+//	go test -run '^$' -bench SynthesizeHit -benchmem ./internal/service
+func BenchmarkSynthesizeHit(b *testing.B) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	body := fastBody()
+	post := func() {
+		resp, err := client.Post(ts.URL+"/synthesize", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	post() // the miss that caches the plan
+	b.ReportAllocs()
+	for b.Loop() {
+		post()
+	}
 }
 
 func benchPost(b *testing.B, ts *httptest.Server, body string) {

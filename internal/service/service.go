@@ -26,7 +26,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,7 +48,8 @@ import (
 
 // Config tunes a Server. Zero values mean defaults.
 type Config struct {
-	// CacheSize bounds the plan cache (default 1024 plans).
+	// CacheSize bounds the plan cache (default 1024 plans), and the hit
+	// memo's recorded /synthesize bodies at the same count.
 	CacheSize int
 	// TemplateCacheSize bounds the template tier: reusable synthesis
 	// captures keyed by request shape, so that requests differing only in
@@ -152,6 +155,8 @@ type Server struct {
 	ring     *obs.Ring
 	mLatency *obs.Vec
 	mHTTP    *obs.Vec
+	// memo answers repeated /synthesize hits from their bytes (hitmemo.go).
+	memo     *hitMemo
 	leaderMu sync.Mutex
 	leaderID map[string]string // fingerprint -> request ID computing it
 }
@@ -194,6 +199,7 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		slots:   newSlotSem(int64(cfg.MaxWorkerSlots)),
 		started: time.Now(),
+		memo:    newHitMemo(cfg.CacheSize),
 	}
 	s.initObs()
 	return s
@@ -291,16 +297,45 @@ type resolved struct {
 	timeout time.Duration
 }
 
-// resolveRequest is the prologue /synthesize and /execute share: decode at
-// most limit bytes into req (no unknown fields), compile it, run the
+// readBody reads a request body of at most limit bytes into one buffer
+// sized by its Content-Length.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var body bytes.Buffer
+	if r.ContentLength > 0 && r.ContentLength <= limit {
+		body.Grow(int(r.ContentLength) + bytes.MinRead) // one allocation, no regrowth
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return body.Bytes(), err
+}
+
+// readRequest reads a /synthesize or /execute body of at most limit bytes;
+// it answers a failure itself, with ok false.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	body, err := readBody(w, r, limit)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
+// errTrailing rejects a body that goes on after its request object.
+var errTrailing = errors.New("trailing data after the request object")
+
+// resolveRequest is the prologue /synthesize and /execute share: decode the
+// body into req (one object, no unknown fields), compile it, run the
 // handler's own checks (check answers what it rejects and reports whether
 // to go on; nil for none), then resolve the plan through the cache under
 // the request's timeout. Every failure is answered here, with ok false.
-func (s *Server) resolveRequest(w http.ResponseWriter, r *http.Request, limit int64,
+func (s *Server) resolveRequest(w http.ResponseWriter, r *http.Request, body []byte,
 	req interface{ base() *synthesizeRequest }, check func(*plan.Compiled) bool) (res resolved, ok bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	err := dec.Decode(req)
+	if err == nil && dec.Decode(&json.RawMessage{}) != io.EOF {
+		err = errTrailing
+	}
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return res, false
 	}
@@ -344,13 +379,27 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		atomic.AddInt64(&s.metrics.ServeNanos, int64(time.Since(startedAt)))
 	}()
 
+	body, ok := s.readRequest(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	key := sha256.Sum256(body)
+	if s.serveMemo(w, r, key, startedAt) {
+		return
+	}
 	var req synthesizeRequest
-	res, ok := s.resolveRequest(w, r, s.cfg.MaxBodyBytes, &req, nil)
+	res, ok := s.resolveRequest(w, r, body, &req, nil)
 	if !ok {
 		return
 	}
 	defer res.cancel()
-	s.writePlan(w, res.plan, string(res.outcome), time.Since(startedAt))
+	encoded := plan.Encode(res.plan)
+	// A body is memoized the second time it is seen: its first answer was
+	// the miss that cached the plan.
+	if res.outcome == plancache.Hit {
+		s.memo.put(key, memoEntry{fp: res.compiled.Fingerprint, plan: res.plan, bytes: encoded})
+	}
+	s.writePlan(w, encoded, string(res.outcome), time.Since(startedAt))
 }
 
 // markShared exposes the singleflight leader of a shared result, so log
@@ -385,10 +434,14 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		atomic.AddInt64(&s.metrics.ServeNanos, int64(time.Since(startedAt)))
 	}()
 
-	var req executeRequest
 	// Explicit input rows make /execute bodies legitimately larger than
 	// /synthesize bodies.
-	res, ok := s.resolveRequest(w, r, 16*s.cfg.MaxBodyBytes, &req, func(compiled *plan.Compiled) bool {
+	body, ok := s.readRequest(w, r, 16*s.cfg.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	var req executeRequest
+	res, ok := s.resolveRequest(w, r, body, &req, func(compiled *plan.Compiled) bool {
 		return s.checkExec(w, compiled, &req.Exec)
 	})
 	if !ok {
@@ -521,19 +574,19 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "no plan with fingerprint %q", fp)
 		return
 	}
-	s.writePlan(w, p, string(plancache.Hit), 0)
+	s.writePlan(w, plan.Encode(p), string(plancache.Hit), 0)
 }
 
 // writePlan sends the canonical plan bytes — exactly what cmd/ocas -json
 // prints — with cache metadata confined to headers so the body stays
 // byte-identical.
-func (s *Server) writePlan(w http.ResponseWriter, p *plan.Plan, outcome string, elapsed time.Duration) {
+func (s *Server) writePlan(w http.ResponseWriter, encoded []byte, outcome string, elapsed time.Duration) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Ocas-Cache", outcome)
 	if elapsed > 0 {
 		w.Header().Set("X-Ocas-Elapsed", elapsed.String())
 	}
-	w.Write(plan.Encode(p))
+	w.Write(encoded)
 }
 
 // CatalogStats extends the catalog's own counters with the HTTP-surface

@@ -206,6 +206,10 @@ func TestValidationErrors(t *testing.T) {
 		"bad node":      `{"program": "for (x <- R) [x]", "inputs": {"R": {"node": "tape", "rows": 8}}}`,
 		"bad strategy":  `{"program": "for (x <- R) [x]", "strategy": "dfs", "inputs": {"R": {"node": "hdd", "rows": 8}}}`,
 		"free variable": `{"program": "for (x <- Q) [x]", "inputs": {"R": {"node": "hdd", "rows": 8}}}`,
+
+		// A body is one request object: what follows it is not ignored.
+		"trailing garbage": fastBody() + "garbage",
+		"trailing object":  fastBody() + `{"program":"nonsense"}`,
 	}
 	for name, body := range cases {
 		resp, data := post(t, ts, body)
@@ -217,6 +221,33 @@ func TestValidationErrors(t *testing.T) {
 		if err := json.Unmarshal(data, &ae); err != nil || ae.Error == "" {
 			t.Errorf("%s: error body %q not an apiError", name, data)
 		}
+	}
+}
+
+// TestTrailingDataRejected: /synthesize and /execute read one request
+// object; anything after it but whitespace is a 400 naming it.
+func TestTrailingDataRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const want = `{"error":"bad request body: trailing data after the request object"}` + "\n"
+	for _, tc := range []struct {
+		path, body string
+	}{
+		{"/synthesize", fastBody() + "garbage"},
+		{"/synthesize", fastBody() + "]"},
+		{"/execute", execBody("") + `{"program":"nonsense"}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || string(data) != want {
+			t.Errorf("%s with trailing data: %d %s, want 400 %s", tc.path, resp.StatusCode, data, want)
+		}
+	}
+	if resp, data := post(t, ts, fastBody()+"\n\t \r\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: %d %s, want 200", resp.StatusCode, data)
 	}
 }
 

@@ -6,7 +6,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -151,15 +150,10 @@ func (s *Server) handleTableIngest(w http.ResponseWriter, r *http.Request) {
 	sp.Attr("format", format)
 	// Ingest bodies carry bulk data; give them the same 16x allowance as
 	// /execute's explicit inputs.
-	limit := 16 * s.cfg.MaxBodyBytes
-	var body bytes.Buffer
-	if r.ContentLength > 0 && r.ContentLength <= limit {
-		body.Grow(int(r.ContentLength) + bytes.MinRead) // one allocation, no regrowth
-	}
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	body, err := readBody(w, r, 16*s.cfg.MaxBodyBytes)
 	var cols [][]int32
 	if err == nil {
-		cols, err = decodeRows(body.Bytes(), info.Schema.Arity(), format == "csv")
+		cols, err = decodeRows(body, info.Schema.Arity(), format == "csv")
 	}
 	if err != nil {
 		sp.End()
