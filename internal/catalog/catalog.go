@@ -10,12 +10,12 @@
 // durable scans.
 //
 // Ingest is batch-oriented and columnar: AppendCols key-sorts each batch of
-// column vectors on the declared sort key (stable, so pre-sorted loads keep
-// their order), buffers the columns in memory, and flushes whole segments
-// once the buffer reaches the flush threshold; Close flushes the remainder.
-// Rows buffered but not yet flushed are volatile across a crash — a graceful
-// shutdown (Catalog.Close, which ocasd performs on SIGTERM) makes everything
-// durable.
+// column vectors in place on the declared sort key (stable, so pre-sorted
+// loads keep their order), buffers the columns in memory, and flushes whole
+// segments once the buffer reaches the flush threshold; Close flushes the
+// remainder. Rows buffered but not yet flushed are volatile across a crash —
+// a graceful shutdown (Catalog.Close, which ocasd performs on SIGTERM) makes
+// everything durable.
 package catalog
 
 import (
@@ -177,6 +177,8 @@ type Catalog struct {
 	ingested int64
 	flushes  int64
 	closed   bool
+	// scratch is the sort's, kept for batches of at most FlushRows rows.
+	scratch sorter
 }
 
 // Open loads (or initializes) the catalog rooted at dir, creating the
@@ -350,6 +352,16 @@ func colRows(cols [][]int32) int64 {
 	return int64(len(cols[0]))
 }
 
+// sorterLocked returns the sorter for n rows: the catalog's own up to
+// FlushRows rows, a throwaway one above, so a huge batch leaves no scratch
+// behind.
+func (c *Catalog) sorterLocked(n int) *sorter {
+	if int64(n) <= c.opts.FlushRows {
+		return &c.scratch
+	}
+	return new(sorter)
+}
+
 // Appended reports one ingested batch.
 type Appended struct {
 	Rows    int64 // the table's new total, durable + buffered
@@ -359,11 +371,11 @@ type Appended struct {
 
 // AppendCols ingests a batch of rows given as one vector per column, all of
 // one length, and takes ownership of the vectors. The batch is stable-sorted
-// on the declared key, appended to the table's in-memory buffer, and every
-// full flush threshold is cut into a durable segment before AppendCols
-// returns. A batch is ingested whole or not at all: when a segment or the
-// manifest cannot be written, the table, its buffer and the counters are as
-// before the call.
+// in place on the declared key, appended to the table's in-memory buffer,
+// and every full flush threshold is cut into a durable segment before
+// AppendCols returns. A batch is ingested whole or not at all: when a segment
+// or the manifest cannot be written, the table, its buffer and the counters
+// are as before the call.
 func (c *Catalog) AppendCols(name string, cols [][]int32) (res Appended, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -382,10 +394,10 @@ func (c *Catalog) AppendCols(name string, cols [][]int32) (res Appended, err err
 	}
 	res.Sorted = true
 	if n > 0 {
-		cols, res.Sorted = sortCols(cols, t.Schema.Key)
+		_, res.Sorted = c.sorterLocked(n).sortCols(cols, t.Schema.Key, true)
 		st := c.stageLocked(t)
 		if st.buf == nil {
-			st.buf = cols
+			st.buf, st.sorted = cols, true
 		} else {
 			// Appending past a vector's length never touches what a
 			// snapshot sharing it can see, and a failed ingest leaves the
@@ -463,6 +475,8 @@ type staged struct {
 	meta    TableMeta
 	buf     [][]int32
 	flushes int64
+	// sorted: buf is one batch AppendCols sorted, or what a cut left of it.
+	sorted bool
 }
 
 func (c *Catalog) stageLocked(t *TableMeta) *staged {
@@ -471,16 +485,19 @@ func (c *Catalog) stageLocked(t *TableMeta) *staged {
 
 // cut writes the first rows buffered rows as the table's next segment file.
 // The rows are stable-sorted on the key first (concatenated sorted batches
-// flatten into one sorted run; a single batch is in order already), so every
-// segment is a sorted run with honest MinKey/MaxKey bounds. The buffered
-// vectors are only read — the sort and the remainder land in fresh ones.
+// flatten into one sorted run; a buffer that is one sorted batch is taken as
+// it is), so every segment is a sorted run with honest MinKey/MaxKey bounds.
+// The buffered vectors are only read — the sort and the remainder land in
+// fresh ones.
 func (st *staged) cut(c *Catalog, rows int64) error {
 	key := st.meta.Schema.Key
 	head := make([][]int32, len(st.buf))
 	for i, col := range st.buf {
 		head[i] = col[:rows]
 	}
-	head, _ = sortCols(head, key)
+	if !st.sorted {
+		head, _ = c.sorterLocked(int(rows)).sortCols(head, key, false)
+	}
 	file := fmt.Sprintf("%s-%06d.seg", st.meta.Name, st.meta.Seq)
 	if err := storage.WriteSegmentCols(filepath.Join(c.dir, file), head, c.opts.ChunkRows); err != nil {
 		return err

@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"ocas/internal/catalog"
 )
 
 // BenchmarkServiceColdVsWarm measures the synthesize-once/serve-many win:
@@ -64,6 +69,72 @@ func BenchmarkSynthesizeHit(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		post()
+	}
+}
+
+// BenchmarkIngestBatch is one POST /tables/{t}/rows batch below HTTP: the
+// body decoded into columns, then appended to a catalog that cuts it into
+// one segment. The shapes are the benchmark's ingest workload: 64k rows,
+// CSV at arity 2 and JSON at arity 1, keys uniform over twice the rows. It
+// reports ns/row for each half. Run with:
+//
+//	go test -run '^$' -bench IngestBatch -benchtime 50x ./internal/service
+func BenchmarkIngestBatch(b *testing.B) {
+	const rows = catalog.DefaultFlushRows
+	for _, shape := range []struct {
+		name  string
+		arity int
+		csv   bool
+	}{{"csv", 2, true}, {"json", 1, false}} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var body bytes.Buffer
+			if !shape.csv {
+				body.WriteString(`{"rows":[`)
+			}
+			for r := range rows {
+				k := strconv.Itoa(rng.Intn(2 * rows))
+				switch {
+				case shape.csv:
+					body.WriteString(k + "," + strconv.Itoa(r) + "\n")
+				case r > 0:
+					body.WriteString(",[" + k + "]")
+				default:
+					body.WriteString("[" + k + "]")
+				}
+			}
+			if !shape.csv {
+				body.WriteString("]}")
+			}
+			cat, err := catalog.Open(b.TempDir(), catalog.Options{FlushRows: rows})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cat.Close()
+			schema := catalog.Schema{Columns: []catalog.Column{{Name: "k"}, {Name: "v"}}[:shape.arity], Key: []int{0}}
+			var decode, appendCols time.Duration
+			for b.Loop() {
+				if err := cat.Create("t", schema); err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				cols, err := decodeRows(body.Bytes(), shape.arity, shape.csv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mid := time.Now()
+				if _, err := cat.AppendCols("t", cols); err != nil {
+					b.Fatal(err)
+				}
+				decode, appendCols = decode+mid.Sub(start), appendCols+time.Since(mid)
+				if err := cat.Drop("t"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRow := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*rows) }
+			b.ReportMetric(perRow(decode), "decode-ns/row")
+			b.ReportMetric(perRow(appendCols), "append-ns/row")
+		})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -22,6 +24,9 @@ var ingestSeeds = []string{
 	`{"rows":[[-2147483648,2147483647]]}`, `{"rows":[[1,2],]}`, `{"rows":[[1,2][3,4]]}`, `{"rows":[[1,2,3]]}`,
 	`{"rows":[[]]}`, `{"rows":[[null,1]]}`, `{"rows":[["1",2]]}`, `{"rows":[[1,2]]`, `{"rows":[[1 2]]}`,
 	`{"rows":[[-]]}`, `{"rows":[[99999999999999999999]]}`, `[[1,2]]`, `{"rows":[[1,2]]}` + "\x00",
+	// 7 and 8 digits, and a value ending 8 bytes before the body does
+	"1234567,-7654321\n12345678,-87654321\n", "0000007,00000008\n", "12,34\n567,89\n",
+	`{"rows":[[1234567,-7654321],[12345678,-87654321]]}`, `{"rows":[[0000007]]}`, `{"rows":[[7]]}     `,
 }
 
 // FuzzIngestDecode holds the byte scanners to the stdlib decoders: whatever a
@@ -116,5 +121,38 @@ func TestIngestScannersTakeThePlainGrammar(t *testing.T) {
 	bigCSV, bigJSON := allocs(64 << 10)
 	if bigCSV != smallCSV || bigJSON != smallJSON {
 		t.Errorf("allocations grow with the rows: csv %v -> %v, json %v -> %v", smallCSV, bigCSV, smallJSON, bigJSON)
+	}
+}
+
+// TestScanIntWordPath holds scanInt to strconv.ParseInt around its one-word
+// read: 1 to 10 digits, with and without a sign, with and without a leading
+// zero, at the int32 limits, and with 0 to 9 bytes of the body left after
+// the number. A leading zero is an error only in JSON, as encoding/json has
+// it.
+func TestScanIntWordPath(t *testing.T) {
+	var nums []string
+	for n := 1; n <= 10; n++ {
+		nums = append(nums, strings.Repeat("9", n), "1234567890"[:n], "0"+"7654321098"[:n-1])
+	}
+	nums = append(nums, "2147483647", "2147483648", "02147483647")
+	for _, digits := range nums {
+		for _, sign := range []string{"", "-"} {
+			num := sign + digits
+			want, err := strconv.ParseInt(num, 10, 32)
+			for slack := 0; slack <= 9; slack++ {
+				body := []byte("[" + num + ",\n]}    ,"[:slack])
+				for _, strict := range []bool{false, true} {
+					label := fmt.Sprintf("%q strict %v", body, strict)
+					wantOK := err == nil && !(strict && len(digits) > 1 && digits[0] == '0')
+					v, next, ok := scanInt(body, 1, strict)
+					if ok != wantOK {
+						t.Fatalf("%s: ok %v, want %v (ParseInt: %v)", label, ok, wantOK, err)
+					}
+					if ok && (int64(v) != want || next != 1+len(num)) {
+						t.Fatalf("%s: read %d ending at %d, want %d ending at %d", label, v, next, want, 1+len(num))
+					}
+				}
+			}
+		}
 	}
 }

@@ -322,6 +322,20 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, limit int64
 // errTrailing rejects a body that goes on after its request object.
 var errTrailing = errors.New("trailing data after the request object")
 
+// decodeRequest decodes a request body that is one JSON object with no
+// unknown fields and nothing after it but whitespace.
+func decodeRequest(body io.Reader, req any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if dec.Decode(&json.RawMessage{}) != io.EOF {
+		return errTrailing
+	}
+	return nil
+}
+
 // resolveRequest is the prologue /synthesize and /execute share: decode the
 // body into req (one object, no unknown fields), compile it, run the
 // handler's own checks (check answers what it rejects and reports whether
@@ -329,13 +343,7 @@ var errTrailing = errors.New("trailing data after the request object")
 // the request's timeout. Every failure is answered here, with ok false.
 func (s *Server) resolveRequest(w http.ResponseWriter, r *http.Request, body []byte,
 	req interface{ base() *synthesizeRequest }, check func(*plan.Compiled) bool) (res resolved, ok bool) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(req)
-	if err == nil && dec.Decode(&json.RawMessage{}) != io.EOF {
-		err = errTrailing
-	}
-	if err != nil {
+	if err := decodeRequest(bytes.NewReader(body), req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return res, false
 	}

@@ -224,30 +224,37 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestTrailingDataRejected: /synthesize and /execute read one request
-// object; anything after it but whitespace is a 400 naming it.
+// TestTrailingDataRejected: /synthesize, /execute and POST /tables read one
+// request object; anything after it but whitespace is a 400 naming it.
 func TestTrailingDataRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	_, cts, _ := newCatalogServer(t, t.TempDir(), Config{})
 	const want = `{"error":"bad request body: trailing data after the request object"}` + "\n"
+	const table = `{"name":"t","schema":{"columns":[{"name":"k","type":"int32"}],"key":[0]}}`
 	for _, tc := range []struct {
-		path, body string
+		url, body string
 	}{
-		{"/synthesize", fastBody() + "garbage"},
-		{"/synthesize", fastBody() + "]"},
-		{"/execute", execBody("") + `{"program":"nonsense"}`},
+		{ts.URL + "/synthesize", fastBody() + "garbage"},
+		{ts.URL + "/synthesize", fastBody() + "]"},
+		{ts.URL + "/execute", execBody("") + `{"program":"nonsense"}`},
+		{cts.URL + "/tables", table + "garbage"},
+		{cts.URL + "/tables", table + `{"name":"v"}`},
 	} {
-		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(tc.url, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || string(data) != want {
-			t.Errorf("%s with trailing data: %d %s, want 400 %s", tc.path, resp.StatusCode, data, want)
+			t.Errorf("%s with trailing data: %d %s, want 400 %s", tc.url, resp.StatusCode, data, want)
 		}
 	}
 	if resp, data := post(t, ts, fastBody()+"\n\t \r\n"); resp.StatusCode != http.StatusOK {
 		t.Errorf("trailing whitespace: %d %s, want 200", resp.StatusCode, data)
+	}
+	if resp, data := doReq(t, http.MethodPost, cts.URL+"/tables", "application/json", table+"\n\t \r\n"); resp.StatusCode != http.StatusCreated {
+		t.Errorf("POST /tables with trailing whitespace: %d %s, want 201", resp.StatusCode, data)
 	}
 }
 

@@ -64,10 +64,7 @@ func (s *Server) handleTableCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req createTableRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
