@@ -180,7 +180,8 @@ func execDiff(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBytes int
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &Sink{Out: out, Bout: 8, Sim: sim}
+	var got []int32
+	sink := &Sink{Alloc: outTo(out), Bout: 8, Sim: sim, Tap: tapInto(&got)}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
 		PoolBytes: poolBytes, BatchRows: batchRows})
@@ -198,7 +199,7 @@ func execDiff(t *testing.T, c diffCase, prog ocal.Expr, batchRows, poolBytes int
 		}
 		return nil, p.Result, charges
 	}
-	return tableRows(out.Flat(), c.outArity), nil, charges
+	return tableRows(got, c.outArity), nil, charges
 }
 
 // runDiff executes the case at every batch size and pool budget, comparing

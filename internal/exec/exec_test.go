@@ -102,6 +102,18 @@ func columnsOf(rows []int32, arity int) [][]int32 {
 	return cols
 }
 
+// tapInto is a Sink.Tap that appends every written row to *dst, row-major
+// and in order: the rows an output table would hold if the sink stored them.
+func tapInto(dst *[]int32) func(*Batch) {
+	return func(b *Batch) { *dst = append(*dst, b.Flat()...) }
+}
+
+// outTo is a Sink.Alloc that opens the output as out, so a test can read
+// the output device's claims and charges.
+func outTo(out *Table) func(int) (*Table, error) {
+	return func(int) (*Table, error) { return out, nil }
+}
+
 // tapRows adapts a row-at-a-time observer to Sink.Tap.
 func tapRows(f func(row []int32)) func(*Batch) {
 	var row []int32
@@ -194,7 +206,7 @@ func TestBNLJoinWriteOutSameVsOtherDisk(t *testing.T) {
 		R := loadTableSim(sim, "hdd", 2, rrows)
 		S := loadTableSim(sim, "hdd", 2, srows)
 		j := &BNLJoin{L: TableInput(R), R: TableInput(S), K1: 64, K2: 64}
-		drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Out: out, Bout: 64, Sim: sim})
+		drainOp(t, runCtx(sim, "hdd", 0), j, &Sink{Alloc: outTo(out), Bout: 64, Sim: sim})
 		return sim.Clock.Seconds()
 	}
 	same := run(memory.TwoHDD(64*memory.MiB), "hdd")
@@ -300,9 +312,9 @@ func TestExtSortSorts(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := &ExtSort{In: TableInput(in), Way: way, Bin: 64, Bout: 64}
-		drainOp(t, runCtx(sim, "hdd", 0), p, &Sink{Out: out, Bout: 64, Sim: sim})
+		var got []int32
+		drainOp(t, runCtx(sim, "hdd", 0), p, &Sink{Alloc: outTo(out), Bout: 64, Sim: sim, Tap: tapInto(&got)})
 		want := sortRows(rows, 1, 0)
-		got := out.Flat()
 		if len(got) != len(want) {
 			t.Fatalf("way=%d: wrong output size %d", way, len(got))
 		}
@@ -358,9 +370,9 @@ func TestUnfoldRStreamMergesSorted(t *testing.T) {
 	}
 	p := &UnfoldR{Ins: []Input{TableInput(A), TableInput(B)}, K: 2,
 		tree: mergeTree(t), StateArity: 2}
-	drainOp(t, runCtx(sim, "hdd", 0), p, &Sink{Out: out, Bout: 4, Sim: sim})
+	var got []int32
+	drainOp(t, runCtx(sim, "hdd", 0), p, &Sink{Alloc: outTo(out), Bout: 4, Sim: sim, Tap: tapInto(&got)})
 	want := []int32{1, 2, 3, 3, 5, 6, 7}
-	got := out.Flat()
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -401,7 +413,7 @@ func TestSinkBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Sink{Out: out, Bout: 10, Sim: sim}
+	s := &Sink{Alloc: outTo(out), Bout: 10, Sim: sim}
 	for i := 0; i < 25; i++ {
 		if err := s.write(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}}); err != nil {
 			t.Fatal(err)
@@ -430,7 +442,7 @@ func TestFlashEraseAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Sink{Out: out, Bout: 1024, Sim: sim}
+	s := &Sink{Alloc: outTo(out), Bout: 1024, Sim: sim}
 	rows := int64(300_000) // 1.2 MB; erase block is 256K -> ~5 erases
 	for i := int64(0); i < rows; i++ {
 		if err := s.write(&Batch{Arity: 1, Cols: [][]int32{{int32(i)}}}); err != nil {

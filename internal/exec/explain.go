@@ -237,7 +237,7 @@ func opsOf(ins ...Input) []Operator {
 func describeOp(op Operator) (kind, detail string) {
 	switch t := op.(type) {
 	case *Sink:
-		if t.Out == nil && t.Alloc == nil {
+		if t.out == nil && t.Alloc == nil {
 			return "sink", "cpu"
 		}
 		return "sink", fmt.Sprintf("bout=%d", max(t.Bout, 1))

@@ -45,8 +45,11 @@ func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) 
 	}
 	// The output table takes the first batch's arity: a body that fails on a
 	// late row has emitted rows by then, as wide as it makes them.
-	sink := &Sink{Bout: 8, Sim: sim, Alloc: func(arity int) (*Table, error) {
-		return NewTable(scratch, arity, 4<<10)
+	var got []int32
+	arity := 0
+	sink := &Sink{Bout: 8, Sim: sim, Tap: tapInto(&got), Alloc: func(ar int) (*Table, error) {
+		arity = ar
+		return NewTable(scratch, ar, 4<<10)
 	}}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
@@ -58,8 +61,8 @@ func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) 
 	run.err = p.Run()
 	if run.err == nil && p.Scalar {
 		run.scalar = p.Result
-	} else if run.err == nil && sink.Out != nil {
-		run.rows = tableRows(sink.Out.Flat(), sink.Out.Arity)
+	} else if run.err == nil && arity > 0 {
+		run.rows = tableRows(got, arity)
 	}
 	return run
 }

@@ -102,7 +102,8 @@ func TestLowerExtSortThroughIdentityScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := ocal.MustParse(`treeFold[4][bout]([], unfoldR[bin](funcPow[2](mrg)))(for (xB [k1] <- R) [hdd~>ram] xB)`)
-	sink := &Sink{Out: out, Bout: 2, Sim: sim}
+	var got []int32
+	sink := &Sink{Alloc: outTo(out), Bout: 2, Sim: sim, Tap: tapInto(&got)}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: map[string]*Table{"R": in},
 		Params: map[string]int64{"bin": 2, "bout": 2, "k1": 2}, Scratch: d, Sink: sink})
 	if err != nil {
@@ -119,7 +120,6 @@ func TestLowerExtSortThroughIdentityScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int32{1, 2, 3, 4, 5}
-	got := out.Flat()
 	for i, v := range want {
 		if got[i] != v {
 			t.Fatalf("not sorted: %v", got)
@@ -162,7 +162,8 @@ func TestLowerUnfoldWithScratchState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &Sink{Out: out, Bout: 4, Sim: sim}
+	var got []int32
+	sink := &Sink{Alloc: outTo(out), Bout: 4, Sim: sim, Tap: tapInto(&got)}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: map[string]*Table{"L": in},
 		Params: map[string]int64{"k": 3}, Scratch: d, Sink: sink})
 	if err != nil {
@@ -172,7 +173,6 @@ func TestLowerUnfoldWithScratchState(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int32{1, 2, 3, 4}
-	got := out.Flat()
 	if len(got) != len(want) {
 		t.Fatalf("dedup got %v want %v", got, want)
 	}

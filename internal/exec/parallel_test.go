@@ -52,7 +52,8 @@ func execWithWorkers(t *testing.T, c diffCase, prog ocal.Expr, workers int, pool
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &Sink{Out: out, Bout: 8, Sim: sim}
+	var got []int32
+	sink := &Sink{Alloc: outTo(out), Bout: 8, Sim: sim, Tap: tapInto(&got)}
 	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
 		Scratch: scratch, Sink: sink, RAMBytes: 1 << 20,
 		PoolBytes: poolBytes, ExecWorkers: workers})
@@ -74,7 +75,7 @@ func execWithWorkers(t *testing.T, c diffCase, prog ocal.Expr, workers int, pool
 		run.scalar = p.Result
 		return run
 	}
-	run.rows = tableRows(out.Flat(), c.outArity)
+	run.rows = tableRows(got, c.outArity)
 	return run
 }
 
@@ -271,7 +272,8 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := &Sink{Out: out, Bout: 16, Sim: sim}
+		var got []int32
+		sink := &Sink{Alloc: outTo(out), Bout: 16, Sim: sim, Tap: tapInto(&got)}
 		p := programOf(g, sink, &Ctx{
 			Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d,
 			Workers: workers, shared: newShared(workers),
@@ -280,7 +282,7 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBag(t, fmt.Sprintf("gather (workers %d)", workers),
-			tableRows(out.Flat(), 2), tableRows(rows, 2))
+			tableRows(got, 2), tableRows(rows, 2))
 		// Every input byte must be read exactly once, one seek per partition.
 		if d.Led.ReadInits != 4 || d.Led.BytesRead != int64(len(rows))*4 {
 			t.Errorf("workers %d: %d read inits / %d bytes, want one init per partition and %d bytes",

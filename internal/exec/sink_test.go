@@ -60,7 +60,8 @@ func (s *rowSink) Flush() {
 
 // TestSinkWriteBatchMatchesWrite: the batch-wise sink evicts at exactly the
 // rows the row-at-a-time sink evicted at, whatever the batch size, so the
-// output device's ledger, the clock and the table are the same.
+// output device's ledger and claim and the clock are the same, and the rows
+// it taps are, in order, the rows the reference stored.
 func TestSinkWriteBatchMatchesWrite(t *testing.T) {
 	const rows, arity = 2500, 2
 	r := rand.New(rand.NewSource(1))
@@ -72,29 +73,30 @@ func TestSinkWriteBatchMatchesWrite(t *testing.T) {
 		for _, batch := range []int{1, 64} {
 			for _, lazy := range []bool{false, true} {
 				t.Run(fmt.Sprintf("bout=%d/batch=%d/lazy=%v", bout, batch, lazy), func(t *testing.T) {
-					out := func(sim *storage.Sim) (*Table, func(int) (*Table, error)) {
+					// The output table is made before the run, or by Alloc
+					// at the first row.
+					out := func(sim *storage.Sim) func(int) (*Table, error) {
 						d, _ := sim.Device("hdd")
 						if lazy {
-							return nil, func(ar int) (*Table, error) { return NewTable(d, ar, 0) }
+							return func(ar int) (*Table, error) { return NewTable(d, ar, 0) }
 						}
 						tb, err := NewTable(d, arity, 0)
 						if err != nil {
 							t.Fatal(err)
 						}
-						return tb, nil
+						return outTo(tb)
 					}
 					simW, simB := newSim(t), newSim(t)
 					simW.DefaultCPU()
 					simB.DefaultCPU()
-					want := &rowSink{Bout: bout, Sim: simW}
-					want.Out, want.Alloc = out(simW)
+					want := &rowSink{Bout: bout, Sim: simW, Alloc: out(simW)}
 					for i := 0; i < rows; i++ {
 						want.Write(data[i*arity : (i+1)*arity])
 					}
 					want.Flush()
 
-					got := &Sink{Bout: bout, Sim: simB}
-					got.Out, got.Alloc = out(simB)
+					var tapped []int32
+					got := &Sink{Bout: bout, Sim: simB, Alloc: out(simB), Tap: tapInto(&tapped)}
 					for lo := 0; lo < rows; lo += batch {
 						n := min(batch, rows-lo)
 						b := &Batch{Arity: arity, Cols: make([][]int32, arity)}
@@ -120,8 +122,11 @@ func TestSinkWriteBatchMatchesWrite(t *testing.T) {
 					if g, w := simB.Devices["hdd"].Led, simW.Devices["hdd"].Led; g != w {
 						t.Errorf("ledger %+v, row sink %+v", g, w)
 					}
-					if !reflect.DeepEqual(got.Out.Flat(), want.Out.Flat()) {
-						t.Error("output tables differ")
+					if g, w := simB.Devices["hdd"].AllocatedBytes(), simW.Devices["hdd"].AllocatedBytes(); g != w {
+						t.Errorf("output claim %d bytes, row sink %d", g, w)
+					}
+					if !reflect.DeepEqual(tapped, want.Out.Flat()) {
+						t.Error("tapped rows differ from the row sink's table")
 					}
 				})
 			}

@@ -14,9 +14,10 @@ import (
 )
 
 // Table is a device-resident relation of fixed-arity int32 tuples: a typed
-// view over a storage spill file. The tuple payload lives in host memory;
-// all accesses go through the spill so the simulator charges seeks and
-// transfer time.
+// view over a storage spill file. The tuple payload of an input or an
+// intermediate lives in host memory; the output table's rows are only
+// charged (storage.Spill.ChargeAppends). All accesses go through the spill
+// so the simulator charges seeks and transfer time.
 type Table struct {
 	*storage.Spill
 	Arity int
@@ -80,31 +81,30 @@ func (t *Table) Rows() int64 { return t.Records() }
 
 // Sink is the root operator of every lowered program: it drains the
 // program's operator tree and writes what it delivers through the paper's
-// output buffer b_out, whose rows accumulate in RAM and are evicted to the
-// output table in one contiguous write when the buffer fills (Section 5.2).
-// A nil Out means the output is consumed by the CPU (no charges). Lower
-// installs the tree under it; Next passes each batch on after writing it, so
-// an explained run's root node counts the output rows and every charge of
-// the run.
+// output buffer b_out, which is evicted to the output table in one
+// contiguous write whenever it fills (Section 5.2). The output is charged
+// and claimed, never stored: the cost model prices its writes and nothing
+// reads it back, so the sink keeps only the count of rows waiting in b_out,
+// and Tap is the one way to see the rows. A nil Alloc means the output is
+// consumed by the CPU (no charges). Lower installs the tree under it; Next
+// passes each batch on after writing it, so an explained run's root node
+// counts the output rows and every charge of the run.
 type Sink struct {
-	Out  *Table
 	Bout int64 // records per eviction; <=0 means 1
 	// Sim's root account takes the output charges: the sink runs on the
 	// driver strand, which owns it (see storage.Acct).
 	Sim *storage.Sim
 
-	// Alloc, when non-nil and Out is nil, allocates the output table
-	// lazily from the first batch's arity (callers that cannot know the
-	// output arity before execution, e.g. the /execute service path).
+	// Alloc, when non-nil, opens the output table on its device from the
+	// first batch's arity (the output arity is known only once rows flow).
 	Alloc func(arity int) (*Table, error)
-	// Tap, when non-nil, observes every batch before buffering/discarding.
+	// Tap, when non-nil, observes every batch as it is written.
 	// The column views are the producer's: valid only during the call.
 	Tap func(b *Batch)
 
-	in   Operator  // the program's operator tree
-	cols [][]int32 // the output buffer, column-striped like the table
-	rows int64
-	head [][]int32 // reused header of the batch rows evicted unbuffered
+	in   Operator // the program's operator tree
+	out  *Table   // the output table, once Alloc has opened it
+	rows int64    // rows waiting in b_out
 	// RowsWritten counts all rows that passed through, even when discarded.
 	RowsWritten int64
 }
@@ -114,8 +114,8 @@ func (s *Sink) Open(c *Ctx) error { return s.in.Open(c) }
 // Next pulls one batch from the program and writes it, leaving it in b. At
 // the end of the stream it evicts what the buffer holds and reports false,
 // so the flush is charged after the tree's last Next and before its Close.
-// A lazy allocation that fails, or an eviction the output device cannot
-// hold, is the returned error.
+// An Alloc that fails, or an eviction the output device cannot hold, is the
+// returned error.
 func (s *Sink) Next(b *Batch) (bool, error) {
 	ok, err := s.in.Next(b)
 	if err != nil {
@@ -129,12 +129,12 @@ func (s *Sink) Next(b *Batch) (bool, error) {
 
 func (s *Sink) Close() error { return s.in.Close() }
 
-// write adds the batch's rows. The buffer is evicted at exactly every Bout
-// rows, wherever those fall inside or across batches, so the output device
-// sees the same writes whatever the batch size; a batch holding several
-// evictions appends them to the table once and charges them as one run.
-// What the batch size does move is where those writes fall among the run's
-// reads: see ExecOptions.BatchRows in internal/plan.
+// write adds the batch's rows to b_out. The buffer is evicted at exactly
+// every Bout rows, wherever those fall inside or across batches, so the
+// output device sees the same writes whatever the batch size; the evictions
+// a batch completes are charged as one run. What the batch size does move is
+// where those writes fall among the run's reads: see ExecOptions.BatchRows
+// in internal/plan.
 func (s *Sink) write(b *Batch) error {
 	n := b.Rows()
 	if n == 0 {
@@ -144,66 +144,34 @@ func (s *Sink) write(b *Batch) error {
 	if s.Tap != nil {
 		s.Tap(b)
 	}
-	if s.Out == nil && s.Alloc != nil {
+	if s.out == nil && s.Alloc != nil {
 		out, err := s.Alloc(b.Arity)
 		if err != nil {
 			return err
 		}
-		s.Out, s.Alloc = out, nil
+		s.out, s.Alloc = out, nil
 	}
-	if s.Out == nil {
+	if s.out == nil {
 		return nil
 	}
-	if s.cols == nil {
-		s.cols = make([][]int32, b.Arity)
-		s.head = make([][]int32, b.Arity)
-	}
 	bout := max(s.Bout, 1)
-	lo := 0
-	if s.rows > 0 {
-		// Rows are waiting: the batch's first rows complete their eviction.
-		lo = int(min(int64(n), bout-s.rows))
-		s.buffer(b, 0, lo)
-		if s.rows >= bout {
-			if err := s.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if full := int64(n-lo) / bout; full > 0 {
-		// Whole evictions go from the batch to the table without passing
-		// through the buffer: what a buffer of Bout rows filled and evicted
-		// full times would have written and been charged.
-		for c := range s.head {
-			s.head[c] = b.Cols[c][lo:]
-		}
-		if err := s.Out.AppendBlocks(s.Sim.Root(), s.head, bout, full, s.Sim.MoveSeconds); err != nil {
+	s.rows += int64(n)
+	if full := s.rows / bout; full > 0 {
+		if err := s.out.ChargeAppends(s.Sim.Root(), bout, full, s.Sim.MoveSeconds); err != nil {
 			return err
 		}
-		lo += int(full * bout)
+		s.rows -= full * bout
 	}
-	s.buffer(b, lo, n)
 	return nil
 }
 
-// buffer copies rows [lo, hi) of b into the output buffer.
-func (s *Sink) buffer(b *Batch, lo, hi int) {
-	for c := range s.cols {
-		s.cols[c] = append(s.cols[c], b.Cols[c][lo:hi]...)
-	}
-	s.rows += int64(hi - lo)
-}
-
-// flush evicts the buffer.
+// flush evicts the rows waiting in b_out.
 func (s *Sink) flush() error {
-	if s.Out == nil || s.rows == 0 {
+	if s.out == nil || s.rows == 0 {
 		return nil
 	}
-	if err := s.Out.AppendBlocks(s.Sim.Root(), s.cols, s.rows, 1, s.Sim.MoveSeconds); err != nil {
+	if err := s.out.ChargeAppends(s.Sim.Root(), s.rows, 1, s.Sim.MoveSeconds); err != nil {
 		return err
-	}
-	for c := range s.cols {
-		s.cols[c] = s.cols[c][:0]
 	}
 	s.rows = 0
 	return nil

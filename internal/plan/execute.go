@@ -122,7 +122,7 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 	sim := storage.NewSim(h)
 	sim.DefaultCPU()
 
-	if err := CheckExecOptions(task, opt); err != nil {
+	if err := CheckExecOptions(h, task, opt); err != nil {
 		return nil, err
 	}
 	inputs := map[string]*exec.Table{}
@@ -158,8 +158,8 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 // it and builds the report. Scratch traffic goes to the device the cost
 // model prices it on (cost.Intermediate: the task's intermediate device,
 // else its output's, else the first input location by name); the output,
-// when the task names a device, to a table allocated there at the first
-// row. Of opt it reads PoolBytes, BatchRows, ExecWorkers and Explain —
+// when the task names a device, is charged and claimed there from the
+// first row and never stored. Of opt it reads PoolBytes, BatchRows, ExecWorkers and Explain —
 // binding inputs is the caller's half.
 func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Table, prog ocal.Expr, params map[string]int64, task core.Task, opt ExecOptions) (*ExecReport, error) {
 	inputRows := map[string]int64{}
@@ -275,18 +275,34 @@ func ExecutePlan(ctx context.Context, c *Compiled, p *Plan, opt ExecOptions) (*E
 	return rep, nil
 }
 
-// CheckExecOptions validates opt's per-input maps against the task, so an
-// option that cannot mean what it says fails the request instead of being
-// dropped: every name in Rows, Inputs and Tables must be a declared input, a
-// Rows override must be positive, every explicit row must have the input's
-// arity and int32 values, Tables needs a catalog, and a bound input cannot
-// also carry a Rows override or explicit Inputs (the table decides its own
-// cardinality). RunProgram checks it; a front end that wants to tell a bad
-// request from a failed execution calls it first.
-func CheckExecOptions(task core.Task, opt ExecOptions) error {
+// CheckExecOptions validates the task's placements against h and opt's
+// per-input maps against the task, so a request that cannot run as it says
+// fails as such instead of deep in the run: every input, the output and the
+// intermediate must sit on a node the simulator makes a device of (see
+// storage.Simulates), every name in Rows, Inputs and Tables must be a
+// declared input, a Rows override must be positive, every explicit row must
+// have the input's arity and int32 values, Tables needs a catalog, and a
+// bound input cannot also carry a Rows override or explicit Inputs (the
+// table decides its own cardinality). RunProgram checks it; a front end that
+// wants to tell a bad request from a failed execution calls it first.
+func CheckExecOptions(h *memory.Hierarchy, task core.Task, opt ExecOptions) error {
+	placed := func(what, node string) error {
+		if n := h.Node(node); n != nil && !storage.Simulates(n.Kind) {
+			return fmt.Errorf("plan: %s is placed on %q, a %s node; execution simulates only hdd and flash nodes", what, node, n.Kind)
+		}
+		return nil
+	}
 	arity := map[string]int{}
 	for _, in := range task.Spec.Inputs {
 		arity[in.Name] = in.Arity
+		if err := placed("input "+in.Name, task.InputLoc[in.Name]); err != nil {
+			return err
+		}
+	}
+	for _, p := range [][2]string{{"output", task.Output}, {"intermediate", task.Intermediate}} {
+		if err := placed(p[0], p[1]); err != nil {
+			return err
+		}
 	}
 	declared := func(name string) bool { _, ok := arity[name]; return ok }
 	for name, n := range opt.Rows {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -259,6 +260,44 @@ func TestSpillsGoWhereTheModelPricesThem(t *testing.T) {
 	}
 	if want := rep.Pool.SpillBytes + rep.OutRows*16; out.BytesWrite != want {
 		t.Errorf("hdd2 wrote %d B, want the %d B of spills and output", out.BytesWrite, want)
+	}
+}
+
+// TestRunRetainsNoOutput: the output is charged and claimed on its device,
+// never stored, so a product of two 2048-row inputs emits 64 MiB of rows to
+// hdd2 while the run allocates a small fraction of that.
+func TestRunRetainsNoOutput(t *testing.T) {
+	c, err := Compile(Request{
+		Program: "for (x <- R) for (y <- S) [<x, y>]",
+		Hier:    "two-hdd",
+		Inputs:  map[string]Input{"R": {Node: "hdd", Rows: 2048}, "S": {Node: "hdd", Rows: 2048}},
+		Output:  "hdd2",
+		Depth:   4, Space: 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ocal.ParseFile(p.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := RunProgram(context.Background(), c.H, prog, p.Params, c.Task, ExecOptions{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OutRows != 2048*2048 {
+		t.Fatalf("product emitted %d rows, want %d", rep.OutRows, 2048*2048)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Errorf("the run allocated %.1f MiB for %d MiB of output, want under 4 MiB",
+			float64(alloc)/(1<<20), rep.OutRows*16>>20)
 	}
 }
 

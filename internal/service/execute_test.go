@@ -157,31 +157,44 @@ func TestExecuteBodyFailuresAre422(t *testing.T) {
 // TestExecuteRejectsOverridesThatCannotApply: a size override or explicit
 // rows for a name the program does not declare, or a row count below 1, is a
 // 400 naming it — the caller asked to shrink an input and must not be told,
-// after the input ran at its nominal size, to shrink it.
+// after the input ran at its nominal size, to shrink it. So is an input, an
+// output or an intermediate placed on a node the simulator has no device
+// for, which /synthesize of the same body still answers.
 func TestExecuteRejectsOverridesThatCannotApply(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxExecRows: 4096})
-	req := func(exec string) string {
+	const onHDD = `"inputs": {"R": {"node": "hdd", "rows": 1048576}, "S": {"node": "hdd", "rows": 1024}}`
+	body := func(place, extra string) string {
 		return `{
 			"program": "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",
-			"hier": "hdd-ram", "ram": 8388608,
-			"inputs": {"R": {"node": "hdd", "rows": 1048576}, "S": {"node": "hdd", "rows": 1024}},
-			"depth": 4, "space": 500, "exec": ` + exec + `}`
+			"hier": "hdd-ram", "ram": 8388608, ` + place + `,
+			"depth": 4, "space": 500` + extra + `}`
 	}
-	for name, tc := range map[string]struct{ exec, want string }{
-		"rows for an undeclared input":   {`{"rows": {"r": 2048}}`, `exec.rows names \"r\"`},
-		"zero rows":                      {`{"rows": {"R": 0}}`, `input \"R\" 0 rows`},
-		"negative rows":                  {`{"rows": {"R": -5}}`, `input \"R\" -5 rows`},
-		"inputs for an undeclared input": {`{"rows": {"R": 2048}, "inputs": {"T": [[1, 2]]}}`, `exec.inputs names \"T\"`},
+	req := func(place, exec string) string { return body(place, `, "exec": `+exec) }
+	for name, tc := range map[string]struct{ place, exec, want string }{
+		"rows for an undeclared input":   {onHDD, `{"rows": {"r": 2048}}`, `exec.rows names \"r\"`},
+		"zero rows":                      {onHDD, `{"rows": {"R": 0}}`, `input \"R\" 0 rows`},
+		"negative rows":                  {onHDD, `{"rows": {"R": -5}}`, `input \"R\" -5 rows`},
+		"inputs for an undeclared input": {onHDD, `{"rows": {"R": 2048}, "inputs": {"T": [[1, 2]]}}`, `exec.inputs names \"T\"`},
+		"an input on ram": {`"inputs": {"R": {"node": "ram", "rows": 1024}, "S": {"node": "hdd", "rows": 1024}}`,
+			`{}`, `input R is placed on \"ram\", a ram node`},
+		"the output on ram":       {onHDD + `, "output": "ram"`, `{"rows": {"R": 2048}}`, `output is placed on \"ram\", a ram node`},
+		"the intermediate on ram": {onHDD + `, "intermediate": "ram"`, `{"rows": {"R": 2048}}`, `intermediate is placed on \"ram\", a ram node`},
 	} {
-		resp, data := postExecute(t, ts, req(tc.exec))
+		resp, data := postExecute(t, ts, req(tc.place, tc.exec))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, data)
 		}
 		if !strings.Contains(string(data), tc.want) {
 			t.Errorf("%s: error should say %s: %s", name, tc.want, data)
 		}
+		if !strings.Contains(tc.want, "is placed on") {
+			continue
+		}
+		if resp, data := post(t, ts, body(tc.place, "")); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: /synthesize of the same body: status %d: %s", name, resp.StatusCode, data)
+		}
 	}
-	if resp, data := postExecute(t, ts, req(`{"rows": {"R": 2048}}`)); resp.StatusCode != http.StatusOK {
+	if resp, data := postExecute(t, ts, req(onHDD, `{"rows": {"R": 2048}}`)); resp.StatusCode != http.StatusOK {
 		t.Errorf("the override spelled right: status %d: %s", resp.StatusCode, data)
 	}
 }

@@ -526,7 +526,7 @@ func (s *Server) checkExec(w http.ResponseWriter, compiled *plan.Compiled, ex *p
 		// JSON field only ever carries table names.
 		ex.Cat = cat
 	}
-	if err := plan.CheckExecOptions(compiled.Task, *ex); err != nil {
+	if err := plan.CheckExecOptions(compiled.H, compiled.Task, *ex); err != nil {
 		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
 		return false
 	}

@@ -197,8 +197,8 @@ const spillChunkRecords = 64 << 10
 // one contiguous vector, so ReadColsAt can hand the executor zero-copy
 // column views (the batch protocol's native currency) and durable segments
 // load without a row transpose. The charge model is layout-blind — charges
-// depend only on the (spill, index, count) sequence of AppendBlocks and
-// ReadColsAt calls, never on how the bytes are arranged in host memory.
+// depend only on the (spill, index, count) sequence of appends and reads,
+// never on how the bytes are arranged in host memory.
 type Spill struct {
 	dev     *Device
 	pool    *BufferPool // non-nil when created through a pool (stats)
@@ -249,7 +249,7 @@ func (p *BufferPool) NewSpill(dev *Device, width, reserve int64) (*Spill, error)
 	return s, nil
 }
 
-// Records returns the number of records stored.
+// Records returns the number of records written, stored or only charged.
 func (s *Spill) Records() int64 { return s.count }
 
 // Device returns the owning device.
@@ -272,18 +272,24 @@ func (s *Spill) grow(n int64) error {
 
 // AppendCols charges a write of rows records supplied as per-column
 // vectors (cols[c][:rows]) — the executor's columnar batches append
-// without a row detour.
+// without a row detour — and stores them. A device too full for the
+// records is an error that appends and charges nothing.
 func (s *Spill) AppendCols(a *Acct, cols [][]int32, rows int64) error {
-	return s.AppendBlocks(a, cols, rows, 1, 0)
+	if err := s.ChargeAppends(a, rows, 1, 0); err != nil || rows <= 0 {
+		return err
+	}
+	for c := range s.cols {
+		s.cols[c] = append(s.cols[c], cols[c][:rows]...)
+	}
+	return nil
 }
 
-// AppendBlocks is what n AppendCols calls of k records each, taken off
-// cols[c][:k*n] one after the other and each preceded by a.CPU(the block's
-// bytes, perByte), leave behind — a buffer of k records filled and evicted n
-// times over — with the payload appended once and the strand charged in one
-// go (see Acct.chargeAppends). A device too full for the records is an
-// error that appends and charges nothing.
-func (s *Spill) AppendBlocks(a *Acct, cols [][]int32, k, n int64, perByte float64) error {
+// ChargeAppends is the write twin of ChargeReads: it claims and charges
+// what n writes of k records each would, each preceded by a.CPU(the block's
+// bytes, perByte), and stores nothing (see Acct.chargeAppends), so View
+// returns no rows a spill only took charges for. A device too full for the
+// records is an error that charges nothing.
+func (s *Spill) ChargeAppends(a *Acct, k, n int64, perByte float64) error {
 	if k <= 0 || n <= 0 {
 		return nil
 	}
@@ -292,9 +298,6 @@ func (s *Spill) AppendBlocks(a *Acct, cols [][]int32, k, n int64, perByte float6
 		return err
 	}
 	at := s.count
-	for c := range s.cols {
-		s.cols[c] = append(s.cols[c], cols[c][:rows]...)
-	}
 	s.count += rows
 	a.chargeAppends(s, at, k, n, perByte)
 	if s.pool != nil {
@@ -349,14 +352,12 @@ func (s *Spill) ReadColsAt(a *Acct, idx, n int64, dst [][]int32) ([][]int32, int
 // the payload, which ChargeReads prices block by block. dst, when non-nil,
 // is reused as the view header so steady-state readers allocate nothing;
 // the views stay valid as long as the spill is not appended to, reset or
-// freed.
+// freed. Rows that were only charged (ChargeAppends) are not there to view.
 func (s *Spill) View(idx, n int64, dst [][]int32) ([][]int32, int64) {
-	if idx >= s.count {
+	if len(s.cols) == 0 || idx >= int64(len(s.cols[0])) {
 		return nil, 0
 	}
-	if idx+n > s.count {
-		n = s.count - idx
-	}
+	n = min(n, int64(len(s.cols[0]))-idx)
 	w := len(s.cols)
 	if cap(dst) >= w {
 		dst = dst[:w]

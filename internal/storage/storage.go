@@ -87,15 +87,19 @@ func NewSim(h *memory.Hierarchy) *Sim {
 	s.root = &Acct{sim: s, clock: &s.Clock.seconds}
 	for _, name := range h.Names() {
 		n := h.Node(name)
-		switch n.Kind {
-		case memory.HDD, memory.Flash:
+		switch {
+		case Simulates(n.Kind):
 			s.Devices[name] = &Device{Node: n, sim: s}
-		case memory.Cache:
+		case n.Kind == memory.Cache:
 			s.Cache = NewCacheModel(n.Size, n.PageSize)
 		}
 	}
 	return s
 }
+
+// Simulates reports whether NewSim makes a device of a node of kind k:
+// an execution can place data only there.
+func Simulates(k memory.Kind) bool { return k == memory.HDD || k == memory.Flash }
 
 // Device returns the named device or an error.
 func (s *Sim) Device(name string) (*Device, error) {

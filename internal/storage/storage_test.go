@@ -172,6 +172,30 @@ func TestDeviceFullIsAnError(t *testing.T) {
 	}
 }
 
+// TestChargeOnlySpillHoldsNoRows: ChargeAppends advances the write position
+// and the claim like AppendCols, but stores nothing, so View and ReadColsAt
+// of a spill that only took charges return no rows; ReadColsAt charges none.
+func TestChargeOnlySpillHoldsNoRows(t *testing.T) {
+	s, d := newHDDSim(t)
+	sp, err := d.NewSpill(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.ChargeAppends(s.Root(), 100, 3, s.MoveSeconds); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Records() != 300 || d.AllocatedBytes() != spillChunkRecords*8 || d.Led.BytesWrite != 300*8 {
+		t.Fatalf("charged 300 records: %d records, %d bytes claimed, ledger %+v", sp.Records(), d.AllocatedBytes(), d.Led)
+	}
+	if cols, n := sp.View(0, 300, nil); n != 0 || cols != nil {
+		t.Errorf("View of a charge-only spill: %d rows", n)
+	}
+	led := d.Led
+	if cols, n := sp.ReadColsAt(s.Root(), 10, 50, nil); n != 0 || cols != nil || d.Led != led {
+		t.Errorf("ReadColsAt of a charge-only spill: %d rows, ledger %+v", n, d.Led)
+	}
+}
+
 func TestSpillFreeReturnsSpace(t *testing.T) {
 	s, d := newHDDSim(t)
 	before := d.AllocatedBytes()
