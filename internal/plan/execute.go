@@ -158,9 +158,9 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 // it and builds the report. Scratch traffic goes to the device the cost
 // model prices it on (cost.Intermediate: the task's intermediate device,
 // else its output's, else the first input location by name); the output,
-// when the task names a device, is charged and claimed there from the
-// first row and never stored. Of opt it reads PoolBytes, BatchRows, ExecWorkers and Explain —
-// binding inputs is the caller's half.
+// when the task names a device, is charged and claimed there from the first
+// row and never stored. Of opt it reads PoolBytes, BatchRows, ExecWorkers
+// and Explain — binding inputs is the caller's half.
 func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Table, prog ocal.Expr, params map[string]int64, task core.Task, opt ExecOptions) (*ExecReport, error) {
 	inputRows := map[string]int64{}
 	for _, in := range task.Spec.Inputs {
