@@ -14,6 +14,7 @@ import (
 	"ocas/internal/catalog"
 	"ocas/internal/core"
 	"ocas/internal/exec"
+	"ocas/internal/memory"
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
@@ -72,6 +73,17 @@ func graceJoin(rRows, sRows, ram int64) Request {
 	}
 }
 
+// graceOnFastSeeks is graceJoin on one disk whose transfer initiation costs
+// 0.1 ms instead of 15 ms.
+func graceOnFastSeeks(rRows, sRows, ram int64) Request {
+	req := graceJoin(rRows, sRows, ram)
+	req.Hierarchy = json.RawMessage(fmt.Sprintf(`{"name": "ram", "kind": "ram", "size": %d, "pagesize": 1,
+		"children": [{"name": "hdd", "kind": "hdd", "size": %d, "pagesize": 4096,
+			"initComUp": 0.0001, "initComDown": 0.0001, "unitTrUp": %g, "unitTrDown": %g}]}`,
+		ram, memory.TiB, memory.HDDUnitTr, memory.HDDUnitTr))
+	return req
+}
+
 // goldenEntry is one corpus entry: a request plus the option matrix it is
 // executed under. Every run is explained, so the per-operator counters are
 // part of the pinned contract.
@@ -120,6 +132,14 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 			base:    ExecOptions{Seed: 42, PoolBytes: 16 << 10},
 			batches: []int64{0}, workers: []int{1, 4},
 			durable: true,
+		},
+		// A disk that seeks in 0.1 ms makes small buckets pay: the winner
+		// partitions into 7 buckets and loops over S's (the second) buckets
+		// outside R's, so S is the build side.
+		goldenEntry{
+			name: "grace-swapped-buckets", req: graceOnFastSeeks(32768, 8192, 16<<10),
+			base:    ExecOptions{Seed: 42},
+			batches: []int64{0, 64}, workers: []int{1, 4},
 		},
 		// The examples lower to joins, sorts and streaming merges; these two
 		// pin the projection and fold kernels' charges as well.
