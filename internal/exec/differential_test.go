@@ -312,22 +312,53 @@ func TestDifferentialBNLJoin(t *testing.T) {
 	}
 }
 
-// TestDifferentialHashJoin: randomized GRACE hash joins.
+// TestDifferentialHashJoin: randomized GRACE hash joins, and flatMaps over
+// partitioned inputs whose bodies are other shapes.
 func TestDifferentialHashJoin(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(200 + seed))
 		R := randTable(r, 2, 24, 8)
 		S := randTable(r, 2, 24, 8)
-		src := "flatMap(\\<p1, p2> -> for (xB [k1] <- p1) for (yB [k2] <- p2) " +
-			"for (x <- xB) for (y <- yB) if x.1 == y.1 then [<x, y>] else [])" +
-			"(zip[2](partition[s](R), partition[s](S)))"
 		runDiff(t, diffCase{
-			src:      src,
+			src:      graceJoinSrc,
 			params:   map[string]int64{"k1": kp(r), "k2": kp(r), "s": int64(r.Intn(6) + 2)},
 			inputs:   map[string]diffTable{"R": R, "S": S},
 			arities:  map[string]int{"R": 2, "S": 2},
 			outArity: 4,
 		})
+		if seed%2 == 1 {
+			continue
+		}
+		// Products grow with the square of the inputs: smaller ones.
+		for _, c := range partitionedCases(r, randTable(r, 2, 10, 8), randTable(r, 2, 10, 8)) {
+			runDiff(t, c)
+		}
+	}
+}
+
+// partitionedCases are flatMaps over partition[s] of R and S whose bodies
+// are not the GRACE join: a product of a streamed part and a part, a part
+// against a base table, a projection of one part of a zip, and a filter and
+// a scan of the parts of one partitioned input.
+func partitionedCases(r *rand.Rand, R, S diffTable) []diffCase {
+	zipped := func(body string) string {
+		return "flatMap(\\<p1, p2> -> " + body + ")(zip[2](partition[s](R), partition[s](S)))"
+	}
+	c := func(src string, outArity int) diffCase {
+		return diffCase{
+			src:      src,
+			params:   map[string]int64{"k1": kp(r), "s": int64(r.Intn(6) + 2)},
+			inputs:   map[string]diffTable{"R": R, "S": S},
+			arities:  map[string]int{"R": 2, "S": 2},
+			outArity: outArity,
+		}
+	}
+	return []diffCase{
+		c(zipped("for (x <- (for (w <- p1) [w])) for (y <- p2) [<x, y>]"), 4),
+		c(zipped("for (x <- p1) for (y <- R) [<x, y>]"), 4),
+		c(zipped("for (x <- p1) [x]"), 2),
+		c("flatMap(\\p -> for (xB [k1] <- p) for (x <- xB) if x.2 < 4 then [<x.2, x.1>] else [])(partition[s](R))", 2),
+		c("flatMap(\\p -> p)(partition[s](S))", 2),
 	}
 }
 

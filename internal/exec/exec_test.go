@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ocas/internal/memory"
@@ -247,6 +248,13 @@ func TestCacheTilingReducesMisses(t *testing.T) {
 	}
 }
 
+// graceJoinSrc is the GRACE hash join the synthesizer derives.
+const graceJoinSrc = "flatMap(\\<p1, p2> -> for (xB [k1] <- p1) for (yB [k2] <- p2) " +
+	"for (x <- xB) for (y <- yB) if x.1 == y.1 then [<x, y>] else [])" +
+	"(zip[2](partition[s](R), partition[s](S)))"
+
+// TestHashJoinMatchesBNL: the lowered GRACE join, its buckets flushing
+// mid-stream, finds the rows a BNL join finds.
 func TestHashJoinMatchesBNL(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	var rrows, srows []int32
@@ -265,18 +273,51 @@ func TestHashJoinMatchesBNL(t *testing.T) {
 	}
 	countHash := func() int64 {
 		sim := newSim(t)
-		R := loadTableSim(sim, "hdd", 2, rrows)
-		S := loadTableSim(sim, "hdd", 2, srows)
+		d, _ := sim.Device("hdd")
+		inputs := map[string]*Table{"R": loadTableSim(sim, "hdd", 2, rrows), "S": loadTableSim(sim, "hdd", 2, srows)}
 		sink := &Sink{Sim: sim}
-		j := &HashJoin{L: TableInput(R), R: TableInput(S), Buckets: 8,
-			KRead: 64, K1: 128, K2: 128, EquiKeys: &[2]int{0, 0}}
 		// Nine frames of 32 rows: the bucket buffers flush mid-stream.
-		drainOp(t, runCtx(sim, "hdd", 9*32*8), j, sink)
+		p, err := Lower(ocal.MustParse(graceJoinSrc), LowerOpts{Sim: sim, Inputs: inputs,
+			Params: map[string]int64{"k1": 128, "k2": 128, "s": 8}, Scratch: d, Sink: sink, RAMBytes: 9 * 32 * 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
 		return sink.RowsWritten
 	}
 	a, b := countBNL(), countHash()
 	if a != b {
 		t.Errorf("hash join produced %d rows, BNL %d", b, a)
+	}
+}
+
+// TestHashJoinEmptySideJoinsNothing: when a streamed side delivers no rows
+// (its arity unknowable), no bucket join runs, so the other side's parts
+// are written and never read back.
+func TestHashJoinEmptySideJoinsNothing(t *testing.T) {
+	var rows []int32
+	for i := int32(0); i < 500; i++ {
+		rows = append(rows, i%40, i)
+	}
+	sim := newSim(t)
+	d, _ := sim.Device("hdd")
+	inputs := map[string]*Table{"R": loadTableSim(sim, "hdd", 2, rows), "S": loadTableSim(sim, "hdd", 2, rows)}
+	sink := &Sink{Sim: sim}
+	src := strings.Replace(graceJoinSrc, "partition[s](S)", "partition[s](for (w <- S) if w.1 < 0 then [w] else [])", 1)
+	p, err := Lower(ocal.MustParse(src), LowerOpts{Sim: sim, Inputs: inputs,
+		Params: map[string]int64{"k1": 128, "k2": 128, "s": 4}, Scratch: d, Sink: sink, RAMBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bytes := int64(len(rows)) * 4
+	if sink.RowsWritten != 0 || d.Led.BytesRead != 2*bytes || d.Led.BytesWrite != bytes {
+		t.Errorf("%d rows, %d bytes read, %d written; want 0 rows, R and S read once (%d) and R written once (%d)",
+			sink.RowsWritten, d.Led.BytesRead, d.Led.BytesWrite, 2*bytes, bytes)
 	}
 }
 

@@ -66,10 +66,10 @@ type Estimate struct {
 }
 
 // instr wraps one lowered operator with explain accounting. Wrappers only
-// ever run on the driver strand (partition instances inside Gather,
-// HashJoin and ExtSort are not wrapped individually — their charges reach
-// the driver at adopt barriers inside the enclosing wrapped call), so a
-// node's counters are written by exactly one goroutine and need no locks.
+// ever run on the driver strand (partition instances inside Gather and
+// ExtSort are not wrapped individually — their charges reach the driver at
+// adopt barriers inside the enclosing wrapped call), so a node's counters
+// are written by exactly one goroutine and need no locks.
 type instr struct {
 	op   Operator
 	node *ExplainNode
@@ -172,7 +172,7 @@ func unwrapOp(op Operator) Operator {
 // are already wrapped pass through, so recursive lowering paths that
 // return an inner operator unchanged do not double-count.
 func (l *lowerer) wrap(op Operator, prog ocal.Expr) Operator {
-	if !l.o.Explain || op == nil {
+	if !l.o.Explain || op == nil || l.parts != nil {
 		return op
 	}
 	if _, ok := op.(*instr); ok {
@@ -209,8 +209,12 @@ func childOps(op Operator) []Operator {
 		return opsOf(t.In)
 	case *BNLJoin:
 		return opsOf(t.L, t.R)
-	case *HashJoin:
-		return opsOf(t.L, t.R)
+	case *Gather:
+		var ins []Input
+		for _, x := range t.Exchanges {
+			ins = append(ins, x.In)
+		}
+		return opsOf(ins...)
 	case *ExtSort:
 		return opsOf(t.In)
 	case *UnfoldR:
@@ -242,7 +246,7 @@ func describeOp(op Operator) (kind, detail string) {
 		}
 		return "sink", fmt.Sprintf("bout=%d", max(t.Bout, 1))
 	case *Scan:
-		return "scan", fmt.Sprintf("rows=%d arity=%d k=%d", t.T.Rows(), t.T.Arity, t.K)
+		return "scan", fmt.Sprintf("rows=%d arity=%d k=%d", t.In.extent(), t.In.ar, t.K)
 	case *Project:
 		return "project", fmt.Sprintf("%s k=%d", inputDetail(t.In), t.K)
 	case *BNLJoin:
@@ -254,9 +258,14 @@ func describeOp(op Operator) (kind, detail string) {
 			d += " equi"
 		}
 		return "bnl-join", d
-	case *HashJoin:
-		return "hash-join", fmt.Sprintf("buckets=%d build=%s probe=%s k1=%d k2=%d",
-			t.Buckets, inputDetail(t.L), inputDetail(t.R), t.K1, t.K2)
+	case *Gather:
+		// A body joining two parts is a GRACE hash join, which builds on
+		// the side its outer loop reads.
+		if j, ok := t.Parts[0].(*BNLJoin); ok && j.L.x != nil && j.R.x != nil {
+			return "hash-join", fmt.Sprintf("buckets=%d build=%s probe=%s k1=%d k2=%d",
+				len(t.Parts), inputDetail(j.L.x.In), inputDetail(j.R.x.In), j.K1, j.K2)
+		}
+		return "flatmap", fmt.Sprintf("parts=%d ins=%d", len(t.Parts), len(t.Exchanges))
 	case *ExtSort:
 		return "ext-sort", fmt.Sprintf("in=%s way=%d bin=%d bout=%d", inputDetail(t.In), t.Way, t.Bin, t.Bout)
 	case *UnfoldR:

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
@@ -112,14 +114,13 @@ func (p *Program) drain() error {
 }
 
 // Lower translates an optimized OCAL program into an executable operator
-// tree. Unlike the pre-operator executor, which only accepted whole
-// programs matching one of five hand-written shapes, lowering is recursive
-// and compositional: every operator input may itself be a lowered
-// subexpression, piped through the batch protocol. Base-table inputs stay
-// fused into their consuming operator (direct blocked device reads at the
-// tuned block size), so the single-shape programs the synthesizer emits
-// charge exactly what the monolithic plans charged. The tree's root feeds
-// o.Sink, which becomes the program's root.
+// tree. Lowering is recursive and compositional, one construct at a time:
+// every operator input may itself be a lowered subexpression, piped through
+// the batch protocol. Base-table inputs stay fused into their consuming
+// operator (direct blocked device reads at the tuned block size), so the
+// single-shape programs the synthesizer emits charge exactly what the
+// monolithic plans charged. The tree's root feeds o.Sink, which becomes the
+// program's root.
 func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 	l := &lowerer{o: o}
 	root, err := l.lower(prog)
@@ -152,18 +153,22 @@ func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 
 // lowerer translates expressions to operators. It never partitions: the
 // degrees of the parallel sections come only from plan parameters, inside
-// the operators that know their semantics (hash-join buckets, sort
+// the operators that know their semantics (partition degrees, sort
 // sections, exchange morsels).
 type lowerer struct {
 	o LowerOpts
 	// ordered marks that the expression being lowered feeds an
 	// order-sensitive consumer (a fold threads its accumulator through the
 	// rows, a streaming merge requires sorted streams), possibly through
-	// order-preserving operators like projections. A parallel hash join
-	// lowered under this flag delivers its buckets in order, so the
+	// order-preserving operators like projections. A partitioned flatMap
+	// lowered under this flag delivers its parts in order, so the
 	// consumer's result is identical for every worker count. Consumers
 	// that treat their input as a bag (joins, exchanges, sorts) clear it.
 	ordered bool
+	// parts binds the parameters of the flatMap lambdas being lowered to
+	// exchange parts. It is non-nil inside a flatMap body, whose per-part
+	// instances are not instrumented (see instr).
+	parts map[string]Input
 }
 
 // withOrdered lowers an input subexpression under the given orderedness.
@@ -187,8 +192,9 @@ func (l *lowerer) lower(prog ocal.Expr) (Operator, error) {
 
 // lowerExpr is the dispatch body of lower.
 func (l *lowerer) lowerExpr(prog ocal.Expr) (Operator, error) {
-	// GRACE hash join: flatMap(join)(zip(partition(A), partition(B))).
-	if op, err, ok := l.lowerHashJoin(prog); ok {
+	// flatMap over partitioned inputs: a GRACE hash join when its body
+	// joins the parts.
+	if op, err, ok := l.lowerFlatMap(prog); ok {
 		return op, err
 	}
 	// External merge sort.
@@ -209,17 +215,20 @@ func (l *lowerer) lowerExpr(prog ocal.Expr) (Operator, error) {
 	}
 	// A bare input: the identity scan.
 	if v, ok := prog.(ocal.Var); ok {
-		if t, isIn := l.o.Inputs[v.Name]; isIn {
-			return &Scan{T: t}, nil
+		if in, err := l.lowerInput(v); err == nil {
+			return &Scan{In: in}, nil
 		}
 	}
 	return nil, fmt.Errorf("exec: cannot lower %s", ocal.String(prog))
 }
 
 // lowerInput lowers a source subexpression into an operator input: input
-// tables fuse, anything else streams.
+// tables and exchange parts fuse, anything else streams.
 func (l *lowerer) lowerInput(e ocal.Expr) (Input, error) {
 	if v, ok := e.(ocal.Var); ok {
+		if in, isPart := l.parts[v.Name]; isPart {
+			return in, nil
+		}
 		if t, isIn := l.o.Inputs[v.Name]; isIn {
 			return TableInput(t), nil
 		}
@@ -234,7 +243,6 @@ func (l *lowerer) lowerInput(e ocal.Expr) (Input, error) {
 
 // srcInfo describes one distinct data source of a loop nest.
 type srcInfo struct {
-	src   ocal.Expr // source of the loop that introduced it
 	in    Input
 	k     int64   // block size of the loop that introduced the source
 	elem  string  // innermost variable bound to this source's elements
@@ -244,8 +252,8 @@ type srcInfo struct {
 // walkNest reads the (possibly blocked and tiled) For nest at e down to
 // its innermost body. A loop over a variable an enclosing loop bound
 // re-blocks that loop's source; any other loop introduces a source, which
-// open resolves to an input.
-func (l *lowerer) walkNest(e ocal.Expr, open func(ocal.Expr) (Input, error)) ([]*srcInfo, ocal.Expr, error) {
+// lowerInput resolves to an input.
+func (l *lowerer) walkNest(e ocal.Expr) ([]*srcInfo, ocal.Expr, error) {
 	var srcs []*srcInfo
 	owner := map[string]*srcInfo{} // loop variable -> its source
 	for {
@@ -259,11 +267,11 @@ func (l *lowerer) walkNest(e ocal.Expr, open func(ocal.Expr) (Input, error)) ([]
 			s.tiles = append(s.tiles, k)
 			s.elem = f.X
 		} else {
-			in, err := open(f.Src)
+			in, err := l.lowerInput(f.Src)
 			if err != nil {
 				return nil, nil, err
 			}
-			s = &srcInfo{src: f.Src, in: in, k: k, elem: f.X}
+			s = &srcInfo{in: in, k: k, elem: f.X}
 			srcs = append(srcs, s)
 		}
 		owner[f.X] = s
@@ -311,15 +319,15 @@ func (l *lowerer) lowerLoops(prog ocal.Expr) (Operator, error, bool) {
 		if err != nil {
 			return nil, err, true
 		}
-		if in.table != nil {
-			return &Scan{T: in.table, K: f.K.Bind(l.o.Params)}, nil, true
+		if in.op == nil {
+			return &Scan{In: in, K: f.K.Bind(l.o.Params)}, nil, true
 		}
 		return in.op, nil, true
 	}
 	// A loop nest consumes its sources as bags (a single-source projection
 	// preserves order, so it keeps the current flag; a join over two sources
 	// materializes/rescans the inner anyway).
-	srcs, e, err := l.walkNest(prog, l.lowerInput)
+	srcs, e, err := l.walkNest(prog)
 	if err != nil {
 		return nil, err, true
 	}
@@ -424,7 +432,12 @@ func projIndex(e ocal.Expr, v string) (int, error) {
 	return p.I - 1, nil
 }
 
-func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
+// lowerFlatMap lowers flatMap(λ) over partitioned inputs to a Gather whose
+// part i is λ's body, lowered with λ's parameters bound to part i of each
+// input's exchange. The exchanges run in the order the body's loops first
+// read them (the outer loop's first), at the largest block such a loop
+// reads.
+func (l *lowerer) lowerFlatMap(prog ocal.Expr) (Operator, error, bool) {
 	app, ok := prog.(ocal.App)
 	if !ok {
 		return nil, nil, false
@@ -433,72 +446,108 @@ func (l *lowerer) lowerHashJoin(prog ocal.Expr) (Operator, error, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	zipApp, ok := app.Arg.(ocal.App)
-	if !ok {
-		return nil, nil, false
-	}
-	if _, ok := zipApp.Fn.(ocal.ZipLists); !ok {
-		return nil, nil, false
-	}
-	tupArg, ok := zipApp.Arg.(ocal.Tup)
-	if !ok || len(tupArg.Elems) != 2 {
-		return nil, fmt.Errorf("exec: hash join needs two partitioned inputs"), true
-	}
-	ordered := l.ordered
-	var sides [2]Input
-	var buckets int64
-	for i, el := range tupArg.Elems {
-		pa, ok := el.(ocal.App)
-		if !ok {
-			return nil, fmt.Errorf("exec: expected partition application"), true
-		}
-		pf, ok := pa.Fn.(ocal.PartitionF)
-		if !ok {
-			return nil, fmt.Errorf("exec: expected partition"), true
-		}
-		// The partition pass hashes rows to buckets: a bag consumer.
-		in, err := l.withOrdered(false, func() (Input, error) { return l.lowerInput(pa.Arg) })
-		if err != nil {
-			return nil, err, true
-		}
-		sides[i] = in
-		buckets = pf.S.Bind(l.o.Params)
+	xs, err := l.lowerZip(app.Arg)
+	if err != nil {
+		return nil, err, true
 	}
 	lam, ok := fm.Fn.(ocal.Lam)
-	if !ok || len(lam.Params) != 2 {
-		return nil, fmt.Errorf("exec: hash join flatMap needs a binary lambda"), true
+	if !ok || len(lam.Params) != len(xs) {
+		return nil, fmt.Errorf("exec: flatMap over %d partitioned inputs needs a lambda of %d parameters", len(xs), len(xs)), true
 	}
-	// The inner body is a join over the bucket pair: walk its loop nest with
-	// the buckets standing in as inputs.
-	srcs, e, err := l.walkNest(lam.Body, func(src ocal.Expr) (Input, error) {
-		if n := varName(src); n == "" || (n != lam.Params[0] && n != lam.Params[1]) {
-			return Input{}, fmt.Errorf("exec: hash join inner loop over %s, which is not a bucket", ocal.String(src))
+	order, k := l.partReads(lam)
+	g := &Gather{Parts: make([]Operator, xs[0].Parts), Ordered: l.ordered}
+	for _, i := range order {
+		xs[i].KRead = k
+		g.Exchanges = append(g.Exchanges, xs[i])
+	}
+	outer := l.parts
+	defer func() { l.parts = outer }()
+	for i := range g.Parts {
+		l.parts = map[string]Input{}
+		maps.Copy(l.parts, outer)
+		for j, p := range lam.Params {
+			l.parts[p] = Input{x: xs[j], part: i}
 		}
-		return Input{}, nil
-	})
+		if g.Parts[i], err = l.lower(lam.Body); err != nil {
+			return nil, err, true
+		}
+		if _, scalar := g.Parts[i].(*Fold); scalar {
+			return nil, fmt.Errorf("exec: flatMap body %s is a scalar fold", ocal.String(lam.Body)), true
+		}
+	}
+	return g, nil, true
+}
+
+// partReads walks a flatMap body for its loops over λ's parameters: the
+// parameter indices in the order such a loop first reads them, then the
+// ones no loop reads, and the largest block such a loop reads (at least 1).
+func (l *lowerer) partReads(lam ocal.Lam) (order []int, k int64) {
+	k = 1
+	var walk func(ocal.Expr)
+	walk = func(e ocal.Expr) {
+		if f, ok := e.(ocal.For); ok {
+			if i := slices.Index(lam.Params, varName(f.Src)); i >= 0 {
+				k = max(k, f.K.Bind(l.o.Params))
+				if !slices.Contains(order, i) {
+					order = append(order, i)
+				}
+			}
+		}
+		for _, c := range ocal.Children(e) {
+			walk(c)
+		}
+	}
+	walk(lam.Body)
+	for i := range lam.Params {
+		if !slices.Contains(order, i) {
+			order = append(order, i)
+		}
+	}
+	return order, k
+}
+
+// lowerZip lowers a flatMap's argument, zip[n] over n partitioned inputs or
+// one partitioned input, to their exchanges, whose parts pair up by number:
+// their degrees must agree.
+func (l *lowerer) lowerZip(e ocal.Expr) ([]*Exchange, error) {
+	elems := []ocal.Expr{e}
+	if app, ok := e.(ocal.App); ok {
+		if z, ok := app.Fn.(ocal.ZipLists); ok {
+			elems = []ocal.Expr{app.Arg}
+			if tup, ok := app.Arg.(ocal.Tup); ok {
+				elems = tup.Elems
+			}
+			if len(elems) != z.N {
+				return nil, fmt.Errorf("exec: zip[%d] over %d inputs", z.N, len(elems))
+			}
+		}
+	}
+	xs := make([]*Exchange, len(elems))
+	for i, el := range elems {
+		x, err := l.lowerPartition(el)
+		if err != nil {
+			return nil, err
+		}
+		if xs[i] = x; x.Parts != xs[0].Parts {
+			return nil, fmt.Errorf("exec: zip over partitions of different degrees (%d vs %d)", xs[0].Parts, x.Parts)
+		}
+	}
+	return xs, nil
+}
+
+// lowerPartition lowers partition[s](E) to an Exchange of E into s parts.
+// The exchange hashes rows to parts: E is lowered as a bag.
+func (l *lowerer) lowerPartition(e ocal.Expr) (*Exchange, error) {
+	app, _ := e.(ocal.App)
+	pf, ok := app.Fn.(ocal.PartitionF)
+	if !ok {
+		return nil, fmt.Errorf("exec: cannot lower flatMap over %s, which is not partitioned", ocal.String(e))
+	}
+	in, err := l.withOrdered(false, func() (Input, error) { return l.lowerInput(app.Arg) })
 	if err != nil {
-		return nil, err, true
+		return nil, err
 	}
-	if len(srcs) != 2 {
-		return nil, fmt.Errorf("exec: hash join inner body is not a two-relation join"), true
-	}
-	keys, swapOut, err := compileJoinBody(e, srcs[0].elem, srcs[1].elem)
-	if err != nil {
-		return nil, err, true
-	}
-	left, right := sides[0], sides[1]
-	if varName(srcs[0].src) == lam.Params[1] {
-		left, right = right, left
-	}
-	// Key attributes: the conservative hash-part rule only fires on
-	// first-attribute equi-joins, so 0/0.
-	return &HashJoin{
-		L: left, R: right,
-		Buckets: buckets,
-		KRead:   max(srcs[0].k, srcs[1].k, 1), K1: srcs[0].k, K2: srcs[1].k,
-		KeyL: 0, KeyR: 0, EquiKeys: keys, SwapOutput: swapOut,
-		OrderedOutput: ordered,
-	}, nil, true
+	return &Exchange{In: in, Parts: max(pf.S.Bind(l.o.Params), 1)}, nil
 }
 
 func (l *lowerer) lowerExtSort(prog ocal.Expr) (Operator, error, bool) {

@@ -78,12 +78,21 @@ func TestLowerHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ok := p.Root.(*Sink).in.(*HashJoin)
+	g, ok := p.Root.(*Sink).in.(*Gather)
 	if !ok {
-		t.Fatalf("expected HashJoin, got %T", p.Root.(*Sink).in)
+		t.Fatalf("expected Gather, got %T", p.Root.(*Sink).in)
 	}
-	if h.Buckets != 4 {
-		t.Errorf("buckets = %d want 4", h.Buckets)
+	if len(g.Parts) != 4 || len(g.Exchanges) != 2 {
+		t.Fatalf("%d parts over %d exchanges, want 4 over 2", len(g.Parts), len(g.Exchanges))
+	}
+	for _, x := range g.Exchanges {
+		if x.Parts != 4 || x.KRead != 4 || x.In.table == nil {
+			t.Errorf("exchange %+v, want 4 parts of a fused table read in blocks of 4", x)
+		}
+	}
+	j, ok := g.Parts[3].(*BNLJoin)
+	if !ok || j.L.x != g.Exchanges[0] || j.R.x != g.Exchanges[1] || j.L.part != 3 || j.R.part != 3 {
+		t.Fatalf("part 3 is %+v, want a join of both exchanges' part 3", g.Parts[3])
 	}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
@@ -207,24 +216,35 @@ func TestLowerComposedProgram(t *testing.T) {
 
 func TestLowerErrors(t *testing.T) {
 	sim, d, inputs := lowerEnv(t)
-	grace := func(body string) string {
-		return `flatMap(\<p1, p2> -> ` + body + `)(zip[2](partition[4](R), partition[4](S)))`
+	join := `for (x <- p1) for (y <- p2) if x.1 == y.1 then [<x, y>] else []`
+	zipped := func(s1, s2 string) string {
+		return `flatMap(\<p1, p2> -> ` + join + `)(zip[2](partition[` + s1 + `](R), partition[` + s2 + `](S)))`
 	}
 	cases := map[string]string{
 		`mrg`: "cannot lower",
 		`for (x <- R) for (y <- S) if x.1 <= y.1 then [<x, y>] else []`: "unsupported join condition",
 		`for (x <- Q) [x]`: "unknown input",
-		grace(`for (x <- (for (w <- p1) [w])) for (y <- p2) [<x, y>]`): "which is not a bucket",
-		grace(`for (x <- p1) for (y <- R) [<x, y>]`):                   "which is not a bucket",
-		grace(`for (x <- p1) [x]`):                                     "not a two-relation join",
+		// Part i of one input pairs with part i of the other only when both
+		// have as many parts; the interpreter rejects ragged zips too.
+		zipped("4", "8"):        "zip over partitions of different degrees (4 vs 8)",
+		zipped("s", "t"):        "zip over partitions of different degrees (4 vs 8)",
+		`flatMap(\p -> [p])(R)`: "cannot lower flatMap over R",
+		`flatMap(\p -> foldL(0, \<a, x> -> (a + x.1))(p))(partition[4](R))`: "is a scalar fold",
 	}
+	params := map[string]int64{"s": 4, "t": 8}
 	for src, want := range cases {
 		prog := ocal.MustParse(src)
-		_, err := Lower(prog, LowerOpts{Sim: sim, Inputs: inputs, Scratch: d,
+		_, err := Lower(prog, LowerOpts{Sim: sim, Inputs: inputs, Params: params, Scratch: d,
 			Sink: &Sink{Sim: sim}})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("lowering %s: got error %v, want one containing %q", src, err, want)
 		}
+	}
+	// Degrees are compared once bound: two names for one value pair up.
+	params["t"] = 4
+	if _, err := Lower(ocal.MustParse(zipped("s", "t")), LowerOpts{Sim: sim, Inputs: inputs, Params: params,
+		Scratch: d, Sink: &Sink{Sim: sim}}); err != nil {
+		t.Errorf("partition[s] zipped with partition[t] at s = t = 4: %v", err)
 	}
 }
 

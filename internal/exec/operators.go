@@ -9,13 +9,18 @@ import (
 
 // Input binds an operator input either to a base table (fused block reads:
 // the operator reads the device directly at its tuned block size, exactly
-// what the generated C would do), to a chain of scratch spills, or to an
-// arbitrary operator subtree, which streams through the batch protocol.
+// what the generated C would do), to a chain of scratch spills, to one part
+// of an exchange, or to an arbitrary operator subtree, which streams through
+// the batch protocol.
 type Input struct {
 	table  *Table           // set for a base table, next to its one-spill chain
 	spills []*storage.Spill // device-resident input: the chain to read
 	ar     int              // arity of spills
 	op     Operator         // streamed input
+	// x, when set, binds the input to part number part of exchange x, whose
+	// spill chain exists once x has run (see Gather.Exchanges).
+	x    *Exchange
+	part int
 }
 
 // TableInput fuses a base table into the consuming operator.
@@ -30,21 +35,30 @@ func SpillsInput(sps []*storage.Spill, arity int) Input { return Input{spills: s
 // OpInput streams another operator's output.
 func OpInput(op Operator) Input { return Input{op: op} }
 
-func (in Input) reader() blockReader {
-	if in.spills != nil {
-		return in.section(0, -1)
+// resolve binds an exchange part to the spill chain its exchange wrote (no
+// spills and arity 0 when the exchange's input delivered no rows).
+func (in Input) resolve() Input {
+	if in.x != nil {
+		return SpillsInput(in.x.parts[in.part], in.x.arity)
 	}
-	return newOpReader(in.op)
+	return in
+}
+
+func (in Input) reader() blockReader {
+	if in.op != nil {
+		return newOpReader(in.op)
+	}
+	return in.section(0, -1)
 }
 
 // extent returns the input's row count, or -1 for a streamed subtree whose
 // extent is unknown before execution.
 func (in Input) extent() int64 {
-	if in.spills == nil {
+	if in.op != nil {
 		return -1
 	}
 	var n int64
-	for _, sp := range in.spills {
+	for _, sp := range in.resolve().spills {
 		n += sp.Records()
 	}
 	return n
@@ -53,25 +67,26 @@ func (in Input) extent() int64 {
 // section returns a reader over the record range [lo, hi) of a
 // device-resident input (hi < 0: to the end).
 func (in Input) section(lo, hi int64) blockReader {
+	in = in.resolve()
 	return &tableReader{sps: in.spills, ar: in.ar, lo: lo, hi: hi}
 }
 
 // ---------------------------------------------------------------------------
 // Scan
 
-// Scan delivers a table batch by batch, reading the device in blocks of K
-// tuples through a pooled frame.
+// Scan delivers a device-resident input (a table or an exchange part) batch
+// by batch, reading the device in blocks of K tuples through a pooled frame.
 type Scan struct {
-	T *Table
-	K int64 // read block in tuples; <= 0 uses the context batch size
+	In Input
+	K  int64 // read block in tuples; <= 0 uses the context batch size
 
 	c *Ctx
-	r *tableReader
+	r blockReader
 }
 
 func (o *Scan) Open(c *Ctx) error {
 	o.c = c
-	o.r = newSpillReader(o.T.Spill, o.T.Arity)
+	o.r = o.In.section(0, -1)
 	return o.r.open(c)
 }
 
@@ -84,7 +99,7 @@ func (o *Scan) Next(b *Batch) (bool, error) {
 	if err != nil || blk == nil {
 		return false, err
 	}
-	b.Arity, b.Cols = o.T.Arity, blk
+	b.Arity, b.Cols = o.r.arity(), blk
 	return true, nil
 }
 
@@ -480,101 +495,6 @@ func (o *BNLJoin) countCacheMisses(nx, ny, ra, sa int64) {
 		c.ScanMisses(rows*sa*4, nTilesX*tileX)
 	}
 	c.ScanMisses(nx*ra*4, 1)
-}
-
-// ---------------------------------------------------------------------------
-// GRACE hash join
-
-// HashJoin is the GRACE hash join: both inputs are hash-partitioned to
-// scratch spill files (through pool-pinned per-bucket write buffers sized
-// as Exchange says), then corresponding buckets are joined with block
-// nested loops joins of the plan's K1 and K2 blocks, which normally cover
-// a whole bucket (an outer block spans the bucket's spill segments), so
-// all data is read exactly twice.
-// Both phases are morsel-parallel: inputs with known extent partition in
-// concurrent morsel tasks (Exchange), and the per-bucket joins run on the
-// worker lanes through a Gather — the bucket count, fixed by the plan's
-// tuned parameter, is the partition degree, so charges are identical for
-// every worker count.
-type HashJoin struct {
-	L, R     Input
-	Buckets  int64
-	KRead    int64 // partition-phase read block (tuples)
-	K1, K2   int64 // the bucket joins' outer and inner blocks (tuples)
-	KeyL     int   // 0-based key attribute of L
-	KeyR     int
-	EquiKeys *[2]int // the join condition of the per-bucket joins (see BNLJoin.EquiKeys)
-	// SwapOutput is forwarded to the per-bucket joins (see BNLJoin).
-	SwapOutput bool
-	// OrderedOutput delivers bucket outputs strictly in bucket order (the
-	// single-worker order) at the cost of producer overlap; lowering sets
-	// it when an order-sensitive consumer (a fold, a streaming merge)
-	// consumes this join.
-	OrderedOutput bool
-
-	c        *Ctx
-	bL, bR   []Part
-	arL, arR int
-	g        *Gather // bucket joins, partition-wise on the worker lanes
-	done     bool
-}
-
-func (o *HashJoin) Open(c *Ctx) error {
-	o.c = c
-	s := o.Buckets
-	if s <= 0 {
-		s = 1
-	}
-	o.Buckets = s
-	exL := &Exchange{In: o.L, Parts: s, Key: o.KeyL, KRead: o.KRead}
-	exR := &Exchange{In: o.R, Parts: s, Key: o.KeyR, KRead: o.KRead}
-	var err error
-	if o.bL, o.arL, err = exL.Run(c); err != nil {
-		return err
-	}
-	if o.bR, o.arR, err = exR.Run(c); err != nil {
-		return err
-	}
-	// A side that delivered no rows (unknowable arity) joins to nothing.
-	o.done = o.arL == 0 || o.arR == 0
-	if o.done {
-		return nil
-	}
-	// The bucket joins are the join phase's partitions: a Gather runs them
-	// on the worker lanes (lazily in bucket order on one worker), each
-	// against the full plan budget, so per-bucket charges match the
-	// bucket-at-a-time executor exactly.
-	parts := make([]Operator, s)
-	for i := int64(0); i < s; i++ {
-		parts[i] = o.bucketJoin(i)
-	}
-	o.g = &Gather{Parts: parts, Ordered: o.OrderedOutput}
-	return o.g.Open(c)
-}
-
-// bucketJoin builds the BNL join of bucket pair i.
-func (o *HashJoin) bucketJoin(i int64) *BNLJoin {
-	return &BNLJoin{
-		L: SpillsInput(o.bL[i].Spills, o.arL), R: SpillsInput(o.bR[i].Spills, o.arR),
-		K1: o.K1, K2: o.K2, EquiKeys: o.EquiKeys,
-		SwapOutput: o.SwapOutput,
-	}
-}
-
-func (o *HashJoin) Next(b *Batch) (bool, error) {
-	if o.done || o.g == nil {
-		return false, nil
-	}
-	return o.g.Next(b)
-}
-
-func (o *HashJoin) Close() error {
-	if o.g != nil {
-		g := o.g
-		o.g = nil
-		return g.Close()
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 // parallel.go is the morsel-driven parallel machinery of the executor: a
-// deterministic partition-task runner on par.For (runParts), the Gather
-// operator that merges the hash join's concurrently produced bucket
-// streams, and the Exchange that hash-partitions its inputs into per-bucket
-// spill files. Parallelism never changes what is charged: partition counts
-// are decided by the plan (tuned block sizes, data sizes, pool budget) and
-// each partition runs on a private accounting strand with a fixed pool
-// share, so output digests and device ledgers are identical whether one
-// worker or eight execute the partitions. Only wall-clock time changes.
+// deterministic partition-task runner on par.For (runParts), the Exchange
+// that hash-partitions an input into per-part spill files, and the Gather
+// that lowers flatMap over partitioned inputs: it runs the exchanges, then
+// merges the concurrently produced streams of its per-part operators.
+// Parallelism never changes what is charged: partition counts are decided
+// by the plan (tuned block sizes, data sizes, pool budget) and each
+// partition runs on a private accounting strand with a fixed pool share, so
+// output digests and device ledgers are identical whether one worker or
+// eight execute the partitions. Only wall-clock time changes.
 package exec
 
 import (
@@ -101,17 +102,20 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 // strand. With more, one producer goroutine drives them as par.For tasks
 // and batches merge in completion order — the consumer never stalls a
 // producer — which is correct for every bag consumer (joins, exchanges,
-// sorts, the sink's order-independent digest). With Ordered set
-// (HashJoin.OrderedOutput: an order-sensitive consumer sits above the
-// join) the gather has one lane at every worker count, so the row order —
-// not just the bag — never depends on it: delivering in partition order
-// from concurrent producers stalls them on the consumer and measured no
-// faster than running them in turn. Each partition runs on a private
-// context (see Ctx.part).
+// sorts, the sink's order-independent digest). With Ordered set (lowering
+// sets it when an order-sensitive consumer, a fold or a streaming merge,
+// sits above the flatMap) the gather has one lane at every worker count,
+// so the row order — not just the bag — never depends on it: delivering in
+// partition order from concurrent producers stalls them on the consumer and
+// measured no faster than running them in turn. Each partition runs on a
+// private context (see Ctx.part).
 type Gather struct {
 	Parts []Operator
 	// Ordered delivers the partitions' rows in partition order.
 	Ordered bool
+	// Exchanges run at Open, in order, before any part opens. A lowered
+	// flatMap(λ) is a Gather whose part i is λ's body over part i of each.
+	Exchanges []*Exchange
 
 	c      *Ctx
 	ctxs   []*Ctx
@@ -133,8 +137,13 @@ type Gather struct {
 
 func (g *Gather) Open(c *Ctx) error {
 	g.c = c
+	for _, x := range g.Exchanges {
+		if err := x.Run(c); err != nil {
+			return err
+		}
+	}
 	n := len(g.Parts)
-	if n == 0 {
+	if n == 0 || joinsNoRows(g.Parts[0]) {
 		g.merged = true
 		return nil
 	}
@@ -160,6 +169,15 @@ func (g *Gather) Open(c *Ctx) error {
 		close(g.ch)
 	}()
 	return nil
+}
+
+// joinsNoRows reports that part joins a part of an exchange whose input
+// delivered no rows (its arity unknowable): such parts join to nothing, so
+// none runs.
+func joinsNoRows(part Operator) bool {
+	j, ok := part.(*BNLJoin)
+	noRows := func(in Input) bool { return in.x != nil && in.x.arity == 0 }
+	return ok && (noRows(j.L) || noRows(j.R))
 }
 
 // runTask drives partition i to completion unless a sibling failed or the
@@ -314,16 +332,10 @@ func (g *Gather) Close() error {
 // ---------------------------------------------------------------------------
 // Exchange
 
-// Part is one partition produced by an Exchange: the chained spill
-// segments (one per producer task) holding its rows.
-type Part struct {
-	Spills []*storage.Spill
-}
-
-// Exchange hash-partitions an input stream into Parts partitions on
-// scratch: the partitioning pass of the GRACE hash join. An input with
-// known extent (a base table or spill chain) is split into morsel sections
-// partitioned concurrently by the
+// Exchange hash-partitions an input stream on its first attribute into
+// Parts (at least 1) partitions on scratch: the lowering of partition[s].
+// An input with known extent (a base table, a spill chain or an exchange
+// part) is split into morsel sections partitioned concurrently by the
 // worker lanes, each task writing its own per-partition spills through
 // pool-pinned write buffers; a streamed subtree is partitioned on the
 // caller's strand. Partition spills are chained per partition in task
@@ -334,18 +346,19 @@ type Part struct {
 type Exchange struct {
 	In    Input
 	Parts int64
-	Key   int   // 0-based hash attribute
 	KRead int64 // read block (tuples)
+
+	// Run's result, which exchange-part inputs read: per partition, the
+	// chained spill segments (one per producer task) holding its rows, and
+	// the row arity (0 when the input delivered no rows and its arity is
+	// unknowable).
+	parts [][]*storage.Spill
+	arity int
 }
 
-// Run partitions the input, returning one Part per partition and the row
-// arity (0 when the input delivered no rows and its arity is unknowable).
-func (x *Exchange) Run(c *Ctx) ([]Part, int, error) {
+// Run partitions the input.
+func (x *Exchange) Run(c *Ctx) error {
 	s := x.Parts
-	if s <= 0 {
-		s = 1
-	}
-	x.Parts = s
 	tasks, sections := x.plan(c)
 	spills := make([][]*storage.Spill, tasks)
 	arities := make([]int, tasks)
@@ -361,9 +374,9 @@ func (x *Exchange) Run(c *Ctx) ([]Part, int, error) {
 		return err
 	})
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	parts := make([]Part, s)
+	parts := make([][]*storage.Spill, s)
 	arity := 0
 	for t := 0; t < tasks; t++ {
 		if arities[t] > 0 {
@@ -371,11 +384,12 @@ func (x *Exchange) Run(c *Ctx) ([]Part, int, error) {
 		}
 		for p := int64(0); p < s; p++ {
 			if spills[t] != nil {
-				parts[p].Spills = append(parts[p].Spills, spills[t][p])
+				parts[p] = append(parts[p], spills[t][p])
 			}
 		}
 	}
-	return parts, arity, nil
+	x.parts, x.arity = parts, arity
+	return nil
 }
 
 // plan decides the morsel-task count and section bounds: enough blocks per
@@ -499,7 +513,7 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		}
 		n := int64(len(blk[0]))
 		c.cpu(n, c.Sim.HashSeconds)
-		keyCol := blk[x.Key]
+		keyCol := blk[0]
 		for i := int64(0); i < n; i++ {
 			b := int64(ocal.HashInt(int64(keyCol[i])) % uint64(s))
 			// Flush before the row would outgrow the pinned frame, so the

@@ -240,6 +240,21 @@ func TestWorkersDifferentialSweep(t *testing.T) {
 	}
 }
 
+// TestPartitionedFlatMapWorkers: flatMaps over partitioned inputs whose
+// bodies are not the GRACE join match the interpreter and keep the
+// determinism contract at every worker count.
+func TestPartitionedFlatMapWorkers(t *testing.T) {
+	for seed := int64(0); seed < 2; seed++ {
+		r := rand.New(rand.NewSource(950 + seed))
+		// Products grow with the square of the inputs: small ones.
+		for _, c := range partitionedCases(r, randTable(r, 2, 40, 24), randTable(r, 2, 30, 24)) {
+			for _, pool := range []int64{0, 2 << 10} {
+				sweepCase(t, c, false, pool)
+			}
+		}
+	}
+}
+
 // TestGatherMergesPartitionStreams drives a hand-built Gather of
 // projections, each over its own partition spill, and checks the merged bag
 // equals the whole at every worker count, with the partition charges adding
@@ -305,17 +320,16 @@ func TestExchangePartitions(t *testing.T) {
 	const s = 5
 	// s+1 frames of 16 rows: the bucket buffers flush mid-stream.
 	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool((s + 1) * 16 * 8), Scratch: d, Workers: 2, shared: newShared(2)}
-	x := &Exchange{In: TableInput(tb), Parts: s, Key: 0, KRead: 16}
-	parts, arity, err := x.Run(c)
-	if err != nil {
+	x := &Exchange{In: TableInput(tb), Parts: s, KRead: 16}
+	if err := x.Run(c); err != nil {
 		t.Fatal(err)
 	}
-	if arity != 2 {
-		t.Fatalf("arity %d want 2", arity)
+	if x.arity != 2 {
+		t.Fatalf("arity %d want 2", x.arity)
 	}
 	var got [][]int32
-	for pi, part := range parts {
-		for _, sp := range part.Spills {
+	for pi, part := range x.parts {
+		for _, sp := range part {
 			for _, row := range tableRows(flatSpill(sp), 2) {
 				if want := int64(ocal.Hash(ocal.Int(int64(row[0]))) % uint64(s)); want != int64(pi) {
 					t.Fatalf("row %v in partition %d, its key hashes to %d", row, pi, want)

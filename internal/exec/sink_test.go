@@ -166,7 +166,7 @@ func TestPreloadColsMatchesPreload(t *testing.T) {
 			}
 			var s scanned
 			sink := &Sink{Sim: sim, Tap: tapRows(func(row []int32) { s.rows = append(s.rows, append([]int32(nil), row...)) })}
-			drainOp(t, runCtx(sim, "hdd", 0), &Scan{T: tb}, sink)
+			drainOp(t, runCtx(sim, "hdd", 0), &Scan{In: TableInput(tb)}, sink)
 			s.clock, s.ledger, s.flat = math.Float64bits(sim.Clock.Seconds()), d.Led, tb.Flat()
 			return s
 		}

@@ -130,9 +130,10 @@ func TestExecuteEndpointRejectsOversizedRuns(t *testing.T) {
 	}
 }
 
-// TestExecuteBodyFailuresAre422: a scan body whose rows differ in width, and
-// a body outside the kernel grammar, answer 422 with the executor's error —
-// no panic reaches the handler — and the daemon keeps serving.
+// TestExecuteBodyFailuresAre422: a scan body whose rows differ in width, a
+// body outside the kernel grammar, and a zip of partitions of different
+// degrees answer 422 with the executor's error — no panic reaches the
+// handler — and the daemon keeps serving.
 func TestExecuteBodyFailuresAre422(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := func(program string) string {
@@ -143,6 +144,7 @@ func TestExecuteBodyFailuresAre422(t *testing.T) {
 		"for (x <- R) if x.1 < 3 then [x] else [<x.2>]": "execution failed: plan: execute: exec: scan body emits rows of 2 and of 1 attributes",
 		"for (x <- R) if x.1 < 3 then [<x.2>] else [x]": "execution failed: plan: execute: exec: scan body emits rows of 1 and of 2 attributes",
 		"for (x <- R) [head([x.1])]":                    "execution failed: plan: lower: exec: cannot lower scan body: unsupported row head([x.1])",
+		"flatMap(\\\\<p1, p2> -> for (x <- p1) for (y <- p2) if x.1 == y.1 then [<x, y>] else [])(zip[2](partition[4](R), partition[8](R)))": "execution failed: plan: lower: exec: zip over partitions of different degrees (4 vs 8)",
 	} {
 		resp, data := postExecute(t, ts, req(program))
 		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), want) {
