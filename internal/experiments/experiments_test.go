@@ -6,9 +6,6 @@ import (
 	"testing"
 )
 
-// TestTable1Smoke runs every row at a reduced scale and checks the paper's
-// qualitative claims: the optimized estimate always beats the naive spec,
-// and the measured time is within a sane band of the estimate.
 // estActOpen lists the Table 1 rows exempt from the est/act band, each
 // with its open cause (ROADMAP.md item 1). The list may only shrink.
 var estActOpen = map[string]string{
@@ -17,12 +14,36 @@ var estActOpen = map[string]string{
 	"grace-hash-join":    "(g) morsel sections split every bucket into several spill streams",
 }
 
+// estActOpenAtScale is estActOpen at shrink 1, the paper's sizes. It may
+// only shrink too.
+var estActOpenAtScale = map[string]string{
+	"bnl-cache":          estActOpen["bnl-cache"],
+	"bnl-write-same-hdd": estActOpen["bnl-write-same-hdd"],
+	"grace-hash-join":    estActOpen["grace-hash-join"],
+	"external-sort":      "(h) the sort's buffers: its share caps hold the band at shrink 8 only",
+	"dup-removal":        "(i) dup-removal's drift grows with its input, for a cause not yet named",
+}
+
+// TestTable1Smoke runs every row at a reduced scale (shrink 8) and at the
+// paper's (shrink 1), and checks the paper's qualitative claims: the
+// optimized estimate always beats the naive spec, and the measured time is
+// within a sane band of the estimate.
 func TestTable1Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 is slow")
 	}
+	t.Run("shrink=8", func(t *testing.T) { checkTable1(t, 8, estActOpen) })
+	t.Run("shrink=1", func(t *testing.T) {
+		skipAtScaleUnderRace(t)
+		checkTable1(t, 1, estActOpenAtScale)
+	})
+}
+
+// checkTable1 runs Table 1 at one shrink and checks it, exempting the rows
+// in open from the est/act band.
+func checkTable1(t *testing.T, shrink int64, open map[string]string) {
 	var buf bytes.Buffer
-	results, err := RunTable1(Config{Shrink: 8}, &buf)
+	results, err := RunTable1(Config{Shrink: shrink}, &buf)
 	if err != nil {
 		t.Fatalf("table1: %v\n%s", err, buf.String())
 	}
@@ -55,9 +76,12 @@ func TestTable1Smoke(t *testing.T) {
 		// The estimate predicts the measurement (the paper's §7.3 claim),
 		// except on the rows whose cause is still open.
 		ratio := r.OptSecs / r.ActSecs
-		if _, open := estActOpen[r.Name]; !open && (ratio < 0.85 || ratio > 1.10) {
+		_, exempt := open[r.Name]
+		if inBand := ratio >= 0.85 && ratio <= 1.10; !exempt && !inBand {
 			t.Errorf("%s: est/act %v outside [0.85, 1.10] (opt %v act %v)",
 				r.Name, ratio, r.OptSecs, r.ActSecs)
+		} else if exempt && inBand {
+			t.Errorf("%s: est/act %v is inside [0.85, 1.10]: drop its exemption", r.Name, ratio)
 		}
 	}
 	// Qualitative orderings from the paper.

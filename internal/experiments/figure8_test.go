@@ -5,11 +5,31 @@ import (
 	"testing"
 )
 
+// fig8OpenAtScale lists the Figure 8 points exempt from the est/act band
+// at shrink 1, by workload and label, each with its open cause (ROADMAP.md
+// item 1). At shrink 8 none is. The list may only shrink.
+var fig8OpenAtScale = map[string]string{
+	"Merge-sort 4G/32K": estActOpenAtScale["external-sort"],
+	"Merge-sort 8G/64K": estActOpenAtScale["external-sort"],
+}
+
+// TestFigure8Trends runs Figure 8 at a reduced scale (shrink 8) and at the
+// paper's (shrink 1).
 func TestFigure8Trends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 8 is slow")
 	}
-	pts, err := RunFigure8(Config{Shrink: 8}, io.Discard)
+	t.Run("shrink=8", func(t *testing.T) { checkFigure8(t, 8, nil) })
+	t.Run("shrink=1", func(t *testing.T) {
+		skipAtScaleUnderRace(t)
+		checkFigure8(t, 1, fig8OpenAtScale)
+	})
+}
+
+// checkFigure8 runs Figure 8 at one shrink and checks it, exempting the
+// points in open from the est/act band.
+func checkFigure8(t *testing.T, shrink int64, open map[string]string) {
+	pts, err := RunFigure8(Config{Shrink: shrink}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +42,12 @@ func TestFigure8Trends(t *testing.T) {
 		}
 		ratio := p.Estimated / p.Measured
 		// The paper's Figure 8 estimates track measurements closely.
-		if ratio < 0.85 || ratio > 1.10 {
+		_, exempt := open[p.Workload+" "+p.Label]
+		if inBand := ratio >= 0.85 && ratio <= 1.10; !exempt && !inBand {
 			t.Errorf("%s %s: est/act = %v out of band (est %v act %v)",
 				p.Workload, p.Label, ratio, p.Estimated, p.Measured)
+		} else if exempt && inBand {
+			t.Errorf("%s %s: est/act = %v is in band: drop its exemption", p.Workload, p.Label, ratio)
 		}
 	}
 	// Measured time grows with input size within each panel.
