@@ -338,8 +338,10 @@ func TestDifferentialHashJoin(t *testing.T) {
 
 // partitionedCases are flatMaps over partition[s] of R and S whose bodies
 // are not the GRACE join: a product of a streamed part and a part, a part
-// against a base table, a projection of one part of a zip, and a filter and
-// a scan of the parts of one partitioned input.
+// against a base table, a projection of one part of a zip, a filter and a
+// scan of the parts of one partitioned input, a filter of the parts of each
+// part (the inner lambda's p hides the outer one), and a sort of each part
+// of T, R's first column as singleton runs (the OCAL sorting convention).
 func partitionedCases(r *rand.Rand, R, S diffTable) []diffCase {
 	zipped := func(body string) string {
 		return "flatMap(\\<p1, p2> -> " + body + ")(zip[2](partition[s](R), partition[s](S)))"
@@ -359,7 +361,23 @@ func partitionedCases(r *rand.Rand, R, S diffTable) []diffCase {
 		c(zipped("for (x <- p1) [x]"), 2),
 		c("flatMap(\\p -> for (xB [k1] <- p) for (x <- xB) if x.2 < 4 then [<x.2, x.1>] else [])(partition[s](R))", 2),
 		c("flatMap(\\p -> p)(partition[s](S))", 2),
+		c("flatMap(\\p -> flatMap(\\p -> for (xB [k1] <- p) for (x <- xB) if x.1 < 4 then [x] else [])(partition[2](p)))(partition[s](R))", 2),
+		sortParts(r, c("flatMap(\\p -> treeFold[2][bout]([], unfoldR[bin](funcPow[1](mrg)))(for (xB [k1] <- p) xB))(partition[s](T))", 1), R),
 	}
+}
+
+// sortParts adds T, R's first column as singleton runs, and the sort's
+// block sizes to c.
+func sortParts(r *rand.Rand, c diffCase, R diffTable) diffCase {
+	var T diffTable
+	for i := 0; i < len(R.rows); i += 2 {
+		T.rows = append(T.rows, R.rows[i])
+		T.value = append(T.value, ocal.List{ocal.Int(int64(R.rows[i]))})
+	}
+	c.inputs["T"], c.arities["T"] = T, 1
+	// k1 >= 2: a k=1 block loop yields elements instead of runs.
+	c.params["k1"], c.params["bin"], c.params["bout"] = int64(r.Intn(6)+2), kp(r), kp(r)
+	return c
 }
 
 // TestDifferentialExtSort: randomized external merge sorts. The operator

@@ -261,9 +261,11 @@ func describeOp(op Operator) (kind, detail string) {
 	case *Gather:
 		// A body joining two parts is a GRACE hash join, which builds on
 		// the side its outer loop reads.
-		if j, ok := t.Parts[0].(*BNLJoin); ok && j.L.x != nil && j.R.x != nil {
-			return "hash-join", fmt.Sprintf("buckets=%d build=%s probe=%s k1=%d k2=%d",
-				len(t.Parts), inputDetail(j.L.x.In), inputDetail(j.R.x.In), j.K1, j.K2)
+		if len(t.Parts) > 0 {
+			if j, ok := t.Parts[0].(*BNLJoin); ok && j.L.x != nil && j.R.x != nil {
+				return "hash-join", fmt.Sprintf("buckets=%d build=%s probe=%s k1=%d k2=%d",
+					len(t.Parts), inputDetail(j.L.x.In), inputDetail(j.R.x.In), j.K1, j.K2)
+			}
 		}
 		return "flatmap", fmt.Sprintf("parts=%d ins=%d", len(t.Parts), len(t.Exchanges))
 	case *ExtSort:

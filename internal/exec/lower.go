@@ -481,23 +481,30 @@ func (l *lowerer) lowerFlatMap(prog ocal.Expr) (Operator, error, bool) {
 // partReads walks a flatMap body for its loops over λ's parameters: the
 // parameter indices in the order such a loop first reads them, then the
 // ones no loop reads, and the largest block such a loop reads (at least 1).
+// A nested lambda or loop that rebinds a parameter's name hides it.
 func (l *lowerer) partReads(lam ocal.Lam) (order []int, k int64) {
 	k = 1
-	var walk func(ocal.Expr)
-	walk = func(e ocal.Expr) {
-		if f, ok := e.(ocal.For); ok {
-			if i := slices.Index(lam.Params, varName(f.Src)); i >= 0 {
-				k = max(k, f.K.Bind(l.o.Params))
+	var walk func(e ocal.Expr, hidden []string)
+	walk = func(e ocal.Expr, hidden []string) {
+		switch t := e.(type) {
+		case ocal.Lam:
+			hidden = append(slices.Clip(hidden), t.Params...)
+		case ocal.For:
+			if i := slices.Index(lam.Params, varName(t.Src)); i >= 0 && !slices.Contains(hidden, lam.Params[i]) {
+				k = max(k, t.K.Bind(l.o.Params))
 				if !slices.Contains(order, i) {
 					order = append(order, i)
 				}
 			}
+			walk(t.Src, hidden)
+			walk(t.Body, append(slices.Clip(hidden), t.X))
+			return
 		}
 		for _, c := range ocal.Children(e) {
-			walk(c)
+			walk(c, hidden)
 		}
 	}
-	walk(lam.Body)
+	walk(lam.Body, nil)
 	for i := range lam.Params {
 		if !slices.Contains(order, i) {
 			order = append(order, i)

@@ -102,6 +102,32 @@ func TestLowerHashJoin(t *testing.T) {
 	}
 }
 
+// TestLowerNestedPartitionReadBlocks: a loop over the inner lambda's p reads
+// the inner exchange's part, not the outer one it hides, so only the inner
+// exchange takes the loop's block.
+func TestLowerNestedPartitionReadBlocks(t *testing.T) {
+	sim, d, inputs := lowerEnv(t)
+	prog := ocal.MustParse(`flatMap(\p -> flatMap(\p -> for (xB [k] <- p) xB)(partition[2](p)))(partition[4](R))`)
+	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: inputs, Params: map[string]int64{"k": 8},
+		Scratch: d, Sink: &Sink{Sim: sim}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := p.Root.(*Sink).in.(*Gather)
+	inner, ok := outer.Parts[0].(*Gather)
+	if !ok || outer.Exchanges[0].KRead != 1 || inner.Exchanges[0].KRead != 8 {
+		t.Fatalf("outer exchange reads blocks of %d, inner part %T; want 1 and a gather reading blocks of 8",
+			outer.Exchanges[0].KRead, outer.Parts[0])
+	}
+}
+
+// TestExplainEmptyGather: a gather of no parts explains as a flatmap.
+func TestExplainEmptyGather(t *testing.T) {
+	if kind, detail := describeOp(&Gather{}); kind != "flatmap" || detail != "parts=0 ins=0" {
+		t.Errorf("empty gather explains as %s [%s]", kind, detail)
+	}
+}
+
 func TestLowerExtSortThroughIdentityScan(t *testing.T) {
 	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
 	d, _ := sim.Device("hdd")

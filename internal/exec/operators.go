@@ -240,6 +240,12 @@ type BNLJoin struct {
 
 func (o *BNLJoin) Open(c *Ctx) error {
 	o.c = c
+	// A part of an exchange whose input delivered no rows (its arity
+	// unknowable) joins to nothing: neither side is read.
+	noRows := func(in Input) bool { return in.x != nil && in.x.arity == 0 }
+	if o.done = noRows(o.L) || noRows(o.R); o.done {
+		return nil
+	}
 	lr, rr := o.L.reader(), o.R.reader()
 	if err := lr.open(c); err != nil {
 		return err
@@ -544,13 +550,13 @@ func (o *ExtSort) Open(c *Ctx) error {
 	if o.Way < 2 {
 		o.Way = 2
 	}
-	// Resolve the pass-1 source: a base table is read in place; an operator
-	// subtree is spooled to scratch first.
+	// Resolve the pass-1 source: a base table or a one-segment exchange part
+	// is read in place; anything else is spooled to scratch first.
 	var src *storage.Spill
-	if o.In.table != nil {
-		src, o.arity = o.In.table.Spill, o.In.table.Arity
+	if in := o.In.resolve(); in.op == nil && len(in.spills) == 1 {
+		src, o.arity = in.spills[0], in.ar
 	} else {
-		r := newOpReader(o.In.op)
+		r := o.In.reader()
 		if err := r.open(c); err != nil {
 			return err
 		}

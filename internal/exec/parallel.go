@@ -143,7 +143,7 @@ func (g *Gather) Open(c *Ctx) error {
 		}
 	}
 	n := len(g.Parts)
-	if n == 0 || joinsNoRows(g.Parts[0]) {
+	if n == 0 {
 		g.merged = true
 		return nil
 	}
@@ -169,15 +169,6 @@ func (g *Gather) Open(c *Ctx) error {
 		close(g.ch)
 	}()
 	return nil
-}
-
-// joinsNoRows reports that part joins a part of an exchange whose input
-// delivered no rows (its arity unknowable): such parts join to nothing, so
-// none runs.
-func joinsNoRows(part Operator) bool {
-	j, ok := part.(*BNLJoin)
-	noRows := func(in Input) bool { return in.x != nil && in.x.arity == 0 }
-	return ok && (noRows(j.L) || noRows(j.R))
 }
 
 // runTask drives partition i to completion unless a sibling failed or the
@@ -400,11 +391,7 @@ func (x *Exchange) plan(c *Ctx) (tasks int, sections [][2]int64) {
 	if rows < 0 {
 		return 1, nil
 	}
-	k := x.KRead
-	if k < 1 {
-		k = 1
-	}
-	t := clampParts(rows / (4 * k))
+	t := clampParts(rows / (4 * max(x.KRead, 1)))
 	if t == 1 {
 		return 1, nil
 	}
@@ -491,10 +478,7 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		return nil
 	}
 	for {
-		k := x.KRead
-		if k <= 0 {
-			k = 1
-		}
+		k := max(x.KRead, 1)
 		if arity > 0 {
 			// cost's read frame of the s+1; open cause ROADMAP.md 1(g).
 			k = c.share(k, s+1, int64(arity)*4)

@@ -263,6 +263,31 @@ func TestSpillsGoWhereTheModelPricesThem(t *testing.T) {
 	}
 }
 
+// TestRunSortsEachPart: a sort of each part of a partitioned input runs,
+// reading a part as its input, and the worker count changes neither the
+// rows nor the charges.
+func TestRunSortsEachPart(t *testing.T) {
+	c, err := Compile(Request{Program: "for (x <- R) [x]",
+		Inputs: map[string]Input{"R": {Node: "hdd", Rows: 4096, Arity: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := ocal.MustParse(`flatMap(\p -> treeFold[2][bout]([], unfoldR[bin](funcPow[1](mrg)))(for (xB [k1] <- p) xB))(partition[4](R))`)
+	params := map[string]int64{"k1": 64, "bin": 64, "bout": 64}
+	var reps []*ExecReport
+	for _, workers := range []int{1, 4} {
+		rep, err := RunProgram(context.Background(), c.H, prog, params, c.Task, ExecOptions{Seed: 1, ExecWorkers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		reps = append(reps, rep)
+	}
+	if r1, r4 := reps[0], reps[1]; r1.OutRows != 4096 || r4.OutDigest != r1.OutDigest || r4.Devices["hdd"] != r1.Devices["hdd"] {
+		t.Errorf("workers 1: %d rows, digest %s, hdd %+v; workers 4: digest %s, hdd %+v; want 4096 rows and equal runs",
+			r1.OutRows, r1.OutDigest, r1.Devices["hdd"], r4.OutDigest, r4.Devices["hdd"])
+	}
+}
+
 // TestRunRetainsNoOutput: the output is charged and claimed on its device,
 // never stored, so a product of two 2048-row inputs emits 64 MiB of rows to
 // hdd2 while the run allocates a small fraction of that.
