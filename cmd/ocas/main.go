@@ -7,9 +7,7 @@
 //
 //	ocas -prog join.ocal -hier hdd-ram [-ram BYTES] \
 //	     -in R=hdd:1048576,S=hdd:65536 [-out hdd] \
-//	     [-commutative] [-depth 6] [-space 4000] \
-//	     [-workers 0] \
-//	     [-c] [-json] \
+//	     [-commutative] [-depth 6] [-space 4000] [-c] [-json] \
 //	     [-run [-seed 1] [-pool 0] [-exec-workers 1] [-explain] \
 //	           [-data DIR -table R=mytable,...]]
 //
@@ -61,7 +59,6 @@ func main() {
 		commut    = flag.Bool("commutative", true, "inputs may be reordered (enables hash-part)")
 		depth     = flag.Int("depth", plan.DefaultDepth, "maximum derivation length")
 		space     = flag.Int("space", plan.DefaultSpace, "maximum search space size")
-		workers   = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 		emitC     = flag.Bool("c", false, "render C code from the synthesized plan, after the report (not with -json: the plan encoding carries no C)")
 		asJSON    = flag.Bool("json", false, "emit the canonical plan encoding (identical to the ocasd service response)")
 		run       = flag.Bool("run", false, "execute the synthesized algorithm on the storage simulator with generated inputs")
@@ -103,7 +100,6 @@ func main() {
 		Commutative: commut,
 		Depth:       *depth,
 		Space:       *space,
-		Workers:     *workers,
 	}
 	if _, ok := plan.BuiltinHierarchy(*hierName, *ramSize); ok {
 		req.Hier, req.RAM = *hierName, *ramSize
@@ -217,10 +213,6 @@ func main() {
 			rep.Pool.PeakBytes, rep.Pool.Budget, rep.Pool.Spills, rep.Pool.SpillBytes)
 		if rep.ExecWorkers > 1 {
 			fmt.Printf("   exec workers:   %d\n", rep.ExecWorkers)
-			for _, wl := range rep.Workers {
-				fmt.Printf("     worker %d:     %d tasks, %.6g s, read %d B, wrote %d B\n",
-					wl.Worker, wl.Tasks, wl.Seconds, wl.BytesRead, wl.BytesWrite)
-			}
 		}
 		if rep.Explain != nil {
 			fmt.Println("== explain analyze ==")

@@ -9,9 +9,9 @@
 //	ocasbench -accuracy          # selectivity vs estimation accuracy
 //	ocasbench -all -shrink 8     # everything, at 1/8 scale
 //
-// Further knobs: -workers N for the synthesis pool. -cpuprofile FILE and -memprofile FILE write pprof
-// profiles of the run (the CPU profile covers the experiments; the heap
-// profile snapshots after a final GC).
+// -cpuprofile FILE and -memprofile FILE write pprof profiles of the run
+// (the CPU profile covers the experiments; the heap profile snapshots after
+// a final GC).
 //
 // With -json the machine-readable Table 1 report (Spec/Opt/Act, est/act,
 // candidate counts, the search's dedup counters, per-row synthesis and executor
@@ -44,7 +44,6 @@ func main() {
 		accuracy = flag.Bool("accuracy", false, "run the accuracy study (Section 7.3)")
 		all      = flag.Bool("all", false, "run everything")
 		shrink   = flag.Int64("shrink", 1, "divide experiment sizes by this factor")
-		workers  = flag.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "write the machine-readable Table 1 report to stdout (tables move to stderr)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (after a final GC) to this file")
@@ -63,7 +62,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Shrink: *shrink, Workers: *workers}
+	cfg := experiments.Config{Shrink: *shrink}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

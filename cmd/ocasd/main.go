@@ -6,7 +6,7 @@
 //
 //	ocasd -addr :8080 -cache-size 1024 -template-cache 64 -persist plans.json \
 //	      [-data ./data -flush-rows 65536] \
-//	      [-workers 0] [-max-inflight 2] [-timeout 60s] \
+//	      [-max-inflight 2] [-timeout 60s] \
 //	      [-max-exec-rows 1048576] [-exec-workers 4] [-max-worker-slots 8] \
 //	      [-pprof ADDR] \
 //	      [-trace-ring 256] [-trace-log traces.jsonl] [-log-json] [-access-log]
@@ -84,7 +84,6 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
 		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
 		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown; plans only, templates are per-process)")
-		workers     = flag.Int("workers", 0, "synthesis worker pool size per job (0 = GOMAXPROCS)")
 		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, executions are admitted by -max-worker-slots)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
 		maxExecRows = flag.Int64("max-exec-rows", 1<<20, "largest per-input row count POST /execute will run")
@@ -138,7 +137,6 @@ func main() {
 		MaxExecRows:       *maxExecRows,
 		ExecWorkers:       *execWorkers,
 		MaxWorkerSlots:    *maxSlots,
-		Workers:           *workers,
 		Catalog:           cat,
 		TraceRing:         *traceRing,
 		TraceLog:          traceSink,

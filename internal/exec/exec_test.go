@@ -293,31 +293,47 @@ func TestHashJoinMatchesBNL(t *testing.T) {
 	}
 }
 
-// TestHashJoinEmptySideJoinsNothing: when a streamed side delivers no rows
-// (its arity unknowable), no bucket join runs, so the other side's parts
-// are written and never read back.
+// TestHashJoinEmptySideJoinsNothing: when S delivers no rows — a filter
+// that passes none, or an empty table, read directly or streamed — no
+// bucket join runs, so R's parts are written and never read back. Both
+// spellings of an empty S book the same bytes, at one worker and at four.
 func TestHashJoinEmptySideJoinsNothing(t *testing.T) {
 	var rows []int32
 	for i := int32(0); i < 500; i++ {
 		rows = append(rows, i%40, i)
 	}
-	sim := newSim(t)
-	d, _ := sim.Device("hdd")
-	inputs := map[string]*Table{"R": loadTableSim(sim, "hdd", 2, rows), "S": loadTableSim(sim, "hdd", 2, rows)}
-	sink := &Sink{Sim: sim}
-	src := strings.Replace(graceJoinSrc, "partition[s](S)", "partition[s](for (w <- S) if w.1 < 0 then [w] else [])", 1)
-	p, err := Lower(ocal.MustParse(src), LowerOpts{Sim: sim, Inputs: inputs,
-		Params: map[string]int64{"k1": 128, "k2": 128, "s": 4}, Scratch: d, Sink: sink, RAMBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
 	bytes := int64(len(rows)) * 4
-	if sink.RowsWritten != 0 || d.Led.BytesRead != 2*bytes || d.Led.BytesWrite != bytes {
-		t.Errorf("%d rows, %d bytes read, %d written; want 0 rows, R and S read once (%d) and R written once (%d)",
-			sink.RowsWritten, d.Led.BytesRead, d.Led.BytesWrite, 2*bytes, bytes)
+	filtered := strings.Replace(graceJoinSrc, "partition[s](S)", "partition[s](for (w <- S) if w.1 < 0 then [w] else [])", 1)
+	for _, c := range []struct {
+		name  string
+		src   string
+		sRows []int32
+	}{
+		{"filter passes none", filtered, rows},
+		{"empty table", graceJoinSrc, nil},
+		{"empty table streamed", filtered, nil},
+	} {
+		for _, workers := range []int{1, 4} {
+			sim := newSim(t)
+			d, _ := sim.Device("hdd")
+			inputs := map[string]*Table{"R": loadTableSim(sim, "hdd", 2, rows), "S": loadTableSim(sim, "hdd", 2, c.sRows)}
+			sink := &Sink{Sim: sim}
+			p, err := Lower(ocal.MustParse(c.src), LowerOpts{Sim: sim, Inputs: inputs,
+				Params: map[string]int64{"k1": 128, "k2": 128, "s": 4}, Scratch: d, Sink: sink,
+				RAMBytes: 1 << 20, ExecWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// R is read once and written once; S is read once.
+			read := bytes + int64(len(c.sRows))*4
+			if sink.RowsWritten != 0 || d.Led.BytesRead != read || d.Led.BytesWrite != bytes {
+				t.Errorf("%s, workers %d: %d rows, %d bytes read, %d written; want 0 rows, %d read (R and S once) and %d written (R once)",
+					c.name, workers, sink.RowsWritten, d.Led.BytesRead, d.Led.BytesWrite, read, bytes)
+			}
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func newGatherRig(t *testing.T, n, workers int, ordered bool, ctx context.Contex
 	}
 	r.g = &Gather{Parts: ops, Ordered: ordered}
 	r.c = &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d,
-		Workers: workers, Context: ctx, shared: newShared(workers)}
+		Workers: workers, Context: ctx, shared: &sharedState{}}
 	r.base = runtime.NumGoroutine()
 	return r
 }
@@ -127,9 +127,8 @@ func (r *gatherRig) drain() (rows int, err error) {
 
 // settle closes the gather and checks what must hold however the stream
 // ended: Close repeats the stream's error, every opened partition was closed
-// once, every partition context was adopted once (each lane-ledger task is
-// one adoption; each opened partition's second reached the root clock), and
-// no goroutine of the gather is left.
+// once, every opened partition's second reached the root clock through its
+// adopted context, and no goroutine of the gather is left.
 func (r *gatherRig) settle(t *testing.T, name string, want error) {
 	t.Helper()
 	if err := r.g.Close(); !errors.Is(err, want) {
@@ -141,13 +140,6 @@ func (r *gatherRig) settle(t *testing.T, name string, want error) {
 			t.Errorf("%s: partition %d opened %d times, closed %d", name, i, r.p.opens[i], r.p.closes[i])
 		}
 		opened += r.p.opens[i]
-	}
-	var tasks int64
-	for _, l := range r.c.shared.lanes {
-		tasks += l.Tasks
-	}
-	if tasks != int64(len(r.parts)) {
-		t.Errorf("%s: %d adoptions for %d partition contexts", name, tasks, len(r.parts))
 	}
 	if got := r.c.acct().Seconds(); got != float64(opened) {
 		t.Errorf("%s: root clock %v s, want the %d opened partitions' %d s", name, got, opened, opened)
@@ -379,4 +371,36 @@ func TestOrderedGatherRunsInline(t *testing.T) {
 		t.Errorf("an unordered gather on 4 workers started no goroutine (%d, %d before): the probe sees nothing", n, r.base)
 	}
 	r.settle(t, "unordered, workers 4", nil)
+}
+
+// TestGatherPartPanicReachesConsumer: a panic in a partition operator is
+// raised on the goroutine that pulls the gather, on lanes as inline, and
+// leaves no goroutine of the gather running.
+func TestGatherPartPanicReachesConsumer(t *testing.T) {
+	gatherModes(func(name string, workers int, ordered bool) {
+		r := newGatherRig(t, 6, workers, ordered, nil)
+		r.parts[2].atNext = func(n int) {
+			if n == 3 {
+				panic(errBoom)
+			}
+		}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			r.drain()
+			return nil
+		}()
+		if got != errBoom {
+			t.Errorf("%s: recovered %v, want the partition's panic", name, got)
+		}
+		if err := r.g.Close(); err != nil {
+			t.Errorf("%s: Close after the panic returned %v", name, err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > r.base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > r.base {
+			t.Errorf("%s: %d goroutines after the panic, %d before Open", name, n, r.base)
+		}
+	})
 }

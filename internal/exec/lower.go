@@ -68,19 +68,6 @@ func (p *Program) Pool() *storage.BufferPool { return p.c.Pool }
 // Workers reports the effective executor worker count of the run.
 func (p *Program) Workers() int { return p.c.workers() }
 
-// WorkerLedgers reports the per-worker-lane charge aggregates of the run
-// (empty for a program assembled by hand rather than lowered).
-func (p *Program) WorkerLedgers() []WorkerLedger {
-	if p.c.shared == nil {
-		return nil
-	}
-	p.c.shared.mu.Lock()
-	defer p.c.shared.mu.Unlock()
-	out := make([]WorkerLedger, len(p.c.shared.lanes))
-	copy(out, p.c.shared.lanes)
-	return out
-}
-
 // Run executes the program to completion. Whatever the outcome — success,
 // error (a device too full for a spill or the output among them) or
 // cancellation — the run's scratch spills are freed, so a cancelled request
@@ -140,7 +127,7 @@ func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 		Workers:   o.ExecWorkers,
 		Context:   o.Context,
 		ram:       o.RAMBytes,
-		shared:    newShared(o.ExecWorkers),
+		shared:    &sharedState{},
 	}}
 	if f, ok := unwrapOp(root).(*Fold); ok {
 		p.Scalar, p.fold = true, f

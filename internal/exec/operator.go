@@ -41,37 +41,10 @@ type Ctx struct {
 }
 
 // sharedState is the per-program state all strand contexts point at: the
-// scratch-spill registry (freed when the run ends, completed or cancelled)
-// and the per-worker-lane ledgers of the execution report.
+// scratch-spill registry, freed when the run ends, completed or cancelled.
 type sharedState struct {
 	mu     sync.Mutex
 	spills []*storage.Spill
-	lanes  []WorkerLedger
-}
-
-// WorkerLedger aggregates the charges of the partition tasks assigned to
-// one worker lane. Tasks map to lanes deterministically (task index modulo
-// the section's lane count), so the report is identical run to run.
-type WorkerLedger struct {
-	Worker     int     `json:"worker"`
-	Tasks      int64   `json:"tasks"`
-	Seconds    float64 `json:"seconds"`
-	BytesRead  int64   `json:"bytesRead"`
-	BytesWrite int64   `json:"bytesWrite"`
-}
-
-func newShared(workers int) *sharedState {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > MaxWorkers {
-		workers = MaxWorkers // lanes beyond the executor ceiling can never run
-	}
-	s := &sharedState{lanes: make([]WorkerLedger, workers)}
-	for i := range s.lanes {
-		s.lanes[i].Worker = i
-	}
-	return s
 }
 
 func (c *Ctx) batchRows() int64 {
@@ -167,22 +140,9 @@ func (c *Ctx) part() *Ctx {
 }
 
 // adopt folds a completed partition context back into this strand: its
-// account (clock + ledgers), its pool counters, and its lane ledger. Call
-// in partition order so the float summation order is scheduling-independent.
-func (c *Ctx) adopt(pc *Ctx, task, lanes int) {
-	if c.shared != nil && len(c.shared.lanes) > 0 && lanes > 0 {
-		lane := task % lanes
-		if lane < len(c.shared.lanes) {
-			a := pc.acct()
-			c.shared.mu.Lock()
-			l := &c.shared.lanes[lane]
-			l.Tasks++
-			l.Seconds += a.Seconds()
-			l.BytesRead += a.BytesRead()
-			l.BytesWrite += a.BytesWrite()
-			c.shared.mu.Unlock()
-		}
-	}
+// account (clock + ledgers) and its pool counters. Call in partition order
+// so the float summation order is scheduling-independent.
+func (c *Ctx) adopt(pc *Ctx) {
 	c.acct().Adopt(pc.Acct)
 	c.Pool.Adopt(pc.Pool)
 }

@@ -240,9 +240,10 @@ type BNLJoin struct {
 
 func (o *BNLJoin) Open(c *Ctx) error {
 	o.c = c
-	// A part of an exchange whose input delivered no rows (its arity
-	// unknowable) joins to nothing: neither side is read.
-	noRows := func(in Input) bool { return in.x != nil && in.x.arity == 0 }
+	// A part of an exchange whose input delivered no rows, in any of its
+	// parts, joins to nothing: neither side is read. An empty part of a
+	// non-empty input still joins.
+	noRows := func(in Input) bool { return in.x != nil && in.x.rows == 0 }
 	if o.done = noRows(o.L) || noRows(o.R); o.done {
 		return nil
 	}

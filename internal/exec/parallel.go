@@ -54,9 +54,9 @@ func sectionBounds(n int64, parts int) [][2]int64 {
 // runParts executes fn for partitions 0..n-1 as par.For tasks on the
 // context's workers. Each partition gets a private accounting strand and
 // pool (see Ctx.part); accounts and pool counters fold back in partition
-// order once every task finished, and task i counts on lane i mod lanes,
-// which keeps ledgers, clock and report independent of scheduling. A
-// single-partition section runs directly on the caller's strand.
+// order once every task finished, which keeps ledgers and clock
+// independent of scheduling. A single-partition section runs directly on
+// the caller's strand.
 func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 	if n <= 0 {
 		return nil
@@ -64,14 +64,13 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 	if n == 1 {
 		return fn(0, c)
 	}
-	lanes := min(c.workers(), n)
 	ctxs := make([]*Ctx, n)
 	errs := make([]error, n)
 	for i := range ctxs {
 		ctxs[i] = c.part()
 	}
 	var failed atomic.Bool
-	par.For(lanes, n, func(i int) {
+	par.For(min(c.workers(), n), n, func(i int) {
 		// A failed sibling dooms the whole section: stop starting
 		// partitions instead of burning I/O the error will discard.
 		if failed.Load() {
@@ -86,7 +85,7 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 	})
 	var first error
 	for i, pc := range ctxs {
-		c.adopt(pc, i, lanes)
+		c.adopt(pc)
 		if first == nil {
 			first = errs[i]
 		}
@@ -101,7 +100,8 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 // stream. With one lane the partitions run lazily in order on the caller's
 // strand. With more, one producer goroutine drives them as par.For tasks
 // and batches merge in completion order — the consumer never stalls a
-// producer — which is correct for every bag consumer (joins, exchanges,
+// producer; a partition's panic is raised again in the consumer's Next or
+// Close — which is correct for every bag consumer (joins, exchanges,
 // sorts, the sink's order-independent digest). With Ordered set (lowering
 // sets it when an order-sensitive consumer, a fold or a streaming merge,
 // sits above the flatMap) the gather has one lane at every worker count,
@@ -125,9 +125,10 @@ type Gather struct {
 	opened bool // inline mode: current partition is open
 
 	// Parallel mode (lanes > 1): the producer closes ch once every task
-	// returned.
+	// returned, and join re-raises a part's panic on the consumer.
 	ch     chan Batch
 	stop   chan struct{}
+	wait   func()
 	failed atomic.Bool
 
 	errs     []error // per partition
@@ -164,27 +165,40 @@ func (g *Gather) Open(c *Ctx) error {
 	}
 	g.ch = make(chan Batch, 4*g.lanes)
 	g.stop = make(chan struct{})
-	go func() {
+	g.wait = par.Go(func() {
+		defer close(g.ch)
 		par.For(g.lanes, n, g.runTask)
-		close(g.ch)
-	}()
+	})
 	return nil
 }
 
+// join waits for the producer and, the first time, re-raises on the
+// consumer a panic of a partition, as an inline run would raise it.
+func (g *Gather) join() {
+	if w := g.wait; w != nil {
+		g.wait = nil
+		w()
+	}
+}
+
 // runTask drives partition i to completion unless a sibling failed or the
-// run was cancelled first.
+// run was cancelled first. A partition that fails or panics stops its
+// siblings from starting.
 func (g *Gather) runTask(i int) {
 	if g.failed.Load() {
 		return
 	}
+	ok := false
+	defer func() {
+		if !ok {
+			g.failed.Store(true)
+		}
+	}()
 	err := g.c.err()
 	if err == nil {
 		err = g.runPart(i)
 	}
-	if err != nil {
-		g.errs[i] = err
-		g.failed.Store(true)
-	}
+	g.errs[i], ok = err, err == nil
 }
 
 func (g *Gather) runPart(i int) error {
@@ -229,7 +243,7 @@ func (g *Gather) finalize() error {
 	}
 	g.merged = true
 	for i, pc := range g.ctxs {
-		g.c.adopt(pc, i, g.lanes)
+		g.c.adopt(pc)
 		if g.finalErr == nil && g.errs[i] != nil {
 			g.finalErr = g.errs[i]
 		}
@@ -245,6 +259,7 @@ func (g *Gather) Next(b *Batch) (bool, error) {
 		// Completion order: whoever has a batch ready wins.
 		bt, ok := <-g.ch
 		if !ok {
+			g.join()
 			return false, g.finalize()
 		}
 		*b = bt
@@ -313,6 +328,7 @@ func (g *Gather) Close() error {
 		close(g.stop)
 		for range g.ch {
 		}
+		g.join()
 	} else if g.opened {
 		g.errs[g.cur] = g.Parts[g.cur].Close()
 		g.opened = false
@@ -340,11 +356,12 @@ type Exchange struct {
 	KRead int64 // read block (tuples)
 
 	// Run's result, which exchange-part inputs read: per partition, the
-	// chained spill segments (one per producer task) holding its rows, and
-	// the row arity (0 when the input delivered no rows and its arity is
-	// unknowable).
+	// chained spill segments (one per producer task) holding its rows, the
+	// row arity (0 when the input delivered no rows and its arity is
+	// unknowable) and the rows the input delivered over all partitions.
 	parts [][]*storage.Spill
 	arity int
+	rows  int64
 }
 
 // Run partitions the input.
@@ -368,7 +385,7 @@ func (x *Exchange) Run(c *Ctx) error {
 		return err
 	}
 	parts := make([][]*storage.Spill, s)
-	arity := 0
+	arity, rows := 0, int64(0)
 	for t := 0; t < tasks; t++ {
 		if arities[t] > 0 {
 			arity = arities[t]
@@ -376,10 +393,11 @@ func (x *Exchange) Run(c *Ctx) error {
 		for p := int64(0); p < s; p++ {
 			if spills[t] != nil {
 				parts[p] = append(parts[p], spills[t][p])
+				rows += spills[t][p].Records()
 			}
 		}
 	}
-	x.parts, x.arity = parts, arity
+	x.parts, x.arity, x.rows = parts, arity, rows
 	return nil
 }
 

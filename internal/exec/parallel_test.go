@@ -25,7 +25,6 @@ type workerRun struct {
 	scalar  ocal.Value
 	ledgers map[string]storage.Ledger
 	seconds float64
-	workers []WorkerLedger
 }
 
 // execWithWorkers lowers and runs one case at the given worker count.
@@ -66,7 +65,6 @@ func execWithWorkers(t *testing.T, c diffCase, prog ocal.Expr, workers int, pool
 	run := workerRun{
 		ledgers: map[string]storage.Ledger{},
 		seconds: sim.Clock.Seconds(),
-		workers: p.WorkerLedgers(),
 	}
 	for name, d := range sim.Devices {
 		run.ledgers[name] = d.Led
@@ -136,17 +134,6 @@ func sweepCase(t *testing.T, c diffCase, noRef bool, poolBytes int64) {
 		}
 		if diff := math.Abs(run.seconds - base.seconds); diff > 1e-9*math.Max(1, base.seconds) {
 			t.Errorf("%s: clock %v differs from single-worker %v", what, run.seconds, base.seconds)
-		}
-		// The lane ledgers must cover every partition task exactly once.
-		var baseTasks, runTasks int64
-		for _, l := range base.workers {
-			baseTasks += l.Tasks
-		}
-		for _, l := range run.workers {
-			runTasks += l.Tasks
-		}
-		if baseTasks != runTasks {
-			t.Errorf("%s: %d lane tasks, single-worker ran %d", what, runTasks, baseTasks)
 		}
 	}
 }
@@ -291,7 +278,7 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 		sink := &Sink{Alloc: outTo(out), Bout: 16, Sim: sim, Tap: tapInto(&got)}
 		p := programOf(g, sink, &Ctx{
 			Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d,
-			Workers: workers, shared: newShared(workers),
+			Workers: workers, shared: &sharedState{},
 		})
 		if err := p.Run(); err != nil {
 			t.Fatal(err)
@@ -319,7 +306,7 @@ func TestExchangePartitions(t *testing.T) {
 	d, _ := sim.Device("hdd")
 	const s = 5
 	// s+1 frames of 16 rows: the bucket buffers flush mid-stream.
-	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool((s + 1) * 16 * 8), Scratch: d, Workers: 2, shared: newShared(2)}
+	c := &Ctx{Sim: sim, Pool: storage.NewBufferPool((s + 1) * 16 * 8), Scratch: d, Workers: 2, shared: &sharedState{}}
 	x := &Exchange{In: TableInput(tb), Parts: s, KRead: 16}
 	if err := x.Run(c); err != nil {
 		t.Fatal(err)
@@ -425,7 +412,7 @@ func TestExtSortDeviceFullIsError(t *testing.T) {
 			srt := &ExtSort{In: TableInput(in), Way: 2, Bin: 64, Bout: 64}
 			p := programOf(srt, &Sink{Sim: sim}, &Ctx{
 				Sim: sim, Pool: storage.NewBufferPool(0), Scratch: scratch,
-				Workers: workers, shared: newShared(workers),
+				Workers: workers, shared: &sharedState{},
 			})
 			err := p.Run()
 			if err == nil || !strings.Contains(err.Error(), "storage: device hdd2 full") {
@@ -508,13 +495,7 @@ func TestRunParts(t *testing.T) {
 			sim := newSim(t)
 			d, _ := sim.Device("hdd")
 			return &Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d,
-				Workers: workers, Context: ctx, shared: newShared(workers)}
-		}
-		tasks := func(c *Ctx) (sum int64) {
-			for _, l := range c.shared.lanes {
-				sum += l.Tasks
-			}
-			return sum
+				Workers: workers, Context: ctx, shared: &sharedState{}}
 		}
 
 		c := newCtx(nil)
@@ -537,15 +518,16 @@ func TestRunParts(t *testing.T) {
 		if got := c.acct().Seconds(); got != want {
 			t.Errorf("workers %d: root clock %v, want the partition-order sum %v", workers, got, want)
 		}
-		if got := tasks(c); got != n {
-			t.Errorf("workers %d: lane ledgers count %d tasks, want %d", workers, got, n)
-		}
 
 		// Partition 5 fails only once partition 2 is under way, so both
-		// errors can exist: the lower index wins.
+		// errors can exist: the lower index wins. Every partition that ran
+		// is adopted, in partition order.
 		c = newCtx(nil)
 		started := make(chan struct{})
+		var charged [n]bool
 		err := runParts(c, n, func(i int, pc *Ctx) error {
+			charged[i] = true
+			pc.cpu(1, charge(i))
 			switch i {
 			case 2:
 				close(started)
@@ -559,8 +541,14 @@ func TestRunParts(t *testing.T) {
 		if !errors.Is(err, errBoom) {
 			t.Errorf("workers %d: section failed with %v, want %v", workers, err, errBoom)
 		}
-		if got := tasks(c); got != n {
-			t.Errorf("workers %d: %d adoptions after a failure, want %d", workers, got, n)
+		var ranSum float64
+		for i, ok := range charged {
+			if ok {
+				ranSum += charge(i)
+			}
+		}
+		if got := c.acct().Seconds(); got != ranSum {
+			t.Errorf("workers %d: root clock %v after a failure, want the partition-order sum %v of the partitions that ran", workers, got, ranSum)
 		}
 
 		// Partition 0 cancels and every other partition waits for it, so

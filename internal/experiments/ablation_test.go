@@ -22,7 +22,7 @@ func winnerOf(s *core.Synthesis) string {
 // winner's derivation and only grows the search spaces. The four apply-block
 // variants share a name and are dropped one type at a time.
 func TestEveryRuleIsNeeded(t *testing.T) {
-	exps := Table1(Config{Shrink: 8, Workers: 2})
+	exps := Table1(Config{Shrink: 8})
 	base := make([]string, len(exps))
 	for i, e := range exps {
 		s, err := Synthesize(e)

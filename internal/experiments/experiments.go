@@ -43,9 +43,6 @@ type Experiment struct {
 	MaxDepth int
 	MaxSpace int
 	Rules    []rules.Rule
-	// Workers bounds synthesis concurrency (<=0 = GOMAXPROCS); it is
-	// normally filled in from Config.
-	Workers int
 	// ExecWorkers bounds the executor's morsel-parallel worker lanes
 	// (<= 1: single-worker). Worker count never changes digests or
 	// ledgers, only wall-clock.
@@ -107,7 +104,6 @@ func (e Experiment) task() core.Task {
 func Synthesize(e Experiment) (*core.Synthesis, error) {
 	synth := &core.Synthesizer{
 		H: e.Hier, MaxDepth: e.MaxDepth, MaxSpace: e.MaxSpace, Rules: e.Rules,
-		Workers: e.Workers,
 	}
 	syn, err := synth.Synthesize(e.task())
 	if err != nil {

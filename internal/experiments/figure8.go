@@ -6,6 +6,7 @@ import (
 
 	"ocas/internal/core"
 	"ocas/internal/memory"
+	"ocas/internal/plan"
 	"ocas/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func Figure8(cfg Config) ([]Figure8Point, error) {
 			Output:   "hdd2",
 			MaxDepth: 6, MaxSpace: 1200, Rules: noHashRules(),
 		}
-		r, err := runOne(cfg, e)
+		r, err := Run(e)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +75,7 @@ func Figure8(cfg Config) ([]Figure8Point, error) {
 			},
 			MaxDepth: 12, MaxSpace: 1500,
 		}
-		r, err := runOne(cfg, e)
+		r, err := Run(e)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +103,7 @@ func Figure8(cfg Config) ([]Figure8Point, error) {
 			},
 			MaxDepth: 3, MaxSpace: 300,
 		}
-		r, err := runOne(cfg, e)
+		r, err := Run(e)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +159,7 @@ func RunCacheStudy(cfg Config) (*CacheStudyResult, error) {
 	}
 	cacheH := cacheHierarchy(ram, cacheBytes)
 	run := func(synthH *memory.Hierarchy, depth, space int) (*Result, error) {
-		return runOne(cfg, Experiment{
+		return Run(Experiment{
 			Name: "cache-study", Spec: core.JoinSpec(true),
 			Hier: synthH, ExecHier: cacheH,
 			InputLoc: map[string]string{"R": "hdd", "S": "hdd"},
@@ -198,6 +199,8 @@ func RunCacheStudy(cfg Config) (*CacheStudyResult, error) {
 type AccuracyPoint struct {
 	Selectivity float64 // fraction of the worst-case output realized
 	EstOverAct  float64 // estimated / measured
+	// Devices is the run's per-device ledgers.
+	Devices map[string]plan.DeviceReport
 }
 
 // AccuracyStudy varies join selectivity: worst-case output sizing makes the
@@ -216,7 +219,7 @@ func AccuracyStudy(cfg Config) ([]AccuracyPoint, error) {
 			"R": func() []int32 { return workload.UniformPairs(r, maxI(kr, 1), 50) },
 			"S": func() []int32 { return workload.UniformPairs(s, maxI(kr, 1), 51) },
 		}
-		res, err := runOne(cfg, Experiment{
+		res, err := Run(Experiment{
 			Name: fmt.Sprintf("accuracy-%d", keyRange), Spec: spec,
 			Hier:     memory.TwoHDD(ram),
 			InputLoc: map[string]string{"R": "hdd", "S": "hdd"},
@@ -230,7 +233,7 @@ func AccuracyStudy(cfg Config) ([]AccuracyPoint, error) {
 		}
 		sel := float64(res.OutRows) / float64(r*s)
 		ratio := res.OptSecs / res.ActSecs
-		out = append(out, AccuracyPoint{Selectivity: sel, EstOverAct: ratio})
+		out = append(out, AccuracyPoint{Selectivity: sel, EstOverAct: ratio, Devices: res.Exec.Devices})
 	}
 	return out, nil
 }

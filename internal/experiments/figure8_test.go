@@ -3,6 +3,8 @@ package experiments
 import (
 	"io"
 	"testing"
+
+	"ocas/internal/memory"
 )
 
 // fig8OpenAtScale lists the Figure 8 points exempt from the est/act band
@@ -82,11 +84,26 @@ func TestCacheMissReduction(t *testing.T) {
 	}
 }
 
+// TestAccuracyTrend runs the Section 7.3 study at a reduced scale (shrink
+// 8) and at the paper's (shrink 1).
 func TestAccuracyTrend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("accuracy study is slow")
 	}
-	pts, err := AccuracyStudy(Config{Shrink: 8})
+	t.Run("shrink=8", func(t *testing.T) { checkAccuracy(t, 8) })
+	t.Run("shrink=1", func(t *testing.T) {
+		skipAtScaleUnderRace(t)
+		checkAccuracy(t, 1)
+	})
+}
+
+// checkAccuracy runs the accuracy study at one shrink and checks it. The
+// estimate's growth is the designed worst-case output sizing, so each
+// point's est/act must be within 5% of what that design predicts from its
+// ledgers, and no point below selectivity 1 may be underestimated. At
+// shrink 8, every est/act is also at most 1.15.
+func checkAccuracy(t *testing.T, shrink int64) {
+	pts, err := AccuracyStudy(Config{Shrink: shrink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +125,28 @@ func TestAccuracyTrend(t *testing.T) {
 		t.Errorf("the 100%%-selectivity estimate should be close: est/act = %v", e)
 	}
 	for _, p := range pts {
-		if p.EstOverAct > 1.15 {
+		pred := worstCaseEstOverAct(p)
+		t.Logf("selectivity %.4g: est/act %.4f, predicted %.4f (ratio %.4f)", p.Selectivity, p.EstOverAct, pred, p.EstOverAct/pred)
+		if shrink > 1 && p.EstOverAct > 1.15 {
 			t.Errorf("selectivity %v: est/act %v above 1.15", p.Selectivity, p.EstOverAct)
 		}
+		if r := p.EstOverAct / pred; r < 0.95 || r > 1.05 {
+			t.Errorf("selectivity %v: est/act %v is %.4f of the worst-case output prediction %v", p.Selectivity, p.EstOverAct, r, pred)
+		}
+		if p.Selectivity < 1 && p.EstOverAct < 1 {
+			t.Errorf("selectivity %v: est/act %v underestimates", p.Selectivity, p.EstOverAct)
+		}
 	}
+}
+
+// worstCaseEstOverAct is the est/act that worst-case output sizing predicts
+// for a point: the estimate reads the inputs (hdd) as the run did and
+// writes the output (hdd2) with the run's initiations but 1/selectivity
+// times its bytes; the run wrote its actual bytes.
+func worstCaseEstOverAct(p AccuracyPoint) float64 {
+	in, out := p.Devices["hdd"], p.Devices["hdd2"]
+	reads := float64(in.ReadInits)*memory.HDDSeek + float64(in.BytesRead)*memory.HDDUnitTr
+	inits := float64(out.WriteInits) * memory.HDDSeek
+	bytes := float64(out.BytesWrite) * memory.HDDUnitTr
+	return (reads + inits + bytes/p.Selectivity) / (reads + inits + bytes)
 }

@@ -14,14 +14,6 @@ import (
 // paper-scaled) sizes further; tests use Shrink 8, benchmarks 1.
 type Config struct {
 	Shrink int64
-	// Workers bounds synthesis concurrency; <=0 means GOMAXPROCS.
-	Workers int
-}
-
-// runOne runs the experiment at the configured worker count.
-func runOne(cfg Config, e Experiment) (*Result, error) {
-	e.Workers = cfg.Workers
-	return Run(e)
 }
 
 func (c Config) div(n int64) int64 {
@@ -298,10 +290,6 @@ func Table1(cfg Config) []Experiment {
 		MaxDepth: 3, MaxSpace: 300,
 		RBytes: aggN * 8, Buffer: aggRAM,
 	})
-
-	for i := range exps {
-		exps[i].Workers = cfg.Workers
-	}
 	return exps
 }
 

@@ -3,7 +3,8 @@
 // tiny: deterministic callers (the rewrite search, candidate costing,
 // parameter optimization, the executor's partition tasks) write results
 // into index-addressed slots and fold them in index order, so the pool
-// only needs to guarantee that every index runs exactly once.
+// only needs to guarantee that every index runs exactly once. Go runs a
+// background goroutine whose panic its waiter re-raises.
 package par
 
 import (
@@ -57,5 +58,25 @@ func For(workers, n int, fn func(i int)) {
 	wg.Wait()
 	if pv != nil {
 		panic(pv)
+	}
+}
+
+// Go runs fn on a new goroutine and returns wait, which blocks until fn has
+// returned. If fn panicked, wait panics on its caller with the recovered
+// value, so a panic on a background goroutine reaches the handler of the
+// goroutine that waits for it instead of exiting the process.
+func Go(fn func()) (wait func()) {
+	done := make(chan struct{})
+	var pv any
+	go func() {
+		defer close(done)
+		defer func() { pv = recover() }()
+		fn()
+	}()
+	return func() {
+		<-done
+		if pv != nil {
+			panic(pv)
+		}
 	}
 }

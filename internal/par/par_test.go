@@ -72,3 +72,21 @@ func TestForPanicReachesCaller(t *testing.T) {
 	})
 	t.Fatal("For returned normally")
 }
+
+// TestGoPanicReachesWaiter: wait returns once fn has, and a panic in fn is
+// raised again on the goroutine that calls wait.
+func TestGoPanicReachesWaiter(t *testing.T) {
+	var ran atomic.Bool
+	Go(func() { ran.Store(true) })()
+	if !ran.Load() {
+		t.Fatal("wait returned before fn ran")
+	}
+	wait := Go(func() { panic("boom") })
+	defer func() {
+		if v := recover(); v != "boom" {
+			t.Fatalf("recovered %v, want fn's panic", v)
+		}
+	}()
+	wait()
+	t.Fatal("wait returned normally")
+}

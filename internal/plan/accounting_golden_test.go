@@ -41,7 +41,6 @@ type goldenRun struct {
 	Devices            map[string]DeviceReport `json:"devices"`
 	Pool               storage.PoolStats       `json:"pool"`
 	ExecWorkers        int                     `json:"execWorkers"`
-	Workers            []exec.WorkerLedger     `json:"workers,omitempty"`
 	Explain            *exec.ExplainNode       `json:"explain"`
 }
 
@@ -52,8 +51,8 @@ func goldenOf(rep *ExecReport) goldenRun {
 		VirtualSecondsBits: fmt.Sprintf("%016x", math.Float64bits(rep.VirtualSeconds)),
 		VirtualSeconds:     rep.VirtualSeconds,
 		Devices:            rep.Devices, Pool: rep.Pool,
-		ExecWorkers: rep.ExecWorkers, Workers: rep.Workers,
-		Explain: rep.Explain,
+		ExecWorkers: rep.ExecWorkers,
+		Explain:     rep.Explain,
 	}
 }
 

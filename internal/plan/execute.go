@@ -105,12 +105,9 @@ type ExecReport struct {
 	PredictedSeconds float64                 `json:"predictedSeconds,omitempty"`
 	Devices          map[string]DeviceReport `json:"devices"`
 	Pool             storage.PoolStats       `json:"pool"`
-	// ExecWorkers is the effective executor worker count and Workers the
-	// per-worker-lane charge aggregates (partition tasks map to lanes
-	// deterministically, so the report is stable run to run).
-	ExecWorkers    int                 `json:"execWorkers,omitempty"`
-	Workers        []exec.WorkerLedger `json:"workers,omitempty"`
-	CacheMissRatio float64             `json:"cacheMissRatio,omitempty"`
+	// ExecWorkers is the effective executor worker count.
+	ExecWorkers    int     `json:"execWorkers,omitempty"`
+	CacheMissRatio float64 `json:"cacheMissRatio,omitempty"`
 	// Explain is the per-operator EXPLAIN ANALYZE tree (ExecOptions.Explain).
 	Explain *exec.ExplainNode `json:"explain,omitempty"`
 }
@@ -235,9 +232,6 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 		Devices:        map[string]DeviceReport{},
 		Pool:           p.Pool().Stats(),
 		ExecWorkers:    p.Workers(),
-	}
-	if rep.ExecWorkers > 1 {
-		rep.Workers = p.WorkerLedgers()
 	}
 	if rep.Params == nil {
 		rep.Params = map[string]int64{}

@@ -72,9 +72,6 @@ func TestExamplesWorkerSweep(t *testing.T) {
 				if rep.ExecWorkers != workers {
 					t.Errorf("report says %d workers, ran %d", rep.ExecWorkers, workers)
 				}
-				if len(rep.Workers) != workers {
-					t.Errorf("workers %d: %d lane ledgers in report", workers, len(rep.Workers))
-				}
 			}
 		})
 	}
@@ -120,12 +117,6 @@ func TestExecuteWorkersDeterministicReport(t *testing.T) {
 		if r1.Devices[dev] != r2.Devices[dev] {
 			t.Errorf("same-config runs disagree on device %s: %+v vs %+v",
 				dev, r1.Devices[dev], r2.Devices[dev])
-		}
-	}
-	for i := range r1.Workers {
-		if r1.Workers[i] != r2.Workers[i] {
-			t.Errorf("same-config runs disagree on lane %d: %+v vs %+v",
-				i, r1.Workers[i], r2.Workers[i])
 		}
 	}
 }

@@ -36,9 +36,8 @@ type Input struct {
 }
 
 // Request names one synthesis problem. The zero values of the knob fields
-// mean "use the default" (see Normalize). Workers is deliberately excluded
-// from the fingerprint: the pipeline is deterministic for any worker count,
-// so two requests differing only in Workers ask for the same plan.
+// mean "use the default" (see Normalize). A request carries no worker
+// count: the pipeline is deterministic for any, and runs on GOMAXPROCS.
 type Request struct {
 	// Description documents the request (corpus files, dashboards); it is
 	// ignored by synthesis and excluded from the fingerprint.
@@ -66,9 +65,6 @@ type Request struct {
 	Beam     int    `json:"beam,omitempty"`
 	Depth    int    `json:"depth,omitempty"` // max derivation length
 	Space    int    `json:"space,omitempty"` // max search space size
-
-	// Workers sizes the worker pool; it affects latency, never the plan.
-	Workers int `json:"workers,omitempty"`
 }
 
 // Limits the service enforces on user-supplied knobs; a CLI run is local and
@@ -77,10 +73,6 @@ const (
 	MaxDepth = 16
 	MaxSpace = 200_000
 	MaxBeam  = 4096
-	// MaxWorkers caps the per-request worker pool. Workers only changes
-	// latency, never the plan, so out-of-range values are clamped rather
-	// than rejected.
-	MaxWorkers = 256
 )
 
 // Defaults mirrors cmd/ocas's flag defaults.
@@ -122,11 +114,6 @@ func (r *Request) Normalize() {
 	if r.Commutative == nil {
 		t := true
 		r.Commutative = &t
-	}
-	if r.Workers < 0 {
-		r.Workers = 0
-	} else if r.Workers > MaxWorkers {
-		r.Workers = MaxWorkers
 	}
 	for name, in := range r.Inputs {
 		if in.Arity == 0 {
@@ -230,8 +217,7 @@ func Compile(req Request) (*Compiled, error) {
 
 	// One Keyer per request, so the search counters it collects describe
 	// this request's synthesis and die with the Compiled.
-	synth := &core.Synthesizer{H: h, MaxDepth: req.Depth, MaxSpace: req.Space,
-		Workers: req.Workers, Keys: rules.NewKeyer()}
+	synth := &core.Synthesizer{H: h, MaxDepth: req.Depth, MaxSpace: req.Space, Keys: rules.NewKeyer()}
 	hj, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy fingerprint: %w", err)

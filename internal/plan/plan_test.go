@@ -49,32 +49,6 @@ func TestFingerprintStableUnderAlphaRenaming(t *testing.T) {
 	}
 }
 
-func TestFingerprintIgnoresWorkers(t *testing.T) {
-	base := fp(t, joinReq())
-	r := joinReq()
-	r.Workers = 7
-	if got := fp(t, r); got != base {
-		t.Fatal("worker count changed the fingerprint; it must not affect the plan")
-	}
-}
-
-func TestWorkersClamped(t *testing.T) {
-	r := joinReq()
-	r.Workers = 1 << 30 // a shared daemon must not spawn per-request giant pools
-	c, err := Compile(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Synth.Workers != MaxWorkers {
-		t.Fatalf("Workers = %d, want clamped to %d", c.Synth.Workers, MaxWorkers)
-	}
-	r = joinReq()
-	r.Workers = -5
-	if c, err = Compile(r); err != nil || c.Synth.Workers != 0 {
-		t.Fatalf("negative Workers: got %d, %v; want 0", c.Synth.Workers, err)
-	}
-}
-
 func TestFingerprintStableUnderExplicitDefaults(t *testing.T) {
 	r := joinReq()
 	r.Strategy = "exhaustive"
@@ -138,9 +112,12 @@ func TestExecuteDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := joinReq()
-	r.Workers = 1
-	b, err := compileAndRun(r)
+	c, err := Compile(joinReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Synth.Workers = 1
+	b, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

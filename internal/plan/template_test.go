@@ -201,7 +201,6 @@ func TestTemplateFingerprintInvariance(t *testing.T) {
 	ref := tfp(t, base)
 
 	invariant := map[string]func(r *Request){
-		"workers":     func(r *Request) { r.Workers = 7 },
 		"rows":        func(r *Request) { in := r.Inputs["R"]; in.Rows = 12345; r.Inputs["R"] = in },
 		"ram":         func(r *Request) { r.RAM = 16 << 20 },
 		"description": func(r *Request) { r.Description = "other" },

@@ -14,11 +14,11 @@ import (
 // hitMemo answers a /synthesize body that was answered "hit" before from
 // the bytes of that answer, with no decode, compile or encode. It is keyed
 // by the SHA-256 of the raw body: the body alone fixes the fingerprint,
-// since the only server setting a request reads (Config.Workers) is in no
-// fingerprint. An entry is served only while the plan tier still holds its
-// plan, so the memo answers exactly what the full path would answer "hit",
-// and a hit on it counts as one on the plan tier. It holds at most the plan
-// tier's capacity of entries and evicts an arbitrary one when full.
+// since no server setting reaches a synthesis answer. An entry is served
+// only while the plan tier still holds its plan, so the memo answers
+// exactly what the full path would answer "hit", and a hit on it counts as
+// one on the plan tier. It holds at most the plan tier's capacity of
+// entries and evicts an arbitrary one when full.
 type hitMemo struct {
 	mu       sync.Mutex
 	capacity int

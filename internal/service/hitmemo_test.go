@@ -130,7 +130,7 @@ func TestHitMemoSpellings(t *testing.T) {
 		"inputs": {"S": {"node": "hdd", "rows": 65536, "arity": 2}, "R": {"node": "hdd", "rows": 1048576}},
 		"program": "-- still the naive join\nfor (a <- R)\n  for (b <- S)\n    if a.1 == b.1 then [<a, b>] else []",
 		"hier": "hdd-ram", "ram": 8388608, "strategy": "exhaustive",
-		"commutative": true, "workers": 3, "depth": 4, "space": 500
+		"commutative": true, "depth": 4, "space": 500
 	}`
 	_, want := post(t, ts, fastBody())
 	for _, body := range []string{fastBody(), respelled, respelled, fastBody()} {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,9 +212,11 @@ func TestExecuteTraceRun(t *testing.T) {
 // pruned — are exact at one worker: evaluations equal points (no point is
 // evaluated twice) and all three repeat exactly on a fresh daemon.
 func TestTemplateHitTracePhases(t *testing.T) {
+	// One synthesis worker: synthesis runs on GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var optimize [2]map[string]any
 	for run := range optimize {
-		_, ts := newTestServer(t, Config{TemplateCacheSize: 8, Workers: 1})
+		_, ts := newTestServer(t, Config{TemplateCacheSize: 8})
 		post(t, ts, fastBody())
 		resp, _ := post(t, ts, strings.Replace(fastBody(), "1048576", "2097152", 1))
 		if got := resp.Header.Get("X-Ocas-Cache"); got != "template-hit" {

@@ -84,9 +84,6 @@ type Config struct {
 	// both (the endpoints answer 503). ocasd opens one from its -data
 	// directory and closes it (flushing buffered rows) on shutdown.
 	Catalog *catalog.Catalog
-	// Workers is the synthesis worker count for requests that leave it
-	// unset.
-	Workers int
 
 	// TraceRing bounds the in-memory ring of recent request traces served
 	// on /traces (default 256).
@@ -348,7 +345,6 @@ func (s *Server) resolveRequest(w http.ResponseWriter, r *http.Request, body []b
 		return res, false
 	}
 	base := req.base()
-	s.applyDefaults(&base.Request)
 	_, spCompile := obs.Start(r.Context(), "compile")
 	compiled, err := plan.Compile(base.Request)
 	spCompile.End()
@@ -666,12 +662,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Catalog: s.catalogStats(),
 		Uptime:  time.Since(s.started).String(),
 	})
-}
-
-// applyDefaults fills the daemon-level default worker count into a request
-// that left it unset; plan.Normalize then applies the package defaults.
-func (s *Server) applyDefaults(r *plan.Request) {
-	if r.Workers == 0 {
-		r.Workers = s.cfg.Workers
-	}
 }

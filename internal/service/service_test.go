@@ -119,12 +119,12 @@ func TestFingerprintNormalizationHitsAcrossSpellings(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	// Same request, renamed binders, re-ordered JSON, comments, explicit
-	// defaults, a different worker count: must be a cache hit.
+	// defaults: must be a cache hit.
 	respelled := `{
 		"inputs": {"S": {"node": "hdd", "rows": 65536, "arity": 2}, "R": {"node": "hdd", "rows": 1048576}},
 		"program": "-- still the naive join\nfor (a <- R)\n  for (b <- S)\n    if a.1 == b.1 then [<a, b>] else []",
 		"hier": "hdd-ram", "ram": 8388608, "strategy": "exhaustive",
-		"commutative": true, "workers": 3, "depth": 4, "space": 500
+		"commutative": true, "depth": 4, "space": 500
 	}`
 	resp, body := post(t, ts, respelled)
 	if resp.StatusCode != http.StatusOK {
@@ -206,6 +206,8 @@ func TestValidationErrors(t *testing.T) {
 		"bad node":      `{"program": "for (x <- R) [x]", "inputs": {"R": {"node": "tape", "rows": 8}}}`,
 		"bad strategy":  `{"program": "for (x <- R) [x]", "strategy": "dfs", "inputs": {"R": {"node": "hdd", "rows": 8}}}`,
 		"free variable": `{"program": "for (x <- Q) [x]", "inputs": {"R": {"node": "hdd", "rows": 8}}}`,
+		// Synthesis runs on GOMAXPROCS: a request names no worker count.
+		"workers": strings.Replace(fastBody(), `"depth"`, `"workers": 3, "depth"`, 1),
 
 		// A body is one request object: what follows it is not ignored.
 		"trailing garbage": fastBody() + "garbage",
@@ -367,7 +369,7 @@ func bnlBody(extra string) string {
 // fingerprint, which hashes both fields, tells the two plans apart; a
 // malformed strategy or width is still a 400.
 func TestBeamRequestFieldsIgnored(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{})
 	withoutFP := func(body string) (string, []byte) {
 		t.Helper()
 		resp, data := post(t, ts, body)

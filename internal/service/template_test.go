@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +17,8 @@ import (
 )
 
 // searchHeavyBody is a five-way join on the three-level hierarchy with the
-// search space pinned near the capture limit and a single worker: seconds of
-// cold search, tens of milliseconds of template instantiation. rows scales
+// search space pinned near the capture limit: seconds of cold search on one
+// worker, tens of milliseconds of template instantiation. rows scales
 // the outer relation so every call is a distinct cardinality point.
 func searchHeavyBody(rows int64) string {
 	return fmt.Sprintf(`{
@@ -30,7 +31,7 @@ func searchHeavyBody(rows int64) string {
 			"U": {"node": "hdd", "rows": 4096},
 			"V": {"node": "hdd", "rows": 1024}
 		},
-		"depth": 8, "space": 8000, "workers": 1
+		"depth": 8, "space": 8000
 	}`, rows)
 }
 
@@ -63,6 +64,9 @@ func TestWarmShapeSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds of cold synthesis")
 	}
+	// Both sides synthesize on one worker, as the ratios below were
+	// measured.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, ts := newTestServer(t, Config{TemplateCacheSize: 8})
 
 	measureCold := func(ts *httptest.Server) time.Duration {
@@ -116,8 +120,8 @@ func TestWarmShapeSpeedup(t *testing.T) {
 
 // TestTemplateHitServesColdBytes pins the serving contract end to end: the
 // template-hit response body is byte-identical to what a cold daemon would
-// have synthesized for the same request, and transport-only fields
-// (timeoutMs, workers) neither change the template nor the bytes.
+// have synthesized for the same request, and a transport-only field
+// (timeoutMs) changes neither the template nor the bytes.
 func TestTemplateHitServesColdBytes(t *testing.T) {
 	_, ts := newTestServer(t, Config{TemplateCacheSize: 8})
 
@@ -126,12 +130,12 @@ func TestTemplateHitServesColdBytes(t *testing.T) {
 		t.Fatalf("cold: X-Ocas-Cache = %q", got)
 	}
 
-	// Same shape, different rows, different transport knobs: template hit.
+	// Same shape, different rows, a transport knob: template hit.
 	warmBody := `{
 		"program": "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",
 		"hier": "hdd-ram", "ram": 8388608,
 		"inputs": {"R": {"node": "hdd", "rows": 2097152}, "S": {"node": "hdd", "rows": 32768}},
-		"depth": 4, "space": 500, "workers": 3, "timeoutMs": 30000
+		"depth": 4, "space": 500, "timeoutMs": 30000
 	}`
 	resp, warm := post(t, ts, warmBody)
 	if resp.StatusCode != http.StatusOK {
