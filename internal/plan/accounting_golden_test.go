@@ -126,6 +126,13 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 			base:    ExecOptions{Seed: 11},
 			batches: []int64{0}, workers: []int{1, 2, 4, 8},
 		},
+		// The worker sweep writes one bucket per side; this one partitions
+		// each side into several, so a multi-part gather runs at every count.
+		goldenEntry{
+			name: "grace-buckets-sweep", req: graceJoin(262144, 524288, 128<<10),
+			base:    ExecOptions{Seed: 11},
+			batches: []int64{0}, workers: []int{1, 2, 4, 8},
+		},
 		goldenEntry{
 			name: "grace-durable", req: graceJoin(1024, 2048, 64<<10),
 			base:    ExecOptions{Seed: 42, PoolBytes: 16 << 10},
