@@ -559,65 +559,46 @@ func TestComposedOperators(t *testing.T) {
 	}
 }
 
-// TestTakeSpansSegments: an owned block fills up to k rows across spill
-// segments, each segment's piece charged as one ReadColsAt, and a block that
-// lies inside one segment is a view into it.
-func TestTakeSpansSegments(t *testing.T) {
-	chain := func() (*storage.Sim, *storage.Device, []*storage.Spill) {
+// TestTakeIsASpillView: an owned block of up to k rows is one ReadColsAt of
+// the spill and a zero-copy view into it.
+func TestTakeIsASpillView(t *testing.T) {
+	load := func() (*storage.Sim, *storage.Device, *storage.Spill) {
 		sim := newSim(t)
 		d, err := sim.Device("hdd")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sps []*storage.Spill
-		row := int32(0)
-		for _, n := range []int{5, 3, 7} {
-			col := make([]int32, n)
-			for i := range col {
-				col[i] = row
-				row++
-			}
-			sp, err := d.NewSpill(4, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sp.PreloadCols([][]int32{col}); err != nil {
-				t.Fatal(err)
-			}
-			sps = append(sps, sp)
+		sp, err := d.NewSpill(4, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return sim, d, sps
+		if err := sp.PreloadCols([][]int32{{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
+			t.Fatal(err)
+		}
+		return sim, d, sp
 	}
-	sim, d, sps := chain()
-	r := &tableReader{sps: sps, ar: 1, hi: -1}
+	sim, d, sp := load()
+	r := newSpillReader(sp, 1)
 	if err := r.open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d}); err != nil {
 		t.Fatal(err)
 	}
-	ob, err := r.take(6)
+	if _, err := r.take(3); err != nil {
+		t.Fatal(err)
+	}
+	ob, err := r.take(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(ob.cols[0]); ob.n != 6 || got != "[0 1 2 3 4 5]" {
-		t.Fatalf("take(6) = %d rows %s, want rows 0-5", ob.n, got)
+	view, _ := sp.View(3, 2, nil)
+	if ob.n != 2 || &ob.cols[0][0] != &view[0][0] {
+		t.Errorf("take(2) at offset 3 is not a view into the spill: %v", ob.cols)
 	}
-	wantSim, wantDev, wantSps := chain()
-	wantSps[0].ReadColsAt(wantSim.Root(), 0, 5, nil)
-	wantSps[1].ReadColsAt(wantSim.Root(), 0, 1, nil)
+	wantSim, wantDev, wantSp := load()
+	wantSp.ReadColsAt(wantSim.Root(), 0, 3, nil)
+	wantSp.ReadColsAt(wantSim.Root(), 3, 2, nil)
 	got := fmt.Sprintf("clock %016x, ledger %+v", math.Float64bits(sim.Clock.Seconds()), d.Led)
 	want := fmt.Sprintf("clock %016x, ledger %+v", math.Float64bits(wantSim.Clock.Seconds()), wantDev.Led)
 	if got != want {
-		t.Errorf("take(6) charged %s, want one read per piece: %s", got, want)
-	}
-
-	ob.release()
-	if err := r.rewind(); err != nil {
-		t.Fatal(err)
-	}
-	if ob, err = r.take(2); err != nil {
-		t.Fatal(err)
-	}
-	view, _ := sps[0].View(0, 2, nil)
-	if ob.n != 2 || &ob.cols[0][0] != &view[0][0] {
-		t.Errorf("take(2) at offset 0 is not a view into the first segment: %v", ob.cols)
+		t.Errorf("two takes charged %s, want one read each: %s", got, want)
 	}
 }

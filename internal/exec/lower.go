@@ -141,7 +141,7 @@ func Lower(prog ocal.Expr, o LowerOpts) (*Program, error) {
 // lowerer translates expressions to operators. It never partitions: the
 // degrees of the parallel sections come only from plan parameters, inside
 // the operators that know their semantics (partition degrees, sort
-// sections, exchange morsels).
+// sections).
 type lowerer struct {
 	o LowerOpts
 	// ordered marks that the expression being lowered feeds an

@@ -343,14 +343,11 @@ func frameCols(f *storage.Frame, arity int) [][]int32 {
 // it; it is a variable only so that they can.
 var physStride int64 = 4096
 
-// tableReader scans one or more device-resident spills — a base table, a
-// materialized intermediate, the chained per-producer segments of an
-// exchange partition, or a record section of one of those (the morsel range
-// of an exchange task) — block by block. Blocks are zero-copy column
-// views into the spill (take copies one that crosses a segment end); the
-// pooled frame accounts the block's RAM residency and its grant still
-// bounds the block size, exactly as when the frame carried the bytes.
-// Positions are global across the chain.
+// tableReader scans one device-resident spill — a base table, a
+// materialized intermediate or an exchange partition — block by block.
+// Blocks are zero-copy column views into the spill; the pooled frame
+// accounts the block's RAM residency and its grant still bounds the block
+// size, exactly as when the frame carried the bytes.
 //
 // The host side works a stretch at a time: one Spill.View of about
 // physStride rows, cut into whole modelled blocks, from which next and span
@@ -358,56 +355,34 @@ var physStride int64 = 4096
 // when its consumer settles it (span), so the strand's charge sequence is
 // the one a fetch per block would leave.
 type tableReader struct {
-	sps []*storage.Spill
-	ar  int
-	lo  int64 // first global record (inclusive)
-	hi  int64 // last global record (exclusive); -1 = all
-	c   *Ctx
+	sp *storage.Spill // nil: an exchange part that received no rows
+	ar int
+	c  *Ctx
 
 	pos   int64
 	frame *storage.Frame
 
-	// The stretch: rows [from, to) of the chain, which are sp's records from
-	// base on, cut for blocks of cut rows.
-	sp        *storage.Spill
-	base, cut int64
-	from, to  int64
-	phys      [][]int32 // the stretch's View header
-	view      [][]int32 // header of the sub-view handed out last
-	own       [][]int32 // take's copy of a block that crosses a segment end
+	// The stretch: records [from, to) of sp, cut for blocks of cut rows.
+	cut, from, to int64
+	phys          [][]int32 // the stretch's View header
+	view          [][]int32 // header of the sub-view handed out last
 }
 
 func newSpillReader(sp *storage.Spill, arity int) *tableReader {
-	return &tableReader{sps: []*storage.Spill{sp}, ar: arity, hi: -1}
+	return &tableReader{sp: sp, ar: arity}
 }
 
-func (r *tableReader) open(c *Ctx) error { r.c = c; r.pos = r.lo; return nil }
+// records is sp's record count; a missing spill holds none.
+func records(sp *storage.Spill) int64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.Records()
+}
+
+func (r *tableReader) open(c *Ctx) error { r.c = c; r.pos = 0; return nil }
 
 func (r *tableReader) width() int64 { return int64(r.ar) * 4 }
-
-// end returns the exclusive upper bound of the read range.
-func (r *tableReader) end() int64 {
-	var total int64
-	for _, sp := range r.sps {
-		total += sp.Records()
-	}
-	if r.hi >= 0 && r.hi < total {
-		return r.hi
-	}
-	return total
-}
-
-// locate resolves the spill segment holding global position idx and idx's
-// record index within it.
-func (r *tableReader) locate(idx int64) (*storage.Spill, int64) {
-	for _, sp := range r.sps {
-		if idx < sp.Records() {
-			return sp, idx
-		}
-		idx -= sp.Records()
-	}
-	return nil, 0
-}
 
 // ensure pins a frame able to hold up to k rows, shrinking under budget
 // pressure (never below one row).
@@ -435,18 +410,17 @@ func (r *tableReader) ensure(k int64) (int64, error) {
 
 // ahead makes the stretch cover the read position, cut for blocks of up to k
 // rows, and returns the position's offset into it and the block size the
-// pool granted; rows 0 is the end of the stream. A stretch ends with the
-// spill segment or the read range, so only the last block of one is ever
-// short. A grant below k is re-pinned block by block (the pool's counters
-// and the next grant are part of the contract), so such a stretch is one
-// block.
+// pool granted; rows 0 is the end of the stream. A stretch ends at most with
+// the spill, so only the last block of one is ever short. A grant below k is
+// re-pinned block by block (the pool's counters and the next grant are part
+// of the contract), so such a stretch is one block.
 func (r *tableReader) ahead(k int64) (off, rows, kk int64, err error) {
 	held := r.pos >= r.from && r.pos < r.to
 	if !held {
 		if err = r.c.err(); err != nil {
 			return 0, 0, 0, err
 		}
-		if r.pos >= r.end() {
+		if r.pos >= records(r.sp) {
 			return 0, 0, 0, nil // before any pin: an empty input pins nothing
 		}
 	}
@@ -460,9 +434,7 @@ func (r *tableReader) ahead(k int64) (off, rows, kk int64, err error) {
 	if kk >= k && kk < physStride {
 		n = physStride / kk * kk
 	}
-	n = min(n, r.end()-r.pos)
-	r.sp, r.base = r.locate(r.pos)
-	r.phys, n = r.sp.View(r.base, n, r.phys)
+	r.phys, n = r.sp.View(r.pos, n, r.phys)
 	r.from, r.to, r.cut = r.pos, r.pos+n, kk
 	return 0, n, kk, nil
 }
@@ -499,50 +471,29 @@ func (r *tableReader) span(k int64) ([][]int32, int64, error) {
 }
 
 func (r *tableReader) settle(rows int64, perRow float64) {
-	r.sp.ChargeReads(r.c.acct(), r.base+r.pos-r.from, r.cut, rows, perRow)
+	r.sp.ChargeReads(r.c.acct(), r.pos, r.cut, rows, perRow)
 	r.pos += rows
 }
 
-// take reads up to k rows into a caller-owned pooled block, across segment
-// ends, charging each segment's piece as one ReadColsAt. A block inside one
-// segment is a zero-copy view; one that crosses a segment end is copied into
-// the reader's own buffer, valid until the next take.
+// take reads up to k rows into a caller-owned pooled block, charged as one
+// ReadColsAt: a zero-copy view into the spill.
 func (r *tableReader) take(k int64) (*ownedBlock, error) {
-	end := r.end()
-	if r.pos >= end {
+	left := records(r.sp) - r.pos
+	if left <= 0 {
 		return nil, nil
 	}
 	f, err := r.c.Pool.PinUpTo(max(k, 1), r.width())
 	if err != nil {
 		return nil, err
 	}
-	k = min(max(k, 1), f.Cap(r.width()), end-r.pos)
-	sp, idx := r.locate(r.pos)
-	cols, n := sp.ReadColsAt(r.c.acct(), idx, k, nil)
-	if n < k {
-		if r.own == nil {
-			r.own = make([][]int32, r.ar)
-		}
-		for c := range r.own {
-			r.own[c] = append(r.own[c][:0], cols[c]...)
-		}
-		for n < k {
-			sp, idx = r.locate(r.pos + n)
-			piece, m := sp.ReadColsAt(r.c.acct(), idx, k-n, nil)
-			for c := range r.own {
-				r.own[c] = append(r.own[c], piece[c]...)
-			}
-			n += m
-		}
-		cols = r.own
-	}
+	cols, n := r.sp.ReadColsAt(r.c.acct(), r.pos, min(max(k, 1), f.Cap(r.width()), left), nil)
 	r.pos += n
 	return &ownedBlock{frame: f, cols: cols, n: n}, nil
 }
 
 func (r *tableReader) arity() int       { return r.ar }
 func (r *tableReader) rewindable() bool { return true }
-func (r *tableReader) rewind() error    { r.pos = r.lo; return nil }
+func (r *tableReader) rewind() error    { r.pos = 0; return nil }
 
 func (r *tableReader) close() error {
 	if r.frame != nil {

@@ -9,37 +9,30 @@ import (
 
 // Input binds an operator input either to a base table (fused block reads:
 // the operator reads the device directly at its tuned block size, exactly
-// what the generated C would do), to a chain of scratch spills, to one part
-// of an exchange, or to an arbitrary operator subtree, which streams through
-// the batch protocol.
+// what the generated C would do), to one part of an exchange, or to an
+// arbitrary operator subtree, which streams through the batch protocol.
 type Input struct {
-	table  *Table           // set for a base table, next to its one-spill chain
-	spills []*storage.Spill // device-resident input: the chain to read
-	ar     int              // arity of spills
-	op     Operator         // streamed input
+	table *Table         // set for a base table, next to its spill
+	spill *storage.Spill // device-resident input (nil: no rows)
+	ar    int            // arity of spill
+	op    Operator       // streamed input
 	// x, when set, binds the input to part number part of exchange x, whose
-	// spill chain exists once x has run (see Gather.Exchanges).
+	// spill exists once x has run (see Gather.Exchanges).
 	x    *Exchange
 	part int
 }
 
 // TableInput fuses a base table into the consuming operator.
-func TableInput(t *Table) Input {
-	return Input{table: t, spills: []*storage.Spill{t.Spill}, ar: t.Arity}
-}
-
-// SpillsInput reads a chain of spills (the per-task segments of an
-// exchange partition) as one stream.
-func SpillsInput(sps []*storage.Spill, arity int) Input { return Input{spills: sps, ar: arity} }
+func TableInput(t *Table) Input { return Input{table: t, spill: t.Spill, ar: t.Arity} }
 
 // OpInput streams another operator's output.
 func OpInput(op Operator) Input { return Input{op: op} }
 
-// resolve binds an exchange part to the spill chain its exchange wrote (no
-// spills and arity 0 when the exchange's input delivered no rows).
+// resolve binds an exchange part to the spill its exchange wrote (no spill
+// and arity 0 when the exchange's input delivered no rows).
 func (in Input) resolve() Input {
 	if in.x != nil {
-		return SpillsInput(in.x.parts[in.part], in.x.arity)
+		return Input{spill: in.x.parts[in.part], ar: in.x.arity}
 	}
 	return in
 }
@@ -48,7 +41,8 @@ func (in Input) reader() blockReader {
 	if in.op != nil {
 		return newOpReader(in.op)
 	}
-	return in.section(0, -1)
+	in = in.resolve()
+	return newSpillReader(in.spill, in.ar)
 }
 
 // extent returns the input's row count, or -1 for a streamed subtree whose
@@ -57,18 +51,7 @@ func (in Input) extent() int64 {
 	if in.op != nil {
 		return -1
 	}
-	var n int64
-	for _, sp := range in.resolve().spills {
-		n += sp.Records()
-	}
-	return n
-}
-
-// section returns a reader over the record range [lo, hi) of a
-// device-resident input (hi < 0: to the end).
-func (in Input) section(lo, hi int64) blockReader {
-	in = in.resolve()
-	return &tableReader{sps: in.spills, ar: in.ar, lo: lo, hi: hi}
+	return records(in.resolve().spill)
 }
 
 // ---------------------------------------------------------------------------
@@ -86,7 +69,7 @@ type Scan struct {
 
 func (o *Scan) Open(c *Ctx) error {
 	o.c = c
-	o.r = o.In.section(0, -1)
+	o.r = o.In.reader()
 	return o.r.open(c)
 }
 
@@ -551,11 +534,11 @@ func (o *ExtSort) Open(c *Ctx) error {
 	if o.Way < 2 {
 		o.Way = 2
 	}
-	// Resolve the pass-1 source: a base table or a one-segment exchange part
-	// is read in place; anything else is spooled to scratch first.
+	// Resolve the pass-1 source: a base table or an exchange part is read in
+	// place; a stream is spooled to scratch first.
 	var src *storage.Spill
-	if in := o.In.resolve(); in.op == nil && len(in.spills) == 1 {
-		src, o.arity = in.spills[0], in.ar
+	if in := o.In.resolve(); in.op == nil {
+		src, o.arity = in.spill, in.ar
 	} else {
 		r := o.In.reader()
 		if err := r.open(c); err != nil {
@@ -565,9 +548,9 @@ func (o *ExtSort) Open(c *Ctx) error {
 		if err != nil {
 			return err
 		}
-		src, o.arity = mr.sps[0], mr.ar
+		src, o.arity = mr.sp, mr.ar
 	}
-	n := src.Records()
+	n := records(src)
 	if n == 0 {
 		o.done = true
 		return nil

@@ -1,8 +1,9 @@
 // parallel.go is the morsel-driven parallel machinery of the executor: a
 // deterministic partition-task runner on par.For (runParts), the Exchange
-// that hash-partitions an input into per-part spill files, and the Gather
-// that lowers flatMap over partitioned inputs: it runs the exchanges, then
-// merges the concurrently produced streams of its per-part operators.
+// that hash-partitions an input into one spill per part, and the Gather
+// that lowers flatMap over partitioned inputs: it runs its exchanges as
+// tasks, then merges the concurrently produced streams of its per-part
+// operators.
 // Parallelism never changes what is charged: partition counts are decided
 // by the plan (tuned block sizes, data sizes, pool budget) and each
 // partition runs on a private accounting strand with a fixed pool share, so
@@ -113,8 +114,9 @@ type Gather struct {
 	Parts []Operator
 	// Ordered delivers the partitions' rows in partition order.
 	Ordered bool
-	// Exchanges run at Open, in order, before any part opens. A lowered
-	// flatMap(λ) is a Gather whose part i is λ's body over part i of each.
+	// Exchanges run at Open as runParts tasks, before any part opens. A
+	// lowered flatMap(λ) is a Gather whose part i is λ's body over part i of
+	// each.
 	Exchanges []*Exchange
 
 	c      *Ctx
@@ -138,10 +140,10 @@ type Gather struct {
 
 func (g *Gather) Open(c *Ctx) error {
 	g.c = c
-	for _, x := range g.Exchanges {
-		if err := x.Run(c); err != nil {
-			return err
-		}
+	if err := runParts(c, len(g.Exchanges), func(i int, pc *Ctx) error {
+		return g.Exchanges[i].Run(pc)
+	}); err != nil {
+		return err
 	}
 	n := len(g.Parts)
 	if n == 0 {
@@ -340,80 +342,25 @@ func (g *Gather) Close() error {
 // Exchange
 
 // Exchange hash-partitions an input stream on its first attribute into
-// Parts (at least 1) partitions on scratch: the lowering of partition[s].
-// An input with known extent (a base table, a spill chain or an exchange
-// part) is split into morsel sections partitioned concurrently by the
-// worker lanes, each task writing its own per-partition spills through
-// pool-pinned write buffers; a streamed subtree is partitioned on the
-// caller's strand. Partition spills are chained per partition in task
-// order, so contents and charges are worker-count-invariant. The buffers
-// are the ones cost.applyPartition prices: the pool budget (the RAM size
-// when the pool is unlimited) splits into Parts+1 frames, one per bucket
-// and one for the read block, and a bucket buffers a frame of its rows.
+// Parts (at least 1) partitions on scratch: the lowering of partition[s],
+// and the algorithm cost.applyPartition prices. It reads its input on its
+// own strand and writes each partition as one spill through a pool-pinned
+// bucket buffer: the pool budget (the RAM size when the pool is unlimited)
+// splits into Parts+1 frames, one per bucket and one for the read block, and
+// a bucket buffers a frame of its rows. The exchanges of one flatMap run
+// concurrently (see Gather.Open).
 type Exchange struct {
 	In    Input
 	Parts int64
 	KRead int64 // read block (tuples)
 
 	// Run's result, which exchange-part inputs read: per partition, the
-	// chained spill segments (one per producer task) holding its rows, the
-	// row arity (0 when the input delivered no rows and its arity is
-	// unknowable) and the rows the input delivered over all partitions.
-	parts [][]*storage.Spill
+	// spill holding its rows (nil when the input delivered no rows), the
+	// row arity (0 then: it is unknowable) and the rows the input delivered
+	// over all partitions.
+	parts []*storage.Spill
 	arity int
 	rows  int64
-}
-
-// Run partitions the input.
-func (x *Exchange) Run(c *Ctx) error {
-	s := x.Parts
-	tasks, sections := x.plan(c)
-	spills := make([][]*storage.Spill, tasks)
-	arities := make([]int, tasks)
-	err := runParts(c, tasks, func(i int, pc *Ctx) error {
-		var r blockReader
-		if sections == nil {
-			r = x.In.reader()
-		} else {
-			r = x.In.section(sections[i][0], sections[i][1])
-		}
-		sps, ar, err := x.partitionOne(pc, r)
-		spills[i], arities[i] = sps, ar
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	parts := make([][]*storage.Spill, s)
-	arity, rows := 0, int64(0)
-	for t := 0; t < tasks; t++ {
-		if arities[t] > 0 {
-			arity = arities[t]
-		}
-		for p := int64(0); p < s; p++ {
-			if spills[t] != nil {
-				parts[p] = append(parts[p], spills[t][p])
-				rows += spills[t][p].Records()
-			}
-		}
-	}
-	x.parts, x.arity, x.rows = parts, arity, rows
-	return nil
-}
-
-// plan decides the morsel-task count and section bounds: enough blocks per
-// task to amortize its seek, bounded by maxPartitions. Streamed inputs
-// partition on one task.
-func (x *Exchange) plan(c *Ctx) (tasks int, sections [][2]int64) {
-	rows := x.In.extent()
-	if rows < 0 {
-		return 1, nil
-	}
-	t := clampParts(rows / (4 * max(x.KRead, 1)))
-	if t == 1 {
-		return 1, nil
-	}
-	return t, sectionBounds(rows, t)
 }
 
 // growCols doubles the capacity of a bucket's column buffers, up to the
@@ -425,20 +372,19 @@ func growCols(cols [][]int32, limit int64) {
 	}
 }
 
-// partitionOne hashes one morsel section into Parts scratch spills through
-// per-bucket write buffers pinned in the task's pool.
-func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, error) {
+// Run partitions the input.
+func (x *Exchange) Run(c *Ctx) error {
+	r := x.In.reader()
 	if err := r.open(c); err != nil {
-		return nil, 0, err
+		return err
 	}
 	defer r.close()
 	s := x.Parts
+	x.parts, x.arity, x.rows = make([]*storage.Spill, s), 0, 0
 	var (
-		spills  []*storage.Spill
 		bufs    []*storage.Frame
 		bufCols [][][]int32 // per-bucket column-striped write buffers
 		capRows []int64
-		arity   int
 	)
 	defer func() {
 		for _, f := range bufs {
@@ -448,36 +394,35 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		}
 	}()
 	setup := func(ar int) error {
-		arity = ar
-		width := int64(arity) * 4
+		x.arity = ar
+		width := int64(ar) * 4
 		want := cmp.Or(c.Pool.Budget(), c.ram) / (s + 1) / width
-		spills = make([]*storage.Spill, s)
 		bufs = make([]*storage.Frame, s)
 		bufCols = make([][][]int32, s)
 		capRows = make([]int64, s)
-		for i := range spills {
+		for i := range x.parts {
 			sp, err := c.newSpill(width, 0)
 			if err != nil {
 				return err
 			}
-			spills[i] = sp
+			x.parts[i] = sp
 			f, err := c.Pool.PinUpTo(want, width)
 			if err != nil {
 				return err
 			}
 			bufs[i] = f
 			// The grant bounds the buffer; the host grows it as rows
-			// arrive, since a section rarely fills every bucket's.
-			bufCols[i] = make([][]int32, arity)
+			// arrive, since an input rarely fills every bucket's.
+			bufCols[i] = make([][]int32, ar)
 			capRows[i] = f.Cap(width)
 		}
 		return nil
 	}
-	// A fused table/spill input has a known arity: pin the bucket buffers
-	// before the reader claims its block frame.
+	// A fused table or exchange-part input has a known arity: pin the bucket
+	// buffers before the reader claims its block frame.
 	if ar := r.arity(); ar > 0 {
 		if err := setup(ar); err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
 	flush := func(b int64) error {
@@ -486,8 +431,8 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 		if rows == 0 {
 			return nil
 		}
-		c.cpu(rows*int64(arity)*4, c.Sim.MoveSeconds)
-		if err := spills[b].AppendCols(c.acct(), cols, rows); err != nil {
+		c.cpu(rows*int64(x.arity)*4, c.Sim.MoveSeconds)
+		if err := x.parts[b].AppendCols(c.acct(), cols, rows); err != nil {
 			return err
 		}
 		for ci := range cols {
@@ -497,23 +442,24 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 	}
 	for {
 		k := max(x.KRead, 1)
-		if arity > 0 {
-			// cost's read frame of the s+1; open cause ROADMAP.md 1(g).
-			k = c.share(k, s+1, int64(arity)*4)
+		if x.arity > 0 {
+			// The read frame of cost's s+1.
+			k = c.share(k, s+1, int64(x.arity)*4)
 		}
 		blk, err := r.next(k)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		if blk == nil {
 			break
 		}
-		if spills == nil {
+		if bufs == nil {
 			if err := setup(r.arity()); err != nil {
-				return nil, 0, err
+				return err
 			}
 		}
 		n := int64(len(blk[0]))
+		x.rows += n
 		c.cpu(n, c.Sim.HashSeconds)
 		keyCol := blk[0]
 		for i := int64(0); i < n; i++ {
@@ -523,21 +469,21 @@ func (x *Exchange) partitionOne(c *Ctx, r blockReader) ([]*storage.Spill, int, e
 			cols := bufCols[b]
 			if int64(len(cols[0])) >= capRows[b] {
 				if err := flush(b); err != nil {
-					return nil, 0, err
+					return err
 				}
 			}
 			if len(cols[0]) == cap(cols[0]) {
 				growCols(cols, capRows[b])
 			}
-			for ci := 0; ci < arity; ci++ {
+			for ci := 0; ci < x.arity; ci++ {
 				cols[ci] = append(cols[ci], blk[ci][i])
 			}
 		}
 	}
 	for i := range bufs {
 		if err := flush(int64(i)); err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
-	return spills, arity, nil
+	return nil
 }

@@ -263,7 +263,7 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 			if err := sp.PreloadCols(columnsOf(rows[b[0]*2:b[1]*2], 2)); err != nil {
 				t.Fatal(err)
 			}
-			pr, err := project(SpillsInput([]*storage.Spill{sp}, 2), 16, ocal.MustParse("[x]"), "x")
+			pr, err := project(Input{spill: sp, ar: 2}, 16, ocal.MustParse("[x]"), "x")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +294,7 @@ func TestGatherMergesPartitionStreams(t *testing.T) {
 }
 
 // TestExchangePartitions repartitions a table by hash key and checks every
-// row lands in the partition its key hashes to, across all task segments.
+// row lands in the partition its key hashes to.
 func TestExchangePartitions(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	var rows []int32
@@ -315,17 +315,62 @@ func TestExchangePartitions(t *testing.T) {
 		t.Fatalf("arity %d want 2", x.arity)
 	}
 	var got [][]int32
-	for pi, part := range x.parts {
-		for _, sp := range part {
-			for _, row := range tableRows(flatSpill(sp), 2) {
-				if want := int64(ocal.Hash(ocal.Int(int64(row[0]))) % uint64(s)); want != int64(pi) {
-					t.Fatalf("row %v in partition %d, its key hashes to %d", row, pi, want)
-				}
-				got = append(got, row)
+	for pi, sp := range x.parts {
+		for _, row := range tableRows(flatSpill(sp), 2) {
+			if want := int64(ocal.Hash(ocal.Int(int64(row[0]))) % uint64(s)); want != int64(pi) {
+				t.Fatalf("row %v in partition %d, its key hashes to %d", row, pi, want)
 			}
+			got = append(got, row)
 		}
 	}
 	sameBag(t, "exchange", got, tableRows(rows, 2))
+}
+
+// TestExchangeWritesOneStreamPerBucket: an exchange over a table many read
+// blocks long leaves exactly one spill per bucket, written as the stream
+// cost.applyPartition prices: a bucket of n rows behind a frame of f rows
+// costs ceil(n/f) writes, each an initiation (the arm visits the table
+// between them). At every worker count.
+func TestExchangeWritesOneStreamPerBucket(t *testing.T) {
+	var rows []int32
+	for i := int32(0); i < 2000; i++ {
+		rows = append(rows, i*7919%1000, i)
+	}
+	const s, frameRows = 5, 16
+	var first storage.Ledger
+	for _, workers := range []int{1, 4} {
+		sim := newSim(t)
+		tb := loadTableSim(sim, "hdd", 2, rows)
+		d, _ := sim.Device("hdd")
+		// s+1 frames of 16 rows: one per bucket and the read block's.
+		c := &Ctx{Sim: sim, Pool: storage.NewBufferPool((s + 1) * frameRows * 8), Scratch: d,
+			Workers: workers, shared: &sharedState{}}
+		x := &Exchange{In: TableInput(tb), Parts: s, KRead: frameRows}
+		if err := x.Run(c); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Pool.Stats().Spills; got != s {
+			t.Errorf("workers %d: %d spills, want one per bucket (%d)", workers, got, s)
+		}
+		var flushes, total int64
+		for b := 0; b < s; b++ {
+			n := Input{x: x, part: b}.extent()
+			flushes += (n + frameRows - 1) / frameRows
+			total += n
+		}
+		if total != int64(len(rows)/2) {
+			t.Fatalf("workers %d: buckets hold %d rows, want %d", workers, total, len(rows)/2)
+		}
+		if d.Led.WriteInits != flushes || d.Led.BytesWrite != total*8 {
+			t.Errorf("workers %d: %d write inits for %d bytes, want one per bucket flush (%d) and %d bytes",
+				workers, d.Led.WriteInits, d.Led.BytesWrite, flushes, total*8)
+		}
+		if workers == 1 {
+			first = d.Led
+		} else if d.Led != first {
+			t.Errorf("workers %d: ledger %+v, want the one-worker ledger %+v", workers, d.Led, first)
+		}
+	}
 }
 
 // TestSpillLifecycleOnCancel: a run cancelled mid-flight must release every

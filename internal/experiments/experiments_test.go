@@ -11,7 +11,6 @@ import (
 var estActOpen = map[string]string{
 	"bnl-cache":          "(c) cache misses are counted but never reach the clock",
 	"bnl-write-same-hdd": "(b) the estimate and the simulator disagree on same-device interleaving",
-	"grace-hash-join":    "(g) morsel sections split every bucket into several spill streams",
 }
 
 // estActOpenAtScale is estActOpen at shrink 1, the paper's sizes. It may
@@ -19,7 +18,6 @@ var estActOpen = map[string]string{
 var estActOpenAtScale = map[string]string{
 	"bnl-cache":          estActOpen["bnl-cache"],
 	"bnl-write-same-hdd": estActOpen["bnl-write-same-hdd"],
-	"grace-hash-join":    estActOpen["grace-hash-join"],
 	"external-sort":      "(h) the sort's buffers: its share caps hold the band at shrink 8 only",
 	"dup-removal":        "(i) dup-removal's drift grows with its input, for a cause not yet named",
 }
