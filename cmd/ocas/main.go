@@ -8,7 +8,7 @@
 //	ocas -prog join.ocal -hier hdd-ram [-ram BYTES] \
 //	     -in R=hdd:1048576,S=hdd:65536 [-out hdd] \
 //	     [-commutative] [-depth 6] [-space 4000] [-c] [-json] \
-//	     [-run [-seed 1] [-pool 0] [-exec-workers 1] [-explain] \
+//	     [-run [-seed 1] [-pool 0] [-explain] \
 //	           [-data DIR -table R=mytable,...]]
 //
 // Built-in hierarchies: hdd-ram, hdd-ram-cache, two-hdd, hdd-flash; a JSON
@@ -30,6 +30,8 @@
 // same segment files ocasd ingests into), with byte-identical digests,
 // ledgers and virtual clock. A bound input executes over the table's actual
 // rows; its -in rows field only sizes the cost model during synthesis.
+// The executor runs on min(GOMAXPROCS, 8) lanes, which never changes a
+// digest, ledger or clock, only the wall time.
 package main
 
 import (
@@ -64,7 +66,6 @@ func main() {
 		run       = flag.Bool("run", false, "execute the synthesized algorithm on the storage simulator with generated inputs")
 		seed      = flag.Int64("seed", 1, "input generator seed (-run)")
 		poolB     = flag.Int64("pool", 0, "executor buffer pool budget in bytes, 0 = the RAM size (-run)")
-		execW     = flag.Int("exec-workers", 1, "executor worker count for morsel-parallel execution (-run); never changes results, only wall-clock")
 		explain   = flag.Bool("explain", false, "with -run: print the per-operator EXPLAIN ANALYZE tree (actuals plus est/act drift)")
 		dataDir   = flag.String("data", "", "durable table catalog directory for -run -table bindings (the directory ocasd -data ingests into)")
 		tableSpec = flag.String("table", "", "with -run: read inputs from durable tables as input=table, comma separated (requires -data)")
@@ -147,7 +148,7 @@ func main() {
 	var rep *plan.ExecReport
 	if *run {
 		rep, err = plan.ExecutePlan(context.Background(), c, p,
-			plan.ExecOptions{Seed: *seed, PoolBytes: *poolB, ExecWorkers: *execW,
+			plan.ExecOptions{Seed: *seed, PoolBytes: *poolB,
 				Explain: *explain, Tables: tables, Cat: cat})
 		if err != nil {
 			die(err)

@@ -7,8 +7,7 @@
 //	ocasd -addr :8080 -cache-size 1024 -template-cache 64 -persist plans.json \
 //	      [-data ./data -flush-rows 65536] \
 //	      [-max-inflight 2] [-timeout 60s] \
-//	      [-max-exec-rows 1048576] [-exec-workers 4] [-max-worker-slots 8] \
-//	      [-pprof ADDR] \
+//	      [-max-exec-rows 1048576] [-pprof ADDR] \
 //	      [-trace-ring 256] [-trace-log traces.jsonl] [-log-json] [-access-log]
 //
 // Endpoints (see internal/service):
@@ -26,7 +25,7 @@
 //	DELETE /tables/{name}     drop a table and its segment files
 //	POST /tables/{name}/rows  bulk-load rows (JSON or text/csv body)
 //	GET  /healthz             readiness report (uptime, build, cache
-//	                          occupancy, worker slots)
+//	                          occupancy, execution slots)
 //	GET  /stats               cache + service + catalog counters
 //	GET  /metrics             Prometheus text exposition (latency
 //	                          histograms split by cache outcome)
@@ -56,6 +55,9 @@
 // path flushes the remainder, so a SIGTERM-stopped daemon restarts with
 // every ingested row durable.
 //
+// Each /execute holds one of GOMAXPROCS execution slots for its whole run
+// and runs on min(GOMAXPROCS, 8) executor lanes.
+//
 // -pprof ADDR serves net/http/pprof on a separate listener — the profiling
 // mux is never mounted on the serving address.
 package main
@@ -84,12 +86,10 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
 		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
 		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown; plans only, templates are per-process)")
-		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, executions are admitted by -max-worker-slots)")
+		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, and each execution holds one of GOMAXPROCS execution slots)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
 		maxExecRows = flag.Int64("max-exec-rows", 1<<20, "largest per-input row count POST /execute will run")
-		execWorkers = flag.Int("exec-workers", 1, "default executor worker count for /execute requests that don't choose one")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables profiling")
-		maxSlots    = flag.Int("max-worker-slots", 0, "executor worker-slot pool shared by concurrent /execute runs (0 = GOMAXPROCS)")
 		dataDir     = flag.String("data", "", "durable table catalog directory; empty disables the /tables endpoints and exec.tables bindings")
 		flushRows   = flag.Int64("flush-rows", 0, "buffered rows per table before ingest cuts a columnar segment (0 = 65536)")
 		traceRing   = flag.Int("trace-ring", 256, "recent request traces kept in memory for GET /traces")
@@ -135,8 +135,6 @@ func main() {
 		MaxInflight:       *maxInflight,
 		Timeout:           *timeout,
 		MaxExecRows:       *maxExecRows,
-		ExecWorkers:       *execWorkers,
-		MaxWorkerSlots:    *maxSlots,
 		Catalog:           cat,
 		TraceRing:         *traceRing,
 		TraceLog:          traceSink,

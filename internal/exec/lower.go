@@ -28,11 +28,11 @@ type LowerOpts struct {
 	// initiations of an output device that also holds an input do (see
 	// plan.ExecOptions.BatchRows).
 	BatchRows int64
-	// ExecWorkers bounds how many partition tasks of the morsel-driven
-	// parallel sections run concurrently (<= 1: inline). Partition degrees
-	// are decided by the plan, never by this knob, so the output digest and
-	// every device charge are identical for every worker count; only
-	// wall-clock time changes.
+	// ExecWorkers overrides how many partition tasks of the morsel-driven
+	// parallel sections run concurrently (0: one per core, at most 8; 1:
+	// inline). Only tests set it. Partition degrees are decided by the
+	// plan, never by the lane count, so the output digest and every device
+	// charge are identical for every count; only wall-clock time changes.
 	ExecWorkers int
 	// Context, when non-nil, cancels the run between batches.
 	Context context.Context

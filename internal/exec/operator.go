@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"ocas/internal/storage"
@@ -31,7 +32,8 @@ type Ctx struct {
 	// BatchRows is the operator exchange batch size (0 = DefaultBatchRows).
 	BatchRows int64
 	// Workers bounds how many partition tasks of a parallel section run
-	// concurrently (<= 1: sections run inline on the caller's goroutine).
+	// concurrently (0: one per core, at most maxPartitions; < 0 or 1:
+	// sections run inline on the caller's goroutine).
 	Workers int
 	// Context, when non-nil, cancels the run between batches.
 	Context context.Context
@@ -65,17 +67,15 @@ func (c *Ctx) acct() *storage.Acct {
 // cpu charges n operations on this strand.
 func (c *Ctx) cpu(n int64, perOp float64) { c.acct().CPU(n, perOp) }
 
-// workers returns the effective worker budget, clamped to [1, MaxWorkers]
-// (partition degrees never exceed MaxWorkers, so neither can useful
-// concurrency).
+// workers returns the effective worker budget: GOMAXPROCS when Workers is
+// 0, clamped to [1, maxPartitions] (partition degrees never exceed
+// maxPartitions, so neither can useful concurrency).
 func (c *Ctx) workers() int {
-	if c.Workers <= 1 {
-		return 1
+	w := c.Workers
+	if w == 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	if c.Workers > MaxWorkers {
-		return MaxWorkers
-	}
-	return c.Workers
+	return min(max(w, 1), maxPartitions)
 }
 
 // err reports context cancellation. It is checked at block-read

@@ -20,13 +20,6 @@ import (
 	"ocas/internal/storage"
 )
 
-// MaxWorkers is the executor's concurrency ceiling: partition degrees (and
-// therefore the worker lanes that can ever be busy) never exceed it, so
-// asking for more workers cannot help. Admission layers clamp requests
-// against it — holding slots the executor can never use would only starve
-// other requests.
-const MaxWorkers = maxPartitions
-
 // maxPartitions bounds the partition degree lowering and the parallel
 // operators choose. It is a property of the plan, deliberately independent
 // of the worker count: more workers than partitions idle, fewer queue.

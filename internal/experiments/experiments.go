@@ -43,8 +43,8 @@ type Experiment struct {
 	MaxDepth int
 	MaxSpace int
 	Rules    []rules.Rule
-	// ExecWorkers bounds the executor's morsel-parallel worker lanes
-	// (<= 1: single-worker). Worker count never changes digests or
+	// ExecWorkers overrides the executor's lane count (0: min(GOMAXPROCS,
+	// 8)). Only tests set it. The lane count never changes digests or
 	// ledgers, only wall-clock.
 	ExecWorkers int
 	// Reporting: nominal byte sizes.

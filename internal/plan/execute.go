@@ -56,21 +56,16 @@ type ExecOptions struct {
 	// Cat resolves Tables. It is infrastructure wiring (set by ocasd or the
 	// CLI from their -data directory), never part of a request body.
 	Cat *catalog.Catalog `json:"-"`
-	// ExecWorkers bounds the morsel-driven executor's concurrent partition
-	// tasks (0 or 1: single-worker; capped at MaxExecWorkers). Worker count
-	// never changes the output digest or the device ledgers — partition
-	// degrees are plan-decided — only the wall-clock time.
-	ExecWorkers int `json:"execWorkers,omitempty"`
+	// ExecWorkers overrides the executor's lane count, min(GOMAXPROCS, 8)
+	// when 0. Only tests set it, never a request body. The lane count never
+	// changes the output digest or the device ledgers (partition degrees are
+	// plan-decided), only the wall-clock time.
+	ExecWorkers int `json:"-"`
 	// Explain instruments the run per operator and attaches the EXPLAIN
 	// ANALYZE tree to the report. Purely a transport option: it never enters
 	// the plan fingerprint and changes neither the output nor the ledgers.
 	Explain bool `json:"explain,omitempty"`
 }
-
-// MaxExecWorkers is the executor's concurrency ceiling (partition degrees
-// never exceed it); admission layers clamp requested worker counts against
-// it so no request holds capacity the executor cannot use.
-const MaxExecWorkers = exec.MaxWorkers
 
 // DeviceReport is one device's ledger after execution: the paper's two
 // event kinds (InitCom, UnitTr) split by direction.
@@ -105,7 +100,7 @@ type ExecReport struct {
 	PredictedSeconds float64                 `json:"predictedSeconds,omitempty"`
 	Devices          map[string]DeviceReport `json:"devices"`
 	Pool             storage.PoolStats       `json:"pool"`
-	// ExecWorkers is the effective executor worker count.
+	// ExecWorkers is the number of executor lanes the run had.
 	ExecWorkers    int     `json:"execWorkers,omitempty"`
 	CacheMissRatio float64 `json:"cacheMissRatio,omitempty"`
 	// Explain is the per-operator EXPLAIN ANALYZE tree (ExecOptions.Explain).

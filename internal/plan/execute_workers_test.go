@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -118,5 +119,42 @@ func TestExecuteWorkersDeterministicReport(t *testing.T) {
 			t.Errorf("same-config runs disagree on device %s: %+v vs %+v",
 				dev, r1.Devices[dev], r2.Devices[dev])
 		}
+	}
+}
+
+// TestExecuteLanesFollowGOMAXPROCS: a run that names no lane count takes one
+// per core. Under GOMAXPROCS 4 the worker-sweep GRACE join runs on 4 lanes,
+// reproduces the golden record of its 4-worker run and matches its 1-lane
+// run in digest, rows, device ledgers, pool stats and EXPLAIN tree.
+func TestExecuteLanesFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	c, err := Compile(graceJoin(4096, 8192, 256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ExecOptions{Seed: 11, Explain: true}
+	rep, err := ExecutePlan(context.Background(), c, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExecWorkers != 4 {
+		t.Fatalf("execWorkers %d under GOMAXPROCS 4, want 4", rep.ExecWorkers)
+	}
+	got := goldenOf(rep)
+	requireSameRun(t, "default lanes", got, readGolden(t)[goldenKey("grace-worker-sweep", 0, 4, "generated")])
+
+	opt.ExecWorkers = 1
+	one, err := ExecutePlan(context.Background(), c, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenOf(one)
+	got.ExecWorkers, got.VirtualSeconds, got.VirtualSecondsBits = 1, want.VirtualSeconds, want.VirtualSecondsBits
+	if g, w := mustJSON(t, got), mustJSON(t, want); string(g) != string(w) {
+		t.Errorf("default lanes differ from one lane beyond the clock:\n got: %s\nwant: %s", g, w)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -237,15 +238,17 @@ func TestExecuteRejectsMalformedInputRows(t *testing.T) {
 	}
 }
 
-// TestExecuteRejectsRemovedExecField: the executor has one path and one
-// batch size, so a body still choosing either (the former exec.backend and
-// exec.batchRows fields) is a 400 that names the field, like any other
-// unknown field — never silently ignored.
+// TestExecuteRejectsRemovedExecField: the executor has one path, one
+// batch size and one lane count, so a body still choosing any of them (the
+// former exec.backend, exec.batchRows and exec.execWorkers fields) is a 400
+// that names the field, like any other unknown field — never silently
+// ignored.
 func TestExecuteRejectsRemovedExecField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for field, extra := range map[string]string{
-		"backend":   `, "backend": "fused"`,
-		"batchRows": `, "batchRows": 64`,
+		"backend":     `, "backend": "fused"`,
+		"batchRows":   `, "batchRows": 64`,
+		"execWorkers": `, "execWorkers": 4`,
 	} {
 		resp, data := postExecute(t, ts, execBody(extra))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -257,40 +260,16 @@ func TestExecuteRejectsRemovedExecField(t *testing.T) {
 	}
 }
 
-// TestExecuteWorkersInvariantAndStats: /execute with execWorkers runs the
-// morsel-driven executor — same digest and ledgers as the single-worker
-// run — and the /stats exec section accumulates executor counters.
+// TestExecuteWorkersInvariantAndStats: the /stats exec section accumulates
+// executor counters and reports the execution slots, GOMAXPROCS of them,
+// all free at rest.
 func TestExecuteWorkersInvariantAndStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxWorkerSlots: 8})
-
-	resp1, data1 := postExecute(t, ts, execBody(""))
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("execute: %d %s", resp1.StatusCode, data1)
-	}
-	resp4, data4 := postExecute(t, ts, execBody(`, "execWorkers": 4`))
-	if resp4.StatusCode != http.StatusOK {
-		t.Fatalf("execute (4 workers): %d %s", resp4.StatusCode, data4)
-	}
-	var r1, r4 plan.ExecReport
-	if err := json.Unmarshal(data1, &r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data4, &r4); err != nil {
-		t.Fatal(err)
-	}
-	if r4.OutDigest != r1.OutDigest || r4.OutRows != r1.OutRows {
-		t.Errorf("worker count changed the output: %s/%d vs %s/%d",
-			r4.OutDigest, r4.OutRows, r1.OutDigest, r1.OutRows)
-	}
-	for dev, led := range r1.Devices {
-		if r4.Devices[dev] != led {
-			t.Errorf("worker count changed device %s charges: %+v vs %+v", dev, r4.Devices[dev], led)
+	_, ts := newTestServer(t, Config{})
+	for range 2 {
+		if resp, data := postExecute(t, ts, execBody("")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("execute: %d %s", resp.StatusCode, data)
 		}
 	}
-	if r4.ExecWorkers != 4 {
-		t.Errorf("report execWorkers = %d want 4", r4.ExecWorkers)
-	}
-
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -303,27 +282,65 @@ func TestExecuteWorkersInvariantAndStats(t *testing.T) {
 	if stats.Exec.Executions < 2 {
 		t.Errorf("stats executions = %d want >= 2", stats.Exec.Executions)
 	}
-	if stats.Exec.WorkerSlots != 8 {
-		t.Errorf("stats workerSlots = %d want 8", stats.Exec.WorkerSlots)
+	if want := int64(runtime.GOMAXPROCS(0)); stats.Exec.WorkerSlots != want {
+		t.Errorf("stats workerSlots = %d want GOMAXPROCS %d", stats.Exec.WorkerSlots, want)
 	}
 	if stats.Exec.ActiveWorkers != 0 {
 		t.Errorf("stats activeWorkers = %d want 0 at rest", stats.Exec.ActiveWorkers)
 	}
 }
 
-// TestExecuteWorkersClamped: a request asking for more workers than the
-// slot pool is clamped, not rejected or deadlocked.
+// TestExecuteWorkersClamped: a run takes one executor lane per core, but
+// never more than the 8 partitions a plan can have.
 func TestExecuteWorkersClamped(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxWorkerSlots: 2})
-	resp, data := postExecute(t, ts, execBody(`, "execWorkers": 64`))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("clamped execute: %d %s", resp.StatusCode, data)
+	for _, tc := range []struct{ procs, want int }{{1, 1}, {16, 8}} {
+		old := runtime.GOMAXPROCS(tc.procs)
+		_, ts := newTestServer(t, Config{})
+		resp, data := postExecute(t, ts, execBody(""))
+		runtime.GOMAXPROCS(old)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GOMAXPROCS %d: execute: %d %s", tc.procs, resp.StatusCode, data)
+		}
+		var rep plan.ExecReport
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.ExecWorkers != tc.want {
+			t.Errorf("GOMAXPROCS %d: execWorkers = %d, want %d", tc.procs, rep.ExecWorkers, tc.want)
+		}
 	}
-	var rep plan.ExecReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
+}
+
+// TestExecuteAdmissionFullPool: with every execution slot held, an /execute
+// waits for one until its timeoutMs fires, answers 504 and leaves the held
+// slots as they were; once a slot frees, the next /execute runs.
+func TestExecuteAdmissionFullPool(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	// The plan is cached first, so the timed-out request spends its budget
+	// waiting for admission, not searching.
+	if resp, data := postExecute(t, ts, execBody("")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up execute: %d %s", resp.StatusCode, data)
 	}
-	if rep.ExecWorkers != 2 {
-		t.Errorf("execWorkers = %d, want the 2-slot clamp", rep.ExecWorkers)
+	for range cap(srv.execSem) {
+		srv.execSem <- struct{}{}
+	}
+	defer func() {
+		for len(srv.execSem) > 0 {
+			<-srv.execSem
+		}
+	}()
+	timed := strings.Replace(execBody(""), `"depth"`, `"timeoutMs": 50, "depth"`, 1)
+	if resp, data := postExecute(t, ts, timed); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("execute under a full pool: %d %s, want 504", resp.StatusCode, data)
+	}
+	if held := len(srv.execSem); held != cap(srv.execSem) {
+		t.Errorf("a timed-out waiter changed the held slots: %d of %d", held, cap(srv.execSem))
+	}
+	if n := srv.execWaiting.Load(); n != 0 {
+		t.Errorf("%d executions still counted as waiting", n)
+	}
+	<-srv.execSem
+	if resp, data := postExecute(t, ts, execBody("")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute after a slot freed: %d %s", resp.StatusCode, data)
 	}
 }

@@ -60,12 +60,12 @@ func (s *Server) initObs() {
 		func() float64 { return float64(s.truncated.Load()) })
 	s.reg.Func("ocas_synth_inflight", "Synthesis jobs holding an admission slot.", obs.KindGauge,
 		func() float64 { return float64(len(s.sem)) })
-	s.reg.Func("ocas_exec_workers_inuse", "Executor worker slots held right now.", obs.KindGauge,
-		func() float64 { return float64(s.slots.InUse()) })
-	s.reg.Func("ocas_exec_workers_waiting", "Requests queued for executor worker slots.", obs.KindGauge,
-		func() float64 { return float64(s.slots.Waiting()) })
-	s.reg.Func("ocas_exec_worker_slots", "Executor worker-slot pool size.", obs.KindGauge,
-		func() float64 { return float64(s.cfg.MaxWorkerSlots) })
+	s.reg.Func("ocas_exec_workers_inuse", "Executions holding an execution slot right now.", obs.KindGauge,
+		func() float64 { return float64(len(s.execSem)) })
+	s.reg.Func("ocas_exec_workers_waiting", "Executions waiting for an execution slot.", obs.KindGauge,
+		func() float64 { return float64(s.execWaiting.Load()) })
+	s.reg.Func("ocas_exec_worker_slots", "Execution slots (GOMAXPROCS).", obs.KindGauge,
+		func() float64 { return float64(cap(s.execSem)) })
 
 	s.reg.Func("ocas_executions_total", "Completed /execute runs.", obs.KindCounter,
 		func() float64 { return float64(s.exec.executions.Load()) })
@@ -269,7 +269,7 @@ type healthzResponse struct {
 	// Cache occupancy of the two tiers (size/capacity).
 	Plans     tierHealth `json:"plans"`
 	Templates tierHealth `json:"templates"`
-	// Worker slots: the executor admission pool.
+	// Execution slots: held (activeWorkers) of the pool (workerSlots).
 	WorkerSlots   int64 `json:"workerSlots"`
 	ActiveWorkers int64 `json:"activeWorkers"`
 	MaxInflight   int   `json:"maxInflight"`
@@ -291,8 +291,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Plans:         tierHealth{Size: st.Plans.Size, Capacity: st.Plans.Capacity},
 		Templates:     tierHealth{Size: st.Templates.Size, Capacity: st.Templates.Capacity},
-		WorkerSlots:   int64(s.cfg.MaxWorkerSlots),
-		ActiveWorkers: s.slots.InUse(),
+		WorkerSlots:   int64(cap(s.execSem)),
+		ActiveWorkers: int64(len(s.execSem)),
 		MaxInflight:   s.cfg.MaxInflight,
 		SynthInflight: len(s.sem),
 	})

@@ -10,7 +10,7 @@
 //	                          this request.
 //	GET  /plans/{fp}        — a previously synthesized plan by fingerprint.
 //	GET  /healthz           — readiness report: uptime, build info, cache
-//	                          tier occupancy, worker slots.
+//	                          tier occupancy, execution slots.
 //	GET  /stats             — cache and request counters as JSON.
 //	GET  /metrics           — the same counters plus per-endpoint latency
 //	                          histograms in the Prometheus text format.
@@ -58,17 +58,8 @@ type Config struct {
 	TemplateCacheSize int
 	// MaxInflight bounds concurrent full searches (default 2). Hits,
 	// singleflight joins and template instantiations take no slot, and
-	// executions are admitted by the worker-slot pool (MaxWorkerSlots).
+	// each execution holds one of GOMAXPROCS execution slots.
 	MaxInflight int
-	// ExecWorkers is the executor worker count for /execute requests that
-	// do not choose one (default 1: single-worker).
-	ExecWorkers int
-	// MaxWorkerSlots is the total executor worker-slot pool (default
-	// GOMAXPROCS). An /execute running W workers holds W slots for its
-	// whole execution, so concurrent requests cannot oversubscribe the
-	// box no matter how many are admitted; requests asking for more than
-	// the pool are clamped.
-	MaxWorkerSlots int
 	// Timeout is the per-request synthesis/execution budget (default 60s).
 	// A request may lower it with the timeoutMs body field, never raise it.
 	Timeout time.Duration
@@ -108,10 +99,10 @@ type Metrics struct {
 }
 
 // ExecStats are the executor counters exposed on /stats: the live
-// worker-slot gauge plus totals accumulated over every completed /execute.
+// execution-slot gauge plus totals accumulated over every completed /execute.
 type ExecStats struct {
-	// ActiveWorkers is the number of executor worker slots held right now;
-	// WorkerSlots is the pool size.
+	// ActiveWorkers is the number of executions holding a slot right now;
+	// WorkerSlots is the slot count (GOMAXPROCS).
 	ActiveWorkers int64 `json:"activeWorkers"`
 	WorkerSlots   int64 `json:"workerSlots"`
 	Executions    int64 `json:"executions"`
@@ -125,9 +116,11 @@ type Server struct {
 	cfg     Config
 	store   *plancache.Store
 	sem     chan struct{} // admission slots for new synthesis jobs
-	slots   *slotSem      // executor worker-slot pool (/execute)
+	execSem chan struct{} // admission slots for executions (/execute)
 	started time.Time
 	metrics Metrics
+	// execWaiting counts the executions waiting for an execSem slot.
+	execWaiting atomic.Int64
 	// truncated counts the searches that stopped at their request's space
 	// bound: their plans are the best of a partial space.
 	truncated atomic.Int64
@@ -178,15 +171,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxExecRows <= 0 {
 		cfg.MaxExecRows = 1 << 20
 	}
-	if cfg.ExecWorkers <= 0 {
-		cfg.ExecWorkers = 1
-	}
-	if cfg.MaxWorkerSlots <= 0 {
-		cfg.MaxWorkerSlots = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ExecWorkers > cfg.MaxWorkerSlots {
-		cfg.ExecWorkers = cfg.MaxWorkerSlots
-	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 256
 	}
@@ -194,7 +178,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		store:   plancache.NewStore(cfg.CacheSize, cfg.TemplateCacheSize),
 		sem:     make(chan struct{}, cfg.MaxInflight),
-		slots:   newSlotSem(int64(cfg.MaxWorkerSlots)),
+		execSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		started: time.Now(),
 		memo:    newHitMemo(cfg.CacheSize),
 	}
@@ -457,37 +441,27 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query(); q.Has("explain") && q.Get("explain") != "0" && q.Get("explain") != "false" {
 		req.Exec.Explain = true
 	}
-	// Execution admission charges worker-slots, not requests: a run with W
-	// executor workers holds W slots of the shared pool, so concurrent
-	// /execute traffic cannot oversubscribe the box however small each
-	// request is.
-	workers := req.Exec.ExecWorkers
-	if workers <= 0 {
-		workers = s.cfg.ExecWorkers
-	}
-	if workers > s.cfg.MaxWorkerSlots {
-		workers = s.cfg.MaxWorkerSlots
-	}
-	// The executor cannot use more than plan.MaxExecWorkers lanes; holding
-	// extra slots would starve other requests for nothing.
-	if workers > plan.MaxExecWorkers {
-		workers = plan.MaxExecWorkers
-	}
-	req.Exec.ExecWorkers = workers
-	if err := s.slots.Acquire(res.ctx, int64(workers)); err != nil {
-		s.failCompute(w, err, res.timeout, "execution")
+	// Each execution holds one slot for its whole run, released however
+	// the run ends.
+	s.execWaiting.Add(1)
+	select {
+	case s.execSem <- struct{}{}:
+		s.execWaiting.Add(-1)
+	case <-res.ctx.Done():
+		s.execWaiting.Add(-1)
+		s.failCompute(w, res.ctx.Err(), res.timeout, "execution")
 		return
 	}
+	defer func() { <-s.execSem }()
 	ectx, spExec := obs.Start(res.ctx, "execute")
 	rep, err := plan.ExecutePlan(ectx, res.compiled, res.plan, req.Exec)
 	if spExec != nil {
-		spExec.Attr("workers", workers)
 		if err == nil {
+			spExec.Attr("workers", rep.ExecWorkers)
 			spExec.AddVirt(rep.VirtualSeconds)
 		}
 		spExec.End()
 	}
-	s.slots.Release(int64(workers))
 	if err == nil {
 		s.exec.executions.Add(1)
 		s.exec.poolShrinks.Add(rep.Pool.Shrinks)
@@ -652,8 +626,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ServeNanos: atomic.LoadInt64(&s.metrics.ServeNanos),
 		},
 		Exec: ExecStats{
-			ActiveWorkers: s.slots.InUse(),
-			WorkerSlots:   int64(s.cfg.MaxWorkerSlots),
+			ActiveWorkers: int64(len(s.execSem)),
+			WorkerSlots:   int64(cap(s.execSem)),
 			Executions:    s.exec.executions.Load(),
 			PoolShrinks:   s.exec.poolShrinks.Load(),
 			Spills:        s.exec.spills.Load(),
