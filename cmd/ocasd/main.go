@@ -55,8 +55,8 @@
 // path flushes the remainder, so a SIGTERM-stopped daemon restarts with
 // every ingested row durable.
 //
-// Each /execute holds one of GOMAXPROCS execution slots for its whole run
-// and runs on min(GOMAXPROCS, 8) executor lanes.
+// Each /execute holds one of GOMAXPROCS execution slots per executor lane
+// for its whole run: it waits for one, then takes the free ones, up to 8.
 //
 // -pprof ADDR serves net/http/pprof on a separate listener — the profiling
 // mux is never mounted on the serving address.
@@ -86,7 +86,7 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
 		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
 		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown; plans only, templates are per-process)")
-		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, and each execution holds one of GOMAXPROCS execution slots)")
+		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, and each executor lane holds one of GOMAXPROCS execution slots)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
 		maxExecRows = flag.Int64("max-exec-rows", 1<<20, "largest per-input row count POST /execute will run")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables profiling")

@@ -29,10 +29,10 @@ type LowerOpts struct {
 	// plan.ExecOptions.BatchRows).
 	BatchRows int64
 	// ExecWorkers overrides how many partition tasks of the morsel-driven
-	// parallel sections run concurrently (0: one per core, at most 8; 1:
-	// inline). Only tests set it. Partition degrees are decided by the
-	// plan, never by the lane count, so the output digest and every device
-	// charge are identical for every count; only wall-clock time changes.
+	// parallel sections run concurrently (0: Lanes(); 1: inline), as
+	// plan.ExecOptions.ExecWorkers sets it. Partition degrees are decided
+	// by the plan, never by the lane count, so the output digest and every
+	// device charge are identical for every count; only wall-clock changes.
 	ExecWorkers int
 	// Context, when non-nil, cancels the run between batches.
 	Context context.Context

@@ -67,15 +67,18 @@ func (c *Ctx) acct() *storage.Acct {
 // cpu charges n operations on this strand.
 func (c *Ctx) cpu(n int64, perOp float64) { c.acct().CPU(n, perOp) }
 
-// workers returns the effective worker budget: GOMAXPROCS when Workers is
-// 0, clamped to [1, maxPartitions] (partition degrees never exceed
-// maxPartitions, so neither can useful concurrency).
+// Lanes is the lane count of a run that sets no Workers: one per core, at
+// most maxPartitions (partition degrees never exceed maxPartitions, so
+// neither can useful concurrency).
+func Lanes() int { return min(runtime.GOMAXPROCS(0), maxPartitions) }
+
+// workers returns the effective worker budget: Lanes when Workers is 0,
+// else Workers clamped to [1, maxPartitions].
 func (c *Ctx) workers() int {
-	w := c.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
+	if c.Workers == 0 {
+		return Lanes()
 	}
-	return min(max(w, 1), maxPartitions)
+	return min(max(c.Workers, 1), maxPartitions)
 }
 
 // err reports context cancellation. It is checked at block-read

@@ -57,7 +57,8 @@ type ExecOptions struct {
 	// CLI from their -data directory), never part of a request body.
 	Cat *catalog.Catalog `json:"-"`
 	// ExecWorkers overrides the executor's lane count, min(GOMAXPROCS, 8)
-	// when 0. Only tests set it, never a request body. The lane count never
+	// when 0. Tests and ocasd's admission set it, never a request body
+	// (ocasd gives a run one lane per execution slot it holds). It never
 	// changes the output digest or the device ledgers (partition degrees are
 	// plan-decided), only the wall-clock time.
 	ExecWorkers int `json:"-"`

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -260,66 +261,86 @@ func TestExecuteRejectsRemovedExecField(t *testing.T) {
 	}
 }
 
-// TestExecuteWorkersInvariantAndStats: the /stats exec section accumulates
-// executor counters and reports the execution slots, GOMAXPROCS of them,
-// all free at rest.
-func TestExecuteWorkersInvariantAndStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for range 2 {
-		if resp, data := postExecute(t, ts, execBody("")); resp.StatusCode != http.StatusOK {
-			t.Fatalf("execute: %d %s", resp.StatusCode, data)
-		}
+// execUnder runs execBody on a server created under GOMAXPROCS procs and
+// returns the server, the report and the /stats it shows afterwards.
+// GOMAXPROCS is restored before it returns, however the run ends.
+func execUnder(t *testing.T, procs int) (*Server, plan.ExecReport, statsResponse) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	srv, ts := newTestServer(t, Config{})
+	resp, data := postExecute(t, ts, execBody(""))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GOMAXPROCS %d: execute: %d %s", procs, resp.StatusCode, data)
 	}
-	resp, err := http.Get(ts.URL + "/stats")
+	var rep plan.ExecReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	sresp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sresp.Body.Close()
 	var stats statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if stats.Exec.Executions < 2 {
-		t.Errorf("stats executions = %d want >= 2", stats.Exec.Executions)
+	return srv, rep, stats
+}
+
+// TestExecuteWorkersInvariantAndStats: a one-core and a four-core server
+// answer one /execute with the same report apart from the lane count, and
+// /stats counts the execution and shows every lane's slot given back.
+func TestExecuteWorkersInvariantAndStats(t *testing.T) {
+	_, one, stats1 := execUnder(t, 1)
+	_, four, stats4 := execUnder(t, 4)
+	if one.ExecWorkers != 1 || four.ExecWorkers != 4 {
+		t.Fatalf("execWorkers = %d and %d, want 1 and 4", one.ExecWorkers, four.ExecWorkers)
 	}
-	if want := int64(runtime.GOMAXPROCS(0)); stats.Exec.WorkerSlots != want {
-		t.Errorf("stats workerSlots = %d want GOMAXPROCS %d", stats.Exec.WorkerSlots, want)
+	four.ExecWorkers = one.ExecWorkers
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("reports differ across lane counts:\n1: %+v\n4: %+v", one, four)
 	}
-	if stats.Exec.ActiveWorkers != 0 {
-		t.Errorf("stats activeWorkers = %d want 0 at rest", stats.Exec.ActiveWorkers)
+	for _, stats := range []statsResponse{stats1, stats4} {
+		if stats.Exec.Executions != 1 {
+			t.Errorf("stats executions = %d want 1", stats.Exec.Executions)
+		}
+		if stats.Exec.ActiveWorkers != 0 {
+			t.Errorf("stats activeWorkers = %d want 0 at rest", stats.Exec.ActiveWorkers)
+		}
 	}
 }
 
-// TestExecuteWorkersClamped: a run takes one executor lane per core, but
-// never more than the 8 partitions a plan can have.
+// TestExecuteWorkersClamped: on an idle server a run takes one executor lane
+// per core, but never more than the 8 partitions a plan can have; the server
+// keeps one execution slot per core.
 func TestExecuteWorkersClamped(t *testing.T) {
-	for _, tc := range []struct{ procs, want int }{{1, 1}, {16, 8}} {
-		old := runtime.GOMAXPROCS(tc.procs)
-		_, ts := newTestServer(t, Config{})
-		resp, data := postExecute(t, ts, execBody(""))
-		runtime.GOMAXPROCS(old)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GOMAXPROCS %d: execute: %d %s", tc.procs, resp.StatusCode, data)
+	for _, tc := range []struct{ procs, lanes, slots int }{{1, 1, 1}, {4, 4, 4}, {16, 8, 16}} {
+		srv, rep, stats := execUnder(t, tc.procs)
+		if rep.ExecWorkers != tc.lanes {
+			t.Errorf("GOMAXPROCS %d: execWorkers = %d, want %d", tc.procs, rep.ExecWorkers, tc.lanes)
 		}
-		var rep plan.ExecReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatal(err)
-		}
-		if rep.ExecWorkers != tc.want {
-			t.Errorf("GOMAXPROCS %d: execWorkers = %d, want %d", tc.procs, rep.ExecWorkers, tc.want)
+		if cap(srv.execSem) != tc.slots || stats.Exec.WorkerSlots != int64(tc.slots) {
+			t.Errorf("GOMAXPROCS %d: %d slots, /stats workerSlots %d, want %d",
+				tc.procs, cap(srv.execSem), stats.Exec.WorkerSlots, tc.slots)
 		}
 	}
 }
 
 // TestExecuteAdmissionFullPool: with every execution slot held, an /execute
 // waits for one until its timeoutMs fires, answers 504 and leaves the held
-// slots as they were; once a slot frees, the next /execute runs.
+// slots as they were; once one slot frees, the next /execute runs on one
+// lane, and it gives the slot back.
 func TestExecuteAdmissionFullPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	srv, ts := newTestServer(t, Config{})
 	// The plan is cached first, so the timed-out request spends its budget
 	// waiting for admission, not searching.
 	if resp, data := postExecute(t, ts, execBody("")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up execute: %d %s", resp.StatusCode, data)
+	}
+	if held := len(srv.execSem); held != 0 {
+		t.Fatalf("%d slots still held after the warm-up run", held)
 	}
 	for range cap(srv.execSem) {
 		srv.execSem <- struct{}{}
@@ -340,7 +361,18 @@ func TestExecuteAdmissionFullPool(t *testing.T) {
 		t.Errorf("%d executions still counted as waiting", n)
 	}
 	<-srv.execSem
-	if resp, data := postExecute(t, ts, execBody("")); resp.StatusCode != http.StatusOK {
+	resp, data := postExecute(t, ts, execBody(""))
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("execute after a slot freed: %d %s", resp.StatusCode, data)
+	}
+	var rep plan.ExecReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExecWorkers != 1 {
+		t.Errorf("execWorkers = %d with one slot free, want 1", rep.ExecWorkers)
+	}
+	if held := len(srv.execSem); held != cap(srv.execSem)-1 {
+		t.Errorf("%d slots held after the run, want %d", held, cap(srv.execSem)-1)
 	}
 }

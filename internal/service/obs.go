@@ -60,7 +60,7 @@ func (s *Server) initObs() {
 		func() float64 { return float64(s.truncated.Load()) })
 	s.reg.Func("ocas_synth_inflight", "Synthesis jobs holding an admission slot.", obs.KindGauge,
 		func() float64 { return float64(len(s.sem)) })
-	s.reg.Func("ocas_exec_workers_inuse", "Executions holding an execution slot right now.", obs.KindGauge,
+	s.reg.Func("ocas_exec_workers_inuse", "Execution slots held right now, one per running executor lane.", obs.KindGauge,
 		func() float64 { return float64(len(s.execSem)) })
 	s.reg.Func("ocas_exec_workers_waiting", "Executions waiting for an execution slot.", obs.KindGauge,
 		func() float64 { return float64(s.execWaiting.Load()) })

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"ocas/internal/catalog"
+	"ocas/internal/exec"
 	"ocas/internal/obs"
 	"ocas/internal/plan"
 	"ocas/internal/plancache"
@@ -58,7 +59,7 @@ type Config struct {
 	TemplateCacheSize int
 	// MaxInflight bounds concurrent full searches (default 2). Hits,
 	// singleflight joins and template instantiations take no slot, and
-	// each execution holds one of GOMAXPROCS execution slots.
+	// each execution holds one of GOMAXPROCS execution slots per lane.
 	MaxInflight int
 	// Timeout is the per-request synthesis/execution budget (default 60s).
 	// A request may lower it with the timeoutMs body field, never raise it.
@@ -101,8 +102,8 @@ type Metrics struct {
 // ExecStats are the executor counters exposed on /stats: the live
 // execution-slot gauge plus totals accumulated over every completed /execute.
 type ExecStats struct {
-	// ActiveWorkers is the number of executions holding a slot right now;
-	// WorkerSlots is the slot count (GOMAXPROCS).
+	// ActiveWorkers is the number of slots held right now, one per running
+	// executor lane; WorkerSlots is the slot count (GOMAXPROCS).
 	ActiveWorkers int64 `json:"activeWorkers"`
 	WorkerSlots   int64 `json:"workerSlots"`
 	Executions    int64 `json:"executions"`
@@ -116,7 +117,7 @@ type Server struct {
 	cfg     Config
 	store   *plancache.Store
 	sem     chan struct{} // admission slots for new synthesis jobs
-	execSem chan struct{} // admission slots for executions (/execute)
+	execSem chan struct{} // execution slots (/execute), one per executor lane
 	started time.Time
 	metrics Metrics
 	// execWaiting counts the executions waiting for an execSem slot.
@@ -441,8 +442,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query(); q.Has("explain") && q.Get("explain") != "0" && q.Get("explain") != "false" {
 		req.Exec.Explain = true
 	}
-	// Each execution holds one slot for its whole run, released however
-	// the run ends.
+	// Each execution waits for one slot, then takes the slots still free,
+	// up to exec.Lanes(): one per lane, held for the whole run and released
+	// however it ends. An idle host gives a run every core; a loaded one
+	// gives each run one lane.
 	s.execWaiting.Add(1)
 	select {
 	case s.execSem <- struct{}{}:
@@ -452,7 +455,21 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.failCompute(w, res.ctx.Err(), res.timeout, "execution")
 		return
 	}
-	defer func() { <-s.execSem }()
+	lanes := 1
+	for free := true; free && lanes < exec.Lanes(); {
+		select {
+		case s.execSem <- struct{}{}:
+			lanes++
+		default:
+			free = false
+		}
+	}
+	defer func() {
+		for range lanes {
+			<-s.execSem
+		}
+	}()
+	req.Exec.ExecWorkers = lanes
 	ectx, spExec := obs.Start(res.ctx, "execute")
 	rep, err := plan.ExecutePlan(ectx, res.compiled, res.plan, req.Exec)
 	if spExec != nil {
