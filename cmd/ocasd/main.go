@@ -86,7 +86,7 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
 		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
 		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown; plans only, templates are per-process)")
-		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent full searches (admission control; cache and template hits take no slot, and each executor lane holds one of GOMAXPROCS execution slots)")
+		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent syntheses, searches and recaptures (admission control; cache and template hits take no slot, and each executor lane holds one of GOMAXPROCS execution slots)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
 		maxExecRows = flag.Int64("max-exec-rows", 1<<20, "largest per-input row count POST /execute will run")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables profiling")

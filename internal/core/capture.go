@@ -29,9 +29,12 @@ import (
 // the compiled formulas the capturing run made kept between hits, valid
 // provided a search at the new cardinalities would find the same space. It
 // does by construction: the search enumerates every reachable program and the
-// rewrite rules never read cardinalities. A capture belongs to the process that searched: neither it
-// nor the programs in it have a serial form, and every Replay was screened by
-// the run that made it.
+// rewrite rules never read cardinalities. Nor do they read the hierarchy's
+// constants, so a request at other device sizes or costs recaptures
+// (Synthesizer.Recapture): it costs the same space afresh under its own
+// hierarchy instead of searching it again. A capture belongs to the process
+// that searched: neither it nor the programs in it have a serial form, and
+// every Replay was screened by the run that made it.
 
 // CaptureLimit bounds the size of a captured search space. Retaining the
 // cost formulas of every member is what makes instantiation cheap, but it

@@ -165,15 +165,43 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	res, r, err := s.capture(ctx, t, cp)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Elapsed = time.Since(start)
+	res.Memo = MemoStats{Keys: dedup}
+	return res, r, nil
+}
 
-	// The rest is what a template hit runs over a space found earlier; here
-	// each member is costed once, fresh: an alpha-deduped space never
-	// repeats a program, so a whole-program cost memo could only add overhead.
-	// What the members do repeat is sub-formulas, and the estimator builds
-	// each of those once. It lives until this run returns: the Replay keeps
-	// the formulas, not the estimator. A retained run screens into its
-	// Replay's formula cache, so its tuning and every later hit reuse the
-	// programs screening compiled.
+// Recapture is SynthesizeCapture over the space from captured instead of a
+// search: it costs every member afresh under s.H, then screens and tunes
+// for t. The rewrite rules read the hierarchy's topology and never its
+// constants, so a search under s.H finds from's space whenever the two runs
+// share program text, placement, topology and search knobs — the template
+// fingerprint and spec text a caller checks — and the result is then
+// SynthesizeCapture's, bit for bit. No search runs, so s.Keys and the
+// result's Memo count nothing.
+func (s *Synthesizer) Recapture(ctx context.Context, t Task, from *Replay) (*Synthesis, *Replay, error) {
+	start := time.Now()
+	res, r, err := s.capture(ctx, t, &Capture{Space: from.cp.Space, Stats: from.cp.Stats})
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, r, nil
+}
+
+// capture is what a synthesis runs after its space is known: each member is
+// costed once, fresh, then screened and the shortlist tuned — what a
+// template hit runs over a space found earlier. An alpha-deduped space never
+// repeats a program, so a whole-program cost memo could only add overhead.
+// What the members do repeat is sub-formulas, and the estimator builds each
+// of those once. It lives until this run returns: the Replay keeps the
+// formulas, not the estimator. A retained run screens into its Replay's
+// formula cache, so its tuning and every later hit reuse the programs
+// screening compiled.
+func (s *Synthesizer) capture(ctx context.Context, t Task, cp *Capture) (*Synthesis, *Replay, error) {
 	var r *Replay
 	var fc *formulaCache
 	if len(cp.Space) <= CaptureLimit {
@@ -194,8 +222,6 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	if err != nil {
 		return nil, nil, err
 	}
-	res.Elapsed = time.Since(start)
-	res.Memo = MemoStats{Keys: dedup}
 	return res, r, nil
 }
 

@@ -19,17 +19,21 @@
 // Instantiate binds a request's concrete sizes and re-runs only the
 // cardinality-dependent phases (heuristic screening + parameter
 // optimization) over the captured space, yielding a plan byte-identical to
-// a cold full search. Two guards reject a template with ErrTemplateStale,
-// sending the request down the full-search path instead:
+// a cold full search. Two guards reject a template with ErrTemplateStale;
+// the request is then synthesized for itself by Recapture, and the
+// template that returns replaces the refused one:
 //
 //   - hierarchy constants: the cost formulas bake in device sizes and
-//     transfer costs, so a template only serves requests whose full
-//     hierarchy matches the capturing one (same shape, different constants
-//     re-synthesizes and replaces the template);
+//     transfer costs, so a template only instantiates for requests whose
+//     full hierarchy matches the capturing one. Its space is another
+//     matter: the rewrite rules read the topology, which the template
+//     fingerprint holds, and no constant, so Recapture costs, screens and
+//     tunes the captured space afresh under the request's hierarchy — a
+//     cold synthesis without its search;
 //   - spec text: rewrites name fresh binders deterministically from the
 //     request's own source, so a template only replays for the identical
 //     concrete program text (alpha-equivalent spellings share the template
-//     key but not the plan bytes).
+//     key but not the plan bytes); Recapture searches for such a request.
 package plan
 
 import (
@@ -43,12 +47,14 @@ import (
 
 	"ocas/internal/core"
 	"ocas/internal/memory"
+	"ocas/internal/obs"
 	"ocas/internal/ocal"
 )
 
 // ErrTemplateStale reports that a template cannot serve this request: a
-// full search could produce a different plan. Callers fall back to full
-// synthesis (and typically replace the template with the fresh capture).
+// full search could produce a different plan. Callers synthesize the
+// request for itself (Compiled.Recapture) and replace the template with
+// the one that returns.
 var ErrTemplateStale = errors.New("plan: template is stale for this request")
 
 // Template is a reusable synthesis for one request shape.
@@ -68,9 +74,31 @@ type Template struct {
 
 // RunCapture synthesizes the compiled request under ctx and returns its plan
 // together with the run's template. The template is nil (with a valid plan)
-// when the space is larger than core.CaptureLimit.
+// when the space is larger than core.CaptureLimit. It marks the span ctx
+// carries with space=searched.
 func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
-	res, replay, err := c.Synth.SynthesizeCapture(ctx, c.Task)
+	obs.SpanFrom(ctx).Attr("space", "searched")
+	return c.capture(c.Synth.SynthesizeCapture(ctx, c.Task))
+}
+
+// Recapture is RunCapture for a request that t's hierarchy guard refused:
+// when the template fingerprint and spec text match, it costs, screens and
+// tunes t's captured space under the request's own hierarchy instead of
+// searching (core.Synthesizer.Recapture) and marks the span ctx carries with
+// space=reused. The plan is the one RunCapture would produce, byte for byte,
+// and the returned template serves the request's hierarchy from then on.
+// A spelling the template cannot replay searches, as RunCapture does. Safe
+// for concurrent use.
+func (c *Compiled) Recapture(ctx context.Context, t *Template) (*Plan, *Template, error) {
+	if t.Fingerprint != c.TemplateFingerprint || ocal.String(c.Prog) != t.SpecText {
+		return c.RunCapture(ctx)
+	}
+	obs.SpanFrom(ctx).Attr("space", "reused")
+	return c.capture(c.Synth.Recapture(ctx, c.Task, t.replay))
+}
+
+// capture turns one capturing run's result into the plan and template.
+func (c *Compiled) capture(res *core.Synthesis, replay *core.Replay, err error) (*Plan, *Template, error) {
 	if err != nil {
 		return nil, nil, err
 	}

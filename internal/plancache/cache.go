@@ -31,7 +31,9 @@ type Outcome string
 const (
 	// Hit: the plan was already cached.
 	Hit Outcome = "hit"
-	// Miss: this call started the synthesis.
+	// Miss: this call started the synthesis: a search, or, when a guard
+	// refused the shape's template, a recapture of its space under the
+	// request's own hierarchy.
 	Miss Outcome = "miss"
 	// Shared: this call joined a synthesis another call had started.
 	Shared Outcome = "shared"

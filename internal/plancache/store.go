@@ -19,7 +19,8 @@ var errNoTemplate = errors.New("plancache: run produced no template")
 
 // ResolveFuncs are the synthesis entry points Resolve orchestrates. The
 // caller (the service) wraps admission control around Capture — the full
-// search — but not Instantiate, which is cheap by construction.
+// search — and Recapture, but not Instantiate, which is cheap by
+// construction.
 type ResolveFuncs struct {
 	// Synthesize is never called: a shared waiter on a shape too large to
 	// template runs Capture and drops the nil template. The field stays only
@@ -29,9 +30,13 @@ type ResolveFuncs struct {
 	// template with a valid plan when the space was too large to keep).
 	Capture func(ctx context.Context) (*plan.Plan, *plan.Template, error)
 	// Instantiate binds the request's cardinalities into a cached template;
-	// plan.ErrTemplateStale sends the request down the Capture path and
-	// replaces the template.
+	// plan.ErrTemplateStale sends the request to Recapture.
 	Instantiate func(ctx context.Context, t *plan.Template) (*plan.Plan, error)
+	// Recapture synthesizes the request over the space of the template a
+	// guard refused (plan.Compiled.Recapture), returning a plan and template
+	// as Capture does; the template replaces the refused one. Nil means
+	// Capture: search again.
+	Recapture func(ctx context.Context, t *plan.Template) (*plan.Plan, *plan.Template, error)
 }
 
 // Store is the two-tier plan cache: a plan tier keyed by the full request
@@ -80,8 +85,10 @@ func (s *Store) Hit(fullKey string) (*plan.Plan, bool) { return s.plans.hit(full
 //   - Shared: this call joined another call's in-flight synthesis;
 //   - TemplateHit: the plan tier missed, but a cached template for the
 //     request's shape instantiated successfully;
-//   - Miss: a full search ran — cold, too large to keep a template, or
-//     template guard-rejected (the fresh capture replaces the stale template).
+//   - Miss: the request was synthesized for itself — a search, cold or too
+//     large to keep a template, or a recapture of a guard-rejected template's
+//     space under the request's hierarchy (its template replaces the
+//     rejected one).
 //
 // Singleflight holds at both tiers: N concurrent requests for the same
 // plan share one synthesis, and N concurrent requests for different
@@ -105,8 +112,8 @@ func (s *Store) Resolve(ctx context.Context, fullKey, tmplKey string, f ResolveF
 }
 
 // resolveTemplate is the plan tier's compute: consult the template tier,
-// instantiate on a hit, capture on a miss, and fall back to a fresh capture
-// when a guard rejects the cached template.
+// instantiate on a hit, capture on a miss, and recapture when a guard
+// rejects the cached template.
 func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFuncs, usedTemplate *bool) (*plan.Plan, error) {
 	// leaderPlan is written by the template compute closure only when this
 	// very call is the template-tier leader; the tier's close(done) orders
@@ -152,12 +159,17 @@ func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFu
 		return nil, err
 	}
 	// A guard rejected the template (hierarchy constants or the spec text
-	// changed): run the full search and let the fresh capture replace the
-	// stale template.
+	// changed): synthesize for this request and let its template replace
+	// the rejected one.
 	s.mu.Lock()
 	s.guardRejects++
 	s.mu.Unlock()
-	p, t, err := f.Capture(ctx)
+	var t *plan.Template
+	if f.Recapture != nil {
+		p, t, err = f.Recapture(ctx, tm)
+	} else {
+		p, t, err = f.Capture(ctx)
+	}
 	if err != nil {
 		return nil, err
 	}

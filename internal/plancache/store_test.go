@@ -41,6 +41,15 @@ const storeScan = `for (x <- R) [<x.2, x.1>]`
 // service does. The extra hooks let tests count or gate the capture path.
 func resolveReq(t *testing.T, s *Store, req plan.Request, captures *atomic.Int64, gate chan struct{}) (*plan.Plan, Outcome, error) {
 	t.Helper()
+	cc, f := resolveFuncs(t, req, captures, gate)
+	f.Recapture = cc.Recapture
+	return s.Resolve(context.Background(), cc.Fingerprint, cc.TemplateFingerprint, f)
+}
+
+// resolveFuncs is resolveReq's compiled request and entry points, without
+// Recapture.
+func resolveFuncs(t *testing.T, req plan.Request, captures *atomic.Int64, gate chan struct{}) (*plan.Compiled, ResolveFuncs) {
+	t.Helper()
 	cc, err := plan.Compile(req)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
@@ -61,7 +70,7 @@ func resolveReq(t *testing.T, s *Store, req plan.Request, captures *atomic.Int64
 		},
 		Instantiate: cc.Instantiate,
 	}
-	return s.Resolve(context.Background(), cc.Fingerprint, cc.TemplateFingerprint, f)
+	return cc, f
 }
 
 func coldPlan(t *testing.T, req plan.Request) *plan.Plan {
@@ -80,8 +89,9 @@ func coldPlan(t *testing.T, req plan.Request) *plan.Plan {
 // TestStoreTemplateHitAndCounters walks the outcome ladder: cold miss,
 // exact hit, template hit at new cardinalities (byte-identical to a cold
 // search, instantiation counted), and a guard rejection when a hierarchy
-// constant changes (full search, counted, template replaced so the next
-// request at the new constant is warm again).
+// constant changes (a miss, counted, recaptured over the template's space
+// without a capture, template replaced so the next request at the new
+// constant is warm again).
 func TestStoreTemplateHitAndCounters(t *testing.T) {
 	s := NewStore(16, 8)
 
@@ -107,11 +117,13 @@ func TestStoreTemplateHitAndCounters(t *testing.T) {
 	}
 
 	// Same shape, different RAM: template fingerprint matches but the
-	// hierarchy-constant guard must reject and the search must run in full.
+	// hierarchy-constant guard must reject, and the request is synthesized
+	// over the template's space for its own hierarchy.
 	bigRAM := storeReq(storeJoin, 1<<10, 16<<20)
-	p, out, err = resolveReq(t, s, bigRAM, nil, nil)
-	if err != nil || out != Miss {
-		t.Fatalf("changed RAM: outcome %v err %v", out, err)
+	var captures atomic.Int64
+	p, out, err = resolveReq(t, s, bigRAM, &captures, nil)
+	if err != nil || out != Miss || captures.Load() != 0 {
+		t.Fatalf("changed RAM: outcome %v err %v, %d captures", out, err, captures.Load())
 	}
 	if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, bigRAM))) {
 		t.Fatalf("guard-rejected request served wrong bytes")
@@ -124,6 +136,32 @@ func TestStoreTemplateHitAndCounters(t *testing.T) {
 	// shape is warm again.
 	_, out, err = resolveReq(t, s, storeReq(storeJoin, 1<<21, 16<<20), nil, nil)
 	if err != nil || out != TemplateHit {
+		t.Fatalf("after replacement: outcome %v err %v", out, err)
+	}
+}
+
+// TestStoreGuardRejectWithoutRecaptureSearches: a caller that sets no
+// Recapture gets a guard-rejected request's plan from Capture, and its
+// template replaces the rejected one.
+func TestStoreGuardRejectWithoutRecaptureSearches(t *testing.T) {
+	s := NewStore(16, 8)
+	if _, out, err := resolveReq(t, s, storeReq(storeJoin, 1<<10, 0), nil, nil); err != nil || out != Miss {
+		t.Fatalf("cold request: outcome %v err %v", out, err)
+	}
+	bigRAM := storeReq(storeJoin, 1<<10, 16<<20)
+	var captures atomic.Int64
+	cc, f := resolveFuncs(t, bigRAM, &captures, nil)
+	p, out, err := s.Resolve(context.Background(), cc.Fingerprint, cc.TemplateFingerprint, f)
+	if err != nil || out != Miss || captures.Load() != 1 {
+		t.Fatalf("changed RAM: outcome %v err %v, %d captures", out, err, captures.Load())
+	}
+	if !bytes.Equal(plan.Encode(p), plan.Encode(coldPlan(t, bigRAM))) {
+		t.Fatalf("guard-rejected request served wrong bytes")
+	}
+	if st := s.Stats(); st.GuardRejects != 1 {
+		t.Fatalf("counters after guard rejection: %+v", st)
+	}
+	if _, out, err := resolveReq(t, s, storeReq(storeJoin, 1<<21, 16<<20), nil, nil); err != nil || out != TemplateHit {
 		t.Fatalf("after replacement: outcome %v err %v", out, err)
 	}
 }

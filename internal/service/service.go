@@ -57,9 +57,10 @@ type Config struct {
 	// input cardinalities skip the search (see internal/plan's template
 	// documentation; default 64 templates).
 	TemplateCacheSize int
-	// MaxInflight bounds concurrent full searches (default 2). Hits,
-	// singleflight joins and template instantiations take no slot, and
-	// each execution holds one of GOMAXPROCS execution slots per lane.
+	// MaxInflight bounds concurrent syntheses, searches and recaptures
+	// (default 2). Hits, singleflight joins and template instantiations
+	// take no slot, and each execution holds one of GOMAXPROCS execution
+	// slots per lane.
 	MaxInflight int
 	// Timeout is the per-request synthesis/execution budget (default 60s).
 	// A request may lower it with the timeoutMs body field, never raise it.
@@ -191,15 +192,16 @@ func New(cfg Config) *Server {
 func (s *Server) Store() *plancache.Store { return s.store }
 
 // resolvePlan routes one compiled request through the two-tier cache.
-// Admission gates the full-search paths (a cold synthesis or a capture),
-// never instantiation — replaying a template is cheap by construction and
-// must not queue behind cold searches.
+// Admission gates the paths that synthesize for the request (a search, or a
+// recapture of a guard-rejected template's space), never instantiation —
+// replaying a template is cheap by construction and must not queue behind
+// cold searches.
 func (s *Server) resolvePlan(ctx context.Context, compiled *plan.Compiled) (*plan.Plan, plancache.Outcome, error) {
-	// search is the admission-wrapped full search. The compute context
+	// admitted runs one synthesis in an admission slot. The compute context
 	// retains the leader's values, so the span here belongs to the request
 	// whose miss started the synthesis; followers joining via singleflight
 	// attribute their log lines to this ID.
-	search := func(cctx context.Context) (*plan.Plan, *plan.Template, error) {
+	admitted := func(cctx context.Context, run func(context.Context) (*plan.Plan, *plan.Template, error)) (*plan.Plan, *plan.Template, error) {
 		s.setLeader(compiled.Fingerprint, obs.SpanFrom(cctx).TraceID())
 		select {
 		case s.sem <- struct{}{}:
@@ -213,15 +215,22 @@ func (s *Server) resolvePlan(ctx context.Context, compiled *plan.Compiled) (*pla
 		defer func() {
 			atomic.AddInt64(&s.metrics.SynthNanos, int64(time.Since(synthStart)))
 		}()
-		p, t, err := compiled.RunCapture(cctx)
+		p, t, err := run(cctx)
 		if err == nil && p.Truncated {
 			s.truncated.Add(1)
 		}
 		return p, t, err
 	}
 	return s.store.Resolve(ctx, compiled.Fingerprint, compiled.TemplateFingerprint, plancache.ResolveFuncs{
-		Capture:     search,
+		Capture: func(cctx context.Context) (*plan.Plan, *plan.Template, error) {
+			return admitted(cctx, compiled.RunCapture)
+		},
 		Instantiate: compiled.Instantiate,
+		Recapture: func(cctx context.Context, t *plan.Template) (*plan.Plan, *plan.Template, error) {
+			return admitted(cctx, func(cctx context.Context) (*plan.Plan, *plan.Template, error) {
+				return compiled.Recapture(cctx, t)
+			})
+		},
 	})
 }
 
@@ -600,7 +609,8 @@ type statsResponse struct {
 	Templates plancache.Stats `json:"templates"`
 	// Instantiations counts plans served by binding a cached template;
 	// GuardRejects counts templates the equivalence guards refused (the
-	// request fell back to a full search and replaced the template).
+	// request was synthesized for itself, over the template's space unless
+	// its spelling differs, and its template replaced the refused one).
 	Instantiations int64     `json:"instantiations"`
 	GuardRejects   int64     `json:"guardRejects"`
 	Service        Metrics   `json:"service"`

@@ -193,6 +193,57 @@ func TestStatsReportTemplates(t *testing.T) {
 	}
 }
 
+// TestGuardRejectRecapturesSpace: the same shape at another RAM size is a
+// guard reject that stays a miss — counted as one, with no instantiation —
+// but synthesizes over the cached template's space: its synthesize.capture
+// span says the space was reused and has no search under it, and its bytes
+// are a fresh server's cold answer.
+func TestGuardRejectRecapturesSpace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	stats := func() (rejects, insts int64) {
+		t.Helper()
+		_, body := get(t, ts, "/stats")
+		var st statsResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.GuardRejects, st.Instantiations
+	}
+	// captureSpan is the trace's synthesize.capture span and whether a
+	// synth.search span hangs under it.
+	captureSpan := func(resp *http.Response) (traceSpan, bool) {
+		t.Helper()
+		spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
+		i, ok := names["synthesize.capture"]
+		if !ok {
+			t.Fatalf("trace lacks synthesize.capture (have %v)", names)
+		}
+		j, searched := names["synth.search"]
+		return spans[i], searched && spans[j].Parent == i
+	}
+
+	resp, _ := post(t, ts, fastBody())
+	if sp, searched := captureSpan(resp); !searched || sp.Attrs["space"] != "searched" {
+		t.Fatalf("cold request: searched %v, attrs %v", searched, sp.Attrs)
+	}
+	rejects, insts := stats()
+	other := strings.Replace(fastBody(), "8388608", "16777259", 1)
+	resp, warm := post(t, ts, other)
+	if got := resp.Header.Get("X-Ocas-Cache"); resp.StatusCode != http.StatusOK || got != "miss" {
+		t.Fatalf("other RAM: status %d, X-Ocas-Cache = %q, want miss", resp.StatusCode, got)
+	}
+	if r, i := stats(); r != rejects+1 || i != insts {
+		t.Errorf("guardRejects %d → %d, instantiations %d → %d; want +1 and +0", rejects, r, insts, i)
+	}
+	if sp, searched := captureSpan(resp); searched || sp.Attrs["space"] != "reused" {
+		t.Errorf("recapture: searched %v, attrs %v", searched, sp.Attrs)
+	}
+	_, tsCold := newTestServer(t, Config{})
+	if _, cold := post(t, tsCold, other); !bytes.Equal(warm, cold) {
+		t.Fatalf("recapture served other bytes than a cold server:\nwarm: %s\ncold: %s", warm, cold)
+	}
+}
+
 // TestTemplatesOnByDefault pins the service default: a zero Config serves
 // same-shape/different-rows requests from the shape's template.
 func TestTemplatesOnByDefault(t *testing.T) {
