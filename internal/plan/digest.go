@@ -9,14 +9,16 @@ import (
 	"ocas/internal/exec"
 )
 
-// The digest packs rows into digestChunks chunks of digestChunkBytes each:
-// a chunk is small enough that folding one is a fraction of a millisecond,
-// so little is left to fold when the run ends, and there are enough of them
-// that a burst of output queues up before the run starts folding for itself
-// — at 128 KiB in all.
+// The emitter copies rows into digestChunks chunks of digestChunkWords
+// values each: a chunk is small enough that folding one is a fraction of a
+// millisecond, so little is left to fold when the run ends, and there are
+// enough of them that a burst of output queues up before the run starts
+// folding for itself — at 128 KiB in all. The fold hashes up to
+// digestBlockRows rows per call of the kernel.
 const (
-	digestChunkBytes = 16 << 10
+	digestChunkWords = 4 << 10
 	digestChunks     = 8
+	digestBlockRows  = 128
 )
 
 // bagDigest accumulates the output digest of a run, an order-independent
@@ -29,40 +31,50 @@ const (
 // output.
 //
 // Commutativity also takes the hashing off the strand that emits the rows:
-// add only packs rows into a chunk, and full chunks queue for one helper
-// goroutine to fold, started at the first full chunk (a smaller output is
-// folded by hex on the caller's strand) and ended by stop. The emitter
-// never waits for it: with every other chunk queued it folds its own chunk
-// into its own sum — the same digest, by the same commutativity — and packs
-// on, so a run whose output outpaces one hashing strand hashes on two.
+// add only copies each batch's columns into a chunk, and full chunks queue
+// for one helper goroutine to fold, started at the first full chunk (a
+// smaller output is folded by hex on the caller's strand) and ended by stop.
+// The emitter never waits for it: with every other chunk queued it folds its
+// own chunk into its own sum — the same digest, by the same commutativity —
+// and copies on, so a run whose output outpaces one hashing strand hashes
+// on two.
 type bagDigest struct {
 	sum   sum256
-	chunk []byte // rows packed and not yet handed off
+	fold  *digestFold // the emitter's, made at its first fold
+	chunk []int32     // segments copied and not yet handed off
 
 	// All three are nil until a chunk is full. full and spare have room for
 	// every chunk there is, so neither send can block; an empty spare —
-	// everything packed and waiting for the helper — makes add fold.
-	full   chan []byte // packed chunks, to the helper
-	spare  chan []byte // folded chunks, back from it
-	folded chan sum256 // the helper's sum, once full is closed and drained
+	// everything copied and waiting for the helper — makes add fold.
+	full   chan []int32 // full chunks, to the helper
+	spare  chan []int32 // folded chunks, back from it
+	folded chan sum256  // the helper's sum, once full is closed and drained
 }
 
-// add packs a batch's rows, handing the chunk off when it is full.
+// add copies a batch's rows into the chunk as one segment — its arity, its
+// row count, then each column in turn — handing the chunk off when the next
+// row does not fit, and continuing the batch in a segment of the next.
 func (d *bagDigest) add(b *exec.Batch) {
-	rowBytes := 4 + 4*b.Arity
+	a := b.Arity
 	// The chunk grows in a local: appending through the field is a pointer
-	// store, and a write barrier, per value while the collector runs.
+	// store, and a write barrier, per column while the collector runs.
 	chunk := d.chunk
-	for i, n := 0, b.Rows(); i < n; i++ {
-		if len(chunk) > 0 && len(chunk)+rowBytes > digestChunkBytes {
-			d.chunk = chunk
-			d.handOff()
-			chunk = d.chunk
+	for i, n := 0, b.Rows(); i < n; {
+		k := min(n-i, (digestChunkWords-len(chunk)-2)/a)
+		if k <= 0 {
+			if len(chunk) > 0 {
+				d.chunk = chunk
+				d.handOff()
+				chunk = d.chunk
+				continue
+			}
+			k = 1 // a row wider than a chunk has one to itself
 		}
-		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(b.Arity))
+		chunk = append(chunk, int32(a), int32(k))
 		for _, col := range b.Cols {
-			chunk = binary.LittleEndian.AppendUint32(chunk, uint32(col[i]))
+			chunk = append(chunk, col[i:i+k]...)
 		}
+		i += k
 	}
 	d.chunk = chunk
 }
@@ -72,11 +84,11 @@ func (d *bagDigest) add(b *exec.Batch) {
 // chunk here and continues in it.
 func (d *bagDigest) handOff() {
 	if d.full == nil {
-		d.full = make(chan []byte, digestChunks)
-		d.spare = make(chan []byte, digestChunks)
+		d.full = make(chan []int32, digestChunks)
+		d.spare = make(chan []int32, digestChunks)
 		d.folded = make(chan sum256, 1)
 		for i := 1; i < digestChunks; i++ {
-			d.spare <- make([]byte, 0, digestChunkBytes)
+			d.spare <- make([]int32, 0, digestChunkWords)
 		}
 		go d.help()
 	}
@@ -85,17 +97,29 @@ func (d *bagDigest) handOff() {
 		d.full <- d.chunk
 		d.chunk = spare[:0]
 	default:
-		d.sum.addRows(d.chunk)
+		d.foldOwn(d.chunk)
 		d.chunk = d.chunk[:0]
 	}
+}
+
+// foldOwn folds chunk into the emitter's sum.
+func (d *bagDigest) foldOwn(chunk []int32) {
+	if len(chunk) == 0 {
+		return
+	}
+	if d.fold == nil {
+		d.fold = new(digestFold)
+	}
+	d.fold.add(&d.sum, chunk)
 }
 
 // help is the helper strand: it folds queued chunks into a sum of its own,
 // handing each back as a spare, until full is closed, and leaves the sum.
 func (d *bagDigest) help() {
 	var sum sum256
+	f := new(digestFold)
 	for chunk := range d.full {
-		sum.addRows(chunk)
+		f.add(&sum, chunk)
 		d.spare <- chunk
 	}
 	d.folded <- sum
@@ -110,15 +134,15 @@ func (d *bagDigest) stop() {
 	}
 	close(d.full)
 	for chunk := range d.full {
-		d.sum.addRows(chunk)
+		d.foldOwn(chunk)
 	}
 	d.sum.add(<-d.folded)
 	d.full = nil
 }
 
-// hex folds what is still packed and returns the digest.
+// hex folds what is still in the chunk and returns the digest.
 func (d *bagDigest) hex() string {
-	d.sum.addRows(d.chunk)
+	d.foldOwn(d.chunk)
 	d.chunk = d.chunk[:0]
 	d.stop()
 	var out [sha256.Size]byte
@@ -126,6 +150,104 @@ func (d *bagDigest) hex() string {
 		binary.BigEndian.PutUint64(out[sha256.Size-8*(i+1):], limb)
 	}
 	return hex.EncodeToString(out[:])
+}
+
+// digestFold hashes chunks' rows into a sum. A row that fits one block with
+// its padding (at most 55 bytes: 12 values) is one compression from the IV
+// when the CPU has the SHA extensions: rows of one arity are written into
+// blocks, whose length word and padding stay put between calls while the
+// arity does, and hashBlocksSHANI hashes them two at a time. Anything else
+// goes through crypto/sha256, whose per-call framing costs as much again as
+// the compression on a short row.
+type digestFold struct {
+	blocks [digestBlockRows * 64]byte
+	hashes [digestBlockRows]sum256
+	arity  int // of the rows in blocks
+	rows   int // blocks written and not yet hashed
+	padded int // blocks carrying the length word and padding of arity
+	msg    []byte
+}
+
+// add adds to s the hash of every row in chunk.
+func (f *digestFold) add(s *sum256, chunk []int32) {
+	for len(chunk) > 0 {
+		a, n := int(chunk[0]), int(chunk[1])
+		cols := chunk[2 : 2+a*n]
+		chunk = chunk[2+a*n:]
+		if !useSHANI || a > 12 {
+			f.addMessages(s, a, n, cols)
+			continue
+		}
+		if a != f.arity {
+			f.flush(s)
+			f.arity, f.padded = a, 0
+		}
+		for i := 0; i < n; {
+			k := min(n-i, digestBlockRows-f.rows)
+			f.write(cols, n, i, k)
+			i += k
+			if f.rows == digestBlockRows {
+				f.flush(s)
+			}
+		}
+	}
+	f.flush(s)
+}
+
+// write copies rows i to i+k of a segment of n rows, whose values cols holds
+// column by column, into the next k blocks.
+func (f *digestFold) write(cols []int32, n, i, k int) {
+	a, first := f.arity, f.rows
+	for ; f.padded < first+k; f.padded++ {
+		blk := f.blocks[64*f.padded : 64*f.padded+64]
+		clear(blk)
+		binary.LittleEndian.PutUint32(blk, uint32(a))
+		blk[4+4*a] = 0x80
+		binary.BigEndian.PutUint64(blk[56:], uint64(4+4*a)*8)
+	}
+	for c := 0; c < a; c++ {
+		at := 64*first + 4 + 4*c
+		for _, v := range cols[c*n+i : c*n+i+k] {
+			binary.LittleEndian.PutUint32(f.blocks[at:at+4], uint32(v))
+			at += 64
+		}
+	}
+	f.rows += k
+}
+
+// flush hashes the written blocks into s, an odd last one paired with a
+// copy of itself.
+func (f *digestFold) flush(s *sum256) {
+	k := f.rows
+	if k == 0 {
+		return
+	}
+	if k%2 == 1 {
+		copy(f.blocks[64*k:64*k+64], f.blocks[64*k-64:64*k])
+		f.padded = max(f.padded, k+1)
+	}
+	hashBlocksSHANI(&f.hashes[0], f.blocks[:64*(k+k%2)])
+	s.addAll(f.hashes[:k])
+	f.rows = 0
+}
+
+// addMessages adds to s the hash of each of a segment's n rows of arity a
+// through crypto/sha256.
+func (f *digestFold) addMessages(s *sum256, a, n int, cols []int32) {
+	for i := 0; i < n; i++ {
+		msg := binary.LittleEndian.AppendUint32(f.msg[:0], uint32(a))
+		for c := 0; c < a; c++ {
+			msg = binary.LittleEndian.AppendUint32(msg, uint32(cols[c*n+i]))
+		}
+		f.msg = msg
+		h := sha256.Sum256(msg)
+		s.add(sum256{
+			binary.BigEndian.Uint64(h[24:]),
+			binary.BigEndian.Uint64(h[16:]),
+			binary.BigEndian.Uint64(h[8:]),
+			binary.BigEndian.Uint64(h[0:]),
+		})
+	}
 }
 
 // sum256 is a number modulo 2^256, least significant limb first.
@@ -139,49 +261,18 @@ func (s *sum256) add(o sum256) {
 	s[3], _ = bits.Add64(s[3], o[3], c)
 }
 
-// addRows adds the hash of every row packed in chunk.
-func (s *sum256) addRows(chunk []byte) {
-	for len(chunk) > 0 {
-		n := 4 + 4*int(binary.LittleEndian.Uint32(chunk))
-		s.addRow(chunk[:n])
-		chunk = chunk[n:]
+// addAll adds every number of os, the sum kept in registers.
+func (s *sum256) addAll(os []sum256) {
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	for i := range os {
+		o := &os[i]
+		var c uint64
+		s0, c = bits.Add64(s0, o[0], 0)
+		s1, c = bits.Add64(s1, o[1], c)
+		s2, c = bits.Add64(s2, o[2], c)
+		s3, _ = bits.Add64(s3, o[3], c)
 	}
-}
-
-// sha256IV is SHA-256's initial state.
-var sha256IV = [8]uint32{
-	0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-	0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-}
-
-// addRow adds the SHA-256 of row, read as a big-endian 256-bit number. A
-// row that fits one block with its padding (at most 55 bytes: arity 12) is
-// one compression from the IV, padded here on the stack, when the CPU has
-// the SHA extensions; anything else goes through crypto/sha256, whose
-// per-call framing costs as much again as the compression on a short row.
-func (s *sum256) addRow(row []byte) {
-	if n := len(row); useSHANI && n <= 55 {
-		var blk [64]byte
-		copy(blk[:], row)
-		blk[n] = 0x80
-		binary.BigEndian.PutUint64(blk[56:], uint64(n)*8)
-		h := sha256IV
-		blockSHANI(&h, blk[:])
-		s.add(sum256{
-			uint64(h[6])<<32 | uint64(h[7]),
-			uint64(h[4])<<32 | uint64(h[5]),
-			uint64(h[2])<<32 | uint64(h[3]),
-			uint64(h[0])<<32 | uint64(h[1]),
-		})
-		return
-	}
-	h := sha256.Sum256(row)
-	s.add(sum256{
-		binary.BigEndian.Uint64(h[24:]),
-		binary.BigEndian.Uint64(h[16:]),
-		binary.BigEndian.Uint64(h[8:]),
-		binary.BigEndian.Uint64(h[0:]),
-	})
+	*s = sum256{s0, s1, s2, s3}
 }
 
 func digestString(s string) string {

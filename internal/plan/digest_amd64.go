@@ -2,19 +2,22 @@
 
 package plan
 
-// blockSHANI runs one SHA-256 compression per 64-byte block of p on the
-// state dig, with the SHA extensions (digest_amd64.s).
+// hashBlocksSHANI hashes each 64-byte block of p, a message padded into one
+// block, from the SHA-256 IV with the SHA extensions, two blocks at a time,
+// and stores its hash at out[i], read as a big-endian 256-bit number
+// (digest_amd64.s). len(p) is a multiple of 128; out has a slot per block.
 //
 //go:noescape
-func blockSHANI(dig *[8]uint32, p []byte)
+func hashBlocksSHANI(out *sum256, p []byte)
 
 // cpuid and xgetbv (of XCR0) read the feature bits useSHANI tests.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// useSHANI holds the conditions crypto/sha256 checks before it runs
-// blockSHANI: SSSE3, SSE4.1 and SHA, and AVX with the OS saving its state.
+// useSHANI holds the conditions crypto/sha256 checks before it runs the
+// rounds hashBlocksSHANI copies: SSSE3, SSE4.1 and SHA, and AVX with the OS
+// saving its state.
 var useSHANI = func() bool {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return false

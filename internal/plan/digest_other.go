@@ -4,4 +4,4 @@ package plan
 
 const useSHANI = false
 
-func blockSHANI(dig *[8]uint32, p []byte) { panic("plan: no SHA-NI kernel in this build") }
+func hashBlocksSHANI(out *sum256, p []byte) { panic("plan: no SHA-NI kernel in this build") }

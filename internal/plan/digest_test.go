@@ -45,22 +45,19 @@ func digestRows(rows [][]int32) string {
 var bagArities = []int{1, 2, 3, 4, 5, 12, 13, 14}
 
 // randomBag draws batches of mixed arity (bagArities) and random length
-// whose rows pack into exactly words uint32s (a row of arity a packs into
-// 1+a), so a bag can be sized against the chunk boundary.
+// that fill exactly words of a chunk (a batch of k rows of arity a is one
+// segment of 2+k*a words), so a bag can be sized against the chunk
+// boundary.
 func randomBag(r *rand.Rand, words int) (batches []*exec.Batch, rows [][]int32) {
-	for rem := words; rem >= 2; {
+	for rem := words; rem >= 3; {
 		a := bagArities[r.Intn(len(bagArities))]
-		k := 1 + r.Intn(300)
-		if k*(1+a) > rem {
-			k = rem / (1 + a)
+		k := min(1+r.Intn(300), (rem-2)/a)
+		left := rem - 2 - k*a
+		for k > 1 && left > 0 && left < 3 { // too few words for a segment
+			k, left = k-1, left+a
 		}
-		switch {
-		case k == 0: // rem is 2..1+a: one row takes it all
-			a, k = rem-1, 1
-		case rem-k*(1+a) == 1 && k > 1: // a single word cannot hold a row
-			k--
-		case rem-k*(1+a) == 1: // rem is 1+a+1: one wider row takes it all
-			a = rem - 1
+		if k == 0 || left > 0 && left < 3 { // one row takes it all
+			a, k = rem-2, 1
 		}
 		b := &exec.Batch{Arity: a, Cols: make([][]int32, a)}
 		for c := range b.Cols {
@@ -77,7 +74,7 @@ func randomBag(r *rand.Rand, words int) (batches []*exec.Batch, rows [][]int32) 
 			rows = append(rows, row)
 		}
 		batches = append(batches, b)
-		rem -= k * (1 + a)
+		rem -= 2 + k*a
 	}
 	return batches, rows
 }
@@ -86,7 +83,7 @@ func randomBag(r *rand.Rand, words int) (batches []*exec.Batch, rows [][]int32) 
 // strand digests exactly as the per-row definition says, whatever the mix of
 // arities, the split into batches and the position of the chunk boundaries.
 func FuzzBagDigest(f *testing.F) {
-	const chunk = digestChunkBytes / 4
+	const chunk = digestChunkWords
 	sizes := []int{0, chunk - 1, chunk, chunk + 1, 3*chunk + 7}
 	for i := range sizes {
 		f.Add(int64(i), uint16(i))
@@ -101,69 +98,122 @@ func FuzzBagDigest(f *testing.F) {
 		batches, rows := randomBag(r, words)
 		var d bagDigest
 		defer d.stop()
-		packed := 0
+		copied := 0
 		for _, b := range batches {
 			d.add(b)
-			packed += 4 * b.Rows() * (1 + b.Arity)
+			copied += 2 + b.Rows()*b.Arity
 		}
-		if packed <= digestChunkBytes && d.full != nil {
-			t.Errorf("%d packed bytes started the helper strand; a chunk is %d", packed, digestChunkBytes)
+		if copied <= chunk && d.full != nil {
+			t.Errorf("%d words of segments started the helper strand; a chunk is %d", copied, chunk)
 		}
-		if packed > 2*digestChunkBytes && d.full == nil {
-			t.Errorf("%d packed bytes and no helper strand", packed)
+		if copied > chunk && d.full == nil {
+			t.Errorf("%d words of segments and no helper strand; a chunk is %d", copied, chunk)
 		}
 		if got, want := d.hex(), digestRows(rows); got != want {
-			t.Errorf("%d rows in %d batches, %d bytes: digest %s, definition %s", len(rows), len(batches), packed, got, want)
+			t.Errorf("%d rows in %d batches, %d words: digest %s, definition %s", len(rows), len(batches), copied, got, want)
 		}
 	})
 }
 
-// TestAddRowMatchesSHA256: a row hashed by the one-block kernel is the
-// SHA-256 crypto/sha256 computes, at every length either side of the
-// 55 bytes that one block holds with its padding.
-func TestAddRowMatchesSHA256(t *testing.T) {
+// TestDigestKernelMatchesSHA256: rows hashed in blocks by the pair kernel
+// hash as crypto/sha256 says, at every count up to a call's 128 rows (odd
+// ones pair the last row with a copy of itself) and every arity that fits
+// one block, 0 to 12 values, one fold reused across arities and counts.
+func TestDigestKernelMatchesSHA256(t *testing.T) {
 	if !useSHANI {
-		t.Skip("no SHA-NI kernel in this build or on this CPU: addRow is crypto/sha256 throughout")
+		t.Skip("no SHA-NI kernel in this build or on this CPU: rows hash through crypto/sha256")
 	}
 	r := rand.New(rand.NewSource(1))
-	for n := 0; n <= 128; n++ {
-		row := make([]byte, n)
-		r.Read(row)
-		h := sha256.Sum256(row)
-		want := sum256{
-			binary.BigEndian.Uint64(h[24:]),
-			binary.BigEndian.Uint64(h[16:]),
-			binary.BigEndian.Uint64(h[8:]),
-			binary.BigEndian.Uint64(h[0:]),
+	f := new(digestFold)
+	for trial := 0; trial < 400; trial++ {
+		a, n := r.Intn(13), 1+r.Intn(digestBlockRows)
+		if trial < 2*digestBlockRows {
+			a, n = trial%13, 1+trial/2
 		}
-		var got sum256
-		if got.addRow(row); got != want {
-			t.Errorf("%d bytes: addRow %x, crypto/sha256 %x", n, got, want)
+		chunk := []int32{int32(a), int32(n)}
+		for range a * n {
+			chunk = append(chunk, int32(r.Uint32()))
+		}
+		var sum, want sum256
+		f.add(&sum, chunk)
+		for i := 0; i < n; i++ {
+			msg := binary.LittleEndian.AppendUint32(nil, uint32(a))
+			for c := 0; c < a; c++ {
+				msg = binary.LittleEndian.AppendUint32(msg, uint32(chunk[2+c*n+i]))
+			}
+			h := sha256.Sum256(msg)
+			row := sum256{
+				binary.BigEndian.Uint64(h[24:]),
+				binary.BigEndian.Uint64(h[16:]),
+				binary.BigEndian.Uint64(h[8:]),
+				binary.BigEndian.Uint64(h[0:]),
+			}
+			if f.hashes[i] != row {
+				t.Fatalf("%d rows of %d values, row %d: kernel %x, crypto/sha256 %x", n, a, i, f.hashes[i], row)
+			}
+			want.add(row)
+		}
+		if sum != want {
+			t.Fatalf("%d rows of %d values: sum %x, want %x", n, a, sum, want)
 		}
 	}
 }
 
-// BenchmarkBagDigestFold is the fold's cost per row over one full chunk of
-// rows of one arity: 1 and 2 take the one-block kernel where there is one,
-// 13 (56 bytes) always takes crypto/sha256.
-func BenchmarkBagDigestFold(b *testing.B) {
-	for _, arity := range []int{1, 2, 13} {
+// digestBenchArities are the arities the digest benchmarks run: 1 and 2
+// take the pair kernel where there is one, 13 (56 bytes) always takes
+// crypto/sha256.
+var digestBenchArities = []int{1, 2, 13}
+
+// benchBatch is a batch of the executor's default size, of one arity.
+func benchBatch(arity int) *exec.Batch {
+	r := rand.New(rand.NewSource(1))
+	b := &exec.Batch{Arity: arity, Cols: make([][]int32, arity)}
+	for c := range b.Cols {
+		b.Cols[c] = make([]int32, exec.DefaultBatchRows)
+		for i := range b.Cols[c] {
+			b.Cols[c][i] = int32(r.Uint32())
+		}
+	}
+	return b
+}
+
+// BenchmarkBagDigestEmit is the emitting strand's share per row: add
+// copying batches of the executor's default size into one chunk, which is
+// never handed off (the helper parked, as it were, with spares to give).
+func BenchmarkBagDigestEmit(b *testing.B) {
+	for _, arity := range digestBenchArities {
 		b.Run(fmt.Sprintf("arity=%d", arity), func(b *testing.B) {
-			r := rand.New(rand.NewSource(1))
-			var chunk []byte
-			rows := 0
-			for len(chunk)+4+4*arity <= digestChunkBytes {
-				chunk = binary.LittleEndian.AppendUint32(chunk, uint32(arity))
-				for c := 0; c < arity; c++ {
-					chunk = binary.LittleEndian.AppendUint32(chunk, r.Uint32())
+			batch := benchBatch(arity)
+			perChunk := digestChunkWords / (2 + arity*exec.DefaultBatchRows)
+			var d bagDigest
+			for b.Loop() {
+				d.chunk = d.chunk[:0]
+				for range perChunk {
+					d.add(batch)
 				}
-				rows++
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perChunk*exec.DefaultBatchRows), "ns/row")
+		})
+	}
+}
+
+// BenchmarkBagDigestFold is the folding side's share per row: one full
+// chunk of such batches hashed into a sum.
+func BenchmarkBagDigestFold(b *testing.B) {
+	for _, arity := range digestBenchArities {
+		b.Run(fmt.Sprintf("arity=%d", arity), func(b *testing.B) {
+			batch := benchBatch(arity)
+			perChunk := digestChunkWords / (2 + arity*exec.DefaultBatchRows)
+			var d bagDigest
+			for range perChunk {
+				d.add(batch)
+			}
+			f := new(digestFold)
 			var s sum256
 			for b.Loop() {
-				s.addRows(chunk)
+				f.add(&s, d.chunk)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perChunk*exec.DefaultBatchRows), "ns/row")
 		})
 	}
 }
@@ -221,20 +271,20 @@ func (c *cancelAfter) Done() <-chan struct{} {
 // RunBound, however the run ends, and the run does not wait for it.
 func TestDigestStrandEnds(t *testing.T) {
 	t.Run("stalled helper", func(t *testing.T) {
-		// A helper that does not get to run until the last row is packed,
+		// A helper that does not get to run until the last row is copied,
 		// and three spare chunks: the emitter queues three chunks, folds the
 		// other thirty-odd itself, and the digest is the definition's.
 		base := settledGoroutines()
-		batches, rows := randomBag(rand.New(rand.NewSource(3)), 40*digestChunkBytes/4)
+		batches, rows := randomBag(rand.New(rand.NewSource(3)), 40*digestChunkWords)
 		d := bagDigest{
-			full:   make(chan []byte, digestChunks),
-			spare:  make(chan []byte, digestChunks),
+			full:   make(chan []int32, digestChunks),
+			spare:  make(chan []int32, digestChunks),
 			folded: make(chan sum256, 1),
 		}
 		defer d.stop()
 		const spares = 3
 		for i := 0; i < spares; i++ {
-			d.spare <- make([]byte, 0, digestChunkBytes)
+			d.spare <- make([]int32, 0, digestChunkWords)
 		}
 		release := make(chan struct{})
 		go func() {
@@ -257,8 +307,8 @@ func TestDigestStrandEnds(t *testing.T) {
 		waitGoroutines(t, base, "digest behind a stalled helper")
 	})
 
-	// An identity scan written to a second disk: 2^17 rows of 12 packed
-	// bytes are 96 chunks, so the strand is up long before any run below ends.
+	// An identity scan written to a second disk: 2^17 rows of two values
+	// fill 65 chunks, so the strand is up long before any run below ends.
 	c, err := Compile(Request{
 		Program: "for (x <- R) [x]", Hier: "two-hdd", Output: "hdd2",
 		Inputs: map[string]Input{"R": {Node: "hdd", Rows: 1 << 17}},
