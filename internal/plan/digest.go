@@ -10,7 +10,7 @@ import (
 )
 
 // The emitter copies rows into digestChunks chunks of digestChunkWords
-// values each: a chunk is small enough that folding one is a fraction of a
+// int32s each: a chunk is small enough that folding one is a fraction of a
 // millisecond, so little is left to fold when the run ends, and there are
 // enough of them that a burst of output queues up before the run starts
 // folding for itself — at 128 KiB in all. The fold hashes up to
@@ -40,8 +40,8 @@ const (
 // on two.
 type bagDigest struct {
 	sum   sum256
-	fold  *digestFold // the emitter's, made at its first fold
-	chunk []int32     // segments copied and not yet handed off
+	fold  digestFold // the emitter's
+	chunk []int32    // segments copied and not yet handed off
 
 	// All three are nil until a chunk is full. full and spare have room for
 	// every chunk there is, so neither send can block; an empty spare —
@@ -56,27 +56,21 @@ type bagDigest struct {
 // row does not fit, and continuing the batch in a segment of the next.
 func (d *bagDigest) add(b *exec.Batch) {
 	a := b.Arity
-	// The chunk grows in a local: appending through the field is a pointer
-	// store, and a write barrier, per column while the collector runs.
-	chunk := d.chunk
 	for i, n := 0, b.Rows(); i < n; {
-		k := min(n-i, (digestChunkWords-len(chunk)-2)/a)
+		k := min(n-i, (digestChunkWords-len(d.chunk)-2)/a)
 		if k <= 0 {
-			if len(chunk) > 0 {
-				d.chunk = chunk
+			if len(d.chunk) > 0 {
 				d.handOff()
-				chunk = d.chunk
 				continue
 			}
 			k = 1 // a row wider than a chunk has one to itself
 		}
-		chunk = append(chunk, int32(a), int32(k))
+		d.chunk = append(d.chunk, int32(a), int32(k))
 		for _, col := range b.Cols {
-			chunk = append(chunk, col[i:i+k]...)
+			d.chunk = append(d.chunk, col[i:i+k]...)
 		}
 		i += k
 	}
-	d.chunk = chunk
 }
 
 // handOff queues the full chunk for the helper, starting it if this is the
@@ -97,20 +91,9 @@ func (d *bagDigest) handOff() {
 		d.full <- d.chunk
 		d.chunk = spare[:0]
 	default:
-		d.foldOwn(d.chunk)
+		d.fold.add(&d.sum, d.chunk)
 		d.chunk = d.chunk[:0]
 	}
-}
-
-// foldOwn folds chunk into the emitter's sum.
-func (d *bagDigest) foldOwn(chunk []int32) {
-	if len(chunk) == 0 {
-		return
-	}
-	if d.fold == nil {
-		d.fold = new(digestFold)
-	}
-	d.fold.add(&d.sum, chunk)
 }
 
 // help is the helper strand: it folds queued chunks into a sum of its own,
@@ -134,7 +117,7 @@ func (d *bagDigest) stop() {
 	}
 	close(d.full)
 	for chunk := range d.full {
-		d.foldOwn(chunk)
+		d.fold.add(&d.sum, chunk)
 	}
 	d.sum.add(<-d.folded)
 	d.full = nil
@@ -142,7 +125,7 @@ func (d *bagDigest) stop() {
 
 // hex folds what is still in the chunk and returns the digest.
 func (d *bagDigest) hex() string {
-	d.foldOwn(d.chunk)
+	d.fold.add(&d.sum, d.chunk)
 	d.chunk = d.chunk[:0]
 	d.stop()
 	var out [sha256.Size]byte
@@ -162,10 +145,10 @@ func (d *bagDigest) hex() string {
 type digestFold struct {
 	blocks [digestBlockRows * 64]byte
 	hashes [digestBlockRows]sum256
-	arity  int // of the rows in blocks
-	rows   int // blocks written and not yet hashed
-	padded int // blocks carrying the length word and padding of arity
-	msg    []byte
+	arity  int    // of the rows in blocks
+	rows   int    // blocks written and not yet hashed
+	padded int    // blocks carrying the length word and padding of arity
+	msg    []byte // a row's message, for crypto/sha256
 }
 
 // add adds to s the hash of every row in chunk.
