@@ -207,7 +207,6 @@ func (f *digestFold) flush(s *sum256) {
 	}
 	if k%2 == 1 {
 		copy(f.blocks[64*k:64*k+64], f.blocks[64*k-64:64*k])
-		f.padded = max(f.padded, k+1)
 	}
 	hashBlocksSHANI(&f.hashes[0], f.blocks[:64*(k+k%2)])
 	s.addAll(f.hashes[:k])
