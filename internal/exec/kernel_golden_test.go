@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,7 +33,7 @@ func kernelGoldenCases() []namedCase {
 	}
 	agg := one("foldL(0, \\<a, x> -> (a + x.2))(for (xB [k1] <- R) xB)", long)
 	agg.scalar = true
-	return []namedCase{
+	cases := []namedCase{
 		{"row-as-int", one("for (xB [k1] <- R) for (x <- xB) if x == 3 then [x] else []", in)},
 		{"ragged", one("for (xB [k1] <- R) for (x <- xB) if x.1 < 3 then [x] else [<x.2>]", in)},
 		{"ragged-late", one("for (xB [k1] <- R) for (x <- xB) if x.1 < 30 then [x] else [<x.2>]", in)},
@@ -46,6 +47,65 @@ func kernelGoldenCases() []namedCase {
 		{"row-first", one("for (xB [k1] <- R) for (x <- xB) if (x.2 / (x.1 - 60)) < 1000 then [<(x.2 % (x.1 - 50)), 1>] else []", long)},
 		{"agg", agg},
 	}
+	return append(cases, libraryGoldenCases()...)
+}
+
+// libraryGoldenCases run the library steps over inputs that cross several
+// blocks and several spans (a reader's span is 4,096 rows at these windows),
+// at windows of 1, 3 and 64 rows: a four-way merge of pairs whose many equal
+// rows, out of order, make the first-of-equals choice show in the emission
+// order, a merge of an arity-1 and an arity-2 list, a zip of three lists and
+// a ragged zip.
+func libraryGoldenCases() []namedCase {
+	r := rand.New(rand.NewSource(48))
+	const n = 9000
+	table := func(arity, rows int) diffTable { return tieRows(r, arity, rows) }
+	pairs := []diffTable{table(2, n), table(2, n), table(2, n-700), table(2, n+300)}
+	ints, wide, third, short := table(1, n), table(2, n), table(1, n), table(2, n-1)
+	var out []namedCase
+	for _, k := range []int64{1, 3, 64} {
+		lib := func(name, src string, ins ...diffTable) namedCase {
+			c := diffCase{src: src, params: map[string]int64{"k1": k},
+				inputs: map[string]diffTable{}, arities: map[string]int{}}
+			for i, in := range ins {
+				l := fmt.Sprintf("L%d", i+1)
+				c.inputs[l] = in
+				c.arities[l] = 2
+				if len(in.value) > 0 {
+					if _, one := in.value[0].(ocal.Int); one {
+						c.arities[l] = 1
+					}
+				}
+			}
+			return namedCase{fmt.Sprintf("%s-k%d", name, k), c}
+		}
+		out = append(out,
+			lib("mrg4-pairs", "unfoldR[k1](funcPow[2](mrg))(<L1, L2, L3, L4>)", pairs...),
+			lib("mrg-widths", "unfoldR[k1](mrg)(<L1, L2>)", ints, wide),
+			lib("zip3", "unfoldR[k1](z[3])(<L1, L2, L3>)", ints, wide, third),
+			lib("zip2-ragged", "unfoldR[k1](z[2])(<L1, L2>)", wide, short))
+	}
+	return out
+}
+
+// tieRows draws n rows of values in [0, 4): out of order, and many of them
+// equal as whole rows.
+func tieRows(r *rand.Rand, arity, n int) diffTable {
+	var dt diffTable
+	for i := 0; i < n; i++ {
+		row := make(ocal.Tuple, arity)
+		for j := range row {
+			v := int32(r.Intn(4))
+			dt.rows = append(dt.rows, v)
+			row[j] = ocal.Int(int64(v))
+		}
+		if arity == 1 {
+			dt.value = append(dt.value, row[0])
+		} else {
+			dt.value = append(dt.value, row)
+		}
+	}
+	return dt
 }
 
 type namedCase struct {

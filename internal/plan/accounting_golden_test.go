@@ -201,7 +201,7 @@ func grammarGoldenEntries() []goldenEntry {
 
 // unfoldGoldenEntries are the unfoldR shapes the examples do not reach:
 // scratch state (dedup), a set operation with arithmetic in its equal
-// branch, and the three step kinds at window sizes 1, 2 and 3, where the
+// branch, a four-way merge, and the three step kinds at window sizes 1, 2 and 3, where the
 // refill at one remaining row happens on every step or every other one.
 func unfoldGoldenEntries() []goldenEntry {
 	no := false
@@ -232,6 +232,12 @@ func unfoldGoldenEntries() []goldenEntry {
 			Hier: "two-hdd", RAM: 16 << 10,
 			Inputs: map[string]Input{"L1": {Node: "hdd", Rows: 3000}, "L2": {Node: "hdd", Rows: 2000}},
 			Output: "hdd2", Depth: 3, Space: 300}),
+		// A four-way merge of pairs over lists of different lengths.
+		entry("mrg4-pairs", Request{Program: "unfoldR(funcPow[2](mrg))(L1, L2, L3, L4)",
+			Hier: "two-hdd", RAM: 16 << 10,
+			Inputs: map[string]Input{"L1": {Node: "hdd", Rows: 3000}, "L2": {Node: "hdd", Rows: 2000},
+				"L3": {Node: "hdd", Rows: 2500}, "L4": {Node: "hdd", Rows: 1}},
+			Output: "hdd2", Depth: 2, Space: 100}),
 	}
 	// Generated pairs never collide as whole rows; these do on every even
 	// value below 3000, so the equal branch adds multiplicities 1500 times.
