@@ -406,16 +406,6 @@ func TestExtSortHigherFanInFewerPasses(t *testing.T) {
 	}
 }
 
-// mergeTree compiles the two-list merge step.
-func mergeTree(t *testing.T) *stepNode {
-	t.Helper()
-	tree, err := parseUnfoldStep(ocal.Mrg{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree
-}
-
 func TestUnfoldRStreamMergesSorted(t *testing.T) {
 	sim := newSim(t)
 	A := loadTableSim(sim, "hdd", 1, []int32{1, 3, 5, 7})
@@ -426,7 +416,7 @@ func TestUnfoldRStreamMergesSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &UnfoldR{Ins: []Input{TableInput(A), TableInput(B)}, K: 2,
-		tree: mergeTree(t), StateArity: 2}
+		kind: mergeStep, StateArity: 2}
 	var got []int32
 	drainOp(t, runCtx(sim, "hdd", 0), p, &Sink{Alloc: outTo(out), Bout: 4, Sim: sim, Tap: tapInto(&got)})
 	want := []int32{1, 2, 3, 3, 5, 6, 7}
@@ -528,7 +518,7 @@ func TestOpenFailureClosesCleanly(t *testing.T) {
 		t.Fatal("a 4-byte pool cannot run a join of 8-byte rows")
 	}
 	unf := &UnfoldR{Ins: []Input{TableInput(R), OpInput(join)}, K: 2,
-		tree: mergeTree(t), StateArity: 2}
+		kind: mergeStep, StateArity: 2}
 	p2 := programOf(unf, &Sink{Sim: sim}, &Ctx{Sim: sim, Pool: storage.NewBufferPool(4), Scratch: d})
 	if err := p2.Run(); err == nil {
 		t.Fatal("expected an error from the starved unfold")

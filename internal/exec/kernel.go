@@ -10,17 +10,17 @@ import (
 
 // This file is the executor's kernel compiler, the only evaluator of per-row
 // OCAL bodies. At Lower time scan/filter/project bodies, fold steps (with
-// their init and final lambda) and unfoldR steps are parsed into small typed
-// trees over one expression IR, which one evaluator (kexpr.eval) runs; at
-// execution time a scan body or fold step is bound to its input's arity,
+// their init and final lambda) and unfoldR lambda steps are parsed into small
+// typed trees over one expression IR, which one evaluator (kexpr.eval) runs;
+// at execution time a scan body or fold step is bound to its input's arity,
 // known at the first block, and runs as a flat Go loop (a predicate pass
 // filling a selection vector plus a projection pass reading through it, or a
 // decision tree walked per row when the body is more than one filtered row or
-// can fail), and an unfoldR step runs as a cursor machine over its operator's
-// windows. Kernels never touch the charging code: block reads,
-// cpu() charges and batch boundaries belong to the operators, so digests,
-// ledgers, the virtual clock and EXPLAIN ANALYZE counters do not depend on
-// a body's shape. A body outside the grammar (bodyGrammar, stepGrammar) does
+// can fail), and an unfoldR lambda step runs as a cursor machine over its
+// operator's windows; the library steps run as column kernels. Kernels never
+// touch the charging code: block reads, cpu() charges and batch boundaries
+// belong to the operators, so digests, ledgers, the virtual clock and EXPLAIN
+// ANALYZE counters do not depend on a body's shape. A body outside the grammar (bodyGrammar, stepGrammar) does
 // not lower; a column reference the arity cannot serve binds to a failing
 // leaf that raises interp's error on the row where interp would evaluate it.
 
@@ -499,7 +499,6 @@ type stepNode struct {
 	concat    bool
 	then, els *stepNode
 
-	fail error     // leaf: the step fails (z on ragged lists)
 	emit []outPart // leaf: the emitted row; nil emits nothing
 	upd  []stepUpd // unfoldR leaf: the next state, one update per component
 	// stalls marks an unfoldR leaf whose progress depends on the data (it
@@ -996,7 +995,8 @@ func (k *foldKernel) result() (ocal.Value, error) {
 
 // stepGrammar is what parseUnfoldStep accepts, printed with every rejection.
 const stepGrammar = `the unfoldR step grammar over n state components:
-  step   = \<s1, …, sn> -> tree | \g -> tree (si written g.i) | mrg | funcPow[k](mrg) | z[n]
+  step   = \<s1, …, sn> -> tree | \g -> tree (si written g.i) | kernel
+  kernel = mrg | funcPow[k](mrg), k ≤ 6 | z[n], over as many lists as the state has
   tree   = if cond then tree else tree | <chunk, <upd1, …, updn>>
   list   = si | tail(si)
   cond   = length(list) == 0 | head(list) ⋚ head(list) | scalar ⋚ scalar
@@ -1009,11 +1009,11 @@ const stepGrammar = `the unfoldR step grammar over n state components:
            srow = head(list) | scalar | <scalar, scalar, …>
   and every leaf emits a row or can change a component`
 
-// stepWin is one state component of an unfoldR step's cursor machine: the
-// unread rows [pos, n) of the reader's current column block, behind at most
-// one front row held as int64 — a row the step put back (a running sum
-// stays un-truncated until it is emitted), a scratch component's only row,
-// or the row carried over a refill.
+// stepWin is one state component of an unfoldR step: the unread rows
+// [pos, n) of the reader's current span, behind at most one front row held
+// as int64 — a row the step put back (a running sum stays un-truncated
+// until it is emitted), a scratch component's only row, or the row carried
+// over to a new span.
 type stepWin struct {
 	front  []int64 // the front row while held (reused buffer otherwise)
 	held   bool
@@ -1085,6 +1085,129 @@ func (w *stepWin) push(row []int64) {
 	w.held = true
 }
 
+// less reports whether w's head row orders before v's, attribute by
+// attribute as compareRows orders them; both rows are ar attributes wide.
+func (w *stepWin) less(v *stepWin, ar int) bool {
+	for c := range ar {
+		if a, b := w.value(0, c), v.value(0, c); a != b {
+			return a < b
+		}
+	}
+	return false
+}
+
+// errRowWidths is the failure of a step that compares rows of n and m
+// attributes.
+func errRowWidths(n, m int) error {
+	return fmt.Errorf("exec: unfoldR step compares rows of %d and %d attributes", n, m)
+}
+
+// merge is the kernel of mrg and funcPow[k](mrg): it takes steps — emit the
+// smallest head row, the first of equals, and advance its list — from the
+// windows' column blocks until a window is due a refill or limit rows are
+// out. The non-empty lists have one width, or the first step fails as
+// comparing two of their heads does.
+func (o *UnfoldR) merge(limit int64) error {
+	if err := o.refillAll(); err != nil {
+		return err
+	}
+	ws := o.wins
+	first := -1
+	for i := range ws {
+		switch {
+		case ws[i].rows() == 0:
+		case first < 0:
+			first = i
+		case ws[i].width(0) != ws[first].width(0):
+			return errRowWidths(ws[i].width(0), ws[first].width(0))
+		}
+	}
+	if first < 0 {
+		o.done = true
+		return nil
+	}
+	ar := ws[first].width(0)
+	if err := o.em.fit(ar); err != nil {
+		return err
+	}
+	for ; limit > 0; limit-- {
+		best := -1
+		for i := range ws {
+			if ws[i].rows() > 0 && (best < 0 || ws[i].less(&ws[best], ar)) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return nil
+		}
+		w := &ws[best]
+		for c := range ar {
+			o.em.cols[c] = append(o.em.cols[c], int32(w.value(0, c)))
+		}
+		w.drop(1)
+		o.steps++
+		if o.due(best) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// zip is the kernel of z[n]: it takes steps — emit every head side by side
+// and advance every list — until a window is due a refill or limit rows
+// are out, with one append per column. A step that finds some lists empty
+// and not all fails as interp's z does.
+func (o *UnfoldR) zip(limit int64) error {
+	if err := o.refillAll(); err != nil {
+		return err
+	}
+	ws := o.wins
+	run, empty, width := limit, 0, 0
+	for i := range ws {
+		r := int64(ws[i].rows())
+		if r == 0 {
+			empty++
+			continue
+		}
+		width += ws[i].width(0)
+		if i >= o.scratch && !o.spans[i-o.scratch].eof {
+			r-- // the refill comes at one row left
+		}
+		run = min(run, r)
+	}
+	switch {
+	case empty == len(ws):
+		o.done = true
+		return nil
+	case empty > 0:
+		return errZipRagged
+	}
+	if err := o.em.fit(width); err != nil {
+		return err
+	}
+	n, at := int(max(run, 1)), 0
+	for i := range ws {
+		w, front := &ws[i], 0
+		if w.held {
+			front = 1
+		}
+		for c := range w.width(0) {
+			col := o.em.cols[at+c]
+			if w.held {
+				col = append(col, int32(w.front[c]))
+			}
+			if n > front {
+				col = append(col, w.cols[c][w.pos:w.pos+n-front]...)
+			}
+			o.em.cols[at+c] = col
+		}
+		at += w.width(0)
+		w.drop(n)
+	}
+	o.steps += int64(n)
+	return nil
+}
+
 // isRow reports whether e is a bare head(tailᵈ(sᵢ)): the row, not a column.
 func (e *kexpr) isRow() bool { return e.kind == kHead && e.col < 0 }
 
@@ -1121,7 +1244,7 @@ func (x *kenv) compareRows(l, r *kexpr) int {
 	}
 	n := wl.width(l.depth)
 	if m := wr.width(r.depth); m != n {
-		x.fail(fmt.Errorf("exec: unfoldR step compares rows of %d and %d attributes", n, m))
+		x.fail(errRowWidths(n, m))
 		return 0
 	}
 	for c := 0; c < n; c++ {
@@ -1176,23 +1299,38 @@ func (n *stepNode) leaf(x *kenv) (*stepNode, error) {
 	return n, nil
 }
 
-// parseUnfoldStep compiles the step of an unfoldR over n state components
-// into its decision tree. A step outside stepGrammar is an error.
-func parseUnfoldStep(fn ocal.Expr, n int) (*stepNode, error) {
+// stepKind is how an UnfoldR takes its steps: a lambda walks its decision
+// tree once per step, and the library steps, whose semantics the executor
+// knows, run as column kernels over the windows between two refills.
+type stepKind uint8
+
+const (
+	lambdaStep stepKind = iota
+	mergeStep           // mrg and funcPow[k](mrg): emit the smallest head, the first of equals
+	zipStep             // z[n]: emit every head side by side
+)
+
+// parseUnfoldStep compiles the step of an unfoldR over n state components:
+// a library step to its kernel's kind, a lambda to its decision tree. A step
+// outside stepGrammar is an error.
+func parseUnfoldStep(fn ocal.Expr, n int) (stepKind, *stepNode, error) {
+	kind, ways := mergeStep, 2
 	var root *stepNode
 	var err error
 	switch t := fn.(type) {
 	case ocal.Mrg:
-		root, err = mergeStepTree(n, 2)
 	case ocal.FuncPow:
 		if _, isMrg := t.Fn.(ocal.Mrg); !isMrg || t.K < 0 || t.K > 6 {
 			err = fmt.Errorf("funcPow[%d](%s) is not a merge of at most 64 lists", t.K, ocal.String(t.Fn))
 			break
 		}
-		root, err = mergeStepTree(n, 1<<t.K)
+		ways = 1 << t.K
 	case ocal.ZipStep:
-		root, err = zipStepTree(n, t.N)
+		if kind = zipStep; n != t.N {
+			err = fmt.Errorf("z[%d] over %d lists", t.N, n)
+		}
 	case ocal.Lam:
+		kind = lambdaStep
 		v := kvars{state: t.Params, stateN: n}
 		if len(t.Params) != 1 && len(t.Params) != n {
 			err = fmt.Errorf("the step takes %d lists, the state has %d", len(t.Params), n)
@@ -1202,10 +1340,13 @@ func parseUnfoldStep(fn ocal.Expr, n int) (*stepNode, error) {
 	default:
 		err = fmt.Errorf("%s is not a step function", ocal.String(fn))
 	}
-	if err != nil {
-		return nil, fmt.Errorf("exec: cannot lower unfoldR step: %v\n%s", err, stepGrammar)
+	if err == nil && kind == mergeStep && n != ways {
+		err = fmt.Errorf("a %d-way merge over %d lists", ways, n)
 	}
-	return root, nil
+	if err != nil {
+		return 0, nil, fmt.Errorf("exec: cannot lower unfoldR step: %v\n%s", err, stepGrammar)
+	}
+	return kind, root, nil
 }
 
 func parseStepTree(e ocal.Expr, v kvars) (*stepNode, error) {
@@ -1300,67 +1441,6 @@ func parseStepUpd(e ocal.Expr, i int, v kvars) (stepUpd, bool) {
 	}
 	u.keep, u.m = true, m
 	return u, true
-}
-
-// mergeStepTree is mrg (ways 2) and funcPow[k](mrg) (ways 2^k) as a step
-// tree: among the non-empty lists, emit the smallest head — the first of
-// equals — and advance that list. Subtrees are shared per (next list, best
-// so far), so the tree has ways² nodes, not 3^ways.
-func mergeStepTree(n, ways int) (*stepNode, error) {
-	if n != ways {
-		return nil, fmt.Errorf("a %d-way merge over %d lists", ways, n)
-	}
-	head := func(i int) *kexpr { return &kexpr{kind: kHead, col: -1, win: i} }
-	memo := map[[2]int]*stepNode{}
-	var build func(i, best int) *stepNode
-	build = func(i, best int) *stepNode {
-		key := [2]int{i, best}
-		if nd := memo[key]; nd != nil {
-			return nd
-		}
-		var nd *stepNode
-		switch {
-		case i == n && best < 0:
-			// Every list is empty: unreachable, the operator stops first.
-			nd = &stepNode{upd: make([]stepUpd, n), stalls: true}
-		case i == n:
-			nd = &stepNode{emit: []outPart{{wholeRow: true, scalar: head(best)}}, upd: make([]stepUpd, n)}
-			for j := range nd.upd {
-				nd.upd[j].keep = true
-			}
-			nd.upd[best].m = 1
-		case best < 0:
-			nd = &stepNode{cond: &kexpr{kind: kEmpty, win: i}, then: build(i+1, -1), els: build(i+1, i)}
-		default:
-			smaller := &kexpr{kind: kRowCmp, op: ocal.OpLt, l: head(i), r: head(best)}
-			nd = &stepNode{cond: &kexpr{kind: kEmpty, win: i}, then: build(i+1, best),
-				els: &stepNode{cond: smaller, then: build(i+1, i), els: build(i+1, best)}}
-		}
-		memo[key] = nd
-		return nd
-	}
-	return build(0, -1), nil
-}
-
-// zipStepTree is z[n] as a step tree: one leaf emitting every head side by
-// side and advancing every list, guarded against ragged lists.
-func zipStepTree(n, arity int) (*stepNode, error) {
-	if n != arity {
-		return nil, fmt.Errorf("z[%d] over %d lists", arity, n)
-	}
-	leaf := &stepNode{upd: make([]stepUpd, n)}
-	var ragged *kexpr
-	for i := 0; i < n; i++ {
-		leaf.emit = append(leaf.emit, outPart{wholeRow: true, scalar: &kexpr{kind: kHead, col: -1, win: i}})
-		leaf.upd[i] = stepUpd{keep: true, m: 1}
-		empty := &kexpr{kind: kEmpty, win: i}
-		if ragged == nil {
-			ragged = empty
-		} else {
-			ragged = &kexpr{kind: kLogic, op: ocal.OpOr, l: ragged, r: empty}
-		}
-	}
-	return &stepNode{cond: ragged, then: &stepNode{fail: errZipRagged}, els: leaf}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -617,13 +617,13 @@ func (l *lowerer) lowerUnfold(prog ocal.Expr) (Operator, error, bool) {
 		}
 		ins = append(ins, in)
 	}
-	step, err := parseUnfoldStep(unf.Fn, scratch+len(ins))
+	kind, tree, err := parseUnfoldStep(unf.Fn, scratch+len(ins))
 	if err != nil {
 		return nil, err, true
 	}
 	return &UnfoldR{
 		Ins: ins, K: unf.K.Bind(l.o.Params),
-		tree: step, StateArity: scratch + len(ins),
+		kind: kind, tree: tree, StateArity: scratch + len(ins),
 	}, nil, true
 }
 

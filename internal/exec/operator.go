@@ -208,14 +208,23 @@ type emitter struct {
 // emitWide buffers a row held as int64, truncating each attribute to its
 // int32 encoding — the one place an unfoldR step's arithmetic narrows.
 func (e *emitter) emitWide(row []int64) error {
-	if e.arity == 0 {
-		e.reserve(len(row))
-	}
-	if len(row) != e.arity {
-		return fmt.Errorf("exec: unfoldR step emitted a row of %d attributes after rows of %d", len(row), e.arity)
+	if err := e.fit(len(row)); err != nil {
+		return err
 	}
 	for c, v := range row {
 		e.cols[c] = append(e.cols[c], int32(v))
+	}
+	return nil
+}
+
+// fit fixes the emitter's arity at an unfoldR step's first row, and fails
+// on a row of another width.
+func (e *emitter) fit(ar int) error {
+	if e.arity == 0 {
+		e.reserve(ar)
+	}
+	if ar != e.arity {
+		return fmt.Errorf("exec: unfoldR step emitted a row of %d attributes after rows of %d", ar, e.arity)
 	}
 	return nil
 }

@@ -885,17 +885,18 @@ func (o *ExtSort) Close() error {
 // ---------------------------------------------------------------------------
 // Streaming unfoldR
 
-// UnfoldR executes a generic unfoldR over streamed inputs: the step — the
-// decision tree parseUnfoldStep compiled from the optimized OCAL program — is
-// applied per produced element while the inputs stream through RAM windows
-// of K tuples. This covers the set/multiset unions and differences, zips
-// (column-store reads) and duplicate removal of the evaluation. The step is
-// a cursor machine over the windows' column views and never charges; the
-// operator owns the refills, the one cpu charge per step (counted, and
-// settled before the strand's next other charge) and the pause points, so a
-// step's shape cannot move a ledger. The step threads state
-// from element to element, so the operator is inherently sequential; its
-// inputs may still be parallel subtrees.
+// UnfoldR executes a generic unfoldR over streamed inputs while they stream
+// through RAM windows of K tuples. This covers the set/multiset unions and
+// differences, zips (column-store reads) and duplicate removal of the
+// evaluation. A lambda step is the decision tree parseUnfoldStep compiled
+// from the optimized OCAL program, walked once per produced element as a
+// cursor machine over the windows' column views; the library steps (mrg,
+// funcPow[k](mrg), z[n]) run as column kernels that take every step between
+// two refills in one call. Neither charges: the operator owns the refills,
+// the one cpu charge per step (counted, and settled before the strand's next
+// other charge) and the pause points, so a step's shape or kind cannot move
+// a ledger. The step threads state from element to element, so the operator
+// is inherently sequential; its inputs may still be parallel subtrees.
 type UnfoldR struct {
 	Ins []Input
 	K   int64 // window size (tuples) per input
@@ -904,7 +905,8 @@ type UnfoldR struct {
 	// state such as dup-removal's last-seen marker).
 	StateArity int
 
-	tree *stepNode // the compiled step
+	kind stepKind
+	tree *stepNode // a lambda step's decision tree
 
 	c       *Ctx
 	readers []blockReader
@@ -919,8 +921,11 @@ type UnfoldR struct {
 }
 
 // unfoldSpan is the part of a reader's last span its window has not reached:
-// ahead rows, in blocks of kk.
-type unfoldSpan struct{ kk, ahead int64 }
+// ahead rows, in blocks of kk; eof is set once the reader has no more.
+type unfoldSpan struct {
+	kk, ahead int64
+	eof       bool
+}
 
 func (o *UnfoldR) Open(c *Ctx) error {
 	o.c = c
@@ -960,22 +965,23 @@ func (o *UnfoldR) refillAll() error {
 	}
 	for i, r := range o.readers {
 		w, sp := &o.wins[o.scratch+i], &o.spans[i]
-		if w.rows() > 1 {
+		if w.rows() > 1 || sp.eof {
 			continue
-		}
-		if !w.held && w.pos < w.n {
-			// The window moves on (and a reader's views die with its next
-			// call): the remaining row moves to the front.
-			w.front, w.held, w.pos = w.appendRow(w.front[:0], 0), true, w.n
 		}
 		o.settle()
 		if sp.ahead == 0 {
+			if !w.held && w.pos < w.n {
+				// The reader's next call ends the view: the remaining row
+				// moves to the front.
+				w.front, w.held, w.pos = w.appendRow(w.front[:0], 0), true, w.n
+			}
 			// cost's mergebuf per input: a pool below the plan's RAM splits evenly.
 			span, kk, err := r.span(o.c.share(k, int64(len(o.readers)), int64(r.arity())*4))
 			if err != nil {
 				return err
 			}
 			if span == nil {
+				sp.eof = true
 				continue
 			}
 			w.cols, w.pos, w.n = span, 0, 0
@@ -987,6 +993,11 @@ func (o *UnfoldR) refillAll() error {
 		r.settle(n, 0)
 	}
 	return nil
+}
+
+// due reports whether the next refill tops up window i.
+func (o *UnfoldR) due(i int) bool {
+	return i >= o.scratch && o.wins[i].rows() <= 1 && !o.spans[i-o.scratch].eof
 }
 
 func (o *UnfoldR) step() error {
@@ -1007,9 +1018,6 @@ func (o *UnfoldR) step() error {
 	leaf, err := o.tree.leaf(&o.x)
 	if err != nil {
 		return err
-	}
-	if leaf.fail != nil {
-		return leaf.fail
 	}
 	// Every row evaluates against the state the step was given, in interp's
 	// order — the chunk, then each component: its row, then its tail.
@@ -1058,7 +1066,16 @@ func (o *UnfoldR) settle() {
 func (o *UnfoldR) Next(b *Batch) (bool, error) {
 	max := o.c.batchRows()
 	for !o.done && o.em.rows() < max {
-		if err := o.step(); err != nil {
+		var err error
+		switch o.kind {
+		case mergeStep:
+			err = o.merge(max - o.em.rows())
+		case zipStep:
+			err = o.zip(max - o.em.rows())
+		default:
+			err = o.step()
+		}
+		if err != nil {
 			return false, err
 		}
 	}
