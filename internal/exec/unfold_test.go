@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"ocas/internal/interp"
+	"ocas/internal/memory"
 	"ocas/internal/ocal"
+	"ocas/internal/storage"
 )
 
 // stepGen draws unfoldR steps from the step grammar for FuzzKernelVsInterp.
@@ -279,15 +282,17 @@ func stepCase(r *rand.Rand, shape int) diffCase {
 	return c
 }
 
+// dedupStep is dup-removal: a scratch component holds the last row emitted.
+const dedupStep = `\<seen, rest> -> if length(rest) == 0 then <[], <[], []>> ` +
+	`else if length(seen) == 0 then <[head(rest)], <[head(rest)], tail(rest)>> ` +
+	`else if head(seen) == head(rest) then <[], <seen, tail(rest)>> ` +
+	`else <[head(rest)], <[head(rest)], tail(rest)>>`
+
 // TestUnfoldStepShapes runs the shipped step shapes — the Table 1 set
 // operations, dup-removal, the group-by — at every window size that moves the
 // refill boundary, against interp.
 func TestUnfoldStepShapes(t *testing.T) {
 	const (
-		dedup = `\<seen, rest> -> if length(rest) == 0 then <[], <[], []>> ` +
-			`else if length(seen) == 0 then <[head(rest)], <[head(rest)], tail(rest)>> ` +
-			`else if head(seen) == head(rest) then <[], <seen, tail(rest)>> ` +
-			`else <[head(rest)], <[head(rest)], tail(rest)>>`
 		groupby = `\g -> if length(tail(g.1)) == 0 then <[head(g.1)], <[]>> ` +
 			`else if head(g.1).1 == head(tail(g.1)).1 ` +
 			`then <[], <[<head(g.1).1, head(g.1).2 + head(tail(g.1)).2>] ++ tail(tail(g.1))>> ` +
@@ -305,7 +310,7 @@ func TestUnfoldStepShapes(t *testing.T) {
 		pairs, ints = stepTable(r, 2, 40), stepTable(r, 1, 40)
 	}
 	cases := []diffCase{
-		{src: "unfoldR[k1](" + dedup + ")(<[], L>)", inputs: map[string]diffTable{"L": ints},
+		{src: "unfoldR[k1](" + dedupStep + ")(<[], L>)", inputs: map[string]diffTable{"L": ints},
 			arities: map[string]int{"L": 1}},
 		{src: "unfoldR[k1](" + groupby + ")(<R>)", inputs: map[string]diffTable{"R": pairs},
 			arities: map[string]int{"R": 2}},
@@ -419,4 +424,291 @@ func TestUnfoldSumStaysWide(t *testing.T) {
 	if want := [][]int32{{1, -2}}; run.err != nil || fmt.Sprint(run.rows) != fmt.Sprint(want) {
 		t.Fatalf("rows %v, err %v; want %v", run.rows, run.err, want)
 	}
+}
+
+// unfoldSpeedSteps are the zero-alloc and speed suites' steps: a two-way
+// merge and a zip, which run as kernels, and dup-removal, which walks its
+// tree.
+var unfoldSpeedSteps = []struct{ name, src string }{
+	{"mrg", "unfoldR[k1](mrg)(<L1, L2>)"},
+	{"z2", "unfoldR[k1](z[2])(<L1, L2>)"},
+	{"dedup", "unfoldR[k1](" + dedupStep + ")(<[], L1>)"},
+}
+
+// unfoldLists preloads the speed suites' inputs: two sorted arity-1 lists
+// of n rows that interleave, each value repeating once in three rows.
+func unfoldLists(tb testing.TB, n int) (*storage.Sim, *storage.Device, map[string]*Table) {
+	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
+	scratch, err := sim.Device("hdd")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tables := map[string]*Table{}
+	for i, name := range []string{"L1", "L2"} {
+		data := make([]int32, n)
+		for r := range data {
+			data[r] = int32((2*r + i) / 3)
+		}
+		t, err := NewTable(scratch, 1, int64(n)+8)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := t.Preload(data); err != nil {
+			tb.Fatal(err)
+		}
+		tables[name] = t
+	}
+	return sim, scratch, tables
+}
+
+// openUnfold lowers src over the tables at windows of 64 rows and opens its
+// UnfoldR, ready to Next.
+func openUnfold(tb testing.TB, sim *storage.Sim, scratch *storage.Device, tables map[string]*Table, src string, batch int64) *UnfoldR {
+	p, err := Lower(ocal.MustParse(src), LowerOpts{Sim: sim, Inputs: tables, Params: map[string]int64{"k1": 64},
+		Scratch: scratch, Sink: &Sink{Sim: sim}, RAMBytes: 1 << 20, BatchRows: batch})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	u := p.Root.(*Sink).in.(*UnfoldR)
+	if err := u.Open(p.c); err != nil {
+		tb.Fatal(err)
+	}
+	return u
+}
+
+// TestUnfoldZeroAllocs: an UnfoldR allocates nothing per Next in steady
+// state, whether its step runs as a kernel or walks its tree.
+func TestUnfoldZeroAllocs(t *testing.T) {
+	sim, scratch, tables := unfoldLists(t, 1<<17)
+	for _, st := range unfoldSpeedSteps {
+		u := openUnfold(t, sim, scratch, tables, st.src, 256)
+		var b Batch
+		for i := 0; i < 4; i++ {
+			if ok, err := u.Next(&b); err != nil || !ok {
+				t.Fatalf("%s: warm-up Next: ok=%v err=%v", st.name, ok, err)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if ok, err := u.Next(&b); err != nil || !ok {
+				t.Fatalf("%s: Next: ok=%v err=%v", st.name, ok, err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: UnfoldR.Next allocates %.1f times per call in steady state", st.name, allocs)
+		}
+		u.Close()
+	}
+}
+
+// BenchmarkUnfoldSteps reports the time per output row of UnfoldR runs over
+// two 2^16-row lists at the default batch size, lowering excluded.
+func BenchmarkUnfoldSteps(b *testing.B) {
+	sim, scratch, tables := unfoldLists(b, 1<<16)
+	for _, st := range unfoldSpeedSteps {
+		b.Run(st.name, func(b *testing.B) {
+			rows := 0
+			var bt Batch
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				u := openUnfold(b, sim, scratch, tables, st.src, 0)
+				b.StartTimer()
+				for {
+					ok, err := u.Next(&bt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					rows += bt.Rows()
+				}
+				u.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+		})
+	}
+}
+
+// TestLibraryStepStretches runs the library steps' kernels across every
+// boundary of a stretch, the steps a kernel takes between two refills:
+// merges and zips of 2 and 4 lists of arity 1 and 2 whose lists hold 0, 1,
+// 2, 63 or 200 rows (unequal lengths make a zip ragged), at windows of 1,
+// 2, 3, 64 and 257 rows, batches of 1, 7 and 64 rows, and at a reader
+// stride of 7 rows as well as the default, so that a new span replaces a
+// window's view every few blocks and a carried row leads the next one. The
+// rows come out in the order of a stable merge (or a row-by-row zip)
+// computed here, which holds interp's bag, or the run fails with interp's
+// error text; and every Next pauses at its batch with no row left in the
+// emitter.
+func TestLibraryStepStretches(t *testing.T) {
+	lens := []int{0, 1, 2, 63, 200}
+	r := rand.New(rand.NewSource(7))
+	type libCase struct {
+		src   string
+		arity int
+		lists []diffTable
+	}
+	var cases []libCase
+	for _, ways := range []int{2, 4} {
+		for _, arity := range []int{1, 2} {
+			// Every pair of lengths for two lists; for four, the five
+			// rotations of lens and each length on all four.
+			var shapes [][]int
+			for a := range lens {
+				for b := range lens {
+					if ways == 2 {
+						shapes = append(shapes, []int{lens[a], lens[b]})
+					} else if b == 0 {
+						shapes = append(shapes, []int{lens[a], lens[(a+1)%5], lens[(a+2)%5], lens[(a+3)%5]},
+							[]int{lens[a], lens[a], lens[a], lens[a]})
+					}
+				}
+			}
+			names := make([]string, ways)
+			for i := range names {
+				names[i] = fmt.Sprintf("L%d", i+1)
+			}
+			args := strings.Join(names, ", ")
+			merge := "mrg"
+			if ways == 4 {
+				merge = "funcPow[2](mrg)"
+			}
+			for _, shape := range shapes {
+				var lists []diffTable
+				for _, n := range shape {
+					lists = append(lists, tieRows(r, arity, n))
+				}
+				cases = append(cases,
+					libCase{fmt.Sprintf("unfoldR[k1](%s)(<%s>)", merge, args), arity, lists},
+					libCase{fmt.Sprintf("unfoldR[k1](z[%d])(<%s>)", ways, args), arity, lists})
+			}
+		}
+	}
+	runs := 0
+	for _, lc := range cases {
+		c := diffCase{src: lc.src, inputs: map[string]diffTable{}, arities: map[string]int{}}
+		rows := make([][][]int32, len(lc.lists))
+		lengths := make([]int, len(lc.lists))
+		for i, l := range lc.lists {
+			name := fmt.Sprintf("L%d", i+1)
+			c.inputs[name], c.arities[name] = l, lc.arity
+			rows[i], lengths[i] = tableRows(l.rows, lc.arity), len(l.value)
+		}
+		prog := ocal.MustParse(c.src)
+		want, wantErr := interp.Eval(prog, inputValues(c), nil)
+		order := zipRows(rows)
+		if strings.Contains(c.src, "mrg") {
+			order = stableMerge(rows)
+		}
+		if wantErr == nil {
+			sameBag(t, c.src+" (reference)", order, valueRows(t, want))
+		}
+		for _, stride := range []int64{defaultStride, 7} {
+			for _, k := range []int64{1, 2, 3, 64, 257} {
+				for _, batch := range []int64{1, 7, 64} {
+					c.params = map[string]int64{"k1": k}
+					physStride = stride
+					got, err := stretchRun(t, c, prog, batch)
+					physStride = defaultStride
+					runs++
+					what := fmt.Sprintf("%s over %v rows (k1 %d, batch %d, stride %d)", c.src, lengths, k, batch, stride)
+					switch {
+					case wantErr != nil || err != nil:
+						if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+							t.Fatalf("%s: error %v, interp %v", what, err, wantErr)
+						}
+					case fmt.Sprint(got) != fmt.Sprint(order):
+						t.Fatalf("%s: rows\n%v\nwant\n%v", what, got, order)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases, %d runs", len(cases), runs)
+}
+
+// stretchRun lowers a case and drives its UnfoldR by hand: the rows in the
+// order Next delivers them, or the error. Every Next delivers at most batch
+// rows and leaves no row waiting in the emitter.
+func stretchRun(t *testing.T, c diffCase, prog ocal.Expr, batch int64) ([][]int32, error) {
+	t.Helper()
+	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
+	scratch, err := sim.Device("hdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]*Table{}
+	for name, dt := range c.inputs {
+		tb, err := NewTable(scratch, c.arities[name], int64(len(dt.value))+8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Preload(dt.rows); err != nil {
+			t.Fatal(err)
+		}
+		tables[name] = tb
+	}
+	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
+		Scratch: scratch, Sink: &Sink{Sim: sim}, RAMBytes: 1 << 20, BatchRows: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := p.Root.(*Sink).in.(*UnfoldR)
+	defer u.Close()
+	if err := u.Open(p.c); err != nil {
+		t.Fatal(err)
+	}
+	var out [][]int32
+	for {
+		var b Batch
+		ok, err := u.Next(&b)
+		if err != nil || !ok {
+			return out, err
+		}
+		if n := b.Rows(); n > int(batch) || u.em.rows() != 0 {
+			t.Fatalf("%s: Next delivered %d rows at batch %d and kept %d", c.src, n, batch, u.em.rows())
+		}
+		for i := range b.Rows() {
+			row := make([]int32, len(b.Cols))
+			for j, col := range b.Cols {
+				row[j] = col[i]
+			}
+			out = append(out, row)
+		}
+	}
+}
+
+// stableMerge merges lists the way mrg defines it: the smallest head row
+// next, the first list's of equal heads.
+func stableMerge(lists [][][]int32) [][]int32 {
+	pos := make([]int, len(lists))
+	var out [][]int32
+	for {
+		best := -1
+		for i, l := range lists {
+			if pos[i] < len(l) && (best < 0 || rowLess(l[pos[i]], lists[best][pos[best]])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, lists[best][pos[best]])
+		pos[best]++
+	}
+}
+
+// zipRows zips lists row by row, as far as the shortest one reaches.
+func zipRows(lists [][][]int32) [][]int32 {
+	n := len(lists[0])
+	for _, l := range lists {
+		n = min(n, len(l))
+	}
+	out := make([][]int32, n)
+	for i := range out {
+		for _, l := range lists {
+			out[i] = append(out[i], l[i]...)
+		}
+	}
+	return out
 }
