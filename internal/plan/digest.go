@@ -49,6 +49,12 @@ type bagDigest struct {
 	full   chan []int32 // full chunks, to the helper
 	spare  chan []int32 // folded chunks, back from it
 	folded chan sum256  // the helper's sum, once full is closed and drained
+
+	// helped counts the chunks the helper folded, set before it sends its
+	// sum; own those the emitter folded itself: with no spare free, still
+	// queued at stop, or the last one at hex. Both are final once hex
+	// returned.
+	helped, own int
 }
 
 // add copies a batch's rows into the chunk as one segment — its arity, its
@@ -93,6 +99,7 @@ func (d *bagDigest) handOff() {
 	default:
 		d.fold.add(&d.sum, d.chunk)
 		d.chunk = d.chunk[:0]
+		d.own++
 	}
 }
 
@@ -101,10 +108,13 @@ func (d *bagDigest) handOff() {
 func (d *bagDigest) help() {
 	var sum sum256
 	f := new(digestFold)
+	n := 0
 	for chunk := range d.full {
 		f.add(&sum, chunk)
 		d.spare <- chunk
+		n++
 	}
+	d.helped = n
 	d.folded <- sum
 }
 
@@ -118,6 +128,7 @@ func (d *bagDigest) stop() {
 	close(d.full)
 	for chunk := range d.full {
 		d.fold.add(&d.sum, chunk)
+		d.own++
 	}
 	d.sum.add(<-d.folded)
 	d.full = nil
@@ -125,8 +136,11 @@ func (d *bagDigest) stop() {
 
 // hex folds what is still in the chunk and returns the digest.
 func (d *bagDigest) hex() string {
-	d.fold.add(&d.sum, d.chunk)
-	d.chunk = d.chunk[:0]
+	if len(d.chunk) > 0 {
+		d.fold.add(&d.sum, d.chunk)
+		d.chunk = d.chunk[:0]
+		d.own++
+	}
 	d.stop()
 	var out [sha256.Size]byte
 	for i, limb := range d.sum {

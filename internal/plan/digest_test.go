@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ocas/internal/exec"
+	"ocas/internal/obs"
 	"ocas/internal/ocal"
 )
 
@@ -379,4 +380,45 @@ func TestDigestStrandEnds(t *testing.T) {
 		}
 		waitGoroutines(t, base, "run overflowing its output volume")
 	})
+}
+
+// TestDigestChunkCounts: the exec.run span counts the output chunks each
+// strand folded. An output of one chunk is folded by the emitter at the
+// end of the run, with no helper started; the chunks of a long one are
+// shared between the strands however their race goes, the last one always
+// the emitter's.
+func TestDigestChunkCounts(t *testing.T) {
+	for _, tc := range []struct {
+		rows, chunks int64
+	}{{100, 1}, {1 << 17, 66}} {
+		c, err := Compile(Request{
+			Program: "for (x <- R) [x]", Hier: "two-hdd", Output: "hdd2",
+			Inputs: map[string]Input{"R": {Node: "hdd", Rows: tc.rows}},
+			Depth:  3, Space: 200,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace("digest")
+		root := tr.StartSpan("test", nil)
+		if _, err := ExecutePlan(obs.ContextWith(context.Background(), root), c, p, ExecOptions{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var attrs map[string]any
+		for _, sp := range tr.Snapshot().Spans {
+			if sp.Name == "exec.run" {
+				attrs = sp.Attrs
+			}
+		}
+		helped, _ := attrs["digestHelperChunks"].(int)
+		own, _ := attrs["digestOwnChunks"].(int)
+		if int64(helped+own) != tc.chunks || own < 1 || tc.chunks == 1 && helped != 0 {
+			t.Errorf("%d rows: the helper folded %d chunks and the emitter %d, want %d in all, the emitter's at least the last",
+				tc.rows, helped, own, tc.chunks)
+		}
+	}
 }

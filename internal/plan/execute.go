@@ -200,7 +200,10 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 		return nil, fmt.Errorf("plan: execute: %w", err)
 	}
 	// The run ends with its digest: digestNs is the wait for the digest
-	// strand plus the fold of what it had not reached.
+	// strand plus the fold of what it had not reached. Of the chunks the
+	// output filled, the helper strand folded digestHelperChunks and the
+	// emitting strand digestOwnChunks, the last one among them: more than
+	// that one, and the digest held the run up.
 	var result, outDigest string
 	digestStart := time.Now()
 	if p.Scalar {
@@ -214,6 +217,8 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 		spRun.Attr("rows", sink.RowsWritten)
 		spRun.Attr("workers", p.Workers())
 		spRun.Attr("digestNs", time.Since(digestStart).Nanoseconds())
+		spRun.Attr("digestHelperChunks", digest.helped)
+		spRun.Attr("digestOwnChunks", digest.own)
 		spRun.End()
 	}
 

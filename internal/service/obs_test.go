@@ -186,7 +186,8 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestExecuteTraceRun: an /execute trace's exec.run span carries the rows it
-// wrote and the time its digest tail took, which it spans.
+// wrote, the time its digest tail took, which it spans, and the chunks each
+// digest strand folded, at least the last one the emitter's.
 func TestExecuteTraceRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postExecute(t, ts, execBody(""))
@@ -202,6 +203,10 @@ func TestExecuteTraceRun(t *testing.T) {
 	digestNs, _ := run.Attrs["digestNs"].(float64)
 	if _, ok := run.Attrs["rows"]; !ok || digestNs <= 0 || digestNs > float64(run.DurNanos) {
 		t.Errorf("exec.run lasted %d ns with attrs %v: want rows and 0 < digestNs <= its duration", run.DurNanos, run.Attrs)
+	}
+	own, _ := run.Attrs["digestOwnChunks"].(float64)
+	if _, ok := run.Attrs["digestHelperChunks"].(float64); !ok || own < 1 {
+		t.Errorf("exec.run attrs %v: want digestHelperChunks and digestOwnChunks >= 1", run.Attrs)
 	}
 }
 
