@@ -288,10 +288,11 @@ func execUnder(t *testing.T, procs int) (*Server, plan.ExecReport, statsResponse
 	return srv, rep, stats
 }
 
-// TestExecuteWorkersInvariantAndStats: a one-core and a four-core server
-// answer one /execute with the same report apart from the lane count, and
-// /stats counts the execution and shows every lane's slot given back.
-func TestExecuteWorkersInvariantAndStats(t *testing.T) {
+// TestExecuteLanesReportedAndSlotsReturned: a one-core and a four-core
+// server answer one /execute on 1 and 4 lanes with the same report apart
+// from the lane count, and /stats counts the execution and shows every
+// lane's slot given back.
+func TestExecuteLanesReportedAndSlotsReturned(t *testing.T) {
 	_, one, stats1 := execUnder(t, 1)
 	_, four, stats4 := execUnder(t, 4)
 	if one.ExecWorkers != 1 || four.ExecWorkers != 4 {
@@ -315,6 +316,7 @@ func TestExecuteWorkersInvariantAndStats(t *testing.T) {
 // per core, but never more than the 8 partitions a plan can have; the server
 // keeps one execution slot per core.
 func TestExecuteWorkersClamped(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range []struct{ procs, lanes, slots int }{{1, 1, 1}, {4, 4, 4}, {16, 8, 16}} {
 		srv, rep, stats := execUnder(t, tc.procs)
 		if rep.ExecWorkers != tc.lanes {
