@@ -208,8 +208,10 @@ type emitter struct {
 // emitWide buffers a row held as int64, truncating each attribute to its
 // int32 encoding — the one place an unfoldR step's arithmetic narrows.
 func (e *emitter) emitWide(row []int64) error {
-	if err := e.fit(len(row)); err != nil {
-		return err
+	if len(row) != e.arity {
+		if err := e.fit(len(row)); err != nil {
+			return err
+		}
 	}
 	for c, v := range row {
 		e.cols[c] = append(e.cols[c], int32(v))
