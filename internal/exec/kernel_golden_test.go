@@ -69,13 +69,7 @@ func libraryGoldenCases() []namedCase {
 				inputs: map[string]diffTable{}, arities: map[string]int{}}
 			for i, in := range ins {
 				l := fmt.Sprintf("L%d", i+1)
-				c.inputs[l] = in
-				c.arities[l] = 2
-				if len(in.value) > 0 {
-					if _, one := in.value[0].(ocal.Int); one {
-						c.arities[l] = 1
-					}
-				}
+				c.inputs[l], c.arities[l] = in, len(in.rows)/len(in.value)
 			}
 			return namedCase{fmt.Sprintf("%s-k%d", name, k), c}
 		}

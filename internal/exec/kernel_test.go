@@ -26,23 +26,7 @@ type kernelRun struct {
 // runKernelCase lowers and runs one case.
 func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) kernelRun {
 	t.Helper()
-	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
-	scratch, err := sim.Device("hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := map[string]*Table{}
-	for name, dt := range c.inputs {
-		arity := c.arities[name]
-		tb, err := NewTable(scratch, arity, int64(len(dt.rows)/arity)+8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.Preload(dt.rows); err != nil {
-			t.Fatal(err)
-		}
-		tables[name] = tb
-	}
+	sim, scratch, tables := caseTables(t, c)
 	// The output table takes the first batch's arity: a body that fails on a
 	// late row has emitted rows by then, as wide as it makes them.
 	var got []int32
@@ -65,6 +49,30 @@ func runKernelCase(t *testing.T, c diffCase, prog ocal.Expr, batch, pool int64) 
 		run.rows = tableRows(got, arity)
 	}
 	return run
+}
+
+// caseTables preloads a case's inputs on the one device of a fresh
+// simulator, which is also the scratch device.
+func caseTables(t *testing.T, c diffCase) (*storage.Sim, *storage.Device, map[string]*Table) {
+	t.Helper()
+	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
+	scratch, err := sim.Device("hdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]*Table{}
+	for name, dt := range c.inputs {
+		arity := c.arities[name]
+		tb, err := NewTable(scratch, arity, int64(len(dt.rows)/arity)+8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Preload(dt.rows); err != nil {
+			t.Fatal(err)
+		}
+		tables[name] = tb
+	}
+	return sim, scratch, tables
 }
 
 // inputValues are a case's inputs as interp takes them.

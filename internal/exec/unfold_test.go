@@ -435,6 +435,9 @@ var unfoldSpeedSteps = []struct{ name, src string }{
 	{"dedup", "unfoldR[k1](" + dedupStep + ")(<[], L1>)"},
 }
 
+// windows64 runs the speed suites' steps at windows of 64 rows.
+var windows64 = map[string]int64{"k1": 64}
+
 // unfoldLists preloads the speed suites' inputs: two sorted arity-1 lists
 // of n rows that interleave, each value repeating once in three rows.
 func unfoldLists(tb testing.TB, n int) (*storage.Sim, *storage.Device, map[string]*Table) {
@@ -461,10 +464,11 @@ func unfoldLists(tb testing.TB, n int) (*storage.Sim, *storage.Device, map[strin
 	return sim, scratch, tables
 }
 
-// openUnfold lowers src over the tables at windows of 64 rows and opens its
+// openUnfold lowers an unfoldR program over the tables and opens its
 // UnfoldR, ready to Next.
-func openUnfold(tb testing.TB, sim *storage.Sim, scratch *storage.Device, tables map[string]*Table, src string, batch int64) *UnfoldR {
-	p, err := Lower(ocal.MustParse(src), LowerOpts{Sim: sim, Inputs: tables, Params: map[string]int64{"k1": 64},
+func openUnfold(tb testing.TB, sim *storage.Sim, scratch *storage.Device, tables map[string]*Table,
+	prog ocal.Expr, params map[string]int64, batch int64) *UnfoldR {
+	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: params,
 		Scratch: scratch, Sink: &Sink{Sim: sim}, RAMBytes: 1 << 20, BatchRows: batch})
 	if err != nil {
 		tb.Fatal(err)
@@ -481,7 +485,7 @@ func openUnfold(tb testing.TB, sim *storage.Sim, scratch *storage.Device, tables
 func TestUnfoldZeroAllocs(t *testing.T) {
 	sim, scratch, tables := unfoldLists(t, 1<<17)
 	for _, st := range unfoldSpeedSteps {
-		u := openUnfold(t, sim, scratch, tables, st.src, 256)
+		u := openUnfold(t, sim, scratch, tables, ocal.MustParse(st.src), windows64, 256)
 		var b Batch
 		for i := 0; i < 4; i++ {
 			if ok, err := u.Next(&b); err != nil || !ok {
@@ -510,7 +514,7 @@ func BenchmarkUnfoldSteps(b *testing.B) {
 			var bt Batch
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				u := openUnfold(b, sim, scratch, tables, st.src, 0)
+				u := openUnfold(b, sim, scratch, tables, ocal.MustParse(st.src), windows64, 0)
 				b.StartTimer()
 				for {
 					ok, err := u.Next(&bt)
@@ -554,14 +558,13 @@ func TestLibraryStepStretches(t *testing.T) {
 			// Every pair of lengths for two lists; for four, the five
 			// rotations of lens and each length on all four.
 			var shapes [][]int
-			for a := range lens {
-				for b := range lens {
-					if ways == 2 {
-						shapes = append(shapes, []int{lens[a], lens[b]})
-					} else if b == 0 {
-						shapes = append(shapes, []int{lens[a], lens[(a+1)%5], lens[(a+2)%5], lens[(a+3)%5]},
-							[]int{lens[a], lens[a], lens[a], lens[a]})
-					}
+			for a, n := range lens {
+				if ways == 4 {
+					shapes = append(shapes, []int{n, lens[(a+1)%5], lens[(a+2)%5], lens[(a+3)%5]}, []int{n, n, n, n})
+					continue
+				}
+				for _, m := range lens {
+					shapes = append(shapes, []int{n, m})
 				}
 			}
 			names := make([]string, ways)
@@ -632,32 +635,9 @@ func TestLibraryStepStretches(t *testing.T) {
 // rows and leaves no row waiting in the emitter.
 func stretchRun(t *testing.T, c diffCase, prog ocal.Expr, batch int64) ([][]int32, error) {
 	t.Helper()
-	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
-	scratch, err := sim.Device("hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := map[string]*Table{}
-	for name, dt := range c.inputs {
-		tb, err := NewTable(scratch, c.arities[name], int64(len(dt.value))+8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.Preload(dt.rows); err != nil {
-			t.Fatal(err)
-		}
-		tables[name] = tb
-	}
-	p, err := Lower(prog, LowerOpts{Sim: sim, Inputs: tables, Params: c.params,
-		Scratch: scratch, Sink: &Sink{Sim: sim}, RAMBytes: 1 << 20, BatchRows: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := p.Root.(*Sink).in.(*UnfoldR)
+	sim, scratch, tables := caseTables(t, c)
+	u := openUnfold(t, sim, scratch, tables, prog, c.params, batch)
 	defer u.Close()
-	if err := u.Open(p.c); err != nil {
-		t.Fatal(err)
-	}
 	var out [][]int32
 	for {
 		var b Batch
