@@ -1185,7 +1185,7 @@ func (o *UnfoldR) zip(limit int64) error {
 	if err := o.em.fit(width); err != nil {
 		return err
 	}
-	n, at := int(max(run, 1)), 0
+	n, at := int(max(run, 1)), 0 // a refill is always followed by a step
 	for i := range ws {
 		w, front := &ws[i], 0
 		if w.held {
