@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
+	"unsafe"
 
 	"ocas/internal/exec"
 )
@@ -13,12 +14,10 @@ import (
 // int32s each: a chunk is small enough that folding one is a fraction of a
 // millisecond, so little is left to fold when the run ends, and there are
 // enough of them that a burst of output queues up before the run starts
-// folding for itself — at 128 KiB in all. The fold hashes up to
-// digestBlockRows rows per call of the kernel.
+// folding for itself — at 128 KiB in all.
 const (
 	digestChunkWords = 4 << 10
 	digestChunks     = 8
-	digestBlockRows  = 128
 )
 
 // bagDigest accumulates the output digest of a run, an order-independent
@@ -150,19 +149,17 @@ func (d *bagDigest) hex() string {
 }
 
 // digestFold hashes chunks' rows into a sum. A row that fits one block with
-// its padding (at most 55 bytes: 12 values) is one compression from the IV
-// when the CPU has the SHA extensions: rows of one arity are written into
-// blocks, whose length word and padding stay put between calls while the
-// arity does, and hashBlocksSHANI hashes them two at a time. Anything else
-// goes through crypto/sha256, whose per-call framing costs as much again as
-// the compression on a short row.
+// its padding (at most 55 bytes: 12 values) is one compression from the IV.
+// On a CPU with AVX-512, hashRows16 compresses sixteen of a segment's rows at
+// once, one per 32-bit lane, loading their values straight from the columns
+// into tmpl, the message words every row of one arity shares, and adds each
+// hash word to its lane's sum in lanes, which add carries into the sum once
+// per chunk. Anything else goes through crypto/sha256, whose per-call framing
+// costs as much again as the compression on a short row.
 type digestFold struct {
-	blocks [digestBlockRows * 64]byte
-	hashes [digestBlockRows]sum256
-	arity  int    // of the rows in blocks
-	rows   int    // blocks written and not yet hashed
-	padded int    // blocks carrying the length word and padding of arity
-	msg    []byte // a row's message, for crypto/sha256
+	lanes [8][16]uint64
+	tmpl  [16]uint32
+	msg   []byte // a row's message, for crypto/sha256
 }
 
 // add adds to s the hash of every row in chunk.
@@ -171,60 +168,35 @@ func (f *digestFold) add(s *sum256, chunk []int32) {
 		a, n := int(chunk[0]), int(chunk[1])
 		cols := chunk[2 : 2+a*n]
 		chunk = chunk[2+a*n:]
-		if !useSHANI || a > 12 {
+		if !useAVX512 || a > 12 {
 			f.addMessages(s, a, n, cols)
 			continue
 		}
-		if a != f.arity {
-			f.flush(s)
-			f.arity, f.padded = a, 0
+		// The length word tells the arity the words were written for.
+		if bitLen := uint32(4+4*a) * 8; f.tmpl[15] != bitLen {
+			f.tmpl = [16]uint32{0: bits.ReverseBytes32(uint32(a)), 15: bitLen}
+			f.tmpl[a+1] = 0x80000000
 		}
-		for i := 0; i < n; {
-			k := min(n-i, digestBlockRows-f.rows)
-			f.write(cols, n, i, k)
-			i += k
-			if f.rows == digestBlockRows {
-				f.flush(s)
-			}
+		for i := 0; i < n; i += 16 {
+			hashRows16(&f.lanes, &f.tmpl, unsafe.SliceData(cols), i, n, a, uint16(1<<min(n-i, 16)-1))
 		}
 	}
-	f.flush(s)
+	f.carry(s)
 }
 
-// write copies rows i to i+k of a segment of n rows, whose values cols holds
-// column by column, into the next k blocks.
-func (f *digestFold) write(cols []int32, n, i, k int) {
-	a, first := f.arity, f.rows
-	for ; f.padded < first+k; f.padded++ {
-		blk := f.blocks[64*f.padded : 64*f.padded+64]
-		clear(blk)
-		binary.LittleEndian.PutUint32(blk, uint32(a))
-		blk[4+4*a] = 0x80
-		binary.BigEndian.PutUint64(blk[56:], uint64(4+4*a)*8)
-	}
-	for c := 0; c < a; c++ {
-		at := 64*first + 4 + 4*c
-		for _, v := range cols[c*n+i : c*n+i+k] {
-			binary.LittleEndian.PutUint32(f.blocks[at:at+4], uint32(v))
-			at += 64
+// carry adds the lane sums to s, word j of a hash at bit 32·(7−j), and
+// clears them. A lane gains less than 2^32 per kernel call, and a chunk
+// makes fewer than 2^12 calls, so no lane or word sum can overflow.
+func (f *digestFold) carry(s *sum256) {
+	var w [8]uint64
+	for j := range f.lanes {
+		for _, v := range f.lanes[j] {
+			w[j] += v
 		}
 	}
-	f.rows += k
-}
-
-// flush hashes the written blocks into s, an odd last one paired with a
-// copy of itself.
-func (f *digestFold) flush(s *sum256) {
-	k := f.rows
-	if k == 0 {
-		return
-	}
-	if k%2 == 1 {
-		copy(f.blocks[64*k:64*k+64], f.blocks[64*k-64:64*k])
-	}
-	hashBlocksSHANI(&f.hashes[0], f.blocks[:64*(k+k%2)])
-	s.addAll(f.hashes[:k])
-	f.rows = 0
+	f.lanes = [8][16]uint64{}
+	s.add(sum256{w[7], w[5], w[3], w[1]})
+	s.add(sum256{w[6] << 32, w[6]>>32 | w[4]<<32, w[4]>>32 | w[2]<<32, w[2]>>32 | w[0]<<32})
 }
 
 // addMessages adds to s the hash of each of a segment's n rows of arity a
@@ -255,20 +227,6 @@ func (s *sum256) add(o sum256) {
 	s[1], c = bits.Add64(s[1], o[1], c)
 	s[2], c = bits.Add64(s[2], o[2], c)
 	s[3], _ = bits.Add64(s[3], o[3], c)
-}
-
-// addAll adds every number of os, the sum kept in registers.
-func (s *sum256) addAll(os []sum256) {
-	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-	for i := range os {
-		o := &os[i]
-		var c uint64
-		s0, c = bits.Add64(s0, o[0], 0)
-		s1, c = bits.Add64(s1, o[1], c)
-		s2, c = bits.Add64(s2, o[2], c)
-		s3, _ = bits.Add64(s3, o[3], c)
-	}
-	*s = sum256{s0, s1, s2, s3}
 }
 
 func digestString(s string) string {

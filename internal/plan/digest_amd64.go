@@ -2,34 +2,33 @@
 
 package plan
 
-// hashBlocksSHANI hashes each 64-byte block of p, a message padded into one
-// block, from the SHA-256 IV with the SHA extensions, two blocks at a time,
-// and stores its hash at out[i], read as a big-endian 256-bit number
-// (digest_amd64.s). len(p) is a multiple of 128; out has a slot per block.
+// hashRows16 hashes rows i to i+15 of a segment of n rows of arity a, whose
+// values cols holds column by column, one row per 32-bit lane, and adds word
+// j of lane l's hash to lanes[j][l] (digest_amd64.s). tmpl holds the message
+// words every row of arity a shares, a row's values being words 1 to a; mask
+// has a bit for each of the sixteen rows the segment holds.
 //
 //go:noescape
-func hashBlocksSHANI(out *sum256, p []byte)
+func hashRows16(lanes *[8][16]uint64, tmpl *[16]uint32, cols *int32, i, n, a int, mask uint16)
 
-// cpuid and xgetbv (of XCR0) read the feature bits useSHANI tests.
+// cpuid and xgetbv (of XCR0) read the feature bits useAVX512 tests.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// useSHANI holds the conditions crypto/sha256 checks before it runs the
-// rounds hashBlocksSHANI copies: SSSE3, SSE4.1 and SHA, and AVX with the OS
-// saving its state.
-var useSHANI = func() bool {
+// useAVX512 holds when the CPU has AVX-512F and AVX-512BW (VPSHUFB on Z
+// registers) and the OS saves the Z registers and the mask registers.
+var useAVX512 = func() bool {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return false
 	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const ssse3, sse41, osxsave, avx = 1 << 9, 1 << 19, 1 << 27, 1 << 28
-	if ecx1&(ssse3|sse41|osxsave|avx) != ssse3|sse41|osxsave|avx {
+	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(1<<27) == 0 { // OSXSAVE: XGETBV runs
 		return false
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
 		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<29) != 0
+	const avx512f, avx512bw = 1 << 16, 1 << 30
+	return ebx7&(avx512f|avx512bw) == avx512f|avx512bw
 }()

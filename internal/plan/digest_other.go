@@ -2,6 +2,8 @@
 
 package plan
 
-const useSHANI = false
+const useAVX512 = false
 
-func hashBlocksSHANI(out *sum256, p []byte) { panic("plan: no SHA-NI kernel in this build") }
+func hashRows16(lanes *[8][16]uint64, tmpl *[16]uint32, cols *int32, i, n, a int, mask uint16) {
+	panic("plan: no AVX-512 kernel in this build")
+}

@@ -116,54 +116,55 @@ func FuzzBagDigest(f *testing.F) {
 	})
 }
 
-// TestDigestKernelMatchesSHA256: rows hashed in blocks by the pair kernel
-// hash as crypto/sha256 says, at every count up to a call's 128 rows (odd
-// ones pair the last row with a copy of itself) and every arity that fits
-// one block, 0 to 12 values, one fold reused across arities and counts.
-func TestDigestKernelMatchesSHA256(t *testing.T) {
-	if !useSHANI {
-		t.Skip("no SHA-NI kernel in this build or on this CPU: rows hash through crypto/sha256")
+// TestDigestLanesMatchSHA256: segments hashed sixteen rows at a time by the
+// lane kernel sum as crypto/sha256 says, at every arity that fits one block,
+// 0 to 12 values, in order through one fold (so the message template follows
+// each change of arity), and at segments of 1 to 40 rows and one of a full
+// chunk (so every tail of 1 to 15 lanes). The words after each segment are
+// random and nonzero, so a lane read or summed past the segment's end shows.
+func TestDigestLanesMatchSHA256(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512 kernel in this build or on this CPU: rows hash through crypto/sha256")
 	}
 	r := rand.New(rand.NewSource(1))
 	f := new(digestFold)
-	for trial := 0; trial < 400; trial++ {
-		a, n := r.Intn(13), 1+r.Intn(digestBlockRows)
-		if trial < 2*digestBlockRows {
-			a, n = trial%13, 1+trial/2
-		}
-		chunk := []int32{int32(a), int32(n)}
-		for range a * n {
-			chunk = append(chunk, int32(r.Uint32()))
-		}
-		var sum, want sum256
-		f.add(&sum, chunk)
-		for i := 0; i < n; i++ {
-			msg := binary.LittleEndian.AppendUint32(nil, uint32(a))
-			for c := 0; c < a; c++ {
-				msg = binary.LittleEndian.AppendUint32(msg, uint32(chunk[2+c*n+i]))
+	for a := 0; a <= 12; a++ {
+		for k := 1; k <= 41; k++ {
+			n := k // rows: 1 to 40, then a full chunk's
+			if k == 41 {
+				n = (digestChunkWords - 2) / max(a, 1)
 			}
-			h := sha256.Sum256(msg)
-			row := sum256{
-				binary.BigEndian.Uint64(h[24:]),
-				binary.BigEndian.Uint64(h[16:]),
-				binary.BigEndian.Uint64(h[8:]),
-				binary.BigEndian.Uint64(h[0:]),
+			chunk := []int32{int32(a), int32(n)}
+			for range a*n + 16 {
+				chunk = append(chunk, int32(r.Uint32()|1))
 			}
-			if f.hashes[i] != row {
-				t.Fatalf("%d rows of %d values, row %d: kernel %x, crypto/sha256 %x", n, a, i, f.hashes[i], row)
+			chunk = chunk[:2+a*n]
+			var sum, want sum256
+			f.add(&sum, chunk)
+			for i := 0; i < n; i++ {
+				msg := binary.LittleEndian.AppendUint32(nil, uint32(a))
+				for c := 0; c < a; c++ {
+					msg = binary.LittleEndian.AppendUint32(msg, uint32(chunk[2+c*n+i]))
+				}
+				h := sha256.Sum256(msg)
+				want.add(sum256{
+					binary.BigEndian.Uint64(h[24:]),
+					binary.BigEndian.Uint64(h[16:]),
+					binary.BigEndian.Uint64(h[8:]),
+					binary.BigEndian.Uint64(h[0:]),
+				})
 			}
-			want.add(row)
-		}
-		if sum != want {
-			t.Fatalf("%d rows of %d values: sum %x, want %x", n, a, sum, want)
+			if sum != want {
+				t.Fatalf("%d rows of %d values: sum %x, crypto/sha256 %x", n, a, sum, want)
+			}
 		}
 	}
 }
 
-// digestBenchArities are the arities the digest benchmarks run: 1 and 2
-// take the pair kernel where there is one, 13 (56 bytes) always takes
-// crypto/sha256.
-var digestBenchArities = []int{1, 2, 13}
+// digestBenchArities are the arities the digest benchmarks run: 1, 2 and 4
+// (the rows of grace and product) take the lane kernel where there is one,
+// 13 (56 bytes) always takes crypto/sha256.
+var digestBenchArities = []int{1, 2, 4, 13}
 
 // benchBatch is a batch of the executor's default size, of one arity.
 func benchBatch(arity int) *exec.Batch {
@@ -199,24 +200,42 @@ func BenchmarkBagDigestEmit(b *testing.B) {
 }
 
 // BenchmarkBagDigestFold is the folding side's share per row: one full
-// chunk of such batches hashed into a sum.
+// chunk of such batches hashed into a sum. The sha256 cases hash the same
+// chunks through addMessages alone, the road a CPU without AVX-512 takes.
 func BenchmarkBagDigestFold(b *testing.B) {
 	for _, arity := range digestBenchArities {
 		b.Run(fmt.Sprintf("arity=%d", arity), func(b *testing.B) {
-			batch := benchBatch(arity)
-			perChunk := digestChunkWords / (2 + arity*exec.DefaultBatchRows)
-			var d bagDigest
-			for range perChunk {
-				d.add(batch)
-			}
-			f := new(digestFold)
-			var s sum256
-			for b.Loop() {
-				f.add(&s, d.chunk)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perChunk*exec.DefaultBatchRows), "ns/row")
+			benchFold(b, arity, (*digestFold).add)
 		})
 	}
+	messages := func(f *digestFold, s *sum256, chunk []int32) {
+		for len(chunk) > 0 {
+			a, n := int(chunk[0]), int(chunk[1])
+			f.addMessages(s, a, n, chunk[2:2+a*n])
+			chunk = chunk[2+a*n:]
+		}
+	}
+	for _, arity := range []int{1, 2} {
+		b.Run(fmt.Sprintf("sha256/arity=%d", arity), func(b *testing.B) {
+			benchFold(b, arity, messages)
+		})
+	}
+}
+
+// benchFold times fold over one full chunk of batches of one arity.
+func benchFold(b *testing.B, arity int, fold func(*digestFold, *sum256, []int32)) {
+	batch := benchBatch(arity)
+	perChunk := digestChunkWords / (2 + arity*exec.DefaultBatchRows)
+	var d bagDigest
+	for range perChunk {
+		d.add(batch)
+	}
+	f := new(digestFold)
+	var s sum256
+	for b.Loop() {
+		fold(f, &s, d.chunk)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perChunk*exec.DefaultBatchRows), "ns/row")
 }
 
 // waitGoroutines polls until the goroutine count is back at base: a stopped
