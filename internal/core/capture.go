@@ -17,24 +17,25 @@ import (
 	"ocas/internal/rules"
 )
 
-// This file is the cardinality-dependent half of the synthesizer, and the
-// only implementation of it. A Capture retains what a search discovered that
-// does not depend on input cardinalities: the explored space, the symbolic
-// cost formula of every member (cardinalities are free variables in those
-// formulas — cost.Placement binds each input to sym.V("card_...")). Its
-// screen and optimize methods run heuristic screening and non-linear
-// parameter optimization over that space for one task. A cold synthesis is a
-// search followed by one such run over the space it just found; a template
-// hit (Replay.Instantiate) is the same run over a space found earlier, with
-// the compiled formulas the capturing run made kept between hits, valid
-// provided a search at the new cardinalities would find the same space. It
-// does by construction: the search enumerates every reachable program and the
-// rewrite rules never read cardinalities. Nor do they read the hierarchy's
-// constants, so a request at other device sizes or costs recaptures
-// (Synthesizer.Recapture): it costs the same space afresh under its own
-// hierarchy instead of searching it again. A capture belongs to the process
-// that searched: neither it nor the programs in it have a serial form, and
-// every Replay was screened by the run that made it.
+// This file is the size-dependent half of the synthesizer, and the only
+// implementation of it. A Capture retains what a search discovered that does
+// not depend on sizes: the explored space and the symbolic cost formula of
+// every member. Input cardinalities are free variables in those formulas
+// (cost.Placement binds each input to sym.V("card_...")), and so is every
+// constant of the hierarchy (cost.HierEnv). Its screen and optimize methods
+// run heuristic screening and non-linear parameter optimization over that
+// space for one task. A cold synthesis is a search followed by one such run
+// over the space it just found; a template hit (Replay.Instantiate) is the
+// same run over a space found earlier, with the compiled formulas the
+// capturing run made kept between hits, valid provided a search for the new
+// task would find the same space and build the same formulas. It does by
+// construction: the search enumerates every reachable program, the rewrite
+// rules read neither cardinalities nor constants, and the formulas change
+// only with the outcome of the estimator's branches on a constant
+// (cost.Branches), which the caller's template key holds. A request at other
+// device sizes or costs is therefore an instantiation too. A capture belongs
+// to the process that searched: neither it nor the programs in it have a
+// serial form, and every Replay was screened by the run that made it.
 
 // CaptureLimit bounds the size of a captured search space. Retaining the
 // cost formulas of every member is what makes instantiation cheap, but it
@@ -63,7 +64,7 @@ type Replay struct {
 }
 
 // formulaCache holds one compiled program per costed member of a capture:
-// screening binds it to a task's cardinalities and evaluates the heuristic
+// screening binds it to a task's sizes and evaluates the heuristic
 // point, and tuning hands the same bound program to the optimizer. The
 // capturing run fills it, so neither its own tuning nor a later instantiation
 // compiles anything. The phases take a *formulaCache and treat nil as
@@ -76,8 +77,8 @@ type formulaCache struct {
 }
 
 // fixedVals is a task's fixed environment — each input's cardinality
-// variable and its row count — in sorted name order, the form a compiled
-// program is bound through.
+// variable and its row count, and each hierarchy constant — in sorted name
+// order, the form a compiled program is bound through.
 type fixedVals struct {
 	keys []string
 	vals []float64
@@ -116,11 +117,12 @@ func bound(fc *formulaCache, i int, res *cost.Result, fx fixedVals) *cost.Compil
 	return cf
 }
 
-// Instantiate re-runs the cardinality-dependent synthesis phases over the
-// captured space for task t: heuristic screening of every member and full
-// parameter optimization of the shortlist. The returned Synthesis is
-// bit-identical to s.SynthesizeCtx(ctx, t) whenever the capture was taken for
-// the same program, hierarchy, placement and search knobs.
+// Instantiate re-runs the size-dependent synthesis phases over the captured
+// space for task t under s.H's constants: heuristic screening of every
+// member and full parameter optimization of the shortlist. The returned
+// Synthesis is bit-identical to s.SynthesizeCtx(ctx, t) whenever the capture
+// was taken for the same program, placement and search knobs under a
+// hierarchy of the same shape (topology and cost.Branches).
 func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synthesis, error) {
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "template.instantiate")
@@ -132,8 +134,8 @@ func (r *Replay) Instantiate(ctx context.Context, s *Synthesizer, t Task) (*Synt
 		return nil, err
 	}
 	// No estimator: the capturing run's screening pass filled cp.Costs and
-	// the formula cache, and the caller's guards ensure hierarchy and
-	// placement match that run's.
+	// the formula cache, and the caller's template key ensures that the
+	// placement, the topology and the branches on constants match that run's.
 	short, err := r.cp.screen(ctx, s, t, &r.fc, nil)
 	if err != nil {
 		return nil, err

@@ -96,7 +96,7 @@ func (s *Synthesizer) placement(t Task) cost.Placement {
 }
 
 func (s *Synthesizer) fixedEnv(t Task) sym.Env {
-	env := sym.Env{}
+	env := cost.HierEnv(s.H)
 	for name, n := range t.InputRows {
 		env[cardVar(name)] = float64(n)
 	}
@@ -111,9 +111,10 @@ func (s *Synthesizer) fixedEnv(t Task) sym.Env {
 func (s *Synthesizer) TaskPlacement(t Task) cost.Placement { return s.placement(t) }
 
 // TaskEnv is the task's fixed symbolic environment: each input's
-// cardinality variable bound to its nominal row count. Evaluating a cost
-// formula under TaskEnv plus the plan's tuned parameters yields the
-// estimate the optimizer minimized.
+// cardinality variable bound to its nominal row count, and each constant of
+// s.H to its value (cost.HierEnv). Evaluating a cost formula under TaskEnv
+// plus the plan's tuned parameters yields the estimate the optimizer
+// minimized.
 func (s *Synthesizer) TaskEnv(t Task) sym.Env { return s.fixedEnv(t) }
 
 // Synthesize runs the full pipeline: BFS over rewrites, cost estimation for
@@ -171,24 +172,6 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 	}
 	res.Elapsed = time.Since(start)
 	res.Memo = MemoStats{Keys: dedup}
-	return res, r, nil
-}
-
-// Recapture is SynthesizeCapture over the space from captured instead of a
-// search: it costs every member afresh under s.H, then screens and tunes
-// for t. The rewrite rules read the hierarchy's topology and never its
-// constants, so a search under s.H finds from's space whenever the two runs
-// share program text, placement, topology and search knobs — the template
-// fingerprint and spec text a caller checks — and the result is then
-// SynthesizeCapture's, bit for bit. No search runs, so s.Keys and the
-// result's Memo count nothing.
-func (s *Synthesizer) Recapture(ctx context.Context, t Task, from *Replay) (*Synthesis, *Replay, error) {
-	start := time.Now()
-	res, r, err := s.capture(ctx, t, &Capture{Space: from.cp.Space, Stats: from.cp.Stats})
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Elapsed = time.Since(start)
 	return res, r, nil
 }
 

@@ -347,7 +347,7 @@ func (r *run) applyUnfoldR(fn ocal.UnfoldR, arg ocal.Expr, g *ctx) (AType, locT,
 			r.addResident(up, fmt.Sprintf("mergebuf:%d:%s", i, fn.K.String()),
 				r.b.Mul(k, Size(r.b, l.Elem)))
 			if d := r.h.Node(src); d != nil && d.MaxSeqR > 0 {
-				r.addCons(r.b.Mul(k, Size(r.b, l.Elem)), sym.C(float64(d.MaxSeqR)),
+				r.addCons(r.b.Mul(k, Size(r.b, l.Elem)), hierVar(src, "maxSeqR"),
 					"merge input block fits maxSeqR of "+src)
 			}
 		}
@@ -426,11 +426,11 @@ func (r *run) applyTreeFold(fn ocal.TreeFold, arg ocal.Expr, g *ctx) (AType, loc
 				r.b.Add(r.b.Mul(sym.C(nb), bin, elemB), r.b.Mul(bout, elemB)))
 			if d := r.h.Node(mi); d != nil {
 				if d.MaxSeqR > 0 {
-					r.addCons(r.b.Mul(bin, elemB), sym.C(float64(d.MaxSeqR)),
+					r.addCons(r.b.Mul(bin, elemB), hierVar(mi, "maxSeqR"),
 						"sort input block fits maxSeqR of "+mi)
 				}
 				if d.MaxSeqW > 0 {
-					r.addCons(r.b.Mul(bout, elemB), sym.C(float64(d.MaxSeqW)),
+					r.addCons(r.b.Mul(bout, elemB), hierVar(mi, "maxSeqW"),
 						"sort output block fits maxSeqW of "+mi)
 				}
 			}
@@ -468,7 +468,7 @@ func (r *run) applyPartition(fn ocal.PartitionF, arg ocal.Expr, g *ctx) (AType, 
 		// Write the s partitions through per-bucket buffers: the RAM splits
 		// into s+1 write buffers of ram/(s+1) bytes, and every buffer
 		// eviction initiates a device write (interleaved streams seek).
-		ramBytes := sym.C(float64(r.h.Root.Size))
+		ramBytes := hierVar(r.root(), "size")
 		bufW := r.b.Div(ramBytes, r.b.Add(s, sym.One))
 		flushes := r.b.Max(s, r.b.Ceil(r.b.Div(bytes, bufW)))
 		r.chargeDownPath(mi, bytes, flushes)

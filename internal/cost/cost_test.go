@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -42,9 +43,12 @@ func blockedJoin() ocal.Expr {
 				Body: ocal.For{X: "y", Src: ocal.Var{Name: "yB"}, Body: body}}}}
 }
 
-func evalSecs(t *testing.T, res *Result, env sym.Env) float64 {
+// evalSecs evaluates res's cost formula under env and h's constants.
+func evalSecs(t *testing.T, h *memory.Hierarchy, res *Result, env sym.Env) float64 {
 	t.Helper()
-	v := res.Seconds.Eval(env)
+	full := HierEnv(h)
+	maps.Copy(full, env)
+	v := res.Seconds.Eval(full)
 	if math.IsNaN(v) {
 		t.Fatalf("cost formula has unbound variables: %s (free: %v)",
 			res.Seconds, sym.FreeVars(res.Seconds))
@@ -101,8 +105,8 @@ func TestBlockedJoinReducesSeeksKFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv := evalSecs(t, naive, env)
-	bv := evalSecs(t, res, env)
+	nv := evalSecs(t, h, naive, env)
+	bv := evalSecs(t, h, res, env)
 	if bv >= nv {
 		t.Errorf("blocked (%v s) should beat naive (%v s)", bv, nv)
 	}
@@ -181,7 +185,7 @@ func TestWriteToOtherDeviceVsSame(t *testing.T) {
 	// Same total transfer, different devices; with identical block sizes
 	// the two estimates only differ via the edges used. Both should be
 	// finite and positive; the "other disk" variant is never worse.
-	sSame, sOther := evalSecs(t, rSame, env), evalSecs(t, rOther, env)
+	sSame, sOther := evalSecs(t, two, rSame, env), evalSecs(t, two, rOther, env)
 	if sOther > sSame {
 		t.Errorf("other-disk (%v) should not exceed same-disk (%v)", sOther, sSame)
 	}
@@ -311,8 +315,8 @@ func TestExternalSortCostShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	growth := func(r *Result) float64 {
-		a := evalSecs(t, r, sym.Env{"x": 1 << 12, "bin": 4096, "bout": 4096})
-		b := evalSecs(t, r, sym.Env{"x": 1 << 16, "bin": 4096, "bout": 4096})
+		a := evalSecs(t, h, r, sym.Env{"x": 1 << 12, "bin": 4096, "bout": 4096})
+		b := evalSecs(t, h, r, sym.Env{"x": 1 << 16, "bin": 4096, "bout": 4096})
 		return math.Log(b/a) / math.Log(16)
 	}
 	gN, gS := growth(resN), growth(res8)
@@ -381,8 +385,8 @@ func TestHashPartitionedJoinCheaperThanBNLWhenRAMSmall(t *testing.T) {
 	// everything twice. Block sizes constrained by RAM (128K tuples each).
 	envB := sym.Env{"x": 8e6, "y": 8e6, "k1": 60000, "k2": 60000}
 	envH := sym.Env{"x": 8e6, "y": 8e6, "s": 128, "k3": 60000, "k4": 60000}
-	hv := evalSecs(t, resH, envH)
-	bv := evalSecs(t, resB, envB)
+	hv := evalSecs(t, h, resH, envH)
+	bv := evalSecs(t, h, resB, envB)
 	if hv >= bv {
 		t.Errorf("GRACE (%v s) should beat BNL (%v s) when RAM is scarce", hv, bv)
 	}

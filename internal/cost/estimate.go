@@ -195,18 +195,20 @@ func paramExpr(p ocal.Param) sym.Expr {
 
 // seqInits is the seq-ac InitCom count of Section 6.2:
 // max(1, total / min(m1.maxSeqR, m2.maxSeqW)), with 0 meaning "unlimited".
+// The minimum is taken here, on h's values (Branches records which side won).
 func (r *run) seqInits(from, to string, bytes sym.Expr) sym.Expr {
 	var lim int64
+	var limVar sym.Expr
 	if n := r.h.Node(from); n != nil && n.MaxSeqR > 0 {
-		lim = n.MaxSeqR
+		lim, limVar = n.MaxSeqR, hierVar(from, "maxSeqR")
 	}
 	if n := r.h.Node(to); n != nil && n.MaxSeqW > 0 && (lim == 0 || n.MaxSeqW < lim) {
-		lim = n.MaxSeqW
+		limVar = hierVar(to, "maxSeqW")
 	}
-	if lim == 0 {
+	if limVar == nil {
 		return sym.One
 	}
-	return r.b.Max(sym.One, r.b.Div(bytes, sym.C(float64(lim))))
+	return r.b.Max(sym.One, r.b.Div(bytes, limVar))
 }
 
 // Estimator costs the programs of one search space, all under one hierarchy
@@ -330,7 +332,7 @@ func (e *Estimator) Estimate(prog ocal.Expr) (*Result, error) {
 			}
 			r.addResident(r.root(), "outbuf:"+outK.String(), r.b.Mul(ko, elemB))
 			if n := h.Node(p.Output); n != nil && n.MaxSeqW > 0 {
-				r.addCons(r.b.Mul(ko, elemB), sym.C(float64(n.MaxSeqW)),
+				r.addCons(r.b.Mul(ko, elemB), hierVar(p.Output, "maxSeqW"),
 					"output block fits maxSeqW of "+p.Output)
 			}
 		}
@@ -357,9 +359,8 @@ func (e *Estimator) Estimate(prog ocal.Expr) (*Result, error) {
 			terms = append(terms, r.resid[g][k])
 		}
 		nodeName, phase, _ := strings.Cut(g, "\x00")
-		node := h.Node(nodeName)
-		if node != nil {
-			r.addCons(r.b.Add(terms...), sym.C(float64(node.Size)),
+		if h.Node(nodeName) != nil {
+			r.addCons(r.b.Add(terms...), hierVar(nodeName, "size"),
 				"resident data fits "+nodeName+" ("+phase+" phase)")
 		}
 	}
@@ -577,7 +578,7 @@ func (r *run) estFor(t ocal.For, g *ctx) (AType, locT, error) {
 		if !t.K.IsOne() {
 			r.addResident(xLocNode, "block:"+t.X+":"+t.K.String(), r.b.Mul(k, elemBytes))
 			if d := r.h.Node(src); d != nil && d.MaxSeqR > 0 {
-				r.addCons(r.b.Mul(k, elemBytes), sym.C(float64(d.MaxSeqR)),
+				r.addCons(r.b.Mul(k, elemBytes), hierVar(src, "maxSeqR"),
 					fmt.Sprintf("read block %s fits maxSeqR of %s", t.K.String(), src))
 			}
 		}

@@ -112,25 +112,18 @@ func (ev *Events) scale(b *sym.Builder, f sym.Expr) {
 }
 
 // seconds converts the tallies to estimated seconds using the hierarchy's
-// edge weights: total = Σ init·InitCom + bytes·UnitTr.
+// edge weights: total = Σ init·InitCom + bytes·UnitTr. A weight is its
+// variable (see HierEnv); one that is zero in h contributes no term.
 func (ev *Events) seconds(b *sym.Builder, h *memory.Hierarchy) sym.Expr {
 	var terms []sym.Expr
 	for _, ent := range ev.entries {
-		if ent.init == nil {
-			continue
-		}
-		w := h.InitCom(ent.edge.From, ent.edge.To)
-		if w != 0 {
-			terms = append(terms, b.Mul(sym.C(w), ent.init))
+		if ent.init != nil && h.InitCom(ent.edge.From, ent.edge.To) != 0 {
+			terms = append(terms, b.Mul(edgeVar(h, ent.edge, "initCom"), ent.init))
 		}
 	}
 	for _, ent := range ev.entries {
-		if ent.bytes == nil {
-			continue
-		}
-		w := h.UnitTr(ent.edge.From, ent.edge.To)
-		if w != 0 {
-			terms = append(terms, b.Mul(sym.C(w), ent.bytes))
+		if ent.bytes != nil && h.UnitTr(ent.edge.From, ent.edge.To) != 0 {
+			terms = append(terms, b.Mul(edgeVar(h, ent.edge, "unitTr"), ent.bytes))
 		}
 	}
 	return b.Add(terms...)

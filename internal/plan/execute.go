@@ -249,7 +249,7 @@ func RunBound(ctx context.Context, sim *storage.Sim, inputs map[string]*exec.Tab
 		rep.CacheMissRatio = sim.Cache.MissRatio()
 	}
 	if rep.Explain = p.ExplainTree(); rep.Explain != nil {
-		estimateTree(sim.H, place, explainEnv(task, inputRows, params), rep.Explain)
+		estimateTree(sim.H, place, explainEnv(sim.H, task, inputRows, params), rep.Explain)
 	}
 	return rep, nil
 }

@@ -39,16 +39,16 @@ func estimateTree(h *memory.Hierarchy, place cost.Placement, env sym.Env, n *exe
 	}
 }
 
-// explainEnv is the evaluation environment of the per-node estimates: the
-// executed cardinalities (which may differ from the nominal ones the plan
-// was tuned for — drift then includes the mistuning) plus the plan's tuned
-// parameter values.
-func explainEnv(task core.Task, inputRows map[string]int64, params map[string]int64) sym.Env {
+// explainEnv is the evaluation environment of the per-node estimates: h's
+// constants, the executed cardinalities (which may differ from the nominal
+// ones the plan was tuned for — drift then includes the mistuning) and the
+// plan's tuned parameter values.
+func explainEnv(h *memory.Hierarchy, task core.Task, inputRows map[string]int64, params map[string]int64) sym.Env {
 	t := task
 	if inputRows != nil {
 		t.InputRows = inputRows
 	}
-	env := (&core.Synthesizer{}).TaskEnv(t)
+	env := (&core.Synthesizer{H: h}).TaskEnv(t)
 	for k, v := range params {
 		env[k] = float64(v)
 	}

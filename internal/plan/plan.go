@@ -223,12 +223,9 @@ func Compile(req Request) (*Compiled, error) {
 		return nil, fmt.Errorf("hierarchy fingerprint: %w", err)
 	}
 	alpha := rules.AlphaKey(prog)
-	tfp, err := templateFingerprint(req, alpha, hj)
-	if err != nil {
-		return nil, err
-	}
 	return &Compiled{Req: req, Prog: prog, H: h, Synth: synth, Task: task,
-		Fingerprint: fingerprint(req, alpha, hj), TemplateFingerprint: tfp, hierJSON: string(hj)}, nil
+		Fingerprint: fingerprint(req, alpha, hj), TemplateFingerprint: templateFingerprint(req, alpha, h),
+		hierJSON: string(hj)}, nil
 }
 
 // builtinHier is the one list of named hierarchies; cmd/ocas resolves its

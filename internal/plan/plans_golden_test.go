@@ -61,7 +61,7 @@ func (s planShape) points() [2]map[string]int64 {
 // join/product shapes the repo benchmark posts and its five search-free
 // shapes (copied from benchmark/corpus.go, which a product package may not
 // import).
-func planGoldenShapes(t *testing.T) []planShape {
+func planGoldenShapes(t testing.TB) []planShape {
 	t.Helper()
 	paths, err := filepath.Glob("../../examples/*/request.json")
 	if err != nil || len(paths) != 6 {

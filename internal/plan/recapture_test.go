@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ocas/internal/memory"
 	"ocas/internal/rules"
@@ -221,4 +223,64 @@ func TestTemplateConcurrentRecapture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRecapture times the two ways a captured template serves a request
+// of its shape, over the benchmark's searched shapes: a rebind
+// (Compiled.Recapture at RAM + 64·i) and an instantiation
+// (Compiled.Instantiate at rows + i). It reports each in ms per request;
+// compiling the requests is not timed.
+func BenchmarkRecapture(b *testing.B) {
+	searched := []string{"bnl", "bnl-cache", "grace", "write-same", "write-other", "write-flash", "bnl-beam"}
+	ctx := context.Background()
+	for _, s := range planGoldenShapes(b) {
+		if !slices.Contains(searched, s.name) {
+			continue
+		}
+		b.Run(s.name, func(b *testing.B) {
+			cc, err := Compile(s.req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, tmpl, err := cc.RunCapture(ctx)
+			if err != nil || tmpl == nil {
+				b.Fatalf("capture: template %v, err %v", tmpl, err)
+			}
+			var rebind, inst time.Duration
+			for i := range b.N {
+				b.StopTimer()
+				req := s.req
+				req.RAM += 64 * int64(i+1)
+				cr, err := Compile(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ci, err := Compile(s.withRows(shiftRows(s.req.Inputs, int64(i+1))))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				start := time.Now()
+				if _, _, err := cr.Recapture(ctx, tmpl); err != nil {
+					b.Fatal(err)
+				}
+				mid := time.Now()
+				if _, err := ci.Instantiate(ctx, tmpl); err != nil {
+					b.Fatal(err)
+				}
+				rebind, inst = rebind+mid.Sub(start), inst+time.Since(mid)
+			}
+			b.ReportMetric(float64(rebind.Microseconds())/1e3/float64(b.N), "rebind-ms")
+			b.ReportMetric(float64(inst.Microseconds())/1e3/float64(b.N), "instantiate-ms")
+		})
+	}
+}
+
+// shiftRows returns each input's rows plus d.
+func shiftRows(in map[string]Input, d int64) map[string]int64 {
+	rows := map[string]int64{}
+	for name, x := range in {
+		rows[name] = x.Rows + d
+	}
+	return rows
 }

@@ -1,14 +1,19 @@
 // Plan templates: the synthesize-once/re-tune-many split of the cache.
 //
 // A Template is what one full synthesis leaves behind for every future
-// request of the same *shape*: the explored search space with its symbolic
-// cost formulas (input cardinalities are free variables there). The search
-// enumerates every reachable program and its rules never read cardinalities,
-// so the space is valid at any sizes. The template fingerprint hashes the alpha-normalized
-// program, the hierarchy shape (node names, kinds and topology — sizes and
-// edge costs excluded), the placement (input→node, arities — rows excluded)
-// and the search knobs; requests differing only in cardinalities or device
-// constants share one template.
+// request of the same *shape*: the explored search space with its compiled
+// cost formulas. Input cardinalities and the hierarchy's constants (sizes,
+// edge weights, transfer limits) are free variables there, bound at each
+// instantiation (cost.HierEnv). The search enumerates every reachable program
+// and its rules read neither, so the space is valid at any sizes. The
+// template fingerprint hashes the alpha-normalized program, the hierarchy
+// shape, the placement (input→node, arities — rows excluded) and the search
+// knobs. The hierarchy shape is its topology (node names and kinds) plus
+// the outcome of each branch the cost model takes on a constant's value
+// (cost.Branches): which edge weights and transfer limits are nonzero, and
+// which side's limit splits a seq-ac transfer. Requests that differ only in
+// cardinalities or in constants on the same side of those branches share one
+// template.
 //
 // A template lives and dies with its process: it has no serial form, and a
 // restarted daemon's first request of a shape searches once and captures it
@@ -17,19 +22,15 @@
 // every template whether or not its shape is asked for again.
 //
 // Instantiate binds a request's concrete sizes and re-runs only the
-// cardinality-dependent phases (heuristic screening + parameter
-// optimization) over the captured space, yielding a plan byte-identical to
-// a cold full search. Two guards reject a template with ErrTemplateStale;
-// the request is then synthesized for itself by Recapture, and the
+// screening and parameter optimization over the captured space, yielding a
+// plan byte-identical to a cold full search. Two guards reject a template
+// with ErrTemplateStale; the request is then served by Recapture, and the
 // template that returns replaces the refused one:
 //
-//   - hierarchy constants: the cost formulas bake in device sizes and
-//     transfer costs, so a template only instantiates for requests whose
-//     full hierarchy matches the capturing one. Its space is another
-//     matter: the rewrite rules read the topology, which the template
-//     fingerprint holds, and no constant, so Recapture costs, screens and
-//     tunes the captured space afresh under the request's hierarchy — a
-//     cold synthesis without its search;
+//   - hierarchy constants: a template instantiates only for its capturing
+//     request's full hierarchy. Recapture serves another one by the same
+//     instantiation under the request's constants; the guard decides only
+//     that the answer is labelled a miss;
 //   - spec text: rewrites name fresh binders deterministically from the
 //     request's own source, so a template only replays for the identical
 //     concrete program text (alpha-equivalent spellings share the template
@@ -46,6 +47,7 @@ import (
 	"strings"
 
 	"ocas/internal/core"
+	"ocas/internal/cost"
 	"ocas/internal/memory"
 	"ocas/internal/obs"
 	"ocas/internal/ocal"
@@ -82,19 +84,29 @@ func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
 }
 
 // Recapture is RunCapture for a request that t's hierarchy guard refused:
-// when the template fingerprint and spec text match, it costs, screens and
-// tunes t's captured space under the request's own hierarchy instead of
-// searching (core.Synthesizer.Recapture) and marks the span ctx carries with
-// space=reused. The plan is the one RunCapture would produce, byte for byte,
-// and the returned template serves the request's hierarchy from then on.
-// A spelling the template cannot replay searches, as RunCapture does. Safe
-// for concurrent use.
+// when the template fingerprint and spec text match, it instantiates t under
+// the request's own hierarchy — no search, no costing — and marks the span
+// ctx carries with space=reused. The plan is the one RunCapture would
+// produce, byte for byte, and the returned template, which shares t's
+// compiled formulas, serves the request's hierarchy from then on. A spelling
+// the template cannot replay searches, as RunCapture does. Safe for
+// concurrent use.
 func (c *Compiled) Recapture(ctx context.Context, t *Template) (*Plan, *Template, error) {
 	if t.Fingerprint != c.TemplateFingerprint || ocal.String(c.Prog) != t.SpecText {
 		return c.RunCapture(ctx)
 	}
 	obs.SpanFrom(ctx).Attr("space", "reused")
-	return c.capture(c.Synth.Recapture(ctx, c.Task, t.replay))
+	res, err := t.replay.Instantiate(ctx, c.Synth, c.Task)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := c.finishPlan(res)
+	if err != nil {
+		return nil, nil, err
+	}
+	next := *t
+	next.HierSig = c.hierJSON
+	return p, &next, nil
 }
 
 // capture turns one capturing run's result into the plan and template.
@@ -136,17 +148,13 @@ func (c *Compiled) Instantiate(ctx context.Context, t *Template) (*Plan, error) 
 
 // templateFingerprint is the shape-level content address: the plan
 // fingerprint with everything cardinality- and constant-shaped left out.
-// Input rows and the hierarchy's sizes/costs are free template slots;
-// binder names, whitespace and worker counts never mattered.
-func templateFingerprint(req Request, alpha string, hj []byte) (string, error) {
-	shape, err := hierShape(hj)
-	if err != nil {
-		return "", err
-	}
+// Input rows and the hierarchy's constants are free template slots; binder
+// names, whitespace and worker counts never mattered.
+func templateFingerprint(req Request, alpha string, h *memory.Hierarchy) string {
 	var b strings.Builder
-	b.WriteString("ocas-template-v1\n")
+	b.WriteString("ocas-template-v2\n")
 	fmt.Fprintf(&b, "prog %s\n", alpha)
-	fmt.Fprintf(&b, "hier %s\n", shape)
+	fmt.Fprintf(&b, "hier %s\n", hierShape(h))
 	for _, name := range sortedInputNames(req.Inputs) {
 		in := req.Inputs[name]
 		fmt.Fprintf(&b, "in %s=%s:%d\n", name, in.Node, in.Arity)
@@ -156,27 +164,33 @@ func templateFingerprint(req Request, alpha string, hj []byte) (string, error) {
 	fmt.Fprintf(&b, "strategy %s:%d\ndepth %d\nspace %d\n",
 		req.Strategy, req.Beam, req.Depth, req.Space)
 	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
-// shapeNode is the constant-free skeleton of a hierarchy node.
+// shapeNode is the constant-free skeleton of a hierarchy node, with the
+// outcomes of the cost model's branches on its constants.
 type shapeNode struct {
 	Name     string      `json:"name"`
 	Kind     memory.Kind `json:"kind"`
+	Branches []string    `json:"branches,omitempty"`
 	Children []shapeNode `json:"children,omitempty"`
 }
 
-// hierShape renders the topology of the hierarchy whose canonical JSON is
-// full — names, kinds, parent/child structure — without sizes, page sizes or
-// transfer costs.
-func hierShape(full []byte) (string, error) {
-	var root shapeNode
-	if err := json.Unmarshal(full, &root); err != nil {
-		return "", fmt.Errorf("template hierarchy shape: %w", err)
+// hierShape renders h's topology — names, kinds, parent/child structure —
+// and cost.Branches of every node, without a constant's value.
+func hierShape(h *memory.Hierarchy) string {
+	var shape func(n *memory.Node) shapeNode
+	shape = func(n *memory.Node) shapeNode {
+		s := shapeNode{Name: n.Name, Kind: n.Kind, Branches: cost.Branches(h, n.Name)}
+		for _, ch := range n.Children {
+			s.Children = append(s.Children, shape(ch))
+		}
+		return s
 	}
-	out, err := json.Marshal(root)
+	out, err := json.Marshal(shape(h.Root))
 	if err != nil {
-		return "", fmt.Errorf("template hierarchy shape: %w", err)
+		// A shapeNode holds only strings; Marshal cannot fail.
+		panic(err)
 	}
-	return string(out), nil
+	return string(out)
 }

@@ -327,6 +327,8 @@ func (b *Builder) mixOperand(h uint64, e Expr, id uint64) uint64 {
 		return mix(h, ^math.Float64bits(float64(c)))
 	case Var:
 		return mix(h, maphash.String(b.seed, string(c)))
+	case Named:
+		return mix(^h, maphash.String(b.seed, string(c)))
 	}
 	return mix(h, id)
 }
@@ -371,22 +373,22 @@ func (b *Builder) own(e Expr) Expr {
 		if b.owns(n.id) {
 			return n
 		}
-		return b.insert(&nary{op: n.op, terms: b.ownAll(n.terms), k: n.k})
+		return b.insert(&nary{op: n.op, terms: b.ownAll(n.terms), k: n.k, cst: n.cst})
 	case *maxNode:
 		if b.owns(n.id) {
 			return n
 		}
-		return b.insert(&maxNode{terms: b.ownAll(n.terms), k: n.k})
+		return b.insert(&maxNode{terms: b.ownAll(n.terms), k: n.k, cst: n.cst})
 	case *div:
 		if b.owns(n.id) {
 			return n
 		}
-		return b.insert(&div{num: b.own(n.num), den: b.own(n.den), k: n.k})
+		return b.insert(&div{num: b.own(n.num), den: b.own(n.den), k: n.k, cst: n.cst})
 	case *unary:
 		if b.owns(n.id) {
 			return n
 		}
-		return b.insert(&unary{op: n.op, arg: b.own(n.arg), k: n.k})
+		return b.insert(&unary{op: n.op, arg: b.own(n.arg), k: n.k, cst: n.cst})
 	}
 	return e
 }

@@ -175,6 +175,9 @@ func (c *compiler) emit(e Expr) (ref int32, point bool) {
 	case Var:
 		s := c.slot(string(t))
 		return tagSlot | s, c.isParam[s]
+	case Named:
+		s := c.slot(string(t))
+		return tagSlot | s, c.isParam[s]
 	case *nary:
 		if res, ok := findSeen(c.naries, t); ok {
 			return res, c.inPoint[res]

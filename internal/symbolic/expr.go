@@ -37,23 +37,39 @@ type Const float64
 // Var is a named variable (input cardinality or tuning parameter).
 type Var string
 
+// Named is a named constant: a value that is the same in every evaluation of
+// a formula but not known when the formula is built, such as a size or a
+// transfer cost of the memory hierarchy a program is costed under. It
+// evaluates, and compiles, as a variable that is not a tuning parameter, and
+// the simplifier folds it as it folds a Const: where the fold of numbers
+// computes a number, the fold of a named constant keeps the computation, as
+// a constant node that holds the fold's operations in the fold's order and so
+// evaluates to the bits the fold gives for the constants' values. A fold that
+// decides on a constant's value (a zero term dropped, a unit factor skipped)
+// keeps the term instead, which moves no finite evaluation.
+type Named string
+
 // Compound nodes cache their canonical key, computed once at construction.
 // Simplification (Add, Mul, Sum) compares and sorts subterms by key at every
 // level, so recomputing keys recursively made building a cost formula
 // quadratic in its size; the cache is why the fields below are only ever set
 // through the new* constructors. id is zero until a Builder interns the node
-// (builder.go), and never changes after that.
+// (builder.go), and never changes after that. cst marks a constant node, a
+// fold over named constants (see Named): the simplifier takes it as one
+// constant and never looks inside.
 type nary struct {
 	op    string // "+" or "*"
 	terms []Expr
 	k     string
 	id    uint64
+	cst   bool
 }
 
 type div struct {
 	num, den Expr
 	k        string
 	id       uint64
+	cst      bool
 }
 
 type unary struct {
@@ -61,12 +77,112 @@ type unary struct {
 	arg Expr
 	k   string
 	id  uint64
+	cst bool
 }
 
 type maxNode struct {
 	terms []Expr
 	k     string
 	id    uint64
+	cst   bool
+}
+
+// isConst reports whether the simplifier folds e as a constant: a number, a
+// named constant, or a constant node.
+func isConst(e Expr) bool {
+	switch t := e.(type) {
+	case Const, Named:
+		return true
+	case *nary:
+		return t.cst
+	case *div:
+		return t.cst
+	case *unary:
+		return t.cst
+	case *maxNode:
+		return t.cst
+	}
+	return false
+}
+
+// chain folds the constant operands of one sum (seed 0) or product (seed 1)
+// in the order they are met: to a number while every operand is one, and
+// from the first that is not, into the list of operands a constant node
+// evaluates in that order, led by the number folded so far unless that is
+// the seed — which the node's evaluation starts from anyway.
+type chain struct {
+	v   float64
+	ops []Expr
+	mul bool
+}
+
+// push folds one operand: e, or the number v when e is nil.
+func (c *chain) push(v float64, e Expr) {
+	if k, ok := e.(Const); ok {
+		v, e = float64(k), nil
+	}
+	if e == nil && c.ops == nil {
+		if c.mul {
+			c.v *= v
+		} else {
+			c.v += v
+		}
+		return
+	}
+	if e == nil {
+		e = Const(v)
+	}
+	if c.ops == nil && (c.mul && c.v != 1 || !c.mul && math.Float64bits(c.v) != 0) {
+		c.ops = append(c.ops, Const(c.v))
+	}
+	c.ops = append(c.ops, e)
+}
+
+// deferred reports whether a named constant took part.
+func (c *chain) deferred() bool { return c.ops != nil }
+
+// expr returns the folded constant: a Const, or the constant node.
+func (c *chain) expr() Expr {
+	switch len(c.ops) {
+	case 0:
+		return Const(c.v)
+	case 1:
+		return c.ops[0]
+	}
+	op := "+"
+	if c.mul {
+		op = "*"
+	}
+	n := newNary(op, c.ops)
+	n.cst = true
+	return n
+}
+
+// zero reports whether the product chain has a zero factor, which makes the
+// product zero whatever the named constants are.
+func (c *chain) zero() bool {
+	if c.ops == nil {
+		return c.v == 0
+	}
+	for _, e := range c.ops {
+		if k, ok := e.(Const); ok && k == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// constDiv is the constant node a/b of two constants, one of them named.
+func constDiv(a, b Expr) Expr {
+	d := newDiv(a, b)
+	d.cst = true
+	return d
+}
+
+func constUnary(op string, a Expr) Expr {
+	u := newUnary(op, a)
+	u.cst = true
+	return u
 }
 
 // keyed is an operand with its canonical key, computed once: sorting or
@@ -145,6 +261,10 @@ func (v Var) Eval(env Env) float64 {
 }
 func (v Var) String() string { return string(v) }
 func (v Var) key() string    { return string(v) }
+
+func (v Named) Eval(env Env) float64 { return Var(v).Eval(env) }
+func (v Named) String() string       { return string(v) }
+func (v Named) key() string          { return string(v) }
 
 func (n *nary) Eval(env Env) float64 {
 	if n.op == "+" {
@@ -242,48 +362,58 @@ func V(name string) Expr { return Var(name) }
 
 // likeTerm is one non-constant term of a sum under construction: the
 // canonical key of its non-constant factor, that factor, and its constant
-// coefficient. term is the term itself when it is a product that
-// Mul(its coefficient, e) rebuilds exactly (see rebuilds).
+// coefficient, the number c or, when named constants take part, ce. term is
+// the term itself when it is a product that Mul(its coefficient, e) rebuilds
+// exactly (see rebuilds).
 type likeTerm struct {
 	k    string
 	e    Expr
 	c    float64
+	ce   Expr
 	term *nary
 }
 
 // Add returns the simplified sum of terms.
 func Add(terms ...Expr) Expr {
 	var buf [8]likeTerm
-	ts, constSum := addTerms(buf[:0], 0, terms)
+	var constSum chain
+	ts := addTerms(buf[:0], &constSum, terms)
 	// Collect like terms: a stable sort by key puts each class together in
 	// walk order, so its first term represents it and its coefficients are
 	// summed in the order they were met.
 	slices.SortStableFunc(ts, func(a, b likeTerm) int { return strings.Compare(a.k, b.k) })
 	flat := make([]Expr, 0, len(ts)+1)
 	for i := 0; i < len(ts); {
-		first, c := ts[i], 0.0
+		first := ts[i]
+		var c chain
 		j := i
 		for ; j < len(ts) && ts[j].k == first.k; j++ {
-			c += ts[j].c
+			c.push(ts[j].c, ts[j].ce)
 		}
 		alone := j == i+1
 		i = j
 		switch {
-		case c == 0:
-		case c == 1:
+		case c.deferred():
+			if alone && first.term != nil && first.term.terms[0] == first.ce {
+				flat = append(flat, first.term)
+			} else {
+				flat = append(flat, Mul(c.expr(), first.e))
+			}
+		case c.v == 0:
+		case c.v == 1:
 			// Mul(1, x) returns a node with x's exact key; reusing x skips
 			// the rebuild without changing the formula.
 			flat = append(flat, first.e)
 		case alone && first.term != nil &&
-			math.Float64bits(c) == math.Float64bits(float64(first.term.terms[0].(Const))):
+			math.Float64bits(c.v) == math.Float64bits(float64(first.term.terms[0].(Const))):
 			// Mul(Const(c), first.e) would rebuild the term itself.
 			flat = append(flat, first.term)
 		default:
-			flat = append(flat, Mul(Const(c), first.e))
+			flat = append(flat, Mul(Const(c.v), first.e))
 		}
 	}
-	if constSum != 0 {
-		flat = append(flat, Const(constSum))
+	if constSum.deferred() || constSum.v != 0 {
+		flat = append(flat, constSum.expr())
 	}
 	switch len(flat) {
 	case 0:
@@ -297,39 +427,41 @@ func Add(terms ...Expr) Expr {
 // addTerms appends the terms of a sum to ts, flattening nested sums and
 // splitting each term's constant coefficient off, and folds the constant
 // terms into constSum, both in walk order.
-func addTerms(ts []likeTerm, constSum float64, terms []Expr) ([]likeTerm, float64) {
+func addTerms(ts []likeTerm, constSum *chain, terms []Expr) []likeTerm {
 	for _, e := range terms {
-		switch t := e.(type) {
-		case Const:
-			constSum += float64(t)
+		if isConst(e) {
+			constSum.push(0, e)
 			continue
-		case *nary:
-			if t.op == "+" {
-				ts, constSum = addTerms(ts, constSum, t.terms)
-				continue
-			}
+		}
+		if t, ok := e.(*nary); ok && t.op == "+" {
+			ts = addTerms(ts, constSum, t.terms)
+			continue
 		}
 		c, rest := splitCoeff(e)
-		ts = append(ts, likeTerm{k: rest.key(), e: rest, c: c, term: rebuilds(e)})
+		lt := likeTerm{k: rest.key(), e: rest, c: c.v, term: rebuilds(e)}
+		if c.deferred() {
+			lt.ce = c.expr()
+		}
+		ts = append(ts, lt)
 	}
-	return ts, constSum
+	return ts
 }
 
 // rebuilds returns e when e is a product whose one constant factor comes
 // first and whose other factors are neither products nor quotients — then,
-// for splitCoeff(e) = (c, rest), Mul(Const(c), rest) has nothing to
-// flatten, merge or reorder and rebuilds e exactly — and nil otherwise.
+// for splitCoeff(e) = (c, rest), Mul(c, rest) has nothing to flatten, merge
+// or reorder and rebuilds e exactly — and nil otherwise.
 func rebuilds(e Expr) *nary {
 	n, ok := e.(*nary)
-	if !ok || n.op != "*" || len(n.terms) < 2 {
-		return nil
-	}
-	if _, ok := n.terms[0].(Const); !ok {
+	if !ok || n.op != "*" || len(n.terms) < 2 || !isConst(n.terms[0]) {
 		return nil
 	}
 	for _, t := range n.terms[1:] {
+		if isConst(t) {
+			return nil
+		}
 		switch t := t.(type) {
-		case Const, *div:
+		case *div:
 			return nil
 		case *nary:
 			if t.op == "*" {
@@ -340,28 +472,18 @@ func rebuilds(e Expr) *nary {
 	return n
 }
 
-// splitCoeff splits e into (constant coefficient, residual expression).
-func splitCoeff(e Expr) (float64, Expr) {
+// splitCoeff splits e into its constant coefficient and residual expression.
+func splitCoeff(e Expr) (chain, Expr) {
+	c := chain{v: 1, mul: true}
 	n, ok := e.(*nary)
-	if !ok || n.op != "*" {
-		return 1, e
-	}
-	hasConst := false
-	for _, t := range n.terms {
-		if _, ok := t.(Const); ok {
-			hasConst = true
-			break
-		}
-	}
-	if !hasConst {
+	if !ok || n.op != "*" || !slices.ContainsFunc(n.terms, isConst) {
 		// No constant factor: the residual is e itself; skip the rebuild.
-		return 1, e
+		return c, e
 	}
-	c := 1.0
 	rest := make([]Expr, 0, len(n.terms))
 	for _, t := range n.terms {
-		if k, ok := t.(Const); ok {
-			c *= float64(k)
+		if isConst(t) {
+			c.push(0, t)
 		} else {
 			rest = append(rest, t)
 		}
@@ -386,8 +508,9 @@ func Mul(factors ...Expr) Expr {
 		}
 	}
 	// flat[0] is kept for the folded constant, the non-constant factors follow.
-	flat, constProd := mulFactors(make([]Expr, 1, n), 1, factors)
-	if constProd == 0 {
+	constProd := chain{v: 1, mul: true}
+	flat := mulFactors(make([]Expr, 1, n), &constProd, factors)
+	if constProd.zero() {
 		return Zero
 	}
 	// Merge division factors: a * (n/d) = (a*n)/d. A quotient is kept as a
@@ -401,8 +524,8 @@ func Mul(factors ...Expr) Expr {
 	}
 	nums := flat[1:]
 	sortByKey(nums)
-	if constProd != 1 {
-		flat[0] = Const(constProd)
+	if constProd.deferred() || constProd.v != 1 {
+		flat[0] = constProd.expr()
 		nums = flat
 	}
 	var num Expr
@@ -429,21 +552,19 @@ func Mul(factors ...Expr) Expr {
 // mulFactors appends the non-constant factors of a product to flat,
 // flattening nested products, and folds the constant factors into
 // constProd, both in walk order.
-func mulFactors(flat []Expr, constProd float64, factors []Expr) ([]Expr, float64) {
+func mulFactors(flat []Expr, constProd *chain, factors []Expr) []Expr {
 	for _, e := range factors {
-		switch t := e.(type) {
-		case Const:
-			constProd *= float64(t)
+		if isConst(e) {
+			constProd.push(0, e)
 			continue
-		case *nary:
-			if t.op == "*" {
-				flat, constProd = mulFactors(flat, constProd, t.terms)
-				continue
-			}
+		}
+		if t, ok := e.(*nary); ok && t.op == "*" {
+			flat = mulFactors(flat, constProd, t.terms)
+			continue
 		}
 		flat = append(flat, e)
 	}
-	return flat, constProd
+	return flat
 }
 
 // sortByKey stable-sorts es by canonical key, computing each key once.
@@ -474,9 +595,17 @@ func Div(a, b Expr) Expr {
 		if ac, ok := a.(Const); ok && bc != 0 {
 			return Const(float64(ac) / float64(bc))
 		}
+		if isConst(a) && bc != 0 {
+			return constDiv(a, b)
+		}
 		if bc != 0 {
 			return Mul(Const(1/float64(bc)), a)
 		}
+	} else if isConst(b) {
+		if isConst(a) {
+			return constDiv(a, b)
+		}
+		return Mul(constDiv(One, b), a)
 	}
 	if ac, ok := a.(Const); ok && ac == 0 {
 		return Zero
@@ -485,7 +614,7 @@ func Div(a, b Expr) Expr {
 		return One
 	}
 	// (x/y)/z -> x/(y*z)
-	if ad, ok := a.(*div); ok {
+	if ad, ok := a.(*div); ok && !ad.cst {
 		return Div(ad.num, Mul(ad.den, b))
 	}
 	return newDiv(a, b)
@@ -505,7 +634,7 @@ func sameKey(a, b Expr) bool {
 
 func isCompound(e Expr) bool {
 	switch e.(type) {
-	case Const, Var:
+	case Const, Var, Named:
 		return false
 	}
 	return true
@@ -519,13 +648,20 @@ func Ceil(a Expr) Expr {
 	if u, ok := a.(*unary); ok && u.op == "ceil" {
 		return a
 	}
+	if isConst(a) {
+		return constUnary("ceil", a)
+	}
 	return newUnary("ceil", a)
 }
 
 // Log2 returns log2(a).
 func Log2(a Expr) Expr {
-	if c, ok := a.(Const); ok && c > 0 {
-		return Const(math.Log2(float64(c)))
+	if c, ok := a.(Const); ok {
+		if c > 0 {
+			return Const(math.Log2(float64(c)))
+		}
+	} else if isConst(a) {
+		return constUnary("log2", a)
 	}
 	return newUnary("log2", a)
 }
@@ -536,7 +672,19 @@ func Max(terms ...Expr) Expr {
 	var fold constFold
 	flat := maxTerms(buf[:0], &fold, terms)
 	if fold.have {
-		c := Const(fold.v)
+		var c Expr = Const(fold.v)
+		if fold.ops != nil {
+			ts := make([]keyed, len(fold.ops))
+			for i, e := range fold.ops {
+				ts[i] = keyed{e.key(), e}
+			}
+			m := newMax(ts)
+			m.cst = true
+			c = m
+			if len(ts) == 1 {
+				c = fold.ops[0]
+			}
+		}
 		flat = append(flat, keyed{c.key(), c})
 	}
 	switch len(flat) {
@@ -549,10 +697,13 @@ func Max(terms ...Expr) Expr {
 	return newMax(flat)
 }
 
-// constFold is the running max of a max's constant terms.
+// constFold is the running max of a max's constant terms: a number while
+// every term is one, and from the first that is not, the terms in the order
+// met, led by the number folded so far.
 type constFold struct {
 	have bool
 	v    float64
+	ops  []Expr
 }
 
 // maxTerms appends the distinct non-constant terms of a max under
@@ -561,17 +712,25 @@ type constFold struct {
 func maxTerms(flat []keyed, fold *constFold, terms []Expr) []keyed {
 next:
 	for _, e := range terms {
-		if m, ok := e.(*maxNode); ok {
-			flat = maxTerms(flat, fold, m.terms)
-			continue
-		}
-		if c, ok := e.(Const); ok {
+		if c, ok := e.(Const); ok && fold.ops == nil {
 			v := float64(c)
 			if !fold.have {
 				fold.have, fold.v = true, v
 			} else if v > fold.v {
 				fold.v = v
 			}
+			continue
+		}
+		if isConst(e) {
+			if fold.have && fold.ops == nil {
+				fold.ops = append(fold.ops, Const(fold.v))
+			}
+			fold.have = true
+			fold.ops = append(fold.ops, e)
+			continue
+		}
+		if m, ok := e.(*maxNode); ok {
+			flat = maxTerms(flat, fold, m.terms)
 			continue
 		}
 		k := e.key()
@@ -595,6 +754,8 @@ func FreeVars(e Expr) []string {
 	walk = func(e Expr) {
 		switch t := e.(type) {
 		case Var:
+			set[string(t)] = true
+		case Named:
 			set[string(t)] = true
 		case *nary:
 			for _, s := range t.terms {

@@ -31,9 +31,10 @@ func Sum(idx string, n Expr, body Expr) Expr {
 // must not mention idx. Returns ok=false when e is not a polynomial of
 // degree <= 2 in idx (e.g. idx under ceil/max/division-by-idx).
 func polyInVar(e Expr, idx string) (c0, c1, c2 Expr, ok bool) {
+	if isConst(e) {
+		return e, Zero, Zero, true
+	}
 	switch t := e.(type) {
-	case Const:
-		return t, Zero, Zero, true
 	case Var:
 		if string(t) == idx {
 			return Zero, One, Zero, true
