@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ocas/internal/memory"
+	"ocas/internal/obs"
 	"ocas/internal/rules"
 )
 
@@ -56,10 +57,11 @@ func perturbedHierarchy(t *testing.T, req Request) json.RawMessage {
 
 // recaptureVsCold recaptures tmpl for req and runs req cold, and fails
 // unless both give the same plan bytes, the recapture searched nothing and
-// its template instantiates for req's own hierarchy.
+// costed nothing — it is an instantiation of tmpl's own compiled formulas,
+// with no estimator run under its synth.screen span — and its template
+// shares tmpl's formulas and instantiates for req's own hierarchy.
 func recaptureVsCold(t *testing.T, req Request, tmpl *Template) *Plan {
 	t.Helper()
-	ctx := context.Background()
 	ci, err := Compile(req)
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +69,8 @@ func recaptureVsCold(t *testing.T, req Request, tmpl *Template) *Plan {
 	if ci.TemplateFingerprint != tmpl.Fingerprint {
 		t.Fatalf("template fingerprint moved with the hierarchy's constants")
 	}
+	tr := obs.NewTrace("recapture")
+	ctx := obs.ContextWith(context.Background(), tr.StartSpan("root", nil))
 	if _, err := ci.Instantiate(ctx, tmpl); !errors.Is(err, ErrTemplateStale) {
 		t.Fatalf("instantiate under other constants: %v, want ErrTemplateStale", err)
 	}
@@ -77,6 +81,25 @@ func recaptureVsCold(t *testing.T, req Request, tmpl *Template) *Plan {
 	if st := ci.Synth.Keys.Stats(); st != (rules.KeyerStats{}) {
 		t.Errorf("recapture searched: %+v", st)
 	}
+	spans := tr.Snapshot().Spans
+	if spans[0].Attrs["space"] != "reused" {
+		t.Errorf("recapture span attrs %v, want space=reused", spans[0].Attrs)
+	}
+	var instantiated, screened int
+	for _, sp := range spans {
+		switch sp.Name {
+		case "template.instantiate":
+			instantiated++
+		case "synth.screen":
+			screened++
+			if _, costed := sp.Attrs["formulaNodes"]; costed {
+				t.Errorf("the recapture ran an estimator: synth.screen attrs %v", sp.Attrs)
+			}
+		}
+	}
+	if instantiated != 1 || screened != 1 {
+		t.Errorf("recapture trace: %d template.instantiate and %d synth.screen spans, want 1 and 1", instantiated, screened)
+	}
 	cold, err := compileAndRun(req)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
@@ -84,10 +107,10 @@ func recaptureVsCold(t *testing.T, req Request, tmpl *Template) *Plan {
 	if !bytes.Equal(Encode(warm), Encode(cold)) {
 		t.Fatalf("recapture diverged from a cold search\nwarm: %s\ncold: %s", Encode(warm), Encode(cold))
 	}
-	if next == nil {
-		t.Fatal("recapture returned no template")
+	if next == nil || next.replay != tmpl.replay {
+		t.Fatal("the recapture's template does not share the captured formulas")
 	}
-	if again, err := ci.Instantiate(ctx, next); err != nil || !bytes.Equal(Encode(again), Encode(cold)) {
+	if again, err := ci.Instantiate(context.Background(), next); err != nil || !bytes.Equal(Encode(again), Encode(cold)) {
 		t.Fatalf("the recaptured template does not serve its own hierarchy: %v", err)
 	}
 	return warm
@@ -136,6 +159,66 @@ func TestTemplateRecapture(t *testing.T) {
 		t.Error("no shape changed winner over the RAM ladder")
 	}
 	t.Logf("%d shapes changed winner over the RAM ladder", moved.Load())
+}
+
+// TestRecaptureOtherBranchesSearches: a hierarchy whose constants fall on
+// the other side of a branch the cost model takes on a constant's value —
+// an edge weight that is zero, or a transfer limit that is set — costs its
+// programs with other formulas, so it is another template shape: its
+// fingerprint differs, and a recapture from the captured template searches
+// and answers what a cold search does.
+func TestRecaptureOtherBranchesSearches(t *testing.T) {
+	var shape planShape
+	for _, s := range planGoldenShapes(t) {
+		if s.name == "write-other" {
+			shape = s
+		}
+	}
+	ctx := context.Background()
+	cc, err := Compile(shape.req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tmpl, err := cc.RunCapture(ctx)
+	if err != nil || tmpl == nil {
+		t.Fatalf("capture: template %v, err %v", tmpl, err)
+	}
+	for name, edit := range map[string]func(h *memory.Hierarchy){
+		"zero-read-weight": func(h *memory.Hierarchy) { h.Node("hdd").UnitTrUp = 0 },
+		"output-maxSeqW":   func(h *memory.Hierarchy) { h.Node("hdd2").MaxSeqW = 64 << 10 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, _ := BuiltinHierarchy(shape.req.Hier, shape.req.RAM)
+			edit(h)
+			data, err := json.Marshal(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := shape.req
+			req.Hierarchy = data
+			ci, err := Compile(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, _, err := ci.Recapture(ctx, tmpl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := compileAndRun(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(Encode(warm), Encode(cold)) {
+				t.Errorf("recapture diverged from a cold search\nwarm: %s\ncold: %s", Encode(warm), Encode(cold))
+			}
+			if ci.TemplateFingerprint == tmpl.Fingerprint {
+				t.Error("the template fingerprint ignores a branch on a constant")
+			}
+			if st := ci.Synth.Keys.Stats(); st.AlphaMisses == 0 {
+				t.Errorf("a recapture of another shape did not search: %+v", st)
+			}
+		})
+	}
 }
 
 // TestRecaptureRespelledSearches: an alpha-equivalent program with other

@@ -195,9 +195,9 @@ func TestStatsReportTemplates(t *testing.T) {
 
 // TestGuardRejectRecapturesSpace: the same shape at another RAM size is a
 // guard reject that stays a miss — counted as one, with no instantiation —
-// but synthesizes over the cached template's space: its synthesize.capture
-// span says the space was reused and has no search under it, and its bytes
-// are a fresh server's cold answer.
+// but is served by rebinding the cached template: its synthesize.capture
+// span says the space was reused and has a template.instantiate under it and
+// no search, and its bytes are a fresh server's cold answer.
 func TestGuardRejectRecapturesSpace(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	stats := func() (rejects, insts int64) {
@@ -210,20 +210,23 @@ func TestGuardRejectRecapturesSpace(t *testing.T) {
 		return st.GuardRejects, st.Instantiations
 	}
 	// captureSpan is the trace's synthesize.capture span and whether a
-	// synth.search span hangs under it.
-	captureSpan := func(resp *http.Response) (traceSpan, bool) {
+	// synth.search span and a template.instantiate span hang under it.
+	captureSpan := func(resp *http.Response) (sp traceSpan, searched, instantiated bool) {
 		t.Helper()
 		spans, names := traceSpans(t, ts, resp.Header.Get("X-Ocas-Request-Id"))
 		i, ok := names["synthesize.capture"]
 		if !ok {
 			t.Fatalf("trace lacks synthesize.capture (have %v)", names)
 		}
-		j, searched := names["synth.search"]
-		return spans[i], searched && spans[j].Parent == i
+		under := func(name string) bool {
+			j, ok := names[name]
+			return ok && spans[j].Parent == i
+		}
+		return spans[i], under("synth.search"), under("template.instantiate")
 	}
 
 	resp, _ := post(t, ts, fastBody())
-	if sp, searched := captureSpan(resp); !searched || sp.Attrs["space"] != "searched" {
+	if sp, searched, _ := captureSpan(resp); !searched || sp.Attrs["space"] != "searched" {
 		t.Fatalf("cold request: searched %v, attrs %v", searched, sp.Attrs)
 	}
 	rejects, insts := stats()
@@ -235,8 +238,8 @@ func TestGuardRejectRecapturesSpace(t *testing.T) {
 	if r, i := stats(); r != rejects+1 || i != insts {
 		t.Errorf("guardRejects %d → %d, instantiations %d → %d; want +1 and +0", rejects, r, insts, i)
 	}
-	if sp, searched := captureSpan(resp); searched || sp.Attrs["space"] != "reused" {
-		t.Errorf("recapture: searched %v, attrs %v", searched, sp.Attrs)
+	if sp, searched, instantiated := captureSpan(resp); searched || !instantiated || sp.Attrs["space"] != "reused" {
+		t.Errorf("recapture: searched %v, instantiated %v, attrs %v", searched, instantiated, sp.Attrs)
 	}
 	_, tsCold := newTestServer(t, Config{})
 	if _, cold := post(t, tsCold, other); !bytes.Equal(warm, cold) {

@@ -9,9 +9,9 @@ import (
 
 // builderLeaves are a builder program's first operands: variables and
 // constants, among them the ones interning must keep apart although their
-// keys agree (0 and -0) and a NaN.
+// keys agree (0 and -0) and a NaN, and two named constants.
 var builderLeaves = []Expr{V("x"), V("y"), V("z"), C(0), C(math.Copysign(0, -1)), C(1), C(2),
-	C(-1), C(0.5), C(3), C(math.NaN()), C(1e300)}
+	C(-1), C(0.5), C(3), C(math.NaN()), C(1e300), Named("$a"), Named("$b")}
 
 // structEq is exact structural equality: constants by bits.
 func structEq(a, b Expr) bool {
@@ -19,20 +19,20 @@ func structEq(a, b Expr) bool {
 	case Const:
 		y, ok := b.(Const)
 		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
-	case Var:
+	case Var, Named:
 		return a == b
 	case *nary:
 		y, ok := b.(*nary)
-		return ok && x.op == y.op && structEqAll(x.terms, y.terms)
+		return ok && x.op == y.op && x.cst == y.cst && structEqAll(x.terms, y.terms)
 	case *maxNode:
 		y, ok := b.(*maxNode)
-		return ok && structEqAll(x.terms, y.terms)
+		return ok && x.cst == y.cst && structEqAll(x.terms, y.terms)
 	case *div:
 		y, ok := b.(*div)
-		return ok && structEq(x.num, y.num) && structEq(x.den, y.den)
+		return ok && x.cst == y.cst && structEq(x.num, y.num) && structEq(x.den, y.den)
 	case *unary:
 		y, ok := b.(*unary)
-		return ok && x.op == y.op && structEq(x.arg, y.arg)
+		return ok && x.op == y.op && x.cst == y.cst && structEq(x.arg, y.arg)
 	}
 	return false
 }
@@ -67,7 +67,7 @@ func runBuilderProgram(t *testing.T, data []byte) {
 	for i, l := range builderLeaves {
 		pool[i] = pair{l, l}
 	}
-	envs := []Env{{"x": 3, "y": -2, "z": 0.25}, {"x": 0, "y": 7, "z": -1}}
+	envs := []Env{{"x": 3, "y": -2, "z": 0.25, "$a": 0.015, "$b": 4096}, {"x": 0, "y": 7, "z": -1, "$a": -3, "$b": 0}}
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
