@@ -53,10 +53,9 @@ import (
 	"ocas/internal/ocal"
 )
 
-// ErrTemplateStale reports that a template cannot serve this request: a
-// full search could produce a different plan. Callers synthesize the
-// request for itself (Compiled.Recapture) and replace the template with
-// the one that returns.
+// ErrTemplateStale reports that a template cannot serve this request as a
+// template hit. Callers serve the request for itself (Compiled.Recapture)
+// and replace the template with the one that returns.
 var ErrTemplateStale = errors.New("plan: template is stale for this request")
 
 // Template is a reusable synthesis for one request shape.
@@ -96,11 +95,7 @@ func (c *Compiled) Recapture(ctx context.Context, t *Template) (*Plan, *Template
 		return c.RunCapture(ctx)
 	}
 	obs.SpanFrom(ctx).Attr("space", "reused")
-	res, err := t.replay.Instantiate(ctx, c.Synth, c.Task)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := c.finishPlan(res)
+	p, err := c.instantiate(ctx, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,6 +134,11 @@ func (c *Compiled) Instantiate(ctx context.Context, t *Template) (*Plan, error) 
 		ocal.String(c.Prog) != t.SpecText {
 		return nil, ErrTemplateStale
 	}
+	return c.instantiate(ctx, t)
+}
+
+// instantiate binds the request's sizes and constants into t's formulas.
+func (c *Compiled) instantiate(ctx context.Context, t *Template) (*Plan, error) {
 	res, err := t.replay.Instantiate(ctx, c.Synth, c.Task)
 	if err != nil {
 		return nil, err

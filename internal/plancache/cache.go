@@ -32,8 +32,8 @@ const (
 	// Hit: the plan was already cached.
 	Hit Outcome = "hit"
 	// Miss: this call started the synthesis: a search, or, when a guard
-	// refused the shape's template, a recapture of its space under the
-	// request's own hierarchy.
+	// refused the shape's template, a recapture of it under the request's
+	// own hierarchy.
 	Miss Outcome = "miss"
 	// Shared: this call joined a synthesis another call had started.
 	Shared Outcome = "shared"

@@ -32,10 +32,10 @@ type ResolveFuncs struct {
 	// Instantiate binds the request's cardinalities into a cached template;
 	// plan.ErrTemplateStale sends the request to Recapture.
 	Instantiate func(ctx context.Context, t *plan.Template) (*plan.Plan, error)
-	// Recapture synthesizes the request over the space of the template a
-	// guard refused (plan.Compiled.Recapture), returning a plan and template
-	// as Capture does; the template replaces the refused one. Nil means
-	// Capture: search again.
+	// Recapture serves the request from the template a guard refused
+	// (plan.Compiled.Recapture: an instantiation under the request's own
+	// constants), returning a plan and template as Capture does; the
+	// template replaces the refused one. Nil means Capture: search again.
 	Recapture func(ctx context.Context, t *plan.Template) (*plan.Plan, *plan.Template, error)
 }
 
@@ -86,9 +86,9 @@ func (s *Store) Hit(fullKey string) (*plan.Plan, bool) { return s.plans.hit(full
 //   - TemplateHit: the plan tier missed, but a cached template for the
 //     request's shape instantiated successfully;
 //   - Miss: the request was synthesized for itself — a search, cold or too
-//     large to keep a template, or a recapture of a guard-rejected template's
-//     space under the request's hierarchy (its template replaces the
-//     rejected one).
+//     large to keep a template, or a recapture of a guard-rejected template
+//     under the request's hierarchy (its template replaces the rejected
+//     one).
 //
 // Singleflight holds at both tiers: N concurrent requests for the same
 // plan share one synthesis, and N concurrent requests for different
@@ -159,7 +159,7 @@ func (s *Store) resolveTemplate(ctx context.Context, tmplKey string, f ResolveFu
 		return nil, err
 	}
 	// A guard rejected the template (hierarchy constants or the spec text
-	// changed): synthesize for this request and let its template replace
+	// changed): serve the request for itself and let its template replace
 	// the rejected one.
 	s.mu.Lock()
 	s.guardRejects++

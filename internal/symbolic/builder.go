@@ -498,21 +498,21 @@ func (b *Builder) shapeHash(e Expr) uint64 {
 }
 
 // sameShape reports whether two nodes with interned operands are
-// structurally equal.
+// structurally equal, constant nodes apart from the others.
 func sameShape(x, y Expr) bool {
 	switch a := x.(type) {
 	case *nary:
 		c, ok := y.(*nary)
-		return ok && a.op == c.op && sameAll(a.terms, c.terms)
+		return ok && a.op == c.op && a.cst == c.cst && sameAll(a.terms, c.terms)
 	case *maxNode:
 		c, ok := y.(*maxNode)
-		return ok && sameAll(a.terms, c.terms)
+		return ok && a.cst == c.cst && sameAll(a.terms, c.terms)
 	case *div:
 		c, ok := y.(*div)
-		return ok && same(a.num, c.num) && same(a.den, c.den)
+		return ok && a.cst == c.cst && same(a.num, c.num) && same(a.den, c.den)
 	case *unary:
 		c, ok := y.(*unary)
-		return ok && a.op == c.op && same(a.arg, c.arg)
+		return ok && a.op == c.op && a.cst == c.cst && same(a.arg, c.arg)
 	}
 	return false
 }
