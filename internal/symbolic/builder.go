@@ -378,7 +378,7 @@ func (b *Builder) own(e Expr) Expr {
 		if b.owns(n.id) {
 			return n
 		}
-		return b.insert(&maxNode{terms: b.ownAll(n.terms), k: n.k, cst: n.cst})
+		return b.insert(&maxNode{terms: b.ownAll(n.terms), k: n.k})
 	case *div:
 		if b.owns(n.id) {
 			return n
@@ -388,7 +388,7 @@ func (b *Builder) own(e Expr) Expr {
 		if b.owns(n.id) {
 			return n
 		}
-		return b.insert(&unary{op: n.op, arg: b.own(n.arg), k: n.k, cst: n.cst})
+		return b.insert(&unary{op: n.op, arg: b.own(n.arg), k: n.k})
 	}
 	return e
 }
@@ -506,13 +506,13 @@ func sameShape(x, y Expr) bool {
 		return ok && a.op == c.op && a.cst == c.cst && sameAll(a.terms, c.terms)
 	case *maxNode:
 		c, ok := y.(*maxNode)
-		return ok && a.cst == c.cst && sameAll(a.terms, c.terms)
+		return ok && sameAll(a.terms, c.terms)
 	case *div:
 		c, ok := y.(*div)
 		return ok && a.cst == c.cst && same(a.num, c.num) && same(a.den, c.den)
 	case *unary:
 		c, ok := y.(*unary)
-		return ok && a.op == c.op && a.cst == c.cst && same(a.arg, c.arg)
+		return ok && a.op == c.op && same(a.arg, c.arg)
 	}
 	return false
 }

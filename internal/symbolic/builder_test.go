@@ -26,13 +26,13 @@ func structEq(a, b Expr) bool {
 		return ok && x.op == y.op && x.cst == y.cst && structEqAll(x.terms, y.terms)
 	case *maxNode:
 		y, ok := b.(*maxNode)
-		return ok && x.cst == y.cst && structEqAll(x.terms, y.terms)
+		return ok && structEqAll(x.terms, y.terms)
 	case *div:
 		y, ok := b.(*div)
 		return ok && x.cst == y.cst && structEq(x.num, y.num) && structEq(x.den, y.den)
 	case *unary:
 		y, ok := b.(*unary)
-		return ok && x.op == y.op && x.cst == y.cst && structEq(x.arg, y.arg)
+		return ok && x.op == y.op && structEq(x.arg, y.arg)
 	}
 	return false
 }

@@ -40,13 +40,14 @@ type Var string
 // Named is a named constant: a value that is the same in every evaluation of
 // a formula but not known when the formula is built, such as a size or a
 // transfer cost of the memory hierarchy a program is costed under. It
-// evaluates, and compiles, as a variable that is not a tuning parameter, and
-// the simplifier folds it as it folds a Const: where the fold of numbers
-// computes a number, the fold of a named constant keeps the computation, as
-// a constant node that holds the fold's operations in the fold's order and so
-// evaluates to the bits the fold gives for the constants' values. A fold that
-// decides on a constant's value (a zero term dropped, a unit factor skipped)
-// keeps the term instead, which moves no finite evaluation.
+// evaluates, and compiles, as a variable that is not a tuning parameter. Sums,
+// products and quotients fold it as they fold a Const: where the fold of
+// numbers computes a number, the fold of a named constant keeps the
+// computation, as a constant node that holds the fold's operations in the
+// fold's order and so evaluates to the bits the fold gives for the
+// constants' values. A fold that decides on a constant's value (a zero term
+// dropped, a unit factor skipped) keeps the term instead, which moves no
+// finite evaluation. Ceil, Log2 and Max take a named constant as an operand.
 type Named string
 
 // Compound nodes cache their canonical key, computed once at construction.
@@ -77,14 +78,12 @@ type unary struct {
 	arg Expr
 	k   string
 	id  uint64
-	cst bool
 }
 
 type maxNode struct {
 	terms []Expr
 	k     string
 	id    uint64
-	cst   bool
 }
 
 // isConst reports whether the simplifier folds e as a constant: a number, a
@@ -96,10 +95,6 @@ func isConst(e Expr) bool {
 	case *nary:
 		return t.cst
 	case *div:
-		return t.cst
-	case *unary:
-		return t.cst
-	case *maxNode:
 		return t.cst
 	}
 	return false
@@ -177,12 +172,6 @@ func constDiv(a, b Expr) Expr {
 	d := newDiv(a, b)
 	d.cst = true
 	return d
-}
-
-func constUnary(op string, a Expr) Expr {
-	u := newUnary(op, a)
-	u.cst = true
-	return u
 }
 
 // keyed is an operand with its canonical key, computed once: sorting or
@@ -648,20 +637,13 @@ func Ceil(a Expr) Expr {
 	if u, ok := a.(*unary); ok && u.op == "ceil" {
 		return a
 	}
-	if isConst(a) {
-		return constUnary("ceil", a)
-	}
 	return newUnary("ceil", a)
 }
 
 // Log2 returns log2(a).
 func Log2(a Expr) Expr {
-	if c, ok := a.(Const); ok {
-		if c > 0 {
-			return Const(math.Log2(float64(c)))
-		}
-	} else if isConst(a) {
-		return constUnary("log2", a)
+	if c, ok := a.(Const); ok && c > 0 {
+		return Const(math.Log2(float64(c)))
 	}
 	return newUnary("log2", a)
 }
@@ -672,19 +654,7 @@ func Max(terms ...Expr) Expr {
 	var fold constFold
 	flat := maxTerms(buf[:0], &fold, terms)
 	if fold.have {
-		var c Expr = Const(fold.v)
-		if fold.ops != nil {
-			ts := make([]keyed, len(fold.ops))
-			for i, e := range fold.ops {
-				ts[i] = keyed{e.key(), e}
-			}
-			m := newMax(ts)
-			m.cst = true
-			c = m
-			if len(ts) == 1 {
-				c = fold.ops[0]
-			}
-		}
+		c := Const(fold.v)
 		flat = append(flat, keyed{c.key(), c})
 	}
 	switch len(flat) {
@@ -697,13 +667,11 @@ func Max(terms ...Expr) Expr {
 	return newMax(flat)
 }
 
-// constFold is the running max of a max's constant terms: a number while
-// every term is one, and from the first that is not, the terms in the order
-// met, led by the number folded so far.
+// constFold is the running max of a max's constant terms. A named constant
+// stays a term: max is exact, so its value is the fold's.
 type constFold struct {
 	have bool
 	v    float64
-	ops  []Expr
 }
 
 // maxTerms appends the distinct non-constant terms of a max under
@@ -712,25 +680,17 @@ type constFold struct {
 func maxTerms(flat []keyed, fold *constFold, terms []Expr) []keyed {
 next:
 	for _, e := range terms {
-		if c, ok := e.(Const); ok && fold.ops == nil {
+		if m, ok := e.(*maxNode); ok {
+			flat = maxTerms(flat, fold, m.terms)
+			continue
+		}
+		if c, ok := e.(Const); ok {
 			v := float64(c)
 			if !fold.have {
 				fold.have, fold.v = true, v
 			} else if v > fold.v {
 				fold.v = v
 			}
-			continue
-		}
-		if isConst(e) {
-			if fold.have && fold.ops == nil {
-				fold.ops = append(fold.ops, Const(fold.v))
-			}
-			fold.have = true
-			fold.ops = append(fold.ops, e)
-			continue
-		}
-		if m, ok := e.(*maxNode); ok {
-			flat = maxTerms(flat, fold, m.terms)
 			continue
 		}
 		k := e.key()
