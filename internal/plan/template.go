@@ -79,7 +79,21 @@ type Template struct {
 // carries with space=searched.
 func (c *Compiled) RunCapture(ctx context.Context) (*Plan, *Template, error) {
 	obs.SpanFrom(ctx).Attr("space", "searched")
-	return c.capture(c.Synth.SynthesizeCapture(ctx, c.Task))
+	res, replay, err := c.Synth.SynthesizeCapture(ctx, c.Task)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := c.finishPlan(res)
+	if err != nil || replay == nil {
+		return p, nil, err
+	}
+	t := &Template{
+		Fingerprint: c.TemplateFingerprint,
+		SpecText:    ocal.String(c.Prog),
+		HierSig:     c.hierJSON,
+		replay:      replay,
+	}
+	return p, t, nil
 }
 
 // Recapture is RunCapture for a request that t's hierarchy guard refused:
@@ -104,31 +118,10 @@ func (c *Compiled) Recapture(ctx context.Context, t *Template) (*Plan, *Template
 	return p, &next, nil
 }
 
-// capture turns one capturing run's result into the plan and template.
-func (c *Compiled) capture(res *core.Synthesis, replay *core.Replay, err error) (*Plan, *Template, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := c.finishPlan(res)
-	if err != nil {
-		return nil, nil, err
-	}
-	if replay == nil {
-		return p, nil, nil
-	}
-	t := &Template{
-		Fingerprint: c.TemplateFingerprint,
-		SpecText:    ocal.String(c.Prog),
-		HierSig:     c.hierJSON,
-		replay:      replay,
-	}
-	return p, t, nil
-}
-
 // Instantiate binds the request's cardinalities into the template and
 // re-optimizes, producing the plan a cold full search would produce — byte
-// for byte. ErrTemplateStale means the guards could not prove that, and the
-// caller must synthesize from scratch. Safe for concurrent use.
+// for byte. ErrTemplateStale means a guard refused the template, and the
+// caller serves the request with Recapture. Safe for concurrent use.
 func (c *Compiled) Instantiate(ctx context.Context, t *Template) (*Plan, error) {
 	if t.Fingerprint != c.TemplateFingerprint || c.hierJSON != t.HierSig ||
 		ocal.String(c.Prog) != t.SpecText {
