@@ -269,10 +269,12 @@ func buildHierarchy(req Request) (*memory.Hierarchy, error) {
 // alpha-normalized program (alpha, its printing), the canonical hierarchy
 // JSON (hj), the placement and the search knobs. Whitespace, comments, binder
 // names and worker counts never change the fingerprint; anything that can
-// change the winning plan does.
+// change the winning plan does. The version line moves with what a plan
+// prints for a request, so a plan persisted under an older encoding is never
+// served.
 func fingerprint(req Request, alpha string, hj []byte) string {
 	var b strings.Builder
-	b.WriteString("ocas-plan-v1\n")
+	b.WriteString("ocas-plan-v2\n")
 	fmt.Fprintf(&b, "prog %s\n", alpha)
 	fmt.Fprintf(&b, "hier %s\n", hj)
 	for _, name := range sortedInputNames(req.Inputs) {

@@ -363,22 +363,41 @@ func filterReq(rows int64) plan.Request {
 
 // TestLoadIgnoresPersistedTemplates loads testdata/snapshot_v2_templates.json,
 // a Store.Save of filterReq(1<<20) written by the tree that still persisted
-// templates (it carries a "templates" key): the plan loads, the templates do
-// not, and the store walks the restart sequence.
+// templates (it carries a "templates" key) and whose plans printed the
+// hierarchy's constants in costFormula as numbers. The plan loads and the
+// templates do not. The stale plan is never served: it is filed under an
+// ocas-plan-v1 fingerprint, so the same request is a miss that searches and
+// answers a cold run's bytes, and the next cardinality is a template hit.
 func TestLoadIgnoresPersistedTemplates(t *testing.T) {
 	path := filepath.Join("testdata", "snapshot_v2_templates.json")
-	if data, err := os.ReadFile(path); err != nil || !bytes.Contains(data, []byte(`"templates"`)) {
+	data, err := os.ReadFile(path)
+	if err != nil || !bytes.Contains(data, []byte(`"templates"`)) {
 		t.Fatalf("the checked-in snapshot has no templates key (read error %v)", err)
 	}
 	s := NewStore(4, 4)
 	if err := s.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Plans.Size != 1 {
-		t.Fatalf("want the snapshot's one plan, got %+v", st)
+	if st := s.Stats(); st.Plans.Size != 1 || st.Templates.Size != 0 {
+		t.Fatalf("want the snapshot's one plan and no template, got %+v", st)
 	}
-	restartSequence(t, s, filterReq, 1<<20, plan.Encode(coldPlan(t, filterReq(1<<20))),
-		[2]int64{1 << 19, 1 << 18})
+	var captures atomic.Int64
+	for _, c := range []struct {
+		rows int64
+		want Outcome
+	}{{1 << 20, Miss}, {1 << 19, TemplateHit}} {
+		r := filterReq(c.rows)
+		p, out, err := resolveReq(t, s, r, &captures, nil)
+		if err != nil || out != c.want {
+			t.Fatalf("rows %d after loading: outcome %v (want %v) err %v", c.rows, out, c.want, err)
+		}
+		if got := plan.Encode(p); !bytes.Equal(got, plan.Encode(coldPlan(t, r))) {
+			t.Fatalf("rows %d after loading: bytes differ from a cold run:\n%s", c.rows, got)
+		}
+	}
+	if captures.Load() != 1 {
+		t.Fatalf("want one search after loading, got %d", captures.Load())
+	}
 }
 
 // loadRejected writes a snapshot holding a good entry followed by bad and
