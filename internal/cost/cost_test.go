@@ -233,6 +233,44 @@ func TestSeqACReducesInitCom(t *testing.T) {
 	}
 }
 
+// TestSeqACSplitsByTheSmallerLimit: with a maxSeqR on the source and a
+// maxSeqW on the destination, a seq-ac scan's InitCom count is
+// max(1, bytes/min(maxSeqR, maxSeqW)) as the smaller limit's quotient gives it,
+// bit for bit, although the formula takes no branch on which limit that is.
+func TestSeqACSplitsByTheSmallerLimit(t *testing.T) {
+	prog := ocal.For{X: "xB", K: ocal.SymP("k1"), Src: ocal.Var{Name: "R"},
+		Seq:  &ocal.SeqAnnot{From: "hdd", To: "ram"},
+		Body: ocal.For{X: "x", Src: ocal.Var{Name: "xB"}, Body: ocal.Single{E: ocal.Var{Name: "x"}}}}
+	place := Placement{
+		InputLoc:  map[string]string{"R": "hdd"},
+		InputType: map[string]ocal.Type{"R": relType()},
+		InputCard: map[string]sym.Expr{"R": sym.V("x")},
+	}
+	e := Edge{From: "hdd", To: "ram"}
+	for _, lim := range [][2]int64{{4097, 12289}, {12289, 4097}, {3000, 3000}, {1 << 40, 1 << 41}} {
+		h := memory.HDDRAM(32 * memory.MiB)
+		h.Node("hdd").MaxSeqR, h.Node("ram").MaxSeqW = lim[0], lim[1]
+		res, err := Estimate(h, place, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The formula before: the smaller limit chosen on h's values.
+		smaller := hierVar("hdd", "maxSeqR")
+		if lim[1] < lim[0] {
+			smaller = hierVar("ram", "maxSeqW")
+		}
+		old := sym.Max(sym.One, sym.Div(res.Events.Bytes(e), smaller))
+		for _, x := range []float64{0, 1, 1e6 + 7, 3.5e9} {
+			env := HierEnv(h)
+			env["x"], env["k1"] = x, 128
+			want := old.Eval(env)
+			if got := res.Events.Init(e).Eval(env); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("limits %v, x=%v: inits %v want %v (%s)", lim, x, got, want, res.Events.Init(e))
+			}
+		}
+	}
+}
+
 func TestInsertionSortClosedForm(t *testing.T) {
 	// foldL([], unfoldR(mrg))(R): cost must contain the x(x+1)/2 shape —
 	// quadratic growth of transferred bytes (Section 7.2).

@@ -195,20 +195,18 @@ func paramExpr(p ocal.Param) sym.Expr {
 
 // seqInits is the seq-ac InitCom count of Section 6.2:
 // max(1, total / min(m1.maxSeqR, m2.maxSeqW)), with 0 meaning "unlimited".
-// The minimum is taken here, on h's values (Branches records which side won).
+// It is written max(1, total/maxSeqR, total/maxSeqW), which takes no branch
+// on which limit is smaller and gives the same bits: a correctly rounded
+// 1/limit, and its product with a non-negative total, are monotone.
 func (r *run) seqInits(from, to string, bytes sym.Expr) sym.Expr {
-	var lim int64
-	var limVar sym.Expr
+	terms := []sym.Expr{sym.One}
 	if n := r.h.Node(from); n != nil && n.MaxSeqR > 0 {
-		lim, limVar = n.MaxSeqR, hierVar(from, "maxSeqR")
+		terms = append(terms, r.b.Div(bytes, hierVar(from, "maxSeqR")))
 	}
-	if n := r.h.Node(to); n != nil && n.MaxSeqW > 0 && (lim == 0 || n.MaxSeqW < lim) {
-		limVar = hierVar(to, "maxSeqW")
+	if n := r.h.Node(to); n != nil && n.MaxSeqW > 0 {
+		terms = append(terms, r.b.Div(bytes, hierVar(to, "maxSeqW")))
 	}
-	if limVar == nil {
-		return sym.One
-	}
-	return r.b.Max(sym.One, r.b.Div(bytes, limVar))
+	return r.b.Max(terms...)
 }
 
 // Estimator costs the programs of one search space, all under one hierarchy

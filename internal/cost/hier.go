@@ -10,10 +10,9 @@ import (
 // InitCom and UnitTr weights of every edge, and every nonzero maxSeqR and
 // maxSeqW. HierEnv binds them, so one formula serves every hierarchy of the
 // same shape. What the estimator still reads a constant's value for is a
-// branch: a zero edge weight contributes no term, a zero limit adds no
-// constraint, and a seq-ac transfer is split by the smaller of the two
-// devices' limits. Branches lists those outcomes; two hierarchies that agree
-// on them and on their topology get the same formulas.
+// branch: a zero edge weight contributes no term and a zero limit adds no
+// constraint or seq-ac split. Branches lists those outcomes; two hierarchies
+// that agree on them and on their topology get the same formulas.
 
 // hierVar is the named constant (sym.Named) for one constant of a node, by
 // the constant's JSON name. The "$" keeps it apart from cardinalities
@@ -64,24 +63,12 @@ func HierEnv(h *memory.Hierarchy) sym.Env {
 
 // Branches lists the outcome of every branch the estimator takes on the
 // constants of h's node name: the JSON names of its nonzero optional
-// constants, then "up:maxSeqW" when a seq-ac read from the node to its parent
-// is split by the parent's maxSeqW rather than the node's maxSeqR, and
-// "down:maxSeqW" when a write from the parent is split by the node's maxSeqW
-// rather than the parent's maxSeqR.
+// constants.
 func Branches(h *memory.Hierarchy, name string) []string {
-	n := h.Node(name)
 	var out []string
-	for _, c := range optionals(n) {
+	for _, c := range optionals(h.Node(name)) {
 		if c.v != 0 {
 			out = append(out, c.name)
-		}
-	}
-	if p := h.Parent(name); p != nil {
-		if n.MaxSeqR > 0 && p.MaxSeqW > 0 && p.MaxSeqW < n.MaxSeqR {
-			out = append(out, "up:maxSeqW")
-		}
-		if p.MaxSeqR > 0 && n.MaxSeqW > 0 && n.MaxSeqW < p.MaxSeqR {
-			out = append(out, "down:maxSeqW")
 		}
 	}
 	return out

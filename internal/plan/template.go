@@ -10,10 +10,9 @@
 // shape, the placement (input→node, arities — rows excluded) and the search
 // knobs. The hierarchy shape is its topology (node names and kinds) plus
 // the outcome of each branch the cost model takes on a constant's value
-// (cost.Branches): which edge weights and transfer limits are nonzero, and
-// which side's limit splits a seq-ac transfer. Requests that differ only in
-// cardinalities or in constants on the same side of those branches share one
-// template.
+// (cost.Branches): which edge weights and transfer limits are nonzero.
+// Requests that differ only in cardinalities or in the values of nonzero
+// constants share one template.
 //
 // A template lives and dies with its process: it has no serial form, and a
 // restarted daemon's first request of a shape searches once and captures it
