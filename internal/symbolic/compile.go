@@ -172,11 +172,8 @@ func (c *compiler) emit(e Expr) (ref int32, point bool) {
 	case Const:
 		c.consts = append(c.consts, float64(t))
 		return tagConst | int32(len(c.consts)-1), false
-	case Var:
-		s := c.slot(string(t))
-		return tagSlot | s, c.isParam[s]
-	case Named:
-		s := c.slot(string(t))
+	case Var, Named:
+		s := c.slot(t.String())
 		return tagSlot | s, c.isParam[s]
 	case *nary:
 		if res, ok := findSeen(c.naries, t); ok {

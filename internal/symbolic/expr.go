@@ -713,10 +713,8 @@ func FreeVars(e Expr) []string {
 	var walk func(Expr)
 	walk = func(e Expr) {
 		switch t := e.(type) {
-		case Var:
-			set[string(t)] = true
-		case Named:
-			set[string(t)] = true
+		case Var, Named:
+			set[t.String()] = true
 		case *nary:
 			for _, s := range t.terms {
 				walk(s)
