@@ -193,9 +193,10 @@ func (s *Server) Store() *plancache.Store { return s.store }
 
 // resolvePlan routes one compiled request through the two-tier cache.
 // Admission gates the paths that synthesize for the request (a search, or a
-// recapture of a guard-rejected template), never a template hit — replaying
-// a template is cheap by construction and must not queue behind cold
-// searches.
+// recapture of a guard-rejected template, which searches when the program is
+// respelled), never a template hit — replaying a template is cheap by
+// construction and must not queue behind cold searches. A recapture that
+// rebinds is such a replay and still takes a slot.
 func (s *Server) resolvePlan(ctx context.Context, compiled *plan.Compiled) (*plan.Plan, plancache.Outcome, error) {
 	// admitted runs one synthesis in an admission slot. The compute context
 	// retains the leader's values, so the span here belongs to the request
