@@ -4,11 +4,9 @@
 //
 // Usage:
 //
-//	ocasd -addr :8080 -cache-size 1024 -template-cache 64 -persist plans.json \
-//	      [-data ./data -flush-rows 65536] \
+//	ocasd -addr :8080 [-persist plans.json] [-data ./data] \
 //	      [-max-inflight 2] [-timeout 60s] \
-//	      [-max-exec-rows 1048576] [-pprof ADDR] \
-//	      [-trace-ring 256] [-trace-log traces.jsonl] [-log-json] [-access-log]
+//	      [-max-exec-rows 1048576] [-pprof ADDR]
 //
 // Endpoints (see internal/service):
 //
@@ -33,17 +31,16 @@
 //	GET  /traces/{id}         one trace by request ID
 //
 // Every response carries an X-Ocas-Request-Id header; the same ID fetches
-// the request's trace and tags its access-log line. -trace-log appends each
-// finished trace as a JSON line; -log-json switches the access log from
-// text to JSON.
+// the request's trace from the ring of the 256 most recent, and tags its
+// line in the text access log on stderr.
 //
 // With -persist, the plan cache is loaded at startup and written back on
 // SIGINT/SIGTERM, so a restarted daemon serves every request it had answered
 // as a hit. A missing or corrupt snapshot is logged and the daemon starts
 // cold, with nothing of the file installed; a failed save at shutdown is
 // logged and exits nonzero.
-// The template tier (-template-cache sizes it) memoizes the search space
-// per request *shape*, so a known shape at new input
+// The cache holds 1,024 plans and 64 templates. The template tier memoizes
+// the search space per request *shape*, so a known shape at new input
 // cardinalities re-optimizes in milliseconds instead of re-searching. It
 // lives in the process and is not in the snapshot: after a restart the first
 // new cardinality of a shape searches once (miss) and captures it again.
@@ -51,9 +48,9 @@
 // With -data, the daemon opens the durable table catalog rooted at that
 // directory: the /tables endpoints come alive and /execute resolves
 // exec.tables bindings against it. Ingested rows buffer in memory and flush
-// to columnar segment files every -flush-rows rows; the graceful-shutdown
-// path flushes the remainder, so a SIGTERM-stopped daemon restarts with
-// every ingested row durable.
+// to columnar segment files every 65,536 rows; the graceful-shutdown path
+// flushes the remainder, so a SIGTERM-stopped daemon restarts with every
+// ingested row durable.
 //
 // Each /execute holds one of GOMAXPROCS execution slots per executor lane
 // for its whole run: it waits for one, then takes the free ones, up to 8.
@@ -66,7 +63,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -83,44 +79,19 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		cacheSize   = flag.Int("cache-size", 1024, "maximum number of cached plans (LRU beyond that)")
-		tmplSize    = flag.Int("template-cache", 64, "maximum number of cached plan templates, amortizing synthesis across cardinalities (LRU beyond that)")
 		persist     = flag.String("persist", "", "plan-cache snapshot file (loaded at startup, saved at shutdown; plans only, templates are per-process)")
 		maxInflight = flag.Int("max-inflight", 2, "maximum concurrent syntheses, searches and recaptures (admission control; cache and template hits take no slot, and each executor lane holds one of GOMAXPROCS execution slots)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request synthesis budget (requests may lower it via timeoutMs)")
 		maxExecRows = flag.Int64("max-exec-rows", 1<<20, "largest per-input row count POST /execute will run")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables profiling")
 		dataDir     = flag.String("data", "", "durable table catalog directory; empty disables the /tables endpoints and exec.tables bindings")
-		flushRows   = flag.Int64("flush-rows", 0, "buffered rows per table before ingest cuts a columnar segment (0 = 65536)")
-		traceRing   = flag.Int("trace-ring", 256, "recent request traces kept in memory for GET /traces")
-		traceLog    = flag.String("trace-log", "", "append every finished request trace to this file, one JSON line each")
-		logJSON     = flag.Bool("log-json", false, "emit the access log as JSON lines instead of text")
-		accessLog   = flag.Bool("access-log", true, "log one structured line per request (method, path, status, duration, request ID)")
 	)
 	flag.Parse()
-
-	var logger *slog.Logger
-	if *accessLog {
-		if *logJSON {
-			logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-		} else {
-			logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-		}
-	}
-	var traceSink io.Writer
-	if *traceLog != "" {
-		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("ocasd: -trace-log: %v", err)
-		}
-		defer f.Close()
-		traceSink = f
-	}
 
 	var cat *catalog.Catalog
 	if *dataDir != "" {
 		var err error
-		cat, err = catalog.Open(*dataDir, catalog.Options{FlushRows: *flushRows})
+		cat, err = catalog.Open(*dataDir, catalog.Options{})
 		if err != nil {
 			log.Fatalf("ocasd: open catalog %s: %v", *dataDir, err)
 		}
@@ -130,15 +101,11 @@ func main() {
 	}
 
 	srv := service.New(service.Config{
-		CacheSize:         *cacheSize,
-		TemplateCacheSize: *tmplSize,
-		MaxInflight:       *maxInflight,
-		Timeout:           *timeout,
-		MaxExecRows:       *maxExecRows,
-		Catalog:           cat,
-		TraceRing:         *traceRing,
-		TraceLog:          traceSink,
-		AccessLog:         logger,
+		MaxInflight: *maxInflight,
+		Timeout:     *timeout,
+		MaxExecRows: *maxExecRows,
+		Catalog:     cat,
+		AccessLog:   slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	})
 	store := srv.Store()
 	if *persist != "" {
@@ -175,8 +142,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("ocasd: listening on %s (cache %d plans, %d concurrent searches, %s budget)",
-		*addr, *cacheSize, *maxInflight, *timeout)
+	log.Printf("ocasd: listening on %s (%d concurrent searches, %s budget)",
+		*addr, *maxInflight, *timeout)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -136,7 +136,8 @@ type manifest struct {
 // Options configures a Catalog.
 type Options struct {
 	// FlushRows is the buffered-row threshold per table at which ingest
-	// flushes a segment (<= 0: DefaultFlushRows).
+	// flushes a segment (<= 0: DefaultFlushRows). ocasd runs at the
+	// default: only tests set it, to cut small segments.
 	FlushRows int64
 	// ChunkRows is the columnar chunk size of written segments (<= 0:
 	// storage.DefaultChunkRows).

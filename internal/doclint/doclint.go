@@ -4,8 +4,8 @@
 // ghosts), verifies that relative markdown links point at files and
 // headings that exist, holds the README, ARCHITECTURE.md and the verify
 // skill to line budgets, to no PR-number history and to flags their
-// binaries define, and checks that CI's fuzz smoke runs every fuzz target
-// under internal/.
+// binaries define (CI's command lines too), and checks that CI's fuzz
+// smoke runs every fuzz target under internal/.
 // It runs as an ordinary test (and as CI's docs-lint step), so
 // documentation drift fails the build instead of accumulating.
 package doclint
@@ -310,7 +310,7 @@ func CheckFuzzSmoke(repoRoot string) error {
 	if len(defined) == 0 {
 		return fmt.Errorf("doclint: no fuzz targets under %s", filepath.Join(repoRoot, "internal"))
 	}
-	ci, err := os.ReadFile(filepath.Join(repoRoot, ".github", "workflows", "ci.yml"))
+	ci, err := os.ReadFile(filepath.Join(repoRoot, ciWorkflow))
 	if err != nil {
 		return err
 	}
@@ -334,6 +334,9 @@ func CheckFuzzSmoke(repoRoot string) error {
 	return nil
 }
 
+// ciWorkflow is CI's workflow file, relative to the repository root.
+const ciWorkflow = ".github/workflows/ci.yml"
+
 // proseFiles are the documents CheckProse holds to its rules, relative to
 // the repository root: the front door, the design, and the verify recipe.
 var proseFiles = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
@@ -356,7 +359,9 @@ var (
 // CheckProse holds proseFiles under repoRoot to three rules: no PR-number
 // history (that lives in CHANGES.md), no flag on a fenced shell command
 // line running a cmd/* binary (by path or as go run ./cmd/NAME) that the
-// binary's main.go does not define, and the line budgets.
+// binary's main.go does not define, and the line budgets. The flag rule
+// holds for the command lines of CI's run steps too, so a flag a command
+// has lost fails here, not on a hosted runner.
 func CheckProse(repoRoot string) error {
 	mains, err := filepath.Glob(filepath.Join(repoRoot, "cmd", "*", "main.go"))
 	if err != nil {
@@ -400,6 +405,15 @@ func CheckProse(repoRoot string) error {
 			}
 		}
 	}
+	ci, err := os.ReadFile(filepath.Join(repoRoot, ciWorkflow))
+	if err != nil {
+		return err
+	}
+	for _, step := range runScripts(string(ci)) {
+		for _, cmd := range commands(step.text) {
+			problems = append(problems, undefinedFlags(ciWorkflow, step.line+cmd.line, cmd.words, defined)...)
+		}
+	}
 	if total > proseBudget {
 		problems = append(problems, fmt.Sprintf("%s: %d lines together, over the budget of %d",
 			strings.Join(proseFiles, " + "), total, proseBudget))
@@ -408,6 +422,32 @@ func CheckProse(repoRoot string) error {
 		return fmt.Errorf("doclint:\n  %s", strings.Join(problems, "\n  "))
 	}
 	return nil
+}
+
+// runScripts returns the shell of each run step of a workflow: the value
+// of a one-line `run:`, or the lines indented under `run: |`.
+func runScripts(workflow string) []shellBlock {
+	lines := strings.Split(workflow, "\n")
+	indent := func(l string) int { return len(l) - len(strings.TrimLeft(l, " ")) }
+	var steps []shellBlock
+	for i := 0; i < len(lines); i++ {
+		value, ok := strings.CutPrefix(strings.TrimLeft(lines[i], " -"), "run:")
+		if !ok {
+			continue
+		}
+		value = strings.TrimSpace(value)
+		if value != "|" {
+			steps = append(steps, shellBlock{line: i + 1, text: value})
+			continue
+		}
+		end := i + 1
+		for end < len(lines) && (strings.TrimSpace(lines[end]) == "" || indent(lines[end]) > indent(lines[i])) {
+			end++
+		}
+		steps = append(steps, shellBlock{line: i + 2, text: strings.Join(lines[i+1:end], "\n")})
+		i = end - 1
+	}
+	return steps
 }
 
 // undefinedFlags reports each -flag of one simple command that runs a binary
@@ -474,9 +514,10 @@ type command struct {
 }
 
 // commands splits shell text into simple commands: words with quotes
-// removed, cut at newlines, |, &, ; and comments, a backslash-newline and a
-// redirection being a space. It understands what the documents' command
-// lines use, not all of sh.
+// removed (a backslash escaping the next byte inside double quotes), cut
+// at newlines, |, &, ; and comments, a backslash-newline and a redirection
+// being a space. It understands what the documents' and CI's command lines
+// use, not all of sh.
 func commands(text string) []command {
 	var out []command
 	var words []string
@@ -512,14 +553,16 @@ func commands(text string) []command {
 				inWord = true
 			}
 		case c == '\'' || c == '"':
-			j := strings.IndexByte(text[i+1:], c)
-			if j < 0 {
-				j = len(text) - i - 1
+			for i++; i < len(text) && text[i] != c; i++ {
+				if c == '"' && text[i] == '\\' && i+1 < len(text) {
+					i++
+				}
+				if text[i] == '\n' {
+					line++
+				}
+				word.WriteByte(text[i])
 			}
-			word.WriteString(text[i+1 : i+1+j])
-			line += strings.Count(text[i+1:i+1+j], "\n")
 			inWord = true
-			i += j + 1
 		case c == '#' && !inWord:
 			for i+1 < len(text) && text[i+1] != '\n' {
 				i++

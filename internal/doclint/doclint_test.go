@@ -52,6 +52,42 @@ func TestFuzzTargetsInCISmoke(t *testing.T) {
 	}
 }
 
+// TestCheckProseFindsStaleCIFlags: CI's one-line and block run steps are
+// held to the flag rule, and an escaped quote inside double quotes does not
+// hide the command after it.
+func TestCheckProseFindsStaleCIFlags(t *testing.T) {
+	root := proseRepo(t, "# Tool\n")
+	ci := "jobs:\n  smoke:\n    steps:\n" +
+		"      - run: /tmp/tool -in x -gone\n" +
+		"      - name: a block\n" +
+		"        run: |\n" +
+		"          tool -in x \\\n" +
+		"            -run &\n" +
+		"          GOMAXPROCS=1 tool -ghost=1\n" +
+		"          curl -d \"{\\\"k\\\": 1}\" url\n" +
+		"          tool -late\n" +
+		"      - run: echo -gone\n"
+	if err := os.WriteFile(filepath.Join(root, ciWorkflow), []byte(ci), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := CheckProse(root)
+	if err == nil {
+		t.Fatal("undefined flags in CI must be reported")
+	}
+	for _, want := range []string{
+		".github/workflows/ci.yml:4: tool has no flag -gone",
+		".github/workflows/ci.yml:9: tool has no flag -ghost",
+		".github/workflows/ci.yml:11: tool has no flag -late",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("report lacks %q:\n%v", want, err)
+		}
+	}
+	if n := strings.Count(err.Error(), "has no flag"); n != 3 {
+		t.Errorf("%d problems reported, want 3 (echo is no command of the repository, -in and -run are defined):\n%v", n, err)
+	}
+}
+
 func TestCheckFuzzSmokeFindsBothDirections(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -194,8 +230,8 @@ func TestCheckLinksFindsBrokenAnchors(t *testing.T) {
 }
 
 // proseRepo writes a repository with one command, cmd/tool, defining -in
-// and -run, the three prose files (README.md holding readme), and returns
-// its root.
+// and -run, the three prose files (README.md holding readme) and an empty
+// CI workflow, and returns its root.
 func proseRepo(t *testing.T, readme string) string {
 	t.Helper()
 	root := t.TempDir()
@@ -204,6 +240,7 @@ func proseRepo(t *testing.T, readme string) string {
 		"README.md":                      readme,
 		"ARCHITECTURE.md":                "# Design\n",
 		".claude/skills/verify/SKILL.md": "# Verify\n",
+		ciWorkflow:                       "",
 	}
 	for rel, content := range files {
 		path := filepath.Join(root, rel)

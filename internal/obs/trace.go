@@ -4,9 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,10 +171,8 @@ func (t *Trace) Snapshot() TraceJSON {
 	return out
 }
 
-// Ring is a bounded buffer of recent traces with optional JSONL logging:
-// when a log writer is set, every added trace is appended to it as one
-// JSON line. The ring keeps the most recent capacity traces; older ones
-// are evicted in arrival order.
+// Ring is a bounded buffer of recent traces: it keeps the most recent
+// capacity traces, and older ones are evicted in arrival order.
 type Ring struct {
 	mu    sync.Mutex
 	cap   int
@@ -184,9 +180,6 @@ type Ring struct {
 	byID  map[string]*Trace
 	next  int
 	total int64
-
-	logMu sync.Mutex
-	logW  io.Writer
 }
 
 // NewRing returns a ring bounded to capacity traces (minimum 1).
@@ -197,23 +190,13 @@ func NewRing(capacity int) *Ring {
 	return &Ring{cap: capacity, byID: map[string]*Trace{}}
 }
 
-// SetLog directs a copy of every added trace to w as JSON lines (nil
-// disables).
-func (r *Ring) SetLog(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.logMu.Lock()
-	r.logW = w
-	r.logMu.Unlock()
-}
-
 // Add records a finished trace, evicting the oldest when full.
 func (r *Ring) Add(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if len(r.buf) < r.cap {
 		r.buf = append(r.buf, t)
 	} else {
@@ -224,18 +207,6 @@ func (r *Ring) Add(t *Trace) {
 	r.byID[t.ID()] = t
 	r.next = (r.next + 1) % r.cap
 	r.total++
-	r.mu.Unlock()
-
-	r.logMu.Lock()
-	w := r.logW
-	r.logMu.Unlock()
-	if w != nil {
-		if data, err := json.Marshal(t.Snapshot()); err == nil {
-			r.logMu.Lock()
-			fmt.Fprintf(w, "%s\n", data)
-			r.logMu.Unlock()
-		}
-	}
 }
 
 // Get returns the trace with the given id, if still buffered.

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -68,24 +65,6 @@ func TestRingEviction(t *testing.T) {
 			ids[i] = tr.ID()
 		}
 		t.Errorf("recent order %v, want [t4 t3]", ids)
-	}
-}
-
-func TestRingLog(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRing(2)
-	r.SetLog(&buf)
-	tr := NewTrace("logme")
-	tr.StartSpan("s", nil).End()
-	tr.Finish()
-	r.Add(tr)
-	line := strings.TrimSpace(buf.String())
-	var js TraceJSON
-	if err := json.Unmarshal([]byte(line), &js); err != nil {
-		t.Fatalf("log line not JSON: %v\n%s", err, line)
-	}
-	if js.ID != "logme" || len(js.Spans) != 1 {
-		t.Errorf("logged %+v", js)
 	}
 }
 

@@ -37,8 +37,11 @@ type ExecOptions struct {
 	// request: only the differential tests set it.
 	BatchRows int64 `json:"-"`
 	// PoolBytes bounds the executor's buffer pool; 0 defaults to the
-	// hierarchy's RAM size, < 0 means unlimited.
-	PoolBytes int64 `json:"poolBytes,omitempty"`
+	// hierarchy's RAM size, < 0 means unlimited. A budget below RAM shrinks
+	// grants under the blocks the plan was tuned at, so the run is one the
+	// plan never priced. It is not part of a request: only the small-pool
+	// differential tests set it.
+	PoolBytes int64 `json:"-"`
 	// Seed drives the deterministic input generators.
 	Seed int64 `json:"seed,omitempty"`
 	// Rows overrides the generated row count per input (execution only —

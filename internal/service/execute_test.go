@@ -240,16 +240,17 @@ func TestExecuteRejectsMalformedInputRows(t *testing.T) {
 }
 
 // TestExecuteRejectsRemovedExecField: the executor has one path, one
-// batch size and one lane count, so a body still choosing any of them (the
-// former exec.backend, exec.batchRows and exec.execWorkers fields) is a 400
-// that names the field, like any other unknown field — never silently
-// ignored.
+// batch size, one lane count and the plan's own pool budget, so a body
+// still choosing any of them (the former exec.backend, exec.batchRows,
+// exec.execWorkers and exec.poolBytes fields) is a 400 that names the
+// field, like any other unknown field — never silently ignored.
 func TestExecuteRejectsRemovedExecField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for field, extra := range map[string]string{
 		"backend":     `, "backend": "fused"`,
 		"batchRows":   `, "batchRows": 64`,
 		"execWorkers": `, "execWorkers": 4`,
+		"poolBytes":   `, "poolBytes": 1024`,
 	} {
 		resp, data := postExecute(t, ts, execBody(extra))
 		if resp.StatusCode != http.StatusBadRequest {

@@ -16,14 +16,14 @@ import (
 	"ocas/internal/obs"
 )
 
+// traceRing is how many recent request traces GET /traces keeps.
+const traceRing = 256
+
 // initObs builds the server's registry, trace ring and metric families.
 // Called from New.
 func (s *Server) initObs() {
 	s.reg = obs.NewRegistry()
-	s.ring = obs.NewRing(s.cfg.TraceRing)
-	if s.cfg.TraceLog != nil {
-		s.ring.SetLog(s.cfg.TraceLog)
-	}
+	s.ring = obs.NewRing(traceRing)
 	s.leaderID = map[string]string{}
 
 	s.mLatency = s.reg.Histogram("ocas_request_seconds",
@@ -253,7 +253,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	t, ok := s.ring.Get(id)
 	if !ok {
-		s.fail(w, http.StatusNotFound, "no trace %q in the ring (it holds the most recent %d)", id, s.cfg.TraceRing)
+		s.fail(w, http.StatusNotFound, "no trace %q in the ring (it holds the most recent %d)", id, traceRing)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -50,12 +50,14 @@ import (
 // Config tunes a Server. Zero values mean defaults.
 type Config struct {
 	// CacheSize bounds the plan cache (default 1024 plans), and the hit
-	// memo's recorded /synthesize bodies at the same count.
+	// memo's recorded /synthesize bodies at the same count. ocasd runs at
+	// the default: only tests set it, to force evictions.
 	CacheSize int
 	// TemplateCacheSize bounds the template tier: reusable synthesis
 	// captures keyed by request shape, so that requests differing only in
 	// input cardinalities skip the search (see internal/plan's template
-	// documentation; default 64 templates).
+	// documentation; default 64 templates). ocasd runs at the default: only
+	// tests set it, to force evictions.
 	TemplateCacheSize int
 	// MaxInflight bounds concurrent syntheses, searches and recaptures
 	// (default 2). Hits, singleflight joins and template instantiations
@@ -77,15 +79,10 @@ type Config struct {
 	// both (the endpoints answer 503). ocasd opens one from its -data
 	// directory and closes it (flushing buffered rows) on shutdown.
 	Catalog *catalog.Catalog
-
-	// TraceRing bounds the in-memory ring of recent request traces served
-	// on /traces (default 256).
-	TraceRing int
-	// TraceLog, when set, receives every finished trace as one JSON line
-	// (an opt-in JSONL trace log).
-	TraceLog io.Writer
 	// AccessLog, when set, receives one structured line per request with
-	// the request ID, status, latency and cache outcome.
+	// the request ID, status, latency and cache outcome. ocasd always sets
+	// a text log on stderr; nil, which silences it, is for tests, and one
+	// test sets its own to capture the line.
 	AccessLog *slog.Logger
 }
 
@@ -172,9 +169,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxExecRows <= 0 {
 		cfg.MaxExecRows = 1 << 20
-	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = 256
 	}
 	s := &Server{
 		cfg:     cfg,
