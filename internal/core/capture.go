@@ -63,17 +63,45 @@ type Replay struct {
 	fc formulaCache
 }
 
-// formulaCache holds one compiled program per costed member of a capture:
-// screening binds it to a task's sizes and evaluates the heuristic
-// point, and tuning hands the same bound program to the optimizer. The
-// capturing run fills it, so neither its own tuning nor a later instantiation
-// compiles anything. The phases take a *formulaCache and treat nil as
-// "compile, use, drop": a run too large to capture visits every formula once,
-// and holding the compilations until it ends would only raise its peak heap.
+// formulaCache holds one compiled program per formula shape of a captured
+// space: members whose programs are equal but for their parameters' names
+// (cost.CompiledFormulas.SameShape) share one, represented by the lowest
+// space index of the shape. Screening binds each shape to a task's sizes and
+// evaluates the heuristic point once, and tuning minimizes each shortlisted
+// shape once and maps the tuned values by position onto each member's own
+// parameter names. The capturing run's screening fills the cache, so neither
+// its own tuning nor a later instantiation compiles anything; a run too
+// large to capture fills a cache of its own and drops it when it returns.
 type formulaCache struct {
-	progs []*cost.CompiledFormulas // aligned with Space
-	bind  [][]int32                // per-member fixed-variable slot bindings
-	keys  []string                 // sorted fixed-env keys the bindings cover
+	shapes []*cost.CompiledFormulas // in order of their lowest member
+	bind   [][]int32                // per shape: fixed-variable slot bindings
+	keys   []string                 // sorted fixed-env keys the bindings cover
+	shape  []int32                  // per member: its shape, -1 when not costed
+	params [][]string               // per member: its parameters, in Params order
+}
+
+// group fills the cache from one compiled program per member (nil = not
+// costed), keeping the first program of each shape and dropping the rest.
+func (fc *formulaCache) group(progs []*cost.CompiledFormulas) {
+	fc.shape = make([]int32, len(progs))
+	fc.params = make([][]string, len(progs))
+	byHash := map[uint64][]int32{}
+	for i, cf := range progs {
+		fc.shape[i] = -1
+		if cf == nil {
+			continue
+		}
+		fc.params[i] = cf.Params()
+		h := cf.ShapeHash()
+		k := slices.IndexFunc(byHash[h], func(k int32) bool { return fc.shapes[k].SameShape(cf) })
+		if k >= 0 {
+			fc.shape[i] = byHash[h][k]
+			continue
+		}
+		fc.shape[i] = int32(len(fc.shapes))
+		byHash[h] = append(byHash[h], fc.shape[i])
+		fc.shapes = append(fc.shapes, cf)
+	}
 }
 
 // fixedVals is a task's fixed environment — each input's cardinality
@@ -92,29 +120,6 @@ func (s *Synthesizer) fixedVals(t Task) fixedVals {
 		fx.vals[i] = env[k]
 	}
 	return fx
-}
-
-// bound returns member i's compiled formulas bound to fx. A cache compiles
-// the member once, on first use, and keeps it; with a nil cache the program
-// is compiled fresh and the caller drops it. The program is a function of the
-// formulas alone — fixed values live in slots, and what they determine is
-// recomputed by every binding — so a kept program re-bound to new values
-// cannot differ in a single evaluation from a fresh one.
-func bound(fc *formulaCache, i int, res *cost.Result, fx fixedVals) *cost.CompiledFormulas {
-	var cf *cost.CompiledFormulas
-	var bind []int32
-	if fc != nil {
-		cf, bind = fc.progs[i], fc.bind[i]
-	}
-	if cf == nil {
-		cf = cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
-		bind = cf.Binding(fx.keys)
-		if fc != nil {
-			fc.progs[i], fc.bind[i] = cf, bind
-		}
-	}
-	cf.SetBound(bind, fx.vals)
-	return cf
 }
 
 // Instantiate re-runs the size-dependent synthesis phases over the captured
@@ -159,13 +164,16 @@ type shortlist struct {
 
 // screen is Phase 1: cost every member with a heuristic parameter guess (the
 // paper's single-loop heuristic: blocks as large as the constraints allow,
-// split evenly) and keep the ScreenTop cheapest. Members are independent, so
-// they are costed concurrently; collecting by space index keeps the order —
-// and hence the screening tie-breaks — identical to a sequential run. est
-// costs the members of a space fresh out of the search (cp.Costs is nil); a
-// Replay, whose Costs are filled, passes nil. The heuristic gives every
-// parameter the same value, so the programs' sorted parameter order cannot
-// move a screening bit.
+// split evenly) and keep the ScreenTop cheapest. est costs the members of a
+// space fresh out of the search (cp.Costs is nil), concurrently, and fc
+// groups their compiled formulas into shapes; a Replay, whose Costs and
+// cache are filled, passes nil. Each shape is then bound to t and evaluated
+// once, concurrently. That is exact for every member of the shape: the
+// heuristic gives every parameter the same value, so neither the names nor
+// the sorted order of a member's parameters can move a screening bit, and a
+// program is a function of the formulas alone — fixed values live in slots,
+// and each binding recomputes what they determine. Collecting by space index
+// keeps the order, and hence the screening tie-breaks, of a sequential run.
 func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, est *cost.Estimator) (shortlist, error) {
 	space := cp.Space
 	fx := s.fixedVals(t)
@@ -173,34 +181,45 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 	if screenTop <= 0 {
 		screenTop = 48
 	}
-	if fc != nil && (fc.progs == nil || !slices.Equal(fx.keys, fc.keys)) {
-		fc.progs = make([]*cost.CompiledFormulas, len(space))
-		fc.bind = make([][]int32, len(space))
-		fc.keys = fx.keys
-	}
 
 	_, spScreen := obs.Start(ctx, "synth.screen")
 	costs := cp.Costs
 	fresh := costs == nil
 	if fresh {
 		costs = make([]*cost.Result, len(space))
+		progs := make([]*cost.CompiledFormulas, len(space))
+		par.For(s.Workers, len(space), func(i int) {
+			if ctx.Err() != nil {
+				return
+			}
+			// nil: the program cannot be costed.
+			costs[i], _ = est.Estimate(space[i].Expr)
+			if res := costs[i]; res != nil {
+				progs[i] = cost.CompileFormulas(res.Seconds, res.Constraints, res.Params)
+			}
+		})
+		if err := ctx.Err(); err != nil {
+			spScreen.End()
+			return shortlist{}, err
+		}
+		fc.group(progs)
 	}
-	secs := make([]float64, len(space))
-	par.For(s.Workers, len(space), func(i int) {
-		secs[i] = math.Inf(1)
+	if fc.bind == nil || !slices.Equal(fx.keys, fc.keys) {
+		fc.bind, fc.keys = make([][]int32, len(fc.shapes)), fx.keys
+		for k, cf := range fc.shapes {
+			fc.bind[k] = cf.Binding(fx.keys)
+		}
+	}
+	shapeSecs := make([]float64, len(fc.shapes))
+	par.For(s.Workers, len(fc.shapes), func(k int) {
+		shapeSecs[k] = math.Inf(1)
 		if ctx.Err() != nil {
 			return
 		}
-		if fresh {
-			// nil: the program cannot be costed.
-			costs[i], _ = est.Estimate(space[i].Expr)
-		}
-		res := costs[i]
-		if res == nil {
-			return
-		}
-		if sec := heuristicPoint(bound(fc, i, res, fx)); !math.IsNaN(sec) {
-			secs[i] = sec
+		cf := fc.shapes[k]
+		cf.SetBound(fc.bind[k], fx.vals)
+		if sec := heuristicPoint(cf); !math.IsNaN(sec) {
+			shapeSecs[k] = sec
 		}
 	})
 	if err := ctx.Err(); err != nil {
@@ -208,18 +227,22 @@ func (cp *Capture) screen(ctx context.Context, s *Synthesizer, t Task, fc *formu
 		return shortlist{}, err
 	}
 	cp.Costs = costs
+	secs := make([]float64, len(space))
+	var scr []int
+	for i, k := range fc.shape {
+		secs[i] = math.Inf(1)
+		if k >= 0 {
+			secs[i] = shapeSecs[k]
+			scr = append(scr, i)
+		}
+	}
 	var short shortlist
 	if costs[0] != nil {
 		short.specSeconds, short.specCost = secs[0], costs[0]
 	}
-	var scr []int
-	for i, res := range costs {
-		if res != nil {
-			scr = append(scr, i)
-		}
-	}
 	spScreen.Attr("candidates", len(space))
 	spScreen.Attr("costed", len(scr))
+	spScreen.Attr("shapes", len(fc.shapes))
 	if fresh && spScreen != nil {
 		// What building the formulas through one estimator saved: distinct
 		// formula nodes (exact at any worker count) and constructor calls
@@ -248,6 +271,7 @@ func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *for
 	_, spOpt := obs.Start(ctx, "synth.optimize")
 	cands, work := cp.tune(ctx, s, t, fc, short, true)
 	spOpt.Attr("shortlist", len(short.idx))
+	spOpt.Attr("shapes", work.shapes)
 	spOpt.Attr("evals", work.evals)
 	spOpt.Attr("points", work.points)
 	spOpt.Attr("pruned", work.pruned)
@@ -278,71 +302,89 @@ func (cp *Capture) optimize(ctx context.Context, s *Synthesizer, t Task, fc *for
 }
 
 // tuneWork is what tuning a shortlist did: formula evaluations performed and
-// distinct points visited, summed over the members tuned, and the members
+// distinct points visited, summed over the shapes tuned, and the shapes
 // skipped because they could not win. At one worker all three are exact; at
-// more, which members are skipped depends on which finish first.
+// more, which shapes are skipped depends on which finish first.
 type tuneWork struct {
-	evals, points, pruned int
+	shapes, evals, points, pruned int
 }
 
-// tune runs the non-linear solver on every shortlist member, one candidate
-// per worker. With a cache, a member's program is the one this task's
-// screening just bound; without one it is compiled and bound here. The
-// candidates are aligned with short.idx; nil marks a member with no feasible
-// assignment, or, when prune is set, one skipped because its interval lower
-// bound (cost.CompiledFormulas.LowerBound) exceeds the least cost tuned so
-// far. A skipped member's tuned cost would be at least its bound, above a
-// cost another member reaches, so it could neither win nor tie: the winner is
-// the same with and without pruning.
+// tune runs the non-linear solver once per shape of the shortlist, one shape
+// per worker, on the program this task's screening just bound, and gives
+// every member of the shape the result, its values renamed by position onto
+// the member's own parameters. The candidates are aligned with short.idx; nil
+// marks a member whose shape has no feasible assignment, or, when prune is
+// set, one skipped because its interval lower bound
+// (cost.CompiledFormulas.LowerBound) exceeds the least cost tuned so far. A
+// skipped shape's tuned cost would be at least its bound, above a cost
+// another shape reaches, so none of its members could win or tie: the winner
+// is the same with and without pruning.
 func (cp *Capture) tune(ctx context.Context, s *Synthesizer, t Task, fc *formulaCache, short shortlist, prune bool) (cands []*Candidate, work tuneWork) {
-	space, costs := cp.Space, cp.Costs
-	fx, hi := s.fixedVals(t), paramUpperBound(t)
-	cands = make([]*Candidate, len(short.idx))
-	done := make([]tuneWork, len(short.idx))
+	hi := paramUpperBound(t)
+	// The shortlist's shapes in order of their first member, and each
+	// shape's position among them.
+	var order []int32
+	pos := make(map[int32]int, len(short.idx))
+	for _, idx := range short.idx {
+		k := fc.shape[idx]
+		if _, ok := pos[k]; !ok {
+			pos[k] = len(order)
+			order = append(order, k)
+		}
+	}
+	tuned := make([]*opt.Result, len(order))
+	done := make([]tuneWork, len(order))
 	var mu sync.Mutex
 	incumbent := math.Inf(1) // the least tuned cost so far
-	par.For(s.Workers, len(short.idx), func(i int) {
+	par.For(s.Workers, len(order), func(j int) {
 		if ctx.Err() != nil {
 			return
 		}
-		idx := short.idx[i]
-		res := costs[idx]
-		var cf *cost.CompiledFormulas
-		if fc != nil {
-			cf = fc.progs[idx] // bound to fx by this task's screening
-		} else {
-			cf = bound(nil, idx, res, fx)
-		}
+		cf := fc.shapes[order[j]]
 		if prune {
 			mu.Lock()
 			inc := incumbent
 			mu.Unlock()
 			// No bound is worth computing before there is a cost to beat.
 			if !math.IsInf(inc, 1) && cf.LowerBound(hi, inc) > inc {
-				done[i].pruned = 1
+				done[j].pruned = 1
 				return
 			}
 		}
 		rr, err := opt.Minimize(cf, hi)
-		done[i].evals, done[i].points = rr.Evals, rr.Points
+		done[j].evals, done[j].points = rr.Evals, rr.Points
 		if err != nil {
 			return
 		}
 		mu.Lock()
 		incumbent = min(incumbent, rr.Seconds)
 		mu.Unlock()
-		cands[i] = &Candidate{
-			Expr:    space[idx].Expr,
-			Steps:   space[idx].Steps,
-			Params:  rr.Values,
-			Seconds: rr.Seconds,
-			Cost:    res,
-		}
+		tuned[j] = rr
 	})
+	work.shapes = len(order)
 	for _, w := range done {
 		work.evals += w.evals
 		work.points += w.points
 		work.pruned += w.pruned
+	}
+	cands = make([]*Candidate, len(short.idx))
+	for i, idx := range short.idx {
+		k := fc.shape[idx]
+		rr := tuned[pos[k]]
+		if rr == nil {
+			continue
+		}
+		params := make(map[string]int64, len(rr.Values))
+		for p, name := range fc.shapes[k].Params() {
+			params[fc.params[idx][p]] = rr.Values[name]
+		}
+		cands[i] = &Candidate{
+			Expr:    cp.Space[idx].Expr,
+			Steps:   cp.Space[idx].Steps,
+			Params:  params,
+			Seconds: rr.Seconds,
+			Cost:    cp.Costs[idx],
+		}
 	}
 	return cands, work
 }

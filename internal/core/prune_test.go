@@ -21,7 +21,7 @@ import (
 // cannot see a pruning bug: template and cold run the same pruned code.
 func TestPruningKeepsWinner(t *testing.T) {
 	ctx := context.Background()
-	var members, pruned int
+	var shapes, pruned int
 	for _, c := range minimizeCases(t) {
 		_, replay, err := c.synth.SynthesizeCapture(ctx, c.task)
 		if err != nil {
@@ -67,7 +67,7 @@ func TestPruningKeepsWinner(t *testing.T) {
 				if workers == 1 {
 					for _, sp := range tr.Snapshot().Spans {
 						if sp.Name == "synth.optimize" {
-							members += len(cands)
+							shapes += sp.Attrs["shapes"].(int)
 							pruned += sp.Attrs["pruned"].(int)
 						}
 					}
@@ -75,7 +75,7 @@ func TestPruningKeepsWinner(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("one worker: pruned %d of %d shortlist members", pruned, members)
+	t.Logf("one worker: pruned %d of %d shortlisted formula shapes", pruned, shapes)
 	if pruned == 0 {
 		t.Error("no member was pruned")
 	}

@@ -4,23 +4,30 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"ocas/internal/cost"
 )
 
 // benchSpaceTotal is the number of members the seven benchmark shapes'
 // spaces hold together, every one of them costed (search.golden.json pins
-// the spaces).
-const benchSpaceTotal = 748
+// the spaces), and benchShapeTotal the number of formula shapes among them:
+// members whose compiled programs differ only in parameter names.
+const (
+	benchSpaceTotal = 748
+	benchShapeTotal = 535
+)
 
-// TestReplayCompilesOncePerMember: a captured run screens into its Replay's
-// formula cache, so the Replay leaves the run holding exactly one compiled
-// program per costed member, and instantiating it at every ladder point
-// neither replaces one nor adds one — the run's own tuning and every later
-// hit take the program screening compiled. Over the seven benchmark shapes
-// that is one program per member of a cold cycle (748), where the tuning
-// of each shortlist used to compile its members a second time.
-func TestReplayCompilesOncePerMember(t *testing.T) {
+// TestReplayCompilesOncePerShape: a captured run screens into its Replay's
+// formula cache, which holds one compiled program per formula shape. Every
+// costed member has a program, the members of one shape share one pointer,
+// no two shapes' programs are equal up to parameter names, and instantiating
+// the replay at every ladder point neither replaces a program nor adds one.
+// The cache used to hold one program per costed member (748 over the seven
+// benchmark shapes); it holds one per shape on purpose, so that screening
+// and tuning run once per shape.
+func TestReplayCompilesOncePerShape(t *testing.T) {
 	ctx := context.Background()
-	total := 0
+	members, shapes := 0, 0
 	for _, c := range minimizeCases(t) {
 		if !strings.HasPrefix(c.name, "bench-") {
 			continue
@@ -36,14 +43,28 @@ func TestReplayCompilesOncePerMember(t *testing.T) {
 		if len(progs) != len(costed) {
 			t.Fatalf("%s: %d programs for a space of %d", c.name, len(progs), len(costed))
 		}
+		var distinct []*cost.CompiledFormulas
 		for i, p := range progs {
 			if (p != nil) != costed[i] {
 				t.Errorf("%s member %d: costed %v, compiled program %v", c.name, i, costed[i], p != nil)
 			}
-			if p != nil {
-				total++
+			if p == nil {
+				continue
+			}
+			members++
+			known := false
+			for _, q := range distinct {
+				if p == q {
+					known = true
+				} else if p.SameShape(q) {
+					t.Errorf("%s member %d: two programs of one shape", c.name, i)
+				}
+			}
+			if !known {
+				distinct = append(distinct, p)
 			}
 		}
+		shapes += len(distinct)
 		for _, rows := range ladderPoints(c.task.InputRows) {
 			task := c.task
 			task.InputRows = rows
@@ -58,7 +79,8 @@ func TestReplayCompilesOncePerMember(t *testing.T) {
 			}
 		}
 	}
-	if total != benchSpaceTotal {
-		t.Errorf("the seven benchmark shapes hold %d compiled programs, want one per member: %d", total, benchSpaceTotal)
+	if members != benchSpaceTotal || shapes != benchShapeTotal {
+		t.Errorf("the seven benchmark shapes hold %d costed members in %d formula shapes, want %d in %d",
+			members, shapes, benchSpaceTotal, benchShapeTotal)
 	}
 }

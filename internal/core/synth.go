@@ -183,10 +183,10 @@ func (s *Synthesizer) SynthesizeCapture(ctx context.Context, t Task) (*Synthesis
 // of those once. It lives until this run returns: the Replay keeps the
 // formulas, not the estimator. A retained run screens into its Replay's
 // formula cache, so its tuning and every later hit reuse the programs
-// screening compiled.
+// screening compiled; any other run's cache is dropped when it returns.
 func (s *Synthesizer) capture(ctx context.Context, t Task, cp *Capture) (*Synthesis, *Replay, error) {
 	var r *Replay
-	var fc *formulaCache
+	fc := &formulaCache{}
 	if len(cp.Space) <= CaptureLimit {
 		r = &Replay{cp: cp}
 		fc = &r.fc

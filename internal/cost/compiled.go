@@ -42,6 +42,16 @@ func CompileFormulas(seconds sym.Expr, cons []Constraint, params []string) *Comp
 // Params are the tuning parameters in the order SetPointVals takes them.
 func (c *CompiledFormulas) Params() []string { return c.params }
 
+// SameShape reports whether c and d are one program up to the names of their
+// parameters (sym.Program.SameShape). Then both evaluate, bound alike, to the
+// same bits at every point, so a minimization or a bound computed over one
+// holds for the other, its values mapped by position from c.Params to
+// d.Params.
+func (c *CompiledFormulas) SameShape(d *CompiledFormulas) bool { return c.prog.SameShape(d.prog) }
+
+// ShapeHash is equal for formulas of the same shape.
+func (c *CompiledFormulas) ShapeHash() uint64 { return c.prog.ShapeHash() }
+
 // SetPointVals writes the parameter values, in Params order, for subsequent
 // evaluations.
 func (c *CompiledFormulas) SetPointVals(vals []int64) { c.prog.SetPoint(vals) }

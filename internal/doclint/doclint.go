@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -400,9 +401,7 @@ func CheckProse(repoRoot string) error {
 				rel, 1+strings.Count(text[:loc[0]], "\n"), text[loc[0]:loc[1]]))
 		}
 		for _, block := range shellBlocks(text) {
-			for _, cmd := range commands(block.text) {
-				problems = append(problems, undefinedFlags(rel, block.line+cmd.line, cmd.words, defined)...)
-			}
+			problems = append(problems, undefinedFlagsIn(rel, block, defined)...)
 		}
 	}
 	ci, err := os.ReadFile(filepath.Join(repoRoot, ciWorkflow))
@@ -410,9 +409,7 @@ func CheckProse(repoRoot string) error {
 		return err
 	}
 	for _, step := range runScripts(string(ci)) {
-		for _, cmd := range commands(step.text) {
-			problems = append(problems, undefinedFlags(ciWorkflow, step.line+cmd.line, cmd.words, defined)...)
-		}
+		problems = append(problems, undefinedFlagsIn(ciWorkflow, step, defined)...)
 	}
 	if total > proseBudget {
 		problems = append(problems, fmt.Sprintf("%s: %d lines together, over the budget of %d",
@@ -448,6 +445,39 @@ func runScripts(workflow string) []shellBlock {
 		i = end - 1
 	}
 	return steps
+}
+
+// undefinedFlagsIn runs undefinedFlags over every command of one block of
+// shell. A command that only assigns variables (ARGS="-json -prog q.ocal")
+// defines them for the rest of the block, and a later word that is exactly
+// $NAME or ${NAME} stands for the words of NAME's value, so flags passed
+// through a variable are checked where the command uses them.
+func undefinedFlagsIn(file string, block shellBlock, defined map[string]map[string]bool) []string {
+	var problems []string
+	vars := map[string][]string{}
+	for _, cmd := range commands(block.text) {
+		if !slices.ContainsFunc(cmd.words, func(w string) bool { return !envAssignRE.MatchString(w) }) {
+			for _, w := range cmd.words {
+				name, value, _ := strings.Cut(w, "=")
+				vars[name] = strings.Fields(value)
+			}
+			continue
+		}
+		var words []string
+		for _, w := range cmd.words {
+			name, ok := strings.CutPrefix(w, "$")
+			if ok && strings.HasPrefix(name, "{") && strings.HasSuffix(name, "}") {
+				name = name[1 : len(name)-1]
+			}
+			if value, set := vars[name]; ok && set {
+				words = append(words, value...)
+			} else {
+				words = append(words, w)
+			}
+		}
+		problems = append(problems, undefinedFlags(file, block.line+cmd.line, words, defined)...)
+	}
+	return problems
 }
 
 // undefinedFlags reports each -flag of one simple command that runs a binary

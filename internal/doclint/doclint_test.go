@@ -88,6 +88,40 @@ func TestCheckProseFindsStaleCIFlags(t *testing.T) {
 	}
 }
 
+// TestCheckProseExpandsArgs: flags that a run step assigns to a variable,
+// continuation lines included, are checked where a command passes them as
+// $NAME or ${NAME}; a name the step never assigns stays a word.
+func TestCheckProseExpandsArgs(t *testing.T) {
+	root := proseRepo(t, "# Tool\n")
+	ci := "jobs:\n  smoke:\n    steps:\n" +
+		"      - run: |\n" +
+		"          ARGS=\"-in x \\\n" +
+		"            -run -gone\"\n" +
+		"          echo $ARGS\n" +
+		"          GOMAXPROCS=1 /tmp/tool $ARGS -in y\n" +
+		"          tool ${ARGS}\n" +
+		"          tool $OTHER\n" +
+		"      - run: tool $ARGS\n"
+	if err := os.WriteFile(filepath.Join(root, ciWorkflow), []byte(ci), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := CheckProse(root)
+	if err == nil {
+		t.Fatal("an undefined flag passed through $ARGS must be reported")
+	}
+	for _, want := range []string{
+		".github/workflows/ci.yml:8: tool has no flag -gone",
+		".github/workflows/ci.yml:9: tool has no flag -gone",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("report lacks %q:\n%v", want, err)
+		}
+	}
+	if n := strings.Count(err.Error(), "has no flag"); n != 2 {
+		t.Errorf("%d problems reported, want 2 (echo is no command of the repository, a variable is the step's own):\n%v", n, err)
+	}
+}
+
 func TestCheckFuzzSmokeFindsBothDirections(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {

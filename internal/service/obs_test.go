@@ -213,9 +213,10 @@ func TestExecuteTraceRun(t *testing.T) {
 // TestTemplateHitTracePhases: the same shape at other cardinalities replays
 // screening and optimization without a search, and both phases show under
 // the instantiation with the counters the cold spans carry. The optimizer's
-// work counts — evaluations performed, distinct points visited, members
-// pruned — are exact at one worker: evaluations equal points (no point is
-// evaluated twice) and all three repeat exactly on a fresh daemon.
+// work counts, per formula shape — evaluations performed, distinct points
+// visited, shapes pruned — are exact at one worker: evaluations equal
+// points (no point is evaluated twice) and all three repeat exactly on a
+// fresh daemon.
 func TestTemplateHitTracePhases(t *testing.T) {
 	// One synthesis worker: synthesis runs on GOMAXPROCS.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -233,7 +234,7 @@ func TestTemplateHitTracePhases(t *testing.T) {
 			t.Fatalf("template-hit trace lacks template.instantiate (have %v)", names)
 		}
 		for phase, counters := range map[string][]string{
-			"synth.screen": {"costed"}, "synth.optimize": {"shortlist", "evals", "points"}} {
+			"synth.screen": {"costed", "shapes"}, "synth.optimize": {"shortlist", "shapes", "evals", "points"}} {
 			i, ok := names[phase]
 			if !ok {
 				t.Fatalf("template-hit trace lacks span %q (have %v)", phase, names)

@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -307,6 +308,52 @@ func (c *compiler) finish(p *Program) {
 	for i := range p.roots {
 		p.roots[i].reg = reg(p.roots[i].reg)
 	}
+}
+
+// SameShape reports whether p and q are one program up to the names of their
+// tuning parameters: the same constants bit for bit, the same variable in
+// every slot that is not a parameter, the same parameter slots, and the same
+// instructions, operands and roots. Bound to the same values and set to the
+// same point (in params order), two such programs evaluate every root to the
+// same bits, in Eval, EvalAll and BoxRoot alike, because they run the same
+// operations on the same operands in the same order.
+func (p *Program) SameShape(q *Program) bool {
+	if p.slot0 != q.slot0 || len(p.vars) != len(q.vars) || !slices.Equal(p.pslot, q.pslot) ||
+		!slices.Equal(p.bind, q.bind) || !slices.Equal(p.point, q.point) ||
+		!slices.Equal(p.args, q.args) || !slices.Equal(p.roots, q.roots) {
+		return false
+	}
+	for i, c := range p.regs[:p.slot0] {
+		if math.Float64bits(c) != math.Float64bits(q.regs[i]) {
+			return false
+		}
+	}
+	for i, v := range p.vars {
+		if v != q.vars[i] && !slices.Contains(p.pslot, p.slot0+int32(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// ShapeHash hashes the constants and the code that SameShape compares, so
+// programs of one shape hash alike.
+func (p *Program) ShapeHash() uint64 {
+	h := mix(uint64(p.slot0), uint64(len(p.vars)))
+	for _, c := range p.regs[:p.slot0] {
+		h = mix(h, math.Float64bits(c))
+	}
+	for _, code := range [2][]instr{p.bind, p.point} {
+		h = mix(h, uint64(len(code)))
+		for _, in := range code {
+			h = mix(h, uint64(in.op)<<32|uint64(uint32(in.a)))
+			h = mix(h, uint64(uint32(in.b))<<32|uint64(uint32(in.n)))
+		}
+	}
+	for _, a := range p.args {
+		h = mix(h, uint64(a))
+	}
+	return h
 }
 
 // Slot resolves a variable to its register, for Set; ok is false when no

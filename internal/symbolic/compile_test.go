@@ -3,6 +3,7 @@ package symbolic
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,25 +21,28 @@ func sameBits(a, b float64) bool {
 // randomRoots draws the formulas of one compiled group over x, y, z and w:
 // randomExpr trees, wrapped in the unary operators randomExpr does not draw,
 // with one subtree shared by identity between two parents and between roots.
-func randomRoots(r *rand.Rand) []Expr {
-	shared := randomExpr(r, 2)
+func randomRoots(r *rand.Rand) []Expr { return randomRootsOver(r, V) }
+
+// randomRootsOver is randomRoots with each variable drawn as v(name).
+func randomRootsOver(r *rand.Rand, v func(string) Expr) []Expr {
+	shared := randomExprOver(r, 2, v)
 	wrap := func(e Expr) Expr {
 		switch r.Intn(4) {
 		case 0:
 			return Ceil(e)
 		case 1:
-			return Log2(Add(e, V("w")))
+			return Log2(Add(e, v("w")))
 		case 2:
-			return Max(Ceil(Div(shared, e)), Mul(shared, V("w")))
+			return Max(Ceil(Div(shared, e)), Mul(shared, v("w")))
 		}
 		return e
 	}
 	roots := make([]Expr, 1+r.Intn(3))
 	for i := range roots {
-		roots[i] = wrap(Add(wrap(randomExpr(r, 1+r.Intn(3))), wrap(randomExpr(r, r.Intn(3)))))
+		roots[i] = wrap(Add(wrap(randomExprOver(r, 1+r.Intn(3), v)), wrap(randomExprOver(r, r.Intn(3), v))))
 	}
 	if r.Intn(4) == 0 {
-		roots = append(roots, C(7), V("y")) // roots with no instruction at all
+		roots = append(roots, C(7), v("y")) // roots with no instruction at all
 	}
 	return roots
 }
@@ -176,4 +180,81 @@ func pointOf(params []string, at map[string]int64) []int64 {
 		out[i] = at[n]
 	}
 	return out
+}
+
+// FuzzShapeRename: renaming a group's tuning parameters through a map that
+// keeps every name's order against every other (a suffix on names with
+// distinct initials) leaves the compiled program's shape unchanged, and the
+// two programs, bound alike, read the same bits at every point — the
+// synthesizer tunes one program per shape and hands its values to every
+// member by position. Flipping the lowest bit of one constant must give
+// another shape.
+func FuzzShapeRename(f *testing.F) {
+	f.Add(int64(1), uint8(0b00011), int64(1), int64(4096), int64(-3), 2.0)
+	f.Add(int64(7), uint8(0b01000), int64(0), int64(0), int64(1)<<40, -1.5)
+	f.Add(int64(42), uint8(0b11111), int64(2), int64(3), int64(5), 0.0)
+	f.Add(int64(99), uint8(0), int64(-1), int64(1), int64(1)<<52, 1e9)
+	f.Fuzz(func(t *testing.T, seed int64, paramMask uint8, a, b, c int64, fixed float64) {
+		names := []string{"x", "y", "z", "w", "unused"}
+		renamed := map[string]string{}
+		var params, others []string
+		for i, n := range names {
+			if paramMask&(1<<i) != 0 {
+				params = append(params, n)
+				renamed[n] = n + "_"
+			}
+		}
+		rename := func(n string) Expr {
+			if m, ok := renamed[n]; ok {
+				return V(m)
+			}
+			return V(n)
+		}
+		for _, n := range params {
+			others = append(others, renamed[n])
+		}
+		p := Compile(randomRootsOver(rand.New(rand.NewSource(seed)), V), params)
+		q := Compile(randomRootsOver(rand.New(rand.NewSource(seed)), rename), others)
+		if !p.SameShape(q) || !q.SameShape(p) || p.ShapeHash() != q.ShapeHash() {
+			t.Fatalf("seed %d, params %v renamed %v: not one shape", seed, params, others)
+		}
+		for i, n := range names {
+			if _, ok := renamed[n]; ok {
+				continue
+			}
+			for _, prog := range []*Program{p, q} {
+				if s, ok := prog.Slot(n); ok {
+					prog.Set(s, fixed+float64(i))
+				}
+			}
+		}
+		p.Bind()
+		q.Bind()
+		vals := [3]int64{a, b, c}
+		point := make([]int64, len(params))
+		for eval := range vals {
+			for i := range point {
+				point[i] = vals[(i+eval)%len(vals)]
+			}
+			p.SetPoint(point)
+			q.SetPoint(point)
+			p.EvalAll()
+			q.EvalAll()
+			for j := range p.roots {
+				if x, y := p.Value(j), q.Value(j); math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("seed %d at %v: root %d reads %016x, renamed %016x", seed, point, j,
+						math.Float64bits(x), math.Float64bits(y))
+				}
+			}
+		}
+		if p.slot0 > 0 {
+			flipped := *q
+			flipped.regs = slices.Clone(q.regs)
+			k := uint64(seed) % uint64(p.slot0)
+			flipped.regs[k] = math.Float64frombits(math.Float64bits(flipped.regs[k]) ^ 1)
+			if p.SameShape(&flipped) {
+				t.Fatalf("seed %d: constant %d flipped, still one shape", seed, k)
+			}
+		}
+	})
 }

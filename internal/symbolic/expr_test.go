@@ -126,17 +126,20 @@ func TestEvalUnboundIsNaN(t *testing.T) {
 }
 
 // randomExpr builds a random expression tree over vars x,y,z with depth d.
-func randomExpr(r *rand.Rand, d int) Expr {
+func randomExpr(r *rand.Rand, d int) Expr { return randomExprOver(r, d, V) }
+
+// randomExprOver is randomExpr with each variable drawn as v(name).
+func randomExprOver(r *rand.Rand, d int, v func(string) Expr) Expr {
 	if d == 0 {
 		switch r.Intn(3) {
 		case 0:
 			return C(float64(r.Intn(9) + 1))
 		default:
-			return V([]string{"x", "y", "z"}[r.Intn(3)])
+			return v([]string{"x", "y", "z"}[r.Intn(3)])
 		}
 	}
-	a := randomExpr(r, d-1)
-	b := randomExpr(r, d-1)
+	a := randomExprOver(r, d-1, v)
+	b := randomExprOver(r, d-1, v)
 	switch r.Intn(5) {
 	case 0:
 		return Add(a, b)
