@@ -43,10 +43,47 @@ type Ctx struct {
 }
 
 // sharedState is the per-program state all strand contexts point at: the
-// scratch-spill registry, freed when the run ends, completed or cancelled.
+// scratch-spill registry, freed when the run ends, completed or cancelled,
+// and the equi-join scratch no open join holds.
 type sharedState struct {
-	mu     sync.Mutex
-	spills []*storage.Spill
+	mu      sync.Mutex
+	spills  []*storage.Spill
+	scratch []*joinScratch
+}
+
+// joinScratch is an equi-join's probe index and bucket-bounds buffer. A
+// join takes one at Open and gives it back at Close, so a run's joins build
+// at most one per lane however many buckets they join.
+type joinScratch struct {
+	idx probeIdx
+	// hbuf caches each inner row's bucket bounds (start<<32|end) for the
+	// current (outer block, inner span) pair: the gather pass issues the
+	// random offset loads with independent iterations (the CPU overlaps
+	// them), so the match walk only visits rows with candidates.
+	hbuf []uint64
+}
+
+// takeScratch lends a join the run's spare scratch, or a new one.
+func (c *Ctx) takeScratch() *joinScratch {
+	if c.shared != nil {
+		c.shared.mu.Lock()
+		defer c.shared.mu.Unlock()
+		if n := len(c.shared.scratch); n > 0 {
+			js := c.shared.scratch[n-1]
+			c.shared.scratch = c.shared.scratch[:n-1]
+			return js
+		}
+	}
+	return &joinScratch{}
+}
+
+// giveScratch returns a join's scratch to the run.
+func (c *Ctx) giveScratch(js *joinScratch) {
+	if c.shared != nil {
+		c.shared.mu.Lock()
+		c.shared.scratch = append(c.shared.scratch, js)
+		c.shared.mu.Unlock()
+	}
 }
 
 func (c *Ctx) batchRows() int64 {

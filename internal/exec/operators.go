@@ -204,12 +204,9 @@ type BNLJoin struct {
 	c            *Ctx
 	outer, inner blockReader
 	ob           *ownedBlock
-	idx          probeIdx // equi-join index over the resident outer block
-	// hbuf caches each inner row's bucket bounds (start<<32|end) for the
-	// current (outer block, inner span) pair: the gather pass issues the
-	// random offset loads with independent iterations (the CPU overlaps
-	// them), so the match walk only visits rows with candidates.
-	hbuf []uint64
+	// js indexes the resident outer block of an equi-join; the join holds
+	// it from Open to Close.
+	js   *joinScratch
 	em   emitter
 	done bool
 	// Resume state within the current (outer block, inner rows) pair, so
@@ -244,6 +241,9 @@ func (o *BNLJoin) Open(c *Ctx) error {
 		}
 	}
 	o.outer, o.inner = lr, rr
+	if o.EquiKeys != nil {
+		o.js = c.takeScratch()
+	}
 	return o.advanceOuter()
 }
 
@@ -264,7 +264,7 @@ func (o *BNLJoin) advanceOuter() error {
 	if o.EquiKeys != nil {
 		// Index the resident block once; the key column is contiguous in
 		// the columnar block — no stride walk.
-		o.idx.build(ob.cols[o.EquiKeys[0]])
+		o.js.idx.build(ob.cols[o.EquiKeys[0]])
 		o.c.cpu(ob.n, o.c.Sim.HashSeconds)
 	}
 	return o.inner.rewind()
@@ -371,11 +371,12 @@ func (o *BNLJoin) stepEqui() error {
 		// Gather pass: one bucket-bounds pair per inner row, computed once
 		// per span (resumed pauses reuse it).
 		ny := len(yb[0])
-		if cap(o.hbuf) < ny {
-			o.hbuf = make([]uint64, ny)
+		js := o.js
+		if cap(js.hbuf) < ny {
+			js.hbuf = make([]uint64, ny)
 		}
-		o.hbuf = o.hbuf[:ny]
-		hbuf, offs, shift := o.hbuf, o.idx.offs, o.idx.shift
+		js.hbuf = js.hbuf[:ny]
+		hbuf, offs, shift := js.hbuf, js.idx.offs, js.idx.shift
 		for b, key := range yb[o.EquiKeys[1]] {
 			h := probeHash(key, shift)
 			hbuf[b] = uint64(offs[h])<<32 | uint64(uint32(offs[h+1]))
@@ -385,7 +386,7 @@ func (o *BNLJoin) stepEqui() error {
 	nx, ny := o.ob.n, int64(len(yb[0]))
 	max := o.c.batchRows()
 	xout, yout := o.outCols()
-	ents, hbuf, ykeys := o.idx.ents, o.hbuf, yb[o.EquiKeys[1]]
+	ents, hbuf, ykeys := o.js.idx.ents, o.js.hbuf, yb[o.EquiKeys[1]]
 	settled := o.begun
 	for b := o.posB; b < ny; b++ {
 		if o.em.rows() >= max {
@@ -440,6 +441,10 @@ func (o *BNLJoin) Next(b *Batch) (bool, error) {
 func (o *BNLJoin) Close() error {
 	o.ob.release()
 	o.ob = nil
+	if o.js != nil {
+		o.c.giveScratch(o.js)
+		o.js = nil
+	}
 	var err error
 	// Open may have failed before assigning the readers.
 	if o.outer != nil {

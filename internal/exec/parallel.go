@@ -125,6 +125,10 @@ type Gather struct {
 	stop   chan struct{}
 	wait   func()
 	failed atomic.Bool
+	// The parts copy each batch into vectors from free; the consumer's
+	// next Next lends the vectors of the batch it held (lent) back.
+	free chan [][]int32
+	lent [][]int32
 
 	errs     []error // per partition
 	finalErr error
@@ -159,6 +163,9 @@ func (g *Gather) Open(c *Ctx) error {
 		return nil // partitions open lazily in Next
 	}
 	g.ch = make(chan Batch, 4*g.lanes)
+	// Every set of vectors is in ch, in a part's hands or the consumer's,
+	// or here: a set lent back always fits.
+	g.free = make(chan [][]int32, cap(g.ch)+g.lanes+1)
 	g.stop = make(chan struct{})
 	g.wait = par.Go(func() {
 		defer close(g.ch)
@@ -215,10 +222,19 @@ func (g *Gather) runPart(i int) error {
 		if b.Arity <= 0 || b.Rows() == 0 {
 			continue
 		}
-		// The producer's column views die at its next call: ship a copy.
-		cols := make([][]int32, b.Arity)
+		// The producer's column views die at its next call: ship a copy,
+		// into vectors the consumer lent back when there are any.
+		var cols [][]int32
+		select {
+		case cols = <-g.free:
+		default:
+		}
+		if cap(cols) < b.Arity {
+			cols = make([][]int32, b.Arity)
+		}
+		cols = cols[:b.Arity]
 		for c := range cols {
-			cols[c] = append([]int32(nil), b.Cols[c]...)
+			cols[c] = append(cols[c][:0], b.Cols[c]...)
 		}
 		select {
 		case g.ch <- Batch{Arity: b.Arity, Cols: cols}:
@@ -251,13 +267,21 @@ func (g *Gather) Next(b *Batch) (bool, error) {
 		return false, nil
 	}
 	if g.ch != nil {
+		// The previous batch's views end with this call.
+		if g.lent != nil {
+			select {
+			case g.free <- g.lent:
+			default:
+			}
+			g.lent = nil
+		}
 		// Completion order: whoever has a batch ready wins.
 		bt, ok := <-g.ch
 		if !ok {
 			g.join()
 			return false, g.finalize()
 		}
-		*b = bt
+		*b, g.lent = bt, bt.Cols
 		return true, nil
 	}
 	// Inline: drain partitions in order on this strand.
@@ -337,11 +361,11 @@ func (g *Gather) Close() error {
 // Exchange hash-partitions an input stream on its first attribute into
 // Parts (at least 1) partitions on scratch: the lowering of partition[s],
 // and the algorithm cost.applyPartition prices. It reads its input on its
-// own strand and writes each partition as one spill through a pool-pinned
-// bucket buffer: the pool budget (the RAM size when the pool is unlimited)
-// splits into Parts+1 frames, one per bucket and one for the read block, and
-// a bucket buffers a frame of its rows. The exchanges of one flatMap run
-// concurrently (see Gather.Open).
+// own strand and writes each row once, straight into its partition's spill.
+// The pool budget (the RAM size when the pool is unlimited) splits into
+// Parts+1 pinned frames, one per bucket and one for the read block, and a
+// bucket's write is charged a frame of rows at a time. The exchanges of one
+// flatMap run concurrently (see Gather.Open).
 type Exchange struct {
 	In    Input
 	Parts int64
@@ -356,15 +380,6 @@ type Exchange struct {
 	rows  int64
 }
 
-// growCols doubles the capacity of a bucket's column buffers, up to the
-// limit rows its frame grants.
-func growCols(cols [][]int32, limit int64) {
-	n := min(max(2*cap(cols[0]), 64), int(limit))
-	for c, col := range cols {
-		cols[c] = append(make([]int32, 0, n), col...)
-	}
-}
-
 // Run partitions the input.
 func (x *Exchange) Run(c *Ctx) error {
 	r := x.In.reader()
@@ -375,12 +390,12 @@ func (x *Exchange) Run(c *Ctx) error {
 	s := x.Parts
 	x.parts, x.arity, x.rows = make([]*storage.Spill, s), 0, 0
 	var (
-		bufs    []*storage.Frame
-		bufCols [][][]int32 // per-bucket column-striped write buffers
-		capRows []int64
+		frames  []*storage.Frame
+		capRows []int64 // per bucket: the rows its frame grants
+		pend    []int64 // per bucket: rows stored since its last charged write
 	)
 	defer func() {
-		for _, f := range bufs {
+		for _, f := range frames {
 			if f != nil {
 				f.Release()
 			}
@@ -390,48 +405,44 @@ func (x *Exchange) Run(c *Ctx) error {
 		x.arity = ar
 		width := int64(ar) * 4
 		want := cmp.Or(c.Pool.Budget(), c.ram) / (s + 1) / width
-		bufs = make([]*storage.Frame, s)
-		bufCols = make([][][]int32, s)
+		// Host capacity for a bucket's expected share plus an eighth and a
+		// little: a known extent is stored once; a streamed one grows.
+		var reserve int64
+		if n := x.In.extent(); n > 0 {
+			reserve = n/s + n/s/8 + 64
+		}
+		frames = make([]*storage.Frame, s)
 		capRows = make([]int64, s)
+		pend = make([]int64, s)
 		for i := range x.parts {
 			sp, err := c.newSpill(width, 0)
 			if err != nil {
 				return err
 			}
+			sp.Reserve(reserve)
 			x.parts[i] = sp
 			f, err := c.Pool.PinUpTo(want, width)
 			if err != nil {
 				return err
 			}
-			bufs[i] = f
-			// The grant bounds the buffer; the host grows it as rows
-			// arrive, since an input rarely fills every bucket's.
-			bufCols[i] = make([][]int32, ar)
+			frames[i] = f
 			capRows[i] = f.Cap(width)
 		}
 		return nil
 	}
 	// A fused table or exchange-part input has a known arity: pin the bucket
-	// buffers before the reader claims its block frame.
+	// frames before the reader claims its block frame.
 	if ar := r.arity(); ar > 0 {
 		if err := setup(ar); err != nil {
 			return err
 		}
 	}
+	// flush charges the write of bucket b's pending rows, as a frame of
+	// them written out would be charged.
 	flush := func(b int64) error {
-		cols := bufCols[b]
-		rows := int64(len(cols[0]))
-		if rows == 0 {
-			return nil
-		}
-		c.cpu(rows*int64(x.arity)*4, c.Sim.MoveSeconds)
-		if err := x.parts[b].AppendCols(c.acct(), cols, rows); err != nil {
-			return err
-		}
-		for ci := range cols {
-			cols[ci] = cols[ci][:0]
-		}
-		return nil
+		n := pend[b]
+		pend[b] = 0
+		return x.parts[b].ChargeAppends(c.acct(), n, 1, c.Sim.MoveSeconds)
 	}
 	for {
 		k := max(x.KRead, 1)
@@ -446,7 +457,7 @@ func (x *Exchange) Run(c *Ctx) error {
 		if blk == nil {
 			break
 		}
-		if bufs == nil {
+		if frames == nil {
 			if err := setup(r.arity()); err != nil {
 				return err
 			}
@@ -457,23 +468,17 @@ func (x *Exchange) Run(c *Ctx) error {
 		keyCol := blk[0]
 		for i := int64(0); i < n; i++ {
 			b := int64(ocal.HashInt(int64(keyCol[i])) % uint64(s))
-			// Flush before the row would outgrow the pinned frame, so the
-			// buffer never reallocates past its accounted size.
-			cols := bufCols[b]
-			if int64(len(cols[0])) >= capRows[b] {
+			// A full frame is written out before the row joins the next.
+			if pend[b] >= capRows[b] {
 				if err := flush(b); err != nil {
 					return err
 				}
 			}
-			if len(cols[0]) == cap(cols[0]) {
-				growCols(cols, capRows[b])
-			}
-			for ci := 0; ci < x.arity; ci++ {
-				cols[ci] = append(cols[ci], blk[ci][i])
-			}
+			x.parts[b].Put(blk, i)
+			pend[b]++
 		}
 	}
-	for i := range bufs {
+	for i := range pend {
 		if err := flush(int64(i)); err != nil {
 			return err
 		}

@@ -187,7 +187,9 @@ const spillChunkRecords = 64 << 10
 // reserved at creation, spillChunkRecords-record chunks as appends outgrow
 // them, and exactly what PreloadCols installs. A claim the device cannot
 // hold fails the call that needed it with an error, and nothing is
-// installed.
+// installed. Host capacity and the device claim are separate: Reserve
+// sizes the vectors for the records a writer expects and claims nothing,
+// while the claim follows the charged appends.
 //
 // A Spill is single-writer: concurrent strands each write their own spill
 // (the executor's exchange gives every partition task a private spill per
@@ -228,11 +230,7 @@ func (d *Device) NewSpill(width, reserve int64) (*Spill, error) {
 		return nil, err
 	}
 	s := &Spill{dev: d, width: width, cols: make([][]int32, width/4), claimed: reserve}
-	if reserve > 0 {
-		for c := range s.cols {
-			s.cols[c] = make([]int32, 0, reserve)
-		}
-	}
+	s.Reserve(reserve)
 	return s, nil
 }
 
@@ -270,6 +268,28 @@ func (s *Spill) grow(n int64) error {
 	return nil
 }
 
+// Reserve grows the host capacity of the column vectors to hold n more
+// records, so a writer that knows its row count stores each record once,
+// without regrowing. It claims no device space.
+func (s *Spill) Reserve(n int64) {
+	for c, col := range s.cols {
+		if int64(cap(col)-len(col)) < n {
+			s.cols[c] = append(make([]int32, 0, int64(len(col))+n), col...)
+		}
+	}
+}
+
+// Put stores record i of the column block cols (field c is cols[c][i])
+// without charging it: the ChargeAppends that follows charges the records
+// Put stored since the last one, and counts them. Until then the spill
+// holds records it does not count, which nobody reads: a spill's readers
+// start after its writer finished.
+func (s *Spill) Put(cols [][]int32, i int64) {
+	for c := range s.cols {
+		s.cols[c] = append(s.cols[c], cols[c][i])
+	}
+}
+
 // AppendCols charges a write of rows records supplied as per-column
 // vectors (cols[c][:rows]) — the executor's columnar batches append
 // without a row detour — and stores them. A device too full for the
@@ -286,9 +306,9 @@ func (s *Spill) AppendCols(a *Acct, cols [][]int32, rows int64) error {
 
 // ChargeAppends is the write twin of ChargeReads: it claims and charges
 // what n writes of k records each would, each preceded by a.CPU(the block's
-// bytes, perByte), and stores nothing (see Acct.chargeAppends), so View
-// returns no rows a spill only took charges for. A device too full for the
-// records is an error that charges nothing.
+// bytes, perByte), and stores nothing (see Acct.chargeAppends): View
+// returns only the rows Put, AppendCols or PreloadCols stored. A device too
+// full for the records is an error that charges nothing.
 func (s *Spill) ChargeAppends(a *Acct, k, n int64, perByte float64) error {
 	if k <= 0 || n <= 0 {
 		return nil

@@ -196,6 +196,61 @@ func TestChargeOnlySpillHoldsNoRows(t *testing.T) {
 	}
 }
 
+// TestPutThenChargeStoresOnce: Reserve sizes the host vectors and claims
+// nothing; Put stores records in place, without regrowing the reserved
+// vectors, and the ChargeAppends after them claims, charges and counts them
+// as AppendCols would. A device too full for the records fails the charge.
+func TestPutThenChargeStoresOnce(t *testing.T) {
+	s, d := newHDDSim(t)
+	sp, err := d.NewSpill(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	sp.Reserve(n)
+	if d.AllocatedBytes() != 0 {
+		t.Fatalf("Reserve claimed %d device bytes", d.AllocatedBytes())
+	}
+	blk := [][]int32{make([]int32, n), make([]int32, n)}
+	for i := range blk[0] {
+		blk[0][i], blk[1][i] = int32(i), int32(-i)
+	}
+	sp.Put(blk, 0)
+	first, _ := sp.View(0, 1, nil)
+	for i := int64(1); i < n; i++ {
+		sp.Put(blk, i)
+	}
+	if sp.Records() != 0 || d.Led.BytesWrite != 0 {
+		t.Fatalf("Put alone: %d records, ledger %+v", sp.Records(), d.Led)
+	}
+	if err := sp.ChargeAppends(s.Root(), n, 1, s.MoveSeconds); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Records() != n || d.AllocatedBytes() != spillChunkRecords*8 || d.Led.BytesWrite != n*8 || d.Led.WriteInits != 1 {
+		t.Fatalf("charged %d records: %d records, %d bytes claimed, ledger %+v", n, sp.Records(), d.AllocatedBytes(), d.Led)
+	}
+	cols, got := sp.View(0, n, nil)
+	if got != n || &cols[0][0] != &first[0][0] {
+		t.Fatalf("View: %d rows, vectors regrown: %v", got, &cols[0][0] != &first[0][0])
+	}
+	for i := range cols[0] {
+		if cols[0][i] != int32(i) || cols[1][i] != int32(-i) {
+			t.Fatalf("record %d is <%d, %d>", i, cols[0][i], cols[1][i])
+		}
+	}
+
+	d.Node.Size = spillChunkRecords * 8
+	full, err := d.NewSpill(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.Reserve(2 * spillChunkRecords)
+	full.Put(blk, 0)
+	if err := full.ChargeAppends(s.Root(), 1, 1, 0); err == nil || !strings.Contains(err.Error(), "storage: device hdd full") {
+		t.Errorf("a charge past the device: %v", err)
+	}
+}
+
 func TestSpillFreeReturnsSpace(t *testing.T) {
 	s, d := newHDDSim(t)
 	before := d.AllocatedBytes()
