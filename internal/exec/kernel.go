@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ocas/internal/ocal"
 )
@@ -11,18 +12,21 @@ import (
 // This file is the executor's kernel compiler, the only evaluator of per-row
 // OCAL bodies. At Lower time scan/filter/project bodies, fold steps (with
 // their init and final lambda) and unfoldR lambda steps are parsed into small
-// typed trees over one expression IR, which one evaluator (kexpr.eval) runs;
-// at execution time a scan body or fold step is bound to its input's arity,
-// known at the first block, and runs as a flat Go loop (a predicate pass
-// filling a selection vector plus a projection pass reading through it, or a
-// decision tree walked per row when the body is more than one filtered row or
-// can fail), and an unfoldR lambda step runs as a cursor machine over its
-// operator's windows; the library steps run as column kernels. Kernels never
-// touch the charging code: block reads, cpu() charges and batch boundaries
-// belong to the operators, so digests, ledgers, the virtual clock and EXPLAIN
-// ANALYZE counters do not depend on a body's shape. A body outside the grammar (bodyGrammar, stepGrammar) does
-// not lower; a column reference the arity cannot serve binds to a failing
-// leaf that raises interp's error on the row where interp would evaluate it.
+// typed trees over one expression IR (kexpr). At execution time each tree is
+// staged once into Go closures (kfn, scanFn, stepFn): a scan body or fold step
+// when it binds to its input's arity at the first block, an unfoldR lambda
+// step at the first refill, once its windows' widths are known. A scan body
+// runs as a flat Go loop (a predicate pass filling a selection vector plus a
+// projection pass reading through it, or its staged tree per row when the
+// body is more than one filtered row or can fail), a fold step of additive
+// components as one column loop per component, an unfoldR lambda step as
+// nested closures that test, emit and update its windows in place; the
+// library steps run as column kernels. Kernels never touch the charging code: block reads, cpu()
+// charges and batch boundaries belong to the operators, so digests, ledgers,
+// the virtual clock and EXPLAIN ANALYZE counters do not depend on a body's
+// shape. A body outside the grammar (bodyGrammar, stepGrammar) does not
+// lower; a column reference the arity cannot serve binds to a failing leaf
+// that raises interp's error on the row where interp would evaluate it.
 
 // Exact interp error texts: a kernel must fail byte-identically to the
 // reference interpreter the differential suites compare it with.
@@ -32,6 +36,8 @@ var (
 	errHeadEmpty = errors.New("interp: head of empty or non-list")
 	errTailEmpty = errors.New("interp: tail of empty or non-list")
 	errZipRagged = errors.New("interp: z applied to ragged lists (head of empty list)")
+	// … and the executor's own, for a step that changes nothing.
+	errNoProgress = errors.New("exec: unfoldR step made no progress")
 )
 
 // ---------------------------------------------------------------------------
@@ -259,17 +265,17 @@ func parseCond(e ocal.Expr, v kvars) (*kexpr, bool) {
 	return nil, false
 }
 
+// has reports whether f holds for e or for a node below it.
+func (e *kexpr) has(f func(*kexpr) bool) bool {
+	return e != nil && (f(e) || e.l.has(f) || e.r.has(f) || e.c.has(f))
+}
+
 // canErr reports whether evaluating the expression can fail: Div/Mod by
 // zero, or a leaf the arity could not bind.
 func (e *kexpr) canErr() bool {
-	if e == nil {
-		return false
-	}
-	switch e.kind {
-	case kBadProj, kRow, kRowArith:
-		return true
-	}
-	return e.op == ocal.OpDiv || e.op == ocal.OpMod || e.l.canErr() || e.r.canErr() || e.c.canErr()
+	return e.has(func(n *kexpr) bool {
+		return n.kind == kBadProj || n.kind == kRow || n.kind == kRowArith || n.op == ocal.OpDiv || n.op == ocal.OpMod
+	})
 }
 
 // bind returns a copy of the parsed expression specialized to the input
@@ -310,13 +316,12 @@ func b2i(b bool) int64 {
 }
 
 // kenv is what an expression reads — row i of a column block and, in a fold,
-// the accumulator; in an unfoldR step, the state windows — and the first
-// failure its evaluation raised.
+// the accumulator (an unfoldR step's closures hold their windows) — and the
+// first failure its evaluation raised.
 type kenv struct {
 	cols [][]int32
 	i    int
 	acc  []int64
-	ws   []stepWin
 	err  error
 }
 
@@ -328,101 +333,166 @@ func (x *kenv) fail(err error) int64 {
 	return 0
 }
 
-// eval is the one evaluator of kexpr trees: scan bodies, fold steps, final
-// lambdas and unfoldR steps. Operands evaluate eagerly, left to right:
-// interp's evalPrim evaluates every argument before the operator applies, so
-// a Div by zero surfaces on the same row and the same operation — even in the
-// right operand of an And/Or the left one already decides. Like interp's if,
-// only the branch the condition selects evaluates. A failure does not stop
-// the walk (a failing node yields 0); x keeps the first one, which is
-// interp's, and the caller checks x.err before it uses a value.
-func (e *kexpr) eval(x *kenv) int64 {
-	// Seven kinds at most: from eight on, the compiler dispatches through a
-	// jump table, and the indirect jump per node cost the unfoldR step
-	// machines 10-15%. Every other kind is a leaf, read through operand.
+// kfn is a staged expression: the closure compile makes of a bound kexpr,
+// once per operator, then run per row (or per unfoldR step). Operands
+// evaluate eagerly, left to right: interp's evalPrim evaluates every argument
+// before the operator applies, so a Div by zero surfaces on the same row and
+// the same operation — even in the right operand of an And/Or the left one
+// already decides. Like interp's if, only the branch the condition selects
+// evaluates. A failure does not stop the evaluation (a failing node yields
+// 0); x keeps the first one, which is interp's, and the caller checks x.err
+// before it uses a value. A kfn holds no state, so strands may share one.
+type kfn func(x *kenv) int64
+
+// compile stages a bound expression. In an unfoldR step, known[i] is how
+// many rows window i of ws, the step's windows, is proven to hold where e
+// evaluates; both are nil elsewhere.
+func (e *kexpr) compile(known []int, ws []stepWin) kfn {
 	switch e.kind {
-	case kArith, kCmp, kLogic:
+	case kLit:
+		v := e.lit
+		return func(*kenv) int64 { return v }
+	case kCol:
+		c := e.col
+		return func(x *kenv) int64 { return int64(x.cols[c][x.i]) }
+	case kAcc:
+		c := e.col
+		return func(x *kenv) int64 { return x.acc[c] }
 	case kIf:
-		if e.c.eval(x) != 0 {
-			return e.l.eval(x)
+		c, l, r := e.c.compile(known, ws), e.l.compile(known, ws), e.r.compile(known, ws)
+		return func(x *kenv) int64 {
+			if c(x) != 0 {
+				return l(x)
+			}
+			return r(x)
 		}
-		return e.r.eval(x)
 	case kHead:
-		// The row must exist; a bare head reads a one-attribute row, a
-		// column a wider row that has it.
-		w, c := &x.ws[e.win], max(e.col, 0)
-		if w.need(e.depth) != nil || (e.col < 0) != (w.width(e.depth) == 1) || c >= w.width(e.depth) {
-			return x.fail(x.headErr(e))
-		}
-		return w.value(e.depth, c)
+		return e.compileHead(known, ws)
 	case kEmpty:
-		n := x.ws[e.win].rows() - e.depth
-		if n < 0 {
-			return x.fail(errTailEmpty)
+		w, d := &ws[e.win], e.depth
+		return func(x *kenv) int64 {
+			n := w.rows() - d
+			if n < 0 {
+				return x.fail(errTailEmpty)
+			}
+			return b2i(n == 0)
 		}
-		return b2i(n == 0)
 	case kRowCmp:
-		return b2i(cmpHolds(e.op, int64(x.compareRows(e.l, e.r)), 0))
-	default: // a column, a literal, an accumulator component, a failing leaf
-		if v, ok := e.operand(x); ok {
-			return v
+		holds := e.rowTest(known, ws)
+		return func(x *kenv) int64 {
+			h, err := holds()
+			if err != nil {
+				return x.fail(err)
+			}
+			return b2i(h)
 		}
-		return x.fail(e.unbound(x))
+	case kBadProj, kRow:
+		return func(x *kenv) int64 { return x.fail(e.unbound(x, nil, nil)) }
+	case kRowArith:
+		l, r := e.l.compile(known, ws), e.r.compile(known, ws)
+		return func(x *kenv) int64 { return x.fail(e.unbound(x, l, r)) }
 	}
-	a, ok := e.l.operand(x)
-	if !ok {
-		a = e.l.eval(x)
-	}
+	l := e.l.compile(known, ws)
 	if e.r == nil { // Not
-		return a ^ 1
+		return func(x *kenv) int64 { return l(x) ^ 1 }
 	}
-	b, ok := e.r.operand(x)
-	if !ok {
-		b = e.r.eval(x)
+	r, neg := e.r.compile(known, ws), b2i(e.op == ocal.OpNe || e.op == ocal.OpGe || e.op == ocal.OpLe)
+	if a, b, ok := e.leaves(); ok {
+		return leafOp(e.op, a, b, neg)
 	}
 	switch e.op {
 	case ocal.OpAdd:
-		return a + b
+		return func(x *kenv) int64 { return l(x) + r(x) }
 	case ocal.OpSub:
-		return a - b
+		return func(x *kenv) int64 { return l(x) - r(x) }
 	case ocal.OpMul:
-		return a * b
+		return func(x *kenv) int64 { return l(x) * r(x) }
 	case ocal.OpDiv:
-		if b == 0 {
+		return func(x *kenv) int64 {
+			if a, b := l(x), r(x); b != 0 {
+				return a / b
+			}
 			return x.fail(errDivZero)
 		}
-		return a / b
 	case ocal.OpMod:
-		if b == 0 {
+		return func(x *kenv) int64 {
+			if a, b := l(x), r(x); b != 0 {
+				return a % b
+			}
 			return x.fail(errModZero)
 		}
-		return a % b
 	case ocal.OpAnd:
-		return a & b
+		return func(x *kenv) int64 { return l(x) & r(x) }
 	case ocal.OpOr:
-		return a | b
+		return func(x *kenv) int64 { return l(x) | r(x) }
+	case ocal.OpEq, ocal.OpNe:
+		return func(x *kenv) int64 { return b2i(l(x) == r(x)) ^ neg }
+	case ocal.OpLt, ocal.OpGe:
+		return func(x *kenv) int64 { return b2i(l(x) < r(x)) ^ neg }
 	}
-	return b2i(cmpHolds(e.op, a, b))
+	return func(x *kenv) int64 { return b2i(l(x) > r(x)) ^ neg } // Gt, Le
 }
 
-// operand reads the leaves most operands are — a column, a literal, an
-// accumulator component — in place, saving eval's call; ok is false for any
-// other node.
-func (e *kexpr) operand(x *kenv) (v int64, ok bool) {
-	switch e.kind {
+// kleaf is a leaf an operator's closure reads in place: a column, an
+// accumulator component or a literal.
+type kleaf struct {
+	kind kexprKind
+	col  int
+	lit  int64
+}
+
+func (o *kleaf) get(x *kenv) int64 {
+	switch o.kind {
 	case kCol:
-		return int64(x.cols[e.col][x.i]), true
-	case kLit:
-		return e.lit, true
+		return int64(x.cols[o.col][x.i])
 	case kAcc:
-		return x.acc[e.col], true
+		return x.acc[o.col]
 	}
-	return 0, false
+	return o.lit
+}
+
+// leaves returns an arithmetic or comparison node's operands as leaves, when
+// both are.
+func (e *kexpr) leaves() (a, b kleaf, ok bool) {
+	leaf := func(o *kexpr) bool { return o.kind == kCol || o.kind == kAcc || o.kind == kLit }
+	ok = e.kind != kLogic && leaf(e.l) && leaf(e.r)
+	return kleaf{e.l.kind, e.l.col, e.l.lit}, kleaf{e.r.kind, e.r.col, e.r.lit}, ok
+}
+
+// leafOp stages an operator over two leaves, read in place.
+func leafOp(op ocal.PrimOp, l, r kleaf, neg int64) kfn {
+	switch op {
+	case ocal.OpAdd:
+		return func(x *kenv) int64 { return l.get(x) + r.get(x) }
+	case ocal.OpSub:
+		return func(x *kenv) int64 { return l.get(x) - r.get(x) }
+	case ocal.OpMul:
+		return func(x *kenv) int64 { return l.get(x) * r.get(x) }
+	case ocal.OpDiv:
+		return func(x *kenv) int64 {
+			if a, b := l.get(x), r.get(x); b != 0 {
+				return a / b
+			}
+			return x.fail(errDivZero)
+		}
+	case ocal.OpMod:
+		return func(x *kenv) int64 {
+			if a, b := l.get(x), r.get(x); b != 0 {
+				return a % b
+			}
+			return x.fail(errModZero)
+		}
+	case ocal.OpEq, ocal.OpNe:
+		return func(x *kenv) int64 { return b2i(l.get(x) == r.get(x)) ^ neg }
+	case ocal.OpLt, ocal.OpGe:
+		return func(x *kenv) int64 { return b2i(l.get(x) < r.get(x)) ^ neg }
+	}
+	return func(x *kenv) int64 { return b2i(l.get(x) > r.get(x)) ^ neg } // Gt, Le
 }
 
 // unbound is the failure of a leaf the input arity could not bind, raised
-// once its operands evaluated.
-func (e *kexpr) unbound(x *kenv) error {
+// once its operands (l and r, a kRowArith's staged operands) evaluated.
+func (e *kexpr) unbound(x *kenv, l, r kfn) error {
 	switch e.kind {
 	case kBadProj:
 		if e.lit == 1 {
@@ -435,7 +505,7 @@ func (e *kexpr) unbound(x *kenv) error {
 	var args [2]ocal.Value
 	for j, o := range [2]*kexpr{e.l, e.r} {
 		if o.kind != kRow {
-			args[j] = ocal.Int(o.eval(x))
+			args[j] = ocal.Int([2]kfn{l, r}[j](x))
 			continue
 		}
 		row := make(ocal.Tuple, len(x.cols))
@@ -487,6 +557,7 @@ const bodyGrammar = `the scan and fold grammar over the loop element x (in a fol
 type outPart struct {
 	wholeRow bool
 	scalar   *kexpr
+	fn       kfn // a bound scan body's scalar, staged
 }
 
 // stepNode is one node of a compiled decision tree — a scan body, or an
@@ -600,12 +671,13 @@ func (n *stepNode) bindBody(ar int, width *int) (*stepNode, error) {
 	}
 	w := 0
 	for _, p := range n.emit {
-		b.emit = append(b.emit, outPart{wholeRow: p.wholeRow, scalar: p.scalar.bind(ar)})
+		bp := outPart{wholeRow: p.wholeRow, scalar: p.scalar.bind(ar)}
 		if p.wholeRow {
 			w += ar
 		} else {
-			w++
+			w, bp.fn = w+1, bp.scalar.compile(nil, nil)
 		}
+		b.emit = append(b.emit, bp)
 	}
 	switch {
 	case w == 0 || w == *width:
@@ -617,7 +689,7 @@ func (n *stepNode) bindBody(ar int, width *int) (*stepNode, error) {
 	return b, nil
 }
 
-// canErr reports whether walking the tree can fail somewhere.
+// canErr reports whether running the tree can fail somewhere.
 func (n *stepNode) canErr() bool {
 	if n == nil {
 		return false
@@ -634,15 +706,16 @@ func (n *stepNode) canErr() bool {
 // single operator instance (its selection vector and evaluation state are
 // reused across blocks and must not be shared between strands). One row under
 // at most one condition, none of it able to fail, runs as a selection-vector
-// pass plus a columnar projection; any other body keeps its tree, walked per
+// pass plus a columnar projection; any other body runs its staged tree per
 // input row, so a failure surfaces on the row and at the operation interp's
 // does.
 type projKernel struct {
 	ar       int
 	outWidth int
-	cond     *kexpr    // nil: every row survives
+	cond     *kexpr // nil: every row survives
+	condF    kfn
 	parts    []outPart // the row, in output order
-	tree     *stepNode // when non-nil: the body, walked per row
+	tree     scanFn    // when non-nil: the body, run per row
 
 	x   kenv
 	sel []int32 // reusable selection vector: indices of surviving rows
@@ -660,9 +733,11 @@ func newProjKernel(body *stepNode, ar int) (*projKernel, error) {
 		k.cond, leaf = c, root.then
 	}
 	if leaf.emit == nil || root.canErr() {
-		k.cond, k.tree = nil, root
-	} else {
-		k.parts = leaf.emit
+		k.cond, k.tree = nil, root.stageBody(ar)
+		return k, nil
+	}
+	if k.parts = leaf.emit; k.cond != nil {
+		k.condF = k.cond.compile(nil, nil)
 	}
 	return k, nil
 }
@@ -678,7 +753,7 @@ func (k *projKernel) run(em *emitter, cols [][]int32, rows int) error {
 	x.cols = cols
 	if k.tree != nil {
 		for x.i = 0; x.i < rows; x.i++ {
-			if err := k.tree.emitRows(em, k.ar, x); err != nil {
+			if err := k.tree(em, x); err != nil {
 				return err
 			}
 		}
@@ -716,7 +791,7 @@ func (k *projKernel) buildSel(cols [][]int32, rows int) []int32 {
 		x := &k.x
 		for x.i = 0; x.i < rows; x.i++ {
 			sel[n] = int32(x.i)
-			n += int(k.cond.eval(x))
+			n += int(k.condF(x))
 		}
 	}
 	k.sel = sel
@@ -773,77 +848,81 @@ func (k *projKernel) project(em *emitter, cols [][]int32, rows int, sel []int32)
 		case p.scalar.kind == kCol:
 			em.cols[oc] = appendSel(em.cols[oc], cols[p.scalar.col][:rows], sel)
 		default:
-			em.cols[oc] = k.evalColumn(p.scalar, em.cols[oc], rows, sel)
+			em.cols[oc] = k.evalColumn(p.fn, em.cols[oc], rows, sel)
 		}
 		oc++
 	}
 }
 
-// evalColumn appends e's value at every row of the block sel selects (every
+// evalColumn appends f's value at every row of the block sel selects (every
 // row when sel is nil) to dst.
-func (k *projKernel) evalColumn(e *kexpr, dst []int32, rows int, sel []int32) []int32 {
+func (k *projKernel) evalColumn(f kfn, dst []int32, rows int, sel []int32) []int32 {
 	x := &k.x
 	if sel == nil {
 		for x.i = 0; x.i < rows; x.i++ {
-			dst = append(dst, int32(e.eval(x)))
+			dst = append(dst, int32(f(x)))
 		}
 		return dst
 	}
 	for _, i := range sel {
 		x.i = int(i)
-		dst = append(dst, int32(e.eval(x)))
+		dst = append(dst, int32(f(x)))
 	}
 	return dst
 }
 
-// emitParts appends the row the parts make of the row x is at.
-func emitParts(em *emitter, parts []outPart, ar int, x *kenv) error {
-	oc := 0
-	for _, p := range parts {
-		if p.wholeRow {
-			for c := 0; c < ar; c++ {
+// scanFn is a staged scan body: it appends the rows the body makes of the
+// row x is at to the emitter, a concatenation's left rows before its right
+// ones, and fails with the first failure of a row it evaluates.
+type scanFn func(em *emitter, x *kenv) error
+
+// stageBody stages a scan body bound to arity ar. Conditions evaluate lazily
+// like interp's if: only the branch taken runs.
+func (n *stepNode) stageBody(ar int) scanFn {
+	switch {
+	case n.concat:
+		l, r := n.then.stageBody(ar), n.els.stageBody(ar)
+		return func(em *emitter, x *kenv) error {
+			if err := l(em, x); err != nil {
+				return err
+			}
+			return r(em, x)
+		}
+	case n.cond != nil:
+		c, t, e := n.cond.compile(nil, nil), n.then.stageBody(ar), n.els.stageBody(ar)
+		return func(em *emitter, x *kenv) error {
+			switch v := c(x); {
+			case x.err != nil:
+				return x.err
+			case v != 0:
+				return t(em, x)
+			}
+			return e(em, x)
+		}
+	case n.emit == nil:
+		return func(*emitter, *kenv) error { return nil }
+	}
+	parts := n.emit
+	return func(em *emitter, x *kenv) error {
+		oc := 0
+		for _, p := range parts {
+			if !p.wholeRow {
+				em.cols[oc] = append(em.cols[oc], int32(p.fn(x)))
+				oc++
+				continue
+			}
+			for c := range ar {
 				em.cols[oc] = append(em.cols[oc], x.cols[c][x.i])
 				oc++
 			}
-			continue
 		}
-		em.cols[oc] = append(em.cols[oc], int32(p.scalar.eval(x)))
-		oc++
-	}
-	if x.err != nil {
-		// Drop the failed row so the emitter stays row-aligned.
-		for c := 0; c < oc; c++ {
-			em.cols[c] = em.cols[c][:len(em.cols[c])-1]
+		if x.err != nil {
+			// Drop the failed row so the emitter stays row-aligned.
+			for c := range oc {
+				em.cols[c] = em.cols[c][:len(em.cols[c])-1]
+			}
 		}
-	}
-	return x.err
-}
-
-// emitRows walks a bound scan body for the row x is at: conditions evaluate
-// lazily like interp's if — only the branch taken is looked at — and a
-// concatenation emits its left rows before its right ones.
-func (n *stepNode) emitRows(em *emitter, ar int, x *kenv) error {
-	for {
-		switch {
-		case n.concat:
-			if err := n.then.emitRows(em, ar, x); err != nil {
-				return err
-			}
-			n = n.els
-		case n.cond != nil:
-			if n.cond.eval(x) != 0 {
-				n = n.then
-			} else {
-				n = n.els
-			}
-			if x.err != nil {
-				return x.err
-			}
-		case n.emit == nil:
-			return nil
-		default:
-			return emitParts(em, n.emit, ar, x)
-		}
+		return x.err
 	}
 }
 
@@ -855,21 +934,36 @@ func (n *stepNode) emitRows(em *emitter, ar int, x *kenv) error {
 // accumulator lives in an []int64 and becomes an ocal.Value once, at the end.
 type foldKernelSpec struct {
 	init []int64
-	body []*kexpr // one scalar per accumulator component
-	// final is the final lambda's row over the accumulator (nil: the
+	// initErr is init's failure: interp evaluates init before the fold's
+	// source, so the run fails with it as it starts.
+	initErr error
+	body    []*kexpr // one scalar per accumulator component
+	// final is the final lambda's row over the accumulator, staged (nil: the
 	// accumulator is the result), finalList whether it is wrapped in a list.
-	final     []*kexpr
+	final     []kfn
 	finalList bool
 }
 
-// foldKernel is a spec's mutable run state, owned by one Fold instance.
+// foldKernel is a spec's mutable run state, owned by one Fold instance. Its
+// step is staged at the first block, when a streamed input's arity becomes
+// known. A step whose every component is additive, a.j + s where s reads
+// only the row and cannot fail, runs as one column loop per component and
+// block (int64 addition wraps alike in any order); any other step runs its
+// closures once per row.
 type foldKernel struct {
 	spec *foldKernelSpec
-	// bodyF is the arity-bound body (bound at the first block, when a
-	// streamed input's arity becomes known).
-	bodyF []*kexpr
-	x     kenv // x.acc is the accumulator
-	tmp   []int64
+	fns  []kfn     // per component, its staged step (nil until the first block)
+	sums []foldSum // per component, its addend, when every one is additive
+	x    kenv      // x.acc is the accumulator
+	tmp  []int64
+}
+
+// foldSum is an additive component's addend: a column (col >= 0), a literal
+// (lit) or any other row expression (f).
+type foldSum struct {
+	col int
+	lit int64
+	f   kfn
 }
 
 // rowElems lists the components of a flat row: the elements of a tuple, or
@@ -909,11 +1003,9 @@ func parseFoldKernel(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, erro
 	spec := &foldKernelSpec{}
 	var x kenv
 	for _, c := range consts {
-		spec.init = append(spec.init, c.eval(&x))
+		spec.init = append(spec.init, c.compile(nil, nil)(&x))
 	}
-	if x.err != nil {
-		return nil, fmt.Errorf("init: %v", x.err)
-	}
+	spec.initErr = x.err
 	v := kvars{elem: lam.Params[1], acc: lam.Params[0], accWidth: len(spec.init)}
 	if spec.body, err = parseScalars(lam.Body, v); err != nil {
 		return nil, err
@@ -928,7 +1020,10 @@ func parseFoldKernel(init, fn ocal.Expr, final *ocal.Lam) (*foldKernelSpec, erro
 	if s, ok := row.(ocal.Single); ok {
 		spec.finalList, row = true, s.E
 	}
-	spec.final, err = parseScalars(row, kvars{acc: final.Params[0], accWidth: len(spec.init)})
+	fin, err := parseScalars(row, kvars{acc: final.Params[0], accWidth: len(spec.init)})
+	for _, f := range fin {
+		spec.final = append(spec.final, f.compile(nil, nil))
+	}
 	return spec, err
 }
 
@@ -939,25 +1034,78 @@ func (s *foldKernelSpec) newKernel() *foldKernel {
 	return k
 }
 
-// step folds one column block into the accumulator. Body components
+// stage binds the step to the input arity ar.
+func (k *foldKernel) stage(ar int) {
+	var sums []foldSum
+	for j, f := range k.spec.body {
+		e := f.bind(ar)
+		k.fns = append(k.fns, e.compile(nil, nil))
+		switch s := e.addend(j); {
+		case s == nil:
+		case s.kind == kCol:
+			sums = append(sums, foldSum{col: s.col})
+		case s.kind == kLit:
+			sums = append(sums, foldSum{col: -1, lit: s.lit})
+		default:
+			sums = append(sums, foldSum{col: -1, f: s.compile(nil, nil)})
+		}
+	}
+	if len(sums) == len(k.fns) {
+		k.sums = sums
+	}
+}
+
+// addend returns s when e is a.j + s or s + a.j, and s reads only the row
+// and cannot fail.
+func (e *kexpr) addend(j int) *kexpr {
+	if e.kind != kArith || e.op != ocal.OpAdd {
+		return nil
+	}
+	for _, p := range [2][2]*kexpr{{e.l, e.r}, {e.r, e.l}} {
+		if p[0].kind == kAcc && p[0].col == j && !p[1].canErr() &&
+			!p[1].has(func(n *kexpr) bool { return n.kind == kAcc }) {
+			return p[1]
+		}
+	}
+	return nil
+}
+
+// step folds one column block into the accumulator. Per-row components
 // evaluate against the pre-row accumulator (all reads before any write),
 // like interp rebuilding the accumulator tuple from the old one.
 func (k *foldKernel) step(cols [][]int32, rows int) error {
-	if k.bodyF == nil {
-		for _, f := range k.spec.body {
-			k.bodyF = append(k.bodyF, f.bind(len(cols)))
-		}
+	if k.fns == nil {
+		k.stage(len(cols))
 	}
 	x := &k.x
 	x.cols = cols
+	for j, s := range k.sums {
+		t := s.lit * int64(rows)
+		switch {
+		case s.col >= 0:
+			for _, v := range cols[s.col][:rows] {
+				t += int64(v)
+			}
+		case s.f != nil:
+			for x.i = 0; x.i < rows; x.i++ {
+				t += s.f(x)
+			}
+		}
+		x.acc[j] += t
+	}
+	if k.sums != nil {
+		return nil
+	}
 	for x.i = 0; x.i < rows; x.i++ {
-		for j, f := range k.bodyF {
-			k.tmp[j] = f.eval(x)
+		for j, f := range k.fns {
+			k.tmp[j] = f(x)
 		}
 		if x.err != nil {
 			return x.err
 		}
-		copy(x.acc, k.tmp)
+		for j, v := range k.tmp {
+			x.acc[j] = v
+		}
 	}
 	return nil
 }
@@ -970,7 +1118,7 @@ func (k *foldKernel) result() (ocal.Value, error) {
 		x := kenv{acc: vals}
 		vals = make([]int64, len(k.spec.final))
 		for j, f := range k.spec.final {
-			vals[j] = f.eval(&x)
+			vals[j] = f(&x)
 		}
 		if x.err != nil {
 			return nil, x.err
@@ -1070,6 +1218,24 @@ func (w *stepWin) appendRow(dst []int64, d int) []int64 {
 	return dst
 }
 
+// emit appends row d to the emitter's columns from column at on and returns
+// the column after it.
+func (w *stepWin) emit(em *emitter, at, d int) int {
+	if w.held {
+		if d == 0 {
+			for c, v := range w.front {
+				em.cols[at+c] = append(em.cols[at+c], int32(v))
+			}
+			return at + len(w.front)
+		}
+		d--
+	}
+	for c, col := range w.cols {
+		em.cols[at+c] = append(em.cols[at+c], col[w.pos+d])
+	}
+	return at + len(w.cols)
+}
+
 // drop advances past the first m rows (the caller checked rows() >= m).
 func (w *stepWin) drop(m int) {
 	if w.held && m > 0 {
@@ -1077,12 +1243,6 @@ func (w *stepWin) drop(m int) {
 		m--
 	}
 	w.pos += m
-}
-
-// push puts row in front; no front row may be held.
-func (w *stepWin) push(row []int64) {
-	w.front = append(w.front[:0], row...)
-	w.held = true
 }
 
 // less reports whether w's head row orders before v's, attribute by
@@ -1215,8 +1375,7 @@ func (e *kexpr) isRow() bool { return e.kind == kHead && e.col < 0 }
 // itself (col < 0) where it is one attribute wide — has no value: interp's
 // error for a missing row or column, or the executor's own for a wider row
 // used as an integer.
-func (x *kenv) headErr(e *kexpr) error {
-	w := &x.ws[e.win]
+func (w *stepWin) headErr(e *kexpr) error {
 	if err := w.need(e.depth); err != nil {
 		return err
 	}
@@ -1230,50 +1389,308 @@ func (x *kenv) headErr(e *kexpr) error {
 	}
 }
 
-// compareRows orders two state rows like ocal.ValueCompare orders the values
-// interp holds for them: attribute by attribute.
-func (x *kenv) compareRows(l, r *kexpr) int {
-	wl, wr := &x.ws[l.win], &x.ws[r.win]
-	if err := wl.need(l.depth); err != nil {
-		x.fail(err)
-		return 0
-	}
-	if err := wr.need(r.depth); err != nil {
-		x.fail(err)
-		return 0
-	}
-	n := wl.width(l.depth)
-	if m := wr.width(r.depth); m != n {
-		x.fail(errRowWidths(n, m))
-		return 0
-	}
-	for c := 0; c < n; c++ {
-		switch a, b := wl.value(l.depth, c), wr.value(r.depth, c); {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
+// compareRows orders row dl of wl and row dr of wr like ocal.ValueCompare
+// orders the values interp holds for them: attribute by attribute. sure: both
+// rows are proven to exist.
+func compareRows(wl *stepWin, dl int, wr *stepWin, dr int, sure bool) (int, error) {
+	if !sure {
+		if err := wl.need(dl); err != nil {
+			return 0, err
+		}
+		if err := wr.need(dr); err != nil {
+			return 0, err
 		}
 	}
-	return 0
+	n := wl.width(dl)
+	if m := wr.width(dr); m != n {
+		return 0, errRowWidths(n, m)
+	}
+	for c := range n {
+		switch a, b := wl.value(dl, c), wr.value(dr, c); {
+		case a < b:
+			return -1, nil
+		case a > b:
+			return 1, nil
+		}
+	}
+	return 0, nil
 }
 
-// evalRow evaluates a row of the step into dst, splicing state rows whole.
-func evalRow(parts []outPart, x *kenv, dst []int64) ([]int64, error) {
-	dst = dst[:0]
+// rowTest stages a kRowCmp condition: whether its two state rows compare as
+// it says.
+func (e *kexpr) rowTest(known []int, ws []stepWin) func() (bool, error) {
+	l, r, op := e.l, e.r, e.op
+	wl, wr, sure := &ws[l.win], &ws[r.win], known[l.win] > l.depth && known[r.win] > r.depth
+	return func() (bool, error) {
+		ord, err := compareRows(wl, l.depth, wr, r.depth, sure)
+		return cmpHolds(op, int64(ord), 0), err
+	}
+}
+
+// compileHead stages column col of head(tailᵈ(sᵢ)), or the row itself where
+// it is one attribute wide (col < 0), read in place: from the front row,
+// whose width is checked per read, or from the window's columns, whose width
+// the first refill fixed for the run. A row the path proved to exist skips
+// its need check.
+func (e *kexpr) compileHead(known []int, ws []stepWin) kfn {
+	w, d, c, bare := &ws[e.win], e.depth, max(e.col, 0), e.col < 0
+	sure, colsFit := known[e.win] > d, (len(w.cols) == 1) == bare && c < len(w.cols)
+	return func(x *kenv) int64 {
+		if w.held && d == 0 {
+			if (len(w.front) == 1) == bare && c < len(w.front) {
+				return w.front[c]
+			}
+		} else if colsFit && (sure || w.need(d) == nil) {
+			return w.value(d, c)
+		}
+		return x.fail(w.headErr(e))
+	}
+}
+
+// learn records in known what cond evaluating to holds proves about the
+// windows' rows: length(tailᵈ(sᵢ)) == 0 failing proves d+1 rows, holding d.
+func (e *kexpr) learn(holds bool, known []int) {
+	if e.kind == kEmpty {
+		known[e.win] = max(known[e.win], e.depth+int(b2i(!holds)))
+	}
+}
+
+// stepFn is a staged unfoldR lambda step: one call takes one step.
+type stepFn func() error
+
+// stageStep stages a step tree for o, whose windows the first refill left
+// with their column widths; known[i] is how many rows window i is proven to
+// hold on the path to n. The closures capture o's windows, emitter and
+// evaluation state. An emptiness test or a row comparison decides in place.
+func (n *stepNode) stageStep(o *UnfoldR, known []int) stepFn {
+	if n.cond == nil {
+		return n.stageLeaf(o, known)
+	}
+	tk, ek := slices.Clone(known), slices.Clone(known)
+	n.cond.learn(true, tk)
+	n.cond.learn(false, ek)
+	t, e, c := n.then.stageStep(o, tk), n.els.stageStep(o, ek), n.cond
+	switch c.kind {
+	case kEmpty:
+		w, d := &o.wins[c.win], c.depth
+		return func() error {
+			switch r := w.rows() - d; {
+			case r == 0:
+				return t()
+			case r > 0:
+				return e()
+			}
+			return errTailEmpty
+		}
+	case kRowCmp:
+		holds := c.rowTest(known, o.wins)
+		return func() error {
+			switch h, err := holds(); {
+			case err != nil:
+				return err
+			case h:
+				return t()
+			}
+			return e()
+		}
+	}
+	f, x := c.compile(known, o.wins), &o.x
+	return func() error {
+		switch v := f(x); {
+		case x.err != nil:
+			return x.err
+		case v != 0:
+			return t()
+		}
+		return e()
+	}
+}
+
+// stepRow is a staged row of a leaf: the emitted row, or a component's next
+// front row. Before the leaf writes anything, a row with something to check
+// (a scalar, a row not proven to exist, a copy to buffer) is read into buf:
+// its scalars' values, and its state row when an earlier update of the leaf
+// changes that row's window (buffered). Other state rows are copied straight
+// from their windows when the row is written.
+type stepRow struct {
+	parts           []stepPart
+	buf             []int64
+	check, buffered bool
+}
+
+// stepPart is a scalar (fn), or the whole row head(tailᵈ(w)) (fn nil),
+// known to exist when sure.
+type stepPart struct {
+	fn    kfn
+	w     *stepWin
+	win   int
+	depth int
+	sure  bool
+}
+
+func stageRow(parts []outPart, known []int, ws []stepWin) stepRow {
+	var r stepRow
 	for _, p := range parts {
-		if !p.wholeRow {
-			dst = append(dst, p.scalar.eval(x))
+		sp := stepPart{}
+		if h := p.scalar; p.wholeRow {
+			sp = stepPart{w: &ws[h.win], win: h.win, depth: h.depth, sure: known[h.win] > h.depth}
+		} else {
+			sp.fn = h.compile(known, ws)
+		}
+		r.parts, r.check = append(r.parts, sp), r.check || !sp.sure
+	}
+	return r
+}
+
+// read reads the row against the step's state, in interp's order, and fails
+// as interp's first failing read would.
+func (r *stepRow) read(x *kenv) error {
+	r.buf = r.buf[:0]
+	for i := range r.parts {
+		p := &r.parts[i]
+		if p.fn != nil {
+			if r.buf = append(r.buf, p.fn(x)); x.err != nil {
+				return x.err
+			}
 			continue
 		}
-		w := &x.ws[p.scalar.win]
-		if err := w.need(p.scalar.depth); err != nil {
-			x.fail(err)
-			break
+		if !p.sure {
+			if err := p.w.need(p.depth); err != nil {
+				return err
+			}
 		}
-		dst = w.appendRow(dst, p.scalar.depth)
+		if r.buffered {
+			r.buf = p.w.appendRow(r.buf, p.depth)
+		}
 	}
-	return dst, x.err
+	return nil
+}
+
+// checkReads checks a leaf's reads in interp's order — the chunk, then each
+// component's row and tail — against the state the step was given.
+func checkReads(x *kenv, emit *stepRow, upd []stepUpdate) error {
+	if emit.check {
+		if err := emit.read(x); err != nil {
+			return err
+		}
+	}
+	for k := range upd {
+		u := &upd[k]
+		if u.row.check {
+			if err := u.row.read(x); err != nil {
+				return err
+			}
+		}
+		if u.keep && !u.sure && u.w.rows() < u.m {
+			return errTailEmpty
+		}
+	}
+	return nil
+}
+
+// put appends an evaluated row to the emitter: its scalars from buf, its
+// state rows straight from their windows, each attribute truncated to its
+// int32 encoding — the one place an unfoldR step's arithmetic narrows.
+func (r *stepRow) put(em *emitter) error {
+	if p := &r.parts[0]; len(r.parts) == 1 && p.fn == nil {
+		if wd := p.w.width(p.depth); wd != em.arity {
+			if err := em.fit(wd); err != nil {
+				return err
+			}
+		}
+		p.w.emit(em, 0, p.depth)
+		return nil
+	}
+	wd := len(r.buf)
+	for i := range r.parts {
+		if p := &r.parts[i]; p.fn == nil {
+			wd += p.w.width(p.depth)
+		}
+	}
+	if wd != em.arity {
+		if err := em.fit(wd); err != nil {
+			return err
+		}
+	}
+	oc, k := 0, 0
+	for i := range r.parts {
+		if p := &r.parts[i]; p.fn == nil {
+			oc = p.w.emit(em, oc, p.depth)
+			continue
+		}
+		em.cols[oc] = append(em.cols[oc], int32(r.buf[k]))
+		oc, k = oc+1, k+1
+	}
+	return nil
+}
+
+// stepUpdate is a staged update of one component w of a leaf.
+type stepUpdate struct {
+	w                *stepWin
+	m                int
+	keep, push, sure bool // sure: the tail's rows are proven
+	row              stepRow
+}
+
+// stageLeaf stages a leaf: it checks every read in interp's order — the
+// chunk, then each component's row and tail — then emits, then updates the
+// components it changes one by one.
+func (n *stepNode) stageLeaf(o *UnfoldR, known []int) stepFn {
+	emit, emits, stalls := stageRow(n.emit, known, o.wins), n.emit != nil, n.stalls
+	var upd []stepUpdate
+	changed, check := make([]bool, len(n.upd)), emit.check
+	for i, u := range n.upd {
+		if changed[i] = !u.keep || u.m > 0 || u.row != nil; !changed[i] {
+			continue
+		}
+		s := stepUpdate{w: &o.wins[i], m: u.m, keep: u.keep, push: u.row != nil, sure: known[i] >= u.m,
+			row: stageRow(u.row, known, o.wins)}
+		if p := s.row.parts; s.push && p[0].fn == nil {
+			s.row.buffered = p[0].win <= i && changed[p[0].win]
+			s.row.check = s.row.check || s.row.buffered
+		}
+		upd, check = append(upd, s), check || s.row.check || s.keep && !s.sure
+	}
+	x, em := &o.x, &o.em
+	return func() error {
+		if check {
+			if err := checkReads(x, &emit, upd); err != nil {
+				return err
+			}
+		}
+		if emits {
+			if err := emit.put(em); err != nil {
+				return err
+			}
+		}
+		progress := !stalls
+		for k := range upd {
+			u := &upd[k]
+			w, before := u.w, 0
+			if stalls {
+				before = w.rows()
+			}
+			if u.keep {
+				w.drop(u.m)
+			} else {
+				w.held, w.pos = false, w.n
+			}
+			if u.push {
+				if p := &u.row.parts[0]; p.fn == nil && !u.row.buffered {
+					w.front = p.w.appendRow(w.front[:0], p.depth)
+				} else {
+					w.front = append(w.front[:0], u.row.buf...)
+				}
+				w.held = true
+			}
+			progress = progress || before != w.rows()
+		}
+		if !progress {
+			return errNoProgress
+		}
+		o.steps++
+		return nil
+	}
 }
 
 // stepUpd is one component's next state: tailᵐ of itself when keep is set,
@@ -1284,24 +1701,9 @@ type stepUpd struct {
 	row  []outPart
 }
 
-// leaf walks the decisions down to the leaf the current state selects.
-func (n *stepNode) leaf(x *kenv) (*stepNode, error) {
-	for n.cond != nil {
-		if n.cond.eval(x) != 0 {
-			n = n.then
-		} else {
-			n = n.els
-		}
-		if x.err != nil {
-			return nil, x.err
-		}
-	}
-	return n, nil
-}
-
-// stepKind is how an UnfoldR takes its steps: a lambda walks its decision
-// tree once per step, and the library steps, whose semantics the executor
-// knows, run as column kernels over the windows between two refills.
+// stepKind is how an UnfoldR takes its steps: a lambda runs its staged
+// decision tree once per step, and the library steps, whose semantics the
+// executor knows, run as column kernels over the windows between two refills.
 type stepKind uint8
 
 const (

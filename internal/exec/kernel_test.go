@@ -123,7 +123,7 @@ func twoColTable(n int, f func(i int) (int32, int32)) diffTable {
 }
 
 // TestScanTreeShapes: bodies beyond one row under one condition — nested
-// conditionals, a row in the else branch, concatenations — walk their
+// conditionals, a row in the else branch, concatenations — run their staged
 // decision tree per row and produce interp's result.
 func TestScanTreeShapes(t *testing.T) {
 	in := twoColTable(50, func(i int) (int32, int32) { return int32(i % 7), int32(i) })
@@ -273,7 +273,7 @@ func TestFoldGrammarRejects(t *testing.T) {
 		{`foldL(<0, 0>, \<a, x> -> a.1 + x.1)(R)`, "the step builds 1 components, init has 2"},
 		{`foldL(0, \<a, x> -> a + length([x]))(R)`, "unsupported scalar "},
 		{`foldL(R, \<a, x> -> a)(R)`, "init: unsupported scalar R"},
-		{`foldL(1 / 0, \<a, x> -> a)(R)`, "init: interp: division by zero"},
+		{`foldL(1 / 0, \<a, x> -> a)(R)`, ""}, // fails when it runs, like interp (TestFoldInitFailsAtRun)
 		{`(\a -> a.3)` + avg, "unsupported scalar a.3"},
 		{`(\a -> [<a.1, <a.2, 1>>])` + avg, "unsupported scalar <a.2, 1>"},
 		{`(\a -> [a.1] ++ [a.2])` + avg, "unsupported scalar "},
@@ -311,9 +311,124 @@ func TestKernelErrorParity(t *testing.T) {
 	}, 7, 0)
 }
 
+// TestFoldInitFailsAtRun: a fold whose init fails lowers, and fails when it
+// runs, with interp's text, over rows and over none.
+func TestFoldInitFailsAtRun(t *testing.T) {
+	for _, n := range []int{5, 0} {
+		run := assertMatchesInterp(t, diffCase{
+			src:    "foldL((1 / 0), \\<a, x> -> (a + x.2))(for (xB [k1] <- R) xB)",
+			params: map[string]int64{"k1": 4}, scalar: true,
+			inputs:  map[string]diffTable{"R": twoColTable(n, func(i int) (int32, int32) { return int32(i), 1 })},
+			arities: map[string]int{"R": 2},
+		}, 7, 0)
+		if fmt.Sprint(run.err) != "interp: division by zero" {
+			t.Errorf("%d rows: error %v", n, run.err)
+		}
+	}
+}
+
+// foldSums are the fold steps TestStagedFoldShapes, TestFoldZeroAllocs and
+// BenchmarkFoldSteps share: agg's sum of a column, which runs as a column
+// loop, and a two-component step whose second component reads the first,
+// which runs its closures per row.
+var foldSums = []struct{ name, src string }{
+	{"agg", "foldL(0, \\<a, x> -> (a + x.2))(for (xB [k1] <- R) xB)"},
+	{"two", "foldL(<0, 1>, \\<a, x> -> <(a.1 + x.1), (a.2 + a.1)>)(for (xB [k1] <- R) xB)"},
+}
+
+// TestStagedFoldShapes runs the fold step's shapes — column loops and
+// per-row closures — at blocks of 1, 7 and 8,192 rows against interp: the
+// sum of a column, a + x at arity 1, the count, the two-component step, a
+// step dividing by a column that holds 0 on one row, and a sum past int32.
+func TestStagedFoldShapes(t *testing.T) {
+	const n = 9000
+	pairs := twoColTable(n, func(i int) (int32, int32) { return int32(i % 97), int32(i) })
+	zero := twoColTable(n, func(i int) (int32, int32) { return int32(i), int32(b2i(i != 4321)) })
+	big := twoColTable(n, func(i int) (int32, int32) { return int32(i), math.MaxInt32 - int32(i) })
+	var ints diffTable
+	for i := range n {
+		ints.rows, ints.value = append(ints.rows, int32(i)), append(ints.value, ocal.Int(i))
+	}
+	cases := []struct {
+		src string
+		in  diffTable
+	}{
+		{foldSums[0].src, pairs},
+		{"foldL(0, \\<a, x> -> (a + x))(for (xB [k1] <- R) xB)", ints},
+		{"foldL(0, \\<a, x> -> (a + 1))(for (xB [k1] <- R) xB)", pairs},
+		{foldSums[1].src, pairs},
+		{"foldL(0, \\<a, x> -> (a + (x.1 / x.2)))(for (xB [k1] <- R) xB)", zero},
+		{foldSums[0].src, big},
+	}
+	for _, tc := range cases {
+		arity := len(tc.in.rows) / n
+		for _, k := range []int64{1, 7, 8192} {
+			assertMatchesInterp(t, diffCase{src: tc.src, params: map[string]int64{"k1": k}, scalar: true,
+				inputs: map[string]diffTable{"R": tc.in}, arities: map[string]int{"R": arity}}, 64, 0)
+		}
+	}
+}
+
+// foldKernelOf parses a foldL program's kernel the way Lower does.
+func foldKernelOf(tb testing.TB, src string) *foldKernel {
+	fl := ocal.MustParse(src).(ocal.App).Fn.(ocal.FoldL)
+	spec, err := parseFoldKernel(fl.Init, fl.Fn, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec.newKernel()
+}
+
+// TestFoldZeroAllocs: a Fold's kernel allocates nothing per block in steady
+// state, whether its step runs as column loops or per row.
+func TestFoldZeroAllocs(t *testing.T) {
+	cols := [][]int32{make([]int32, 4096), make([]int32, 4096)}
+	for i := range cols[0] {
+		cols[0][i], cols[1][i] = int32(i%7), int32(i)
+	}
+	for _, f := range foldSums {
+		k := foldKernelOf(t, f.src)
+		if err := k.step(cols, len(cols[0])); err != nil { // stages the step
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := k.step(cols, len(cols[0])); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: a fold step allocates %.1f times per block in steady state", f.name, allocs)
+		}
+	}
+}
+
+// BenchmarkFoldSteps reports the time per input row of a Fold over the
+// zero-alloc suites' 2^16 pairs, read in blocks of 64 rows, lowering
+// excluded.
+func BenchmarkFoldSteps(b *testing.B) {
+	sim, scratch, tb := allocTable(b)
+	for _, f := range foldSums {
+		b.Run(f.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := Lower(ocal.MustParse(f.src), LowerOpts{Sim: sim, Inputs: map[string]*Table{"R": tb},
+					Params: map[string]int64{"k1": 64}, Scratch: scratch, Sink: &Sink{Sim: sim}, RAMBytes: 1 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := p.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*int(tb.Rows())), "ns/row")
+		})
+	}
+}
+
 // TestProjKernelModes: a body runs as the selection-vector kernel only when
 // it is one row under at most one condition and nothing in it can fail;
-// everything else walks its tree.
+// everything else runs its staged tree.
 func TestProjKernelModes(t *testing.T) {
 	for _, tc := range []struct {
 		body string
@@ -339,7 +454,7 @@ func TestProjKernelModes(t *testing.T) {
 			t.Fatalf("%s: %v", tc.body, err)
 		}
 		if tree := k.tree != nil; tree != tc.tree {
-			t.Errorf("%s walks its tree: %v, want %v", tc.body, tree, tc.tree)
+			t.Errorf("%s runs its staged tree: %v, want %v", tc.body, tree, tc.tree)
 		}
 	}
 }
@@ -406,8 +521,8 @@ func TestKernelShapes(t *testing.T) {
 }
 
 // The zero-alloc suites' bodies: a filter+projection, which runs as the
-// selection-vector kernel, a nested conditional, which walks its tree, and a
-// filter+projection that can fail, which walks its tree too.
+// selection-vector kernel, a nested conditional, which runs its staged tree,
+// and a filter+projection that can fail, which runs its staged tree too.
 const (
 	allocKernelBody  = "if x.1 < 50 then [<x.1, (x.2 + x.1)>] else []"
 	allocTreeBody    = "if x.1 < 50 then (if x.2 % 2 == 0 then [x] else [<x.2, x.1>]) else []"

@@ -242,20 +242,6 @@ type emitter struct {
 	pos   int
 }
 
-// emitWide buffers a row held as int64, truncating each attribute to its
-// int32 encoding — the one place an unfoldR step's arithmetic narrows.
-func (e *emitter) emitWide(row []int64) error {
-	if len(row) != e.arity {
-		if err := e.fit(len(row)); err != nil {
-			return err
-		}
-	}
-	for c, v := range row {
-		e.cols[c] = append(e.cols[c], int32(v))
-	}
-	return nil
-}
-
 // fit fixes the emitter's arity at an unfoldR step's first row, and fails
 // on a row of another width.
 func (e *emitter) fit(ar int) error {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
@@ -894,14 +892,15 @@ func (o *ExtSort) Close() error {
 // through RAM windows of K tuples. This covers the set/multiset unions and
 // differences, zips (column-store reads) and duplicate removal of the
 // evaluation. A lambda step is the decision tree parseUnfoldStep compiled
-// from the optimized OCAL program, walked once per produced element as a
-// cursor machine over the windows' column views; the library steps (mrg,
-// funcPow[k](mrg), z[n]) run as column kernels that take every step between
-// two refills in one call. Neither charges: the operator owns the refills,
-// the one cpu charge per step (counted, and settled before the strand's next
-// other charge) and the pause points, so a step's shape or kind cannot move
-// a ledger. The step threads state from element to element, so the operator
-// is inherently sequential; its inputs may still be parallel subtrees.
+// from the optimized OCAL program, staged at the first refill into nested
+// closures that test, emit and update the windows' column views in place;
+// the library steps (mrg, funcPow[k](mrg), z[n]) run as column kernels. Each
+// kind takes every step between two refills in one call, and none charges:
+// the operator owns the refills, the one cpu charge per step (counted, and
+// settled before the strand's next other charge) and the pause points, so a
+// step's shape or kind cannot move a ledger. The step threads state from
+// element to element, so the operator is inherently sequential; its inputs
+// may still be parallel subtrees.
 type UnfoldR struct {
 	Ins []Input
 	K   int64 // window size (tuples) per input
@@ -912,15 +911,16 @@ type UnfoldR struct {
 
 	kind stepKind
 	tree *stepNode // a lambda step's decision tree
+	run  stepFn    // … staged (nil until the first refill)
 
 	c       *Ctx
 	readers []blockReader
 	spans   []unfoldSpan // per reader: what is ahead of its window
 	wins    []stepWin    // scratch components first, then one per reader
-	x       kenv         // the step's evaluation state over wins
+	x       kenv         // the evaluation state of the step's scalars
 	scratch int
-	rows    [][]int64 // evaluated rows of the current leaf: emit, then one per component
-	steps   int64     // steps taken whose cpu charge is not settled yet
+	steps   int64 // steps taken whose cpu charge is not settled yet
+	ended   int   // readers at the end of their stream
 	em      emitter
 	done    bool
 }
@@ -940,8 +940,6 @@ func (o *UnfoldR) Open(c *Ctx) error {
 	}
 	o.scratch = n - len(o.Ins)
 	o.wins = make([]stepWin, n)
-	o.x.ws = o.wins
-	o.rows = make([][]int64, n+1)
 	o.readers = make([]blockReader, len(o.Ins))
 	o.spans = make([]unfoldSpan, len(o.Ins))
 	for i, in := range o.Ins {
@@ -986,7 +984,7 @@ func (o *UnfoldR) refillAll() error {
 				return err
 			}
 			if span == nil {
-				sp.eof = true
+				sp.eof, o.ended = true, o.ended+1
 				continue
 			}
 			w.cols, w.pos, w.n = span, 0, 0
@@ -1000,65 +998,46 @@ func (o *UnfoldR) refillAll() error {
 	return nil
 }
 
+// live reports whether some window holds a row.
+func (o *UnfoldR) live() bool {
+	for i := range o.wins {
+		if o.wins[i].rows() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // due reports whether the next refill tops up window i.
 func (o *UnfoldR) due(i int) bool {
 	return i >= o.scratch && o.wins[i].rows() <= 1 && !o.spans[i-o.scratch].eof
 }
 
-func (o *UnfoldR) step() error {
+// lambda takes steps of a lambda step until a window is due a refill, every
+// window is empty or the emitter holds max rows, staging the step at the
+// first call: the first refill fixed the windows' widths.
+func (o *UnfoldR) lambda(max int64) error {
 	if err := o.refillAll(); err != nil {
 		return err
 	}
-	empty := true
-	for i := range o.wins {
-		if o.wins[i].rows() > 0 {
-			empty = false
-			break
+	if o.run == nil {
+		o.run = o.tree.stageStep(o, make([]int, len(o.wins)))
+	}
+	for {
+		// While no reader has ended, a refill or a step that leaves no
+		// window due leaves some window a row.
+		if o.done = (o.ended > 0 || len(o.readers) == 0) && !o.live(); o.done {
+			return nil
 		}
-	}
-	if empty {
-		o.done = true
-		return nil
-	}
-	leaf, err := o.tree.leaf(&o.x)
-	if err != nil {
-		return err
-	}
-	// Every row evaluates against the state the step was given, in interp's
-	// order — the chunk, then each component: its row, then its tail.
-	if o.rows[0], err = evalRow(leaf.emit, &o.x, o.rows[0]); err != nil {
-		return err
-	}
-	for i, u := range leaf.upd {
-		if o.rows[i+1], err = evalRow(u.row, &o.x, o.rows[i+1]); err != nil {
+		if err := o.run(); err != nil || o.em.rows() >= max {
 			return err
 		}
-		if u.keep && o.wins[i].rows() < u.m {
-			return errTailEmpty
+		for i := range o.spans {
+			if o.due(o.scratch + i) {
+				return nil
+			}
 		}
 	}
-	progress := !leaf.stalls
-	for i, u := range leaf.upd {
-		w := &o.wins[i]
-		before := w.rows()
-		if u.keep {
-			w.drop(u.m)
-		} else {
-			w.held, w.pos = false, w.n
-		}
-		if u.row != nil {
-			w.push(o.rows[i+1])
-		}
-		progress = progress || w.rows() != before
-	}
-	if !progress {
-		return fmt.Errorf("exec: unfoldR step made no progress")
-	}
-	o.steps++
-	if leaf.emit != nil {
-		return o.em.emitWide(o.rows[0])
-	}
-	return nil
 }
 
 // settle charges the steps taken since the last refill: one cpu(1, Cmp)
@@ -1078,7 +1057,7 @@ func (o *UnfoldR) Next(b *Batch) (bool, error) {
 		case zipStep:
 			err = o.zip(max - o.em.rows())
 		default:
-			err = o.step()
+			err = o.lambda(max)
 		}
 		if err != nil {
 			return false, err
@@ -1118,6 +1097,9 @@ type Fold struct {
 }
 
 func (o *Fold) Open(c *Ctx) error {
+	if err := o.kern.initErr; err != nil {
+		return err
+	}
 	r := o.In.reader()
 	if err := r.open(c); err != nil {
 		return err

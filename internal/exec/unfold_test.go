@@ -288,15 +288,18 @@ const dedupStep = `\<seen, rest> -> if length(rest) == 0 then <[], <[], []>> ` +
 	`else if head(seen) == head(rest) then <[], <seen, tail(rest)>> ` +
 	`else <[head(rest)], <[head(rest)], tail(rest)>>`
 
+// groupbyStep is examples/groupby's step: a group's running sum is held as
+// the front row of its one component until the key changes.
+const groupbyStep = `\g -> if length(tail(g.1)) == 0 then <[head(g.1)], <[]>> ` +
+	`else if head(g.1).1 == head(tail(g.1)).1 ` +
+	`then <[], <[<head(g.1).1, head(g.1).2 + head(tail(g.1)).2>] ++ tail(tail(g.1))>> ` +
+	`else <[head(g.1)], <tail(g.1)>>`
+
 // TestUnfoldStepShapes runs the shipped step shapes — the Table 1 set
 // operations, dup-removal, the group-by — at every window size that moves the
 // refill boundary, against interp.
 func TestUnfoldStepShapes(t *testing.T) {
 	const (
-		groupby = `\g -> if length(tail(g.1)) == 0 then <[head(g.1)], <[]>> ` +
-			`else if head(g.1).1 == head(tail(g.1)).1 ` +
-			`then <[], <[<head(g.1).1, head(g.1).2 + head(tail(g.1)).2>] ++ tail(tail(g.1))>> ` +
-			`else <[head(g.1)], <tail(g.1)>>`
 		unionVM = `\<l1, l2> -> if (length(l1) == 0) and (length(l2) == 0) then <[], <[], []>> ` +
 			`else if length(l1) == 0 then <[head(l2)], <[], tail(l2)>> ` +
 			`else if length(l2) == 0 then <[head(l1)], <tail(l1), []>> ` +
@@ -312,7 +315,7 @@ func TestUnfoldStepShapes(t *testing.T) {
 	cases := []diffCase{
 		{src: "unfoldR[k1](" + dedupStep + ")(<[], L>)", inputs: map[string]diffTable{"L": ints},
 			arities: map[string]int{"L": 1}},
-		{src: "unfoldR[k1](" + groupby + ")(<R>)", inputs: map[string]diffTable{"R": pairs},
+		{src: "unfoldR[k1](" + groupbyStep + ")(<R>)", inputs: map[string]diffTable{"R": pairs},
 			arities: map[string]int{"R": 2}},
 		{src: "unfoldR[k1](" + unionVM + ")(<A, B>)", inputs: map[string]diffTable{"A": pairs, "B": stepTable(r, 2, 30)},
 			arities: map[string]int{"A": 2, "B": 2}},
@@ -427,19 +430,21 @@ func TestUnfoldSumStaysWide(t *testing.T) {
 }
 
 // unfoldSpeedSteps are the zero-alloc and speed suites' steps: a two-way
-// merge and a zip, which run as kernels, and dup-removal, which walks its
-// tree.
+// merge and a zip, which run as kernels, and dup-removal and the group-by,
+// which run their staged trees.
 var unfoldSpeedSteps = []struct{ name, src string }{
 	{"mrg", "unfoldR[k1](mrg)(<L1, L2>)"},
 	{"z2", "unfoldR[k1](z[2])(<L1, L2>)"},
 	{"dedup", "unfoldR[k1](" + dedupStep + ")(<[], L1>)"},
+	{"groupby", "unfoldR[k1](" + groupbyStep + ")(<R>)"},
 }
 
 // windows64 runs the speed suites' steps at windows of 64 rows.
 var windows64 = map[string]int64{"k1": 64}
 
 // unfoldLists preloads the speed suites' inputs: two sorted arity-1 lists
-// of n rows that interleave, each value repeating once in three rows.
+// of n rows that interleave, each value repeating once in three rows, and n
+// pairs R whose keys come in groups of two.
 func unfoldLists(tb testing.TB, n int) (*storage.Sim, *storage.Device, map[string]*Table) {
 	sim := storage.NewSim(memory.HDDRAM(64 * memory.MiB))
 	scratch, err := sim.Device("hdd")
@@ -447,12 +452,19 @@ func unfoldLists(tb testing.TB, n int) (*storage.Sim, *storage.Device, map[strin
 		tb.Fatal(err)
 	}
 	tables := map[string]*Table{}
-	for i, name := range []string{"L1", "L2"} {
+	for i, name := range []string{"L1", "L2", "R"} {
 		data := make([]int32, n)
 		for r := range data {
 			data[r] = int32((2*r + i) / 3)
 		}
-		t, err := NewTable(scratch, 1, int64(n)+8)
+		arity := 1
+		if name == "R" {
+			data, arity = nil, 2
+			for r := range n {
+				data = append(data, int32(r/2), int32(r))
+			}
+		}
+		t, err := NewTable(scratch, arity, int64(n)+8)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -481,7 +493,7 @@ func openUnfold(tb testing.TB, sim *storage.Sim, scratch *storage.Device, tables
 }
 
 // TestUnfoldZeroAllocs: an UnfoldR allocates nothing per Next in steady
-// state, whether its step runs as a kernel or walks its tree.
+// state, whether its step runs as a kernel or as a staged tree.
 func TestUnfoldZeroAllocs(t *testing.T) {
 	sim, scratch, tables := unfoldLists(t, 1<<17)
 	for _, st := range unfoldSpeedSteps {
@@ -691,4 +703,73 @@ func zipRows(lists [][][]int32) [][]int32 {
 		}
 	}
 	return out
+}
+
+// runningSumStep emits the running sums of a list of integers; the sum is
+// held as a scratch component's front row, where it outgrows int32.
+const runningSumStep = `\<sum, rest> -> if length(rest) == 0 then <[], <[], []>> ` +
+	`else if length(sum) == 0 then <[head(rest)], <[head(rest)], tail(rest)>> ` +
+	`else <[(head(sum) + head(rest))], <[(head(sum) + head(rest))], tail(rest)>>`
+
+// TestLambdaStepStretches is TestLibraryStepStretches for lambda steps:
+// dup-removal, the group-by, a running sum held in a front row and two
+// generated trees (one over pairs), over lists of 0, 1, 2, 63 and 200 rows,
+// at windows of 1, 2, 3, 64 and 257 rows, batches of 1, 7 and 64 rows and
+// reader strides of 7 rows and the default. The rows come out in interp's
+// order, or the run fails with interp's error text; and every Next pauses at
+// its batch with no row left in the emitter.
+func TestLambdaStepStretches(t *testing.T) {
+	r := rand.New(rand.NewSource(55))
+	large := func(n int) diffTable { // values up to 2^30: their sums leave int32
+		var dt diffTable
+		for range n {
+			v := int32(r.Intn(1 << 30))
+			dt.rows, dt.value = append(dt.rows, v), append(dt.value, ocal.Int(v))
+		}
+		return dt
+	}
+	generated := func(seed int64, arity int) string {
+		g := &stepGen{r: rand.New(rand.NewSource(seed)), scratch: 1, arity: arity, lists: []string{"s1", "s2"}}
+		return `\<s1, s2> -> ` + g.tree(make([]int, 2), 2)
+	}
+	steps := []struct {
+		src   string
+		arity int
+		list  func(n int) diffTable
+	}{
+		{"unfoldR[k1](" + dedupStep + ")(<[], L>)", 1, func(n int) diffTable { return tieRows(r, 1, n) }},
+		{"unfoldR[k1](" + groupbyStep + ")(<L>)", 2, func(n int) diffTable { return stepRows(r, 2, n) }},
+		{"unfoldR[k1](" + runningSumStep + ")(<[], L>)", 1, large},
+		{"unfoldR[k1](" + generated(5, 1) + ")(<[], L>)", 1, func(n int) diffTable { return stepRows(r, 1, n) }},
+		{"unfoldR[k1](" + generated(2, 2) + ")(<[], L>)", 2, func(n int) diffTable { return stepRows(r, 2, n) }},
+	}
+	runs := 0
+	for _, st := range steps {
+		prog := ocal.MustParse(st.src)
+		for _, n := range []int{0, 1, 2, 63, 200} {
+			c := diffCase{src: st.src, inputs: map[string]diffTable{"L": st.list(n)}, arities: map[string]int{"L": st.arity}}
+			want, wantErr := interp.Eval(prog, inputValues(c), nil)
+			for _, stride := range []int64{defaultStride, 7} {
+				for _, k := range []int64{1, 2, 3, 64, 257} {
+					for _, batch := range []int64{1, 7, 64} {
+						c.params = map[string]int64{"k1": k}
+						physStride = stride
+						got, err := stretchRun(t, c, prog, batch)
+						physStride = defaultStride
+						runs++
+						what := fmt.Sprintf("%s over %d rows (k1 %d, batch %d, stride %d)", c.src, n, k, batch, stride)
+						switch {
+						case wantErr != nil || err != nil:
+							if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+								t.Fatalf("%s: error %v, interp %v", what, err, wantErr)
+							}
+						case fmt.Sprint(got) != fmt.Sprint(valueRows(t, want)):
+							t.Fatalf("%s: rows\n%v\nwant\n%v", what, got, valueRows(t, want))
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d runs", runs)
 }
