@@ -153,6 +153,9 @@ type Stats struct {
 	IngestedRows   int64 `json:"ingestedRows"`   // since open
 	SegmentFlushes int64 `json:"segmentFlushes"` // since open
 	Rev            int64 `json:"rev"`
+	ImageLoads     int64 `json:"imageLoads"` // table versions loaded since open
+	Images         int   `json:"images"`     // loaded images not yet unmapped
+	ImageBytes     int64 `json:"imageBytes"` // their mapped bytes
 }
 
 // TableInfo is one table's listing entry.
@@ -180,6 +183,14 @@ type Catalog struct {
 	closed   bool
 	// scratch is the sort's, kept for batches of at most FlushRows rows.
 	scratch sorter
+
+	// images holds each table's current image (see Bind); mapped and
+	// mappedBytes count the loaded images not yet unmapped.
+	images      map[string]*image
+	tick        int64
+	imageLoads  int64
+	mapped      int
+	mappedBytes int64
 }
 
 // Open loads (or initializes) the catalog rooted at dir, creating the
@@ -196,10 +207,11 @@ func Open(dir string, opts Options) (*Catalog, error) {
 		return nil, err
 	}
 	c := &Catalog{
-		dir:  dir,
-		opts: opts,
-		man:  manifest{Version: manifestVersion, Tables: map[string]*TableMeta{}},
-		buf:  map[string][][]int32{},
+		dir:    dir,
+		opts:   opts,
+		man:    manifest{Version: manifestVersion, Tables: map[string]*TableMeta{}},
+		buf:    map[string][][]int32{},
+		images: map[string]*image{},
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
@@ -300,6 +312,7 @@ func (c *Catalog) Drop(name string) error {
 		return err
 	}
 	delete(c.buf, name)
+	c.retireLocked(c.images[name])
 	for _, seg := range t.Segments {
 		os.Remove(filepath.Join(c.dir, seg.File))
 	}
@@ -530,8 +543,9 @@ func (st *staged) discard(c *Catalog) {
 	}
 }
 
-// installLocked makes a staged state the table's.
+// installLocked makes a staged state the table's, retiring its image.
 func (c *Catalog) installLocked(t *TableMeta, st *staged) {
+	c.retireLocked(c.images[t.Name])
 	*t = st.meta
 	if st.buf == nil {
 		delete(c.buf, t.Name)
@@ -554,8 +568,9 @@ func (c *Catalog) commitLocked(t *TableMeta, st *staged) error {
 	return nil
 }
 
-// Close flushes every table's buffered rows into segments and persists the
-// manifest. The catalog rejects mutations afterwards.
+// Close flushes every table's buffered rows into segments, persists the
+// manifest and retires every image. The catalog rejects mutations
+// afterwards.
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -578,6 +593,9 @@ func (c *Catalog) Close() error {
 	if err := c.saveLocked(); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	for name := range c.images {
+		c.retireLocked(c.images[name])
+	}
 	c.closed = true
 	return firstErr
 }
@@ -591,6 +609,9 @@ func (c *Catalog) Stats() Stats {
 		IngestedRows:   c.ingested,
 		SegmentFlushes: c.flushes,
 		Rev:            c.man.Rev,
+		ImageLoads:     c.imageLoads,
+		Images:         c.mapped,
+		ImageBytes:     c.mappedBytes,
 	}
 	for name, t := range c.man.Tables {
 		s.Segments += len(t.Segments)

@@ -12,13 +12,14 @@ import (
 // with the catalog (ingest never rewrites a buffered value; it appends past
 // the snapshot's lengths or moves on to fresh vectors). Concurrent ingest or
 // even a Drop does not disturb a handle mid-scan (open descriptors survive
-// the unlink). A Handle implements storage.Backing through ReadCols, so it
-// plugs straight into exec.NewBackedTable — segment chunks and the buffered
-// tail stream into the table's column vectors as they are.
+// the unlink). Bind loads a version's image through one: segment chunks
+// and the buffered tail stream into the image's column vectors as they are.
+// A Handle implements storage.Backing through ReadCols, which
+// benchmark/trace.go's replay binds through exec.NewBackedTable.
 //
 // ReadCols is not safe for concurrent calls on one Handle (segment readers
-// share a scratch buffer); the executor reads a table's payload in one call,
-// when the table is bound, and the handle can close right after.
+// share a scratch buffer); Bind reads a version's payload in one call and
+// closes the handle right after.
 type Handle struct {
 	name  string
 	arity int

@@ -59,11 +59,11 @@ type family struct {
 // Vec is a handle on one metric family; With selects a labeled series.
 type Vec struct{ f *family }
 
-// Series is one labeled time series: a counter/gauge value or a histogram.
+// Series is one labeled time series: a counter value or a histogram.
 type Series struct {
 	labels []string
 	bounds []float64      // histogram bounds (shared with the family)
-	val    atomic.Int64   // counter/gauge value
+	val    atomic.Int64   // counter value
 	sum    atomic.Uint64  // histogram sum, float64 bits
 	count  atomic.Int64   // histogram observation count
 	counts []atomic.Int64 // per-bucket (non-cumulative) counts; last = +Inf
@@ -95,15 +95,6 @@ func (r *Registry) register(name, help string, kind Kind, bounds []float64, fn f
 // Counter registers (or fetches) a monotonic counter family.
 func (r *Registry) Counter(name, help string, labels ...string) *Vec {
 	f := r.register(name, help, KindCounter, nil, nil, labels)
-	if f == nil {
-		return nil
-	}
-	return &Vec{f: f}
-}
-
-// Gauge registers (or fetches) a gauge family.
-func (r *Registry) Gauge(name, help string, labels ...string) *Vec {
-	f := r.register(name, help, KindGauge, nil, nil, labels)
 	if f == nil {
 		return nil
 	}
@@ -161,15 +152,14 @@ func (v *Vec) With(vals ...string) *Series {
 	return s
 }
 
-// Add, Inc, Set, Observe and Value on a Vec operate on the label-less
-// series (convenience for unlabeled metrics).
+// Add, Inc, Observe and Value on a Vec operate on the label-less series
+// (convenience for unlabeled metrics).
 func (v *Vec) Add(n int64)       { v.With().Add(n) }
 func (v *Vec) Inc()              { v.With().Inc() }
-func (v *Vec) Set(n int64)       { v.With().Set(n) }
 func (v *Vec) Observe(x float64) { v.With().Observe(x) }
 func (v *Vec) Value() int64      { return v.With().Value() }
 
-// Add increments a counter (or gauge) by n.
+// Add increments a counter by n.
 func (s *Series) Add(n int64) {
 	if s == nil {
 		return
@@ -180,15 +170,7 @@ func (s *Series) Add(n int64) {
 // Inc increments by one.
 func (s *Series) Inc() { s.Add(1) }
 
-// Set sets a gauge.
-func (s *Series) Set(n int64) {
-	if s == nil {
-		return
-	}
-	s.val.Store(n)
-}
-
-// Value returns the current counter/gauge value.
+// Value returns the current counter value.
 func (s *Series) Value() int64 {
 	if s == nil {
 		return 0

@@ -11,8 +11,7 @@ func TestRegistryPrometheusText(t *testing.T) {
 	c := r.Counter("test_requests_total", "Requests served.", "endpoint")
 	c.With("/a").Add(3)
 	c.With("/b").Inc()
-	g := r.Gauge("test_inflight", "In-flight requests.")
-	g.Set(2)
+	r.Func("test_inflight", "In-flight requests.", KindGauge, func() float64 { return 2 })
 	r.Func("test_cb", "Callback value.", KindGauge, func() float64 { return 7.5 })
 
 	var b strings.Builder
@@ -142,11 +141,11 @@ func TestNilSafety(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("m", "a")
+	r.Func("m", "a", KindGauge, func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on kind mismatch")
 		}
 	}()
-	r.Gauge("m", "b")
+	r.Counter("m", "b")
 }

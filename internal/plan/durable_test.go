@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ocas/internal/catalog"
@@ -133,6 +136,21 @@ func TestDurableScanDifferential(t *testing.T) {
 				if !reflect.DeepEqual(got.InputRows, want.InputRows) {
 					t.Errorf("workers=%d: input rows %v want %v", workers, got.InputRows, want.InputRows)
 				}
+				// Twice again, served from the images the first bound run
+				// loaded: the same digest, ledgers and clock.
+				for pass := range 2 {
+					again, err := ExecutePlan(context.Background(), c, p, opt)
+					if err != nil {
+						t.Fatalf("workers=%d, pass %d from the image: %v", workers, pass, err)
+					}
+					if again.OutDigest != got.OutDigest || again.VirtualSeconds != got.VirtualSeconds ||
+						!reflect.DeepEqual(again.Devices, got.Devices) {
+						t.Errorf("workers=%d, pass %d from the image differs\n got: %+v\nwant: %+v", workers, pass, again, got)
+					}
+				}
+			}
+			if st := cat.Stats(); st.ImageLoads != int64(len(tables)) {
+				t.Errorf("%d image loads for %d tables", st.ImageLoads, len(tables))
 			}
 		})
 	}
@@ -298,4 +316,147 @@ func TestTableBindingValidation(t *testing.T) {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
+}
+
+// TestTableImageCancelledDrop: a four-lane run whose tables are dropped
+// while it partitions them, and which is cancelled later, reads its images
+// without a fault, leaves no goroutine behind, and the images are unmapped
+// once it returns.
+func TestTableImageCancelledDrop(t *testing.T) {
+	c, err := Compile(Request{
+		Program: "flatMap(\\<p1, p2> -> for (xB [k1] <- p1) for (yB [k2] <- p2) " +
+			"for (x <- xB) for (y <- yB) if x.1 == y.1 then [<x, y>] else [])" +
+			"(zip[2](partition[s](R), partition[s](S)))",
+		Inputs: map[string]Input{"R": {Node: "hdd", Rows: 4096}, "S": {Node: "hdd", Rows: 8192}},
+		RAM:    64 << 10,
+		Depth:  2, Space: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{FlushRows: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	opt := ExecOptions{Seed: 3, ExecWorkers: 4, Cat: cat}
+	opt.Tables = ingestGenerated(t, cat, c, opt)
+
+	base := settledGoroutines()
+	ctx := &cancelAfter{}
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx.Context = inner
+	dropped := false
+	ctx.cancel = func() {
+		if dropped {
+			cancel()
+			return
+		}
+		for _, name := range opt.Tables {
+			if err := cat.Drop(name); err != nil {
+				t.Error(err)
+			}
+		}
+		dropped = true
+		ctx.left.Store(20)
+	}
+	ctx.left.Store(2)
+	if _, err := ExecutePlan(ctx, c, p, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	waitGoroutines(t, base, "cancelled run over dropped tables")
+	if st := cat.Stats(); st.Tables != 0 || st.Images != 0 || st.ImageBytes != 0 || st.ImageLoads != 2 {
+		t.Errorf("after the run: %+v, want no table and no image left of the two loaded", st)
+	}
+}
+
+// TestTableImageConcurrentExecutes runs one bound sum from several
+// goroutines while its table takes rows of payload zero and is dropped and
+// recreated with its rows: every run that finds its table's rows sums the
+// same.
+func TestTableImageConcurrentExecutes(t *testing.T) {
+	c, err := Compile(Request{
+		Program: "foldL(0, \\<a, x> -> (a + x.2))(R)",
+		Inputs:  map[string]Input{"R": {Node: "hdd", Rows: 1500, Arity: 2}},
+		RAM:     32 << 10,
+		Depth:   2, Space: 200,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{FlushRows: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	base := ExecOptions{Seed: 5}
+	want, err := ExecutePlan(context.Background(), c, p, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := base
+	opt.Cat = cat
+	opt.Tables = ingestGenerated(t, cat, c, base)
+	name := opt.Tables["R"]
+	rows, err := inputData(c.Task.Spec.Inputs[0], c.Task, base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				o := opt
+				o.ExecWorkers = 1 + w%2
+				rep, err := ExecutePlan(context.Background(), c, p, o)
+				switch {
+				case errors.Is(err, catalog.ErrNoTable) || errors.Is(err, fs.ErrNotExist):
+				case err == nil && rep.InputRows["R"] == 0: // recreated, not yet reloaded
+				case err != nil:
+					t.Error(err)
+					return
+				case rep.Result != want.Result:
+					t.Errorf("a run over %v rows sums %s, want %s", rep.InputRows, rep.Result, want.Result)
+					return
+				}
+			}
+		}()
+	}
+	for i := range 60 {
+		if i%20 == 19 {
+			if err := cat.Drop(name); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.Create(name, catalog.Schema{Columns: []catalog.Column{{Name: "a"}, {Name: "b"}}, Key: []int{0}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cat.AppendCols(name, [][]int32{slices.Clone(rows[0]), slices.Clone(rows[1])}); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if _, err := cat.AppendCols(name, [][]int32{{int32(i)}, {0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

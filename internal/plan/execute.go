@@ -113,7 +113,9 @@ type ExecReport struct {
 
 // RunProgram executes a synthesized program against a fresh simulator of h.
 // The task supplies placement and nominal sizes; opt may override sizes,
-// supply rows outright or bind inputs to durable tables.
+// supply rows outright or bind inputs to durable tables, whose catalog
+// images it holds until RunBound has returned and every strand has stopped.
+// The span in ctx counts as tableLoads the images this run had to load.
 func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params map[string]int64, task core.Task, opt ExecOptions) (*ExecReport, error) {
 	sim := storage.NewSim(h)
 	sim.DefaultCPU()
@@ -122,29 +124,41 @@ func RunProgram(ctx context.Context, h *memory.Hierarchy, prog ocal.Expr, params
 		return nil, err
 	}
 	inputs := map[string]*exec.Table{}
+	loads := 0
 	for i, in := range task.Spec.Inputs {
 		dev, err := sim.Device(task.InputLoc[in.Name])
 		if err != nil {
 			return nil, err
 		}
-		var tb *exec.Table
+		var cols [][]int32
 		if tname, bound := opt.Tables[in.Name]; bound {
-			if tb, err = loadTableInput(opt.Cat, dev, in, tname); err != nil {
-				return nil, err
+			var release func()
+			var loaded bool
+			if cols, release, loaded, err = opt.Cat.Bind(tname); err != nil {
+				return nil, fmt.Errorf("plan: input %s: %w", in.Name, err)
 			}
-		} else {
-			cols, err := inputData(in, task, opt, i)
-			if err != nil {
-				return nil, err
+			defer release()
+			if loaded {
+				loads++
 			}
-			if tb, err = exec.NewTable(dev, in.Arity, 0); err != nil {
-				return nil, err
+			if len(cols) != in.Arity {
+				return nil, fmt.Errorf("plan: input %s wants arity %d but table %q has %d columns",
+					in.Name, in.Arity, tname, len(cols))
 			}
-			if err := tb.PreloadCols(cols); err != nil {
-				return nil, err
-			}
+		} else if cols, err = inputData(in, task, opt, i); err != nil {
+			return nil, err
+		}
+		tb, err := exec.NewTable(dev, in.Arity, 0)
+		if err != nil {
+			return nil, err
+		}
+		if err := tb.PreloadCols(cols); err != nil {
+			return nil, err
 		}
 		inputs[in.Name] = tb
+	}
+	if len(opt.Tables) > 0 {
+		obs.SpanFrom(ctx).Attr("tableLoads", loads)
 	}
 	return RunBound(ctx, sim, inputs, prog, params, task, opt)
 }
@@ -342,25 +356,6 @@ func CheckExecOptions(h *memory.Hierarchy, task core.Task, opt ExecOptions) erro
 		}
 	}
 	return nil
-}
-
-// loadTableInput loads the catalog snapshot feeding one bound input into a
-// table on dev, checking its shape; the snapshot closes once it is read.
-func loadTableInput(cat *catalog.Catalog, dev *storage.Device, in core.InputSpec, tname string) (*exec.Table, error) {
-	h, err := cat.OpenTable(tname)
-	if err != nil {
-		return nil, fmt.Errorf("plan: input %s: %w", in.Name, err)
-	}
-	defer h.Close()
-	if h.Arity() != in.Arity {
-		return nil, fmt.Errorf("plan: input %s wants arity %d but table %q has %d columns",
-			in.Name, in.Arity, tname, h.Arity())
-	}
-	tb, err := exec.NewBackedTable(dev, in.Arity, h.Rows(), h)
-	if err != nil {
-		return nil, fmt.Errorf("plan: input %s: %w", in.Name, err)
-	}
-	return tb, nil
 }
 
 // inputData resolves one input's rows as column vectors: explicit rows

@@ -92,6 +92,10 @@ func (s *Server) initObs() {
 			func() float64 { return float64(s.cfg.Catalog.Stats().IngestedRows) })
 		s.reg.Func("ocas_catalog_segment_flushes_total", "Segments flushed since the catalog opened.", obs.KindCounter,
 			func() float64 { return float64(s.cfg.Catalog.Stats().SegmentFlushes) })
+		s.reg.Func("ocas_catalog_image_loads_total", "Table versions loaded into a read-only image for /execute since the catalog opened.", obs.KindCounter,
+			func() float64 { return float64(s.cfg.Catalog.Stats().ImageLoads) })
+		s.reg.Func("ocas_catalog_image_bytes", "Bytes of table images mapped right now, current or held by a run.", obs.KindGauge,
+			func() float64 { return float64(s.cfg.Catalog.Stats().ImageBytes) })
 		s.reg.Func("ocas_durable_scans_total", "Completed /execute runs that read catalog tables.", obs.KindCounter,
 			func() float64 { return float64(s.tables.durableScans.Load()) })
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptrace"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -275,6 +276,7 @@ func TestExecuteFromDurableTable(t *testing.T) {
 	load("r", plan.GeneratedPairs(512, 5))
 	load("s", plan.GeneratedPairs(256, 5+7919))
 
+	var reqID string
 	runBody := func(extra string) *plan.ExecReport {
 		body := `{
 			"program": "for (x <- R) for (y <- S) if x.1 == y.1 then [<x, y>] else []",
@@ -287,6 +289,7 @@ func TestExecuteFromDurableTable(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("execute: %d %s", resp.StatusCode, data)
 		}
+		reqID = resp.Header.Get("X-Ocas-Request-Id")
 		var rep plan.ExecReport
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatal(err)
@@ -305,6 +308,34 @@ func TestExecuteFromDurableTable(t *testing.T) {
 	}
 	if dur.Devices["hdd"].BytesRead == 0 {
 		t.Fatal("durable scan charged no reads")
+	}
+	// The first durable run loaded both tables' images; the second reads
+	// them as they are, and its report is the first's.
+	tableLoads := func() any {
+		spans, names := traceSpans(t, ts, reqID)
+		return spans[names["execute"]].Attrs["tableLoads"]
+	}
+	if got := tableLoads(); got != 2.0 {
+		t.Errorf("first durable run's execute span: tableLoads %v, want 2", got)
+	}
+	if again := runBody(`, "tables": {"R": "r", "S": "s"}`); !reflect.DeepEqual(again, dur) {
+		t.Errorf("a run from the images differs from the loading run:\n%+v\n%+v", again, dur)
+	}
+	if got := tableLoads(); got != 0.0 {
+		t.Errorf("second durable run's execute span: tableLoads %v, want 0", got)
+	}
+	var st statsResponse
+	if _, data := doReq(t, "GET", ts.URL+"/stats", "", ""); json.Unmarshal(data, &st) != nil || st.Catalog == nil {
+		t.Fatalf("stats: %s", data)
+	}
+	if c := st.Catalog; c.ImageLoads != 2 || c.Images != 2 || c.ImageBytes != (512+256)*2*4 || c.DurableScans != 2 {
+		t.Errorf("catalog stats after two durable runs: %+v", c)
+	}
+	_, data := doReq(t, "GET", ts.URL+"/metrics", "", "")
+	for _, want := range []string{"ocas_catalog_image_loads_total 2\n", "ocas_catalog_image_bytes 6144\n"} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("metrics lack %q", want)
+		}
 	}
 
 	// Unknown table on /execute.
