@@ -259,7 +259,8 @@ func (c *Catalog) saveLocked() (err error) {
 	return os.Rename(tmp, path)
 }
 
-// tableLocked looks a table up for a mutation.
+// tableLocked looks a table up for a mutation or a read snapshot: neither
+// outlives Close.
 func (c *Catalog) tableLocked(name string) (*TableMeta, error) {
 	if c.closed {
 		return nil, fmt.Errorf("catalog: %w", ErrClosed)

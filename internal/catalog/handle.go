@@ -29,32 +29,29 @@ type Handle struct {
 	buf   [][]int32 // rows buffered at snapshot time, one vector per column
 }
 
-// OpenTable opens a read snapshot of the named table.
+// OpenTable opens a read snapshot of the named table. It opens the segment
+// files under the catalog's lock, so a concurrent Drop is either before it
+// (ErrNoTable) or after it; after Close it fails with ErrClosed.
 func (c *Catalog) OpenTable(name string) (*Handle, error) {
 	c.mu.Lock()
-	t, ok := c.man.Tables[name]
-	if !ok {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("catalog: %q: %w", name, ErrNoTable)
+	defer c.mu.Unlock()
+	t, err := c.tableLocked(name)
+	if err != nil {
+		return nil, err
 	}
-	metas := append([]SegmentMeta(nil), t.Segments...)
 	buf := append([][]int32(nil), c.buf[name]...)
-	arity := t.Schema.Arity()
-	dir := c.dir
-	c.mu.Unlock()
-
-	h := &Handle{name: name, arity: arity, buf: buf}
-	for _, m := range metas {
-		seg, err := storage.OpenSegment(filepath.Join(dir, m.File))
+	h := &Handle{name: name, arity: t.Schema.Arity(), buf: buf}
+	for _, m := range t.Segments {
+		seg, err := storage.OpenSegment(filepath.Join(c.dir, m.File))
 		if err != nil {
 			h.Close()
 			return nil, fmt.Errorf("catalog: open segment %s: %w", m.File, err)
 		}
-		if seg.Cols() != arity || seg.Rows() != m.Rows {
+		if seg.Cols() != h.arity || seg.Rows() != m.Rows {
 			h.Close()
 			seg.Close()
 			return nil, fmt.Errorf("catalog: segment %s shape %dx%d does not match manifest %dx%d",
-				m.File, seg.Rows(), seg.Cols(), m.Rows, arity)
+				m.File, seg.Rows(), seg.Cols(), m.Rows, h.arity)
 		}
 		h.bases = append(h.bases, h.rows)
 		h.segs = append(h.segs, seg)

@@ -33,9 +33,14 @@ type image struct {
 // of a version loads its image through a Handle (loaded says this call
 // did); concurrent binds wait for that load, and later ones share the image
 // until it is retired. A store into a view faults and an append to one
-// reallocates. A failed load is the returned error and caches nothing.
+// reallocates. A failed load is the returned error and caches nothing, and
+// after Close every bind fails with ErrClosed.
 func (c *Catalog) Bind(name string) (cols [][]int32, release func(), loaded bool, err error) {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, nil, false, fmt.Errorf("catalog: %w", ErrClosed)
+	}
 	im := c.images[name]
 	if loaded = im == nil; loaded {
 		im = &image{name: name, ready: make(chan struct{})}

@@ -3,7 +3,6 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -185,10 +184,40 @@ func TestTableImageEmptyAndMissing(t *testing.T) {
 	}
 }
 
+// TestTableImageAfterClose: after Close a bind or a snapshot fails with
+// ErrClosed and maps nothing, whether the table had an image or not.
+func TestTableImageAfterClose(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	for _, name := range []string{"t", "u"} {
+		if err := c.Create(name, pairSchema()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Append(name, []int32{1, 10, 2, 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, release, _ := bindRows(t, c, "t")
+	release()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"t", "u"} {
+		if _, _, _, err := c.Bind(name); !errors.Is(err, ErrClosed) {
+			t.Errorf("bind of %q after Close: %v, want ErrClosed", name, err)
+		}
+		if _, err := c.OpenTable(name); !errors.Is(err, ErrClosed) {
+			t.Errorf("snapshot of %q after Close: %v, want ErrClosed", name, err)
+		}
+	}
+	if st := c.Stats(); st.Images != 0 || st.ImageBytes != 0 || len(c.images) != 0 {
+		t.Errorf("after Close and binds: %d images of %d bytes, %d cached", st.Images, st.ImageBytes, len(c.images))
+	}
+}
+
 // TestTableImageConcurrent binds one table from several goroutines while
 // another appends to it and drops and recreates it. Every bind sees one
 // whole version: batches of equal values in append order. A bind that
-// races a drop finds no table, or not its segment files.
+// races a drop finds no table.
 func TestTableImageConcurrent(t *testing.T) {
 	c := mustOpen(t, t.TempDir(), Options{FlushRows: 96})
 	sch := Schema{Columns: []Column{{Name: "v"}}}
@@ -210,7 +239,7 @@ func TestTableImageConcurrent(t *testing.T) {
 				default:
 				}
 				cols, release, _, err := c.Bind("t")
-				if errors.Is(err, ErrNoTable) || errors.Is(err, fs.ErrNotExist) {
+				if errors.Is(err, ErrNoTable) {
 					continue
 				}
 				if err != nil {

@@ -568,7 +568,7 @@ func TestTakeIsASpillView(t *testing.T) {
 		return sim, d, sp
 	}
 	sim, d, sp := load()
-	r := newSpillReader(sp, 1)
+	r := &tableReader{sp: sp, ar: 1}
 	if err := r.open(&Ctx{Sim: sim, Pool: storage.NewBufferPool(0), Scratch: d}); err != nil {
 		t.Fatal(err)
 	}

@@ -129,9 +129,6 @@ func (w *instr) Open(c *Ctx) error {
 }
 
 func (w *instr) Next(b *Batch) (bool, error) {
-	if w.c == nil {
-		return w.op.Next(b)
-	}
 	s := w.snap()
 	ok, err := w.op.Next(b)
 	w.settle(s)
@@ -282,8 +279,8 @@ func describeOp(op Operator) (kind, detail string) {
 // streamed subtrees as "stream" (the subtree has its own node).
 func inputDetail(in Input) string {
 	switch {
-	case in.table != nil:
-		return fmt.Sprintf("table(rows=%d)", in.table.Rows())
+	case in.spill != nil:
+		return fmt.Sprintf("table(rows=%d)", in.spill.Records())
 	case in.op != nil:
 		return "stream"
 	default:

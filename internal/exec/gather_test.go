@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,7 +185,7 @@ func TestGatherPartitionFailsInOpen(t *testing.T) {
 			t.Errorf("%s: stream ended with %v, want %v", name, err, errBoom)
 		}
 		r.settle(t, name, errBoom)
-		// Inline, nothing runs after partition 0; on four lanes, only the
+		// On one lane, nothing runs after partition 0; on four, only the
 		// other lanes' first partitions can have started before it failed.
 		limit := 1
 		if workers > 1 && !ordered {
@@ -325,10 +326,9 @@ func TestGatherClosedMidStream(t *testing.T) {
 	})
 }
 
-// TestOrderedGatherRunsInline: an ordered gather has one lane at every
-// worker count — no goroutine, one partition open at a time, rows in
-// partition order — where an unordered one on four workers overlaps them.
-func TestOrderedGatherRunsInline(t *testing.T) {
+// TestOrderedGatherRunsInOrder: an ordered gather has one lane at every
+// worker count — one partition open at a time, rows in partition order.
+func TestOrderedGatherRunsInOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		r := newGatherRig(t, 6, workers, true, nil)
 		if err := r.g.Open(r.c); err != nil {
@@ -337,9 +337,6 @@ func TestOrderedGatherRunsInline(t *testing.T) {
 		var got []int32
 		var b Batch
 		for {
-			if n := runtime.NumGoroutine(); n > r.base {
-				t.Fatalf("workers %d: %d goroutines while the ordered gather runs, %d before", workers, n, r.base)
-			}
 			ok, err := r.g.Next(&b)
 			if err != nil {
 				t.Fatal(err)
@@ -362,20 +359,11 @@ func TestOrderedGatherRunsInline(t *testing.T) {
 		}
 		r.settle(t, fmt.Sprintf("ordered, workers %d", workers), nil)
 	}
-
-	r := newGatherRig(t, 6, 4, false, nil)
-	if err := r.g.Open(r.c); err != nil {
-		t.Fatal(err)
-	}
-	if n := runtime.NumGoroutine(); n <= r.base {
-		t.Errorf("an unordered gather on 4 workers started no goroutine (%d, %d before): the probe sees nothing", n, r.base)
-	}
-	r.settle(t, "unordered, workers 4", nil)
 }
 
 // TestGatherPartPanicReachesConsumer: a panic in a partition operator is
-// raised on the goroutine that pulls the gather, on lanes as inline, and
-// leaves no goroutine of the gather running.
+// raised on the goroutine that pulls the gather, on one lane as on four,
+// and leaves no goroutine of the gather running.
 func TestGatherPartPanicReachesConsumer(t *testing.T) {
 	gatherModes(func(name string, workers int, ordered bool) {
 		r := newGatherRig(t, 6, workers, ordered, nil)
@@ -403,4 +391,33 @@ func TestGatherPartPanicReachesConsumer(t *testing.T) {
 			t.Errorf("%s: %d goroutines after the panic, %d before Open", name, n, r.base)
 		}
 	})
+}
+
+// TestGatherClosedWhenMaterializeFails: a join whose streamed inner side, a
+// gather, cannot be materialized on a full scratch device fails the run with
+// the device's error and still closes the gather: every partition it opened
+// is closed once and none of its goroutines is left.
+func TestGatherClosedWhenMaterializeFails(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r := newGatherRig(t, 6, workers, false, nil)
+		outer := loadTableSim(r.c.Sim, "hdd", 1, []int32{1, 2, 3})
+		r.c.Scratch.Node.Size = r.c.Scratch.AllocatedBytes() + 40
+		j := &BNLJoin{L: TableInput(outer), R: OpInput(r.g), K1: 2, K2: 2}
+		err := programOf(j, &Sink{Sim: r.c.Sim}, r.c).Run()
+		if err == nil || !strings.Contains(err.Error(), "full") {
+			t.Fatalf("workers %d: want the scratch device's full error, got %v", workers, err)
+		}
+		for i := range r.parts {
+			if r.p.opens[i] > 1 || r.p.closes[i] != r.p.opens[i] {
+				t.Errorf("workers %d: partition %d opened %d times, closed %d", workers, i, r.p.opens[i], r.p.closes[i])
+			}
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > r.base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > r.base {
+			t.Errorf("workers %d: %d goroutines after the run, %d before", workers, n, r.base)
+		}
+	}
 }

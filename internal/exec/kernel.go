@@ -396,7 +396,7 @@ func (e *kexpr) compile(known []int, ws []stepWin) kfn {
 	if e.r == nil { // Not
 		return func(x *kenv) int64 { return l(x) ^ 1 }
 	}
-	r, neg := e.r.compile(known, ws), b2i(e.op == ocal.OpNe || e.op == ocal.OpGe || e.op == ocal.OpLe)
+	r, neg := e.r.compile(known, ws), b2i(negated(e.op))
 	if a, b, ok := e.leaves(); ok {
 		return leafOp(e.op, a, b, neg)
 	}
@@ -432,6 +432,10 @@ func (e *kexpr) compile(known []int, ws []stepWin) kfn {
 	}
 	return func(x *kenv) int64 { return b2i(l(x) > r(x)) ^ neg } // Gt, Le
 }
+
+// negated reports whether a comparison's closure negates another's: Ne
+// tests Eq, Ge Lt and Le Gt.
+func negated(op ocal.PrimOp) bool { return op == ocal.OpNe || op == ocal.OpGe || op == ocal.OpLe }
 
 // kleaf is a leaf an operator's closure reads in place: a column, an
 // accumulator component or a literal.
@@ -515,23 +519,6 @@ func (e *kexpr) unbound(x *kenv, l, r kfn) error {
 		args[j] = row
 	}
 	return fmt.Errorf("interp: arithmetic on non-integers %s, %s", args[0], args[1])
-}
-
-func cmpHolds(op ocal.PrimOp, a, b int64) bool {
-	switch op {
-	case ocal.OpEq:
-		return a == b
-	case ocal.OpNe:
-		return a != b
-	case ocal.OpLt:
-		return a < b
-	case ocal.OpLe:
-		return a <= b
-	case ocal.OpGt:
-		return a > b
-	default: // OpGe
-		return a >= b
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -777,10 +764,7 @@ func (k *projKernel) run(em *emitter, cols [][]int32, rows int) error {
 // compared with a literal, the common filter, runs as one branchless range
 // test over the column vector.
 func (k *projKernel) buildSel(cols [][]int32, rows int) []int32 {
-	if cap(k.sel) < rows {
-		k.sel = make([]int32, rows)
-	}
-	sel, n := k.sel[:rows], 0
+	sel, n := slices.Grow(k.sel[:0], rows)[:rows], 0
 	if c := k.cond; c.kind == kCmp && c.l.kind == kCol && c.r.kind == kLit {
 		lo, span, out := litRange(c.op, c.r.lit)
 		for i, v := range cols[c.l.col][:rows] {
@@ -1417,13 +1401,15 @@ func compareRows(wl *stepWin, dl int, wr *stepWin, dr int, sure bool) (int, erro
 }
 
 // rowTest stages a kRowCmp condition: whether its two state rows compare as
-// it says.
+// it says, which is whether their order is the sign its comparison tests
+// (Eq 0, Lt -1, Gt 1) unless the comparison is negated.
 func (e *kexpr) rowTest(known []int, ws []stepWin) func() (bool, error) {
-	l, r, op := e.l, e.r, e.op
+	l, r, neg := e.l, e.r, negated(e.op)
+	sign := int(b2i(e.op == ocal.OpGt || e.op == ocal.OpLe) - b2i(e.op == ocal.OpLt || e.op == ocal.OpGe))
 	wl, wr, sure := &ws[l.win], &ws[r.win], known[l.win] > l.depth && known[r.win] > r.depth
 	return func() (bool, error) {
 		ord, err := compareRows(wl, l.depth, wr, r.depth, sure)
-		return cmpHolds(op, int64(ord), 0), err
+		return (ord == sign) != neg, err
 	}
 }
 
@@ -1877,19 +1863,10 @@ func (ix *probeIdx) build(keys []int32) {
 		size <<= 1
 		shift--
 	}
-	if int64(cap(ix.offs)) < size+1 {
-		ix.offs = make([]int32, size+1)
-		ix.cur = make([]int32, size+1)
-	}
-	ix.offs = ix.offs[:size+1]
-	ix.cur = ix.cur[:size+1]
-	for i := range ix.offs {
-		ix.offs[i] = 0
-	}
-	if int64(cap(ix.ents)) < nx {
-		ix.ents = make([]uint64, nx)
-	}
-	ix.ents = ix.ents[:nx]
+	ix.offs = slices.Grow(ix.offs[:0], int(size)+1)[:size+1]
+	ix.cur = slices.Grow(ix.cur[:0], int(size)+1)[:size+1]
+	clear(ix.offs)
+	ix.ents = slices.Grow(ix.ents[:0], int(nx))[:nx]
 	ix.shift = shift
 	for _, k := range keys {
 		ix.offs[probeHash(k, shift)+1]++

@@ -460,8 +460,8 @@ func TestProjKernelModes(t *testing.T) {
 }
 
 // TestSelRangeMatchesCompare: the selection pass's range test agrees with
-// the comparison it stands for, for every operator, literals far outside the
-// int32 range and values at its ends.
+// the staged comparison it stands for, for every operator, literals far
+// outside the int32 range and values at its ends.
 func TestSelRangeMatchesCompare(t *testing.T) {
 	vals := []int32{math.MinInt32, math.MinInt32 + 1, -7, -1, 0, 1, 7, math.MaxInt32 - 1, math.MaxInt32}
 	lits := []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt32 - 2, math.MinInt32 - 1, math.MinInt32,
@@ -470,10 +470,11 @@ func TestSelRangeMatchesCompare(t *testing.T) {
 	for _, op := range []ocal.PrimOp{ocal.OpEq, ocal.OpNe, ocal.OpLt, ocal.OpLe, ocal.OpGt, ocal.OpGe} {
 		for _, lit := range lits {
 			k.cond = &kexpr{kind: kCmp, op: op, l: &kexpr{kind: kCol}, r: &kexpr{kind: kLit, lit: lit}}
+			holds, x := k.cond.compile(nil, nil), kenv{cols: [][]int32{vals}}
 			var want []int32
-			for i, v := range vals {
-				if cmpHolds(op, int64(v), lit) {
-					want = append(want, int32(i))
+			for x.i = range vals {
+				if holds(&x) != 0 {
+					want = append(want, int32(x.i))
 				}
 			}
 			if got := k.buildSel([][]int32{vals}, len(vals)); fmt.Sprint(got) != fmt.Sprint(want) {

@@ -29,7 +29,7 @@ type LowerOpts struct {
 	// plan.ExecOptions.BatchRows).
 	BatchRows int64
 	// ExecWorkers overrides how many partition tasks of the morsel-driven
-	// parallel sections run concurrently (0: Lanes(); 1: inline), as
+	// parallel sections run concurrently (0: Lanes(); 1: one at a time), as
 	// plan.ExecOptions.ExecWorkers sets it. Partition degrees are decided
 	// by the plan, never by the lane count, so the output digest and every
 	// device charge are identical for every count; only wall-clock changes.
@@ -355,7 +355,6 @@ func compileJoinBody(e ocal.Expr, xv, yv string) (keys *[2]int, swapOut bool, er
 		if _, ok := t.Else.(ocal.Empty); !ok {
 			return nil, false, fmt.Errorf("exec: join else-branch must be []")
 		}
-		swapOut = false
 		if s, ok := t.Then.(ocal.Single); ok {
 			swapOut = leadsWithInner(s, yv)
 		}

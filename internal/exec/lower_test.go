@@ -43,7 +43,7 @@ func TestLowerBlockedBNL(t *testing.T) {
 	if j.EquiKeys == nil || j.EquiKeys[0] != 0 || j.EquiKeys[1] != 0 {
 		t.Errorf("equi keys not recognized: %v", j.EquiKeys)
 	}
-	if j.L.table == nil || j.R.table == nil {
+	if j.L.spill == nil || j.R.spill == nil {
 		t.Error("base-table join sides must stay fused")
 	}
 	if err := p.Run(); err != nil {
@@ -86,7 +86,7 @@ func TestLowerHashJoin(t *testing.T) {
 		t.Fatalf("%d parts over %d exchanges, want 4 over 2", len(g.Parts), len(g.Exchanges))
 	}
 	for _, x := range g.Exchanges {
-		if x.Parts != 4 || x.KRead != 4 || x.In.table == nil {
+		if x.Parts != 4 || x.KRead != 4 || x.In.spill == nil {
 			t.Errorf("exchange %+v, want 4 parts of a fused table read in blocks of 4", x)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ocas/internal/storage"
@@ -32,8 +33,9 @@ type Ctx struct {
 	// BatchRows is the operator exchange batch size (0 = DefaultBatchRows).
 	BatchRows int64
 	// Workers bounds how many partition tasks of a parallel section run
-	// concurrently (0: one per core, at most maxPartitions; < 0 or 1:
-	// sections run inline on the caller's goroutine).
+	// concurrently (0: one per core, at most maxPartitions; < 0 or 1: one at
+	// a time, in partition order). A runParts section then runs on the
+	// caller's goroutine; a Gather's partitions run on its producer's.
 	Workers int
 	// Context, when non-nil, cancels the run between batches.
 	Context context.Context
@@ -245,10 +247,7 @@ type emitter struct {
 // fit fixes the emitter's arity at an unfoldR step's first row, and fails
 // on a row of another width.
 func (e *emitter) fit(ar int) error {
-	if e.arity == 0 {
-		e.reserve(ar)
-	}
-	if ar != e.arity {
+	if e.reserve(ar); ar != e.arity {
 		return fmt.Errorf("exec: unfoldR step emitted a row of %d attributes after rows of %d", ar, e.arity)
 	}
 	return nil
@@ -262,11 +261,7 @@ func (e *emitter) reserve(ar int) {
 		return
 	}
 	e.arity = ar
-	if cap(e.cols) >= ar {
-		e.cols = e.cols[:ar]
-	} else {
-		e.cols = make([][]int32, ar)
-	}
+	e.cols = slices.Grow(e.cols[:0], ar)[:ar]
 }
 
 // rows reports the number of buffered rows.
@@ -289,11 +284,7 @@ func (e *emitter) drain(b *Batch, max int64) bool {
 	if n > max {
 		n = max
 	}
-	if cap(b.Cols) >= e.arity {
-		b.Cols = b.Cols[:e.arity]
-	} else {
-		b.Cols = make([][]int32, e.arity)
-	}
+	b.Cols = slices.Grow(b.Cols[:0], e.arity)[:e.arity]
 	for c := range b.Cols {
 		b.Cols[c] = e.cols[c][e.pos : e.pos+int(n)]
 	}
@@ -312,8 +303,8 @@ func (e *emitter) drain(b *Batch, max int64) bool {
 // input: up to k rows per call, with the block resident in a pooled frame.
 // Base tables read directly (the scan fusion that keeps synthesized
 // single-shape programs charging exactly their analytic cost); arbitrary
-// operator subtrees read through an adapter, and gain rewindability by
-// materializing to a scratch spill.
+// operator subtrees read through an adapter, and a second pass over one
+// materializes it to a scratch spill first.
 type blockReader interface {
 	open(c *Ctx) error
 	// next returns up to k rows as per-column vectors (cols[c][r] = column
@@ -336,8 +327,6 @@ type blockReader interface {
 	// operators' resident outer blocks).
 	take(k int64) (*ownedBlock, error)
 	arity() int
-	rewindable() bool
-	rewind() error
 	close() error
 }
 
@@ -405,10 +394,6 @@ type tableReader struct {
 	view          [][]int32 // header of the sub-view handed out last
 }
 
-func newSpillReader(sp *storage.Spill, arity int) *tableReader {
-	return &tableReader{sp: sp, ar: arity}
-}
-
 // records is sp's record count; a missing spill holds none.
 func records(sp *storage.Spill) int64 {
 	if sp == nil {
@@ -421,28 +406,23 @@ func (r *tableReader) open(c *Ctx) error { r.c = c; r.pos = 0; return nil }
 
 func (r *tableReader) width() int64 { return int64(r.ar) * 4 }
 
-// ensure pins a frame able to hold up to k rows, shrinking under budget
-// pressure (never below one row).
-func (r *tableReader) ensure(k int64) (int64, error) {
-	if k < 1 {
-		k = 1
-	}
-	if r.frame != nil {
-		if c := r.frame.Cap(r.width()); c >= k {
+// pin makes *f a frame for up to k rows of width bytes: *f itself when it
+// holds k, else a new pin, which shrinks under budget pressure (never below
+// one row). It returns the rows the frame grants, at most k.
+func pin(c *Ctx, f **storage.Frame, k, width int64) (int64, error) {
+	if *f != nil {
+		if (*f).Cap(width) >= k {
 			return k, nil
 		}
-		r.frame.Release()
-		r.frame = nil
+		(*f).Release()
+		*f = nil
 	}
-	f, err := r.c.Pool.PinUpTo(k, r.width())
+	nf, err := c.Pool.PinUpTo(k, width)
 	if err != nil {
 		return 0, err
 	}
-	r.frame = f
-	if c := f.Cap(r.width()); c < k {
-		k = c
-	}
-	return k, nil
+	*f = nf
+	return min(k, nf.Cap(width)), nil
 }
 
 // ahead makes the stretch cover the read position, cut for blocks of up to k
@@ -461,7 +441,7 @@ func (r *tableReader) ahead(k int64) (off, rows, kk int64, err error) {
 			return 0, 0, 0, nil // before any pin: an empty input pins nothing
 		}
 	}
-	if kk, err = r.ensure(k); err != nil {
+	if kk, err = pin(r.c, &r.frame, max(k, 1), r.width()); err != nil {
 		return 0, 0, 0, err
 	}
 	if held && kk == r.cut {
@@ -478,10 +458,7 @@ func (r *tableReader) ahead(k int64) (off, rows, kk int64, err error) {
 
 // sub hands out rows [off, off+n) of the stretch.
 func (r *tableReader) sub(off, n int64) [][]int32 {
-	if cap(r.view) < len(r.phys) {
-		r.view = make([][]int32, len(r.phys))
-	}
-	r.view = r.view[:len(r.phys)]
+	r.view = slices.Grow(r.view[:0], len(r.phys))[:len(r.phys)]
 	for c, col := range r.phys {
 		r.view[c] = col[off : off+n]
 	}
@@ -519,18 +496,17 @@ func (r *tableReader) take(k int64) (*ownedBlock, error) {
 	if left <= 0 {
 		return nil, nil
 	}
-	f, err := r.c.Pool.PinUpTo(max(k, 1), r.width())
+	ob := &ownedBlock{}
+	kk, err := pin(r.c, &ob.frame, max(k, 1), r.width())
 	if err != nil {
 		return nil, err
 	}
-	cols, n := r.sp.ReadColsAt(r.c.acct(), r.pos, min(max(k, 1), f.Cap(r.width()), left), nil)
-	r.pos += n
-	return &ownedBlock{frame: f, cols: cols, n: n}, nil
+	ob.cols, ob.n = r.sp.ReadColsAt(r.c.acct(), r.pos, min(kk, left), nil)
+	r.pos += ob.n
+	return ob, nil
 }
 
-func (r *tableReader) arity() int       { return r.ar }
-func (r *tableReader) rewindable() bool { return true }
-func (r *tableReader) rewind() error    { r.pos = 0; return nil }
+func (r *tableReader) arity() int { return r.ar }
 
 func (r *tableReader) close() error {
 	if r.frame != nil {
@@ -542,8 +518,7 @@ func (r *tableReader) close() error {
 
 // opReader adapts an operator subtree to the block protocol by
 // re-batching its output into column carry vectors; the pooled frame
-// accounts the handed-out block's residency. It cannot rewind; callers that
-// need a second pass materialize it first.
+// accounts the handed-out block's residency.
 type opReader struct {
 	op Operator
 	c  *Ctx
@@ -608,65 +583,31 @@ func (r *opReader) fill(k int64) error {
 	return nil
 }
 
-// pop hands out up to k carried rows as column views, bounded by the
-// frame's grant. dst is reused as the view header (nil allocates one).
-func (r *opReader) pop(k int64, f *storage.Frame, dst [][]int32) ([][]int32, int64) {
-	n := r.carried()
-	if n == 0 {
-		return nil, 0
+// pop fills up to k rows (at least one) and hands them out as column
+// views, bounded by the grant of the frame it pins in *f: the reader's for
+// next, an owned block's for take. dst is reused as the view header (nil
+// allocates one). At the end of the stream the views are nil.
+func (r *opReader) pop(k int64, f **storage.Frame, dst [][]int32) ([][]int32, int64, error) {
+	k = max(k, 1)
+	if err := r.fill(k); err != nil || r.carried() == 0 {
+		return nil, 0, err
 	}
-	if n > k {
-		n = k
+	k, err := pin(r.c, f, k, int64(r.ar)*4)
+	if err != nil {
+		return nil, 0, err
 	}
-	if c := f.Cap(int64(r.ar) * 4); n > c {
-		n = c
-	}
-	if cap(dst) >= r.ar {
-		dst = dst[:r.ar]
-	} else {
-		dst = make([][]int32, r.ar)
-	}
+	n := min(r.carried(), k)
+	dst = slices.Grow(dst[:0], r.ar)[:r.ar]
 	for c := range dst {
 		dst[c] = r.carry[c][r.off : r.off+int(n)]
 	}
 	r.off += int(n)
-	return dst, n
+	return dst, n, nil
 }
 
-// ensure pins (or reuses) the reader's frame for up to k rows.
-func (r *opReader) ensure(k int64) (*storage.Frame, error) {
-	if r.frame != nil {
-		if r.frame.Cap(int64(r.ar)*4) >= k {
-			return r.frame, nil
-		}
-		r.frame.Release()
-		r.frame = nil
-	}
-	f, err := r.c.Pool.PinUpTo(k, int64(r.ar)*4)
-	if err != nil {
-		return nil, err
-	}
-	r.frame = f
-	return f, nil
-}
-
-func (r *opReader) next(k int64) ([][]int32, error) {
-	if k < 1 {
-		k = 1
-	}
-	if err := r.fill(k); err != nil {
-		return nil, err
-	}
-	if r.carried() == 0 {
-		return nil, nil
-	}
-	f, err := r.ensure(k)
-	if err != nil {
-		return nil, err
-	}
-	cols, _ := r.pop(k, f, r.view)
-	r.view = cols
-	return cols, nil
+func (r *opReader) next(k int64) (_ [][]int32, err error) {
+	r.view, _, err = r.pop(k, &r.frame, r.view)
+	return r.view, err
 }
 
 // span is next: the child charged for the block while producing it, which
@@ -681,33 +622,15 @@ func (r *opReader) span(k int64) ([][]int32, int64, error) {
 
 func (r *opReader) settle(rows int64, perRow float64) { r.c.cpu(rows, perRow) }
 
-func (r *opReader) take(k int64) (*ownedBlock, error) {
-	if k < 1 {
-		k = 1
-	}
-	if err := r.fill(k); err != nil {
+func (r *opReader) take(k int64) (ob *ownedBlock, err error) {
+	ob = &ownedBlock{}
+	if ob.cols, ob.n, err = r.pop(k, &ob.frame, nil); ob.cols == nil {
 		return nil, err
 	}
-	if r.carried() == 0 {
-		return nil, nil
-	}
-	f, err := r.c.Pool.PinUpTo(k, int64(r.ar)*4)
-	if err != nil {
-		return nil, err
-	}
-	cols, n := r.pop(k, f, nil)
-	if cols == nil {
-		f.Release()
-		return nil, nil
-	}
-	return &ownedBlock{frame: f, cols: cols, n: n}, nil
+	return ob, nil
 }
 
-func (r *opReader) arity() int       { return r.ar }
-func (r *opReader) rewindable() bool { return false }
-func (r *opReader) rewind() error {
-	return fmt.Errorf("exec: cannot rewind a streaming operator (materialize it first)")
-}
+func (r *opReader) arity() int { return r.ar }
 
 func (r *opReader) close() error {
 	if r.frame != nil {
@@ -717,46 +640,53 @@ func (r *opReader) close() error {
 	return r.op.Close()
 }
 
-// materialize drains a reader into a scratch spill and returns a rewindable
-// reader over it. The spill's writes and subsequent reads are charged to
+// rescannable opens in for passes over it: a base table or an exchange part
+// is read in place, a stream is materialized first.
+func rescannable(in Input, c *Ctx) (*tableReader, error) {
+	r := in.reader()
+	if err := r.open(c); err != nil {
+		return nil, err
+	}
+	if tr, ok := r.(*tableReader); ok {
+		return tr, nil
+	}
+	return materialize(r, c)
+}
+
+// materialize drains a reader into a scratch spill, closes it, whatever the
+// outcome, and returns a reader over the spill, which rewinds by resetting
+// its position. The spill's writes and subsequent reads are charged to
 // the scratch device — the honest cost of re-scanning a composed
 // intermediate.
 func materialize(r blockReader, c *Ctx) (*tableReader, error) {
-	blk, err := r.next(c.batchRows())
+	var sp *storage.Spill
+	err := func() error {
+		for {
+			blk, err := r.next(c.batchRows())
+			if err != nil || blk == nil {
+				return err
+			}
+			if sp == nil {
+				if sp, err = c.newSpill(int64(r.arity())*4, 0); err != nil {
+					return err
+				}
+			}
+			if err := sp.AppendCols(c.acct(), blk, int64(len(blk[0]))); err != nil {
+				return err
+			}
+		}
+	}()
+	if cerr := r.close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}
-	var sp *storage.Spill
-	for blk != nil {
-		if sp == nil {
-			sp, err = c.newSpill(int64(r.arity())*4, 0)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := sp.AppendCols(c.acct(), blk, int64(len(blk[0]))); err != nil {
-			return nil, err
-		}
-		if blk, err = r.next(c.batchRows()); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.close(); err != nil {
-		return nil, err
-	}
+	ar := max(r.arity(), 1) // an empty stream's spill has a nominal width
 	if sp == nil {
-		// Empty stream: an empty spill of a nominal width.
-		ar := r.arity()
-		if ar <= 0 {
-			ar = 1
-		}
-		sp, err = c.newSpill(int64(ar)*4, 0)
-		if err != nil {
+		if sp, err = c.newSpill(int64(ar)*4, 0); err != nil {
 			return nil, err
 		}
-		mr := newSpillReader(sp, ar)
-		return mr, mr.open(c)
 	}
-	mr := newSpillReader(sp, r.arity())
-	return mr, mr.open(c)
+	return &tableReader{sp: sp, ar: ar, c: c}, nil
 }

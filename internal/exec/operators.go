@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"ocas/internal/ocal"
 	"ocas/internal/storage"
 )
@@ -10,7 +12,6 @@ import (
 // what the generated C would do), to one part of an exchange, or to an
 // arbitrary operator subtree, which streams through the batch protocol.
 type Input struct {
-	table *Table         // set for a base table, next to its spill
 	spill *storage.Spill // device-resident input (nil: no rows)
 	ar    int            // arity of spill
 	op    Operator       // streamed input
@@ -21,7 +22,7 @@ type Input struct {
 }
 
 // TableInput fuses a base table into the consuming operator.
-func TableInput(t *Table) Input { return Input{table: t, spill: t.Spill, ar: t.Arity} }
+func TableInput(t *Table) Input { return Input{spill: t.Spill, ar: t.Arity} }
 
 // OpInput streams another operator's output.
 func OpInput(op Operator) Input { return Input{op: op} }
@@ -37,10 +38,10 @@ func (in Input) resolve() Input {
 
 func (in Input) reader() blockReader {
 	if in.op != nil {
-		return newOpReader(in.op)
+		return &opReader{op: in.op}
 	}
 	in = in.resolve()
-	return newSpillReader(in.spill, in.ar)
+	return &tableReader{sp: in.spill, ar: in.ar}
 }
 
 // extent returns the input's row count, or -1 for a streamed subtree whose
@@ -180,8 +181,8 @@ func (o *Project) Close() error {
 // scans and optional cache tiling (the loop-tiling variant OCAS derives when
 // the hierarchy includes a CPU cache). L is the outer relation: the planner
 // fixed the order. The resident outer block is pinned in the buffer pool; a
-// non-rewindable inner subtree is materialized to a scratch spill before the
-// first rescan.
+// streamed inner subtree is materialized to a scratch spill before the first
+// scan.
 type BNLJoin struct {
 	L, R   Input
 	K1, K2 int64 // outer/inner block sizes in tuples
@@ -199,9 +200,10 @@ type BNLJoin struct {
 	// Tile sizes in tuples for the cache-conscious variant (0 = untiled).
 	TileX, TileY int64
 
-	c            *Ctx
-	outer, inner blockReader
-	ob           *ownedBlock
+	c     *Ctx
+	outer blockReader
+	inner *tableReader // the inner input, materialized unless it is one
+	ob    *ownedBlock
 	// js indexes the resident outer block of an equi-join; the join holds
 	// it from Open to Close.
 	js   *joinScratch
@@ -225,20 +227,15 @@ func (o *BNLJoin) Open(c *Ctx) error {
 	if o.done = noRows(o.L) || noRows(o.R); o.done {
 		return nil
 	}
-	lr, rr := o.L.reader(), o.R.reader()
-	if err := lr.open(c); err != nil {
+	// Close closes the outer input from here on, whatever fails next.
+	o.outer = o.L.reader()
+	if err := o.outer.open(c); err != nil {
 		return err
 	}
-	if err := rr.open(c); err != nil {
+	var err error
+	if o.inner, err = rescannable(o.R, c); err != nil {
 		return err
 	}
-	if !rr.rewindable() {
-		var err error
-		if rr, err = materialize(rr, c); err != nil {
-			return err
-		}
-	}
-	o.outer, o.inner = lr, rr
 	if o.EquiKeys != nil {
 		o.js = c.takeScratch()
 	}
@@ -265,35 +262,49 @@ func (o *BNLJoin) advanceOuter() error {
 		o.js.idx.build(ob.cols[o.EquiKeys[0]])
 		o.c.cpu(ob.n, o.c.Sim.HashSeconds)
 	}
-	return o.inner.rewind()
+	o.inner.pos = 0
+	return nil
 }
 
 // step joins the resident outer block against the inner rows ahead,
 // fetching the next of them (and, at inner end-of-stream, the next outer
-// block) as needed. Processing is resumable: it stops once the emitter holds
-// a batch worth of rows, so a selective key or a product never buffers a
-// whole block pair's matches at once.
+// block) as needed: a product takes a block, an equi-join a span. Processing
+// is resumable: it stops once the emitter holds a batch worth of rows, so a
+// selective key or a product never buffers a whole block pair's matches at
+// once.
 func (o *BNLJoin) step() error {
+	if o.yb == nil {
+		var err error
+		if o.EquiKeys == nil {
+			o.yb, err = o.inner.next(max(o.K2, 1))
+		} else {
+			o.yb, o.ykk, err = o.inner.span(max(o.K2, 1))
+		}
+		switch {
+		case err != nil:
+			return err
+		case o.yb == nil:
+			return o.advanceOuter()
+		case o.EquiKeys == nil:
+			// Charges are per block pair: a product visits every pair.
+			nx, ny := o.ob.n, int64(len(o.yb[0]))
+			o.c.cpu(nx*ny, o.c.Sim.CmpSeconds)
+			o.countCacheMisses(nx, ny, int64(o.outer.arity()), int64(o.inner.arity()))
+		default:
+			// Gather pass: one bucket-bounds pair per inner row, computed
+			// once per span (resumed pauses reuse it).
+			js, ny := o.js, len(o.yb[0])
+			js.hbuf = slices.Grow(js.hbuf[:0], ny)[:ny]
+			hbuf, offs, shift := js.hbuf, js.idx.offs, js.idx.shift
+			for b, key := range o.yb[o.EquiKeys[1]] {
+				h := probeHash(key, shift)
+				hbuf[b] = uint64(offs[h])<<32 | uint64(uint32(offs[h+1]))
+			}
+		}
+		o.posA, o.posB, o.begun = 0, 0, 0
+	}
 	if o.EquiKeys != nil {
 		return o.stepEqui()
-	}
-	if o.yb == nil {
-		k2 := o.K2
-		if k2 <= 0 {
-			k2 = 1
-		}
-		yb, err := o.inner.next(k2)
-		if err != nil {
-			return err
-		}
-		if yb == nil {
-			return o.advanceOuter()
-		}
-		o.yb, o.posA, o.posB = yb, 0, 0
-		// Charges are per block pair: a product visits every pair.
-		nx, ny := o.ob.n, int64(len(yb[0]))
-		o.c.cpu(nx*ny, o.c.Sim.CmpSeconds)
-		o.countCacheMisses(nx, ny, int64(o.outer.arity()), int64(o.inner.arity()))
 	}
 	xb, yb := o.ob.cols, o.yb
 	nx, ny := o.ob.n, int64(len(yb[0]))
@@ -351,35 +362,8 @@ func (o *BNLJoin) outCols() (xout, yout [][]int32) {
 // block's index. The charges are per block pair as ever — the inner block's
 // read, then one hash per inner tuple — but counted as the probe crosses
 // into each block and settled when it pauses or runs out of span; the
-// bucket-bounds gather runs once over the whole span.
+// bucket-bounds gather ran once over the whole span.
 func (o *BNLJoin) stepEqui() error {
-	if o.yb == nil {
-		k2 := o.K2
-		if k2 <= 0 {
-			k2 = 1
-		}
-		yb, kk, err := o.inner.span(k2)
-		if err != nil {
-			return err
-		}
-		if yb == nil {
-			return o.advanceOuter()
-		}
-		o.yb, o.ykk, o.posB, o.begun = yb, kk, 0, 0
-		// Gather pass: one bucket-bounds pair per inner row, computed once
-		// per span (resumed pauses reuse it).
-		ny := len(yb[0])
-		js := o.js
-		if cap(js.hbuf) < ny {
-			js.hbuf = make([]uint64, ny)
-		}
-		js.hbuf = js.hbuf[:ny]
-		hbuf, offs, shift := js.hbuf, js.idx.offs, js.idx.shift
-		for b, key := range yb[o.EquiKeys[1]] {
-			h := probeHash(key, shift)
-			hbuf[b] = uint64(offs[h])<<32 | uint64(uint32(offs[h+1]))
-		}
-	}
 	xb, yb := o.ob.cols, o.yb
 	nx, ny := o.ob.n, int64(len(yb[0]))
 	max := o.c.batchRows()
@@ -537,23 +521,13 @@ func (o *ExtSort) Open(c *Ctx) error {
 	if o.Way < 2 {
 		o.Way = 2
 	}
-	// Resolve the pass-1 source: a base table or an exchange part is read in
-	// place; a stream is spooled to scratch first.
-	var src *storage.Spill
-	if in := o.In.resolve(); in.op == nil {
-		src, o.arity = in.spill, in.ar
-	} else {
-		r := o.In.reader()
-		if err := r.open(c); err != nil {
-			return err
-		}
-		mr, err := materialize(r, c)
-		if err != nil {
-			return err
-		}
-		src, o.arity = mr.sp, mr.ar
+	// Pass 1 reads the input in place, a streamed one once materialized.
+	in, err := rescannable(o.In, c)
+	if err != nil {
+		return err
 	}
-	n := records(src)
+	src, n := in.sp, records(in.sp)
+	o.arity = in.ar
 	if n == 0 {
 		o.done = true
 		return nil
@@ -562,16 +536,9 @@ func (o *ExtSort) Open(c *Ctx) error {
 
 	parts := o.sections(n, width)
 	bounds := sectionBounds(n, parts)
-	type sorted struct {
-		sp     *storage.Spill
-		lo, hi int64
-		runLen int64
-		passes int
-	}
 	outs := make([]sorted, parts)
-	err := runParts(c, parts, func(i int, pc *Ctx) error {
-		sp, lo, hi, runLen, passes, err := o.sortRange(pc, src, bounds[i][0], bounds[i][1], parts > 1)
-		outs[i] = sorted{sp, lo, hi, runLen, passes}
+	err = runParts(c, parts, func(i int, pc *Ctx) (err error) {
+		outs[i], err = o.sortRange(pc, src, bounds[i][0], bounds[i][1], parts > 1)
 		return err
 	})
 	if err != nil {
@@ -596,7 +563,7 @@ func (o *ExtSort) Open(c *Ctx) error {
 		o.Passes++ // the final streamed merge
 	}
 	for _, cu := range o.finalCs {
-		if err := o.fill(cu); err != nil {
+		if err := o.fill(c, cu, int64(len(o.finalCs))); err != nil {
 			return err
 		}
 	}
@@ -609,30 +576,25 @@ func (o *ExtSort) Open(c *Ctx) error {
 // merge needs Way+1 frames from its share, and the final merge needs one
 // cursor frame per remaining run — up to Way per section — plus one).
 func (o *ExtSort) sections(n, width int64) int {
-	bin := o.Bin
-	if bin < 1 {
-		bin = 1
-	}
-	span := 4 * int64(o.Way) * bin
-	if span < 4096 {
-		span = 4096
-	}
-	p := clampParts(n / span)
+	span := max(4*int64(o.Way)*max(o.Bin, 1), 4096)
+	p := min(max(n/span, 1), maxPartitions)
 	if b := o.c.Pool.Budget(); b > 0 && p > 1 {
 		// The final merge pins one cursor frame per section (plus the
 		// consumer's) from the driver's budget.
-		if maxP := b/width - 1; maxP < int64(p) {
-			p = int(maxP)
-		}
-		if p < 1 {
-			p = 1
-		}
+		p = max(min(p, b/width-1), 1)
 	}
-	return p
+	return int(p)
 }
 
-// sortRange sorts src[lo, hi) and returns the spill and range holding the
-// remaining runs, the run length and the number of merge passes. A lone
+// sorted is a section sortRange sorted: the spill and range holding its
+// remaining runs, the run length and the number of merge passes.
+type sorted struct {
+	sp             *storage.Spill
+	lo, hi, runLen int64
+	passes         int
+}
+
+// sortRange sorts section src[lo, hi). A lone
 // section (full == false) stops one pass early — at most Way runs remain
 // and the final merge streams them, exactly the pre-parallel behaviour. A
 // parallel section (full == true) sorts to a single run: it costs one more
@@ -640,11 +602,11 @@ func (o *ExtSort) sections(n, width int64) int {
 // instead of a parts·Way-way one, which would otherwise dominate the run.
 // The ping-pong scratch spills are task-local; the loser of the last pass
 // is freed eagerly.
-func (o *ExtSort) sortRange(c *Ctx, src *storage.Spill, lo, hi int64, full bool) (*storage.Spill, int64, int64, int64, int, error) {
+func (o *ExtSort) sortRange(c *Ctx, src *storage.Spill, lo, hi int64, full bool) (sorted, error) {
 	span := hi - lo
 	runLen := int64(1)
 	if span <= 1 {
-		return src, lo, hi, runLen, 0, nil
+		return sorted{src, lo, hi, runLen, 0}, nil
 	}
 	width := int64(o.arity) * 4
 	cur, curLo, curHi := src, lo, hi
@@ -663,21 +625,21 @@ func (o *ExtSort) sortRange(c *Ctx, src *storage.Spill, lo, hi int64, full bool)
 		case a:
 			if b == nil {
 				if b, err = c.newSpill(width, span); err != nil {
-					return nil, 0, 0, 0, 0, err
+					return sorted{}, err
 				}
 			}
 			dst = b
 		default:
 			if a == nil {
 				if a, err = c.newSpill(width, span); err != nil {
-					return nil, 0, 0, 0, 0, err
+					return sorted{}, err
 				}
 			}
 			dst = a
 		}
 		dst.Reset()
 		if err := o.mergePass(c, cur, curLo, curHi, dst, runLen); err != nil {
-			return nil, 0, 0, 0, 0, err
+			return sorted{}, err
 		}
 		passes++
 		runLen *= int64(o.Way)
@@ -690,17 +652,12 @@ func (o *ExtSort) sortRange(c *Ctx, src *storage.Spill, lo, hi int64, full bool)
 	if b != nil && b != cur {
 		b.Free()
 	}
-	return cur, curLo, curHi, runLen, passes, nil
+	return sorted{cur, curLo, curHi, runLen, passes}, nil
 }
 
-// fill tops up a cursor's frame from its source spill.
-func (o *ExtSort) fill(cu *sortCursor) error {
-	return o.fillCtx(o.c, cu, int64(len(o.finalCs)))
-}
-
-// fillCtx tops up a cursor, sharing the pool budget with its sibling
-// cursors plus one output buffer.
-func (o *ExtSort) fillCtx(c *Ctx, cu *sortCursor, siblings int64) error {
+// fill tops up a cursor's frame from its source spill, sharing the pool
+// budget with its sibling cursors plus one output buffer.
+func (o *ExtSort) fill(c *Ctx, cu *sortCursor, siblings int64) error {
 	a := int64(o.arity)
 	if cu.pos < cu.n || cu.next >= cu.end {
 		return nil
@@ -812,7 +769,7 @@ func (o *ExtSort) mergePass(c *Ctx, src *storage.Spill, lo, hi int64, dst *stora
 			cs = append(cs, cu)
 		}
 		for _, cu := range cs {
-			if err := o.fillCtx(c, cu, int64(o.Way)); err != nil {
+			if err := o.fill(c, cu, int64(o.Way)); err != nil {
 				return err
 			}
 		}
@@ -835,7 +792,7 @@ func (o *ExtSort) mergePass(c *Ctx, src *storage.Spill, lo, hi int64, dst *stora
 				}
 			}
 			cu.pos++
-			if err := o.fillCtx(c, cu, int64(o.Way)); err != nil {
+			if err := o.fill(c, cu, int64(o.Way)); err != nil {
 				return err
 			}
 		}
@@ -862,7 +819,7 @@ func (o *ExtSort) step() error {
 		o.em.cols[c] = append(o.em.cols[c], cu.cols[c][cu.pos])
 	}
 	cu.pos++
-	return o.fill(cu)
+	return o.fill(o.c, cu, int64(len(o.finalCs)))
 }
 
 func (o *ExtSort) Next(b *Batch) (bool, error) {

@@ -13,6 +13,7 @@ package exec
 
 import (
 	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"ocas/internal/ocal"
@@ -24,17 +25,6 @@ import (
 // operators choose. It is a property of the plan, deliberately independent
 // of the worker count: more workers than partitions idle, fewer queue.
 const maxPartitions = 8
-
-// clampParts applies the [1, maxPartitions] bound.
-func clampParts(p int64) int {
-	if p < 1 {
-		return 1
-	}
-	if p > maxPartitions {
-		return maxPartitions
-	}
-	return int(p)
-}
 
 // sectionBounds splits n records into parts even sections.
 func sectionBounds(n int64, parts int) [][2]int64 {
@@ -52,9 +42,6 @@ func sectionBounds(n int64, parts int) [][2]int64 {
 // independent of scheduling. A single-partition section runs directly on
 // the caller's strand.
 func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
-	if n <= 0 {
-		return nil
-	}
 	if n == 1 {
 		return fn(0, c)
 	}
@@ -91,15 +78,15 @@ func runParts(c *Ctx, n int, fn func(i int, pc *Ctx) error) error {
 // Gather
 
 // Gather merges the output streams of its partition operators into one
-// stream. With one lane the partitions run lazily in order on the caller's
-// strand. With more, one producer goroutine drives them as par.For tasks
+// stream. One producer goroutine drives them as par.For tasks on the lanes
 // and batches merge in completion order — the consumer never stalls a
 // producer; a partition's panic is raised again in the consumer's Next or
 // Close — which is correct for every bag consumer (joins, exchanges,
 // sorts, the sink's order-independent digest). With Ordered set (lowering
 // sets it when an order-sensitive consumer, a fold or a streaming merge,
 // sits above the flatMap) the gather has one lane at every worker count,
-// so the row order — not just the bag — never depends on it: delivering in
+// whose par.For runs the partitions one at a time in index order, so the
+// row order — not just the bag — never depends on it: delivering in
 // partition order from concurrent producers stalls them on the consumer and
 // measured no faster than running them in turn. Each partition runs on a
 // private context (see Ctx.part).
@@ -112,15 +99,12 @@ type Gather struct {
 	// each.
 	Exchanges []*Exchange
 
-	c      *Ctx
-	ctxs   []*Ctx
-	lanes  int
-	closed bool
-	cur    int
-	opened bool // inline mode: current partition is open
+	c     *Ctx
+	ctxs  []*Ctx
+	lanes int
 
-	// Parallel mode (lanes > 1): the producer closes ch once every task
-	// returned, and join re-raises a part's panic on the consumer.
+	// The producer closes ch once every task returned, and finalize waits
+	// for it.
 	ch     chan Batch
 	stop   chan struct{}
 	wait   func()
@@ -143,10 +127,6 @@ func (g *Gather) Open(c *Ctx) error {
 		return err
 	}
 	n := len(g.Parts)
-	if n == 0 {
-		g.merged = true
-		return nil
-	}
 	// Each partition strand pins against the full plan budget (see
 	// Ctx.part); the worker ceiling bounds the concurrent lanes and with
 	// them host memory.
@@ -159,9 +139,6 @@ func (g *Gather) Open(c *Ctx) error {
 		g.ctxs[i] = c.part()
 	}
 	g.errs = make([]error, n)
-	if g.lanes == 1 {
-		return nil // partitions open lazily in Next
-	}
 	g.ch = make(chan Batch, 4*g.lanes)
 	// Every set of vectors is in ch, in a part's hands or the consumer's,
 	// or here: a set lent back always fits.
@@ -172,15 +149,6 @@ func (g *Gather) Open(c *Ctx) error {
 		par.For(g.lanes, n, g.runTask)
 	})
 	return nil
-}
-
-// join waits for the producer and, the first time, re-raises on the
-// consumer a panic of a partition, as an inline run would raise it.
-func (g *Gather) join() {
-	if w := g.wait; w != nil {
-		g.wait = nil
-		w()
-	}
 }
 
 // runTask drives partition i to completion unless a sibling failed or the
@@ -203,6 +171,8 @@ func (g *Gather) runTask(i int) {
 	g.errs[i], ok = err, err == nil
 }
 
+// runPart drives partition i until its stream ends or Close stops it; a
+// stopped partition still reports its Close error.
 func (g *Gather) runPart(i int) error {
 	op, pc := g.Parts[i], g.ctxs[i]
 	if err := op.Open(pc); err != nil {
@@ -229,28 +199,28 @@ func (g *Gather) runPart(i int) error {
 		case cols = <-g.free:
 		default:
 		}
-		if cap(cols) < b.Arity {
-			cols = make([][]int32, b.Arity)
-		}
-		cols = cols[:b.Arity]
+		cols = slices.Grow(cols[:0], b.Arity)[:b.Arity]
 		for c := range cols {
 			cols[c] = append(cols[c][:0], b.Cols[c]...)
 		}
 		select {
 		case g.ch <- Batch{Arity: b.Arity, Cols: cols}:
 		case <-g.stop:
-			op.Close()
-			return nil
+			return op.Close()
 		}
 	}
 }
 
-// finalize folds every partition context back in partition order,
-// resolving the first error. In parallel mode it runs once ch is closed,
-// so every task has returned. Idempotent.
+// finalize waits for the producer, which has closed ch, re-raising on the
+// consumer, once, a partition's panic; then it folds every partition
+// context back in partition order, resolving the first error. Idempotent.
 func (g *Gather) finalize() error {
 	if g.merged {
 		return g.finalErr
+	}
+	if w := g.wait; w != nil {
+		g.wait = nil
+		w()
 	}
 	g.merged = true
 	for i, pc := range g.ctxs {
@@ -266,80 +236,25 @@ func (g *Gather) Next(b *Batch) (bool, error) {
 	if g.merged {
 		return false, nil
 	}
-	if g.ch != nil {
-		// The previous batch's views end with this call.
-		if g.lent != nil {
-			select {
-			case g.free <- g.lent:
-			default:
-			}
-			g.lent = nil
+	// The previous batch's views end with this call.
+	if g.lent != nil {
+		select {
+		case g.free <- g.lent:
+		default:
 		}
-		// Completion order: whoever has a batch ready wins.
-		bt, ok := <-g.ch
-		if !ok {
-			g.join()
-			return false, g.finalize()
-		}
-		*b, g.lent = bt, bt.Cols
-		return true, nil
+		g.lent = nil
 	}
-	// Inline: drain partitions in order on this strand.
-	for g.cur < len(g.Parts) {
-		op, pc := g.Parts[g.cur], g.ctxs[g.cur]
-		if !g.opened {
-			if err := g.c.err(); err != nil {
-				return false, g.abort(nil, err)
-			}
-			if err := op.Open(pc); err != nil {
-				return false, g.abort(op, err)
-			}
-			g.opened = true
-		}
-		ok, err := op.Next(b)
-		if err != nil {
-			return false, g.abort(op, err)
-		}
-		if ok {
-			return true, nil
-		}
-		if err := g.advance(op); err != nil {
-			return false, g.finalize()
-		}
+	// Completion order: whoever has a batch ready wins.
+	bt, ok := <-g.ch
+	if !ok {
+		return false, g.finalize()
 	}
-	return false, g.finalize()
-}
-
-// advance closes the current inline partition and steps to the next.
-func (g *Gather) advance(op Operator) error {
-	err := op.Close()
-	g.errs[g.cur] = err
-	g.cur++
-	g.opened = false
-	return err
-}
-
-// abort records an inline partition failure, closes the partition (when
-// given) and finalizes: remaining partitions never run, their untouched
-// contexts merge as zeros.
-func (g *Gather) abort(op Operator, err error) error {
-	if op != nil {
-		op.Close()
-	}
-	if g.errs[g.cur] == nil {
-		g.errs[g.cur] = err
-	}
-	g.cur = len(g.Parts)
-	g.opened = false
-	return g.finalize()
+	*b, g.lent = bt, bt.Cols
+	return true, nil
 }
 
 func (g *Gather) Close() error {
-	if g.closed {
-		return nil
-	}
-	g.closed = true
-	if g.ch != nil {
+	if g.ch != nil && !g.merged {
 		// Tell the tasks to stop and drain the channel, which unblocks any
 		// task waiting on it (the producer closes it once every task
 		// returned).
@@ -347,10 +262,6 @@ func (g *Gather) Close() error {
 		close(g.stop)
 		for range g.ch {
 		}
-		g.join()
-	} else if g.opened {
-		g.errs[g.cur] = g.Parts[g.cur].Close()
-		g.opened = false
 	}
 	return g.finalize()
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -428,7 +427,7 @@ func TestTableImageConcurrentExecutes(t *testing.T) {
 				o.ExecWorkers = 1 + w%2
 				rep, err := ExecutePlan(context.Background(), c, p, o)
 				switch {
-				case errors.Is(err, catalog.ErrNoTable) || errors.Is(err, fs.ErrNotExist):
+				case errors.Is(err, catalog.ErrNoTable):
 				case err == nil && rep.InputRows["R"] == 0: // recreated, not yet reloaded
 				case err != nil:
 					t.Error(err)

@@ -65,8 +65,9 @@ type tier[V any] struct {
 }
 
 type entry[V any] struct {
-	key string
-	v   V
+	key   string
+	v     V
+	bytes []byte // v's encoding, from the first encoded call for it on
 }
 
 // call is one in-flight computation. Waiters join by incrementing waiters
@@ -103,11 +104,21 @@ func (c *tier[V]) Get(key string) (V, bool) {
 	return c.lookup(key, false)
 }
 
-// hit is Get counted as a hit.
-func (c *tier[V]) hit(key string) (V, bool) {
+// encoded is Get, counted as a hit when count is set, returning also the
+// value's encoding: enc runs at the first encoded call for the value, and
+// its bytes stay with the value until it leaves the tier.
+func (c *tier[V]) encoded(key string, count bool, enc func(V) []byte) (V, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookup(key, true)
+	v, ok := c.lookup(key, count)
+	if !ok {
+		return v, nil, false
+	}
+	e := c.entries[key].Value.(*entry[V])
+	if e.bytes == nil {
+		e.bytes = enc(v)
+	}
+	return v, e.bytes, true
 }
 
 // lookup finds key under c.mu, marking it recently used and, with count,
@@ -213,7 +224,7 @@ func (c *tier[V]) wait(ctx context.Context, cl *call[V]) (V, error) {
 // insert adds a value under c.mu, evicting from the LRU tail as needed.
 func (c *tier[V]) insert(key string, v V) {
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*entry[V]).v = v
+		*el.Value.(*entry[V]) = entry[V]{key: key, v: v}
 		c.lru.MoveToFront(el)
 		return
 	}

@@ -74,10 +74,14 @@ func NewStore(planCapacity, templateCapacity int) *Store {
 // lookups (GET /plans/{fingerprint}).
 func (s *Store) Get(fullKey string) (*plan.Plan, bool) { return s.plans.Get(fullKey) }
 
-// Hit is Get counted as a plan-tier hit: the lookup Resolve would make for
-// a request whose fingerprint the caller already knows. A missing key
-// counts nothing.
-func (s *Store) Hit(fullKey string) (*plan.Plan, bool) { return s.plans.hit(fullKey) }
+// Encoded is Get returning also the plan's canonical bytes, and with hit set
+// it counts as a plan-tier hit: the lookup Resolve would make for a request
+// whose fingerprint the caller already knows (a missing key counts
+// nothing). plan.Encode runs at a plan's first Encoded and the bytes stay
+// with it in the tier, so a plan never served from the cache holds none.
+func (s *Store) Encoded(fullKey string, hit bool) (*plan.Plan, []byte, bool) {
+	return s.plans.encoded(fullKey, hit, plan.Encode)
+}
 
 // Resolve serves one request through both tiers. Outcomes:
 //

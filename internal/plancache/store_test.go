@@ -529,19 +529,19 @@ func TestPersistencePreservesLRUOrder(t *testing.T) {
 	}
 }
 
-// TestStoreHit: Hit is a plan-tier hit without a compute. It counts one
-// hit and makes the plan the most recently used; a key the tier lacks
-// counts nothing.
+// TestStoreHit: Encoded with hit set is a plan-tier hit without a compute.
+// It counts one hit, makes the plan the most recently used and returns its
+// canonical bytes; a key the tier lacks counts nothing.
 func TestStoreHit(t *testing.T) {
 	s := NewStore(2, 1)
 	a := &plan.Plan{Fingerprint: "a"}
 	s.plans.Put("a", a)
 	s.plans.Put("b", &plan.Plan{Fingerprint: "b"})
-	if p, ok := s.Hit("a"); !ok || p != a {
-		t.Fatalf("Hit(a) = %p, %v; want %p", p, ok, a)
+	if p, b, ok := s.Encoded("a", true); !ok || p != a || !bytes.Equal(b, plan.Encode(a)) {
+		t.Fatalf("Encoded(a, true) = %p, %q, %v; want %p and its bytes", p, b, ok, a)
 	}
-	if _, ok := s.Hit("c"); ok {
-		t.Fatal("Hit found a key the tier lacks")
+	if _, _, ok := s.Encoded("c", true); ok {
+		t.Fatal("Encoded found a key the tier lacks")
 	}
 	s.plans.Put("c", &plan.Plan{Fingerprint: "c"})
 	if _, ok := s.Get("b"); ok {
@@ -549,5 +549,26 @@ func TestStoreHit(t *testing.T) {
 	}
 	if st := s.Stats().Plans; st.Hits != 1 || st.Misses != 0 || st.Evictions != 1 {
 		t.Fatalf("stats %+v, want 1 hit, 0 misses, 1 eviction", st)
+	}
+}
+
+// TestStoreEncodesAtFirstEncoded: a cached plan holds no bytes until it is
+// first served through Encoded, which keeps them with it; a plan put again
+// under its key drops the old plan's bytes.
+func TestStoreEncodesAtFirstEncoded(t *testing.T) {
+	s := NewStore(2, 1)
+	held := func() []byte { return s.plans.entries["a"].Value.(*entry[*plan.Plan]).bytes }
+	s.plans.Put("a", &plan.Plan{Fingerprint: "a", Program: "old"})
+	if held() != nil {
+		t.Fatal("a plan holds bytes before it was served")
+	}
+	_, first, _ := s.Encoded("a", false)
+	if _, again, _ := s.Encoded("a", true); &again[0] != &first[0] || !bytes.Equal(held(), first) {
+		t.Fatal("a second Encoded did not serve the bytes the first kept")
+	}
+	fresh := &plan.Plan{Fingerprint: "a", Program: "new"}
+	s.plans.Put("a", fresh)
+	if _, b, _ := s.Encoded("a", false); !bytes.Equal(b, plan.Encode(fresh)) {
+		t.Fatalf("the replaced plan's bytes %q outlived it", b)
 	}
 }

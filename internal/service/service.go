@@ -176,8 +176,8 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		execSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		started: time.Now(),
-		memo:    newHitMemo(cfg.CacheSize),
 	}
+	s.memo = newHitMemo(cfg.CacheSize, s.store)
 	s.initObs()
 	return s
 }
@@ -386,13 +386,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer res.cancel()
-	encoded := plan.Encode(res.plan)
 	// A body is memoized the second time it is seen: its first answer was
 	// the miss that cached the plan.
 	if res.outcome == plancache.Hit {
-		s.memo.put(key, memoEntry{fp: res.compiled.Fingerprint, plan: res.plan, bytes: encoded})
+		s.memo.put(key, res.compiled.Fingerprint)
 	}
-	s.writePlan(w, encoded, string(res.outcome), time.Since(startedAt))
+	s.writePlan(w, plan.Encode(res.plan), string(res.outcome), time.Since(startedAt))
 }
 
 // markShared exposes the singleflight leader of a shared result, so log
@@ -568,12 +567,12 @@ func (s *Server) failCompute(w http.ResponseWriter, err error, timeout time.Dura
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
-	p, ok := s.store.Get(fp)
+	_, encoded, ok := s.store.Encoded(fp, false)
 	if !ok {
 		s.fail(w, http.StatusNotFound, "no plan with fingerprint %q", fp)
 		return
 	}
-	s.writePlan(w, plan.Encode(p), string(plancache.Hit), 0)
+	s.writePlan(w, encoded, string(plancache.Hit), 0)
 }
 
 // writePlan sends the canonical plan bytes — exactly what cmd/ocas -json
